@@ -1,6 +1,8 @@
 # Developer entry points for the Uldp-FL reproduction.
 #
 #   make test           tier-1 test suite (what CI runs)
+#   make test-accounting  the accountant's tests alone, incl. the scalar-oracle
+#                       differential tests (docs/privacy_accounting.md)
 #   make bench          all paper-figure benchmarks (slow, prints tables)
 #   make bench-engine   loop vs. vectorized engine speedup on fig05 MNIST
 #   make bench-protocol reference vs. fast Paillier vs. masked secagg
@@ -31,10 +33,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-engine bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
+.PHONY: test test-accounting bench bench-engine bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+test-accounting:
+	$(PYTHON) -m pytest tests/accounting -q --durations=10
 
 bench:
 	$(PYTHON) -m pytest benchmarks -s

@@ -192,6 +192,7 @@ class PrivacyAccountant:
         merged = PrivacyAccountant(alphas=self.alphas.copy())
         merged._rhos = np.maximum(self._rhos, other._rhos)
         merged.history = [*self.history, *other.history]
+        merged.releases = [*self.releases, *other.releases]
         return merged
 
     def reset(self) -> None:
@@ -222,18 +223,31 @@ class PrivacyAccountant:
             ],
         }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "PrivacyAccountant":
-        """Inverse of :meth:`state_dict`."""
+    def load_state(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot into this accountant.
+
+        The per-(q, sigma) curve memo survives the restore -- a resumed
+        run keeps paying nothing for curves it has already drawn -- unless
+        the snapshot is on another order grid, where it would be wrong.
+        """
         if state.get("schema") != "uldp-fl-accountant/v1":
             raise ValueError(f"unknown accountant schema: {state.get('schema')!r}")
-        acct = cls(alphas=np.asarray(state["alphas"], dtype=np.float64))
-        acct._rhos = np.asarray(state["rhos"], dtype=np.float64)
-        acct.history = [
+        alphas = np.asarray(state["alphas"], dtype=np.float64)
+        if not np.array_equal(alphas, self.alphas):
+            self._curve_cache.clear()
+        self.alphas = alphas
+        self._rhos = np.asarray(state["rhos"], dtype=np.float64)
+        self.history = [
             RdpEvent(sigma, q, int(steps)) for sigma, q, steps in state["history"]
         ]
-        acct.releases = [
+        self.releases = [
             ReleaseEvent(sigma, q, sens, scale)
             for sigma, q, sens, scale in state["releases"]
         ]
+
+    @classmethod
+    def from_state(cls, state: dict) -> "PrivacyAccountant":
+        """Inverse of :meth:`state_dict`."""
+        acct = cls()
+        acct.load_state(state)
         return acct

@@ -7,7 +7,9 @@ Two bounds are provided:
   Gaussian mechanism" (2019), the computation Opacus uses.  For integer
   orders it evaluates a finite binomial sum; for fractional orders the
   convergent two-sided series with erfc terms.  All computation happens in
-  log space for stability.
+  log space for stability, on arrays of terms in fixed-size blocks (the
+  term-by-term form is the test oracle, ``tests/accounting/oracle_subsampled.py``;
+  costs in docs/privacy_accounting.md, "Cost of the accountant").
 - :func:`subsampled_rdp_closed_form` -- the closed-form upper bound of
   Wang, Balle & Kasiviswanathan (2019), quoted as Lemma 4 in the paper.
   Looser but cheap; used for cross-checking.
@@ -25,61 +27,114 @@ from scipy import special
 
 from repro.accounting.rdp import DEFAULT_ALPHAS, gaussian_rdp
 
+#: Terms of the integer-order binomial sum evaluated per array pass.  The
+#: default grid reaches order 131072, so blocking the ``i`` axis keeps the
+#: temporaries at ~64 KiB each however large the order is.
+_BLOCK = 8192
+#: Terms of the fractional-order series per pass.  The series stops after
+#: under ten terms at q = 0.01 and after thousands at q = 0.5 (there only
+#: the generalised binomials decay, polynomially); a short block wastes
+#: little in the first case and costs little in the second.
+_SERIES_BLOCK = 256
 
-def _log_add(log_a: float, log_b: float) -> float:
-    """log(exp(log_a) + exp(log_b)) without overflow."""
-    if log_a == -math.inf:
-        return log_b
-    if log_b == -math.inf:
-        return log_a
-    hi, lo = max(log_a, log_b), min(log_a, log_b)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _log_sub(log_a: float, log_b: float) -> float:
-    """log(exp(log_a) - exp(log_b)); requires log_a >= log_b."""
-    if log_b == -math.inf:
-        return log_a
-    if log_b > log_a:
-        raise ValueError("log_sub requires log_a >= log_b")
-    if log_a == log_b:
-        return -math.inf
-    return log_a + math.log1p(-math.exp(log_b - log_a))
+#: ``_LOG_FACTORIAL[i] = log(i!)``.  Independent of (q, sigma), so every
+#: order of a curve and every step of a calibration bisection shares it.
+#: Only ever replaced by a longer array with the same prefix; entry ``i`` is
+#: ``gammaln(i + 1)`` however the table got there, which keeps results
+#: independent of what was evaluated earlier in the process.
+_LOG_FACTORIAL = np.zeros(1)
 
 
-def _log_comb(n: float, k: int) -> float:
-    """log of the binomial coefficient C(n, k) for integer n."""
-    return special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+def _log_factorials(n: int) -> np.ndarray:
+    """The ``log(i!)`` table with at least ``n + 1`` entries, grown on demand."""
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if len(table) <= n:
+        tail = np.arange(len(table) + 1, n + 2, dtype=np.float64)
+        special.gammaln(tail, out=tail)
+        table = _LOG_FACTORIAL = np.concatenate([table, tail])
+    return table
 
 
-def _log_erfc(x: float) -> float:
+class _LogSumExp:
+    """Streaming ``log(sum_k sign_k exp(x_k))`` over blocks of log-terms.
+
+    The largest term seen so far (``peak``) is kept out of the sum and the
+    others are accumulated relative to it, so the value is
+    ``peak + log1p(rest)``.  When one term dominates -- the small-q regime,
+    where log A is of order q^2 -- this keeps the relative precision a
+    plain ``log(sum)`` would lose to the spacing of doubles near 1.
+    """
+
+    def __init__(self):
+        self.peak = -math.inf
+        self.peak_sign = 1.0
+        self.rest = 0.0
+
+    def add(self, log_terms: np.ndarray, signs: np.ndarray | None = None) -> None:
+        k = int(np.argmax(log_terms))
+        new_peak = log_terms[k] > self.peak
+        if new_peak:
+            # The old peak becomes an ordinary term of the rescaled sum.
+            self.rest = (self.rest + self.peak_sign) * math.exp(self.peak - log_terms[k])
+            self.peak = float(log_terms[k])
+            self.peak_sign = 1.0 if signs is None else float(signs[k])
+        weights = np.exp(log_terms - self.peak)
+        if new_peak:
+            weights[k] = 0.0
+        self.rest += float(weights.sum() if signs is None else signs @ weights)
+
+    def value(self) -> float:
+        """Raises ValueError if the signed sum is not positive."""
+        return self.peak + math.log1p(self.rest + (self.peak_sign - 1.0))
+
+
+def _log_erfc(x: np.ndarray) -> np.ndarray:
     """log(erfc(x)), stable for large positive x."""
     # erfc(x) = 2 * ndtr(-sqrt(2) x); log_ndtr is stable in both tails.
     return math.log(2.0) + special.log_ndtr(-x * 2.0**0.5)
 
 
-def _compute_log_a_int(q: float, sigma: float, alpha: int) -> float:
-    """log A(alpha) for integer alpha via the finite binomial sum."""
-    log_a = -math.inf
-    for i in range(alpha + 1):
-        log_coef_i = _log_comb(alpha, i) + i * math.log(q) + (alpha - i) * math.log1p(-q)
-        s = log_coef_i + (i * i - i) / (2.0 * sigma**2)
-        log_a = _log_add(log_a, s)
-    return log_a
+def _log_a_integer(q: float, sigma: float, alpha: int) -> float:
+    """log A(alpha) for integer alpha via the finite binomial sum.
+
+    Term i is C(alpha, i) q^i (1-q)^(alpha-i) exp((i^2 - i) / (2 sigma^2)),
+    evaluated in log space for ``_BLOCK`` values of i at a time.
+    """
+    log_fact = _log_factorials(alpha)
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    total = _LogSumExp()
+    for lo in range(0, alpha + 1, _BLOCK):
+        hi = min(lo + _BLOCK, alpha + 1)
+        i = np.arange(lo, hi, dtype=np.float64)
+        log_fact_rev = log_fact[alpha - hi + 1 : alpha - lo + 1][::-1]  # log (alpha-i)!
+        log_coef = (
+            log_fact[alpha] - log_fact[lo:hi] - log_fact_rev
+            + i * log_q + (alpha - i) * log_1mq
+        )
+        total.add(log_coef + (i * i - i) / (2.0 * sigma**2))
+    return total.value()
 
 
-def _compute_log_a_frac(q: float, sigma: float, alpha: float) -> float:
-    """log A(alpha) for fractional alpha via the two-sided convergent series."""
-    log_a0, log_a1 = -math.inf, -math.inf
-    i = 0
+def _log_a_fractional(q: float, sigma: float, alpha: float) -> float:
+    """log A(alpha) for fractional alpha via the two-sided convergent series.
+
+    The series is summed until both sides' terms fall below e^-30 (and
+    i > alpha - 1, past which the generalised binomials alternate in sign).
+    """
+    log_q, log_1mq = math.log(q), math.log1p(-q)
     z0 = sigma**2 * math.log(1.0 / q - 1.0) + 0.5
+    side0, side1 = _LogSumExp(), _LogSumExp()
+    lo = 0
     while True:
-        coef = special.binom(alpha, i)
-        log_coef = math.log(abs(coef)) if coef != 0 else -math.inf
+        i = np.arange(lo, lo + _SERIES_BLOCK, dtype=np.float64)
         j = alpha - i
+        coef = special.binom(alpha, i)
+        with np.errstate(divide="ignore"):
+            log_coef = np.log(np.abs(coef))
 
-        log_t0 = log_coef + i * math.log(q) + j * math.log1p(-q)
-        log_t1 = log_coef + j * math.log(q) + i * math.log1p(-q)
+        log_t0 = log_coef + i * log_q + j * log_1mq
+        log_t1 = log_coef + j * log_q + i * log_1mq
 
         log_e0 = math.log(0.5) + _log_erfc((i - z0) / (math.sqrt(2) * sigma))
         log_e1 = math.log(0.5) + _log_erfc((z0 - j) / (math.sqrt(2) * sigma))
@@ -87,18 +142,39 @@ def _compute_log_a_frac(q: float, sigma: float, alpha: float) -> float:
         log_s0 = log_t0 + (i * i - i) / (2.0 * sigma**2) + log_e0
         log_s1 = log_t1 + (j * j - j) / (2.0 * sigma**2) + log_e1
 
-        if coef > 0:
-            log_a0 = _log_add(log_a0, log_s0)
-            log_a1 = _log_add(log_a1, log_s1)
-        else:
-            log_a0 = _log_sub(log_a0, log_s0)
-            log_a1 = _log_sub(log_a1, log_s1)
-
-        i += 1
-        if max(log_s0, log_s1) < -30 and i > alpha:
+        # The series ends with the first term where both sides are
+        # negligible and the binomials have started to alternate.
+        negligible = (np.maximum(log_s0, log_s1) < -30) & (i + 1 > alpha)
+        converged = bool(negligible.any())
+        stop = int(np.argmax(negligible)) + 1 if converged else len(i)
+        signs = np.where(coef[:stop] > 0, 1.0, -1.0)
+        side0.add(log_s0[:stop], signs)
+        side1.add(log_s1[:stop], signs)
+        if converged:
             break
+        lo += _SERIES_BLOCK
 
-    return _log_add(log_a0, log_a1)
+    return float(np.logaddexp(side0.value(), side1.value()))
+
+
+def _check_mechanism(q: float, sigma: float) -> None:
+    if not 0 <= q <= 1:
+        raise ValueError("sampling rate must lie in [0, 1]")
+    if sigma <= 0:
+        raise ValueError("noise multiplier must be positive")
+
+
+def _rdp_at_order(q: float, sigma: float, alpha: float) -> float:
+    """rho(alpha) of one step for validated arguments."""
+    if q == 0:
+        return 0.0
+    if q == 1:
+        return gaussian_rdp(sigma, alpha)
+    if alpha.is_integer():
+        log_a = _log_a_integer(q, sigma, int(alpha))
+    else:
+        log_a = _log_a_fractional(q, sigma, alpha)
+    return log_a / (alpha - 1.0)
 
 
 def subsampled_gaussian_rdp(q: float, sigma: float, alpha: float) -> float:
@@ -112,21 +188,10 @@ def subsampled_gaussian_rdp(q: float, sigma: float, alpha: float) -> float:
     Returns:
         rho(alpha) = log(A(alpha)) / (alpha - 1).
     """
-    if not 0 <= q <= 1:
-        raise ValueError("sampling rate must lie in [0, 1]")
-    if sigma <= 0:
-        raise ValueError("noise multiplier must be positive")
+    _check_mechanism(q, sigma)
     if alpha <= 1:
         raise ValueError("Renyi order must exceed 1")
-    if q == 0:
-        return 0.0
-    if q == 1:
-        return gaussian_rdp(sigma, alpha)
-    if float(alpha).is_integer():
-        log_a = _compute_log_a_int(q, sigma, int(alpha))
-    else:
-        log_a = _compute_log_a_frac(q, sigma, alpha)
-    return log_a / (alpha - 1.0)
+    return _rdp_at_order(q, sigma, float(alpha))
 
 
 def subsampled_gaussian_rdp_curve(
@@ -135,8 +200,16 @@ def subsampled_gaussian_rdp_curve(
     """RDP curve of ``steps`` compositions of the sub-sampled Gaussian."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    _check_mechanism(q, sigma)
     alphas = DEFAULT_ALPHAS if alphas is None else np.asarray(alphas, dtype=np.float64)
-    return steps * np.array([subsampled_gaussian_rdp(q, sigma, a) for a in alphas])
+    if np.any(alphas <= 1):
+        raise ValueError("all Renyi orders must exceed 1")
+    if steps == 0 or alphas.size == 0:
+        return np.zeros(alphas.shape)
+    if 0 < q < 1:
+        # One growth of the log(i!) table for the grid, not one per order.
+        _log_factorials(int(alphas.max()))
+    return steps * np.array([_rdp_at_order(q, sigma, float(a)) for a in alphas])
 
 
 def subsampled_rdp_closed_form(q: float, sigma: float, alpha: int) -> float:

@@ -581,14 +581,7 @@ class FederationSimulator:
         if compressor_state is not None:
             compressor.load_state(compressor_state)
         if state["accountant"] is not None:
-            from repro.accounting import PrivacyAccountant
-
-            restored = PrivacyAccountant.from_state(state["accountant"])
-            acct = self.method.accountant
-            acct.alphas = restored.alphas
-            acct._rhos = restored._rhos
-            acct.history = restored.history
-            acct.releases = restored.releases
+            self.method.accountant.load_state(state["accountant"])
         # Optional key: snapshots written before secure-protocol state load
         # fine (they never held a secure method).
         protocol_state = state.get("protocol")

@@ -130,3 +130,56 @@ class TestMergeMax:
         acct.step(5.0, sample_rate=0.123, steps=1)
         acct.step(5.0, sample_rate=0.123, steps=1)
         assert len(acct._curve_cache) == 1
+
+    def test_merge_carries_both_release_logs(self):
+        a = PrivacyAccountant()
+        a.step_release(5.0, sensitivity=2.0)
+        b = PrivacyAccountant()
+        b.step_release(5.0, noise_scale=0.5)
+        b.step_release(5.0, sensitivity=0.0)  # logged, consumes nothing
+        merged = a.merge_max(b)
+        assert merged.releases == [*a.releases, *b.releases]
+        assert len(merged.state_dict()["releases"]) == 3
+
+
+class TestStateRoundTrip:
+    @staticmethod
+    def _spent() -> PrivacyAccountant:
+        acct = PrivacyAccountant(alphas=np.array([1.5, 2.0, 8.0, 64.0]))
+        acct.step(5.0, steps=3)
+        acct.step_release(5.0, sample_rate=0.25, sensitivity=1.5)
+        return acct
+
+    def test_from_state_is_bit_exact(self):
+        acct = self._spent()
+        clone = PrivacyAccountant.from_state(acct.state_dict())
+        assert clone.rdp_curve.tobytes() == acct.rdp_curve.tobytes()
+        assert clone.history == acct.history
+        assert clone.releases == acct.releases
+        assert clone.get_epsilon(1e-5) == acct.get_epsilon(1e-5)
+
+    def test_load_state_restores_in_place_and_keeps_the_curve_memo(self):
+        acct = self._spent()
+        snapshot = acct.state_dict()
+        memo = dict(acct._curve_cache)
+        assert memo  # the sub-sampled curve was drawn
+        acct.step_release(5.0, sample_rate=0.25, sensitivity=1.5)
+        acct.load_state(snapshot)
+        assert acct.state_dict() == snapshot
+        assert acct._curve_cache.keys() == memo.keys()
+        assert all(acct._curve_cache[k] is memo[k] for k in memo)
+
+    def test_load_state_from_another_grid_drops_the_memo(self):
+        """A memoised curve is only valid on the grid it was drawn on."""
+        acct = PrivacyAccountant()
+        acct.step(5.0)
+        acct.load_state(self._spent().state_dict())
+        assert not acct._curve_cache
+        acct.step(5.0)
+        np.testing.assert_array_equal(
+            acct.rdp_curve, self._spent().rdp_curve + gaussian_rdp_curve(5.0, 1, acct.alphas)
+        )
+
+    def test_load_state_rejects_unknown_schema(self):
+        with pytest.raises(ValueError, match="schema"):
+            PrivacyAccountant().load_state({"schema": "nope"})
