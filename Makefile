@@ -4,7 +4,7 @@
 #   make test-accounting  the accountant's tests alone, incl. the scalar-oracle
 #                       differential tests (docs/privacy_accounting.md)
 #   make bench          all paper-figure benchmarks (slow, prints tables)
-#   make bench-engine   loop vs. vectorized engine speedup on fig05 MNIST
+#   make bench-engine   batched-engine round timing on fig05 MNIST (U50/U400)
 #   make bench-protocol reference vs. fast Paillier vs. masked secagg
 #   make bench-sim      simulation runtime: 1M-user population + dropout
 #   make bench-compress update compression: uplink bytes vs utility (fig05)

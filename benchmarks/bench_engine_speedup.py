@@ -1,37 +1,26 @@
-"""Engine speedup: vectorized multi-user training vs. the per-user loop.
+"""Engine timing: ULDP-AVG rounds on the Figure 5 MNIST configuration.
 
 Runs the Figure 5 MNIST configuration (|S| = 5, CNN with ~20K parameters,
 sigma = 5, Q = 1 -- the exact `bench_fig05` workload, evaluated every
-round like the figure benches) once per engine and compares wall-clock
-time spent inside ``method.round``:
+round like the figure benches) at |U| = 50 (Fig. 5a) and |U| = 400
+(Fig. 5d) and records the wall-clock time spent inside ``method.round``
+on the batched engine (`repro.core.engine`): one shared forward/backward
+over all users' records with segmented per-user reductions, row-wise
+clipping, and a binned weighted fold.  These are the rows the cost
+model's CNN training constants are fitted from (`cost/calibrate.py`).
 
-- ``engine="loop"``: the seed implementation -- one model clone + tiny
-  training run per (silo, user) pair, |S| x |U| times per round.  Its
-  per-pair cost is dominated by Python/deepcopy overhead; in particular,
-  ``model.clone()`` deep-copies whatever transient state the template
-  model carries, which after each per-round evaluation includes the
-  test-set forward caches.  That per-user clone cost is a structural
-  property of the loop engine (the vectorized engine never clones), and
-  is the bottleneck the paper's 10^4-user experiments hit.
-- ``engine="vectorized"``: the batched engine (`repro.core.engine`) --
-  one shared forward/backward over all users' records with segmented
-  per-user reductions, row-wise clipping, and matmul aggregation.
-
-Both engines draw the same random stream and produce identical round
-aggregates (atol <= 1e-10; asserted here and in
-tests/core/test_engine_equivalence.py).  The acceptance target is a
->= 5x speedup on the headline Fig. 5a configuration (|U| = 50) on
-multi-core hosts (2.5x on a single core, where the batched path gets no
-BLAS threading on top of the structural win); the |U| = 400 variant
-(Fig. 5d) is reported as well.
+This file used to race the engine against the per-user loop it replaced
+and assert a host-dependent speedup.  The loop is no longer a runtime
+path (it is the test oracle ``tests/core/oracle_loop.py``, and
+``tests/core/test_engine_equivalence.py`` holds the atol 1e-10
+agreement); the committed ``BENCH_engine.json`` is the last
+loop-vs-engine record (1-CPU host: 3.19x at |U| = 50, 2.41x at 400).
+Re-running this bench replaces those sections with timings only.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_engine_speedup.py -s
  or:  PYTHONPATH=src python benchmarks/bench_engine_speedup.py
 """
 
-import os
-
-import numpy as np
 from conftest import write_bench_json
 
 from repro.core import Trainer, UldpAvg
@@ -40,44 +29,21 @@ from repro.data import build_mnist_benchmark
 SIGMA = 5.0
 ROUNDS = 3
 N_RECORDS = 1200
-# The vectorized engine's headline win was measured on a multi-core host
-# where the batched tensor path also gains BLAS threading; on a single
-# core that extra factor is unavailable and the structural speedup
-# (no per-user clone/train loop) is what remains, so the assertion
-# adapts to the host rather than failing on timing it cannot achieve.
-TARGET_SPEEDUP = 5.0 if (os.cpu_count() or 1) > 1 else 2.5
 
 
-def run_engine(fed, engine, seed=7):
-    """One fig05 ULDP-AVG run; returns (history, final params)."""
-    method = UldpAvg(
-        noise_multiplier=SIGMA, local_epochs=1, local_lr=0.1, engine=engine
-    )
-    trainer = Trainer(fed, method, rounds=ROUNDS, seed=seed, eval_every=1)
-    history = trainer.run()
-    return history, trainer.model.get_flat_params()
-
-
-def compare_engines(n_users):
+def time_engine(n_users, seed=7):
+    """One fig05 ULDP-AVG run; prints and records its round seconds."""
     fed = build_mnist_benchmark(
         n_users=n_users, n_silos=5, distribution="uniform", non_iid=False,
         n_records=N_RECORDS, n_test=300, seed=6,
     )
-    loop_hist, loop_params = run_engine(fed, "loop")
-    vec_hist, vec_params = run_engine(fed, "vectorized")
-
-    np.testing.assert_allclose(vec_params, loop_params, atol=1e-10, rtol=0)
-    speedup = loop_hist.total_round_seconds / vec_hist.total_round_seconds
+    method = UldpAvg(noise_multiplier=SIGMA, local_epochs=1, local_lr=0.1)
+    history = Trainer(fed, method, rounds=ROUNDS, seed=seed, eval_every=1).run()
 
     print(f"\n== Fig. 5 MNIST, |U|={n_users}, |S|=5, sigma={SIGMA}, Q=1 ==")
-    print(f"{'round':>6s} {'loop (s)':>10s} {'vectorized (s)':>15s}")
-    for t, (a, b) in enumerate(zip(loop_hist.round_seconds, vec_hist.round_seconds)):
-        print(f"{t + 1:6d} {a:10.3f} {b:15.3f}")
-    print(
-        f"{'total':>6s} {loop_hist.total_round_seconds:10.3f} "
-        f"{vec_hist.total_round_seconds:15.3f}   -> speedup {speedup:.1f}x"
-    )
-    print("engines agree on final parameters (atol 1e-10)")
+    for t, seconds in enumerate(history.round_seconds):
+        print(f"round {t + 1}: {seconds:.3f} s")
+    print(f"total:   {history.total_round_seconds:.3f} s")
     write_bench_json(
         "BENCH_engine.json",
         {
@@ -85,29 +51,22 @@ def compare_engines(n_users):
                 "n_users": n_users,
                 "n_silos": 5,
                 "rounds": ROUNDS,
-                "loop_seconds": round(loop_hist.total_round_seconds, 3),
-                "vectorized_seconds": round(vec_hist.total_round_seconds, 3),
-                "speedup": round(speedup, 2),
+                "vectorized_seconds": round(history.total_round_seconds, 3),
             }
         },
     )
-    return speedup
 
 
-def test_engine_speedup_u50():
-    """Headline: Fig. 5a (|U|=50) must show >= 5x vectorized speedup."""
-    speedup = compare_engines(50)
-    assert speedup >= TARGET_SPEEDUP, (
-        f"vectorized engine only {speedup:.1f}x faster (target {TARGET_SPEEDUP}x)"
-    )
+def test_engine_timing_u50():
+    """Fig. 5a (|U|=50)."""
+    time_engine(50)
 
 
-def test_engine_speedup_u400():
-    """Fig. 5d (|U|=400): reported; asserts the engine still clearly wins."""
-    speedup = compare_engines(400)
-    assert speedup >= 2.0
+def test_engine_timing_u400():
+    """Fig. 5d (|U|=400)."""
+    time_engine(400)
 
 
 if __name__ == "__main__":
-    test_engine_speedup_u50()
-    test_engine_speedup_u400()
+    test_engine_timing_u50()
+    test_engine_timing_u400()

@@ -48,7 +48,6 @@ def _build_default(spec: MethodSpec, crypto: CryptoSpec | None = None):
     return Default(
         local_lr=spec.local_lr,
         local_epochs=spec.local_epochs,
-        engine=spec.engine,
         **_optional(spec, global_lr="global_lr", batch_size="batch_size"),
     )
 
@@ -62,7 +61,6 @@ def _build_uldp_naive(spec: MethodSpec, crypto: CryptoSpec | None = None):
         noise_multiplier=spec.sigma,
         local_lr=spec.local_lr,
         local_epochs=spec.local_epochs,
-        engine=spec.engine,
         **_optional(spec, global_lr="global_lr", batch_size="batch_size"),
     )
 
@@ -81,7 +79,6 @@ def _build_uldp_group(spec: MethodSpec, crypto: CryptoSpec | None = None):
         # expected (Poisson) batch size, defaulting to 256.
         expected_batch_size=spec.batch_size or 256,
         group_route=spec.group_route,
-        engine=spec.engine,
         **_optional(spec, global_lr="global_lr"),
     )
 
@@ -95,7 +92,6 @@ def _build_uldp_sgd(spec: MethodSpec, crypto: CryptoSpec | None = None):
         noise_multiplier=spec.sigma,
         weighting="uniform",
         user_sample_rate=_subsampling(spec),
-        engine=spec.engine,
         **_optional(spec, global_lr="global_lr"),
     )
 
@@ -109,7 +105,6 @@ def _build_uldp_sgd_w(spec: MethodSpec, crypto: CryptoSpec | None = None):
         noise_multiplier=spec.sigma,
         weighting="proportional",
         user_sample_rate=_subsampling(spec),
-        engine=spec.engine,
         **_optional(spec, global_lr="global_lr"),
     )
 
@@ -123,7 +118,6 @@ def _uldp_avg_kwargs(spec: MethodSpec, weighting: str) -> dict:
         weighting=weighting,
         user_sample_rate=_subsampling(spec),
         batch_size=spec.batch_size,
-        engine=spec.engine,
         **_optional(spec, global_lr="global_lr"),
     )
 
@@ -166,7 +160,6 @@ def _build_secure_uldp_avg(spec: MethodSpec, crypto: CryptoSpec | None = None):
         protocol_workers=crypto.workers,
         mask_bits=crypto.mask_bits,
         min_survivors=crypto.min_survivors,
-        engine=spec.engine,
         **_optional(spec, global_lr="global_lr"),
     )
 

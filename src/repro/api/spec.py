@@ -40,7 +40,6 @@ from repro.compress import CompressionSpec
 
 SCALES = ("smoke", "small", "paper")
 DISTRIBUTIONS = ("uniform", "zipf")
-ENGINES = ("loop", "vectorized")
 #: Array namespaces the sharded engine's fold can run on (mirrors
 #: :data:`repro.nn.backend.BACKENDS`; kept literal so the spec layer
 #: stays import-light -- pinned equal by tests/api/test_spec.py).
@@ -123,7 +122,6 @@ class MethodSpec:
     group_size: int | str = 8
     group_route: str = "rdp"
     sample_rate: float | None = None
-    engine: str = "vectorized"
 
     def __post_init__(self):
         if not self.name:
@@ -148,8 +146,6 @@ class MethodSpec:
             raise SpecError(f"group_route must be one of {GROUP_ROUTES}")
         if self.sample_rate is not None and not 0 < self.sample_rate <= 1:
             raise SpecError("sample_rate must lie in (0, 1]")
-        if self.engine not in ENGINES:
-            raise SpecError(f"engine must be one of {ENGINES}")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ post-processing:
   private RNG stream, byte accounting, checkpointable state).
 
 ``CompressionSpec()`` is the identity and reproduces the uncompressed
-trainer bit for bit (oracle-tested), mirroring the ``engine=`` and
-``crypto_backend=`` seams.
+trainer bit for bit (oracle-tested), mirroring the
+``crypto_backend="reference"`` seam.
 """
 
 from repro.compress.pipeline import (

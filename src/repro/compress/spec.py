@@ -9,7 +9,7 @@ private RNG stream) lives in :class:`repro.compress.pipeline.UpdateCompressor`.
 The default spec is the identity: ``CompressionSpec()`` (equivalently
 ``CompressionSpec.none()``) changes no bytes and no bits of the training
 trajectory -- it only enables byte accounting -- which is what makes it the
-oracle seam mirroring ``engine="loop"`` and ``crypto_backend="reference"``.
+oracle seam mirroring ``crypto_backend="reference"``.
 """
 
 from __future__ import annotations

@@ -7,12 +7,10 @@ training loop that produces the privacy/utility series of the evaluation.
 
 from repro.core.clipping import clip_factor, clip_factor_rows, l2_clip, l2_clip_rows
 from repro.core.engine import (
-    ENGINES,
     LocalJob,
     batched_gradients,
     batched_local_deltas,
     draw_minibatch_schedule,
-    validate_engine,
 )
 from repro.core.methods import (
     Default,
@@ -50,12 +48,10 @@ __all__ = [
     "clip_factor_rows",
     "l2_clip",
     "l2_clip_rows",
-    "ENGINES",
     "LocalJob",
     "batched_gradients",
     "batched_local_deltas",
     "draw_minibatch_schedule",
-    "validate_engine",
     "FLMethod",
     "Default",
     "UldpAvg",

@@ -14,15 +14,16 @@ one shot.  Per-user clipping then becomes a row-wise operation
 matmul.
 
 Equivalence contract: for every job the batched computation performs the
-same linear algebra as the per-user loop -- same initial parameters, same
-minibatch partitions, same loss normalisation, same degenerate-batch
-skipping -- so both engines produce identical round aggregates up to
-floating-point reassociation (verified to ``atol <= 1e-10`` by
-``tests/core/test_engine_equivalence.py``).  Randomness discipline: the
-engine itself never consumes RNG.  Minibatch orders are pre-drawn by the
-caller with :func:`draw_minibatch_schedule` in exactly the order the loop
-path draws them, which keeps the two engines' random streams -- and hence
-their noise draws -- bit-identical.
+same linear algebra as a per-user training loop -- same initial
+parameters, same minibatch partitions, same loss normalisation, same
+degenerate-batch skipping -- so it reproduces that loop's round aggregates
+up to floating-point reassociation.  The loop is kept as the test oracle
+``tests/core/oracle_loop.py`` and the agreement verified to
+``atol <= 1e-10`` by ``tests/core/test_engine_equivalence.py``.
+Randomness discipline: the engine itself never consumes RNG.  Minibatch
+orders are pre-drawn by the caller with :func:`draw_minibatch_schedule`
+in exactly the order the loop draws them, which keeps the two random
+streams -- and hence their noise draws -- bit-identical.
 
 Micro-batching discipline: BLAS reductions are composition-dependent at
 the ULP level, so a job's row bits change whenever the set of jobs it is
@@ -35,12 +36,10 @@ micro-batch multiples (:func:`plan_shards`), so a shard computes exactly
 the micro-batches the single-process path would, and the streamed
 partial sums combine through the exact :class:`repro.core.reduce.BinnedSum`
 fold -- making the sharded path bit-identical to the in-process
-vectorized path for any ``workers``/``shard_size``.
+path for any ``workers``/``shard_size``.
 
-Methods expose the choice as ``engine="loop" | "vectorized"``
-(:class:`repro.core.methods.base.FLMethod`); the loop path remains as a
-differential-testing oracle.  :class:`ShardedEngine` distributes the
-vectorized path across a worker pool (PR 2's picklable-kernel +
+This is the only training engine the methods run.  :class:`ShardedEngine`
+distributes it across a worker pool (PR 2's picklable-kernel +
 ``ProcessPoolExecutor`` pattern) when ``[engine] workers > 0``.
 """
 
@@ -66,9 +65,6 @@ from repro.nn.model import Sequential, batch_model
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
 
-#: Engine names accepted by :class:`repro.core.methods.base.FLMethod`.
-ENGINES = ("loop", "vectorized")
-
 #: Jobs per numerical batch.  Every engine entry point processes its job
 #: list in consecutive chunks of this size, so a job's floating-point
 #: result depends only on its position in the ordered job list -- never
@@ -80,13 +76,6 @@ MICRO_BATCH = 128
 #: Default users per shard task (``[engine] shard_size``); a multiple of
 #: :data:`MICRO_BATCH` so default plans are always aligned.
 DEFAULT_SHARD_SIZE = 4096
-
-
-def validate_engine(engine: str) -> str:
-    """Check an engine name, returning it unchanged."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 class _MatrixPool:
@@ -310,8 +299,8 @@ def batched_local_deltas(
     ``epochs`` passes with learning rate ``lr`` on its own records; the
     return value is the ``(len(jobs), P)`` matrix of deltas
     ``local - global``, row-aligned with ``jobs``.  The per-row result
-    matches :meth:`repro.core.methods.base.FLMethod._local_delta` up to
-    floating-point reassociation.  Jobs run in fixed micro-batches (see
+    matches a plain ``train_epochs`` run on that job (the loop oracle) up
+    to floating-point reassociation.  Jobs run in fixed micro-batches (see
     the module docstring); within each chunk they are grouped into
     similar-size buckets (see :func:`_size_buckets`) purely for speed.
 

@@ -12,12 +12,11 @@ deltas) is simulated by summing plaintext deltas here; the cryptographic
 realisation lives in :mod:`repro.protocol` and is verified to produce the
 same sums (Theorem 4 tests).
 
-Every method carries an ``engine`` switch selecting its local-training
-implementation: ``"loop"`` runs the straightforward per-user Python loop
-(the differential-testing oracle), ``"vectorized"`` routes the same
-computation through the batched engine of :mod:`repro.core.engine`.  Both
-engines consume the shared RNG identically and agree on round aggregates
-to within floating-point reassociation.
+Local training always runs through the batched engine of
+:mod:`repro.core.engine`.  The straightforward per-user Python loop it
+replaced lives on as the differential-testing oracle
+``tests/core/oracle_loop.py``: it consumes the shared RNG identically and
+agrees on round aggregates to within floating-point reassociation.
 
 Methods may also carry a :class:`repro.compress.CompressionSpec`
 (constructor argument or assigned by the trainer's ``compression=``):
@@ -46,16 +45,12 @@ from repro.core.engine import (
     EngineConfig,
     LocalJob,
     ShardedEngine,
-    batched_gradients,
     batched_local_deltas,
     draw_minibatch_schedule,
-    validate_engine,
 )
-from repro.core.metrics import make_loss
 from repro.core.weighting import RoundParticipation
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential
-from repro.nn.train import train_epochs
 
 
 @dataclass(frozen=True)
@@ -88,12 +83,7 @@ class FLMethod(ABC):
     #: Methods without it still accept an identity spec (byte accounting).
     supports_compression: bool = False
 
-    def __init__(
-        self,
-        engine: str = "vectorized",
-        compression: CompressionSpec | None = None,
-    ):
-        self.engine = validate_engine(engine)
+    def __init__(self, compression: CompressionSpec | None = None):
         self.fed: FederatedDataset | None = None
         self.model: Sequential | None = None
         self.rng: np.random.Generator | None = None
@@ -114,7 +104,7 @@ class FLMethod(ABC):
         #: Set by :meth:`round`: wire bytes of the last round (None for
         #: methods that leave byte accounting to the trainer's default).
         self.last_comm: CommSummary | None = None
-        #: Execution layout of the vectorized path ([engine] section),
+        #: Execution layout of the batched engine ([engine] section),
         #: bound by :meth:`prepare`; the defaults run single-process.
         self.engine_config = EngineConfig()
         #: The sharded executor built from :attr:`engine_config`.  Owns
@@ -141,7 +131,7 @@ class FLMethod(ABC):
         self.fed = fed
         self.model = model
         self.rng = rng
-        if engine is not None and engine != self.engine_config:
+        if engine not in (None, self.engine_config):
             self.close()
             self.engine_config = engine
             self.shard_engine = ShardedEngine(engine)
@@ -192,58 +182,15 @@ class FLMethod(ABC):
             raise RuntimeError("method not prepared; call prepare() first")
         return self.fed, self.model, self.rng
 
-    def _local_delta(
-        self,
-        params: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        local_lr: float,
-        local_epochs: int,
-        batch_size: int | None,
-    ) -> np.ndarray:
-        """Model delta (local - global) after local SGD from ``params``."""
-        fed, model, rng = self._require_prepared()
-        local = model.clone()
-        local.set_flat_params(params)
-        loss = make_loss(fed.task, local)
-        train_epochs(
-            local, loss, x, y, lr=local_lr, epochs=local_epochs,
-            rng=rng, batch_size=batch_size,
-        )
-        return local.get_flat_params() - params
-
-    def _gradient(self, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Full-batch mean gradient at ``params`` (for the SGD variants).
-
-        Returns a zero gradient when the loss is undefined on this data
-        (e.g. the Cox likelihood for a user with no observed events) -- the
-        user simply contributes nothing this round.
-        """
-        from repro.nn.losses import DegenerateBatchError
-
-        fed, model, rng = self._require_prepared()
-        local = model.clone()
-        local.set_flat_params(params)
-        loss = make_loss(fed.task, local)
-        local.zero_grad()
-        try:
-            loss.forward(local.forward(x), y)
-        except DegenerateBatchError:
-            return np.zeros(local.num_params)
-        local.backward(loss.backward())
-        return local.get_flat_grads()
-
-    # -- vectorized-engine helpers ------------------------------------------
-
     def _local_job(
         self, x: np.ndarray, y: np.ndarray, local_epochs: int, batch_size: int | None
     ) -> LocalJob:
         """Package one local dataset for the batched engine.
 
         Pre-draws the minibatch schedule from the shared RNG so the random
-        stream advances exactly as the loop engine's ``train_epochs`` would
-        (full-batch jobs draw nothing) -- the invariant that keeps the two
-        engines' noise draws identical.
+        stream advances exactly as a per-job ``train_epochs`` call would
+        (full-batch jobs draw nothing) -- the invariant that keeps the
+        loop oracle's noise draws identical to the engine's.
         """
         _, _, rng = self._require_prepared()
         schedule = draw_minibatch_schedule(len(x), batch_size, local_epochs, rng)
@@ -256,18 +203,11 @@ class FLMethod(ABC):
         local_lr: float,
         local_epochs: int,
     ) -> np.ndarray:
-        """Stacked per-job model deltas via the vectorized engine ((G, P))."""
+        """Stacked per-job model deltas via the batched engine ((G, P))."""
         fed, model, _ = self._require_prepared()
         return batched_local_deltas(
             model, fed.task, params, jobs, local_lr, local_epochs
         )
-
-    def _gradients_batched(
-        self, params: np.ndarray, jobs: list[LocalJob]
-    ) -> np.ndarray:
-        """Stacked per-job full-batch gradients via the vectorized engine."""
-        fed, model, _ = self._require_prepared()
-        return batched_gradients(model, fed.task, params, jobs)
 
     def _gaussian_noise(self, std: float, size: int) -> np.ndarray:
         _, _, rng = self._require_prepared()

@@ -25,9 +25,8 @@ class Default(FLMethod):
         local_lr: float = 0.05,
         local_epochs: int = 2,
         batch_size: int | None = 64,
-        engine: str = "vectorized",
     ):
-        super().__init__(engine=engine)
+        super().__init__()
         if global_lr <= 0 or local_lr <= 0:
             raise ValueError("learning rates must be positive")
         if local_epochs < 1:
@@ -66,31 +65,17 @@ class Default(FLMethod):
         denominator = (
             fed.n_silos if participation is None else participation.n_active_silos
         )
-        if self.engine == "vectorized":
-            jobs = [
-                self._local_job(silo.x, silo.y, self.local_epochs, self.batch_size)
-                for s, silo in enumerate(fed.silos)
-                if trains(s, silo)
-            ]
-            deltas = self._local_deltas_batched(
-                params, jobs, self.local_lr, self.local_epochs
-            )
-            # Empty silos contribute zero deltas; the mean is over all
-            # (participating) silos.
-            aggregate = deltas.sum(axis=0) / denominator
-        else:
-            per_silo = []
-            for s, silo in enumerate(fed.silos):
-                if not trains(s, silo):
-                    per_silo.append(np.zeros_like(params))
-                    continue
-                per_silo.append(
-                    self._local_delta(
-                        params, silo.x, silo.y, self.local_lr, self.local_epochs,
-                        self.batch_size,
-                    )
-                )
-            aggregate = np.sum(per_silo, axis=0) / denominator
+        jobs = [
+            self._local_job(silo.x, silo.y, self.local_epochs, self.batch_size)
+            for s, silo in enumerate(fed.silos)
+            if trains(s, silo)
+        ]
+        deltas = self._local_deltas_batched(
+            params, jobs, self.local_lr, self.local_epochs
+        )
+        # Empty silos contribute zero deltas; the mean is over all
+        # (participating) silos.
+        aggregate = deltas.sum(axis=0) / denominator
         self.last_participation = ParticipationSummary(
             silos_seen=denominator,
             users_seen=len(

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.accounting import PrivacyAccountant
 from repro.compress import CompressionSpec
-from repro.core.clipping import clip_factor, l2_clip
 from repro.core.engine import (
     batched_clipped_local_deltas,
     fold_weighted_rows,
@@ -50,20 +49,38 @@ from repro.core.weighting import (
 
 
 class _RoundContributions(list):
-    """Per-silo contribution dicts plus their stacked backing matrix.
+    """Per-silo ``{user: clipped delta}`` dicts plus their stacked rows.
 
-    The vectorized engine produces all clipped deltas of a round as one
-    contiguous ``(K, P)`` matrix; the dict values are row views into it.
-    Carrying the matrix (with its ``(silo, user)`` row order) lets the
-    plaintext aggregation run as one matmul without re-stacking the rows,
-    while consumers of the list interface -- including
-    :class:`repro.protocol.SecureUldpAvg` -- see ordinary dicts.
+    ``matrix`` holds every clipped delta of the round as one ``(K, P)``
+    array in ``(silo, user)`` order; the dict values are row views into
+    it.  The plaintext aggregation folds each silo's consecutive slice
+    (:meth:`silo_blocks`) without re-stacking, while consumers of the
+    list interface -- :class:`repro.protocol.SecureUldpAvg` encrypts each
+    user's delta -- see ordinary dicts.
     """
 
-    def __init__(self, dicts, matrix: np.ndarray, pairs: list[tuple[int, int]]):
-        super().__init__(dicts)
-        self.matrix = matrix
-        self.pairs = pairs
+    def __init__(
+        self, segments: list[tuple[list[int], np.ndarray] | None], size: int
+    ):
+        """``segments[s]`` is silo s's ``(users, rows)``, or None when it
+        sat the round out (an empty dict keeps silo indices aligned)."""
+        super().__init__()
+        blocks = [seg[1] for seg in segments if seg is not None]
+        self.matrix = (
+            np.concatenate(blocks, axis=0) if blocks else np.zeros((0, size))
+        )
+        row = 0
+        for seg in segments:
+            users = [] if seg is None else seg[0]
+            self.append({u: self.matrix[row + i] for i, u in enumerate(users)})
+            row += len(users)
+
+    def silo_blocks(self):
+        """Yield ``(silo, users, rows)`` with ``rows`` that silo's slice."""
+        row = 0
+        for s, per_user in enumerate(self):
+            yield s, list(per_user), self.matrix[row : row + len(per_user)]
+            row += len(per_user)
 
 
 class UldpAvg(FLMethod):
@@ -82,10 +99,9 @@ class UldpAvg(FLMethod):
     name = "ULDP-AVG"
     supports_compression = True
     #: Whether :meth:`round` may stream shard partial sums instead of
-    #: materialising per-user contribution dicts.  Subclasses that must
-    #: see each user's clipped delta (:class:`repro.protocol.SecureUldpAvg`
-    #: encrypts them individually) set this False and keep the
-    #: materialized path.
+    #: materialising per-user rows.  Subclasses that must see each user's
+    #: clipped delta (:class:`repro.protocol.SecureUldpAvg` encrypts them
+    #: individually) set this False and keep the row-materialising path.
     streaming_aggregation = True
 
     def __init__(
@@ -99,10 +115,9 @@ class UldpAvg(FLMethod):
         user_sample_rate: float | None = None,
         batch_size: int | None = None,
         record_clip_stats: bool = False,
-        engine: str = "vectorized",
         compression: CompressionSpec | None = None,
     ):
-        super().__init__(engine=engine, compression=compression)
+        super().__init__(compression=compression)
         if clip <= 0:
             raise ValueError("clip bound must be positive")
         if noise_multiplier < 0:
@@ -136,8 +151,8 @@ class UldpAvg(FLMethod):
         # Set by _aggregate (and the SecureUldpAvg override): uplink wire
         # bytes of the round just aggregated.
         self._round_uplink_bytes: int | None = None
-        #: Optional replacement for the in-process contribution loop: a
-        #: callable ``(params, round_weights, noise_std, active_mask) ->
+        #: Optional replacement for the in-process silo walk: a callable
+        #: ``(params, round_weights, noise_std, active_mask) ->
         #: (contributions, noises)`` that farms each silo's
         #: :meth:`silo_round_segment` out to a real silo process.  The
         #: networked runtime (:mod:`repro.net`) installs one per round;
@@ -261,21 +276,12 @@ class UldpAvg(FLMethod):
         return params + update
 
     def _streaming_applies(self) -> bool:
-        """Whether this round can stream shard partials.
-
-        The streamed path covers the in-process vectorized engine; the
-        loop engine stays the materialized differential-testing oracle,
-        a :attr:`contribution_executor` (networked rounds) already
-        streams per *silo* and aggregates through the matrix path of
-        :meth:`_aggregate` (which applies the identical binned fold), and
-        materializing subclasses opt out via
-        :attr:`streaming_aggregation`.
-        """
-        return (
-            self.streaming_aggregation
-            and self.engine == "vectorized"
-            and self.contribution_executor is None
-        )
+        """Whether this round streams shard partials (the default) or
+        materialises per-user rows: a subclass needs the rows
+        (:attr:`streaming_aggregation`), or a :attr:`contribution_executor`
+        delivers them silo by silo.  :meth:`_aggregate` applies the same
+        binned fold to the rows, so the two paths agree bit for bit."""
+        return self.streaming_aggregation and self.contribution_executor is None
 
     def _noise_std(self) -> float:
         """Per-silo noise std sqrt(sigma^2 C^2 / A) where A is the number
@@ -288,6 +294,52 @@ class UldpAvg(FLMethod):
         )
         return float(self.noise_multiplier * self.clip / np.sqrt(noise_silos))
 
+    def _draw_silo(
+        self, s: int, weight_row: np.ndarray, noise_std: float, size: int
+    ) -> tuple[list[int], list, np.ndarray]:
+        """Everything silo ``s``'s step draws from the shared RNG, in the
+        one order every path keeps: the minibatch schedules of the users
+        with non-zero weight (Algorithm 4's visibility model: the others
+        are skipped), then the silo's noise vector.  Training itself draws
+        nothing, so this fixes the random stream whatever runs the jobs.
+
+        Returns ``(users, jobs, noise)``.
+        """
+        fed, _, _ = self._require_prepared()
+        silo = fed.silos[s]
+        users = [int(u) for u in silo.users_present() if weight_row[u] != 0.0]
+        jobs = [
+            self._local_job(
+                *silo.records_of_user(u), self.local_epochs, self.batch_size
+            )
+            for u in users
+        ]
+        return users, jobs, self._gaussian_noise(noise_std, size)
+
+    def _silo_step(
+        self, s: int, params: np.ndarray, weight_row: np.ndarray, noise_std: float
+    ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Algorithm 3's per-silo step with the rows kept: each present
+        user's delta trained from ``params`` and clipped to C (line 16
+        before the w multiplication), plus the silo's noise.
+
+        The in-process materialised round, a remote silo process and the
+        buffered-async payload all run exactly this -- one batched engine
+        call over the silo's own job list.  BLAS reductions depend on batch
+        composition at the ULP level, so batching per silo (never across
+        silos) is what makes the three bit-identical.
+
+        Returns ``(users, rows, factors, noise)``; ``rows`` is a pooled
+        engine buffer, valid only until the next engine call.
+        """
+        fed, model, _ = self._require_prepared()
+        users, jobs, noise = self._draw_silo(s, weight_row, noise_std, params.size)
+        rows, factors = batched_clipped_local_deltas(
+            model, fed.task, params, jobs,
+            self.local_lr, self.local_epochs, self.clip,
+        )
+        return users, rows, factors, noise
+
     def _round_streamed(
         self, params: np.ndarray, round_weights: np.ndarray
     ) -> tuple[np.ndarray, set[int]]:
@@ -298,10 +350,10 @@ class UldpAvg(FLMethod):
         micro-batch-aligned shards (:func:`repro.core.engine.plan_shards`);
         every shard task folds its clipped weighted rows into a binned
         partial sum and only the ``(bins, P)`` states stream back, where
-        an exact tree-reduce combines them.  RNG discipline is the loop
-        path's: per active silo, first the job schedules, then the noise
-        vector -- drawn here in the parent before any shard executes, so
-        the random stream is invariant to ``workers``/``shard_size``.
+        an exact tree-reduce combines them.  Each active silo's draws
+        (:meth:`_draw_silo`) happen here in the parent before any shard
+        executes, so the random stream is invariant to
+        ``workers``/``shard_size``.
         """
         fed, model, _ = self._require_prepared()
         noise_std = self._noise_std()
@@ -313,20 +365,16 @@ class UldpAvg(FLMethod):
         noises: list[np.ndarray] = []
         active_silos: list[int] = []
         users_seen: set[int] = set()
-        for s, silo in enumerate(fed.silos):
+        for s in range(fed.n_silos):
             if self._active_silo_mask is not None and not self._active_silo_mask[s]:
                 continue
-            users = [int(u) for u in silo.users_present() if round_weights[s, u] != 0.0]
-            jobs = [
-                self._local_job(
-                    *silo.records_of_user(user), self.local_epochs, self.batch_size
-                )
-                for user in users
-            ]
-            noises.append(self._gaussian_noise(noise_std, params.size))
+            users, jobs, noise = self._draw_silo(
+                s, round_weights[s], noise_std, params.size
+            )
+            noises.append(noise)
             active_silos.append(s)
             users_seen.update(users)
-            weights = np.array([round_weights[s, u] for u in users])
+            weights = round_weights[s, users]
             for a, b in plan_shards(len(jobs), shard_size):
                 tasks.append(
                     make_shard_task(
@@ -375,8 +423,8 @@ class UldpAvg(FLMethod):
     ) -> np.ndarray:
         """Compressed uplink over streamed partials: each silo's *noisy*
         payload is reconstituted from its own shards' binned states (one
-        rounding, same bits as the materialized per-silo matmul fold),
-        then routed through the compressor exactly as
+        rounding, same bits as the materialised per-silo fold), then
+        routed through the compressor exactly as
         :meth:`_aggregate_compressed` would."""
         comp = self.compressor
         assert comp is not None
@@ -399,17 +447,15 @@ class UldpAvg(FLMethod):
 
     def _compute_contributions(
         self, params: np.ndarray, round_weights: np.ndarray
-    ) -> tuple[list[dict[int, np.ndarray]], list[np.ndarray]]:
+    ) -> tuple[_RoundContributions, list[np.ndarray]]:
         """Per-silo clipped per-user deltas and per-silo Gaussian noise.
 
         Returns ``(contributions, noises)`` where ``contributions[s]`` maps
-        user id -> *unweighted* clipped delta (Algorithm 3 line 16 before
-        the w multiplication) and ``noises[s]`` is silo s's noise vector.
-        Users with zero round weight are skipped (they cannot contribute).
-
-        With ``engine="vectorized"`` each silo's per-user deltas come out
-        of one batched training run instead of a Python loop; both engines
-        draw the same random stream and agree to floating-point precision.
+        user id -> *unweighted* clipped delta and ``noises`` holds one
+        vector per active silo: a walk over the active silos running
+        :meth:`_silo_step` (or whatever the :attr:`contribution_executor`
+        collected from the silo processes running it).  Dropped silos
+        (``self._active_silo_mask``) train nothing and draw no noise.
         """
         fed, _, _ = self._require_prepared()
         noise_std = self._noise_std()
@@ -423,181 +469,64 @@ class UldpAvg(FLMethod):
                 params, round_weights, float(noise_std), self._active_silo_mask
             )
         factors = np.full((fed.n_silos, fed.n_users), np.nan)
-
-        if self.engine == "vectorized":
-            contributions, noises = self._contributions_vectorized(
-                params, round_weights, noise_std, factors
+        segments: list[tuple[list[int], np.ndarray] | None] = []
+        noises: list[np.ndarray] = []
+        for s in range(fed.n_silos):
+            if self._active_silo_mask is not None and not self._active_silo_mask[s]:
+                segments.append(None)
+                continue
+            users, rows, silo_factors, noise = self._silo_step(
+                s, params, round_weights[s], noise_std
             )
-        else:
-            contributions, noises = self._contributions_loop(
-                params, round_weights, noise_std, factors
-            )
-
+            # Pooled rows: copy before the next silo's batch overwrites them.
+            segments.append((users, rows.copy()))
+            noises.append(noise)
+            factors[s, users] = silo_factors
         if self.record_clip_stats:
             self.clip_factor_history.append(factors)
-        return contributions, noises
-
-    def _contributions_loop(
-        self,
-        params: np.ndarray,
-        round_weights: np.ndarray,
-        noise_std: float,
-        factors: np.ndarray,
-    ) -> tuple[list[dict[int, np.ndarray]], list[np.ndarray]]:
-        """Per-user deltas one training run at a time (the legacy oracle).
-
-        Dropped silos (``self._active_silo_mask``) train nothing and draw
-        no noise, but keep an empty slot so silo indices stay aligned.
-        """
-        fed, _, _ = self._require_prepared()
-        contributions: list[dict[int, np.ndarray]] = []
-        noises: list[np.ndarray] = []
-        for s, silo in enumerate(fed.silos):
-            if self._active_silo_mask is not None and not self._active_silo_mask[s]:
-                contributions.append({})
-                continue
-            per_user: dict[int, np.ndarray] = {}
-            for user in silo.users_present():
-                if round_weights[s, user] == 0.0:
-                    continue
-                x, y = silo.records_of_user(int(user))
-                delta = self._local_delta(
-                    params, x, y, self.local_lr, self.local_epochs, self.batch_size
-                )
-                if self.record_clip_stats:
-                    factors[s, user] = clip_factor(delta, self.clip)
-                per_user[int(user)] = l2_clip(delta, self.clip)
-            contributions.append(per_user)
-            noises.append(self._gaussian_noise(noise_std, params.size))
-        return contributions, noises
-
-    def _contributions_vectorized(
-        self,
-        params: np.ndarray,
-        round_weights: np.ndarray,
-        noise_std: float,
-        factors: np.ndarray,
-    ) -> tuple[list[dict[int, np.ndarray]], list[np.ndarray]]:
-        """Each silo's per-user deltas via one batched engine call *per silo*.
-
-        Jobs and noise are *drawn* in the loop path's order (per silo:
-        schedules, then noise) so both engines consume the shared RNG
-        identically; the batched training itself draws nothing.
-
-        Batching per silo rather than across the whole round is what makes
-        this path *structurally identical* to :meth:`silo_round_segment` --
-        the computation a remote silo process runs under :mod:`repro.net`.
-        BLAS reductions are composition-dependent at the ULP level, so a
-        networked round can only be bit-identical to an in-process one if
-        both batch over exactly the same job sets.
-        """
-        fed, model, _ = self._require_prepared()
-        spans: list[list[int]] = []
-        blocks: list[np.ndarray] = []
-        noises: list[np.ndarray] = []
-        for s, silo in enumerate(fed.silos):
-            if self._active_silo_mask is not None and not self._active_silo_mask[s]:
-                spans.append([])
-                continue
-            users = [int(u) for u in silo.users_present() if round_weights[s, u] != 0.0]
-            jobs = [
-                self._local_job(
-                    *silo.records_of_user(user), self.local_epochs, self.batch_size
-                )
-                for user in users
-            ]
-            spans.append(users)
-            noises.append(self._gaussian_noise(noise_std, params.size))
-            if not jobs:
-                continue
-            silo_rows, silo_factors = batched_clipped_local_deltas(
-                model, fed.task, params, jobs,
-                self.local_lr, self.local_epochs, self.clip,
-            )
-            # The engine returns pooled buffers valid only until its next
-            # call -- copy before the next silo's batch overwrites them.
-            blocks.append(silo_rows.copy())
-            if self.record_clip_stats:
-                factors[s, users] = silo_factors
-
-        clipped = (
-            np.concatenate(blocks, axis=0)
-            if blocks
-            else np.zeros((0, params.size))
-        )
-        dicts: list[dict[int, np.ndarray]] = []
-        pairs: list[tuple[int, int]] = []
-        row = 0
-        for s, users in enumerate(spans):
-            dicts.append({user: clipped[row + i] for i, user in enumerate(users)})
-            pairs.extend((s, user) for user in users)
-            row += len(users)
-        return _RoundContributions(dicts, clipped, pairs), noises
+        return _RoundContributions(segments, params.size), noises
 
     def _aggregate(
         self,
         t: int,
-        contributions: list[dict[int, np.ndarray]],
+        contributions: _RoundContributions,
         noises: list[np.ndarray],
         round_weights: np.ndarray,
     ) -> np.ndarray:
         """Plaintext aggregation: sum_s (sum_u w[s,u] * delta_su + z_s).
 
-        Computed as a single weighted matmul over the stacked contribution
-        matrix (plus the summed noise) rather than a per-user accumulation
-        loop; when the vectorized engine already produced the rows as one
-        contiguous matrix (:class:`_RoundContributions`), that matrix is
-        used directly without re-stacking.  This simulates secure
-        aggregation (the server only ever consumes the final sum).
-        :class:`repro.protocol.SecureUldpAvg` overrides this with the real
-        cryptographic Protocol 1 and is tested to produce the same result
-        within fixed-point precision (Theorem 4).
+        The row matrix is folded silo slice by silo slice through the
+        engine's micro-batched binned sum -- the same chunk compositions
+        and the same exact reduction the streamed path applies, which is
+        what keeps a row-materialising round (rows from :meth:`_silo_step`,
+        in process or over the wire) bit-identical to the streamed one.
+        This simulates secure aggregation (the server only ever consumes
+        the final sum); :class:`repro.protocol.SecureUldpAvg` overrides it
+        with the real cryptographic Protocol 1 and is tested to produce
+        the same result within fixed-point precision (Theorem 4).
 
         With a lossy :class:`CompressionSpec` the aggregation routes
         through :meth:`_aggregate_compressed` instead, which forms each
-        silo's *noisy* payload explicitly before compressing it (the
-        matmul below never materialises per-silo sums).  The identity
-        spec keeps this exact code path, which is what the oracle test
-        pins bit for bit.
+        silo's *noisy* payload explicitly before compressing it.  The
+        identity spec keeps this exact code path, which is what the oracle
+        test pins bit for bit.
         """
         if self.compressor is not None and not self.compressor.spec.is_identity:
             return self._aggregate_compressed(contributions, noises, round_weights)
         self._round_uplink_bytes = len(noises) * noises[0].size * 8
         aggregate = np.sum(noises, axis=0)
-        matrix = getattr(contributions, "matrix", None)
-        if matrix is not None:
-            # Fold silo by silo through the engine's micro-batched binned
-            # sum -- the same chunk compositions and the same exact
-            # reduction the streamed path applies, which is what keeps a
-            # networked round (rows arriving through the contribution
-            # executor) bit-identical to the in-process streamed round.
-            if contributions.pairs:
-                acc = BinnedSum(aggregate.size, self.shard_engine.scale(self.clip))
-                backend = self.shard_engine.backend
-                row = 0
-                for s, per_user in enumerate(contributions):
-                    if per_user:
-                        weights = np.array(
-                            [round_weights[s, u] for u in per_user]
-                        )
-                        fold_weighted_rows(
-                            acc, weights, matrix[row : row + len(per_user)], backend
-                        )
-                    row += len(per_user)
-                aggregate = aggregate + acc.total()
-            return aggregate
-        # Loop-engine fallback: one weighted matmul per silo, bounding the
-        # transient stack at the largest silo's contribution matrix.
-        for s, per_user in enumerate(contributions):
-            if not per_user:
-                continue
-            weights = np.array([round_weights[s, user] for user in per_user])
-            aggregate = aggregate + weights @ np.stack(list(per_user.values()))
+        if len(contributions.matrix):
+            acc = BinnedSum(aggregate.size, self.shard_engine.scale(self.clip))
+            for s, users, rows in contributions.silo_blocks():
+                fold_weighted_rows(
+                    acc, round_weights[s, users], rows, self.shard_engine.backend
+                )
+            aggregate = aggregate + acc.total()
         return aggregate
 
     def _aggregate_compressed(
         self,
-        contributions: list[dict[int, np.ndarray]],
+        contributions: _RoundContributions,
         noises: list[np.ndarray],
         round_weights: np.ndarray,
     ) -> np.ndarray:
@@ -612,37 +541,19 @@ class UldpAvg(FLMethod):
         comp = self.compressor
         assert comp is not None
         active = self._active_silo_mask
+        remaining = iter(noises)
         aggregate = np.zeros_like(noises[0])
         uplink = 0
-        noise_index = 0
-        # When the vectorized engine produced the rows as one contiguous
-        # matrix, each silo's rows are a consecutive slice (same order the
-        # dicts were built in) -- slice instead of re-stacking the views.
-        matrix = getattr(contributions, "matrix", None)
-        row = 0
-        for s, per_user in enumerate(contributions):
+        for s, users, rows in contributions.silo_blocks():
             if active is not None and not active[s]:
                 continue  # dropped silo: no payload, no noise slot
-            payload = noises[noise_index]
-            noise_index += 1
-            if per_user:
-                weights = np.array([round_weights[s, user] for user in per_user])
-                if matrix is not None:
-                    # Same micro-batched binned fold as the streamed path,
-                    # so networked compressed rounds match in-process ones.
-                    acc = BinnedSum(
-                        payload.size, self.shard_engine.scale(self.clip)
-                    )
-                    fold_weighted_rows(
-                        acc,
-                        weights,
-                        matrix[row : row + len(per_user)],
-                        self.shard_engine.backend,
-                    )
-                    payload = payload + acc.total()
-                else:
-                    payload = payload + weights @ np.stack(list(per_user.values()))
-            row += len(per_user)
+            payload = next(remaining)
+            if users:
+                acc = BinnedSum(payload.size, self.shard_engine.scale(self.clip))
+                fold_weighted_rows(
+                    acc, round_weights[s, users], rows, self.shard_engine.backend
+                )
+                payload = payload + acc.total()
             sent = comp.compress_uplink(s, payload)
             aggregate += sent.dense
             uplink += sent.nbytes
@@ -661,7 +572,7 @@ class UldpAvg(FLMethod):
             return self.compressor.estimated_payload_bytes(model.num_params)
         return model.num_params * 8
 
-    # -- per-silo step API (buffered-async simulation) -----------------------
+    # -- per-silo step API (buffered-async simulation, remote silos) ---------
 
     def silo_contribution(
         self,
@@ -684,34 +595,11 @@ class UldpAvg(FLMethod):
             contributing user ids, and their realised weights -- the last
             two feed the merge-time sensitivity bookkeeping.
         """
-        fed, model, _ = self._require_prepared()
-        silo = fed.silos[s]
-        users = [int(u) for u in silo.users_present() if round_weights[s, u] != 0.0]
-        weights = np.array([round_weights[s, u] for u in users], dtype=np.float64)
-        if self.engine == "vectorized":
-            jobs = [
-                self._local_job(
-                    *silo.records_of_user(u), self.local_epochs, self.batch_size
-                )
-                for u in users
-            ]
-            payload = self._gaussian_noise(noise_std, params.size)
-            if jobs:
-                clipped, _ = batched_clipped_local_deltas(
-                    model, fed.task, params, jobs,
-                    self.local_lr, self.local_epochs, self.clip,
-                )
-                payload = payload + weights @ clipped
-        else:
-            payload = np.zeros(params.size)
-            for w, u in zip(weights, users):
-                delta = self._local_delta(
-                    params, *silo.records_of_user(u),
-                    self.local_lr, self.local_epochs, self.batch_size,
-                )
-                payload += w * l2_clip(delta, self.clip)
-            payload += self._gaussian_noise(noise_std, params.size)
-        return payload, np.array(users, dtype=np.int64), weights
+        users, rows, _, noise = self._silo_step(
+            s, params, round_weights[s], noise_std
+        )
+        weights = round_weights[s, users]
+        return noise + weights @ rows, np.array(users, dtype=np.int64), weights
 
     def silo_round_segment(
         self,
@@ -722,49 +610,19 @@ class UldpAvg(FLMethod):
     ) -> tuple[list[int], np.ndarray, np.ndarray]:
         """One silo's slice of a synchronous round, for remote execution.
 
-        Runs exactly the computation :meth:`_compute_contributions`
-        performs for silo ``s`` -- same RNG draw order (job schedules,
-        then the noise vector), same per-silo batched engine call -- so a
-        silo process that first restores the server's chained RNG state
+        Runs :meth:`_silo_step` -- the computation
+        :meth:`_compute_contributions` performs for silo ``s`` -- so a silo
+        process that first restores the server's chained RNG state
         produces bit-identical results to the in-process simulator (the
         :mod:`repro.net` ideal-network oracle).  ``weight_row`` is silo
-        s's row of the realised round weights; users with zero weight are
-        skipped, mirroring Algorithm 4's visibility model.
+        s's row of the realised round weights.
 
         Returns ``(users, rows, noise)``: the contributing user ids,
         their clipped delta rows (``(len(users), P)``, safe to keep), and
         the silo's Gaussian noise vector.
         """
-        fed, model, _ = self._require_prepared()
-        silo = fed.silos[s]
-        users = [int(u) for u in silo.users_present() if weight_row[u] != 0.0]
-        if self.engine == "vectorized":
-            jobs = [
-                self._local_job(
-                    *silo.records_of_user(user), self.local_epochs, self.batch_size
-                )
-                for user in users
-            ]
-            noise = self._gaussian_noise(noise_std, params.size)
-            if jobs:
-                rows, _ = batched_clipped_local_deltas(
-                    model, fed.task, params, jobs,
-                    self.local_lr, self.local_epochs, self.clip,
-                )
-                rows = rows.copy()  # engine buffers are pooled
-            else:
-                rows = np.zeros((0, params.size))
-        else:
-            deltas = []
-            for user in users:
-                x, y = silo.records_of_user(user)
-                delta = self._local_delta(
-                    params, x, y, self.local_lr, self.local_epochs, self.batch_size
-                )
-                deltas.append(l2_clip(delta, self.clip))
-            noise = self._gaussian_noise(noise_std, params.size)
-            rows = np.stack(deltas) if deltas else np.zeros((0, params.size))
-        return users, rows, noise
+        users, rows, _, noise = self._silo_step(s, params, weight_row, noise_std)
+        return users, rows.copy(), noise  # engine buffers are pooled
 
     def apply_aggregate(
         self, params: np.ndarray, aggregate: np.ndarray, n_updates: int

@@ -97,9 +97,8 @@ class UldpGroup(FLMethod):
         local_steps: int = 2,
         expected_batch_size: int = 64,
         group_route: str = "rdp",
-        engine: str = "vectorized",
     ):
-        super().__init__(engine=engine)
+        super().__init__()
         if clip <= 0:
             raise ValueError("clip bound must be positive")
         if local_steps < 1:
@@ -179,7 +178,6 @@ class UldpGroup(FLMethod):
                 sample_rate=self.sample_rates[s],
                 rng=rng,
                 microbatch_size=microbatch,
-                engine=self.engine,
             )
             deltas.append(local.get_flat_params() - params)
             users_seen.update(int(u) for u in silo.users_present())

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting import PrivacyAccountant
-from repro.core.clipping import l2_clip, l2_clip_rows
+from repro.core.clipping import l2_clip_rows
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.weighting import RoundParticipation
 
@@ -36,9 +36,8 @@ class UldpNaive(FLMethod):
         local_lr: float = 0.05,
         local_epochs: int = 2,
         batch_size: int | None = 64,
-        engine: str = "vectorized",
     ):
-        super().__init__(engine=engine)
+        super().__init__()
         if clip <= 0:
             raise ValueError("clip bound must be positive")
         if noise_multiplier < 0:
@@ -83,39 +82,26 @@ class UldpNaive(FLMethod):
         def is_active(s: int) -> bool:
             return active is None or bool(active[s])
 
-        if self.engine == "vectorized":
-            # Pre-draw each silo's minibatch schedule and noise in the same
-            # order the loop path consumes them, then train every silo in
-            # one batched run.
-            jobs, noises = [], []
-            for s, silo in enumerate(fed.silos):
-                if not is_active(s):
-                    continue
-                if silo.n_records > 0:
-                    jobs.append(
-                        self._local_job(
-                            silo.x, silo.y, self.local_epochs, self.batch_size
-                        )
+        # Draw each silo's minibatch schedule and noise silo by silo (the
+        # order a per-silo training loop consumes them), then train every
+        # silo in one batched run.
+        jobs, noises = [], []
+        for s, silo in enumerate(fed.silos):
+            if not is_active(s):
+                continue
+            if silo.n_records > 0:
+                jobs.append(
+                    self._local_job(
+                        silo.x, silo.y, self.local_epochs, self.batch_size
                     )
-                noises.append(self._gaussian_noise(noise_std, params.size))
-            deltas = self._local_deltas_batched(
-                params, jobs, self.local_lr, self.local_epochs
-            )
-            aggregate = l2_clip_rows(deltas, self.clip).sum(axis=0)
-            if noises:
-                aggregate = aggregate + np.sum(noises, axis=0)
-        else:
-            aggregate = np.zeros_like(params)
-            for s, silo in enumerate(fed.silos):
-                if not is_active(s):
-                    continue
-                if silo.n_records > 0:
-                    delta = self._local_delta(
-                        params, silo.x, silo.y, self.local_lr, self.local_epochs,
-                        self.batch_size,
-                    )
-                    aggregate += l2_clip(delta, self.clip)
-                aggregate += self._gaussian_noise(noise_std, params.size)
+                )
+            noises.append(self._gaussian_noise(noise_std, params.size))
+        deltas = self._local_deltas_batched(
+            params, jobs, self.local_lr, self.local_epochs
+        )
+        aggregate = l2_clip_rows(deltas, self.clip).sum(axis=0)
+        if noises:
+            aggregate = aggregate + np.sum(noises, axis=0)
 
         self.last_participation = ParticipationSummary(
             silos_seen=n_active,

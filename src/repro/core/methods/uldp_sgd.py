@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting import PrivacyAccountant
-from repro.core.clipping import l2_clip
 from repro.core.engine import LocalJob, make_shard_task, plan_shards
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.weighting import (
@@ -40,9 +39,8 @@ class UldpSgd(FLMethod):
         global_lr: float | None = None,
         weighting: str = "uniform",
         user_sample_rate: float | None = None,
-        engine: str = "vectorized",
     ):
-        super().__init__(engine=engine)
+        super().__init__()
         if clip <= 0:
             raise ValueError("clip bound must be positive")
         if noise_multiplier < 0:
@@ -118,63 +116,48 @@ class UldpSgd(FLMethod):
         noise_std = self.noise_multiplier * self.clip / np.sqrt(noise_silos)
         users_seen: set[int] = set()
         aggregate = np.zeros_like(params)
-        if self.engine == "vectorized":
-            # Per-silo job lists planned into micro-batch-aligned shards;
-            # each shard's kernel computes the (negated, clipped) gradient
-            # rows and folds them into a binned partial sum, so no process
-            # holds the full per-user matrix.  Gradients draw no
-            # randomness, so noise draws stay in the loop path's per-silo
-            # order regardless of workers/shard_size.
-            engine = self.shard_engine
-            scale_bound = engine.scale(self.clip)
-            tasks = []
-            for s, silo in enumerate(fed.silos):
-                if active_mask is not None and not active_mask[s]:
+        # Per-silo job lists planned into micro-batch-aligned shards; each
+        # shard's kernel computes the (negated, clipped) gradient rows and
+        # folds them into a binned partial sum, so no process holds the
+        # full per-user matrix.  Gradients draw no randomness, so the noise
+        # draws stay in per-silo order regardless of workers/shard_size.
+        engine = self.shard_engine
+        scale_bound = engine.scale(self.clip)
+        tasks = []
+        for s, silo in enumerate(fed.silos):
+            if active_mask is not None and not active_mask[s]:
+                continue
+            jobs, weights = [], []
+            for user in silo.users_present():
+                w = round_weights[s, user]
+                if w == 0.0:
                     continue
-                jobs, weights = [], []
-                for user in silo.users_present():
-                    w = round_weights[s, user]
-                    if w == 0.0:
-                        continue
-                    jobs.append(LocalJob(*silo.records_of_user(int(user))))
-                    weights.append(w)
-                    users_seen.add(int(user))
-                for a, b in plan_shards(len(jobs), engine.config.aligned_shard_size):
-                    tasks.append(
-                        make_shard_task(
-                            mode="gradient",
-                            model=model,
-                            task=fed.task,
-                            params=params,
-                            jobs=jobs[a:b],
-                            weights=np.asarray(weights[a:b], dtype=np.float64),
-                            clip=self.clip,
-                            scale=scale_bound,
-                            silo=s,
-                            shard=len(tasks),
-                            backend=engine.config.backend,
-                        )
+                jobs.append(LocalJob(*silo.records_of_user(int(user))))
+                weights.append(w)
+                users_seen.add(int(user))
+            for a, b in plan_shards(len(jobs), engine.config.aligned_shard_size):
+                tasks.append(
+                    make_shard_task(
+                        mode="gradient",
+                        model=model,
+                        task=fed.task,
+                        params=params,
+                        jobs=jobs[a:b],
+                        weights=np.asarray(weights[a:b], dtype=np.float64),
+                        clip=self.clip,
+                        scale=scale_bound,
+                        silo=s,
+                        shard=len(tasks),
+                        backend=engine.config.backend,
                     )
-            results = engine.run_tasks(tasks)
-            if results:
-                aggregate = aggregate + engine.reduce(results).total()
-            for s in range(fed.n_silos):
-                if active_mask is not None and not active_mask[s]:
-                    continue
-                aggregate += self._gaussian_noise(noise_std, params.size)
-        else:
-            for s, silo in enumerate(fed.silos):
-                if active_mask is not None and not active_mask[s]:
-                    continue
-                for user in silo.users_present():
-                    w = round_weights[s, user]
-                    if w == 0.0:
-                        continue
-                    x, y = silo.records_of_user(int(user))
-                    grad = self._gradient(params, x, y)
-                    aggregate += w * l2_clip(-grad, self.clip)
-                    users_seen.add(int(user))
-                aggregate += self._gaussian_noise(noise_std, params.size)
+                )
+        results = engine.run_tasks(tasks)
+        if results:
+            aggregate = aggregate + engine.reduce(results).total()
+        for s in range(fed.n_silos):
+            if active_mask is not None and not active_mask[s]:
+                continue
+            aggregate += self._gaussian_noise(noise_std, params.size)
 
         self.last_participation = ParticipationSummary(
             silos_seen=noise_silos if participation is None

@@ -15,7 +15,7 @@ Design invariants:
   bit-generator state; the silo restores that state, runs
   :meth:`silo_round_segment
   <repro.core.methods.uldp_avg.UldpAvg.silo_round_segment>` (the exact
-  per-silo computation the in-process engines run), and returns the
+  per-silo step the in-process round runs), and returns the
   advanced RNG state with its rows.  Chaining the RNG through the silos
   in order reproduces the in-process draw sequence exactly, so an
   ideal-network run matches :class:`repro.sim.FederationSimulator`
@@ -84,13 +84,10 @@ class _RemoteExecutor:
     def __call__(self, params, round_weights, noise_std, active_mask):
         server = self.server
         sim = server.sim
-        method = sim.method
-        rng = method.rng
+        rng = sim.method.rng
         n_silos = sim.fed.n_silos
         size = params.size
-        dicts: list[dict[int, np.ndarray]] = []
-        pairs: list[tuple[int, int]] = []
-        blocks: list[np.ndarray] = []
+        segments: list[tuple[list[int], np.ndarray] | None] = []
         noises: list[np.ndarray] = []
         recorder = get_recorder()
         with recorder.span(
@@ -98,7 +95,7 @@ class _RemoteExecutor:
         ):
             for s in range(n_silos):
                 if active_mask is not None and not active_mask[s]:
-                    dicts.append({})
+                    segments.append(None)
                     continue
                 conn = server.conns.get(s)
                 if conn is None:
@@ -147,8 +144,8 @@ class _RemoteExecutor:
                     users = frame.payload.get("users")
                     rows = frame.arrays.get("rows")
                     noise = frame.arrays.get("noise")
-                    if (not isinstance(users, list) or rows is None
-                            or noise is None
+                    if (not _valid_users(users, round_weights[s])
+                            or rows is None or noise is None
                             or rows.shape != (len(users), size)
                             or noise.shape != (size,)):
                         raise SiloFailure(s, "malformed update frame")
@@ -157,20 +154,27 @@ class _RemoteExecutor:
                     except (KeyError, TypeError, ValueError) as exc:
                         raise SiloFailure(
                             s, f"bad rng state in update: {exc}") from exc
-                users = [int(u) for u in users]
-                rows = np.ascontiguousarray(rows, dtype=np.float64)
-                dicts.append({u: rows[i] for i, u in enumerate(users)})
-                pairs.extend((s, u) for u in users)
-                blocks.append(rows)
+                segments.append(
+                    (users, np.ascontiguousarray(rows, dtype=np.float64)))
                 noises.append(np.ascontiguousarray(noise, dtype=np.float64))
-        if method.engine != "vectorized":
-            # The loop engine's _aggregate fallback sums silo-by-silo; hand
-            # it plain dicts so the summation order (and hence the floats)
-            # match the in-process loop path exactly.
-            return dicts, noises
-        matrix = (np.concatenate(blocks, axis=0) if blocks
-                  else np.zeros((0, size)))
-        return _RoundContributions(dicts, matrix, pairs), noises
+        return _RoundContributions(segments, size), noises
+
+
+def _valid_users(users, weight_row: np.ndarray) -> bool:
+    """Whether an update frame's ``users`` is a list of distinct ints, each
+    a user this silo was asked to train (in range, non-zero round weight).
+
+    Everything downstream indexes by these ids -- the per-silo dict, the
+    row slices of the aggregation, ``round_weights[s, u]`` -- so a
+    duplicate, negative, out-of-range or non-numeric entry would either
+    crash the server or silently misalign another silo's rows.
+    """
+    return (
+        isinstance(users, list)
+        and all(type(u) is int and 0 <= u < weight_row.size for u in users)
+        and len(set(users)) == len(users)
+        and all(weight_row[u] != 0.0 for u in users)
+    )
 
 
 class FederationServer:

@@ -14,11 +14,13 @@ rate ``sample_rate`` per step (see :mod:`repro.accounting.subsampled`); the
 paper's Theorem 2 composes ``Q * T`` such steps, so the ULDP-GROUP client
 runs exactly ``local_epochs`` noisy steps per round.
 
-Per-sample gradients are computed either by looping single-record
-forward/backward passes (``engine="loop"``, obviously correct) or by one
-batched pass through a :class:`repro.nn.model.BatchedSequential` with one
-group per microbatch (``engine="vectorized"``, the same linear algebra
-reassociated -- see :mod:`repro.core.engine` for the equivalence contract).
+Per-sample gradients come from one batched shared-weight pass with one
+group per microbatch (:func:`per_sample_clipped_gradient_sum_vectorized`).
+:func:`per_sample_clipped_gradient_sum` -- single-record forward/backward
+passes in a loop, obviously correct -- is the same linear algebra
+unreassociated: no step calls it; it is the reference the tests compare
+the batched pass against (see :mod:`repro.core.engine` for the
+equivalence contract).
 """
 
 from __future__ import annotations
@@ -106,25 +108,13 @@ def dpsgd_step(
     sample_rate: float,
     rng: np.random.Generator,
     microbatch_size: int = 1,
-    engine: str = "loop",
 ) -> None:
-    """One Poisson-sampled, clipped, noised gradient step (in place).
-
-    ``engine="vectorized"`` computes the per-sample gradients in one
-    batched pass; the randomness (Poisson mask, noise) is drawn identically
-    either way, so both engines follow the same trajectory up to
-    floating-point reassociation.
-    """
+    """One Poisson-sampled, clipped, noised gradient step (in place)."""
     n = x.shape[0]
     mask = rng.random(n) < sample_rate
     expected_batch = max(sample_rate * n, 1e-12)
     if mask.any():
-        grad_fn = (
-            per_sample_clipped_gradient_sum_vectorized
-            if engine == "vectorized"
-            else per_sample_clipped_gradient_sum
-        )
-        grad_sum = grad_fn(
+        grad_sum = per_sample_clipped_gradient_sum_vectorized(
             model, loss, x[mask], y[mask], clip, microbatch_size=microbatch_size
         )
     else:
@@ -146,7 +136,6 @@ def dpsgd_train(
     sample_rate: float,
     rng: np.random.Generator,
     microbatch_size: int = 1,
-    engine: str = "loop",
 ) -> None:
     """Run ``steps`` DP-SGD steps in place.
 
@@ -162,5 +151,5 @@ def dpsgd_train(
     for _ in range(max(0, steps)):
         dpsgd_step(
             model, loss, x, y, lr, clip, noise_multiplier, sample_rate, rng,
-            microbatch_size=microbatch_size, engine=engine,
+            microbatch_size=microbatch_size,
         )

@@ -92,7 +92,6 @@ class SecureUldpAvg(UldpAvg):
         precision: float = 1e-10,
         protocol_seed: int | None = 0,
         private_subsampling_slots: int | None = None,
-        engine: str = "vectorized",
         crypto_backend: str = "fast",
         protocol_workers: int | None = None,
         compression: CompressionSpec | None = None,
@@ -127,7 +126,6 @@ class SecureUldpAvg(UldpAvg):
             weighting="proportional",
             user_sample_rate=user_sample_rate,
             batch_size=batch_size,
-            engine=engine,
             compression=compression,
         )
         self.n_max = n_max

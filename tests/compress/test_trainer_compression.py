@@ -1,9 +1,15 @@
 """End-to-end compression through the Trainer: the oracle equivalence of
 ``compression="none"``, post-processing invariance of epsilon, byte-ledger
-behaviour, and engine parity."""
+behaviour, and parity with the per-user loop oracle."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from oracle_loop import LoopUldpAvg  # noqa: E402
 
 from repro.compress import CompressionSpec
 from repro.core import Default, Trainer, UldpAvg
@@ -17,10 +23,10 @@ def tiny_fed(seed=0):
     )
 
 
-def tiny_method(**kwargs):
+def tiny_method(cls=UldpAvg, **kwargs):
     defaults = dict(noise_multiplier=1.0, local_epochs=1, weighting="proportional")
     defaults.update(kwargs)
-    return UldpAvg(**defaults)
+    return cls(**defaults)
 
 
 def run(compression=None, rounds=3, seed=1, **method_kwargs):
@@ -132,8 +138,8 @@ class TestByteLedger:
 
 class TestEngineParity:
     def test_loop_and_vectorized_report_identical_bytes(self):
-        vec = run(compression=LOSSY, engine="vectorized")
-        loop = run(compression=LOSSY, engine="loop")
+        vec = run(compression=LOSSY)
+        loop = run(compression=LOSSY, cls=LoopUldpAvg)
         assert [c.uplink_bytes for c in vec.history.comm] == [
             c.uplink_bytes for c in loop.history.comm
         ]

@@ -1,0 +1,159 @@
+"""The per-user training loop the batched engine replaced, kept as its oracle.
+
+Until PR 14 every method shipped this as ``engine="loop"``: clone the
+model, load the global parameters, run the local epochs on one user's (or
+one silo's) records, clip, weight, add -- one tiny training run at a
+time.  Each ``Loop*`` class is the runtime method with only its training
+step swapped for that loop; the RNG is consumed in the same order
+(``train_epochs`` draws a job's minibatch permutations where the engine's
+caller pre-draws them, then the silo's noise), so a loop run and an engine
+run from one seed see the same noise and must agree on the parameters to
+floating-point reassociation: ``atol=1e-10`` in
+``test_engine_equivalence.py``.
+
+The loop rounds cover full participation only, which is all the
+equivalence tests drive; ``LoopUldpAvg`` inherits everything but the
+contribution step, so it also runs under a Trainer, with compression.
+"""
+
+from unittest import mock
+
+import numpy as np
+
+from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
+from repro.core.clipping import clip_factor, l2_clip
+from repro.core.methods.uldp_avg import _RoundContributions
+from repro.core.metrics import make_loss
+from repro.core.weighting import subsample_weights
+from repro.nn import dpsgd
+from repro.nn.losses import DegenerateBatchError
+from repro.nn.train import train_epochs
+
+
+def local_delta(method, params, x, y, lr, epochs, batch_size):
+    """Model delta (local - global) after local SGD from ``params``."""
+    fed, model, rng = method._require_prepared()
+    local = model.clone()
+    local.set_flat_params(params)
+    train_epochs(
+        local, make_loss(fed.task, local), x, y, lr=lr, epochs=epochs,
+        rng=rng, batch_size=batch_size,
+    )
+    return local.get_flat_params() - params
+
+
+def gradient(method, params, x, y):
+    """Full-batch mean gradient at ``params``; zero where the loss is
+    undefined on this data (the Cox likelihood of an event-free user)."""
+    fed, model, _ = method._require_prepared()
+    local = model.clone()
+    local.set_flat_params(params)
+    loss = make_loss(fed.task, local)
+    local.zero_grad()
+    try:
+        loss.forward(local.forward(x), y)
+    except DegenerateBatchError:
+        return np.zeros(local.num_params)
+    local.backward(loss.backward())
+    return local.get_flat_grads()
+
+
+class LoopDefault(Default):
+    def round(self, t, params, participation=None):
+        assert participation is None
+        deltas = [
+            local_delta(self, params, silo.x, silo.y, self.local_lr,
+                        self.local_epochs, self.batch_size)
+            for silo in self.fed.silos
+            if silo.n_records > 0
+        ]
+        return params + self.global_lr * np.sum(deltas, axis=0) / self.fed.n_silos
+
+
+class LoopUldpNaive(UldpNaive):
+    def round(self, t, params, participation=None):
+        assert participation is None
+        n_silos = self.fed.n_silos
+        noise_std = self.noise_multiplier * self.clip * np.sqrt(n_silos)
+        aggregate = np.zeros_like(params)
+        for silo in self.fed.silos:
+            if silo.n_records > 0:
+                delta = local_delta(self, params, silo.x, silo.y, self.local_lr,
+                                    self.local_epochs, self.batch_size)
+                aggregate += l2_clip(delta, self.clip)
+            aggregate += self._gaussian_noise(noise_std, params.size)
+        return params + self.global_lr * aggregate / n_silos
+
+
+class LoopUldpSgd(UldpSgd):
+    def round(self, t, params, participation=None):
+        assert participation is None
+        fed, _, rng = self._require_prepared()
+        q = self.user_sample_rate
+        weights = self.weights
+        if q is not None:
+            sampled = np.where(rng.random(fed.n_users) < q)[0]
+            weights = subsample_weights(weights, sampled)
+        noise_std = self.noise_multiplier * self.clip / np.sqrt(fed.n_silos)
+        aggregate = np.zeros_like(params)
+        for s, silo in enumerate(fed.silos):
+            for user in silo.users_present():
+                if weights[s, user] == 0.0:
+                    continue
+                grad = gradient(self, params, *silo.records_of_user(int(user)))
+                aggregate += weights[s, user] * l2_clip(-grad, self.clip)
+            aggregate += self._gaussian_noise(noise_std, params.size)
+        scale = fed.n_users * fed.n_silos * (q if q is not None else 1.0)
+        return params + self.global_lr * aggregate / scale
+
+
+class LoopUldpGroup(UldpGroup):
+    """DP-SGD steps on ``per_sample_clipped_gradient_sum``, the one-record-
+    at-a-time reference that stays in ``nn/dpsgd.py``."""
+
+    def round(self, t, params, participation=None):
+        with mock.patch.object(
+            dpsgd, "per_sample_clipped_gradient_sum_vectorized",
+            dpsgd.per_sample_clipped_gradient_sum,
+        ):
+            return super().round(t, params, participation)
+
+
+class LoopUldpAvg(UldpAvg):
+    """Per-user deltas one training run at a time; the rows then take the
+    runtime's aggregation (binned fold, compression, accounting)."""
+
+    streaming_aggregation = False
+
+    def _compute_contributions(self, params, round_weights):
+        assert self._active_silo_mask is None
+        fed, _, _ = self._require_prepared()
+        noise_std = self._noise_std()
+        factors = np.full((fed.n_silos, fed.n_users), np.nan)
+        segments, noises = [], []
+        for s, silo in enumerate(fed.silos):
+            users = [int(u) for u in silo.users_present()
+                     if round_weights[s, u] != 0.0]
+            rows = np.zeros((len(users), params.size))
+            for i, user in enumerate(users):
+                delta = local_delta(
+                    self, params, *silo.records_of_user(user), self.local_lr,
+                    self.local_epochs, self.batch_size,
+                )
+                factors[s, user] = clip_factor(delta, self.clip)
+                rows[i] = l2_clip(delta, self.clip)
+            segments.append((users, rows))
+            noises.append(self._gaussian_noise(noise_std, params.size))
+        if self.record_clip_stats:
+            self.clip_factor_history.append(factors)
+        return _RoundContributions(segments, params.size), noises
+
+
+#: Runtime method class -> its loop oracle.
+LOOP = {
+    Default: LoopDefault,
+    UldpNaive: LoopUldpNaive,
+    UldpSgd: LoopUldpSgd,
+    UldpGroup: LoopUldpGroup,
+    UldpAvg: LoopUldpAvg,
+}

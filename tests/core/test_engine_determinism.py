@@ -96,18 +96,3 @@ def test_compressed_history_invariant_under_engine_config():
         )
         assert got == ref
 
-
-def test_loop_engine_unaffected():
-    # The loop oracle never routes through shards; [engine] must not
-    # perturb it (streaming only applies to the vectorized engine).
-    method = {"name": "uldp-avg", "engine": "loop"}
-    ref = _fingerprint({**BASE, "name": "determinism-l", "method": method})
-    got = _fingerprint(
-        {
-            **BASE,
-            "name": "determinism-l",
-            "method": method,
-            "engine": {"workers": 2, "shard_size": 128},
-        }
-    )
-    assert got == ref

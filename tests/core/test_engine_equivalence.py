@@ -1,14 +1,15 @@
-"""Differential tests: loop vs. vectorized engines produce identical rounds.
+"""Differential tests: the batched engine against the per-user loop oracle.
 
-The loop engine is the seed implementation (one tiny training run per
-(silo, user) pair) and serves as the correctness oracle; the vectorized
-engine must reproduce its round aggregates exactly -- same RNG stream,
-same clipping, same noise -- up to floating-point reassociation
+The loop (``oracle_loop.py``: one tiny training run per (silo, user)
+pair, the seed implementation) is the correctness oracle; the methods'
+batched engine must reproduce its round aggregates exactly -- same RNG
+stream, same clipping, same noise -- up to floating-point reassociation
 (atol <= 1e-10), for every ULDP method and every task type.
 """
 
 import numpy as np
 import pytest
+from oracle_loop import LOOP
 
 from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.data import build_creditcard_benchmark, build_mnist_benchmark, build_tcgabrca_benchmark
@@ -49,9 +50,12 @@ def run_rounds(method, fed, rounds=2, seed=0, model_builder=None):
 
 
 def assert_engines_agree(make_method, fed, rounds=2, model_builder=None):
-    loop = run_rounds(make_method("loop"), fed, rounds, model_builder=model_builder)
+    """``make_method(classes)`` builds the method from ``classes[runtime class]``:
+    the runtime classes themselves, or their loop oracles."""
+    loop = run_rounds(make_method(LOOP), fed, rounds, model_builder=model_builder)
     vec = run_rounds(
-        make_method("vectorized"), fed, rounds, model_builder=model_builder
+        make_method({cls: cls for cls in LOOP}), fed, rounds,
+        model_builder=model_builder,
     )
     np.testing.assert_allclose(vec, loop, atol=ATOL, rtol=0)
 
@@ -73,36 +77,35 @@ ULDP_AVG_CONFIGS = [
 
 @pytest.mark.parametrize("kwargs", ULDP_AVG_CONFIGS)
 def test_uldp_avg_engines_agree(small_fed, kwargs):
-    assert_engines_agree(lambda e: UldpAvg(engine=e, **kwargs), small_fed)
+    assert_engines_agree(lambda c: c[UldpAvg](**kwargs), small_fed)
 
 
 def test_uldp_sgd_engines_agree(small_fed):
-    assert_engines_agree(lambda e: UldpSgd(engine=e), small_fed)
+    assert_engines_agree(lambda c: c[UldpSgd](), small_fed)
 
 
 def test_uldp_naive_engines_agree(small_fed):
-    assert_engines_agree(lambda e: UldpNaive(engine=e), small_fed)
+    assert_engines_agree(lambda c: c[UldpNaive](), small_fed)
 
 
 def test_uldp_group_engines_agree(small_fed):
     assert_engines_agree(
-        lambda e: UldpGroup(
-            group_size=4, local_steps=2, expected_batch_size=16, engine=e
+        lambda c: c[UldpGroup](
+            group_size=4, local_steps=2, expected_batch_size=16
         ),
         small_fed,
     )
 
 
 def test_default_engines_agree(small_fed):
-    assert_engines_agree(lambda e: Default(engine=e), small_fed)
+    assert_engines_agree(lambda c: c[Default](), small_fed)
 
 
 def test_clip_factor_stats_agree(small_fed):
     """record_clip_stats yields the same per-(silo, user) factors."""
-    loop = UldpAvg(local_epochs=1, record_clip_stats=True, noise_multiplier=0.0,
-                   engine="loop")
-    vec = UldpAvg(local_epochs=1, record_clip_stats=True, noise_multiplier=0.0,
-                  engine="vectorized")
+    kwargs = dict(local_epochs=1, record_clip_stats=True, noise_multiplier=0.0)
+    loop = LOOP[UldpAvg](**kwargs)
+    vec = UldpAvg(**kwargs)
     run_rounds(loop, small_fed)
     run_rounds(vec, small_fed)
     np.testing.assert_allclose(
@@ -115,11 +118,11 @@ def test_clip_factor_stats_agree(small_fed):
 @pytest.mark.parametrize(
     "make_method",
     [
-        pytest.param(lambda e: UldpAvg(local_epochs=1, engine=e), id="avg"),
-        pytest.param(lambda e: UldpSgd(engine=e), id="sgd"),
+        pytest.param(lambda c: c[UldpAvg](local_epochs=1), id="avg"),
+        pytest.param(lambda c: c[UldpSgd](), id="sgd"),
         pytest.param(
-            lambda e: UldpGroup(
-                group_size=4, local_steps=1, expected_batch_size=8, engine=e
+            lambda c: c[UldpGroup](
+                group_size=4, local_steps=1, expected_batch_size=8
             ),
             id="group",
         ),
@@ -139,11 +142,11 @@ def test_survival_engines_agree(survival_fed, make_method):
 @pytest.mark.parametrize(
     "make_method",
     [
-        pytest.param(lambda e: UldpAvg(local_epochs=1, engine=e), id="avg-q1"),
-        pytest.param(lambda e: UldpAvg(local_epochs=2, engine=e), id="avg-q2"),
+        pytest.param(lambda c: c[UldpAvg](local_epochs=1), id="avg-q1"),
+        pytest.param(lambda c: c[UldpAvg](local_epochs=2), id="avg-q2"),
         pytest.param(
-            lambda e: UldpGroup(
-                group_size=2, local_steps=1, expected_batch_size=64, engine=e
+            lambda c: c[UldpGroup](
+                group_size=2, local_steps=1, expected_batch_size=64
             ),
             id="group",
         ),
@@ -159,5 +162,12 @@ def test_cnn_engines_agree(image_fed, make_method):
 
 
 def test_invalid_engine_rejected():
-    with pytest.raises(ValueError):
-        UldpAvg(engine="gpu")
+    """No method constructor takes ``engine`` any more, and a spec that
+    names one fails the ordinary unknown-key check."""
+    from repro.api.spec import RunSpec, SpecError
+
+    for cls in LOOP:
+        with pytest.raises(TypeError):
+            cls(engine="loop")
+    with pytest.raises(SpecError, match=r"method\.engine"):
+        RunSpec.from_dict({"method": {"engine": "loop"}})

@@ -186,6 +186,35 @@ class TestUldpAvg:
         assert present.any()
         assert np.all(factors[present] <= 1.0 + 1e-12)
 
+    def test_one_silo_step_behind_all_three_row_paths(self, small_fed):
+        # From one RNG state, silo s's rows are the same array whether the
+        # in-process materialised round, a remote silo's segment or the
+        # buffered-async payload computes them (minibatches, so the job
+        # schedules draw from the RNG ahead of the noise).
+        method = UldpAvg(weighting="proportional", local_epochs=2, batch_size=8)
+        rng = np.random.default_rng(5)
+        model = build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
+        method.prepare(small_fed, model, rng)
+        params = model.get_flat_params()
+        weights, noise_std = method.weights, method._noise_std()
+        start = rng.bit_generator.state
+        contributions, noises = method._compute_contributions(params, weights)
+        rng.bit_generator.state = start
+        for s, in_process_users, in_process_rows in contributions.silo_blocks():
+            before = rng.bit_generator.state
+            users, rows, noise = method.silo_round_segment(
+                s, params, weights[s], noise_std
+            )
+            assert users == in_process_users and len(users) > 1
+            assert np.array_equal(rows, in_process_rows)
+            assert np.array_equal(noise, noises[s])
+            rng.bit_generator.state = before
+            payload, ids, w = method.silo_contribution(
+                0, params, s, weights, noise_std
+            )
+            assert ids.tolist() == users
+            assert np.array_equal(payload, noise + w @ rows)
+
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):
             UldpAvg(weighting="learned")

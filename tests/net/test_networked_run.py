@@ -20,8 +20,9 @@ import pytest
 from repro.api import RunSpec
 from repro.api.runner import build_simulator
 from repro.core.weighting import QuorumError
-from repro.net.server import FederationServer
+from repro.net.server import FederationServer, SiloFailure, _RemoteExecutor
 from repro.net.silo_client import SiloClient
+from repro.net.wire import Frame
 
 
 def networked(tree, n_silos=3):
@@ -94,16 +95,6 @@ class TestIdealNetworkOracle:
         assert set(codes.values()) == {0}
         assert_bit_identical(server, hist, in_process(tree))
 
-    def test_loop_engine_bit_identical(self):
-        # The remote executor hands the loop engine plain per-silo dicts,
-        # preserving its summation order exactly.
-        tree = base_tree()
-        tree["method"] = {"name": "uldp-avg-w", "local_epochs": 1,
-                         "engine": "loop"}
-        server, hist, codes, err = networked(tree)
-        assert err is None and set(codes.values()) == {0}
-        assert_bit_identical(server, hist, in_process(tree))
-
     def test_history_is_spec_stamped(self):
         tree = base_tree()
         _, hist, _, _ = networked(tree)
@@ -173,6 +164,77 @@ class TestFaultOracles:
         assert "below net.min_quorum=3" in str(err)
         # The abort was broadcast: every silo exited with the abort code.
         assert set(codes.values()) == {1}
+
+
+class ScriptedConn:
+    """A silo's connection, scripted: answers each COMPUTE with the real
+    segment (run on the server's own method, whose RNG the frame carries
+    anyway) and ``users`` rewritten by ``corrupt``."""
+
+    bytes_sent = bytes_received = 0
+
+    def __init__(self, method, silo, corrupt=None):
+        self.method, self.silo, self.corrupt = method, silo, corrupt
+
+    def send(self, msg_type, payload, arrays):
+        self.request = (payload, arrays)
+
+    def recv_matching(self, reply_type, round_no, timeout):
+        payload, arrays = self.request
+        rng = self.method.rng
+        rng.bit_generator.state = payload["rng_state"]
+        users, rows, noise = self.method.silo_round_segment(
+            self.silo, arrays["params"], arrays["weights"], payload["noise_std"])
+        if self.corrupt is not None:
+            users = self.corrupt(users, len(arrays["weights"]))
+        return Frame(
+            reply_type,
+            {"round": round_no, "users": users,
+             "rng_state": rng.bit_generator.state},
+            {"rows": rows, "noise": noise},
+        )
+
+
+class TestMalformedUpdate:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda u, n: ["seven"] + u[1:], id="non-numeric"),
+            pytest.param(lambda u, n: [u[1]] + u[1:], id="duplicate"),
+            pytest.param(lambda u, n: [u[0] - n] + u[1:], id="negative"),
+            pytest.param(lambda u, n: [u[0] + n] + u[1:], id="out-of-range"),
+        ],
+    )
+    def test_bad_users_list_is_a_silo_failure(self, corrupt):
+        # Rows and noise are genuine and rightly shaped; only the ids lie.
+        # Unchecked, these were a ValueError, rows of one silo folded with
+        # another's weights, another user's weight, and an IndexError.
+        server = FederationServer(RunSpec.from_dict(base_tree()))
+        sim = server.sim
+        server.conns = {
+            s: ScriptedConn(sim.method, s, corrupt if s == 2 else None)
+            for s in range(3)
+        }
+        snapshot = sim.state_dict()
+        params = sim.trainer.params.copy()
+        rng_state = sim.method.rng.bit_generator.state
+        sim.method.contribution_executor = _RemoteExecutor(server, 0)
+        sim.external_dropout = np.ones(3, dtype=bool)
+        with pytest.raises(SiloFailure) as failure:
+            sim.step()
+        assert failure.value.silo == 2
+        assert failure.value.reason == "malformed update frame"
+        # Silos 0 and 1 had answered: the attempt advanced the shared RNG,
+        # and the server's snapshot rollback is what takes that back.
+        assert sim.method.rng.bit_generator.state != rng_state
+        sim.load_state(snapshot)
+        assert np.array_equal(sim.trainer.params, params)
+        assert sim.method.rng.bit_generator.state == rng_state
+        assert sim.rounds_completed == 0
+        # ... and the retry without the lying silo goes through.
+        sim.external_dropout = np.array([True, True, False])
+        sim.step()
+        assert sim.history.participation[-1].silos_seen == 2
 
 
 def outage_comparator(windows):
