@@ -5,7 +5,7 @@
 #                       differential tests (docs/privacy_accounting.md)
 #   make bench          all paper-figure benchmarks (slow, prints tables)
 #   make bench-engine   batched-engine round timing on fig05 MNIST (U50/U400)
-#   make bench-protocol reference vs. fast Paillier vs. masked secagg
+#   make bench-protocol fast Paillier vs. masked secagg (two-way)
 #   make bench-sim      simulation runtime: 1M-user population + dropout
 #   make bench-compress update compression: uplink bytes vs utility (fig05)
 #   make bench-scaleout sharded engine: one DP round over 100k sampled users

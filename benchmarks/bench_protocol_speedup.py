@@ -1,18 +1,15 @@
-"""Secure aggregation speed: reference vs. fast Paillier vs. pairwise masks.
+"""Secure aggregation speed: fast Paillier vs. pairwise masks.
 
 Reproduces the paper's Fig. 10/11 per-phase breakdown (key generation,
 offline randomizer pools, encrypted weight broadcast, per-silo weighted
-encryption, aggregation + decryption) for one full `run_round` under both
-Paillier crypto backends, and benchmarks the ``masked`` backend
-(Bonawitz-style pairwise masks, `repro.crypto.secagg`) on the identical
-inputs as the three-way comparison:
+encryption, aggregation + decryption) for one full `run_round` of
+Protocol 1, and benchmarks the ``masked`` backend (Bonawitz-style pairwise
+masks, `repro.crypto.secagg`) on the identical inputs:
 
 - **test scale** (512-bit keys, |S| = 5, |U| = 50, d = 1024): the headline
-  configuration.  The fast backend must be >= 4x faster than the
-  reference, with *bit-identical* ciphertexts and aggregates under the
-  seeded protocol RNG; the masked backend must be >= 10x faster still than
-  the fast backend and produce the *exact same aggregate* (both decode the
-  same integer arithmetic).
+  configuration.  The masked backend must be >= 10x faster than fast
+  Paillier and produce the *exact same aggregate* (both decode the same
+  integer arithmetic).
 - **paper scale** (3072-bit keys, the paper's security level): a small
   d/|U| configuration that exercises the same phases at production key
   sizes, reported for the breakdown; CRT decryption and the CRT-split
@@ -22,6 +19,12 @@ Per-silo wire cost is recorded alongside: a Paillier round ships one
 `2 * key_bits`-bit ciphertext per coordinate, a masked round one
 `mask_bits`-bit field element -- byte accounting for both lands in
 `BENCH_protocol.json` for cross-PR tracking.
+
+The seed Paillier implementation this bench used to time as a third
+column is a test oracle now (``tests/protocol/oracle_reference.py``; the
+ciphertext bit-identity asserted here lives in tier-1 against it).  The
+committed `BENCH_protocol.json` is the last three-way record: 169.3 s
+reference vs 36.6 s fast vs 0.08 s masked per test-scale round.
 
 ``BENCH_PROTOCOL_SCALE=smoke`` shrinks the test-scale workload (CI's
 smoke job) and skips the paper-scale breakdown.
@@ -46,13 +49,12 @@ from repro.crypto.secagg import (
 )
 from repro.protocol import PrivateWeightingProtocol
 
-TARGET_SPEEDUP = 4.0
 MASKED_TARGET_SPEEDUP = 10.0
 SEED = 11
 MASK_BITS = 256
 
 #: "full" (default) or "smoke" -- CI's bench-protocol job runs the same
-#: three-way comparison at toy scale.
+#: comparison at toy scale.
 SCALE = os.environ.get("BENCH_PROTOCOL_SCALE", "full")
 
 # Headline configuration: |S|=5, |U|=50, d=1k-scale at 512-bit test keys.
@@ -98,18 +100,17 @@ def round_inputs(hist, d, seed=1):
     return deltas, noises
 
 
-def timed_round(backend, hist, d, key_bits):
-    """Setup + one timed run_round; returns (aggregate, view, phases, seconds, proto)."""
+def timed_round(hist, d, key_bits):
+    """Setup + one timed Paillier run_round; returns (aggregate, proto, seconds)."""
     proto = PrivateWeightingProtocol(
-        hist, n_max=N_MAX, paillier_bits=key_bits, seed=SEED,
-        crypto_backend=backend,
+        hist, n_max=N_MAX, paillier_bits=key_bits, seed=SEED
     )
     proto.run_setup()
     deltas, noises = round_inputs(hist, d)
     start = time.perf_counter()
     aggregate = proto.run_round(deltas, noises)
     seconds = time.perf_counter() - start
-    return aggregate, proto.view, proto.timer, seconds, proto
+    return aggregate, proto, seconds
 
 
 def timed_masked_round(hist, d):
@@ -145,26 +146,15 @@ def print_breakdown(title, timers):
 
 
 def compare_backends(hist, d, key_bits, label):
-    agg_ref, view_ref, timer_ref, t_ref, _ = timed_round("reference", hist, d, key_bits)
-    agg_fast, view_fast, timer_fast, t_fast, proto_fast = timed_round(
-        "fast", hist, d, key_bits
-    )
+    agg_fast, proto_fast, t_fast = timed_round(hist, d, key_bits)
     agg_masked, proto_masked, t_masked = timed_masked_round(hist, d)
 
-    # Bit-exact agreement: same seeded RNG -> same randomness draws -> the
-    # two Paillier backends must produce *identical* ciphertexts and
-    # aggregates.
-    assert view_ref.round_ciphertexts == view_fast.round_ciphertexts, (
-        "fast backend diverged from the reference at the ciphertext level"
-    )
-    assert np.array_equal(agg_ref, agg_fast)
     # The masked backend accumulates the same integers in its own field,
     # so its decoded aggregate matches the Paillier decryption exactly.
     assert np.array_equal(agg_masked, agg_fast), (
         "masked backend diverged from the Paillier aggregate"
     )
 
-    speedup = t_ref / t_fast
     masked_speedup = t_fast / t_masked
     cipher_bytes = d * proto_fast.ciphertext_bytes
     mask_bytes = d * proto_masked.mask_bytes
@@ -172,37 +162,31 @@ def compare_backends(hist, d, key_bits, label):
         f"Secure aggregation round, {label}: {key_bits}-bit keys, "
         f"|S|={hist.shape[0]}, |U|={hist.shape[1]}, d={d}"
     )
-    print(f"reference backend: {t_ref:8.2f} s")
-    print(f"fast backend:      {t_fast:8.2f} s   -> speedup {speedup:.1f}x")
+    print(f"fast backend:      {t_fast:8.2f} s")
     print(f"masked backend:    {t_masked:8.3f} s   -> {masked_speedup:.1f}x vs fast")
-    print("all three aggregates bit-identical under seeded RNG")
+    print("both aggregates bit-identical under seeded RNG")
     print(
         f"per-silo uplink: {cipher_bytes} ciphertext bytes (Paillier) vs "
         f"{mask_bytes} mask bytes ({cipher_bytes / mask_bytes:.1f}x smaller)"
     )
     print_breakdown(
         "per-phase breakdown (Fig. 10/11 style):",
-        {
-            "reference": timer_ref,
-            "fast": timer_fast,
-            "masked": proto_masked.timer,
-        },
+        {"fast": proto_fast.timer, "masked": proto_masked.timer},
     )
     return {
         "key_bits": key_bits,
         "n_silos": int(hist.shape[0]),
         "n_users": int(hist.shape[1]),
         "dim": d,
-        "reference_seconds": round(t_ref, 3),
         "fast_seconds": round(t_fast, 3),
         "masked_seconds": round(t_masked, 4),
-        "speedup": round(speedup, 2),
         "masked_speedup_vs_fast": round(masked_speedup, 2),
         "mask_bits": MASK_BITS,
         "per_silo_ciphertext_bytes": cipher_bytes,
         "per_silo_mask_bytes": mask_bytes,
-        "phases_reference": {k: round(v, 4) for k, v in timer_ref.report().items()},
-        "phases_fast": {k: round(v, 4) for k, v in timer_fast.report().items()},
+        "phases_fast": {
+            k: round(v, 4) for k, v in proto_fast.timer.report().items()
+        },
         "phases_masked": {
             k: round(v, 4) for k, v in proto_masked.timer.report().items()
         },
@@ -210,20 +194,11 @@ def compare_backends(hist, d, key_bits, label):
 
 
 def test_protocol_speedup_test_keys():
-    """Headline: fast >= 4x over reference, masked >= 10x over fast."""
+    """Headline: masked >= 10x over fast Paillier, same aggregate."""
     hist = build_histogram(N_SILOS, N_USERS)
     result = compare_backends(hist, DIM, KEY_BITS, label=f"{SCALE} test scale")
     key = "test_scale" if SCALE == "full" else f"test_scale_{SCALE}"
     write_bench_json("BENCH_protocol.json", {key: result})
-    if SCALE == "full":
-        assert result["speedup"] >= TARGET_SPEEDUP, (
-            f"fast backend only {result['speedup']:.1f}x faster "
-            f"(target {TARGET_SPEEDUP}x)"
-        )
-    else:
-        # Tiny smoke workloads cannot amortise the fixed-base tables; the
-        # fast backend must still not lose to the reference.
-        assert result["speedup"] > 1.0
     assert result["masked_speedup_vs_fast"] >= MASKED_TARGET_SPEEDUP, (
         f"masked backend only {result['masked_speedup_vs_fast']:.1f}x faster "
         f"than fast Paillier (target {MASKED_TARGET_SPEEDUP}x)"
@@ -237,9 +212,6 @@ def test_protocol_breakdown_paper_keys():
     hist = build_histogram(PAPER_SILOS, PAPER_USERS)
     result = compare_backends(hist, PAPER_DIM, PAPER_KEY_BITS, label="paper scale")
     write_bench_json("BENCH_protocol.json", {"paper_scale": result})
-    # At tiny d the fixed-base table cannot amortise, but CRT decryption
-    # and CRT-split encryption must still win outright.
-    assert result["speedup"] > 1.0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,10 @@ DISTRIBUTIONS = ("uniform", "zipf")
 #: stays import-light -- pinned equal by tests/api/test_spec.py).
 ARRAY_BACKENDS = ("numpy", "torch", "cupy")
 GROUP_ROUTES = ("rdp", "dp")
-CRYPTO_BACKENDS = ("reference", "fast", "masked")
+#: Secure-aggregation schemes of ``secure-uldp-avg`` (mirrors
+#: :data:`repro.protocol.secure_method.CRYPTO_BACKENDS`; literal for the
+#: same reason, pinned equal by tests/api/test_spec.py).
+CRYPTO_BACKENDS = ("fast", "masked")
 
 #: Method name whose factory consumes the ``crypto`` section.
 SECURE_METHOD = "secure-uldp-avg"
@@ -165,7 +168,7 @@ class CryptoSpec:
 
     ``backend="masked"`` selects pairwise-mask secure aggregation
     (``mask_bits`` field width, ``paillier_bits``/``workers`` unused);
-    the Paillier backends (``"reference"``/``"fast"``) run Protocol 1.
+    ``"fast"`` runs Protocol 1 over Paillier.
     """
 
     backend: str = "fast"
@@ -469,6 +472,15 @@ class RunSpec:
                 f"crypto: only consumed by method.name={SECURE_METHOD!r} "
                 f"(got method.name={self.method.name!r})"
             )
+        if self.sim is not None and self.method.name == SECURE_METHOD:
+            backend = (self.crypto or CryptoSpec()).backend
+            if backend != "masked":
+                raise SpecError(
+                    f"crypto.backend: {backend!r} (Paillier, Protocol 1) "
+                    "needs the full silo roster every round and cannot run "
+                    "under [sim], whose scheduler decides participation per "
+                    "round; set crypto.backend = \"masked\""
+                )
         for path, values in self.sweep.items():
             validate_path(path, sweep_axis=True)
             if not isinstance(values, (list, tuple)) or len(values) == 0:

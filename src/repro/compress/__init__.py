@@ -17,8 +17,7 @@ post-processing:
   private RNG stream, byte accounting, checkpointable state).
 
 ``CompressionSpec()`` is the identity and reproduces the uncompressed
-trainer bit for bit (oracle-tested), mirroring the
-``crypto_backend="reference"`` seam.
+trainer bit for bit (oracle-tested).
 """
 
 from repro.compress.pipeline import (

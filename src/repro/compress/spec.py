@@ -8,8 +8,8 @@ private RNG stream) lives in :class:`repro.compress.pipeline.UpdateCompressor`.
 
 The default spec is the identity: ``CompressionSpec()`` (equivalently
 ``CompressionSpec.none()``) changes no bytes and no bits of the training
-trajectory -- it only enables byte accounting -- which is what makes it the
-oracle seam mirroring ``crypto_backend="reference"``.
+trajectory -- it only enables byte accounting -- which makes the dense
+trainer the compression pipeline's bit-identical oracle.
 """
 
 from __future__ import annotations

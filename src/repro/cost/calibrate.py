@@ -15,13 +15,6 @@ The result persists as ``src/repro/cost/calibration.json`` (schema
 ``cost-calibration/v1``) with the host metadata of the benches it came
 from; :func:`load_calibration` round-trips the constants bit-exactly
 (pinned by tests/cost/test_calibrate.py).
-
-Two deliberately unfittable measurements are excluded from the drift
-gate (``gate=False``): reference-backend keygen (randomized safe-prime
-search -- wall-clock varies by multiples between identical runs) and the
-secure rand-k *dense* wall-clock in BENCH_compression (a 134-parameter
-toy whose runtime is dominated by per-round process-pool setup the
-per-coordinate model deliberately does not carry).
 """
 
 from __future__ import annotations
@@ -141,15 +134,13 @@ class FitRow:
     """One measured bench point: where to evaluate the group's expression.
 
     ``fit=False`` rows are held-out cross-checks: they participate in the
-    drift gate but not in the least-squares fit.  ``gate=False`` rows are
-    reported but never fail the gate.
+    drift gate but not in the least-squares fit.
     """
 
     label: str
     subs: dict
     measured: float
     fit: bool = True
-    gate: bool = True
 
 
 @dataclass
@@ -160,7 +151,6 @@ class FitGroup:
     expr: sp.Expr
     constants: tuple[str, ...]
     rows: list[FitRow] = field(default_factory=list)
-    gate: bool = True
     #: Noise floor on measured values (seconds groups); 0 disables.
     floor: float = MIN_FIT_SECONDS
 
@@ -372,11 +362,8 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
     )
 
     # -- protocol phases, one group per (backend, phase), rows across the
-    #    bench's scale sections.  Bench phases not in the model (the
-    #    reference backend's ~30 ms key exchange next to its 167 s
-    #    encryption) are intentionally unmodelled.
+    #    bench's scale sections.
     fast = _secure_phases(CryptoSpec(backend="fast"), None)
-    ref = _secure_phases(CryptoSpec(backend="reference"), None)
     masked = _secure_phases(CryptoSpec(backend="masked"), None)
     protocol_groups = [
         # (group name, expr, constants, bench phase table, measured keys)
@@ -391,24 +378,13 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
         ("paillier_misc", _phase_seconds(fast, "setup_misc"),
          ("paillier_misc_base", "paillier_misc_silo_user"), "phases_fast",
          ("key_exchange", "blinded_histogram", "encrypt_weights")),
-        ("reference_keygen", _phase_seconds(ref, "keygen"),
-         ("reference_keygen",), "phases_reference", ("keygen",)),
-        ("reference_encrypt", _phase_seconds(ref, "silo_weighted_encryption"),
-         ("reference_encrypt",), "phases_reference",
-         ("silo_weighted_encryption",)),
-        ("reference_encrypt_weights", _phase_seconds(ref, "encrypt_weights"),
-         ("reference_encrypt_weights",), "phases_reference",
-         ("encrypt_weights",)),
-        ("reference_decrypt", _phase_seconds(ref, "aggregate_decrypt"),
-         ("reference_decrypt",), "phases_reference", ("aggregate_decrypt",)),
         ("masked_setup", _phase_seconds(masked, "mask_setup"),
          ("masked_setup",), "phases_masked", ("keygen", "key_exchange")),
         ("masked_round", _phase_seconds(masked, "mask_and_upload"),
          ("masked_round",), "phases_masked", ("mask_and_upload",)),
     ]
     for name, expr, constants, table, keys in protocol_groups:
-        gate = all(M.CONSTANT_DEFS[c].gate for c in constants)
-        group = FitGroup(name, expr, constants, gate=gate)
+        group = FitGroup(name, expr, constants)
         for section_name, section in benches["protocol"].items():
             if section_name in ("schema", "host"):
                 continue
@@ -499,16 +475,16 @@ def fit_calibration(
 def drift_rows(calibration: Calibration, benches: dict[str, dict]) -> list[dict]:
     """Predicted-vs-measured for every bench row under given constants.
 
-    ``gated`` rows (above the noise floor, in gated groups) must have
+    ``gated`` rows (those above their group's noise floor) must have
     ``ratio`` within ``[1/DRIFT_FACTOR, DRIFT_FACTOR]`` to pass the CI
-    gate; the rest are reported for visibility only.
+    gate; sub-floor rows are reported for visibility only.
     """
     out = []
     for group in build_fit_groups(benches):
         for row in group.rows:
             predicted = group.predict(calibration.constants, row)
             ratio = predicted / row.measured if row.measured > 0 else np.inf
-            gated = group.gate and row.gate and row.measured >= group.floor
+            gated = row.measured >= group.floor
             out.append(
                 {
                     "group": group.name,

@@ -25,9 +25,9 @@ Method coverage:
   training shape with per-model-family constants (``cnn`` vs ``dense``)
   and differ only through their spec knobs (epochs, compression);
 - ``secure-uldp-avg`` adds the crypto phases of its backend: Protocol 1
-  under ``reference``/``fast`` Paillier (keygen, offline randomizer
-  pools, per-round encryption/decryption, O(key_bits^3) scaling), or the
-  pairwise-mask backend (O(S^2) setup, O(S^2 d) per-round masking);
+  under ``fast`` Paillier (keygen, offline randomizer pools, per-round
+  encryption/decryption, O(key_bits^3) scaling), or the pairwise-mask
+  backend (O(S^2) setup, O(S^2 d) per-round masking);
 - simulation specs use the scheduler-inclusive per-record constant and
   add churn and population-memory terms.
 """
@@ -93,17 +93,11 @@ SYMBOLS = {
 
 @dataclass(frozen=True)
 class ConstantDef:
-    """One fitted leading constant: what it multiplies and where it comes from.
-
-    ``gate=False`` marks constants excluded from the CI drift gate:
-    their source measurement is dominated by noise the model cannot
-    capture (randomized prime search, sub-millisecond timer jitter).
-    """
+    """One fitted leading constant: what it multiplies and where it comes from."""
 
     name: str
     unit: str
     doc: str
-    gate: bool = True
 
 
 CONSTANT_DEFS: dict[str, ConstantDef] = {
@@ -164,30 +158,6 @@ CONSTANT_DEFS: dict[str, ConstantDef] = {
             "paillier_misc_silo_user",
             "s / (silo * user)",
             "fast-backend setup misc, per (silo, user) pair part",
-        ),
-        ConstantDef(
-            "reference_keygen",
-            "s",
-            "reference-backend keygen: randomized safe-prime search whose "
-            "wall-clock varies by multiples run to run -- modelled as a "
-            "flat constant and excluded from the drift gate",
-            gate=False,
-        ),
-        ConstantDef(
-            "reference_encrypt",
-            "s / (user * coord * key_bits^3)",
-            "per-round weighted encryption, reference backend "
-            "(one modular exponentiation per user-coordinate)",
-        ),
-        ConstantDef(
-            "reference_encrypt_weights",
-            "s / (user * key_bits^3)",
-            "reference-backend per-user weight encryption (setup)",
-        ),
-        ConstantDef(
-            "reference_decrypt",
-            "s / (coord * key_bits^3)",
-            "per-round aggregate decryption, reference backend",
         ),
         ConstantDef(
             "masked_setup",
@@ -426,11 +396,9 @@ def _secure_phases(
     rand-k (the only family the secure path admits), else the full dim.
     """
     d_eff = keep_count_expr(comp)
-    kb3 = KEY_BITS**3
-    phases: list[PhaseCost] = []
     if crypto.backend == "masked":
         active = PARTICIPATION * SILOS
-        phases += [
+        return [
             PhaseCost("mask_setup", "setup", seconds=C("masked_setup") * SILOS**2),
             PhaseCost(
                 "mask_and_upload",
@@ -442,64 +410,37 @@ def _secure_phases(
             ),
             PhaseCost("broadcast", "round", downlink_bytes=active * 8 * DIM),
         ]
-        return phases
     # Paillier (Protocol 1) requires the full roster every round.
+    kb3 = KEY_BITS**3
     cipher_bytes = ciphertext_bytes_expr()
-    phases.append(
-        PhaseCost("keygen", "setup", seconds=C("paillier_keygen") * kb3)
-        if crypto.backend == "fast"
-        else PhaseCost("keygen", "setup", seconds=C("reference_keygen"))
-    )
-    if crypto.backend == "fast":
-        phases += [
-            PhaseCost(
-                "offline_randomizers",
-                "setup",
-                seconds=C("paillier_offline") * SILOS * d_eff * kb3,
-            ),
-            PhaseCost(
-                "setup_misc",
-                "setup",
-                seconds=C("paillier_misc_base")
-                + C("paillier_misc_silo_user") * SILOS * USERS,
-            ),
-            PhaseCost(
-                "silo_weighted_encryption",
-                "round",
-                seconds=C("paillier_encrypt") * SILOS * d_eff * kb3,
-                uplink_bytes=SILOS * d_eff * cipher_bytes,
-                cipher_elements=SILOS * d_eff,
-                memory_bytes=SILOS * d_eff * cipher_bytes,
-            ),
-            PhaseCost(
-                "aggregate_decrypt",
-                "round",
-                seconds=C("paillier_decrypt") * d_eff * kb3,
-            ),
-        ]
-    else:  # reference
-        phases += [
-            PhaseCost(
-                "encrypt_weights",
-                "setup",
-                seconds=C("reference_encrypt_weights") * USERS * kb3,
-            ),
-            PhaseCost(
-                "silo_weighted_encryption",
-                "round",
-                seconds=C("reference_encrypt") * USERS * d_eff * kb3,
-                uplink_bytes=SILOS * d_eff * cipher_bytes,
-                cipher_elements=SILOS * d_eff,
-                memory_bytes=SILOS * d_eff * cipher_bytes,
-            ),
-            PhaseCost(
-                "aggregate_decrypt",
-                "round",
-                seconds=C("reference_decrypt") * d_eff * kb3,
-            ),
-        ]
-    phases.append(PhaseCost("broadcast", "round", downlink_bytes=SILOS * 8 * DIM))
-    return phases
+    return [
+        PhaseCost("keygen", "setup", seconds=C("paillier_keygen") * kb3),
+        PhaseCost(
+            "offline_randomizers",
+            "setup",
+            seconds=C("paillier_offline") * SILOS * d_eff * kb3,
+        ),
+        PhaseCost(
+            "setup_misc",
+            "setup",
+            seconds=C("paillier_misc_base")
+            + C("paillier_misc_silo_user") * SILOS * USERS,
+        ),
+        PhaseCost(
+            "silo_weighted_encryption",
+            "round",
+            seconds=C("paillier_encrypt") * SILOS * d_eff * kb3,
+            uplink_bytes=SILOS * d_eff * cipher_bytes,
+            cipher_elements=SILOS * d_eff,
+            memory_bytes=SILOS * d_eff * cipher_bytes,
+        ),
+        PhaseCost(
+            "aggregate_decrypt",
+            "round",
+            seconds=C("paillier_decrypt") * d_eff * kb3,
+        ),
+        PhaseCost("broadcast", "round", downlink_bytes=SILOS * 8 * DIM),
+    ]
 
 
 def _network_phase(model_phases: list[PhaseCost]) -> PhaseCost:

@@ -6,7 +6,11 @@ library (``secrets``, ``hashlib``, ``math``):
 - :mod:`repro.crypto.primes` -- Miller-Rabin probabilistic primality testing
   and random prime generation.
 - :mod:`repro.crypto.paillier` -- the Paillier additively homomorphic
-  cryptosystem (keygen / encrypt / decrypt / ciphertext arithmetic).
+  cryptosystem (keygen / encrypt / decrypt / ciphertext arithmetic, plus
+  the key holder's CRT fast path); with :mod:`repro.crypto.pool` and
+  :mod:`repro.crypto.fastexp` it is the one Paillier implementation
+  Protocol 1 runs on -- the seed loop over the plain primitives is the
+  test oracle ``tests/protocol/oracle_reference.py`` (bit-identical).
 - :mod:`repro.crypto.dh` -- finite-field Diffie-Hellman key agreement with a
   SHA-256 key-derivation function.
 - :mod:`repro.crypto.masking` -- PRG-expanded pairwise additive masks over a

@@ -14,8 +14,9 @@ silos' ``Enc(0)`` accumulator seeds and the server's OT dummy slots.
 Determinism contract: the pool draws its randomizers from the same RNG, in
 the same order, as on-line encryption would, and :meth:`take` consumes them
 FIFO (generating on demand when empty).  Under a seeded RNG a pooled
-encryption is therefore bit-identical to the ciphertext the reference
-backend produces -- the equivalence the fast-backend tests assert.
+encryption is therefore bit-identical to a fresh ``public_key.encrypt``
+-- the equivalence ``tests/crypto/test_fast_backend.py`` asserts against
+the seed-implementation oracle (``tests/protocol/oracle_reference.py``).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class RandomizerPool:
         """Next blinding term ``r^n mod n^2`` (== a fresh ``Enc(0)`` value).
 
         Falls back to on-demand generation when the pool is empty, so the
-        RNG draw order never deviates from the reference backend's.
+        RNG draw order never deviates from on-line encryption's.
         """
         if self._ready:
             return self._ready.popleft()

@@ -1,9 +1,9 @@
 """Pairwise-mask secure aggregation with dropout recovery (Bonawitz-style).
 
 This is the ``crypto_backend="masked"`` alternative to Protocol 1's Paillier
-path.  Instead of encrypting every coordinate under an additively homomorphic
-cryptosystem, each silo adds a *pairwise additive mask* to its fixed-point
-field vector:
+path (``crypto_backend="fast"``; those are the two backends).  Instead of
+encrypting every coordinate under an additively homomorphic cryptosystem,
+each silo adds a *pairwise additive mask* to its fixed-point field vector:
 
 - **Setup** (once): every pair of silos runs Diffie-Hellman and derives a
   long-term pair key (KDF context ``"masked-agg"``, independent of Protocol
@@ -94,7 +94,8 @@ def weight_numerators(
     participation masking preserves by zeroing whole rows), the numerator
     is formed as the exact integer ``n_su * (C_LCM // N_u)`` -- the same
     integer Protocol 1 encrypts, which is what makes the masked and
-    Paillier backends agree bit for bit.  Renormalised weights
+    Paillier backends (and the Paillier test oracle,
+    ``tests/protocol/oracle_reference.py``) agree bit for bit.  Renormalised weights
     (``renorm="survivors"``/``"carryover"`` gains) fall back to rounding,
     with error at most ``1/(2*C_LCM)`` per unit weight.
     """

@@ -14,17 +14,14 @@ Conventions:
 - pairwise mask contexts include the step label and round number so masks
   are never reused.
 
-Both parties take ``crypto_backend="reference" | "fast"``:
-
-- **reference** -- the seed implementation, kept verbatim as the
-  equivalence oracle: fresh full-width encryptions, square-and-multiply
-  scalar exponentiation, (lambda, mu) decryption.
-- **fast** -- the same mathematics computed faster: CRT wherever the
-  factorisation is known (server decryption and server-side encryptions),
-  fixed-base windowed exponentiation for the per-user scalar powers, and
-  offline randomizer pools so online encryption is two multiplications.
-  RNG draws happen in the reference order, so under a seeded RNG the two
-  backends produce bit-identical ciphertexts.
+There is one Paillier implementation: CRT wherever the factorisation is
+known (server decryption and server-side encryptions), fixed-base windowed
+exponentiation for the per-user scalar powers, and offline randomizer
+pools so online encryption is two multiplications.  The seed
+implementation (fresh full-width encryptions, square-and-multiply scalar
+exponentiation, (lambda, mu) decryption) is the test oracle
+``tests/protocol/oracle_reference.py``; RNG draws happen in its order, so
+under a seeded RNG both produce bit-identical ciphertexts.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from repro.crypto.blinding import BlindingFactory
 from repro.crypto.dh import DHGroup, DHKeypair, decrypt_with_key, derive_shared_key, encrypt_with_key
-from repro.crypto.encoding import encode_scalar, encode_vector, lcm_up_to
+from repro.crypto.encoding import encode_vector, lcm_up_to
 from repro.crypto.fastexp import FixedBaseExp, worthwhile
 from repro.crypto.masking import PairwiseMasker
 from repro.crypto.paillier import (
@@ -47,16 +44,6 @@ from repro.crypto.paillier import (
     generate_paillier_keypair,
 )
 from repro.crypto.pool import RandomizerPool
-
-CRYPTO_BACKENDS = ("reference", "fast")
-
-
-def _check_backend(crypto_backend: str) -> str:
-    if crypto_backend not in CRYPTO_BACKENDS:
-        raise ValueError(
-            f"unknown crypto_backend {crypto_backend!r}; choose from {CRYPTO_BACKENDS}"
-        )
-    return crypto_backend
 
 
 def run_weighted_delta_kernel(task: dict) -> list[int]:
@@ -71,7 +58,7 @@ def run_weighted_delta_kernel(task: dict) -> list[int]:
     Per user it raises the user's encrypted inverse to d scalar exponents
     (fixed-base windowed when the batch amortises the table, plain ``pow``
     otherwise) and multiplies into the per-coordinate accumulators; the
-    result equals the reference backend's ciphertext vector bit for bit.
+    result equals the seed loop's ciphertext vector bit for bit.
     """
     n = task["n"]
     n2 = n * n
@@ -105,7 +92,6 @@ class SiloParty:
         n_max: int,
         dh_group: DHGroup,
         rng: random.Random | None = None,
-        crypto_backend: str = "fast",
     ):
         """
         Args:
@@ -114,12 +100,7 @@ class SiloParty:
             n_max: public upper bound on records per user (defines C_LCM).
             dh_group: shared DH group parameters.
             rng: deterministic randomness for tests (None = secrets).
-            crypto_backend: "fast" (pools + fixed-base exponentiation) or
-                "reference" (the seed implementation, the equivalence
-                oracle).  Both produce identical ciphertexts under a
-                seeded RNG.
         """
-        self.crypto_backend = _check_backend(crypto_backend)
         self.silo_id = silo_id
         self.user_counts = np.asarray(user_counts, dtype=np.int64)
         if np.any(self.user_counts < 0):
@@ -158,9 +139,8 @@ class SiloParty:
         """Step 1(a): store the server's Paillier public key."""
         self.paillier_pk = pk
         self.masker = PairwiseMasker(self.silo_id, self.pair_keys, pk.n)
-        if self.crypto_backend == "fast":
-            # Silos do not know the factorisation, so no CRT context here.
-            self.pool = RandomizerPool(pk, rng=self.rng)
+        # Silos do not know the factorisation, so no CRT context here.
+        self.pool = RandomizerPool(pk, rng=self.rng)
 
     def generate_seed_ciphertexts(self, peers: list[int]) -> dict[int, bytes]:
         """Step 1(c), silo 0 only: encrypt a fresh seed R for every peer."""
@@ -213,63 +193,6 @@ class SiloParty:
 
     # -- Weighting round steps ----------------------------------------------
 
-    def weighted_encrypted_delta(
-        self,
-        encrypted_inverses: list[PaillierCiphertext],
-        clipped_deltas: dict[int, np.ndarray],
-        noise: np.ndarray,
-        round_no: int,
-        precision: float,
-    ) -> list[PaillierCiphertext]:
-        """Step 2(b)-(c): the silo's masked encrypted weighted delta vector.
-
-        For each user u with records here and each coordinate j::
-
-            Enc(delta_s[j]) += Enc(B_inv(N_u)) * (Encode(delta_su[j]) * n_su * r_u * C_LCM)
-
-        which decrypts to ``Encode(delta_su[j]) * n_su * C_LCM / N_u`` --
-        the Eq. (3) weight times the delta, scaled by C_LCM.  The encoded
-        noise (times C_LCM) and the per-round secure-aggregation masks are
-        added as homomorphic scalars.
-
-        With the fast backend this delegates to
-        :func:`run_weighted_delta_kernel` (pooled ``Enc(0)`` seeds,
-        fixed-base exponentiation); the ciphertexts are bit-identical to
-        the reference loop below under a seeded RNG.
-        """
-        pk = self._require_setup()
-        assert self.blinding is not None and self.masker is not None
-        if self.crypto_backend == "fast":
-            task = self.weighted_delta_task(
-                encrypted_inverses, clipped_deltas, noise, round_no, precision
-            )
-            return [PaillierCiphertext(v, pk) for v in run_weighted_delta_kernel(task)]
-        n = pk.n
-        d = len(noise)
-        # Start from fresh encryptions of zero so per-silo ciphertexts are
-        # semantically secure even before mask addition.
-        rng = self.rng
-        totals = [pk.encrypt(0, rng=rng) for _ in range(d)]
-
-        for user, delta in clipped_deltas.items():
-            n_su = int(self.user_counts[user])
-            if n_su == 0:
-                raise ValueError(f"silo {self.silo_id} has no records of user {user}")
-            if len(delta) != d:
-                raise ValueError("delta dimension mismatch")
-            r_u = self.blinding.blind_for_user(user)
-            factor = n_su * r_u % n * self.c_lcm % n
-            enc_inv = encrypted_inverses[user]
-            for j in range(d):
-                scalar = encode_scalar(float(delta[j]), precision, n) * factor % n
-                totals[j] = totals[j] + enc_inv * scalar
-
-        masks = self.masker.mask_vector(d, context=f"delta-round-{round_no}")
-        for j in range(d):
-            z = encode_scalar(float(noise[j]), precision, n) * self.c_lcm % n
-            totals[j] = pk.add_scalar(totals[j], (z + masks[j]) % n)
-        return totals
-
     def weighted_delta_task(
         self,
         encrypted_inverses: list[PaillierCiphertext],
@@ -278,19 +201,29 @@ class SiloParty:
         round_no: int,
         precision: float,
     ) -> dict:
-        """Resolve one round's silo computation into a picklable kernel task.
+        """Step 2(b)-(c): one round's silo computation as a picklable task.
 
-        Fast backend only.  Draws the d pooled ``Enc(0)`` seeds *first*
-        (matching the reference backend's RNG order), then encodes every
-        user's delta vector in one vectorised pass and attaches the
-        per-round masks and encoded noise.  The returned dict feeds
-        :func:`run_weighted_delta_kernel` -- inline, or in a worker process
-        when the runner parallelises across silos.
+        For each user u with records here and each coordinate j the silo
+        owes the server::
+
+            Enc(delta_s[j]) += Enc(B_inv(N_u)) * (Encode(delta_su[j]) * n_su * r_u * C_LCM)
+
+        which decrypts to ``Encode(delta_su[j]) * n_su * C_LCM / N_u`` --
+        the Eq. (3) weight times the delta, scaled by C_LCM -- plus the
+        encoded noise (times C_LCM) and the per-round secure-aggregation
+        masks as homomorphic scalars.
+
+        This method resolves everything RNG- or key-dependent: it draws the
+        d pooled ``Enc(0)`` accumulator seeds *first* (the seed loop's RNG
+        order; they make per-silo ciphertexts semantically secure even
+        before mask addition), encodes every user's delta vector in one
+        vectorised pass and attaches the masks and encoded noise.  The
+        returned dict feeds :func:`run_weighted_delta_kernel` -- inline, or
+        in a worker process when the runner parallelises across silos.
         """
         pk = self._require_setup()
         assert self.blinding is not None and self.masker is not None
-        if self.pool is None:
-            raise RuntimeError("weighted_delta_task requires the fast backend")
+        assert self.pool is not None
         n = pk.n
         d = len(noise)
         zero_values = [self.pool.take() for _ in range(d)]
@@ -324,8 +257,7 @@ class SiloParty:
         """Pregenerate ``count`` randomizers (the enhanced protocol's
         offline phase); online encryption then costs two multiplications."""
         self._require_setup()
-        if self.pool is None:
-            raise RuntimeError("offline preparation requires the fast backend")
+        assert self.pool is not None
         self.pool.refill(count)
 
     def _require_setup(self) -> PaillierPublicKey:
@@ -345,22 +277,17 @@ class ServerParty:
         n_users: int,
         paillier_bits: int = 512,
         rng: random.Random | None = None,
-        crypto_backend: str = "fast",
     ):
-        self.crypto_backend = _check_backend(crypto_backend)
         self.n_users = n_users
         self.rng = rng
-        # The keypair is identical across backends (same RNG draws); the
-        # fast backend additionally retains the factorisation for CRT
-        # decryption and CRT-split server-side encryptions.
+        # The key holder retains the factorisation for CRT decryption and
+        # CRT-split server-side encryptions.
         self.keypair: PaillierKeypair = generate_paillier_keypair(
-            paillier_bits, rng=rng, with_crt=self.crypto_backend == "fast"
+            paillier_bits, rng=rng, with_crt=True
         )
-        self.pool: RandomizerPool | None = None
-        if self.crypto_backend == "fast":
-            self.pool = RandomizerPool(
-                self.public_key, crt=self.keypair.private_key.crt, rng=rng
-            )
+        self.pool = RandomizerPool(
+            self.public_key, crt=self.keypair.private_key.crt, rng=rng
+        )
         self.blinded_totals: list[int] | None = None
         self.blinded_inverses: list[int] | None = None
 
@@ -431,21 +358,16 @@ class ServerParty:
         return out
 
     def encrypt_value(self, value: int) -> PaillierCiphertext:
-        """One Paillier encryption under this server's backend.
-
-        Fast backend: pooled/CRT-split blinding term (the randomizer is
-        drawn from the same RNG stream, so the ciphertext is bit-identical
-        to the reference backend's under a seeded RNG).  Used for the
-        encrypted inverses and for the OT slot messages (real and dummy).
+        """One server-side Paillier encryption: pooled, CRT-split blinding
+        term (the randomizer comes from the same RNG stream as a fresh
+        ``public_key.encrypt`` would use, so the ciphertext is bit-identical
+        to it under a seeded RNG).  Used for the encrypted inverses and for
+        the OT slot messages (real and dummy).
         """
-        if self.pool is not None:
-            return self.pool.encrypt(value)
-        return self.public_key.encrypt(value, rng=self.rng)
+        return self.pool.encrypt(value)
 
     def prepare_offline(self, count: int) -> None:
-        """Pregenerate ``count`` randomizers (offline phase, fast backend)."""
-        if self.pool is None:
-            raise RuntimeError("offline preparation requires the fast backend")
+        """Pregenerate ``count`` randomizers (the offline phase)."""
         self.pool.refill(count)
 
     def aggregate_and_decrypt(

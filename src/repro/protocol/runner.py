@@ -58,14 +58,18 @@ class PrivateWeightingProtocol:
         precision: fixed-point precision P of Algorithm 5.
         seed: deterministic randomness for reproducible tests; None uses
             cryptographically secure randomness.
-        crypto_backend: "fast" (CRT decryption, fixed-base exponentiation,
-            offline randomizer pools, optional across-silo process
-            parallelism) or "reference" (the seed implementation, kept as
-            the equivalence oracle).  Under a seeded RNG both backends
-            produce bit-identical ciphertexts and aggregates.
-        workers: process count for the per-silo weighting step (fast
-            backend only).  None = min(|S|, cpu count); 1 = in-process.
+        workers: process count for the per-silo weighting step.
+            None = min(|S|, cpu count); 1 = in-process.
+
+    The parties compute with CRT decryption, fixed-base exponentiation and
+    offline randomizer pools; under a seeded RNG every ciphertext and
+    aggregate is bit-identical to the seed implementation, which lives on
+    as the test oracle ``tests/protocol/oracle_reference.py`` (it swaps
+    the party classes below for its own).
     """
+
+    server_cls = ServerParty
+    silo_cls = SiloParty
 
     def __init__(
         self,
@@ -75,7 +79,6 @@ class PrivateWeightingProtocol:
         precision: float = 1e-10,
         dh_group: DHGroup | None = None,
         seed: int | None = None,
-        crypto_backend: str = "fast",
         workers: int | None = None,
     ):
         histogram = np.asarray(histogram, dtype=np.int64)
@@ -93,7 +96,6 @@ class PrivateWeightingProtocol:
         self.timer = PhaseTimer()
         self.view = ServerView()
         self.round_no = 0
-        self.crypto_backend = crypto_backend
         self.workers = workers
         rng = random.Random(seed) if seed is not None else None
         self.rng = rng
@@ -103,16 +105,11 @@ class PrivateWeightingProtocol:
             # group's safe prime is a one-off cost that belongs to keygen,
             # not to whatever happens to run first afterwards.
             group = dh_group if dh_group is not None else DHGroup.test_group()
-            self.server = ServerParty(
-                self.n_users,
-                paillier_bits=paillier_bits,
-                rng=rng,
-                crypto_backend=crypto_backend,
+            self.server = self.server_cls(
+                self.n_users, paillier_bits=paillier_bits, rng=rng
             )
             self.silos = [
-                SiloParty(
-                    s, histogram[s], n_max, group, rng=rng, crypto_backend=crypto_backend
-                )
+                self.silo_cls(s, histogram[s], n_max, group, rng=rng)
                 for s in range(self.n_silos)
             ]
         self._setup_done = False
@@ -166,31 +163,14 @@ class PrivateWeightingProtocol:
     ) -> list[list[PaillierCiphertext]]:
         """Step 2(b)-(c) for every silo, in parallel when it pays off.
 
-        Each silo's weighted encryption is embarrassingly parallel; with the
-        fast backend and >1 effective workers the RNG/key-dependent task
-        preparation happens in-process (keeping the draw order exactly as in
-        serial execution) and only the pure big-int kernels are shipped to a
-        process pool, so results are bit-identical to the serial path.
+        Each silo's weighted encryption is embarrassingly parallel.  The
+        RNG/key-dependent task preparation always happens in-process, silo
+        by silo, so the draw order does not depend on ``workers``; only the
+        pure big-int kernels run inline or in the process pool, and the
+        results are bit-identical either way.
         """
-        workers = self._effective_workers()
-        if self.crypto_backend == "fast" and workers > 1:
-            tasks = [
-                silo.weighted_delta_task(
-                    per_silo_inverses[s],
-                    clipped_deltas[s],
-                    noises[s],
-                    round_no=self.round_no,
-                    precision=self.precision,
-                )
-                for s, silo in enumerate(self.silos)
-            ]
-            pk = self.server.public_key
-            results = list(
-                self._get_executor(workers).map(run_weighted_delta_kernel, tasks)
-            )
-            return [[PaillierCiphertext(v, pk) for v in vec] for vec in results]
-        return [
-            silo.weighted_encrypted_delta(
+        tasks = (
+            silo.weighted_delta_task(
                 per_silo_inverses[s],
                 clipped_deltas[s],
                 noises[s],
@@ -198,6 +178,13 @@ class PrivateWeightingProtocol:
                 precision=self.precision,
             )
             for s, silo in enumerate(self.silos)
+        )
+        workers = self._effective_workers()
+        run = self._get_executor(workers).map if workers > 1 else map
+        pk = self.server.public_key
+        return [
+            [PaillierCiphertext(v, pk) for v in vec]
+            for vec in run(run_weighted_delta_kernel, tasks)
         ]
 
     # -- Setup phase ---------------------------------------------------------
@@ -282,23 +269,34 @@ class PrivateWeightingProtocol:
             raise RuntimeError("run_setup must be called first")
         d = self._check_round_inputs(clipped_deltas, noises)
 
-        if self.crypto_backend == "fast":
-            with self.timer.phase("offline_randomizers"):
-                # The enhanced protocol's offline phase: pregenerate every
-                # blinding term this round will consume.  Refill order
-                # mirrors the reference backend's online draw order (server
-                # first, then silos by id) so that, under a seeded RNG, the
-                # two backends produce bit-identical ciphertexts.
-                self.server.prepare_offline(self.n_users)
-                for silo in self.silos:
-                    silo.prepare_offline(d)
+        with self.timer.phase("offline_randomizers"):
+            # The enhanced protocol's offline phase: pregenerate every
+            # blinding term this round will consume.  Refill order is the
+            # seed loop's online draw order (server first, then silos by
+            # id), which is what keeps seeded runs bit-identical to the
+            # oracle in tests/protocol/oracle_reference.py.
+            self.server.prepare_offline(self.n_users)
+            for silo in self.silos:
+                silo.prepare_offline(d)
 
         with self.timer.phase("encrypt_weights"):
             enc_inverses = self.server.encrypted_inverses(sampled_users)
 
+        return self._weight_and_aggregate(
+            [enc_inverses] * self.n_silos, clipped_deltas, noises
+        )
+
+    def _weight_and_aggregate(
+        self,
+        per_silo_inverses: list[list[PaillierCiphertext]],
+        clipped_deltas: list[dict[int, np.ndarray]],
+        noises: list[np.ndarray],
+    ) -> np.ndarray:
+        """Steps 2(b)-(c), shared by both round entry points: silo vectors,
+        the server's view of them, aggregate decryption, round counter."""
         with self.timer.phase("silo_weighted_encryption"):
             silo_vectors = self._silo_weighted_vectors(
-                [enc_inverses] * self.n_silos, clipped_deltas, noises
+                per_silo_inverses, clipped_deltas, noises
             )
         self.view.round_ciphertexts.append(
             [[c.value for c in vec] for vec in silo_vectors]
@@ -365,16 +363,14 @@ class PrivateWeightingProtocol:
             for silo in self.silos:
                 received: list[PaillierCiphertext] = []
                 for u in range(self.n_users):
-                    # Server-side slot preparation: real weight + dummies.
-                    # encrypt_value uses the CRT split under the fast
-                    # backend -- the dummies are by far the bulk of the
-                    # server's per-round encryption work.  Unlike
-                    # run_round, this path deliberately has no offline
-                    # pool prefill: the slot encryptions interleave with
-                    # the OT exponent draws on the shared RNG, and
+                    # Server-side slot preparation: real weight + dummies
+                    # (by far the bulk of the server's per-round encryption
+                    # work; encrypt_value CRT-splits each randomizer).
+                    # Unlike run_round, this path deliberately has no
+                    # offline pool prefill: the slot encryptions interleave
+                    # with the OT exponent draws on the shared RNG, and
                     # prefilling would reorder those draws and break the
-                    # seeded bit-exact equivalence with the reference
-                    # backend (the randomizers are still CRT-split).
+                    # seeded bit-exact equivalence with the test oracle.
                     messages = [
                         self.server.encrypt_value(self.server.blinded_inverses[u])
                     ] + [self.server.encrypt_value(0) for _ in range(n_slots - 1)]
@@ -393,17 +389,7 @@ class PrivateWeightingProtocol:
                     )
                 per_silo_inverses.append(received)
 
-        with self.timer.phase("silo_weighted_encryption"):
-            silo_vectors = self._silo_weighted_vectors(
-                per_silo_inverses, clipped_deltas, noises
-            )
-
-        with self.timer.phase("aggregate_decrypt"):
-            aggregate = self.server.aggregate_and_decrypt(
-                silo_vectors, self.precision, self.c_lcm
-            )
-        self.round_no += 1
-        return aggregate
+        return self._weight_and_aggregate(per_silo_inverses, clipped_deltas, noises)
 
     # -- Reference computation -------------------------------------------------
 

@@ -28,6 +28,11 @@ from repro.crypto.secagg import (
 from repro.protocol.oblivious import PrivateSubsampler
 from repro.protocol.runner import PrivateWeightingProtocol
 
+#: Accepted ``crypto_backend`` values (mirrored by
+#: :data:`repro.api.spec.CRYPTO_BACKENDS`, which stays import-light; pinned
+#: equal by tests/api/test_spec.py).
+CRYPTO_BACKENDS = ("fast", "masked")
+
 
 class SecureUldpAvg(UldpAvg):
     """ULDP-AVG-w whose aggregation is the real Protocol 1.
@@ -42,11 +47,12 @@ class SecureUldpAvg(UldpAvg):
     learn the per-round outcome (mutually exclusive with
     ``user_sample_rate``, where the server performs and knows the sampling).
 
-    ``crypto_backend`` selects the protocol's cryptographic implementation:
-    "fast" (default: CRT decryption, fixed-base exponentiation, offline
-    randomizer pools, across-silo process parallelism via
-    ``protocol_workers``) or "reference" (the seed implementation).  Both
-    produce identical training histories under a seeded protocol RNG.
+    ``crypto_backend`` selects the secure-aggregation scheme.  ``"fast"``
+    (default) is Protocol 1 over Paillier: CRT decryption, fixed-base
+    exponentiation, offline randomizer pools, across-silo process
+    parallelism via ``protocol_workers``; under a seeded protocol RNG its
+    training histories are identical to the seed implementation's, which
+    is kept as the test oracle ``tests/protocol/oracle_reference.py``.
     ``"masked"`` replaces Protocol 1's Paillier aggregation with
     Bonawitz-style pairwise-mask secure aggregation
     (:class:`repro.crypto.secagg.MaskedAggregationProtocol`): orders of
@@ -56,7 +62,7 @@ class SecureUldpAvg(UldpAvg):
     with silo dropout (unmatched masks are recovered from revealed
     per-round keys).  The masked path follows the plaintext Algorithm 4
     visibility model (silos see the server's zeroed sampling weights), so
-    it is bit-identical to the Paillier backends under full participation
+    it is bit-identical to the Paillier backend under full participation
     and matches the plaintext :class:`UldpAvg` under any participation
     pattern; it does not support the OT sub-sampling extension.
 
@@ -77,6 +83,9 @@ class SecureUldpAvg(UldpAvg):
     #: is encrypted/masked individually), so the streamed shard-partial
     #: path cannot apply.
     streaming_aggregation = False
+    #: The Protocol 1 orchestrator ``prepare`` builds (the test oracle
+    #: substitutes its seed-implementation subclass here).
+    protocol_cls = PrivateWeightingProtocol
 
     def __init__(
         self,
@@ -98,6 +107,11 @@ class SecureUldpAvg(UldpAvg):
         mask_bits: int = 256,
         min_survivors: int = 1,
     ):
+        if crypto_backend not in CRYPTO_BACKENDS:
+            raise ValueError(
+                f"unknown crypto_backend {crypto_backend!r}; "
+                f"choose from {CRYPTO_BACKENDS}"
+            )
         if min_survivors < 1:
             raise ValueError("min_survivors must be at least 1")
         if crypto_backend == "masked" and private_subsampling_slots is not None:
@@ -189,13 +203,12 @@ class SecureUldpAvg(UldpAvg):
             self.masked_protocol.run_setup()
             self._histogram = fed.histogram()
             return
-        self.protocol = PrivateWeightingProtocol(
+        self.protocol = self.protocol_cls(
             fed.histogram(),
             n_max=n_max,
             paillier_bits=self.paillier_bits,
             precision=self.precision,
             seed=self.protocol_seed,
-            crypto_backend=self.crypto_backend,
             workers=self.protocol_workers,
         )
         self.protocol.run_setup()
@@ -207,7 +220,7 @@ class SecureUldpAvg(UldpAvg):
     def round(self, t, params, participation=None):
         """Protocol 1 rounds require the full roster; masked rounds do not.
 
-        The Paillier backends fix the encrypted per-user weights at setup,
+        The Paillier backend fixes the encrypted per-user weights at setup,
         so silo dropout would desynchronise the blinding-mask cancellation.
         The pairwise-mask backend recovers unmatched masks from revealed
         per-round keys, so it runs any
@@ -216,7 +229,7 @@ class SecureUldpAvg(UldpAvg):
         """
         if participation is not None and self.crypto_backend != "masked":
             raise NotImplementedError(
-                "the Paillier crypto backends ('reference', 'fast') do not "
+                "the Paillier crypto backend ('fast') does not "
                 "support partial participation: per-user weights are fixed "
                 "inside the encrypted setup and silo dropout would "
                 "desynchronise the blinding-mask cancellation; use "
@@ -238,7 +251,7 @@ class SecureUldpAvg(UldpAvg):
         (zeroed weights reach the silos), which is what lets it track the
         plaintext method bit for bit under dropout -- and, because
         zero-weight users contribute exactly zero either way, its
-        aggregate still matches the Paillier backends.
+        aggregate still matches the Paillier backend.
         """
         if self.crypto_backend == "masked":
             return super()._compute_contributions(params, round_weights)
@@ -365,7 +378,7 @@ class SecureUldpAvg(UldpAvg):
     def uplink_payload_bytes(self) -> int:
         """One silo's uplink in *wire* bytes (not plaintext floats).
 
-        A secure round ships one Paillier ciphertext (Paillier backends)
+        A secure round ships one Paillier ciphertext (Paillier backend)
         or one ``mask_bits``-bit field element (masked backend) per
         surviving coordinate, so bandwidth models must budget
         ``k * |Z_{n^2}|`` resp. ``k * mask_bits/8`` bytes.

@@ -80,9 +80,38 @@ class TestValidationErrorsNameThePath:
 
     def test_crypto_with_secure_method_accepted(self):
         spec = RunSpec.from_dict(
-            {"method": {"name": "secure-uldp-avg"}, "crypto": {"backend": "reference"}}
+            {"method": {"name": "secure-uldp-avg"}, "crypto": {"backend": "masked"}}
         )
-        assert spec.crypto.backend == "reference"
+        assert spec.crypto.backend == "masked"
+
+    def test_reference_backend_is_an_ordinary_unknown_value(self):
+        """The seed implementation is a test oracle now, not a backend:
+        naming it fails like any other value outside the enum."""
+        from repro.api.spec import CRYPTO_BACKENDS
+        from repro.protocol import secure_method
+
+        assert CRYPTO_BACKENDS == secure_method.CRYPTO_BACKENDS == ("fast", "masked")
+        with pytest.raises(SpecError, match=r"crypto.*backend must be one of"):
+            RunSpec.from_dict(
+                {"method": {"name": "secure-uldp-avg"},
+                 "crypto": {"backend": "reference"}}
+            )
+
+    @pytest.mark.parametrize("crypto", [None, {"backend": "fast"}], ids=["default", "fast"])
+    def test_paillier_alongside_sim_rejected(self, crypto):
+        """The simulator hands every round a RoundParticipation, which the
+        Paillier protocol refuses; say so at validation, not in round 0
+        after DH + keygen set-up."""
+        tree = {
+            "sim": {"scenario": "ideal-sync", "scale": "smoke"},
+            "method": {"name": "secure-uldp-avg"},
+        }
+        if crypto is not None:
+            tree["crypto"] = crypto
+        with pytest.raises(SpecError, match=r"crypto\.backend.*\"masked\""):
+            RunSpec.from_dict(tree)
+        masked = RunSpec.from_dict({**tree, "crypto": {"backend": "masked"}})
+        assert masked.crypto.backend == "masked"
 
     def test_int_promoted_to_float(self):
         spec = RunSpec.from_dict({"method": {"sigma": 5}})

@@ -1,4 +1,4 @@
-"""Golden fingerprints of ULDP-AVG's three row paths, fixed before they were merged.
+"""Golden fingerprints of ULDP-AVG's row paths, fixed before they were merged.
 
 The sha256 of the final parameters and the final epsilon of four short
 runs, recorded at commit 7bcf520 -- the last one where ``uldp_avg.py``
@@ -10,6 +10,12 @@ uplink, the row-materialising path under masked secure aggregation with
 silo dropout, and the per-silo async payload.  They pin the single
 per-silo helper to the old bodies bit for bit, where the loop oracle
 (``oracle_loop.py``) only pins it to 1e-10.
+
+The ``paillier`` entry was recorded one PR later, at commit 116e346 -- the
+last one with ``crypto_backend="reference"`` in ``src/`` and a ``fast`` /
+``reference`` branch in every Protocol 1 party -- and pins the single
+Paillier implementation to the old ``fast`` arm (256-bit keys, 2 rounds,
+a logistic model to keep the ciphertext count small).
 
 To re-record after a change that is *meant* to move the numbers, print
 ``_fingerprint(TREES[name])`` for each name and say why in CHANGES.md.
@@ -53,6 +59,13 @@ TREES = {
         "seed": 3,
         "sim": {"scenario": "async-fedbuff", "scale": "smoke"},
     },
+    "paillier": {
+        **TRAIN,
+        "rounds": 2,
+        "model": {"name": "logistic"},
+        "method": {"name": "secure-uldp-avg", "local_epochs": 1},
+        "crypto": {"backend": "fast", "paillier_bits": 256},
+    },
 }
 
 GOLDEN = {
@@ -71,6 +84,10 @@ GOLDEN = {
     "async-fedbuff": (
         "b38ae10f6f6565a9767e1fe354ab8cfeedd6991658f8e6825ad1560a5f32cff9",
         1.7667547726667157,
+    ),
+    "paillier": (
+        "9e4857c5da7be2670b3df5106b9e33f382e31c639289daccc57675fa04ef1ff1",
+        1.1581505950444586,
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cost.calibrate import (
     DEFAULT_CALIBRATION_PATH,
+    MIN_FIT_SECONDS,
     Calibration,
     CalibrationError,
     byte_check_rows,
@@ -18,6 +19,27 @@ from repro.cost.calibrate import (
 from repro.cost.model import CONSTANT_DEFS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+#: src/repro/cost/calibration.json as committed at 116e346, the last commit
+#: whose cost model carried the reference backend: the 15 constants that
+#: survive its removal (the four ``reference_*`` ones are gone).
+PARENT_CONSTANTS = {
+    "churn_user": 3.817959508311712e-09,
+    "engine_shard_memory": 1.1468121810964402,
+    "masked_round": 2.55859375e-06,
+    "masked_setup": 0.0007560170139620379,
+    "paillier_decrypt": 4.233703519613593e-12,
+    "paillier_encrypt": 2.7216201687910838e-11,
+    "paillier_keygen": 1.6316662104034705e-10,
+    "paillier_misc_base": 0.0065642490837365475,
+    "paillier_misc_silo_user": 0.00010006242828864255,
+    "paillier_offline": 1.6121819312489896e-11,
+    "population_memory": 9.0,
+    "sim_record": 2.8203094994317174e-09,
+    "train_record_cnn": 2.3804967834818603e-08,
+    "train_record_dense": 8.255629059588106e-08,
+    "train_user_cnn": 1.081505559117499e-07,
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +65,12 @@ class TestFit:
     def test_every_constant_is_registered(self, committed):
         for name in committed.constants:
             assert name in CONSTANT_DEFS
+
+    def test_survivors_bit_identical_to_parent(self, committed):
+        """Fits are per group, so dropping the reference groups must not
+        move any other constant by a single bit."""
+        assert committed.constants == PARENT_CONSTANTS
+        assert set(CONSTANT_DEFS) == set(PARENT_CONSTANTS)
 
     def test_constants_positive(self, committed):
         for name, value in committed.constants.items():
@@ -85,8 +113,9 @@ class TestDriftGate:
         assert rows
         bad = [r for r in rows if not r["ok"]]
         assert bad == []
-        # Gated rows dominate: the gate is not vacuously green.
-        assert sum(r["gated"] for r in rows) >= len(rows) // 2
+        # The noise floor is the only way out of the gate.
+        assert all(r["gated"] or r["measured"] < MIN_FIT_SECONDS for r in rows)
+        assert sum(r["gated"] for r in rows) >= len(rows) - 2
 
     def test_byte_formulas_match_benches_exactly(self, benches):
         rows = byte_check_rows(benches)

@@ -78,7 +78,7 @@ class TestCompression:
 
 
 class TestSecureBackends:
-    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    @pytest.mark.parametrize("backend", ["fast"])
     def test_paillier_ledger(self, backend):
         # rand-k keeps the ciphertext count small enough to actually
         # encrypt in a test; 256-bit keys are the protocol's test tier.

@@ -65,9 +65,7 @@ class TestMonotonicity:
         self.probe(expr, M.DIM, 100, 10_000)
 
     def test_secure_monotone_in_silos(self):
-        # fast and masked backends do per-silo crypto work; the reference
-        # backend's seconds are per-user (one exponentiation per
-        # user-coordinate), so for it the silo count moves the wire bytes.
+        # both backends do per-silo crypto work
         for backend in ("fast", "masked"):
             expr = _run_seconds(
                 _spec(
@@ -78,15 +76,6 @@ class TestMonotonicity:
                 )
             )
             self.probe(expr, M.SILOS, 5, 50)
-        reference = build_cost_model(
-            _spec(
-                {
-                    "method": {"name": "secure-uldp-avg"},
-                    "crypto": {"backend": "reference"},
-                }
-            )
-        )
-        self.probe(reference.run_total("uplink_bytes"), M.SILOS, 5, 50)
 
     def test_secure_seconds_monotone_in_key_bits(self):
         expr = _run_seconds(

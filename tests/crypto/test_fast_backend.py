@@ -1,22 +1,32 @@
-"""Equivalence of the fast crypto backend with the reference backend.
+"""Equivalence of the runtime Paillier protocol with its reference oracle.
 
-The fast backend (CRT decryption, fixed-base windowed exponentiation,
-offline randomizer pools, across-silo process parallelism) must be a pure
+The runtime (CRT decryption, fixed-base windowed exponentiation, offline
+randomizer pools, across-silo process parallelism) must be a pure
 performance change: under a seeded RNG every ciphertext, every aggregate,
-and every training history must be *bit-identical* to the reference
-(seed) implementation.
+and every training history must be *bit-identical* to the seed
+implementation, which lives in ``tests/protocol/oracle_reference.py``.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "protocol"))
+from oracle_reference import (  # noqa: E402
+    ReferencePrivateWeightingProtocol,
+    ReferenceSecureUldpAvg,
+)
+
+from repro.crypto.dh import DHGroup
 from repro.crypto.fastexp import FixedBaseExp, choose_window, fixed_base_cost, worthwhile
 from repro.crypto.paillier import PaillierCrt, generate_paillier_keypair
 from repro.crypto.pool import RandomizerPool
-from repro.protocol import PrivateWeightingProtocol
+from repro.protocol import PrivateWeightingProtocol, SecureUldpAvg
 from repro.protocol.oblivious import PrivateSubsampler
+from repro.protocol.parties import ServerParty, SiloParty
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +160,16 @@ HIST = [
 ]
 
 
+PROTOCOLS = {
+    "reference": ReferencePrivateWeightingProtocol,
+    "fast": PrivateWeightingProtocol,
+}
+METHODS = {"reference": ReferenceSecureUldpAvg, "fast": SecureUldpAvg}
+
+
 def make_protocol(backend, seed=0, workers=1):
-    proto = PrivateWeightingProtocol(
-        np.asarray(HIST), n_max=16, paillier_bits=256, seed=seed,
-        crypto_backend=backend, workers=workers,
+    proto = PROTOCOLS[backend](
+        np.asarray(HIST), n_max=16, paillier_bits=256, seed=seed, workers=workers,
     )
     proto.run_setup()
     return proto
@@ -175,10 +191,20 @@ def round_inputs(proto, d=7, seed=1):
 
 class TestProtocolBackendEquivalence:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            PrivateWeightingProtocol(
-                np.asarray(HIST), paillier_bits=256, seed=0, crypto_backend="quantum"
-            )
+        """``crypto_backend`` survives on ``SecureUldpAvg`` alone (fast vs
+        masked), validated at construction; the protocol and the parties
+        have one implementation and no such parameter."""
+        for name in ("reference", "quantum"):
+            with pytest.raises(ValueError, match="crypto_backend"):
+                SecureUldpAvg(crypto_backend=name)
+        group = DHGroup.test_group()
+        for build in (
+            lambda **kw: PrivateWeightingProtocol(np.asarray(HIST), **kw),
+            lambda **kw: SiloParty(0, np.asarray(HIST[0]), 16, group, **kw),
+            lambda **kw: ServerParty(4, paillier_bits=256, **kw),
+        ):
+            with pytest.raises(TypeError, match="crypto_backend"):
+                build(crypto_backend="fast")
 
     def test_run_round_bit_identical(self):
         ref, fast = make_protocol("reference"), make_protocol("fast")
@@ -236,6 +262,7 @@ class TestProtocolBackendEquivalence:
         deltas_f, noises_f = round_inputs(fast)
         agg_ref = ref.run_round_ot_sampling(deltas, noises, sub_ref)
         agg_fast = fast.run_round_ot_sampling(deltas_f, noises_f, sub_fast)
+        assert ref.view.round_ciphertexts == fast.view.round_ciphertexts
         assert np.array_equal(agg_ref, agg_fast)
         sampled = np.array(sub_ref.sampled_users(ref.n_users, 0))
         expected = ref.plaintext_reference(deltas, noises, sampled_users=sampled)
@@ -253,16 +280,15 @@ class TestSecureMethodBackendEquivalence:
         from repro.core import Trainer
         from repro.data import build_creditcard_benchmark
         from repro.nn.model import build_tiny_mlp
-        from repro.protocol import SecureUldpAvg
 
         fed = build_creditcard_benchmark(
             n_users=6, n_silos=3, n_records=120, n_test=40, seed=0
         )
         results = {}
         for backend in ("reference", "fast"):
-            method = SecureUldpAvg(
+            method = METHODS[backend](
                 local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
-                paillier_bits=256, crypto_backend=backend,
+                paillier_bits=256,
             )
             model = build_tiny_mlp(30, 2, 2, np.random.default_rng(42))
             trainer = Trainer(fed, method, rounds=2, model=model, seed=7)

@@ -1,19 +1,21 @@
-"""Differential harness: the three secure backends against each other.
+"""Differential harness: the secure backends against each other.
 
 The masked backend's correctness contract, end to end through
 :class:`SecureUldpAvg`:
 
-- **exactly** equal to the Paillier backends under full participation
-  (both decode the identical integer arithmetic), and
+- **exactly** equal to Paillier -- the runtime ``fast`` backend and its
+  reference oracle (``oracle_reference.py``) -- under full participation
+  (all decode the identical integer arithmetic), and
 - equal to the plaintext :class:`UldpAvg` within fixed-point tolerance
   under *every* participation pattern, including exhaustively enumerated
-  dropout subsets at |S| <= 4 (which the Paillier backends reject).
+  dropout subsets at |S| <= 4 (which Paillier rejects).
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from oracle_reference import ReferenceSecureUldpAvg
 
 from repro.core import Trainer, UldpAvg
 from repro.core.weighting import RoundParticipation
@@ -79,8 +81,8 @@ class TestFullParticipation:
 
     def test_masked_equals_reference_paillier_exactly(self, fed):
         reference_params, _ = run(
-            SecureUldpAvg(local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
-                          paillier_bits=256, crypto_backend="reference"),
+            ReferenceSecureUldpAvg(local_epochs=1, noise_multiplier=1.0,
+                                   local_lr=0.1, paillier_bits=256),
             fed, rounds=1, seed=3,
         )
         masked_params, _ = run(masked(), fed, rounds=1, seed=3)
@@ -194,15 +196,14 @@ class TestMinSurvivorsQuorum:
 
 
 class TestPaillierStillRejectsDropout:
-    """Satellite regression: the Paillier backends must keep refusing
-    partial participation, and the error must route users to ``masked``."""
+    """Satellite regression: Paillier must keep refusing partial
+    participation, and the error must route users to ``masked``."""
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_rejects_with_pointer_to_masked(self, fed, backend):
-        method = SecureUldpAvg(
-            local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
-            crypto_backend=backend,
-        )
+    @pytest.mark.parametrize(
+        "cls", [ReferenceSecureUldpAvg, SecureUldpAvg], ids=["reference", "fast"]
+    )
+    def test_rejects_with_pointer_to_masked(self, fed, cls):
+        method = cls(local_epochs=1, noise_multiplier=1.0, paillier_bits=256)
         trainer = Trainer(fed, method, rounds=1, model=make_model(), seed=0)
         with pytest.raises(NotImplementedError) as err:
             trainer.step(

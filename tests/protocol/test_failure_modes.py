@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.crypto.masking import PairwiseMasker
+from repro.crypto.paillier import PaillierCiphertext
 from repro.protocol import PrivateWeightingProtocol
+from repro.protocol.parties import run_weighted_delta_kernel
 
 HIST = np.array([
     [3, 0, 2],
@@ -45,13 +47,15 @@ class TestSiloDropout:
         proto = make_protocol()
         deltas, noises = make_inputs(proto)
         enc_inverses = proto.server.encrypted_inverses()
+        pk = proto.server.public_key
         vectors = []
         for s, silo in enumerate(proto.silos):
+            task = silo.weighted_delta_task(
+                enc_inverses, deltas[s], noises[s], round_no=0,
+                precision=proto.precision,
+            )
             vectors.append(
-                silo.weighted_encrypted_delta(
-                    enc_inverses, deltas[s], noises[s], round_no=0,
-                    precision=proto.precision,
-                )
+                [PaillierCiphertext(v, pk) for v in run_weighted_delta_kernel(task)]
             )
         # Server aggregates only two of three silos.
         partial = proto.server.aggregate_and_decrypt(

@@ -120,12 +120,16 @@ class TestMaskedKillAndResume:
         from repro.sim import load_checkpoint
 
         state, _ = load_checkpoint(tmp_path)
-        paillier_tree = spec.to_dict()
-        paillier_tree["crypto"] = {"backend": "fast", "paillier_bits": 256}
-        # ideal-sync: the Paillier path refuses dropout rounds outright,
-        # which would mask the error under test on flaky-silos.
-        paillier_tree["sim"]["scenario"] = "ideal-sync"
-        paillier = build_simulator(RunSpec.from_dict(paillier_tree))
+        # A spec cannot pair [sim] with Paillier (RunSpec rejects it), so
+        # the mismatched rebuild is made below the spec layer.
+        from repro.protocol import SecureUldpAvg
+
+        paillier = build_scenario(
+            "ideal-sync", scale="smoke", seed=3,
+            method=SecureUldpAvg(
+                local_epochs=1, noise_multiplier=1.0, paillier_bits=256
+            ),
+        )
         with pytest.raises(
             ValueError,
             match="disagree about the crypto backend; was the spec's "

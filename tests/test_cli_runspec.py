@@ -141,6 +141,16 @@ class TestValidateConfigCommand:
         assert main(["validate-config", str(bad)]) == 1
         assert "did you mean 'creditcard'" in capsys.readouterr().err
 
+    def test_paillier_under_sim_fails(self, tmp_path, capsys):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(
+            '[sim]\nscenario = "ideal-sync"\nscale = "smoke"\n'
+            '[method]\nname = "secure-uldp-avg"\n'
+        )
+        assert main(["validate-config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL" in err and "crypto.backend" in err and "masked" in err
+
     def test_sweep_children_validated(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"
         bad.write_text('[sweep]\n"method.name" = ["uldp-avg", "nope"]\n')
