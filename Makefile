@@ -12,7 +12,8 @@
 #                       in bounded resident memory (BENCH_SCALEOUT_SCALE=smoke
 #                       shrinks it to CI size)
 #   make sweep-smoke    validate every committed spec file, then one smoke
-#                       `repro run --config` and one 2-point `repro sweep`
+#                       `repro run --config`, one 2-point `repro sweep`, and a
+#                       checkpointed sim run resumed with `repro run --resume`
 #   make trace-smoke    one traced networked round trip: serve net_sim.toml
 #                       with [obs] on (faults cleared), then summarise the
 #                       resulting trace.jsonl
@@ -61,7 +62,8 @@ bench-scaleout:
 
 # Smoke the declarative surface end to end: every committed spec file
 # must validate (registry names, enums, sweep expansion), one config run
-# and one 2-point sigma grid must execute.
+# and one 2-point sigma grid must execute, and a checkpointed scenario
+# must resume from its own directory.  Artifacts land in sweep-smoke/.
 sweep-smoke:
 	$(PYTHON) -m repro validate-config examples/specs/*.toml
 	$(PYTHON) -m repro run --config examples/specs/quickstart.toml \
@@ -71,6 +73,11 @@ sweep-smoke:
 		--set "sweep.method.sigma=[0.5,5.0]" \
 		--set rounds=1 --set dataset.users=8 --set dataset.silos=2 \
 		--set dataset.records=120 --set method.local_epochs=1
+	$(PYTHON) -m repro scenarios
+	rm -rf sweep-smoke
+	$(PYTHON) -m repro run --set sim.scenario=silo-outage --set sim.scale=smoke \
+		--set sim.checkpoint_dir=sweep-smoke/ckpt --set sim.checkpoint_every=1
+	$(PYTHON) -m repro run --resume sweep-smoke/ckpt
 
 # A traced networked run end to end: server + spawned silos on an ideal
 # network ([net.faults] cleared) with tracing enabled, then the trace

@@ -28,6 +28,13 @@ from repro.accounting.rdp import DEFAULT_ALPHAS, gaussian_rdp_curve
 from repro.accounting.subsampled import subsampled_gaussian_rdp_curve
 
 
+def _check_sample_rate(sample_rate: float) -> None:
+    # RdpEvent.curve routes every q >= 1 to the unsampled Gaussian, so a
+    # q > 1 would otherwise be priced (and labelled) as if it were valid.
+    if not 0.0 <= sample_rate <= 1.0:
+        raise ValueError("sampling rate must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class RdpEvent:
     """One accounted mechanism invocation (possibly repeated ``steps`` times)."""
@@ -97,6 +104,7 @@ class PrivacyAccountant:
         """Account ``steps`` compositions of a (sub-sampled) Gaussian."""
         if steps < 0:
             raise ValueError("steps must be non-negative")
+        _check_sample_rate(sample_rate)
         if steps == 0:
             return
         event = RdpEvent(noise_multiplier, sample_rate, steps)
@@ -138,6 +146,7 @@ class PrivacyAccountant:
             raise ValueError("sensitivity must be non-negative")
         if noise_scale < 0:
             raise ValueError("noise scale must be non-negative")
+        _check_sample_rate(sample_rate)
         event = ReleaseEvent(noise_multiplier, sample_rate, sensitivity, noise_scale)
         self.releases.append(event)
         if sensitivity == 0:

@@ -19,17 +19,22 @@ from repro.accounting.rdp import DEFAULT_ALPHAS
 
 
 def rdp_to_dp(alpha: float, rho: float, delta: float) -> float:
-    """(alpha, rho)-RDP implies (eps, delta)-DP for this eps (Lemma 2)."""
+    """(alpha, rho)-RDP implies (eps, delta)-DP for this eps (Lemma 2).
+
+    Floored at 0: near ``rho = 0`` (nothing released yet) the bound dips
+    below zero, and (0, delta)-DP is the strongest statement there is.
+    """
     if alpha <= 1:
         raise ValueError("Renyi order must exceed 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if rho < 0:
         raise ValueError("rho must be non-negative")
-    return (
+    return max(
+        0.0,
         rho
         + math.log((alpha - 1.0) / alpha)
-        - (math.log(delta) + math.log(alpha)) / (alpha - 1.0)
+        - (math.log(delta) + math.log(alpha)) / (alpha - 1.0),
     )
 
 

@@ -8,9 +8,8 @@ modules -- see ``docs/api.md`` for the extension guide.
 Factory contracts:
 
 - method: ``factory(spec: MethodSpec, crypto: CryptoSpec | None) -> FLMethod``.
-  Factories only forward the fields the method consumes (mirroring the
-  legacy CLI flag mapping), so unrelated spec fields never perturb a
-  method's defaults.
+  Factories only forward the fields the method consumes, so unrelated
+  spec fields never perturb a method's defaults.
 - dataset: ``factory(spec: DatasetSpec, seed: int) -> FederatedDataset``.
 - model: ``factory(rng, fed) -> Sequential``.
 """
@@ -75,8 +74,8 @@ def _build_uldp_group(spec: MethodSpec, crypto: CryptoSpec | None = None):
         noise_multiplier=spec.sigma,
         local_lr=spec.local_lr,
         local_steps=spec.local_epochs,
-        # The legacy CLI's mapping: --batch-size feeds ULDP-GROUP's
-        # expected (Poisson) batch size, defaulting to 256.
+        # batch_size feeds ULDP-GROUP's expected (Poisson) batch size,
+        # defaulting to 256.
         expected_batch_size=spec.batch_size or 256,
         group_route=spec.group_route,
         **_optional(spec, global_lr="global_lr"),

@@ -90,9 +90,10 @@ def build_method(spec: RunSpec):
 def build_trainer(spec: RunSpec, fed=None):
     """A ready-to-run :class:`repro.core.Trainer` for a train-mode spec.
 
-    The construction order and seeds mirror the legacy CLI exactly
-    (dataset from ``dataset.seed``/``seed``, trainer RNG from ``seed``),
-    which is what makes shim-generated specs bit-identical oracles.
+    The construction order and seeds (dataset from
+    ``dataset.seed``/``seed``, trainer RNG from ``seed``) are what a
+    direct ``Trainer(...)`` call uses, which is what keeps the spec path
+    bit-identical to it (``tests/api/test_runner_oracle.py``).
     """
     from repro.core import Trainer
 

@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,9 +111,9 @@ class MethodSpec:
 
     Only the fields a method consumes are honoured by its registry
     factory; e.g. ``group_size`` matters to ``uldp-group`` alone, and
-    ``batch_size`` maps to ULDP-GROUP's ``expected_batch_size`` (the
-    legacy CLI behaviour).  ``sample_rate = 1.0`` is normalised to "no
-    sub-sampling" (q = 1 with no per-round Poisson draw).
+    ``batch_size`` maps to ULDP-GROUP's ``expected_batch_size``.
+    ``sample_rate = 1.0`` is normalised to "no sub-sampling" (q = 1 with
+    no per-round Poisson draw).
     """
 
     name: str = "uldp-avg-w"
@@ -448,8 +449,8 @@ class RunSpec:
                     "recipes bundle their own compression"
                 )
             if self.method is None:
-                # The scenario family's canonical method (what every
-                # legacy ``repro simulate`` run used).
+                # The scenario family's canonical method (what
+                # ``build_scenario`` builds when given none).
                 object.__setattr__(self, "method", MethodSpec(local_epochs=1))
         else:
             if self.dataset is None:
@@ -762,15 +763,20 @@ def parse_assignment(text: str) -> tuple[str, object]:
 
 
 def load_spec_tree(path: str | Path) -> dict:
-    """Read a spec file into a plain dict tree (TOML or JSON by suffix)."""
+    """Read a spec file into a plain dict tree (TOML or JSON by suffix).
+
+    An unreadable or unparsable file is a :class:`SpecError` naming it.
+    """
     path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".json":
-        data = json.loads(text)
-    elif path.suffix.lower() == ".toml":
-        data = tomlcompat.loads(text)
-    else:
+    loads = {".json": json.loads, ".toml": tomllib.loads}.get(path.suffix.lower())
+    if loads is None:
         raise SpecError(f"{path}: unsupported spec file type (use .toml or .json)")
+    try:
+        data = loads(path.read_text())
+    except OSError as exc:
+        raise SpecError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSON / TOML / unicode decode errors
+        raise SpecError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecError(f"{path}: spec file must contain a table at the root")
     return data

@@ -1,21 +1,13 @@
-"""Minimal TOML round-trip for :class:`repro.api.RunSpec` trees.
+"""TOML writer for :class:`repro.api.RunSpec` trees.
 
-The stdlib gained :mod:`tomllib` in Python 3.11 but the project supports
-3.10 (and never writes TOML through the stdlib at any version), so this
-module provides:
+The stdlib reads TOML (:mod:`tomllib`, which ``load_spec_tree`` calls
+directly) but does not write it.  :func:`dumps` serialises a plain dict
+tree (str/int/float/bool keys and values, lists, nested dicts): nested
+dicts become ``[section]`` tables, dicts inside lists become inline
+tables.
 
-- :func:`dumps` -- serialise a plain dict tree (str/int/float/bool keys
-  and values, lists, nested dicts) to TOML.  Nested dicts become
-  ``[section]`` tables; dicts inside lists become inline tables.
-- :func:`loads` -- parse TOML text: :mod:`tomllib` when available,
-  otherwise :func:`loads_fallback`.
-- :func:`loads_fallback` -- a dependency-free parser covering the subset
-  :func:`dumps` emits (tables, dotted/quoted keys, strings, numbers,
-  booleans, arrays -- possibly multi-line -- and inline tables).  It is
-  exercised directly by the test suite so 3.10 behaviour never drifts.
-
-``None`` values are omitted on write (TOML has no null); every optional
-spec field defaults to ``None``, so omission round-trips exactly.
+``None`` values are omitted (TOML has no null); every optional spec
+field defaults to ``None``, so omission round-trips exactly.
 """
 
 from __future__ import annotations
@@ -23,15 +15,7 @@ from __future__ import annotations
 import json
 import re
 
-try:  # Python >= 3.11
-    import tomllib as _tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI
-    _tomllib = None
-
 _BARE_KEY = re.compile(r"^[A-Za-z0-9_-]+$")
-
-
-# -- writing ------------------------------------------------------------------
 
 
 def _format_key(key: str) -> str:
@@ -87,172 +71,3 @@ def _dump_table(table: dict, prefix: tuple[str, ...], lines: list[str]) -> None:
         lines.append(f"{_format_key(key)} = {_format_value(value)}")
     for key, value in subtables.items():
         _dump_table(value, prefix + (key,), lines)
-
-
-# -- parsing ------------------------------------------------------------------
-
-
-def loads(text: str) -> dict:
-    """Parse TOML text (stdlib :mod:`tomllib` when available)."""
-    if _tomllib is not None:
-        return _tomllib.loads(text)
-    return loads_fallback(text)
-
-
-def loads_fallback(text: str) -> dict:
-    """Parse the TOML subset :func:`dumps` emits, without :mod:`tomllib`."""
-    root: dict = {}
-    current = root
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = _strip_comment(lines[i]).strip()
-        i += 1
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]") or line.startswith("[["):
-                raise ValueError(f"unsupported TOML table header: {line!r}")
-            path = _parse_key_path(line[1:-1])
-            current = root
-            for part in path:
-                current = current.setdefault(part, {})
-                if not isinstance(current, dict):
-                    raise ValueError(f"table {'.'.join(path)!r} clashes with a value")
-            continue
-        if "=" not in line:
-            raise ValueError(f"cannot parse TOML line: {line!r}")
-        key_text, _, value_text = line.partition("=")
-        value_text = value_text.strip()
-        # Multi-line arrays/inline tables: accumulate until brackets balance.
-        while not _balanced(value_text):
-            if i >= len(lines):
-                raise ValueError(f"unterminated value for key {key_text.strip()!r}")
-            value_text += " " + _strip_comment(lines[i]).strip()
-            i += 1
-        path = _parse_key_path(key_text.strip())
-        target = current
-        for part in path[:-1]:
-            target = target.setdefault(part, {})
-        target[path[-1]] = _parse_value(value_text)
-    return root
-
-
-def _strip_comment(line: str) -> str:
-    out: list[str] = []
-    in_string = False
-    for ch in line:
-        if ch == '"' and (not out or out[-1] != "\\"):
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _balanced(text: str) -> bool:
-    depth = 0
-    in_string = False
-    prev = ""
-    for ch in text:
-        if ch == '"' and prev != "\\":
-            in_string = not in_string
-        elif not in_string:
-            if ch in "[{":
-                depth += 1
-            elif ch in "]}":
-                depth -= 1
-        prev = ch
-    return depth == 0 and not in_string
-
-
-def _parse_key_path(text: str) -> list[str]:
-    """Split a (possibly quoted) dotted key: ``a."b.c".d`` -> [a, b.c, d]."""
-    parts: list[str] = []
-    buf: list[str] = []
-    in_string = False
-    for ch in text:
-        if ch == '"':
-            in_string = not in_string
-            continue
-        if ch == "." and not in_string:
-            parts.append("".join(buf).strip())
-            buf = []
-            continue
-        buf.append(ch)
-    parts.append("".join(buf).strip())
-    if in_string or any(not p for p in parts):
-        raise ValueError(f"cannot parse TOML key: {text!r}")
-    return parts
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if not text:
-        raise ValueError("empty TOML value")
-    if text.startswith('"'):
-        return json.loads(text)
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith("["):
-        return _parse_array(text)
-    if text.startswith("{"):
-        return _parse_inline_table(text)
-    try:
-        if re.fullmatch(r"[+-]?\d+", text):
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse TOML value: {text!r}") from None
-
-
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas not nested inside brackets/braces/strings."""
-    items: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    in_string = False
-    prev = ""
-    for ch in text:
-        if ch == '"' and prev != "\\":
-            in_string = not in_string
-        elif not in_string:
-            if ch in "[{":
-                depth += 1
-            elif ch in "]}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                items.append("".join(buf))
-                buf = []
-                prev = ch
-                continue
-        buf.append(ch)
-        prev = ch
-    tail = "".join(buf).strip()
-    if tail:
-        items.append(tail)
-    return [item.strip() for item in items if item.strip()]
-
-
-def _parse_array(text: str) -> list:
-    if not text.endswith("]"):
-        raise ValueError(f"unterminated TOML array: {text!r}")
-    return [_parse_value(item) for item in _split_top_level(text[1:-1])]
-
-
-def _parse_inline_table(text: str) -> dict:
-    if not text.endswith("}"):
-        raise ValueError(f"unterminated TOML inline table: {text!r}")
-    table: dict = {}
-    for item in _split_top_level(text[1:-1]):
-        key_text, eq, value_text = item.partition("=")
-        if not eq:
-            raise ValueError(f"cannot parse inline-table item: {item!r}")
-        path = _parse_key_path(key_text.strip())
-        target = table
-        for part in path[:-1]:
-            target = target.setdefault(part, {})
-        target[path[-1]] = _parse_value(value_text.strip())
-    return table

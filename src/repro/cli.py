@@ -1,12 +1,17 @@
 """Command-line interface: ``python -m repro <subcommand>``.
 
-The declarative surface (one validated config tree, see ``docs/api.md``):
+A run is launched from one validated config tree (``docs/api.md``) and
+nothing else:
 
 - ``run``       -- execute one :class:`repro.api.RunSpec` from a TOML/JSON
-                   config file, with dotted-path ``--set`` overrides.
+                   config file, with dotted-path ``--set`` overrides;
+                   ``--resume CKPT`` continues a checkpointed simulation
+                   from its stored (hash-verified) spec.
 - ``sweep``     -- expand a spec's ``[sweep]`` grid axes into child runs
                    (optionally across a process pool) and print one
                    aggregated comparison table.
+- ``serve`` / ``silo`` -- the same spec as real processes over TCP
+                   (``docs/networking.md``).
 - ``validate-config`` -- parse + validate spec files (registry names,
                    enum/range checks, sweep expansion) without running.
 - ``cost``      -- predict a spec's per-phase wall-clock / wire bytes /
@@ -14,34 +19,31 @@ The declarative surface (one validated config tree, see ``docs/api.md``):
                    model (``docs/cost_model.md``), or invert it
                    (``--solve-for users``) for capacity questions.
 
-Legacy flag surfaces, kept as thin shims that construct the equivalent
-``RunSpec`` (their histories are bit-identical to the spec path -- oracle
-tested):
-
-- ``train``     -- run one method on one benchmark and print the history.
-- ``simulate``  -- run a named federation scenario with checkpoint/resume.
-
-Plus the analytic utilities:
+Plus the analytic utilities and listings:
 
 - ``epsilon``   -- query the accountant: eps for (sigma, steps, q, delta).
 - ``calibrate`` -- invert the accountant: the sigma (or q) achieving a
                    target epsilon.
-- ``datasets``  -- list the registered benchmark federations.
+- ``datasets`` / ``methods`` / ``scenarios`` -- list the registries.
 - ``figure``    -- regenerate a registered paper experiment.
 - ``trace``     -- summarise a ``trace.jsonl`` written by an
                    ``[obs]``-enabled run (``trace summary <file>``).
+
+Every typed failure is one ``error: ...`` line on stderr and exit code 2
+(:func:`main` is the only place that decides this; the exceptions are
+``validate-config``, which reports per file and exits 1, and ``silo``,
+whose 0/1/2/3 are documented in ``docs/networking.md``).
 
 Examples::
 
     python -m repro run --config examples/specs/quickstart.toml
     python -m repro run --config exp.toml --set method.sigma=1.0 \\
         --set sim.scenario=bandwidth-cap
+    python -m repro run --set sim.scenario=silo-outage \\
+        --set sim.checkpoint_dir=ckpt/
+    python -m repro run --resume ckpt/
     python -m repro sweep --config examples/specs/sigma_sweep.toml
     python -m repro validate-config examples/specs/*.toml
-    python -m repro train --dataset creditcard --method uldp-avg-w \\
-        --rounds 10 --users 100 --distribution zipf
-    python -m repro simulate --scenario silo-outage --rounds 20 \\
-        --checkpoint-dir ckpt/
     python -m repro epsilon --sigma 5.0 --steps 100000 --sample-rate 0.01
 """
 
@@ -81,123 +83,12 @@ def _configure_logging(level_name: str) -> None:
     )
 
 
-# -- spec construction from legacy flags (the shims) --------------------------
-
-
-def _train_method_tree(args) -> dict:
-    """The [method] table the legacy ``train`` flags describe.
-
-    Mirrors the historical flag->constructor mapping exactly: only the
-    fields the chosen method consumed are set, so the resulting spec
-    reproduces the legacy run bit for bit.
-    """
-    name = args.method
-    if name == "default":
-        return {"name": name, "local_epochs": args.local_epochs}
-    if name == "uldp-naive":
-        return {"name": name, "sigma": args.sigma, "local_epochs": args.local_epochs}
-    if name == "uldp-group":
-        tree = {
-            "name": name,
-            "sigma": args.sigma,
-            "local_epochs": args.local_epochs,
-            "group_size": args.group_size,
-        }
-        if args.batch_size is not None:
-            tree["batch_size"] = args.batch_size
-        return tree
-    if name in ("uldp-sgd", "uldp-sgd-w"):
-        tree = {"name": name, "sigma": args.sigma}
-        if args.sample_rate is not None:
-            tree["sample_rate"] = args.sample_rate
-        return tree
-    # uldp-avg / uldp-avg-w / secure-uldp-avg / third-party registrations.
-    tree = {"name": name, "sigma": args.sigma, "local_epochs": args.local_epochs}
-    if args.sample_rate is not None:
-        tree["sample_rate"] = args.sample_rate
-    return tree
-
-
-def _train_compression_tree(args) -> dict | None:
-    """The [compression] table the train flags describe (None = dense)."""
-    lossy = args.compress != "none" or args.quantize_bits is not None
-    if not lossy:
-        if args.error_feedback or args.compress_downlink:
-            raise ValueError(
-                "--error-feedback/--compress-downlink require a lossy "
-                "pipeline; add --compress topk|randk or --quantize-bits"
-            )
-        return None
-    tree = {
-        "sparsify": args.compress,
-        "fraction": args.compress_fraction,
-        "error_feedback": args.error_feedback,
-        "downlink": args.compress_downlink,
-        "seed": args.seed,
-    }
-    if args.quantize_bits is not None:
-        tree["quantize_bits"] = args.quantize_bits
-    return tree
-
-
-def train_spec_tree(args) -> dict:
-    """The full RunSpec tree equivalent to a legacy ``train`` invocation."""
-    tree = {
-        "name": f"train-{args.dataset}-{args.method}",
-        "seed": args.seed,
-        "rounds": args.rounds,
-        "dataset": {
-            "name": args.dataset,
-            "users": args.users,
-            "silos": args.silos,
-            "records": args.records,
-            "distribution": args.distribution,
-            "non_iid": args.non_iid,
-        },
-        "method": _train_method_tree(args),
-        "privacy": {"delta": args.delta},
-    }
-    compression = _train_compression_tree(args)
-    if compression is not None:
-        tree["compression"] = compression
-    # getattr: oracle tests and older callers build bare Namespaces
-    # without the engine flags.
-    workers = getattr(args, "workers", None)
-    shard_size = getattr(args, "shard_size", None)
-    if workers is not None or shard_size is not None:
-        engine = {}
-        if workers is not None:
-            engine["workers"] = workers
-        if shard_size is not None:
-            engine["shard_size"] = shard_size
-        tree["engine"] = engine
-    return tree
-
-
-def simulate_spec_tree(args) -> dict:
-    """The RunSpec tree equivalent to a legacy ``simulate`` invocation."""
-    tree = {
-        "name": f"simulate-{args.scenario}",
-        "seed": args.seed,
-        "sim": {
-            "scenario": args.scenario,
-            "scale": args.scale,
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every": args.checkpoint_every,
-        },
-    }
-    if args.rounds is not None:
-        tree["rounds"] = args.rounds
-    return tree
-
-
 # -- shared result printing ---------------------------------------------------
 
 
-def _print_train_result(result, output: str | None) -> None:
-    from repro.report import comparison_table, format_bytes, save_histories
+def _print_train_result(history) -> None:
+    from repro.report import comparison_table, format_bytes
 
-    history = result.history
     print()
     print(comparison_table([history]))
     # Every run records wire bytes (dense defaults without compression),
@@ -208,9 +99,16 @@ def _print_train_result(result, output: str | None) -> None:
         f"{format_bytes(history.total_downlink_bytes)} down total "
         f"({format_bytes(up_mean)}/rd up, {format_bytes(down_mean)}/rd down)"
     )
-    if output:
-        save_histories([history], output)
-        print(f"\nhistory saved to {output}")
+
+
+def _save_histories(histories, output: str | None) -> None:
+    if not output:
+        return
+    from repro.report import save_histories
+
+    save_histories(histories, output)
+    what = "history" if len(histories) == 1 else f"{len(histories)} histories"
+    print(f"\n{what} saved to {output}")
 
 
 def _print_sim_result(sim) -> None:
@@ -229,97 +127,85 @@ def _print_sim_result(sim) -> None:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    from repro.api.runner import run
-
-    try:
-        spec = RunSpec.from_dict(train_spec_tree(args))
-        result = run(spec)
-    except (NotImplementedError, ValueError, UnknownNameError) as exc:
-        return _fail(exc)
-    print(result.dataset.summary())
-    _print_train_result(result, args.output)
-    return 0
+def _spec_from_config_args(args) -> RunSpec:
+    """Shared --config/--set resolution for every spec-taking command."""
+    tree = load_spec_tree(args.config) if args.config else {}
+    if args.set:
+        assignments = dict(parse_assignment(item) for item in args.set)
+        tree = apply_overrides(tree, assignments)
+    return RunSpec.from_dict(tree)
 
 
-def cmd_simulate(args) -> int:
-    from repro.report import save_histories
-    from repro.sim import continue_simulation
+def _runnable_spec(args) -> RunSpec:
+    """The --config/--set spec with its registry names resolved."""
+    from repro.api.runner import validate_spec_names
 
-    if args.list:
-        from repro.sim import available_scenarios, describe_scenario
+    spec = _spec_from_config_args(args)
+    validate_spec_names(spec)
+    return spec
 
-        for name in available_scenarios():
-            print(f"{name:<22s} {describe_scenario(name)}")
-        return 0
+
+def _resume_from_checkpoint(args):
+    """``--resume CKPT`` for ``run`` and ``serve``: (spec, simulator, extra).
+
+    The checkpoint's stored spec is the run's only description (its hash
+    keys the history, the handshake and the checkpoint itself), so
+    ``--config``/``--set`` are refused rather than silently ignored.
+    """
+    from repro.sim.scenarios import resume_simulator
+
+    if args.config or args.set:
+        raise SpecError(
+            "--resume rebuilds from the checkpoint's stored spec; drop "
+            "--config/--set (overrides would describe a different run)"
+        )
+    sim, extra = resume_simulator(args.resume)  # verifies the spec hash
+    if "spec" not in extra:
+        raise SpecError(
+            f"{args.resume}: checkpoint carries no spec snapshot; only "
+            "checkpoints written by `repro run`/`repro serve` can be resumed"
+        )
+    print(f"resumed from {args.resume} at round {sim.rounds_completed}")
+    return RunSpec.from_dict(extra["spec"]), sim, extra
+
+
+def cmd_run(args) -> int:
+    from repro.api.runner import obs_session, run
+
     if args.resume:
-        if args.scenario or args.rounds is not None or args.seed != 0:
-            print(
-                "note: --resume rebuilds from the checkpoint's stored "
-                "spec/scenario; other flags are ignored",
-                file=sys.stderr,
-            )
-        try:
-            sim = continue_simulation(
-                args.resume, checkpoint_every=args.checkpoint_every
-            )
-        except (ValueError, UnknownNameError) as exc:
-            return _fail(exc)
-        print(f"resumed from {args.resume}")
-    elif args.scenario:
-        from repro.api.runner import run
+        from repro.sim.scenarios import run_simulator_with_checkpoints
 
-        try:
-            spec = RunSpec.from_dict(simulate_spec_tree(args))
-            sim = run(spec).simulator
-        except (ValueError, UnknownNameError) as exc:
-            return _fail(exc)
+        spec, sim, extra = _resume_from_checkpoint(args)
+        with obs_session(spec):
+            run_simulator_with_checkpoints(
+                sim, args.resume, spec.sim.checkpoint_every, extra=extra
+            )
+        history = sim.history
     else:
-        print("specify --scenario, --resume, or --list", file=sys.stderr)
-        return 2
-    _print_sim_result(sim)
-    if args.checkpoint_dir and not args.resume:
-        print(f"checkpoints in {args.checkpoint_dir}")
-    if args.output:
-        save_histories([sim.history], args.output)
-        print(f"history saved to {args.output}")
+        spec = _runnable_spec(args)
+        result = run(spec)
+        sim, history = result.simulator, result.history
+    print(f"{spec.name} (spec {history.spec_hash})")
+    if sim is not None:
+        _print_sim_result(sim)
+    else:
+        print(result.dataset.summary())
+        _print_train_result(history)
+    _save_histories([history], args.output)
     return 0
 
 
 def cmd_serve(args) -> int:
     """Run a simulate-mode [net] spec as the federation server."""
     _configure_logging(args.log_level)
-    from repro.api.runner import validate_spec_names
-    from repro.core.weighting import QuorumError
     from repro.net.server import FederationServer
-    from repro.net.transport import TransportError
 
-    try:
-        if args.resume:
-            if args.config or args.set:
-                raise SpecError(
-                    "--resume rebuilds from the checkpoint's stored spec; "
-                    "drop --config/--set (overrides would break the "
-                    "spec-hash handshake with the silos)"
-                )
-            from repro.sim.scenarios import resume_simulator
-
-            sim, extra = resume_simulator(args.resume)
-            if not extra or "spec" not in extra:
-                raise SpecError(
-                    "checkpoint carries no spec snapshot; only checkpoints "
-                    "written by `repro serve`/`repro run` can be served"
-                )
-            spec = RunSpec.from_dict(extra["spec"])
-            server = FederationServer(spec, sim=sim)
-            print(f"resumed from {args.resume} at round "
-                  f"{sim.rounds_completed}")
-        else:
-            spec = _spec_from_config_args(args)
-            validate_spec_names(spec)
-            server = FederationServer(spec)
-    except (ValueError, UnknownNameError) as exc:
-        return _fail(exc)
+    if args.resume:
+        spec, sim, _ = _resume_from_checkpoint(args)
+        server = FederationServer(spec, sim=sim)
+    else:
+        spec = _runnable_spec(args)
+        server = FederationServer(spec)
     port = server.bind()
     print(
         f"serving {spec.name} on {spec.net.host}:{port} "
@@ -348,8 +234,6 @@ def cmd_serve(args) -> int:
             ))
     try:
         server.serve()
-    except (QuorumError, TransportError) as exc:
-        return _fail(exc)
     finally:
         for proc in procs:
             try:
@@ -357,93 +241,42 @@ def cmd_serve(args) -> int:
             except subprocess.TimeoutExpired:
                 proc.kill()
     _print_sim_result(server.sim)
-    if args.output:
-        from repro.report import save_histories
-
-        save_histories([server.sim.history], args.output)
-        print(f"history saved to {args.output}")
+    _save_histories([server.sim.history], args.output)
     return 0
 
 
 def cmd_silo(args) -> int:
     """Join a federation server as one silo worker process."""
     _configure_logging(args.log_level)
-    try:
-        spec = _spec_from_config_args(args)
-        from repro.api.runner import validate_spec_names
+    from repro.net.silo_client import SiloClient
 
-        validate_spec_names(spec)
-        from repro.net.silo_client import SiloClient
-
-        client = SiloClient(spec, args.silo_id, port=args.port)
-    except (ValueError, UnknownNameError) as exc:
-        return _fail(exc)
-    return client.run()
+    return SiloClient(_runnable_spec(args), args.silo_id, port=args.port).run()
 
 
 def cmd_trace(args) -> int:
     """Summarise a trace.jsonl written by an [obs]-enabled run."""
-    from repro.obs.summary import TraceError, load_trace, render_summary
+    from repro.obs.summary import load_trace, render_summary
 
-    try:
-        records = load_trace(args.trace)
-        print(render_summary(records, slowest=args.slowest))
-    except TraceError as exc:
-        return _fail(exc)
-    return 0
-
-
-def _spec_from_config_args(args) -> RunSpec:
-    """Shared --config/--set resolution for ``run`` and ``sweep``."""
-    tree = load_spec_tree(args.config) if args.config else {}
-    if args.set:
-        assignments = dict(parse_assignment(item) for item in args.set)
-        tree = apply_overrides(tree, assignments)
-    return RunSpec.from_dict(tree)
-
-
-def cmd_run(args) -> int:
-    from repro.api.runner import run, validate_spec_names
-
-    try:
-        spec = _spec_from_config_args(args)
-        validate_spec_names(spec)
-        result = run(spec)
-    except (NotImplementedError, ValueError, UnknownNameError) as exc:
-        return _fail(exc)
-    print(f"{spec.name} (spec {result.spec_hash})")
-    if result.simulator is not None:
-        _print_sim_result(result.simulator)
-        if args.output:
-            from repro.report import save_histories
-
-            save_histories([result.history], args.output)
-            print(f"history saved to {args.output}")
-    else:
-        print(result.dataset.summary())
-        _print_train_result(result, args.output)
+    print(render_summary(load_trace(args.trace), slowest=args.slowest))
     return 0
 
 
 def cmd_sweep(args) -> int:
     from repro.api.sweep import run_sweep
 
-    try:
-        spec = _spec_from_config_args(args)
-        if not spec.sweep:
-            raise SpecError(
-                "the spec declares no [sweep] axes; add e.g. "
-                '[sweep] "method.sigma" = [0.5, 1.0] (or use `repro run`)'
-            )
-        # run_sweep validates every grid point's registry names up front.
-        sweep = run_sweep(
-            spec,
-            workers=args.workers,
-            prune_cost_seconds=args.prune_cost_seconds,
-            prune_cost_bytes=args.prune_cost_bytes,
+    spec = _spec_from_config_args(args)
+    if not spec.sweep:
+        raise SpecError(
+            "the spec declares no [sweep] axes; add e.g. "
+            '[sweep] "method.sigma" = [0.5, 1.0] (or use `repro run`)'
         )
-    except (NotImplementedError, ValueError, UnknownNameError) as exc:
-        return _fail(exc)
+    # run_sweep validates every grid point's registry names up front.
+    sweep = run_sweep(
+        spec,
+        workers=args.workers,
+        prune_cost_seconds=args.prune_cost_seconds,
+        prune_cost_bytes=args.prune_cost_bytes,
+    )
     print(f"{spec.name}: {len(sweep.results)} runs (base spec {spec.hash()})\n")
     if sweep.pruned:
         print(f"cost pruning skipped {len(sweep.pruned)} grid point(s):")
@@ -454,11 +287,7 @@ def cmd_sweep(args) -> int:
             )
         print()
     print(sweep.table())
-    if args.output:
-        from repro.report import save_histories
-
-        save_histories(sweep.histories, args.output)
-        print(f"\n{len(sweep.histories)} histories saved to {args.output}")
+    _save_histories(sweep.histories, args.output)
     return 0
 
 
@@ -467,26 +296,20 @@ def cmd_cost(args) -> int:
     from repro.cost.calibrate import load_calibration
     from repro.cost.planner import predict, solve_max_users
 
-    try:
-        spec = _spec_from_config_args(args)
-        calibration = (
-            load_calibration(args.calibration) if args.calibration else None
+    spec = _spec_from_config_args(args)
+    calibration = load_calibration(args.calibration) if args.calibration else None
+    if args.solve_for:
+        answer = solve_max_users(
+            spec,
+            budget_seconds=args.budget_seconds,
+            budget_uplink_bytes=args.budget_uplink_bytes,
+            budget_memory_bytes=args.budget_memory_bytes,
+            calibration=calibration,
         )
-        if args.solve_for:
-            answer = solve_max_users(
-                spec,
-                budget_seconds=args.budget_seconds,
-                budget_uplink_bytes=args.budget_uplink_bytes,
-                budget_memory_bytes=args.budget_memory_bytes,
-                calibration=calibration,
-            )
-            print(f"{spec.name} (spec {spec.hash()})")
-            print(answer.render())
-        else:
-            report = predict(spec, calibration=calibration)
-            print(report.render())
-    except (OSError, ValueError, UnknownNameError) as exc:
-        return _fail(exc)
+        print(f"{spec.name} (spec {spec.hash()})")
+        print(answer.render())
+    else:
+        print(predict(spec, calibration=calibration).render())
     return 0
 
 
@@ -501,8 +324,9 @@ def cmd_validate_config(args) -> int:
             points = expand_sweep(spec)
             for point in points:
                 validate_spec_names(point.spec)
-        except (OSError, ValueError, UnknownNameError) as exc:
-            print(f"{path}: FAIL: {exc}", file=sys.stderr)
+        except (ValueError, UnknownNameError) as exc:  # per file, not fatal
+            reason = str(exc).removeprefix(f"{path}: ")
+            print(f"{path}: FAIL: {reason}", file=sys.stderr)
             failures += 1
             continue
         mode = "simulate" if spec.is_simulation else "train"
@@ -564,13 +388,20 @@ def cmd_methods(args) -> int:
     return 0
 
 
+def cmd_scenarios(args) -> int:
+    from repro.sim import available_scenarios, describe_scenario
+
+    for name in available_scenarios():
+        print(f"{name:<22s} {describe_scenario(name)}")
+    return 0
+
+
 def cmd_figure(args) -> int:
     from repro.experiments import (
         available_experiments,
         describe_experiment,
         run_experiment,
     )
-    from repro.report import save_histories
 
     if args.list:
         for name in available_experiments():
@@ -579,15 +410,11 @@ def cmd_figure(args) -> int:
     if not args.name:
         print("specify an experiment name or --list", file=sys.stderr)
         return 2
-    try:
-        result = run_experiment(args.name, scale=args.scale, seed=args.seed)
-    except (ValueError, UnknownNameError) as exc:
-        return _fail(exc)
+    result = run_experiment(args.name, scale=args.scale, seed=args.seed)
     print(f"{result.name}: {result.description}\n")
     print(result.table())
-    if args.output and result.histories:
-        save_histories(result.histories, args.output)
-        print(f"\nhistories saved to {args.output}")
+    if result.histories:
+        _save_histories(result.histories, args.output)
     return 0
 
 
@@ -604,6 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spec file; defaults apply when omitted")
     run_p.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="dotted-path override, e.g. method.sigma=1.0")
+    run_p.add_argument("--resume", type=str, default=None, metavar="CKPT",
+                       help="continue a checkpointed [sim] run from its "
+                       "stored spec (refuses --config/--set and a tampered "
+                       "spec)")
     run_p.add_argument("--output", type=str, default=None,
                        help="write the history JSON here")
     run_p.set_defaults(func=cmd_run)
@@ -654,47 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("files", nargs="+", help="spec files (.toml/.json)")
     val.set_defaults(func=cmd_validate_config)
 
-    train = sub.add_parser(
-        "train",
-        help="run one method on one benchmark (legacy flag shim over `run`)",
-    )
-    train.add_argument("--dataset", type=str, default="creditcard",
-                       help="registered dataset name (see `repro datasets`)")
-    train.add_argument("--method", type=str, default="uldp-avg-w",
-                       help="registered method name (see `repro methods`)")
-    train.add_argument("--rounds", type=int, default=5)
-    train.add_argument("--users", type=int, default=100)
-    train.add_argument("--silos", type=int, default=5)
-    train.add_argument("--records", type=int, default=4000)
-    train.add_argument("--distribution", choices=["uniform", "zipf"], default="zipf")
-    train.add_argument("--non-iid", action="store_true")
-    train.add_argument("--sigma", type=float, default=5.0)
-    train.add_argument("--delta", type=float, default=1e-5)
-    train.add_argument("--local-epochs", type=int, default=2)
-    train.add_argument("--batch-size", type=int, default=None)
-    train.add_argument("--group-size", type=int, default=8)
-    train.add_argument("--sample-rate", type=float, default=None,
-                       help="user-level sub-sampling rate q (Algorithm 4)")
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--compress", type=str, default="none",
-                       help="uplink sparsifier (post-noise; epsilon unchanged)")
-    train.add_argument("--compress-fraction", type=float, default=0.05,
-                       help="kept coordinate fraction for topk/randk")
-    train.add_argument("--quantize-bits", type=int, default=None,
-                       help="stochastic b-bit quantization of sent values")
-    train.add_argument("--error-feedback", action="store_true",
-                       help="per-silo error-feedback residual accumulators")
-    train.add_argument("--compress-downlink", action="store_true",
-                       help="also compress the server's broadcast update")
-    train.add_argument("--workers", type=int, default=None,
-                       help="shard worker processes (0 = in-process; "
-                            "results are bit-identical either way)")
-    train.add_argument("--shard-size", type=int, default=None,
-                       help="sampled users per shard task (see docs/scaleout.md)")
-    train.add_argument("--output", type=str, default=None,
-                       help="write the history JSON here")
-    train.set_defaults(func=cmd_train)
-
     eps = sub.add_parser("epsilon", help="accountant query")
     eps.add_argument("--sigma", type=float, required=True)
     eps.add_argument("--steps", type=int, required=True)
@@ -721,28 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     methods = sub.add_parser("methods", help="list registered FL methods")
     methods.set_defaults(func=cmd_methods)
 
-    simulate = sub.add_parser(
-        "simulate",
-        help="run a federation scenario (legacy flag shim over `run`)",
-    )
-    simulate.add_argument("--scenario", type=str, default=None,
-                          help="scenario name (see --list)")
-    simulate.add_argument("--list", action="store_true", help="list scenarios")
-    simulate.add_argument("--scale", choices=["smoke", "small", "paper"],
-                          default="small")
-    simulate.add_argument("--rounds", type=int, default=None,
-                          help="override the scale's round count")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--checkpoint-dir", type=str, default=None,
-                          help="snapshot the simulation state here")
-    simulate.add_argument("--checkpoint-every", type=int, default=None,
-                          help="rounds between snapshots (default: rounds/4)")
-    simulate.add_argument("--resume", type=str, default=None, metavar="CKPT",
-                          help="resume from a checkpoint directory "
-                          "(refuses a tampered spec)")
-    simulate.add_argument("--output", type=str, default=None,
-                          help="write the history JSON here")
-    simulate.set_defaults(func=cmd_simulate)
+    scenarios = sub.add_parser("scenarios", help="list registered sim scenarios")
+    scenarios.set_defaults(func=cmd_scenarios)
 
     serve = sub.add_parser(
         "serve",
@@ -812,10 +582,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _typed_errors() -> tuple:
+    """Every failure the runtime raises on purpose (``except`` evaluates
+    this only once something was raised, so a clean run never imports
+    ``repro.core`` / ``repro.net`` just to name their error types)."""
+    from repro.core.weighting import QuorumError
+    from repro.net.transport import TransportError
+
+    return (OSError, ValueError, NotImplementedError, UnknownNameError,
+            QuorumError, TransportError)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Parse, dispatch, and be the CLI's one error boundary (exit 2)."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _typed_errors() as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

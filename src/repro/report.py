@@ -244,9 +244,11 @@ def history_from_dict(data: dict) -> TrainingHistory:
 
 
 def save_histories(histories: list[TrainingHistory], path: str | Path) -> None:
-    """Write histories to a JSON file."""
+    """Write histories to a JSON file (parent directories are created)."""
     payload = [history_to_dict(h) for h in histories]
-    Path(path).write_text(json.dumps(payload, indent=2))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2))
 
 
 def load_histories(path: str | Path) -> list[TrainingHistory]:

@@ -18,8 +18,8 @@ survive:
   the :class:`repro.core.Trainer` step API.
 - :mod:`repro.sim.checkpoint` -- bit-identical checkpoint/resume of model
   params, RNG states, accountant state, and history.
-- :mod:`repro.sim.scenarios` -- the named scenario registry behind
-  ``python -m repro simulate``.
+- :mod:`repro.sim.scenarios` -- the named scenario registry behind a
+  spec's ``[sim]`` table (``python -m repro scenarios`` lists it).
 """
 
 from repro.sim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint

@@ -1,4 +1,4 @@
-"""Named federation scenarios: the registry behind ``repro simulate``.
+"""Named federation scenarios: the registry behind a spec's ``[sim]`` table.
 
 Each scenario is a complete participation recipe -- dropout, latency,
 churn, aggregation policy, renormalisation strategy, bandwidth --
@@ -188,7 +188,7 @@ def _bandwidth_stragglers(rounds: int, n_silos: int) -> dict:
 
 
 def available_scenarios() -> list[str]:
-    """Names accepted by :func:`build_scenario` / ``repro simulate``."""
+    """Names accepted by :func:`build_scenario` / ``sim.scenario``."""
     return SCENARIOS.names()
 
 
@@ -272,7 +272,7 @@ def resume_simulator(checkpoint_dir: str) -> tuple[FederationSimulator, dict]:
 
     Returns ``(simulator, extra)`` where ``extra`` is the payload stored
     at save time.  Spec-stamped checkpoints (anything written through
-    ``repro run`` / the ``simulate`` shim) are verified first: the stored
+    ``repro run`` / ``repro serve``) are verified first: the stored
     snapshot must hash to the recorded ``spec_hash``, otherwise resume is
     refused -- a tampered or schema-mismatched configuration must not
     silently continue a run it does not describe.  Call

@@ -42,6 +42,20 @@ class TestStepAccumulation:
         with pytest.raises(ValueError):
             PrivacyAccountant().step(5.0, steps=-1)
 
+    @pytest.mark.parametrize("q", [-0.5, 1.5, 2.0])
+    def test_sample_rate_outside_unit_interval_rejected(self, q):
+        """q > 1 used to be priced (and labelled) as the unsampled Gaussian."""
+        acct = PrivacyAccountant()
+        with pytest.raises(ValueError, match="sampling rate"):
+            acct.step(5.0, sample_rate=q)
+        for sensitivity in (0.0, 1.0):
+            with pytest.raises(ValueError, match="sampling rate"):
+                acct.step_release(5.0, sample_rate=q, sensitivity=sensitivity)
+        assert acct.history == [] and acct.releases == []
+
+    def test_empty_accountant_reports_zero_epsilon(self):
+        assert PrivacyAccountant().get_epsilon(1e-5) == 0.0
+
     def test_reset(self):
         acct = PrivacyAccountant()
         acct.step(5.0, steps=4)

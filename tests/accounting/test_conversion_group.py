@@ -27,6 +27,12 @@ class TestRdpToDp:
         )
         assert rdp_to_dp(alpha, rho, delta) == pytest.approx(expected)
 
+    def test_nothing_released_is_zero_not_negative(self):
+        """At rho = 0 the tight bound dips below zero; eps is floored."""
+        assert rdp_to_dp(float(DEFAULT_ALPHAS[-1]), 0.0, 1e-5) == 0.0
+        eps, _ = rdp_curve_to_dp(np.zeros_like(DEFAULT_ALPHAS), 1e-5)
+        assert eps == 0.0
+
     @given(rho=st.floats(0.001, 10.0), delta=st.floats(1e-10, 0.1))
     @settings(max_examples=60)
     def test_grid_minimum_beats_any_single_order(self, rho, delta):

@@ -1,10 +1,13 @@
-"""Oracle equivalence: the spec path reproduces the legacy paths bit-for-bit.
+"""Oracle equivalence: the spec path reproduces the direct-constructor
+path bit for bit.
 
-The "legacy" side of each test constructs dataset/method/Trainer (or the
-scenario simulator) exactly as the pre-spec CLI did -- the seed code
-path -- and the "spec" side routes the equivalent shim-generated
-:class:`RunSpec` through ``repro.api.run``.  Histories must match bit for
-bit (wall-clock ``round_seconds`` excluded).
+The reference side of each test constructs dataset/method/Trainer (or the
+scenario simulator) by hand, exactly as the seed code did before specs
+existed; the spec side routes a literal :class:`RunSpec` tree describing
+the same run through ``repro.api.run``.  Histories must match bit for bit
+(wall-clock ``round_seconds`` excluded).  The flag shims that used to sit
+between the two are gone; the class names keep "Shim" only so the test
+ids stay stable.
 """
 
 import argparse
@@ -15,7 +18,6 @@ import pytest
 
 from repro.api.runner import run
 from repro.api.spec import RunSpec
-from repro.cli import simulate_spec_tree, train_spec_tree
 from repro.report import history_to_dict
 
 
@@ -26,8 +28,21 @@ def _strip_volatile(history) -> dict:
     return data
 
 
+def _spec(method: dict, dataset: dict | None = None, **top) -> RunSpec:
+    """The spec side: a literal tree over the reference side's defaults."""
+    return RunSpec.from_dict({
+        "seed": 0,
+        "rounds": 2,
+        "dataset": {"name": "creditcard", "users": 10, "silos": 2,
+                    "records": 150, "distribution": "zipf", **(dataset or {})},
+        "method": {"sigma": 5.0, **method},
+        "privacy": {"delta": 1e-5},
+        **top,
+    })
+
+
 def _train_args(**overrides) -> argparse.Namespace:
-    """A legacy ``train`` flag namespace (argparse defaults)."""
+    """The reference side's knobs (what the seed CLI's flags carried)."""
     defaults = dict(
         dataset="creditcard", method="uldp-avg-w", rounds=2, users=10,
         silos=2, records=150, distribution="zipf", non_iid=False, sigma=5.0,
@@ -41,7 +56,7 @@ def _train_args(**overrides) -> argparse.Namespace:
 
 
 def _legacy_train(args):
-    """The seed cmd_train construction, verbatim."""
+    """The seed CLI's hand construction, verbatim."""
     from repro.compress import CompressionSpec
     from repro.core import Default, Trainer, UldpAvg, UldpGroup, UldpNaive, UldpSgd
     from repro.data import build_creditcard_benchmark
@@ -95,27 +110,39 @@ class TestTrainShimOracle:
             compress_fraction=0.05, quantize_bits=8, error_feedback=True,
         )
         legacy = _legacy_train(args)
-        result = run(RunSpec.from_dict(train_spec_tree(args)))
+        result = run(_spec(
+            {"name": "uldp-avg-w", "local_epochs": 1},
+            dataset={"users": 12, "silos": 3, "records": 200},
+            rounds=3,
+            compression={"sparsify": "topk", "fraction": 0.05,
+                         "quantize_bits": 8, "error_feedback": True,
+                         "downlink": False, "seed": 0},
+        ))
         assert _strip_volatile(result.history) == _strip_volatile(legacy)
 
-    @pytest.mark.parametrize(
-        "method", ["default", "uldp-naive", "uldp-group", "uldp-sgd", "uldp-avg"]
-    )
+    @pytest.mark.parametrize("method", [
+        {"name": "default", "local_epochs": 1},
+        {"name": "uldp-naive", "local_epochs": 1},
+        {"name": "uldp-group", "local_epochs": 1, "group_size": 8},
+        {"name": "uldp-sgd"},
+        {"name": "uldp-avg", "local_epochs": 1},
+    ], ids=lambda tree: tree["name"])
     def test_every_method_bit_identical(self, method):
-        args = _train_args(method=method)
-        legacy = _legacy_train(args)
-        result = run(RunSpec.from_dict(train_spec_tree(args)))
+        legacy = _legacy_train(_train_args(method=method["name"]))
+        result = run(_spec(method))
         assert _strip_volatile(result.history) == _strip_volatile(legacy)
 
     def test_subsampled_run_bit_identical(self):
         args = _train_args(method="uldp-avg-w", sample_rate=0.5, users=20)
         legacy = _legacy_train(args)
-        result = run(RunSpec.from_dict(train_spec_tree(args)))
+        result = run(_spec(
+            {"name": "uldp-avg-w", "local_epochs": 1, "sample_rate": 0.5},
+            dataset={"users": 20},
+        ))
         assert _strip_volatile(result.history) == _strip_volatile(legacy)
 
     def test_history_is_spec_stamped(self):
-        args = _train_args()
-        spec = RunSpec.from_dict(train_spec_tree(args))
+        spec = _spec({"name": "uldp-avg-w", "local_epochs": 1})
         result = run(spec)
         assert result.history.spec_hash == spec.hash()
         assert result.history.spec == spec.to_dict()
@@ -128,13 +155,11 @@ class TestTrainShimOracle:
 
 
 class TestSimulateShimOracle:
-    def _sim_args(self, **overrides) -> argparse.Namespace:
-        defaults = dict(
-            scenario="silo-outage", scale="smoke", rounds=None, seed=0,
-            checkpoint_dir=None, checkpoint_every=None,
+    @staticmethod
+    def _sim_spec(scenario: str, **sim) -> RunSpec:
+        return RunSpec.from_dict(
+            {"seed": 0, "sim": {"scenario": scenario, "scale": "smoke", **sim}}
         )
-        defaults.update(overrides)
-        return argparse.Namespace(**defaults)
 
     def _legacy_scenario(self, name: str, scale: str, seed: int):
         """The seed build_scenario construction, verbatim."""
@@ -163,27 +188,24 @@ class TestSimulateShimOracle:
     @pytest.mark.parametrize("scenario", ["silo-outage", "async-fedbuff"])
     def test_scenario_bit_identical(self, scenario):
         legacy = self._legacy_scenario(scenario, "smoke", seed=0)
-        args = self._sim_args(scenario=scenario)
-        result = run(RunSpec.from_dict(simulate_spec_tree(args)))
+        result = run(self._sim_spec(scenario))
         assert _strip_volatile(result.history) == _strip_volatile(legacy.history)
         np.testing.assert_array_equal(
             result.simulator.trainer.params, legacy.trainer.params
         )
 
     def test_sim_history_spec_stamped(self):
-        args = self._sim_args(scenario="ideal-sync")
-        spec = RunSpec.from_dict(simulate_spec_tree(args))
+        spec = self._sim_spec("ideal-sync")
         result = run(spec)
         assert result.history.spec_hash == spec.hash()
 
 
 class TestCheckpointSpecGuard:
     def _run_checkpointed(self, tmp_path):
-        args = argparse.Namespace(
-            scenario="silo-outage", scale="smoke", rounds=None, seed=0,
-            checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=1,
+        spec = TestSimulateShimOracle._sim_spec(
+            "silo-outage", checkpoint_dir=str(tmp_path / "ckpt"),
+            checkpoint_every=1,
         )
-        spec = RunSpec.from_dict(simulate_spec_tree(args))
         return spec, run(spec)
 
     def test_resume_verifies_and_restamps(self, tmp_path):

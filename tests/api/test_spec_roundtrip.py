@@ -1,10 +1,11 @@
-"""Spec serialisation round-trips: dict, JSON, TOML (both parsers), files."""
+"""Spec serialisation round-trips: dict, JSON, TOML (our writer read back
+by the stdlib parser), files."""
 
 import json
+import tomllib
 
 import pytest
 
-from repro.api import tomlcompat
 from repro.api.spec import RunSpec, SpecError
 
 #: A spec exercising every section, nested CompressionSpec, and sweep axes.
@@ -73,21 +74,17 @@ class TestRoundTrips:
         assert RunSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_toml_roundtrip_exact(self, spec):
-        assert RunSpec.from_dict(tomlcompat.loads(spec.to_toml())) == spec
-
-    def test_toml_fallback_parser_matches_tomllib(self, spec):
-        text = spec.to_toml(header="generated by the test suite")
-        assert tomlcompat.loads_fallback(text) == tomlcompat.loads(text)
+        assert RunSpec.from_dict(tomllib.loads(spec.to_toml())) == spec
 
     def test_chained_toml_json_toml(self, spec):
         """TOML -> spec -> JSON -> spec -> TOML is a fixed point."""
-        via_toml = RunSpec.from_dict(tomlcompat.loads(spec.to_toml()))
+        via_toml = RunSpec.from_dict(tomllib.loads(spec.to_toml()))
         via_json = RunSpec.from_dict(json.loads(via_toml.to_json()))
         assert via_json == spec
         assert via_json.to_toml() == spec.to_toml()
 
     def test_hash_survives_roundtrip(self, spec):
-        again = RunSpec.from_dict(tomlcompat.loads(spec.to_toml()))
+        again = RunSpec.from_dict(tomllib.loads(spec.to_toml()))
         assert again.hash() == spec.hash()
 
     def test_file_roundtrip(self, spec, tmp_path):
@@ -119,38 +116,9 @@ class TestTomlWriter:
 
     def test_floats_keep_exact_value(self):
         spec = RunSpec.from_dict({"method": {"sigma": 0.1 + 0.2}})
-        again = RunSpec.from_dict(tomlcompat.loads(spec.to_toml()))
+        again = RunSpec.from_dict(tomllib.loads(spec.to_toml()))
         assert again.method.sigma == spec.method.sigma  # bit-exact
 
     def test_header_commented(self):
         text = RunSpec.from_dict({}).to_toml(header="two\nlines")
         assert text.startswith("# two\n# lines")
-
-
-class TestFallbackParser:
-    def test_inline_tables_in_arrays(self):
-        text = '[sweep]\nmethod = [{name = "a", sigma = 1.0}, {name = "b"}]\n'
-        data = tomlcompat.loads_fallback(text)
-        assert data == {
-            "sweep": {"method": [{"name": "a", "sigma": 1.0}, {"name": "b"}]}
-        }
-
-    def test_multiline_array(self):
-        text = '[sweep]\n"method.sigma" = [\n  0.5,\n  1.0,\n]\n'
-        assert tomlcompat.loads_fallback(text)["sweep"]["method.sigma"] == [0.5, 1.0]
-
-    def test_comments_stripped_outside_strings(self):
-        text = 'name = "a # not a comment"  # a real comment\nseed = 1\n'
-        data = tomlcompat.loads_fallback(text)
-        assert data == {"name": "a # not a comment", "seed": 1}
-
-    def test_scalar_types(self):
-        text = "a = 1\nb = -2.5\nc = true\nd = false\ne = 1e-05\n"
-        data = tomlcompat.loads_fallback(text)
-        assert data == {"a": 1, "b": -2.5, "c": True, "d": False, "e": 1e-05}
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            tomlcompat.loads_fallback("not toml at all")
-        with pytest.raises(ValueError):
-            tomlcompat.loads_fallback("x = [1, 2")

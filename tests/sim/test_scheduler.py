@@ -132,6 +132,21 @@ class TestDropoutPolicies:
         assert len(releases) == 1 and releases[0].sensitivity == 0.0
         assert sim.history.participation[0].silos_seen == 0
 
+    def test_epsilon_is_zero_until_the_first_real_release(self):
+        """All silos down in round 0: nothing was released, so eps == 0.0
+        exactly (the unfloored Lemma 2 bound read -9.9986e-06 here)."""
+        fed = tiny_fed()
+        config = SimConfig(
+            rounds=2,
+            dropout=SiloOutageWindows({s: (0, 1) for s in range(fed.n_silos)}),
+            seed=0,
+        )
+        sim = FederationSimulator(fed, tiny_method(), config)
+        sim.run()
+        first, second = (record.epsilon for record in sim.history.records)
+        assert first == 0.0
+        assert second > 0.0
+
     def test_dropout_with_renorm_none_reduces_budget_honestly(self):
         # Uniform weights: every user loses exactly 1/3 of their weight
         # when one of three silos is down and nothing renormalises.

@@ -1,5 +1,5 @@
 """Tests for the declarative CLI surface: run / sweep / validate-config,
-the shim equivalence, and the clean unknown-name errors."""
+the clean unknown-name errors, and the one error boundary in ``main``."""
 
 import json
 
@@ -165,54 +165,43 @@ class TestValidateConfigCommand:
         assert "OK" in captured.out and "FAIL" in captured.err
 
 
-class TestShimEquivalence:
-    """`repro run` on the shim-generated spec == `repro train` flags."""
-
-    def test_train_flags_equal_config_run(self, tmp_path, capsys):
-        flags = [
-            "--dataset", "creditcard", "--method", "uldp-avg-w",
-            "--rounds", "2", "--users", "8", "--silos", "2",
-            "--records", "120", "--local-epochs", "1",
-            "--compress", "topk", "--compress-fraction", "0.1",
-        ]
-        shim_out = tmp_path / "shim.json"
-        assert main(["train", *flags, "--output", str(shim_out)]) == 0
-
-        # Re-run the same spec through `repro run --config`.
-        import argparse
-
-        from repro.cli import build_parser, train_spec_tree
-        from repro.api.spec import RunSpec
-
-        args = build_parser().parse_args(["train", *flags])
-        spec = RunSpec.from_dict(train_spec_tree(args))
-        spec_file = tmp_path / "spec.toml"
-        spec_file.write_text(spec.to_toml())
-        run_out = tmp_path / "run.json"
-        assert main([
-            "run", "--config", str(spec_file), "--output", str(run_out)
-        ]) == 0
-
-        shim = json.loads(shim_out.read_text())[0]
-        via_config = json.loads(run_out.read_text())[0]
-        shim.pop("round_seconds", None)
-        via_config.pop("round_seconds", None)
-        assert shim == via_config  # including the spec stamp + hash
-
+class TestListingCommands:
     def test_methods_command_lists_registry(self, capsys):
         assert main(["methods"]) == 0
         out = capsys.readouterr().out
         assert "uldp-avg-w" in out and "secure-uldp-avg" in out
 
-    def test_train_unknown_method_clean_error(self, capsys):
-        assert main(["train", "--method", "uldp-avgw", "--rounds", "1"]) == 2
+
+BAD_SPEC_FILES = {
+    "missing file": ("gone.toml", None),
+    "malformed TOML": ("bad.toml", "x = [1, 2"),
+    "malformed JSON": ("bad.json", '{"rounds": '),
+}
+
+
+class TestErrorBoundary:
+    """Every typed failure: exit 2, one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("case", BAD_SPEC_FILES)
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep"], ["serve"], ["silo", "--silo-id", "0"], ["cost"],
+    ], ids=lambda argv: argv[0])
+    def test_unusable_spec_file_names_the_file(
+        self, command, case, tmp_path, capsys
+    ):
+        name, text = BAD_SPEC_FILES[case]
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main([*command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "did you mean" in err and "Traceback" not in err
+        assert err.startswith(f"error: {path}:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_train_unknown_dataset_clean_error(self, capsys):
-        assert main(["train", "--dataset", "mnizt", "--rounds", "1"]) == 2
-        assert "did you mean 'mnist'" in capsys.readouterr().err
-
-    def test_simulate_unknown_scenario_clean_error(self, capsys):
-        assert main(["simulate", "--scenario", "ideal-snc"]) == 2
-        assert "did you mean 'ideal-sync'" in capsys.readouterr().err
+    def test_analytic_commands_fail_cleanly(self, capsys):
+        assert main(["calibrate", "--target-epsilon", "-1", "--steps", "10"]) == 2
+        assert "target epsilon" in capsys.readouterr().err
+        assert main([
+            "epsilon", "--sigma", "5", "--steps", "10", "--sample-rate", "2",
+        ]) == 2
+        assert "sampling rate" in capsys.readouterr().err

@@ -7,9 +7,12 @@
   (the ``make docs-check`` gate, enforced here so tier-1 catches it).
 - The README and architecture docs must exist and mention the load-bearing
   entry points they document.
+- Every ``repro <subcommand>`` the docs, Makefile, example specs and the
+  verify skill mention must be a subcommand the CLI actually has.
 """
 
 import doctest
+import re
 import sys
 from pathlib import Path
 
@@ -44,3 +47,28 @@ def test_docs_exist_and_reference_entry_points():
     assert "engine" in readme
     assert "repro.core" in architecture and "Protocol 1" in architecture
     assert "bench_engine_speedup" in architecture
+
+
+def test_every_mentioned_subcommand_exists():
+    from repro.cli import build_parser
+
+    subparsers = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    )
+    known = set(subparsers.choices)
+    files = [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / "Makefile",
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        *sorted(DOCS.glob("*.md")),
+        *sorted((REPO_ROOT / "examples" / "specs").glob("*.toml")),
+    ]
+    # `repro run ...` in prose, `python -m repro run ...` in command lines.
+    mention = re.compile(r"(?:`|-m )repro ([a-z][a-z-]*)")
+    stale = {
+        f"{path.relative_to(REPO_ROOT)}: repro {word}"
+        for path in files
+        for word in mention.findall(path.read_text(encoding="utf-8"))
+        if word not in known
+    }
+    assert not stale, f"docs mention subcommands that do not exist: {sorted(stale)}"
