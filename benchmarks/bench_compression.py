@@ -31,6 +31,7 @@ from conftest import host_info, print_header, write_bench_json
 
 from repro.compress import CompressionSpec
 from repro.core import Trainer, UldpAvg
+from repro.crypto.dh import DHGroup
 from repro.data import build_creditcard_benchmark, build_mnist_benchmark
 from repro.nn.model import build_tiny_mlp
 from repro.protocol import SecureUldpAvg
@@ -130,6 +131,8 @@ def _bench_secure() -> dict:
         method = SecureUldpAvg(
             local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
             paillier_bits=256, compression=compression,
+            # Legacy bench: the toy group its committed numbers were taken on.
+            dh_group=DHGroup.test_group(),
         )
         start = time.perf_counter()
         history = Trainer(fed, method, rounds=2, model=model, seed=7).run()

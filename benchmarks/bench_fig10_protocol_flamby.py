@@ -16,17 +16,21 @@ import pytest
 from conftest import print_header
 
 from repro.core import Trainer
+from repro.crypto.dh import DHGroup
 from repro.data import build_heartdisease_benchmark, build_tcgabrca_benchmark
 from repro.protocol import SecureUldpAvg
 
 SIGMA = 5.0
 ROUNDS = 2
+# Legacy bench: keeps the 512-bit toy DH group its committed numbers (and
+# cost/calibration.json) were measured on; the runtime default is RFC 3526.
+DH_GROUP = DHGroup.test_group()
 
 
 def run_secure(fed, local_lr):
     method = SecureUldpAvg(
         noise_multiplier=SIGMA, local_epochs=1, local_lr=local_lr,
-        paillier_bits=512,
+        paillier_bits=512, dh_group=DH_GROUP,
     )
     start = time.perf_counter()
     history = Trainer(fed, method, rounds=ROUNDS, seed=17).run()

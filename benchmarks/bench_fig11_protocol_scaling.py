@@ -15,10 +15,14 @@ import numpy as np
 import pytest
 from conftest import print_header
 
+from repro.crypto.dh import DHGroup
 from repro.protocol import PrivateWeightingProtocol
 
 N_SILOS = 3
 PAILLIER_BITS = 256
+# Legacy bench: keeps the 512-bit toy DH group its committed numbers (and
+# cost/calibration.json) were measured on; the runtime default is RFC 3526.
+DH_GROUP = DHGroup.test_group()
 
 
 def make_histogram(n_users, rng):
@@ -29,7 +33,8 @@ def make_histogram(n_users, rng):
 def run_protocol_round(n_users, n_params, seed=0):
     rng = np.random.default_rng(seed)
     proto = PrivateWeightingProtocol(
-        make_histogram(n_users, rng), n_max=32, paillier_bits=PAILLIER_BITS, seed=seed
+        make_histogram(n_users, rng), n_max=32, paillier_bits=PAILLIER_BITS,
+        seed=seed, dh_group=DH_GROUP,
     )
     proto.run_setup()
     deltas = []

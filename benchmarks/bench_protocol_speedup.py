@@ -42,6 +42,7 @@ import pytest
 from conftest import print_header, write_bench_json
 
 from repro.core.weighting import proportional_weights
+from repro.crypto.dh import DHGroup
 from repro.crypto.secagg import (
     MaskedAggregationProtocol,
     encode_weighted_payload,
@@ -52,6 +53,9 @@ from repro.protocol import PrivateWeightingProtocol
 MASKED_TARGET_SPEEDUP = 10.0
 SEED = 11
 MASK_BITS = 256
+# Legacy bench: keeps the 512-bit toy DH group its committed numbers (and
+# cost/calibration.json) were measured on; the runtime default is RFC 3526.
+DH_GROUP = DHGroup.test_group()
 
 #: "full" (default) or "smoke" -- CI's bench-protocol job runs the same
 #: comparison at toy scale.
@@ -103,7 +107,7 @@ def round_inputs(hist, d, seed=1):
 def timed_round(hist, d, key_bits):
     """Setup + one timed Paillier run_round; returns (aggregate, proto, seconds)."""
     proto = PrivateWeightingProtocol(
-        hist, n_max=N_MAX, paillier_bits=key_bits, seed=SEED
+        hist, n_max=N_MAX, paillier_bits=key_bits, seed=SEED, dh_group=DH_GROUP
     )
     proto.run_setup()
     deltas, noises = round_inputs(hist, d)
@@ -116,7 +120,7 @@ def timed_round(hist, d, key_bits):
 def timed_masked_round(hist, d):
     """Masked backend on the identical inputs: encode + mask + sum + decode."""
     proto = MaskedAggregationProtocol(
-        hist.shape[0], mask_bits=MASK_BITS, n_max=N_MAX, seed=SEED
+        hist.shape[0], mask_bits=MASK_BITS, n_max=N_MAX, seed=SEED, group=DH_GROUP
     )
     proto.run_setup()
     deltas, noises = round_inputs(hist, d)

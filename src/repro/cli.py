@@ -55,6 +55,7 @@ import sys
 from repro.api import builtin as _builtin  # noqa: F401  (registry population)
 from repro.api.registries import DATASETS, METHODS, UnknownNameError
 from repro.api.spec import (
+    SECURE_METHOD,
     RunSpec,
     SpecError,
     apply_overrides,
@@ -314,7 +315,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_validate_config(args) -> int:
-    from repro.api.runner import validate_spec_names
+    from repro.api.runner import build_method, validate_spec_names
     from repro.api.spec import expand_sweep
 
     failures = 0
@@ -332,6 +333,8 @@ def cmd_validate_config(args) -> int:
         mode = "simulate" if spec.is_simulation else "train"
         grid = f", {len(points)}-point sweep" if spec.sweep else ""
         print(f"{path}: OK ({mode}{grid}, spec {spec.hash()})")
+        if spec.method.name == SECURE_METHOD:
+            print(f"{path}: {build_method(spec).security_summary()}")
     return 1 if failures else 0
 
 

@@ -12,7 +12,8 @@ library (``secrets``, ``hashlib``, ``math``):
   Protocol 1 runs on -- the seed loop over the plain primitives is the
   test oracle ``tests/protocol/oracle_reference.py`` (bit-identical).
 - :mod:`repro.crypto.dh` -- finite-field Diffie-Hellman key agreement with a
-  SHA-256 key-derivation function.
+  SHA-256 key-derivation function; groups are committed constants and
+  private exponents follow one 256-bit policy.
 - :mod:`repro.crypto.masking` -- PRG-expanded pairwise additive masks over a
   finite field, the core of secure aggregation (Bonawitz et al.).
 - :mod:`repro.crypto.blinding` -- multiplicative blinding over F_n
@@ -22,9 +23,12 @@ library (``secrets``, ``hashlib``, ``math``):
 - :mod:`repro.crypto.secagg` -- Bonawitz-style pairwise-mask secure
   aggregation with dropout recovery (the ``crypto_backend="masked"`` path).
 
-The default key sizes used in tests and benchmarks are intentionally small
-(512-bit Paillier modulus, 512-bit DH group) so the full protocol runs in
-seconds; all sizes are parameters and the paper's 3072-bit setting is
+The silos' key agreement always runs in RFC 3526 group 14 (2048-bit) unless
+a caller passes another group explicitly; only tests and the legacy
+``benchmarks/`` scripts pass the 512-bit ``DHGroup.test_group()``.  The
+Paillier modulus still defaults to an intentionally small 512 bits so the
+full protocol runs in seconds (``SecureUldpAvg.security_summary`` says so
+on every run); it is a parameter and the paper's 3072-bit setting is
 supported.
 """
 

@@ -4,11 +4,15 @@ Protocol 1 uses DH twice: (i) every pair of silos derives a shared key that
 seeds the pairwise additive masks of secure aggregation, and (ii) silo 0
 distributes the shared blinding seed R encrypted under each pairwise key.
 
-We implement classic DH over a safe-prime group.  The RFC 3526 2048-bit MODP
-group is included for realistic runs; a small hard-coded 512-bit safe-prime
-group keeps the tests fast.  Shared secrets are passed through a SHA-256 KDF
-with a context label so that independent purposes (mask PRG, seed transport)
-use independent keys.
+We implement classic DH over a safe-prime group.  Groups are committed
+constants, never searched for at run time: RFC 3526 group 14 (2048-bit
+MODP) is the only group the runtime uses -- both protocol classes fall
+back to it and no spec field selects another -- and a 512-bit safe prime
+(:data:`TEST_PRIME_512`) lets protocol-level tests run fast.  Private
+exponents follow one policy, :meth:`DHGroup.random_exponent` (256-bit
+short exponents).  Shared secrets are passed through a SHA-256 KDF with a
+context label so that independent purposes (mask PRG, seed transport) use
+independent keys.
 """
 
 from __future__ import annotations
@@ -33,6 +37,25 @@ RFC3526_PRIME_2048 = int(
     16,
 )
 
+# 512-bit safe prime of :meth:`DHGroup.test_group`, generator 2.  Provenance:
+# the first safe prime p = 2q + 1 found by drawing q = getrandbits(511) |
+# 1 << 510 | 1 from random.Random(0xD1F5) -- q is draw 26 395.  The search
+# that found it is tests/crypto/oracle_safe_prime.py (run as a script it
+# re-derives the value, ~8 s); tests/crypto/test_dh_masking.py verifies the
+# primality of p and q, the generator order and the draw index on every run.
+TEST_PRIME_512 = int(
+    "B4559AE6E40E742C02FF95795DF4A7FE9FF4E0E795FD3F843FA94C4D"
+    "C9C5368FC61BA0ABDE71EEC7BE3A93B2291A149B66198478E9D29250"
+    "73ADD825CEB8D453",
+    16,
+)
+
+#: Private-exponent width in bits: the short-exponent practice of RFC 7919
+#: section 5.2 / NIST SP 800-56A rev. 3 (at least twice the group's security
+#: strength; group 14 is rated 112-bit).
+EXPONENT_BITS = 256
+
+
 @dataclass(frozen=True)
 class DHGroup:
     """A multiplicative group mod a safe prime with a fixed generator."""
@@ -42,54 +65,56 @@ class DHGroup:
 
     @classmethod
     def rfc3526_2048(cls) -> "DHGroup":
+        """RFC 3526 group 14 -- the group every runtime key agreement uses.
+
+        p = 7 (mod 8), so 2 is a quadratic residue and generates the
+        prime-order subgroup of order q = (p - 1) / 2: a short exponent
+        leaks nothing through small-subgroup structure.
+        """
         return cls(RFC3526_PRIME_2048, 2)
 
     @classmethod
     def test_group(cls) -> "DHGroup":
-        """Small (512-bit) group for fast tests; NOT for production."""
-        return cls(_test_prime(), 2)
+        """Small (512-bit) group for fast tests; NOT for production.
 
-    def keypair(self, rng: random.Random | None = None) -> "DHKeypair":
-        """Sample a private exponent and compute the public value.
+        Nothing in the runtime falls back to it: tests and the legacy
+        ``benchmarks/`` scripts pass it explicitly.  p = 3 (mod 8), so 2 is
+        a non-residue and generates the whole group of order 2q rather
+        than the prime-order subgroup -- acceptable for a toy group only.
+        """
+        return cls(TEST_PRIME_512, 2)
 
-        By default the private key comes from the ``secrets`` CSPRNG --
-        the default path never reads or advances the global ``random``
-        state (a regression test pins this).  Pass an explicit seeded
+    @property
+    def label(self) -> str:
+        """Name for logs and ``security_summary`` lines."""
+        known = {RFC3526_PRIME_2048: "rfc3526-2048", TEST_PRIME_512: "test-512"}
+        return known.get(self.prime, f"custom-{self.prime.bit_length()}")
+
+    @property
+    def exponent_bits(self) -> int:
+        """Private-exponent width: :data:`EXPONENT_BITS`, capped below the
+        subgroup order for groups too small to hold that many."""
+        return min(EXPONENT_BITS, self.prime.bit_length() - 2)
+
+    def random_exponent(self, rng: random.Random | None = None) -> int:
+        """The one private-exponent policy: :attr:`exponent_bits` random
+        bits with the top bit set.
+
+        By default the bits come from the ``secrets`` CSPRNG -- the default
+        path never reads or advances the global ``random`` state (a
+        regression test pins this).  Pass an explicit seeded
         ``random.Random`` only for reproducible tests and simulations.
         """
-        upper = self.prime - 2
-        if rng is not None:
-            private = rng.randrange(2, upper)
-        else:
-            private = secrets.randbelow(upper - 2) + 2
+        bits = self.exponent_bits
+        draw = rng.getrandbits(bits) if rng is not None else secrets.randbits(bits)
+        return draw | 1 << (bits - 1)
+
+    def keypair(self, rng: random.Random | None = None) -> "DHKeypair":
+        """Sample a private exponent (:meth:`random_exponent`) and compute
+        the public value."""
+        private = self.random_exponent(rng)
         public = pow(self.generator, private, self.prime)
         return DHKeypair(group=self, private=private, public=public)
-
-
-_TEST_PRIME_CACHE: int | None = None
-
-
-def _test_prime() -> int:
-    """Return a 512-bit safe prime, generating (and caching) one on demand.
-
-    Generating on demand avoids shipping a magic constant whose safety the
-    reader cannot check; the result is cached for the process lifetime so the
-    cost is paid once per test session.
-    """
-    global _TEST_PRIME_CACHE
-    if _TEST_PRIME_CACHE is None:
-        from repro.crypto.primes import is_probable_prime
-
-        rng = random.Random(0xD1F5)
-        while True:
-            q = rng.getrandbits(511) | (1 << 510) | 1
-            if not is_probable_prime(q):
-                continue
-            p = 2 * q + 1
-            if is_probable_prime(p):
-                _TEST_PRIME_CACHE = p
-                break
-    return _TEST_PRIME_CACHE
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,11 @@ def lcm_of_counts(counts: Sequence[int]) -> int:
     return math.lcm(*counts)
 
 
+class MagnitudeBudgetError(ValueError):
+    """Theorem 4's overflow condition (2) fails: the accumulated fixed-point
+    sum could exceed half the modulus and signed decoding would wrap."""
+
+
 def check_magnitude_budget(
     modulus: int,
     c_lcm: int,
@@ -162,3 +167,31 @@ def check_magnitude_budget(
     """
     max_encoded = int(math.ceil(max_abs_value / precision)) + 1
     return num_terms * max_encoded * c_lcm < modulus // 2
+
+
+def require_magnitude_headroom(
+    n_max: int,
+    knob: str,
+    modulus_bits: int,
+    precision: float,
+    min_abs_value: float,
+    num_terms: int,
+) -> None:
+    """Refuse an ``n_max`` whose C_LCM no round could fit.
+
+    A necessary condition of every per-round :func:`check_magnitude_budget`
+    -- evaluated at the largest modulus ``knob`` (``paillier_bits`` /
+    ``mask_bits``) allows and the smallest ``max_abs_value`` and
+    ``num_terms`` a round check can see -- so it refuses nothing a round
+    would accept, and it is decidable before any key is made.
+    """
+    c_lcm = lcm_up_to(n_max)
+    if not check_magnitude_budget(
+        1 << modulus_bits, c_lcm, precision, min_abs_value, num_terms
+    ):
+        raise MagnitudeBudgetError(
+            f"n_max={n_max} leaves no fixed-point headroom: C_LCM = "
+            f"lcm(1..{n_max}) has {c_lcm.bit_length()} bits and scales every "
+            f"encoded term, but the modulus has only {knob}={modulus_bits}; "
+            f"raise {knob} or lower n_max"
+        )

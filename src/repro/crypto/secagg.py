@@ -49,10 +49,12 @@ import numpy as np
 from repro.crypto.dh import DHGroup, DHKeypair, derive_shared_key
 from repro.crypto.encoding import (
     DEFAULT_PRECISION,
+    MagnitudeBudgetError,
     check_magnitude_budget,
     decode_vector,
     encode_vector,
     lcm_up_to,
+    require_magnitude_headroom,
 )
 from repro.crypto.masking import PairwiseMasker, prg_field_elements
 from repro.obs.metrics import get_registry
@@ -214,6 +216,9 @@ class MaskedAggregationProtocol:
     The instance is deterministic under a ``seed``: DH private keys come
     from a seeded ``random.Random``, so a checkpoint/resume rebuild derives
     identical pair keys and only :attr:`round_no` is dynamic state.
+
+    ``group`` is the key-agreement group; None = RFC 3526 group 14 (tests
+    pass the 512-bit ``DHGroup.test_group()`` explicitly).
     """
 
     def __init__(
@@ -239,7 +244,12 @@ class MaskedAggregationProtocol:
         self.precision = precision
         self.n_max = n_max
         self.c_lcm = lcm_up_to(n_max)
-        self.group = group if group is not None else DHGroup.test_group()
+        # check_round_magnitude has no floor on max_abs, and its callers
+        # count n_silos * (n_users + 1) terms with at least one user.
+        require_magnitude_headroom(
+            n_max, "mask_bits", mask_bits, precision, 0.0, 2 * n_silos
+        )
+        self.group = group if group is not None else DHGroup.rfc3526_2048()
         self.rng = random.Random(seed) if seed is not None else None
         self.timer = PhaseTimer()
         self.view = MaskedServerView()
@@ -268,9 +278,9 @@ class MaskedAggregationProtocol:
         if not check_magnitude_budget(
             self.modulus, self.c_lcm, self.precision, max_abs_value, num_terms
         ):
-            raise ValueError(
+            raise MagnitudeBudgetError(
                 "masked-aggregation magnitude budget exceeded: raise "
-                "mask_bits, lower n_max, or coarsen precision"
+                f"mask_bits, lower n_max (= {self.n_max}), or coarsen precision"
             )
 
     def run_round(self, field_vectors: list[list[int] | None]) -> list[int]:

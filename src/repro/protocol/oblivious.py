@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import secrets
 
 from repro.crypto.dh import DHGroup
 
@@ -70,12 +69,8 @@ class OTSender:
         self.commitments = [self._random_element() for _ in range(n_slots - 1)]
 
     def _random_element(self) -> int:
-        p = self.group.prime
-        if self.rng is not None:
-            exp = self.rng.randrange(2, p - 2)
-        else:
-            exp = secrets.randbelow(p - 4) + 2
-        return pow(self.group.generator, exp, p)
+        exp = self.group.random_exponent(self.rng)
+        return pow(self.group.generator, exp, self.group.prime)
 
     def public_commitments(self) -> list[int]:
         return list(self.commitments)
@@ -91,10 +86,7 @@ class OTSender:
         out = []
         for j, message in enumerate(messages):
             pk_j = receiver_pk0 if j == 0 else self.commitments[j - 1] * pk0_inv % p
-            if self.rng is not None:
-                r = self.rng.randrange(2, p - 2)
-            else:
-                r = secrets.randbelow(p - 4) + 2
+            r = self.group.random_exponent(self.rng)
             c1 = pow(g, r, p)
             key = _hash_key(pow(pk_j, r, p), context=j.to_bytes(4, "big"))
             out.append((c1, _xor_bytes(message, _stream(key, len(message)))))
@@ -117,10 +109,7 @@ class OTReceiver:
         self.group = group
         self.choice = choice
         p, g = group.prime, group.generator
-        if rng is not None:
-            self.secret = rng.randrange(2, p - 2)
-        else:
-            self.secret = secrets.randbelow(p - 4) + 2
+        self.secret = group.random_exponent(rng)
         gk = pow(g, self.secret, p)
         if choice == 0:
             self.pk0 = gk

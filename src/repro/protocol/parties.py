@@ -113,8 +113,8 @@ class SiloParty:
         self.rng = rng
         # Setup state, populated by the steps below.
         self.dh_keypair: DHKeypair = dh_group.keypair(rng=rng)
-        self._peer_public: dict[int, int] = {}
         self.pair_keys: dict[int, bytes] = {}
+        self.transport_keys: dict[int, bytes] = {}
         self.shared_seed: bytes | None = None
         self.paillier_pk: PaillierPublicKey | None = None
         self.blinding: BlindingFactory | None = None
@@ -128,12 +128,18 @@ class SiloParty:
         return self.dh_keypair.public
 
     def receive_dh_publics(self, publics: dict[int, int]) -> None:
-        """Step 1(b): derive pairwise shared keys with every other silo."""
+        """Step 1(b): derive pairwise shared keys with every other silo.
+
+        One modular exponentiation per peer; the mask key and the key that
+        transports the seed R (step 1(c)) are two KDF contexts of that one
+        shared secret.
+        """
         for peer, public in publics.items():
             if peer == self.silo_id:
                 continue
             secret = self.dh_keypair.shared_secret(public)
             self.pair_keys[peer] = derive_shared_key(secret, "secure-agg")
+            self.transport_keys[peer] = derive_shared_key(secret, "seed-transport")
 
     def receive_paillier_key(self, pk: PaillierPublicKey) -> None:
         """Step 1(a): store the server's Paillier public key."""
@@ -151,26 +157,15 @@ class SiloParty:
         else:
             seed = secrets.token_bytes(32)
         self.shared_seed = seed
-        out = {}
-        for peer in peers:
-            if peer == 0:
-                continue
-            key = derive_shared_key(
-                self.dh_keypair.shared_secret(self._peer_public[peer]), "seed-transport"
-            )
-            out[peer] = encrypt_with_key(key, seed)
-        return out
+        return {
+            peer: encrypt_with_key(self.transport_keys[peer], seed)
+            for peer in peers
+            if peer != 0
+        }
 
     def receive_seed_ciphertext(self, ciphertext: bytes) -> None:
         """Step 1(c): decrypt the shared seed R from silo 0."""
-        key = derive_shared_key(
-            self.dh_keypair.shared_secret(self._peer_public[0]), "seed-transport"
-        )
-        self.shared_seed = decrypt_with_key(key, ciphertext)
-
-    def remember_peer_publics(self, publics: dict[int, int]) -> None:
-        """Store raw peer DH publics (needed for the seed-transport KDF)."""
-        self._peer_public = dict(publics)
+        self.shared_seed = decrypt_with_key(self.transport_keys[0], ciphertext)
 
     def blinded_masked_histogram(self) -> list[int]:
         """Steps 1(d)-(e): doubly blinded histogram B'(n_su) for all users.

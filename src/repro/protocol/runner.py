@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.crypto.dh import DHGroup
-from repro.crypto.encoding import check_magnitude_budget, lcm_up_to
+from repro.crypto.encoding import (
+    MagnitudeBudgetError,
+    check_magnitude_budget,
+    lcm_up_to,
+    require_magnitude_headroom,
+)
 from repro.crypto.paillier import PaillierCiphertext
 from repro.protocol.oblivious import OTReceiver, OTSender, PrivateSubsampler
 from repro.protocol.parties import (
@@ -56,6 +61,8 @@ class PrivateWeightingProtocol:
         n_max: public bound on records per user (C_LCM = lcm(1..n_max)).
         paillier_bits: Paillier modulus size (paper: 3072; tests: smaller).
         precision: fixed-point precision P of Algorithm 5.
+        dh_group: the silos' key-agreement group; None = RFC 3526 group 14
+            (tests pass the 512-bit ``DHGroup.test_group()`` explicitly).
         seed: deterministic randomness for reproducible tests; None uses
             cryptographically secure randomness.
         workers: process count for the per-silo weighting step.
@@ -93,6 +100,11 @@ class PrivateWeightingProtocol:
         self.n_max = n_max
         self.c_lcm = lcm_up_to(n_max)
         self.precision = precision
+        self._num_terms = self.n_silos * (self.n_users + 1)
+        # _check_round_inputs floors max_abs at 1.0 and sees n < 2**bits.
+        require_magnitude_headroom(
+            n_max, "paillier_bits", paillier_bits, precision, 1.0, self._num_terms
+        )
         self.timer = PhaseTimer()
         self.view = ServerView()
         self.round_no = 0
@@ -100,11 +112,8 @@ class PrivateWeightingProtocol:
         rng = random.Random(seed) if seed is not None else None
         self.rng = rng
 
+        group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
         with self.timer.phase("keygen"):
-            # Group selection is inside the phase: generating the test
-            # group's safe prime is a one-off cost that belongs to keygen,
-            # not to whatever happens to run first afterwards.
-            group = dh_group if dh_group is not None else DHGroup.test_group()
             self.server = self.server_cls(
                 self.n_users, paillier_bits=paillier_bits, rng=rng
             )
@@ -195,7 +204,6 @@ class PrivateWeightingProtocol:
             publics = {s.silo_id: s.dh_public() for s in self.silos}
             self.view.dh_publics = dict(publics)  # server relays these
             for silo in self.silos:
-                silo.remember_peer_publics(publics)
                 silo.receive_dh_publics(publics)
                 silo.receive_paillier_key(self.server.public_key)
 
@@ -239,11 +247,11 @@ class PrivateWeightingProtocol:
         )
         if not check_magnitude_budget(
             self.server.public_key.n, self.c_lcm, self.precision, max_abs,
-            num_terms=self.n_silos * (self.n_users + 1),
+            num_terms=self._num_terms,
         ):
-            raise ValueError(
+            raise MagnitudeBudgetError(
                 "fixed-point magnitude budget exceeded; increase paillier_bits "
-                "or precision, or decrease n_max"
+                f"or precision, or decrease n_max (= {self.n_max})"
             )
         return len(noises[0])
 

@@ -16,10 +16,14 @@ well.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from repro.compress import CompressionSpec, scatter
 from repro.core.methods.uldp_avg import UldpAvg
+from repro.crypto.dh import DHGroup
+from repro.crypto.encoding import MagnitudeBudgetError
 from repro.crypto.secagg import (
     MaskedAggregationProtocol,
     encode_weighted_payload,
@@ -32,6 +36,26 @@ from repro.protocol.runner import PrivateWeightingProtocol
 #: :data:`repro.api.spec.CRYPTO_BACKENDS`, which stays import-light; pinned
 #: equal by tests/api/test_spec.py).
 CRYPTO_BACKENDS = ("fast", "masked")
+
+log = logging.getLogger(__name__)
+
+#: NIST SP 800-57 part 1, table 2: (modulus bits, security strength) for
+#: finite-field DH and for factoring-based moduli such as Paillier's n.
+_NIST_STRENGTH = ((15360, 256), (7680, 192), (3072, 128), (2048, 112), (1024, 80))
+
+#: Below this strength (or with seeded keys) ``prepare`` logs the
+#: :meth:`SecureUldpAvg.security_summary` line as a warning.
+MIN_STRENGTH_BITS = 112
+
+
+def modulus_strength_bits(modulus_bits: int) -> int:
+    """Security strength NIST assigns a modulus of this size (0 = below
+    the table's smallest entry, i.e. breakable in practice)."""
+    return next((s for size, s in _NIST_STRENGTH if modulus_bits >= size), 0)
+
+
+def _rating(strength: int) -> str:
+    return f"{strength}-bit" if strength else "<80-bit"
 
 
 class SecureUldpAvg(UldpAvg):
@@ -76,6 +100,11 @@ class SecureUldpAvg(UldpAvg):
     rejected (Paillier ciphertexts have fixed width -- shrinking the
     plaintext saves nothing); error feedback and downlink compression are
     rejected (out of scope for the encrypted path).
+
+    ``dh_group`` is the silos' key-agreement group.  It is a constructor
+    argument only -- no spec field reaches it -- and ``None`` means RFC
+    3526 group 14, so a run launched from a spec cannot have a toy group;
+    protocol-level tests pass ``DHGroup.test_group()``.
     """
 
     name = "ULDP-AVG-w (secure)"
@@ -106,6 +135,7 @@ class SecureUldpAvg(UldpAvg):
         compression: CompressionSpec | None = None,
         mask_bits: int = 256,
         min_survivors: int = 1,
+        dh_group: DHGroup | None = None,
     ):
         if crypto_backend not in CRYPTO_BACKENDS:
             raise ValueError(
@@ -156,6 +186,7 @@ class SecureUldpAvg(UldpAvg):
         #: aggregating (see docs/protocol_performance.md on why a server
         #: faking dropouts to shrink the survivor set is worth refusing).
         self.min_survivors = min_survivors
+        self.dh_group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
         self.subsampler: PrivateSubsampler | None = None
         self.protocol: PrivateWeightingProtocol | None = None
         self.masked_protocol: MaskedAggregationProtocol | None = None
@@ -191,7 +222,25 @@ class SecureUldpAvg(UldpAvg):
         effective = compression if compression is not None else self.compression
         self._validate_compression(effective)
         super().prepare(fed, model, rng, compression=compression, engine=engine)
+        summary, weak = self._security()
+        if weak:
+            log.warning("%s", summary)
         n_max = max(self.n_max, int(fed.user_totals().max(initial=1)))
+        try:
+            self._build_protocol(fed, n_max)
+        except MagnitudeBudgetError as exc:
+            if n_max == self.n_max:
+                raise
+            knob = "mask_bits" if self.crypto_backend == "masked" else "paillier_bits"
+            raise MagnitudeBudgetError(
+                f"{exc}.  Here n_max cannot be lowered: it was raised from "
+                f"the configured {self.n_max} because one user holds {n_max} "
+                f"records across silos -- raise crypto.{knob}, or spread the "
+                "records over more users (dataset.users)"
+            ) from exc
+
+    def _build_protocol(self, fed, n_max: int) -> None:
+        """Construct the backend's protocol object and run its set-up."""
         if self.crypto_backend == "masked":
             self.masked_protocol = MaskedAggregationProtocol(
                 fed.n_silos,
@@ -199,6 +248,7 @@ class SecureUldpAvg(UldpAvg):
                 precision=self.precision,
                 n_max=n_max,
                 seed=self.protocol_seed,
+                group=self.dh_group,
             )
             self.masked_protocol.run_setup()
             self._histogram = fed.histogram()
@@ -208,6 +258,7 @@ class SecureUldpAvg(UldpAvg):
             n_max=n_max,
             paillier_bits=self.paillier_bits,
             precision=self.precision,
+            dh_group=self.dh_group,
             seed=self.protocol_seed,
             workers=self.protocol_workers,
         )
@@ -216,6 +267,43 @@ class SecureUldpAvg(UldpAvg):
             seed = self.protocol.silos[0].shared_seed
             assert seed is not None
             self.subsampler = PrivateSubsampler(seed, self.private_subsampling_slots)
+
+    def security_summary(self) -> str:
+        """One line on what protects this run: the DH group and its
+        strength, the Paillier modulus (or the mask field width), and
+        whether key material is seeded.
+
+        ``repro validate-config`` prints it for secure specs and
+        :meth:`prepare` logs it as a warning when any component is below
+        :data:`MIN_STRENGTH_BITS` or seeded -- which today is every run a
+        spec launches (``protocol_seed=0`` is the default and no
+        ``[crypto]`` field changes it).
+        """
+        return self._security()[0]
+
+    def _security(self) -> tuple[str, bool]:
+        """The summary line, and whether it deserves a warning."""
+        group = self.dh_group
+        strengths = [modulus_strength_bits(group.prime.bit_length())]
+        parts = [
+            f"dh={group.label} ({_rating(strengths[0])}, "
+            f"{group.exponent_bits}-bit exponents)"
+        ]
+        if self.crypto_backend == "masked":
+            parts.append(f"mask_bits={self.mask_bits}")
+        else:
+            strengths.append(modulus_strength_bits(self.paillier_bits))
+            parts.append(
+                f"paillier_bits={self.paillier_bits} ({_rating(strengths[1])})"
+            )
+        seeded = self.protocol_seed is not None
+        parts.append(
+            "keys: seeded (reproducible, not secret)" if seeded else "keys: secrets"
+        )
+        return (
+            "security: " + "; ".join(parts),
+            seeded or min(strengths) < MIN_STRENGTH_BITS,
+        )
 
     def round(self, t, params, participation=None):
         """Protocol 1 rounds require the full roster; masked rounds do not.

@@ -288,6 +288,9 @@ class TestRunnerValidation:
         spec = RunSpec.from_dict({
             "rounds": 1,
             "dataset": {"users": 4, "silos": 2, "records": 60},
+            # The wiring is the subject, not the round: the default MLP
+            # would spend 4 s encrypting 4 130 coordinates.
+            "model": {"name": "logistic"},
             "method": {"name": "secure-uldp-avg", "local_epochs": 1},
             "crypto": {"backend": "fast", "paillier_bits": 256},
         })

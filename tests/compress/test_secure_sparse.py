@@ -4,6 +4,7 @@ the SecureUldpAvg validation of admissible specs."""
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.compress import CompressionSpec
 from repro.core import Trainer, UldpAvg
@@ -74,7 +75,10 @@ class TestProtocolSparseRound:
     """Protocol 1 restricted to a shared support == plaintext on that support."""
 
     def protocol(self, hist, **kwargs):
-        defaults = dict(n_max=16, paillier_bits=256, precision=1e-8, seed=0)
+        defaults = dict(
+            n_max=16, paillier_bits=256, precision=1e-8, seed=0,
+            dh_group=TOY_DH_GROUP,
+        )
         defaults.update(kwargs)
         return PrivateWeightingProtocol(hist, **defaults)
 
@@ -128,7 +132,7 @@ class TestSecureUldpAvgCompression:
         model = build_tiny_mlp(30, 2, 2, np.random.default_rng(42))
         method = SecureUldpAvg(
             local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
-            paillier_bits=256, compression=compression,
+            paillier_bits=256, compression=compression, dh_group=TOY_DH_GROUP,
         )
         trainer = Trainer(fed, method, rounds=rounds, model=model, seed=seed)
         return trainer.run(), method

@@ -5,19 +5,99 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_safe_prime import SEARCH_SEED, WINNING_DRAW, draw_candidate
+from toy_crypto import TOY_DH_GROUP
 
+import repro.crypto.primes
 from repro.crypto.dh import (
+    RFC3526_PRIME_2048,
+    TEST_PRIME_512,
     DHGroup,
     decrypt_with_key,
     derive_shared_key,
     encrypt_with_key,
 )
 from repro.crypto.masking import PairwiseMasker, prg_field_elements
+from repro.crypto.primes import is_probable_prime
 
 
 @pytest.fixture(scope="module")
 def group():
-    return DHGroup.test_group()
+    return TOY_DH_GROUP
+
+
+BOTH_GROUPS = pytest.mark.parametrize(
+    "any_group", [TOY_DH_GROUP, DHGroup.rfc3526_2048()], ids=["test-512", "rfc3526-2048"]
+)
+
+
+class TestGroupConstants:
+    """The groups are committed constants: verified here, not trusted, and
+    never searched for at run time (the ~8 s search that found the test
+    prime is ``oracle_safe_prime.py``; run as a script it re-derives it)."""
+
+    def test_test_prime_is_a_512_bit_safe_prime(self):
+        p = TEST_PRIME_512
+        assert p.bit_length() == 512
+        assert is_probable_prime(p)
+        assert is_probable_prime((p - 1) // 2)
+
+    def test_test_group_generator_has_order_2q(self):
+        # p = 3 (mod 8): 2 is a non-residue, so it generates the whole group
+        # (order 2q), not the prime-order subgroup -- fine for a toy group.
+        p = TEST_PRIME_512
+        assert p % 8 == 3
+        assert pow(2, (p - 1) // 2, p) == p - 1
+
+    def test_rfc_group_generator_has_prime_order_q(self):
+        # p = 7 (mod 8): 2 is a quadratic residue of order exactly q, which
+        # is what makes 256-bit short exponents safe in this group.
+        p = RFC3526_PRIME_2048
+        assert p % 8 == 7
+        assert pow(2, (p - 1) // 2, p) == 1
+
+    def test_test_prime_is_the_search_oracles_winning_draw(self):
+        # Provenance without the 8 s: skip the primality tests of the
+        # 26 394 losing candidates and check only where the search stops.
+        rng = random.Random(SEARCH_SEED)
+        for _ in range(WINNING_DRAW - 1):
+            draw_candidate(rng)
+        assert draw_candidate(rng) == (TEST_PRIME_512 - 1) // 2
+
+    def test_test_group_needs_no_primality_test(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a DH group was searched for at run time")
+
+        monkeypatch.setattr(repro.crypto.primes, "is_probable_prime", boom)
+        assert DHGroup.test_group().prime == TEST_PRIME_512
+        assert DHGroup.rfc3526_2048().prime == RFC3526_PRIME_2048
+
+    def test_labels(self):
+        assert DHGroup.test_group().label == "test-512"
+        assert DHGroup.rfc3526_2048().label == "rfc3526-2048"
+        assert DHGroup(2**127 - 1).label == "custom-127"
+
+
+class TestExponentPolicy:
+    """One policy for every private exponent: 256 bits, top bit set."""
+
+    @BOTH_GROUPS
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_keypair_private_is_256_bits(self, any_group, seed):
+        rng = random.Random(seed) if seed is not None else None
+        assert any_group.keypair(rng=rng).private.bit_length() == 256
+        assert any_group.random_exponent(rng).bit_length() == 256
+
+    @BOTH_GROUPS
+    def test_short_exponents_still_agree(self, any_group):
+        rng = random.Random(5)
+        alice, bob = any_group.keypair(rng=rng), any_group.keypair(rng=rng)
+        assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
+
+    def test_tiny_group_caps_the_width_below_the_subgroup_order(self):
+        tiny = DHGroup(2**127 - 1)
+        assert tiny.exponent_bits == 125
+        assert tiny.random_exponent().bit_length() == 125
 
 
 class TestDiffieHellman:
@@ -60,7 +140,14 @@ class TestDefaultKeygenIsCsprng:
         random.seed(0xBEEF)
         before = random.getstate()
         group.keypair()
+        group.random_exponent()
         assert random.getstate() == before
+
+    def test_default_exponents_differ_despite_seeded_global_random(self, group):
+        random.seed(7)
+        a = group.random_exponent()
+        random.seed(7)
+        assert group.random_exponent() != a
 
     def test_default_keypairs_differ_despite_seeded_global_random(self, group):
         # If keygen secretly read the global PRNG, reseeding between calls

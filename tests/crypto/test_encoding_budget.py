@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.encoding import (
+    MagnitudeBudgetError,
     check_magnitude_budget,
     decode_scalar,
     decode_vector,
     encode_scalar,
     encode_vector,
+    lcm_up_to,
+    require_magnitude_headroom,
 )
 
 
@@ -48,6 +53,36 @@ class TestCheckMagnitudeBudget:
             self.MODULUS, c_lcm=1, precision=1.0, max_abs_value=0.0,
             num_terms=self.MODULUS // 2,
         )
+
+
+class TestRequireMagnitudeHeadroom:
+    """The constructor-time refusal is a *necessary* condition of the
+    per-round check: it may never refuse what some round would accept."""
+
+    @given(
+        n_max=st.integers(1, 120),
+        bits=st.integers(64, 256),
+        shrink=st.integers(0, 2**40),
+        max_abs=st.floats(1.0, 1e6),
+        extra_terms=st.integers(0, 1000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_never_stricter_than_a_round_check(
+        self, n_max, bits, shrink, max_abs, extra_terms
+    ):
+        modulus = (1 << bits) - shrink  # any n the key size allows
+        round_ok = check_magnitude_budget(
+            modulus, lcm_up_to(n_max), 1e-10, max_abs, 8 + extra_terms
+        )
+        try:
+            require_magnitude_headroom(n_max, "paillier_bits", bits, 1e-10, 1.0, 8)
+        except MagnitudeBudgetError:
+            assert not round_ok
+
+    def test_refusal_names_n_max_and_the_knob(self):
+        with pytest.raises(MagnitudeBudgetError, match=r"n_max=64 .*mask_bits=64"):
+            require_magnitude_headroom(64, "mask_bits", 64, 1e-10, 0.0, 4)
+        require_magnitude_headroom(24, "mask_bits", 64, 1e-10, 0.0, 4)
 
 
 class TestEncodingRoundTrip:

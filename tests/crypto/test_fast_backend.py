@@ -19,8 +19,8 @@ from oracle_reference import (  # noqa: E402
     ReferencePrivateWeightingProtocol,
     ReferenceSecureUldpAvg,
 )
+from toy_crypto import TOY_DH_GROUP  # noqa: E402
 
-from repro.crypto.dh import DHGroup
 from repro.crypto.fastexp import FixedBaseExp, choose_window, fixed_base_cost, worthwhile
 from repro.crypto.paillier import PaillierCrt, generate_paillier_keypair
 from repro.crypto.pool import RandomizerPool
@@ -170,6 +170,7 @@ METHODS = {"reference": ReferenceSecureUldpAvg, "fast": SecureUldpAvg}
 def make_protocol(backend, seed=0, workers=1):
     proto = PROTOCOLS[backend](
         np.asarray(HIST), n_max=16, paillier_bits=256, seed=seed, workers=workers,
+        dh_group=TOY_DH_GROUP,
     )
     proto.run_setup()
     return proto
@@ -197,10 +198,9 @@ class TestProtocolBackendEquivalence:
         for name in ("reference", "quantum"):
             with pytest.raises(ValueError, match="crypto_backend"):
                 SecureUldpAvg(crypto_backend=name)
-        group = DHGroup.test_group()
         for build in (
             lambda **kw: PrivateWeightingProtocol(np.asarray(HIST), **kw),
-            lambda **kw: SiloParty(0, np.asarray(HIST[0]), 16, group, **kw),
+            lambda **kw: SiloParty(0, np.asarray(HIST[0]), 16, TOY_DH_GROUP, **kw),
             lambda **kw: ServerParty(4, paillier_bits=256, **kw),
         ):
             with pytest.raises(TypeError, match="crypto_backend"):
@@ -288,7 +288,7 @@ class TestSecureMethodBackendEquivalence:
         for backend in ("reference", "fast"):
             method = METHODS[backend](
                 local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
-                paillier_bits=256,
+                paillier_bits=256, dh_group=TOY_DH_GROUP,
             )
             model = build_tiny_mlp(30, 2, 2, np.random.default_rng(42))
             trainer = Trainer(fed, method, rounds=2, model=model, seed=7)

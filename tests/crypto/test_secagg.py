@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from toy_crypto import TOY_DH_GROUP
 
 from repro.crypto.encoding import decode_scalar, encode_scalar
 from repro.crypto.secagg import (
@@ -25,7 +26,9 @@ from repro.crypto.secagg import (
 
 
 def build_protocol(n_silos, seed=0, **kwargs):
-    proto = MaskedAggregationProtocol(n_silos, seed=seed, **kwargs)
+    proto = MaskedAggregationProtocol(
+        n_silos, seed=seed, group=TOY_DH_GROUP, **kwargs
+    )
     proto.run_setup()
     return proto
 
@@ -180,9 +183,17 @@ class TestFixedPointBoundaries:
         assert decoded == x
 
     def test_magnitude_guard_raises_on_overflow(self):
-        proto = build_protocol(2, seed=8, mask_bits=64, n_max=64)
+        # lcm(1..24) ~ 2^32: fits the 64-bit field on its own (the
+        # constructor accepts it) but not times 100 terms of ~2^33.
+        proto = build_protocol(2, seed=8, mask_bits=64, n_max=24)
         with pytest.raises(ValueError, match="magnitude budget"):
             proto.check_round_magnitude(max_abs_value=1.0, num_terms=100)
+
+    def test_hopeless_n_max_is_refused_at_construction(self):
+        # lcm(1..64) ~ 2^89 cannot fit a 64-bit field whatever the round
+        # holds: refused before any key is made, naming n_max and the knob.
+        with pytest.raises(ValueError, match=r"n_max=64 .* mask_bits=64"):
+            MaskedAggregationProtocol(2, mask_bits=64, n_max=64, group=TOY_DH_GROUP)
 
 
 class TestWeightedEncoding:
@@ -234,7 +245,7 @@ class TestProtocolState:
         assert reference.view.masked_vectors[1] == resumed.view.masked_vectors[0]
 
     def test_setup_required_before_rounds(self):
-        proto = MaskedAggregationProtocol(2, seed=0)
+        proto = MaskedAggregationProtocol(2, seed=0, group=TOY_DH_GROUP)
         with pytest.raises(RuntimeError):
             proto.run_round([[1], [2]])
 

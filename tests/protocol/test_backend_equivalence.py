@@ -16,6 +16,7 @@ import itertools
 import numpy as np
 import pytest
 from oracle_reference import ReferenceSecureUldpAvg
+from toy_crypto import TOY_DH_GROUP
 
 from repro.core import Trainer, UldpAvg
 from repro.core.weighting import RoundParticipation
@@ -58,7 +59,7 @@ def masked(**kwargs):
     kwargs.setdefault("local_epochs", 1)
     kwargs.setdefault("noise_multiplier", 1.0)
     kwargs.setdefault("local_lr", 0.1)
-    return SecureUldpAvg(crypto_backend="masked", **kwargs)
+    return SecureUldpAvg(crypto_backend="masked", dh_group=TOY_DH_GROUP, **kwargs)
 
 
 def plain(**kwargs):
@@ -73,7 +74,7 @@ class TestFullParticipation:
         """Bit-for-bit: both backends decode the same integer arithmetic."""
         paillier_params, _ = run(
             SecureUldpAvg(local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
-                          paillier_bits=256),
+                          paillier_bits=256, dh_group=TOY_DH_GROUP),
             fed, seed=7,
         )
         masked_params, _ = run(masked(), fed, seed=7)
@@ -82,7 +83,8 @@ class TestFullParticipation:
     def test_masked_equals_reference_paillier_exactly(self, fed):
         reference_params, _ = run(
             ReferenceSecureUldpAvg(local_epochs=1, noise_multiplier=1.0,
-                                   local_lr=0.1, paillier_bits=256),
+                                   local_lr=0.1, paillier_bits=256,
+                                   dh_group=TOY_DH_GROUP),
             fed, rounds=1, seed=3,
         )
         masked_params, _ = run(masked(), fed, rounds=1, seed=3)
@@ -203,7 +205,8 @@ class TestPaillierStillRejectsDropout:
         "cls", [ReferenceSecureUldpAvg, SecureUldpAvg], ids=["reference", "fast"]
     )
     def test_rejects_with_pointer_to_masked(self, fed, cls):
-        method = cls(local_epochs=1, noise_multiplier=1.0, paillier_bits=256)
+        method = cls(local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
+                     dh_group=TOY_DH_GROUP)
         trainer = Trainer(fed, method, rounds=1, model=make_model(), seed=0)
         with pytest.raises(NotImplementedError) as err:
             trainer.step(

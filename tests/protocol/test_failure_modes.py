@@ -9,6 +9,7 @@ assumptions are violated.
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.crypto.masking import PairwiseMasker
 from repro.crypto.paillier import PaillierCiphertext
@@ -23,7 +24,9 @@ HIST = np.array([
 
 
 def make_protocol(seed=0):
-    proto = PrivateWeightingProtocol(HIST, n_max=16, paillier_bits=256, seed=seed)
+    proto = PrivateWeightingProtocol(
+        HIST, n_max=16, paillier_bits=256, seed=seed, dh_group=TOY_DH_GROUP
+    )
     proto.run_setup()
     return proto
 
@@ -106,7 +109,8 @@ class TestHistogramTampering:
         lying_hist = HIST.copy()
         lying_hist[0, 0] = 9  # silo 0 inflates its count for user 0
         proto_lying = PrivateWeightingProtocol(
-            lying_hist, n_max=16, paillier_bits=256, seed=3
+            lying_hist, n_max=16, paillier_bits=256, seed=3,
+            dh_group=TOY_DH_GROUP,
         )
         proto_lying.run_setup()
         lying = proto_lying.run_round(deltas, noises)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.crypto.dh import DHGroup
 from repro.protocol.oblivious import (
@@ -15,7 +16,7 @@ from repro.protocol.oblivious import (
 
 @pytest.fixture(scope="module")
 def group():
-    return DHGroup.test_group()
+    return TOY_DH_GROUP
 
 
 class TestOneOfP:
@@ -53,6 +54,26 @@ class TestOneOfP:
         # All are valid group elements; none reveals the choice structurally.
         for pk in pks:
             assert 1 < pk < group.prime - 1
+
+    def test_every_exponent_follows_the_group_policy(self, group, monkeypatch):
+        """Commitments, per-slot r and the receiver's secret all come from
+        ``DHGroup.random_exponent`` (256-bit, ``secrets`` by default) --
+        none is a hand-rolled full-range draw."""
+        drawn = []
+        original = DHGroup.random_exponent
+
+        def recording(self, rng=None):
+            drawn.append(original(self, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(DHGroup, "random_exponent", recording)
+        random.seed(3)
+        before = random.getstate()
+        messages = [b"a" * 8, b"b" * 8, b"c" * 8]
+        assert transfer(group, messages, choice=2) == messages[2]
+        assert random.getstate() == before
+        assert len(drawn) == 2 + 1 + 3  # commitments, receiver secret, slots
+        assert all(e.bit_length() == 256 for e in drawn)
 
     def test_rejects_bad_parameters(self, group):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.core import Trainer
 from repro.data import build_creditcard_benchmark
@@ -14,7 +15,9 @@ HIST = np.array([
 
 
 def make_protocol(seed=0):
-    proto = PrivateWeightingProtocol(HIST, n_max=16, paillier_bits=256, seed=seed)
+    proto = PrivateWeightingProtocol(
+        HIST, n_max=16, paillier_bits=256, seed=seed, dh_group=TOY_DH_GROUP
+    )
     proto.run_setup()
     return proto
 
@@ -89,7 +92,9 @@ class TestRunRoundOtSampling:
             )
 
     def test_requires_setup(self):
-        proto = PrivateWeightingProtocol(HIST, n_max=16, paillier_bits=256, seed=0)
+        proto = PrivateWeightingProtocol(
+            HIST, n_max=16, paillier_bits=256, seed=0, dh_group=TOY_DH_GROUP
+        )
         with pytest.raises(RuntimeError):
             proto.run_round_ot_sampling([{}, {}], [np.zeros(2)] * 2,
                                         PrivateSubsampler(b"x", 2))
@@ -108,6 +113,7 @@ class TestSecureUldpAvgWithOt:
         method = SecureUldpAvg(
             noise_multiplier=1.0, local_epochs=1, local_lr=0.1,
             paillier_bits=256, private_subsampling_slots=2,
+            dh_group=TOY_DH_GROUP,
         )
         model = build_tiny_mlp(30, 2, 2, np.random.default_rng(1))
         history = Trainer(fed, method, rounds=2, model=model, seed=2).run()
@@ -120,6 +126,7 @@ class TestSecureUldpAvgWithOt:
         ot = SecureUldpAvg(
             noise_multiplier=5.0, local_epochs=1, paillier_bits=256,
             private_subsampling_slots=4,
+            dh_group=TOY_DH_GROUP,
         )
         model = build_tiny_mlp(30, 2, 2, np.random.default_rng(1))
         Trainer(fed, ot, rounds=2, model=model, seed=3).run()
@@ -142,6 +149,7 @@ class TestSecureUldpAvgWithOt:
         method = SecureUldpAvg(
             noise_multiplier=1.0, local_epochs=1, paillier_bits=256,
             private_subsampling_slots=2,
+            dh_group=TOY_DH_GROUP,
         )
         model = build_tiny_mlp(30, 2, 2, np.random.default_rng(1))
         Trainer(fed, method, rounds=1, model=model, seed=4).run()

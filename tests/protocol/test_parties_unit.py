@@ -5,13 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from repro.crypto.dh import DHGroup
+from toy_crypto import TOY_DH_GROUP
+
+from repro.crypto.dh import DHKeypair
 from repro.protocol.parties import ServerParty, SiloParty
 
 
 @pytest.fixture(scope="module")
 def group():
-    return DHGroup.test_group()
+    return TOY_DH_GROUP
 
 
 def make_silos(group, counts, n_max=16, seed=0):
@@ -22,7 +24,6 @@ def make_silos(group, counts, n_max=16, seed=0):
     ]
     publics = {s.silo_id: s.dh_public() for s in silos}
     for silo in silos:
-        silo.remember_peer_publics(publics)
         silo.receive_dh_publics(publics)
     return silos
 
@@ -58,6 +59,26 @@ class TestSiloParty:
         silos = make_silos(group, [[1], [1], [1]])
         assert silos[0].pair_keys[1] == silos[1].pair_keys[0]
         assert silos[0].pair_keys[2] == silos[2].pair_keys[0]
+
+    def test_one_shared_secret_per_peer_feeds_both_kdf_contexts(self, group, monkeypatch):
+        """Set-up costs one modular exponentiation per peer, not three:
+        the mask key and the seed-transport key are two KDF contexts of it,
+        and seed transport itself exponentiates nothing."""
+        calls = []
+        original = DHKeypair.shared_secret
+
+        def counting(self, peer_public):
+            calls.append(peer_public)
+            return original(self, peer_public)
+
+        monkeypatch.setattr(DHKeypair, "shared_secret", counting)
+        silos = make_silos(group, [[1], [1], [1]])
+        assert len(calls) == 3 * 2  # each silo, each peer, once
+        for peer, ct in silos[0].generate_seed_ciphertexts([0, 1, 2]).items():
+            silos[peer].receive_seed_ciphertext(ct)
+        assert len(calls) == 3 * 2
+        assert silos[0].transport_keys[1] == silos[1].transport_keys[0]
+        assert silos[0].transport_keys[1] != silos[0].pair_keys[1]
         assert silos[0].pair_keys[1] != silos[0].pair_keys[2]
 
 

@@ -7,13 +7,15 @@ users and with users missing from some silos.
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.protocol import PrivateWeightingProtocol
 
 
 def make_protocol(hist, seed=0, **kwargs):
     proto = PrivateWeightingProtocol(
-        np.asarray(hist), paillier_bits=256, seed=seed, **kwargs
+        np.asarray(hist), paillier_bits=256, seed=seed, dh_group=TOY_DH_GROUP,
+        **kwargs
     )
     proto.run_setup()
     return proto
@@ -109,7 +111,8 @@ class TestTheorem4:
     def test_magnitude_budget_guard_raises(self):
         # Tiny Paillier modulus + huge values must be rejected, not corrupted.
         proto = PrivateWeightingProtocol(
-            np.asarray(HIST), n_max=16, paillier_bits=128, seed=0
+            np.asarray(HIST), n_max=16, paillier_bits=128, seed=0,
+            dh_group=TOY_DH_GROUP,
         )
         proto.run_setup()
         deltas, noises = random_inputs(proto, scale=1e30)
@@ -119,7 +122,9 @@ class TestTheorem4:
 
 class TestValidation:
     def test_requires_setup(self):
-        proto = PrivateWeightingProtocol(np.asarray(HIST), paillier_bits=256, seed=0)
+        proto = PrivateWeightingProtocol(
+            np.asarray(HIST), paillier_bits=256, seed=0, dh_group=TOY_DH_GROUP
+        )
         deltas = [dict() for _ in range(3)]
         noises = [np.zeros(2)] * 3
         with pytest.raises(RuntimeError):

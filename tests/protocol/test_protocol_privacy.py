@@ -10,6 +10,7 @@ masked (they do not equal the unmasked blinded values).
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.protocol import PrivateWeightingProtocol
 
@@ -21,7 +22,9 @@ HIST = np.array([
 
 
 def setup_protocol(hist=HIST, seed=0):
-    proto = PrivateWeightingProtocol(hist, n_max=16, paillier_bits=256, seed=seed)
+    proto = PrivateWeightingProtocol(
+        hist, n_max=16, paillier_bits=256, seed=seed, dh_group=TOY_DH_GROUP
+    )
     proto.run_setup()
     return proto
 

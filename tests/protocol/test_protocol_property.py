@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from toy_crypto import TOY_DH_GROUP
 
 from repro.protocol import PrivateWeightingProtocol
 
@@ -22,7 +23,9 @@ HIST = np.array([
 
 @pytest.fixture(scope="module")
 def proto():
-    p = PrivateWeightingProtocol(HIST, n_max=16, paillier_bits=256, seed=42)
+    p = PrivateWeightingProtocol(
+        HIST, n_max=16, paillier_bits=256, seed=42, dh_group=TOY_DH_GROUP
+    )
     p.run_setup()
     return p
 
@@ -95,7 +98,9 @@ class TestRandomHistograms:
         # Every silo needs at least one record for a meaningful test; the
         # protocol itself tolerates empty silos.
         hist[:, 0] = np.maximum(hist[:, 0], 1)
-        proto = PrivateWeightingProtocol(hist, n_max=16, paillier_bits=256, seed=seed)
+        proto = PrivateWeightingProtocol(
+            hist, n_max=16, paillier_bits=256, seed=seed, dh_group=TOY_DH_GROUP
+        )
         proto.run_setup()
         deltas, noises = build_inputs(proto, rng.standard_normal(80).tolist(), 3)
         secure = proto.run_round(deltas, noises)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.core import Trainer, UldpAvg
 from repro.data import build_creditcard_benchmark
@@ -36,7 +37,7 @@ class TestSecureMatchesPlain:
         )
         secure_params, _ = run(
             SecureUldpAvg(local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
-                          paillier_bits=256),
+                          paillier_bits=256, dh_group=TOY_DH_GROUP),
             fed, seed=7,
         )
         # Same trainer seed => same local training and noise draws; the only
@@ -49,7 +50,8 @@ class TestSecureMatchesPlain:
             fed, seed=3,
         )
         _, secure_hist = run(
-            SecureUldpAvg(local_epochs=1, noise_multiplier=5.0, paillier_bits=256),
+            SecureUldpAvg(local_epochs=1, noise_multiplier=5.0, paillier_bits=256,
+                          dh_group=TOY_DH_GROUP),
             fed, seed=3,
         )
         assert secure_hist.final.epsilon == pytest.approx(plain_hist.final.epsilon)
@@ -62,7 +64,8 @@ class TestSecureMatchesPlain:
         )
         secure_params, _ = run(
             SecureUldpAvg(local_epochs=1, noise_multiplier=1.0, local_lr=0.1,
-                          user_sample_rate=0.5, paillier_bits=256),
+                          user_sample_rate=0.5, paillier_bits=256,
+                          dh_group=TOY_DH_GROUP),
             fed, seed=11,
         )
         # Same seed => same Poisson sampling on the server side.  The secure
@@ -73,7 +76,10 @@ class TestSecureMatchesPlain:
         np.testing.assert_allclose(secure_params, plain_params, atol=1e-6)
 
     def test_timing_report_has_protocol_phases(self, fed):
-        method = SecureUldpAvg(local_epochs=1, noise_multiplier=1.0, paillier_bits=256)
+        method = SecureUldpAvg(
+            local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
+            dh_group=TOY_DH_GROUP,
+        )
         run(method, fed, rounds=1, seed=0)
         report = method.timing_report()
         for phase in ("keygen", "key_exchange", "blinded_histogram",

@@ -3,6 +3,7 @@ bandwidth scenarios, and checkpoint/resume with compression state."""
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.compress import CompressionSpec
 from repro.core.methods.uldp_avg import UldpAvg
@@ -160,7 +161,7 @@ class TestPayloadBytesReporting:
         model = build_tiny_mlp(30, 2, 2, np.random.default_rng(42))
         method = SecureUldpAvg(
             local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
-            compression=spec,
+            compression=spec, dh_group=TOY_DH_GROUP,
         )
         Trainer(fed, method, rounds=1, model=model)
         k = spec.keep_count(model.num_params)

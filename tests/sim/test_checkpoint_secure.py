@@ -10,6 +10,7 @@ bit for bit, including rounds aggregated after the resume.
 
 import numpy as np
 import pytest
+from toy_crypto import TOY_DH_GROUP
 
 from repro.api import RunSpec
 from repro.api.runner import build_simulator, checkpoint_extra
@@ -127,7 +128,8 @@ class TestMaskedKillAndResume:
         paillier = build_scenario(
             "ideal-sync", scale="smoke", seed=3,
             method=SecureUldpAvg(
-                local_epochs=1, noise_multiplier=1.0, paillier_bits=256
+                local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
+                dh_group=TOY_DH_GROUP,
             ),
         )
         with pytest.raises(

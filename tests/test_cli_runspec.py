@@ -128,6 +128,17 @@ class TestValidateConfigCommand:
         out = capsys.readouterr().out
         assert out.count(": OK") == len(files)
 
+    def test_secure_spec_prints_its_security_line(self, config, tmp_path, capsys):
+        secure = tmp_path / "secure.toml"
+        secure.write_text('[method]\nname = "secure-uldp-avg"\n')
+        assert main(["validate-config", str(secure), config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # After the spec hash, and only for the secure spec.
+        assert "OK (train" in lines[0] and lines[0].startswith(str(secure))
+        assert lines[1].startswith(f"{secure}: security: dh=rfc3526-2048")
+        assert "paillier_bits=512" in lines[1] and "seeded" in lines[1]
+        assert [line for line in lines if "security:" in line] == [lines[1]]
+
     def test_invalid_value_fails_with_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"
         bad.write_text('[method]\nsigma = -1.0\n')
