@@ -482,6 +482,15 @@ class RunSpec:
                     "under [sim], whose scheduler decides participation per "
                     "round; set crypto.backend = \"masked\""
                 )
+            if self.net is not None:
+                raise SpecError(
+                    f"net: method.name={SECURE_METHOD!r} runs in-process "
+                    "only -- over [net] every silo would have to hand the "
+                    "server its users' clipped deltas in the clear for the "
+                    "server to mask, which is the leak secure aggregation "
+                    "exists to prevent; silo-side masking is not implemented "
+                    "(drop [net], or use method.name = \"uldp-avg-w\")"
+                )
         for path, values in self.sweep.items():
             validate_path(path, sweep_axis=True)
             if not isinstance(values, (list, tuple)) or len(values) == 0:

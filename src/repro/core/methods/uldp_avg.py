@@ -21,6 +21,18 @@ User-level sub-sampling (``user_sample_rate`` = q): the server Poisson-
 samples users each round and zeroes the weights of non-sampled users; the
 aggregate is rescaled by 1/q and the accountant applies sub-sampled RDP
 amplification (Remark 1).
+
+One product, three carriers.  A silo releases exactly one thing per round
+(Algorithm 3 line 17): ``payload_s = z_s + sum_u w[s,u] * clip(delta_su)``,
+the noise plus one micro-batched binned fold, rounded once.  The round
+aggregate is ``0 + payload_0 + payload_1 + ...`` over the active silos in
+index order (:meth:`UldpAvg._round_aggregate`), and that payload is the
+only thing that crosses a process or socket boundary.  It is formed by
+the shard pool, by an in-process walk over the silos, or by remote silo
+processes running :meth:`UldpAvg.silo_payload` -- the same bits each
+time.  Per-user rows exist outside the engine only for
+:class:`repro.protocol.SecureUldpAvg`, which multiplies each by an
+encrypted weight (:meth:`UldpAvg.silo_round_segment`).
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from repro.core.engine import (
     plan_shards,
 )
 from repro.core.methods.base import CommSummary, FLMethod, ParticipationSummary
-from repro.core.reduce import BinnedSum, tree_reduce
+from repro.core.reduce import BinnedSum
 from repro.core.weighting import (
     RoundParticipation,
     participation_weights,
@@ -46,41 +58,6 @@ from repro.core.weighting import (
     uniform_weights,
     validate_weights,
 )
-
-
-class _RoundContributions(list):
-    """Per-silo ``{user: clipped delta}`` dicts plus their stacked rows.
-
-    ``matrix`` holds every clipped delta of the round as one ``(K, P)``
-    array in ``(silo, user)`` order; the dict values are row views into
-    it.  The plaintext aggregation folds each silo's consecutive slice
-    (:meth:`silo_blocks`) without re-stacking, while consumers of the
-    list interface -- :class:`repro.protocol.SecureUldpAvg` encrypts each
-    user's delta -- see ordinary dicts.
-    """
-
-    def __init__(
-        self, segments: list[tuple[list[int], np.ndarray] | None], size: int
-    ):
-        """``segments[s]`` is silo s's ``(users, rows)``, or None when it
-        sat the round out (an empty dict keeps silo indices aligned)."""
-        super().__init__()
-        blocks = [seg[1] for seg in segments if seg is not None]
-        self.matrix = (
-            np.concatenate(blocks, axis=0) if blocks else np.zeros((0, size))
-        )
-        row = 0
-        for seg in segments:
-            users = [] if seg is None else seg[0]
-            self.append({u: self.matrix[row + i] for i, u in enumerate(users)})
-            row += len(users)
-
-    def silo_blocks(self):
-        """Yield ``(silo, users, rows)`` with ``rows`` that silo's slice."""
-        row = 0
-        for s, per_user in enumerate(self):
-            yield s, list(per_user), self.matrix[row : row + len(per_user)]
-            row += len(per_user)
 
 
 class UldpAvg(FLMethod):
@@ -98,10 +75,10 @@ class UldpAvg(FLMethod):
 
     name = "ULDP-AVG"
     supports_compression = True
-    #: Whether :meth:`round` may stream shard partial sums instead of
-    #: materialising per-user rows.  Subclasses that must see each user's
-    #: clipped delta (:class:`repro.protocol.SecureUldpAvg` encrypts them
-    #: individually) set this False and keep the row-materialising path.
+    #: Whether the in-process round plans each silo's jobs into shard tasks
+    #: for the engine (and its worker pool) or walks :meth:`_silo_step`
+    #: silo by silo.  Both form the same payloads bit for bit; the loop
+    #: oracle, which replaces :meth:`_silo_step`, sets this False.
     streaming_aggregation = True
 
     def __init__(
@@ -142,21 +119,17 @@ class UldpAvg(FLMethod):
         #: Per-round clipping factors (the alpha of Remark 4), populated
         #: only when record_clip_stats is set; used by the ablation bench.
         self.clip_factor_history: list[np.ndarray] = []
-        # Transient per-round participation state read by
-        # _compute_contributions (kept as attributes so the SecureUldpAvg
-        # subclass's override keeps its signature): which silos train and
-        # how many silos share the noise budget.
+        # Transient per-round participation state read by _round_aggregate:
+        # which silos train and how many silos share the noise budget.
         self._active_silo_mask: np.ndarray | None = None
         self._noise_silos: int | None = None
-        # Set by _aggregate (and the SecureUldpAvg override): uplink wire
-        # bytes of the round just aggregated.
-        self._round_uplink_bytes: int | None = None
-        #: Optional replacement for the in-process silo walk: a callable
-        #: ``(params, round_weights, noise_std, active_mask) ->
-        #: (contributions, noises)`` that farms each silo's
-        #: :meth:`silo_round_segment` out to a real silo process.  The
+        #: Optional replacement for the in-process payload sources: a
+        #: callable ``(params, round_weights, noise_std, active) ->
+        #: [(silo, users, payload), ...]`` that has each active silo's
+        #: :meth:`silo_payload` computed by a real silo process.  The
         #: networked runtime (:mod:`repro.net`) installs one per round;
-        #: None (the default) keeps everything in-process.
+        #: None (the default) keeps everything in-process.  Remote silos
+        #: report no clip factors: ``record_clip_stats`` skips such rounds.
         self.contribution_executor = None
 
     @property
@@ -224,14 +197,9 @@ class UldpAvg(FLMethod):
             round_weights = base_weights
 
         try:
-            if self._streaming_applies():
-                aggregate, users_seen = self._round_streamed(params, round_weights)
-            else:
-                contributions, noises = self._compute_contributions(
-                    params, round_weights
-                )
-                aggregate = self._aggregate(t, contributions, noises, round_weights)
-                users_seen = {u for per_user in contributions for u in per_user}
+            aggregate, users_seen, uplink = self._round_aggregate(
+                params, round_weights
+            )
         finally:
             self._active_silo_mask = None
             self._noise_silos = None
@@ -252,7 +220,6 @@ class UldpAvg(FLMethod):
         scale = fed.n_users * fed.n_silos * (q if q is not None else 1.0)
         assert self.global_lr is not None
         update = self.global_lr * aggregate / scale
-        silos_seen = self.last_participation.silos_seen
         comp = self.compressor
         if comp is not None and comp.spec.downlink and not comp.spec.is_identity:
             broadcast = comp.compress_downlink(update)
@@ -260,11 +227,6 @@ class UldpAvg(FLMethod):
             downlink_per_silo = broadcast.nbytes
         else:
             downlink_per_silo = params.size * 8
-        uplink = (
-            self._round_uplink_bytes
-            if self._round_uplink_bytes is not None
-            else silos_seen * params.size * 8
-        )
         # Downlink recipients are the silos that fetched the broadcast at
         # round start -- a superset of the contributors when deadline or
         # bandwidth filtering bit after the download.
@@ -272,16 +234,59 @@ class UldpAvg(FLMethod):
             fed.n_silos if participation is None else participation.n_broadcast_silos
         )
         self.last_comm = CommSummary(uplink, downlink_per_silo * recipients)
-        self._round_uplink_bytes = None
         return params + update
 
-    def _streaming_applies(self) -> bool:
-        """Whether this round streams shard partials (the default) or
-        materialises per-user rows: a subclass needs the rows
-        (:attr:`streaming_aggregation`), or a :attr:`contribution_executor`
-        delivers them silo by silo.  :meth:`_aggregate` applies the same
-        binned fold to the rows, so the two paths agree bit for bit."""
-        return self.streaming_aggregation and self.contribution_executor is None
+    def _round_aggregate(
+        self, params: np.ndarray, round_weights: np.ndarray
+    ) -> tuple[np.ndarray, set[int], int]:
+        """The round's one sum: ``0 + payload_0 + payload_1 + ...`` over the
+        active silos in silo-index order, each payload being Algorithm 3
+        line 17's noisy weighted sum -- the only thing a silo releases --
+        and first through the uplink compressor when a lossy one is active
+        (strictly post-noise, per-silo error feedback).
+
+        The ``(silo, users, payload)`` triples come from one of three
+        carriers that produce the same bits: the shard pool
+        (:meth:`_shard_payloads`), the in-process walk
+        (:meth:`_walk_payloads`), or remote silos behind the
+        :attr:`contribution_executor`.  Summing plaintext payloads
+        simulates secure aggregation (only the sum is used);
+        :class:`repro.protocol.SecureUldpAvg` overrides this hook with the
+        real cryptographic Protocol 1 and is tested to produce the same
+        result within fixed-point precision (Theorem 4).
+
+        Returns ``(aggregate, users_seen, uplink_bytes)``.
+        """
+        if self.contribution_executor is not None:
+            source = self.contribution_executor
+        elif self.streaming_aggregation:
+            source = self._shard_payloads
+        else:
+            source = self._walk_payloads
+        comp = self.compressor
+        if comp is not None and comp.spec.is_identity:
+            comp = None
+        aggregate = np.zeros(params.size)
+        users_seen: set[int] = set()
+        uplink = 0
+        for s, users, payload in source(
+            params, round_weights, self._noise_std(), self._active_silos()
+        ):
+            nbytes = payload.size * 8
+            if comp is not None:
+                sent = comp.compress_uplink(s, payload)
+                payload, nbytes = sent.dense, sent.nbytes
+            aggregate += payload
+            users_seen.update(users)
+            uplink += nbytes
+        return aggregate, users_seen, uplink
+
+    def _active_silos(self) -> list[int]:
+        """This round's contributing silos, in index order.  Dropped silos
+        train nothing, draw no noise and send no payload."""
+        fed, _, _ = self._require_prepared()
+        mask = self._active_silo_mask
+        return [s for s in range(fed.n_silos) if mask is None or mask[s]]
 
     def _noise_std(self) -> float:
         """Per-silo noise std sqrt(sigma^2 C^2 / A) where A is the number
@@ -323,11 +328,13 @@ class UldpAvg(FLMethod):
         user's delta trained from ``params`` and clipped to C (line 16
         before the w multiplication), plus the silo's noise.
 
-        The in-process materialised round, a remote silo process and the
-        buffered-async payload all run exactly this -- one batched engine
-        call over the silo's own job list.  BLAS reductions depend on batch
-        composition at the ULP level, so batching per silo (never across
-        silos) is what makes the three bit-identical.
+        The in-process walk, a remote silo process, the buffered-async
+        scheduler (all through :meth:`silo_payload` or its body) and
+        Protocol 1's row view (:meth:`silo_round_segment`) run exactly this
+        -- one batched engine call over the silo's own job list.  BLAS
+        reductions depend on batch composition at the ULP level, so
+        batching per silo (never across silos), in the shard tasks'
+        micro-batches, is what makes every carrier bit-identical.
 
         Returns ``(users, rows, factors, noise)``; ``rows`` is a pooled
         engine buffer, valid only until the next engine call.
@@ -340,40 +347,73 @@ class UldpAvg(FLMethod):
         )
         return users, rows, factors, noise
 
-    def _round_streamed(
-        self, params: np.ndarray, round_weights: np.ndarray
-    ) -> tuple[np.ndarray, set[int]]:
-        """One round through the sharded streaming path (Algorithm 3 with
-        the per-user matrix never materialised).
+    def _noisy_sum(
+        self, noise: np.ndarray, weights: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """``noise + sum_u weights[u] * rows[u]`` through the engine's
+        micro-batched binned fold: the same chunk compositions and the
+        same exact reduction a shard task applies, one rounding per silo."""
+        if not len(rows):
+            return noise
+        acc = BinnedSum(noise.size, self.shard_engine.scale(self.clip))
+        fold_weighted_rows(acc, weights, rows, self.shard_engine.backend)
+        return noise + acc.total()
 
-        Each active silo's participating users are planned into
+    def _walk_payloads(
+        self,
+        params: np.ndarray,
+        round_weights: np.ndarray,
+        noise_std: float,
+        active: list[int],
+    ) -> list[tuple[int, list[int], np.ndarray]]:
+        """Each active silo's payload from :meth:`_silo_step`, one silo at
+        a time in this process."""
+        fed, _, _ = self._require_prepared()
+        factors = np.full((fed.n_silos, fed.n_users), np.nan)
+        payloads = []
+        for s in active:
+            users, rows, silo_factors, noise = self._silo_step(
+                s, params, round_weights[s], noise_std
+            )
+            factors[s, users] = silo_factors
+            payloads.append(
+                (s, users, self._noisy_sum(noise, round_weights[s, users], rows))
+            )
+        if self.record_clip_stats:
+            self.clip_factor_history.append(factors)
+        return payloads
+
+    def _shard_payloads(
+        self,
+        params: np.ndarray,
+        round_weights: np.ndarray,
+        noise_std: float,
+        active: list[int],
+    ) -> list[tuple[int, list[int], np.ndarray]]:
+        """Each active silo's payload through the sharded engine, the
+        per-user matrix never materialised.
+
+        Each silo's participating users are planned into
         micro-batch-aligned shards (:func:`repro.core.engine.plan_shards`);
         every shard task folds its clipped weighted rows into a binned
         partial sum and only the ``(bins, P)`` states stream back, where
-        an exact tree-reduce combines them.  Each active silo's draws
+        an exact tree-reduce combines each silo's own.  Every silo's draws
         (:meth:`_draw_silo`) happen here in the parent before any shard
         executes, so the random stream is invariant to
         ``workers``/``shard_size``.
         """
         fed, model, _ = self._require_prepared()
-        noise_std = self._noise_std()
         engine = self.shard_engine
         shard_size = engine.config.aligned_shard_size
         scale = engine.scale(self.clip)
         tasks: list[dict] = []
         task_users: list[list[int]] = []
-        noises: list[np.ndarray] = []
-        active_silos: list[int] = []
-        users_seen: set[int] = set()
-        for s in range(fed.n_silos):
-            if self._active_silo_mask is not None and not self._active_silo_mask[s]:
-                continue
+        drawn: list[tuple[int, list[int], np.ndarray]] = []
+        for s in active:
             users, jobs, noise = self._draw_silo(
                 s, round_weights[s], noise_std, params.size
             )
-            noises.append(noise)
-            active_silos.append(s)
-            users_seen.update(users)
+            drawn.append((s, users, noise))
             weights = round_weights[s, users]
             for a, b in plan_shards(len(jobs), shard_size):
                 tasks.append(
@@ -402,163 +442,15 @@ class UldpAvg(FLMethod):
                 factors[result["silo"], shard_users] = result["factors"]
             self.clip_factor_history.append(factors)
 
-        comp = self.compressor
-        if comp is not None and not comp.spec.is_identity:
-            return (
-                self._streamed_compressed(params, noises, active_silos, results),
-                users_seen,
-            )
-        self._round_uplink_bytes = len(noises) * params.size * 8
-        aggregate = np.sum(noises, axis=0)
-        if results:
-            aggregate = aggregate + engine.reduce(results).total()
-        return aggregate, users_seen
-
-    def _streamed_compressed(
-        self,
-        params: np.ndarray,
-        noises: list[np.ndarray],
-        active_silos: list[int],
-        results: list[dict],
-    ) -> np.ndarray:
-        """Compressed uplink over streamed partials: each silo's *noisy*
-        payload is reconstituted from its own shards' binned states (one
-        rounding, same bits as the materialised per-silo fold), then
-        routed through the compressor exactly as
-        :meth:`_aggregate_compressed` would."""
-        comp = self.compressor
-        assert comp is not None
-        per_silo: dict[int, list[dict]] = {}
+        shards: dict[int, list[dict]] = {}
         for result in results:
-            per_silo.setdefault(result["silo"], []).append(result)
-        aggregate = np.zeros(params.size)
-        uplink = 0
-        for noise, s in zip(noises, active_silos):
-            payload = noise
-            shards = per_silo.get(s)
-            if shards:
-                acc = tree_reduce([BinnedSum.from_state(r["state"]) for r in shards])
-                payload = payload + acc.total()
-            sent = comp.compress_uplink(s, payload)
-            aggregate += sent.dense
-            uplink += sent.nbytes
-        self._round_uplink_bytes = uplink
-        return aggregate
-
-    def _compute_contributions(
-        self, params: np.ndarray, round_weights: np.ndarray
-    ) -> tuple[_RoundContributions, list[np.ndarray]]:
-        """Per-silo clipped per-user deltas and per-silo Gaussian noise.
-
-        Returns ``(contributions, noises)`` where ``contributions[s]`` maps
-        user id -> *unweighted* clipped delta and ``noises`` holds one
-        vector per active silo: a walk over the active silos running
-        :meth:`_silo_step` (or whatever the :attr:`contribution_executor`
-        collected from the silo processes running it).  Dropped silos
-        (``self._active_silo_mask``) train nothing and draw no noise.
-        """
-        fed, _, _ = self._require_prepared()
-        noise_std = self._noise_std()
-        if self.contribution_executor is not None:
-            if self.record_clip_stats:
-                raise NotImplementedError(
-                    "record_clip_stats is not supported with a contribution "
-                    "executor (remote silos do not report clip factors)"
-                )
-            return self.contribution_executor(
-                params, round_weights, float(noise_std), self._active_silo_mask
-            )
-        factors = np.full((fed.n_silos, fed.n_users), np.nan)
-        segments: list[tuple[list[int], np.ndarray] | None] = []
-        noises: list[np.ndarray] = []
-        for s in range(fed.n_silos):
-            if self._active_silo_mask is not None and not self._active_silo_mask[s]:
-                segments.append(None)
-                continue
-            users, rows, silo_factors, noise = self._silo_step(
-                s, params, round_weights[s], noise_std
-            )
-            # Pooled rows: copy before the next silo's batch overwrites them.
-            segments.append((users, rows.copy()))
-            noises.append(noise)
-            factors[s, users] = silo_factors
-        if self.record_clip_stats:
-            self.clip_factor_history.append(factors)
-        return _RoundContributions(segments, params.size), noises
-
-    def _aggregate(
-        self,
-        t: int,
-        contributions: _RoundContributions,
-        noises: list[np.ndarray],
-        round_weights: np.ndarray,
-    ) -> np.ndarray:
-        """Plaintext aggregation: sum_s (sum_u w[s,u] * delta_su + z_s).
-
-        The row matrix is folded silo slice by silo slice through the
-        engine's micro-batched binned sum -- the same chunk compositions
-        and the same exact reduction the streamed path applies, which is
-        what keeps a row-materialising round (rows from :meth:`_silo_step`,
-        in process or over the wire) bit-identical to the streamed one.
-        This simulates secure aggregation (the server only ever consumes
-        the final sum); :class:`repro.protocol.SecureUldpAvg` overrides it
-        with the real cryptographic Protocol 1 and is tested to produce
-        the same result within fixed-point precision (Theorem 4).
-
-        With a lossy :class:`CompressionSpec` the aggregation routes
-        through :meth:`_aggregate_compressed` instead, which forms each
-        silo's *noisy* payload explicitly before compressing it.  The
-        identity spec keeps this exact code path, which is what the oracle
-        test pins bit for bit.
-        """
-        if self.compressor is not None and not self.compressor.spec.is_identity:
-            return self._aggregate_compressed(contributions, noises, round_weights)
-        self._round_uplink_bytes = len(noises) * noises[0].size * 8
-        aggregate = np.sum(noises, axis=0)
-        if len(contributions.matrix):
-            acc = BinnedSum(aggregate.size, self.shard_engine.scale(self.clip))
-            for s, users, rows in contributions.silo_blocks():
-                fold_weighted_rows(
-                    acc, round_weights[s, users], rows, self.shard_engine.backend
-                )
-            aggregate = aggregate + acc.total()
-        return aggregate
-
-    def _aggregate_compressed(
-        self,
-        contributions: _RoundContributions,
-        noises: list[np.ndarray],
-        round_weights: np.ndarray,
-    ) -> np.ndarray:
-        """Per-silo noisy payloads, compressed on the uplink, then summed.
-
-        Each active silo's payload ``sum_u w[s,u] * delta_su + z_s`` is
-        formed explicitly -- compression must see exactly what crosses the
-        wire, strictly post-noise -- then routed through the compressor's
-        per-silo error-feedback loop.  The server sums the reconstructions,
-        which still simulates secure aggregation (only the sum is used).
-        """
-        comp = self.compressor
-        assert comp is not None
-        active = self._active_silo_mask
-        remaining = iter(noises)
-        aggregate = np.zeros_like(noises[0])
-        uplink = 0
-        for s, users, rows in contributions.silo_blocks():
-            if active is not None and not active[s]:
-                continue  # dropped silo: no payload, no noise slot
-            payload = next(remaining)
-            if users:
-                acc = BinnedSum(payload.size, self.shard_engine.scale(self.clip))
-                fold_weighted_rows(
-                    acc, round_weights[s, users], rows, self.shard_engine.backend
-                )
-                payload = payload + acc.total()
-            sent = comp.compress_uplink(s, payload)
-            aggregate += sent.dense
-            uplink += sent.nbytes
-        self._round_uplink_bytes = uplink
-        return aggregate
+            shards.setdefault(result["silo"], []).append(result)
+        payloads = []
+        for s, users, noise in drawn:
+            if s in shards:
+                noise = noise + engine.reduce(shards[s]).total()
+            payloads.append((s, users, noise))
+        return payloads
 
     def uplink_payload_bytes(self) -> int:
         """One silo's per-round uplink wire size (the bandwidth models' input).
@@ -572,34 +464,31 @@ class UldpAvg(FLMethod):
             return self.compressor.estimated_payload_bytes(model.num_params)
         return model.num_params * 8
 
-    # -- per-silo step API (buffered-async simulation, remote silos) ---------
+    # -- per-silo step API (remote silos, buffered-async simulation) ----------
 
-    def silo_contribution(
+    def silo_payload(
         self,
-        t: int,
-        params: np.ndarray,
         s: int,
-        round_weights: np.ndarray,
+        params: np.ndarray,
+        weight_row: np.ndarray,
         noise_std: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One silo's weighted noisy sum computed at (possibly stale) params.
+    ) -> tuple[list[int], np.ndarray]:
+        """Everything silo ``s`` releases in one round (Algorithm 3 line
+        17): ``sum_u weight_row[u] * clip(delta_su) + z_s``, trained from
+        ``params``.
 
-        The buffered-async policy calls this per silo with whatever global
-        params the silo last pulled; the scheduler later merges buffered
-        payloads with staleness weights.  ``noise_std`` is chosen by the
-        policy (e.g. ``sigma * C / sqrt(K)`` for buffer size K so a full
-        buffer carries total noise std ``sigma * C``).
+        A ``repro silo`` process runs this after restoring the server's
+        chained RNG state and ships the result; the buffered-async
+        scheduler calls it with whatever params the silo last pulled and a
+        ``noise_std`` of its own choosing.  ``weight_row`` is silo s's row
+        of the realised round weights; users with zero weight are skipped.
 
-        Returns:
-            (payload, users, weights): the noisy weighted delta sum, the
-            contributing user ids, and their realised weights -- the last
-            two feed the merge-time sensitivity bookkeeping.
+        Returns ``(users, payload)``: the contributing user ids (the
+        server's participation and sensitivity bookkeeping) and the noisy
+        ``(P,)`` sum -- never a per-user row, never an un-noised sum.
         """
-        users, rows, _, noise = self._silo_step(
-            s, params, round_weights[s], noise_std
-        )
-        weights = round_weights[s, users]
-        return noise + weights @ rows, np.array(users, dtype=np.int64), weights
+        users, rows, _, noise = self._silo_step(s, params, weight_row, noise_std)
+        return users, self._noisy_sum(noise, weight_row[users], rows)
 
     def silo_round_segment(
         self,
@@ -608,14 +497,12 @@ class UldpAvg(FLMethod):
         weight_row: np.ndarray,
         noise_std: float,
     ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """One silo's slice of a synchronous round, for remote execution.
+        """:meth:`silo_payload` before the fold: silo ``s``'s per-user rows
+        and its noise, kept apart.
 
-        Runs :meth:`_silo_step` -- the computation
-        :meth:`_compute_contributions` performs for silo ``s`` -- so a silo
-        process that first restores the server's chained RNG state
-        produces bit-identical results to the in-process simulator (the
-        :mod:`repro.net` ideal-network oracle).  ``weight_row`` is silo
-        s's row of the realised round weights.
+        Only Protocol 1 needs this (:class:`repro.protocol.SecureUldpAvg`
+        multiplies each user's delta by an *encrypted* weight), and only
+        inside one process: rows never cross a boundary.
 
         Returns ``(users, rows, noise)``: the contributing user ids,
         their clipped delta rows (``(len(users), P)``, safe to keep), and

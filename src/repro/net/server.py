@@ -7,24 +7,28 @@ farms each silo's per-round training out to real silo processes
 
 Design invariants:
 
+- **The server sees what Algorithm 3 lets it see.**  Per round and silo
+  that is one noisy vector -- ``sum_u w[s,u] * clip(delta_su) + z_s``,
+  formed inside the silo process by :meth:`silo_payload
+  <repro.core.methods.uldp_avg.UldpAvg.silo_payload>` -- plus the ids of
+  the users behind it.  No per-user row and no un-noised sum crosses the
+  socket; the server validates each ``update`` (ids it asked for, one
+  finite float64 ``(P,)`` array) and adds it up.
 - **Bit-identity with the in-process simulator.**  The server installs a
   per-round :attr:`contribution_executor
   <repro.core.methods.uldp_avg.UldpAvg.contribution_executor>` that walks
   the silos in index order, sending each active silo the current params,
   its realised weight row, the round's noise std, and the server RNG's
-  bit-generator state; the silo restores that state, runs
-  :meth:`silo_round_segment
-  <repro.core.methods.uldp_avg.UldpAvg.silo_round_segment>` (the exact
-  per-silo step the in-process round runs), and returns the
-  advanced RNG state with its rows.  Chaining the RNG through the silos
+  bit-generator state; the silo restores that state, forms its payload
+  (the exact per-silo step the in-process round runs), and returns the
+  advanced RNG state with it.  Chaining the RNG through the silos
   in order reproduces the in-process draw sequence exactly, so an
   ideal-network run matches :class:`repro.sim.FederationSimulator`
   aggregate-for-aggregate and epsilon-for-epsilon.
 - **Timeout-driven dropout.**  A silo that misses the liveness ping or
   its compute deadline becomes an *observed* dropout for the round
-  (:attr:`FederationSimulator.external_dropout`): the masked secure
-  backend recovers exactly as it does for simulated dropout, and the
-  round is retried from a state snapshot without the failed silo.  When
+  (:attr:`FederationSimulator.external_dropout`) and the round is
+  retried from a state snapshot without the failed silo.  When
   live silos fall below ``net.min_quorum`` the server broadcasts an
   abort and raises :class:`repro.core.weighting.QuorumError`.
 - **Crash-safe resume.**  With ``sim.checkpoint_dir`` set the server
@@ -45,14 +49,13 @@ import numpy as np
 
 from repro.api.runner import build_simulator, checkpoint_extra, obs_session
 from repro.api.spec import RunSpec, SpecError
-from repro.core.methods.uldp_avg import _RoundContributions
 from repro.core.weighting import QuorumError
 from repro.net.transport import (
     DeadlineExceeded,
     MessageSocket,
     TransportError,
 )
-from repro.net.wire import WIRE_VERSION, WireError
+from repro.net.wire import PROTOCOL_VERSION, WireError, is_finite_vector
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
 
@@ -81,22 +84,15 @@ class _RemoteExecutor:
         self.server = server
         self.round_no = round_no
 
-    def __call__(self, params, round_weights, noise_std, active_mask):
+    def __call__(self, params, round_weights, noise_std, active):
         server = self.server
-        sim = server.sim
-        rng = sim.method.rng
-        n_silos = sim.fed.n_silos
-        size = params.size
-        segments: list[tuple[list[int], np.ndarray] | None] = []
-        noises: list[np.ndarray] = []
+        rng = server.sim.method.rng
+        payloads: list[tuple[int, list[int], np.ndarray]] = []
         recorder = get_recorder()
         with recorder.span(
             "collect_contributions", kind="phase", round=self.round_no + 1
         ):
-            for s in range(n_silos):
-                if active_mask is not None and not active_mask[s]:
-                    segments.append(None)
-                    continue
+            for s in active:
                 conn = server.conns.get(s)
                 if conn is None:
                     raise SiloFailure(s, "connection lost before compute")
@@ -142,32 +138,28 @@ class _RemoteExecutor:
                         unit="seconds",
                     ).labels(silo=s).observe(margin)
                     users = frame.payload.get("users")
-                    rows = frame.arrays.get("rows")
-                    noise = frame.arrays.get("noise")
+                    payload = frame.arrays.get("payload")
                     if (not _valid_users(users, round_weights[s])
-                            or rows is None or noise is None
-                            or rows.shape != (len(users), size)
-                            or noise.shape != (size,)):
+                            or len(frame.arrays) != 1
+                            or not is_finite_vector(payload, params.size)):
                         raise SiloFailure(s, "malformed update frame")
                     try:
                         rng.bit_generator.state = frame.payload["rng_state"]
                     except (KeyError, TypeError, ValueError) as exc:
                         raise SiloFailure(
                             s, f"bad rng state in update: {exc}") from exc
-                segments.append(
-                    (users, np.ascontiguousarray(rows, dtype=np.float64)))
-                noises.append(np.ascontiguousarray(noise, dtype=np.float64))
-        return _RoundContributions(segments, size), noises
+                payloads.append((s, users, payload))
+        return payloads
 
 
 def _valid_users(users, weight_row: np.ndarray) -> bool:
     """Whether an update frame's ``users`` is a list of distinct ints, each
     a user this silo was asked to train (in range, non-zero round weight).
 
-    Everything downstream indexes by these ids -- the per-silo dict, the
-    row slices of the aggregation, ``round_weights[s, u]`` -- so a
-    duplicate, negative, out-of-range or non-numeric entry would either
-    crash the server or silently misalign another silo's rows.
+    The ids feed ``users_seen`` -- the participation record and, through
+    it, what the run reports about who contributed -- so a duplicate,
+    negative, out-of-range or non-numeric entry, or a user this silo was
+    not asked to train, would crash the server or falsify that record.
     """
     return (
         isinstance(users, list)
@@ -189,10 +181,10 @@ class FederationServer:
         self.net = spec.net
         self.sim = sim if sim is not None else build_simulator(spec)
         method = self.sim.method
-        if not hasattr(method, "silo_round_segment"):
+        if not hasattr(method, "silo_payload"):
             raise SpecError(
                 "repro serve supports the ULDP-AVG method family "
-                f"(methods with a silo_round_segment API); "
+                f"(methods with a silo_payload API); "
                 f"{type(method).__name__} has none")
         from repro.sim.policies import BufferedAsyncPolicy
 
@@ -259,9 +251,10 @@ class FederationServer:
         elif not isinstance(silo, int) or not 0 <= silo < self.sim.fed.n_silos:
             reason = (f"unknown silo id {silo!r} "
                       f"(roster has {self.sim.fed.n_silos} silos)")
-        elif frame.payload.get("wire") != WIRE_VERSION:
-            reason = (f"wire version {frame.payload.get('wire')!r} != "
-                      f"{WIRE_VERSION}")
+        elif frame.payload.get("wire") != PROTOCOL_VERSION:
+            reason = (f"protocol version mismatch: the silo speaks "
+                      f"{frame.payload.get('wire')!r}, this server speaks "
+                      f"{PROTOCOL_VERSION}; run both from the same build")
         elif frame.payload.get("spec_hash") != self.spec_hash:
             reason = ("spec hash mismatch: the silo was built from a "
                       "different configuration than this server")
@@ -379,9 +372,7 @@ class FederationServer:
         """Run the remaining rounds; returns the TrainingHistory.
 
         Raises :class:`repro.core.weighting.QuorumError` when live silos
-        fall below ``net.min_quorum`` (after broadcasting an abort), and
-        propagates :class:`QuorumError` from the masked backend's
-        ``min_survivors`` check the same way.
+        fall below ``net.min_quorum`` (after broadcasting an abort).
         """
         with obs_session(self.spec, mode="serve"):
             return self._serve_rounds()

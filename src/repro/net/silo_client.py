@@ -9,10 +9,14 @@ frames:
 - ``ping``  -> ``pong`` with a readiness flag (the fault plan's
   ``decline``/``drop_rate`` land here);
 - ``compute`` -> restore the server-sent RNG state, run
-  :meth:`silo_round_segment
-  <repro.core.methods.uldp_avg.UldpAvg.silo_round_segment>`, and reply
-  with the clipped per-user rows, the noise vector, and the *advanced*
-  RNG state (the server chains it into the next silo's compute);
+  :meth:`silo_payload
+  <repro.core.methods.uldp_avg.UldpAvg.silo_payload>`, and reply with the
+  one thing Algorithm 3 lets a silo release -- its noisy weighted sum, a
+  single ``(P,)`` array -- plus the contributing user ids and the
+  *advanced* RNG state (the server chains it into the next silo's
+  compute).  Per-user rows and the noise draw never leave the process.  A
+  ``compute`` this silo cannot use (missing or mis-shaped arrays, a bad
+  noise std or RNG state) ends the session like a garbled frame does;
 - ``done`` / ``abort`` -> exit.
 
 Because every round's inputs arrive in the COMPUTE frame, a silo killed
@@ -25,6 +29,7 @@ chaos tests exercise the production server code unmodified.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 import time
@@ -39,7 +44,12 @@ from repro.net.transport import (
     TransportError,
     connect_with_retry,
 )
-from repro.net.wire import WIRE_VERSION, WireError, pack_frame
+from repro.net.wire import (
+    PROTOCOL_VERSION,
+    WireError,
+    is_finite_vector,
+    pack_frame,
+)
 
 log = logging.getLogger(__name__)
 
@@ -64,10 +74,10 @@ class SiloClient:
             raise SpecError(
                 f"silo id {silo_id} out of range for the scenario's "
                 f"{self.sim.fed.n_silos} silos")
-        if not hasattr(self.sim.method, "silo_round_segment"):
+        if not hasattr(self.sim.method, "silo_payload"):
             raise SpecError(
                 "repro silo supports the ULDP-AVG method family "
-                "(methods with a silo_round_segment API)")
+                "(methods with a silo_payload API)")
         self.silo_id = int(silo_id)
         self.plan = FaultPlan.from_tree(spec.net.faults)
         self.spec_hash = spec.hash()
@@ -98,7 +108,7 @@ class SiloClient:
     # -- frame handlers ------------------------------------------------------
 
     def _handle_ping(self, conn: MessageSocket, frame) -> str:
-        t = int(frame.payload.get("round", -1))
+        t = frame.payload["round"]
         actions = self._actions(t)
         if "crash" in actions:
             os._exit(17)  # simulate kill -9: no cleanup, no goodbye
@@ -111,7 +121,7 @@ class SiloClient:
         return "ok"
 
     def _handle_compute(self, conn: MessageSocket, frame) -> str:
-        t = int(frame.payload.get("round", -1))
+        t = frame.payload["round"]
         actions = self._actions(t)
         if "crash" in actions:
             os._exit(17)
@@ -121,18 +131,36 @@ class SiloClient:
             return "reconnect"
         method = self.sim.method
         rng = method.rng
-        rng.bit_generator.state = frame.payload["rng_state"]
-        users, rows, noise = method.silo_round_segment(
-            self.silo_id,
-            frame.arrays["params"],
-            frame.arrays["weights"],
-            float(frame.payload["noise_std"]),
-        )
+        params = frame.arrays.get("params")
+        weights = frame.arrays.get("weights")
+        noise_std = frame.payload.get("noise_std")
+        problem = None
+        if not is_finite_vector(params, self.sim.trainer.params.size):
+            problem = "params is not a finite float64 vector of the model's size"
+        elif not is_finite_vector(weights, self.sim.fed.n_users):
+            problem = "weights is not a finite float64 vector, one entry per user"
+        elif (not isinstance(noise_std, (int, float))
+                or not math.isfinite(noise_std) or noise_std < 0):
+            problem = f"noise_std {noise_std!r} is not a finite number >= 0"
+        else:
+            try:
+                rng.bit_generator.state = frame.payload["rng_state"]
+            except (KeyError, TypeError, ValueError) as exc:
+                problem = f"rng_state cannot be restored ({exc!r})"
+        if problem is not None:
+            # The mirror of the server's "malformed update frame": no
+            # reply, the server sees a transport failure and retries the
+            # round without this silo.
+            log.error("silo %d: malformed compute frame for round %d: %s; "
+                      "dropping the session", self.silo_id, t, problem)
+            return "reconnect"
+        users, payload = method.silo_payload(
+            self.silo_id, params, weights, float(noise_std))
         self._send_reply(
             conn, actions, "update",
             {"round": t, "users": users,
              "rng_state": rng.bit_generator.state},
-            arrays={"rows": rows, "noise": noise},
+            arrays={"payload": payload},
         )
         return "ok"
 
@@ -146,6 +174,10 @@ class SiloClient:
             except (DeadlineExceeded, TransportError, WireError):
                 return "reconnect"
             if frame.type in ("ping", "compute"):
+                if type(frame.payload.get("round")) is not int:
+                    log.error("silo %d: %s frame without an integer round; "
+                              "dropping the session", self.silo_id, frame.type)
+                    return "reconnect"
                 handler = (self._handle_ping if frame.type == "ping"
                            else self._handle_compute)
                 try:
@@ -189,7 +221,7 @@ class SiloClient:
             try:
                 conn.send("hello", {"silo": self.silo_id,
                                     "spec_hash": self.spec_hash,
-                                    "wire": WIRE_VERSION})
+                                    "wire": PROTOCOL_VERSION})
                 frame = conn.recv(timeout=self.net.join_timeout)
             except (TransportError, WireError):
                 conn.close()

@@ -15,8 +15,15 @@ The JSON header carries the message type, an arbitrary JSON-safe
 Arrays travel as their raw little/native-endian bytes (``dtype.str``
 pins the byte order), each guarded by its own CRC-32 -- a flipped bit in
 either header or payload surfaces as :class:`ChecksumError` instead of a
-silently wrong aggregate.  The ``v`` field lets a future frame layout
-coexist with silos speaking this one.
+silently wrong aggregate.
+
+Two versions, two jobs.  ``v`` (:data:`WIRE_VERSION`) names this frame
+*layout*; :func:`recv_frame` rejects any other, because it cannot parse
+it.  What the frames *mean* -- the set of message types and their
+contents -- is :data:`PROTOCOL_VERSION`, announced in the ``hello``
+payload and compared by the server's handshake, which can therefore
+answer a peer from another build with a ``refuse`` frame that peer is
+able to read.
 
 This module is deliberately dumb: bytes in, bytes out, no sockets other
 than the blocking ``send_frame``/``recv_frame`` convenience pair.  Retry
@@ -34,6 +41,9 @@ import numpy as np
 
 MAGIC = b"UFL1"
 WIRE_VERSION = 1
+#: Message-set version.  2: an ``update`` carries one noisy ``payload``
+#: vector (1: per-user ``rows`` and the ``noise`` vector, separately).
+PROTOCOL_VERSION = 2
 
 # Backstop against a garbled length prefix asking us to allocate gigabytes:
 # generous for real traffic (a smoke-scale round frame is ~KBs, an MNIST CNN
@@ -65,6 +75,14 @@ class Frame:
     #: On-the-wire size of the frame this was decoded from (0 for frames
     #: constructed locally) -- what the transport's byte ledgers read.
     nbytes: int = 0
+
+
+def is_finite_vector(array, size: int) -> bool:
+    """Whether a received blob is what every model-sized array on this
+    protocol must be: a float64 vector of exactly ``size`` finite entries
+    (False for a missing blob, i.e. ``None``)."""
+    return (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.shape == (size,) and bool(np.isfinite(array).all()))
 
 
 def pack_frame(msg_type: str, payload: dict | None = None,

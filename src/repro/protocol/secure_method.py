@@ -62,9 +62,11 @@ class SecureUldpAvg(UldpAvg):
     """ULDP-AVG-w whose aggregation is the real Protocol 1.
 
     The cryptographic protocols encrypt (or mask) each user's clipped
-    delta individually, so this subclass keeps the materialized per-user
-    contribution path instead of the plaintext streaming aggregation
-    (``streaming_aggregation = False``).
+    delta individually, so this subclass -- alone -- works on per-user
+    rows: it overrides :meth:`_round_aggregate` and builds plain
+    ``{user: clipped delta}`` dicts from :meth:`silo_round_segment`, all
+    inside one process (the networked runtime refuses this method: its
+    silos would have to ship those rows to the server in the clear).
 
     ``private_subsampling_slots = P`` enables OT-based user-level
     sub-sampling at rate q = 1/P where *neither the server nor the silos*
@@ -108,10 +110,6 @@ class SecureUldpAvg(UldpAvg):
     """
 
     name = "ULDP-AVG-w (secure)"
-    #: Protocol 1 consumes per-user contribution dicts (each user's delta
-    #: is encrypted/masked individually), so the streamed shard-partial
-    #: path cannot apply.
-    streaming_aggregation = False
     #: The Protocol 1 orchestrator ``prepare`` builds (the test oracle
     #: substitutes its seed-implementation subclass here).
     protocol_cls = PrivateWeightingProtocol
@@ -326,34 +324,25 @@ class SecureUldpAvg(UldpAvg):
             )
         return super().round(t, params, participation)
 
-    def _compute_contributions(self, params, round_weights):
-        """Silos must not learn the sub-sampling outcome (Protocol 1).
+    def _round_aggregate(self, params, round_weights):
+        """Protocol 1 replaces the plaintext sum of silo payloads.
 
-        Unlike the plaintext Algorithm 4 -- where the server distributes
-        zeroed weights and silos skip unsampled users -- here every silo
-        trains every present user; unsampled users are cancelled inside the
-        encrypted domain by Enc(0) weights.  We therefore hand the parent
-        the *unsampled* weight matrix.
+        Silos must not learn the sub-sampling outcome: unlike the
+        plaintext Algorithm 4 -- where the server distributes zeroed
+        weights and silos skip unsampled users -- every silo trains every
+        present user (the *unsampled* weight row decides who is present)
+        and unsampled users are cancelled inside the encrypted domain by
+        Enc(0) weights.  With server-side sampling ``round_weights``
+        encodes the server's decision (zeroed columns) and the protocol
+        zeroes the encrypted weights; with the OT extension the sampled
+        set is implicit: the PRG-derived slot choice selects real weights
+        or Enc(0) dummies and no party learns which.
 
         The masked backend keeps the plaintext visibility model instead
         (zeroed weights reach the silos), which is what lets it track the
         plaintext method bit for bit under dropout -- and, because
         zero-weight users contribute exactly zero either way, its
         aggregate still matches the Paillier backend.
-        """
-        if self.crypto_backend == "masked":
-            return super()._compute_contributions(params, round_weights)
-        assert self.weights is not None
-        return super()._compute_contributions(params, self.weights)
-
-    def _aggregate(self, t, contributions, noises, round_weights):
-        """Protocol 1 replaces the plaintext weighted sum.
-
-        With server-side sampling, ``round_weights`` encodes the server's
-        decision (zeroed columns) and the protocol zeroes the encrypted
-        weights.  With the OT extension, the sampled set is implicit: the
-        PRG-derived slot choice selects real weights or Enc(0) dummies and
-        no party learns which.
 
         With ``sparsify="randk"`` compression, the round first restricts
         every delta and noise vector to one shared random support (drawn
@@ -364,6 +353,22 @@ class SecureUldpAvg(UldpAvg):
         the d-dimensional update with exact zeros elsewhere.  The uplink
         shrinks from ``d`` to ``k`` ciphertexts per silo.
         """
+        fed, _, _ = self._require_prepared()
+        masked = self.crypto_backend == "masked"
+        train_weights = round_weights if masked else self.weights
+        noise_std = self._noise_std()
+        # One {user: clipped delta} dict per silo (empty for a dropped one,
+        # which keeps silo indices aligned), one noise vector per active silo.
+        contributions: list[dict[int, np.ndarray]] = [{} for _ in fed.silos]
+        noises: list[np.ndarray] = []
+        for s in self._active_silos():
+            users, rows, noise = self.silo_round_segment(
+                s, params, train_weights[s], noise_std
+            )
+            contributions[s] = dict(zip(users, rows))
+            noises.append(noise)
+        users_seen = {user for per_silo in contributions for user in per_silo}
+
         dim = len(noises[0])
         support = None
         comp = self.compressor
@@ -374,27 +379,26 @@ class SecureUldpAvg(UldpAvg):
                 for per_silo in contributions
             ]
             noises = [noise[support] for noise in noises]
-        if self.crypto_backend == "masked":
-            sub_aggregate = self._aggregate_masked(contributions, noises, round_weights)
-            if support is None:
-                return sub_aggregate
-            return scatter(support, sub_aggregate, dim)
-        assert self.protocol is not None
-        if self.subsampler is not None:
-            sub_aggregate = self.protocol.run_round_ot_sampling(
-                contributions, noises, self.subsampler
-            )
+        if masked:
+            assert self.masked_protocol is not None
+            aggregate = self._aggregate_masked(contributions, noises, round_weights)
+            coordinate_bytes = self.masked_protocol.mask_bytes
         else:
-            sampled = np.where(round_weights.sum(axis=0) > 0)[0]
-            sub_aggregate = self.protocol.run_round(
-                contributions, noises, sampled_users=sampled
-            )
-        self._round_uplink_bytes = (
-            self.fed.n_silos * len(noises[0]) * self.protocol.ciphertext_bytes
-        )
-        if support is None:
-            return sub_aggregate
-        return scatter(support, sub_aggregate, dim)
+            assert self.protocol is not None
+            if self.subsampler is not None:
+                aggregate = self.protocol.run_round_ot_sampling(
+                    contributions, noises, self.subsampler
+                )
+            else:
+                sampled = np.where(round_weights.sum(axis=0) > 0)[0]
+                aggregate = self.protocol.run_round(
+                    contributions, noises, sampled_users=sampled
+                )
+            coordinate_bytes = self.protocol.ciphertext_bytes
+        uplink = len(noises) * len(noises[0]) * coordinate_bytes
+        if support is not None:
+            aggregate = scatter(support, aggregate, dim)
+        return aggregate, users_seen, uplink
 
     def _aggregate_masked(self, contributions, noises, round_weights):
         """Masked secure aggregation over the (possibly partial) roster.
@@ -458,10 +462,7 @@ class SecureUldpAvg(UldpAvg):
                     proto.modulus,
                 )
             )
-        totals = proto.run_round(vectors)
-        n_active = sum(1 for v in vectors if v is not None)
-        self._round_uplink_bytes = n_active * len(noises[0]) * proto.mask_bytes
-        return proto.decode_aggregate(totals)
+        return proto.decode_aggregate(proto.run_round(vectors))
 
     def uplink_payload_bytes(self) -> int:
         """One silo's uplink in *wire* bytes (not plaintext floats).

@@ -144,7 +144,7 @@ class FederationSimulator:
                     "buffered-async simulation does not compose with "
                     "server-side user sub-sampling"
                 )
-            if not hasattr(method, "silo_contribution"):
+            if not hasattr(method, "silo_payload"):
                 raise TypeError(
                     "buffered-async aggregation needs the per-silo step API "
                     "(UldpAvg and subclasses)"
@@ -330,12 +330,9 @@ class FederationSimulator:
         latency = float(
             self.config.latency.draw(t, self.fed.n_silos, self.sim_rng)[silo]
         )
-        payload, users, weights = self.method.silo_contribution(
-            t,
-            self.trainer.params,
-            silo,
-            self._async_round_weights(),
-            self._async_noise_std(),
+        weight_row = self._async_round_weights()[silo]
+        users, payload = self.method.silo_payload(
+            silo, self.trainer.params, weight_row, self._async_noise_std()
         )
         self._pending.append(
             _PendingUpdate(
@@ -344,8 +341,8 @@ class FederationSimulator:
                 finish=self.clock + max(latency, 1e-9),
                 seq=self._seq,
                 payload=payload,
-                users=users,
-                weights=weights,
+                users=np.array(users, dtype=np.int64),
+                weights=weight_row[users],
             )
         )
         self._seq += 1

@@ -11,9 +11,9 @@ run from one seed see the same noise and must agree on the parameters to
 floating-point reassociation: ``atol=1e-10`` in
 ``test_engine_equivalence.py``.
 
-The loop rounds cover full participation only, which is all the
+The other loop rounds cover full participation only, which is all the
 equivalence tests drive; ``LoopUldpAvg`` inherits everything but the
-contribution step, so it also runs under a Trainer, with compression.
+per-silo step, so it also runs under a Trainer, with compression.
 """
 
 from unittest import mock
@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.core.clipping import clip_factor, l2_clip
-from repro.core.methods.uldp_avg import _RoundContributions
 from repro.core.metrics import make_loss
 from repro.core.weighting import subsample_weights
 from repro.nn import dpsgd
@@ -121,32 +120,30 @@ class LoopUldpGroup(UldpGroup):
 
 class LoopUldpAvg(UldpAvg):
     """Per-user deltas one training run at a time; the rows then take the
-    runtime's aggregation (binned fold, compression, accounting)."""
+    runtime's per-silo fold, noise, compression and accounting.
+
+    The oracle replaces the per-silo step itself, and takes the in-process
+    walk (``streaming_aggregation = False``) because the shard pool never
+    calls ``_silo_step``; ``test_engine_equivalence.py`` counts the
+    ``train_epochs`` calls to prove this body, not the engine, ran.
+    """
 
     streaming_aggregation = False
 
-    def _compute_contributions(self, params, round_weights):
-        assert self._active_silo_mask is None
+    def _silo_step(self, s, params, weight_row, noise_std):
         fed, _, _ = self._require_prepared()
-        noise_std = self._noise_std()
-        factors = np.full((fed.n_silos, fed.n_users), np.nan)
-        segments, noises = [], []
-        for s, silo in enumerate(fed.silos):
-            users = [int(u) for u in silo.users_present()
-                     if round_weights[s, u] != 0.0]
-            rows = np.zeros((len(users), params.size))
-            for i, user in enumerate(users):
-                delta = local_delta(
-                    self, params, *silo.records_of_user(user), self.local_lr,
-                    self.local_epochs, self.batch_size,
-                )
-                factors[s, user] = clip_factor(delta, self.clip)
-                rows[i] = l2_clip(delta, self.clip)
-            segments.append((users, rows))
-            noises.append(self._gaussian_noise(noise_std, params.size))
-        if self.record_clip_stats:
-            self.clip_factor_history.append(factors)
-        return _RoundContributions(segments, params.size), noises
+        silo = fed.silos[s]
+        users = [int(u) for u in silo.users_present() if weight_row[u] != 0.0]
+        rows = np.zeros((len(users), params.size))
+        factors = np.zeros(len(users))
+        for i, user in enumerate(users):
+            delta = local_delta(
+                self, params, *silo.records_of_user(user), self.local_lr,
+                self.local_epochs, self.batch_size,
+            )
+            factors[i] = clip_factor(delta, self.clip)
+            rows[i] = l2_clip(delta, self.clip)
+        return users, rows, factors, self._gaussian_noise(noise_std, params.size)
 
 
 #: Runtime method class -> its loop oracle.

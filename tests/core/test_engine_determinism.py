@@ -77,8 +77,8 @@ def test_history_invariant_under_engine_config(method):
 
 
 def test_compressed_history_invariant_under_engine_config():
-    # Compression exercises the per-silo payload assembly (the
-    # _streamed_compressed path), which must stay on the same fold.
+    # Compression consumes each silo's payload one by one (per-silo error
+    # feedback), so the per-silo assembly must stay on the same fold.
     method = {"name": "uldp-avg"}
     compression = {"sparsify": "topk", "fraction": 0.25, "seed": 3}
     ref = _fingerprint(

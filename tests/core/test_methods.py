@@ -186,34 +186,75 @@ class TestUldpAvg:
         assert present.any()
         assert np.all(factors[present] <= 1.0 + 1e-12)
 
-    def test_one_silo_step_behind_all_three_row_paths(self, small_fed):
-        # From one RNG state, silo s's rows are the same array whether the
-        # in-process materialised round, a remote silo's segment or the
-        # buffered-async payload computes them (minibatches, so the job
-        # schedules draw from the RNG ahead of the noise).
-        method = UldpAvg(weighting="proportional", local_epochs=2, batch_size=8)
-        rng = np.random.default_rng(5)
-        model = build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
-        method.prepare(small_fed, model, rng)
-        params = model.get_flat_params()
+    def test_one_payload_every_carrier(self):
+        # From one RNG state, silo s's noisy weighted sum (Algorithm 3 line
+        # 17) is the same array -- and its user list the same list --
+        # whichever carrier forms it: the in-process walk, the shard pool
+        # (in process and behind two workers, several shards per silo),
+        # ``silo_payload`` silo by silo (what ``repro silo`` ships), and
+        # the buffered-async scheduler's call.  Minibatches, so the job
+        # schedules draw from the RNG ahead of the noise.
+        from repro.core.engine import EngineConfig
+        from repro.sim import BufferedAsyncPolicy, SimConfig
+        from repro.sim.scheduler import FederationSimulator
+
+        fed = build_creditcard_benchmark(
+            n_users=300, n_silos=2, n_records=1500, n_test=60, seed=0,
+            distribution="zipf",
+        )
+        kwargs = dict(weighting="proportional", local_epochs=2, batch_size=2)
+
+        def model():
+            return build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
+
+        sim = FederationSimulator(
+            fed, UldpAvg(**kwargs),
+            SimConfig(rounds=1, seed=5,
+                      policy=BufferedAsyncPolicy(buffer_size=fed.n_silos)),
+            model=model(),
+        )
+        method, params, rng = sim.method, sim.trainer.params, sim.method.rng
         weights, noise_std = method.weights, method._noise_std()
+        active = list(range(fed.n_silos))
         start = rng.bit_generator.state
-        contributions, noises = method._compute_contributions(params, weights)
+        _, jobs, _ = method._draw_silo(0, weights[0], noise_std, params.size)
+        assert len(jobs) > 128 and any(job.schedule for job in jobs)
+
         rng.bit_generator.state = start
-        for s, in_process_users, in_process_rows in contributions.silo_blocks():
-            before = rng.bit_generator.state
-            users, rows, noise = method.silo_round_segment(
-                s, params, weights[s], noise_std
-            )
-            assert users == in_process_users and len(users) > 1
-            assert np.array_equal(rows, in_process_rows)
-            assert np.array_equal(noise, noises[s])
-            rng.bit_generator.state = before
-            payload, ids, w = method.silo_contribution(
-                0, params, s, weights, noise_std
-            )
-            assert ids.tolist() == users
-            assert np.array_equal(payload, noise + w @ rows)
+        walk = method._walk_payloads(params, weights, noise_std, active)
+        end = rng.bit_generator.state
+
+        def assert_same(payloads):
+            assert [(s, users) for s, users, _ in payloads] == [
+                (s, users) for s, users, _ in walk]
+            for (_, _, got), (_, _, want) in zip(payloads, walk):
+                assert np.array_equal(got, want)
+
+        for workers in (0, 2):
+            sharded = UldpAvg(**kwargs)
+            sharded.prepare(fed, model(), rng,
+                            engine=EngineConfig(workers=workers, shard_size=128))
+            rng.bit_generator.state = start
+            try:
+                assert_same(
+                    sharded._shard_payloads(params, weights, noise_std, active))
+            finally:
+                sharded.close()
+            assert rng.bit_generator.state == end
+
+        rng.bit_generator.state = start
+        assert_same([
+            (s, *method.silo_payload(s, params, weights[s], noise_std))
+            for s in active])
+        assert rng.bit_generator.state == end
+
+        rng.bit_generator.state = start
+        for s in active:
+            sim._start_job(s)
+        assert sim._async_noise_std() == noise_std
+        assert_same([(u.silo, u.users.tolist(), u.payload) for u in sim._pending])
+        for (s, users, _), update in zip(walk, sim._pending):
+            assert np.array_equal(update.weights, weights[s, users])
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):

@@ -177,9 +177,9 @@ class TestBitIdentity:
             )
 
     def test_matches_direct_fold(self, setup):
-        # The streamed shard path equals folding the materialised clipped
-        # delta matrix with the same chunking -- the oracle the in-process
-        # _aggregate path uses.
+        # The shard tasks' merged partials equal folding the materialised
+        # clipped delta matrix with the same chunking -- what the
+        # in-process walk and a remote silo do (UldpAvg._noisy_sum).
         from repro.core.engine import batched_clipped_local_deltas
 
         model, params, jobs, weights = setup

@@ -58,6 +58,51 @@ class TestValidation:
             RunSpec.from_dict(net_tree(quorum_min=2))
 
 
+class TestSecureMethodIsInProcessOnly:
+    """``[net]`` + ``secure-uldp-avg`` is refused at the spec, so
+    ``validate-config``, ``serve`` (``FederationServer``) and ``silo``
+    (``SiloClient``) -- which all take a ``RunSpec`` -- refuse it with one
+    message.  Until PR 18 such a run "worked": every silo shipped its
+    users' clipped deltas to the server in the clear and the server masked
+    them itself.  In-process masked aggregation and its dropout recovery
+    stay covered by the ``masked-dropout`` golden fingerprint,
+    ``tests/sim/test_checkpoint_secure.py`` and ``tests/protocol``.
+    """
+
+    TREE = {
+        **net_tree(port=0),
+        "method": {"name": "secure-uldp-avg", "local_epochs": 1},
+        "crypto": {"backend": "masked"},
+    }
+    MESSAGE = "secure-uldp-avg' runs in-process only"
+
+    def test_refused_at_the_spec(self):
+        with pytest.raises(SpecError, match=self.MESSAGE) as refusal:
+            RunSpec.from_dict(self.TREE)
+        assert "in the clear" in str(refusal.value)  # it says why
+        # Each half is fine on its own.
+        RunSpec.from_dict({k: v for k, v in self.TREE.items() if k != "net"})
+        RunSpec.from_dict(net_tree(port=0))
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate-config", "SPEC"], 1),
+        (["serve", "--config", "SPEC"], 2),
+        (["silo", "--config", "SPEC", "--silo-id", "0", "--port", "1"], 2),
+    ], ids=["validate-config", "serve", "silo"])
+    def test_every_entry_point_refuses_with_that_message(
+            self, tmp_path, capsys, argv, code):
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "secure_net.json"
+        path.write_text(json.dumps(self.TREE))
+        assert main([str(path) if a == "SPEC" else a for a in argv]) == code
+        captured = capsys.readouterr()
+        assert self.MESSAGE in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestRoundTrips:
     FAULTS = {
         "events": [

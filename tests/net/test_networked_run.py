@@ -138,23 +138,6 @@ class TestFaultOracles:
         assert observed == [0, 1, 0]
         assert_bit_identical(server, hist, outage_comparator({2: (1, 2)}))
 
-    def test_masked_secure_backend_recovers_networked_dropout(self):
-        # A real deadline miss (not a polite decline): the masked
-        # backend's dropout recovery must absorb a silo the *network*
-        # observed down, not just simulated participation masks.
-        tree = base_tree(
-            round_timeout=2.0, ping_timeout=2.0,
-            faults={"events": [
-                {"silo": 1, "action": "timeout", "round": 1, "value": 3.0}]},
-        )
-        tree["method"] = {"name": "secure-uldp-avg", "local_epochs": 1}
-        tree["crypto"] = {"backend": "masked"}
-        server, hist, codes, err = networked(tree)
-        assert err is None
-        assert [(p.round, p.silos_seen) for p in hist.participation] == [
-            (1, 3), (2, 2), (3, 3)]
-        assert hist.records[-1].epsilon > 0
-
     def test_quorum_abort_reaches_every_silo(self):
         tree = base_tree(min_quorum=3, faults={"events": [
             {"silo": 0, "action": "decline", "round": 1}]})
@@ -168,8 +151,9 @@ class TestFaultOracles:
 
 class ScriptedConn:
     """A silo's connection, scripted: answers each COMPUTE with the real
-    segment (run on the server's own method, whose RNG the frame carries
-    anyway) and ``users`` rewritten by ``corrupt``."""
+    payload (formed on the server's own method, whose RNG the frame
+    carries anyway) and the reply's ``users`` / ``payload`` rewritten by
+    ``corrupt(users, payload, n_users)``."""
 
     bytes_sent = bytes_received = 0
 
@@ -180,35 +164,66 @@ class ScriptedConn:
         self.request = (payload, arrays)
 
     def recv_matching(self, reply_type, round_no, timeout):
-        payload, arrays = self.request
+        request, arrays = self.request
         rng = self.method.rng
-        rng.bit_generator.state = payload["rng_state"]
-        users, rows, noise = self.method.silo_round_segment(
-            self.silo, arrays["params"], arrays["weights"], payload["noise_std"])
+        rng.bit_generator.state = request["rng_state"]
+        users, payload = self.method.silo_payload(
+            self.silo, arrays["params"], arrays["weights"],
+            request["noise_std"])
         if self.corrupt is not None:
-            users = self.corrupt(users, len(arrays["weights"]))
+            users, payload = self.corrupt(
+                users, payload, len(arrays["weights"]))
         return Frame(
             reply_type,
             {"round": round_no, "users": users,
              "rng_state": rng.bit_generator.state},
-            {"rows": rows, "noise": noise},
+            {"payload": payload},
         )
+
+
+def _nan_in(payload):
+    bad = payload.copy()
+    bad[3] = np.nan
+    return bad
 
 
 class TestMalformedUpdate:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(lambda u, n: ["seven"] + u[1:], id="non-numeric"),
-            pytest.param(lambda u, n: [u[1]] + u[1:], id="duplicate"),
-            pytest.param(lambda u, n: [u[0] - n] + u[1:], id="negative"),
-            pytest.param(lambda u, n: [u[0] + n] + u[1:], id="out-of-range"),
+            pytest.param(lambda u, p, n: (["seven"] + u[1:], p),
+                         id="non-numeric"),
+            pytest.param(lambda u, p, n: ([u[1]] + u[1:], p), id="duplicate"),
+            pytest.param(lambda u, p, n: ([u[0] - n] + u[1:], p),
+                         id="negative"),
+            pytest.param(lambda u, p, n: ([u[0] + n] + u[1:], p),
+                         id="out-of-range"),
         ],
     )
     def test_bad_users_list_is_a_silo_failure(self, corrupt):
-        # Rows and noise are genuine and rightly shaped; only the ids lie.
-        # Unchecked, these were a ValueError, rows of one silo folded with
-        # another's weights, another user's weight, and an IndexError.
+        # The payload is genuine and rightly shaped; only the ids lie.
+        # Unchecked, these were a ValueError, a user credited twice, a user
+        # of another silo, and an IndexError.
+        self.assert_failure_then_clean_retry(corrupt)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda u, p, n: (u, p[:-1]),
+                         id="wrong payload shape"),
+            pytest.param(lambda u, p, n: (u, p.astype(np.float32)),
+                         id="float32 payload"),
+            pytest.param(lambda u, p, n: (u, _nan_in(p)), id="NaN in payload"),
+        ],
+    )
+    def test_bad_payload_is_a_silo_failure(self, corrupt):
+        # The ids are genuine; the one array is not a finite float64 (P,)
+        # vector.  Unchecked, these were a broadcasting error, a silent
+        # precision loss, and a NaN model after one round.
+        self.assert_failure_then_clean_retry(corrupt)
+
+    @staticmethod
+    def assert_failure_then_clean_retry(corrupt):
         server = FederationServer(RunSpec.from_dict(base_tree()))
         sim = server.sim
         server.conns = {
@@ -235,6 +250,7 @@ class TestMalformedUpdate:
         sim.external_dropout = np.array([True, True, False])
         sim.step()
         assert sim.history.participation[-1].silos_seen == 2
+        assert np.isfinite(sim.trainer.params).all()
 
 
 def outage_comparator(windows):

@@ -9,6 +9,10 @@
   entry points they document.
 - Every ``repro <subcommand>`` the docs, Makefile, example specs and the
   verify skill mention must be a subcommand the CLI actually has.
+- Every ``UldpAvg.<name>`` / ``SecureUldpAvg.<name>`` the README and docs
+  mention must be an attribute of that class, and every bare private or
+  ``silo_*`` identifier they put in backticks (or in a call tree about
+  those classes) must still exist somewhere in the code.
 """
 
 import doctest
@@ -72,3 +76,51 @@ def test_every_mentioned_subcommand_exists():
         if word not in known
     }
     assert not stale, f"docs mention subcommands that do not exist: {sorted(stale)}"
+
+
+def test_every_mentioned_method_exists():
+    """The twin of the subcommand check for the round's call trees: PR 18
+    deleted five ``UldpAvg`` methods the docs named twelve times."""
+    sys.path.insert(0, str(REPO_ROOT / "tests"))
+    try:
+        from toy_crypto import TOY_DH_GROUP
+    finally:
+        sys.path.pop(0)
+    from repro.core import UldpAvg
+    from repro.protocol import SecureUldpAvg
+
+    # Instances, so attributes assigned in __init__ count.
+    owners = {
+        "UldpAvg": UldpAvg(),
+        "SecureUldpAvg": SecureUldpAvg(dh_group=TOY_DH_GROUP),
+    }
+    code = "\n".join(
+        path.read_text(encoding="utf-8")
+        for root in ("src", "tests")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        if path != Path(__file__).resolve()
+    )
+    qualified = re.compile(r"\b(SecureUldpAvg|UldpAvg)\.([A-Za-z_]\w*)")
+    bare = r"(?<![\w.])(_[a-z][a-z0-9_]*|silo_[a-z0-9_]+)\b"
+    backticked = re.compile(rf"`{bare}(?:\(\))?`")
+
+    def exists(word: str) -> bool:
+        if any(hasattr(owner, word) for owner in owners.values()):
+            return True
+        # Not theirs: a name some other code defines, or a literal it
+        # emits (metric suffixes, event and phase names).
+        return re.search(rf"(?<![A-Za-z0-9]){word}(?![A-Za-z0-9_])", code) is not None
+
+    stale = set()
+    for path in [REPO_ROOT / "README.md", *sorted(DOCS.glob("*.md"))]:
+        text = path.read_text(encoding="utf-8")
+        where = path.relative_to(REPO_ROOT)
+        for owner, name in qualified.findall(text):
+            if not hasattr(owners[owner], name):
+                stale.add(f"{where}: {owner}.{name}")
+        words = set(backticked.findall(text))
+        for block in text.split("```")[1::2]:  # fenced call trees
+            if "UldpAvg" in block:
+                words.update(re.findall(bare, block))
+        stale.update(f"{where}: {word}" for word in words if not exists(word))
+    assert not stale, f"docs mention names that do not exist: {sorted(stale)}"
