@@ -12,8 +12,10 @@
 #                       in bounded resident memory (BENCH_SCALEOUT_SCALE=smoke
 #                       shrinks it to CI size)
 #   make sweep-smoke    validate every committed spec file, then one smoke
-#                       `repro run --config`, one 2-point `repro sweep`, and a
-#                       checkpointed sim run resumed with `repro run --resume`
+#                       `repro run --config`, one 2-point `repro sweep`, a
+#                       checkpointed sim run resumed with `repro run --resume`,
+#                       one combination ULDP-SGD gained in PR 19 and one that
+#                       is still refused (exit 2, one line, no traceback)
 #   make trace-smoke    one traced networked round trip: serve net_sim.toml
 #                       with [obs] on (faults cleared), then summarise the
 #                       resulting trace.jsonl
@@ -63,7 +65,11 @@ bench-scaleout:
 # Smoke the declarative surface end to end: every committed spec file
 # must validate (registry names, enums, sweep expansion), one config run
 # and one 2-point sigma grid must execute, and a checkpointed scenario
-# must resume from its own directory.  Artifacts land in sweep-smoke/.
+# must resume from its own directory.  Then the composition contract from
+# both sides (docs/api.md, "What composes with what"): ULDP-SGD under a
+# byte-capped scenario runs, and a method without the per-silo step under
+# buffered-async is refused at validation -- exit 2 and one `error:` line,
+# where it used to be a TypeError traceback.  Artifacts land in sweep-smoke/.
 sweep-smoke:
 	$(PYTHON) -m repro validate-config examples/specs/*.toml
 	$(PYTHON) -m repro run --config examples/specs/quickstart.toml \
@@ -78,6 +84,14 @@ sweep-smoke:
 	$(PYTHON) -m repro run --set sim.scenario=silo-outage --set sim.scale=smoke \
 		--set sim.checkpoint_dir=sweep-smoke/ckpt --set sim.checkpoint_every=1
 	$(PYTHON) -m repro run --resume sweep-smoke/ckpt
+	$(PYTHON) -m repro run --set method.name=uldp-sgd \
+		--set sim.scenario=bandwidth-cap --set sim.scale=smoke
+	$(PYTHON) -m repro run --set method.name=default \
+		--set sim.scenario=async-fedbuff --set sim.scale=smoke \
+		2> sweep-smoke/refused.err; test $$? -eq 2
+	test "$$(wc -l < sweep-smoke/refused.err)" -eq 1
+	grep -q '^error: ' sweep-smoke/refused.err
+	! grep -q Traceback sweep-smoke/refused.err
 
 # A traced networked run end to end: server + spawned silos on an ideal
 # network ([net.faults] cleared) with tracing enabled, then the trace

@@ -55,12 +55,15 @@ class RunResult:
 
 
 def validate_spec_names(spec: RunSpec) -> None:
-    """Resolve every registry name the spec references (without running).
+    """Resolve every registry name the spec references, and check that
+    what it names composes (without running).
 
     Raises :class:`repro.api.registries.UnknownNameError` -- listing valid
     names plus a nearest-match suggestion -- for an unknown method,
-    dataset, model, or scenario.  ``repro validate-config`` calls this on
-    every spec file (and every expanded sweep point).
+    dataset, model, or scenario, and :class:`SpecError` for a combination
+    the method does not declare (:func:`_refuse_undeclared`).  ``repro
+    validate-config`` calls this on every spec file and sweep point;
+    ``run``, ``sweep``, ``serve`` and ``silo`` before they build anything.
     """
     METHODS.entry(spec.method.name)
     if spec.model.name != "auto":
@@ -72,6 +75,61 @@ def validate_spec_names(spec: RunSpec) -> None:
         SCENARIOS.entry(spec.sim.scenario)
     else:
         DATASETS.entry(spec.dataset.name)
+    _refuse_undeclared(spec)
+
+
+#: What every refusal below can suggest: it declares every capability.
+_WORKS = 'method.name = "uldp-avg-w"'
+
+
+def _refuse_undeclared(spec: RunSpec) -> None:
+    """Refuse, before anything is built, what the run's constructors would
+    refuse: a capability asked of a method that does not declare it.
+
+    Decided from the method's contract (:class:`repro.core.FLMethod`:
+    ``has_silo_step``, ``check_compression``) and the scenario's recipe.
+    ``FederationSimulator`` and ``FLMethod.prepare`` keep their guards for
+    callers that hand them objects; for a spec this is the one refusal
+    (docs/api.md's capability table is its rendering).
+    """
+    method = build_method(spec)
+    name = f"method.name={spec.method.name!r}"
+    compression, bundler, buffered = spec.compression, "[compression]", False
+    if spec.is_simulation:
+        from repro.sim.policies import BufferedAsyncPolicy
+        from repro.sim.scenarios import scenario_recipe
+
+        sim = spec.sim
+        scenario = f"sim.scenario={sim.scenario!r}"
+        sizes, recipe = scenario_recipe(sim.scenario, sim.scale, spec.rounds)
+        compression, bundler = recipe.get("compression"), f"{scenario}'s recipe"
+        buffered = isinstance(recipe.get("policy"), BufferedAsyncPolicy)
+        if buffered and spec.net is not None:
+            raise SpecError(
+                f"net: buffered-async {scenario} runs in-process only, "
+                f"whatever the method ({name}): the networked runtime drives "
+                "(semi-)synchronous rounds; drop [net] or pick another scenario"
+            )
+        if spec.net is not None and spec.net.min_quorum > sizes["n_silos"]:
+            raise SpecError(
+                f"net.min_quorum={spec.net.min_quorum} exceeds the "
+                f"{sizes['n_silos']} silos of {scenario} at sim.scale={sim.scale!r}"
+            )
+    if (buffered or spec.net is not None) and not method.has_silo_step:
+        driver = f"sim: buffered-async {scenario}" if buffered else "net: `repro serve`"
+        raise SpecError(
+            f"{driver} drives the per-silo step, which {name} does not declare "
+            f"(has_silo_step); use a ULDP-AVG/SGD-family method, e.g. {_WORKS}"
+        )
+    if buffered and method.user_sample_rate:
+        raise SpecError(
+            f"method.sample_rate: buffered-async {scenario} has no round in "
+            f"which the server could draw {name}'s user sample; drop it"
+        )
+    try:
+        method.check_compression(compression)
+    except (ValueError, NotImplementedError) as exc:
+        raise SpecError(f"{name} cannot apply {bundler}: {exc} (e.g. {_WORKS})") from exc
 
 
 def build_dataset(spec: RunSpec):
@@ -130,12 +188,17 @@ def build_trainer(spec: RunSpec, fed=None):
 
 
 def build_simulator(spec: RunSpec):
-    """A ready-to-run simulator for a simulate-mode spec (not yet run)."""
+    """A ready-to-run simulator for a simulate-mode spec (not yet run).
+
+    Its history is stamped with the spec here, once: ``run``, a
+    ``--resume`` rebuild, ``serve`` and a silo's replica all build through
+    this function, and ``load_state`` leaves the stamp alone.
+    """
     from repro.sim.scenarios import build_scenario
 
     if not spec.is_simulation:
         raise SpecError("spec has no [sim] section; use build_trainer()")
-    return build_scenario(
+    sim = build_scenario(
         spec.sim.scenario,
         scale=spec.sim.scale,
         seed=spec.seed,
@@ -144,6 +207,8 @@ def build_simulator(spec: RunSpec):
         delta=spec.privacy.delta,
         eval_every=spec.eval_every,
     )
+    _stamp(sim.history, spec)
+    return sim
 
 
 def _stamp(history, spec: RunSpec) -> str:
@@ -273,7 +338,6 @@ def _run_simulation(spec: RunSpec) -> RunResult:
     from repro.sim.scenarios import run_simulator_with_checkpoints
 
     sim = build_simulator(spec)
-    digest = _stamp(sim.history, spec)
     run_simulator_with_checkpoints(
         sim,
         spec.sim.checkpoint_dir,
@@ -281,6 +345,6 @@ def _run_simulation(spec: RunSpec) -> RunResult:
         extra=checkpoint_extra(spec),
     )
     return RunResult(
-        spec=spec, spec_hash=digest, history=sim.history,
+        spec=spec, spec_hash=sim.history.spec_hash, history=sim.history,
         dataset=sim.fed, simulator=sim,
     )

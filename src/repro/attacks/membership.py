@@ -196,9 +196,8 @@ def run_membership_experiment(
 
     rec_m, rec_n = record_membership_scores(model, fed)
     usr_m, usr_n = user_membership_scores(model, fed, rng=np.random.default_rng(seed))
-    label = getattr(method, "display_name", method.name)
     return MembershipResult(
-        method=label,
+        method=method.display_name,
         record_auc=attack_auc(rec_m, rec_n),
         record_advantage=membership_advantage(rec_m, rec_n),
         user_auc=attack_auc(usr_m, usr_n),

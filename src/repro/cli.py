@@ -116,7 +116,8 @@ def _print_sim_result(sim) -> None:
     from repro.report import comparison_table
 
     print(comparison_table([sim.history]))
-    releases = sim.method.accountant.releases
+    accountant = sim.method.accountant  # None: DEFAULT, ULDP-GROUP
+    releases = accountant.releases if accountant is not None else []
     if releases:
         worst = max(releases, key=lambda r: r.sensitivity)
         print(

@@ -414,10 +414,10 @@ def batched_gradients(
 ) -> np.ndarray:
     """Per-job full-batch mean gradients at ``params``, in batched passes.
 
-    The ``(len(jobs), P)`` result matches
-    :meth:`repro.core.methods.base.FLMethod._gradient` row by row; jobs on
-    which the loss is undefined (degenerate Cox batches) yield zero rows,
-    the same convention as the loop path.
+    The ``(len(jobs), P)`` result matches the loop oracle's ``gradient()``
+    (``tests/core/oracle_loop.py``) row by row; jobs on which the loss is
+    undefined (degenerate Cox batches) yield zero rows, the same
+    convention as the loop.
 
     Because every job is evaluated at the *same* parameters, this runs
     through the shared-weight engine: one unpadded forward/backward per
@@ -441,6 +441,25 @@ def batched_gradients(
                 local, loss, x, y, [j.n for j in chunk], out=out[start:stop]
             )
         return out
+
+
+def batched_clipped_gradients(
+    model: Sequential,
+    task: str,
+    params: np.ndarray,
+    jobs: list[LocalJob],
+    clip: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-job *negated, clipped* full-batch gradients plus their clip
+    factors -- ULDP-SGD's local vector (Algorithm 3 line 22), the gradient
+    twin of :func:`batched_clipped_local_deltas`.  A row depends only on
+    its micro-batch, so a shard task calling this chunk by chunk and a
+    per-silo step calling it on the whole job list get the same bits; the
+    result matrix is pooled, like :func:`batched_gradients`'."""
+    rows = batched_gradients(model, task, params, jobs)
+    np.negative(rows, out=rows)
+    factors = clip_factor_rows(rows, clip)  # validates clip > 0
+    return l2_clip_rows(rows, clip, out=rows, factors=factors), factors
 
 
 # -- sharded execution layer --------------------------------------------------
@@ -564,8 +583,8 @@ def run_shard_task(task: dict) -> dict:
     holds more than one ``(MICRO_BATCH, P)`` row block plus the
     ``(bins, P)`` accumulator, which is what bounds resident memory per
     process regardless of shard size.  Returns the accumulator state,
-    the per-job clip factors (``"delta"`` mode), and the kernel seconds
-    for the parent's shard span.
+    the per-job clip factors, and the kernel seconds for the parent's
+    shard span.
     """
     t0 = time.perf_counter()
     backend = get_backend(task["backend"])
@@ -577,11 +596,11 @@ def run_shard_task(task: dict) -> dict:
             f"shard {task['shard']}: {len(weights)} weights for {len(jobs)} jobs"
         )
     acc = BinnedSum(params.size, task["scale"])
-    factors = np.empty(len(jobs)) if task["mode"] == "delta" else None
+    factors = np.empty(len(jobs))
     for start, stop in _micro_batches(len(jobs)):
         chunk = jobs[start:stop]
         if task["mode"] == "delta":
-            rows, f = _clipped_local_deltas(
+            rows, factors[start:stop] = _clipped_local_deltas(
                 task["model"],
                 task["task"],
                 params,
@@ -590,11 +609,10 @@ def run_shard_task(task: dict) -> dict:
                 task["epochs"],
                 task["clip"],
             )
-            factors[start:stop] = f
         else:
-            rows = batched_gradients(task["model"], task["task"], params, chunk)
-            np.negative(rows, out=rows)
-            l2_clip_rows(rows, task["clip"], out=rows)
+            rows, factors[start:stop] = batched_clipped_gradients(
+                task["model"], task["task"], params, chunk, task["clip"]
+            )
         acc.add(backend.weighted_sum(weights[start:stop], rows))
     return {
         "shard": task["shard"],

@@ -22,7 +22,7 @@ Methods may also carry a :class:`repro.compress.CompressionSpec`
 (constructor argument or assigned by the trainer's ``compression=``):
 :meth:`FLMethod.prepare` builds the stateful
 :class:`repro.compress.UpdateCompressor` from it, and compressing methods
-(the ULDP-AVG family) apply it strictly post-noise, reporting the round's
+(the ULDP-AVG/SGD family) apply it strictly post-noise, reporting the round's
 wire bytes through :attr:`FLMethod.last_comm`.
 
 ``round`` accepts an optional
@@ -31,6 +31,15 @@ and users take part (the :mod:`repro.sim` runtime's dropout/churn roster).
 ``participation=None`` is the idealised full-participation setting and is
 bit-identical to the pre-simulation behaviour.  After every round a method
 records who actually contributed in :attr:`FLMethod.last_participation`.
+
+The contract.  What a runtime may ask of a method is *declared* on
+:class:`FLMethod`, never probed for: ``accountant``, ``display_name``,
+``uplink_payload_bytes()``, ``timing_report()``, the capabilities
+``supports_compression`` / ``check_compression()`` and ``has_silo_step``,
+and ``state_dict()`` / ``load_state()``, through which a method owns its
+checkpointed state.  A spec that needs an undeclared capability is refused
+at validation (:func:`repro.api.runner.validate_spec_names`; docs/api.md
+has the table).
 """
 
 from __future__ import annotations
@@ -40,12 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.accounting import PrivacyAccountant
 from repro.compress import CompressionSpec, UpdateCompressor
 from repro.core.engine import (
     EngineConfig,
     LocalJob,
     ShardedEngine,
-    batched_local_deltas,
     draw_minibatch_schedule,
 )
 from repro.core.weighting import RoundParticipation
@@ -82,11 +91,20 @@ class FLMethod(ABC):
     #: Whether :meth:`round` applies lossy update compression itself.
     #: Methods without it still accept an identity spec (byte accounting).
     supports_compression: bool = False
+    #: Whether the method has the per-silo step API (``silo_payload``,
+    #: ``apply_aggregate``, ``contribution_executor``; ``weights``, ``clip``,
+    #: ``noise_multiplier``, ``user_sample_rate``) that the buffered-async
+    #: scheduler and the networked runtime drive instead of :meth:`round`.
+    has_silo_step: bool = False
 
     def __init__(self, compression: CompressionSpec | None = None):
         self.fed: FederatedDataset | None = None
         self.model: Sequential | None = None
         self.rng: np.random.Generator | None = None
+        #: The accountant behind :meth:`epsilon` when the budget is one
+        #: composed curve (None: DEFAULT spends nothing, ULDP-GROUP keeps
+        #: one accountant per silo).
+        self.accountant: PrivacyAccountant | None = None
         #: Set by :meth:`round`: realised participation of the last round
         #: (None until the first round; the trainer records it per round).
         self.last_participation: ParticipationSummary | None = None
@@ -136,17 +154,27 @@ class FLMethod(ABC):
             self.engine_config = engine
             self.shard_engine = ShardedEngine(engine)
         spec = compression if compression is not None else self.compression
+        self.check_compression(spec)
         self.active_compression = spec
-        self.compressor = None
-        if spec is not None:
-            if not spec.is_identity and not self.supports_compression:
-                raise NotImplementedError(
-                    f"{type(self).__name__} does not implement lossy update "
-                    "compression; use CompressionSpec.none() for byte "
-                    "accounting only, or a UldpAvg-family method"
-                )
-            self.compressor = UpdateCompressor(
-                spec, fed.n_silos, model.num_params
+        self.compressor = (
+            None if spec is None
+            else UpdateCompressor(spec, fed.n_silos, model.num_params)
+        )
+
+    @property
+    def display_name(self) -> str:
+        """The label histories and reports carry (variants refine it)."""
+        return self.name
+
+    def check_compression(self, spec: CompressionSpec | None) -> None:
+        """Refuse a compression recipe this method cannot honour:
+        :meth:`prepare` and spec validation both call this, so both give
+        one message.  Methods admitting only some recipes extend it."""
+        if spec is not None and not spec.is_identity and not self.supports_compression:
+            raise NotImplementedError(
+                f"{self.display_name} does not implement lossy update "
+                "compression; use CompressionSpec.none() for byte "
+                "accounting only, or a ULDP-AVG/SGD-family method"
             )
 
     @abstractmethod
@@ -167,13 +195,71 @@ class FLMethod(ABC):
 
     def epsilon(self, delta: float) -> float | None:
         """Cumulative user-level (eps, delta)-ULDP; None if non-private."""
-        return None
+        return None if self.accountant is None else self.accountant.get_epsilon(delta)
+
+    def uplink_payload_bytes(self) -> int:
+        """One silo's per-round uplink wire size (the bandwidth models'
+        input): the compressed estimate when a compressor is active, dense
+        float64 otherwise.  Methods with another wire format override."""
+        _, model, _ = self._require_prepared()
+        if self.compressor is not None:
+            return self.compressor.estimated_payload_bytes(model.num_params)
+        return model.num_params * 8
+
+    def timing_report(self) -> dict[str, float]:
+        """Cumulative per-phase seconds (empty: no phase timer)."""
+        return {}
 
     def close(self) -> None:
         """Release the sharded engine's worker pool (idempotent; the pool
         is recreated lazily if the method keeps training afterwards)."""
         if getattr(self, "shard_engine", None) is not None:
             self.shard_engine.close()
+
+    # -- checkpoint serialisation -------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Everything dynamic the method holds between rounds: here the
+        compressor (residuals + RNG) and the accountant; subclasses add
+        keys.  Hyper-parameters and what :meth:`prepare` rebuilds are not
+        state: a resume prepares the method anew, then :meth:`load_state`."""
+        return {
+            "compressor": None if self.compressor is None
+            else self.compressor.state_dict(),
+            "accountant": None if self.accountant is None
+            else self.accountant.state_dict(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot, or refuse it.  Subclasses
+        pop their keys and pass the rest up; state only one side has is
+        refused, not dropped or left fresh: either silently forks the run."""
+        state = dict(state)
+        saved = state.pop("compressor", None)
+        if (saved is None) != (self.compressor is None):
+            raise ValueError(
+                "checkpoint and rebuilt simulator disagree about update "
+                "compression; was the scenario's compression spec changed?"
+            )
+        if saved is not None:
+            self.compressor.load_state(saved)
+        saved = state.pop("accountant", None)
+        if (saved is None) != (self.accountant is None):
+            raise self._unplaced("accountant", saved is not None)
+        if saved is not None:
+            self.accountant.load_state(saved)
+        for key, value in state.items():
+            if value is not None:
+                raise self._unplaced(key, True)
+
+    def _unplaced(self, key: str, saved: bool) -> ValueError:
+        """The refusal for state only one side of a resume has."""
+        return ValueError(
+            f"checkpoint carries {'' if saved else 'no '}{key!r} state but the "
+            f"rebuilt method cannot restore {'it' if saved else 'without it'}; "
+            "was the scenario's method changed? "
+            f"(rebuilt: {self.display_name})"
+        )
 
     # -- shared helpers -----------------------------------------------------
 
@@ -195,19 +281,6 @@ class FLMethod(ABC):
         _, _, rng = self._require_prepared()
         schedule = draw_minibatch_schedule(len(x), batch_size, local_epochs, rng)
         return LocalJob(x, y, schedule=schedule)
-
-    def _local_deltas_batched(
-        self,
-        params: np.ndarray,
-        jobs: list[LocalJob],
-        local_lr: float,
-        local_epochs: int,
-    ) -> np.ndarray:
-        """Stacked per-job model deltas via the batched engine ((G, P))."""
-        fed, model, _ = self._require_prepared()
-        return batched_local_deltas(
-            model, fed.task, params, jobs, local_lr, local_epochs
-        )
 
     def _gaussian_noise(self, std: float, size: int) -> np.ndarray:
         _, _, rng = self._require_prepared()

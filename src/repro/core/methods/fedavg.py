@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine import batched_local_deltas
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.weighting import RoundParticipation
 
@@ -49,7 +50,7 @@ class Default(FLMethod):
         departed users' records stay in (same documented limitation as
         :class:`repro.core.methods.uldp_group.UldpGroup`).
         """
-        fed, _, _ = self._require_prepared()
+        fed, model, _ = self._require_prepared()
         if participation is not None and participation.n_active_silos == 0:
             self.last_participation = ParticipationSummary(0, 0)
             return params.copy()
@@ -70,8 +71,8 @@ class Default(FLMethod):
             for s, silo in enumerate(fed.silos)
             if trains(s, silo)
         ]
-        deltas = self._local_deltas_batched(
-            params, jobs, self.local_lr, self.local_epochs
+        deltas = batched_local_deltas(
+            model, fed.task, params, jobs, self.local_lr, self.local_epochs
         )
         # Empty silos contribute zero deltas; the mean is over all
         # (participating) silos.

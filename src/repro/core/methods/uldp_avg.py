@@ -1,4 +1,9 @@
-"""ULDP-AVG (Algorithm 3) with optional user-level sub-sampling (Algorithm 4).
+"""ULDP-AVG/SGD (Algorithm 3) with optional user-level sub-sampling (Algorithm 4).
+
+The paper prints both variants as one listing and so does this module:
+:class:`UldpAvg` is the whole round, and :class:`repro.core.UldpSgd`
+changes the one line that produces a user's local vector
+(:attr:`UldpAvg.local_kernel`: Q local epochs, or one full-batch gradient).
 
 The paper's main contribution: each silo trains a *per-user* model delta
 (Q local epochs on only that user's records), clips it to C, scales it by
@@ -42,6 +47,7 @@ import numpy as np
 from repro.accounting import PrivacyAccountant
 from repro.compress import CompressionSpec
 from repro.core.engine import (
+    batched_clipped_gradients,
     batched_clipped_local_deltas,
     fold_weighted_rows,
     make_shard_task,
@@ -75,6 +81,12 @@ class UldpAvg(FLMethod):
 
     name = "ULDP-AVG"
     supports_compression = True
+    has_silo_step = True
+    #: The one line of Algorithm 3 the variants differ in, a user's local
+    #: vector: ``"delta"`` (after Q local epochs, line 15) or ``"gradient"``
+    #: (one negated full-batch gradient, line 22).  Read by the per-silo
+    #: step and, as ``make_shard_task(mode=)``, by the shard pool.
+    local_kernel = "delta"
     #: Whether the in-process round plans each silo's jobs into shard tasks
     #: for the engine (and its worker pool) or walks :meth:`_silo_step`
     #: silo by silo.  Both form the same payloads bit for bit; the loop
@@ -159,36 +171,34 @@ class UldpAvg(FLMethod):
         fed, _, rng = self._require_prepared()
         assert self.weights is not None
         q = self.user_sample_rate
-
+        rate = 1.0 if q is None else q
         if participation is None:
-            base_weights = self.weights
-            sensitivity, noise_scale = 1.0, 1.0
+            # The paper's idealised setting is the roster with everyone in
+            # it: same weights bit for bit, sensitivity and noise scale 1.
+            participation = RoundParticipation.full(fed.n_silos)
+        active = participation.n_active_silos
+        if active == 0:
+            # Every silo is down: the round releases nothing and costs no
+            # budget (logged so the honesty report sees the gap).  Silos
+            # that fetched the model before failing still consumed
+            # broadcast bytes (dense: there is no update to compress).
+            self.last_participation = ParticipationSummary(0, 0)
+            self.last_comm = CommSummary(
+                0, params.size * 8 * participation.n_broadcast_silos
+            )
+            self.accountant.step_release(
+                self.noise_multiplier, rate, sensitivity=0.0, noise_scale=0.0
+            )
+            return params.copy()
+        base_weights = participation_weights(self.weights, participation)
+        sensitivity = realised_sensitivity(base_weights)
+        self._active_silo_mask = participation.silo_mask
+        if participation.noise_rescale:
+            self._noise_silos = active
+            noise_scale = 1.0
         else:
-            active = participation.n_active_silos
-            if active == 0:
-                # Every silo is down: the round releases nothing and costs
-                # no budget (logged so the honesty report sees the gap).
-                # Silos that fetched the model before failing to
-                # contribute still consumed broadcast bytes (dense: there
-                # is no update to compress).
-                self.last_participation = ParticipationSummary(0, 0)
-                self.last_comm = CommSummary(
-                    0, params.size * 8 * participation.n_broadcast_silos
-                )
-                self.accountant.step_release(
-                    self.noise_multiplier, sample_rate=q if q else 1.0,
-                    sensitivity=0.0, noise_scale=0.0,
-                )
-                return params.copy()
-            base_weights = participation_weights(self.weights, participation)
-            sensitivity = realised_sensitivity(base_weights)
-            self._active_silo_mask = participation.silo_mask
-            if participation.noise_rescale:
-                self._noise_silos = active
-                noise_scale = 1.0
-            else:
-                self._noise_silos = fed.n_silos
-                noise_scale = float(np.sqrt(active / fed.n_silos))
+            self._noise_silos = fed.n_silos
+            noise_scale = float(np.sqrt(active / fed.n_silos))
 
         if q is not None:
             sampled = np.where(rng.random(fed.n_users) < q)[0]
@@ -205,19 +215,13 @@ class UldpAvg(FLMethod):
             self._noise_silos = None
 
         self.last_participation = ParticipationSummary(
-            silos_seen=fed.n_silos if participation is None
-            else participation.n_active_silos,
-            users_seen=len(users_seen),
+            silos_seen=active, users_seen=len(users_seen)
         )
-
-        if participation is None:
-            self.accountant.step(self.noise_multiplier, sample_rate=q if q else 1.0)
-        else:
-            self.accountant.step_release(
-                self.noise_multiplier, sample_rate=q if q else 1.0,
-                sensitivity=sensitivity, noise_scale=noise_scale,
-            )
-        scale = fed.n_users * fed.n_silos * (q if q is not None else 1.0)
+        self.accountant.step_release(
+            self.noise_multiplier, rate, sensitivity=sensitivity,
+            noise_scale=noise_scale,
+        )
+        scale = fed.n_users * fed.n_silos * rate
         assert self.global_lr is not None
         update = self.global_lr * aggregate / scale
         comp = self.compressor
@@ -230,10 +234,9 @@ class UldpAvg(FLMethod):
         # Downlink recipients are the silos that fetched the broadcast at
         # round start -- a superset of the contributors when deadline or
         # bandwidth filtering bit after the download.
-        recipients = (
-            fed.n_silos if participation is None else participation.n_broadcast_silos
+        self.last_comm = CommSummary(
+            uplink, downlink_per_silo * participation.n_broadcast_silos
         )
-        self.last_comm = CommSummary(uplink, downlink_per_silo * recipients)
         return params + update
 
     def _round_aggregate(
@@ -325,7 +328,8 @@ class UldpAvg(FLMethod):
         self, s: int, params: np.ndarray, weight_row: np.ndarray, noise_std: float
     ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
         """Algorithm 3's per-silo step with the rows kept: each present
-        user's delta trained from ``params`` and clipped to C (line 16
+        user's local vector -- :attr:`local_kernel`: the delta trained from
+        ``params``, or one negated gradient at it -- clipped to C (line 16
         before the w multiplication), plus the silo's noise.
 
         The in-process walk, a remote silo process, the buffered-async
@@ -341,10 +345,15 @@ class UldpAvg(FLMethod):
         """
         fed, model, _ = self._require_prepared()
         users, jobs, noise = self._draw_silo(s, weight_row, noise_std, params.size)
-        rows, factors = batched_clipped_local_deltas(
-            model, fed.task, params, jobs,
-            self.local_lr, self.local_epochs, self.clip,
-        )
+        if self.local_kernel == "gradient":
+            rows, factors = batched_clipped_gradients(
+                model, fed.task, params, jobs, self.clip
+            )
+        else:
+            rows, factors = batched_clipped_local_deltas(
+                model, fed.task, params, jobs,
+                self.local_lr, self.local_epochs, self.clip,
+            )
         return users, rows, factors, noise
 
     def _noisy_sum(
@@ -418,7 +427,7 @@ class UldpAvg(FLMethod):
             for a, b in plan_shards(len(jobs), shard_size):
                 tasks.append(
                     make_shard_task(
-                        mode="delta",
+                        mode=self.local_kernel,
                         model=model,
                         task=fed.task,
                         params=params,
@@ -451,18 +460,6 @@ class UldpAvg(FLMethod):
                 noise = noise + engine.reduce(shards[s]).total()
             payloads.append((s, users, noise))
         return payloads
-
-    def uplink_payload_bytes(self) -> int:
-        """One silo's per-round uplink wire size (the bandwidth models' input).
-
-        The compressed estimate when a compressor is active, dense float64
-        otherwise; :class:`repro.protocol.SecureUldpAvg` overrides this
-        with ciphertext sizes.
-        """
-        _, model, _ = self._require_prepared()
-        if self.compressor is not None:
-            return self.compressor.estimated_payload_bytes(model.num_params)
-        return model.num_params * 8
 
     # -- per-silo step API (remote silos, buffered-async simulation) ----------
 
@@ -523,6 +520,3 @@ class UldpAvg(FLMethod):
         assert self.global_lr is not None
         scale = fed.n_users * max(n_updates, 1)
         return params + self.global_lr * aggregate / scale
-
-    def epsilon(self, delta: float) -> float:
-        return self.accountant.get_epsilon(delta)

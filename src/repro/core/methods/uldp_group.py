@@ -190,6 +190,24 @@ class UldpGroup(FLMethod):
         )
         return params + self.global_lr * np.mean(deltas, axis=0)
 
+    def state_dict(self) -> dict:
+        """The base state plus the per-silo accountants Theorem 2 composes
+        in parallel (the method has no single :attr:`accountant`)."""
+        return {
+            **super().state_dict(),
+            "silo_accountants": [a.state_dict() for a in self.silo_accountants],
+        }
+
+    def load_state(self, state: dict) -> None:
+        state = dict(state)
+        saved = state.pop("silo_accountants", None)
+        if saved is None:
+            raise self._unplaced("silo_accountants", False)
+        super().load_state(state)
+        # strict: a snapshot of another silo count is a ValueError too.
+        for accountant, silo_state in zip(self.silo_accountants, saved, strict=True):
+            accountant.load_state(silo_state)
+
     def epsilon(self, delta: float) -> float:
         """ULDP epsilon via Theorem 2: parallel-max RDP + group conversion."""
         assert self.group_size is not None

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.accounting import PrivacyAccountant
 from repro.core.clipping import l2_clip_rows
+from repro.core.engine import batched_local_deltas
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.weighting import RoundParticipation
 
@@ -62,7 +63,7 @@ class UldpNaive(FLMethod):
         is ignored because silos clip and ship their *whole* delta (the
         same documented limitation as ULDP-GROUP).
         """
-        fed, _, _ = self._require_prepared()
+        fed, model, _ = self._require_prepared()
         n_silos = fed.n_silos
         if participation is not None and participation.n_active_silos == 0:
             self.last_participation = ParticipationSummary(0, 0)
@@ -96,8 +97,8 @@ class UldpNaive(FLMethod):
                     )
                 )
             noises.append(self._gaussian_noise(noise_std, params.size))
-        deltas = self._local_deltas_batched(
-            params, jobs, self.local_lr, self.local_epochs
+        deltas = batched_local_deltas(
+            model, fed.task, params, jobs, self.local_lr, self.local_epochs
         )
         aggregate = l2_clip_rows(deltas, self.clip).sum(axis=0)
         if noises:
@@ -119,6 +120,3 @@ class UldpNaive(FLMethod):
         else:
             self.accountant.step_release(self.noise_multiplier)
         return params + self.global_lr * aggregate / n_active
-
-    def epsilon(self, delta: float) -> float:
-        return self.accountant.get_epsilon(delta)

@@ -214,8 +214,7 @@ class Trainer:
         method.prepare(
             fed, self.model, self.rng, compression=compression, engine=engine
         )
-        label = getattr(method, "display_name", method.name)
-        self.history = TrainingHistory(method=label, dataset=fed.name)
+        self.history = TrainingHistory(method=method.display_name, dataset=fed.name)
         self._params: np.ndarray = self.model.get_flat_params()
         self._round = 0
 
@@ -329,18 +328,16 @@ class Trainer:
         ).inc(comm.downlink_bytes)
         # Cumulative protocol-phase totals (secure methods): into history
         # for reports and into phase gauges for /metrics.
-        report = getattr(self.method, "timing_report", None)
-        if callable(report):
-            phases = report()
-            if phases:
-                self.history.phase_seconds = dict(phases)
-                gauge = reg.gauge(
-                    "protocol_phase_seconds",
-                    help="Cumulative seconds per secure-protocol phase.",
-                    unit="seconds",
-                )
-                for name, total in phases.items():
-                    gauge.labels(phase=name).set(total)
+        phases = self.method.timing_report()
+        if phases:
+            self.history.phase_seconds = dict(phases)
+            gauge = reg.gauge(
+                "protocol_phase_seconds",
+                help="Cumulative seconds per secure-protocol phase.",
+                unit="seconds",
+            )
+            for name, total in phases.items():
+                gauge.labels(phase=name).set(total)
 
     def _participation_record(
         self, t: int, participation: RoundParticipation | None

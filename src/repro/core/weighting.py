@@ -202,8 +202,9 @@ class RoundParticipation:
         return int(mask.sum())
 
     @classmethod
-    def full(cls, n_silos: int, n_users: int | None = None) -> "RoundParticipation":
-        """Everyone participates (the idealised setting of the paper)."""
+    def full(cls, n_silos: int) -> "RoundParticipation":
+        """Everyone participates (the idealised setting of the paper):
+        what ``participation=None`` means to ULDP-AVG/SGD's round."""
         return cls(silo_mask=np.ones(n_silos, dtype=bool))
 
 

@@ -47,7 +47,12 @@ import time
 
 import numpy as np
 
-from repro.api.runner import build_simulator, checkpoint_extra, obs_session
+from repro.api.runner import (
+    build_simulator,
+    checkpoint_extra,
+    obs_session,
+    validate_spec_names,
+)
 from repro.api.spec import RunSpec, SpecError
 from repro.core.weighting import QuorumError
 from repro.net.transport import (
@@ -173,34 +178,15 @@ class FederationServer:
     """Drives one simulate-mode spec over real silo connections."""
 
     def __init__(self, spec: RunSpec, sim=None):
-        if spec.net is None:
+        if spec.net is None:  # (a spec with [net] always has [sim])
             raise SpecError("spec has no [net] section; nothing to serve")
-        if not spec.is_simulation:
-            raise SpecError("repro serve needs a [sim] scenario spec")
+        # The per-silo step, synchronous rounds, a quorum the roster can
+        # meet: refused here exactly as `repro validate-config` refuses them.
+        validate_spec_names(spec)
         self.spec = spec
         self.net = spec.net
         self.sim = sim if sim is not None else build_simulator(spec)
-        method = self.sim.method
-        if not hasattr(method, "silo_payload"):
-            raise SpecError(
-                "repro serve supports the ULDP-AVG method family "
-                f"(methods with a silo_payload API); "
-                f"{type(method).__name__} has none")
-        from repro.sim.policies import BufferedAsyncPolicy
-
-        if isinstance(self.sim.config.policy, BufferedAsyncPolicy):
-            raise SpecError(
-                "the networked runtime drives synchronous / semi-"
-                "synchronous rounds; buffered-async scenarios are "
-                "in-process only")
-        if self.net.min_quorum > self.sim.fed.n_silos:
-            raise SpecError(
-                f"net.min_quorum={self.net.min_quorum} exceeds the "
-                f"scenario's {self.sim.fed.n_silos} silos")
         self.spec_hash = spec.hash()
-        # Stamp the history like repro.run does (idempotent on resume).
-        self.sim.history.spec = spec.to_dict()
-        self.sim.history.spec_hash = self.spec_hash
         self.listener: socket.socket | None = None
         self.port: int | None = None
         self.conns: dict[int, MessageSocket] = {}

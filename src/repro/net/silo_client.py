@@ -34,7 +34,7 @@ import os
 import random
 import time
 
-from repro.api.runner import build_simulator
+from repro.api.runner import build_simulator, validate_spec_names
 from repro.api.spec import RunSpec, SpecError
 from repro.net.faults import FaultPlan
 from repro.net.transport import (
@@ -58,10 +58,8 @@ class SiloClient:
     """One silo process serving rounds for a simulate-mode [net] spec."""
 
     def __init__(self, spec: RunSpec, silo_id: int, port: int | None = None):
-        if spec.net is None:
+        if spec.net is None:  # (a spec with [net] always has [sim])
             raise SpecError("spec has no [net] section; nothing to join")
-        if not spec.is_simulation:
-            raise SpecError("repro silo needs a [sim] scenario spec")
         self.spec = spec
         self.net = spec.net
         self.port = int(port) if port is not None else spec.net.port
@@ -69,15 +67,12 @@ class SiloClient:
             raise SpecError(
                 "the spec leaves the port OS-assigned; pass --port with "
                 "the port `repro serve` printed")
+        validate_spec_names(spec)  # the method has the per-silo step, ...
         self.sim = build_simulator(spec)
         if not 0 <= silo_id < self.sim.fed.n_silos:
             raise SpecError(
                 f"silo id {silo_id} out of range for the scenario's "
                 f"{self.sim.fed.n_silos} silos")
-        if not hasattr(self.sim.method, "silo_payload"):
-            raise SpecError(
-                "repro silo supports the ULDP-AVG method family "
-                "(methods with a silo_payload API)")
         self.silo_id = int(silo_id)
         self.plan = FaultPlan.from_tree(spec.net.faults)
         self.spec_hash = spec.hash()

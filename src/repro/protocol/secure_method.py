@@ -110,6 +110,9 @@ class SecureUldpAvg(UldpAvg):
     """
 
     name = "ULDP-AVG-w (secure)"
+    #: Not declared: the inherited per-silo step forms a *plaintext* payload,
+    #: so a runtime driving it (buffered-async, ``[net]``) bypasses Protocol 1.
+    has_silo_step = False
     #: The Protocol 1 orchestrator ``prepare`` builds (the test oracle
     #: substitutes its seed-implementation subclass here).
     protocol_cls = PrivateWeightingProtocol
@@ -194,8 +197,7 @@ class SecureUldpAvg(UldpAvg):
     def display_name(self) -> str:
         return self.name
 
-    @staticmethod
-    def _validate_compression(spec: CompressionSpec | None) -> None:
+    def check_compression(self, spec: CompressionSpec | None) -> None:
         """Reject specs the encrypted path cannot honour (see class doc)."""
         if spec is None or spec.is_identity:
             return
@@ -217,8 +219,6 @@ class SecureUldpAvg(UldpAvg):
             )
 
     def prepare(self, fed, model, rng, compression=None, engine=None) -> None:
-        effective = compression if compression is not None else self.compression
-        self._validate_compression(effective)
         super().prepare(fed, model, rng, compression=compression, engine=engine)
         summary, weak = self._security()
         if weak:
@@ -493,17 +493,24 @@ class SecureUldpAvg(UldpAvg):
 
     # -- checkpoint serialisation -------------------------------------------
 
-    def protocol_state_dict(self) -> dict | None:
-        """Dynamic protocol state for checkpointing (key material rebuilds
-        deterministically from ``protocol_seed`` at prepare time)."""
+    def state_dict(self) -> dict:
+        """The base state plus the masked protocol's round counter, which
+        seeds the per-round masks (key material rebuilds from
+        ``protocol_seed`` at prepare time; Paillier rounds hold no state)."""
+        protocol = None
         if self.masked_protocol is not None:
-            return {"backend": "masked", **self.masked_protocol.state_dict()}
-        return None
+            protocol = {"backend": "masked", **self.masked_protocol.state_dict()}
+        return {**super().state_dict(), "protocol": protocol}
 
-    def load_protocol_state(self, state: dict) -> None:
-        if state.get("backend") != "masked" or self.masked_protocol is None:
+    def load_state(self, state: dict) -> None:
+        state = dict(state)
+        saved = state.pop("protocol", None)
+        backend = "masked" if self.masked_protocol is not None else None
+        if (saved or {}).get("backend") != backend:
             raise ValueError(
                 "checkpoint and rebuilt method disagree about the crypto "
                 "backend; was the spec's crypto section changed?"
             )
-        self.masked_protocol.load_state(state)
+        super().load_state(state)
+        if saved is not None:
+            self.masked_protocol.load_state(saved)

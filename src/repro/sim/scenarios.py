@@ -201,6 +201,19 @@ def describe_scenario(name: str) -> str:
     return SCENARIOS.describe(name)
 
 
+def scenario_recipe(
+    name: str, scale: str = "small", rounds: int | None = None
+) -> tuple[dict, dict]:
+    """``(sizes, overrides)`` of a named scenario, nothing built: the scale
+    tier's workload sizes (``rounds`` resolved) and the scenario's
+    :class:`SimConfig` overrides (policy, compression, bandwidth).  What
+    :func:`build_scenario` builds from and spec validation reads."""
+    sizes = _scale_params(scale)
+    if rounds is not None:
+        sizes["rounds"] = int(rounds)
+    return sizes, SCENARIOS.get(name)(sizes["rounds"], sizes["n_silos"])
+
+
 def build_scenario(
     name: str,
     scale: str = "small",
@@ -221,9 +234,8 @@ def build_scenario(
     """
     from repro.data import build_creditcard_benchmark
 
-    config_factory = SCENARIOS.get(name)
-    params = _scale_params(scale)
-    rounds = int(rounds) if rounds is not None else params["rounds"]
+    params, overrides = scenario_recipe(name, scale, rounds)
+    rounds = params["rounds"]
     fed = build_creditcard_benchmark(
         n_users=params["n_users"],
         n_silos=params["n_silos"],
@@ -240,7 +252,6 @@ def build_scenario(
             local_epochs=1,
             weighting="proportional",
         )
-    overrides = config_factory(rounds, fed.n_silos)
     config = SimConfig(
         rounds=rounds, seed=seed + 1, delta=delta, eval_every=eval_every,
         **overrides,
@@ -286,18 +297,14 @@ def resume_simulator(checkpoint_dir: str) -> tuple[FederationSimulator, dict]:
 
     spec = verify_checkpoint_spec(extra)
     if spec is not None:
-        sim = build_simulator(spec)
-        sim.load_state(state)
-        # Re-stamp: load_state rebuilds history records but not the spec.
-        sim.history.spec = spec.to_dict()
-        sim.history.spec_hash = spec.hash()
-        return sim, extra
-    sim = build_scenario(
-        extra["scenario"],
-        scale=extra.get("scale", "small"),
-        seed=int(extra.get("seed", 0)),
-        rounds=extra.get("rounds"),
-    )
+        sim = build_simulator(spec)  # stamps the history with the spec
+    else:
+        sim = build_scenario(
+            extra["scenario"],
+            scale=extra.get("scale", "small"),
+            seed=int(extra.get("seed", 0)),
+            rounds=extra.get("rounds"),
+        )
     sim.load_state(state)
     return sim, extra
 

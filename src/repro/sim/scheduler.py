@@ -13,19 +13,26 @@ advances it one *release* at a time under a :class:`SimConfig`:
   ``buffer_size`` completions the scheduler merges the buffer with
   staleness weights, performs the sensitivity bookkeeping itself (a user
   may appear in several buffered payloads), steps the accountant, and
-  records the release through ``trainer.apply_external_round``.
+  records the release through ``trainer.apply_external_round``.  It
+  drives the method's per-silo step (``FLMethod.has_silo_step``).
+
+The scheduler reads a method only through what :class:`repro.core.FLMethod`
+declares -- attributes, never a ``getattr`` with a fallback: a fallback
+like "no ``noise_multiplier`` means 0.0" would be a noiseless release.
 
 Two independent RNG streams keep the simulation honest and resumable: the
 trainer's stream drives training/noise exactly as in the plain loop, the
 scheduler's stream drives participation dynamics.  All scheduler state --
 virtual clock, carryover gains, pending async jobs, population flags --
-serialises through :meth:`FederationSimulator.state_dict`, which is what
-makes killed simulations resume bit-identically
-(:mod:`repro.sim.checkpoint`).
+serialises through :meth:`FederationSimulator.state_dict`, with the
+method's own block in it (``FLMethod.state_dict``: compressor, every
+accountant, secure-protocol counters), which is what makes killed
+simulations resume bit-identically (:mod:`repro.sim.checkpoint`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,19 +146,19 @@ class FederationSimulator:
             else ShardedUserPopulation(fed.n_users, seed=config.seed)
         )
         if isinstance(config.policy, BufferedAsyncPolicy):
-            if getattr(method, "user_sample_rate", None):
+            if not method.has_silo_step:
+                raise TypeError(
+                    "buffered-async aggregation needs the per-silo step API "
+                    f"(has_silo_step; {method.display_name} declares none)"
+                )
+            if method.user_sample_rate:
                 raise ValueError(
                     "buffered-async simulation does not compose with "
                     "server-side user sub-sampling"
                 )
-            if not hasattr(method, "silo_payload"):
-                raise TypeError(
-                    "buffered-async aggregation needs the per-silo step API "
-                    "(UldpAvg and subclasses)"
-                )
             # The trainer above already ran prepare(), so the method's
             # active_compression is the effective (trainer-override) spec.
-            spec = getattr(method, "active_compression", None)
+            spec = method.active_compression
             if spec is not None and not spec.is_identity:
                 raise ValueError(
                     "lossy update compression is not supported with "
@@ -224,19 +231,6 @@ class FederationSimulator:
             return None
         return self.population.active_mask(0, self.fed.n_users)
 
-    def _uplink_payload_bytes(self) -> int:
-        """One silo's per-round uplink payload size.
-
-        Methods that know their wire format report it themselves
-        (compressed plaintext for the ULDP-AVG family, ciphertext bytes
-        for the secure protocol); everything else is charged the dense
-        float64 default.
-        """
-        reporter = getattr(self.method, "uplink_payload_bytes", None)
-        if callable(reporter):
-            return int(reporter())
-        return self.trainer.params.size * 8
-
     def _step_sync_like(self) -> None:
         """One synchronous or semi-synchronous round."""
         t = self.rounds_completed
@@ -260,7 +254,7 @@ class FederationSimulator:
             # Uplink transmission joins the compute latency, and silos
             # whose payload blows the byte cap cannot contribute at all --
             # the lever compression moves.
-            payload_bytes = self._uplink_payload_bytes()
+            payload_bytes = int(self.method.uplink_payload_bytes())
             latency = latency + config.bandwidth.transmission_times(
                 payload_bytes, self.fed.n_silos
             )
@@ -308,7 +302,7 @@ class FederationSimulator:
 
     def _async_round_weights(self) -> np.ndarray:
         """The weight matrix a newly-started async job trains against."""
-        assert getattr(self.method, "weights", None) is not None
+        assert self.method.weights is not None
         participation = RoundParticipation(
             silo_mask=np.ones(self.fed.n_silos, dtype=bool),
             user_mask=self._user_mask(),
@@ -320,8 +314,7 @@ class FederationSimulator:
         """Per-payload noise std: a full buffer carries total std sigma*C."""
         policy = self.config.policy
         assert isinstance(policy, BufferedAsyncPolicy)
-        sigma = getattr(self.method, "noise_multiplier", 0.0)
-        clip = getattr(self.method, "clip", 1.0)
+        sigma, clip = self.method.noise_multiplier, self.method.clip
         return float(sigma * clip / np.sqrt(policy.buffer_size))
 
     def _start_job(self, silo: int) -> None:
@@ -398,13 +391,10 @@ class FederationSimulator:
         # Each payload carries noise std sigma*C/sqrt(K); the discounted sum
         # has std sigma*C*sqrt(mean(discount^2)).
         noise_scale = float(np.sqrt(np.mean(discounts**2)))
-        accountant = getattr(self.method, "accountant", None)
-        if accountant is not None and self.method.is_private:
-            accountant.step_release(
-                getattr(self.method, "noise_multiplier", 0.0),
-                sensitivity=sensitivity,
-                noise_scale=noise_scale,
-            )
+        self.method.accountant.step_release(
+            self.method.noise_multiplier, sensitivity=sensitivity,
+            noise_scale=noise_scale,
+        )
         params = self.method.apply_aggregate(
             self.trainer.params, aggregate, n_updates=len(merged)
         )
@@ -455,6 +445,10 @@ class FederationSimulator:
         this state (see :mod:`repro.sim.checkpoint`).
         """
         trainer = self.trainer
+
+        def rows(records) -> list[list]:
+            return [list(dataclasses.astuple(record)) for record in records]
+
         return {
             "schema": "uldp-fl-sim/v1",
             "round": trainer.round_index,
@@ -465,66 +459,19 @@ class FederationSimulator:
             "carry_gain": self.carry_gain.copy(),
             "round_log": [dict(r) for r in self.round_log],
             "history": {
-                "records": [
-                    [r.round, r.metric_name, r.metric, r.loss, r.epsilon]
-                    for r in trainer.history.records
-                ],
+                "records": rows(trainer.history.records),
                 "round_seconds": list(trainer.history.round_seconds),
-                "participation": [
-                    [p.round, p.silos_seen, p.users_seen]
-                    for p in trainer.history.participation
-                ],
-                "comm": [
-                    [c.round, c.uplink_bytes, c.downlink_bytes]
-                    for c in trainer.history.comm
-                ],
+                "participation": rows(trainer.history.participation),
+                "comm": rows(trainer.history.comm),
             },
-            "compressor": (
-                self.method.compressor.state_dict()
-                if getattr(self.method, "compressor", None) is not None
-                else None
-            ),
-            "accountant": (
-                self.method.accountant.state_dict()
-                if getattr(self.method, "accountant", None) is not None
-                else None
-            ),
-            # Secure methods carry live protocol state (e.g. the masked
-            # backend's round counter, which seeds the per-round masks);
-            # None for every other method.
-            "protocol": (
-                self.method.protocol_state_dict()
-                if hasattr(self.method, "protocol_state_dict")
-                else None
-            ),
+            "method": self.method.state_dict(),  # the method owns its state
             "population": self.population.state_dict(),
             "async": {
                 "version": self._version,
                 "seq": self._seq,
-                "pending": [
-                    {
-                        "silo": u.silo,
-                        "version": u.version,
-                        "finish": u.finish,
-                        "seq": u.seq,
-                        "payload": u.payload.copy(),
-                        "users": u.users.copy(),
-                        "weights": u.weights.copy(),
-                    }
-                    for u in self._pending
-                ],
-                "buffer": [
-                    {
-                        "silo": u.silo,
-                        "version": u.version,
-                        "finish": u.finish,
-                        "seq": u.seq,
-                        "payload": u.payload.copy(),
-                        "users": u.users.copy(),
-                        "weights": u.weights.copy(),
-                    }
-                    for u in self._buffer
-                ],
+                # asdict deep-copies the payload / users / weights arrays.
+                "pending": [dataclasses.asdict(u) for u in self._pending],
+                "buffer": [dataclasses.asdict(u) for u in self._buffer],
             },
         }
 
@@ -544,17 +491,13 @@ class FederationSimulator:
         self.carry_gain = np.asarray(state["carry_gain"], dtype=np.float64).copy()
         self.round_log = [dict(r) for r in state["round_log"]]
         history = trainer.history
-        history.records.clear()
-        for rnd, name, metric, loss, eps in state["history"]["records"]:
-            history.records.append(
-                RoundRecord(
-                    round=int(rnd),
-                    metric_name=name,
-                    metric=float(metric),
-                    loss=float(loss),
-                    epsilon=None if eps is None else float(eps),
-                )
+        history.records[:] = [
+            RoundRecord(
+                int(rnd), name, float(metric), float(loss),
+                None if eps is None else float(eps),
             )
+            for rnd, name, metric, loss, eps in state["history"]["records"]
+        ]
         history.round_seconds[:] = [float(s) for s in state["history"]["round_seconds"]]
         history.participation[:] = [
             ParticipationRecord(int(r), int(s), int(u))
@@ -565,31 +508,15 @@ class FederationSimulator:
             CommRecord(int(r), int(u), int(d))
             for r, u, d in state["history"].get("comm", [])
         ]
-        compressor_state = state.get("compressor")
-        compressor = getattr(self.method, "compressor", None)
-        if (compressor_state is None) != (compressor is None):
-            # Either direction of this mismatch breaks bit-identical
-            # resume: restoring fresh residuals/RNG into a compressing run
-            # is as wrong as dropping saved state on the floor.
-            raise ValueError(
-                "checkpoint and rebuilt simulator disagree about update "
-                "compression; was the scenario's compression spec changed?"
-            )
-        if compressor_state is not None:
-            compressor.load_state(compressor_state)
-        if state["accountant"] is not None:
-            self.method.accountant.load_state(state["accountant"])
-        # Optional key: snapshots written before secure-protocol state load
-        # fine (they never held a secure method).
-        protocol_state = state.get("protocol")
-        if protocol_state is not None:
-            if not hasattr(self.method, "load_protocol_state"):
-                raise ValueError(
-                    "checkpoint carries secure-protocol state but the "
-                    "rebuilt method cannot restore it; was the scenario's "
-                    "method changed?"
-                )
-            self.method.load_protocol_state(protocol_state)
+        method_state = state.get("method")
+        if method_state is None:
+            # Snapshots written before methods owned their state kept it
+            # in three flat keys ("protocol" only ever for secure methods).
+            method_state = {
+                key: state.get(key)
+                for key in ("compressor", "accountant", "protocol")
+            }
+        self.method.load_state(method_state)
         self.population.load_state(state["population"])
         async_state = state["async"]
         self._version = int(async_state["version"])

@@ -12,8 +12,9 @@ floating-point reassociation: ``atol=1e-10`` in
 ``test_engine_equivalence.py``.
 
 The other loop rounds cover full participation only, which is all the
-equivalence tests drive; ``LoopUldpAvg`` inherits everything but the
-per-silo step, so it also runs under a Trainer, with compression.
+equivalence tests drive; ``LoopUldpAvg`` and ``LoopUldpSgd`` inherit
+everything but the per-silo step (Algorithm 3's one round, two local
+kernels), so they also run under a Trainer, with compression.
 """
 
 from unittest import mock
@@ -23,7 +24,6 @@ import numpy as np
 from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.core.clipping import clip_factor, l2_clip
 from repro.core.metrics import make_loss
-from repro.core.weighting import subsample_weights
 from repro.nn import dpsgd
 from repro.nn.losses import DegenerateBatchError
 from repro.nn.train import train_epochs
@@ -84,28 +84,6 @@ class LoopUldpNaive(UldpNaive):
         return params + self.global_lr * aggregate / n_silos
 
 
-class LoopUldpSgd(UldpSgd):
-    def round(self, t, params, participation=None):
-        assert participation is None
-        fed, _, rng = self._require_prepared()
-        q = self.user_sample_rate
-        weights = self.weights
-        if q is not None:
-            sampled = np.where(rng.random(fed.n_users) < q)[0]
-            weights = subsample_weights(weights, sampled)
-        noise_std = self.noise_multiplier * self.clip / np.sqrt(fed.n_silos)
-        aggregate = np.zeros_like(params)
-        for s, silo in enumerate(fed.silos):
-            for user in silo.users_present():
-                if weights[s, user] == 0.0:
-                    continue
-                grad = gradient(self, params, *silo.records_of_user(int(user)))
-                aggregate += weights[s, user] * l2_clip(-grad, self.clip)
-            aggregate += self._gaussian_noise(noise_std, params.size)
-        scale = fed.n_users * fed.n_silos * (q if q is not None else 1.0)
-        return params + self.global_lr * aggregate / scale
-
-
 class LoopUldpGroup(UldpGroup):
     """DP-SGD steps on ``per_sample_clipped_gradient_sum``, the one-record-
     at-a-time reference that stays in ``nn/dpsgd.py``."""
@@ -116,6 +94,22 @@ class LoopUldpGroup(UldpGroup):
             dpsgd.per_sample_clipped_gradient_sum,
         ):
             return super().round(t, params, participation)
+
+
+def loop_silo_step(method, s, params, weight_row, noise_std, local_vector):
+    """Algorithm 3's per-silo step one user at a time: ``local_vector(x, y)``
+    per present user, clipped to C, then the silo's noise -- the RNG order
+    of the runtime's ``_draw_silo``."""
+    fed, _, _ = method._require_prepared()
+    silo = fed.silos[s]
+    users = [int(u) for u in silo.users_present() if weight_row[u] != 0.0]
+    rows = np.zeros((len(users), params.size))
+    factors = np.zeros(len(users))
+    for i, user in enumerate(users):
+        vector = local_vector(*silo.records_of_user(user))
+        factors[i] = clip_factor(vector, method.clip)
+        rows[i] = l2_clip(vector, method.clip)
+    return users, rows, factors, method._gaussian_noise(noise_std, params.size)
 
 
 class LoopUldpAvg(UldpAvg):
@@ -131,19 +125,27 @@ class LoopUldpAvg(UldpAvg):
     streaming_aggregation = False
 
     def _silo_step(self, s, params, weight_row, noise_std):
-        fed, _, _ = self._require_prepared()
-        silo = fed.silos[s]
-        users = [int(u) for u in silo.users_present() if weight_row[u] != 0.0]
-        rows = np.zeros((len(users), params.size))
-        factors = np.zeros(len(users))
-        for i, user in enumerate(users):
-            delta = local_delta(
-                self, params, *silo.records_of_user(user), self.local_lr,
-                self.local_epochs, self.batch_size,
-            )
-            factors[i] = clip_factor(delta, self.clip)
-            rows[i] = l2_clip(delta, self.clip)
-        return users, rows, factors, self._gaussian_noise(noise_std, params.size)
+        return loop_silo_step(
+            self, s, params, weight_row, noise_std,
+            lambda x, y: local_delta(
+                self, params, x, y, self.local_lr, self.local_epochs,
+                self.batch_size,
+            ),
+        )
+
+
+class LoopUldpSgd(UldpSgd):
+    """The SGD kernel the same way: one backward pass per user, negated
+    (a descent direction), clipped; ``test_engine_equivalence.py`` counts
+    the ``gradient`` calls."""
+
+    streaming_aggregation = False
+
+    def _silo_step(self, s, params, weight_row, noise_std):
+        return loop_silo_step(
+            self, s, params, weight_row, noise_std,
+            lambda x, y: -gradient(self, params, x, y),
+        )
 
 
 #: Runtime method class -> its loop oracle.

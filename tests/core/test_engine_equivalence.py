@@ -95,8 +95,29 @@ def test_uldp_avg_engines_agree(small_fed, kwargs):
         assert loop_body.call_count == 2 * pairs  # two rounds
 
 
-def test_uldp_sgd_engines_agree(small_fed):
-    assert_engines_agree(lambda c: c[UldpSgd](), small_fed)
+def test_uldp_sgd_engines_agree(small_fed, kwargs={}):
+    # The same non-vacuity guard for the gradient kernel: one loop
+    # ``gradient`` call per trained (silo, user) pair and round.
+    with mock.patch.object(
+        oracle_loop, "gradient", wraps=oracle_loop.gradient
+    ) as loop_body:
+        assert_engines_agree(lambda c: c[UldpSgd](**kwargs), small_fed)
+    pairs = int(np.count_nonzero(small_fed.histogram()))
+    if "user_sample_rate" in kwargs:
+        assert 0 < loop_body.call_count < 2 * pairs
+    else:
+        assert loop_body.call_count == 2 * pairs  # two rounds
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param(dict(weighting="proportional"), id="proportional"),
+        pytest.param(dict(user_sample_rate=0.5), id="subsampled"),
+    ],
+)
+def test_uldp_sgd_variants_engines_agree(small_fed, kwargs):
+    test_uldp_sgd_engines_agree(small_fed, kwargs)
 
 
 def test_uldp_naive_engines_agree(small_fed):

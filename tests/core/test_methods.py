@@ -155,6 +155,31 @@ class TestUldpAvg:
         run_method(sub, small_fed, rounds=3)
         assert sub.epsilon(1e-5) < full.epsilon(1e-5)
 
+    @pytest.mark.parametrize("weighting", ["uniform", "proportional"])
+    def test_no_roster_is_the_full_roster(self, small_fed, weighting):
+        # One round body: participation=None is RoundParticipation.full,
+        # so both give the same params and the same per-release log -- and
+        # the epsilon the bare ``accountant.step`` of the old None arm gave.
+        from repro.accounting import PrivacyAccountant
+        from repro.core.weighting import RoundParticipation
+
+        kwargs = dict(weighting=weighting, local_epochs=1, user_sample_rate=0.5)
+        plain, rostered = UldpAvg(**kwargs), UldpAvg(**kwargs)
+        a = run_method(plain, small_fed, rounds=3)
+        rng = np.random.default_rng(0)
+        model = build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
+        rostered.prepare(small_fed, model, rng)
+        b = model.get_flat_params()
+        for t in range(3):
+            b = rostered.round(t, b, RoundParticipation.full(small_fed.n_silos))
+        assert np.array_equal(a, b)
+        assert plain.accountant.releases == rostered.accountant.releases
+        assert [(r.sensitivity, r.noise_scale)
+                for r in plain.accountant.releases] == [(1.0, 1.0)] * 3
+        stepped = PrivacyAccountant()
+        stepped.step(plain.noise_multiplier, sample_rate=0.5, steps=3)
+        assert plain.epsilon(1e-5) == stepped.get_epsilon(1e-5)
+
     def test_display_names(self):
         assert UldpAvg(weighting="uniform").display_name == "ULDP-AVG"
         assert UldpAvg(weighting="proportional").display_name == "ULDP-AVG-w"
@@ -186,14 +211,17 @@ class TestUldpAvg:
         assert present.any()
         assert np.all(factors[present] <= 1.0 + 1e-12)
 
-    def test_one_payload_every_carrier(self):
+    def test_one_payload_every_carrier(
+        self, cls=UldpAvg, kwargs=dict(local_epochs=2, batch_size=2)
+    ):
         # From one RNG state, silo s's noisy weighted sum (Algorithm 3 line
         # 17) is the same array -- and its user list the same list --
         # whichever carrier forms it: the in-process walk, the shard pool
         # (in process and behind two workers, several shards per silo),
         # ``silo_payload`` silo by silo (what ``repro silo`` ships), and
-        # the buffered-async scheduler's call.  Minibatches, so the job
-        # schedules draw from the RNG ahead of the noise.
+        # the buffered-async scheduler's call -- for both local kernels.
+        # The delta kernel runs minibatches, so its job schedules draw from
+        # the RNG ahead of the noise; full-batch gradients draw nothing.
         from repro.core.engine import EngineConfig
         from repro.sim import BufferedAsyncPolicy, SimConfig
         from repro.sim.scheduler import FederationSimulator
@@ -202,13 +230,13 @@ class TestUldpAvg:
             n_users=300, n_silos=2, n_records=1500, n_test=60, seed=0,
             distribution="zipf",
         )
-        kwargs = dict(weighting="proportional", local_epochs=2, batch_size=2)
+        kwargs = dict(weighting="proportional", **kwargs)
 
         def model():
             return build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
 
         sim = FederationSimulator(
-            fed, UldpAvg(**kwargs),
+            fed, cls(**kwargs),
             SimConfig(rounds=1, seed=5,
                       policy=BufferedAsyncPolicy(buffer_size=fed.n_silos)),
             model=model(),
@@ -218,7 +246,8 @@ class TestUldpAvg:
         active = list(range(fed.n_silos))
         start = rng.bit_generator.state
         _, jobs, _ = method._draw_silo(0, weights[0], noise_std, params.size)
-        assert len(jobs) > 128 and any(job.schedule for job in jobs)
+        assert len(jobs) > 128
+        assert any(job.schedule for job in jobs) == (cls is UldpAvg)
 
         rng.bit_generator.state = start
         walk = method._walk_payloads(params, weights, noise_std, active)
@@ -231,7 +260,7 @@ class TestUldpAvg:
                 assert np.array_equal(got, want)
 
         for workers in (0, 2):
-            sharded = UldpAvg(**kwargs)
+            sharded = cls(**kwargs)
             sharded.prepare(fed, model(), rng,
                             engine=EngineConfig(workers=workers, shard_size=128))
             rng.bit_generator.state = start
@@ -255,6 +284,9 @@ class TestUldpAvg:
         assert_same([(u.silo, u.users.tolist(), u.payload) for u in sim._pending])
         for (s, users, _), update in zip(walk, sim._pending):
             assert np.array_equal(update.weights, weights[s, users])
+
+    def test_one_payload_every_carrier_gradient_kernel(self):
+        self.test_one_payload_every_carrier(UldpSgd, {})
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -283,6 +315,44 @@ class TestUldpSgd:
         model.set_flat_params(params)
         after = evaluate_model(small_fed, model)["loss"]
         assert after < before
+
+    def test_is_algorithm_3_with_one_line_changed(self, small_fed):
+        # One round body: the subclass sets the local kernel and its own
+        # defaults, and defines no round of its own; the constructor is
+        # the one it always had.
+        import inspect
+
+        assert issubclass(UldpSgd, UldpAvg)
+        assert UldpSgd.local_kernel == "gradient" != UldpAvg.local_kernel
+        assert not {"round", "_round_aggregate", "_silo_step"} & set(vars(UldpSgd))
+        assert list(inspect.signature(UldpSgd).parameters) == [
+            "clip", "noise_multiplier", "global_lr", "weighting",
+            "user_sample_rate"]
+        method = UldpSgd(weighting="proportional")
+        assert method.local_epochs == 1 and method.batch_size is None
+        assert method.display_name == "ULDP-SGD-w"
+        assert UldpSgd().display_name == "ULDP-SGD"
+        rng = np.random.default_rng(0)
+        method.prepare(small_fed, build_tiny_mlp(30, 8, 2, rng), rng)
+        assert method.global_lr == 0.5 * small_fed.n_silos * np.sqrt(
+            small_fed.n_users)
+
+    def test_compressed_uplink_is_the_analytic_payload_size(self, small_fed):
+        # Inherited, not re-implemented: top-k + 8-bit on the noisy
+        # per-silo payload, the ledger charged what the spec predicts.
+        from repro.compress import CompressionSpec
+        from repro.core import Trainer
+
+        spec = CompressionSpec(sparsify="topk", fraction=0.1, quantize_bits=8)
+        model = build_tiny_mlp(30, 8, 2, np.random.default_rng(3))
+        trainer = Trainer(small_fed, UldpSgd(), rounds=2, model=model,
+                          compression=spec)
+        history = trainer.run()
+        expected = spec.payload_bytes(model.num_params) * small_fed.n_silos
+        assert expected < model.num_params * 8 * small_fed.n_silos
+        assert [c.uplink_bytes for c in history.comm] == [expected] * 2
+        assert trainer.method.uplink_payload_bytes() * small_fed.n_silos == expected
+        assert len(trainer.method.accountant.releases) == 2
 
     def test_epsilon_same_formula_as_avg(self, small_fed):
         sgd = UldpSgd(noise_multiplier=5.0)

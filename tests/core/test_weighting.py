@@ -147,3 +147,21 @@ class TestCarryoverRequiresGains:
         w = participation_weights(np.full((2, 3), 0.5), p)
         np.testing.assert_allclose(w[0], 1.0)
         np.testing.assert_allclose(w[1], 0.5)
+
+
+class TestFullRoster:
+    def test_full_is_what_participation_none_means(self):
+        # The roster ULDP-AVG/SGD's round substitutes for
+        # ``participation=None``: everyone in, nothing renormalised, and
+        # therefore the input weights back bit for bit.
+        p = RoundParticipation.full(3)
+        assert p.silo_mask.tolist() == [True, True, True]
+        assert p.user_mask is None and p.silo_gain is None
+        assert p.renorm == "none" and p.noise_rescale
+        assert p.n_active_silos == p.n_broadcast_silos == 3
+        w = proportional_weights(np.array([[3, 2, 0], [1, 0, 4], [1, 1, 1]]))
+        assert np.array_equal(participation_weights(w, p), w)
+
+    def test_full_takes_the_silo_count_only(self):
+        with pytest.raises(TypeError):
+            RoundParticipation.full(3, 5)

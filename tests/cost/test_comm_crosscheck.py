@@ -55,26 +55,35 @@ class TestPlaintextMethods:
         )
 
 
+COMPRESSIONS = pytest.mark.parametrize(
+    "compression",
+    [
+        {"sparsify": "topk", "fraction": 0.05},
+        {"sparsify": "randk", "fraction": 0.1, "error_feedback": True},
+        {"sparsify": "topk", "fraction": 0.1, "quantize_bits": 8},
+        {"quantize_bits": 4},
+        {"sparsify": "topk", "fraction": 0.05, "downlink": True},
+    ],
+    ids=["topk", "randk-ef", "topk-q8", "q4-dense", "topk-downlink"],
+)
+
+
 class TestCompression:
-    @pytest.mark.parametrize(
-        "compression",
-        [
-            {"sparsify": "topk", "fraction": 0.05},
-            {"sparsify": "randk", "fraction": 0.1, "error_feedback": True},
-            {"sparsify": "topk", "fraction": 0.1, "quantize_bits": 8},
-            {"quantize_bits": 4},
-            {"sparsify": "topk", "fraction": 0.05, "downlink": True},
-        ],
-        ids=["topk", "randk-ef", "topk-q8", "q4-dense", "topk-downlink"],
-    )
-    def test_compressed_ledger(self, compression):
+    @COMPRESSIONS
+    def test_compressed_ledger(self, compression, method="uldp-avg-w"):
         ledger_matches_prediction(
             {
                 **TINY,
-                "method": {"name": "uldp-avg-w", "local_epochs": 1},
+                "method": {"name": method, "local_epochs": 1},
                 "compression": compression,
             }
         )
+
+    @COMPRESSIONS
+    def test_uldp_sgd_compressed_ledger(self, compression):
+        # ULDP-SGD compresses through the round it inherits, so the cost
+        # model's byte formula is held to a ledger it can now meet.
+        self.test_compressed_ledger(compression, method="uldp-sgd")
 
 
 class TestSecureBackends:

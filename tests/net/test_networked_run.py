@@ -95,6 +95,15 @@ class TestIdealNetworkOracle:
         assert set(codes.values()) == {0}
         assert_bit_identical(server, hist, in_process(tree))
 
+    def test_uldp_sgd_is_bit_identical_too(self):
+        # ULDP-SGD inherits the per-silo step, so its silos ship one noisy
+        # gradient payload each and the run matches in-process exactly.
+        tree = {**base_tree(), "method": {"name": "uldp-sgd"}}
+        server, hist, codes, err = networked(tree)
+        assert err is None and set(codes.values()) == {0}
+        assert hist.method == "ULDP-SGD"
+        assert_bit_identical(server, hist, in_process(tree))
+
     def test_history_is_spec_stamped(self):
         tree = base_tree()
         _, hist, _, _ = networked(tree)

@@ -89,7 +89,7 @@ class TestMaskedKillAndResume:
 
         state, _ = load_checkpoint(tmp_path)
         plain = build_scenario("flaky-silos", scale="smoke", seed=2)
-        with pytest.raises(ValueError, match="secure-protocol state"):
+        with pytest.raises(ValueError, match="carries 'protocol' state"):
             plain.load_state(state)
 
     def test_wrong_method_refusal_names_the_likely_cause(self, tmp_path):

@@ -9,6 +9,8 @@
   entry points they document.
 - Every ``repro <subcommand>`` the docs, Makefile, example specs and the
   verify skill mention must be a subcommand the CLI actually has.
+- The method x capability table in ``docs/api.md`` is regenerated from the
+  registry and the ``FLMethod`` contract and must match the file verbatim.
 - Every ``UldpAvg.<name>`` / ``SecureUldpAvg.<name>`` the README and docs
   mention must be an attribute of that class, and every bare private or
   ``silo_*`` identifier they put in backticks (or in a call tree about
@@ -76,6 +78,59 @@ def test_every_mentioned_subcommand_exists():
         if word not in known
     }
     assert not stale, f"docs mention subcommands that do not exist: {sorted(stale)}"
+
+
+def capability_table() -> str:
+    """docs/api.md's "what composes with what" table, from what each
+    registered method declares (``FLMethod``'s contract) -- never from a
+    list kept by hand."""
+    from repro.api import builtin  # (importing it populates METHODS)
+    from repro.api.registries import METHODS
+    from repro.api.spec import MethodSpec
+    from repro.compress import CompressionSpec
+    from repro.core import UldpAvg
+
+    def admits(method, sparsify):
+        try:
+            method.check_compression(CompressionSpec(sparsify=sparsify, fraction=0.1))
+        except (ValueError, NotImplementedError):
+            return False
+        return True
+
+    lines = [
+        "| `method.name` | class | roster honoured | lossy compression "
+        "| buffered-async | `[net]` | comm ledger | checkpointed state |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    for name in METHODS.names():
+        factory = METHODS.get(name)
+        if factory.__module__ != builtin.__name__:
+            continue  # registered by another test, not by the package
+        method = factory(MethodSpec(name=name), None)
+        algorithm3 = isinstance(method, UldpAvg)  # the roster-aware round
+        lossy = ("yes" if admits(method, "topk")
+                 else "rand-k only" if admits(method, "randk") else "no")
+        step = "yes" if method.has_silo_step else "no"
+        state = [key for key in method.state_dict()
+                 if key != "accountant" or method.accountant is not None]
+        lines.append(
+            f"| `{name}` | `{type(method).__name__}` "
+            f"| {'silos + users' if algorithm3 else 'silos only'} | {lossy} "
+            f"| {step} | {step} | {'its own' if algorithm3 else 'dense default'} "
+            f"| {', '.join(f'`{key}`' for key in state)} |"
+        )
+    return "\n".join(lines)
+
+
+def test_capability_table_matches_the_declared_contract():
+    api = (DOCS / "api.md").read_text(encoding="utf-8")
+    assert capability_table() in api, (
+        "docs/api.md's method x capability table drifted from what the "
+        "methods declare; paste this in:\n" + capability_table()
+    )
+    # ... and the pages that send readers to it still do.
+    for page in (REPO_ROOT / "README.md", DOCS / "scenarios.md"):
+        assert "api.md#what-composes-with-what" in page.read_text(encoding="utf-8")
 
 
 def test_every_mentioned_method_exists():
