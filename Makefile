@@ -14,6 +14,8 @@
 #   make sweep-smoke    validate every committed spec file, then one smoke
 #                       `repro run --config`, one 2-point `repro sweep`, a
 #                       checkpointed sim run resumed with `repro run --resume`,
+#                       two spec files run by name (`repro figure fig08
+#                       --output`, `repro figure fig05`),
 #                       one combination ULDP-SGD gained in PR 19 and one that
 #                       is still refused (exit 2, one line, no traceback)
 #   make trace-smoke    one traced networked round trip: serve net_sim.toml
@@ -65,11 +67,14 @@ bench-scaleout:
 # Smoke the declarative surface end to end: every committed spec file
 # must validate (registry names, enums, sweep expansion), one config run
 # and one 2-point sigma grid must execute, and a checkpointed scenario
-# must resume from its own directory.  Then the composition contract from
-# both sides (docs/api.md, "What composes with what"): ULDP-SGD under a
-# byte-capped scenario runs, and a method without the per-silo step under
-# buffered-async is refused at validation -- exit 2 and one `error:` line,
-# where it used to be a TypeError traceback.  Artifacts land in sweep-smoke/.
+# must resume from its own directory.  A spec file is an experiment by
+# name: `repro figure fig08 --output` must leave a non-empty histories
+# file, and fig05 -- hand-written, never in any registry -- must run.  Then
+# the composition contract from both sides (docs/api.md, "What composes
+# with what"): ULDP-SGD under a byte-capped scenario runs, and a method
+# without the per-silo step under buffered-async is refused at validation
+# -- exit 2 and one `error:` line, where it used to be a TypeError
+# traceback.  Artifacts land in sweep-smoke/.
 sweep-smoke:
 	$(PYTHON) -m repro validate-config examples/specs/*.toml
 	$(PYTHON) -m repro run --config examples/specs/quickstart.toml \
@@ -84,6 +89,10 @@ sweep-smoke:
 	$(PYTHON) -m repro run --set sim.scenario=silo-outage --set sim.scale=smoke \
 		--set sim.checkpoint_dir=sweep-smoke/ckpt --set sim.checkpoint_every=1
 	$(PYTHON) -m repro run --resume sweep-smoke/ckpt
+	$(PYTHON) -m repro figure fig08 --scale smoke \
+		--output sweep-smoke/fig08.json
+	test -s sweep-smoke/fig08.json
+	$(PYTHON) -m repro figure fig05 --scale smoke
 	$(PYTHON) -m repro run --set method.name=uldp-sgd \
 		--set sim.scenario=bandwidth-cap --set sim.scale=smoke
 	$(PYTHON) -m repro run --set method.name=default \

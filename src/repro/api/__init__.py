@@ -3,7 +3,8 @@
 - :class:`RunSpec` (+ ``DatasetSpec``/``ModelSpec``/``MethodSpec``/
   ``PrivacySpec``/``SimSpec``/``CryptoSpec``, reusing
   :class:`repro.compress.CompressionSpec`) -- a typed, serialisable spec
-  tree with exact dict/JSON/TOML round-trips and a canonical content hash.
+  tree read from TOML/JSON/dict, written as JSON/dict (exact round-trips),
+  with a canonical content hash.
 - :func:`run` -- execute one spec (training or simulation), returning a
   :class:`RunResult` whose history is stamped with the spec + hash.
 - :func:`run_sweep` / :func:`expand_sweep` -- grid sweeps over axis lists.

@@ -139,7 +139,9 @@ SCENARIOS = Registry("scenario")
 #: :mod:`repro.compress.sparsify`); ``meta["data_independent"]`` marks
 #: supports the secure protocol could share.
 SPARSIFIERS = Registry("sparsifier")
-#: Paper experiments: ``factory(scale, seed) -> ExperimentResult``.
+#: Per-experiment *code*: ``factory(scale, seed) -> ExperimentResult`` for
+#: the analytic experiments and the row shapers; an experiment that is only
+#: a spec file (``examples/specs/<name>.toml``) needs no entry here.
 EXPERIMENTS = Registry("experiment")
 
 
@@ -169,5 +171,6 @@ def register_sparsifier(name: str, *, description: str = "", **meta):
 
 
 def register_experiment(name: str, *, description: str = "", **meta):
-    """Register an experiment ``(scale, seed) -> ExperimentResult``."""
+    """Register experiment code ``(scale, seed) -> ExperimentResult`` (an
+    analytic table, or a row shaper over the same-named spec file)."""
     return EXPERIMENTS.register(name, description=description, **meta)

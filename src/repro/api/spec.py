@@ -4,7 +4,8 @@ A :class:`RunSpec` captures everything that defines one training or
 simulation run -- dataset, model, method, privacy, compression, crypto,
 simulation scenario -- as a typed, validated, serialisable tree:
 
-- dict / JSON / TOML round-trips are exact (``spec == from_dict(to_dict)``),
+- it is read from a dict, JSON or TOML and written as a dict or JSON;
+  round-trips are exact (``spec == from_dict(to_dict)``),
 - every validation error names the offending dotted path
   (``method: sigma must be non-negative``),
 - :func:`spec_hash` is a canonical content hash stamped into every
@@ -35,7 +36,6 @@ import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.api import tomlcompat
 from repro.api.registries import suggest
 from repro.compress import CompressionSpec
 
@@ -511,9 +511,9 @@ class RunSpec:
         """The fully-resolved plain-dict tree (defaults materialised).
 
         ``None``-valued optional sections are omitted; inside sections,
-        ``None`` fields are kept (JSON ``null``) and dropped on the TOML
-        path -- both read back identically because every optional field
-        defaults to ``None``.
+        ``None`` fields are kept (JSON ``null``; a TOML file, which has no
+        null, omits them) -- both read back identically because every
+        optional field defaults to ``None``.
         """
         data: dict = {
             "name": self.name,
@@ -589,10 +589,6 @@ class RunSpec:
     def to_json(self, indent: int | None = 2) -> str:
         """JSON form of :meth:`to_dict`."""
         return json.dumps(self.to_dict(), indent=indent)
-
-    def to_toml(self, header: str | None = None) -> str:
-        """TOML form of :meth:`to_dict` (``None`` fields omitted)."""
-        return tomlcompat.dumps(self.to_dict(), header=header)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunSpec":

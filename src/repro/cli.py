@@ -25,7 +25,9 @@ Plus the analytic utilities and listings:
 - ``calibrate`` -- invert the accountant: the sigma (or q) achieving a
                    target epsilon.
 - ``datasets`` / ``methods`` / ``scenarios`` -- list the registries.
-- ``figure``    -- regenerate a registered paper experiment.
+- ``figure``    -- run an experiment by name: any ``examples/specs/*.toml``
+                   resized to a ``--scale`` tier and a ``--seed``, or an
+                   analytic table (``--list`` shows both kinds).
 - ``trace``     -- summarise a ``trace.jsonl`` written by an
                    ``[obs]``-enabled run (``trace summary <file>``).
 
@@ -55,6 +57,7 @@ import sys
 from repro.api import builtin as _builtin  # noqa: F401  (registry population)
 from repro.api.registries import DATASETS, METHODS, UnknownNameError
 from repro.api.spec import (
+    SCALES,
     SECURE_METHOD,
     RunSpec,
     SpecError,
@@ -405,20 +408,23 @@ def cmd_figure(args) -> int:
         available_experiments,
         describe_experiment,
         run_experiment,
+        spec_for_experiment,
     )
 
     if args.list:
         for name in available_experiments():
-            print(f"{name:<8s} {describe_experiment(name)}")
+            print(f"{name:<14s} {describe_experiment(name)}")
         return 0
     if not args.name:
-        print("specify an experiment name or --list", file=sys.stderr)
-        return 2
+        raise ValueError("specify an experiment name or --list")
+    if args.output:
+        # Only a spec-file experiment trains anything; asking an analytic
+        # one for histories is refused (ValueError) before it computes.
+        spec_for_experiment(args.name, scale=args.scale, seed=args.seed)
     result = run_experiment(args.name, scale=args.scale, seed=args.seed)
     print(f"{result.name}: {result.description}\n")
     print(result.table())
-    if result.histories:
-        _save_histories(result.histories, args.output)
+    _save_histories(result.histories, args.output)
     return 0
 
 
@@ -572,15 +578,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="how many slowest spans to list")
     tsum.set_defaults(func=cmd_trace)
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure")
+    fig = sub.add_parser(
+        "figure",
+        help="run an experiment: a spec file under examples/specs/ by name "
+        "(or an analytic table) at a scale tier and seed",
+    )
     fig.add_argument("name", nargs="?", default=None,
                      help="experiment name (see --list)")
     fig.add_argument("--list", action="store_true", help="list experiments")
-    fig.add_argument("--scale", choices=["smoke", "small", "paper"],
-                     default="small")
+    fig.add_argument("--scale", choices=SCALES, default="small")
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--output", type=str, default=None,
-                     help="write history JSON here (utility figures)")
+                     help="write the sweep's histories JSON here (refused "
+                     "for the analytic experiments, which train nothing)")
     fig.set_defaults(func=cmd_figure)
 
     return parser

@@ -28,9 +28,12 @@ wire bytes through :attr:`FLMethod.last_comm`.
 ``round`` accepts an optional
 :class:`repro.core.weighting.RoundParticipation` describing which silos
 and users take part (the :mod:`repro.sim` runtime's dropout/churn roster).
-``participation=None`` is the idealised full-participation setting and is
-bit-identical to the pre-simulation behaviour.  After every round a method
-records who actually contributed in :attr:`FLMethod.last_participation`.
+``participation=None`` is the idealised full-participation setting; every
+method canonicalises it to ``RoundParticipation.full(n_silos)`` on the first
+line of its round, so there is one round body and full participation is the
+roster with everyone in it, bit for bit.  Every round *must* record who
+actually contributed in :attr:`FLMethod.last_participation` (the zero-silo
+round included): the trainer logs it and does not guess.
 
 The contract.  What a runtime may ask of a method is *declared* on
 :class:`FLMethod`, never probed for: ``accountant``, ``display_name``,
@@ -105,8 +108,9 @@ class FLMethod(ABC):
         #: composed curve (None: DEFAULT spends nothing, ULDP-GROUP keeps
         #: one accountant per silo).
         self.accountant: PrivacyAccountant | None = None
-        #: Set by :meth:`round`: realised participation of the last round
-        #: (None until the first round; the trainer records it per round).
+        #: Set by every :meth:`round` (part of the contract): realised
+        #: participation of the last round.  None only before the first
+        #: round; the trainer logs it per round and refuses a None.
         self.last_participation: ParticipationSummary | None = None
         #: The update-compression recipe (None = dense, no byte ledger
         #: beyond the trainer's dense default).  A trainer-level spec is
@@ -187,10 +191,11 @@ class FLMethod(ABC):
         """Run round ``t`` from flat params; returns the next flat params.
 
         ``participation`` restricts the round to a subset of silos/users
-        (None = everyone, exactly the pre-simulation behaviour).  Weight-
-        based methods (ULDP-AVG/SGD) honour the full roster; silo-level
-        methods (DEFAULT, ULDP-NAIVE, ULDP-GROUP) honour ``silo_mask``
-        only and document that ``user_mask`` is ignored.
+        (None = everyone: canonicalise it to ``RoundParticipation.full``).
+        Weight-based methods (ULDP-AVG/SGD) honour the full roster;
+        silo-level methods (DEFAULT, ULDP-NAIVE, ULDP-GROUP) honour
+        ``silo_mask`` only and document that ``user_mask`` is ignored.
+        Must set :attr:`last_participation` before returning.
         """
 
     def epsilon(self, delta: float) -> float | None:

@@ -51,21 +51,19 @@ class Default(FLMethod):
         :class:`repro.core.methods.uldp_group.UldpGroup`).
         """
         fed, model, _ = self._require_prepared()
-        if participation is not None and participation.n_active_silos == 0:
+        if participation is None:
+            participation = RoundParticipation.full(fed.n_silos)
+        if participation.n_active_silos == 0:
             self.last_participation = ParticipationSummary(0, 0)
             return params.copy()
-        active = (
-            None if participation is None else participation.silo_mask
-        )
+        active = participation.silo_mask
 
         def trains(s: int, silo) -> bool:
-            return silo.n_records > 0 and (active is None or active[s])
+            return silo.n_records > 0 and active[s]
 
         # Non-private baseline: dropped silos are simply excluded and the
         # mean runs over the participating silos (survivor averaging).
-        denominator = (
-            fed.n_silos if participation is None else participation.n_active_silos
-        )
+        denominator = participation.n_active_silos
         jobs = [
             self._local_job(silo.x, silo.y, self.local_epochs, self.batch_size)
             for s, silo in enumerate(fed.silos)

@@ -152,14 +152,16 @@ class UldpGroup(FLMethod):
         """
         fed, model, rng = self._require_prepared()
         assert self.filtered is not None
-        if participation is not None and participation.n_active_silos == 0:
+        if participation is None:
+            participation = RoundParticipation.full(fed.n_silos)
+        if participation.n_active_silos == 0:
             self.last_participation = ParticipationSummary(0, 0)
             return params.copy()
-        active = None if participation is None else participation.silo_mask
+        active = participation.silo_mask
         users_seen: set[int] = set()
         deltas = []
         for s, silo in enumerate(self.filtered.silos):
-            if (active is not None and not active[s]) or silo.n_records == 0:
+            if not active[s] or silo.n_records == 0:
                 deltas.append(np.zeros_like(params))
                 continue
             local = model.clone()
@@ -184,9 +186,8 @@ class UldpGroup(FLMethod):
             self.silo_accountants[s].step(
                 self.noise_multiplier, self.sample_rates[s], self.local_steps
             )
-        n_active = fed.n_silos if active is None else int(active.sum())
         self.last_participation = ParticipationSummary(
-            silos_seen=n_active, users_seen=len(users_seen)
+            silos_seen=participation.n_active_silos, users_seen=len(users_seen)
         )
         return params + self.global_lr * np.mean(deltas, axis=0)
 

@@ -64,31 +64,29 @@ class UldpNaive(FLMethod):
         same documented limitation as ULDP-GROUP).
         """
         fed, model, _ = self._require_prepared()
-        n_silos = fed.n_silos
-        if participation is not None and participation.n_active_silos == 0:
+        if participation is None:
+            participation = RoundParticipation.full(fed.n_silos)
+        n_active = participation.n_active_silos
+        if n_active == 0:
             self.last_participation = ParticipationSummary(0, 0)
             self.accountant.step_release(
                 self.noise_multiplier, sensitivity=0.0, noise_scale=0.0
             )
             return params.copy()
-        active = None if participation is None else participation.silo_mask
+        active = participation.silo_mask
         # With A participating silos the user-level sensitivity is C * A
         # and each silo uses noise std sqrt(sigma^2 C^2 A): the aggregate
         # noise std sigma * C * A matches that sensitivity at noise
         # multiplier sigma, exactly as in the full-participation Theorem 1
         # (where A = |S|).  Dropout therefore leaves epsilon unchanged.
-        n_active = n_silos if active is None else int(active.sum())
         noise_std = self.noise_multiplier * self.clip * np.sqrt(n_active)
-
-        def is_active(s: int) -> bool:
-            return active is None or bool(active[s])
 
         # Draw each silo's minibatch schedule and noise silo by silo (the
         # order a per-silo training loop consumes them), then train every
         # silo in one batched run.
         jobs, noises = [], []
         for s, silo in enumerate(fed.silos):
-            if not is_active(s):
+            if not active[s]:
                 continue
             if silo.n_records > 0:
                 jobs.append(
@@ -110,13 +108,10 @@ class UldpNaive(FLMethod):
                 {
                     int(u)
                     for s, silo in enumerate(fed.silos)
-                    if is_active(s)
+                    if active[s]
                     for u in silo.users_present()
                 }
             ),
         )
-        if participation is None:
-            self.accountant.step(self.noise_multiplier)
-        else:
-            self.accountant.step_release(self.noise_multiplier)
+        self.accountant.step_release(self.noise_multiplier)
         return params + self.global_lr * aggregate / n_active

@@ -255,13 +255,15 @@ class Trainer:
         self,
         params: np.ndarray,
         seconds: float = 0.0,
-        participation_summary: ParticipationSummary | None = None,
+        *,
+        participation_summary: ParticipationSummary,
     ) -> RoundRecord | None:
         """Record a round whose aggregation ran outside the method.
 
         Async policies merge buffered silo payloads themselves and hand the
         resulting params here so history/evaluation bookkeeping stays in
-        one place.  ``participation_summary`` overrides the method's
+        one place.  No ``method.round()`` ran, so the caller states who
+        took part: ``participation_summary`` becomes the method's
         ``last_participation`` for the participation log.
         """
         if self.done:
@@ -270,8 +272,7 @@ class Trainer:
             "round", kind="round", round=self._round + 1, external=True
         ) as span:
             self._params = params
-            if participation_summary is not None:
-                self.method.last_participation = participation_summary
+            self.method.last_participation = participation_summary
             record = self._finish_round(seconds, participation=None)
             self._annotate_round_span(span, seconds)
         return record
@@ -282,7 +283,7 @@ class Trainer:
         """Shared bookkeeping after a round: logs, counter, evaluation."""
         t = self._round
         self.history.round_seconds.append(seconds)
-        self.history.participation.append(self._participation_record(t, participation))
+        self.history.participation.append(self._participation_record(t))
         self.history.comm.append(self._comm_record(t, participation))
         self._round += 1
         self._record_round_metrics(seconds)
@@ -339,20 +340,15 @@ class Trainer:
             for name, total in phases.items():
                 gauge.labels(phase=name).set(total)
 
-    def _participation_record(
-        self, t: int, participation: RoundParticipation | None
-    ) -> ParticipationRecord:
-        """The round's realised participation (method-reported when known)."""
+    def _participation_record(self, t: int) -> ParticipationRecord:
+        """The round's realised participation, as the method reported it."""
         summary = self.method.last_participation
-        if summary is not None:
-            return ParticipationRecord(t + 1, summary.silos_seen, summary.users_seen)
-        # Methods predating the participation API under full rosters: the
-        # whole federation was eligible.
-        if participation is None:
-            return ParticipationRecord(t + 1, self.fed.n_silos, self.fed.n_users)
-        return ParticipationRecord(
-            t + 1, participation.n_active_silos, self.fed.n_users
-        )
+        if summary is None:
+            raise RuntimeError(
+                f"{type(self.method).__name__}.round() did not set "
+                "last_participation (the FLMethod contract)"
+            )
+        return ParticipationRecord(t + 1, summary.silos_seen, summary.users_seen)
 
     def _comm_record(
         self, t: int, participation: RoundParticipation | None

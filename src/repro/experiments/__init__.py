@@ -1,10 +1,12 @@
-"""Library-level experiment definitions for the paper's figures.
+"""Experiments: the paper's figures as committed spec files.
 
-Each figure of the paper is encoded as a named experiment: a workload
-builder, the method roster, and a runner returning structured results.
-The pytest benchmarks under ``benchmarks/`` print fuller sweeps; this
-package exposes the same experiments programmatically (and through
-``python -m repro figure <name>``) at a configurable scale.
+A training-based experiment is a spec file you read and edit,
+``examples/specs/<name>.toml``; this package loads it, resizes it to a
+scale tier and a seed (:func:`spec_for_experiment`), runs its sweep and
+returns structured results (:func:`run_experiment`, or ``python -m repro
+figure <name>``).  Only what a file cannot say is code here: the row
+shapers of ``fig09`` / ``sim01`` and the analytic ``fig02`` / ``fig12``.
+The pytest benchmarks under ``benchmarks/`` print fuller sweeps.
 """
 
 from repro.experiments.registry import (

@@ -1,44 +1,66 @@
-"""Experiment registry: one entry per reproducible paper artifact.
+"""Experiments: a committed spec file per training run, code per table.
 
-Every experiment is registered under
-:data:`repro.api.registries.EXPERIMENTS` through ``@register_experiment``
-and is a function ``(scale, seed) -> ExperimentResult`` where ``scale``
-in {"smoke", "small", "paper"} controls workload size:
+An experiment is a **spec file you read**: ``examples/specs/<name>.toml``
+is the experiment ``<name>`` (its first comment line is the one-line
+description ``repro figure --list`` prints), and every file committed there
+is runnable by name.  :func:`spec_for_experiment` loads the file and applies
+a ``scale`` tier and a ``seed`` as ordinary
+:meth:`repro.api.RunSpec.with_overrides` assignments -- nothing here spells
+out a dataset, a method roster or a sweep axis.  ``scale`` in {"smoke",
+"small", "paper"} controls workload size (one table, :data:`_TIERS`):
 
 - ``smoke``: seconds; CI-sized sanity run.
-- ``small``: minutes; the default, same as the benchmark suite.
+- ``small``: minutes; the default, and what the committed figure files hold.
 - ``paper``: the paper's parameters where feasible on a laptop (privacy
   computations exactly; utility runs with more rounds/records).
 
-The training-based experiments (fig04, fig06, fig08, fig09, sim01) are
-**specs**: :func:`spec_for_experiment` returns the
-:class:`repro.api.RunSpec` sweep they expand to, the registered function
-merely runs it through :func:`repro.api.run_sweep` and shapes rows -- so
-"an experiment" and "a config file" are the same artifact (the committed
-``examples/specs/<name>.toml`` files are these specs at small scale, and
-a test keeps them in sync).  The purely analytic experiments (fig02,
-fig12) stay function-based.
-
-Results carry both human-readable tables and machine-readable rows so the
-CLI can print and/or dump JSON; every spec-run history is stamped with
-its child spec + canonical hash.
+:func:`run_experiment` runs the file's sweep through
+:func:`repro.api.run_sweep`; the result's histories (each stamped with its
+child spec + canonical hash) are what ``--output`` saves.  The only
+per-experiment *code* is registered under
+:data:`repro.api.registries.EXPERIMENTS` through ``@register_experiment``
+as a function ``(scale, seed) -> ExperimentResult``: the row shapers of
+``fig09`` / ``sim01`` (which print a table the histories alone do not
+give) and the purely analytic ``fig02`` / ``fig12``, which train nothing
+and have no spec file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.api.registries import EXPERIMENTS, register_experiment
-from repro.api.spec import RunSpec
+from repro.api import builtin as _builtin  # noqa: F401  (registry population)
+from repro.api.registries import (
+    DATASETS,
+    EXPERIMENTS,
+    UnknownNameError,
+    register_experiment,
+)
+from repro.api.spec import SCALES, RunSpec
 from repro.core.trainer import TrainingHistory
 from repro.report import comparison_table
 
-SCALES = ("smoke", "small", "paper")
+#: The committed spec files; ``<name>.toml`` is the experiment ``<name>``.
+SPEC_DIR = Path(__file__).resolve().parents[3] / "examples" / "specs"
+
+#: Workload size per scale tier -- the one table a spec file is resized by
+#: (``steps`` sizes the analytic fig02).
+_TIERS = {
+    "smoke": dict(rounds=2, records=400, test_records=200, users=20, steps=1000),
+    "small": dict(rounds=5, records=4000, test_records=800, users=100, steps=100_000),
+    "paper": dict(rounds=20, records=25_000, test_records=5000, users=100, steps=100_000),
+}
 
 
 @dataclass
 class ExperimentResult:
-    """Outcome of one experiment run."""
+    """Outcome of one experiment run.
+
+    ``rows`` (when an experiment shapes any) are what :meth:`table` prints;
+    ``histories`` (every spec-file experiment has them) are what
+    ``repro figure --output`` saves.
+    """
 
     name: str
     description: str
@@ -46,10 +68,8 @@ class ExperimentResult:
     histories: list[TrainingHistory] = field(default_factory=list)
 
     def table(self) -> str:
-        if self.histories:
-            return comparison_table(self.histories)
         if not self.rows:
-            return "(no rows)"
+            return comparison_table(self.histories) if self.histories else "(no rows)"
         keys = list(self.rows[0])
         lines = [" ".join(f"{k:>14s}" for k in keys)]
         for row in self.rows:
@@ -61,202 +81,94 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def _scale_params(scale: str) -> dict:
+def _tier(scale: str) -> dict:
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}")
-    return {
-        "smoke": dict(rounds=2, n_records=400, n_users=20, steps=1000),
-        "small": dict(rounds=5, n_records=4000, n_users=100, steps=100_000),
-        "paper": dict(rounds=20, n_records=25_000, n_users=100, steps=100_000),
-    }[scale]
+    return _TIERS[scale]
 
 
-# -- spec-based experiments ----------------------------------------------------
-#
-# Each entry maps (scale, seed) to the dict tree of a RunSpec sweep.  The
-# trainer seed is ``seed + 1`` with the dataset pinned to ``seed`` --
-# exactly the legacy registry's construction, so the histories are
-# bit-identical to the pre-spec code path.
+# -- spec-file experiments -----------------------------------------------------
 
 
-def _creditcard_dataset(params: dict, seed: int, silos: int = 5) -> dict:
-    return {
-        "name": "creditcard",
-        "users": params["n_users"],
-        "silos": silos,
-        "records": params["n_records"],
-        "test_records": max(200, params["n_records"] // 5),
-        "distribution": "zipf",
-        "seed": seed,
-    }
+def _spec_names() -> set[str]:
+    return {path.stem for path in SPEC_DIR.glob("*.toml")}
 
 
-def _fig04_tree(scale: str, seed: int) -> dict:
-    """Creditcard privacy-utility comparison (one representative config)."""
-    params = _scale_params(scale)
-    return {
-        "name": "fig04",
-        "seed": seed + 1,
-        "rounds": params["rounds"],
-        "dataset": _creditcard_dataset(params, seed),
-        "sweep": {
-            "method": [
-                {"name": "default", "local_epochs": 2},
-                {"name": "uldp-naive", "sigma": 5.0, "local_epochs": 2},
-                {"name": "uldp-group", "group_size": 8, "sigma": 5.0,
-                 "local_epochs": 2, "batch_size": 512, "local_lr": 1.0},
-                {"name": "uldp-sgd", "sigma": 5.0},
-                {"name": "uldp-avg", "sigma": 5.0, "local_epochs": 2},
-                {"name": "uldp-avg-w", "sigma": 5.0, "local_epochs": 2},
-            ]
-        },
-    }
+def _require_spec_dir() -> None:
+    """A name without a spec file is only "unknown" / "analytic" when the
+    files could have been found (a non-editable install has none)."""
+    if not SPEC_DIR.is_dir():
+        raise FileNotFoundError(
+            "spec-file experiments need the repository's examples/specs/ "
+            f"directory, and {SPEC_DIR} does not exist (run from a source "
+            "checkout or an editable install)"
+        )
 
 
-def _fig06_tree(scale: str, seed: int) -> dict:
-    """HeartDisease comparison (4 fixed silos)."""
-    params = _scale_params(scale)
-    return {
-        "name": "fig06",
-        "seed": seed + 1,
-        "rounds": params["rounds"],
-        "dataset": {
-            "name": "heartdisease",
-            "users": min(params["n_users"], 50),
-            "distribution": "zipf",
-            "seed": seed,
-        },
-        "sweep": {
-            "method": [
-                {"name": "default", "local_epochs": 2},
-                {"name": "uldp-naive", "sigma": 5.0, "local_epochs": 2},
-                {"name": "uldp-group", "group_size": "median", "sigma": 5.0,
-                 "local_epochs": 2, "batch_size": 256, "local_lr": 1.0},
-                {"name": "uldp-avg", "sigma": 5.0, "local_epochs": 2},
-                {"name": "uldp-avg-w", "sigma": 5.0, "local_epochs": 2},
-            ]
-        },
-    }
-
-
-def _fig08_tree(scale: str, seed: int) -> dict:
-    """Uniform vs Eq. 3 weighting under skew (|S|=20)."""
-    params = _scale_params(scale)
-    return {
-        "name": "fig08",
-        "seed": seed + 1,
-        "rounds": params["rounds"],
-        "dataset": _creditcard_dataset(params, seed, silos=20),
-        "sweep": {
-            "method": [
-                {"name": "uldp-avg", "sigma": 5.0, "local_epochs": 2},
-                {"name": "uldp-avg-w", "sigma": 5.0, "local_epochs": 2},
-            ]
-        },
-    }
-
-
-def _fig09_tree(scale: str, seed: int) -> dict:
-    """User-level sub-sampling sweep (sample_rate=1.0 means no draw)."""
-    params = _scale_params(scale)
-    params = dict(params, n_users=max(params["n_users"], 100))
-    return {
-        "name": "fig09",
-        "seed": seed + 1,
-        "rounds": params["rounds"],
-        "dataset": _creditcard_dataset(params, seed),
-        "method": {"name": "uldp-avg-w", "sigma": 5.0, "local_epochs": 1},
-        "sweep": {"method.sample_rate": [0.1, 0.3, 0.5, 0.7, 1.0]},
-    }
-
-
-def _sim01_tree(scale: str, seed: int) -> dict:
-    """Participation-dynamics scenario sweep (the repro.sim runtime)."""
-    from repro.sim import available_scenarios
-
-    _scale_params(scale)  # validate the scale tier
-    return {
-        "name": "sim01",
-        "seed": seed,
-        "sim": {"scenario": "ideal-sync", "scale": scale},
-        "sweep": {"sim.scenario": available_scenarios()},
-    }
-
-
-_SPEC_EXPERIMENTS = {
-    "fig04": _fig04_tree,
-    "fig06": _fig06_tree,
-    "fig08": _fig08_tree,
-    "fig09": _fig09_tree,
-    "sim01": _sim01_tree,
-}
+def _spec_file(name: str) -> Path | None:
+    """``name``'s committed spec file; None for an analytic experiment."""
+    if name in _spec_names():
+        return SPEC_DIR / f"{name}.toml"
+    if name not in EXPERIMENTS:
+        _require_spec_dir()
+        raise UnknownNameError("experiment", name, available_experiments())
+    return None
 
 
 def spec_for_experiment(name: str, scale: str = "small", seed: int = 0) -> RunSpec:
-    """The :class:`repro.api.RunSpec` a spec-based experiment expands to.
+    """``examples/specs/<name>.toml`` resized to ``scale`` and seeded.
 
-    Raises ``KeyError`` for unknown names and ``ValueError`` for the
-    analytic (function-only) experiments that have no spec form.
+    The trainer seed is ``seed + 1`` with the dataset pinned to ``seed``,
+    the tier sets ``rounds`` and the record counts and *caps*
+    ``dataset.users`` (a file asking for fewer keeps its number); the
+    fixed-silo benchmarks keep their record counts, which are part of the
+    benchmark.  A ``[sim]`` spec takes the seed as is and the tier as
+    ``sim.scale`` -- the scenario owns the rest.
+
+    Raises ``KeyError`` for unknown names, ``ValueError`` for the analytic
+    (function-only) experiments that have no spec form, and
+    ``FileNotFoundError`` when the spec directory itself is missing.
     """
-    EXPERIMENTS.entry(name)  # uniform unknown-name error
-    if name not in _SPEC_EXPERIMENTS:
+    path = _spec_file(name)
+    if path is None:
+        _require_spec_dir()
         raise ValueError(
-            f"experiment {name!r} is analytic (not a training run); "
-            "it has no RunSpec form"
+            f"experiment {name!r} is analytic (computed, not trained): it has "
+            "no spec file, so no RunSpec form and no histories to save"
         )
-    return RunSpec.from_dict(_SPEC_EXPERIMENTS[name](scale, seed))
+    tier = _tier(scale)
+    spec = RunSpec.from_file(path)
+    if spec.is_simulation:
+        return spec.with_overrides({"seed": seed, "sim.scale": scale})
+    overrides = {
+        "seed": seed + 1,
+        "dataset.seed": seed,
+        "rounds": tier["rounds"],
+        "dataset.users": min(tier["users"], spec.dataset.users),
+    }
+    if not DATASETS.entry(spec.dataset.name).meta.get("fixed_silos"):
+        overrides["dataset.records"] = tier["records"]
+        overrides["dataset.test_records"] = tier["test_records"]
+    return spec.with_overrides(overrides)
 
 
-def _run_spec_experiment(name: str, scale: str, seed: int):
+def _run_spec(name: str, scale: str, seed: int):
+    """Run ``name``'s sweep; returns the (row-less) result and the sweep."""
     from repro.api.sweep import run_sweep
 
-    spec = spec_for_experiment(name, scale, seed)
-    return spec, run_sweep(spec)
-
-
-@register_experiment("fig04", description="creditcard privacy-utility comparison")
-def fig04_creditcard(scale: str, seed: int) -> ExperimentResult:
-    params = _scale_params(scale)
-    _, sweep = _run_spec_experiment("fig04", scale, seed)
-    return ExperimentResult(
-        name="fig04",
-        description=f"creditcard (zipf, |U|={params['n_users']}, "
-        f"{params['rounds']} rounds, sigma=5)",
-        histories=sweep.histories,
-    )
-
-
-@register_experiment("fig06", description="heartdisease comparison")
-def fig06_heartdisease(scale: str, seed: int) -> ExperimentResult:
-    params = _scale_params(scale)
-    _, sweep = _run_spec_experiment("fig06", scale, seed)
-    n_users = min(params["n_users"], 50)
-    return ExperimentResult(
-        name="fig06",
-        description=f"heartdisease (zipf, |U|={n_users}, {params['rounds']} rounds)",
-        histories=sweep.histories,
-    )
-
-
-@register_experiment("fig08", description="weighting strategies under skew")
-def fig08_weighting(scale: str, seed: int) -> ExperimentResult:
-    params = _scale_params(scale)
-    _, sweep = _run_spec_experiment("fig08", scale, seed)
-    return ExperimentResult(
-        name="fig08",
-        description=f"weighting strategies (zipf, |S|=20, {params['rounds']} rounds)",
-        histories=sweep.histories,
-    )
-
-
-@register_experiment("fig09", description="user-level sub-sampling sweep")
-def fig09_subsampling(scale: str, seed: int) -> ExperimentResult:
-    _, sweep = _run_spec_experiment("fig09", scale, seed)
-    n_users = sweep.results[0].dataset.n_users if sweep.results else 0
+    sweep = run_sweep(spec_for_experiment(name, scale, seed))
     result = ExperimentResult(
-        name="fig09",
-        description=f"sub-sampling sweep (|U|={n_users}, sigma=5)",
+        name=name,
+        description=f"{describe_experiment(name)} (scale={scale})",
+        histories=sweep.histories,
     )
+    return result, sweep
+
+
+@register_experiment("fig09")
+def fig09_subsampling(scale: str, seed: int) -> ExperimentResult:
+    """One row per sample rate q: final utility and the epsilon it bought."""
+    result, sweep = _run_spec("fig09", scale, seed)
     for point, run_result in zip(sweep.points, sweep.results):
         final = run_result.history.final
         result.rows.append(
@@ -270,18 +182,13 @@ def fig09_subsampling(scale: str, seed: int) -> ExperimentResult:
     return result
 
 
-@register_experiment("sim01", description="participation dynamics scenario sweep")
+@register_experiment("sim01")
 def sim01_participation(scale: str, seed: int) -> ExperimentResult:
-    """Runs every named scenario at the given scale and tabulates final
-    utility, honest epsilon, mean per-round participation, and the
-    worst-case realised sensitivity -- the table showing what silo
-    dropout, stragglers, churn, and async aggregation cost relative to
-    the ``ideal-sync`` oracle."""
-    _, sweep = _run_spec_experiment("sim01", scale, seed)
-    result = ExperimentResult(
-        name="sim01",
-        description=f"participation dynamics scenario sweep (scale={scale})",
-    )
+    """One row per scenario: final utility, honest epsilon, mean per-round
+    participation, and the worst-case realised sensitivity -- the table
+    showing what silo dropout, stragglers, churn, and async aggregation
+    cost relative to the ``ideal-sync`` oracle."""
+    result, sweep = _run_spec("sim01", scale, seed)
     for point, run_result in zip(sweep.points, sweep.results):
         sim = run_result.simulator
         final = run_result.history.final
@@ -315,12 +222,12 @@ def fig02_group_privacy(scale: str, seed: int) -> ExperimentResult:
     )
     from repro.accounting.subsampled import subsampled_gaussian_rdp_curve
 
-    params = _scale_params(scale)
-    curve = subsampled_gaussian_rdp_curve(0.01, 5.0, steps=params["steps"])
+    steps = _tier(scale)["steps"]
+    curve = subsampled_gaussian_rdp_curve(0.01, 5.0, steps=steps)
     result = ExperimentResult(
         name="fig02",
         description=f"group-privacy conversion (sigma=5, q=0.01, "
-        f"steps={params['steps']:,}, delta=1e-5)",
+        f"steps={steps:,}, delta=1e-5)",
     )
     for k in (1, 2, 4, 8, 16, 32, 64):
         if k == 1:
@@ -340,12 +247,12 @@ def fig12_allocation(scale: str, seed: int) -> ExperimentResult:
 
     from repro.data import build_creditcard_benchmark
 
-    params = _scale_params(scale)
+    tier = _tier(scale)
     result = ExperimentResult(name="fig12", description="record allocation stats")
     for dist in ("uniform", "zipf"):
         fed = build_creditcard_benchmark(
-            n_users=params["n_users"], n_silos=5, distribution=dist,
-            n_records=params["n_records"], n_test=100, seed=seed,
+            n_users=tier["users"], n_silos=5, distribution=dist,
+            n_records=tier["records"], n_test=100, seed=seed,
         )
         hist = fed.histogram()
         totals = hist.sum(axis=0)
@@ -363,18 +270,27 @@ def fig12_allocation(scale: str, seed: int) -> ExperimentResult:
 
 
 def available_experiments() -> list[str]:
-    """Names accepted by :func:`run_experiment`."""
-    return EXPERIMENTS.names()
+    """Names accepted by :func:`run_experiment`: every committed spec file
+    plus the analytic experiments."""
+    return sorted(_spec_names() | set(EXPERIMENTS.names()))
 
 
 def describe_experiment(name: str) -> str:
-    """One-line description (unknown names get valid-name suggestions)."""
-    return EXPERIMENTS.describe(name)
+    """One-line description: a spec file's first comment line, else the
+    registered one (unknown names get valid-name suggestions)."""
+    path = _spec_file(name)
+    if path is None:
+        return EXPERIMENTS.describe(name)
+    with path.open() as fh:
+        return fh.readline().lstrip("#").strip()
 
 
 def run_experiment(name: str, scale: str = "small", seed: int = 0) -> ExperimentResult:
-    """Run one named experiment at the given scale."""
-    return EXPERIMENTS.get(name)(scale, seed)
+    """Run one named experiment at the given scale: its registered function
+    when it has one, else its spec file's sweep as is."""
+    if name in EXPERIMENTS:
+        return EXPERIMENTS.get(name)(scale, seed)
+    return _run_spec(name, scale, seed)[0]
 
 
 def run_experiment_multi_seed(
@@ -384,9 +300,9 @@ def run_experiment_multi_seed(
 
     Mirrors the paper's protocol ("most of the results are averaged over 5
     runs and the colored area represents the standard deviation").  For
-    history-based experiments the final-round metric/loss/epsilon are
-    aggregated per method; for row-based experiments every numeric column
-    is aggregated per row position.
+    row-shaping experiments every numeric column is aggregated per row
+    position; for the rest the final-round metric/loss/epsilon are
+    aggregated per method.
     """
     import numpy as np
 
@@ -399,7 +315,7 @@ def run_experiment_multi_seed(
         description=f"{first.description} [mean +/- std over {len(seeds)} seeds]",
     )
 
-    if first.histories:
+    if not first.rows:
         for i, history in enumerate(first.histories):
             metrics = [r.histories[i].final.metric for r in runs]
             losses = [r.histories[i].final.loss for r in runs]

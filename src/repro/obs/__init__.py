@@ -12,7 +12,6 @@ from .metrics import (
     MetricError,
     MetricsRegistry,
     get_registry,
-    record_phase_timer,
 )
 from .trace import (
     NULL_RECORDER,
@@ -30,7 +29,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "get_registry",
-    "record_phase_timer",
     "NULL_RECORDER",
     "NULL_SPAN",
     "TRACE_SCHEMA",

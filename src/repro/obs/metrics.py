@@ -11,7 +11,7 @@ Three instrument kinds, Prometheus-compatible semantics:
 - :class:`Counter` -- monotonically increasing totals (rounds run, bytes
   sent, retries).
 - :class:`Gauge` -- a value that can move both ways (epsilon spent,
-  per-phase second totals synced from a :class:`PhaseTimer`).
+  the trainer's per-phase second totals from ``timing_report()``).
 - :class:`Histogram` -- bucketed observations with sum and count (round
   seconds, frame send/recv latencies, deadline margins).
 
@@ -310,33 +310,3 @@ _REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-local registry every instrumentation seam writes to."""
     return _REGISTRY
-
-
-# -- adapters ------------------------------------------------------------------
-
-
-def record_phase_timer(timer, prefix: str = "protocol",
-                       registry: MetricsRegistry | None = None,
-                       **labels_kv) -> None:
-    """Sync a :class:`repro.protocol.timing.PhaseTimer` into the registry.
-
-    Timer totals are cumulative per instance, so they land in gauges
-    (``<prefix>_phase_seconds{phase=...}`` / ``<prefix>_phase_calls``)
-    that are *set*, not incremented -- calling this after every round is
-    idempotent.  Merge worker timers first
-    (:meth:`~repro.protocol.timing.PhaseTimer.merge`) when a protocol
-    splits its phases across processes.
-    """
-    registry = registry if registry is not None else get_registry()
-    seconds = registry.gauge(
-        f"{prefix}_phase_seconds",
-        help=f"Cumulative wall-clock seconds per {prefix} phase.",
-        unit="seconds",
-    )
-    calls = registry.gauge(
-        f"{prefix}_phase_calls",
-        help=f"Cumulative executions per {prefix} phase.",
-    )
-    for name, total in timer.report().items():
-        seconds.labels(phase=name, **labels_kv).set(total)
-        calls.labels(phase=name, **labels_kv).set(timer.counts.get(name, 0))

@@ -16,8 +16,9 @@ either the previous or the new snapshot, never a torn mix.
 
 Loads are integrity-checked: ``state.json`` records a SHA-256 digest per
 array, and :func:`load_checkpoint` raises :class:`CheckpointError` (a
-``ValueError``) on a truncated/corrupt file or a digest mismatch instead
-of resuming from silently wrong state.
+``ValueError``) on a truncated/corrupt file, a digest mismatch, a missing
+digest manifest or an unknown schema instead of resuming from silently
+wrong state.
 
 Scalars survive the JSON round-trip exactly (Python emits shortest-repr
 floats, which parse back to the identical IEEE-754 value; RNG states are
@@ -148,8 +149,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict | None]:
         raise CheckpointError(
             f"checkpoint at {path} has a truncated or corrupt "
             f"{STATE_FILE}: {exc}") from exc
-    if meta.get("schema") != _SCHEMA:
-        raise ValueError(f"unknown checkpoint schema: {meta.get('schema')!r}")
+    schema = meta.get("schema") if isinstance(meta, dict) else None
+    if schema != _SCHEMA:
+        raise CheckpointError(
+            f"checkpoint at {path} has an unknown schema: {schema!r}")
+    # save_checkpoint has always written the manifest, so a state.json
+    # without one was edited: loading it would switch every digest check off.
+    digests = meta.get("array_digests")
+    if not isinstance(digests, dict):
+        raise CheckpointError(
+            f"checkpoint at {path} is corrupt: {STATE_FILE} carries no "
+            "array_digests integrity manifest")
     arrays_file = meta.get("arrays_file", "")
     try:
         with np.load(path / arrays_file) as npz:
@@ -159,17 +169,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict | None]:
         raise CheckpointError(
             f"checkpoint at {path} has a truncated or corrupt arrays file "
             f"{arrays_file!r}: {exc}") from exc
-    # Digest verification (older checkpoints without a manifest load as
-    # before -- the npz CRCs are then the only integrity check).
-    digests = meta.get("array_digests")
-    if digests is not None:
-        if set(digests) != set(arrays):
+    if set(digests) != set(arrays):
+        raise CheckpointError(
+            f"checkpoint at {path} is corrupt: {arrays_file!r} does "
+            "not contain the arrays state.json references")
+    for key, arr in arrays.items():
+        if _digest(arr) != digests[key]:
             raise CheckpointError(
-                f"checkpoint at {path} is corrupt: {arrays_file!r} does "
-                "not contain the arrays state.json references")
-        for key, arr in arrays.items():
-            if _digest(arr) != digests[key]:
-                raise CheckpointError(
-                    f"checkpoint at {path} is corrupt: array {key!r} in "
-                    f"{arrays_file!r} fails its recorded SHA-256 digest")
+                f"checkpoint at {path} is corrupt: array {key!r} in "
+                f"{arrays_file!r} fails its recorded SHA-256 digest")
     return _restore_arrays(meta["state"], arrays), meta.get("extra")

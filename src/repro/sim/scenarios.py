@@ -31,6 +31,7 @@ tampered or mismatched spec**.
 from __future__ import annotations
 
 from repro.api.registries import SCENARIOS, register_scenario
+from repro.api.spec import SCALES
 from repro.compress import CompressionSpec
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.participation import (
@@ -43,11 +44,10 @@ from repro.sim.participation import (
 from repro.sim.policies import BufferedAsyncPolicy, SemiSyncPolicy, SyncPolicy
 from repro.sim.scheduler import FederationSimulator, SimConfig
 
-SCALES = ("smoke", "small", "paper")
-
 
 def _scale_params(scale: str) -> dict:
-    """Workload size per scale tier (mirrors the experiment registry)."""
+    """Scenario workload size per scale tier (the tier names are the spec
+    layer's; a scenario run is sized here, not by the experiment tiers)."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}")
     return {

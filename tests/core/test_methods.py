@@ -138,6 +138,45 @@ class TestUldpGroup:
             UldpGroup(expected_batch_size=0)
 
 
+class TestSiloLevelBaselinesOneRoundBody:
+    """DEFAULT / ULDP-NAIVE / ULDP-GROUP: ``participation=None`` is the
+    roster with everyone in it, not a second arm of the round."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Default(local_epochs=1),
+        lambda: UldpNaive(local_epochs=1),
+        lambda: UldpGroup(group_size=2, local_steps=2),
+    ], ids=["default", "uldp-naive", "uldp-group"])
+    def test_no_roster_is_the_full_roster(self, small_fed, build):
+        from repro.core.weighting import RoundParticipation
+
+        plain, rostered = build(), build()
+        a = run_method(plain, small_fed, rounds=2)
+        rng = np.random.default_rng(0)
+        model = build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
+        rostered.prepare(small_fed, model, rng)
+        b = model.get_flat_params()
+        for t in range(2):
+            b = rostered.round(t, b, RoundParticipation.full(small_fed.n_silos))
+        assert np.array_equal(a, b)
+        assert plain.last_participation == rostered.last_participation
+        assert plain.last_participation.silos_seen == small_fed.n_silos
+        assert plain.epsilon(1e-5) == rostered.epsilon(1e-5)
+
+    def test_plain_naive_run_logs_every_release(self, small_fed):
+        # The old None arm called the bare ``accountant.step``: same
+        # epsilon (step_release's own contract), but no per-release log.
+        from repro.accounting import PrivacyAccountant
+
+        method = UldpNaive(noise_multiplier=5.0, local_epochs=1)
+        run_method(method, small_fed, rounds=3)
+        assert [(r.sensitivity, r.noise_scale)
+                for r in method.accountant.releases] == [(1.0, 1.0)] * 3
+        stepped = PrivacyAccountant()
+        stepped.step(5.0, steps=3)
+        assert method.epsilon(1e-5) == stepped.get_epsilon(1e-5)
+
+
 class TestUldpAvg:
     def test_epsilon_matches_theorem3(self, small_fed):
         from repro.accounting.conversion import rdp_curve_to_dp

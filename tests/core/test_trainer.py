@@ -53,6 +53,18 @@ class TestTrainerBasics:
         assert history.final.epsilon is None
         assert "non-private" in history.summary()
 
+    def test_method_that_reports_no_participation_is_refused(self, cc_fed):
+        """The trainer logs what the method reports and does not guess."""
+
+        class Silent(Default):
+            def round(self, t, params, participation=None):
+                return params.copy()  # breaks the contract: no last_participation
+
+        model = build_tiny_mlp(30, 8, 2, np.random.default_rng(0))
+        trainer = Trainer(cc_fed, Silent(local_epochs=1), rounds=1, model=model)
+        with pytest.raises(RuntimeError, match="Silent.*last_participation"):
+            trainer.run()
+
     def test_series_rejects_unknown_key(self, cc_fed):
         model = build_tiny_mlp(30, 8, 2, np.random.default_rng(0))
         history = Trainer(cc_fed, Default(local_epochs=1), rounds=1, model=model).run()

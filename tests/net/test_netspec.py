@@ -120,12 +120,37 @@ class TestRoundTrips:
         assert spec_hash(again) == spec_hash(spec)
         assert again.net == spec.net
 
+    #: ``net_tree(port=9000, round_timeout=2.0, min_quorum=2, faults=FAULTS)``
+    #: as a spec file spells it: the fault plan is a nested table whose
+    #: events are an array of inline tables.
+    NET_TOML = """
+name = "net-spec-test"
+seed = 3
+
+[sim]
+scenario = "ideal-sync"
+scale = "smoke"
+
+[net]
+port = 9000
+round_timeout = 2.0
+min_quorum = 2
+
+[net.faults]
+events = [
+    {silo = 2, action = "timeout", round = 1, value = 3.0},
+    {silo = 0, action = "partition", start = 0, stop = 2, value = 0.5},
+]
+drop_rate = 0.1
+seed = 7
+"""
+
     def test_toml_round_trip_is_hash_identical(self, tmp_path):
         spec = RunSpec.from_dict(net_tree(
             port=9000, round_timeout=2.0, min_quorum=2, faults=self.FAULTS
         ))
         path = tmp_path / "net.toml"
-        path.write_text(spec.to_toml())
+        path.write_text(self.NET_TOML)
         again = RunSpec.from_file(path)
         assert spec_hash(again) == spec_hash(spec)
         assert again.net.faults == self.FAULTS

@@ -104,6 +104,20 @@ class TestEnabledIsFaithful:
         uplink = reg.counter("comm_uplink_bytes_total").labels().value
         assert uplink >= sum(c.uplink_bytes for c in result.history.comm)
 
+    def test_phase_gauge_is_the_methods_timing_report(self):
+        """The one phase metric a run exports: ``protocol_phase_seconds``,
+        set each round from ``timing_report()`` (secure methods only)."""
+        result = run(RunSpec.from_dict(train_tree(
+            rounds=1,
+            method={"name": "secure-uldp-avg", "local_epochs": 1},
+            crypto={"backend": "masked"},
+        )))
+        phases = result.history.phase_seconds
+        assert phases  # the masked backend times its phases
+        gauge = get_registry().gauge("protocol_phase_seconds")
+        for name, total in phases.items():
+            assert gauge.labels(phase=name).value == total
+
     def test_trace_summary_cli_exits_zero(self, traced, capsys):
         _, path = traced
         assert main(["trace", "summary", str(path)]) == 0

@@ -11,9 +11,7 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     get_registry,
-    record_phase_timer,
 )
-from repro.protocol.timing import PhaseTimer
 
 
 class TestInstruments:
@@ -147,39 +145,6 @@ class TestExposition:
         reg.counter("z_total")
         reg.counter("a_total")
         assert [f.name for f in reg.families()] == ["a_total", "z_total"]
-
-
-class TestPhaseTimerAdapter:
-    def test_timer_lands_in_gauges(self):
-        reg = MetricsRegistry()
-        timer = PhaseTimer()
-        timer.add("encrypt", 1.5)
-        timer.add("encrypt", 0.5)
-        timer.add("aggregate", 3.0)
-        record_phase_timer(timer, registry=reg)
-        seconds = reg.gauge("protocol_phase_seconds")
-        calls = reg.gauge("protocol_phase_calls")
-        assert seconds.labels(phase="encrypt").value == pytest.approx(2.0)
-        assert calls.labels(phase="encrypt").value == 2
-        assert seconds.labels(phase="aggregate").value == pytest.approx(3.0)
-
-    def test_recording_is_idempotent(self):
-        reg = MetricsRegistry()
-        timer = PhaseTimer()
-        timer.add("encrypt", 1.0)
-        record_phase_timer(timer, registry=reg)
-        record_phase_timer(timer, registry=reg)  # re-sync, not double-count
-        assert reg.gauge("protocol_phase_seconds").labels(
-            phase="encrypt").value == pytest.approx(1.0)
-
-    def test_custom_prefix_and_labels(self):
-        reg = MetricsRegistry()
-        timer = PhaseTimer()
-        timer.add("mask", 0.25)
-        record_phase_timer(timer, prefix="secagg", registry=reg, silo="0")
-        value = reg.gauge("secagg_phase_seconds").labels(
-            phase="mask", silo="0").value
-        assert value == pytest.approx(0.25)
 
 
 class TestMetricsHttpd:

@@ -151,6 +151,28 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="does not contain"):
             load_checkpoint(tmp_path)
 
+    def test_missing_digest_manifest_refused(self, tmp_path):
+        """Deleting one key must not turn every SHA-256 check off: nothing
+        else is corrupted, and the load still refuses."""
+        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim.run(stop_after=1)
+        save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
+        meta = json.loads((tmp_path / "state.json").read_text())
+        del meta["array_digests"]
+        (tmp_path / "state.json").write_text(json.dumps(meta))
+        with pytest.raises(CheckpointError, match="array_digests"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("schema", ["uldp-fl-checkpoint/v0", None])
+    def test_unknown_schema_is_a_checkpoint_error(self, tmp_path, schema):
+        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
+        meta = json.loads((tmp_path / "state.json").read_text())
+        meta["schema"] = schema
+        (tmp_path / "state.json").write_text(json.dumps(meta))
+        with pytest.raises(CheckpointError, match="unknown schema"):
+            load_checkpoint(tmp_path)
+
     def test_corrupt_state_json_refused(self, tmp_path):
         sim = build_scenario("ideal-sync", scale="smoke", seed=0)
         sim.run(stop_after=1)
