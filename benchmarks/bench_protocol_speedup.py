@@ -22,9 +22,11 @@ Per-silo wire cost is recorded alongside: a Paillier round ships one
 
 The seed Paillier implementation this bench used to time as a third
 column is a test oracle now (``tests/protocol/oracle_reference.py``; the
-ciphertext bit-identity asserted here lives in tier-1 against it).  The
-committed `BENCH_protocol.json` is the last three-way record: 169.3 s
-reference vs 36.6 s fast vs 0.08 s masked per test-scale round.
+equivalence asserted here lives in tier-1 against it).  The last
+three-way record is `BENCH_protocol.json` up to commit 6c06a74: 169.3 s
+reference vs 36.6 s fast vs 0.08 s masked per test-scale round; the file
+was re-recorded (two-way, ``workers=1``) when the weighting kernel's
+exponent was split -- 12.6 s fast, of which 10.1 s is offline randomizers.
 
 ``BENCH_PROTOCOL_SCALE=smoke`` shrinks the test-scale workload (CI's
 smoke job) and skips the paper-scale breakdown.
@@ -106,8 +108,12 @@ def round_inputs(hist, d, seed=1):
 
 def timed_round(hist, d, key_bits):
     """Setup + one timed Paillier run_round; returns (aggregate, proto, seconds)."""
+    # workers=1: the phases are single-core seconds (what the cost model's
+    # constants mean) on any host, and the smoke round does not time the
+    # start of a process pool.
     proto = PrivateWeightingProtocol(
-        hist, n_max=N_MAX, paillier_bits=key_bits, seed=SEED, dh_group=DH_GROUP
+        hist, n_max=N_MAX, paillier_bits=key_bits, seed=SEED, dh_group=DH_GROUP,
+        workers=1,
     )
     proto.run_setup()
     deltas, noises = round_inputs(hist, d)

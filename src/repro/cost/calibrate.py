@@ -372,7 +372,8 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
         ("paillier_offline", _phase_seconds(fast, "offline_randomizers"),
          ("paillier_offline",), "phases_fast", ("offline_randomizers",)),
         ("paillier_encrypt", _phase_seconds(fast, "silo_weighted_encryption"),
-         ("paillier_encrypt",), "phases_fast", ("silo_weighted_encryption",)),
+         ("paillier_encrypt_pair", "paillier_encrypt_coord"), "phases_fast",
+         ("silo_weighted_encryption",)),
         ("paillier_decrypt", _phase_seconds(fast, "aggregate_decrypt"),
          ("paillier_decrypt",), "phases_fast", ("aggregate_decrypt",)),
         ("paillier_misc", _phase_seconds(fast, "setup_misc"),

@@ -137,11 +137,17 @@ CONSTANT_DEFS: dict[str, ConstantDef] = {
             "offline randomizer-pool generation, fast backend",
         ),
         ConstantDef(
-            "paillier_encrypt",
-            "s / (silo * coord * key_bits^3)",
-            "per-round weighted encryption, fast backend (fixed-base "
-            "windowed exponentiation; per-coordinate, user count amortised "
-            "into the precomputed weights)",
+            "paillier_encrypt_pair",
+            "s / (silo * user * key_bits^3)",
+            "per-round weighted encryption, fast backend: the one "
+            "key-width power c_u^(f_u) per (silo, user) pair",
+        ),
+        ConstantDef(
+            "paillier_encrypt_coord",
+            "s / (silo * user * coord * key_bits^2)",
+            "per-round weighted encryption, fast backend: the fixed-point-"
+            "width table look-ups per (silo, user, coordinate) -- a constant "
+            "number of n^2 multiplications whatever the key size",
         ),
         ConstantDef(
             "paillier_decrypt",
@@ -429,7 +435,8 @@ def _secure_phases(
         PhaseCost(
             "silo_weighted_encryption",
             "round",
-            seconds=C("paillier_encrypt") * SILOS * d_eff * kb3,
+            seconds=C("paillier_encrypt_pair") * SILOS * USERS * kb3
+            + C("paillier_encrypt_coord") * SILOS * USERS * d_eff * KEY_BITS**2,
             uplink_bytes=SILOS * d_eff * cipher_bytes,
             cipher_elements=SILOS * d_eff,
             memory_bytes=SILOS * d_eff * cipher_bytes,

@@ -10,7 +10,8 @@ library (``secrets``, ``hashlib``, ``math``):
   the key holder's CRT fast path); with :mod:`repro.crypto.pool` and
   :mod:`repro.crypto.fastexp` it is the one Paillier implementation
   Protocol 1 runs on -- the seed loop over the plain primitives is the
-  test oracle ``tests/protocol/oracle_reference.py`` (bit-identical).
+  test oracle ``tests/protocol/oracle_reference.py`` (identical
+  plaintexts, aggregates and RNG draws).
 - :mod:`repro.crypto.dh` -- finite-field Diffie-Hellman key agreement with a
   SHA-256 key-derivation function; groups are committed constants and
   private exponents follow one 256-bit policy.

@@ -52,18 +52,29 @@ def decode_scalar(x: int, precision: float, c_lcm: int, modulus: int) -> float:
     return (x / c_lcm) * precision
 
 
-def encode_vector(values: Sequence[float] | np.ndarray, precision: float, modulus: int) -> list[int]:
-    """Encode a real vector into F_n with one vectorised rounding pass.
+def quantize_vector(values: Sequence[float] | np.ndarray, precision: float) -> list[int]:
+    """Round a real vector to *signed* fixed-point integers (``x / P``).
 
-    The scaling and round-half-even happen in a single ``np.rint`` over the
-    whole vector (bit-identical to per-element ``round``); only the modular
-    reduction needs Python integers, since field elements routinely exceed
-    64-bit range.
+    The one place a float becomes an integer: the scaling and
+    round-half-even happen in a single ``np.rint`` over the whole vector
+    (bit-identical to per-element ``round``).  :func:`encode_vector` wraps
+    the result into F_n; Protocol 1's weighting kernel exponentiates by
+    the signed values directly (they are ~38 bits, not key width).
     """
     if precision <= 0:
         raise ValueError("precision must be positive")
     scaled = np.rint(np.asarray(values, dtype=np.float64).ravel() / precision)
-    return [int(v) % modulus for v in scaled]
+    return [int(v) for v in scaled]
+
+
+def encode_vector(values: Sequence[float] | np.ndarray, precision: float, modulus: int) -> list[int]:
+    """Encode a real vector into F_n: :func:`quantize_vector`, then
+    ``% modulus`` (negatives wrap to the upper half of the field).
+
+    Only the modular reduction needs Python integers, since field elements
+    routinely exceed 64-bit range.
+    """
+    return [v % modulus for v in quantize_vector(values, precision)]
 
 
 def decode_vector(
@@ -163,10 +174,48 @@ def check_magnitude_budget(
 
     The field sum accumulated by the server is bounded by
     ``num_terms * Encode(max_abs_value) * c_lcm``; correctness requires this
-    to be below n/2 (signed decoding).  Returns True when the budget holds.
+    to be below n/2 (signed decoding).  Returns True when the budget holds;
+    a NaN or infinite ``max_abs_value`` has no encoding and never fits.
     """
+    if not math.isfinite(max_abs_value):
+        return False
     max_encoded = int(math.ceil(max_abs_value / precision)) + 1
     return num_terms * max_encoded * c_lcm < modulus // 2
+
+
+def round_max_abs(
+    contributions: Sequence[dict[int, np.ndarray]],
+    noises: Sequence[np.ndarray],
+    noise_silos: Sequence[int] | None = None,
+) -> float:
+    """The ``max_abs_value`` of one round: the largest ``|value|`` over
+    every silo's per-user deltas and noise vector.
+
+    A NaN or infinity (a diverged model, say) has no fixed-point encoding;
+    it is refused here with the silo (and user) that holds it, instead of
+    being skipped by Python's ``max`` and surfacing later as a bare
+    ``cannot convert float NaN to integer``.  ``noise_silos`` names the
+    silo of each noise vector when some silos sent none (default: 0, 1, ...).
+    """
+    if noise_silos is None:
+        noise_silos = range(len(noises))
+    held = [(s, None, z) for s, z in zip(noise_silos, noises)]
+    held += [
+        (s, u, delta)
+        for s, per_silo in enumerate(contributions)
+        for u, delta in per_silo.items()
+    ]
+    worst = 0.0
+    for s, u, values in held:
+        top = float(np.abs(values).max(initial=0.0))
+        if not math.isfinite(top):
+            what = "noise" if u is None else f"delta of user {u}"
+            raise MagnitudeBudgetError(
+                f"silo {s}'s {what} holds a non-finite value (NaN or infinity), "
+                "which has no fixed-point encoding; the round is refused"
+            )
+        worst = max(worst, top)
+    return worst
 
 
 def require_magnitude_headroom(

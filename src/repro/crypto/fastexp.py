@@ -1,10 +1,11 @@
 """Fixed-base windowed modular exponentiation.
 
-In Protocol 1's weighting step every user's encrypted inverse
-``Enc(B_inv(N_u))`` is raised to d different ~n-bit scalars -- one per model
-coordinate.  Plain ``pow(c, k, n^2)`` redoes ~1.2 * bits modular
-multiplications (squarings plus window multiplies) *per scalar*; with the
-base fixed across all d scalars we can precompute a radix-``2^w`` digit
+In Protocol 1's weighting step every user's weighted ciphertext
+``A_u = Enc(B_inv(N_u))^(f_u)`` is raised to d different exponents -- one
+signed fixed-point value (~38 bits, biased to be non-negative) per model
+coordinate.  Plain ``pow(A, x, n^2)`` redoes ~1.2 * bits modular
+multiplications (squarings plus window multiplies) *per exponent*; with the
+base fixed across all d of them we can precompute a radix-``2^w`` digit
 table once and then answer every exponentiation with at most
 ``ceil(bits / w)`` multiplications and **zero squarings**:
 
@@ -57,8 +58,9 @@ def choose_window(exp_bits: int, n_exps: int) -> int:
     :data:`MAX_TABLE_ENTRIES` memory cap.
 
     Larger batches amortise bigger tables: d = 1000 exponentiations of
-    512-bit scalars pick w = 8 (64 multiplications per exponent), while a
-    handful of exponentiations pick a small window.
+    512-bit scalars pick w = 8 (64 multiplications per exponent; 39-bit
+    ones also pick w = 8, 5 multiplications), while a handful of
+    exponentiations pick a small window.
     """
     if exp_bits < 1:
         raise ValueError("exp_bits must be positive")

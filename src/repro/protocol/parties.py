@@ -15,13 +15,17 @@ Conventions:
   are never reused.
 
 There is one Paillier implementation: CRT wherever the factorisation is
-known (server decryption and server-side encryptions), fixed-base windowed
-exponentiation for the per-user scalar powers, and offline randomizer
-pools so online encryption is two multiplications.  The seed
-implementation (fresh full-width encryptions, square-and-multiply scalar
-exponentiation, (lambda, mu) decryption) is the test oracle
+known (server decryption and server-side encryptions), one key-width
+power per (silo, user) and fixed-point-width table look-ups per
+coordinate for the weighted deltas, and offline randomizer pools so online
+encryption is two multiplications.  The seed implementation (fresh
+full-width encryptions, square-and-multiply scalar exponentiation,
+(lambda, mu) decryption) is the test oracle
 ``tests/protocol/oracle_reference.py``; RNG draws happen in its order, so
-under a seeded RNG both produce bit-identical ciphertexts.
+under a seeded RNG the server's encryptions are bit-identical to it and
+every silo ciphertext decrypts to the identical element of F_n (the silo
+ciphertexts themselves differ from the oracle's by an n-th residue, which
+the fresh ``Enc(0)`` factor makes immaterial).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from repro.crypto.blinding import BlindingFactory
 from repro.crypto.dh import DHGroup, DHKeypair, decrypt_with_key, derive_shared_key, encrypt_with_key
-from repro.crypto.encoding import encode_vector, lcm_up_to
+from repro.crypto.encoding import encode_vector, lcm_up_to, quantize_vector
 from repro.crypto.fastexp import FixedBaseExp, worthwhile
 from repro.crypto.masking import PairwiseMasker
 from repro.crypto.paillier import (
@@ -55,30 +59,31 @@ def run_weighted_delta_kernel(task: dict) -> list[int]:
     picklable unit of work -- exactly what the runner ships to
     ``ProcessPoolExecutor`` workers for across-silo parallelism.
 
-    Per user it raises the user's encrypted inverse to d scalar exponents
-    (fixed-base windowed when the batch amortises the table, plain ``pow``
-    otherwise) and multiplies into the per-coordinate accumulators; the
-    result equals the seed loop's ciphertext vector bit for bit.
+    Per user the exponent ``x_j * f`` is split: one key-width ``A = c^f``,
+    then per coordinate ``A^(x_j + 2^B)`` for the *signed fixed-point*
+    ``x_j`` (B = the task's largest ``|x|`` bit length, ~38) from a
+    (B+1)-bit table or, for tiny d, ``pow``; ``(prod A)^(-2^B)`` cancels
+    the bias.  Equal to the seed loop's output in plaintext, not in bits.
     """
     n = task["n"]
     n2 = n * n
     d = task["d"]
-    exp_bits = n.bit_length()
+    terms = task["user_terms"]
     totals = list(task["zero_values"])
-    for base, scalars in task["user_terms"]:
-        if worthwhile(exp_bits, d):
-            fb = FixedBaseExp(base, n2, exp_bits, expected_exps=d)
-            for j in range(d):
-                s = scalars[j]
-                if s:
-                    totals[j] = totals[j] * fb.pow(s) % n2
-        else:
-            for j in range(d):
-                s = scalars[j]
-                if s:
-                    totals[j] = totals[j] * pow(base, s, n2) % n2
+    bits = max((abs(x).bit_length() for _, _, xs in terms for x in xs), default=0)
+    bias = 1 << bits
+    tabled = worthwhile(bits + 1, d)
+    unbias = 1
+    for base, factor, quantized in terms:
+        a = pow(base, factor, n2)
+        unbias = unbias * a % n2
+        fb = FixedBaseExp(a, n2, bits + 1, expected_exps=d) if tabled else None
+        for j, x in enumerate(quantized):
+            step = fb.pow(x + bias) if fb else pow(a, x + bias, n2)
+            totals[j] = totals[j] * step % n2
+    unbias = pow(unbias, -bias, n2)
     for j, a in enumerate(task["additive"]):
-        totals[j] = totals[j] * ((1 + a * n) % n2) % n2
+        totals[j] = totals[j] * unbias % n2 * ((1 + a * n) % n2) % n2
     return totals
 
 
@@ -211,10 +216,11 @@ class SiloParty:
         This method resolves everything RNG- or key-dependent: it draws the
         d pooled ``Enc(0)`` accumulator seeds *first* (the seed loop's RNG
         order; they make per-silo ciphertexts semantically secure even
-        before mask addition), encodes every user's delta vector in one
-        vectorised pass and attaches the masks and encoded noise.  The
-        returned dict feeds :func:`run_weighted_delta_kernel` -- inline, or
-        in a worker process when the runner parallelises across silos.
+        before mask addition), quantises every delta in one vectorised pass
+        and attaches the masks and encoded noise.  Per user it ships ``(c_u,
+        f_u, [x_uj])`` -- ciphertext, the one key-width scalar ``n_su * r_u *
+        C_LCM mod n``, signed fixed-point deltas -- to
+        :func:`run_weighted_delta_kernel`, inline or in a worker process.
         """
         pk = self._require_setup()
         assert self.blinding is not None and self.masker is not None
@@ -231,10 +237,8 @@ class SiloParty:
                 raise ValueError("delta dimension mismatch")
             r_u = self.blinding.blind_for_user(user)
             factor = n_su * r_u % n * self.c_lcm % n
-            encoded = encode_vector(delta, precision, n)
-            user_terms.append(
-                (encrypted_inverses[user].value, [e * factor % n for e in encoded])
-            )
+            quantized = quantize_vector(delta, precision)
+            user_terms.append((encrypted_inverses[user].value, factor, quantized))
         masks = self.masker.mask_vector(d, context=f"delta-round-{round_no}")
         encoded_noise = encode_vector(noise, precision, n)
         additive = [

@@ -28,6 +28,7 @@ from repro.crypto.encoding import (
     check_magnitude_budget,
     lcm_up_to,
     require_magnitude_headroom,
+    round_max_abs,
 )
 from repro.crypto.paillier import PaillierCiphertext
 from repro.protocol.oblivious import OTReceiver, OTSender, PrivateSubsampler
@@ -68,11 +69,13 @@ class PrivateWeightingProtocol:
         workers: process count for the per-silo weighting step.
             None = min(|S|, cpu count); 1 = in-process.
 
-    The parties compute with CRT decryption, fixed-base exponentiation and
-    offline randomizer pools; under a seeded RNG every ciphertext and
-    aggregate is bit-identical to the seed implementation, which lives on
-    as the test oracle ``tests/protocol/oracle_reference.py`` (it swaps
-    the party classes below for its own).
+    The parties compute with CRT decryption, a split-exponent weighting
+    kernel and offline randomizer pools; under a seeded RNG every silo
+    ciphertext decrypts to the same element of F_n, the RNG ends each round
+    in the same state and every aggregate is bit-identical to the seed
+    implementation, which lives on as the test oracle
+    ``tests/protocol/oracle_reference.py`` (it swaps the party classes
+    below for its own).
     """
 
     server_cls = ServerParty
@@ -232,19 +235,12 @@ class PrivateWeightingProtocol:
 
         Both round entry points (plain and OT-sampled) must refuse inputs
         whose accumulated fixed-point magnitudes could exceed n/2 -- past
-        that, signed decoding silently wraps instead of failing loudly.
+        that, signed decoding silently wraps instead of failing loudly --
+        and any non-finite value (named with its silo and user).
         """
         if len(clipped_deltas) != self.n_silos or len(noises) != self.n_silos:
             raise ValueError("need one delta dict and noise vector per silo")
-        max_abs = max(
-            [float(np.abs(n).max(initial=0.0)) for n in noises]
-            + [
-                float(np.abs(v).max(initial=0.0))
-                for per_silo in clipped_deltas
-                for v in per_silo.values()
-            ]
-            + [1.0]
-        )
+        max_abs = max(1.0, round_max_abs(clipped_deltas, noises))
         if not check_magnitude_budget(
             self.server.public_key.n, self.c_lcm, self.precision, max_abs,
             num_terms=self._num_terms,
@@ -281,7 +277,7 @@ class PrivateWeightingProtocol:
             # The enhanced protocol's offline phase: pregenerate every
             # blinding term this round will consume.  Refill order is the
             # seed loop's online draw order (server first, then silos by
-            # id), which is what keeps seeded runs bit-identical to the
+            # id), which is what keeps seeded runs in lockstep with the
             # oracle in tests/protocol/oracle_reference.py.
             self.server.prepare_offline(self.n_users)
             for silo in self.silos:
@@ -378,7 +374,7 @@ class PrivateWeightingProtocol:
                     # offline pool prefill: the slot encryptions interleave
                     # with the OT exponent draws on the shared RNG, and
                     # prefilling would reorder those draws and break the
-                    # seeded bit-exact equivalence with the test oracle.
+                    # seeded equivalence with the test oracle.
                     messages = [
                         self.server.encrypt_value(self.server.blinded_inverses[u])
                     ] + [self.server.encrypt_value(0) for _ in range(n_slots - 1)]

@@ -23,7 +23,7 @@ import numpy as np
 from repro.compress import CompressionSpec, scatter
 from repro.core.methods.uldp_avg import UldpAvg
 from repro.crypto.dh import DHGroup
-from repro.crypto.encoding import MagnitudeBudgetError
+from repro.crypto.encoding import MagnitudeBudgetError, round_max_abs
 from repro.crypto.secagg import (
     MaskedAggregationProtocol,
     encode_weighted_payload,
@@ -74,11 +74,14 @@ class SecureUldpAvg(UldpAvg):
     ``user_sample_rate``, where the server performs and knows the sampling).
 
     ``crypto_backend`` selects the secure-aggregation scheme.  ``"fast"``
-    (default) is Protocol 1 over Paillier: CRT decryption, fixed-base
-    exponentiation, offline randomizer pools, across-silo process
-    parallelism via ``protocol_workers``; under a seeded protocol RNG its
-    training histories are identical to the seed implementation's, which
-    is kept as the test oracle ``tests/protocol/oracle_reference.py``.
+    (default) is Protocol 1 over Paillier: CRT decryption, a weighting
+    kernel that pays one key-width power per (silo, user) and
+    fixed-point-width look-ups per coordinate, offline randomizer pools,
+    across-silo process parallelism via ``protocol_workers``; under a
+    seeded protocol RNG its aggregates and training histories are
+    identical to the seed implementation's (its silo ciphertexts are equal
+    in plaintext, not in bits), which is kept as the test oracle
+    ``tests/protocol/oracle_reference.py``.
     ``"masked"`` replaces Protocol 1's Paillier aggregation with
     Bonawitz-style pairwise-mask secure aggregation
     (:class:`repro.crypto.secagg.MaskedAggregationProtocol`): orders of
@@ -426,42 +429,25 @@ class SecureUldpAvg(UldpAvg):
                 "silos (see docs/protocol_performance.md)"
             )
         numerators = weight_numerators(round_weights, self._histogram, proto.c_lcm)
-        max_abs = max(
-            (float(np.abs(v).max(initial=0.0)) for v in noises),
-            default=0.0,
-        )
-        max_abs = max(
-            max_abs,
-            max(
-                (
-                    float(np.abs(delta).max(initial=0.0))
-                    for per_silo in contributions
-                    for delta in per_silo.values()
-                ),
-                default=0.0,
-            ),
-        )
+        # One noise vector per active silo; a dropped silo sends no payload.
+        noise_of = dict(zip(self._active_silos(), noises))
+        max_abs = round_max_abs(contributions, noises, list(noise_of))
         proto.check_round_magnitude(
             max_abs, num_terms=fed.n_silos * (fed.n_users + 1)
         )
-        vectors: list[list[int] | None] = []
-        noise_index = 0
-        for s, per_user in enumerate(contributions):
-            if active is not None and not active[s]:
-                vectors.append(None)  # dropped silo: no payload, no noise slot
-                continue
-            noise = noises[noise_index]
-            noise_index += 1
-            vectors.append(
-                encode_weighted_payload(
-                    per_user,
-                    {user: numerators[s, user] for user in per_user},
-                    noise,
-                    self.precision,
-                    proto.c_lcm,
-                    proto.modulus,
-                )
+        vectors: list[list[int] | None] = [
+            encode_weighted_payload(
+                per_user,
+                {user: numerators[s, user] for user in per_user},
+                noise_of[s],
+                self.precision,
+                proto.c_lcm,
+                proto.modulus,
             )
+            if s in noise_of
+            else None
+            for s, per_user in enumerate(contributions)
+        ]
         return proto.decode_aggregate(proto.run_round(vectors))
 
     def uplink_payload_bytes(self) -> int:

@@ -20,20 +20,24 @@ from repro.cost.model import CONSTANT_DEFS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
-#: src/repro/cost/calibration.json as committed at 116e346, the last commit
-#: whose cost model carried the reference backend: the 15 constants that
-#: survive its removal (the four ``reference_*`` ones are gone).
+#: src/repro/cost/calibration.json as committed at 116e346 (the last commit
+#: whose cost model carried the reference backend), except the constants
+#: ``BENCH_protocol.json`` feeds: those (``paillier_*``, ``masked_*``) were
+#: re-fitted when the weighting kernel's exponent was split and its
+#: one-constant ``paillier_encrypt`` became ``_pair`` + ``_coord``.  Every
+#: other constant is still that commit's, bit for bit.
 PARENT_CONSTANTS = {
     "churn_user": 3.817959508311712e-09,
     "engine_shard_memory": 1.1468121810964402,
-    "masked_round": 2.55859375e-06,
-    "masked_setup": 0.0007560170139620379,
-    "paillier_decrypt": 4.233703519613593e-12,
-    "paillier_encrypt": 2.7216201687910838e-11,
-    "paillier_keygen": 1.6316662104034705e-10,
-    "paillier_misc_base": 0.0065642490837365475,
-    "paillier_misc_silo_user": 0.00010006242828864255,
-    "paillier_offline": 1.6121819312489896e-11,
+    "masked_round": 1.7578125e-06,
+    "masked_setup": 0.00031731945075294375,
+    "paillier_decrypt": 3.5983578308163435e-12,
+    "paillier_encrypt_coord": 2.367524118447614e-11,
+    "paillier_encrypt_pair": 8.899553721417695e-12,
+    "paillier_keygen": 1.2398258062567663e-10,
+    "paillier_misc_base": 0.0029835311828852926,
+    "paillier_misc_silo_user": 4.0154697248347765e-05,
+    "paillier_offline": 1.3440850124300336e-11,
     "population_memory": 9.0,
     "sim_record": 2.8203094994317174e-09,
     "train_record_cnn": 2.3804967834818603e-08,
@@ -115,7 +119,9 @@ class TestDriftGate:
         assert bad == []
         # The noise floor is the only way out of the gate.
         assert all(r["gated"] or r["measured"] < MIN_FIT_SECONDS for r in rows)
-        assert sum(r["gated"] for r in rows) >= len(rows) - 2
+        # Under the floor today: the masked backend's round at paper and
+        # smoke scale (0.1 / 0.8 ms) and its 2-silo paper-scale set-up (1.4 ms).
+        assert sum(r["gated"] for r in rows) >= len(rows) - 3
 
     def test_byte_formulas_match_benches_exactly(self, benches):
         rows = byte_check_rows(benches)

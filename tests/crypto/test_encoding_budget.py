@@ -16,7 +16,9 @@ from repro.crypto.encoding import (
     encode_scalar,
     encode_vector,
     lcm_up_to,
+    quantize_vector,
     require_magnitude_headroom,
+    round_max_abs,
 )
 
 
@@ -53,6 +55,36 @@ class TestCheckMagnitudeBudget:
             self.MODULUS, c_lcm=1, precision=1.0, max_abs_value=0.0,
             num_terms=self.MODULUS // 2,
         )
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_magnitude_never_fits(self, bad):
+        """Not even with zero terms: there is no fixed-point encoding, and
+        ``math.ceil`` would raise a bare ValueError / OverflowError."""
+        for num_terms in (0, 1):
+            assert not check_magnitude_budget(
+                self.MODULUS, c_lcm=1, precision=1.0, max_abs_value=bad,
+                num_terms=num_terms,
+            )
+
+
+class TestRoundMaxAbs:
+    def test_largest_magnitude_over_deltas_and_noise(self):
+        deltas = [{0: np.array([0.5, -3.0])}, {}, {1: np.array([1.0]), 4: np.array([-2.0])}]
+        noises = [np.array([0.1]), np.array([-7.5]), np.array([])]
+        assert round_max_abs(deltas, noises) == 7.5
+        assert round_max_abs([{}, {}], []) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused_wherever_it_sits(self, bad):
+        """Python's ``max`` ignores a NaN unless it comes first; the holder
+        is found and named at any position."""
+        deltas = [{0: np.array([9.0, 1.0])}, {3: np.array([1.0, bad])}]
+        noises = [np.array([2.0]), np.array([2.0])]
+        with pytest.raises(MagnitudeBudgetError, match="silo 1's delta of user 3"):
+            round_max_abs(deltas, noises)
+        with pytest.raises(MagnitudeBudgetError, match="silo 5's noise"):
+            round_max_abs([{}, {}], [np.array([1.0]), np.array([1.0, bad])], noise_silos=[2, 5])
 
 
 class TestRequireMagnitudeHeadroom:
@@ -119,6 +151,21 @@ class TestEncodingRoundTrip:
             [decode_scalar(e, self.PRECISION, 1, self.MODULUS) for e in encoded]
         )
         np.testing.assert_array_equal(decoded, expected)
+
+    def test_encode_is_quantize_then_reduce(self):
+        """One rounding for both consumers: the Paillier kernel takes the
+        signed integers, everything else their residues."""
+        values = [-2.5, -1.5, -0.4, 0.0, 0.5, 1.5, 3.25e6]
+        signed = quantize_vector(values, 1.0)
+        assert signed == [-2, -2, 0, 0, 0, 2, 3250000]  # round-half-even
+        values = np.random.default_rng(2).standard_normal(32)
+        signed = quantize_vector(values, self.PRECISION)
+        assert all(isinstance(v, int) for v in signed)
+        assert encode_vector(values, self.PRECISION, self.MODULUS) == [
+            v % self.MODULUS for v in signed
+        ]
+        with pytest.raises(ValueError):
+            quantize_vector([1.0], -1.0)
 
     def test_empty_vector(self):
         assert encode_vector([], self.PRECISION, self.MODULUS) == []

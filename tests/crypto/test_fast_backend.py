@@ -1,10 +1,14 @@
 """Equivalence of the runtime Paillier protocol with its reference oracle.
 
-The runtime (CRT decryption, fixed-base windowed exponentiation, offline
+The runtime (CRT decryption, the split-exponent weighting kernel, offline
 randomizer pools, across-silo process parallelism) must be a pure
-performance change: under a seeded RNG every ciphertext, every aggregate,
-and every training history must be *bit-identical* to the seed
-implementation, which lives in ``tests/protocol/oracle_reference.py``.
+performance change: under a seeded RNG every silo ciphertext must decrypt
+to the *same element of F_n* as the seed implementation's (which lives in
+``tests/protocol/oracle_reference.py``), the shared RNG must be in the same
+state after every round, and every aggregate and training history must be
+bit-identical.  The ciphertexts themselves differ by an n-th residue
+(``c^e`` vs ``c^(e mod n)``), so they are compared in plaintext, not in
+bits; runtime-vs-runtime (process pool vs serial) stays ``==``.
 """
 
 import random
@@ -22,7 +26,7 @@ from oracle_reference import (  # noqa: E402
 from toy_crypto import TOY_DH_GROUP  # noqa: E402
 
 from repro.crypto.fastexp import FixedBaseExp, choose_window, fixed_base_cost, worthwhile
-from repro.crypto.paillier import PaillierCrt, generate_paillier_keypair
+from repro.crypto.paillier import PaillierCiphertext, PaillierCrt, generate_paillier_keypair
 from repro.crypto.pool import RandomizerPool
 from repro.protocol import PrivateWeightingProtocol, SecureUldpAvg
 from repro.protocol.oblivious import PrivateSubsampler
@@ -190,6 +194,35 @@ def round_inputs(proto, d=7, seed=1):
     return deltas, noises
 
 
+def lockstep_rounds(ref, fast, run, rounds=1, d=7):
+    """Run ``rounds`` rounds on both protocols and assert oracle
+    equivalence at the level the runtime preserves: per round, silo and
+    coordinate ``Dec(fast) == Dec(reference)`` as integers in F_n,
+    ``np.array_equal`` aggregates, and an equal RNG state after every round
+    (which pins the draw order that ciphertext equality used to imply).
+    Returns the last round's ``(deltas, noises, aggregate)``.
+    """
+    assert ref.view.blinded_totals == fast.view.blinded_totals
+    pk, sk = fast.server.public_key, fast.server.keypair.private_key
+    assert pk == ref.server.public_key
+    for r in range(rounds):
+        deltas, noises = round_inputs(ref, d=d, seed=10 + r)
+        deltas_f, noises_f = round_inputs(fast, d=d, seed=10 + r)
+        agg_ref = run(ref, deltas, noises)
+        agg_fast = run(fast, deltas_f, noises_f)
+        assert np.array_equal(agg_ref, agg_fast)
+        assert ref.rng.getstate() == fast.rng.getstate()
+        ref_cts, fast_cts = ref.view.round_ciphertexts[r], fast.view.round_ciphertexts[r]
+        assert len(ref_cts) == len(fast_cts) == ref.n_silos
+        for ref_vec, fast_vec in zip(ref_cts, fast_cts):
+            assert len(ref_vec) == len(fast_vec) == d
+            for c_ref, c_fast in zip(ref_vec, fast_vec):
+                assert sk.decrypt(PaillierCiphertext(c_fast, pk)) == sk.decrypt(
+                    PaillierCiphertext(c_ref, pk)
+                )
+    return deltas, noises, agg_ref
+
+
 class TestProtocolBackendEquivalence:
     def test_unknown_backend_rejected(self):
         """``crypto_backend`` survives on ``SecureUldpAvg`` alone (fast vs
@@ -208,34 +241,19 @@ class TestProtocolBackendEquivalence:
 
     def test_run_round_bit_identical(self):
         ref, fast = make_protocol("reference"), make_protocol("fast")
-        deltas, noises = round_inputs(ref)
-        deltas_f, noises_f = round_inputs(fast)
-        agg_ref = ref.run_round(deltas, noises)
-        agg_fast = fast.run_round(deltas_f, noises_f)
-        assert ref.view.blinded_totals == fast.view.blinded_totals
-        assert ref.view.round_ciphertexts == fast.view.round_ciphertexts
-        assert np.array_equal(agg_ref, agg_fast)
+        lockstep_rounds(ref, fast, lambda p, d, z: p.run_round(d, z))
         assert "offline_randomizers" in fast.timer.report()
 
     def test_run_round_with_sampling_bit_identical(self):
         ref, fast = make_protocol("reference"), make_protocol("fast")
-        deltas, noises = round_inputs(ref)
-        deltas_f, noises_f = round_inputs(fast)
         sampled = np.array([0, 2])
-        agg_ref = ref.run_round(deltas, noises, sampled_users=sampled)
-        agg_fast = fast.run_round(deltas_f, noises_f, sampled_users=sampled)
-        assert ref.view.round_ciphertexts == fast.view.round_ciphertexts
-        assert np.array_equal(agg_ref, agg_fast)
+        lockstep_rounds(
+            ref, fast, lambda p, d, z: p.run_round(d, z, sampled_users=sampled)
+        )
 
     def test_multiple_rounds_stay_in_lockstep(self):
         ref, fast = make_protocol("reference"), make_protocol("fast")
-        for r in range(3):
-            deltas, noises = round_inputs(ref, seed=10 + r)
-            deltas_f, noises_f = round_inputs(fast, seed=10 + r)
-            agg_ref = ref.run_round(deltas, noises)
-            agg_fast = fast.run_round(deltas_f, noises_f)
-            assert np.array_equal(agg_ref, agg_fast)
-        assert ref.view.round_ciphertexts == fast.view.round_ciphertexts
+        lockstep_rounds(ref, fast, lambda p, d, z: p.run_round(d, z), rounds=3)
 
     def test_process_pool_matches_serial(self):
         serial, pooled = make_protocol("fast", workers=1), make_protocol("fast", workers=2)
@@ -257,13 +275,10 @@ class TestProtocolBackendEquivalence:
     def test_ot_sampling_round_bit_identical(self):
         ref, fast = make_protocol("reference"), make_protocol("fast")
         sub_ref = PrivateSubsampler(ref.silos[0].shared_seed, n_slots=2)
-        sub_fast = PrivateSubsampler(fast.silos[0].shared_seed, n_slots=2)
-        deltas, noises = round_inputs(ref)
-        deltas_f, noises_f = round_inputs(fast)
-        agg_ref = ref.run_round_ot_sampling(deltas, noises, sub_ref)
-        agg_fast = fast.run_round_ot_sampling(deltas_f, noises_f, sub_fast)
-        assert ref.view.round_ciphertexts == fast.view.round_ciphertexts
-        assert np.array_equal(agg_ref, agg_fast)
+        assert ref.silos[0].shared_seed == fast.silos[0].shared_seed
+        deltas, noises, agg_ref = lockstep_rounds(
+            ref, fast, lambda p, d, z: p.run_round_ot_sampling(d, z, sub_ref)
+        )
         sampled = np.array(sub_ref.sampled_users(ref.n_users, 0))
         expected = ref.plaintext_reference(deltas, noises, sampled_users=sampled)
         np.testing.assert_allclose(agg_ref, expected, atol=1e-6)

@@ -10,11 +10,18 @@ OT exchange, the server's view and the round bookkeeping are inherited.
 
 The runtime draws its randomizers from the shared protocol RNG in exactly
 this loop's order (server weights first, then each silo's ``d`` ``Enc(0)``
-seeds), so from one ``seed`` both sides must agree **bit for bit** -- every
-ciphertext in ``view.round_ciphertexts``, every aggregate, every training
-history -- which is what ``tests/crypto/test_fast_backend.py`` and
+seeds), so from one ``seed`` both sides must agree on every aggregate and
+every training history **bit for bit**, on the RNG state after every
+round, and on the *plaintext* of every ciphertext in
+``view.round_ciphertexts`` -- which is what
+``tests/crypto/test_fast_backend.py`` and
 ``tests/protocol/test_backend_equivalence.py`` assert (``==`` /
-``np.array_equal``, no tolerance).
+``np.array_equal``, no tolerance).  The silo ciphertexts themselves are
+not equal: this loop raises ``Enc(B_inv(N_u))`` to ``x * f mod n``, the
+runtime to the unreduced product of ``f`` and the signed fixed-point
+``x``, and ``c^e`` and ``c^(e mod n)`` differ by an n-th residue -- the
+same kind of factor as the fresh ``Enc(0)`` each output is multiplied by,
+so the two are identically distributed.
 """
 
 import dataclasses

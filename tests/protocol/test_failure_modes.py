@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from toy_crypto import TOY_DH_GROUP
 
+from repro.core import Trainer
+from repro.core.weighting import RoundParticipation
+from repro.crypto.encoding import MagnitudeBudgetError
 from repro.crypto.masking import PairwiseMasker
 from repro.crypto.paillier import PaillierCiphertext
-from repro.protocol import PrivateWeightingProtocol
+from repro.crypto.secagg import MaskedAggregationProtocol
+from repro.data import build_creditcard_benchmark
+from repro.nn.model import build_tiny_mlp
+from repro.protocol import PrivateWeightingProtocol, SecureUldpAvg
+from repro.protocol.oblivious import PrivateSubsampler
 from repro.protocol.parties import run_weighted_delta_kernel
 
 HIST = np.array([
@@ -136,3 +143,60 @@ class TestEncodingOverflowInjection:
         deltas[0][0] = np.full(4, 1e65)
         with pytest.raises(ValueError, match="magnitude budget"):
             proto.run_round(deltas, noises)
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinity has no fixed-point encoding.  Python's ``max``
+    skips a NaN that is not first, so it used to slip past Theorem 4's
+    guard and die later as a bare ``cannot convert float NaN to integer``
+    (``inf``: ``OverflowError``); both backends now refuse it as a
+    ``MagnitudeBudgetError`` that names who holds it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_paillier_names_the_silo_and_user(self, bad):
+        proto = make_protocol()
+        deltas, noises = make_inputs(proto)
+        deltas[1][2][3] = bad  # neither the first vector nor its first slot
+        with pytest.raises(MagnitudeBudgetError, match="silo 1's delta of user 2"):
+            proto.run_round(deltas, noises)
+        assert proto.round_no == 0 and not proto.view.round_ciphertexts
+
+    def test_paillier_ot_round_names_the_noisy_silo(self):
+        proto = make_protocol()
+        deltas, noises = make_inputs(proto)
+        noises[2][1] = np.nan
+        sub = PrivateSubsampler(proto.silos[0].shared_seed, n_slots=2)
+        with pytest.raises(MagnitudeBudgetError, match="silo 2's noise"):
+            proto.run_round_ot_sampling(deltas, noises, sub)
+
+    def test_masked_backend_names_the_silo_behind_a_dropped_one(self, monkeypatch):
+        """Silo 0 is dropped, so silo 2's noise is the *second* vector the
+        round holds; the refusal must still say silo 2."""
+        fed = build_creditcard_benchmark(
+            n_users=6, n_silos=3, n_records=120, n_test=40, seed=0
+        )
+        method = SecureUldpAvg(
+            crypto_backend="masked", dh_group=TOY_DH_GROUP, local_epochs=1,
+            noise_multiplier=1.0, local_lr=0.1,
+        )
+        model = build_tiny_mlp(30, 2, 2, np.random.default_rng(42))
+        trainer = Trainer(fed, method, rounds=1, model=model, seed=0)
+        segment = method.silo_round_segment
+
+        def poisoned(s, *args, **kwargs):
+            users, rows, noise = segment(s, *args, **kwargs)
+            if s == 2:
+                noise = noise.copy()
+                noise[-1] = np.inf
+            return users, rows, noise
+
+        monkeypatch.setattr(method, "silo_round_segment", poisoned)
+        mask = np.array([False, True, True])
+        with pytest.raises(MagnitudeBudgetError, match="silo 2's noise"):
+            trainer.step(participation=RoundParticipation(silo_mask=mask))
+
+    def test_masked_protocol_refuses_a_non_finite_magnitude(self):
+        proto = MaskedAggregationProtocol(3, mask_bits=128, group=TOY_DH_GROUP, seed=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(MagnitudeBudgetError):
+                proto.check_round_magnitude(bad, num_terms=1)
