@@ -5,6 +5,9 @@
 #                       differential tests (docs/privacy_accounting.md)
 #   make bench          all paper-figure benchmarks (slow, prints tables)
 #   make bench-engine   batched-engine round timing on fig05 MNIST (U50/U400)
+#   make bench-cnn      one traced `train_cnn` benchmark run (bench/run.py): round
+#                       period, minor faults per round, engine seconds; fails
+#                       above 5000 faults per round
 #   make bench-protocol fast Paillier vs. masked secagg (two-way)
 #   make bench-sim      simulation runtime: 1M-user population + dropout
 #   make bench-compress update compression: uplink bytes vs utility (fig05)
@@ -38,7 +41,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-accounting bench bench-engine bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
+.PHONY: test test-accounting bench bench-engine bench-cnn bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +54,14 @@ bench:
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_speedup.py -s
+
+# The single-step CNN walk must not go back to the kernel for its
+# temporaries (docs/architecture.md, "The workspace"): ~22 k minor faults a
+# round before the workspace, a handful after.  A count, so it gates on
+# any host.
+bench-cnn:
+	python3 bench/run.py --workload train_cnn --seed 1 --seconds 10 --trace 1 \
+		| $(PYTHON) tools/bench_cnn_report.py
 
 bench-protocol:
 	$(PYTHON) -m pytest benchmarks/bench_protocol_speedup.py -s

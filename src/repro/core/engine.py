@@ -45,12 +45,12 @@ distributes it across a worker pool (PR 2's picklable-kernel +
 
 from __future__ import annotations
 
+import copy
 import importlib
 import multiprocessing
-import os
 import sys
 import time
-from collections import OrderedDict
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -62,6 +62,7 @@ from repro.nn.backend import ArrayBackend, get_backend, validate_backend
 from repro.nn.batched import per_group_gradients
 from repro.nn.clip import clip_factor_from_norms, clip_factor_rows, l2_clip_rows
 from repro.nn.model import Sequential, batch_model
+from repro.nn.workspace import WORKSPACE
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
 
@@ -78,55 +79,20 @@ MICRO_BATCH = 128
 DEFAULT_SHARD_SIZE = 4096
 
 
-class _MatrixPool:
-    """Bounded, per-process pool of reusable (G, P) result buffers.
-
-    The round loop produces one large delta or gradient matrix per round
-    with a stable shape; re-allocating it every round spends more time in
-    page faults than in arithmetic.  Contents are valid only until the
-    next call with the same shape -- callers consume the matrix within
-    the round.
-
-    Two safety properties the old module-global dict lacked: the pool is
-    LRU-bounded (differently-shaped runs in one process recycle the
-    oldest buffer instead of accumulating or dropping everything), and it
-    is keyed to the owning process -- a fork-based worker that inherits
-    the parent's pool resets it on first touch rather than scribbling
-    into buffers the parent may still be reading.
-    """
-
-    MAX_ENTRIES = 8
-
-    def __init__(self) -> None:
-        self._pid: int | None = None
-        self._buffers: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-
-    def get(self, shape: tuple[int, int]) -> np.ndarray:
-        """An uninitialised reusable matrix of the given shape."""
-        pid = os.getpid()
-        if pid != self._pid:
-            self._buffers = OrderedDict()
-            self._pid = pid
-        buf = self._buffers.get(shape)
-        if buf is None:
-            while len(self._buffers) >= self.MAX_ENTRIES:
-                self._buffers.popitem(last=False)
-            buf = np.empty(shape)
-        else:
-            del self._buffers[shape]
-        self._buffers[shape] = buf
-        return buf
-
-    def __len__(self) -> int:
-        return len(self._buffers)
+#: One scratch copy of each template model per process: the shared-weight
+#: walk reads parameters from layer arrays, so the round's flat ``params``
+#: are bound to a model -- never the caller's, which the engine does not
+#: write.  Copied once, re-bound per call.
+_STEP_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-_MATRIX_POOL = _MatrixPool()
-
-
-def _pooled_matrix(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialised reusable matrix of the given shape."""
-    return _MATRIX_POOL.get(shape)
+def _model_at(model: Sequential, params: np.ndarray) -> Sequential:
+    """The process's scratch copy of ``model``, holding ``params``."""
+    local = _STEP_MODELS.get(model)
+    if local is None:
+        local = _STEP_MODELS[model] = copy.deepcopy(model)
+    local.set_flat_params(params)
+    return local
 
 
 @dataclass
@@ -260,29 +226,54 @@ def _micro_batches(n: int) -> list[tuple[int, int]]:
     return [(s, min(s + MICRO_BATCH, n)) for s in range(0, n, MICRO_BATCH)]
 
 
-def _delta_chunk(
-    model: Sequential,
-    task: str,
-    params: np.ndarray,
-    jobs: list[LocalJob],
-    lr: float,
-    epochs: int,
-    out: np.ndarray,
-) -> None:
-    """One micro-batch of unclipped local deltas, written into ``out``."""
-    if epochs == 1 and all(job.schedule is None for job in jobs):
-        local = model.clone()
-        local.set_flat_params(params)
-        loss = make_loss(task, local)
-        x = np.concatenate([np.asarray(job.x, dtype=np.float64) for job in jobs])
-        y = np.concatenate([np.asarray(job.y, dtype=np.float64) for job in jobs])
-        per_group_gradients(local, loss, x, y, [job.n for job in jobs], out=out)
-        np.multiply(out, -lr, out=out)
-        return
-    for indices in _size_buckets(jobs):
-        out[indices] = _train_bucket(
-            model, task, params, [jobs[i] for i in indices], lr, epochs
-        )
+def _shared_step(local, loss, jobs, out, row_scale=None) -> None:
+    """Per-job gradients of one micro-batch at ``local``'s parameters, via
+    :func:`repro.nn.batched.per_group_gradients`, into ``out``."""
+    x = np.concatenate([np.asarray(job.x, dtype=np.float64) for job in jobs])
+    y = np.concatenate([np.asarray(job.y, dtype=np.float64) for job in jobs])
+    per_group_gradients(
+        local, loss, x, y, [job.n for job in jobs], out=out, row_scale=row_scale
+    )
+
+
+def _local_deltas(model, task, params, jobs, lr, epochs, clip=None):
+    """``(rows, factors)`` of a non-empty job list, micro-batch by
+    micro-batch into the workspace's row block; ``clip=None`` leaves the
+    deltas unclipped (factors all 1).
+
+    Single-step shortcut: one full-batch epoch (the paper's ULDP-AVG
+    setting for figure benchmarks) never diverges the per-group parameters,
+    so the deltas are one SGD step from the shared model and their norms
+    ``lr`` times the gradient norms -- clip-and-descend fuses into the
+    shared-weight walk's single assembly pass.  The general path trains in
+    similar-size buckets (:func:`_size_buckets`), then clips in place.
+    """
+    out = WORKSPACE.result((len(jobs), params.size))
+    factors = np.ones(len(jobs))
+    local = _model_at(model, params) if epochs == 1 else None
+    loss = make_loss(task, model)
+    for start, stop in _micro_batches(len(jobs)):
+        chunk, rows, f = jobs[start:stop], out[start:stop], factors[start:stop]
+        if epochs == 1 and all(job.schedule is None for job in chunk):
+
+            def clip_and_descend(grad_norms: np.ndarray, f=f) -> np.ndarray:
+                # The delta of one full-batch step has norm lr * ||gradient||.
+                f[...] = clip_factor_from_norms(lr * grad_norms, clip)
+                return -lr * f
+
+            fused = clip_and_descend if clip is not None else None
+            _shared_step(local, loss, chunk, rows, fused)
+            if clip is None:
+                np.multiply(rows, -lr, out=rows)
+        else:
+            for indices in _size_buckets(chunk):
+                rows[indices] = _train_bucket(
+                    model, task, params, [chunk[i] for i in indices], lr, epochs
+                )
+            if clip is not None:
+                f[...] = clip_factor_rows(rows, clip)
+                l2_clip_rows(rows, clip, out=rows, factors=f)
+    return out, factors
 
 
 def batched_local_deltas(
@@ -301,25 +292,12 @@ def batched_local_deltas(
     ``local - global``, row-aligned with ``jobs``.  The per-row result
     matches a plain ``train_epochs`` run on that job (the loop oracle) up
     to floating-point reassociation.  Jobs run in fixed micro-batches (see
-    the module docstring); within each chunk they are grouped into
-    similar-size buckets (see :func:`_size_buckets`) purely for speed.
-
-    Single-step shortcut: one full-batch epoch (the paper's ULDP-AVG
-    setting for figure benchmarks) never diverges the per-group parameters,
-    so the deltas are exactly one SGD step from the shared model --
-    computed via the much faster shared-weight gradient engine
-    (:func:`repro.nn.batched.per_group_gradients`).  The result is a
-    pooled buffer: valid until the next engine call with the same shape,
-    so consume (or copy) it within the round.
+    the module docstring; :func:`_local_deltas` for the two kernels).  The
+    result is the workspace's row block: valid until the next engine call.
     """
     if not jobs:
         return np.zeros((0, params.size))
-    out = _pooled_matrix((len(jobs), params.size))
-    for start, stop in _micro_batches(len(jobs)):
-        _delta_chunk(
-            model, task, params, jobs[start:stop], lr, epochs, out[start:stop]
-        )
-    return out
+    return _local_deltas(model, task, params, jobs, lr, epochs)[0]
 
 
 def batched_clipped_local_deltas(
@@ -337,12 +315,7 @@ def batched_clipped_local_deltas(
     delta scaled to l2 norm at most ``clip`` and ``factors[g]`` the applied
     ``min(1, clip / ||delta||)`` (0 for non-finite deltas, 1 for zero ones)
     -- the Algorithm 3 line 16 quantities for a whole silo round at once.
-
-    On the single-step path the delta norms are ``lr`` times the gradient
-    norms, so clip-and-scale fuses into the engine's single assembly pass
-    over the result matrix; the general path clips the delta matrix in
-    place.  Either way the result matrix is pooled -- valid until the next
-    engine call of the same shape.
+    The rows are the workspace's row block: valid until the next engine call.
     """
     if clip <= 0:
         raise ValueError("clip bound must be positive")
@@ -351,59 +324,7 @@ def batched_clipped_local_deltas(
     with get_recorder().span(
         "local_training", kind="phase", jobs=len(jobs), epochs=epochs
     ):
-        return _clipped_local_deltas(model, task, params, jobs, lr, epochs, clip)
-
-
-def _clipped_chunk(model, task, params, jobs, lr, epochs, clip, out, factors):
-    """One micro-batch of clipped deltas into ``out``/``factors`` slices."""
-    if epochs == 1 and all(job.schedule is None for job in jobs):
-        local = model.clone()
-        local.set_flat_params(params)
-        loss = make_loss(task, local)
-        x = np.concatenate([np.asarray(job.x, dtype=np.float64) for job in jobs])
-        y = np.concatenate([np.asarray(job.y, dtype=np.float64) for job in jobs])
-
-        def clip_and_descend(grad_norms: np.ndarray) -> np.ndarray:
-            # The delta of one full-batch step has norm lr * ||gradient||.
-            f = clip_factor_from_norms(lr * grad_norms, clip)
-            factors[...] = f
-            return -lr * f
-
-        per_group_gradients(
-            local,
-            loss,
-            x,
-            y,
-            [job.n for job in jobs],
-            out=out,
-            row_scale=clip_and_descend,
-        )
-        return
-    deltas = np.empty((len(jobs), params.size))
-    for indices in _size_buckets(jobs):
-        deltas[indices] = _train_bucket(
-            model, task, params, [jobs[i] for i in indices], lr, epochs
-        )
-    factors[...] = clip_factor_rows(deltas, clip)
-    l2_clip_rows(deltas, clip, out=out, factors=factors)
-
-
-def _clipped_local_deltas(model, task, params, jobs, lr, epochs, clip):
-    out = _pooled_matrix((len(jobs), params.size))
-    factors = np.empty(len(jobs))
-    for start, stop in _micro_batches(len(jobs)):
-        _clipped_chunk(
-            model,
-            task,
-            params,
-            jobs[start:stop],
-            lr,
-            epochs,
-            clip,
-            out[start:stop],
-            factors[start:stop],
-        )
-    return out, factors
+        return _local_deltas(model, task, params, jobs, lr, epochs, clip)
 
 
 def batched_gradients(
@@ -422,24 +343,17 @@ def batched_gradients(
     Because every job is evaluated at the *same* parameters, this runs
     through the shared-weight engine: one unpadded forward/backward per
     micro-batch over the chunk's records with per-group segmented
-    parameter reductions.  The result is a pooled buffer reused by the
-    next engine call of the same shape -- consume (or copy) it within the
-    round.
+    parameter reductions.  The result is the workspace's row block: valid
+    until the next engine call.
     """
     if not jobs:
         return np.zeros((0, params.size))
     with get_recorder().span("local_gradients", kind="phase", jobs=len(jobs)):
-        local = model.clone()
-        local.set_flat_params(params)
+        out = WORKSPACE.result((len(jobs), params.size))
+        local = _model_at(model, params)
         loss = make_loss(task, local)
-        out = _pooled_matrix((len(jobs), params.size))
         for start, stop in _micro_batches(len(jobs)):
-            chunk = jobs[start:stop]
-            x = np.concatenate([np.asarray(j.x, dtype=np.float64) for j in chunk])
-            y = np.concatenate([np.asarray(j.y, dtype=np.float64) for j in chunk])
-            per_group_gradients(
-                local, loss, x, y, [j.n for j in chunk], out=out[start:stop]
-            )
+            _shared_step(local, loss, jobs[start:stop], out[start:stop])
         return out
 
 
@@ -455,7 +369,7 @@ def batched_clipped_gradients(
     twin of :func:`batched_clipped_local_deltas`.  A row depends only on
     its micro-batch, so a shard task calling this chunk by chunk and a
     per-silo step calling it on the whole job list get the same bits; the
-    result matrix is pooled, like :func:`batched_gradients`'."""
+    result is the workspace's row block, like :func:`batched_gradients`'."""
     rows = batched_gradients(model, task, params, jobs)
     np.negative(rows, out=rows)
     factors = clip_factor_rows(rows, clip)  # validates clip > 0
@@ -580,11 +494,11 @@ def run_shard_task(task: dict) -> dict:
 
     Top-level and dict-in/dict-out so it pickles cleanly into a
     ``ProcessPoolExecutor`` (PR 2's kernel pattern).  The worker never
-    holds more than one ``(MICRO_BATCH, P)`` row block plus the
-    ``(bins, P)`` accumulator, which is what bounds resident memory per
-    process regardless of shard size.  Returns the accumulator state,
-    the per-job clip factors, and the kernel seconds for the parent's
-    shard span.
+    holds more than its workspace slab (one ``(MICRO_BATCH, P)`` row block
+    + one micro-batch's scratch) and the ``(bins, P)`` accumulator, which
+    bounds resident memory per process regardless of shard size.  Returns
+    the accumulator state, the per-job clip factors, and the kernel
+    seconds for the parent's shard span.
     """
     t0 = time.perf_counter()
     backend = get_backend(task["backend"])
@@ -600,7 +514,7 @@ def run_shard_task(task: dict) -> dict:
     for start, stop in _micro_batches(len(jobs)):
         chunk = jobs[start:stop]
         if task["mode"] == "delta":
-            rows, factors[start:stop] = _clipped_local_deltas(
+            rows, factors[start:stop] = _local_deltas(
                 task["model"],
                 task["task"],
                 params,

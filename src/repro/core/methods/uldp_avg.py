@@ -340,8 +340,8 @@ class UldpAvg(FLMethod):
         batching per silo (never across silos), in the shard tasks'
         micro-batches, is what makes every carrier bit-identical.
 
-        Returns ``(users, rows, factors, noise)``; ``rows`` is a pooled
-        engine buffer, valid only until the next engine call.
+        Returns ``(users, rows, factors, noise)``; ``rows`` is the
+        engine's workspace row block, valid only until the next engine call.
         """
         fed, model, _ = self._require_prepared()
         users, jobs, noise = self._draw_silo(s, weight_row, noise_std, params.size)
@@ -506,7 +506,7 @@ class UldpAvg(FLMethod):
         the silo's Gaussian noise vector.
         """
         users, rows, _, noise = self._silo_step(s, params, weight_row, noise_std)
-        return users, rows.copy(), noise  # engine buffers are pooled
+        return users, rows.copy(), noise  # the engine's row block is reused
 
     def apply_aggregate(
         self, params: np.ndarray, aggregate: np.ndarray, n_updates: int

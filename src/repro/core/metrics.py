@@ -21,7 +21,7 @@ from repro.nn.losses import (
     concordance_index,
 )
 from repro.nn.model import Sequential
-from repro.nn.train import evaluate_accuracy, predict
+from repro.nn.train import accuracy_of, predict
 
 
 def output_width(model: Sequential) -> int:
@@ -79,5 +79,5 @@ def evaluate_model(fed: FederatedDataset, model: Sequential) -> dict[str, float]
         events = fed.test_y[:, 1]
         out["c_index"] = concordance_index(pred.ravel(), times, events)
     else:
-        out["accuracy"] = evaluate_accuracy(model, fed.test_x, fed.test_y)
+        out["accuracy"] = accuracy_of(pred, fed.test_y)
     return out

@@ -49,6 +49,16 @@ class Layer:
         for g in self.grads:
             g[...] = 0.0
 
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry configuration, parameters and gradients
+        -- not what ``forward`` left behind for ``backward`` (the
+        underscore-prefixed attributes), e.g. a whole test set's activations
+        after an evaluation."""
+        return {
+            name: None if name.startswith("_") else value
+            for name, value in self.__dict__.items()
+        }
+
 
 class Linear(Layer):
     """Fully connected layer: y = x @ W + b."""

@@ -94,7 +94,8 @@ class Sequential:
         return np.concatenate([g.ravel() for g in self.grads])
 
     def clone(self) -> "Sequential":
-        """Deep copy (independent parameters and caches)."""
+        """Deep copy: independent parameters and gradients, no forward
+        caches (:meth:`repro.nn.layers.Layer.__getstate__`)."""
         return copy.deepcopy(self)
 
 

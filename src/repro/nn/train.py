@@ -80,14 +80,18 @@ def evaluate_loss(model: Sequential, loss: Loss, x: np.ndarray, y: np.ndarray) -
     return loss.forward(model.forward(x), y)
 
 
-def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
-    """Classification accuracy.
+def accuracy_of(pred: np.ndarray, y: np.ndarray) -> float:
+    """Classification accuracy of model outputs ``pred`` against ``y``.
 
     Multi-logit outputs use argmax; single-logit outputs threshold at 0.
     """
-    pred = predict(model, x)
     if pred.ndim == 2 and pred.shape[1] > 1:
         labels = pred.argmax(axis=1)
     else:
         labels = (pred.ravel() > 0).astype(np.int64)
     return float((labels == np.asarray(y).ravel()).mean())
+
+
+def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
+    """:func:`accuracy_of` the model's own forward pass over ``x``."""
+    return accuracy_of(predict(model, x), y)

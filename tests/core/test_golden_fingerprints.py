@@ -40,6 +40,14 @@ round's epsilon, the comm ledger, the participation log -- is the parent's
 value, bit for bit, and ``test_rebaseline_is_only_reassociation`` holds the
 merged aggregate to the parent's formula at ``rtol=1e-13``.
 
+The two ``mnist-cnn*`` entries were recorded at commit 4415b95, the last
+one where ``nn/batched.py``'s shared-weight walk allocated every temporary
+afresh and ``core/engine.py`` deep-copied the template model per
+micro-batch.  Three rounds with ``eval_every=2``, so the third round trains
+from a model that ``evaluate_model`` has already been through, once in
+process and once behind a 2-worker pool: they pin the workspace-backed walk
+to the allocating one bit for bit on the convolutional path.
+
 To re-record after a change that is *meant* to move the numbers, print
 ``_fingerprint(TREES[name])`` for each name and say why in CHANGES.md.
 """
@@ -73,7 +81,21 @@ DATASET = {
 }
 TRAIN = {"seed": 3, "rounds": 3, "dataset": DATASET, "privacy": {}}
 
+MNIST_CNN = {
+    **TRAIN,
+    "eval_every": 2,
+    "dataset": {
+        "name": "mnist", "users": 12, "silos": 3, "records": 120,
+        "test_records": 40, "distribution": "zipf",
+    },
+    "method": {"name": "uldp-avg-w", "local_epochs": 1},
+}
+
 TREES = {
+    "mnist-cnn": MNIST_CNN,
+    "mnist-cnn-sharded": {
+        **MNIST_CNN, "engine": {"workers": 2, "shard_size": 128},
+    },
     "plaintext": {**TRAIN, "method": {"name": "uldp-avg-w", "local_epochs": 1}},
     "compressed-sharded": {
         **TRAIN,
@@ -104,6 +126,14 @@ TREES = {
 }
 
 GOLDEN = {
+    "mnist-cnn": (
+        "e076c08e5dbaff90a9a7fb9a6b42f6d9ac556dddb81af82ab31a5e8a96177462",
+        1.445621967952188,
+    ),
+    "mnist-cnn-sharded": (
+        "e076c08e5dbaff90a9a7fb9a6b42f6d9ac556dddb81af82ab31a5e8a96177462",
+        1.445621967952188,
+    ),
     "plaintext": (
         "1d9d6f6a39600ba2764d2966ca73dacbc60bf79ece7dd80875c5b693df40ef58",
         1.445621967952188,

@@ -11,14 +11,23 @@ import pytest
 
 from repro.nn.batched import per_group_gradients
 from repro.nn.clip import clip_factor_rows, l2_clip, l2_clip_rows
-from repro.nn.layers import BatchedLinear, MaxPool2d
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchedLinear,
+    Conv2d,
+    Flatten,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    Tanh,
+)
 from repro.nn.losses import (
     BCEWithLogitsLoss,
     CoxPHLoss,
     DegenerateBatchError,
     SoftmaxCrossEntropyLoss,
 )
-from repro.nn.model import batch_model, build_mnist_cnn, build_tiny_mlp
+from repro.nn.model import Sequential, batch_model, build_mnist_cnn, build_tiny_mlp
 
 
 def reference_gradients(model, loss_factory, datasets):
@@ -143,6 +152,91 @@ class TestPerGroupGradients:
         )
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["strided-avgpool-tanh", "pool-then-relu", "flatten-mlp"])
+    def test_matches_reference_other_stacks(self, variant):
+        """The stage kinds the MNIST CNN does not have: stride 2 without
+        padding, average pooling, Tanh, an activation *after* a pool (which
+        must not run in place on the pool's cached output), and a
+        parameterless layer the dense walk hands to its own forward."""
+        init = np.random.default_rng(8)
+        if variant == "strided-avgpool-tanh":
+            layers = [
+                Conv2d(1, 4, 3, init, stride=2), Tanh(), AvgPool2d(2),
+                Conv2d(4, 6, 3, init, padding=1), ReLU(),
+                Flatten(), Linear(54, 5, init), Tanh(), Linear(5, 3, init),
+            ]
+        elif variant == "pool-then-relu":
+            layers = [
+                Conv2d(1, 3, 3, init, padding=1), MaxPool2d(2), ReLU(),
+                Conv2d(3, 4, 3, init), AvgPool2d(2), Tanh(),
+                Flatten(), Linear(16, 3, init),
+            ]
+        else:
+            layers = [Flatten(), Linear(196, 6, init), ReLU(), Linear(6, 3, init)]
+        model = Sequential(layers)
+        rng = np.random.default_rng(9)
+        sizes = [1, 3, 1, 2]
+        datasets = [
+            (rng.standard_normal((n, 1, 14, 14)), rng.integers(0, 3, size=n))
+            for n in sizes
+        ]
+        ref = reference_gradients(model, SoftmaxCrossEntropyLoss, datasets)
+        x = np.concatenate([d[0] for d in datasets])
+        y = np.concatenate([d[1] for d in datasets])
+        for _ in range(2):  # overflowing first call, slab-served second
+            out = per_group_gradients(model, SoftmaxCrossEntropyLoss(), x, y, sizes)
+            np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    def test_no_groups_and_single_record_groups(self):
+        model = build_mnist_cnn(np.random.default_rng(3), image_size=14, n_classes=4)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((5, 1, 14, 14))
+        y = rng.integers(0, 4, size=5)
+        empty = per_group_gradients(model, SoftmaxCrossEntropyLoss(), x[:0], y[:0], [])
+        assert empty.shape == (0, model.num_params)
+        ref = reference_gradients(
+            model, SoftmaxCrossEntropyLoss, [(x[i : i + 1], y[i : i + 1]) for i in range(5)]
+        )
+        out = per_group_gradients(model, SoftmaxCrossEntropyLoss(), x, y, [1] * 5)
+        np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["no-flatten", "two-flattens"])
+    def test_matches_reference_conv_outside_a_recognised_stack(self, variant):
+        """A Conv2d the channels-last walk does not claim goes through the
+        generic walk's own (NCHW) convolution rule: padded and strided
+        convolutions, a first layer (no input gradient) and inner ones."""
+        init = np.random.default_rng(8)
+        if variant == "no-flatten":
+            layers = [
+                Conv2d(2, 3, 3, init, padding=1), Tanh(), MaxPool2d(2),
+                Conv2d(3, 1, 3, init), ReLU(), Conv2d(1, 1, 1, init),
+            ]
+        else:
+            layers = [
+                Conv2d(2, 3, 3, init, stride=2), ReLU(), Flatten(),
+                Linear(12, 4, init), Flatten(), Linear(4, 1, init),
+            ]
+        model = Sequential(layers)
+        rng = np.random.default_rng(9)
+        sizes = [1, 3, 1, 2]
+        datasets = [
+            (rng.standard_normal((n, 2, 6, 6)), rng.integers(0, 2, size=n).astype(float))
+            for n in sizes
+        ]
+        ref = reference_gradients(model, BCEWithLogitsLoss, datasets)
+        x = np.concatenate([d[0] for d in datasets])
+        y = np.concatenate([d[1] for d in datasets])
+        for _ in range(2):  # overflowing first call, slab-served second
+            out = per_group_gradients(model, BCEWithLogitsLoss(), x, y, sizes)
+            np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    def test_parameterised_layer_without_a_rule_is_refused(self):
+        with pytest.raises(TypeError, match="BatchedLinear"):
+            per_group_gradients(
+                Sequential([BatchedLinear(2, 2, 1)]),
+                SoftmaxCrossEntropyLoss(), np.zeros((1, 2)), np.zeros(1), [1],
+            )
+
     def test_degenerate_cox_group_is_zero(self):
         rng = np.random.default_rng(4)
         from repro.nn.model import build_cox_linear
@@ -173,15 +267,18 @@ class TestPerGroupGradients:
         y = np.concatenate([d[1] for d in datasets])
         sizes = [3, 3, 3]
         plain = per_group_gradients(model, BCEWithLogitsLoss(), x, y, sizes)
-        norms_out = np.empty(3)
+        seen = []
+
+        def double(norms):
+            seen.append(norms)
+            return 2.0 * np.ones_like(norms)
+
         scaled = per_group_gradients(
-            model, BCEWithLogitsLoss(), x, y, sizes,
-            row_scale=lambda norms: 2.0 * np.ones_like(norms),
-            norms_out=norms_out,
+            model, BCEWithLogitsLoss(), x, y, sizes, row_scale=double
         )
         np.testing.assert_allclose(scaled, 2.0 * plain, atol=1e-12)
         np.testing.assert_allclose(
-            norms_out, np.linalg.norm(plain, axis=1), atol=1e-10
+            seen[0], np.linalg.norm(plain, axis=1), atol=1e-10
         )
 
     def test_sizes_validation(self):
