@@ -3,7 +3,6 @@
 #   make test           tier-1 test suite (what CI runs)
 #   make test-accounting  the accountant's tests alone, incl. the scalar-oracle
 #                       differential tests (docs/privacy_accounting.md)
-#   make bench          all paper-figure benchmarks (slow, prints tables)
 #   make bench-engine   batched-engine round timing on fig05 MNIST (U50/U400)
 #   make bench-cnn      one traced `train_cnn` benchmark run (bench/run.py): round
 #                       period, minor faults per round, engine seconds; fails
@@ -17,13 +16,15 @@
 #   make sweep-smoke    validate every committed spec file, then one smoke
 #                       `repro run --config`, one 2-point `repro sweep`, a
 #                       checkpointed sim run resumed with `repro run --resume`,
-#                       two spec files run by name (`repro figure fig08
-#                       --output`, `repro figure fig05`),
+#                       three spec files run by name (`repro figure fig08
+#                       --output`, `repro figure fig05`, the secure `fig10`),
 #                       one combination ULDP-SGD gained in PR 19 and one that
 #                       is still refused (exit 2, one line, no traceback)
 #   make trace-smoke    one traced networked round trip: serve net_sim.toml
 #                       with [obs] on (faults cleared), then summarise the
 #                       resulting trace.jsonl
+#   make results        regenerate docs/results.md, every `repro figure NAME
+#                       --scale smoke` table (tests/test_docs.py: staleness)
 #   make docs-check     doctest the docs' worked examples + docstring coverage
 #   make cost-check     bench-file schema + cost-model predictions vs the
 #                       committed BENCH_*.json (the static half of the CI
@@ -41,7 +42,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-accounting bench bench-engine bench-cnn bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
+.PHONY: test test-accounting results bench-engine bench-cnn bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,8 +50,8 @@ test:
 test-accounting:
 	$(PYTHON) -m pytest tests/accounting -q --durations=10
 
-bench:
-	$(PYTHON) -m pytest benchmarks -s
+results:
+	$(PYTHON) tools/make_results.py
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_speedup.py -s
@@ -80,7 +81,7 @@ bench-scaleout:
 # and one 2-point sigma grid must execute, and a checkpointed scenario
 # must resume from its own directory.  A spec file is an experiment by
 # name: `repro figure fig08 --output` must leave a non-empty histories
-# file, and fig05 -- hand-written, never in any registry -- must run.  Then
+# file, fig05 (hand-written) and fig10 (secure, Protocol 1) must run.  Then
 # the composition contract from both sides (docs/api.md, "What composes
 # with what"): ULDP-SGD under a byte-capped scenario runs, and a method
 # without the per-silo step under buffered-async is refused at validation
@@ -104,6 +105,7 @@ sweep-smoke:
 		--output sweep-smoke/fig08.json
 	test -s sweep-smoke/fig08.json
 	$(PYTHON) -m repro figure fig05 --scale smoke
+	$(PYTHON) -m repro figure fig10 --scale smoke
 	$(PYTHON) -m repro run --set method.name=uldp-sgd \
 		--set sim.scenario=bandwidth-cap --set sim.scale=smoke
 	$(PYTHON) -m repro run --set method.name=default \

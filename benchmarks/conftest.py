@@ -1,10 +1,9 @@
-"""Shared helpers for the reproduction benchmarks.
+"""Shared helpers for the legacy perf benches that feed the cost model.
 
-Each ``bench_figXX_*.py`` regenerates one table or figure of the paper:
-it builds the figure's workload (scaled down to laptop size -- see
-EXPERIMENTS.md for the scaling notes), runs the figure's methods, and
-prints the same rows/series the paper plots.  pytest-benchmark wraps the
-whole computation so ``--benchmark-only`` reports wall-clock times.
+Each ``bench_*.py`` times one layer and merges its numbers into a root
+``BENCH_*.json`` through :func:`write_bench_json`; ``cost/calibration.json``
+is fitted from those files (docs/cost_model.md).  The paper's figures are
+``python -m repro figure NAME``, asserted in ``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.core import Trainer
 from repro.cost.bench_schema import BENCH_SCHEMA, validate_bench_tree
 
 #: Machine-readable benchmark results land next to the repo root so the
@@ -64,46 +60,5 @@ def host_info() -> dict:
     }
 
 
-def run_history(fed, method, rounds, seed=0, delta=1e-5, eval_every=1):
-    """Train one method and return its TrainingHistory."""
-    return Trainer(
-        fed, method, rounds=rounds, seed=seed, delta=delta, eval_every=eval_every
-    ).run()
-
-
 def print_header(title: str) -> None:
     print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
-
-
-def print_series_table(histories, value="metric") -> None:
-    """Rows = rounds, columns = methods (the paper's line-plot data)."""
-    if not histories:
-        return
-    rounds = histories[0].series("round")
-    names = [h.method for h in histories]
-    print(f"{'round':>6s} " + " ".join(f"{n:>18s}" for n in names))
-    for i, r in enumerate(rounds):
-        cells = []
-        for h in histories:
-            v = h.series(value)[i]
-            cells.append(f"{v:18.4f}" if v is not None else f"{'n/a':>18s}")
-        print(f"{int(r):6d} " + " ".join(cells))
-
-
-def print_final_table(histories) -> None:
-    """One row per method: final utility and epsilon."""
-    print(f"{'method':<24s} {'metric':>10s} {'loss':>12s} {'eps(ULDP)':>14s}")
-    for h in histories:
-        f = h.final
-        eps = "non-private" if f.epsilon is None else f"{f.epsilon:14.3f}"
-        print(f"{h.method:<24s} {f.metric:10.4f} {f.loss:12.4f} {eps:>14s}")
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run the benched callable exactly once (training runs are slow)."""
-
-    def _run(func, *args, **kwargs):
-        return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return _run

@@ -495,10 +495,13 @@ class RunSpec:
             validate_path(path, sweep_axis=True)
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise SpecError(f"sweep.{path}: axis must be a non-empty list")
-        # Normalise sweep values to plain lists for stable serialisation.
-        object.__setattr__(
-            self, "sweep", {p: list(v) for p, v in self.sweep.items()}
-        )
+        # Plain lists, each value as the field it assigns would hold it
+        # (``"method.sigma" = [1]`` is 1.0): one grid, one label, one hash.
+        sweep = {
+            p: [_canonical_axis_value(p, v) for v in values]
+            for p, values in self.sweep.items()
+        }
+        object.__setattr__(self, "sweep", sweep)
 
     # -- serialisation --------------------------------------------------------
 
@@ -655,6 +658,25 @@ def _coerce(value, annotation: str, path: str):
             return int(value)
         raise SpecError(f"{path}: expected an integer, got {value!r}")
     return value
+
+
+def _canonical_axis_value(path: str, value):
+    """One value of the (validated) sweep axis ``path``, coerced as
+    :meth:`RunSpec.from_dict` would coerce it once assigned."""
+    section, _, name = path.partition(".")
+    owner = RunSpec if section in _ROOT_SCALARS else _SECTIONS[section]
+    types = {f.name: str(f.type) for f in dataclasses.fields(owner)}
+    if owner is RunSpec or name:
+        return _coerce(value, types[name or section], f"sweep.{path}")
+    if not isinstance(value, dict):
+        raise SpecError(
+            f"sweep.{path}: whole-section axis values must be "
+            f"tables, got {type(value).__name__}"
+        )
+    return {  # unknown keys are left for _build_section to name
+        key: _coerce(v, types[key], f"sweep.{path}.{key}") if key in types else v
+        for key, v in value.items()
+    }
 
 
 def _build_section(section_cls: type, payload: dict, path: str):
@@ -824,12 +846,7 @@ def expand_sweep(spec: RunSpec) -> list[SweepPoint]:
         label = ", ".join(_axis_label(p, v) for p, v in assignments.items())
         tree = copy.deepcopy(base)
         for path, value in assignments.items():
-            if "." not in path:  # whole-section table axis
-                if not isinstance(value, dict):
-                    raise SpecError(
-                        f"sweep.{path}: whole-section axis values must be "
-                        f"tables, got {type(value).__name__}"
-                    )
+            if path in _SECTIONS:  # whole-section table axis
                 tree[path] = copy.deepcopy(value)
             else:
                 tree = apply_overrides(tree, {path: value})

@@ -5,8 +5,8 @@ A training-based experiment is a spec file you read and edit,
 scale tier and a seed (:func:`spec_for_experiment`), runs its sweep and
 returns structured results (:func:`run_experiment`, or ``python -m repro
 figure <name>``).  Only what a file cannot say is code here: the row
-shapers of ``fig09`` / ``sim01`` and the analytic ``fig02`` / ``fig12``.
-The pytest benchmarks under ``benchmarks/`` print fuller sweeps.
+shapers of ``fig09`` / ``fig10`` / ``sim01`` and the analytic ``fig02`` /
+``fig11`` / ``fig12``.  ``tests/test_paper_claims.py`` asserts the findings.
 """
 
 from repro.experiments.registry import (

@@ -20,9 +20,9 @@ child spec + canonical hash) are what ``--output`` saves.  The only
 per-experiment *code* is registered under
 :data:`repro.api.registries.EXPERIMENTS` through ``@register_experiment``
 as a function ``(scale, seed) -> ExperimentResult``: the row shapers of
-``fig09`` / ``sim01`` (which print a table the histories alone do not
-give) and the purely analytic ``fig02`` / ``fig12``, which train nothing
-and have no spec file.
+``fig09`` / ``fig10`` / ``sim01`` (which print a table the histories alone
+do not give) and the purely analytic ``fig02`` / ``fig11`` / ``fig12``,
+which train nothing and have no spec file.
 """
 
 from __future__ import annotations
@@ -45,12 +45,18 @@ from repro.report import comparison_table
 SPEC_DIR = Path(__file__).resolve().parents[3] / "examples" / "specs"
 
 #: Workload size per scale tier -- the one table a spec file is resized by
-#: (``steps`` sizes the analytic fig02).
+#: (``steps`` sizes the analytic fig02, ``params`` the analytic fig11).
 _TIERS = {
-    "smoke": dict(rounds=2, records=400, test_records=200, users=20, steps=1000),
-    "small": dict(rounds=5, records=4000, test_records=800, users=100, steps=100_000),
-    "paper": dict(rounds=20, records=25_000, test_records=5000, users=100, steps=100_000),
+    "smoke": dict(rounds=2, records=400, test_records=200, users=20, steps=1000, params=64),
+    "small": dict(rounds=5, records=4000, test_records=800, users=100, steps=100_000, params=512),
+    "paper": dict(rounds=20, records=25_000, test_records=5000, users=100, steps=100_000, params=2048),
 }
+
+#: Protocol 1's phases as fig10 / fig11 tabulate them: 2 of set-up, 3 per round.
+_PROTOCOL_PHASES = (
+    "key_exchange", "blinded_histogram",
+    "offline_randomizers", "silo_weighted_encryption", "aggregate_decrypt",
+)
 
 
 @dataclass
@@ -70,13 +76,13 @@ class ExperimentResult:
     def table(self) -> str:
         if not self.rows:
             return comparison_table(self.histories) if self.histories else "(no rows)"
-        keys = list(self.rows[0])
-        lines = [" ".join(f"{k:>14s}" for k in keys)]
+        widths = {k: max(14, len(k)) for k in self.rows[0]}
+        lines = [" ".join(f"{k:>{w}s}" for k, w in widths.items())]
         for row in self.rows:
             cells = []
-            for k in keys:
+            for k, w in widths.items():
                 v = row[k]
-                cells.append(f"{v:14.4f}" if isinstance(v, float) else f"{v!s:>14s}")
+                cells.append(f"{v:{w}.4f}" if isinstance(v, float) else f"{v!s:>{w}s}")
             lines.append(" ".join(cells))
         return "\n".join(lines)
 
@@ -182,6 +188,22 @@ def fig09_subsampling(scale: str, seed: int) -> ExperimentResult:
     return result
 
 
+@register_experiment("fig10")
+def fig10_protocol_phases(scale: str, seed: int) -> ExperimentResult:
+    """One row per dataset: whole-run seconds of local training (the rounds'
+    wall-clock less the protocol phases inside them) beside Protocol 1's
+    phases, each summed over the silos (one process, ``crypto.workers = 1``)."""
+    result, sweep = _run_spec("fig10", scale, seed)
+    for point, run_result in zip(sweep.points, sweep.results):
+        history, seconds = run_result.history, run_result.history.phase_seconds
+        phases = {p: seconds[p] for p in _PROTOCOL_PHASES}
+        in_round = sum(seconds[p] for p in (*_PROTOCOL_PHASES[2:], "encrypt_weights"))
+        training = history.total_round_seconds - in_round
+        dataset = point.assignments["dataset.name"]
+        result.rows.append({"dataset": dataset, "local_training": training, **phases})
+    return result
+
+
 @register_experiment("sim01")
 def sim01_participation(scale: str, seed: int) -> ExperimentResult:
     """One row per scenario: final utility, honest epsilon, mean per-round
@@ -212,9 +234,12 @@ def sim01_participation(scale: str, seed: int) -> ExperimentResult:
 # -- analytic experiments ------------------------------------------------------
 
 
-@register_experiment("fig02", description="group-privacy conversion blow-up (exact)")
+@register_experiment("fig02", description="group-privacy conversion blow-up, exact (paper Fig. 2)")
 def fig02_group_privacy(scale: str, seed: int) -> ExperimentResult:
-    """GDP epsilon vs group size (both conversion routes)."""
+    """GDP epsilon vs group size k (both conversion routes).
+
+    Paper: at 1e5 steps (scale small / paper) eps = 2.85 at k = 1, ~2100 at
+    k = 32, ~11400 at k = 64 (RDP route): super-linear; routes within ~3x."""
     from repro.accounting.conversion import rdp_curve_to_dp
     from repro.accounting.group import (
         group_epsilon_via_normal_dp,
@@ -240,9 +265,57 @@ def fig02_group_privacy(scale: str, seed: int) -> ExperimentResult:
     return result
 
 
-@register_experiment("fig12", description="record allocation statistics")
+@register_experiment("fig11", description="Protocol 1 seconds vs parameters and users (paper Fig. 11)")
+def fig11_protocol_scaling(scale: str, seed: int) -> ExperimentResult:
+    """Protocol 1 seconds per phase against the parameter count d and the
+    user count |U|: random deltas over a random histogram (3 silos in one
+    process, 256-bit keys), nothing trained.  Each sweep takes equal steps
+    from the tier's base point, so "affine" reads as equal increments; the
+    per-round phases are medians of three rounds, and ``silo_ciphertexts``
+    (one silo's upload) is a count, exact where seconds are one host's.
+
+    Paper: the dominant per-silo encrypted weighting grows linearly with d
+    and |U| (here affine: one key-width power per user, then look-ups)."""
+    import numpy as np
+
+    from repro.protocol import PrivateWeightingProtocol
+
+    tier = _tier(scale)
+    users, params = tier["users"], tier["params"]
+    description = f"Protocol 1 seconds per phase, one round (base |U|={users}, d={params})"
+    result = ExperimentResult(name="fig11", description=description)
+    rng = np.random.default_rng(seed)
+    grid = [("params", users, k * params) for k in (1, 2, 3)]
+    grid += [("users", k * users, params) for k in (1, 2, 3)]
+    for swept, n_users, n_params in grid:
+        protocol = PrivateWeightingProtocol(
+            rng.integers(1, 5, size=(3, n_users)),
+            n_max=32, paillier_bits=256, seed=seed, workers=1,
+        )
+        protocol.run_setup()
+        totals = [protocol.timer.report()]  # cumulative: a round is a difference
+        for _ in range(3):
+            protocol.run_round(
+                [{u: rng.standard_normal(n_params) for u in range(n_users)} for _ in range(3)],
+                [rng.standard_normal(n_params) for _ in range(3)],
+            )
+            totals.append(protocol.timer.report())
+        seconds = {p: totals[0][p] for p in _PROTOCOL_PHASES[:2]}
+        for p in _PROTOCOL_PHASES[2:]:
+            rounds = [b[p] - a.get(p, 0.0) for a, b in zip(totals, totals[1:])]
+            seconds[p] = float(np.median(rounds))
+        uploads = len(protocol.view.round_ciphertexts[-1][0])
+        sizes = {"swept": swept, "users": n_users, "params": n_params}
+        result.rows.append({**sizes, "silo_ciphertexts": uploads, **seconds})
+    return result
+
+
+@register_experiment("fig12", description="record allocation statistics (paper Fig. 12)")
 def fig12_allocation(scale: str, seed: int) -> ExperimentResult:
-    """Record allocation statistics under both distributions."""
+    """Record allocation statistics under both distributions (|S| = 5).
+
+    Paper: uniform counts sit near the mean, silos balanced (top silo near
+    1/|S|); zipf skews across users and packs each user into few silos."""
     import numpy as np
 
     from repro.data import build_creditcard_benchmark

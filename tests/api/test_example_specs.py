@@ -20,7 +20,7 @@ class TestCommittedSpecs:
     def test_directory_is_populated(self):
         names = {Path(p).stem for p in spec_files()}
         assert {"quickstart", "sigma_sweep", "bandwidth_sim"} <= names
-        assert {"fig04", "fig06", "fig08", "fig09", "sim01"} <= names
+        assert {f"fig{n:02d}" for n in range(4, 11)} | {"sim01"} <= names
 
     @pytest.mark.parametrize("path", spec_files(), ids=lambda p: Path(p).stem)
     def test_file_validates(self, path):
@@ -79,6 +79,60 @@ MOVED_HASHES = {
 }
 
 
+class TestSweepAxisCanonicalisation:
+    """An axis value is held as the field it assigns would hold it, so two
+    spellings of one grid are one grid: same labels, same hashes."""
+
+    @pytest.mark.parametrize(
+        "spelled, canonical",
+        [
+            ({"method.sigma": [1]}, {"method.sigma": [1.0]}),
+            ({"rounds": [2.0]}, {"rounds": [2]}),
+            (
+                {"method": [{"name": "uldp-avg", "sigma": 1}]},
+                {"method": [{"name": "uldp-avg", "sigma": 1.0}]},
+            ),
+        ],
+        ids=["section.field", "root-scalar", "whole-section"],
+    )
+    def test_spellings_of_one_grid_share_every_hash(self, spelled, canonical):
+        a = RunSpec.from_dict({"sweep": spelled})
+        b = RunSpec.from_dict({"sweep": canonical})
+        assert a.sweep == b.sweep == canonical
+        assert a.hash() == b.hash()
+        assert [(p.label, p.spec.hash()) for p in expand_sweep(a)] == [
+            (p.label, p.spec.hash()) for p in expand_sweep(b)
+        ]
+
+    def test_the_recorded_case(self):
+        """`[1]` and `[1.0]` were `run[method.sigma=1]` / `458583457236b819`
+        and `run[method.sigma=1.0]` / `5a534ebb9ba63f21`, both at sigma 1.0."""
+        (point,) = expand_sweep(RunSpec.from_dict({"sweep": {"method.sigma": [1]}}))
+        assert point.spec.name == "run[method.sigma=1.0]"
+        assert point.spec.hash() == "5a534ebb9ba63f21"
+        assert point.spec.method.sigma == 1.0
+
+    def test_root_scalar_axis_expands(self):
+        """`validate_path` always accepted it; expansion took it for a
+        whole-section axis and refused the integers."""
+        points = expand_sweep(RunSpec.from_dict({"sweep": {"rounds": [1, 2]}}))
+        assert [p.spec.rounds for p in points] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "axis, complaint",
+        [
+            ({"rounds": [1.5]}, "sweep.rounds: expected an integer"),
+            ({"method.sigma": [True]}, "sweep.method.sigma: expected a number"),
+            ({"method": [3]}, "sweep.method: whole-section axis values must be tables"),
+        ],
+    )
+    def test_uncoercible_axis_value_names_its_axis(self, axis, complaint):
+        from repro.api.spec import SpecError
+
+        with pytest.raises(SpecError, match=complaint):
+            RunSpec.from_dict({"sweep": axis})
+
+
 class TestExperimentSpecSync:
     """A spec file at a (tier, seed) is the experiment the figure runs."""
 
@@ -96,7 +150,7 @@ class TestExperimentSpecSync:
         hash ``repro figure`` runs at its defaults."""
         from repro.experiments import spec_for_experiment
 
-        for name in ("fig04", "fig06", "fig08", "fig09", "sim01"):
+        for name in ("fig04", "fig06", "fig07", "fig08", "fig09", "fig10", "sim01"):
             on_disk = RunSpec.from_file(SPEC_DIR / f"{name}.toml")
             assert spec_for_experiment(name).hash() == on_disk.hash()
 
@@ -121,10 +175,10 @@ class TestExperimentSpecSync:
             assert len(headline) > 10 and not headline.startswith("#")
 
     def test_hand_written_spec_runs_by_name(self, capsys):
-        """fig05 was never in the registry: `unknown experiment` at PR 19."""
+        """A spec file with no registered code (`unknown experiment` at PR 19)."""
         from repro.cli import main
 
-        assert main(["figure", "fig05", "--scale", "smoke"]) == 0
+        assert main(["figure", "quickstart", "--scale", "smoke"]) == 0
         assert "ULDP-AVG-w" in capsys.readouterr().out
 
     def test_analytic_experiments_have_no_spec(self):

@@ -4,7 +4,9 @@ These tests verify the paper's central claim *empirically* using the
 library's sensitivity probes (:mod:`repro.core.probes`): with noise
 disabled, swapping ALL records of one user changes the cross-silo aggregate
 by at most the claimed sensitivity (C for ULDP-AVG/SGD, C*|S| for
-ULDP-NAIVE), no matter how many records the user owns.
+ULDP-NAIVE), no matter how many records the user owns.  The record-level
+unit of Table 2 sits beside them: replacing ONE record moves a DP-SGD
+step's clipped gradient sum by at most 2C.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.methods import UldpAvg, UldpNaive, UldpSgd
+from repro.core.metrics import make_loss
 from repro.core.probes import (
     HEAVY_USER_LAYOUT,
     N_USERS,
@@ -20,6 +23,7 @@ from repro.core.probes import (
     prenoise_aggregate,
     replace_user_records,
 )
+from repro.nn.dpsgd import per_sample_clipped_gradient_sum
 from repro.nn.model import build_tiny_mlp
 
 
@@ -89,6 +93,25 @@ class TestUldpNaiveSensitivity:
         # ...and the naive bound is genuinely looser than C: the heavy user
         # can shift more than one silo's clipped delta.
         assert sensitivity > clip / 10
+
+
+class TestRecordLevelSensitivity:
+    def test_one_record_swap_bounded_by_twice_the_clip(self):
+        """Table 2's record-level row (DP-SGD inside ULDP-GROUP): the old
+        and the new record each contribute at most C to the clipped sum --
+        which is why a user with k records needs the group conversion."""
+        clip = 0.5
+        rng = np.random.default_rng(0)
+        model = build_tiny_mlp(6, 4, 2, rng)
+        loss = make_loss("binary", model)
+        x = rng.standard_normal((10, 6))
+        y = rng.integers(0, 2, 10)
+        base = per_sample_clipped_gradient_sum(model, loss, x, y, clip)
+        x[3] = 50.0 * rng.standard_normal(6)  # an outlier, so the clip binds
+        y[3] = 1 - y[3]
+        swapped = per_sample_clipped_gradient_sum(model, loss, x, y, clip)
+        shift = np.linalg.norm(base - swapped)
+        assert clip / 10 < shift <= 2 * clip + 1e-9
 
 
 class TestSubsampledSensitivity:

@@ -62,6 +62,30 @@ class TestProportionalWeights:
             proportional_weights(np.array([1, 2, 3]))
 
 
+class TestBudgetUtilisation:
+    def test_eq3_spends_the_unit_budget_where_the_records_are(self):
+        """Why Eq. (3) wins under skew (Fig. 8's mechanism): each user has a
+        unit weight budget (Theorem 3).  Uniform weights put 1/|S| of it on
+        every silo, including those holding none of the user's records;
+        Eq. (3) puts all of it on record-bearing silos."""
+        from repro.data.allocation import allocate_zipf
+
+        n_silos, n_users = 20, 100
+        users, silos = allocate_zipf(
+            3000, n_users, n_silos, np.random.default_rng(20)
+        )
+        hist = np.zeros((n_silos, n_users), dtype=np.int64)
+        np.add.at(hist, (silos, users), 1)
+        active = hist > 0
+        present = active.any(axis=0)
+
+        def utilisation(weights):
+            return (weights * active).sum(axis=0)[present]
+
+        assert utilisation(proportional_weights(hist)).min() > 0.999
+        assert utilisation(uniform_weights(n_silos, n_users)).mean() < 0.5
+
+
 class TestValidateWeights:
     def test_accepts_valid(self):
         validate_weights(uniform_weights(3, 4))

@@ -110,6 +110,8 @@ class TestLcm:
         # The paper notes C_LCM grows ~ e^N_max; check it exceeds 2^N for
         # moderate N (motivation for restricting admissible counts).
         assert lcm_up_to(40) > 2**40
+        # Exponential: the bit length roughly doubles when N_max doubles.
+        assert lcm_up_to(80).bit_length() > 1.7 * lcm_up_to(40).bit_length()
 
     def test_lcm_of_counts_restricted(self):
         # Paper's suggestion: restrict counts to powers of ten.

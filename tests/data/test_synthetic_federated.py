@@ -147,13 +147,15 @@ class TestFederatedDataset:
 
 
 class TestBenchmarkBuilders:
-    def test_creditcard_benchmark(self):
+    @pytest.mark.parametrize("distribution", ["uniform", "zipf"])
+    def test_creditcard_benchmark(self, distribution):
         fed = build_creditcard_benchmark(
-            n_users=20, n_silos=5, n_records=500, n_test=100, seed=0
+            n_users=20, n_silos=5, n_records=500, n_test=100, seed=0,
+            distribution=distribution,
         )
         assert fed.n_silos == 5
         assert fed.n_users == 20
-        assert fed.n_records == 500
+        assert fed.n_records == fed.histogram().sum() == 500  # none lost
         assert fed.task == "binary"
 
     def test_mnist_benchmark_noniid(self):
@@ -172,8 +174,9 @@ class TestBenchmarkBuilders:
         assert fed.n_silos == 4
         assert [s.n_records for s in fed.silos] == [303, 261, 46, 130]
 
-    def test_tcgabrca_min_two_records(self):
-        fed = build_tcgabrca_benchmark(n_users=30, distribution="zipf", seed=0)
+    @pytest.mark.parametrize("distribution", ["uniform", "zipf"])
+    def test_tcgabrca_min_two_records(self, distribution):
+        fed = build_tcgabrca_benchmark(n_users=30, distribution=distribution, seed=0)
         hist = fed.histogram()
         present = hist[hist > 0]
         assert present.min() >= 2

@@ -15,6 +15,10 @@
   mention must be an attribute of that class, and every bare private or
   ``silo_*`` identifier they put in backticks (or in a call tree about
   those classes) must still exist somewhere in the code.
+- ``docs/results.md`` (generated by ``make results``) must hold one section
+  per experiment, each at the hash of the spec ``repro figure NAME --scale
+  smoke`` runs today -- stale by experiment list or by spec, never by the
+  numbers in its tables.
 """
 
 import doctest
@@ -179,3 +183,21 @@ def test_every_mentioned_method_exists():
                 words.update(re.findall(bare, block))
         stale.update(f"{where}: {word}" for word in words if not exists(word))
     assert not stale, f"docs mention names that do not exist: {sorted(stale)}"
+
+
+def test_results_page_is_current():
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        from make_results import spec_line
+    finally:
+        sys.path.pop(0)
+    from repro.experiments import available_experiments
+
+    text = (DOCS / "results.md").read_text(encoding="utf-8")
+    assert text.startswith("Data are synthetic stand-ins")
+    recorded = dict(re.findall(
+        r"^`python -m repro figure (\S+) --scale smoke` \((.*)\):$",
+        text, flags=re.MULTILINE,
+    ))
+    current = {name: spec_line(name) for name in available_experiments()}
+    assert recorded == current, "docs/results.md is stale: run `make results`"

@@ -41,12 +41,14 @@ class TestRegistry:
         from repro.experiments import registry, spec_for_experiment
 
         monkeypatch.setattr(registry, "SPEC_DIR", tmp_path / "absent")
-        for name in ("fig04", "fig09"):
+        for name in ("fig04", "fig09", "fig10"):
             with pytest.raises(FileNotFoundError, match="examples/specs"):
                 run_experiment(name, scale="smoke")
             with pytest.raises(FileNotFoundError, match="examples/specs"):
                 spec_for_experiment(name, scale="smoke")
-        assert available_experiments() == ["fig02", "fig09", "fig12", "sim01"]
+        assert available_experiments() == [
+            "fig02", "fig09", "fig10", "fig11", "fig12", "sim01",
+        ]
         assert run_experiment("fig02", scale="smoke").rows
         assert main(["figure", "fig04", "--scale", "smoke"]) == 2
 
