@@ -7,6 +7,9 @@
 #   make bench-cnn      one traced `train_cnn` benchmark run (bench/run.py): round
 #                       period, minor faults per round, engine seconds; fails
 #                       above 5000 faults per round
+#   make bench-sharded  one traced `train_tabular_sharded` benchmark run: round
+#                       period, pool overhead, 2-worker scaling efficiency;
+#                       fails when the run is incorrect
 #   make bench-protocol fast Paillier vs. masked secagg (two-way)
 #   make bench-sim      simulation runtime: 1M-user population + dropout
 #   make bench-compress update compression: uplink bytes vs utility (fig05)
@@ -42,7 +45,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-accounting results bench-engine bench-cnn bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
+.PHONY: test test-accounting results bench-engine bench-cnn bench-sharded bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke trace-smoke docs-check cost-check cost-drift
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -62,7 +65,18 @@ bench-engine:
 # any host.
 bench-cnn:
 	python3 bench/run.py --workload train_cnn --seed 1 --seconds 10 --trace 1 \
-		| $(PYTHON) tools/bench_cnn_report.py
+		| $(PYTHON) tools/bench_report.py bench-cnn bench.round_period_s \
+			core.engine.minor_faults_per_round core.engine.local_deltas_s \
+			--max core.engine.minor_faults_per_round=5000
+
+# The resident pool (docs/scaleout.md, "The memory model"): what a round
+# costs through 2 workers, what the pool adds on top of the kernels, and
+# how that compares with the same run in one process.  Wall-clock, so only
+# the run's own output checks (same seed, workers = 0 reference) gate.
+bench-sharded:
+	python3 bench/run.py --workload train_tabular_sharded --seed 1 --seconds 10 --trace 1 \
+		| $(PYTHON) tools/bench_report.py bench-sharded bench.round_period_s \
+			core.engine.pool_overhead_s core.engine.scaling_efficiency_w2
 
 bench-protocol:
 	$(PYTHON) -m pytest benchmarks/bench_protocol_speedup.py -s

@@ -40,7 +40,12 @@ path for any ``workers``/``shard_size``.
 
 This is the only training engine the methods run.  :class:`ShardedEngine`
 distributes it across a worker pool (PR 2's picklable-kernel +
-``ProcessPoolExecutor`` pattern) when ``[engine] workers > 0``.
+``ProcessPoolExecutor`` pattern) when ``[engine] workers > 0``.  The
+pool is *resident*: each worker holds the method's federation and
+template model for its lifetime (:func:`install_resident`), so a round's
+tasks name their records -- ``(silo, user ids)``, :func:`resident_jobs` --
+instead of carrying them, and the per-template caches below are built
+once per process.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +88,8 @@ DEFAULT_SHARD_SIZE = 4096
 #: One scratch copy of each template model per process: the shared-weight
 #: walk reads parameters from layer arrays, so the round's flat ``params``
 #: are bound to a model -- never the caller's, which the engine does not
-#: write.  Copied once, re-bound per call.
+#: write.  Copied once per template *object*, re-bound per call; a pool
+#: worker's template is resident, so that is once per worker.
 _STEP_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -149,13 +156,6 @@ def _stack_jobs(jobs: list[LocalJob]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return xs, ys, mask
 
 
-def _job_steps(job: LocalJob, epoch: int) -> list[np.ndarray]:
-    """Index arrays of one job's minibatches in ``epoch`` (full-batch: one)."""
-    if job.schedule is None:
-        return [np.arange(job.n)]
-    return job.schedule[epoch]
-
-
 def _size_buckets(jobs: list[LocalJob]) -> list[list[int]]:
     """Partition job indices into buckets of similar record count.
 
@@ -190,34 +190,38 @@ def _train_bucket(
     group_idx = np.arange(len(jobs))[:, None]
     full_batch = all(job.schedule is None for job in jobs)
 
+    def step(xb, yb, valid) -> None:
+        pred = bm.forward(xb)
+        loss.forward(pred, yb, valid)
+        bm.backward(loss.backward())  # writes the gradients: nothing to zero
+        for p, g in zip(bm.params, bm.grads):
+            np.multiply(g, lr, out=g)
+            p -= g
+
     for epoch in range(max(0, epochs)):
-        per_job = [_job_steps(job, epoch) for job in jobs]
-        n_steps = max(len(steps) for steps in per_job)
-        for step in range(n_steps):
-            if full_batch:
-                # All records of every job, no gather needed.
-                xb, yb, valid = xs, ys, mask
-            else:
-                batches = [
-                    steps[step] if step < len(steps) else np.zeros(0, dtype=np.int64)
-                    for steps in per_job
-                ]
-                b_max = max(len(b) for b in batches)
-                if b_max == 0:
-                    continue
-                idx = np.full((len(jobs), b_max), -1, dtype=np.int64)
-                for g, b in enumerate(batches):
-                    idx[g, : len(b)] = b
-                valid = idx >= 0
-                safe = np.where(valid, idx, 0)
-                xb = xs[group_idx, safe]
-                yb = ys[group_idx, safe]
-            bm.zero_grad()
-            pred = bm.forward(xb)
-            loss.forward(pred, yb, valid)
-            bm.backward(loss.backward())
-            for p, g in zip(bm.params, bm.grads):
-                p -= lr * g
+        if full_batch:
+            # All records of every job, one step an epoch, no gather needed.
+            step(xs, ys, mask)
+            continue
+        # A full-batch job in a scheduled bucket steps once, on all it has.
+        per_job = [
+            [np.arange(job.n)] if job.schedule is None else job.schedule[epoch]
+            for job in jobs
+        ]
+        for at in range(max(len(steps) for steps in per_job)):
+            batches = [
+                steps[at] if at < len(steps) else np.zeros(0, dtype=np.int64)
+                for steps in per_job
+            ]
+            b_max = max(len(b) for b in batches)
+            if b_max == 0:
+                continue
+            idx = np.full((len(jobs), b_max), -1, dtype=np.int64)
+            for g, b in enumerate(batches):
+                idx[g, : len(b)] = b
+            valid = idx >= 0
+            safe = np.where(valid, idx, 0)
+            step(xs[group_idx, safe], ys[group_idx, safe], valid)
     return bm.get_flat_params() - params[None, :]
 
 
@@ -429,10 +433,61 @@ def plan_shards(n_jobs: int, shard_size: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, n_jobs)) for s in range(0, n_jobs, size)]
 
 
+class ResidentMismatchError(RuntimeError):
+    """A task named its records by reference, and the process asked to
+    resolve it holds a different federation (or none)."""
+
+
+class _Resident(NamedTuple):
+    """A federation, a template model, and the federation's ``token()``."""
+
+    fed: object
+    model: Sequential | None
+    token: tuple | None
+
+
+#: What this process resolves by-reference tasks against (None: nothing).
+#: Set once per pool worker as it starts, and by an in-process engine
+#: before it runs its tasks.
+_RESIDENT: _Resident | None = None
+
+
+def install_resident(fed, model, token: tuple | None = None) -> None:
+    """Make ``fed`` / ``model`` this process's resident federation and
+    template.  The worker pool's ``initializer`` -- its arguments are
+    inherited under ``fork`` and pickled once per worker otherwise -- where
+    the token is taken from the worker's own copy; an in-process engine
+    passes the one it took when it was bound."""
+    global _RESIDENT
+    _RESIDENT = None if fed is None else _Resident(fed, model, token or fed.token())
+
+
+def resident_jobs(spec: dict) -> list[LocalJob]:
+    """The loader behind a by-reference task: silo ``spec["silo"]``'s
+    records of ``spec["users"]``, read from the resident federation, with
+    the pre-drawn ``spec["schedules"]`` (None: every job full-batch).
+
+    ``spec["token"]`` is the :meth:`~repro.data.federated.FederatedDataset.token`
+    of the federation the task was planned against; a process holding
+    another one refuses rather than train on the wrong rows.
+    """
+    held = None if _RESIDENT is None else _RESIDENT.token
+    if held != spec["token"]:
+        raise ResidentMismatchError(
+            f"shard task planned against federation {spec['token']} but this "
+            f"process holds {held}; was the engine bound to another dataset "
+            "after the task was planned?"
+        )
+    silo = _RESIDENT.fed.silos[spec["silo"]]
+    schedules = spec["schedules"] or [None] * len(spec["users"])
+    records = silo.records_of_users(spec["users"].tolist())
+    return [LocalJob(x, y, schedule) for (x, y), schedule in zip(records, schedules)]
+
+
 def make_shard_task(
     *,
     mode: str,
-    model: Sequential,
+    model: Sequential | None,
     task: str,
     params: np.ndarray,
     jobs,
@@ -445,23 +500,22 @@ def make_shard_task(
     epochs: int = 1,
     backend: str = "numpy",
 ) -> dict:
-    """A self-contained, picklable shard work unit for :func:`run_shard_task`.
+    """A picklable shard work unit for :func:`run_shard_task`.
 
-    ``jobs`` is either a list of :class:`LocalJob` (shipped inline) or a
+    ``jobs`` is either a list of :class:`LocalJob` (shipped inline, packed
+    into one block per field) or a
     loader descriptor ``{"loader": "pkg.mod:func", "spec": {...}}`` the
-    worker resolves and calls -- the lazy path, used when materialising
-    the shard's records in the parent would defeat the memory bound.
-    ``mode`` selects the per-chunk kernel: ``"delta"`` (clipped local
-    training deltas, ULDP-AVG) or ``"gradient"`` (negated clipped
-    gradients, ULDP-SGD).
+    worker resolves and calls -- how a task names records the worker
+    already holds (:func:`resident_jobs`) or synthesises its own
+    (:func:`repro.sim.population.materialise_shard_jobs`) rather than
+    having them pickled into it.  ``model=None`` likewise means the
+    worker's resident template.  ``mode`` selects the per-chunk kernel:
+    ``"delta"`` (clipped local training deltas, ULDP-AVG) or ``"gradient"``
+    (negated clipped gradients, ULDP-SGD).
     """
     if mode not in ("delta", "gradient"):
         raise ValueError(f"shard mode must be 'delta' or 'gradient', got {mode!r}")
-    payload = (
-        {"kind": "loader", **jobs}
-        if isinstance(jobs, dict)
-        else {"kind": "inline", "jobs": list(jobs)}
-    )
+    payload = {"kind": "loader", **jobs} if isinstance(jobs, dict) else _pack_jobs(jobs)
     return {
         "mode": mode,
         "model": model,
@@ -479,13 +533,35 @@ def make_shard_task(
     }
 
 
+def _pack_jobs(jobs) -> dict:
+    """An inline job list as one block per field: a task then pickles as
+    three arrays (plus any minibatch schedules), not two per job."""
+    jobs = list(jobs)
+    if not jobs:
+        return {"kind": "inline", "sizes": []}
+    schedules = [job.schedule for job in jobs]
+    return {
+        "kind": "inline",
+        "sizes": [job.n for job in jobs],
+        "x": np.concatenate([np.asarray(job.x) for job in jobs]),
+        "y": np.concatenate([np.asarray(job.y) for job in jobs]),
+        "schedules": schedules if any(s is not None for s in schedules) else None,
+    }
+
+
 def _resolve_shard_jobs(payload: dict) -> list[LocalJob]:
     """Materialise a task's job list (inline, or via its loader)."""
-    if payload["kind"] == "inline":
-        return payload["jobs"]
-    module_name, func_name = payload["loader"].split(":")
-    loader = getattr(importlib.import_module(module_name), func_name)
-    return loader(payload["spec"])
+    if payload["kind"] == "loader":
+        module_name, func_name = payload["loader"].split(":")
+        loader = getattr(importlib.import_module(module_name), func_name)
+        return loader(payload["spec"])
+    sizes = payload["sizes"]
+    stops = np.cumsum(sizes).tolist()
+    schedules = payload.get("schedules") or [None] * len(sizes)
+    return [
+        LocalJob(payload["x"][b - n : b], payload["y"][b - n : b], schedule)
+        for n, b, schedule in zip(sizes, stops, schedules)
+    ]
 
 
 def run_shard_task(task: dict) -> dict:
@@ -503,6 +579,20 @@ def run_shard_task(task: dict) -> dict:
     t0 = time.perf_counter()
     backend = get_backend(task["backend"])
     jobs = _resolve_shard_jobs(task["jobs"])
+    # The kernels read a template's structure, never its values, so an
+    # explicit model of the resident architecture *is* the resident one --
+    # and that object's scratch copy and replica are already built.
+    model = task["model"]
+    resident = None if _RESIDENT is None else _RESIDENT.model
+    if model is None or (
+        resident is not None and model.architecture() == resident.architecture()
+    ):
+        model = resident
+    if model is None:
+        raise ResidentMismatchError(
+            f"shard {task['shard']} names the resident model but this "
+            "process holds None; bind the engine before running it"
+        )
     params = task["params"]
     weights = task["weights"]
     if len(weights) != len(jobs):
@@ -515,7 +605,7 @@ def run_shard_task(task: dict) -> dict:
         chunk = jobs[start:stop]
         if task["mode"] == "delta":
             rows, factors[start:stop] = _local_deltas(
-                task["model"],
+                model,
                 task["task"],
                 params,
                 chunk,
@@ -525,7 +615,7 @@ def run_shard_task(task: dict) -> dict:
             )
         else:
             rows, factors[start:stop] = batched_clipped_gradients(
-                task["model"], task["task"], params, chunk, task["clip"]
+                model, task["task"], params, chunk, task["clip"]
             )
         acc.add(backend.weighted_sum(weights[start:stop], rows))
     return {
@@ -556,7 +646,7 @@ def fold_weighted_rows(
 
 
 class ShardedEngine:
-    """Runs shard tasks in-process or on a persistent fork-based pool.
+    """Runs shard tasks in-process or on a persistent, resident pool.
 
     Owns no numerical policy: the shard *plan* (which jobs form which
     shard) is fixed by :func:`plan_shards` and the caller's job order,
@@ -564,11 +654,18 @@ class ShardedEngine:
     Results are returned in shard order -- the fixed reduction order --
     and each shard gets a ``kind="shard"`` span plus an
     ``engine_shard_seconds`` histogram observation.
+
+    :meth:`bind` names the federation and template model every process
+    that runs this engine's tasks holds (:func:`install_resident`): the
+    pool's workers for their lifetime, this process for ``workers = 0``.
+    Tasks may then name records and model by reference; inline jobs and
+    an explicit model run through the same pool unchanged.
     """
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
         self._executor: ProcessPoolExecutor | None = None
+        self._resident = _Resident(None, None, None)
 
     @property
     def backend(self) -> ArrayBackend:
@@ -577,6 +674,13 @@ class ShardedEngine:
     def scale(self, clip: float) -> float:
         """The binned-fold magnitude bound for ``clip``-bounded rows."""
         return fold_scale(clip, MICRO_BATCH)
+
+    def bind(self, fed, model) -> None:
+        """Make ``fed`` / ``model`` what this engine's processes hold.  A
+        pool started for an earlier binding is released; the next
+        :meth:`run_tasks` starts one holding this one."""
+        self.close()
+        self._resident = _Resident(fed, model, fed.token())
 
     def _get_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -587,7 +691,10 @@ class ShardedEngine:
             if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
                 mp_context = multiprocessing.get_context("fork")
             self._executor = ProcessPoolExecutor(
-                max_workers=self.config.workers, mp_context=mp_context
+                max_workers=self.config.workers,
+                mp_context=mp_context,
+                initializer=install_resident,
+                initargs=self._resident[:2],
             )
         return self._executor
 
@@ -603,6 +710,7 @@ class ShardedEngine:
         )
         results = []
         if self.config.workers == 0:
+            install_resident(*self._resident)
             for task in tasks:
                 with recorder.span(
                     "shard",

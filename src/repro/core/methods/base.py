@@ -157,6 +157,7 @@ class FLMethod(ABC):
             self.close()
             self.engine_config = engine
             self.shard_engine = ShardedEngine(engine)
+        self.shard_engine.bind(fed, model)
         spec = compression if compression is not None else self.compression
         self.check_compression(spec)
         self.active_compression = spec

@@ -127,6 +127,9 @@ class UldpAvg(FLMethod):
         self.batch_size = batch_size
         self.record_clip_stats = record_clip_stats
         self.weights: np.ndarray | None = None
+        #: ``fed.token()`` at :meth:`prepare`: what this method's
+        #: by-reference shard tasks are planned against.
+        self._fed_token: tuple | None = None
         self.accountant = PrivacyAccountant()
         #: Per-round clipping factors (the alpha of Remark 4), populated
         #: only when record_clip_stats is set; used by the ablation bench.
@@ -155,6 +158,7 @@ class UldpAvg(FLMethod):
         else:
             self.weights = proportional_weights(fed.histogram())
         validate_weights(self.weights)
+        self._fed_token = fed.token()
         if self.global_lr is None:
             # Remark 3: eta_g = |S| * sqrt(|U| * Q) recovers the DP-FedAVG
             # noise scaling after the server's 1/(|U||S|) averaging.
@@ -404,14 +408,16 @@ class UldpAvg(FLMethod):
 
         Each silo's participating users are planned into
         micro-batch-aligned shards (:func:`repro.core.engine.plan_shards`);
-        every shard task folds its clipped weighted rows into a binned
-        partial sum and only the ``(bins, P)`` states stream back, where
-        an exact tree-reduce combines each silo's own.  Every silo's draws
+        a shard task names its jobs -- silo, user ids, their pre-drawn
+        schedules (:func:`repro.core.engine.resident_jobs`) -- folds its
+        clipped weighted rows into a binned partial sum, and only the
+        ``(bins, P)`` states stream back, where an exact tree-reduce
+        combines each silo's own.  Every silo's draws
         (:meth:`_draw_silo`) happen here in the parent before any shard
         executes, so the random stream is invariant to
         ``workers``/``shard_size``.
         """
-        fed, model, _ = self._require_prepared()
+        fed, _, _ = self._require_prepared()
         engine = self.shard_engine
         shard_size = engine.config.aligned_shard_size
         scale = engine.scale(self.clip)
@@ -424,14 +430,27 @@ class UldpAvg(FLMethod):
             )
             drawn.append((s, users, noise))
             weights = round_weights[s, users]
+            schedules = [job.schedule for job in jobs]
+            full_batch = all(schedule is None for schedule in schedules)
             for a, b in plan_shards(len(jobs), shard_size):
+                # The records and the template stay where the engine's
+                # processes already hold them: the task names them.
+                reference = {
+                    "loader": "repro.core.engine:resident_jobs",
+                    "spec": {
+                        "token": self._fed_token,
+                        "silo": s,
+                        "users": np.array(users[a:b], dtype=np.int64),
+                        "schedules": None if full_batch else schedules[a:b],
+                    },
+                }
                 tasks.append(
                     make_shard_task(
                         mode=self.local_kernel,
-                        model=model,
+                        model=None,
                         task=fed.task,
                         params=params,
-                        jobs=jobs[a:b],
+                        jobs=reference,
                         weights=weights[a:b],
                         clip=self.clip,
                         scale=scale,

@@ -13,6 +13,7 @@ algorithms need:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,27 +25,62 @@ class SiloData:
 
     ``x`` has shape (n, ...) and ``y`` shape (n,) or (n, k); ``user_ids``
     maps each record to the global user id owning it.
+
+    Per-user access goes through one lazily built index: the records
+    stable-sorted by user id (so each user's rows keep their original
+    order) plus every present user's ``[start, stop)`` span in that copy.
+    Re-assigning ``x`` / ``y`` / ``user_ids`` drops it; writing *into* them
+    afterwards does not, so poison a silo before its first per-user read.
     """
 
     x: np.ndarray
     y: np.ndarray
     user_ids: np.ndarray
+    _index: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.user_ids = np.asarray(self.user_ids, dtype=np.int64)
         if len(self.x) != len(self.y) or len(self.x) != len(self.user_ids):
             raise ValueError("x, y, user_ids must have equal length")
 
+    def __setattr__(self, name, value):
+        if name in ("x", "y", "user_ids"):
+            object.__setattr__(self, "_index", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        """Pickles carry the records once: the index is rebuilt on demand."""
+        return {**self.__dict__, "_index": None}
+
     @property
     def n_records(self) -> int:
         return len(self.x)
 
+    def _user_index(self) -> tuple:
+        """``(users, spans, x_sorted, y_sorted)``, built on first use."""
+        if self._index is None:
+            order = np.argsort(self.user_ids, kind="stable")
+            users, starts = np.unique(self.user_ids[order], return_index=True)
+            stops = np.append(starts[1:], len(order))
+            spans = dict(zip(users.tolist(), zip(starts.tolist(), stops.tolist())))
+            x, y = np.asarray(self.x)[order], np.asarray(self.y)[order]
+            # Callers get views of these copies, never of the silo's records.
+            users.flags.writeable = x.flags.writeable = y.flags.writeable = False
+            object.__setattr__(self, "_index", (users, spans, x, y))
+        return self._index
+
+    def records_of_users(self, users) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each of ``users``' rows in record order, as ``(x, y)`` read-only
+        views (empty when the silo holds none of that user)."""
+        _, spans, x, y = self._user_index()
+        slices = [spans.get(user, (0, 0)) for user in users]
+        return [(x[start:stop], y[start:stop]) for start, stop in slices]
+
     def records_of_user(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.user_ids == user
-        return self.x[mask], self.y[mask]
+        return self.records_of_users((user,))[0]
 
     def users_present(self) -> np.ndarray:
-        return np.unique(self.user_ids)
+        return self._user_index()[0]
 
 
 @dataclass
@@ -85,6 +121,22 @@ class FederatedDataset:
     @property
     def n_records(self) -> int:
         return sum(s.n_records for s in self.silos)
+
+    def token(self) -> tuple:
+        """A cheap fingerprint of who holds what: name, |U|, and per silo
+        the record count and a CRC of its user-id column.  Two copies of
+        one federation agree on it; a re-drawn or re-allocated one does
+        not -- what a shard task that names its records by ``(silo,
+        users)`` checks before a pool worker resolves it
+        (:func:`repro.core.engine.resident_jobs`)."""
+        return (
+            self.name,
+            self.n_users,
+            tuple(
+                (silo.n_records, zlib.crc32(np.ascontiguousarray(silo.user_ids)))
+                for silo in self.silos
+            ),
+        )
 
     def histogram(self) -> np.ndarray:
         """n[s, u]: number of records of user u held by silo s (cached)."""

@@ -99,6 +99,11 @@ class BatchedLinear(Layer):
     flat global parameter vector before use.  ``skip_input_grad`` (set by
     :func:`repro.nn.model.batch_model` on a network's first layer) elides
     the unused input-gradient computation in ``backward``.
+
+    Unlike the standard layers, ``backward`` *writes* the parameter
+    gradients (the engine takes one step per backward, so accumulating
+    would only buy a fill of the whole replica per step) and lets go of
+    what ``forward`` cached.
     """
 
     def __init__(self, in_features: int, out_features: int, groups: int):
@@ -121,8 +126,9 @@ class BatchedLinear(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.grads[0] += np.swapaxes(self._x, 1, 2) @ grad_out
-        self.grads[1] += grad_out.sum(axis=1)
+        np.matmul(np.swapaxes(self._x, 1, 2), grad_out, out=self.grads[0])
+        np.sum(grad_out, axis=1, out=self.grads[1])
+        self._x = None
         if self.skip_input_grad:
             return np.zeros(0)
         return grad_out @ np.swapaxes(self.weight, 1, 2)
@@ -318,7 +324,9 @@ class BatchedConv2d(Layer):
 
     ``skip_input_grad`` (set by :func:`repro.nn.model.batch_model` on a
     network's first layer) elides the input-gradient computation in
-    ``backward``, which nothing consumes for the input layer.
+    ``backward``, which nothing consumes for the input layer.  Like
+    :class:`BatchedLinear`, ``backward`` writes the parameter gradients and
+    drops the forward cache.
     """
 
     def __init__(
@@ -364,13 +372,14 @@ class BatchedConv2d(Layer):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_shape, cols = self._cache
+        self._cache = None
         g, n, out_c, out_h, out_w = grad_out.shape
         go = grad_out.reshape(g, n, out_c, out_h * out_w)
         go = np.ascontiguousarray(go.transpose(0, 2, 1, 3)).reshape(g, out_c, -1)
         w_row = self.weight.reshape(g, out_c, -1)
         # dW[g] = go[g] @ cols[g].T -- one GEMM per group.
-        self.grads[0] += (go @ cols.transpose(0, 2, 1)).reshape(self.weight.shape)
-        self.grads[1] += go.sum(axis=2)
+        np.matmul(go, cols.transpose(0, 2, 1), out=self.grads[0].reshape(g, out_c, -1))
+        np.sum(go, axis=2, out=self.grads[1])
         if self.skip_input_grad:
             return np.zeros(0)
         # dcols[g] = W_row[g].T @ go[g], then fold back per sample.

@@ -93,6 +93,24 @@ class Sequential:
             return np.zeros(0)
         return np.concatenate([g.ravel() for g in self.grads])
 
+    def architecture(self) -> tuple:
+        """What the stack computes, without its values: per layer the type,
+        the scalar settings and the parameter shapes.  Models of equal
+        architecture are interchangeable wherever only the structure is
+        read -- as the engine's templates, whose values always come from
+        the round's flat parameter vector."""
+        return tuple(
+            (
+                type(layer).__name__,
+                tuple(p.shape for p in layer.params),
+                tuple(sorted(
+                    (name, value) for name, value in vars(layer).items()
+                    if isinstance(value, (bool, int, float, str))
+                )),
+            )
+            for layer in self.layers
+        )
+
     def clone(self) -> "Sequential":
         """Deep copy: independent parameters and gradients, no forward
         caches (:meth:`repro.nn.layers.Layer.__getstate__`)."""
@@ -163,13 +181,34 @@ class BatchedSequential(Sequential):
         return np.concatenate([g.reshape(self.groups, -1) for g in self.grads], axis=1)
 
 
-#: Cache of batched replicas keyed by template model (weakly) and group
-#: count.  The multi-user engine requests the same (template, groups)
-#: combination every round; rebuilding would re-allocate -- and re-fault --
-#: hundreds of megabytes of parameter/gradient storage per round.
-_BATCHED_CACHE: "weakref.WeakKeyDictionary[Sequential, dict[int, BatchedSequential]]" = (
+#: Groups in the one reusable replica a template gets: the widest bucket
+#: the multi-user engine forms (its ``MICRO_BATCH``).
+REPLICA_GROUPS = 128
+
+#: Per template (weakly keyed): its :data:`REPLICA_GROUPS`-group replica
+#: under that key, plus the ``[:G]`` heads handed out so far.  The engine
+#: asks for a different group count with every bucket; rebuilding would
+#: re-allocate and zero 2 x G x P floats each time, so the parameter and
+#: gradient storage exists once and a head is four views per layer.
+_REPLICAS: "weakref.WeakKeyDictionary[Sequential, dict[int, BatchedSequential]]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _head(full: BatchedSequential, groups: int) -> BatchedSequential:
+    """The leading ``groups`` models of ``full`` as a replica of their own,
+    on ``full``'s storage (stateless layers are shared outright)."""
+    layers: list[Layer] = []
+    for layer in full.layers:
+        if layer.params:
+            view = copy.copy(layer)
+            view.params = [p[:groups] for p in layer.params]
+            view.grads = [g[:groups] for g in layer.grads]
+            view.weight, view.bias = view.params
+            layers.append(view)
+        else:
+            layers.append(layer)
+    return BatchedSequential(layers, groups)
 
 
 def batch_model(
@@ -182,23 +221,22 @@ def batch_model(
     recreated fresh.  The per-group flat parameter layout matches the
     template's, so global parameter vectors move between the two unchanged.
 
-    With ``reuse=True`` the replica is cached per (template, groups) and
-    returned again on the next call with *stale parameters and gradients*
-    -- callers must load parameters and zero gradients before use (the
-    engine always does).
+    With ``reuse=True`` (and at most :data:`REPLICA_GROUPS` groups) the
+    result is a leading-axis view of the template's one resident replica:
+    every such replica of a template shares storage, only one may be in
+    use at a time, and it arrives with *stale parameters and gradients* --
+    load parameters before use (the engine always does).
     """
-    if reuse:
-        per_template = _BATCHED_CACHE.setdefault(template, {})
-        cached = per_template.get(groups)
-        if cached is not None:
-            return cached
-        if len(per_template) >= 8:
-            # Bound the cached storage when group counts churn (e.g. Poisson
-            # sub-sampling produces a different count every round).
-            per_template.clear()
-        built = batch_model(template, groups, reuse=False)
-        per_template[groups] = built
-        return built
+    if reuse and groups <= REPLICA_GROUPS:
+        heads = _REPLICAS.get(template)
+        if heads is None:
+            heads = _REPLICAS[template] = {
+                REPLICA_GROUPS: batch_model(template, REPLICA_GROUPS)
+            }
+        head = heads.get(groups)
+        if head is None:
+            head = heads[groups] = _head(heads[REPLICA_GROUPS], groups)
+        return head
     layers: list[Layer] = []
     for layer in template.layers:
         if isinstance(layer, Linear):

@@ -110,6 +110,60 @@ class TestFederatedDataset:
         x, y = fed.silos[0].records_of_user(0)
         assert len(x) == 2
 
+    def test_user_index_matches_the_mask(self):
+        # The lazy index (stable sort by user id + spans) hands out exactly
+        # what ``user_ids == u`` selects, rows in record order -- for every
+        # user present, and empty arrays of the right trailing shape for an
+        # absent one (also one past the largest id).
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 40, size=500)
+        ids[ids == 17] = 3  # a hole in the id range
+        silo = SiloData(rng.standard_normal((500, 2, 3)), rng.random(500), ids)
+        assert silo._index is None  # nothing is built before the first read
+        np.testing.assert_array_equal(silo.users_present(), np.unique(ids))
+        for user in [*np.unique(ids), np.int64(3)]:
+            x, y = silo.records_of_user(user)
+            np.testing.assert_array_equal(x, silo.x[ids == user])
+            np.testing.assert_array_equal(y, silo.y[ids == user])
+        for absent in (17, 40, -1):
+            x, y = silo.records_of_user(absent)
+            assert x.shape == (0, 2, 3) and y.shape == (0,)
+
+    def test_user_index_is_read_only_and_dropped_on_reassignment(self):
+        silo = self._tiny().silos[0]
+        x, y = silo.records_of_user(0)
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+        silo.y = 1.0 - silo.y  # e.g. a label-flipping attack
+        assert silo._index is None
+        np.testing.assert_array_equal(
+            silo.records_of_user(0)[1], silo.y[silo.user_ids == 0]
+        )
+
+    def test_pickle_carries_the_records_once(self):
+        import pickle
+
+        rng = np.random.default_rng(0)
+        silo = SiloData(rng.standard_normal((400, 30)), rng.random(400),
+                        rng.integers(0, 9, size=400))
+        before = len(pickle.dumps(silo))
+        silo.records_of_user(0)
+        assert len(pickle.dumps(silo)) == before
+        clone = pickle.loads(pickle.dumps(silo))
+        np.testing.assert_array_equal(
+            clone.records_of_user(5)[0], silo.records_of_user(5)[0]
+        )
+
+    def test_token_tells_federations_apart(self):
+        fed = self._tiny()
+        assert fed.token() == self._tiny().token()
+        other = self._tiny()
+        other.silos[1].user_ids = np.array([1, 2, 1])  # same counts, other owners
+        assert other.token() != fed.token()
+        assert fed.apply_flags(
+            [np.array([True, False, True, True]), np.ones(3, dtype=bool)]
+        ).token() != fed.token()
+
     def test_apply_flags(self):
         fed = self._tiny()
         flags = [np.array([True, False, True, True]), np.array([False, True, True])]
