@@ -11,11 +11,8 @@
 #                       period, pool overhead, 2-worker scaling efficiency;
 #                       fails when the run is incorrect
 #   make bench-protocol fast Paillier vs. masked secagg (two-way)
-#   make bench-sim      simulation runtime: 1M-user population + dropout
+#   make bench-sim      simulation runtime: 1M-user churn + dropout
 #   make bench-compress update compression: uplink bytes vs utility (fig05)
-#   make bench-scaleout sharded engine: one DP round over 100k sampled users
-#                       in bounded resident memory (BENCH_SCALEOUT_SCALE=smoke
-#                       shrinks it to CI size)
 #   make sweep-smoke    validate every committed spec file, then one smoke
 #                       `repro run --config`, one 2-point `repro sweep`, a
 #                       checkpointed sim run resumed with `repro run --resume`,
@@ -39,16 +36,17 @@
 #                       constants, and assert they stay within 2x of the
 #                       committed src/repro/cost/calibration.json
 #
-# bench-engine, bench-protocol, bench-sim, bench-compress, and
-# bench-scaleout also refresh the machine-readable BENCH_engine.json /
-# BENCH_protocol.json / BENCH_sim.json / BENCH_compression.json /
-# BENCH_scaleout.json at the repo root, so the perf trajectory is
-# tracked across PRs (CI uploads them as artifacts).
+# bench-engine, bench-protocol, bench-sim and bench-compress also refresh
+# the machine-readable BENCH_engine.json / BENCH_protocol.json /
+# BENCH_sim.json / BENCH_compression.json at the repo root, so the perf
+# trajectory is tracked across PRs (CI uploads them as artifacts).
+# BENCH_scaleout.json is a frozen record (2026-08-07): the script that
+# wrote it is gone, and the calibration still fits two constants from it.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-accounting results bench-engine bench-cnn bench-sharded bench-protocol bench-sim bench-compress bench-scaleout sweep-smoke net-smoke trace-smoke docs-check cost-check cost-drift
+.PHONY: test test-accounting results bench-engine bench-cnn bench-sharded bench-protocol bench-sim bench-compress sweep-smoke net-smoke trace-smoke docs-check cost-check cost-drift
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -89,9 +87,6 @@ bench-sim:
 
 bench-compress:
 	$(PYTHON) -m pytest benchmarks/bench_compression.py -s
-
-bench-scaleout:
-	$(PYTHON) -m pytest benchmarks/bench_scaleout.py -s
 
 # Smoke the declarative surface end to end: every committed spec file
 # must validate (registry names, enums, sweep expansion), one config run
@@ -179,5 +174,4 @@ cost-drift:
 	BENCH_PROTOCOL_SCALE=smoke $(PYTHON) -m pytest benchmarks/bench_protocol_speedup.py -s
 	$(PYTHON) -m pytest benchmarks/bench_sim_scale.py -s
 	BENCH_COMPRESSION_SCALE=smoke $(PYTHON) -m pytest benchmarks/bench_compression.py -s
-	BENCH_SCALEOUT_SCALE=smoke $(PYTHON) -m pytest benchmarks/bench_scaleout.py -s
 	$(PYTHON) tools/check_cost_drift.py --refit --report cost-drift-report.json

@@ -1,20 +1,17 @@
-"""Simulation-runtime scale bench: million-user populations + 100-round dropout.
+"""Simulation-runtime scale bench: million-user churn + 100-round dropout.
 
 Two measurements of the :mod:`repro.sim` federation runtime:
 
-1. **Population scale** -- builds a >= 1M-user
-   :class:`repro.sim.population.ShardedUserPopulation` (memory-mapped,
-   lazily-materialised allocation shards), drives 100 rounds of user churn
-   across it, and samples participation rosters.  Asserts setup is lazy
-   (no shards materialised up front) and effectively instant, and reports
-   churn/sampling throughput plus the resident footprint of the
-   materialised shards.
+1. **Population scale** -- holds the activity mask of a >= 1M-user
+   population (one ``np.bool_`` per user, what
+   :class:`repro.sim.FederationSimulator` keeps as ``user_active``) and
+   drives 100 rounds of :class:`repro.sim.ChurnProcess` across it.
+   Reports churn throughput and the bytes held (exactly one per user).
 
 2. **Dropout scenario** -- runs the ``flaky-silos`` scenario (iid 30 %
    per-round silo dropout) for 100 rounds end to end, asserting the
-   participation log shows real dropout, the accountant recorded one
-   honest release per round, and a >= 1M-user population simulation
-   completed.  Reports rounds/second.
+   participation log shows real dropout and the accountant recorded one
+   honest release per round.  Reports rounds/second.
 
 Both sections land in ``BENCH_sim.json`` at the repo root next to the
 engine and protocol bench JSONs.
@@ -23,54 +20,42 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_sim_scale.py -s
  or:  PYTHONPATH=src python benchmarks/bench_sim_scale.py
 """
 
-import tempfile
 import time
 
 import numpy as np
 from conftest import host_info, print_header, write_bench_json
 
-from repro.sim import ShardedUserPopulation, run_scenario
+from repro.sim import ChurnProcess, run_scenario
 
 POPULATION_USERS = 1_200_000
 CHURN_ROUNDS = 100
 SCENARIO_ROUNDS = 100
-SETUP_BUDGET_SECONDS = 0.5
 
 
 def _bench_population() -> dict:
-    """>= 1M-user population: lazy setup, churn, and roster sampling."""
+    """>= 1M-user activity mask: 100 churn rounds."""
     rng = np.random.default_rng(0)
-    with tempfile.TemporaryDirectory(prefix="bench-sim-pop-") as backing:
-        start = time.perf_counter()
-        pop = ShardedUserPopulation(POPULATION_USERS, backing_dir=backing, seed=7)
-        setup_seconds = time.perf_counter() - start
-        assert pop.n_users >= 1_000_000
-        assert pop.n_materialised_shards == 0, "setup must stay lazy"
-        assert setup_seconds < SETUP_BUDGET_SECONDS
+    active = np.ones(POPULATION_USERS, dtype=np.bool_)
+    churn = ChurnProcess(departure_rate=0.01, arrival_rate=0.005)
+    arrivals = departures = 0
+    start = time.perf_counter()
+    for _ in range(CHURN_ROUNDS):
+        arrived, departed = churn.step(active, rng)
+        arrivals += arrived
+        departures += departed
+    churn_seconds = time.perf_counter() - start
+    assert active.sum() == POPULATION_USERS + arrivals - departures
 
-        start = time.perf_counter()
-        for _ in range(CHURN_ROUNDS):
-            pop.apply_churn(rng, departure_rate=0.01, arrival_rate=0.005)
-        churn_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        roster = pop.sample_users(rng, 10_000)
-        sample_seconds = time.perf_counter() - start
-        assert len(np.unique(roster)) == 10_000
-
-        return {
-            "n_users": pop.n_users,
-            "n_shards": pop.n_shards,
-            "setup_seconds": setup_seconds,
-            "churn_rounds": CHURN_ROUNDS,
-            "churn_seconds": churn_seconds,
-            "churn_users_per_second": CHURN_ROUNDS * pop.n_users / churn_seconds,
-            "sample_10k_seconds": sample_seconds,
-            "resident_mb": pop.resident_bytes / 1e6,
-            "active_after_churn": pop.n_active,
-            "total_arrivals": pop.total_arrivals,
-            "total_departures": pop.total_departures,
-        }
+    return {
+        "n_users": POPULATION_USERS,
+        "churn_rounds": CHURN_ROUNDS,
+        "churn_seconds": churn_seconds,
+        "churn_users_per_second": CHURN_ROUNDS * POPULATION_USERS / churn_seconds,
+        "resident_mb": active.nbytes / 1e6,
+        "active_after_churn": int(active.sum()),
+        "total_arrivals": arrivals,
+        "total_departures": departures,
+    }
 
 
 def _bench_scenario() -> dict:
@@ -105,9 +90,8 @@ def test_sim_scale():
 
     population = _bench_population()
     print(
-        f"population: {population['n_users']:,} users in "
-        f"{population['n_shards']} shards | setup {population['setup_seconds'] * 1e3:.2f} ms "
-        f"(lazy) | {CHURN_ROUNDS} churn rounds in {population['churn_seconds']:.2f} s "
+        f"population: {population['n_users']:,} users | {CHURN_ROUNDS} churn rounds "
+        f"in {population['churn_seconds']:.2f} s "
         f"({population['churn_users_per_second']:.3g} user-rounds/s) | "
         f"resident {population['resident_mb']:.1f} MB"
     )

@@ -51,7 +51,6 @@ once per process.
 from __future__ import annotations
 
 import copy
-import importlib
 import multiprocessing
 import sys
 import time
@@ -463,7 +462,7 @@ def install_resident(fed, model, token: tuple | None = None) -> None:
 
 
 def resident_jobs(spec: dict) -> list[LocalJob]:
-    """The loader behind a by-reference task: silo ``spec["silo"]``'s
+    """The jobs a by-reference task names: silo ``spec["silo"]``'s
     records of ``spec["users"]``, read from the resident federation, with
     the pre-drawn ``spec["schedules"]`` (None: every job full-batch).
 
@@ -503,19 +502,17 @@ def make_shard_task(
     """A picklable shard work unit for :func:`run_shard_task`.
 
     ``jobs`` is either a list of :class:`LocalJob` (shipped inline, packed
-    into one block per field) or a
-    loader descriptor ``{"loader": "pkg.mod:func", "spec": {...}}`` the
-    worker resolves and calls -- how a task names records the worker
-    already holds (:func:`resident_jobs`) or synthesises its own
-    (:func:`repro.sim.population.materialise_shard_jobs`) rather than
-    having them pickled into it.  ``model=None`` likewise means the
-    worker's resident template.  ``mode`` selects the per-chunk kernel:
-    ``"delta"`` (clipped local training deltas, ULDP-AVG) or ``"gradient"``
-    (negated clipped gradients, ULDP-SGD).
+    into one block per field) or a dict ``{"token", "silo", "users",
+    "schedules"}`` naming records the worker already holds
+    (:func:`resident_jobs`) rather than having them pickled into it.
+    ``model=None`` likewise means the worker's resident template.
+    ``mode`` selects the per-chunk kernel: ``"delta"`` (clipped local
+    training deltas, ULDP-AVG) or ``"gradient"`` (negated clipped
+    gradients, ULDP-SGD).
     """
     if mode not in ("delta", "gradient"):
         raise ValueError(f"shard mode must be 'delta' or 'gradient', got {mode!r}")
-    payload = {"kind": "loader", **jobs} if isinstance(jobs, dict) else _pack_jobs(jobs)
+    payload = {"kind": "resident", **jobs} if isinstance(jobs, dict) else _pack_jobs(jobs)
     return {
         "mode": mode,
         "model": model,
@@ -550,11 +547,9 @@ def _pack_jobs(jobs) -> dict:
 
 
 def _resolve_shard_jobs(payload: dict) -> list[LocalJob]:
-    """Materialise a task's job list (inline, or via its loader)."""
-    if payload["kind"] == "loader":
-        module_name, func_name = payload["loader"].split(":")
-        loader = getattr(importlib.import_module(module_name), func_name)
-        return loader(payload["spec"])
+    """Materialise a task's job list (inline, or named by reference)."""
+    if payload["kind"] == "resident":
+        return resident_jobs(payload)
     sizes = payload["sizes"]
     stops = np.cumsum(sizes).tolist()
     schedules = payload.get("schedules") or [None] * len(sizes)

@@ -458,13 +458,10 @@ class UldpAvg(FLMethod):
                 # The records and the template stay where the engine's
                 # processes already hold them: the task names them.
                 reference = {
-                    "loader": "repro.core.engine:resident_jobs",
-                    "spec": {
-                        "token": self._fed_token,
-                        "silo": s,
-                        "users": np.array(users[a:b], dtype=np.int64),
-                        "schedules": None if full_batch else schedules[a:b],
-                    },
+                    "token": self._fed_token,
+                    "silo": s,
+                    "users": np.array(users[a:b], dtype=np.int64),
+                    "schedules": None if full_batch else schedules[a:b],
                 }
                 tasks.append(
                     make_shard_task(

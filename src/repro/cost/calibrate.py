@@ -329,7 +329,7 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
         )
     )
 
-    # -- churn + population memory (sim population bench, 1.2M users).
+    # -- churn (sim population bench, 1.2M users).
     pop = benches["sim"]["population_scale"]
     groups.append(
         FitGroup(
@@ -343,21 +343,6 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
                     pop["churn_seconds"] / pop["churn_rounds"],
                 )
             ],
-        )
-    )
-    groups.append(
-        FitGroup(
-            "population_memory",
-            C("population_memory") * M.POPULATION,
-            ("population_memory",),
-            [
-                FitRow(
-                    "sim.population_scale.resident_bytes",
-                    {M.POPULATION: pop["n_users"]},
-                    pop["resident_mb"] * 1e6,
-                )
-            ],
-            floor=0.0,
         )
     )
 

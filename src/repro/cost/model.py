@@ -29,7 +29,7 @@ Method coverage:
   encryption/decryption, O(key_bits^3) scaling), or the pairwise-mask
   backend (O(S^2) setup, O(S^2 d) per-round masking);
 - simulation specs use the scheduler-inclusive per-record constant and
-  add churn and population-memory terms.
+  add a churn term and the user mask's one byte per user.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ KEY_BITS = sp.Symbol("kb", positive=True)  #: Paillier modulus bits
 MASK_BITS = sp.Symbol("mb", positive=True)  #: pairwise-mask field bits
 WORKERS = sp.Symbol("W", positive=True)  #: sharded-engine worker processes
 SHARD_SIZE = sp.Symbol("Sh", positive=True)  #: aligned users per engine shard
-POPULATION = sp.Symbol("P", positive=True)  #: total (sharded) user population
+POPULATION = sp.Symbol("P", positive=True)  #: total user population
 PARTICIPATION = sp.Symbol("p", positive=True)  #: expected silo-availability fraction
 BANDWIDTH = sp.Symbol("B", positive=True)  #: effective link bytes/second
 RETRY = sp.Symbol("r", nonnegative=True)  #: expected retransmission overhead fraction
@@ -181,11 +181,6 @@ CONSTANT_DEFS: dict[str, ConstantDef] = {
             "per-round churn process over the full population",
         ),
         ConstantDef(
-            "population_memory",
-            "bytes / user",
-            "resident footprint of a memory-mapped ShardedUserPopulation",
-        ),
-        ConstantDef(
             "engine_shard_memory",
             "(dimensionless)",
             "multiplier on the analytic in-flight shard footprint "
@@ -203,11 +198,6 @@ def C(name: str) -> sp.Symbol:
             f"register it in repro.cost.model.CONSTANT_DEFS"
         )
     return sp.Symbol(f"c_{name}", positive=True)
-
-
-def constant_symbols() -> dict[sp.Symbol, str]:
-    """symbol -> constant name, for substitution bookkeeping."""
-    return {C(name): name for name in CONSTANT_DEFS}
 
 
 # -- exact wire formulas ------------------------------------------------------
@@ -322,17 +312,6 @@ class CostModel:
         if metric == "memory_bytes":
             return self.total(metric)
         return self.total(metric, "setup") + ROUNDS * self.total(metric, "round")
-
-    def constants_used(self) -> list[str]:
-        """Names of the calibration constants appearing in any phase."""
-        names = constant_symbols()
-        found = set()
-        for ph in self.phases:
-            for metric in METRICS:
-                for sym in getattr(ph, metric).free_symbols:
-                    if sym in names:
-                        found.add(names[sym])
-        return sorted(found)
 
 
 # -- builders -----------------------------------------------------------------
@@ -480,11 +459,8 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
         family = "sim"
         comp = traits.compression
         phases = [_train_phase("sim", sharded=False)]
-        # The scenario's population lives in (possibly memory-mapped)
-        # shards; its resident footprint is per-user, not per-record.
-        phases[0] = replace(
-            phases[0], memory_bytes=C("population_memory") * POPULATION
-        )
+        # The simulator holds one activity flag (np.bool_) per user.
+        phases[0] = replace(phases[0], memory_bytes=POPULATION)
         phases += _plaintext_wire_phases(comp)
         if traits.has_churn:
             phases.append(

@@ -57,7 +57,3 @@ class BlindingFactory:
     def blind(self, user_id: int, value: int) -> int:
         """Blind ``value``: r_u * value mod n."""
         return self.blind_for_user(user_id) * value % self.modulus
-
-    def unblind_inverse(self, user_id: int, blinded_inverse: int) -> int:
-        """Given (r_u * x)^-1, recover x^-1 = r_u * (r_u * x)^-1 mod n."""
-        return self.blind_for_user(user_id) * blinded_inverse % self.modulus

@@ -10,12 +10,6 @@ division by N_u stays exact on integers.
 Correctness requires the accumulated integer magnitudes to stay below n/2
 (Theorem 4, condition (2)); :func:`check_magnitude_budget` validates the
 bound for given protocol parameters.
-
-The sparse pair :func:`encode_sparse_vector` / :func:`decode_sparse_vector`
-is the wire format of the compressed secure round: only the coordinates on
-a shared (data-independent) support are encoded and encrypted, every
-unsent coordinate decodes to exactly zero, and the magnitude budget is
-unchanged because it is a per-coordinate bound.
 """
 
 from __future__ import annotations
@@ -93,52 +87,6 @@ def decode_vector(
     return np.array([s / c_lcm for s in signed], dtype=np.float64) * precision
 
 
-def encode_sparse_vector(
-    values: Sequence[float] | np.ndarray,
-    indices: Sequence[int] | np.ndarray,
-    precision: float,
-    modulus: int,
-) -> list[int]:
-    """Encode only the coordinates at ``indices`` (sparse wire format).
-
-    The compressed secure path ships ``(shared support, k field elements)``
-    instead of d elements; the support is derived from the silos' shared
-    seed, so only the values cross the wire.  Encoding the selected
-    coordinates through :func:`encode_vector` keeps the fixed-point
-    mapping bit-identical to the dense form.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= values.size):
-        raise ValueError("sparse indices out of range")
-    return encode_vector(values[idx], precision, modulus)
-
-
-def decode_sparse_vector(
-    values: Sequence[int],
-    indices: Sequence[int] | np.ndarray,
-    dim: int,
-    precision: float,
-    c_lcm: int,
-    modulus: int,
-) -> np.ndarray:
-    """Decode sparse field elements back to a dense float64 ``dim``-vector.
-
-    The inverse of :func:`encode_sparse_vector` (up to the protocol's
-    C_LCM factor): decoded values land at ``indices``, every unsent
-    coordinate is exactly 0.0 -- the receiver-side reconstruction the
-    sparse secure round produces.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(values) != idx.size:
-        raise ValueError("need one field element per index")
-    if idx.size and (idx.min() < 0 or idx.max() >= dim):
-        raise ValueError("sparse indices out of range")
-    dense = np.zeros(dim)
-    dense[idx] = decode_vector(values, precision, c_lcm, modulus)
-    return dense
-
-
 def lcm_up_to(n_max: int) -> int:
     """C_LCM: least common multiple of 1..n_max (Protocol 1, setup (a)).
 
@@ -148,14 +96,6 @@ def lcm_up_to(n_max: int) -> int:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return math.lcm(*range(1, n_max + 1))
-
-
-def lcm_of_counts(counts: Sequence[int]) -> int:
-    """C_LCM restricted to an explicit set of admissible record counts."""
-    counts = [c for c in counts if c >= 1]
-    if not counts:
-        raise ValueError("need at least one positive count")
-    return math.lcm(*counts)
 
 
 class MagnitudeBudgetError(ValueError):

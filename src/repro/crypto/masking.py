@@ -83,7 +83,3 @@ class PairwiseMasker:
                 for k in range(length):
                     total[k] = (total[k] - stream[k]) % self.modulus
         return total
-
-    def mask_scalars(self, count: int, context: str) -> list[int]:
-        """Alias of :meth:`mask_vector`, for readability at call sites."""
-        return self.mask_vector(count, context)

@@ -68,10 +68,6 @@ class PaillierPublicKey:
     def n_squared(self) -> int:
         return self.n * self.n
 
-    @property
-    def max_plaintext(self) -> int:
-        return self.n - 1
-
     def encrypt(self, plaintext: int, rng: random.Random | None = None) -> PaillierCiphertext:
         """Encrypt ``plaintext`` (reduced into F_n).
 
@@ -84,12 +80,6 @@ class PaillierPublicKey:
         c = ((1 + m * self.n) % n2) * pow(r, self.n, n2) % n2
         return PaillierCiphertext(c, self)
 
-    def encrypt_vector(
-        self, values: list[int], rng: random.Random | None = None
-    ) -> list[PaillierCiphertext]:
-        """Encrypt each entry of an integer vector."""
-        return [self.encrypt(v, rng=rng) for v in values]
-
     def add(self, a: PaillierCiphertext, b: PaillierCiphertext) -> PaillierCiphertext:
         """Homomorphic addition: Dec(result) = Dec(a) + Dec(b) mod n."""
         return PaillierCiphertext(a.value * b.value % self.n_squared, self)
@@ -100,8 +90,7 @@ class PaillierPublicKey:
         Implemented as multiplication by ``g^scalar = 1 + scalar*n`` which is
         far cheaper than a full encryption (no random blinding term).  The
         result is therefore *deterministic* given ``a``; callers that need
-        semantic security of the sum should re-randomise or add an encrypted
-        zero instead.
+        semantic security of the sum should add an encrypted zero instead.
         """
         m = scalar % self.n
         n2 = self.n_squared
@@ -111,14 +100,6 @@ class PaillierPublicKey:
         """Homomorphic scalar multiplication: Dec(result) = Dec(a) * scalar mod n."""
         k = scalar % self.n
         return PaillierCiphertext(pow(a.value, k, self.n_squared), self)
-
-    def rerandomise(
-        self, a: PaillierCiphertext, rng: random.Random | None = None
-    ) -> PaillierCiphertext:
-        """Multiply by an encryption of zero, refreshing the blinding term."""
-        r = self._random_unit(rng)
-        n2 = self.n_squared
-        return PaillierCiphertext(a.value * pow(r, self.n, n2) % n2, self)
 
     def _random_unit(self, rng: random.Random | None) -> int:
         """Random element of Z*_n (coprime with n)."""
@@ -216,9 +197,6 @@ class PaillierPrivateKey:
         m = self.decrypt(ciphertext)
         n = self.public_key.n
         return m - n if m > n // 2 else m
-
-    def decrypt_vector(self, ciphertexts: list[PaillierCiphertext]) -> list[int]:
-        return [self.decrypt(c) for c in ciphertexts]
 
 
 @dataclass(frozen=True)

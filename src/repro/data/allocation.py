@@ -49,46 +49,6 @@ def zipf_weights(n: int, alpha: float) -> np.ndarray:
     return w / w.sum()
 
 
-def sharded_zipf_counts(
-    n_records: int,
-    n_users: int,
-    rng: np.random.Generator,
-    alpha: float = 0.5,
-    shard_size: int = 1 << 18,
-):
-    """Per-user Zipf record counts, generated one shard at a time.
-
-    A generator yielding ``(start, counts)`` pairs where ``counts`` covers
-    users ``start .. start + len(counts) - 1``.  By the splitting property
-    of the multinomial this two-stage draw (shard totals first, within-shard
-    counts second) has exactly the distribution of
-    ``rng.multinomial(n_records, zipf_weights(n_users, alpha))`` while only
-    ever materialising one shard of weights -- the building block of the
-    million-user populations in :mod:`repro.sim.population` (user id plays
-    the role of the Zipf rank; shuffle externally if needed).
-    """
-    if n_records < 0:
-        raise ValueError("record count must be non-negative")
-    if n_users < 1:
-        raise ValueError("need at least one user")
-    if shard_size < 1:
-        raise ValueError("shard size must be positive")
-    starts = list(range(0, n_users, shard_size))
-    # Pass 1: un-normalised Zipf mass per shard (streaming, O(shard) memory).
-    masses = np.empty(len(starts), dtype=np.float64)
-    for i, start in enumerate(starts):
-        stop = min(start + shard_size, n_users)
-        ranks = np.arange(start + 1, stop + 1, dtype=np.float64)
-        masses[i] = (ranks**-alpha).sum()
-    shard_totals = rng.multinomial(n_records, masses / masses.sum())
-    # Pass 2: within-shard multinomials conditioned on the shard totals.
-    for start, total in zip(starts, shard_totals):
-        stop = min(start + shard_size, n_users)
-        ranks = np.arange(start + 1, stop + 1, dtype=np.float64)
-        w = ranks**-alpha
-        yield start, rng.multinomial(int(total), w / w.sum()).astype(np.int64)
-
-
 def allocate_uniform(
     n_records: int, n_users: int, n_silos: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:

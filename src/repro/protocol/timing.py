@@ -12,9 +12,8 @@ with no further instrumentation.
 
 Concurrency: one ``PhaseTimer`` instance is **not** thread-safe -- its
 totals are plain float adds with no lock, so two threads timing phases
-on the same instance can lose updates.  Give each worker (thread or
-process) its own timer and combine them afterwards with :meth:`merge`;
-that is how the protocol runner accounts for its process-pool workers.
+on the same instance can lose updates; time phases from the thread that
+owns the timer.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from repro.obs.trace import get_recorder
 class PhaseTimer:
     """Accumulates wall-clock time per named phase.
 
-    Not thread-safe; see the module docstring.  Worker timers merge into
-    a parent with :meth:`merge`.
+    Not thread-safe; see the module docstring.
     """
 
     def __init__(self):
@@ -46,26 +44,6 @@ class PhaseTimer:
             finally:
                 self.totals[name] += time.perf_counter() - start
                 self.counts[name] += 1
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record an externally measured duration."""
-        if seconds < 0:
-            raise ValueError("duration must be non-negative")
-        self.totals[name] += seconds
-        self.counts[name] += 1
-
-    def merge(self, other: "PhaseTimer") -> "PhaseTimer":
-        """Fold another timer's totals and counts into this one.
-
-        The combining step for per-worker timers: each worker times its
-        own phases on a private instance, and the parent merges them once
-        the workers are done.  Returns ``self`` for chaining.
-        """
-        for name, seconds in other.totals.items():
-            self.totals[name] += seconds
-        for name, count in other.counts.items():
-            self.counts[name] += count
-        return self
 
     def report(self) -> dict[str, float]:
         """Total seconds per phase (copy)."""

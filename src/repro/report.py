@@ -1,8 +1,8 @@
-"""Reporting utilities: ASCII charts, tables, and history serialisation.
+"""Reporting utilities: sparklines, tables, and history serialisation.
 
 The paper communicates its results as line plots (utility and epsilon vs
 round); this module renders the same series in plain text for terminals and
-CI logs, and (de)serialises :class:`repro.core.trainer.TrainingHistory`
+CI logs (one sparkline per run in the comparison table), and (de)serialises :class:`repro.core.trainer.TrainingHistory`
 objects to JSON so experiments can be archived and re-plotted without
 re-running.
 """
@@ -41,64 +41,6 @@ def sparkline(values: list[float]) -> str:
             idx = int((v - lo) / span * (len(_SPARK) - 1))
             out.append(_SPARK[idx])
     return "".join(out)
-
-
-def ascii_chart(
-    series: dict[str, list[float]],
-    width: int = 60,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """Multi-series ASCII line chart (each series gets a distinct marker).
-
-    Series are resampled onto ``width`` columns; the y-axis is shared and
-    annotated with min/max.  Non-finite points are skipped.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    markers = "*o+x#@%&"
-    all_values = [
-        v for vs in series.values() for v in vs if v is not None and math.isfinite(v)
-    ]
-    if not all_values:
-        raise ValueError("no finite values to plot")
-    lo, hi = min(all_values), max(all_values)
-    if hi == lo:
-        hi = lo + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for (name, values), marker in zip(series.items(), markers):
-        n = len(values)
-        if n == 0:
-            continue
-        for col in range(width):
-            src = col * (n - 1) / max(width - 1, 1) if n > 1 else 0
-            v = values[int(round(src))]
-            if v is None or not math.isfinite(v):
-                continue
-            row = int((v - lo) / (hi - lo) * (height - 1))
-            grid[height - 1 - row][col] = marker
-
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{hi:10.4g} +" + "-" * width + "+")
-    for row in grid:
-        lines.append(" " * 11 + "|" + "".join(row) + "|")
-    lines.append(f"{lo:10.4g} +" + "-" * width + "+")
-    legend = "   ".join(
-        f"{marker} {name}" for (name, _), marker in zip(series.items(), markers)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
-
-
-def histories_chart(
-    histories: list[TrainingHistory], value: str = "metric", **kwargs
-) -> str:
-    """ASCII chart of one series ('metric', 'loss', 'epsilon') per method."""
-    series = {h.method: h.series(value) for h in histories}
-    return ascii_chart(series, **kwargs)
 
 
 def format_bytes(n: float) -> str:

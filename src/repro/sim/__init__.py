@@ -5,11 +5,8 @@ and every user participates in every round, synchronously, with no
 failures.  This package simulates the deployments the guarantees must
 survive:
 
-- :mod:`repro.sim.population` -- sharded, lazily-materialised user
-  populations (memory-mapped allocation arrays; millions of users) with
-  arrival/departure churn.
 - :mod:`repro.sim.participation` -- per-round silo dropout, straggler
-  latency models, and user churn processes.
+  latency models, and user churn over one activity flag per user.
 - :mod:`repro.sim.policies` -- aggregation policies: synchronous (the
   oracle), semi-synchronous with a deadline, and buffered-async
   (FedBuff-style staleness-weighted merging), with explicit weight
@@ -38,7 +35,6 @@ from repro.sim.policies import (
     SyncPolicy,
     staleness_weight,
 )
-from repro.sim.population import ShardedUserPopulation
 from repro.sim.scheduler import FederationSimulator, SimConfig
 from repro.sim.scenarios import (
     available_scenarios,
@@ -64,7 +60,6 @@ __all__ = [
     "SemiSyncPolicy",
     "SyncPolicy",
     "staleness_weight",
-    "ShardedUserPopulation",
     "FederationSimulator",
     "SimConfig",
     "available_scenarios",

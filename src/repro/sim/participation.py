@@ -11,8 +11,8 @@ queries once per round:
   uplink payload take, and does it fit the silo's byte budget at all?" --
   the piece that makes update compression interact with stragglers and
   dropout (compressed payloads transmit faster and fit tighter caps);
-- :class:`ChurnProcess` drives arrivals/departures on a
-  :class:`repro.sim.population.ShardedUserPopulation`.
+- :class:`ChurnProcess` drives arrivals/departures on the simulator's
+  per-user activity mask.
 
 All models draw exclusively from the rng handed in, so a checkpoint that
 restores the scheduler's rng state resumes the exact same dynamics.
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.sim.population import ShardedUserPopulation
 
 
 # -- silo dropout --------------------------------------------------------------
@@ -195,7 +193,7 @@ class BandwidthModel:
 
 @dataclass(frozen=True)
 class ChurnProcess:
-    """Per-round user arrival/departure rates applied to a population.
+    """Per-round user arrival/departure rates applied to a user mask.
 
     Departures remove active users (their weights are zeroed through the
     round's ``user_mask``); arrivals re-activate departed users.  The rates
@@ -209,12 +207,28 @@ class ChurnProcess:
         if not 0 <= self.departure_rate <= 1 or not 0 <= self.arrival_rate <= 1:
             raise ValueError("churn rates must lie in [0, 1]")
 
-    def step(
-        self, population: ShardedUserPopulation, rng: np.random.Generator
-    ) -> tuple[int, int]:
-        """Advance churn one round; returns realised (arrivals, departures)."""
-        return population.apply_churn(
-            rng,
-            departure_rate=self.departure_rate,
-            arrival_rate=self.arrival_rate,
-        )
+    def step(self, active: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
+        """Flip ``active`` (one bool per user) in place for one round;
+        returns the realised (arrivals, departures).
+
+        ``Binomial(n_active, departure_rate)`` uniformly chosen active users
+        depart, then ``Binomial(n_inactive, arrival_rate)`` users arrive,
+        where ``n_inactive`` is counted before the departures but the
+        arrivals are chosen among everyone inactive after them -- so a user
+        can depart and re-arrive in one step.
+        """
+        n_active = int(active.sum())
+        n_inactive = active.size - n_active
+        departures = _flip(active, True, n_active, self.departure_rate, rng)
+        arrivals = _flip(active, False, n_inactive, self.arrival_rate, rng)
+        return arrivals, departures
+
+
+def _flip(active: np.ndarray, state: bool, n: int, rate: float, rng) -> int:
+    """Flip ``Binomial(n, rate)`` users chosen uniformly among those whose
+    flag is ``state`` now; returns how many flipped."""
+    k = int(rng.binomial(n, rate)) if rate > 0 and n > 0 else 0
+    if k:
+        idx = np.flatnonzero(active == state)
+        active[idx[rng.choice(len(idx), size=k, replace=False)]] = not state
+    return k

@@ -24,7 +24,7 @@ The scheduler's stream drives participation dynamics, the trainer's the
 method's server-side draws; each silo derives its own generator per
 release (``UldpAvg._draw_silo``; an async job is keyed by ``_seq``).  All
 scheduler state --
-virtual clock, carryover gains, pending async jobs, population flags --
+virtual clock, carryover gains, pending async jobs, user activity flags --
 serialises through :meth:`FederationSimulator.state_dict`, with the
 method's own block in it (``FLMethod.state_dict``: compressor, every
 accountant, secure-protocol counters), which is what makes killed
@@ -63,13 +63,21 @@ from repro.sim.policies import (
     SyncPolicy,
     staleness_weight,
 )
-from repro.sim.population import ShardedUserPopulation
 
 #: Seed-sequence tag separating the scheduler's rng stream from training.
 _SIM_STREAM = 0x51D0
 
-#: The :meth:`FederationSimulator.state_dict` layout (v2: per-silo draws).
-SCHEMA = "uldp-fl-sim/v2"
+#: The :meth:`FederationSimulator.state_dict` layout (v2: per-silo draws;
+#: v3: ``user_active`` replaces the sharded ``population`` block).
+SCHEMA = "uldp-fl-sim/v3"
+
+#: Why each earlier layout is refused (``load_state``'s one-line error).
+_OLD_SCHEMAS = {
+    "uldp-fl-sim/v1":
+        "v1 predates per-silo generators: it would resume under other draws",
+    "uldp-fl-sim/v2":
+        "v2 holds a sharded user population; v3 holds one user_active flag per user",
+}
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,6 @@ class FederationSimulator:
         method: FLMethod,
         config: SimConfig,
         model: Sequential | None = None,
-        population: ShardedUserPopulation | None = None,
     ):
         self.fed = fed
         self.method = method
@@ -145,11 +152,8 @@ class FederationSimulator:
             compression=config.compression,
         )
         self.sim_rng = np.random.default_rng([config.seed, _SIM_STREAM])
-        self.population = (
-            population
-            if population is not None
-            else ShardedUserPopulation(fed.n_users, seed=config.seed)
-        )
+        #: One activity flag per user, flipped by ``config.churn``.
+        self.user_active = np.ones(fed.n_users, dtype=np.bool_)
         if isinstance(config.policy, BufferedAsyncPolicy):
             if not method.has_silo_step:
                 raise TypeError(
@@ -234,14 +238,14 @@ class FederationSimulator:
         """Current user activity flags (None when churn is disabled)."""
         if self.config.churn is None:
             return None
-        return self.population.active_mask(0, self.fed.n_users)
+        return self.user_active.copy()
 
     def _step_sync_like(self) -> None:
         """One synchronous or semi-synchronous round."""
         t = self.rounds_completed
         config = self.config
         if config.churn is not None:
-            config.churn.step(self.population, self.sim_rng)
+            config.churn.step(self.user_active, self.sim_rng)
         up = config.dropout.draw(t, self.fed.n_silos, self.sim_rng)
         observed_down = 0
         if self.external_dropout is not None:
@@ -354,7 +358,7 @@ class FederationSimulator:
         # per-round rate semantics (jobs started during this release window
         # see the post-churn roster).
         if self.config.churn is not None:
-            self.config.churn.step(self.population, self.sim_rng)
+            self.config.churn.step(self.user_active, self.sim_rng)
         if not self._pending and not self._buffer:
             # Cold start: every up silo begins from the initial params.
             up = self.config.dropout.draw(0, self.fed.n_silos, self.sim_rng)
@@ -471,7 +475,7 @@ class FederationSimulator:
                 "comm": rows(trainer.history.comm),
             },
             "method": self.method.state_dict(),  # the method owns its state
-            "population": self.population.state_dict(),
+            "user_active": self.user_active.copy(),
             "async": {
                 "version": self._version,
                 "seq": self._seq,
@@ -485,10 +489,15 @@ class FederationSimulator:
         """Restore a :meth:`state_dict` snapshot (see checkpoint module)."""
         from repro.core.trainer import CommRecord, ParticipationRecord, RoundRecord
 
-        if state.get("schema") != SCHEMA:
+        schema = state.get("schema")
+        if schema != SCHEMA:
+            why = _OLD_SCHEMAS.get(schema, "unknown layout")
+            raise ValueError(f"simulator snapshot {schema!r} is not {SCHEMA} ({why})")
+        user_active = np.asarray(state["user_active"])
+        if user_active.dtype != np.bool_ or user_active.shape != self.user_active.shape:
             raise ValueError(
-                f"simulator snapshot {state.get('schema')!r} is not {SCHEMA} "
-                "(v1 predates per-silo generators: it would resume under other draws)")
+                f"simulator snapshot's user_active is {user_active.dtype}"
+                f"{list(user_active.shape)}, expected bool[{self.fed.n_users}]")
         trainer = self.trainer
         trainer._round = int(state["round"])
         trainer._params = np.asarray(state["params"], dtype=np.float64).copy()
@@ -516,7 +525,7 @@ class FederationSimulator:
             for r, u, d in state["history"]["comm"]
         ]
         self.method.load_state(state["method"])
-        self.population.load_state(state["population"])
+        self.user_active = user_active.copy()
         async_state = state["async"]
         self._version = int(async_state["version"])
         self._seq = int(async_state["seq"])

@@ -1,6 +1,6 @@
-"""Compression <-> secure-protocol round trip: sparse encode/decode at the
-magnitude-budget boundaries, Protocol 1 over a shared random support, and
-the SecureUldpAvg validation of admissible specs."""
+"""Compression <-> secure-protocol round trip: encode/decode of a support's
+values at the magnitude-budget boundaries, Protocol 1 over a shared random
+support, and the SecureUldpAvg validation of admissible specs."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from repro.compress import CompressionSpec
 from repro.core import Trainer, UldpAvg
 from repro.crypto.encoding import (
     check_magnitude_budget,
-    decode_sparse_vector,
-    encode_sparse_vector,
+    decode_vector,
     encode_vector,
 )
 from repro.data import build_creditcard_benchmark
@@ -19,26 +18,16 @@ from repro.nn.model import build_tiny_mlp
 from repro.protocol import PrivateWeightingProtocol, SecureUldpAvg
 
 
-class TestSparseEncoding:
-    MODULUS = (1 << 127) - 1
-    PRECISION = 1e-6
-
+class TestSupportEncoding:
     def test_matches_dense_encoding_on_support(self):
+        # A party encodes only its support's values; the encoding is
+        # elementwise, so that is the dense encoding read on the support.
+        modulus, precision = (1 << 127) - 1, 1e-6
         values = np.array([1.5, -2.25, 0.0, 3.125, -0.5])
         indices = np.array([0, 3, 4])
-        sparse = encode_sparse_vector(values, indices, self.PRECISION, self.MODULUS)
-        dense = encode_vector(values, self.PRECISION, self.MODULUS)
-        assert sparse == [dense[i] for i in indices]
-
-    def test_round_trip_zeroes_unsent_coordinates(self):
-        values = np.array([1.5, -2.25, 7.0, 3.125, -0.5])
-        indices = np.array([1, 3])
-        encoded = encode_sparse_vector(values, indices, self.PRECISION, self.MODULUS)
-        decoded = decode_sparse_vector(
-            encoded, indices, 5, self.PRECISION, 1, self.MODULUS
-        )
-        np.testing.assert_allclose(decoded[[1, 3]], values[[1, 3]], atol=self.PRECISION)
-        assert decoded[0] == 0.0 and decoded[2] == 0.0 and decoded[4] == 0.0
+        dense = encode_vector(values, precision, modulus)
+        assert encode_vector(values[indices], precision, modulus) == [
+            dense[i] for i in indices]
 
     def test_extreme_magnitudes_at_budget_boundary(self):
         # Integer precision keeps every quantity float-exact, so the
@@ -57,18 +46,10 @@ class TestSparseEncoding:
         indices = np.array([0, 1])
         encoded = [
             v * c_lcm % modulus
-            for v in encode_sparse_vector(values, indices, precision, modulus)
+            for v in encode_vector(values[indices], precision, modulus)
         ]
-        decoded = decode_sparse_vector(encoded, indices, 3, precision, c_lcm, modulus)
-        np.testing.assert_array_equal(decoded, [max_abs, -max_abs, 0.0])
-
-    def test_rejects_out_of_range_indices(self):
-        with pytest.raises(ValueError):
-            encode_sparse_vector([1.0, 2.0], [2], self.PRECISION, self.MODULUS)
-        with pytest.raises(ValueError):
-            decode_sparse_vector([1], [5], 3, self.PRECISION, 1, self.MODULUS)
-        with pytest.raises(ValueError):
-            decode_sparse_vector([1, 2], [0], 3, self.PRECISION, 1, self.MODULUS)
+        decoded = decode_vector(encoded, precision, c_lcm, modulus)
+        np.testing.assert_array_equal(decoded, [max_abs, -max_abs])
 
 
 class TestProtocolSparseRound:

@@ -57,6 +57,13 @@ every participation log but ``uldp-sgd-w-subsampled``'s, whose server-side
 user sample is drawn from the trainer's generator, which the silos no
 longer advance between rounds.  CHANGES.md lists both columns.
 
+The ``user-churn`` entry and ``CHURN_MASKS`` were recorded at commit
+54d5c54, the last one where a simulator's user flags lived in a sharded,
+memory-mapped population object that flipped them shard by shard.  They
+pin the plain per-user mask (``ChurnProcess.step``) to that object draw
+for draw: ``CHURN_MASKS`` is a 20-user population at departure and
+arrival rate 0.5, where users depart and re-arrive within one step.
+
 To re-record after a change that is *meant* to move the numbers, print
 ``_fingerprint(TREES[name])`` for each name and say why in CHANGES.md.
 """
@@ -79,6 +86,7 @@ from repro.core.reduce import BinnedSum
 from repro.core.weighting import RoundParticipation
 from repro.data import build_creditcard_benchmark
 from repro.nn.model import build_tiny_mlp
+from repro.sim import ChurnProcess
 
 DATASET = {
     "name": "creditcard",
@@ -132,6 +140,10 @@ TREES = {
         "method": {"name": "secure-uldp-avg", "local_epochs": 1},
         "crypto": {"backend": "fast", "paillier_bits": 256},
     },
+    "user-churn": {
+        "seed": 3,
+        "sim": {"scenario": "user-churn", "scale": "smoke"},
+    },
 }
 
 GOLDEN = {
@@ -162,6 +174,10 @@ GOLDEN = {
     "paillier": (
         "740a3bf297823b7693212b177e4f4781287227a006794be6b133405b3cb7a0c4",
         1.1581505950444586,
+    ),
+    "user-churn": (
+        "124889f13b6693f983c50c5ebbb8fa0aad89e16db02e68d6f998e496c8a68640",
+        1.445621967952188,
     ),
 }
 
@@ -260,6 +276,30 @@ def test_fingerprint_unchanged(name):
 @pytest.mark.parametrize("name", sorted(SGD_TREES))
 def test_uldp_sgd_fingerprint_unchanged(name):
     assert _sgd_fingerprint(SGD_TREES[name]) == SGD_GOLDEN[name]
+
+
+#: Flags after each of six churn steps ('1' = active), the realised
+#: (arrivals, departures) of each step, and the generator's PCG64 state
+#: afterwards: 20 users, ``default_rng(11)``.
+CHURN_MASKS = [
+    "01111110100001111110", "00010000010011110110", "00010000100110111101",
+    "11110000101110111100", "10011000111111111100", "00101000110111001100",
+]
+CHURN_FLIPS = [(0, 7), (4, 9), (5, 4), (5, 2), (4, 3), (1, 5)]
+CHURN_RNG_STATE = 165413297334166550847267281204851629119
+
+
+def test_churn_mask_unchanged():
+    churn = ChurnProcess(departure_rate=0.5, arrival_rate=0.5)
+    active = np.ones(20, dtype=np.bool_)
+    rng = np.random.default_rng(11)
+    masks, flips = [], []
+    for _ in range(6):
+        flips.append(churn.step(active, rng))
+        masks.append("".join("1" if a else "0" for a in active))
+    assert masks == CHURN_MASKS
+    assert flips == CHURN_FLIPS
+    assert rng.bit_generator.state["state"]["state"] == CHURN_RNG_STATE
 
 
 class ParentFormulaUldpAvg(UldpAvg):

@@ -76,23 +76,46 @@ def _inline_payloads(method, params, weights, noise_std, active):
             for i, (a, b) in enumerate(
                 plan_shards(len(jobs), engine.config.aligned_shard_size))
         ]
-        payloads.append(
-            (s, users, noise + engine.reduce(engine.run_tasks(tasks)).total()))
+        if tasks:
+            noise = noise + engine.reduce(engine.run_tasks(tasks)).total()
+        payloads.append((s, users, noise))
     return payloads
 
 
+#: Users per silo each roster leaves with non-zero weight.  "full": 128 and
+#: 256 plan a ragged last shard, 1024 a single one.  "zero-weight-shard":
+#: every user of silo 0's second 128-user shard departed.  "empty-silo":
+#: silo 1's users all departed, so it plans no task and sends its noise.
+ROSTERS = {
+    "full": [233, 230],
+    "zero-weight-shard": [128, 230],
+    "empty-silo": [233, 0],
+}
+
+
+def _roster_weights(weights, fed, roster):
+    weights = weights.copy()
+    if roster == "zero-weight-shard":
+        weights[0, fed.silos[0].users_present()[128:]] = 0.0
+    elif roster == "empty-silo":
+        weights[1] = 0.0
+    return weights
+
+
+@pytest.mark.parametrize("roster", sorted(ROSTERS))
 @pytest.mark.parametrize("batch_size", [None, 4], ids=["full-batch", "batch4"])
 @pytest.mark.parametrize("cls", [UldpAvg, UldpSgd], ids=["delta", "gradient"])
-def test_every_carrier_and_layout_matches_the_walk(fed, cls, batch_size):
+def test_every_carrier_and_layout_matches_the_walk(fed, cls, batch_size, roster):
     walker = _prepared(cls, fed, batch_size)
     params = walker.model.get_flat_params()
-    weights, noise_std = walker.weights, walker._noise_std()
+    weights = _roster_weights(walker.weights, fed, roster)
+    noise_std = walker._noise_std()
     active = list(range(fed.n_silos))
     walk = walker._walk_payloads(params, weights, noise_std, active)
-    assert max(len(users) for _, users, _ in walk) > 128  # several shards
+    assert [len(users) for _, users, _ in walk] == ROSTERS[roster]
 
     for workers in (0, 1, 2):
-        for shard_size in (128, 256):
+        for shard_size in (128, 256, 1024):
             method = _prepared(
                 cls, fed, batch_size,
                 engine=EngineConfig(workers=workers, shard_size=shard_size),
@@ -191,12 +214,12 @@ def test_a_task_carries_ids_not_records():
     task = _planned_tasks(method, params)[0]
     n_users = len(task["weights"])
     assert n_users == 256 and task["model"] is None
-    assert task["jobs"]["spec"]["schedules"] is None
+    assert task["jobs"]["schedules"] is None
     budget = params.nbytes + task["weights"].nbytes + 8 * n_users + 4096
     assert len(pickle.dumps(task)) <= budget
     # What it used to cost: the same shard with its records and model inline.
     inline = dict(task, model=method.model, jobs=engine_module._pack_jobs(
-        engine_module.resident_jobs(task["jobs"]["spec"])))
+        engine_module.resident_jobs(task["jobs"])))
     assert len(pickle.dumps(inline)) > 4 * budget
 
 
@@ -313,7 +336,7 @@ def test_an_explicit_model_of_the_resident_architecture_is_the_resident_one(fed)
     method = _prepared(UldpAvg, fed, None, EngineConfig(shard_size=128))
     params = method.model.get_flat_params()
     by_reference = _planned_tasks(method, params)[0]
-    jobs = engine_module.resident_jobs(by_reference["jobs"]["spec"])
+    jobs = engine_module.resident_jobs(by_reference["jobs"])
     twin = pickle.loads(pickle.dumps(method.model))
     assert twin.architecture() == method.model.architecture()
     inline = dict(by_reference, model=twin, jobs=engine_module._pack_jobs(jobs))

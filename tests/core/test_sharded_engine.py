@@ -103,38 +103,6 @@ class TestMakeShardTask:
                 silo=0, shard=0,
             )
 
-    def test_loader_descriptor_resolves(self):
-        rng = np.random.default_rng(0)
-        jobs = _jobs(rng, 3)
-        import repro.core.engine as eng
-
-        eng._TEST_JOBS = jobs  # module attribute the loader path imports
-        try:
-            model = build_logistic(np.random.default_rng(1), in_features=6)
-            params = model.get_flat_params()
-            task = make_shard_task(
-                mode="delta", model=model, task="binary", params=params,
-                jobs={"loader": "repro.core.engine:_resolve_test_jobs_probe",
-                      "spec": {"n": 3}},
-                weights=np.full(3, 0.1), clip=1.0,
-                scale=fold_scale(1.0, MICRO_BATCH), silo=0, shard=0,
-                lr=0.05,
-            )
-            eng._resolve_test_jobs_probe = lambda spec: eng._TEST_JOBS[: spec["n"]]
-            inline = make_shard_task(
-                mode="delta", model=model, task="binary", params=params,
-                jobs=jobs, weights=np.full(3, 0.1), clip=1.0,
-                scale=fold_scale(1.0, MICRO_BATCH), silo=0, shard=0,
-                lr=0.05,
-            )
-            a = run_shard_task(task)
-            b = run_shard_task(inline)
-            assert BinnedSum.from_state(a["state"]).total().tobytes() == \
-                BinnedSum.from_state(b["state"]).total().tobytes()
-        finally:
-            del eng._TEST_JOBS
-            del eng._resolve_test_jobs_probe
-
     def test_weight_job_mismatch(self):
         rng = np.random.default_rng(0)
         model = build_logistic(np.random.default_rng(1), in_features=6)

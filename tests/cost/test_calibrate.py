@@ -24,8 +24,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: whose cost model carried the reference backend), except the constants
 #: ``BENCH_protocol.json`` feeds: those (``paillier_*``, ``masked_*``) were
 #: re-fitted when the weighting kernel's exponent was split and its
-#: one-constant ``paillier_encrypt`` became ``_pair`` + ``_coord``.  Every
-#: other constant is still that commit's, bit for bit.
+#: one-constant ``paillier_encrypt`` became ``_pair`` + ``_coord``, and
+#: ``population_memory``, which went when the simulator's user population
+#: became one ``np.bool_`` per user (exactly ``P`` bytes, nothing to fit).
+#: Every other constant is still that commit's, bit for bit.
 PARENT_CONSTANTS = {
     "churn_user": 3.817959508311712e-09,
     "engine_shard_memory": 1.1468121810964402,
@@ -38,7 +40,6 @@ PARENT_CONSTANTS = {
     "paillier_misc_base": 0.0029835311828852926,
     "paillier_misc_silo_user": 4.0154697248347765e-05,
     "paillier_offline": 1.3440850124300336e-11,
-    "population_memory": 9.0,
     "sim_record": 2.8203094994317174e-09,
     "train_record_cnn": 2.3804967834818603e-08,
     "train_record_dense": 8.255629059588106e-08,

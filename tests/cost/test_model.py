@@ -147,11 +147,15 @@ class TestModelStructure:
         )
         assert model.backend == "fast"
         assert model.phase("keygen").per == "setup"
-        used = model.constants_used()
+        used = {
+            str(sym).removeprefix("c_")
+            for ph in model.phases for metric in M.METRICS
+            for sym in getattr(ph, metric).free_symbols
+            if str(sym).startswith("c_")
+        }
         assert "paillier_keygen" in used
         assert "masked_setup" not in used
-        for name in used:
-            assert name in M.CONSTANT_DEFS
+        assert used <= set(M.CONSTANT_DEFS)
 
     def test_memory_totals_take_max_not_sum(self):
         model = build_cost_model(
@@ -171,6 +175,12 @@ class TestModelStructure:
         assert float(sp.N(total.subs(point))) == max(
             float(sp.N(p.subs(point))) for p in parts
         )
+
+    def test_simulation_memory_is_one_byte_per_user(self):
+        # The simulator's population is its user mask: nothing to fit.
+        model = build_cost_model(
+            RunSpec.from_dict({"sim": {"scenario": "user-churn"}}))
+        assert model.total("memory_bytes") == M.POPULATION
 
     def test_run_total_is_setup_plus_rounds_times_round(self):
         model = build_cost_model(_spec())

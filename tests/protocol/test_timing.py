@@ -24,85 +24,33 @@ class TestPhaseContextManager:
         assert "failing" in timer.report()
 
 
-class TestAdd:
-    def test_add_accumulates(self):
-        timer = PhaseTimer()
-        timer.add("offline", 1.5)
-        timer.add("offline", 0.5)
-        assert timer.totals["offline"] == pytest.approx(2.0)
-        assert timer.counts["offline"] == 2
-
-    def test_add_zero_duration_counts(self):
-        timer = PhaseTimer()
-        timer.add("noop", 0.0)
-        assert timer.counts["noop"] == 1
-        assert timer.totals["noop"] == 0.0
-
-    def test_add_rejects_negative(self):
-        timer = PhaseTimer()
-        with pytest.raises(ValueError):
-            timer.add("bad", -0.001)
-        assert "bad" not in timer.totals
-
-
-class TestMerge:
-    def test_merge_folds_totals_and_counts(self):
-        parent = PhaseTimer()
-        parent.add("train", 1.0)
-        worker = PhaseTimer()
-        worker.add("train", 0.5)
-        worker.add("encrypt", 2.0)
-        result = parent.merge(worker)
-        assert result is parent  # chains
-        assert parent.totals["train"] == pytest.approx(1.5)
-        assert parent.counts["train"] == 2
-        assert parent.totals["encrypt"] == pytest.approx(2.0)
-        assert parent.counts["encrypt"] == 1
-
-    def test_merge_leaves_source_untouched(self):
-        parent = PhaseTimer()
-        worker = PhaseTimer()
-        worker.add("io", 0.25)
-        parent.merge(worker)
-        assert worker.totals["io"] == pytest.approx(0.25)
-        assert worker.counts["io"] == 1
-
-    def test_merge_empty_is_identity(self):
-        parent = PhaseTimer()
-        parent.add("a", 1.0)
-        parent.merge(PhaseTimer())
-        assert parent.report() == {"a": 1.0}
-        assert parent.counts["a"] == 1
-
-    def test_merge_many_workers_matches_serial(self):
-        serial = PhaseTimer()
-        merged = PhaseTimer()
-        for i in range(4):
-            worker = PhaseTimer()
-            for name, seconds in (("setup", 0.1), ("round", 0.2 * (i + 1))):
-                serial.add(name, seconds)
-                worker.add(name, seconds)
-            merged.merge(worker)
-        assert merged.counts == serial.counts
-        for name in serial.totals:
-            assert merged.totals[name] == pytest.approx(serial.totals[name])
-
-
 class TestReportAndSummary:
     def test_report_returns_copy(self):
         timer = PhaseTimer()
-        timer.add("a", 1.0)
+        with timer.phase("a"):
+            pass
         report = timer.report()
         report["a"] = 99.0
-        assert timer.totals["a"] == 1.0
+        assert timer.totals["a"] != 99.0
+
+    def test_phases_are_kept_apart(self):
+        timer = PhaseTimer()
+        for name in ("setup", "round", "round"):
+            with timer.phase(name):
+                pass
+        assert dict(timer.counts) == {"setup": 1, "round": 2}
+        assert sorted(timer.report()) == ["round", "setup"]
+
+    def test_empty_report(self):
+        assert PhaseTimer().report() == {}
 
     def test_summary_lists_phases_sorted_with_counts(self):
         timer = PhaseTimer()
-        timer.add("zulu", 0.25)
-        timer.add("alpha", 0.1)
-        timer.add("alpha", 0.1)
-        summary = timer.summary()
-        lines = summary.splitlines()
+        for name in ("zulu", "alpha", "alpha"):
+            with timer.phase(name):
+                pass
+        timer.totals["zulu"] = 0.25
+        lines = timer.summary().splitlines()
         assert len(lines) == 2
         assert "alpha" in lines[0] and "(x2)" in lines[0]
         assert "zulu" in lines[1] and "(x1)" in lines[1]

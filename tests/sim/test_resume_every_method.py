@@ -111,18 +111,23 @@ def test_uldp_sgd_async_resumes_with_payloads_in_flight(tmp_path):
     assert resumed.round_log == uninterrupted.round_log
 
 
-def test_v1_snapshot_is_refused(tmp_path):
-    # A uldp-fl-sim/v1 snapshot was written while every silo drew from the
-    # trainer's shared generator; the spec hash does not move with that,
-    # so the schema is what stops it resuming under other draws.
+@pytest.mark.parametrize("schema, why", [
+    # v1 was written while every silo drew from the trainer's shared
+    # generator; the spec hash does not move with that, so the schema is
+    # what stops it resuming under other draws.
+    ("uldp-fl-sim/v1", "predates per-silo generators"),
+    # v2 kept user flags in a sharded population block v3 cannot read.
+    ("uldp-fl-sim/v2", "v2 holds a sharded user population"),
+])
+def test_old_snapshot_is_refused(schema, why, tmp_path):
     spec = spec_for("uldp-avg", None)
     killed_and_resumed(spec, tmp_path)
     state_file = tmp_path / "state.json"
     meta = json.loads(state_file.read_text())
-    assert meta["state"]["schema"] == "uldp-fl-sim/v2"
-    meta["state"]["schema"] = "uldp-fl-sim/v1"
+    assert meta["state"]["schema"] == "uldp-fl-sim/v3"
+    meta["state"]["schema"] = schema
     state_file.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="predates per-silo generators"):
+    with pytest.raises(ValueError, match=why):
         resume_simulator(str(tmp_path))
 
 

@@ -229,7 +229,8 @@ class TestChurnScenario:
         sim.run()
         users = [p.users_seen for p in sim.history.participation]
         assert users[-1] < users[0]
-        assert sim.population.total_departures > 0
+        departed = int((~sim.user_active).sum())
+        assert departed > 0 and users[-1] <= fed.n_users - departed
 
 
 class TestBufferedAsync:

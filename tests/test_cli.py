@@ -189,6 +189,21 @@ class TestSimulateCommand:
         assert main(["run", "--resume", str(tmp_path), *extra]) == 2
         assert "drop --config/--set" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_resume_refuses_a_v2_snapshot_in_one_line(self, command, capsys, tmp_path):
+        ckpt = ["--set", f"sim.checkpoint_dir={tmp_path}"]
+        assert main(["run", *self.SETS, *ckpt]) == 0
+        capsys.readouterr()
+        state = tmp_path / "state.json"
+        meta = json.loads(state.read_text())
+        meta["state"]["schema"] = "uldp-fl-sim/v2"
+        meta["state"]["population"] = meta["state"].pop("user_active")
+        state.write_text(json.dumps(meta))
+        assert main([command, "--resume", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "v2 holds a sharded user population" in err[0]
+
     def test_resume_refuses_tampered_spec(self, capsys, tmp_path):
         ckpt = ["--set", f"sim.checkpoint_dir={tmp_path}"]
         assert main(["run", *self.SETS, *ckpt]) == 0

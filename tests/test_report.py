@@ -6,9 +6,7 @@ import pytest
 
 from repro.core.trainer import ParticipationRecord, RoundRecord, TrainingHistory
 from repro.report import (
-    ascii_chart,
     comparison_table,
-    histories_chart,
     history_from_dict,
     history_to_dict,
     load_histories,
@@ -51,27 +49,6 @@ class TestSparkline:
 
     def test_all_nonfinite(self):
         assert sparkline([math.nan, math.inf]) == "!!"
-
-
-class TestAsciiChart:
-    def test_contains_axes_and_legend(self):
-        chart = ascii_chart({"a": [1, 2, 3], "b": [3, 2, 1]}, width=20, height=5)
-        assert "+--------------------+" in chart
-        assert "* a" in chart and "o b" in chart
-
-    def test_title_rendered(self):
-        chart = ascii_chart({"a": [0, 1]}, title="Test Loss")
-        assert chart.splitlines()[0] == "Test Loss"
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ascii_chart({})
-        with pytest.raises(ValueError):
-            ascii_chart({"a": [math.nan]})
-
-    def test_histories_chart(self):
-        chart = histories_chart([make_history("A"), make_history("B")], "metric")
-        assert "* A" in chart and "o B" in chart
 
 
 class TestComparisonTable:
