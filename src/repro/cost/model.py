@@ -402,7 +402,7 @@ def _secure_phases(
         PhaseCost("keygen", "setup", seconds=C("paillier_keygen") * kb3),
         PhaseCost(
             "offline_randomizers",
-            "setup",
+            "round",
             seconds=C("paillier_offline") * SILOS * d_eff * kb3,
         ),
         PhaseCost(

@@ -8,6 +8,8 @@ during idle time.  :class:`RandomizerPool` implements that offline/online
 split: :meth:`refill` computes blinding terms ahead of time (using the CRT
 split when the key holder's factorisation is available), and online
 encryption via :meth:`encrypt` is then just two modular multiplications.
+A refill may also run in three steps -- :meth:`draw`, :func:`nth_powers`
+anywhere (the protocol's worker pool), :meth:`add` -- as the silos' does.
 A pooled ``r^n`` *is* an encryption of zero, so the same pool serves the
 silos' ``Enc(0)`` accumulator seeds and the server's OT dummy slots.
 
@@ -23,8 +25,16 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterable
 
 from repro.crypto.paillier import PaillierCiphertext, PaillierCrt, PaillierPublicKey
+
+
+def nth_powers(n: int, units: list[int]) -> list[int]:
+    """The blinding terms ``r^n mod n^2`` of ``units``, in order (a
+    top-level function, so a process pool can run it)."""
+    n2 = n * n
+    return [pow(r, n, n2) for r in units]
 
 
 class RandomizerPool:
@@ -65,6 +75,15 @@ class RandomizerPool:
         if count < 0:
             raise ValueError("count must be non-negative")
         self._ready.extend(self._generate() for _ in range(count))
+
+    def draw(self, count: int) -> list[int]:
+        """``count`` fresh units of Z*_n, drawn as :meth:`refill` would
+        draw them; their :func:`nth_powers` go back through :meth:`add`."""
+        return [self.public_key._random_unit(self.rng) for _ in range(count)]
+
+    def add(self, terms: Iterable[int]) -> None:
+        """Queue blinding terms computed elsewhere, in draw order."""
+        self._ready.extend(terms)
 
     def take(self) -> int:
         """Next blinding term ``r^n mod n^2`` (== a fresh ``Enc(0)`` value).

@@ -252,12 +252,14 @@ class SiloParty:
             "additive": additive,
         }
 
-    def prepare_offline(self, count: int) -> None:
-        """Pregenerate ``count`` randomizers (the enhanced protocol's
-        offline phase); online encryption then costs two multiplications."""
+    def draw_offline(self, count: int) -> list[int]:
+        """The RNG half of the enhanced protocol's offline phase: ``count``
+        units r of Z*_n.  The runner raises them to ``r^n mod n^2`` (inline
+        or on its worker pool) and queues the results in :attr:`pool`, so
+        online encryption then costs two multiplications."""
         self._require_setup()
         assert self.pool is not None
-        self.pool.refill(count)
+        return self.pool.draw(count)
 
     def _require_setup(self) -> PaillierPublicKey:
         if self.paillier_pk is None:

@@ -13,6 +13,7 @@ handed to the other exactly as the protocol prescribes, and nothing else.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import random
@@ -31,6 +32,7 @@ from repro.crypto.encoding import (
     round_max_abs,
 )
 from repro.crypto.paillier import PaillierCiphertext
+from repro.crypto.pool import nth_powers
 from repro.protocol.oblivious import OTReceiver, OTSender, PrivateSubsampler
 from repro.protocol.parties import (
     ServerParty,
@@ -66,8 +68,8 @@ class PrivateWeightingProtocol:
             (tests pass the 512-bit ``DHGroup.test_group()`` explicitly).
         seed: deterministic randomness for reproducible tests; None uses
             cryptographically secure randomness.
-        workers: process count for the per-silo weighting step.
-            None = min(|S|, cpu count); 1 = in-process.
+        workers: process count for the silos' offline powers and
+            weighting step.  None = min(|S|, cpu count); 1 = in-process.
 
     The parties compute with CRT decryption, a split-exponent weighting
     kernel and offline randomizer pools; under a seeded RNG every silo
@@ -166,6 +168,19 @@ class PrivateWeightingProtocol:
                 max_workers=workers, mp_context=mp_context
             )
         return self._executor
+
+    def _nth_powers(self, units: list[int]) -> list[int]:
+        """``r^n mod n^2`` of every unit, in order: inline with one worker,
+        else one equal slice of the flat list per worker (so the silo
+        boundaries do not decide the balance)."""
+        n = self.server.public_key.n
+        workers = self._effective_workers()
+        if workers == 1 or not units:
+            return nth_powers(n, units)
+        size = -(-len(units) // workers)
+        chunks = [units[i : i + size] for i in range(0, len(units), size)]
+        parts = self._get_executor(workers).map(nth_powers, [n] * len(chunks), chunks)
+        return [term for part in parts for term in part]
 
     def _silo_weighted_vectors(
         self,
@@ -275,13 +290,16 @@ class PrivateWeightingProtocol:
 
         with self.timer.phase("offline_randomizers"):
             # The enhanced protocol's offline phase: pregenerate every
-            # blinding term this round will consume.  Refill order is the
+            # blinding term this round will consume.  Draw order is the
             # seed loop's online draw order (server first, then silos by
             # id), which is what keeps seeded runs in lockstep with the
-            # oracle in tests/protocol/oracle_reference.py.
+            # oracle in tests/protocol/oracle_reference.py; only the silos'
+            # powers leave the process.
             self.server.prepare_offline(self.n_users)
-            for silo in self.silos:
-                silo.prepare_offline(d)
+            units = [silo.draw_offline(d) for silo in self.silos]
+            terms = iter(self._nth_powers([r for drawn in units for r in drawn]))
+            for silo, drawn in zip(self.silos, units):
+                silo.pool.add(itertools.islice(terms, len(drawn)))
 
         with self.timer.phase("encrypt_weights"):
             enc_inverses = self.server.encrypted_inverses(sampled_users)

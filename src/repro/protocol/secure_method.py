@@ -254,6 +254,8 @@ class SecureUldpAvg(UldpAvg):
             self.masked_protocol.run_setup()
             self._histogram = fed.histogram()
             return
+        if self.protocol is not None:
+            self.protocol.close()
         self.protocol = self.protocol_cls(
             fed.histogram(),
             n_max=n_max,
@@ -268,6 +270,13 @@ class SecureUldpAvg(UldpAvg):
             seed = self.protocol.silos[0].shared_seed
             assert seed is not None
             self.subsampler = PrivateSubsampler(seed, self.private_subsampling_slots)
+
+    def close(self) -> None:
+        """Release the shard engine's pool and Protocol 1's (idempotent;
+        either is recreated lazily if training continues)."""
+        super().close()
+        if self.protocol is not None:
+            self.protocol.close()
 
     def security_summary(self) -> str:
         """One line on what protects this run: the DH group and its

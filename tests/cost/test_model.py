@@ -147,6 +147,8 @@ class TestModelStructure:
         )
         assert model.backend == "fast"
         assert model.phase("keygen").per == "setup"
+        # run_round refills S*d silo randomizers every round.
+        assert model.phase("offline_randomizers").per == "round"
         used = {
             str(sym).removeprefix("c_")
             for ph in model.phases for metric in M.METRICS

@@ -255,14 +255,31 @@ class TestProtocolBackendEquivalence:
         ref, fast = make_protocol("reference"), make_protocol("fast")
         lockstep_rounds(ref, fast, lambda p, d, z: p.run_round(d, z), rounds=3)
 
-    def test_process_pool_matches_serial(self):
-        serial, pooled = make_protocol("fast", workers=1), make_protocol("fast", workers=2)
-        deltas, noises = round_inputs(serial)
-        deltas_p, noises_p = round_inputs(pooled)
-        agg_serial = serial.run_round(deltas, noises)
-        agg_pooled = pooled.run_round(deltas_p, noises_p)
-        assert serial.view.round_ciphertexts == pooled.view.round_ciphertexts
-        assert np.array_equal(agg_serial, agg_pooled)
+    @pytest.mark.parametrize("sampled", [None, np.array([0, 2])])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_process_pool_matches_serial(self, workers, sampled):
+        # HIST's 3 silos x d = 7 units split into 2 or 3 flat chunks: the
+        # offline powers' chunks straddle silo boundaries at workers=2.
+        serial = make_protocol("fast", workers=1)
+        pooled = make_protocol("fast", workers=workers)
+        try:
+            for r in range(3):
+                deltas, noises = round_inputs(serial, seed=10 + r)
+                deltas_p, noises_p = round_inputs(pooled, seed=10 + r)
+                agg_serial = serial.run_round(deltas, noises, sampled_users=sampled)
+                agg_pooled = pooled.run_round(deltas_p, noises_p, sampled_users=sampled)
+                assert serial.view.round_ciphertexts == pooled.view.round_ciphertexts
+                assert np.array_equal(agg_serial, agg_pooled)
+                assert serial.rng.getstate() == pooled.rng.getstate()
+        finally:
+            pooled.close()
+
+    def test_process_pool_matches_oracle(self):
+        ref, fast = make_protocol("reference"), make_protocol("fast", workers=2)
+        try:
+            lockstep_rounds(ref, fast, lambda p, d, z: p.run_round(d, z), rounds=2)
+        finally:
+            fast.close()
 
     def test_ot_round_enforces_magnitude_budget(self):
         proto = make_protocol("fast")

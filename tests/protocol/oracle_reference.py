@@ -35,8 +35,9 @@ from repro.protocol.parties import ServerParty, SiloParty
 class ReferenceSiloParty(SiloParty):
     """A silo that encrypts online and exponentiates with plain ``pow``."""
 
-    def prepare_offline(self, count):
+    def draw_offline(self, count):
         """No offline phase: randomizers are drawn when they are used."""
+        return []
 
     def weighted_encrypted_delta(
         self, encrypted_inverses, clipped_deltas, noise, round_no, precision

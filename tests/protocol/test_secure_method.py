@@ -88,5 +88,19 @@ class TestSecureMatchesPlain:
             assert phase in report
             assert report[phase] >= 0
 
+    def test_run_and_reprepare_release_the_protocol_pool(self, fed):
+        method = SecureUldpAvg(
+            local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
+            dh_group=TOY_DH_GROUP, protocol_workers=2,
+        )
+        run(method, fed, rounds=1, seed=0)
+        assert method.protocol._executor is None
+        method.prepare(fed, make_model(), np.random.default_rng(0))
+        first = method.protocol
+        first._get_executor(2)
+        method.prepare(fed, make_model(), np.random.default_rng(0))
+        assert first._executor is None and method.protocol is not first
+        method.close()
+
     def test_display_name(self):
         assert SecureUldpAvg().display_name == "ULDP-AVG-w (secure)"
