@@ -1,0 +1,122 @@
+"""What a cold process imports: SciPy only when its spec sub-samples.
+
+Only the sub-sampled Gaussian accountant (Lemma 4) uses SciPy, and
+``repro.accounting.subsampled`` imports it on first use.  A plain run must
+never load it (~0.3 s and ~30 MB per process, server and silos alike); a
+sub-sampled one loads it while it is built, so no round carries the
+import; and a host without SciPy still runs plain specs and refuses
+sub-sampled ones with one ``error:`` line.  Every case runs in a fresh
+interpreter, since ``sys.modules`` is process-wide.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+_PLAIN_TRAIN = """
+from repro.api.runner import build_trainer
+from repro.api.spec import RunSpec
+trainer = build_trainer(RunSpec.from_dict({"rounds": 1, "dataset": {"users": 40}}))
+trainer.step()
+"""
+
+_NET_SIM = f"""
+from repro.api.runner import build_simulator
+from repro.api.spec import RunSpec
+spec = RunSpec.from_file({str(ROOT / "examples/specs/net_sim.toml")!r})
+build_simulator(spec.with_overrides({{"net.faults": {{}}, "sim.checkpoint_dir": None}}))
+"""
+
+_EPSILON_Q1 = """
+from repro.cli import main
+assert main(["epsilon", "--sigma", "5", "--steps", "10", "--sample-rate", "1"]) == 0
+"""
+
+_SAMPLED_BUILD = """
+from repro.api.runner import build_trainer
+from repro.api.spec import RunSpec
+build_trainer(RunSpec.from_dict({
+    "rounds": 1, "dataset": {"users": 40},
+    "method": {"name": "uldp-avg-w", "sample_rate": 0.5},
+}))
+"""
+
+
+def _python(code: str, *args: str, cwd: Path | None = None):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def _scipy_loaded_after(code: str) -> bool:
+    out = _python(code + "\nimport sys\nprint('scipy' in sys.modules)\n")
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.accounting",
+        "import repro.api.runner",
+        _PLAIN_TRAIN,
+        _NET_SIM,
+        _EPSILON_Q1,
+    ],
+    ids=["import-accounting", "import-runner", "plain-train-round",
+         "net-sim-build", "epsilon-q1"],
+)
+def test_plain_process_never_loads_scipy(code):
+    assert not _scipy_loaded_after(code)
+
+
+def test_sampled_spec_loads_scipy_at_build():
+    # Before round 0: the import is paid in set-up, not in a round's period.
+    assert _scipy_loaded_after(_SAMPLED_BUILD)
+
+
+# -- a host without SciPy -----------------------------------------------------
+
+_NO_SCIPY_CLI = """
+import sys
+sys.modules["scipy"] = None  # every `import scipy...` now raises ImportError
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+_RUN = ["run", "--set", "rounds=1", "--set", "dataset.users=40",
+        "--set", "method.name=uldp-avg-w"]
+
+
+def test_plain_spec_runs_without_scipy(tmp_path):
+    out = _python(_NO_SCIPY_CLI, *_RUN, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (_RUN + ["--set", "method.sample_rate=0.5"], "method.sample_rate = 0.5"),
+        (["epsilon", "--sigma", "5", "--steps", "10", "--sample-rate", "0.5"],
+         "sampling rate q < 1"),
+    ],
+    ids=["sampled-spec", "epsilon-q<1"],
+)
+def test_sampled_work_without_scipy_is_one_error_line(tmp_path, argv, names):
+    out = _python(_NO_SCIPY_CLI, *argv, cwd=tmp_path)
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert names in lines[0] and "SciPy" in lines[0]
