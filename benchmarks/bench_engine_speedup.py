@@ -12,7 +12,7 @@ model's CNN training constants are fitted from (`cost/calibrate.py`).
 This file used to race the engine against the per-user loop it replaced
 and assert a host-dependent speedup.  The loop is no longer a runtime
 path (it is the test oracle ``tests/core/oracle_loop.py``, and
-``tests/core/test_engine_equivalence.py`` holds the atol 1e-10
+``tests/core/test_engine_equivalence.py`` holds the float32-derived
 agreement); the committed ``BENCH_engine.json`` is the last
 loop-vs-engine record (1-CPU host: 3.19x at |U| = 50, 2.41x at 400).
 Re-running this bench replaces those sections with timings only.

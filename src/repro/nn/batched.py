@@ -22,6 +22,14 @@ pooling windows slice contiguous channel runs.  Results are converted back
 to the template's NCHW parameter layout during assembly, so callers see
 the standard flat-parameter order throughout.
 
+The walk computes in float32 (:data:`repro.nn.layers.TRAIN_DTYPE`):
+records are gathered into it, a float64 model is cast once per call (the
+engine's scratch model already is float32), and forward, backward, the
+loss gradient and every workspace view are float32.  Only the result is
+float64: its rows are ``float64(block) * scale``, and ``row_scale`` sees
+per-group norms summed in float64 from the float32 blocks -- so a clip
+fused into the assembly bounds a float64 row in float64.
+
 Every large temporary of the walk is a view into the process's
 :data:`repro.nn.workspace.WORKSPACE`, written through ``out=`` (the walk
 repeats with the same shapes every round; re-allocating them costs more in
@@ -30,10 +38,10 @@ transients above a ``mark`` their stage releases, and activations run in
 place where the producer does not cache its own output, so the slab's
 high-water mark stays near the walk's live set.
 
-The result matches running the model separately per group up to
-floating-point reassociation (the differential tests in
-``tests/core/test_engine_equivalence.py`` cover this path through the FL
-methods).
+The result matches running the model separately per group in float32
+up to floating-point reassociation (``tests/nn/test_batched.py``; the
+differential tests in ``tests/core/test_engine_equivalence.py`` cover this
+path through the FL methods).
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import (
+    TRAIN_DTYPE,
     AvgPool2d,
     Conv2d,
     Flatten,
@@ -58,7 +67,7 @@ def _scatter_padded(
     values: np.ndarray, flat_idx: np.ndarray, groups: int, n_max: int
 ) -> np.ndarray:
     """Scatter per-record rows into a zero-padded (G, n_max, ...) tensor."""
-    padded = np.zeros((groups * n_max, *values.shape[1:]))
+    padded = np.zeros((groups * n_max, *values.shape[1:]), values.dtype)
     padded[flat_idx] = values
     return padded.reshape(groups, n_max, *values.shape[1:])
 
@@ -72,7 +81,7 @@ def _segment_sum(
     on wide matrices, and the segments are contiguous by construction.
     """
     values = values.reshape(len(values), -1)
-    out = ws.take((len(starts), values.shape[1]))
+    out = ws.take((len(starts), values.shape[1]), TRAIN_DTYPE)
     for g in range(len(starts)):
         start = starts[g]
         np.sum(values[start : start + sizes[g]], axis=0, out=out[g])
@@ -83,7 +92,7 @@ def _segment_gemm(
     a: np.ndarray, b: np.ndarray, starts: np.ndarray, sizes: np.ndarray, ws: Workspace
 ) -> np.ndarray:
     """Per-segment GEMMs: out[g] = a[rows_g].T @ b[rows_g] over contiguous rows."""
-    out = ws.take((len(starts), a.shape[1], b.shape[1]))
+    out = ws.take((len(starts), a.shape[1], b.shape[1]), TRAIN_DTYPE)
     for g in range(len(starts)):
         start = starts[g]
         stop = start + sizes[g]
@@ -94,7 +103,7 @@ def _segment_gemm(
 def _activate(layer, act: np.ndarray, fresh: bool, ws: Workspace) -> np.ndarray:
     """ReLU / Tanh forward of the channels-last walk, in place when nothing
     else holds ``act`` (``fresh``)."""
-    dst = act if fresh else ws.take(act.shape)
+    dst = act if fresh else ws.take(act.shape, TRAIN_DTYPE)
     if isinstance(layer, Tanh):
         return np.tanh(act, out=dst)
     return np.maximum(act, 0.0, out=dst)
@@ -106,14 +115,14 @@ def _activation_backward(layer, out: np.ndarray, g: np.ndarray, ws: Workspace) -
     if isinstance(layer, ReLU):
         np.multiply(g, np.greater(out, 0, out=ws.take(out.shape, bool)), out=g)
     else:  # Tanh: 1 - out^2
-        slope = np.square(out, out=ws.take(out.shape))
+        slope = np.square(out, out=ws.take(out.shape, TRAIN_DTYPE))
         np.multiply(g, np.subtract(1.0, slope, out=slope), out=g)
     ws.release(mark)
     return g
 
 
 def _linear_forward(layer: Linear, act: np.ndarray, ws: Workspace) -> np.ndarray:
-    z = np.matmul(act, layer.weight, out=ws.take((len(act), layer.weight.shape[1])))
+    z = np.matmul(act, layer.weight, out=ws.take((len(act), layer.weight.shape[1]), TRAIN_DTYPE))
     z += layer.bias
     return z
 
@@ -131,7 +140,8 @@ def _linear_blocks(x_in: np.ndarray, grad: np.ndarray, ctx) -> list[np.ndarray]:
 
 
 def _linear_input_grad(layer: Linear, grad: np.ndarray, ws: Workspace) -> np.ndarray:
-    return np.matmul(grad, layer.weight.T, out=ws.take((len(grad), len(layer.weight))))
+    out = ws.take((len(grad), len(layer.weight)), TRAIN_DTYPE)
+    return np.matmul(grad, layer.weight.T, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +157,10 @@ def _im2col_nchw(
     n, c, h, w = x.shape
     out_h = (h + 2 * pad - k) // stride + 1
     out_w = (w + 2 * pad - k) // stride + 1
-    cols = ws.take((n, c * k * k, out_h * out_w))
+    cols = ws.take((n, c * k * k, out_h * out_w), TRAIN_DTYPE)
     mark = ws.mark()
     if pad:
-        padded = ws.take((n, c, h + 2 * pad, w + 2 * pad))
+        padded = ws.take((n, c, h + 2 * pad, w + 2 * pad), TRAIN_DTYPE)
         padded.fill(0.0)
         padded[:, :, pad:-pad, pad:-pad] = x
         x = padded
@@ -191,10 +201,10 @@ def _im2col_nhwc(
     n, h, w, c = x.shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    cols = ws.take((n * out_h * out_w, kh * kw * c))
+    cols = ws.take((n * out_h * out_w, kh * kw * c), TRAIN_DTYPE)
     mark = ws.mark()
     if pad:
-        padded = ws.take((n, h + 2 * pad, w + 2 * pad, c))
+        padded = ws.take((n, h + 2 * pad, w + 2 * pad, c), TRAIN_DTYPE)
         padded.fill(0.0)
         padded[:, pad:-pad, pad:-pad, :] = x
         x = padded
@@ -239,7 +249,7 @@ def _pool_windows(x: np.ndarray, size: int):
 def _pool_nhwc_forward(x: np.ndarray, size: int, combine, ws: Workspace) -> np.ndarray:
     """Fold ``x``'s pooling windows with ``combine`` (np.maximum / np.add)."""
     first, *rest = _pool_windows(x, size)
-    out = ws.take(first.shape)
+    out = ws.take(first.shape, TRAIN_DTYPE)
     np.copyto(out, first)
     for window in rest:
         combine(out, window, out=out)
@@ -249,7 +259,7 @@ def _pool_nhwc_forward(x: np.ndarray, size: int, combine, ws: Workspace) -> np.n
 def _maxpool_nhwc_backward(
     x: np.ndarray, out: np.ndarray, grad: np.ndarray, size: int, ws: Workspace
 ) -> np.ndarray:
-    dx = ws.take(x.shape)
+    dx = ws.take(x.shape, TRAIN_DTYPE)
     dx.fill(0.0)
     mark = ws.mark()
     # Break ties like a single-argmax pool: normalise so gradient mass is
@@ -258,11 +268,11 @@ def _maxpool_nhwc_backward(
         np.equal(window, out, out=ws.take(out.shape, bool))
         for window in _pool_windows(x, size)
     ]
-    counts = ws.take(out.shape)
+    counts = ws.take(out.shape, TRAIN_DTYPE)
     counts.fill(0.0)
     for mask in masks:
         counts += mask
-    scaled = np.divide(grad, counts, out=ws.take(out.shape))
+    scaled = np.divide(grad, counts, out=ws.take(out.shape, TRAIN_DTYPE))
     for mask, window in zip(masks, _pool_windows(dx, size)):
         np.multiply(mask, scaled, out=window)
     ws.release(mark)
@@ -355,7 +365,9 @@ def per_group_gradients(
 
     WORKSPACE.reset()
     ctx = (starts, sizes, WORKSPACE)  # group boundaries + scratch, for both walks
-    x = np.asarray(x, dtype=np.float64)
+    if any(p.dtype != TRAIN_DTYPE for p in model.params):
+        model = model.astype(TRAIN_DTYPE)
+    x = np.asarray(x, dtype=TRAIN_DTYPE)
     stack = _conv_stack(model)
     if stack is not None:
         pred, backward = _forward_conv_nhwc(stack, x, ctx)
@@ -370,16 +382,17 @@ def per_group_gradients(
         _scatter_padded(np.asarray(y, dtype=np.float64), flat_idx, groups, n_max),
         mask.reshape(groups, n_max),
     )
-    dpred = batched_loss.backward().reshape(groups * n_max, *pred.shape[1:])[flat_idx]
+    dpred = np.asarray(batched_loss.backward(), TRAIN_DTYPE)
+    dpred = dpred.reshape(groups * n_max, *pred.shape[1:])[flat_idx]
 
     blocks = backward(dpred)
 
     scale = None
     if row_scale is not None:
-        sq = np.zeros(groups)
+        sq = np.zeros(groups)  # float64 sums of the float32 blocks' squares
         for index in blocks:
             for block in blocks[index]:
-                sq += np.einsum("gk,gk->g", block, block)
+                sq += np.einsum("gk,gk->g", block, block, dtype=np.float64)
         scale = np.asarray(row_scale(np.sqrt(sq)), dtype=np.float64)
 
     offset = 0
@@ -418,13 +431,13 @@ def _forward_generic(model: Sequential, x: np.ndarray, ctx):
         elif isinstance(layer, Conv2d):
             k, out_c = layer.kernel_size, layer.weight.shape[0]
             cols, oh, ow = _im2col_nchw(act, k, layer.stride, layer.padding, ws)
-            z = ws.take((len(act), out_c, oh * ow))
+            z = ws.take((len(act), out_c, oh * ow), TRAIN_DTYPE)
             np.einsum("of,nfp->nop", layer.weight.reshape(out_c, -1), cols, out=z)
             z += layer.bias[None, :, None]
             caches.append((act.shape, cols, oh, ow))
             act, fresh = z.reshape(len(act), out_c, oh, ow), True
         elif isinstance(layer, (ReLU, Tanh)):
-            dst = act if fresh else ws.take(act.shape)
+            dst = act if fresh else ws.take(act.shape, TRAIN_DTYPE)
             if isinstance(layer, Tanh):
                 np.tanh(act, out=dst)
             else:
@@ -452,17 +465,17 @@ def _forward_generic(model: Sequential, x: np.ndarray, ctx):
                 k, pad, out_c = layer.kernel_size, layer.padding, layer.weight.shape[0]
                 go = grad.reshape(n, out_c, -1)  # (B, out_c, P)
                 if index > 0:
-                    canvas = ws.take((n, in_c, h + 2 * pad, w + 2 * pad))
-                dw_samples = ws.take((n, out_c, cols.shape[1]))
+                    canvas = ws.take((n, in_c, h + 2 * pad, w + 2 * pad), TRAIN_DTYPE)
+                dw_samples = ws.take((n, out_c, cols.shape[1]), TRAIN_DTYPE)
                 np.matmul(go, cols.transpose(0, 2, 1), out=dw_samples)
-                db_samples = np.sum(go, axis=2, out=ws.take((n, out_c)))
+                db_samples = np.sum(go, axis=2, out=ws.take((n, out_c), TRAIN_DTYPE))
                 blocks[index] = [
                     _segment_sum(dw_samples, starts, sizes, ws),
                     _segment_sum(db_samples, starts, sizes, ws),
                 ]
                 if index > 0:
                     mark = ws.mark()
-                    dcols = ws.take((n, in_c, k, k, oh, ow))
+                    dcols = ws.take((n, in_c, k, k, oh, ow), TRAIN_DTYPE)
                     w_row = layer.weight.reshape(out_c, -1)
                     np.matmul(w_row.T[None], go, out=dcols.reshape(n, -1, oh * ow))
                     grad = _col2im_nchw(dcols, canvas, layer.stride, pad)
@@ -482,7 +495,7 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
     image, flatten_at, dense = stack
     starts, sizes, ws = ctx
     b = len(x)
-    act = ws.take((b, *x.shape[2:], x.shape[1]))
+    act = ws.take((b, *x.shape[2:], x.shape[1]), TRAIN_DTYPE)
     np.copyto(act, x.transpose(0, 2, 3, 1))  # NCHW -> NHWC
     fresh = True
     caches: list[tuple] = []
@@ -494,7 +507,7 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
             out_c = layer.weight.shape[0]
             # Template (out_c, C, kh, kw) -> NHWC patch order (kh, kw, C).
             w_nhwc = np.ascontiguousarray(layer.weight.transpose(2, 3, 1, 0)).reshape(-1, out_c)
-            z = np.matmul(cols, w_nhwc, out=ws.take((len(cols), out_c)))  # one GEMM
+            z = np.matmul(cols, w_nhwc, out=ws.take((len(cols), out_c), TRAIN_DTYPE))  # one GEMM
             z += layer.bias[None, :]
             act, fresh = z.reshape(b, oh, ow, out_c), True
             caches.append((in_shape, cols, w_nhwc, oh, ow))
@@ -514,7 +527,7 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
     # NHWC (h, w, c) -> the template's NCHW flatten order c*H*W + h*W + w.
     # Transposing the (small) flat activations once keeps the whole dense
     # section -- weights and weight gradients -- in the template basis.
-    flat = ws.take((b, c * h * w))
+    flat = ws.take((b, c * h * w), TRAIN_DTYPE)
     np.copyto(flat.reshape(b, c, h, w), act.transpose(0, 3, 1, 2))
 
     act, fresh = flat, True
@@ -538,7 +551,7 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
                 g_flat = _linear_input_grad(layer, g_flat, ws)
             else:
                 g_flat = _activation_backward(layer, cache, g_flat, ws)
-        g = ws.take(image_out_shape)
+        g = ws.take(image_out_shape, TRAIN_DTYPE)
         np.copyto(g, g_flat.reshape(b, c, h, w).transpose(0, 2, 3, 1))
         # Per stage: what outlives it (parameter blocks, the gradient handed
         # to the stage below) is taken first, its transients above a mark.
@@ -551,19 +564,19 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
                 go_flat = g.reshape(-1, out_c)  # (B*P, out_c), already contiguous
                 row_starts = starts * oh * ow
                 row_sizes = sizes * oh * ow
-                dw = ws.take((len(starts), out_c, in_c, k, k))
+                dw = ws.take((len(starts), out_c, in_c, k, k), TRAIN_DTYPE)
                 db = _segment_sum(go_flat, row_starts, row_sizes, ws)
                 blocks[pos] = [dw.reshape(len(starts), -1), db]
                 if pos > 0:
                     n, h_, w_, _ = in_shape
-                    canvas = ws.take((n, h_ + 2 * pad, w_ + 2 * pad, in_c))
+                    canvas = ws.take((n, h_ + 2 * pad, w_ + 2 * pad, in_c), TRAIN_DTYPE)
                 mark = ws.mark()
                 dw_nhwc = _segment_gemm(cols, go_flat, row_starts, row_sizes, ws)
                 # NHWC patch basis (kh, kw, C, out_c) -> template (out_c, C, kh, kw).
                 dw_nhwc = dw_nhwc.reshape(len(starts), k, k, in_c, out_c)
                 np.copyto(dw, dw_nhwc.transpose(0, 4, 3, 1, 2))
                 if pos > 0:
-                    dcols = ws.take((b, oh, ow, k, k, in_c))
+                    dcols = ws.take((b, oh, ow, k, k, in_c), TRAIN_DTYPE)
                     np.matmul(go_flat, w_nhwc.T, out=dcols.reshape(len(go_flat), -1))  # one GEMM
                     g = _col2im_nhwc(dcols, canvas, k, k, layer.stride, pad)
                 ws.release(mark)
@@ -571,10 +584,10 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
                 x_in, pooled = cache
                 g = _maxpool_nhwc_backward(x_in, pooled, g, layer.size, ws)
             elif isinstance(layer, AvgPool2d):
-                dx = ws.take(cache[0])
+                dx = ws.take(cache[0], TRAIN_DTYPE)
                 dx.fill(0.0)
                 mark = ws.mark()
-                spread = np.divide(g, layer.size * layer.size, out=ws.take(g.shape))
+                spread = np.divide(g, layer.size * layer.size, out=ws.take(g.shape, TRAIN_DTYPE))
                 for window in _pool_windows(dx, layer.size):
                     window[...] = spread
                 ws.release(mark)

@@ -25,11 +25,19 @@ one per (silo, user) pair in ULDP-AVG -- train in a single pass:
 - :class:`BatchedFlatten` flattens everything behind the two leading axes.
 
 See :mod:`repro.core.engine` for the training loop built on top of these.
+The ``Batched*`` layers hold :data:`TRAIN_DTYPE` parameters; the standard
+layers compute in the dtype of their parameters and inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: The dtype local training computes in: the engine's replicas and scratch
+#: model, the shared-weight walk and its workspace views.  Everything from
+#: the clip on -- rows, norms, factors, the fold, noise and the global
+#: parameters -- is float64 (``repro.core.engine``).
+TRAIN_DTYPE = np.dtype(np.float32)
 
 
 class Layer:
@@ -110,8 +118,8 @@ class BatchedLinear(Layer):
         super().__init__()
         if groups < 1:
             raise ValueError("need at least one group")
-        self.weight = np.zeros((groups, in_features, out_features))
-        self.bias = np.zeros((groups, out_features))
+        self.weight = np.zeros((groups, in_features, out_features), TRAIN_DTYPE)
+        self.bias = np.zeros((groups, out_features), TRAIN_DTYPE)
         self.skip_input_grad = False
         self.params = [self.weight, self.bias]
         self.grads = [np.zeros_like(self.weight), np.zeros_like(self.bias)]
@@ -229,7 +237,7 @@ def _col2im(
     n, c, h, w = x_shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
     cols = cols.reshape(n, c, kh, kw, out_h, out_w)
     for i in range(kh):
         for j in range(kw):
@@ -342,9 +350,9 @@ class BatchedConv2d(Layer):
         if groups < 1:
             raise ValueError("need at least one group")
         self.weight = np.zeros(
-            (groups, out_channels, in_channels, kernel_size, kernel_size)
+            (groups, out_channels, in_channels, kernel_size, kernel_size), TRAIN_DTYPE
         )
-        self.bias = np.zeros((groups, out_channels))
+        self.bias = np.zeros((groups, out_channels), TRAIN_DTYPE)
         self.stride = stride
         self.padding = padding
         self.kernel_size = kernel_size
@@ -452,7 +460,7 @@ class MaxPool2d(Layer):
             for mask in row:
                 counts += mask
         scaled = grad_out / counts
-        dx = np.zeros(x_shape)
+        dx = np.zeros(x_shape, scaled.dtype)
         for i in range(s):
             for j in range(s):
                 dx[:, :, i : oh * s : s, j : ow * s : s] = masks[i][j] * scaled
@@ -495,7 +503,7 @@ class AvgPool2d(Layer):
         n, c, h, w = self._x_shape
         s = self.size
         oh, ow = h // s, w // s
-        dx = np.zeros(self._x_shape)
+        dx = np.zeros(self._x_shape, grad_out.dtype)
         expanded = np.repeat(np.repeat(grad_out, s, axis=2), s, axis=3) / (s * s)
         dx[:, :, : oh * s, : ow * s] = expanded
         if self._lead is not None:

@@ -61,11 +61,12 @@ class SoftmaxCrossEntropyLoss(Loss):
             raise ValueError("pred must be (N, classes) with N targets")
         shifted = pred - pred.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        self._probs = probs
+        total = exp.sum(axis=1, keepdims=True)
+        self._probs = exp / total
         self._target = target
         n = pred.shape[0]
-        log_likelihood = np.log(probs[np.arange(n), target] + 1e-300)
+        # log-softmax, finite even where the class probability underflows.
+        log_likelihood = shifted[np.arange(n), target] - np.log(total[:, 0])
         return float(-log_likelihood.mean())
 
     def backward(self) -> np.ndarray:
@@ -191,11 +192,12 @@ class BatchedSoftmaxCrossEntropyLoss(BatchedLoss):
             raise ValueError("pred must be (G, B, K) with (G, B) targets and mask")
         shifted = pred - pred.max(axis=2, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=2, keepdims=True)
+        total = exp.sum(axis=2, keepdims=True)
+        probs = exp / total
         counts = mask.sum(axis=1)
         safe_target = np.where(mask, target, 0)
-        picked = np.take_along_axis(probs, safe_target[:, :, None], axis=2)[:, :, 0]
-        log_likelihood = np.log(picked + 1e-300) * mask
+        picked = np.take_along_axis(shifted, safe_target[:, :, None], axis=2)[:, :, 0]
+        log_likelihood = (picked - np.log(total[:, :, 0])) * mask  # log-softmax
         denom = np.maximum(counts, 1)
         self._cache = (probs, safe_target, mask, denom)
         return -log_likelihood.sum(axis=1) / denom

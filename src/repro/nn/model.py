@@ -71,13 +71,14 @@ class Sequential:
         return sum(p.size for p in self.params)
 
     def get_flat_params(self) -> np.ndarray:
-        """Concatenate all parameters into one float64 vector (copy)."""
+        """Concatenate all parameters into one vector of their dtype (copy)."""
         if not self.params:
             return np.zeros(0)
         return np.concatenate([p.ravel() for p in self.params])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        """Load parameters from a flat vector (in-place, preserves views)."""
+        """Load parameters from a flat vector (in-place, preserves views),
+        rounded to the parameters' dtype."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.num_params:
             raise ValueError(
@@ -115,6 +116,16 @@ class Sequential:
         """Deep copy: independent parameters and gradients, no forward
         caches (:meth:`repro.nn.layers.Layer.__getstate__`)."""
         return copy.deepcopy(self)
+
+    def astype(self, dtype) -> "Sequential":
+        """A :meth:`clone` whose parameters and gradients are ``dtype``."""
+        local = self.clone()
+        for layer in local.layers:
+            if layer.params:
+                layer.params = [p.astype(dtype) for p in layer.params]
+                layer.grads = [g.astype(dtype) for g in layer.grads]
+                layer.weight, layer.bias = layer.params
+        return local
 
 
 class BatchedSequential(Sequential):

@@ -4,7 +4,9 @@ One local training per (silo, user) per round needs the same few dozen
 large temporaries every few milliseconds; allocating them each time hands
 their pages back to the kernel in between, and a round spends a third of
 its CPU re-faulting ~90 MB.  :class:`Workspace` keeps one byte slab
-instead, handed out as shaped views with stack discipline::
+instead, handed out as shaped views of the dtype each request names
+(the engine's float64 rows, the walk's float32 scratch) with stack
+discipline::
 
     [ result block | scratch: take / mark / release ... ]
     0              floor                              top
@@ -38,7 +40,9 @@ class Workspace:
     forked worker drops the slab it inherited when it opens its first
     scope rather than writing into pages it shares with its parent."""
 
-    #: Most a process keeps: 4x the MNIST CNN round's high-water mark.
+    #: Most a process keeps: ~7x the high-water mark of a Fig. 5 MNIST CNN
+    #: round (18.6 MiB: float64 rows of <= 42 users under float32 scratch),
+    #: ~2.3x that of a full 128-user micro-batch (56 MiB).
     MAX_BYTES = 1 << 27
 
     def __init__(self) -> None:
@@ -66,7 +70,7 @@ class Workspace:
         """The uninitialised float64 row block of one engine call; re-opens
         both scopes (the previous result and all scratch views are dead)."""
         self._open(0)
-        rows = self.take(shape)
+        rows = self.take(shape, np.float64)
         self._floor = self._top
         return rows
 
@@ -74,8 +78,8 @@ class Workspace:
         """Re-open the scratch scope (the result block is left alone)."""
         self._open(self._floor)
 
-    def take(self, shape, dtype=np.float64) -> np.ndarray:
-        """An uninitialised scratch array on top of the stack."""
+    def take(self, shape, dtype) -> np.ndarray:
+        """An uninitialised ``dtype`` scratch array on top of the stack."""
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         start, top = self._top, self._top + -(-nbytes // _ALIGN) * _ALIGN

@@ -8,8 +8,11 @@ step swapped for that loop; every generator is consumed in the same order
 (``train_epochs`` draws a job's minibatch permutations where the engine's
 caller pre-draws them, then the silo's noise), so a loop run and an engine
 run from one seed see the same noise and must agree on the parameters to
-floating-point reassociation: ``atol=1e-10`` in
-``test_engine_equivalence.py``.  The silo-level methods draw from the
+floating-point reassociation: ``ATOL`` in ``test_engine_equivalence.py``.
+Like the engine, the loop trains in ``TRAIN_DTYPE`` (float32): a float32
+copy of the model, float32 records, the loss gradient handed over in
+float32, and a float64 delta of trained minus rounded start; the clip,
+noise and sum stay float64.  The silo-level methods draw from the
 trainer's generator; ULDP-AVG/SGD's per-silo step builds each silo's own
 generator for the release here, independently of the runtime's
 ``_draw_silo``: ``default_rng([root, space, key, silo])``.
@@ -28,37 +31,64 @@ from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.nn.clip import clip_factor, l2_clip
 from repro.core.metrics import make_loss
 from repro.nn import dpsgd
-from repro.nn.losses import DegenerateBatchError
+from repro.nn.layers import TRAIN_DTYPE
+from repro.nn.losses import DegenerateBatchError, Loss
 from repro.nn.train import train_epochs
+
+
+class TrainDtypeLoss(Loss):
+    """``loss`` handing its gradient to the layers in ``TRAIN_DTYPE``, as
+    the engine hands the batched loss's gradient to its replicas."""
+
+    def __init__(self, loss):
+        self.loss = loss
+
+    def forward(self, pred, target):
+        return self.loss.forward(pred, target)
+
+    def backward(self):
+        return np.asarray(self.loss.backward(), TRAIN_DTYPE)
 
 
 def local_delta(method, rng, params, x, y, lr, epochs, batch_size):
     """Model delta (local - global) after local SGD from ``params``,
-    minibatch orders drawn from ``rng``."""
+    minibatch orders drawn from ``rng``: trained in float32, differenced
+    in float64 against the rounded start."""
     fed, model, _ = method._require_prepared()
-    local = model.clone()
-    local.set_flat_params(params)
+    start = params.astype(TRAIN_DTYPE)
+    local = model.astype(TRAIN_DTYPE)
+    local.set_flat_params(start)
     train_epochs(
-        local, make_loss(fed.task, local), x, y, lr=lr, epochs=epochs,
-        rng=rng, batch_size=batch_size,
+        local, TrainDtypeLoss(make_loss(fed.task, local)), x.astype(TRAIN_DTYPE),
+        y, lr=lr, epochs=epochs, rng=rng, batch_size=batch_size,
     )
-    return local.get_flat_params() - params
+    return np.subtract(local.get_flat_params(), start, dtype=np.float64)
 
 
 def gradient(method, params, x, y):
-    """Full-batch mean gradient at ``params``; zero where the loss is
-    undefined on this data (the Cox likelihood of an event-free user)."""
+    """Full-batch mean gradient at ``params``, computed in float32; zero
+    where the loss is undefined on this data (the Cox likelihood of an
+    event-free user)."""
     fed, model, _ = method._require_prepared()
-    local = model.clone()
+    local = model.astype(TRAIN_DTYPE)
     local.set_flat_params(params)
-    loss = make_loss(fed.task, local)
+    loss = TrainDtypeLoss(make_loss(fed.task, local))
     local.zero_grad()
     try:
-        loss.forward(local.forward(x), y)
+        loss.forward(local.forward(x.astype(TRAIN_DTYPE)), y)
     except DegenerateBatchError:
         return np.zeros(local.num_params)
     local.backward(loss.backward())
-    return local.get_flat_grads()
+    return local.get_flat_grads().astype(np.float64)
+
+
+def per_sample_clipped_gradient_sum(model, loss, x, y, clip, microbatch_size=1):
+    """``dpsgd.per_sample_clipped_gradient_sum`` (one record at a time,
+    each gradient clipped in float64) on a float32 copy of the model."""
+    return dpsgd.per_sample_clipped_gradient_sum(
+        model.astype(TRAIN_DTYPE), TrainDtypeLoss(loss), x.astype(TRAIN_DTYPE),
+        y, clip, microbatch_size,
+    )
 
 
 class LoopDefault(Default):
@@ -91,12 +121,12 @@ class LoopUldpNaive(UldpNaive):
 
 class LoopUldpGroup(UldpGroup):
     """DP-SGD steps on ``per_sample_clipped_gradient_sum``, the one-record-
-    at-a-time reference that stays in ``nn/dpsgd.py``."""
+    at-a-time reference that stays in ``nn/dpsgd.py``, run in float32."""
 
     def round(self, t, params, participation=None):
         with mock.patch.object(
             dpsgd, "per_sample_clipped_gradient_sum_vectorized",
-            dpsgd.per_sample_clipped_gradient_sum,
+            per_sample_clipped_gradient_sum,
         ):
             return super().round(t, params, participation)
 

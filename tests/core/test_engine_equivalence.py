@@ -4,7 +4,8 @@ The loop (``oracle_loop.py``: one tiny training run per (silo, user)
 pair, the seed implementation) is the correctness oracle; the methods'
 batched engine must reproduce its round aggregates exactly -- same RNG
 stream, same clipping, same noise -- up to floating-point reassociation
-(atol <= 1e-10), for every ULDP method and every task type.
+of the float32 local training both run, for every ULDP method and every
+task type: ``ATOL`` (``ATOL_CNN`` on the MNIST CNN).
 """
 
 from unittest import mock
@@ -18,7 +19,18 @@ from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.data import build_creditcard_benchmark, build_mnist_benchmark, build_tcgabrca_benchmark
 from repro.nn.model import build_cox_linear, build_mnist_cnn, build_tiny_mlp
 
-ATOL = 1e-10
+EPS32 = np.finfo(np.float32).eps  # 1.19e-7
+
+#: 64 EPS32 = 7.6e-6.  Both sides train in float32 and sum per-record
+#: terms in different orders; over seeds 0-5 no dense or survival case
+#: drifts past 2.2 EPS32 in two rounds (the float64 engine: 16 eps64).
+ATOL = 64 * EPS32
+
+#: 1024 EPS32 = 1.2e-4 on the CNN.  Most runs stay within 13 EPS32, but a
+#: max-pool or ReLU decision taken within float32 rounding of its boundary
+#: moves one step's gradient by a finite amount, which two local epochs
+#: carry into the next round: 180 EPS32 (2.1e-5) for ``avg-q2`` at seed 0.
+ATOL_CNN = 1024 * EPS32
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +64,7 @@ def run_rounds(method, fed, rounds=2, seed=0, model_builder=None):
     return params
 
 
-def assert_engines_agree(make_method, fed, rounds=2, model_builder=None):
+def assert_engines_agree(make_method, fed, rounds=2, model_builder=None, atol=ATOL):
     """``make_method(classes)`` builds the method from ``classes[runtime class]``:
     the runtime classes themselves, or their loop oracles."""
     loop = run_rounds(make_method(LOOP), fed, rounds, model_builder=model_builder)
@@ -60,7 +72,7 @@ def assert_engines_agree(make_method, fed, rounds=2, model_builder=None):
         make_method({cls: cls for cls in LOOP}), fed, rounds,
         model_builder=model_builder,
     )
-    np.testing.assert_allclose(vec, loop, atol=ATOL, rtol=0)
+    np.testing.assert_allclose(vec, loop, atol=atol, rtol=0)
 
 
 ULDP_AVG_CONFIGS = [
@@ -194,6 +206,7 @@ def test_cnn_engines_agree(image_fed, make_method):
         make_method,
         image_fed,
         model_builder=lambda r: build_mnist_cnn(r, image_size=14),
+        atol=ATOL_CNN,
     )
 
 

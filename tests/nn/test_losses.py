@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.losses import (
+    BatchedSoftmaxCrossEntropyLoss,
     BCEWithLogitsLoss,
     CoxPHLoss,
     SoftmaxCrossEntropyLoss,
@@ -62,6 +63,26 @@ class TestSoftmaxCrossEntropy:
         value = loss.forward(pred, np.array([0, 1]))
         assert math.isfinite(value)
         assert value == pytest.approx(0.0, abs=1e-6)
+
+    def test_float32_probability_below_1e38_is_finite(self):
+        """exp(-200) underflows to 0 in float32, and so did the old
+        ``log(p + 1e-300)``'s offset: log(0) = -inf, then NaN where the
+        batched loss masked a padded entry.  The log-softmax stays finite,
+        and so does the gradient; padded entries get zero gradient."""
+        pred = np.array([[[0.0, 200.0], [0.0, 200.0]], [[50.0, 0.0], [0.0, 200.0]]],
+                        dtype=np.float32)
+        target = np.array([[0, 0], [1, 0]])
+        mask = np.array([[True, False], [True, True]])
+        with np.errstate(divide="raise", invalid="raise"):
+            single = SoftmaxCrossEntropyLoss()
+            value = single.forward(pred[:, 0], target[:, 0])
+            assert value == pytest.approx(125.0)
+            assert np.isfinite(single.backward()).all()
+            batched = BatchedSoftmaxCrossEntropyLoss()
+            per_group = batched.forward(pred, target, mask)
+            grad = batched.backward()
+        np.testing.assert_allclose(per_group, [200.0, 125.0], rtol=1e-6)
+        assert np.isfinite(grad).all() and not grad[0, 1].any()
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import pytest
 import repro.core.engine as engine
 from repro.core.engine import MICRO_BATCH, LocalJob, draw_minibatch_schedule
 from repro.nn import model as nn_model
+from repro.nn.layers import TRAIN_DTYPE
 from repro.nn.model import (
     REPLICA_GROUPS,
     batch_model,
@@ -90,7 +91,7 @@ def test_storage_exists_once_per_template_and_does_not_grow():
     assert REPLICA_GROUPS == MICRO_BATCH
     template = build_creditcard_mlp(np.random.default_rng(1))
     other = build_creditcard_mlp(np.random.default_rng(2))
-    budget = 2 * MICRO_BATCH * template.num_params * 8
+    budget = 2 * MICRO_BATCH * template.num_params * TRAIN_DTYPE.itemsize
 
     small = batch_model(template, 3, reuse=True)
     assert _resident_bytes(template) == budget

@@ -32,11 +32,11 @@ class TestStack:
         ws = Workspace()
         for _ in range(2):  # the first scope measures, the second is served
             ws.reset()
-            a = ws.take((3, 5))
+            a = ws.take((3, 5), np.float32)
             b = ws.take((7,), bool)
-            c = ws.take((2, 2, 2))
+            c = ws.take((2, 2, 2), np.float64)
         assert (a.shape, b.shape, c.shape) == ((3, 5), (7,), (2, 2, 2))
-        assert (a.dtype, b.dtype, c.dtype) == (np.float64, np.bool_, np.float64)
+        assert (a.dtype, b.dtype, c.dtype) == (np.float32, np.bool_, np.float64)
         for view in (a, b, c):
             assert view.ctypes.data % 8 == 0
         a.fill(1.0), b.fill(True), c.fill(3.0)
@@ -46,21 +46,21 @@ class TestStack:
         ws = Workspace()
         ws.reset()
         assert ws.nbytes == 0
-        spilled = ws.take((100,))
+        spilled = ws.take((100,), np.float64)
         assert spilled.base is None  # a plain allocation, not a slab view
         ws.reset()
         assert ws.nbytes >= 800
-        assert ws.take((100,)).base is not None
+        assert ws.take((100,), np.float64).base is not None
 
     def test_release_reuses_the_bytes(self):
         ws = Workspace()
         for _ in range(2):
             ws.reset()
-            keep = ws.take((4,))
+            keep = ws.take((4,), np.float64)
             mark = ws.mark()
-            first = ws.take((16,))
+            first = ws.take((16,), np.float64)
             ws.release(mark)
-            second = ws.take((16,))
+            second = ws.take((16,), np.float64)
         assert first.ctypes.data == second.ctypes.data != keep.ctypes.data
 
     def test_grows_to_the_high_water_mark_and_no_further(self):
@@ -70,12 +70,12 @@ class TestStack:
         for rows in (3, 50, 7, 50, 1, 20):
             for _ in range(2):
                 ws.result((rows, 10))
-                ws.take((rows, 4))
+                ws.take((rows, 4), np.float64)
         high_water = ws.nbytes
         assert 50 * 14 * 8 <= high_water <= 50 * 14 * 8 + 128
         for rows in (3, 50, 7):
             ws.result((rows, 10))
-            ws.take((rows, 4))
+            ws.take((rows, 4), np.float64)
         assert ws.nbytes == high_water
 
     def test_requests_past_the_cap_are_plain_and_not_retained(self):
@@ -85,9 +85,9 @@ class TestStack:
         ws.MAX_BYTES = 4096
         for _ in range(3):
             rows = ws.result((100, 10))  # 8000 B: past the cap on its own
-            small = ws.take((64,))
-            huge = ws.take((1000,))
-            after = ws.take((64,))
+            small = ws.take((64,), np.float64)
+            huge = ws.take((1000,), np.float64)
+            after = ws.take((64,), np.float64)
         assert rows.base is None and huge.base is None
         assert small.base is not None and after.base is not None
         assert ws.nbytes == 1024  # the two small views, nothing else
@@ -100,7 +100,7 @@ class TestStack:
             rows[...] = 7.0
             for _ in range(3):
                 ws.reset()
-                ws.take((4, 3)).fill(-1.0)
+                ws.take((4, 3), np.float64).fill(-1.0)
         assert np.all(rows == 7.0)
 
 
@@ -109,15 +109,15 @@ class TestProcessKeying:
         ws = Workspace()
         for _ in range(2):
             ws.reset()
-            inherited = ws.take((64,))
+            inherited = ws.take((64,), np.float64)
         inherited.fill(5.0)
         # Simulate a fork: same object, different os.getpid().
         ws._pid -= 1
         ws.reset()
         assert ws.nbytes == 0
-        ws.take((64,)).fill(-1.0)
+        ws.take((64,), np.float64).fill(-1.0)
         ws.reset()
-        ws.take((64,)).fill(-1.0)
+        ws.take((64,), np.float64).fill(-1.0)
         assert np.all(inherited == 5.0)
 
     @pytest.mark.skipif(
