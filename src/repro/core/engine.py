@@ -56,8 +56,8 @@ distributes it across a worker pool (PR 2's picklable-kernel +
 pool is *resident*: each worker holds the method's federation and
 template model for its lifetime (:func:`install_resident`), so a round's
 tasks name their records -- ``(silo, user ids)``, :func:`resident_jobs` --
-instead of carrying them, and the per-template caches below are built
-once per process.
+instead of carrying them, and the per-template float32 copy
+(:func:`repro.nn.batched.scratch_model`) is built once per process.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -75,7 +74,7 @@ import numpy as np
 from repro.core.metrics import make_batched_loss, make_loss
 from repro.core.reduce import BinnedSum, fold_scale, tree_reduce
 from repro.nn.backend import ArrayBackend, get_backend, validate_backend
-from repro.nn.batched import per_group_gradients
+from repro.nn.batched import per_group_gradients, scratch_model
 from repro.nn.clip import clip_factor_from_norms, clip_factor_rows, l2_clip_rows
 from repro.nn.layers import TRAIN_DTYPE
 from repro.nn.model import Sequential, batch_model
@@ -94,24 +93,6 @@ MICRO_BATCH = 128
 #: Default users per shard task (``[engine] shard_size``); a multiple of
 #: :data:`MICRO_BATCH` so default plans are always aligned.
 DEFAULT_SHARD_SIZE = 4096
-
-
-#: One scratch copy of each template model per process: the shared-weight
-#: walk reads parameters from layer arrays, so the round's flat ``params``
-#: are bound to a model -- never the caller's, which the engine does not
-#: write.  Copied (and cast to :data:`TRAIN_DTYPE`) once per template
-#: *object*, re-bound per call; a pool worker's template is resident, so
-#: that is once per worker.
-_STEP_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _model_at(model: Sequential, params: np.ndarray) -> Sequential:
-    """The process's scratch copy of ``model``, holding ``params``."""
-    local = _STEP_MODELS.get(model)
-    if local is None:
-        local = _STEP_MODELS[model] = model.astype(TRAIN_DTYPE)
-    local.set_flat_params(params)
-    return local
 
 
 @dataclass
@@ -271,7 +252,7 @@ def _local_deltas(model, task, params, jobs, lr, epochs, clip=None):
     """
     out = WORKSPACE.result((len(jobs), params.size))
     factors = np.ones(len(jobs))
-    local = _model_at(model, params) if epochs == 1 else None
+    local = scratch_model(model, params) if epochs == 1 else None
     loss = make_loss(task, model)
     for start, stop in _micro_batches(len(jobs)):
         chunk, rows, f = jobs[start:stop], out[start:stop], factors[start:stop]
@@ -371,7 +352,7 @@ def batched_gradients(
         return np.zeros((0, params.size))
     with get_recorder().span("local_gradients", kind="phase", jobs=len(jobs)):
         out = WORKSPACE.result((len(jobs), params.size))
-        local = _model_at(model, params)
+        local = scratch_model(model, params)
         loss = make_loss(task, local)
         for start, stop in _micro_batches(len(jobs)):
             _shared_step(local, loss, jobs[start:stop], out[start:stop])

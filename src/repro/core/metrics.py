@@ -4,6 +4,11 @@ The paper reports test accuracy (Creditcard, MNIST, HeartDisease), test loss
 (MNIST, Fig. 8), and C-index (TcgaBrca).  ``make_loss`` picks the training
 loss from the task and the model's output width; ``evaluate_model`` returns
 the utility metric plus test loss for the round history.
+
+Dtype boundary: evaluation's logits are float32 -- the test records run
+through the training walk's forward (:func:`repro.nn.batched.forward_logits`)
+on the process's float32 copy of the model, in workspace-sized chunks --
+while the loss and the metric are computed in float64 on those logits.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from repro.nn.losses import (
     batched_counterpart,
     concordance_index,
 )
+from repro.nn.batched import forward_logits, scratch_model
 from repro.nn.model import Sequential
-from repro.nn.train import accuracy_of, predict
+from repro.nn.train import accuracy_of
 
 
 def output_width(model: Sequential) -> int:
@@ -59,12 +65,16 @@ def metric_name(task: str) -> str:
 def evaluate_model(fed: FederatedDataset, model: Sequential) -> dict[str, float]:
     """Evaluate on the held-out test split.
 
+    One float32 forward of the test records yields the logits both scores
+    are computed from, in float64.  ``model`` itself never runs, so it is
+    left holding no forward cache.
+
     Returns:
         dict with ``"loss"`` and either ``"accuracy"`` or ``"c_index"``.
     """
     loss = make_loss(fed.task, model)
     out: dict[str, float] = {}
-    pred = predict(model, fed.test_x)
+    pred = forward_logits(scratch_model(model, model.get_flat_params()), fed.test_x)
     if not np.all(np.isfinite(pred)):
         # A diverged model (noise-dominated round): report infinite loss
         # and chance-level utility instead of warning-spewing NaN math.

@@ -10,7 +10,7 @@ replaces exactly the slice of functionality Uldp-FL needs:
   flattening (FL exchanges flat parameter vectors), and the model factories
   used by the benchmarks.
 - :mod:`repro.nn.optim` -- plain SGD.
-- :mod:`repro.nn.train` -- mini-batch training / evaluation helpers.
+- :mod:`repro.nn.train` -- mini-batch training helpers and ``accuracy_of``.
 - :mod:`repro.nn.dpsgd` -- DP-SGD (per-sample clipping + Gaussian noise +
   Poisson sampling), the local subroutine of ULDP-GROUP-k.
 
@@ -64,7 +64,7 @@ from repro.nn.model import (
     build_tiny_mlp,
 )
 from repro.nn.optim import SGD
-from repro.nn.train import evaluate_accuracy, evaluate_loss, predict, train_epochs
+from repro.nn.train import train_epochs
 from repro.nn.dpsgd import dpsgd_train
 
 __all__ = [
@@ -101,9 +101,6 @@ __all__ = [
     "build_mnist_cnn",
     "build_tiny_mlp",
     "SGD",
-    "evaluate_accuracy",
-    "evaluate_loss",
-    "predict",
     "train_epochs",
     "dpsgd_train",
 ]

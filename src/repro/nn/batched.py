@@ -38,6 +38,12 @@ transients above a ``mark`` their stage releases, and activations run in
 place where the producer does not cache its own output, so the slab's
 high-water mark stays near the walk's live set.
 
+Evaluation reuses the walk's forward without its backward:
+:func:`forward_logits` runs the test records through it on the same
+float32 scratch model (:func:`scratch_model`), :data:`FORWARD_CHUNK`
+records per scratch scope, and copies each chunk's logits out as float64
+-- so the slab holds one chunk's activations, never a test set's.
+
 The result matches running the model separately per group in float32
 up to floating-point reassociation (``tests/nn/test_batched.py``; the
 differential tests in ``tests/core/test_engine_equivalence.py`` cover this
@@ -45,6 +51,8 @@ path through the FL methods).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -61,6 +69,28 @@ from repro.nn.layers import (
 from repro.nn.losses import Loss, batched_counterpart
 from repro.nn.model import Sequential
 from repro.nn.workspace import WORKSPACE, Workspace
+
+#: Records per chunk of :func:`forward_logits`, each chunk one scratch
+#: scope: the slab holds one chunk's activations, never a whole test set's.
+#: 128 was the fastest of 128 / 256 / 512 on the MNIST CNN.
+FORWARD_CHUNK = 128
+
+#: One float32 scratch copy of each template model per process: the walk
+#: reads parameters from layer arrays, so flat ``params`` are bound to a
+#: model -- never the caller's, which neither training nor evaluation
+#: writes.  Copied (and cast to :data:`TRAIN_DTYPE`) once per template
+#: *object*, re-bound per call; a pool worker's template is resident, so
+#: that is once per worker.
+_SCRATCH_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def scratch_model(model: Sequential, params: np.ndarray) -> Sequential:
+    """The process's float32 scratch copy of ``model``, holding ``params``."""
+    local = _SCRATCH_MODELS.get(model)
+    if local is None:
+        local = _SCRATCH_MODELS[model] = model.astype(TRAIN_DTYPE)
+    local.set_flat_params(params)
+    return local
 
 
 def _scatter_padded(
@@ -597,3 +627,29 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
         return blocks
 
     return pred, backward
+
+
+def forward_logits(model: Sequential, x: np.ndarray) -> np.ndarray:
+    """The walk's float32 forward of ``model`` over ``x``, as float64 logits.
+
+    ``model`` is a float32 model (:func:`scratch_model`).  Records run
+    :data:`FORWARD_CHUNK` at a time, each chunk gathered into a fresh
+    scratch scope and forwarded by the same walk as training, with no
+    backward; nothing of it outlives the call but the returned logits.
+    """
+    stack = _conv_stack(model)
+    ctx = (None, None, WORKSPACE)  # no groups: the backward never runs
+    out = np.zeros((0,))
+    for start in range(0, len(x), FORWARD_CHUNK):
+        WORKSPACE.reset()
+        chunk = x[start : start + FORWARD_CHUNK]
+        records = WORKSPACE.take(chunk.shape, TRAIN_DTYPE)
+        np.copyto(records, chunk)
+        if stack is not None:
+            pred, _ = _forward_conv_nhwc(stack, records, ctx)
+        else:
+            pred, _ = _forward_generic(model, records, ctx)
+        if start == 0:
+            out = np.empty((len(x), *pred.shape[1:]))
+        out[start : start + len(pred)] = pred
+    return out

@@ -1,4 +1,4 @@
-"""Mini-batch training and evaluation helpers.
+"""Mini-batch training helpers and classification accuracy.
 
 These are the local solvers used inside the FL client algorithms:
 ``train_epochs`` runs plain SGD over a (possibly tiny) dataset -- the
@@ -69,17 +69,6 @@ def train_epochs(
     return last
 
 
-def predict(model: Sequential, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Forward pass in batches; returns stacked model outputs."""
-    outputs = [model.forward(x[i : i + batch_size]) for i in range(0, x.shape[0], batch_size)]
-    return np.concatenate(outputs, axis=0) if outputs else np.zeros((0,))
-
-
-def evaluate_loss(model: Sequential, loss: Loss, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean loss over a dataset (single full-batch forward)."""
-    return loss.forward(model.forward(x), y)
-
-
 def accuracy_of(pred: np.ndarray, y: np.ndarray) -> float:
     """Classification accuracy of model outputs ``pred`` against ``y``.
 
@@ -91,7 +80,3 @@ def accuracy_of(pred: np.ndarray, y: np.ndarray) -> float:
         labels = (pred.ravel() > 0).astype(np.int64)
     return float((labels == np.asarray(y).ravel()).mean())
 
-
-def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
-    """:func:`accuracy_of` the model's own forward pass over ``x``."""
-    return accuracy_of(predict(model, x), y)

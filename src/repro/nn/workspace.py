@@ -14,8 +14,8 @@ discipline::
 One lifetime rule: **a view is valid until its scope is re-opened** --
 :meth:`Workspace.result` opens the engine's (its row block lives until the
 next engine call), :meth:`Workspace.reset` the walk's above it (``take``
-views live until the next ``per_group_gradients`` call, which never
-disturbs the rows).  A request the slab cannot hold becomes a plain
+views live until the next ``per_group_gradients`` call or evaluation
+chunk, neither of which disturbs the rows).  A request the slab cannot hold becomes a plain
 allocation and is remembered; the next scope opens on a slab regrown to
 fit, so the slab settles at the largest call's high-water mark and a
 steady-state round touches no fresh page.  Views handed out before a
@@ -101,5 +101,6 @@ class Workspace:
 
 
 #: The process's workspace: :func:`repro.nn.batched.per_group_gradients`
-#: takes its temporaries from it, :mod:`repro.core.engine` its row block.
+#: and :func:`repro.nn.batched.forward_logits` take their temporaries from
+#: it, :mod:`repro.core.engine` its row block.
 WORKSPACE = Workspace()

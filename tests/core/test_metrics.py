@@ -1,20 +1,37 @@
 """Tests for task-dependent evaluation, including degenerate models."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core import metrics
 from repro.core.metrics import evaluate_model, make_loss, metric_name, output_width
 from repro.data import (
     build_creditcard_benchmark,
     build_mnist_benchmark,
     build_tcgabrca_benchmark,
+    federate_presiloed,
 )
+from repro.data.synthetic import synthetic_heartdisease, synthetic_tcgabrca
+from repro.nn import batched
+from repro.nn.batched import FORWARD_CHUNK, forward_logits, scratch_model
 from repro.nn.layers import ReLU
 from repro.nn.losses import concordance_index
-from repro.nn.model import Sequential, build_mnist_cnn, build_tiny_mlp
-from repro.nn.train import evaluate_accuracy, predict
+from repro.nn.model import (
+    Sequential,
+    build_cox_linear,
+    build_creditcard_mlp,
+    build_logistic,
+    build_mnist_cnn,
+    build_tiny_mlp,
+)
+from repro.nn.train import accuracy_of
+from repro.nn.workspace import Workspace
+
+#: float32's machine epsilon, 1.19e-7.
+EPS32 = np.finfo(np.float32).eps
 
 
 class TestOutputWidth:
@@ -64,8 +81,15 @@ class TestEvaluateModel:
 
     @pytest.mark.parametrize("task", ["multiclass", "survival"])
     def test_one_forward_same_scores(self, task, monkeypatch):
-        """The metric is derived from the predictions the loss was computed
-        on: bit-equal to forwarding again, with half the forwards."""
+        """Loss and metric come from one set of float32 logits, computed in
+        float64 on them; the logits agree with the float64 forward to 64
+        float32 eps of the largest logit.
+
+        A logit is two layers of float32 dot products (``build_tiny_mlp``:
+        30 or 39 features, 4 hidden units) over float32-rounded records and
+        weights, each rounding worth ~1 eps of its term; the largest error
+        measured over both tasks is 1.1 ``EPS32 * max|logit|``.  64 is the
+        engine-equivalence tests' float32 tolerance, ~50x that."""
         if task == "survival":
             fed = build_tcgabrca_benchmark(n_users=6, silo_sizes=(40, 40), seed=0)
             model = build_tiny_mlp(39, 4, 1, np.random.default_rng(0))
@@ -73,24 +97,32 @@ class TestEvaluateModel:
             fed = build_creditcard_benchmark(n_users=5, n_silos=2, n_records=60,
                                              n_test=30, seed=0)
             model = build_tiny_mlp(30, 4, 2, np.random.default_rng(0))
-        pred = predict(model, fed.test_x)
+        forwards = []
+
+        def recording(local, x):
+            forwards.append(forward_logits(local, x))
+            return forwards[-1]
+
+        monkeypatch.setattr(metrics, "forward_logits", recording)
+        scores = evaluate_model(fed, model)
+        [pred] = forwards
+        assert pred.dtype == np.float64 and len(pred) == len(fed.test_x)
+        np.testing.assert_array_equal(pred.astype(np.float32), pred)
         expected = {"loss": float(make_loss(fed.task, model).forward(pred, fed.test_y))}
         if task == "survival":
             expected["c_index"] = concordance_index(
                 pred.ravel(), fed.test_y[:, 0], fed.test_y[:, 1])
         else:
-            expected["accuracy"] = evaluate_accuracy(model, fed.test_x, fed.test_y)
-        forwards = []
-        forward = model.forward
-        monkeypatch.setattr(
-            model, "forward", lambda x: forwards.append(len(x)) or forward(x))
-        assert evaluate_model(fed, model) == expected
-        assert forwards == [len(fed.test_x)]
+            expected["accuracy"] = accuracy_of(pred, fed.test_y)
+        assert scores == expected
+        reference = model.forward(fed.test_x)
+        scale = max(1.0, float(np.abs(reference).max()))
+        np.testing.assert_allclose(pred, reference, rtol=0, atol=64 * EPS32 * scale)
 
 
 class TestEvaluationLeavesNoCaches:
-    """A model that has evaluated a test set copies and pickles at the size
-    of its parameters: forward caches are not part of its state."""
+    """Evaluation never runs the template model: it holds no forward cache
+    afterwards, and it copies and pickles at the size of its parameters."""
 
     @pytest.fixture()
     def evaluated(self):
@@ -99,20 +131,29 @@ class TestEvaluationLeavesNoCaches:
         model = build_mnist_cnn(np.random.default_rng(0))
         before = len(pickle.dumps(model))
         evaluate_model(fed, model)
-        return model, before
+        return fed, model, before
+
+    def test_template_holds_no_forward_cache(self, evaluated):
+        _, model, _ = evaluated
+        for layer in model.layers:
+            for name, value in vars(layer).items():
+                if name.startswith("_"):
+                    assert value is None, f"{type(layer).__name__}.{name}"
 
     def test_pickle_size_unchanged(self, evaluated):
-        model, before = evaluated
-        assert len(pickle.dumps(model)) == before
+        _, model, before = evaluated
+        state = sum(a.nbytes for a in (*model.params, *model.grads))
+        assert len(pickle.dumps(model)) == before <= state + 4096
 
     def test_clone_holds_only_params_and_grads(self, evaluated):
-        model, _ = evaluated
+        fed, model, _ = evaluated
+        model.forward(fed.test_x)  # the template's own forward does cache
         assert any(
             isinstance(value, (np.ndarray, tuple))
             for layer in model.layers
             for name, value in vars(layer).items()
             if name.startswith("_")
-        ), "evaluation left no cache behind: the test checks nothing"
+        ), "the forward left no cache behind: the test checks nothing"
         clone = model.clone()
         owned = {id(a) for a in (*clone.params, *clone.grads)}
 
@@ -129,6 +170,77 @@ class TestEvaluationLeavesNoCaches:
                     assert id(array) in owned
         np.testing.assert_array_equal(
             clone.get_flat_params(), model.get_flat_params())
+
+
+def _chunked_case(kind, n_test=4 * FORWARD_CHUNK + 37):
+    """(fed, model) of one task, by default with four full forward chunks
+    of test records and a partial fifth."""
+    rng = np.random.default_rng(0)
+    if kind == "mlp":
+        fed = build_creditcard_benchmark(
+            n_users=5, n_silos=2, n_records=60, n_test=n_test, seed=0)
+        return fed, build_creditcard_mlp(rng)
+    if kind == "cnn":
+        fed = build_mnist_benchmark(
+            n_users=6, n_silos=2, n_records=60, n_test=n_test, seed=0)
+        return fed, build_mnist_cnn(rng)
+    if kind == "logistic":
+        raw = synthetic_heartdisease(n_test=n_test, seed=0)
+        return federate_presiloed(*raw, 6, "uniform", 1), build_logistic(rng)
+    raw = synthetic_tcgabrca(n_test=n_test, seed=0)
+    fed = federate_presiloed(*raw, 6, "uniform", 1, min_records_per_pair=2)
+    return fed, build_cox_linear(rng)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes ``call()`` allocates, as ``tracemalloc`` sees them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn", "logistic", "cox"])
+class TestChunkedEvaluation:
+    """A test set of several chunks evaluates in one chunk's memory, and
+    its scores do not depend on what the process ran before."""
+
+    def test_second_evaluation_allocates_predictions_and_one_chunk(self, kind, monkeypatch):
+        """A warm evaluation allocates at most the logits and one chunk of
+        records more than scoring ready-made logits does.  The scoring --
+        float64 loss and metric, not chunked (the Cox loss builds an n x n
+        risk-set matrix) -- is measured by handing it the logits."""
+        fed, model = _chunked_case(kind)
+        evaluate_model(fed, model)
+        evaluated = _traced_peak(lambda: evaluate_model(fed, model))
+        pred = forward_logits(scratch_model(model, model.get_flat_params()), fed.test_x)
+        monkeypatch.setattr(metrics, "forward_logits", lambda local, x: pred)
+        scoring = _traced_peak(lambda: evaluate_model(fed, model))
+        assert evaluated <= scoring + pred.nbytes + FORWARD_CHUNK * fed.test_x[0].nbytes
+
+    def test_workspace_stays_chunk_sized(self, kind, monkeypatch):
+        fed, model = _chunked_case(kind)
+        one_chunk, _ = _chunked_case(kind, n_test=FORWARD_CHUNK)
+        monkeypatch.setattr(batched, "WORKSPACE", Workspace())
+        evaluate_model(one_chunk, model)  # sizes the slab; the next scope grows it
+        evaluate_model(one_chunk, model)
+        chunk_sized = batched.WORKSPACE.nbytes
+        assert chunk_sized > 0
+        for _ in range(2):
+            evaluate_model(fed, model)
+            assert batched.WORKSPACE.nbytes == chunk_sized
+
+    def test_scores_equal_fresh_and_warmed(self, kind, monkeypatch):
+        fed, model = _chunked_case(kind)
+        monkeypatch.setattr(batched, "WORKSPACE", Workspace())
+        fresh = evaluate_model(fed, model.clone())  # new slab, new float32 copy
+        evaluate_model(fed, model)
+        ws = batched.WORKSPACE
+        ws.reset()
+        ws.take((ws.nbytes,), np.uint8).fill(0xFF)  # every float in it NaN
+        assert evaluate_model(fed, model) == fresh
 
 
 class TestTopLevelExports:

@@ -2,7 +2,8 @@
 
 Covers the per-group-parameters machinery (``Batched*`` layers,
 :class:`BatchedSequential`) and the shared-weight per-group gradient
-engine (:func:`repro.nn.batched.per_group_gradients`) against per-group
+engine (:func:`repro.nn.batched.per_group_gradients`) and its chunked
+forward (:func:`repro.nn.batched.forward_logits`) against per-group
 reference computations with the standard layers.  Both sides compute in
 ``TRAIN_DTYPE`` (float32): the references run the standard layers on a
 float32 copy of the model, and results agree to :func:`assert_close32`.
@@ -11,7 +12,8 @@ float32 copy of the model, and results agree to :func:`assert_close32`.
 import numpy as np
 import pytest
 
-from repro.nn.batched import per_group_gradients
+from repro.nn import batched
+from repro.nn.batched import forward_logits, per_group_gradients, scratch_model
 from repro.nn.clip import clip_factor_rows, l2_clip, l2_clip_rows
 from repro.nn.layers import (
     TRAIN_DTYPE,
@@ -310,6 +312,36 @@ class TestPerGroupGradients:
             per_group_gradients(
                 model, SoftmaxCrossEntropyLoss(), np.zeros((2, 3)), np.zeros(2), [3]
             )
+
+
+class TestForwardLogits:
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_matches_standard_float32_forward(self, kind, monkeypatch):
+        rng = np.random.default_rng(0)
+        if kind == "cnn":
+            model, x = build_mnist_cnn(rng), rng.standard_normal((23, 1, 14, 14))
+        else:
+            model, x = build_tiny_mlp(5, 7, 3, rng), rng.standard_normal((23, 5))
+        local = scratch_model(model, model.get_flat_params())
+        desired = model.astype(TRAIN_DTYPE).forward(x.astype(TRAIN_DTYPE))
+        monkeypatch.setattr(batched, "FORWARD_CHUNK", 5)  # four full chunks + 3
+        logits = forward_logits(local, x)
+        assert logits.dtype == np.float64 and logits.shape == desired.shape
+        assert_close32(logits, desired)
+
+    def test_empty_input(self):
+        model = build_tiny_mlp(4, 6, 2, np.random.default_rng(0))
+        assert forward_logits(model.astype(TRAIN_DTYPE), np.zeros((0, 4))).size == 0
+
+    def test_scratch_model_is_one_float32_copy_per_template(self):
+        model = build_tiny_mlp(4, 6, 2, np.random.default_rng(0))
+        before = model.get_flat_params()
+        first = scratch_model(model, np.zeros(model.num_params))
+        again = scratch_model(model, before)
+        assert again is first and first is not model
+        assert all(p.dtype == TRAIN_DTYPE for p in first.params)
+        np.testing.assert_array_equal(first.get_flat_params(), before.astype(TRAIN_DTYPE))
+        np.testing.assert_array_equal(model.get_flat_params(), before)
 
 
 class TestRowClipping:

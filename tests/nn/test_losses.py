@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_concordance import loop_concordance_index
 
+from repro.nn import losses
 from repro.nn.losses import (
     BatchedSoftmaxCrossEntropyLoss,
     BCEWithLogitsLoss,
@@ -200,3 +202,40 @@ class TestConcordanceIndex:
         # Comparable pairs: (0,1), (0,2): both concordant. Record 2 has an
         # event but no later records -> not comparable.
         assert concordance_index(risk, times, events) == 1.0
+
+    # Few distinct values so ties in risk and time are common; NaN risk
+    # is comparable but neither concordant nor tied.
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.sampled_from([-1.0, 0.0, 0.5, 2.0, np.nan]), min_size=n, max_size=n
+                ),
+                st.lists(st.integers(0, 5), min_size=n, max_size=n),
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_pair_loop(self, case):
+        risk, times, events = (np.array(v, dtype=float) for v in case)
+        assert concordance_index(risk, times, events) == loop_concordance_index(
+            risk, times, events
+        )
+
+    def test_no_comparable_pair_is_half_like_the_loop(self):
+        # Every event is at the latest time: nothing is comparable.
+        risk = np.array([1.0, 0.0, 3.0])
+        times = np.array([1.0, 2.0, 2.0])
+        events = np.array([0, 1, 1])
+        assert concordance_index(risk, times, events) == 0.5
+        assert loop_concordance_index(risk, times, events) == 0.5
+
+    def test_blocks_equal_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        risk, times = rng.normal(size=300), rng.exponential(size=300)
+        events = rng.integers(0, 2, size=300)
+        whole = concordance_index(risk, times, events)
+        monkeypatch.setattr(losses, "_PAIR_BLOCK", 300 * 3)  # 3 event rows a block
+        assert concordance_index(risk, times, events) == whole
+        assert whole == loop_concordance_index(risk, times, events)

@@ -17,7 +17,7 @@ from repro.nn.model import (
     build_mnist_cnn,
     build_tiny_mlp,
 )
-from repro.nn.train import evaluate_accuracy, evaluate_loss, predict, train_epochs
+from repro.nn.train import accuracy_of, train_epochs
 
 
 class TestFlattening:
@@ -93,11 +93,11 @@ class TestTraining:
         y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
         model = build_tiny_mlp(4, 16, 2, rng)
         loss = SoftmaxCrossEntropyLoss()
-        before = evaluate_loss(model, loss, x, y)
+        before = loss.forward(model.forward(x), y)
         train_epochs(model, loss, x, y, lr=0.5, epochs=30, rng=rng, batch_size=32)
-        after = evaluate_loss(model, loss, x, y)
+        after = loss.forward(model.forward(x), y)
         assert after < before
-        assert evaluate_accuracy(model, x, y) > 0.85
+        assert accuracy_of(model.forward(x), y) > 0.85
 
     def test_full_batch_deterministic(self):
         rng1 = np.random.default_rng(6)
@@ -124,20 +124,12 @@ class TestTraining:
                 np.random.default_rng(0),
             )
 
-    def test_predict_batches_consistently(self):
-        rng = np.random.default_rng(10)
-        model = build_tiny_mlp(4, 6, 3, rng)
-        x = rng.standard_normal((100, 4))
-        np.testing.assert_allclose(
-            predict(model, x, batch_size=7), model.forward(x), atol=1e-12
-        )
-
     def test_binary_accuracy_single_logit(self):
         rng = np.random.default_rng(11)
         model = build_logistic(rng, in_features=2)
         model.set_flat_params(np.array([1.0, 0.0, 0.0]))  # w=(1,0), b=0
         x = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        assert evaluate_accuracy(model, x, np.array([1, 0])) == 1.0
+        assert accuracy_of(model.forward(x), np.array([1, 0])) == 1.0
 
 
 class TestDpSgd:

@@ -8,33 +8,7 @@ from repro.accounting.rdp import DEFAULT_ALPHAS, gaussian_rdp_curve
 from repro.accounting.subsampled import subsampled_gaussian_rdp_curve
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.model import build_tiny_mlp
-from repro.nn.train import evaluate_loss, predict, train_epochs
-
-
-class TestEvaluateLoss:
-    def test_matches_manual_forward(self):
-        rng = np.random.default_rng(0)
-        model = build_tiny_mlp(4, 6, 3, rng)
-        x = rng.standard_normal((10, 4))
-        y = rng.integers(0, 3, 10)
-        loss = SoftmaxCrossEntropyLoss()
-        manual = loss.forward(model.forward(x), y)
-        assert evaluate_loss(model, SoftmaxCrossEntropyLoss(), x, y) == pytest.approx(manual)
-
-
-class TestPredictEdges:
-    def test_empty_input(self):
-        model = build_tiny_mlp(4, 6, 2, np.random.default_rng(0))
-        out = predict(model, np.zeros((0, 4)))
-        assert out.size == 0
-
-    def test_batch_size_one(self):
-        rng = np.random.default_rng(1)
-        model = build_tiny_mlp(4, 6, 2, rng)
-        x = rng.standard_normal((5, 4))
-        np.testing.assert_allclose(
-            predict(model, x, batch_size=1), model.forward(x), atol=1e-12
-        )
+from repro.nn.train import train_epochs
 
 
 class TestTrainEpochsEdges:
