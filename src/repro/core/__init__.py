@@ -5,10 +5,9 @@ FedAVG baseline, the clipping-weight strategies of Section 4.1, and the
 training loop that produces the privacy/utility series of the evaluation.
 """
 
-from repro.nn.clip import clip_factor, clip_factor_rows, l2_clip, l2_clip_rows
+from repro.nn.clip import clip_factor_rows, l2_clip, l2_clip_rows
 from repro.core.engine import (
     LocalJob,
-    batched_gradients,
     batched_local_deltas,
     draw_minibatch_schedule,
 )
@@ -44,12 +43,10 @@ from repro.core.weighting import (
 )
 
 __all__ = [
-    "clip_factor",
     "clip_factor_rows",
     "l2_clip",
     "l2_clip_rows",
     "LocalJob",
-    "batched_gradients",
     "batched_local_deltas",
     "draw_minibatch_schedule",
     "FLMethod",

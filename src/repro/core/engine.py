@@ -329,36 +329,6 @@ def batched_clipped_local_deltas(
         return _local_deltas(model, task, params, jobs, lr, epochs, clip)
 
 
-def batched_gradients(
-    model: Sequential,
-    task: str,
-    params: np.ndarray,
-    jobs: list[LocalJob],
-) -> np.ndarray:
-    """Per-job full-batch mean gradients at ``params``, in batched passes.
-
-    The ``(len(jobs), P)`` result matches the loop oracle's ``gradient()``
-    (``tests/core/oracle_loop.py``) row by row; jobs on which the loss is
-    undefined (degenerate Cox batches) yield zero rows, the same
-    convention as the loop.
-
-    Because every job is evaluated at the *same* parameters, this runs
-    through the shared-weight engine: one unpadded forward/backward per
-    micro-batch over the chunk's records with per-group segmented
-    parameter reductions.  The result is the workspace's row block: valid
-    until the next engine call.
-    """
-    if not jobs:
-        return np.zeros((0, params.size))
-    with get_recorder().span("local_gradients", kind="phase", jobs=len(jobs)):
-        out = WORKSPACE.result((len(jobs), params.size))
-        local = scratch_model(model, params)
-        loss = make_loss(task, local)
-        for start, stop in _micro_batches(len(jobs)):
-            _shared_step(local, loss, jobs[start:stop], out[start:stop])
-        return out
-
-
 def batched_clipped_gradients(
     model: Sequential,
     task: str,
@@ -368,14 +338,73 @@ def batched_clipped_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-job *negated, clipped* full-batch gradients plus their clip
     factors -- ULDP-SGD's local vector (Algorithm 3 line 22), the gradient
-    twin of :func:`batched_clipped_local_deltas`.  A row depends only on
-    its micro-batch, so a shard task calling this chunk by chunk and a
-    per-silo step calling it on the whole job list get the same bits; the
-    result is the workspace's row block, like :func:`batched_gradients`'."""
-    rows = batched_gradients(model, task, params, jobs)
+    twin of :func:`batched_clipped_local_deltas`: one shared-weight
+    forward/backward per micro-batch, all jobs at ``params``.  A job whose
+    loss is undefined (a degenerate Cox batch) yields a zero row, as in the
+    loop oracle.  The rows are the workspace's row block: valid until the
+    next engine call.
+    """
+    if not jobs:
+        return np.zeros((0, params.size)), np.zeros(0)
+    with get_recorder().span("local_gradients", kind="phase", jobs=len(jobs)):
+        rows = WORKSPACE.result((len(jobs), params.size))
+        local = scratch_model(model, params)
+        loss = make_loss(task, local)
+        for start, stop in _micro_batches(len(jobs)):
+            _shared_step(local, loss, jobs[start:stop], rows[start:stop])
     np.negative(rows, out=rows)
     factors = clip_factor_rows(rows, clip)  # validates clip > 0
     return l2_clip_rows(rows, clip, out=rows, factors=factors), factors
+
+
+def clipped_rows(
+    mode: str,
+    model: Sequential,
+    task: str,
+    params: np.ndarray,
+    jobs: list[LocalJob],
+    clip: float,
+    lr: float,
+    epochs: int,
+) -> np.ndarray:
+    """The kernel dispatch: ``jobs``' local vectors clipped to ``clip``,
+    in the workspace's row block (valid until the next engine call).
+
+    ``mode`` is the one line of Algorithm 3 the ULDP variants differ in:
+    ``"delta"`` (the clipped delta after ``epochs`` local epochs at
+    ``lr``, ULDP-AVG) or ``"gradient"`` (the negated clipped full-batch
+    gradient, ULDP-SGD).
+    """
+    if mode == "delta":
+        return _local_deltas(model, task, params, jobs, lr, epochs, clip)[0]
+    return batched_clipped_gradients(model, task, params, jobs, clip)[0]
+
+
+def fold_clipped_rows(
+    acc: BinnedSum,
+    mode: str,
+    model: Sequential,
+    task: str,
+    params: np.ndarray,
+    jobs: list[LocalJob],
+    weights: np.ndarray,
+    clip: float,
+    backend: str,
+    lr: float,
+    epochs: int,
+) -> None:
+    """Fold ``weights @ clipped_rows(jobs)`` into ``acc`` one
+    :data:`MICRO_BATCH` of rows at a time (Algorithm 3 lines 16-17 before
+    the noise), in the ``backend`` array namespace: the one fold every
+    silo payload takes -- a shard task's, a remote silo's, an async job's.
+    The chunks are fixed and the binned sum exact, so the bits depend on
+    the job order alone."""
+    xp = get_backend(backend)
+    for start, stop in _micro_batches(len(jobs)):
+        rows = clipped_rows(
+            mode, model, task, params, jobs[start:stop], clip, lr, epochs
+        )
+        acc.add(xp.weighted_sum(weights[start:stop], rows))
 
 
 # -- sharded execution layer --------------------------------------------------
@@ -559,19 +588,18 @@ def _resolve_shard_jobs(payload: dict) -> list[LocalJob]:
 
 
 def run_shard_task(task: dict) -> dict:
-    """Execute one shard: train its jobs micro-batch by micro-batch and
-    fold each chunk into a binned partial sum.
+    """Execute one shard: :func:`fold_clipped_rows` over its jobs into a
+    binned partial sum.
 
     Top-level and dict-in/dict-out so it pickles cleanly into a
     ``ProcessPoolExecutor`` (PR 2's kernel pattern).  The worker never
     holds more than its workspace slab (one ``(MICRO_BATCH, P)`` row block
     + one micro-batch's scratch) and the ``(bins, P)`` accumulator, which
     bounds resident memory per process regardless of shard size.  Returns
-    the accumulator state, the per-job clip factors, and the kernel
-    seconds for the parent's shard span.
+    the accumulator state and the kernel seconds for the parent's shard
+    span.
     """
     t0 = time.perf_counter()
-    backend = get_backend(task["backend"])
     jobs = _resolve_shard_jobs(task["jobs"])
     # The kernels read a template's structure, never its values, so an
     # explicit model of the resident architecture *is* the resident one --
@@ -594,30 +622,15 @@ def run_shard_task(task: dict) -> dict:
             f"shard {task['shard']}: {len(weights)} weights for {len(jobs)} jobs"
         )
     acc = BinnedSum(params.size, task["scale"])
-    factors = np.empty(len(jobs))
-    for start, stop in _micro_batches(len(jobs)):
-        chunk = jobs[start:stop]
-        if task["mode"] == "delta":
-            rows, factors[start:stop] = _local_deltas(
-                model,
-                task["task"],
-                params,
-                chunk,
-                task["lr"],
-                task["epochs"],
-                task["clip"],
-            )
-        else:
-            rows, factors[start:stop] = batched_clipped_gradients(
-                model, task["task"], params, chunk, task["clip"]
-            )
-        acc.add(backend.weighted_sum(weights[start:stop], rows))
+    fold_clipped_rows(
+        acc, task["mode"], model, task["task"], params, jobs, weights,
+        task["clip"], task["backend"], task["lr"], task["epochs"],
+    )
     return {
         "shard": task["shard"],
         "silo": task["silo"],
         "n_jobs": len(jobs),
         "state": acc.state(),
-        "factors": factors,
         "seconds": time.perf_counter() - t0,
     }
 
@@ -628,12 +641,10 @@ def fold_weighted_rows(
     rows: np.ndarray,
     backend: ArrayBackend,
 ) -> None:
-    """Fold ``weights @ rows`` into ``acc`` in the engine's micro-batches.
-
-    The server-side twin of :func:`run_shard_task`'s fold: aggregating an
-    already-materialised row matrix (the networked executor path) through
-    the same chunked weighted sums keeps its bits identical to the
-    streamed in-process path.
+    """Fold ``weights @ rows`` into ``acc`` in the engine's micro-batches:
+    :func:`fold_clipped_rows` over an already-materialised row matrix, the
+    same bits.  No launch path calls it; ``bench/probes.py`` times the fold
+    layer with it.
     """
     for start, stop in _micro_batches(len(rows)):
         acc.add(backend.weighted_sum(weights[start:stop], rows[start:stop]))

@@ -27,15 +27,16 @@ samples users each round and zeroes the weights of non-sampled users; the
 aggregate is rescaled by 1/q and the accountant applies sub-sampled RDP
 amplification (Remark 1).
 
-One product, three carriers.  A silo releases exactly one thing per round
+One product, one fold.  A silo releases exactly one thing per round
 (Algorithm 3 line 17): ``payload_s = z_s + sum_u w[s,u] * clip(delta_su)``,
-the noise plus one micro-batched binned fold, rounded once.  The round
+the noise plus the engine's micro-batched binned fold
+(:func:`repro.core.engine.fold_clipped_rows`), rounded once.  The round
 aggregate is ``0 + payload_0 + payload_1 + ...`` over the active silos in
 index order (:meth:`UldpAvg._round_aggregate`), and that payload is the
 only thing that crosses a process or socket boundary.  It is formed by
-the shard pool, by an in-process walk over the silos, or by remote silo
-processes running :meth:`UldpAvg.silo_payload` -- the same bits each
-time.  Per-user rows exist outside the engine only for
+the shard pool's tasks or, silo by silo, by :meth:`UldpAvg.silo_payload`
+(remote silo processes, the buffered-async scheduler) -- the same fold,
+the same bits.  Per-user rows exist outside the engine only for
 :class:`repro.protocol.SecureUldpAvg`, which multiplies each by an
 encrypted weight (:meth:`UldpAvg.silo_round_segment`).
 
@@ -54,9 +55,8 @@ from repro.accounting import PrivacyAccountant
 from repro.accounting.subsampled import load_scipy
 from repro.compress import CompressionSpec
 from repro.core.engine import (
-    batched_clipped_gradients,
-    batched_clipped_local_deltas,
-    fold_weighted_rows,
+    clipped_rows,
+    fold_clipped_rows,
     make_shard_task,
     plan_shards,
 )
@@ -96,14 +96,9 @@ class UldpAvg(FLMethod):
     has_silo_step = True
     #: The one line of Algorithm 3 the variants differ in, a user's local
     #: vector: ``"delta"`` (after Q local epochs, line 15) or ``"gradient"``
-    #: (one negated full-batch gradient, line 22).  Read by the per-silo
-    #: step and, as ``make_shard_task(mode=)``, by the shard pool.
+    #: (one negated full-batch gradient, line 22): the ``mode`` of the
+    #: engine's kernel dispatch (:func:`repro.core.engine.clipped_rows`).
     local_kernel = "delta"
-    #: Whether the in-process round plans each silo's jobs into shard tasks
-    #: for the engine (and its worker pool) or walks :meth:`_silo_step`
-    #: silo by silo.  Both form the same payloads bit for bit; the loop
-    #: oracle, which replaces :meth:`_silo_step`, sets this False.
-    streaming_aggregation = True
 
     def __init__(
         self,
@@ -115,7 +110,6 @@ class UldpAvg(FLMethod):
         weighting: str = "uniform",
         user_sample_rate: float | None = None,
         batch_size: int | None = None,
-        record_clip_stats: bool = False,
         compression: CompressionSpec | None = None,
     ):
         super().__init__(compression=compression)
@@ -141,7 +135,6 @@ class UldpAvg(FLMethod):
         self.weighting = weighting
         self.user_sample_rate = user_sample_rate
         self.batch_size = batch_size
-        self.record_clip_stats = record_clip_stats
         self.weights: np.ndarray | None = None
         #: ``fed.token()`` at :meth:`prepare`: what this method's
         #: by-reference shard tasks are planned against.
@@ -151,9 +144,6 @@ class UldpAvg(FLMethod):
         #: The release :meth:`round` forms: the per-silo step's default.
         self._release: tuple[int, int] = (SYNC_ROUND, 0)
         self.accountant = PrivacyAccountant()
-        #: Per-round clipping factors (the alpha of Remark 4), populated
-        #: only when record_clip_stats is set; read by convergence.diagnose.
-        self.clip_factor_history: list[np.ndarray] = []
         # Transient per-round participation state read by _round_aggregate:
         # which silos train and how many silos share the noise budget.
         self._active_silo_mask: np.ndarray | None = None
@@ -163,8 +153,7 @@ class UldpAvg(FLMethod):
         #: [(silo, users, payload), ...]`` that has each active silo's
         #: :meth:`silo_payload` computed by a real silo process.  The
         #: networked runtime (:mod:`repro.net`) installs one per round;
-        #: None (the default) keeps everything in-process.  Remote silos
-        #: report no clip factors: ``record_clip_stats`` skips such rounds.
+        #: None (the default) keeps everything in-process.
         self.contribution_executor = None
 
     @property
@@ -274,24 +263,20 @@ class UldpAvg(FLMethod):
         and first through the uplink compressor when a lossy one is active
         (strictly post-noise, per-silo error feedback).
 
-        The ``(silo, users, payload)`` triples come from one of three
-        carriers that produce the same bits: the shard pool
-        (:meth:`_shard_payloads`), the in-process walk
-        (:meth:`_walk_payloads`), or remote silos behind the
-        :attr:`contribution_executor`.  Summing plaintext payloads
-        simulates secure aggregation (only the sum is used);
+        The ``(silo, users, payload)`` triples come from the shard pool
+        (:meth:`_shard_payloads`) or, when one is installed, from remote
+        silos behind the :attr:`contribution_executor`: the same bits.
+        Summing plaintext payloads simulates secure aggregation (only the
+        sum is used);
         :class:`repro.protocol.SecureUldpAvg` overrides this hook with the
         real cryptographic Protocol 1 and is tested to produce the same
         result within fixed-point precision (Theorem 4).
 
         Returns ``(aggregate, users_seen, uplink_bytes)``.
         """
-        if self.contribution_executor is not None:
-            source = self.contribution_executor
-        elif self.streaming_aggregation:
+        source = self.contribution_executor
+        if source is None:
             source = self._shard_payloads
-        else:
-            source = self._walk_payloads
         comp = self.compressor
         if comp is not None and comp.spec.is_identity:
             comp = None
@@ -354,76 +339,6 @@ class UldpAvg(FLMethod):
         ]
         return users, jobs, self._gaussian_noise(rng, noise_std, size)
 
-    def _silo_step(
-        self, s: int, params: np.ndarray, weight_row: np.ndarray, noise_std: float,
-        release=None,
-    ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-        """Algorithm 3's per-silo step with the rows kept: each present
-        user's local vector -- :attr:`local_kernel`: the delta trained from
-        ``params``, or one negated gradient at it -- clipped to C (line 16
-        before the w multiplication), plus the silo's noise.
-
-        The in-process walk, a remote silo process, the buffered-async
-        scheduler (all through :meth:`silo_payload` or its body) and
-        Protocol 1's row view (:meth:`silo_round_segment`) run exactly this
-        -- one batched engine call over the silo's own job list.  BLAS
-        reductions depend on batch composition at the ULP level, so
-        batching per silo (never across silos), in the shard tasks'
-        micro-batches, is what makes every carrier bit-identical.
-
-        Returns ``(users, rows, factors, noise)``; ``rows`` is the
-        engine's workspace row block, valid only until the next engine call.
-        """
-        fed, model, _ = self._require_prepared()
-        users, jobs, noise = self._draw_silo(
-            s, weight_row, noise_std, params.size, release)
-        if self.local_kernel == "gradient":
-            rows, factors = batched_clipped_gradients(
-                model, fed.task, params, jobs, self.clip
-            )
-        else:
-            rows, factors = batched_clipped_local_deltas(
-                model, fed.task, params, jobs,
-                self.local_lr, self.local_epochs, self.clip,
-            )
-        return users, rows, factors, noise
-
-    def _noisy_sum(
-        self, noise: np.ndarray, weights: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """``noise + sum_u weights[u] * rows[u]`` through the engine's
-        micro-batched binned fold: the same chunk compositions and the
-        same exact reduction a shard task applies, one rounding per silo."""
-        if not len(rows):
-            return noise
-        acc = BinnedSum(noise.size, self.shard_engine.scale(self.clip))
-        fold_weighted_rows(acc, weights, rows, self.shard_engine.backend)
-        return noise + acc.total()
-
-    def _walk_payloads(
-        self,
-        params: np.ndarray,
-        round_weights: np.ndarray,
-        noise_std: float,
-        active: list[int],
-    ) -> list[tuple[int, list[int], np.ndarray]]:
-        """Each active silo's payload from :meth:`_silo_step`, one silo at
-        a time in this process."""
-        fed, _, _ = self._require_prepared()
-        factors = np.full((fed.n_silos, fed.n_users), np.nan)
-        payloads = []
-        for s in active:
-            users, rows, silo_factors, noise = self._silo_step(
-                s, params, round_weights[s], noise_std
-            )
-            factors[s, users] = silo_factors
-            payloads.append(
-                (s, users, self._noisy_sum(noise, round_weights[s, users], rows))
-            )
-        if self.record_clip_stats:
-            self.clip_factor_history.append(factors)
-        return payloads
-
     def _shard_payloads(
         self,
         params: np.ndarray,
@@ -449,7 +364,6 @@ class UldpAvg(FLMethod):
         shard_size = engine.config.aligned_shard_size
         scale = engine.scale(self.clip)
         tasks: list[dict] = []
-        task_users: list[list[int]] = []
         drawn: list[tuple[int, list[int], np.ndarray]] = []
         for s in active:
             users, jobs, noise = self._draw_silo(
@@ -485,17 +399,9 @@ class UldpAvg(FLMethod):
                         backend=engine.config.backend,
                     )
                 )
-                task_users.append(users[a:b])
-
-        results = engine.run_tasks(tasks)
-        if self.record_clip_stats:
-            factors = np.full((fed.n_silos, fed.n_users), np.nan)
-            for result, shard_users in zip(results, task_users):
-                factors[result["silo"], shard_users] = result["factors"]
-            self.clip_factor_history.append(factors)
 
         shards: dict[int, list[dict]] = {}
-        for result in results:
+        for result in engine.run_tasks(tasks):
             shards.setdefault(result["silo"], []).append(result)
         payloads = []
         for s, users, noise in drawn:
@@ -527,13 +433,26 @@ class UldpAvg(FLMethod):
         is in (:meth:`_draw_silo`).  ``weight_row`` is silo s's row of the
         realised round weights; users with zero weight are skipped.
 
+        The sum is the shard tasks' fold
+        (:func:`repro.core.engine.fold_clipped_rows`), so the same bits.
+
         Returns ``(users, payload)``: the contributing user ids (the
         server's participation and sensitivity bookkeeping) and the noisy
         ``(P,)`` sum -- never a per-user row, never an un-noised sum.
         """
-        users, rows, _, noise = self._silo_step(
-            s, params, weight_row, noise_std, release)
-        return users, self._noisy_sum(noise, weight_row[users], rows)
+        fed, model, _ = self._require_prepared()
+        users, jobs, noise = self._draw_silo(
+            s, weight_row, noise_std, params.size, release)
+        if not users:
+            return users, noise
+        engine = self.shard_engine
+        acc = BinnedSum(params.size, engine.scale(self.clip))
+        fold_clipped_rows(
+            acc, self.local_kernel, model, fed.task, params, jobs,
+            weight_row[users], self.clip, engine.config.backend,
+            self.local_lr, self.local_epochs,
+        )
+        return users, noise + acc.total()
 
     def silo_round_segment(
         self,
@@ -555,8 +474,13 @@ class UldpAvg(FLMethod):
         their clipped delta rows (``(len(users), P)``, safe to keep), and
         the silo's Gaussian noise vector.
         """
-        users, rows, _, noise = self._silo_step(
-            s, params, weight_row, noise_std, release)
+        fed, model, _ = self._require_prepared()
+        users, jobs, noise = self._draw_silo(
+            s, weight_row, noise_std, params.size, release)
+        rows = clipped_rows(
+            self.local_kernel, model, fed.task, params, jobs, self.clip,
+            self.local_lr, self.local_epochs,
+        )
         return users, rows.copy(), noise  # the engine's row block is reused
 
     def apply_aggregate(

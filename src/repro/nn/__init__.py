@@ -24,7 +24,6 @@ so every experiment is reproducible from a seed.
 """
 
 from repro.nn.clip import (
-    clip_factor,
     clip_factor_from_norms,
     clip_factor_rows,
     l2_clip,
@@ -68,7 +67,6 @@ from repro.nn.train import train_epochs
 from repro.nn.dpsgd import dpsgd_train
 
 __all__ = [
-    "clip_factor",
     "clip_factor_from_norms",
     "clip_factor_rows",
     "l2_clip",

@@ -31,30 +31,12 @@ def l2_clip(vector: np.ndarray, clip: float) -> np.ndarray:
     return np.asarray(vector, dtype=np.float64) * (clip / norm)
 
 
-def clip_factor(vector: np.ndarray, clip: float) -> float:
-    """The scalar min(1, C / ||v||) applied by :func:`l2_clip`.
-
-    This is the alpha quantity of the convergence analysis (Theorem 6);
-    exposing it separately lets :mod:`repro.core.convergence` measure the
-    clipping bias.
-    A non-finite vector reports factor 0 (fully clipped away).
-    """
-    if clip <= 0:
-        raise ValueError("clip bound must be positive")
-    norm = float(np.linalg.norm(vector))
-    if not np.isfinite(norm):
-        return 0.0
-    if norm == 0.0:
-        return 1.0
-    return min(1.0, clip / norm)
-
-
 def clip_factor_from_norms(norms: np.ndarray, clip: float) -> np.ndarray:
     """Vector of ``min(1, clip / norm)`` factors from precomputed l2 norms.
 
     The single home of the edge-case conventions shared by every row-wise
     clipping path: zero norms map to factor 1 and non-finite norms to
-    factor 0, matching the scalar :func:`clip_factor`.
+    factor 0, matching :func:`l2_clip`.
     """
     if clip <= 0:
         raise ValueError("clip bound must be positive")
@@ -66,10 +48,12 @@ def clip_factor_from_norms(norms: np.ndarray, clip: float) -> np.ndarray:
 
 
 def clip_factor_rows(matrix: np.ndarray, clip: float) -> np.ndarray:
-    """Row-wise :func:`clip_factor` over a ``(G, P)`` matrix (vectorized).
+    """Each row's ``min(1, clip / ||row||)`` over a ``(G, P)`` matrix: the
+    factor :func:`l2_clip` applies, the alpha of the convergence analysis
+    (Theorem 6).
 
     Returns the ``(G,)`` vector of factors; rows with non-finite entries
-    report 0 and zero-norm rows report 1, matching the scalar function.
+    report 0 and zero-norm rows report 1, matching :func:`l2_clip`.
     The matrix is read exactly once (a single squared-norm reduction) --
     this sits on the round hot path for large delta matrices.
     """
@@ -79,7 +63,7 @@ def clip_factor_rows(matrix: np.ndarray, clip: float) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("expected a (rows, features) matrix")
     # A row with any NaN/inf entry yields a NaN/inf squared norm, exactly
-    # the rows the scalar function maps to factor 0.
+    # the rows l2_clip zeroes.
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     return clip_factor_from_norms(norms, clip)
 

@@ -13,13 +13,17 @@ Like the engine, the loop trains in ``TRAIN_DTYPE`` (float32): a float32
 copy of the model, float32 records, the loss gradient handed over in
 float32, and a float64 delta of trained minus rounded start; the clip,
 noise and sum stay float64.  The silo-level methods draw from the
-trainer's generator; ULDP-AVG/SGD's per-silo step builds each silo's own
+trainer's generator; ULDP-AVG/SGD's loop payloads build each silo's own
 generator for the release here, independently of the runtime's
 ``_draw_silo``: ``default_rng([root, space, key, silo])``.
 
+``segment_payloads`` is the second reference the carrier tests compare
+against: the runtime's per-user rows (``silo_round_segment``) folded by
+``fold_weighted_rows``, the engine's fold over a materialised matrix.
+
 The other loop rounds cover full participation only, which is all the
 equivalence tests drive; ``LoopUldpAvg`` and ``LoopUldpSgd`` inherit
-everything but the per-silo step (Algorithm 3's one round, two local
+everything but the silo payloads (Algorithm 3's one round, two local
 kernels), so they also run under a Trainer, with compression.
 """
 
@@ -28,7 +32,9 @@ from unittest import mock
 import numpy as np
 
 from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
-from repro.nn.clip import clip_factor, l2_clip
+from repro.core.engine import fold_weighted_rows
+from repro.core.reduce import BinnedSum
+from repro.nn.clip import l2_clip
 from repro.core.metrics import make_loss
 from repro.nn import dpsgd
 from repro.nn.layers import TRAIN_DTYPE
@@ -131,41 +137,60 @@ class LoopUldpGroup(UldpGroup):
             return super().round(t, params, participation)
 
 
-def loop_silo_step(method, s, params, weight_row, noise_std, release,
-                   local_vector):
-    """Algorithm 3's per-silo step one user at a time, from silo ``s``'s
-    own generator for ``release`` (None: the round in progress):
-    ``local_vector(rng, x, y)`` per present user, clipped to C, then the
-    silo's noise."""
+def loop_payloads(method, params, round_weights, noise_std, active,
+                  local_vector):
+    """Algorithm 3's per-silo payload one user at a time, for each active
+    silo from its own generator for the round in progress:
+    ``local_vector(rng, x, y)`` per present user, clipped to C, weighted
+    and summed, then the silo's noise added."""
     fed, _, _ = method._require_prepared()
-    space, key = method._release if release is None else release
-    rng = np.random.default_rng([method._silo_root, space, key, s])
-    silo = fed.silos[s]
-    users = [int(u) for u in silo.users_present() if weight_row[u] != 0.0]
-    rows = np.zeros((len(users), params.size))
-    factors = np.zeros(len(users))
-    for i, user in enumerate(users):
-        vector = local_vector(rng, *silo.records_of_user(user))
-        factors[i] = clip_factor(vector, method.clip)
-        rows[i] = l2_clip(vector, method.clip)
-    return users, rows, factors, method._gaussian_noise(rng, noise_std, params.size)
+    space, key = method._release
+    payloads = []
+    for s in active:
+        rng = np.random.default_rng([method._silo_root, space, key, s])
+        silo = fed.silos[s]
+        weight_row = round_weights[s]
+        users = [int(u) for u in silo.users_present() if weight_row[u] != 0.0]
+        total = np.zeros(params.size)
+        for user in users:
+            vector = local_vector(rng, *silo.records_of_user(user))
+            total += weight_row[user] * l2_clip(vector, method.clip)
+        noise = method._gaussian_noise(rng, noise_std, params.size)
+        payloads.append((s, users, noise + total if users else noise))
+    return payloads
+
+
+def segment_payloads(method, params, round_weights, noise_std, active):
+    """Each active silo's payload from its materialised rows: the row view
+    ``silo_round_segment``, one ``fold_weighted_rows`` over the whole
+    ``(users, P)`` matrix, then ``noise + total`` -- the walk every carrier
+    must match bit for bit."""
+    engine = method.shard_engine
+    payloads = []
+    for s in active:
+        users, rows, noise = method.silo_round_segment(
+            s, params, round_weights[s], noise_std)
+        if users:
+            acc = BinnedSum(params.size, engine.scale(method.clip))
+            fold_weighted_rows(
+                acc, round_weights[s, users], rows, engine.backend)
+            noise = noise + acc.total()
+        payloads.append((s, users, noise))
+    return payloads
 
 
 class LoopUldpAvg(UldpAvg):
-    """Per-user deltas one training run at a time; the rows then take the
-    runtime's per-silo fold, noise, compression and accounting.
+    """Per-user deltas one training run at a time, summed per silo; the
+    payloads then take the runtime's compression and accounting.
 
-    The oracle replaces the per-silo step itself, and takes the in-process
-    walk (``streaming_aggregation = False``) because the shard pool never
-    calls ``_silo_step``; ``test_engine_equivalence.py`` counts the
-    ``train_epochs`` calls to prove this body, not the engine, ran.
+    The oracle replaces the shard pool, the one in-process carrier;
+    ``test_engine_equivalence.py`` counts the ``train_epochs`` calls to
+    prove this body, not the engine, ran.
     """
 
-    streaming_aggregation = False
-
-    def _silo_step(self, s, params, weight_row, noise_std, release=None):
-        return loop_silo_step(
-            self, s, params, weight_row, noise_std, release,
+    def _shard_payloads(self, params, round_weights, noise_std, active):
+        return loop_payloads(
+            self, params, round_weights, noise_std, active,
             lambda rng, x, y: local_delta(
                 self, rng, params, x, y, self.local_lr, self.local_epochs,
                 self.batch_size,
@@ -178,11 +203,9 @@ class LoopUldpSgd(UldpSgd):
     (a descent direction), clipped; ``test_engine_equivalence.py`` counts
     the ``gradient`` calls."""
 
-    streaming_aggregation = False
-
-    def _silo_step(self, s, params, weight_row, noise_std, release=None):
-        return loop_silo_step(
-            self, s, params, weight_row, noise_std, release,
+    def _shard_payloads(self, params, round_weights, noise_std, active):
+        return loop_payloads(
+            self, params, round_weights, noise_std, active,
             lambda rng, x, y: -gradient(self, params, x, y),
         )
 

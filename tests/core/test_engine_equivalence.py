@@ -149,20 +149,6 @@ def test_default_engines_agree(small_fed):
     assert_engines_agree(lambda c: c[Default](), small_fed)
 
 
-def test_clip_factor_stats_agree(small_fed):
-    """record_clip_stats yields the same per-(silo, user) factors."""
-    kwargs = dict(local_epochs=1, record_clip_stats=True, noise_multiplier=0.0)
-    loop = LOOP[UldpAvg](**kwargs)
-    vec = UldpAvg(**kwargs)
-    run_rounds(loop, small_fed)
-    run_rounds(vec, small_fed)
-    np.testing.assert_allclose(
-        np.array(vec.clip_factor_history),
-        np.array(loop.clip_factor_history),
-        atol=ATOL, rtol=0,
-    )
-
-
 @pytest.mark.parametrize(
     "make_method",
     [

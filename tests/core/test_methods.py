@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracle_loop import segment_payloads
+
 from repro.core.methods import (
     Default,
     UldpAvg,
@@ -241,23 +243,15 @@ class TestUldpAvg:
         expected = small_fed.n_silos * np.sqrt(small_fed.n_users * 4)
         assert method.global_lr == pytest.approx(expected)
 
-    def test_clip_stats_recorded(self, small_fed):
-        method = UldpAvg(local_epochs=1, record_clip_stats=True, noise_multiplier=0.0)
-        run_method(method, small_fed, rounds=2)
-        assert len(method.clip_factor_history) == 2
-        factors = method.clip_factor_history[0]
-        present = ~np.isnan(factors)
-        assert present.any()
-        assert np.all(factors[present] <= 1.0 + 1e-12)
-
     def test_one_payload_every_carrier(
         self, cls=UldpAvg, kwargs=dict(local_epochs=2, batch_size=2)
     ):
         # For one release, silo s's noisy weighted sum (Algorithm 3 line 17)
         # is the same array -- and its user list the same list -- whichever
-        # carrier forms it: the in-process walk, the shard pool (in process
-        # and behind two workers, several shards per silo), and
-        # ``silo_payload`` silo by silo (what ``repro silo`` ships); the
+        # carrier forms it: the walk over the row view (``segment_payloads``:
+        # ``silo_round_segment`` + one ``fold_weighted_rows``), the shard
+        # pool (in process and behind two workers, several shards per silo),
+        # and ``silo_payload`` silo by silo (what ``repro silo`` ships); the
         # buffered-async scheduler's call is the same step for another
         # release -- for both local kernels.  The delta kernel runs
         # minibatches, so its job schedules draw ahead of the noise;
@@ -290,7 +284,7 @@ class TestUldpAvg:
         _, jobs, _ = method._draw_silo(0, weights[0], noise_std, params.size)
         assert len(jobs) > 128
         assert any(job.schedule for job in jobs) == (cls is UldpAvg)
-        walk = method._walk_payloads(params, weights, noise_std, active)
+        walk = segment_payloads(method, params, weights, noise_std, active)
 
         def assert_same(payloads, want=walk):
             assert [(s, users) for s, users, _ in payloads] == [
@@ -331,6 +325,41 @@ class TestUldpAvg:
     def test_one_payload_every_carrier_gradient_kernel(self):
         self.test_one_payload_every_carrier(UldpSgd, {})
 
+    @pytest.mark.parametrize("cls", [UldpAvg, UldpSgd], ids=["delta", "gradient"])
+    def test_silo_payload_holds_one_micro_batch_of_rows(self, cls, monkeypatch):
+        # A remote silo or an async job folds its payload one micro-batch at
+        # a time, like a shard task: the workspace slab settles at what the
+        # shard pool's in-process run of the same silo needs, never at the
+        # silo's whole (users, P) row block.
+        import repro.core.engine as engine_module
+        import repro.nn.batched as batched
+        from repro.core.engine import MICRO_BATCH
+        from repro.nn.workspace import Workspace
+
+        fed = build_creditcard_benchmark(
+            n_users=300, n_silos=1, n_records=900, n_test=30, seed=0)
+        method = cls()
+        method.prepare(fed, build_tiny_mlp(30, 8, 2, np.random.default_rng(1)),
+                       np.random.default_rng(5))
+        params, weights = method.model.get_flat_params(), method.weights
+        noise_std = method._noise_std()
+
+        def high_water(call):
+            ws = Workspace()
+            monkeypatch.setattr(engine_module, "WORKSPACE", ws)
+            monkeypatch.setattr(batched, "WORKSPACE", ws)
+            for _ in range(2):  # the first call measures, the second is served
+                got = call()
+            return ws.nbytes, got
+
+        shard, (_, _, want) = high_water(
+            lambda: method._shard_payloads(params, weights, noise_std, [0])[0])
+        silo, (users, payload) = high_water(
+            lambda: method.silo_payload(0, params, weights[0], noise_std))
+        assert len(users) > MICRO_BATCH
+        assert payload.tobytes() == want.tobytes()
+        assert silo == shard < len(users) * params.size * 8
+
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):
             UldpAvg(weighting="learned")
@@ -367,7 +396,9 @@ class TestUldpSgd:
 
         assert issubclass(UldpSgd, UldpAvg)
         assert UldpSgd.local_kernel == "gradient" != UldpAvg.local_kernel
-        assert not {"round", "_round_aggregate", "_silo_step"} & set(vars(UldpSgd))
+        assert not {
+            "round", "_round_aggregate", "_shard_payloads", "silo_payload"
+        } & set(vars(UldpSgd))
         assert list(inspect.signature(UldpSgd).parameters) == [
             "clip", "noise_multiplier", "global_lr", "weighting",
             "user_sample_rate"]

@@ -4,8 +4,8 @@
 in every process that runs its tasks; ``UldpAvg._shard_payloads`` then
 plans tasks that carry ``(silo, user ids, schedules)`` and no model.  What
 is pinned here: such a task trains on exactly the rows an inline task
-would (bit for bit against the in-process walk, for every execution
-layout), it can not be resolved against another federation, a closed pool
+would (bit for bit against the walk over the row view,
+``oracle_loop.segment_payloads``, for every execution layout), it can not be resolved against another federation, a closed pool
 comes back holding the same context, a task stays small, and the worker's
 per-template state is built once per process.
 """
@@ -17,6 +17,7 @@ import pickle
 
 import numpy as np
 import pytest
+from oracle_loop import segment_payloads
 
 import repro.core.engine as engine_module
 from repro.core import Trainer, UldpAvg, UldpSgd
@@ -111,7 +112,7 @@ def test_every_carrier_and_layout_matches_the_walk(fed, cls, batch_size, roster)
     weights = _roster_weights(walker.weights, fed, roster)
     noise_std = walker._noise_std()
     active = list(range(fed.n_silos))
-    walk = walker._walk_payloads(params, weights, noise_std, active)
+    walk = segment_payloads(walker, params, weights, noise_std, active)
     assert [len(users) for _, users, _ in walk] == ROSTERS[roster]
 
     for workers in (0, 1, 2):
@@ -138,9 +139,15 @@ def test_every_carrier_and_layout_matches_the_walk(fed, cls, batch_size, roster)
                 method.close()
 
 
-def _run(fed, engine=None, streaming=True, rounds=3, **kwargs):
+def _walk(method):
+    """Route ``method``'s in-process rounds through the row-view walk."""
+    method._shard_payloads = lambda *args: segment_payloads(method, *args)
+
+
+def _run(fed, engine=None, walk=False, rounds=3, **kwargs):
     method = UldpAvg(weighting="proportional", **kwargs)
-    method.streaming_aggregation = streaming
+    if walk:
+        _walk(method)
     trainer = Trainer(fed, method, rounds=rounds, model=_model(), seed=2, engine=engine)
     trainer.run()
     return trainer.model.get_flat_params().tobytes(), method.epsilon(1e-5)
@@ -149,7 +156,7 @@ def _run(fed, engine=None, streaming=True, rounds=3, **kwargs):
 def test_subsampled_rounds_match_the_walk(fed):
     # Poisson user sampling: a different user list, shard plan and bucket
     # sequence every round.
-    want = _run(fed, streaming=False, user_sample_rate=0.5)
+    want = _run(fed, walk=True, user_sample_rate=0.5)
     for workers in (0, 2):
         got = _run(fed, EngineConfig(workers=workers, shard_size=128),
                    user_sample_rate=0.5)
@@ -159,9 +166,10 @@ def test_subsampled_rounds_match_the_walk(fed):
 def test_flaky_silos_rounds_match_the_walk():
     from repro.sim.scenarios import build_scenario
 
-    def final(streaming, workers):
+    def final(walk, workers):
         method = UldpAvg(weighting="proportional", local_epochs=2)
-        method.streaming_aggregation = streaming
+        if walk:
+            _walk(method)
         sim = build_scenario("flaky-silos", scale="smoke", seed=2, method=method)
         if workers:
             method.shard_engine = ShardedEngine(
@@ -174,16 +182,16 @@ def test_flaky_silos_rounds_match_the_walk():
         seen = [(p.silos_seen, p.users_seen) for p in sim.history.participation]
         return sim.trainer.params.tobytes(), seen
 
-    want = final(False, 0)
+    want = final(True, 0)
     assert len({silos for silos, _ in want[1]}) > 1  # silos did drop out
-    assert final(True, 0) == want
-    assert final(True, 2) == want
+    assert final(False, 0) == want
+    assert final(False, 2) == want
 
 
 def test_spawned_workers_hold_a_pickled_copy(fed, monkeypatch):
     if "spawn" not in multiprocessing.get_all_start_methods():
         pytest.skip("no spawn start method on this platform")
-    want = _run(fed, streaming=False, rounds=2, local_epochs=2, batch_size=4)
+    want = _run(fed, walk=True, rounds=2, local_epochs=2, batch_size=4)
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
     got = _run(fed, EngineConfig(workers=1, shard_size=128), rounds=2,

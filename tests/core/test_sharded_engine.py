@@ -146,8 +146,8 @@ class TestBitIdentity:
 
     def test_matches_direct_fold(self, setup):
         # The shard tasks' merged partials equal folding the materialised
-        # clipped delta matrix with the same chunking -- what the
-        # in-process walk and a remote silo do (UldpAvg._noisy_sum).
+        # clipped delta matrix with the same chunking -- the row-view walk
+        # the carrier tests compare against (oracle_loop.segment_payloads).
         from repro.core.engine import batched_clipped_local_deltas
 
         model, params, jobs, weights = setup

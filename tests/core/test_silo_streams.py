@@ -4,16 +4,20 @@
 run's root (drawn once at ``prepare``), the release and s -- nothing that
 another silo, the walk order or the carrier could move.  Pinned here bit
 for bit: for random rosters in random orders, every silo's payload is the
-one it forms in a full round walked in index order, through the shard
-pool (in process and behind two workers), the in-process walk and
-``silo_payload``, for both local kernels, full batch and minibatches; and
-no carrier touches the trainer's generator.
+one it forms in a full round walked in index order over the row view
+(``oracle_loop.segment_payloads``), through the shard pool (in process
+and behind two workers), that walk and ``silo_payload``, for both local
+kernels, full batch and minibatches; and no carrier touches the
+trainer's generator.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_loop import segment_payloads
 
 from repro.core import UldpAvg, UldpSgd
 from repro.core.engine import EngineConfig
@@ -60,8 +64,8 @@ def case(request, fed):
     cls, batch_size, workers = request.param
     method = _prepared(cls, fed, batch_size, workers)
     params = method.model.get_flat_params()
-    full = method._walk_payloads(
-        params, method.weights, method._noise_std(), list(range(N_SILOS)))
+    full = segment_payloads(
+        method, params, method.weights, method._noise_std(), list(range(N_SILOS)))
     yield method, {s: (users, payload.tobytes()) for s, users, payload in full}
     method.close()
 
@@ -74,12 +78,13 @@ def test_a_silos_payload_ignores_the_roster_and_the_order(case, order, size):
     params, weights = method.model.get_flat_params(), method.weights
     noise_std = method._noise_std()
     start = method.rng.bit_generator.state
-    for carrier in (method._shard_payloads, method._walk_payloads):
+    walk = partial(segment_payloads, method)
+    for name, carrier in (("shard", method._shard_payloads), ("walk", walk)):
         got = carrier(params, weights, noise_std, active)
         assert [s for s, _, _ in got] == active
         for s, users, payload in got:
             assert (users, payload.tobytes()) == reference[s], (
-                f"{carrier.__name__}: silo {s} in {active}")
+                f"{name}: silo {s} in {active}")
     for s in active:
         users, payload = method.silo_payload(s, params, weights[s], noise_std)
         assert (users, payload.tobytes()) == reference[s]

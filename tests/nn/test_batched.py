@@ -45,9 +45,15 @@ def assert_close32(actual, desired):
     A gradient entry is a sum of up to a few thousand float32 products (a
     CNN filter tap: 196 positions x the group's records); reordering it
     moves it by a few ulps of the largest entry, at most 13 ``EPS32 *
-    max|desired|`` over 20 random MNIST-CNN draws.  64 leaves 5x margin."""
+    max|desired|`` over 20 random MNIST-CNN draws.  64 leaves 5x margin.
+    A failure reports the observed max |diff| in those units."""
     scale = max(1.0, float(np.abs(desired).max()))
-    np.testing.assert_allclose(actual, desired, rtol=0, atol=64 * EPS32 * scale)
+    diff = np.abs(np.subtract(actual, desired, dtype=np.float64)).max()
+    np.testing.assert_allclose(
+        actual, desired, rtol=0, atol=64 * EPS32 * scale,
+        err_msg=f"max |diff| = {diff / (EPS32 * scale):.1f} EPS32 * scale "
+                "(tolerance 64)",
+    )
 
 
 def reference_gradients(model, loss_factory, datasets):

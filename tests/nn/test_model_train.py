@@ -238,6 +238,6 @@ class TestClipping:
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_nonfinite_clip_factor_is_zero(self):
-        from repro.nn.clip import clip_factor
+        from repro.nn.clip import clip_factor_rows
 
-        assert clip_factor(np.array([np.inf]), 1.0) == 0.0
+        assert clip_factor_rows(np.array([[np.inf]]), 1.0)[0] == 0.0

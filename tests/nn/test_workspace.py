@@ -18,8 +18,8 @@ import pytest
 from repro.core.engine import (
     LocalJob,
     _local_deltas,
+    batched_clipped_gradients,
     batched_clipped_local_deltas,
-    batched_gradients,
 )
 from repro.nn.batched import per_group_gradients
 from repro.nn.losses import SoftmaxCrossEntropyLoss
@@ -177,14 +177,16 @@ class TestLifetime:
             model, SoftmaxCrossEntropyLoss(), x, y, [job.n for job in jobs])
         assert rows.tobytes() == kept.tobytes()
         # ... the next engine call, of any shape, does.
-        again = batched_gradients(model, "multiclass", params, jobs[:2])
+        again, _ = batched_clipped_gradients(
+            model, "multiclass", params, jobs[:2], clip=1.0)
         assert np.shares_memory(rows, again)
 
     def test_engine_leaves_the_callers_model_alone(self):
         model = build_tiny_mlp(6, 5, 3, np.random.default_rng(0))
         before = model.get_flat_params()
         jobs = [LocalJob(np.ones((2, 6)), np.array([0, 1]))]
-        batched_gradients(model, "multiclass", before + 1.0, jobs)
+        batched_clipped_gradients(
+            model, "multiclass", before + 1.0, jobs, clip=1.0)
         np.testing.assert_array_equal(model.get_flat_params(), before)
 
 
