@@ -15,6 +15,10 @@ from repro.core.engine import (
     EngineConfig,
     LocalJob,
     ShardedEngine,
+    batched_clipped_gradients,
+    batched_clipped_local_deltas,
+    clipped_rows,
+    fold_clipped_rows,
     fold_weighted_rows,
     make_shard_task,
     plan_shards,
@@ -22,6 +26,7 @@ from repro.core.engine import (
 )
 from repro.core.reduce import BinnedSum, fold_scale
 from repro.nn import build_logistic
+from repro.nn.backend import get_backend
 
 
 def _jobs(rng, n, d=6, rows=5):
@@ -148,18 +153,78 @@ class TestBitIdentity:
         # The shard tasks' merged partials equal folding the materialised
         # clipped delta matrix with the same chunking -- the row-view walk
         # the carrier tests compare against (oracle_loop.segment_payloads).
-        from repro.core.engine import batched_clipped_local_deltas
-
         model, params, jobs, weights = setup
         rows, _ = batched_clipped_local_deltas(
             model, "binary", params, jobs, lr=0.05, epochs=1, clip=1.0
         )
-        from repro.nn.backend import get_backend
-
         acc = BinnedSum(params.size, fold_scale(1.0, MICRO_BATCH))
         fold_weighted_rows(acc, weights, rows, get_backend("numpy"))
         tasks = _tasks(model, params, jobs, weights, 4096)
         assert self._total(tasks, 0, 4096).tobytes() == acc.total().tobytes()
+
+
+class TestFoldClippedRows:
+    """The one fold every silo payload takes (``fold_clipped_rows``) and
+    the kernel dispatch under it (``clipped_rows``)."""
+
+    @pytest.fixture()
+    def setup(self):
+        rng = np.random.default_rng(11)
+        jobs = _jobs(rng, 2 * MICRO_BATCH + 44)  # three micro-batches
+        model = build_logistic(np.random.default_rng(1), in_features=6)
+        weights = np.random.default_rng(3).uniform(0.0, 1.0 / len(jobs), len(jobs))
+        return model, model.get_flat_params(), jobs, weights
+
+    @pytest.mark.parametrize("mode", ["delta", "gradient"])
+    def test_dispatches_to_the_kernel(self, setup, mode):
+        model, params, jobs, _ = setup
+        got = clipped_rows(mode, model, "binary", params, jobs, 0.5, 0.05, 1).copy()
+        if mode == "delta":
+            want, _ = batched_clipped_local_deltas(
+                model, "binary", params, jobs, lr=0.05, epochs=1, clip=0.5)
+        else:
+            want, _ = batched_clipped_gradients(model, "binary", params, jobs, 0.5)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "mode, epochs", [("delta", 1), ("delta", 2), ("gradient", 1)])
+    def test_equals_folding_the_materialised_rows(self, setup, mode, epochs):
+        # Chunk by chunk, the fold adds exactly what one fold_weighted_rows
+        # over the whole row matrix adds -- the row-view walk's bits.
+        model, params, jobs, weights = setup
+        scale = fold_scale(1.0, MICRO_BATCH)
+        want = BinnedSum(params.size, scale)
+        rows = clipped_rows(mode, model, "binary", params, jobs, 1.0, 0.05, epochs)
+        fold_weighted_rows(want, weights, rows, get_backend("numpy"))
+        want = want.total()
+        got = BinnedSum(params.size, scale)
+        fold_clipped_rows(
+            got, mode, model, "binary", params, jobs, weights, 1.0, "numpy",
+            0.05, epochs)
+        assert got.total().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["delta", "gradient"])
+    def test_every_row_lands_on_a_tiny_clip(self, setup, mode):
+        # With a clip far below every local vector's norm, each row is
+        # scaled onto the clip sphere (Algorithm 3 line 16).
+        model, params, jobs, _ = setup
+        rows = clipped_rows(mode, model, "binary", params, jobs, 1e-6, 0.05, 1)
+        np.testing.assert_allclose(
+            np.linalg.norm(rows, axis=1), 1e-6, rtol=1e-9, atol=0)
+
+    def test_no_jobs_fold_nothing(self, setup):
+        model, params, _, _ = setup
+        acc = BinnedSum(params.size, fold_scale(1.0, MICRO_BATCH))
+        fold_clipped_rows(
+            acc, "delta", model, "binary", params, [], np.zeros(0), 1.0,
+            "numpy", 0.05, 1)
+        assert not acc.total().any()
+
+    def test_shard_result_carries_no_clip_factors(self, setup):
+        model, params, jobs, weights = setup
+        (task,) = _tasks(model, params, jobs, weights, 4096)
+        assert set(run_shard_task(task)) == {
+            "shard", "silo", "n_jobs", "state", "seconds"}
 
 
 def test_engine_reuse_and_close():
