@@ -22,7 +22,7 @@ from repro.core.methods import (
     resolve_group_size,
 )
 from repro.core.methods.base import CommSummary, ParticipationSummary
-from repro.core.metrics import evaluate_model, make_batched_loss, make_loss, metric_name
+from repro.core.metrics import evaluate_model, make_loss, metric_name
 from repro.core.trainer import (
     CommRecord,
     ParticipationRecord,
@@ -58,7 +58,6 @@ __all__ = [
     "build_group_flags",
     "resolve_group_size",
     "evaluate_model",
-    "make_batched_loss",
     "make_loss",
     "metric_name",
     "CommRecord",

@@ -71,12 +71,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.metrics import make_batched_loss, make_loss
+from repro.core.metrics import make_loss
 from repro.core.reduce import BinnedSum, fold_scale, tree_reduce
 from repro.nn.backend import ArrayBackend, get_backend, validate_backend
 from repro.nn.batched import per_group_gradients, scratch_model
 from repro.nn.clip import clip_factor_from_norms, clip_factor_rows, l2_clip_rows
 from repro.nn.layers import TRAIN_DTYPE
+from repro.nn.losses import padded_gradient
 from repro.nn.model import Sequential, batch_model
 from repro.nn.workspace import WORKSPACE
 from repro.obs.metrics import get_registry
@@ -183,15 +184,14 @@ def _train_bucket(
     start = params.astype(TRAIN_DTYPE)
     bm = batch_model(model, len(jobs), reuse=True)
     bm.set_flat_params(start)
-    loss = make_batched_loss(task, model)
+    loss = make_loss(task, model)
     xs, ys, mask = _stack_jobs(jobs)
     group_idx = np.arange(len(jobs))[:, None]
     full_batch = all(job.schedule is None for job in jobs)
 
     def step(xb, yb, valid) -> None:
-        pred = bm.forward(xb)
-        loss.forward(pred, yb, valid)
-        bm.backward(np.asarray(loss.backward(), TRAIN_DTYPE))  # writes: nothing to zero
+        dpred = padded_gradient(loss, bm.forward(xb), yb, valid)  # no loss value
+        bm.backward(np.asarray(dpred, TRAIN_DTYPE))  # writes: nothing to zero
         for p, g in zip(bm.params, bm.grads):
             np.multiply(g, lr, out=g)
             p -= g

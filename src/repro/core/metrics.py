@@ -17,12 +17,10 @@ import numpy as np
 
 from repro.data.federated import FederatedDataset
 from repro.nn.losses import (
-    BatchedLoss,
     BCEWithLogitsLoss,
     CoxPHLoss,
     Loss,
     SoftmaxCrossEntropyLoss,
-    batched_counterpart,
     concordance_index,
 )
 from repro.nn.batched import forward_logits, scratch_model
@@ -47,15 +45,6 @@ def make_loss(task: str, model: Sequential) -> Loss:
             return BCEWithLogitsLoss()
         return SoftmaxCrossEntropyLoss()
     raise ValueError(f"unknown task: {task!r}")
-
-
-def make_batched_loss(task: str, model: Sequential) -> BatchedLoss:
-    """Group-batched loss matching :func:`make_loss` for the same task/model.
-
-    Used by the vectorized engine, which trains many (silo, user) models in
-    one pass and needs per-group losses with padding masks.
-    """
-    return batched_counterpart(make_loss(task, model))
 
 
 def metric_name(task: str) -> str:

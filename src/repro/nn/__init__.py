@@ -42,15 +42,11 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.losses import (
-    BatchedBCEWithLogitsLoss,
     BatchedCoxPHLoss,
-    BatchedLoss,
-    BatchedSoftmaxCrossEntropyLoss,
     BCEWithLogitsLoss,
     CoxPHLoss,
     Loss,
     SoftmaxCrossEntropyLoss,
-    batched_counterpart,
 )
 from repro.nn.model import (
     BatchedSequential,
@@ -81,15 +77,11 @@ __all__ = [
     "MaxPool2d",
     "ReLU",
     "Tanh",
-    "BatchedBCEWithLogitsLoss",
     "BatchedCoxPHLoss",
-    "BatchedLoss",
-    "BatchedSoftmaxCrossEntropyLoss",
     "BCEWithLogitsLoss",
     "CoxPHLoss",
     "Loss",
     "SoftmaxCrossEntropyLoss",
-    "batched_counterpart",
     "BatchedSequential",
     "Sequential",
     "batch_model",

@@ -9,11 +9,17 @@ the general per-group-parameters engine (:class:`repro.nn.model.BatchedSequentia
 
 1. concatenate all groups' records into one flat batch (no padding) and
    run a single forward pass;
-2. compute each group's mean-loss gradient w.r.t. its predictions with the
-   ``Batched*`` losses (padding only the scalar-sized prediction tensors);
+2. compute each group's mean-loss gradient w.r.t. its predictions on the
+   flat ``(N, K)`` predictions: cross-entropy and binary cross-entropy are
+   separable over records, so each record's row is its own loss gradient
+   scaled by ``1 / n`` of its group, with no padding and no loss value;
+   only Cox, whose risk sets couple a group's records, scatters its scalar
+   predictions into a padded ``(G, n_max)`` stack
+   (:func:`repro.nn.losses.grouped_gradient`);
 3. walk the layers backward once, sharing the input-gradient computation
    (the weights are identical) and segmenting only the parameter-gradient
-   reductions by group.
+   reductions by group -- one pass over the groups' contiguous row
+   segments per layer forms both its weight and its bias gradients.
 
 Convolutional stacks additionally run in a channels-last (NHWC) layout
 internally: patch matrices come out of im2col directly in GEMM order, the
@@ -66,7 +72,7 @@ from repro.nn.layers import (
     ReLU,
     Tanh,
 )
-from repro.nn.losses import Loss, batched_counterpart
+from repro.nn.losses import Loss, grouped_gradient
 from repro.nn.model import Sequential
 from repro.nn.workspace import WORKSPACE, Workspace
 
@@ -93,41 +99,17 @@ def scratch_model(model: Sequential, params: np.ndarray) -> Sequential:
     return local
 
 
-def _scatter_padded(
-    values: np.ndarray, flat_idx: np.ndarray, groups: int, n_max: int
-) -> np.ndarray:
-    """Scatter per-record rows into a zero-padded (G, n_max, ...) tensor."""
-    padded = np.zeros((groups * n_max, *values.shape[1:]), values.dtype)
-    padded[flat_idx] = values
-    return padded.reshape(groups, n_max, *values.shape[1:])
-
-
-def _segment_sum(
-    values: np.ndarray, starts: np.ndarray, sizes: np.ndarray, ws: Workspace
-) -> np.ndarray:
-    """Sum contiguous row segments: out[g] = values[starts[g] : starts[g]+sizes[g]].sum(0).
-
-    A plain slice loop: an order of magnitude faster than ``np.add.reduceat``
-    on wide matrices, and the segments are contiguous by construction.
-    """
-    values = values.reshape(len(values), -1)
-    out = ws.take((len(starts), values.shape[1]), TRAIN_DTYPE)
-    for g in range(len(starts)):
-        start = starts[g]
-        np.sum(values[start : start + sizes[g]], axis=0, out=out[g])
-    return out
-
-
-def _segment_gemm(
-    a: np.ndarray, b: np.ndarray, starts: np.ndarray, sizes: np.ndarray, ws: Workspace
-) -> np.ndarray:
-    """Per-segment GEMMs: out[g] = a[rows_g].T @ b[rows_g] over contiguous rows."""
-    out = ws.take((len(starts), a.shape[1], b.shape[1]), TRAIN_DTYPE)
-    for g in range(len(starts)):
-        start = starts[g]
-        stop = start + sizes[g]
-        np.matmul(a[start:stop].T, b[start:stop], out=out[g])
-    return out
+def _segment_grads(
+    a: np.ndarray, grad: np.ndarray, bounds: list[int], d_weight: np.ndarray, d_bias: np.ndarray
+) -> None:
+    """One pass over the group segments of a layer: ``d_weight[g] =
+    a[seg].T @ grad[seg]`` and ``d_bias[g] = grad[seg].sum(0)`` for ``seg =
+    bounds[g] : bounds[g + 1]``.  Records are concatenated in group order,
+    so every segment is a contiguous row slice -- no padding or scatter."""
+    for g in range(len(bounds) - 1):
+        lo, hi = bounds[g], bounds[g + 1]
+        np.matmul(a[lo:hi].T, grad[lo:hi], out=d_weight[g])
+        np.add.reduce(grad[lo:hi], axis=0, out=d_bias[g])
 
 
 def _activate(layer, act: np.ndarray, fresh: bool, ws: Workspace) -> np.ndarray:
@@ -158,15 +140,13 @@ def _linear_forward(layer: Linear, act: np.ndarray, ws: Workspace) -> np.ndarray
 
 
 def _linear_blocks(x_in: np.ndarray, grad: np.ndarray, ctx) -> list[np.ndarray]:
-    """Per-group (dW, db) of one dense layer from its input and output grads.
-
-    Records are concatenated in group order, so both reductions run over
-    contiguous row segments -- no padding or scatter needed.
-    """
-    starts, sizes, ws = ctx
-    d_weight = _segment_gemm(x_in, grad, starts, sizes, ws)  # (G, in, out)
-    d_bias = _segment_sum(grad, starts, sizes, ws)
-    return [d_weight.reshape(len(starts), -1), d_bias]
+    """Per-group (dW, db) of one dense layer from its input and output grads."""
+    bounds, ws = ctx
+    groups = len(bounds) - 1
+    d_weight = ws.take((groups, x_in.shape[1], grad.shape[1]), TRAIN_DTYPE)
+    d_bias = ws.take((groups, grad.shape[1]), TRAIN_DTYPE)
+    _segment_grads(x_in, grad, bounds, d_weight, d_bias)
+    return [d_weight.reshape(groups, -1), d_bias]
 
 
 def _linear_input_grad(layer: Linear, grad: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -350,10 +330,11 @@ def per_group_gradients(
     Args:
         model: the shared model, already holding the evaluation parameters.
             Its layer caches may be clobbered (like any ``forward`` call).
-        loss: a per-batch loss instance; its batched counterpart supplies
-            the per-group prediction gradients (degenerate groups -- e.g.
-            Cox batches without events -- contribute zero rows, matching
-            the loop convention).
+        loss: a per-batch loss instance naming the loss; each group's
+            prediction gradients come from
+            :func:`repro.nn.losses.grouped_gradient` (degenerate groups --
+            e.g. Cox batches without events -- contribute zero rows,
+            matching the loop convention).
         x, y: all groups' records, concatenated in group order.
         sizes: per-group record counts (all >= 1, summing to ``len(x)``).
         out: optional preallocated ``(len(sizes), P)`` result buffer; when
@@ -387,14 +368,10 @@ def per_group_gradients(
         out = np.empty((groups, model.num_params))
     elif out.shape != (groups, model.num_params):
         raise ValueError("out buffer has the wrong shape")
-    starts = np.zeros(groups, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    n_max = int(sizes.max())
-    group_of = np.repeat(np.arange(groups), sizes)
-    flat_idx = np.arange(total) - starts[group_of] + group_of * n_max
+    bounds = [0, *np.cumsum(sizes).tolist()]
 
     WORKSPACE.reset()
-    ctx = (starts, sizes, WORKSPACE)  # group boundaries + scratch, for both walks
+    ctx = (bounds, WORKSPACE)  # group boundaries + scratch, for both walks
     if any(p.dtype != TRAIN_DTYPE for p in model.params):
         model = model.astype(TRAIN_DTYPE)
     x = np.asarray(x, dtype=TRAIN_DTYPE)
@@ -404,18 +381,7 @@ def per_group_gradients(
     else:
         pred, backward = _forward_generic(model, x, ctx)
 
-    mask = np.zeros(groups * n_max, dtype=bool)
-    mask[flat_idx] = True
-    batched_loss = batched_counterpart(loss)
-    batched_loss.forward(
-        _scatter_padded(pred, flat_idx, groups, n_max),
-        _scatter_padded(np.asarray(y, dtype=np.float64), flat_idx, groups, n_max),
-        mask.reshape(groups, n_max),
-    )
-    dpred = np.asarray(batched_loss.backward(), TRAIN_DTYPE)
-    dpred = dpred.reshape(groups * n_max, *pred.shape[1:])[flat_idx]
-
-    blocks = backward(dpred)
+    blocks = backward(np.asarray(grouped_gradient(loss, pred, y, sizes), TRAIN_DTYPE))
 
     scale = None
     if row_scale is not None:
@@ -450,7 +416,7 @@ def _forward_generic(model: Sequential, x: np.ndarray, ctx):
     ``max(x, 0)``, not its signed zeros); any other parameterless layer
     runs its own ``forward`` / ``backward``.
     """
-    starts, sizes, ws = ctx
+    bounds, ws = ctx
     layers = model.layers
     caches: list = []
     act, fresh = x, False  # fresh: nothing else holds ``act``
@@ -499,10 +465,14 @@ def _forward_generic(model: Sequential, x: np.ndarray, ctx):
                 dw_samples = ws.take((n, out_c, cols.shape[1]), TRAIN_DTYPE)
                 np.matmul(go, cols.transpose(0, 2, 1), out=dw_samples)
                 db_samples = np.sum(go, axis=2, out=ws.take((n, out_c), TRAIN_DTYPE))
-                blocks[index] = [
-                    _segment_sum(dw_samples, starts, sizes, ws),
-                    _segment_sum(db_samples, starts, sizes, ws),
-                ]
+                dw_samples, groups = dw_samples.reshape(n, -1), len(bounds) - 1
+                dw = ws.take((groups, dw_samples.shape[1]), TRAIN_DTYPE)
+                db = ws.take((groups, out_c), TRAIN_DTYPE)
+                for g in range(groups):  # one pass over the groups
+                    lo, hi = bounds[g], bounds[g + 1]
+                    np.add.reduce(dw_samples[lo:hi], axis=0, out=dw[g])
+                    np.add.reduce(db_samples[lo:hi], axis=0, out=db[g])
+                blocks[index] = [dw, db]
                 if index > 0:
                     mark = ws.mark()
                     dcols = ws.take((n, in_c, k, k, oh, ow), TRAIN_DTYPE)
@@ -523,7 +493,7 @@ def _forward_generic(model: Sequential, x: np.ndarray, ctx):
 def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
     """Channels-last walk for ``image-stages -> Flatten -> dense`` models."""
     image, flatten_at, dense = stack
-    starts, sizes, ws = ctx
+    bounds, ws = ctx
     b = len(x)
     act = ws.take((b, *x.shape[2:], x.shape[1]), TRAIN_DTYPE)
     np.copyto(act, x.transpose(0, 2, 3, 1))  # NCHW -> NHWC
@@ -592,18 +562,19 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
                 out_c, in_c = layer.weight.shape[:2]
                 k, pad = layer.kernel_size, layer.padding
                 go_flat = g.reshape(-1, out_c)  # (B*P, out_c), already contiguous
-                row_starts = starts * oh * ow
-                row_sizes = sizes * oh * ow
-                dw = ws.take((len(starts), out_c, in_c, k, k), TRAIN_DTYPE)
-                db = _segment_sum(go_flat, row_starts, row_sizes, ws)
-                blocks[pos] = [dw.reshape(len(starts), -1), db]
+                groups = len(bounds) - 1
+                dw = ws.take((groups, out_c, in_c, k, k), TRAIN_DTYPE)
+                db = ws.take((groups, out_c), TRAIN_DTYPE)
+                blocks[pos] = [dw.reshape(groups, -1), db]
                 if pos > 0:
                     n, h_, w_, _ = in_shape
                     canvas = ws.take((n, h_ + 2 * pad, w_ + 2 * pad, in_c), TRAIN_DTYPE)
                 mark = ws.mark()
-                dw_nhwc = _segment_gemm(cols, go_flat, row_starts, row_sizes, ws)
+                dw_nhwc = ws.take((groups, cols.shape[1], out_c), TRAIN_DTYPE)
+                rows = [bound * oh * ow for bound in bounds]  # P patch rows a record
+                _segment_grads(cols, go_flat, rows, dw_nhwc, db)
                 # NHWC patch basis (kh, kw, C, out_c) -> template (out_c, C, kh, kw).
-                dw_nhwc = dw_nhwc.reshape(len(starts), k, k, in_c, out_c)
+                dw_nhwc = dw_nhwc.reshape(groups, k, k, in_c, out_c)
                 np.copyto(dw, dw_nhwc.transpose(0, 4, 3, 1, 2))
                 if pos > 0:
                     dcols = ws.take((b, oh, ow, k, k, in_c), TRAIN_DTYPE)
@@ -638,7 +609,7 @@ def forward_logits(model: Sequential, x: np.ndarray) -> np.ndarray:
     backward; nothing of it outlives the call but the returned logits.
     """
     stack = _conv_stack(model)
-    ctx = (None, None, WORKSPACE)  # no groups: the backward never runs
+    ctx = (None, WORKSPACE)  # no groups: the backward never runs
     out = np.zeros((0,))
     for start in range(0, len(x), FORWARD_CHUNK):
         WORKSPACE.reset()

@@ -10,15 +10,18 @@ negative partial log-likelihood under the Breslow convention.  It needs at
 least one observed event and at least two records to be defined, which is
 why the paper requires >= 2 records per user/silo pair for this dataset.
 
-Batched counterparts (``Batched*Loss``) serve the vectorized multi-user
-engine: predictions carry a leading group axis and a boolean validity mask
-marks the padding introduced when users with different record counts are
-stacked into one tensor.  ``forward(pred, target, mask) -> (G,)`` returns
-the per-group mean loss; ``backward()`` returns the gradient of each
-group's *own* mean loss, zero at padded positions.  Groups on which the
-loss is undefined (the :class:`CoxPHLoss` degenerate cases) contribute a
-zero gradient instead of raising -- exactly matching the loop path, which
-skips the optimiser step for such users.
+The vectorized engine needs each group's *own* mean-loss gradient for many
+groups at once.  Cross-entropy and binary cross-entropy are separable over
+records, so :func:`record_gradient` forms it record by record -- on flat
+grouped records or on padded stacks alike -- with no loss value and no
+padding.  The Cox loss couples a group's records through its risk sets:
+:class:`BatchedCoxPHLoss` takes predictions with a leading group axis and a
+boolean validity mask marking the padding introduced when groups with
+different record counts are stacked into one tensor.  Groups on which it is
+undefined (the :class:`CoxPHLoss` degenerate cases) contribute a zero
+gradient instead of raising -- exactly matching the loop path, which skips
+the optimiser step for such users.  :func:`grouped_gradient` (flat grouped
+records) and :func:`padded_gradient` (padded stacks) pick the rule.
 """
 
 from __future__ import annotations
@@ -162,84 +165,7 @@ class CoxPHLoss(Loss):
         return (grad / n_events).reshape(shape)
 
 
-class BatchedLoss:
-    """Base class for group-batched losses with padding masks."""
-
-    def forward(self, pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Per-group mean loss ``(G,)``; undefined groups report 0."""
-        raise NotImplementedError
-
-    def backward(self) -> np.ndarray:
-        """Gradient of each group's mean loss w.r.t. ``pred`` (same shape)."""
-        raise NotImplementedError
-
-
-class BatchedSoftmaxCrossEntropyLoss(BatchedLoss):
-    """Group-batched multi-class cross-entropy over ``(G, B, K)`` logits.
-
-    Targets are integer labels ``(G, B)``; ``mask`` is boolean ``(G, B)``.
-    Each group's loss and gradient match a standalone
-    :class:`SoftmaxCrossEntropyLoss` over that group's valid records.
-    """
-
-    def __init__(self):
-        self._cache: tuple | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        target = np.asarray(target, dtype=np.int64)
-        mask = np.asarray(mask, dtype=bool)
-        if pred.ndim != 3 or target.shape != pred.shape[:2] or mask.shape != pred.shape[:2]:
-            raise ValueError("pred must be (G, B, K) with (G, B) targets and mask")
-        shifted = pred - pred.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        total = exp.sum(axis=2, keepdims=True)
-        probs = exp / total
-        counts = mask.sum(axis=1)
-        safe_target = np.where(mask, target, 0)
-        picked = np.take_along_axis(shifted, safe_target[:, :, None], axis=2)[:, :, 0]
-        log_likelihood = (picked - np.log(total[:, :, 0])) * mask  # log-softmax
-        denom = np.maximum(counts, 1)
-        self._cache = (probs, safe_target, mask, denom)
-        return -log_likelihood.sum(axis=1) / denom
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        probs, safe_target, mask, denom = self._cache
-        grad = probs.copy()
-        g, b = safe_target.shape
-        grad[np.arange(g)[:, None], np.arange(b)[None, :], safe_target] -= 1.0
-        return grad * (mask / denom[:, None])[:, :, None]
-
-
-class BatchedBCEWithLogitsLoss(BatchedLoss):
-    """Group-batched binary cross-entropy over ``(G, B)`` or ``(G, B, 1)`` logits."""
-
-    def __init__(self):
-        self._cache: tuple | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        shape = pred.shape
-        mask = np.asarray(mask, dtype=bool)
-        z = pred.reshape(pred.shape[0], -1).astype(np.float64)
-        y = np.asarray(target, dtype=np.float64).reshape(z.shape[0], -1)
-        if z.shape != y.shape or mask.shape != z.shape:
-            raise ValueError("pred, target, and mask sizes differ")
-        loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-        denom = np.maximum(mask.sum(axis=1), 1)
-        self._cache = (shape, z, y, mask, denom)
-        return (loss * mask).sum(axis=1) / denom
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        shape, z, y, mask, denom = self._cache
-        sigmoid = 1.0 / (1.0 + np.exp(-z))
-        grad = (sigmoid - y) * mask / denom[:, None]
-        return grad.reshape(shape)
-
-
-class BatchedCoxPHLoss(BatchedLoss):
+class BatchedCoxPHLoss:
     """Group-batched negative Cox partial log-likelihood (Breslow ties).
 
     Predictions are risk scores ``(G, B)`` or ``(G, B, 1)``; targets are
@@ -299,15 +225,67 @@ class BatchedCoxPHLoss(BatchedLoss):
         return grad.reshape(shape)
 
 
-def batched_counterpart(loss: Loss) -> BatchedLoss:
-    """The group-batched loss matching a per-batch :class:`Loss` instance."""
+def record_gradient(loss: Loss, pred: np.ndarray, target, count, valid=True) -> np.ndarray:
+    """Each record's gradient of its own group's mean loss, for the
+    record-separable losses (cross-entropy, binary cross-entropy).
+
+    ``pred`` is ``(R, K)`` logits, one row per record; ``target`` holds the
+    ``R`` labels; ``count`` is each record's group size ``(R,)`` and
+    ``valid`` is ``True`` or an ``(R,)`` mask, ``False`` at padding (an
+    exact zero gradient there).  Cross-entropy is ``(softmax - onehot) * (valid / count)``,
+    binary cross-entropy ``(sigmoid - y) * valid / count``; the softmax runs
+    in ``pred``'s dtype, the sigmoid in float64, and the result is float64.
+    No loss value is formed.
+    """
     if isinstance(loss, SoftmaxCrossEntropyLoss):
-        return BatchedSoftmaxCrossEntropyLoss()
+        labels = np.where(valid, np.asarray(target, dtype=np.int64).ravel(), 0)
+        shifted = pred - pred.max(axis=1, keepdims=True)
+        probs = np.exp(shifted, out=shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(len(probs)), labels] -= 1.0
+        return probs * (valid / count)[:, None]
     if isinstance(loss, BCEWithLogitsLoss):
-        return BatchedBCEWithLogitsLoss()
+        z = pred.ravel().astype(np.float64)
+        sigmoid = 1.0 / (1.0 + np.exp(-z))
+        grad = (sigmoid - np.asarray(target, dtype=np.float64).ravel()) * valid / count
+        return grad.reshape(pred.shape)
+    raise TypeError(f"{type(loss).__name__} is not record-separable")
+
+
+def grouped_gradient(loss: Loss, pred: np.ndarray, target, sizes: np.ndarray) -> np.ndarray:
+    """Each record's gradient of its own group's mean loss, for flat
+    ``(N, ...)`` predictions of groups concatenated in order (``sizes`` >=
+    1 records each).  Cross-entropy and binary cross-entropy run
+    :func:`record_gradient` on the flat rows; Cox scatters into a padded
+    ``(G, n_max)`` stack for :class:`BatchedCoxPHLoss` and gathers back."""
+    if not isinstance(loss, CoxPHLoss):
+        return record_gradient(loss, pred, target, np.repeat(sizes, sizes))
+    mask = np.arange(int(sizes.max())) < sizes[:, None]  # row-major = flat order
+
+    def padded(values: np.ndarray) -> np.ndarray:
+        out = np.zeros((*mask.shape, *values.shape[1:]), values.dtype)
+        out[mask] = values
+        return out
+
+    target = padded(np.asarray(target, dtype=np.float64))
+    return padded_gradient(loss, padded(pred), target, mask)[mask]
+
+
+def padded_gradient(
+    loss: Loss, pred: np.ndarray, target: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Gradient of each group's own mean loss w.r.t. padded ``(G, B, ...)``
+    predictions, zero at padding (``mask`` is ``(G, B)``, ``True`` on real
+    records).  Cox runs :class:`BatchedCoxPHLoss`; the record-separable
+    losses run :func:`record_gradient` with each record's weight
+    ``mask / count``."""
     if isinstance(loss, CoxPHLoss):
-        return BatchedCoxPHLoss()
-    raise TypeError(f"no batched counterpart for loss {type(loss).__name__}")
+        cox = BatchedCoxPHLoss()
+        cox.forward(pred, target, mask)
+        return cox.backward()
+    count = np.repeat(np.maximum(mask.sum(axis=1), 1), mask.shape[1])
+    rows = pred.reshape(mask.size, -1)
+    return record_gradient(loss, rows, target, count, mask.ravel()).reshape(pred.shape)
 
 
 #: (event row, record) pairs :func:`concordance_index` compares per block.
