@@ -1,20 +1,15 @@
 """Pluggable ``xp``-style array backends for the sharded engine.
 
-The engine's hot loop has two distinct pieces of array math: the
-per-user local training kernels (the :mod:`repro.nn.batched` interface)
-and the weighted partial-sum fold that turns a micro-batch of clipped
-rows into one partial aggregate.  This module makes the array namespace
-behind that math a named, swappable object instead of a hard ``numpy``
-import:
+The engine folds each micro-batch of clipped rows into one partial
+aggregate with a weighted partial sum.  This module makes the array
+namespace behind that fold a named, swappable object instead of a hard
+``numpy`` import:
 
 * ``numpy`` -- the reference backend, always available, and the one the
   bit-identity contract is stated against;
 * ``torch`` / ``cupy`` -- optional accelerator backends constructed
   only when their import succeeds.  They implement the same fold
-  interface today; a full training backend additionally has to provide
-  a module with :func:`repro.nn.batched.per_group_gradients`'s
-  signature, which :func:`batched_module` resolves (and reports
-  honestly when it is missing).
+  interface.
 
 Nothing here installs or requires the optional packages: asking for an
 absent backend raises :class:`BackendUnavailable` with an actionable
@@ -23,7 +18,7 @@ message, and :func:`available_backends` probes quietly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -33,7 +28,6 @@ __all__ = [
     "BACKENDS",
     "BackendUnavailable",
     "available_backends",
-    "batched_module",
     "get_backend",
     "validate_backend",
 ]
@@ -54,10 +48,6 @@ class ArrayBackend:
     xp: Any
     from_numpy: Callable[[np.ndarray], Any]
     to_numpy: Callable[[Any], np.ndarray]
-    #: Module implementing the :mod:`repro.nn.batched` training interface
-    #: (``per_group_gradients``), or ``None`` when the backend only
-    #: accelerates the reduction fold.
-    batched: Any = field(default=None, repr=False)
 
     def weighted_sum(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``weights @ rows`` on the backend, returned as float64 numpy.
@@ -73,14 +63,11 @@ class ArrayBackend:
 
 
 def _numpy_backend() -> ArrayBackend:
-    from repro.nn import batched
-
     return ArrayBackend(
         name="numpy",
         xp=np,
         from_numpy=lambda a: a,
         to_numpy=np.asarray,
-        batched=batched,
     )
 
 
@@ -149,14 +136,3 @@ def available_backends() -> tuple[str, ...]:
         names.append(name)
     return tuple(names)
 
-
-def batched_module(backend: ArrayBackend) -> Any:
-    """The backend's implementation of the ``nn.batched`` training
-    interface, or a clear error when only the fold is accelerated."""
-    if backend.batched is None:
-        raise BackendUnavailable(
-            f"backend {backend.name!r} provides the reduction fold but no "
-            "batched training module yet; local training runs on the "
-            "'numpy' reference implementation"
-        )
-    return backend.batched

@@ -21,12 +21,16 @@ the general per-group-parameters engine (:class:`repro.nn.model.BatchedSequentia
    reductions by group -- one pass over the groups' contiguous row
    segments per layer forms both its weight and its bias gradients.
 
-Convolutional stacks additionally run in a channels-last (NHWC) layout
-internally: patch matrices come out of im2col directly in GEMM order, the
-flattened ``(B*P, out_c)`` activation gradients need no transposes, and the
-pooling windows slice contiguous channel runs.  Results are converted back
-to the template's NCHW parameter layout during assembly, so callers see
-the standard flat-parameter order throughout.
+Every model runs one walk, with one rule per layer type (Linear,
+Conv2d, MaxPool2d, AvgPool2d, ReLU / Tanh, Flatten; any other layer is
+refused).  Inside it every 4-D tensor is channels-last (NHWC): records
+enter NCHW and are transposed once, patch matrices come out of im2col
+directly in GEMM order, the flattened ``(B*P, out_c)`` activation
+gradients need no transposes, and the pooling windows slice contiguous
+channel runs.  ``Flatten`` -- and the end of the model, when the
+prediction is still 4-D -- converts back to the template's NCHW order, so
+dense layers, predictions, parameter blocks and result rows stay in the
+template basis; a ``Flatten`` on 2-D input is a no-op.
 
 The walk computes in float32 (:data:`repro.nn.layers.TRAIN_DTYPE`):
 records are gathered into it, a float64 model is cast once per call (the
@@ -113,7 +117,7 @@ def _segment_grads(
 
 
 def _activate(layer, act: np.ndarray, fresh: bool, ws: Workspace) -> np.ndarray:
-    """ReLU / Tanh forward of the channels-last walk, in place when nothing
+    """ReLU / Tanh forward of the walk, in place when nothing
     else holds ``act`` (``fresh``)."""
     dst = act if fresh else ws.take(act.shape, TRAIN_DTYPE)
     if isinstance(layer, Tanh):
@@ -155,52 +159,7 @@ def _linear_input_grad(layer: Linear, grad: np.ndarray, ws: Workspace) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# NCHW convolution kernels of the generic walk: the standard Conv2d's
-# arithmetic (``repro.nn.layers``) with its temporaries in the workspace.
-# ---------------------------------------------------------------------------
-
-
-def _im2col_nchw(
-    x: np.ndarray, k: int, stride: int, pad: int, ws: Workspace
-) -> tuple[np.ndarray, int, int]:
-    """Unfold (N, C, H, W) into (N, C*k*k, out_h*out_w) patches."""
-    n, c, h, w = x.shape
-    out_h = (h + 2 * pad - k) // stride + 1
-    out_w = (w + 2 * pad - k) // stride + 1
-    cols = ws.take((n, c * k * k, out_h * out_w), TRAIN_DTYPE)
-    mark = ws.mark()
-    if pad:
-        padded = ws.take((n, c, h + 2 * pad, w + 2 * pad), TRAIN_DTYPE)
-        padded.fill(0.0)
-        padded[:, :, pad:-pad, pad:-pad] = x
-        x = padded
-    s = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, k, k, out_h, out_w),
-        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
-        writeable=False,
-    )
-    np.copyto(cols.reshape(view.shape), view)
-    ws.release(mark)
-    return cols, out_h, out_w
-
-
-def _col2im_nchw(dcols: np.ndarray, canvas: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col_nchw`: accumulate ``dcols`` (N, C, k, k, oh,
-    ow) into the padded ``canvas`` and return its un-padded interior."""
-    k, out_h, out_w = dcols.shape[3:]
-    canvas.fill(0.0)
-    for i in range(k):
-        for j in range(k):
-            canvas[
-                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-            ] += dcols[:, :, i, j]
-    return canvas[:, :, pad:-pad, pad:-pad] if pad else canvas
-
-
-# ---------------------------------------------------------------------------
-# NHWC image-stack kernels (used only inside the shared-weight walk).
+# NHWC image-layer kernels (used only inside the shared-weight walk).
 # ---------------------------------------------------------------------------
 
 
@@ -243,6 +202,17 @@ def _col2im_nhwc(
                 :, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
             ] += dcols[:, :, :, i, j, :]
     return canvas[:, pad:-pad, pad:-pad, :] if pad else canvas
+
+
+#: Axis orders of ``transpose`` taking NCHW to NHWC, and back.
+_NHWC, _NCHW = (0, 2, 3, 1), (0, 3, 1, 2)
+
+
+def _transposed(x: np.ndarray, axes: tuple[int, ...], ws: Workspace) -> np.ndarray:
+    """A contiguous workspace copy of ``x.transpose(axes)``."""
+    out = ws.take(tuple(x.shape[a] for a in axes), TRAIN_DTYPE)
+    np.copyto(out, x.transpose(axes))
+    return out
 
 
 def _pool_windows(x: np.ndarray, size: int):
@@ -289,33 +259,6 @@ def _maxpool_nhwc_backward(
     return dx
 
 
-def _conv_stack(model: Sequential):
-    """Split a CNN into (image stages, flatten position, dense stages).
-
-    Returns ``None`` when the model does not match the supported
-    ``image-stages -> Flatten -> dense-stages`` shape (the generic walk
-    handles those).
-    """
-    layers = model.layers
-    flatten_at = None
-    for i, layer in enumerate(layers):
-        if isinstance(layer, Flatten):
-            flatten_at = i
-            break
-    if flatten_at is None:
-        return None
-    image, dense = layers[:flatten_at], layers[flatten_at + 1 :]
-    if not any(isinstance(l, Conv2d) for l in image):
-        return None
-    for layer in image:
-        if not isinstance(layer, (Conv2d, MaxPool2d, AvgPool2d, ReLU, Tanh)):
-            return None
-    for layer in dense:
-        if not isinstance(layer, (Linear, ReLU, Tanh)):
-            return None
-    return image, flatten_at, dense
-
-
 def per_group_gradients(
     model: Sequential,
     loss: Loss,
@@ -329,7 +272,6 @@ def per_group_gradients(
 
     Args:
         model: the shared model, already holding the evaluation parameters.
-            Its layer caches may be clobbered (like any ``forward`` call).
         loss: a per-batch loss instance naming the loss; each group's
             prediction gradients come from
             :func:`repro.nn.losses.grouped_gradient` (degenerate groups --
@@ -371,15 +313,10 @@ def per_group_gradients(
     bounds = [0, *np.cumsum(sizes).tolist()]
 
     WORKSPACE.reset()
-    ctx = (bounds, WORKSPACE)  # group boundaries + scratch, for both walks
     if any(p.dtype != TRAIN_DTYPE for p in model.params):
         model = model.astype(TRAIN_DTYPE)
     x = np.asarray(x, dtype=TRAIN_DTYPE)
-    stack = _conv_stack(model)
-    if stack is not None:
-        pred, backward = _forward_conv_nhwc(stack, x, ctx)
-    else:
-        pred, backward = _forward_generic(model, x, ctx)
+    pred, backward = _walk(model, x, (bounds, WORKSPACE))
 
     blocks = backward(np.asarray(grouped_gradient(loss, pred, y, sizes), TRAIN_DTYPE))
 
@@ -408,99 +345,28 @@ def per_group_gradients(
     return out
 
 
-def _forward_generic(model: Sequential, x: np.ndarray, ctx):
-    """Standard-layout walk (dense models and unrecognised structures).
+def _walk(model: Sequential, x: np.ndarray, ctx):
+    """Forward ``x`` through ``model``; return ``(pred, backward)``.
 
-    Linear / Conv2d / ReLU / Tanh run the standard layers' arithmetic
-    through the workspace (ReLU as ``x * (x > 0)``: the values of
-    ``max(x, 0)``, not its signed zeros); any other parameterless layer
-    runs its own ``forward`` / ``backward``.
+    Every 4-D tensor inside the walk is NHWC: records enter NCHW and are
+    transposed once, and a ``Flatten`` -- or the end of the model, for a
+    4-D prediction -- converts back to the template's NCHW order, so dense
+    layers, ``pred`` and the parameter blocks stay in the template basis.
+    Each layer type has one rule; any other layer is refused.
     """
     bounds, ws = ctx
     layers = model.layers
+    b = len(x)
+    if x.ndim == 4:
+        act, fresh = _transposed(x, _NHWC, ws), True
+    else:
+        act, fresh = x, False  # fresh: nothing else holds ``act``
     caches: list = []
-    act, fresh = x, False  # fresh: nothing else holds ``act``
     for layer in layers:
         if isinstance(layer, Linear):
             caches.append(act)
             act, fresh = _linear_forward(layer, act, ws), True
         elif isinstance(layer, Conv2d):
-            k, out_c = layer.kernel_size, layer.weight.shape[0]
-            cols, oh, ow = _im2col_nchw(act, k, layer.stride, layer.padding, ws)
-            z = ws.take((len(act), out_c, oh * ow), TRAIN_DTYPE)
-            np.einsum("of,nfp->nop", layer.weight.reshape(out_c, -1), cols, out=z)
-            z += layer.bias[None, :, None]
-            caches.append((act.shape, cols, oh, ow))
-            act, fresh = z.reshape(len(act), out_c, oh, ow), True
-        elif isinstance(layer, (ReLU, Tanh)):
-            dst = act if fresh else ws.take(act.shape, TRAIN_DTYPE)
-            if isinstance(layer, Tanh):
-                np.tanh(act, out=dst)
-            else:
-                mark = ws.mark()
-                np.multiply(act, np.greater(act, 0, out=ws.take(act.shape, bool)), out=dst)
-                ws.release(mark)
-            caches.append(dst)
-            act, fresh = dst, False
-        elif layer.params:
-            raise TypeError(f"no shared-weight gradient rule for {type(layer).__name__}")
-        else:
-            caches.append(None)
-            act, fresh = layer.forward(act), False
-
-    def backward(grad: np.ndarray) -> dict[int, list[np.ndarray]]:
-        blocks: dict[int, list[np.ndarray]] = {}
-        for index in range(len(layers) - 1, -1, -1):
-            layer, cache = layers[index], caches[index]
-            if isinstance(layer, Linear):
-                blocks[index] = _linear_blocks(cache, grad, ctx)
-                if index > 0:
-                    grad = _linear_input_grad(layer, grad, ws)
-            elif isinstance(layer, Conv2d):
-                (n, in_c, h, w), cols, oh, ow = cache  # cols: (B, C*k*k, P)
-                k, pad, out_c = layer.kernel_size, layer.padding, layer.weight.shape[0]
-                go = grad.reshape(n, out_c, -1)  # (B, out_c, P)
-                if index > 0:
-                    canvas = ws.take((n, in_c, h + 2 * pad, w + 2 * pad), TRAIN_DTYPE)
-                dw_samples = ws.take((n, out_c, cols.shape[1]), TRAIN_DTYPE)
-                np.matmul(go, cols.transpose(0, 2, 1), out=dw_samples)
-                db_samples = np.sum(go, axis=2, out=ws.take((n, out_c), TRAIN_DTYPE))
-                dw_samples, groups = dw_samples.reshape(n, -1), len(bounds) - 1
-                dw = ws.take((groups, dw_samples.shape[1]), TRAIN_DTYPE)
-                db = ws.take((groups, out_c), TRAIN_DTYPE)
-                for g in range(groups):  # one pass over the groups
-                    lo, hi = bounds[g], bounds[g + 1]
-                    np.add.reduce(dw_samples[lo:hi], axis=0, out=dw[g])
-                    np.add.reduce(db_samples[lo:hi], axis=0, out=db[g])
-                blocks[index] = [dw, db]
-                if index > 0:
-                    mark = ws.mark()
-                    dcols = ws.take((n, in_c, k, k, oh, ow), TRAIN_DTYPE)
-                    w_row = layer.weight.reshape(out_c, -1)
-                    np.matmul(w_row.T[None], go, out=dcols.reshape(n, -1, oh * ow))
-                    grad = _col2im_nchw(dcols, canvas, layer.stride, pad)
-                    ws.release(mark)
-            elif index > 0:
-                if cache is not None:
-                    grad = _activation_backward(layer, cache, grad, ws)
-                else:
-                    grad = layer.backward(grad)
-        return blocks
-
-    return act, backward
-
-
-def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
-    """Channels-last walk for ``image-stages -> Flatten -> dense`` models."""
-    image, flatten_at, dense = stack
-    bounds, ws = ctx
-    b = len(x)
-    act = ws.take((b, *x.shape[2:], x.shape[1]), TRAIN_DTYPE)
-    np.copyto(act, x.transpose(0, 2, 3, 1))  # NCHW -> NHWC
-    fresh = True
-    caches: list[tuple] = []
-    for layer in image:
-        if isinstance(layer, Conv2d):
             k = layer.kernel_size
             in_shape = act.shape
             cols, oh, ow = _im2col_nhwc(act, k, k, layer.stride, layer.padding, ws)
@@ -516,48 +382,36 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
             caches.append((act, pooled))
             act, fresh = pooled, False
         elif isinstance(layer, AvgPool2d):
-            caches.append((act.shape,))
+            caches.append(act.shape)
             act, fresh = _pool_nhwc_forward(act, layer.size, np.add, ws), True
             np.divide(act, layer.size * layer.size, out=act)
-        else:  # ReLU / Tanh
+        elif isinstance(layer, (ReLU, Tanh)):
             act, fresh = _activate(layer, act, fresh, ws), False
-            caches.append((act,))
-    image_out_shape = act.shape  # (B, H, W, C)
-    h, w, c = image_out_shape[1:]
-    # NHWC (h, w, c) -> the template's NCHW flatten order c*H*W + h*W + w.
-    # Transposing the (small) flat activations once keeps the whole dense
-    # section -- weights and weight gradients -- in the template basis.
-    flat = ws.take((b, c * h * w), TRAIN_DTYPE)
-    np.copyto(flat.reshape(b, c, h, w), act.transpose(0, 3, 1, 2))
-
-    act, fresh = flat, True
-    dense_caches: list[np.ndarray] = []
-    for layer in dense:
-        if isinstance(layer, Linear):
-            dense_caches.append(act)
-            act, fresh = _linear_forward(layer, act, ws), True
-        else:  # ReLU / Tanh
-            act, fresh = _activate(layer, act, fresh, ws), False
-            dense_caches.append(act)
-    pred = act
+            caches.append(act)
+        elif isinstance(layer, Flatten):
+            caches.append(act.shape)
+            if act.ndim == 4:
+                # Transposing the (small) activations once keeps the dense
+                # section -- weights and weight gradients -- in the template basis.
+                act, fresh = _transposed(act, _NCHW, ws).reshape(b, -1), True
+            else:
+                act = act.reshape(b, -1)
+        else:
+            raise TypeError(f"no shared-weight gradient rule for {type(layer).__name__}")
+    pred = _transposed(act, _NCHW, ws) if act.ndim == 4 else act
 
     def backward(grad: np.ndarray) -> dict[int, list[np.ndarray]]:
         blocks: dict[int, list[np.ndarray]] = {}
-        g_flat = grad
-        for offset in range(len(dense) - 1, -1, -1):
-            layer, cache = dense[offset], dense_caches[offset]
+        g = grad if pred.ndim < 4 else _transposed(grad.reshape(pred.shape), _NHWC, ws)
+        # Per layer: what outlives it (parameter blocks, the gradient handed
+        # to the layer below) is taken first, its transients above a mark.
+        for index in range(len(layers) - 1, -1, -1):
+            layer, cache = layers[index], caches[index]
             if isinstance(layer, Linear):
-                blocks[flatten_at + 1 + offset] = _linear_blocks(cache, g_flat, ctx)
-                g_flat = _linear_input_grad(layer, g_flat, ws)
-            else:
-                g_flat = _activation_backward(layer, cache, g_flat, ws)
-        g = ws.take(image_out_shape, TRAIN_DTYPE)
-        np.copyto(g, g_flat.reshape(b, c, h, w).transpose(0, 2, 3, 1))
-        # Per stage: what outlives it (parameter blocks, the gradient handed
-        # to the stage below) is taken first, its transients above a mark.
-        for pos in range(len(image) - 1, -1, -1):
-            layer, cache = image[pos], caches[pos]
-            if isinstance(layer, Conv2d):
+                blocks[index] = _linear_blocks(cache, g, ctx)
+                if index > 0:
+                    g = _linear_input_grad(layer, g, ws)
+            elif isinstance(layer, Conv2d):
                 in_shape, cols, w_nhwc, oh, ow = cache
                 out_c, in_c = layer.weight.shape[:2]
                 k, pad = layer.kernel_size, layer.padding
@@ -565,10 +419,10 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
                 groups = len(bounds) - 1
                 dw = ws.take((groups, out_c, in_c, k, k), TRAIN_DTYPE)
                 db = ws.take((groups, out_c), TRAIN_DTYPE)
-                blocks[pos] = [dw.reshape(groups, -1), db]
-                if pos > 0:
-                    n, h_, w_, _ = in_shape
-                    canvas = ws.take((n, h_ + 2 * pad, w_ + 2 * pad, in_c), TRAIN_DTYPE)
+                blocks[index] = [dw.reshape(groups, -1), db]
+                if index > 0:
+                    n, h, w, _ = in_shape
+                    canvas = ws.take((n, h + 2 * pad, w + 2 * pad, in_c), TRAIN_DTYPE)
                 mark = ws.mark()
                 dw_nhwc = ws.take((groups, cols.shape[1], out_c), TRAIN_DTYPE)
                 rows = [bound * oh * ow for bound in bounds]  # P patch rows a record
@@ -576,16 +430,18 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
                 # NHWC patch basis (kh, kw, C, out_c) -> template (out_c, C, kh, kw).
                 dw_nhwc = dw_nhwc.reshape(groups, k, k, in_c, out_c)
                 np.copyto(dw, dw_nhwc.transpose(0, 4, 3, 1, 2))
-                if pos > 0:
+                if index > 0:
                     dcols = ws.take((b, oh, ow, k, k, in_c), TRAIN_DTYPE)
                     np.matmul(go_flat, w_nhwc.T, out=dcols.reshape(len(go_flat), -1))  # one GEMM
                     g = _col2im_nhwc(dcols, canvas, k, k, layer.stride, pad)
                 ws.release(mark)
+            elif index == 0:
+                break  # nothing below a parameterless first layer needs ``g``
             elif isinstance(layer, MaxPool2d):
                 x_in, pooled = cache
                 g = _maxpool_nhwc_backward(x_in, pooled, g, layer.size, ws)
             elif isinstance(layer, AvgPool2d):
-                dx = ws.take(cache[0], TRAIN_DTYPE)
+                dx = ws.take(cache, TRAIN_DTYPE)
                 dx.fill(0.0)
                 mark = ws.mark()
                 spread = np.divide(g, layer.size * layer.size, out=ws.take(g.shape, TRAIN_DTYPE))
@@ -593,8 +449,14 @@ def _forward_conv_nhwc(stack, x: np.ndarray, ctx):
                     window[...] = spread
                 ws.release(mark)
                 g = dx
+            elif isinstance(layer, Flatten):
+                if len(cache) == 4:  # (N, H, W, C): back from the NCHW flatten order
+                    n, h, w, c = cache
+                    g = _transposed(g.reshape(n, c, h, w), _NHWC, ws)
+                else:
+                    g = g.reshape(cache)
             else:  # ReLU / Tanh
-                g = _activation_backward(layer, cache[0], g, ws)
+                g = _activation_backward(layer, cache, g, ws)
         return blocks
 
     return pred, backward
@@ -608,18 +470,13 @@ def forward_logits(model: Sequential, x: np.ndarray) -> np.ndarray:
     scratch scope and forwarded by the same walk as training, with no
     backward; nothing of it outlives the call but the returned logits.
     """
-    stack = _conv_stack(model)
-    ctx = (None, WORKSPACE)  # no groups: the backward never runs
     out = np.zeros((0,))
     for start in range(0, len(x), FORWARD_CHUNK):
         WORKSPACE.reset()
         chunk = x[start : start + FORWARD_CHUNK]
         records = WORKSPACE.take(chunk.shape, TRAIN_DTYPE)
         np.copyto(records, chunk)
-        if stack is not None:
-            pred, _ = _forward_conv_nhwc(stack, records, ctx)
-        else:
-            pred, _ = _forward_generic(model, records, ctx)
+        pred, _ = _walk(model, records, (None, WORKSPACE))  # no groups: no backward
         if start == 0:
             out = np.empty((len(x), *pred.shape[1:]))
         out[start : start + len(pred)] = pred

@@ -34,11 +34,6 @@ class TestNumpyBackend:
         a = np.arange(6.0)
         assert backend.to_numpy(backend.from_numpy(a)) is a
 
-    def test_batched_module(self):
-        import repro.nn.batched as batched
-
-        assert get_backend("numpy").batched is batched
-
 
 class TestRegistry:
     def test_unknown_backend(self):

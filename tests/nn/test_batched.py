@@ -21,6 +21,7 @@ from repro.nn.layers import (
     BatchedLinear,
     Conv2d,
     Flatten,
+    Layer,
     Linear,
     MaxPool2d,
     ReLU,
@@ -71,6 +72,55 @@ def reference_gradients(model, loss_factory, datasets):
         except DegenerateBatchError:
             rows.append(np.zeros(local.num_params))
     return np.stack(rows)
+
+
+#: Stage kinds the MNIST CNN does not have, by name: stride 2 without
+#: padding, average pooling, Tanh, an activation *after* a pool (which must
+#: not run in place on the pool's cached output), a leading Flatten, a
+#: model without a Flatten (its prediction stays 4-D), and a Flatten on
+#: 2-D input.
+STACKS = ("strided-avgpool-tanh", "pool-then-relu", "flatten-mlp", "no-flatten", "two-flattens")
+
+
+def build_stack(variant):
+    """``(model, record shape)`` of one of :data:`STACKS`."""
+    init = np.random.default_rng(8)
+    if variant == "strided-avgpool-tanh":
+        layers = [
+            Conv2d(1, 4, 3, init, stride=2), Tanh(), AvgPool2d(2),
+            Conv2d(4, 6, 3, init, padding=1), ReLU(),
+            Flatten(), Linear(54, 5, init), Tanh(), Linear(5, 3, init),
+        ]
+    elif variant == "pool-then-relu":
+        layers = [
+            Conv2d(1, 3, 3, init, padding=1), MaxPool2d(2), ReLU(),
+            Conv2d(3, 4, 3, init), AvgPool2d(2), Tanh(),
+            Flatten(), Linear(16, 3, init),
+        ]
+    elif variant == "flatten-mlp":
+        layers = [Flatten(), Linear(196, 6, init), ReLU(), Linear(6, 3, init)]
+    elif variant == "no-flatten":
+        layers = [
+            Conv2d(2, 3, 3, init, padding=1), Tanh(), MaxPool2d(2),
+            Conv2d(3, 1, 3, init), ReLU(), Conv2d(1, 1, 1, init),
+        ]
+    else:  # two-flattens
+        layers = [
+            Conv2d(2, 3, 3, init, stride=2), ReLU(), Flatten(),
+            Linear(12, 4, init), Flatten(), Linear(4, 1, init),
+        ]
+    shape = (1, 14, 14) if variant in STACKS[:3] else (2, 6, 6)
+    return Sequential(layers), shape
+
+
+class Scale(Layer):
+    """A parameterless layer the walk has no rule for."""
+
+    def forward(self, x):
+        return 2.0 * x
+
+    def backward(self, grad_out):
+        return 2.0 * grad_out
 
 
 class TestBatchedSequential:
@@ -181,30 +231,13 @@ class TestPerGroupGradients:
 
     @pytest.mark.parametrize("variant", ["strided-avgpool-tanh", "pool-then-relu", "flatten-mlp"])
     def test_matches_reference_other_stacks(self, variant):
-        """The stage kinds the MNIST CNN does not have: stride 2 without
-        padding, average pooling, Tanh, an activation *after* a pool (which
-        must not run in place on the pool's cached output), and a
-        parameterless layer the dense walk hands to its own forward."""
-        init = np.random.default_rng(8)
-        if variant == "strided-avgpool-tanh":
-            layers = [
-                Conv2d(1, 4, 3, init, stride=2), Tanh(), AvgPool2d(2),
-                Conv2d(4, 6, 3, init, padding=1), ReLU(),
-                Flatten(), Linear(54, 5, init), Tanh(), Linear(5, 3, init),
-            ]
-        elif variant == "pool-then-relu":
-            layers = [
-                Conv2d(1, 3, 3, init, padding=1), MaxPool2d(2), ReLU(),
-                Conv2d(3, 4, 3, init), AvgPool2d(2), Tanh(),
-                Flatten(), Linear(16, 3, init),
-            ]
-        else:
-            layers = [Flatten(), Linear(196, 6, init), ReLU(), Linear(6, 3, init)]
-        model = Sequential(layers)
+        """The stage kinds the MNIST CNN does not have (:data:`STACKS`),
+        including a parameterless first layer (no input gradient)."""
+        model, shape = build_stack(variant)
         rng = np.random.default_rng(9)
         sizes = [1, 3, 1, 2]
         datasets = [
-            (rng.standard_normal((n, 1, 14, 14)), rng.integers(0, 3, size=n))
+            (rng.standard_normal((n, *shape)), rng.integers(0, 3, size=n))
             for n in sizes
         ]
         ref = reference_gradients(model, SoftmaxCrossEntropyLoss, datasets)
@@ -229,25 +262,16 @@ class TestPerGroupGradients:
 
     @pytest.mark.parametrize("variant", ["no-flatten", "two-flattens"])
     def test_matches_reference_conv_outside_a_recognised_stack(self, variant):
-        """A Conv2d the channels-last walk does not claim goes through the
-        generic walk's own (NCHW) convolution rule: padded and strided
-        convolutions, a first layer (no input gradient) and inner ones."""
-        init = np.random.default_rng(8)
-        if variant == "no-flatten":
-            layers = [
-                Conv2d(2, 3, 3, init, padding=1), Tanh(), MaxPool2d(2),
-                Conv2d(3, 1, 3, init), ReLU(), Conv2d(1, 1, 1, init),
-            ]
-        else:
-            layers = [
-                Conv2d(2, 3, 3, init, stride=2), ReLU(), Flatten(),
-                Linear(12, 4, init), Flatten(), Linear(4, 1, init),
-            ]
-        model = Sequential(layers)
+        """Convolutions outside an ``image -> Flatten -> dense`` stack run
+        channels-last like any other: a model whose 4-D prediction goes
+        back to NCHW at its end, and a Flatten on 2-D input; padded and
+        strided convolutions, a first layer (no input gradient) and inner
+        ones."""
+        model, shape = build_stack(variant)
         rng = np.random.default_rng(9)
         sizes = [1, 3, 1, 2]
         datasets = [
-            (rng.standard_normal((n, 2, 6, 6)), rng.integers(0, 2, size=n).astype(float))
+            (rng.standard_normal((n, *shape)), rng.integers(0, 2, size=n).astype(float))
             for n in sizes
         ]
         ref = reference_gradients(model, BCEWithLogitsLoss, datasets)
@@ -257,12 +281,19 @@ class TestPerGroupGradients:
             out = per_group_gradients(model, BCEWithLogitsLoss(), x, y, sizes)
             assert_close32(out, ref)
 
-    def test_parameterised_layer_without_a_rule_is_refused(self):
-        with pytest.raises(TypeError, match="BatchedLinear"):
-            per_group_gradients(
-                Sequential([BatchedLinear(2, 2, 1)]),
-                SoftmaxCrossEntropyLoss(), np.zeros((1, 2)), np.zeros(1), [1],
-            )
+    @pytest.mark.parametrize("layer", [lambda: BatchedLinear(2, 2, 1), Scale],
+                             ids=["BatchedLinear", "Scale"])
+    @pytest.mark.parametrize("entry", ["per_group_gradients", "forward_logits"])
+    def test_parameterised_layer_without_a_rule_is_refused(self, layer, entry):
+        layer = layer()
+        model = Sequential([layer, Linear(2, 2, np.random.default_rng(0))])
+        with pytest.raises(TypeError, match=type(layer).__name__):
+            if entry == "per_group_gradients":
+                per_group_gradients(
+                    model, SoftmaxCrossEntropyLoss(), np.zeros((1, 2)), np.zeros(1), [1]
+                )
+            else:
+                forward_logits(model, np.zeros((1, 2)))
 
     def test_degenerate_cox_group_is_zero(self):
         rng = np.random.default_rng(4)
@@ -321,13 +352,19 @@ class TestPerGroupGradients:
 
 
 class TestForwardLogits:
-    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("kind", ["mlp", "cnn", "4-channel-map", *STACKS])
     def test_matches_standard_float32_forward(self, kind, monkeypatch):
         rng = np.random.default_rng(0)
         if kind == "cnn":
             model, x = build_mnist_cnn(rng), rng.standard_normal((23, 1, 14, 14))
-        else:
+        elif kind == "mlp":
             model, x = build_tiny_mlp(5, 7, 3, rng), rng.standard_normal((23, 5))
+        elif kind == "4-channel-map":  # (N, 4, 5, 6) logits, in NCHW order
+            model = Sequential([Conv2d(2, 3, 3, rng, padding=1), ReLU(), Conv2d(3, 4, 1, rng)])
+            x = rng.standard_normal((23, 2, 5, 6))
+        else:  # no-flatten: (N, 1, 1, 1) logits, in the template's NCHW order
+            model, shape = build_stack(kind)
+            x = rng.standard_normal((23, *shape))
         local = scratch_model(model, model.get_flat_params())
         desired = model.astype(TRAIN_DTYPE).forward(x.astype(TRAIN_DTYPE))
         monkeypatch.setattr(batched, "FORWARD_CHUNK", 5)  # four full chunks + 3
