@@ -5,17 +5,20 @@ model delta each round (Algorithm 3), which the straightforward
 implementation realises as a Python loop over |S| x |U| tiny training runs:
 clone the model, load the global parameters, run Q local epochs on a
 handful of records.  This module replaces that loop with one batched
-computation: all sampled users of a silo are stacked into a padded
-``(n_users, batch, features)`` tensor, a :class:`repro.nn.model.BatchedSequential`
-holds one parameter copy per user, and the Q local epochs run as batched
-forward/backward passes -- returning the full matrix of per-user deltas in
-one shot.  Per-user clipping then becomes a row-wise operation
-(:func:`repro.nn.clip.l2_clip_rows`) and aggregation a weighted
+computation through the walk of :mod:`repro.nn.batched`: a single
+full-batch step runs on the shared global model
+(:func:`repro.nn.batched.per_group_gradients`); Q local epochs stack the
+sampled users of a silo into a padded ``(n_users, batch, features)``
+tensor, hold one contiguous ``(n_users, *shape)`` float32 array per
+parameter, and step them all at once
+(:func:`repro.nn.batched.per_group_step`) -- returning the full matrix of
+per-user deltas in one shot.  Per-user clipping then becomes a row-wise
+operation (:func:`repro.nn.clip.l2_clip_rows`) and aggregation a weighted
 matmul.
 
 Dtype boundary: local training computes in float32
-(:data:`repro.nn.layers.TRAIN_DTYPE`) -- the scratch model, the replicas,
-the records, the shared-weight walk and the optimiser step.  What the
+(:data:`repro.nn.layers.TRAIN_DTYPE`) -- the scratch model, the per-user
+weights, the records, the walk and the optimiser step.  What the
 privacy argument reads is float64: the ``(G, P)`` rows (a delta is
 ``float64(trained) - float64(float32(params))``, a fused row
 ``float64(gradient) * scale`` with the scale from norms summed in
@@ -74,11 +77,10 @@ import numpy as np
 from repro.core.metrics import make_loss
 from repro.core.reduce import BinnedSum, fold_scale, tree_reduce
 from repro.nn.backend import ArrayBackend, get_backend, validate_backend
-from repro.nn.batched import per_group_gradients, scratch_model
+from repro.nn.batched import per_group_gradients, per_group_step, scratch_model
 from repro.nn.clip import clip_factor_from_norms, clip_factor_rows, l2_clip_rows
 from repro.nn.layers import TRAIN_DTYPE
-from repro.nn.losses import padded_gradient
-from repro.nn.model import Sequential, batch_model
+from repro.nn.model import Sequential
 from repro.nn.workspace import WORKSPACE
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
@@ -182,24 +184,25 @@ def _train_bucket(
     their float64 delta matrix, trained minus the rounded start (so an
     untrained job's delta is exactly zero)."""
     start = params.astype(TRAIN_DTYPE)
-    bm = batch_model(model, len(jobs), reuse=True)
-    bm.set_flat_params(start)
+    groups = len(jobs)
+    # One contiguous (G, *shape) array per parameter, every group at start.
+    weights, offset = [], 0
+    for layer in model.layers:
+        weights.append([])
+        for p in layer.params:
+            weight = np.empty((groups, *p.shape), TRAIN_DTYPE)
+            weight[...] = start[offset : offset + p.size].reshape(p.shape)
+            weights[-1].append(weight)
+            offset += p.size
     loss = make_loss(task, model)
     xs, ys, mask = _stack_jobs(jobs)
-    group_idx = np.arange(len(jobs))[:, None]
+    group_idx = np.arange(groups)[:, None]
     full_batch = all(job.schedule is None for job in jobs)
-
-    def step(xb, yb, valid) -> None:
-        dpred = padded_gradient(loss, bm.forward(xb), yb, valid)  # no loss value
-        bm.backward(np.asarray(dpred, TRAIN_DTYPE))  # writes: nothing to zero
-        for p, g in zip(bm.params, bm.grads):
-            np.multiply(g, lr, out=g)
-            p -= g
 
     for epoch in range(max(0, epochs)):
         if full_batch:
             # All records of every job, one step an epoch, no gather needed.
-            step(xs, ys, mask)
+            per_group_step(model, weights, loss, xs, ys, mask, lr)
             continue
         # A full-batch job in a scheduled bucket steps once, on all it has.
         per_job = [
@@ -214,13 +217,17 @@ def _train_bucket(
             b_max = max(len(b) for b in batches)
             if b_max == 0:
                 continue
-            idx = np.full((len(jobs), b_max), -1, dtype=np.int64)
+            idx = np.full((groups, b_max), -1, dtype=np.int64)
             for g, b in enumerate(batches):
                 idx[g, : len(b)] = b
             valid = idx >= 0
             safe = np.where(valid, idx, 0)
-            step(xs[group_idx, safe], ys[group_idx, safe], valid)
-    return np.subtract(bm.get_flat_params(), start, dtype=np.float64)
+            xb, yb = xs[group_idx, safe], ys[group_idx, safe]
+            per_group_step(model, weights, loss, xb, yb, valid, lr)
+    trained = np.concatenate(
+        [w.reshape(groups, -1) for arrays in weights for w in arrays], axis=1
+    )
+    return np.subtract(trained, start, dtype=np.float64)
 
 
 def _micro_batches(n: int) -> list[tuple[int, int]]:
@@ -603,7 +610,7 @@ def run_shard_task(task: dict) -> dict:
     jobs = _resolve_shard_jobs(task["jobs"])
     # The kernels read a template's structure, never its values, so an
     # explicit model of the resident architecture *is* the resident one --
-    # and that object's scratch copy and replica are already built.
+    # and that object's scratch copy is already built.
     model = task["model"]
     resident = None if _RESIDENT is None else _RESIDENT.model
     if model is None or (

@@ -13,11 +13,9 @@ replaces exactly the slice of functionality Uldp-FL needs:
 - :mod:`repro.nn.train` -- mini-batch training helpers and ``accuracy_of``.
 - :mod:`repro.nn.dpsgd` -- DP-SGD (per-sample clipping + Gaussian noise +
   Poisson sampling), the local subroutine of ULDP-GROUP-k.
-
-Batched leading-axis support: ``Batched*`` layers and losses plus
-:class:`repro.nn.model.BatchedSequential` train many independent model
-copies in one forward/backward pass -- the substrate of the vectorized
-multi-user engine (:mod:`repro.core.engine`).
+- :mod:`repro.nn.batched` -- the one training walk of the vectorized
+  multi-user engine (:mod:`repro.core.engine`): per-group gradients of a
+  shared model, or one SGD step of many per-group models at once.
 
 All randomness flows through explicit ``numpy.random.Generator`` instances
 so every experiment is reproducible from a seed.
@@ -31,9 +29,6 @@ from repro.nn.clip import (
 )
 from repro.nn.layers import (
     AvgPool2d,
-    BatchedConv2d,
-    BatchedFlatten,
-    BatchedLinear,
     Conv2d,
     Flatten,
     Linear,
@@ -49,9 +44,7 @@ from repro.nn.losses import (
     SoftmaxCrossEntropyLoss,
 )
 from repro.nn.model import (
-    BatchedSequential,
     Sequential,
-    batch_model,
     build_cox_linear,
     build_creditcard_mlp,
     build_logistic,
@@ -68,9 +61,6 @@ __all__ = [
     "l2_clip",
     "l2_clip_rows",
     "AvgPool2d",
-    "BatchedConv2d",
-    "BatchedFlatten",
-    "BatchedLinear",
     "Conv2d",
     "Flatten",
     "Linear",
@@ -82,9 +72,7 @@ __all__ = [
     "CoxPHLoss",
     "Loss",
     "SoftmaxCrossEntropyLoss",
-    "BatchedSequential",
     "Sequential",
-    "batch_model",
     "build_cox_linear",
     "build_creditcard_mlp",
     "build_logistic",

@@ -1,11 +1,10 @@
-"""Shared-weight per-group gradient engine.
+"""The one training walk: per-group gradients and per-group SGD steps.
 
 Several hot paths need *per-group* gradients of one shared model: the
 per-user gradients of ULDP-SGD, the per-microbatch gradients of DP-SGD,
 and the first (often only) local step of ULDP-AVG -- in every case the
 parameters are identical across groups because no group has taken a
-divergent step yet.  That structure admits a much faster evaluation than
-the general per-group-parameters engine (:class:`repro.nn.model.BatchedSequential`):
+divergent step yet.  :func:`per_group_gradients` exploits that:
 
 1. concatenate all groups' records into one flat batch (no padding) and
    run a single forward pass;
@@ -21,6 +20,16 @@ the general per-group-parameters engine (:class:`repro.nn.model.BatchedSequentia
    reductions by group -- one pass over the groups' contiguous row
    segments per layer forms both its weight and its bias gradients.
 
+Local training past the first step (Q >= 2 epochs, minibatches) diverges
+the groups' parameters, and runs the same walk on per-group weights
+(:func:`per_group_step`): every weight carries a leading group axis, the
+padded ``(G, n, ...)`` records run as ``G`` equal runs of ``n``, the
+dense and convolution GEMMs -- forward and input gradient -- become
+batched ``(G, n*P, k) @ (G, k, m)`` products, and each layer's weight and
+bias gradients come from one batched GEMM and one sum over the run.  The
+loss gradient is :func:`repro.nn.losses.padded_gradient` on the
+``(G, n, ...)`` predictions (zero at padding).
+
 Every model runs one walk, with one rule per layer type (Linear,
 Conv2d, MaxPool2d, AvgPool2d, ReLU / Tanh, Flatten; any other layer is
 refused).  Inside it every 4-D tensor is channels-last (NHWC): records
@@ -35,10 +44,12 @@ template basis; a ``Flatten`` on 2-D input is a no-op.
 The walk computes in float32 (:data:`repro.nn.layers.TRAIN_DTYPE`):
 records are gathered into it, a float64 model is cast once per call (the
 engine's scratch model already is float32), and forward, backward, the
-loss gradient and every workspace view are float32.  Only the result is
-float64: its rows are ``float64(block) * scale``, and ``row_scale`` sees
-per-group norms summed in float64 from the float32 blocks -- so a clip
-fused into the assembly bounds a float64 row in float64.
+loss gradient and every workspace view are float32.  Only the result of
+:func:`per_group_gradients` is float64: its rows are ``float64(block) *
+scale``, and ``row_scale`` sees per-group norms summed in float64 from the
+float32 blocks -- so a clip fused into the assembly bounds a float64 row
+in float64.  :func:`per_group_step` steps the caller's float32 weights and
+returns nothing; the engine forms the float64 deltas from them.
 
 Every large temporary of the walk is a view into the process's
 :data:`repro.nn.workspace.WORKSPACE`, written through ``out=`` (the walk
@@ -76,7 +87,7 @@ from repro.nn.layers import (
     ReLU,
     Tanh,
 )
-from repro.nn.losses import Loss, grouped_gradient
+from repro.nn.losses import Loss, grouped_gradient, padded_gradient
 from repro.nn.model import Sequential
 from repro.nn.workspace import WORKSPACE, Workspace
 
@@ -104,16 +115,47 @@ def scratch_model(model: Sequential, params: np.ndarray) -> Sequential:
 
 
 def _segment_grads(
-    a: np.ndarray, grad: np.ndarray, bounds: list[int], d_weight: np.ndarray, d_bias: np.ndarray
+    a: np.ndarray, grad: np.ndarray, bounds, d_weight: np.ndarray, d_bias: np.ndarray
 ) -> None:
-    """One pass over the group segments of a layer: ``d_weight[g] =
-    a[seg].T @ grad[seg]`` and ``d_bias[g] = grad[seg].sum(0)`` for ``seg =
-    bounds[g] : bounds[g + 1]``.  Records are concatenated in group order,
-    so every segment is a contiguous row slice -- no padding or scatter."""
+    """``d_weight[g] = a[run].T @ grad[run]`` and ``d_bias[g] =
+    grad[run].sum(0)`` for each group's run of rows.  Shared weights: the
+    runs are the ragged segments ``bounds[g] : bounds[g + 1]`` of the
+    concatenated records, one pass over them.  Per-group weights
+    (``bounds`` is ``None``): ``len(d_weight)`` equal runs, one batched
+    GEMM and one axis-1 sum."""
+    if bounds is None:
+        groups = len(d_weight)
+        a = a.reshape(groups, -1, a.shape[1])
+        grad = grad.reshape(groups, -1, grad.shape[1])
+        np.matmul(a.swapaxes(1, 2), grad, out=d_weight)
+        np.add.reduce(grad, axis=1, out=d_bias)
+        return
     for g in range(len(bounds) - 1):
         lo, hi = bounds[g], bounds[g + 1]
         np.matmul(a[lo:hi].T, grad[lo:hi], out=d_weight[g])
         np.add.reduce(grad[lo:hi], axis=0, out=d_bias[g])
+
+
+def _gemm(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a @ w`` over the rows of ``a``: one GEMM with a shared
+    ``(k, m)`` weight, one batched GEMM with a ``(G, k, m)`` weight -- the
+    rows are then ``G`` equal runs, run ``g`` times ``w[g]``."""
+    if w.ndim == 2:
+        return np.matmul(a, w, out=out)
+    groups = len(w)
+    np.matmul(
+        a.reshape(groups, -1, a.shape[1]), w, out=out.reshape(groups, -1, out.shape[1])
+    )
+    return out
+
+
+def _add_bias(z: np.ndarray, bias: np.ndarray) -> None:
+    """``z += bias`` on ``(rows, m)`` outputs, per run for a ``(G, m)`` bias."""
+    if bias.ndim == 1:
+        z += bias
+    else:
+        runs = z.reshape(len(bias), -1, z.shape[1])
+        runs += bias[:, None, :]
 
 
 def _activate(layer, act: np.ndarray, fresh: bool, ws: Workspace) -> np.ndarray:
@@ -137,29 +179,18 @@ def _activation_backward(layer, out: np.ndarray, g: np.ndarray, ws: Workspace) -
     return g
 
 
-def _linear_forward(layer: Linear, act: np.ndarray, ws: Workspace) -> np.ndarray:
-    z = np.matmul(act, layer.weight, out=ws.take((len(act), layer.weight.shape[1]), TRAIN_DTYPE))
-    z += layer.bias
-    return z
-
-
-def _linear_blocks(x_in: np.ndarray, grad: np.ndarray, ctx) -> list[np.ndarray]:
+def _linear_blocks(
+    x_in: np.ndarray, grad: np.ndarray, groups: int, bounds, ws: Workspace
+) -> list[np.ndarray]:
     """Per-group (dW, db) of one dense layer from its input and output grads."""
-    bounds, ws = ctx
-    groups = len(bounds) - 1
     d_weight = ws.take((groups, x_in.shape[1], grad.shape[1]), TRAIN_DTYPE)
     d_bias = ws.take((groups, grad.shape[1]), TRAIN_DTYPE)
     _segment_grads(x_in, grad, bounds, d_weight, d_bias)
     return [d_weight.reshape(groups, -1), d_bias]
 
 
-def _linear_input_grad(layer: Linear, grad: np.ndarray, ws: Workspace) -> np.ndarray:
-    out = ws.take((len(grad), len(layer.weight)), TRAIN_DTYPE)
-    return np.matmul(grad, layer.weight.T, out=out)
-
-
 # ---------------------------------------------------------------------------
-# NHWC image-layer kernels (used only inside the shared-weight walk).
+# NHWC image-layer kernels (used only inside the walk).
 # ---------------------------------------------------------------------------
 
 
@@ -316,7 +347,7 @@ def per_group_gradients(
     if any(p.dtype != TRAIN_DTYPE for p in model.params):
         model = model.astype(TRAIN_DTYPE)
     x = np.asarray(x, dtype=TRAIN_DTYPE)
-    pred, backward = _walk(model, x, (bounds, WORKSPACE))
+    pred, backward = _walk(model, x, WORKSPACE, bounds)
 
     blocks = backward(np.asarray(grouped_gradient(loss, pred, y, sizes), TRAIN_DTYPE))
 
@@ -345,8 +376,16 @@ def per_group_gradients(
     return out
 
 
-def _walk(model: Sequential, x: np.ndarray, ctx):
+def _walk(model: Sequential, x: np.ndarray, ws: Workspace, bounds=None, weights=None):
     """Forward ``x`` through ``model``; return ``(pred, backward)``.
+
+    ``weights`` holds each layer's parameter list -- by default its own
+    ``params``, shared by every record, with ``bounds`` the ragged group
+    segments of the concatenated records (``None``: forward only).  Given
+    explicitly, every weight carries a leading axis of ``G`` groups and
+    ``x`` is ``G`` equal runs of records, run ``g`` on weight set ``g``.
+    ``backward`` returns each parameterised layer's ``(G, size)``
+    gradient blocks, by layer index.
 
     Every 4-D tensor inside the walk is NHWC: records enter NCHW and are
     transposed once, and a ``Flatten`` -- or the end of the model, for a
@@ -354,27 +393,38 @@ def _walk(model: Sequential, x: np.ndarray, ctx):
     layers, ``pred`` and the parameter blocks stay in the template basis.
     Each layer type has one rule; any other layer is refused.
     """
-    bounds, ws = ctx
     layers = model.layers
+    if weights is None:
+        weights = [layer.params for layer in layers]
+        groups = None if bounds is None else len(bounds) - 1
+    else:
+        groups = next(len(w[0]) for w in weights if w)
     b = len(x)
     if x.ndim == 4:
         act, fresh = _transposed(x, _NHWC, ws), True
     else:
         act, fresh = x, False  # fresh: nothing else holds ``act``
     caches: list = []
-    for layer in layers:
+    for layer, params in zip(layers, weights):
         if isinstance(layer, Linear):
+            weight, bias = params
             caches.append(act)
-            act, fresh = _linear_forward(layer, act, ws), True
+            z = _gemm(act, weight, ws.take((b, weight.shape[-1]), TRAIN_DTYPE))
+            _add_bias(z, bias)
+            act, fresh = z, True
         elif isinstance(layer, Conv2d):
+            weight, bias = params
             k = layer.kernel_size
             in_shape = act.shape
             cols, oh, ow = _im2col_nhwc(act, k, k, layer.stride, layer.padding, ws)
-            out_c = layer.weight.shape[0]
+            lead = weight.ndim - 4  # 1 for per-group weights
+            out_c = weight.shape[lead]
             # Template (out_c, C, kh, kw) -> NHWC patch order (kh, kw, C).
-            w_nhwc = np.ascontiguousarray(layer.weight.transpose(2, 3, 1, 0)).reshape(-1, out_c)
-            z = np.matmul(cols, w_nhwc, out=ws.take((len(cols), out_c), TRAIN_DTYPE))  # one GEMM
-            z += layer.bias[None, :]
+            axes = (*range(lead), lead + 2, lead + 3, lead + 1, lead)
+            w_nhwc = np.ascontiguousarray(weight.transpose(axes))
+            w_nhwc = w_nhwc.reshape(*weight.shape[:lead], -1, out_c)
+            z = _gemm(cols, w_nhwc, ws.take((len(cols), out_c), TRAIN_DTYPE))  # one GEMM
+            _add_bias(z, bias)
             act, fresh = z.reshape(b, oh, ow, out_c), True
             caches.append((in_shape, cols, w_nhwc, oh, ow))
         elif isinstance(layer, MaxPool2d):
@@ -397,7 +447,7 @@ def _walk(model: Sequential, x: np.ndarray, ctx):
             else:
                 act = act.reshape(b, -1)
         else:
-            raise TypeError(f"no shared-weight gradient rule for {type(layer).__name__}")
+            raise TypeError(f"no training-walk rule for {type(layer).__name__}")
     pred = _transposed(act, _NCHW, ws) if act.ndim == 4 else act
 
     def backward(grad: np.ndarray) -> dict[int, list[np.ndarray]]:
@@ -408,15 +458,16 @@ def _walk(model: Sequential, x: np.ndarray, ctx):
         for index in range(len(layers) - 1, -1, -1):
             layer, cache = layers[index], caches[index]
             if isinstance(layer, Linear):
-                blocks[index] = _linear_blocks(cache, g, ctx)
+                blocks[index] = _linear_blocks(cache, g, groups, bounds, ws)
                 if index > 0:
-                    g = _linear_input_grad(layer, g, ws)
+                    weight = weights[index][0]
+                    out = ws.take((len(g), weight.shape[-2]), TRAIN_DTYPE)
+                    g = _gemm(g, np.swapaxes(weight, -1, -2), out)
             elif isinstance(layer, Conv2d):
                 in_shape, cols, w_nhwc, oh, ow = cache
-                out_c, in_c = layer.weight.shape[:2]
+                out_c, in_c = weights[index][0].shape[-4:-2]
                 k, pad = layer.kernel_size, layer.padding
                 go_flat = g.reshape(-1, out_c)  # (B*P, out_c), already contiguous
-                groups = len(bounds) - 1
                 dw = ws.take((groups, out_c, in_c, k, k), TRAIN_DTYPE)
                 db = ws.take((groups, out_c), TRAIN_DTYPE)
                 blocks[index] = [dw.reshape(groups, -1), db]
@@ -425,14 +476,15 @@ def _walk(model: Sequential, x: np.ndarray, ctx):
                     canvas = ws.take((n, h + 2 * pad, w + 2 * pad, in_c), TRAIN_DTYPE)
                 mark = ws.mark()
                 dw_nhwc = ws.take((groups, cols.shape[1], out_c), TRAIN_DTYPE)
-                rows = [bound * oh * ow for bound in bounds]  # P patch rows a record
-                _segment_grads(cols, go_flat, rows, dw_nhwc, db)
+                rows = None if bounds is None else [bound * oh * ow for bound in bounds]
+                _segment_grads(cols, go_flat, rows, dw_nhwc, db)  # P patch rows a record
                 # NHWC patch basis (kh, kw, C, out_c) -> template (out_c, C, kh, kw).
                 dw_nhwc = dw_nhwc.reshape(groups, k, k, in_c, out_c)
                 np.copyto(dw, dw_nhwc.transpose(0, 4, 3, 1, 2))
                 if index > 0:
                     dcols = ws.take((b, oh, ow, k, k, in_c), TRAIN_DTYPE)
-                    np.matmul(go_flat, w_nhwc.T, out=dcols.reshape(len(go_flat), -1))  # one GEMM
+                    flat = dcols.reshape(len(go_flat), -1)
+                    _gemm(go_flat, np.swapaxes(w_nhwc, -1, -2), flat)  # one GEMM
                     g = _col2im_nhwc(dcols, canvas, k, k, layer.stride, pad)
                 ws.release(mark)
             elif index == 0:
@@ -462,6 +514,45 @@ def _walk(model: Sequential, x: np.ndarray, ctx):
     return pred, backward
 
 
+def per_group_step(
+    model: Sequential,
+    weights: list[list[np.ndarray]],
+    loss: Loss,
+    x: np.ndarray,
+    y: np.ndarray,
+    valid: np.ndarray,
+    lr: float,
+) -> None:
+    """One SGD step of ``G`` models of ``model``'s architecture, in place.
+
+    Args:
+        model: the template; only its structure is read.
+        weights: per layer of ``model``, its parameters with a leading
+            group axis -- ``(G, *shape)`` :data:`TRAIN_DTYPE` arrays, ``[]``
+            for a parameterless layer; stepped in place.
+        loss: a per-batch loss instance naming the loss.
+        x, y: padded ``(G, n, ...)`` records (:data:`TRAIN_DTYPE`) and
+            targets, group ``g``'s in row ``g``.
+        valid: ``(G, n)`` mask, ``False`` at padding.
+        lr: the learning rate.
+
+    Group ``g``'s step descends the gradient of its own mean loss over its
+    valid records (:func:`repro.nn.losses.padded_gradient`: zero at
+    padding, and for a degenerate Cox group), rounded as a plain SGD step:
+    ``grad *= lr; weight -= grad``.  The call re-opens the workspace's
+    scratch scope.
+    """
+    WORKSPACE.reset()
+    groups, n = valid.shape
+    pred, backward = _walk(model, x.reshape(groups * n, *x.shape[2:]), WORKSPACE, weights=weights)
+    dpred = padded_gradient(loss, pred.reshape(groups, n, *pred.shape[1:]), y, valid)
+    blocks = backward(np.asarray(dpred, TRAIN_DTYPE).reshape(pred.shape))
+    for index, grads in blocks.items():
+        for weight, grad in zip(weights[index], grads):
+            np.multiply(grad, lr, out=grad)
+            np.subtract(weight, grad.reshape(weight.shape), out=weight)
+
+
 def forward_logits(model: Sequential, x: np.ndarray) -> np.ndarray:
     """The walk's float32 forward of ``model`` over ``x``, as float64 logits.
 
@@ -476,7 +567,7 @@ def forward_logits(model: Sequential, x: np.ndarray) -> np.ndarray:
         chunk = x[start : start + FORWARD_CHUNK]
         records = WORKSPACE.take(chunk.shape, TRAIN_DTYPE)
         np.copyto(records, chunk)
-        pred, _ = _walk(model, records, (None, WORKSPACE))  # no groups: no backward
+        pred, _ = _walk(model, records, WORKSPACE)  # no groups: no backward
         if start == 0:
             out = np.empty((len(x), *pred.shape[1:]))
         out[start : start + len(pred)] = pred

@@ -17,23 +17,10 @@ Factories reproduce the paper's model sizes:
 from __future__ import annotations
 
 import copy
-import weakref
 
 import numpy as np
 
-from repro.nn.layers import (
-    AvgPool2d,
-    BatchedConv2d,
-    BatchedFlatten,
-    BatchedLinear,
-    Conv2d,
-    Flatten,
-    Layer,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Tanh,
-)
+from repro.nn.layers import Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU
 
 
 class Sequential:
@@ -126,163 +113,6 @@ class Sequential:
                 layer.grads = [g.astype(dtype) for g in layer.grads]
                 layer.weight, layer.bias = layer.params
         return local
-
-
-class BatchedSequential(Sequential):
-    """``G`` independent copies of a :class:`Sequential`, trained in lockstep.
-
-    Every parameterised layer carries a leading group axis, so one
-    forward/backward moves all ``G`` models at once -- the substrate of the
-    vectorized multi-user engine (:mod:`repro.core.engine`).  The flat
-    parameter interface becomes matrix-valued: ``get_flat_params`` returns a
-    ``(G, P)`` matrix whose row ``g`` uses exactly the same layout as the
-    template model's flat vector, and ``set_flat_params`` accepts either a
-    ``(P,)`` vector (broadcast to every group -- "all users start from the
-    global model") or a ``(G, P)`` matrix.
-    """
-
-    def __init__(self, layers: list[Layer], groups: int):
-        super().__init__(layers)
-        if groups < 1:
-            raise ValueError("need at least one group")
-        self.groups = groups
-
-    @property
-    def num_params(self) -> int:
-        """Per-group parameter count (matches the template model's)."""
-        return sum(p[0].size for p in self.params)
-
-    def get_flat_params(self) -> np.ndarray:
-        """Per-group flat parameters as a ``(G, P)`` matrix (copy)."""
-        if not self.params:
-            return np.zeros((self.groups, 0))
-        return np.concatenate([p.reshape(self.groups, -1) for p in self.params], axis=1)
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        """Load parameters from a ``(P,)`` vector (broadcast) or ``(G, P)`` matrix."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.ndim == 1:
-            # Broadcast-on-write: every group gets the same global vector
-            # without materialising a (G, P) intermediate.
-            if flat.size != self.num_params:
-                raise ValueError(
-                    f"expected {self.num_params} parameters, got {flat.size}"
-                )
-            offset = 0
-            for p in self.params:
-                size = p[0].size
-                p[...] = flat[offset : offset + size].reshape(p.shape[1:])
-                offset += size
-            return
-        if flat.shape != (self.groups, self.num_params):
-            raise ValueError(
-                f"expected ({self.groups}, {self.num_params}) parameters, "
-                f"got {flat.shape}"
-            )
-        offset = 0
-        for p in self.params:
-            size = p[0].size
-            p[...] = flat[:, offset : offset + size].reshape(p.shape)
-            offset += size
-
-    def get_flat_grads(self) -> np.ndarray:
-        """Per-group flat gradients as a ``(G, P)`` matrix."""
-        if not self.grads:
-            return np.zeros((self.groups, 0))
-        return np.concatenate([g.reshape(self.groups, -1) for g in self.grads], axis=1)
-
-
-#: Groups in the one reusable replica a template gets: the widest bucket
-#: the multi-user engine forms (its ``MICRO_BATCH``).
-REPLICA_GROUPS = 128
-
-#: Per template (weakly keyed): its :data:`REPLICA_GROUPS`-group replica
-#: under that key, plus the ``[:G]`` heads handed out so far.  The engine
-#: asks for a different group count with every bucket; rebuilding would
-#: re-allocate and zero 2 x G x P floats each time, so the parameter and
-#: gradient storage exists once and a head is four views per layer.
-_REPLICAS: "weakref.WeakKeyDictionary[Sequential, dict[int, BatchedSequential]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _head(full: BatchedSequential, groups: int) -> BatchedSequential:
-    """The leading ``groups`` models of ``full`` as a replica of their own,
-    on ``full``'s storage (stateless layers are shared outright)."""
-    layers: list[Layer] = []
-    for layer in full.layers:
-        if layer.params:
-            view = copy.copy(layer)
-            view.params = [p[:groups] for p in layer.params]
-            view.grads = [g[:groups] for g in layer.grads]
-            view.weight, view.bias = view.params
-            layers.append(view)
-        else:
-            layers.append(layer)
-    return BatchedSequential(layers, groups)
-
-
-def batch_model(
-    template: Sequential, groups: int, reuse: bool = False
-) -> BatchedSequential:
-    """Replicate ``template`` into a :class:`BatchedSequential` of ``groups`` copies.
-
-    Parameterised layers become their ``Batched*`` counterparts (allocated
-    as zeros -- load them with ``set_flat_params``); stateless layers are
-    recreated fresh.  The per-group flat parameter layout matches the
-    template's, so global parameter vectors move between the two unchanged.
-
-    With ``reuse=True`` (and at most :data:`REPLICA_GROUPS` groups) the
-    result is a leading-axis view of the template's one resident replica:
-    every such replica of a template shares storage, only one may be in
-    use at a time, and it arrives with *stale parameters and gradients* --
-    load parameters before use (the engine always does).
-    """
-    if reuse and groups <= REPLICA_GROUPS:
-        heads = _REPLICAS.get(template)
-        if heads is None:
-            heads = _REPLICAS[template] = {
-                REPLICA_GROUPS: batch_model(template, REPLICA_GROUPS)
-            }
-        head = heads.get(groups)
-        if head is None:
-            head = heads[groups] = _head(heads[REPLICA_GROUPS], groups)
-        return head
-    layers: list[Layer] = []
-    for layer in template.layers:
-        if isinstance(layer, Linear):
-            layers.append(
-                BatchedLinear(layer.weight.shape[0], layer.weight.shape[1], groups)
-            )
-        elif isinstance(layer, Conv2d):
-            layers.append(
-                BatchedConv2d(
-                    layer.weight.shape[1],
-                    layer.weight.shape[0],
-                    layer.kernel_size,
-                    groups,
-                    stride=layer.stride,
-                    padding=layer.padding,
-                )
-            )
-        elif isinstance(layer, Flatten):
-            layers.append(BatchedFlatten())
-        elif isinstance(layer, ReLU):
-            layers.append(ReLU())
-        elif isinstance(layer, Tanh):
-            layers.append(Tanh())
-        elif isinstance(layer, MaxPool2d):
-            layers.append(MaxPool2d(layer.size))
-        elif isinstance(layer, AvgPool2d):
-            layers.append(AvgPool2d(layer.size))
-        else:
-            raise TypeError(
-                f"no batched counterpart for layer {type(layer).__name__}"
-            )
-    if layers and isinstance(layers[0], (BatchedLinear, BatchedConv2d)):
-        # Nothing consumes the input gradient of the first layer.
-        layers[0].skip_input_grad = True
-    return BatchedSequential(layers, groups)
 
 
 def build_tiny_mlp(

@@ -72,6 +72,20 @@ every epsilon, comm ledger and participation log the parent's value bit
 for bit, and the sharded entries still equal their in-process twins.
 CHANGES.md lists both columns.
 
+The four ``*-multi-epoch*`` entries were recorded at commit 45479e2, the
+last one where the multi-epoch bucket kernel
+(``core/engine.py::_train_bucket``) trained a replica model -- a
+``BatchedSequential`` of ``Batched*`` layers holding one parameter copy
+per job -- instead of running the shared-weight walk on per-group
+weights.  No other entry reaches that kernel (every one above trains a
+single full-batch step or runs ULDP-SGD's gradient kernel), so these pin
+its bits on the dense path: ULDP-AVG-w with two local epochs of batch 8
+(45 buckets), ULDP-AVG full-batch over two epochs behind a 2-worker pool,
+and the per-silo baselines DEFAULT (batch 8, no epsilon) and ULDP-NAIVE
+over two epochs.  They hash the same under single-threaded BLAS.  No
+convolutional multi-epoch entry is kept: its bits move with BLAS's
+thread count.
+
 To re-record after a change that is *meant* to move the numbers, print
 ``_fingerprint(TREES[name])`` for each name and say why in CHANGES.md.
 """
@@ -152,6 +166,20 @@ TREES = {
         "seed": 3,
         "sim": {"scenario": "user-churn", "scale": "smoke"},
     },
+    "uldp-avg-w-multi-epoch": {
+        **TRAIN, "method": {"name": "uldp-avg-w", "local_epochs": 2, "batch_size": 8},
+    },
+    "uldp-avg-multi-epoch-sharded": {
+        **TRAIN,
+        "method": {"name": "uldp-avg", "local_epochs": 2},
+        "engine": {"workers": 2, "shard_size": 128},
+    },
+    "default-multi-epoch": {
+        **TRAIN, "method": {"name": "default", "local_epochs": 2, "batch_size": 8},
+    },
+    "uldp-naive-multi-epoch": {
+        **TRAIN, "method": {"name": "uldp-naive", "local_epochs": 2},
+    },
 }
 
 GOLDEN = {
@@ -185,6 +213,22 @@ GOLDEN = {
     ),
     "user-churn": (
         "ca48fbb99446c26153628f1b15d31bba7246e6283803b02487f36b119bbc1eb0",
+        1.445621967952188,
+    ),
+    "uldp-avg-w-multi-epoch": (
+        "9387ff5432a6bf9763692afaaedad3a25de78db8c215f80d63524f08312baf1c",
+        1.445621967952188,
+    ),
+    "uldp-avg-multi-epoch-sharded": (
+        "eb5233c5a980a599bc66cd5576787f2639abdba573268a11ebae4d72fe3382b2",
+        1.445621967952188,
+    ),
+    "default-multi-epoch": (
+        "35f0fe52bc8f70b02fdcc3b3b7d6d45174b9bee44a4683a7d5f1fcb86379ac00",
+        None,
+    ),
+    "uldp-naive-multi-epoch": (
+        "42a2e1e41c73cc95ff7070cbd99be04d3fa5478eaf2eef657441d3f0efb2fed4",
         1.445621967952188,
     ),
 }

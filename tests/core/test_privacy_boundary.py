@@ -112,9 +112,9 @@ def test_the_property_is_not_vacuous(kernel):
 def test_dtype_sentinel(local_epochs, monkeypatch):
     """One ULDP-AVG round: float32 training, float64 everywhere the clip
     and the release can see."""
-    takes, results, folded, replicas, aggregates = [], [], [], [], []
+    takes, results, folded, weights, aggregates = [], [], [], [], []
     take, result, add = WORKSPACE.take, WORKSPACE.result, BinnedSum.add
-    batch_model = engine.batch_model
+    per_group_step = engine.per_group_step
 
     def spy_take(shape, dtype):
         view = take(shape, dtype)
@@ -130,15 +130,15 @@ def test_dtype_sentinel(local_epochs, monkeypatch):
         folded.append(np.asarray(vec).dtype)
         return add(acc, vec)
 
-    def spy_batch_model(template, groups, reuse=False):
-        replica = batch_model(template, groups, reuse=reuse)
-        replicas.extend(p.dtype for p in replica.params)
-        return replica
+    def spy_step(model, bucket_weights, *args):
+        # The bucket's per-group weights, one (G, *shape) array a parameter.
+        weights.extend(w.dtype for layer in bucket_weights for w in layer)
+        return per_group_step(model, bucket_weights, *args)
 
     monkeypatch.setattr(WORKSPACE, "take", spy_take)
     monkeypatch.setattr(WORKSPACE, "result", spy_result)
     monkeypatch.setattr(BinnedSum, "add", spy_add)
-    monkeypatch.setattr(engine, "batch_model", spy_batch_model)
+    monkeypatch.setattr(engine, "per_group_step", spy_step)
     spec = RunSpec.from_dict({
         "name": "dtype-sentinel", "seed": 1, "rounds": 1,
         "dataset": {"name": "mnist", "users": 8, "silos": 2, "records": 32,
@@ -165,6 +165,6 @@ def test_dtype_sentinel(local_epochs, monkeypatch):
     floats = [d for d in takes if d.kind == "f"]
     assert floats.count(np.dtype(np.float64)) == len(results)
     if local_epochs == 1:
-        assert floats.count(TRAIN_DTYPE) > 0 and not replicas
+        assert floats.count(TRAIN_DTYPE) > 0 and not weights
     else:
-        assert replicas and set(replicas) == {TRAIN_DTYPE}
+        assert weights and set(weights) == {TRAIN_DTYPE}

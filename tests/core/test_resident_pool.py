@@ -11,6 +11,7 @@ per-template state is built once per process.
 """
 
 import copy
+import functools
 import multiprocessing
 import os
 import pickle
@@ -338,10 +339,13 @@ def test_a_worker_copies_the_template_once(fed, monkeypatch):
 def test_an_explicit_model_of_the_resident_architecture_is_the_resident_one(fed):
     # The kernels read a template's structure only (values come from the
     # task's params), so an inline task's own copy of the template runs on
-    # the resident object's warm caches; another architecture runs as sent.
-    from repro.nn import model as nn_model
+    # the resident object's warm float32 scratch copy (a single-step
+    # method's kernel builds one per template); another architecture runs
+    # as sent.
+    from repro.nn.batched import _SCRATCH_MODELS
 
-    method = _prepared(UldpAvg, fed, None, EngineConfig(shard_size=128))
+    single_step = functools.partial(UldpAvg, local_epochs=1)
+    method = _prepared(single_step, fed, None, EngineConfig(shard_size=128))
     params = method.model.get_flat_params()
     by_reference = _planned_tasks(method, params)[0]
     jobs = engine_module.resident_jobs(by_reference["jobs"])
@@ -352,13 +356,13 @@ def test_an_explicit_model_of_the_resident_architecture_is_the_resident_one(fed)
     assert got["state"].keys() == want["state"].keys()
     for key, value in want["state"].items():
         assert np.array_equal(got["state"][key], value)
-    assert method.model in nn_model._REPLICAS and twin not in nn_model._REPLICAS
+    assert method.model in _SCRATCH_MODELS and twin not in _SCRATCH_MODELS
 
     wider = build_tiny_mlp(30, 9, 2, np.random.default_rng(1))
     assert wider.architecture() != method.model.architecture()
     task = dict(inline, model=wider, params=wider.get_flat_params())
     method.shard_engine.run_tasks([task])
-    assert wider in nn_model._REPLICAS
+    assert wider in _SCRATCH_MODELS
 
 
 @pytest.mark.parametrize("workers", [0, 2])

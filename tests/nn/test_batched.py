@@ -1,9 +1,9 @@
-"""Unit tests for the batched-leading-axis nn substrate.
+"""Unit tests for the walk of :mod:`repro.nn.batched`.
 
-Covers the per-group-parameters machinery (``Batched*`` layers,
-:class:`BatchedSequential`) and the shared-weight per-group gradient
-engine (:func:`repro.nn.batched.per_group_gradients`) and its chunked
-forward (:func:`repro.nn.batched.forward_logits`) against per-group
+Covers its three entries -- per-group gradients of a shared model
+(:func:`repro.nn.batched.per_group_gradients`), one SGD step of many
+per-group models (:func:`repro.nn.batched.per_group_step`) and the chunked
+forward (:func:`repro.nn.batched.forward_logits`) -- against per-group
 reference computations with the standard layers.  Both sides compute in
 ``TRAIN_DTYPE`` (float32): the references run the standard layers on a
 float32 copy of the model, and results agree to :func:`assert_close32`.
@@ -13,12 +13,16 @@ import numpy as np
 import pytest
 
 from repro.nn import batched
-from repro.nn.batched import forward_logits, per_group_gradients, scratch_model
+from repro.nn.batched import (
+    forward_logits,
+    per_group_gradients,
+    per_group_step,
+    scratch_model,
+)
 from repro.nn.clip import clip_factor_rows, l2_clip, l2_clip_rows
 from repro.nn.layers import (
     TRAIN_DTYPE,
     AvgPool2d,
-    BatchedLinear,
     Conv2d,
     Flatten,
     Layer,
@@ -33,7 +37,7 @@ from repro.nn.losses import (
     DegenerateBatchError,
     SoftmaxCrossEntropyLoss,
 )
-from repro.nn.model import Sequential, batch_model, build_mnist_cnn, build_tiny_mlp
+from repro.nn.model import Sequential, build_mnist_cnn, build_tiny_mlp
 
 
 #: float32's machine epsilon, 1.19e-7.
@@ -123,74 +127,96 @@ class Scale(Layer):
         return 2.0 * grad_out
 
 
-class TestBatchedSequential:
-    def test_flat_params_roundtrip(self):
-        model = build_tiny_mlp(5, 4, 3, np.random.default_rng(0))
-        bm = batch_model(model, groups=3)
-        bm.set_flat_params(model.get_flat_params())
-        flat = bm.get_flat_params()
-        assert flat.shape == (3, model.num_params) and flat.dtype == TRAIN_DTYPE
-        np.testing.assert_array_equal(flat[0], model.get_flat_params().astype(TRAIN_DTYPE))
-        np.testing.assert_array_equal(flat[1], flat[2])
-        per_group = np.arange(3 * model.num_params, dtype=float).reshape(3, -1)
-        bm.set_flat_params(per_group)
-        np.testing.assert_array_equal(bm.get_flat_params(), per_group)
+class Affine(Layer):
+    """A parameterised layer the walk has no rule for."""
 
-    def test_wrong_param_shape_rejected(self):
-        model = build_tiny_mlp(5, 4, 3, np.random.default_rng(0))
-        bm = batch_model(model, groups=2)
-        with pytest.raises(ValueError):
-            bm.set_flat_params(np.zeros(7))
-        with pytest.raises(ValueError):
-            bm.set_flat_params(np.zeros((3, model.num_params)))
+    def __init__(self):
+        super().__init__()
+        self.weight, self.bias = np.eye(2), np.zeros(2)
+        self.params = [self.weight, self.bias]
+        self.grads = [np.zeros_like(p) for p in self.params]
 
-    def test_forward_matches_per_group_models(self):
-        rng = np.random.default_rng(1)
-        model = build_tiny_mlp(6, 5, 2, np.random.default_rng(2))
-        bm = batch_model(model, groups=4)
-        params = np.stack(
-            [model.get_flat_params() + 0.1 * g for g in range(4)]
-        )
-        bm.set_flat_params(params)
-        x = rng.standard_normal((4, 7, 6)).astype(TRAIN_DTYPE)
-        out = bm.forward(x)
-        for g in range(4):
+
+def grouped_weights(locals_):
+    """Per layer, each parameter of the ``locals_`` models stacked on a
+    leading group axis: the weights :func:`per_group_step` takes."""
+    return [
+        [np.stack(params) for params in zip(*(local.layers[i].params for local in locals_))]
+        for i in range(len(locals_[0].layers))
+    ]
+
+
+def flat(weights, group):
+    """Group ``group``'s weights as one flat vector, in the template layout."""
+    return np.concatenate([w[group].ravel() for layer in weights for w in layer])
+
+
+class TestPerGroupStep:
+    @pytest.mark.parametrize("kind", ["mlp", "cnn", *STACKS])
+    def test_matches_each_groups_own_float32_gradient(self, kind):
+        """Groups on different weight sets, with padded runs: each group
+        steps by its own plain float32 ``Sequential.forward/backward``
+        gradient of the mean loss over its valid records.  Every rule runs
+        on per-group weights: dense and convolution layers (padded,
+        strided, first and inner), max and average pooling, ReLU and Tanh,
+        a leading Flatten, no Flatten, and a Flatten on 2-D input."""
+        init = np.random.default_rng(4)
+        if kind == "mlp":
+            model, shape = build_tiny_mlp(6, 5, 3, init), (6,)
+        elif kind == "cnn":
+            model, shape = build_mnist_cnn(init, image_size=14, n_classes=3), (1, 14, 14)
+        else:
+            model, shape = build_stack(kind)
+        binary = kind in ("no-flatten", "two-flattens")
+        loss_factory = BCEWithLogitsLoss if binary else SoftmaxCrossEntropyLoss
+        rng = np.random.default_rng(11)
+        counts = np.array([3, 1, 4, 2])
+        groups, n = len(counts), int(counts.max())
+        base = model.get_flat_params()
+        locals_ = []
+        for _ in range(groups):
             local = model.astype(TRAIN_DTYPE)
-            local.set_flat_params(params[g])
-            assert_close32(out[g], local.forward(x[g]))
+            local.set_flat_params(base + 0.1 * rng.standard_normal(base.size))
+            locals_.append(local)
+        weights = grouped_weights(locals_)
+        x = rng.standard_normal((groups, n, *shape)).astype(TRAIN_DTYPE)
+        y = rng.integers(0, 2 if binary else 3, size=(groups, n)).astype(float)
+        valid = np.arange(n) < counts[:, None]
+        before = [flat(weights, g) for g in range(groups)]
+        # lr = 1: the step is ``weight -= grad`` with one rounding, so
+        # ``before - after`` recovers the gradient to a few ulps of |weight|.
+        for _ in range(2):  # overflowing first call, slab-served second
+            grouped = [[w.copy() for w in layer] for layer in weights]
+            per_group_step(model, grouped, loss_factory(), x, y, valid, 1.0)
+            for g, local in enumerate(locals_):
+                loss = loss_factory()
+                local.zero_grad()
+                loss.forward(local.forward(x[g, : counts[g]]), y[g, : counts[g]])
+                local.backward(np.asarray(loss.backward(), TRAIN_DTYPE))
+                step = np.subtract(before[g], flat(grouped, g), dtype=np.float64)
+                assert_close32(step, local.get_flat_grads())
 
-    def test_cnn_forward_backward_matches(self):
-        rng = np.random.default_rng(3)
-        model = build_mnist_cnn(np.random.default_rng(4), image_size=14, n_classes=3)
-        bm = batch_model(model, groups=2)
-        bm.set_flat_params(model.get_flat_params())
-        x = rng.standard_normal((2, 3, 1, 14, 14)).astype(TRAIN_DTYPE)
-        out = bm.forward(x)
-        bm.zero_grad()
-        bm.backward(np.ones_like(out))
-        grads = bm.get_flat_grads()
-        for g in range(2):
-            local = model.astype(TRAIN_DTYPE)
-            ref_out = local.forward(x[g])
-            local.zero_grad()
-            local.backward(np.ones_like(ref_out))
-            assert_close32(out[g], ref_out)
-            assert_close32(grads[g], local.get_flat_grads())
-
-    def test_unsupported_layer_rejected(self):
-        from repro.nn.model import Sequential
-
-        with pytest.raises(TypeError):
-            batch_model(Sequential([BatchedLinear(2, 2, 1)]), groups=2)
-
-
-class TestBatchedLinear:
-    def test_shape_validation(self):
-        layer = BatchedLinear(3, 2, groups=2)
-        with pytest.raises(ValueError):
-            layer.forward(np.zeros((3, 4, 3)))  # wrong group count
-        with pytest.raises(ValueError):
-            BatchedLinear(3, 2, groups=0)
+    def test_steps_in_place_with_the_plain_sgd_rounding(self):
+        """``grad *= lr; weight -= grad`` in float32, on the caller's arrays."""
+        model = build_tiny_mlp(4, 3, 2, np.random.default_rng(0))
+        local = model.astype(TRAIN_DTYPE)
+        weights = grouped_weights([local, local])
+        arrays = [w for layer in weights for w in layer]
+        records = np.random.default_rng(1).standard_normal((5, 4)).astype(TRAIN_DTYPE)
+        x = np.stack([records, records])  # two groups, one problem
+        y = np.zeros((2, 5))
+        valid = np.ones((2, 5), bool)
+        lr = 0.3
+        per_group_step(model, weights, SoftmaxCrossEntropyLoss(), x, y, valid, lr)
+        assert all(a is b for a, b in zip((w for layer in weights for w in layer), arrays))
+        loss = SoftmaxCrossEntropyLoss()
+        loss.forward(local.forward(x[0]), y[0])
+        local.backward(np.asarray(loss.backward(), TRAIN_DTYPE))
+        for w, p, grad in zip(arrays, local.params, local.grads):
+            want = p - np.multiply(grad, lr, dtype=TRAIN_DTYPE)
+            assert w.dtype == TRAIN_DTYPE
+            assert_close32(w[0], want)
+            np.testing.assert_array_equal(w[0], w[1])
 
 
 class TestPerGroupGradients:
@@ -281,9 +307,8 @@ class TestPerGroupGradients:
             out = per_group_gradients(model, BCEWithLogitsLoss(), x, y, sizes)
             assert_close32(out, ref)
 
-    @pytest.mark.parametrize("layer", [lambda: BatchedLinear(2, 2, 1), Scale],
-                             ids=["BatchedLinear", "Scale"])
-    @pytest.mark.parametrize("entry", ["per_group_gradients", "forward_logits"])
+    @pytest.mark.parametrize("layer", [Affine, Scale])
+    @pytest.mark.parametrize("entry", ["per_group_gradients", "per_group_step", "forward_logits"])
     def test_parameterised_layer_without_a_rule_is_refused(self, layer, entry):
         layer = layer()
         model = Sequential([layer, Linear(2, 2, np.random.default_rng(0))])
@@ -291,6 +316,12 @@ class TestPerGroupGradients:
             if entry == "per_group_gradients":
                 per_group_gradients(
                     model, SoftmaxCrossEntropyLoss(), np.zeros((1, 2)), np.zeros(1), [1]
+                )
+            elif entry == "per_group_step":
+                weights = grouped_weights([model.astype(TRAIN_DTYPE)])
+                per_group_step(
+                    model, weights, SoftmaxCrossEntropyLoss(), np.zeros((1, 1, 2), TRAIN_DTYPE),
+                    np.zeros((1, 1)), np.ones((1, 1), bool), 0.1,
                 )
             else:
                 forward_logits(model, np.zeros((1, 2)))
