@@ -7,8 +7,7 @@ accountant plus the paper's group-privacy conversions:
   (Lemma 3) and RDP composition (Lemma 1).
 - :mod:`repro.accounting.subsampled` -- RDP of the Poisson-sub-sampled
   Gaussian mechanism (Lemma 4; numerically tight bounds of Mironov et al.
-  2019 for integer and fractional orders); the only user of SciPy, which
-  it imports on first use.
+  2019 for integer and fractional orders), on NumPy alone.
 - :mod:`repro.accounting.conversion` -- RDP -> (eps, delta)-DP conversion
   (Lemma 2, Balle et al. 2020) with optimal-order search.
 - :mod:`repro.accounting.group` -- group privacy: the RDP doubling route

@@ -7,7 +7,7 @@ Two bounds are provided:
   Gaussian mechanism" (2019), the computation Opacus uses.  For integer
   orders it evaluates a finite binomial sum; for fractional orders the
   convergent two-sided series with erfc terms.  All computation happens in
-  log space for stability, on arrays of terms in fixed-size blocks (the
+  log space for stability, on arrays of terms in blocks (the
   term-by-term form is the test oracle, ``tests/accounting/oracle_subsampled.py``;
   costs in docs/privacy_accounting.md, "Cost of the accountant").
 - :func:`subsampled_rdp_closed_form` -- the closed-form upper bound of
@@ -17,10 +17,10 @@ Two bounds are provided:
 Both take the sampling rate q (probability a record/user participates in a
 step) and the noise multiplier sigma.
 
-SciPy is imported by :func:`load_scipy` on the first sub-sampled
-evaluation, so a process whose releases are all plain Gaussians (Lemma 3)
-never pays its ~0.3 s and ~26 MB; methods whose releases are sub-sampled
-call it when they are built, so no round carries the import.
+The special functions the bounds need -- ``log(i!)``, ``log erfc`` and the
+signed generalised binomials ``C(alpha, i)`` -- are this module's own
+vectorised NumPy + :mod:`math` helpers, so a sub-sampled release costs no
+import beyond NumPy.
 """
 
 from __future__ import annotations
@@ -31,48 +31,58 @@ import numpy as np
 
 from repro.accounting.rdp import DEFAULT_ALPHAS, gaussian_rdp
 
-#: ``scipy.special`` once :func:`load_scipy` has bound it.
-special = None
-
-
-class ScipyUnavailable(ImportError):
-    """A sub-sampled release was asked for on a host without SciPy."""
-
-
-def load_scipy(need: str = "a sampling rate q < 1") -> None:
-    """Bind ``scipy.special`` for the sub-sampled kernels (idempotent).
-
-    Raises:
-        ScipyUnavailable: SciPy is not installed; the message names
-            ``need``, the thing that asked for it.
-    """
-    global special
-    if special is None:
-        try:
-            from scipy import special as module
-        except ImportError as exc:
-            raise ScipyUnavailable(
-                f"{need} needs SciPy (sub-sampled Gaussian RDP, Lemma 4), "
-                "which is not installed"
-            ) from exc
-        special = module
-
 #: Terms of the integer-order binomial sum evaluated per array pass.  The
 #: default grid reaches order 131072, so blocking the ``i`` axis keeps the
 #: temporaries at ~64 KiB each however large the order is.
 _BLOCK = 8192
-#: Terms of the fractional-order series per pass.  The series stops after
-#: under ten terms at q = 0.01 and after thousands at q = 0.5 (there only
-#: the generalised binomials decay, polynomially); a short block wastes
-#: little in the first case and costs little in the second.
+#: Terms of the fractional-order series' first pass; each later pass
+#: doubles, up to ``_BLOCK``.  The series stops after under ten terms at
+#: q = 0.01 and after thousands at q = 0.5 (there only the generalised
+#: binomials decay, polynomially); a short first pass wastes little in the
+#: first case, and doubling keeps the passes few in the second.
 _SERIES_BLOCK = 256
+
+#: ``log(i!)`` for ``i < 13``: ``i!`` is exact in a double there and its
+#: log is correctly rounded.
+_SMALL_LOG_FACTORIAL = np.log([float(math.factorial(i)) for i in range(13)])
+#: ``log(sqrt(2 pi))``, the constant of Stirling's series.
+_LOG_SQRT_2PI = 0.91893853320467274178
+#: The series' correction ``sum_k c_k / x^(2k-1)`` as a polynomial in
+#: ``1 / x^2`` (highest power first), over ``x`` -- Cephes' ``lgam``: a
+#: minimax fit for ``13 <= x < 1000``, Stirling's 1/12, -1/360, 1/1260
+#: beyond.
+_STIRLING_NEAR = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_STIRLING_FAR = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                 0.0833333333333333333333)
 
 #: ``_LOG_FACTORIAL[i] = log(i!)``.  Independent of (q, sigma), so every
 #: order of a curve and every step of a calibration bisection shares it.
 #: Only ever replaced by a longer array with the same prefix; entry ``i`` is
-#: ``gammaln(i + 1)`` however the table got there, which keeps results
-#: independent of what was evaluated earlier in the process.
+#: :func:`_log_factorial_entries` of ``i`` alone however the table got there,
+#: which keeps results independent of what was evaluated earlier in the
+#: process.
 _LOG_FACTORIAL = np.zeros(1)
+
+
+def _log_factorial_entries(i: np.ndarray) -> np.ndarray:
+    """``log(i!)`` for an array of integer-valued ``i >= 0``, entry by entry.
+
+    Exact below 13; from there Stirling's series for ``log Gamma(x)``,
+    ``x = i + 1``: ``(x - 1/2) log x - x + log sqrt(2 pi)`` plus the
+    correction, evaluated as Cephes' ``lgam`` does -- within three ulps of
+    the exact value to the default grid's order 131072, as ``lgam`` is.
+    """
+    x = i + 1.0
+    p = 1.0 / (x * x)
+    correction = np.polyval(_STIRLING_FAR, p)
+    near = x < 1000.0
+    correction[near] = np.polyval(_STIRLING_NEAR, p[near])
+    out = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + correction / x
+    small = i < len(_SMALL_LOG_FACTORIAL)
+    out[small] = _SMALL_LOG_FACTORIAL[i[small].astype(np.intp)]
+    return out
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -80,11 +90,40 @@ def _log_factorials(n: int) -> np.ndarray:
     global _LOG_FACTORIAL
     table = _LOG_FACTORIAL
     if len(table) <= n:
-        load_scipy()
-        tail = np.arange(len(table) + 1, n + 2, dtype=np.float64)
-        special.gammaln(tail, out=tail)
-        table = _LOG_FACTORIAL = np.concatenate([table, tail])
+        # In blocks: cache-sized temporaries halve the time.
+        tail = [
+            _log_factorial_entries(np.arange(lo, min(lo + _BLOCK, n + 1), dtype=np.float64))
+            for lo in range(len(table), n + 1, _BLOCK)
+        ]
+        table = _LOG_FACTORIAL = np.concatenate([table, *tail])
     return table
+
+
+def _log_comb(log_fact: np.ndarray, alpha: int, lo: int, hi: int) -> np.ndarray:
+    """``log C(alpha, i)`` for integer ``alpha`` and ``lo <= i < hi``."""
+    return log_fact[alpha] - log_fact[lo:hi] - log_fact[alpha - hi + 1 : alpha - lo + 1][::-1]
+
+
+def _generalised_binomials(alpha: float, first: int):
+    """Yield ``(i, log|C(alpha, i)|, sign C(alpha, i))`` for ``i = 0, 1, ...``
+    in blocks of ``first`` terms, then twice as many each time, up to ``_BLOCK``.
+
+    ``C(alpha, i + 1) = C(alpha, i) (alpha - i) / (i + 1)``, so ``log|C|``
+    is the running sum of ``log|(alpha - i) / (i + 1)|`` from ``C(alpha, 0)
+    = 1``, carried across blocks; one factor turns negative for every
+    ``i > floor(alpha)``, so the signs alternate from ``i = floor(alpha) + 2``.
+    """
+    floor_alpha = math.floor(alpha)
+    lo, size, log_abs = 0, first, 0.0
+    while True:
+        i = np.arange(lo, lo + size, dtype=np.float64)
+        steps = np.log(np.abs((alpha - i) / (i + 1.0)))
+        log_coef = np.cumsum(np.concatenate(([log_abs], steps[:-1])))
+        log_abs = log_coef[-1] + steps[-1]
+        signs = np.ones(size)
+        signs[max(floor_alpha + 2 - lo, (floor_alpha - lo) % 2) :: 2] = -1.0
+        yield i, log_coef, signs
+        lo, size = lo + size, max(size, min(2 * size, _BLOCK))
 
 
 class _LogSumExp:
@@ -120,10 +159,41 @@ class _LogSumExp:
         return self.peak + math.log1p(self.rest + (self.peak_sign - 1.0))
 
 
+#: From here on ``log erfc`` comes from its asymptotic series; below,
+#: ``math.erfc`` entry by entry (erfc(16) ~ 6e-113 is far from underflow).
+_ERFC_ASYMPTOTIC_FROM = 16.0
+#: The asymptotic series' coefficients ``(-1)^k (2k-1)!!``, k = 0 .. 10,
+#: and, for n = 1 .. 10, the largest ``u = 1 / (2 x^2)`` at which the terms
+#: from the n-th on add less than 1e-17 (10 terms at x = 16, 3 at x = 1000).
+_ERFC_SERIES = np.cumprod([1.0] + [1.0 - 2.0 * k for k in range(1, 11)])
+_ERFC_U_LIMITS = (1e-17 / np.abs(_ERFC_SERIES[1:])) ** (1.0 / np.arange(1, 11))
+
+
 def _log_erfc(x: np.ndarray) -> np.ndarray:
-    """log(erfc(x)), stable for large positive x."""
-    # erfc(x) = 2 * ndtr(-sqrt(2) x); log_ndtr is stable in both tails.
-    return math.log(2.0) + special.log_ndtr(-x * 2.0**0.5)
+    """``log(erfc(x))`` for an array, finite however far ``erfc`` underflows."""
+    far = x >= _ERFC_ASYMPTOTIC_FROM
+    if far.all():
+        return _log_erfc_asymptotic(x)
+    out = np.empty_like(x)
+    near = ~far
+    out[near] = np.log(np.fromiter(map(math.erfc, x[near].tolist()), np.float64))
+    if far.any():
+        out[far] = _log_erfc_asymptotic(x[far])
+    return out
+
+
+def _log_erfc_asymptotic(x: np.ndarray) -> np.ndarray:
+    """``log erfc(x)`` for ``x >= 16`` from
+    ``erfc(x) = exp(-x^2) / (x sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 x^2)^k``,
+    to the terms that still count at the smallest ``x``."""
+    x2 = x * x
+    u = 0.5 / x2
+    terms = 1 + int(np.searchsorted(_ERFC_U_LIMITS, u.max()))
+    series = np.full_like(u, _ERFC_SERIES[terms - 1])
+    for c in _ERFC_SERIES[: terms - 1][::-1].tolist():
+        series *= u
+        series += c
+    return np.log(series / x) - x2 - 0.5 * math.log(math.pi)
 
 
 def _log_a_integer(q: float, sigma: float, alpha: int) -> float:
@@ -138,11 +208,7 @@ def _log_a_integer(q: float, sigma: float, alpha: int) -> float:
     for lo in range(0, alpha + 1, _BLOCK):
         hi = min(lo + _BLOCK, alpha + 1)
         i = np.arange(lo, hi, dtype=np.float64)
-        log_fact_rev = log_fact[alpha - hi + 1 : alpha - lo + 1][::-1]  # log (alpha-i)!
-        log_coef = (
-            log_fact[alpha] - log_fact[lo:hi] - log_fact_rev
-            + i * log_q + (alpha - i) * log_1mq
-        )
+        log_coef = _log_comb(log_fact, alpha, lo, hi) + i * log_q + (alpha - i) * log_1mq
         total.add(log_coef + (i * i - i) / (2.0 * sigma**2))
     return total.value()
 
@@ -156,34 +222,23 @@ def _log_a_fractional(q: float, sigma: float, alpha: float) -> float:
     log_q, log_1mq = math.log(q), math.log1p(-q)
     z0 = sigma**2 * math.log(1.0 / q - 1.0) + 0.5
     side0, side1 = _LogSumExp(), _LogSumExp()
-    lo = 0
-    while True:
-        i = np.arange(lo, lo + _SERIES_BLOCK, dtype=np.float64)
-        j = alpha - i
-        coef = special.binom(alpha, i)
-        with np.errstate(divide="ignore"):
-            log_coef = np.log(np.abs(coef))
-
-        log_t0 = log_coef + i * log_q + j * log_1mq
-        log_t1 = log_coef + j * log_q + i * log_1mq
-
-        log_e0 = math.log(0.5) + _log_erfc((i - z0) / (math.sqrt(2) * sigma))
-        log_e1 = math.log(0.5) + _log_erfc((z0 - j) / (math.sqrt(2) * sigma))
-
-        log_s0 = log_t0 + (i * i - i) / (2.0 * sigma**2) + log_e0
-        log_s1 = log_t1 + (j * j - j) / (2.0 * sigma**2) + log_e1
+    for i, log_coef, signs in _generalised_binomials(alpha, _SERIES_BLOCK):
+        # Row 0 is the lower side's term i, row 1 the upper side's, whose
+        # roles of i and j = alpha - i are swapped.
+        k = np.stack([i, alpha - i])
+        log_t = log_coef + k * log_q + k[::-1] * log_1mq
+        log_e = math.log(0.5) + _log_erfc(np.stack([i - z0, z0 - k[1]]) / (math.sqrt(2) * sigma))
+        log_s = log_t + (k * k - k) / (2.0 * sigma**2) + log_e
 
         # The series ends with the first term where both sides are
         # negligible and the binomials have started to alternate.
-        negligible = (np.maximum(log_s0, log_s1) < -30) & (i + 1 > alpha)
+        negligible = (log_s.max(axis=0) < -30) & (i + 1 > alpha)
         converged = bool(negligible.any())
         stop = int(np.argmax(negligible)) + 1 if converged else len(i)
-        signs = np.where(coef[:stop] > 0, 1.0, -1.0)
-        side0.add(log_s0[:stop], signs)
-        side1.add(log_s1[:stop], signs)
+        side0.add(log_s[0, :stop], signs[:stop])
+        side1.add(log_s[1, :stop], signs[:stop])
         if converged:
             break
-        lo += _SERIES_BLOCK
 
     return float(np.logaddexp(side0.value(), side1.value()))
 
@@ -201,7 +256,6 @@ def _rdp_at_order(q: float, sigma: float, alpha: float) -> float:
         return 0.0
     if q == 1:
         return gaussian_rdp(sigma, alpha)
-    load_scipy()
     if alpha.is_integer():
         log_a = _log_a_integer(q, sigma, int(alpha))
     else:
@@ -249,7 +303,9 @@ def subsampled_rdp_closed_form(q: float, sigma: float, alpha: int) -> float:
 
     rho'(alpha) <= 1/(alpha-1) * log(1 + 2 q^2 C(alpha,2)
         min{2(e^{1/sigma^2} - 1), e^{1/sigma^2}}
-        + sum_{j=3}^alpha 2 q^j C(alpha,j) e^{j(j-1)/(2 sigma^2)})
+        + sum_{j=3}^alpha 2 q^j C(alpha,j) e^{j(j-1)/(2 sigma^2)}),
+    summed in log space: the terms overflow a double from alpha ~ 200 at
+    sigma = 5.
     """
     if not 0 <= q < 1:
         raise ValueError("sampling rate must lie in [0, 1)")
@@ -260,9 +316,16 @@ def subsampled_rdp_closed_form(q: float, sigma: float, alpha: int) -> float:
     alpha = int(alpha)
     if q == 0:
         return 0.0
-    load_scipy()
-    e_term = math.exp(1.0 / sigma**2)
-    total = 1.0 + 2.0 * q**2 * special.binom(alpha, 2) * min(2.0 * (e_term - 1.0), e_term)
-    for j in range(3, alpha + 1):
-        total += 2.0 * q**j * special.binom(alpha, j) * math.exp(j * (j - 1) / (2.0 * sigma**2))
-    return math.log(total) / (alpha - 1.0)
+    log_fact = _log_factorials(alpha)
+    log_2, log_q = math.log(2.0), math.log(q)
+    s = 1.0 / sigma**2
+    # log min{2(e^s - 1), e^s}, with e^s - 1 = e^s (1 - e^-s).
+    log_e_term = min(log_2 + s + math.log(-math.expm1(-s)), s)
+    total = _LogSumExp()
+    log_c2 = log_fact[alpha] - log_fact[2] - log_fact[alpha - 2]
+    total.add(np.array([0.0, log_2 + log_c2 + 2.0 * log_q + log_e_term]))
+    for lo in range(3, alpha + 1, _BLOCK):
+        hi = min(lo + _BLOCK, alpha + 1)
+        j = np.arange(lo, hi, dtype=np.float64)
+        total.add(log_2 + _log_comb(log_fact, alpha, lo, hi) + j * log_q + (j * j - j) * (s / 2.0))
+    return total.value() / (alpha - 1.0)

@@ -600,12 +600,11 @@ def _typed_errors() -> tuple:
     """Every failure the runtime raises on purpose (``except`` evaluates
     this only once something was raised, so a clean run never imports
     ``repro.core`` / ``repro.net`` just to name their error types)."""
-    from repro.accounting.subsampled import ScipyUnavailable
     from repro.core.weighting import QuorumError
     from repro.net.transport import TransportError
 
     return (OSError, ValueError, NotImplementedError, UnknownNameError,
-            QuorumError, TransportError, ScipyUnavailable)
+            QuorumError, TransportError)
 
 
 def main(argv: list[str] | None = None) -> int:

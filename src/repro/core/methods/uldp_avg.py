@@ -52,7 +52,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting import PrivacyAccountant
-from repro.accounting.subsampled import load_scipy
 from repro.compress import CompressionSpec
 from repro.core.engine import (
     clipped_rows,
@@ -123,10 +122,6 @@ class UldpAvg(FLMethod):
             raise ValueError("weighting must be 'uniform' or 'proportional'")
         if user_sample_rate is not None and not 0 < user_sample_rate <= 1:
             raise ValueError("user sample rate must lie in (0, 1]")
-        if user_sample_rate is not None and user_sample_rate < 1:
-            # Sub-sampled releases (Lemma 4): import SciPy at build, not
-            # inside round 1's accounting.
-            load_scipy(f"user sub-sampling (method.sample_rate = {user_sample_rate})")
         self.clip = clip
         self.noise_multiplier = noise_multiplier
         self.global_lr = global_lr

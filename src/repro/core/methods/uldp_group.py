@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting import PrivacyAccountant
-from repro.accounting.subsampled import load_scipy
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.metrics import make_loss
 from repro.core.weighting import RoundParticipation
@@ -134,10 +133,6 @@ class UldpGroup(FLMethod):
             min(1.0, self.expected_batch_size / max(1, silo.n_records))
             for silo in self.filtered.silos
         ]
-        if min(self.sample_rates, default=1.0) < 1:
-            # Per-silo DP-SGD steps are sub-sampled (Lemma 4): import SciPy
-            # at build, not inside round 1's accounting.
-            load_scipy(f"{self.display_name}'s per-silo DP-SGD (sampling rate < 1)")
         self.silo_accountants = [PrivacyAccountant() for _ in fed.silos]
 
     def round(

@@ -6,8 +6,8 @@ measurement contributes one row ``measured = sum_j c_j * shape_j(point)``
 to a small per-phase least-squares system.  Rows are weighted by
 ``1/measured`` (relative error -- a 24 s encryption and a 0.7 s one
 should pull equally), constants are constrained non-negative (solved by
-exhaustive active-set enumeration over the <= 2 columns per group; no
-scipy dependency), and measurements under :data:`MIN_FIT_SECONDS` are
+exhaustive active-set enumeration over the <= 2 columns per group, in
+NumPy alone), and measurements under :data:`MIN_FIT_SECONDS` are
 excluded from both fitting and drift gating -- they are timer noise at
 the resolution the benches record.
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accounting.rdp import gaussian_rdp
+from repro.accounting.rdp import DEFAULT_ALPHAS, gaussian_rdp
 from repro.accounting.subsampled import (
     subsampled_gaussian_rdp,
     subsampled_gaussian_rdp_curve,
@@ -97,6 +97,28 @@ class TestClosedFormBound:
 
     def test_q_zero(self):
         assert subsampled_rdp_closed_form(0.0, 2.0, 8) == 0.0
+
+    @pytest.mark.parametrize("q, sigma", [(0.01, 5.0), (0.5, 5.0), (0.1, 1.0)])
+    def test_finite_on_every_integer_order_of_the_grid(self, q, sigma):
+        """Its terms overflow a double from alpha ~ 200 at sigma = 5."""
+        for alpha in DEFAULT_ALPHAS[DEFAULT_ALPHAS == np.floor(DEFAULT_ALPHAS)]:
+            loose = subsampled_rdp_closed_form(q, sigma, int(alpha))
+            assert math.isfinite(loose)
+            assert loose >= subsampled_gaussian_rdp(q, sigma, alpha)
+
+    @pytest.mark.parametrize("q", [0.001, 0.05, 0.2, 0.9])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0, 10.0])
+    def test_matches_the_sum_in_exact_binomials(self, q, sigma):
+        for alpha in (2, 3, 5, 17, 64, 150):
+            e_term = math.exp(1.0 / sigma**2)
+            terms = [2 * q**2 * math.comb(alpha, 2) * min(2 * (e_term - 1), e_term)]
+            try:
+                terms += [2 * q**j * math.comb(alpha, j) * math.exp(j * (j - 1) / (2 * sigma**2))
+                          for j in range(3, alpha + 1)]
+            except OverflowError:
+                continue
+            want = math.log1p(math.fsum(terms)) / (alpha - 1)
+            assert subsampled_rdp_closed_form(q, sigma, alpha) == pytest.approx(want, rel=1e-12)
 
 
 class TestPaperScale:

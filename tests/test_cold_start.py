@@ -1,12 +1,10 @@
-"""What a cold process imports: SciPy only when its spec sub-samples.
+"""What a cold process imports: never SciPy.
 
-Only the sub-sampled Gaussian accountant (Lemma 4) uses SciPy, and
-``repro.accounting.subsampled`` imports it on first use.  A plain run must
-never load it (~0.3 s and ~30 MB per process, server and silos alike); a
-sub-sampled one loads it while it is built, so no round carries the
-import; and a host without SciPy still runs plain specs and refuses
-sub-sampled ones with one ``error:`` line.  Every case runs in a fresh
-interpreter, since ``sys.modules`` is process-wide.
+The sub-sampled Gaussian accountant (Lemma 4) runs on NumPy alone, so no
+process loads SciPy (~0.25 s and ~20 MB each, server and silos alike) --
+plain or sub-sampled, built or run -- and a host without SciPy runs both.
+Every case runs in a fresh interpreter, since ``sys.modules`` is
+process-wide.
 """
 
 from __future__ import annotations
@@ -42,13 +40,16 @@ from repro.cli import main
 assert main(["epsilon", "--sigma", "5", "--steps", "10", "--sample-rate", "1"]) == 0
 """
 
-_SAMPLED_BUILD = """
+_SAMPLED_ROUND = """
+import math
 from repro.api.runner import build_trainer
 from repro.api.spec import RunSpec
-build_trainer(RunSpec.from_dict({
+trainer = build_trainer(RunSpec.from_dict({
     "rounds": 1, "dataset": {"users": 40},
     "method": {"name": "uldp-avg-w", "sample_rate": 0.5},
 }))
+trainer.step()
+assert math.isfinite(trainer.method.epsilon(1e-5))  # the sub-sampled curve ran
 """
 
 
@@ -74,17 +75,13 @@ def _scipy_loaded_after(code: str) -> bool:
         _PLAIN_TRAIN,
         _NET_SIM,
         _EPSILON_Q1,
+        _SAMPLED_ROUND,
     ],
     ids=["import-accounting", "import-runner", "plain-train-round",
-         "net-sim-build", "epsilon-q1"],
+         "net-sim-build", "epsilon-q1", "sampled-train-round"],
 )
 def test_plain_process_never_loads_scipy(code):
     assert not _scipy_loaded_after(code)
-
-
-def test_sampled_spec_loads_scipy_at_build():
-    # Before round 0: the import is paid in set-up, not in a round's period.
-    assert _scipy_loaded_after(_SAMPLED_BUILD)
 
 
 # -- a host without SciPy -----------------------------------------------------
@@ -106,17 +103,14 @@ def test_plain_spec_runs_without_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, names",
+    "argv",
     [
-        (_RUN + ["--set", "method.sample_rate=0.5"], "method.sample_rate = 0.5"),
-        (["epsilon", "--sigma", "5", "--steps", "10", "--sample-rate", "0.5"],
-         "sampling rate q < 1"),
+        _RUN + ["--set", "method.sample_rate=0.5"],
+        ["epsilon", "--sigma", "5", "--steps", "10", "--sample-rate", "0.5"],
+        ["calibrate", "--target-epsilon", "1", "--steps", "10", "--sample-rate", "0.5"],
     ],
-    ids=["sampled-spec", "epsilon-q<1"],
+    ids=["sampled-spec", "epsilon-q<1", "calibrate-q<1"],
 )
-def test_sampled_work_without_scipy_is_one_error_line(tmp_path, argv, names):
+def test_sampled_work_without_scipy_exits_0(tmp_path, argv):
     out = _python(_NO_SCIPY_CLI, *argv, cwd=tmp_path)
-    assert out.returncode == 2
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
-    assert names in lines[0] and "SciPy" in lines[0]
+    assert out.returncode == 0, out.stderr
