@@ -221,6 +221,7 @@ def cmd_serve(args) -> int:
     procs = []
     if args.spawn_silos:
         import json
+        import os
         import subprocess
         import tempfile
 
@@ -245,17 +246,27 @@ def cmd_serve(args) -> int:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+        if args.spawn_silos:
+            os.unlink(spec_file)
     _print_sim_result(server.sim)
     _save_histories([server.sim.history], args.output)
     return 0
 
 
 def cmd_silo(args) -> int:
-    """Join a federation server as one silo worker process."""
+    """Join a federation server as one silo worker process.
+
+    The heap is frozen once the client is built: here, not in
+    :class:`SiloClient`, which tests build and run in-process."""
+    import gc
+
     _configure_logging(args.log_level)
     from repro.net.silo_client import SiloClient
 
-    return SiloClient(_runnable_spec(args), args.silo_id, port=args.port).run()
+    client = SiloClient(_runnable_spec(args), args.silo_id, port=args.port)
+    gc.freeze()  # the build lives until exit: no collection need walk it
+    return client.run()
 
 
 def cmd_trace(args) -> int:

@@ -50,6 +50,7 @@ from repro.net.wire import (
     is_finite_vector,
     pack_frame,
 )
+from repro.sim.scenarios import scenario_recipe
 
 log = logging.getLogger(__name__)
 
@@ -68,11 +69,12 @@ class SiloClient:
                 "the spec leaves the port OS-assigned; pass --port with "
                 "the port `repro serve` printed")
         validate_spec_names(spec)  # the method has the per-silo step, ...
-        self.sim = build_simulator(spec)
-        if not 0 <= silo_id < self.sim.fed.n_silos:
+        sizes, _ = scenario_recipe(spec.sim.scenario, spec.sim.scale, spec.rounds)
+        if not 0 <= silo_id < sizes["n_silos"]:  # refused before the build
             raise SpecError(
                 f"silo id {silo_id} out of range for the scenario's "
-                f"{self.sim.fed.n_silos} silos")
+                f"{sizes['n_silos']} silos")
+        self.sim = build_simulator(spec)
         self.silo_id = int(silo_id)
         self.plan = FaultPlan.from_tree(spec.net.faults)
         self.spec_hash = spec.hash()

@@ -50,14 +50,16 @@ ping_timeout = 10.0
 {extra}""")
 
 
-def env():
-    return dict(os.environ, PYTHONPATH=REPO_SRC)
+def env(tmpdir):
+    """The child's environment: this checkout's ``src`` on the path and
+    ``tmpdir`` as its temp directory, so a leaked temp file shows."""
+    return dict(os.environ, PYTHONPATH=REPO_SRC, TMPDIR=str(tmpdir))
 
 
-def serve(*args, timeout=240):
+def serve(tmpdir, *args, timeout=240):
     return subprocess.run(
         [sys.executable, "-m", "repro", "serve", *args],
-        env=env(), capture_output=True, text=True, timeout=timeout,
+        env=env(tmpdir), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -70,9 +72,11 @@ class TestKillMinusNine:
         write_spec(spec, free_port())
         ckpt = tmp_path / "ckpt"
 
-        ref = serve("--config", str(spec), "--spawn-silos",
+        ref = serve(tmp_path, "--config", str(spec), "--spawn-silos",
                     "--output", str(tmp_path / "ref.json"))
         assert ref.returncode == 0, ref.stderr[-2000:]
+        # --spawn-silos removes the spec file it handed the silos.
+        assert not list(tmp_path.glob("repro-net-*.json"))
 
         # Same spec (and port -- the listener sets SO_REUSEADDR, and the
         # output embeds the spec, so it must not change between runs);
@@ -84,7 +88,7 @@ class TestKillMinusNine:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--config", str(spec),
              "--spawn-silos", "--output", str(tmp_path / "never.json")],
-            env=env(), start_new_session=True,
+            env=env(tmp_path), start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         state = ckpt / "state.json"
@@ -110,7 +114,7 @@ class TestKillMinusNine:
         assert not (tmp_path / "never.json").exists()
         time.sleep(1.0)
 
-        res = serve("--resume", str(ckpt), "--spawn-silos",
+        res = serve(tmp_path, "--resume", str(ckpt), "--spawn-silos",
                     "--output", str(tmp_path / "resumed.json"))
         assert res.returncode == 0, res.stderr[-2000:]
         assert "resumed from" in res.stdout
@@ -130,7 +134,7 @@ class TestCrashFault:
 [net.faults]
 events = [{ silo = 2, action = "crash", round = 1 }]
 """)
-        res = serve("--config", str(spec), "--spawn-silos",
+        res = serve(tmp_path, "--config", str(spec), "--spawn-silos",
                     "--output", str(tmp_path / "out.json"))
         assert res.returncode == 0, res.stderr[-2000:]
 

@@ -11,17 +11,25 @@ session with a typed outcome, never a traceback:
   frame naming both protocol versions, and a refused silo exits 2.
 """
 
+import gc
+import json
+import os
+import pathlib
 import socket
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 from test_networked_run import base_tree
 
-from repro.api import RunSpec
+from repro.api import RunSpec, SpecError
 from repro.net import wire
 from repro.net.server import FederationServer
 from repro.net.silo_client import SiloClient
+
+SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 # connect_retries = 0: the first failed session is the last, so run()
 # returns instead of rejoining a server that would welcome it for ever.
@@ -30,7 +38,11 @@ TREE = base_tree(connect_retries=0, join_timeout=5.0)
 
 @pytest.fixture(scope="module")
 def silo():
-    return SiloClient(RunSpec.from_dict(TREE), 0, port=1)
+    frozen = gc.get_freeze_count()
+    client = SiloClient(RunSpec.from_dict(TREE), 0, port=1)
+    # The class freezes nothing: only the `repro silo` process does.
+    assert gc.get_freeze_count() == frozen
+    return client
 
 
 class ScriptedServer:
@@ -170,3 +182,39 @@ class TestBuildMismatch:
         assert [f.payload["wire"] for f in server.hellos] == [
             wire.PROTOCOL_VERSION]
         assert "refused: protocol version mismatch" in caplog.text
+
+
+class TestBuild:
+    """What a silo does before its first frame: a bad id is refused
+    before the simulator is built, and only the ``repro silo`` process
+    freezes the heap it built (the ``silo`` fixture checks the class)."""
+
+    @pytest.mark.parametrize("silo_id", [-1, 3])
+    def test_out_of_range_silo_id_is_refused_before_the_build(
+            self, silo_id, monkeypatch):
+        def build_simulator(spec):
+            raise AssertionError("built a simulator for a refused silo id")
+
+        monkeypatch.setattr("repro.net.silo_client.build_simulator",
+                            build_simulator)
+        with pytest.raises(SpecError, match=f"silo id {silo_id} out of "
+                                            "range for the scenario's 3"):
+            SiloClient(RunSpec.from_dict(TREE), silo_id, port=1)
+
+    def test_silo_process_freezes_the_heap_before_it_serves(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(TREE))
+        script = (
+            "import gc, sys\n"
+            "from repro.cli import main\n"
+            "from repro.net.silo_client import SiloClient\n"
+            "SiloClient.run = lambda self: print(gc.get_freeze_count()) or 0\n"
+            "sys.exit(main(['silo', '--config', sys.argv[1],"
+            " '--silo-id', '0', '--port', '1']))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(spec)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert int(out.stdout.split()[-1]) > 0
