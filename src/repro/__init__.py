@@ -41,52 +41,62 @@ subpackage does not pull in the whole library.
 
 __version__ = "1.0.0"
 
-# name -> defining submodule, resolved on first attribute access.
+import importlib
+import sys
+
+
+def _lazy_namespace(package: str, exports: dict[str, str]):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``: each public name
+    in ``exports`` is imported from its defining module on first access
+    and then cached, so importing one submodule never imports its
+    siblings."""
+
+    def __getattr__(name):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(exports))
+
+    return __getattr__, __dir__
+
+
+# name -> defining module, resolved on first attribute access.
 _LAZY_EXPORTS = {
-    "RunSpec": "repro.api",
-    "RunResult": "repro.api",
-    "run": "repro.api",
-    "run_sweep": "repro.api",
-    "register_dataset": "repro.api",
-    "register_method": "repro.api",
-    "register_model": "repro.api",
-    "register_scenario": "repro.api",
-    "register_sparsifier": "repro.api",
-    "PrivacyAccountant": "repro.accounting",
-    "CompressionSpec": "repro.compress",
-    "UpdateCompressor": "repro.compress",
-    "Default": "repro.core",
-    "Trainer": "repro.core",
-    "TrainingHistory": "repro.core",
-    "UldpAvg": "repro.core",
-    "UldpGroup": "repro.core",
-    "UldpNaive": "repro.core",
-    "UldpSgd": "repro.core",
-    "FederatedDataset": "repro.data",
+    "RunSpec": "repro.api.spec",
+    "RunResult": "repro.api.runner",
+    "run": "repro.api.runner",
+    "run_sweep": "repro.api.sweep",
+    "register_dataset": "repro.api.registries",
+    "register_method": "repro.api.registries",
+    "register_model": "repro.api.registries",
+    "register_scenario": "repro.api.registries",
+    "register_sparsifier": "repro.api.registries",
+    "PrivacyAccountant": "repro.accounting.accountant",
+    "CompressionSpec": "repro.compress.spec",
+    "UpdateCompressor": "repro.compress.pipeline",
+    "Default": "repro.core.methods.fedavg",
+    "Trainer": "repro.core.trainer",
+    "TrainingHistory": "repro.core.trainer",
+    "UldpAvg": "repro.core.methods.uldp_avg",
+    "UldpGroup": "repro.core.methods.uldp_group",
+    "UldpNaive": "repro.core.methods.uldp_naive",
+    "UldpSgd": "repro.core.methods.uldp_sgd",
+    "FederatedDataset": "repro.data.federated",
     "build_creditcard_benchmark": "repro.data",
     "build_heartdisease_benchmark": "repro.data",
     "build_mnist_benchmark": "repro.data",
     "build_tcgabrca_benchmark": "repro.data",
-    "PrivateWeightingProtocol": "repro.protocol",
-    "SecureUldpAvg": "repro.protocol",
-    "calibrate_noise_multiplier": "repro.accounting",
-    "calibrate_sample_rate": "repro.accounting",
-    "run_experiment": "repro.experiments",
+    "PrivateWeightingProtocol": "repro.protocol.runner",
+    "SecureUldpAvg": "repro.protocol.secure_method",
+    "calibrate_noise_multiplier": "repro.accounting.calibration",
+    "calibrate_sample_rate": "repro.accounting.calibration",
+    "run_experiment": "repro.experiments.registry",
 }
 
 __all__ = ["__version__", *sorted(_LAZY_EXPORTS)]
 
-
-def __getattr__(name):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_LAZY_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

@@ -18,45 +18,28 @@ accountant plus the paper's group-privacy conversions:
   Theorems 1-3 of the paper.
 """
 
-from repro.accounting.rdp import (
-    DEFAULT_ALPHAS,
-    compose_rdp,
-    gaussian_rdp,
-    gaussian_rdp_curve,
-)
-from repro.accounting.subsampled import (
-    subsampled_gaussian_rdp,
-    subsampled_gaussian_rdp_curve,
-    subsampled_rdp_closed_form,
-)
-from repro.accounting.conversion import rdp_to_dp, rdp_curve_to_dp
-from repro.accounting.group import (
-    group_rdp_curve,
-    group_epsilon_via_rdp,
-    group_epsilon_via_normal_dp,
-)
-from repro.accounting.accountant import PrivacyAccountant, RdpEvent, ReleaseEvent
-from repro.accounting.calibration import (
-    calibrate_noise_multiplier,
-    calibrate_sample_rate,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "calibrate_noise_multiplier",
-    "calibrate_sample_rate",
-    "DEFAULT_ALPHAS",
-    "compose_rdp",
-    "gaussian_rdp",
-    "gaussian_rdp_curve",
-    "subsampled_gaussian_rdp",
-    "subsampled_gaussian_rdp_curve",
-    "subsampled_rdp_closed_form",
-    "rdp_to_dp",
-    "rdp_curve_to_dp",
-    "group_rdp_curve",
-    "group_epsilon_via_rdp",
-    "group_epsilon_via_normal_dp",
-    "PrivacyAccountant",
-    "RdpEvent",
-    "ReleaseEvent",
-]
+# name -> defining module, resolved on first attribute access.
+_LAZY_EXPORTS = {
+    "calibrate_noise_multiplier": "repro.accounting.calibration",
+    "calibrate_sample_rate": "repro.accounting.calibration",
+    "DEFAULT_ALPHAS": "repro.accounting.rdp",
+    "compose_rdp": "repro.accounting.rdp",
+    "gaussian_rdp": "repro.accounting.rdp",
+    "gaussian_rdp_curve": "repro.accounting.rdp",
+    "subsampled_gaussian_rdp": "repro.accounting.subsampled",
+    "subsampled_gaussian_rdp_curve": "repro.accounting.subsampled",
+    "subsampled_rdp_closed_form": "repro.accounting.subsampled",
+    "rdp_to_dp": "repro.accounting.conversion",
+    "rdp_curve_to_dp": "repro.accounting.conversion",
+    "group_rdp_curve": "repro.accounting.group",
+    "group_epsilon_via_rdp": "repro.accounting.group",
+    "group_epsilon_via_normal_dp": "repro.accounting.group",
+    "PrivacyAccountant": "repro.accounting.accountant",
+    "RdpEvent": "repro.accounting.accountant",
+    "ReleaseEvent": "repro.accounting.accountant",
+}
+
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

@@ -26,9 +26,11 @@ Usage::
 
 from __future__ import annotations
 
+from repro import _lazy_namespace
+
 # name -> defining submodule, resolved on first attribute access.
 _LAZY_EXPORTS = {
-    "CompressionSpec": "repro.compress",
+    "CompressionSpec": "repro.compress.spec",
     "CostSpec": "repro.api.spec",
     "CryptoSpec": "repro.api.spec",
     "DatasetSpec": "repro.api.spec",
@@ -68,18 +70,4 @@ _LAZY_EXPORTS = {
 }
 
 __all__ = sorted(_LAZY_EXPORTS)
-
-
-def __getattr__(name):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_LAZY_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

@@ -42,7 +42,7 @@ def _optional(spec: MethodSpec, **names) -> dict:
 
 @register_method("default", description="non-private FedAVG baseline (no DP noise)")
 def _build_default(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.core import Default
+    from repro.core.methods.fedavg import Default
 
     return Default(
         local_lr=spec.local_lr,
@@ -53,7 +53,7 @@ def _build_default(spec: MethodSpec, crypto: CryptoSpec | None = None):
 
 @register_method("uldp-naive", description="per-silo DP, naive cross-silo composition")
 def _build_uldp_naive(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.core import UldpNaive
+    from repro.core.methods.uldp_naive import UldpNaive
 
     return UldpNaive(
         clip=spec.clip,
@@ -66,7 +66,7 @@ def _build_uldp_naive(spec: MethodSpec, crypto: CryptoSpec | None = None):
 
 @register_method("uldp-group", description="group-privacy DP-SGD (group size k)")
 def _build_uldp_group(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.core import UldpGroup
+    from repro.core.methods.uldp_group import UldpGroup
 
     return UldpGroup(
         group_size=spec.group_size,
@@ -84,7 +84,7 @@ def _build_uldp_group(spec: MethodSpec, crypto: CryptoSpec | None = None):
 
 @register_method("uldp-sgd", description="ULDP-SGD, uniform clipping weights")
 def _build_uldp_sgd(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.core import UldpSgd
+    from repro.core.methods.uldp_sgd import UldpSgd
 
     return UldpSgd(
         clip=spec.clip,
@@ -97,7 +97,7 @@ def _build_uldp_sgd(spec: MethodSpec, crypto: CryptoSpec | None = None):
 
 @register_method("uldp-sgd-w", description="ULDP-SGD, enhanced (Eq. 3) weights")
 def _build_uldp_sgd_w(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.core import UldpSgd
+    from repro.core.methods.uldp_sgd import UldpSgd
 
     return UldpSgd(
         clip=spec.clip,
@@ -123,7 +123,7 @@ def _uldp_avg_kwargs(spec: MethodSpec, weighting: str) -> dict:
 
 @register_method("uldp-avg", description="ULDP-AVG (Algorithm 3), uniform weights")
 def _build_uldp_avg(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.core import UldpAvg
+    from repro.core.methods.uldp_avg import UldpAvg
 
     return UldpAvg(**_uldp_avg_kwargs(spec, "uniform"))
 
@@ -132,7 +132,7 @@ def _build_uldp_avg(spec: MethodSpec, crypto: CryptoSpec | None = None):
     "uldp-avg-w", description="ULDP-AVG with enhanced (Eq. 3) weighting"
 )
 def _build_uldp_avg_w(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.core import UldpAvg
+    from repro.core.methods.uldp_avg import UldpAvg
 
     return UldpAvg(**_uldp_avg_kwargs(spec, "proportional"))
 
@@ -143,7 +143,7 @@ def _build_uldp_avg_w(spec: MethodSpec, crypto: CryptoSpec | None = None):
     "configured by the [crypto] section",
 )
 def _build_secure_uldp_avg(spec: MethodSpec, crypto: CryptoSpec | None = None):
-    from repro.protocol import SecureUldpAvg
+    from repro.protocol.secure_method import SecureUldpAvg
 
     crypto = crypto if crypto is not None else CryptoSpec()
     return SecureUldpAvg(

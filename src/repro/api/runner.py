@@ -153,7 +153,7 @@ def build_trainer(spec: RunSpec, fed=None):
     direct ``Trainer(...)`` call uses, which is what keeps the spec path
     bit-identical to it (``tests/api/test_runner_oracle.py``).
     """
-    from repro.core import Trainer
+    from repro.core.trainer import Trainer
 
     if spec.is_simulation:
         raise SpecError("spec has a [sim] section; use build_simulator()")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.api.registries import suggest
-from repro.compress import CompressionSpec
+from repro.compress.spec import CompressionSpec
 
 SCALES = ("smoke", "small", "paper")
 DISTRIBUTIONS = ("uniform", "zipf")
@@ -96,7 +96,7 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     """Which model to train; ``"auto"`` selects the paper's per-benchmark
-    default (:func:`repro.core.trainer.default_model_for`)."""
+    default (:func:`repro.nn.model.default_model_for`)."""
 
     name: str = "auto"
 

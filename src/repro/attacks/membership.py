@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.metrics import make_loss
-from repro.core.trainer import Trainer, default_model_for
+from repro.core.trainer import Trainer
 from repro.data.federated import FederatedDataset
-from repro.nn.model import Sequential
+from repro.nn.model import Sequential, default_model_for
 
 
 def _per_record_losses(

@@ -218,36 +218,37 @@ def cmd_serve(args) -> int:
         "rounds)",
         flush=True,
     )
-    procs = []
-    if args.spawn_silos:
-        import json
-        import os
-        import subprocess
-        import tempfile
-
-        # The silos rebuild everything from the spec, so hand them the
-        # resolved tree (uniform for the fresh and the resume case).
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", prefix="repro-net-", delete=False
-        ) as tmp:
-            json.dump(spec.to_dict(), tmp)
-            spec_file = tmp.name
-        for s in range(server.sim.fed.n_silos):
-            procs.append(subprocess.Popen(
-                [sys.executable, "-m", "repro", "silo",
-                 "--config", spec_file, "--silo-id", str(s),
-                 "--port", str(port), "--log-level", args.log_level]
-            ))
+    procs, spec_file = [], None
     try:
+        if args.spawn_silos:
+            import json
+            import os
+            import subprocess
+            import tempfile
+
+            # The silos build their replicas from the spec, so hand them the
+            # resolved tree (uniform for the fresh and the resume case).
+            with tempfile.NamedTemporaryFile(
+                "w", suffix=".json", prefix="repro-net-", delete=False
+            ) as tmp:
+                spec_file = tmp.name
+                json.dump(spec.to_dict(), tmp)
+            for s in range(server.sim.fed.n_silos):
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-m", "repro", "silo",
+                     "--config", spec_file, "--silo-id", str(s),
+                     "--port", str(port), "--log-level", args.log_level]
+                ))
         server.serve()
     finally:
+        server.close()
         for proc in procs:
             try:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-        if args.spawn_silos:
+        if spec_file is not None:
             os.unlink(spec_file)
     _print_sim_result(server.sim)
     _save_histories([server.sim.history], args.output)
@@ -354,7 +355,7 @@ def cmd_validate_config(args) -> int:
 
 
 def cmd_epsilon(args) -> int:
-    from repro.accounting import PrivacyAccountant
+    from repro.accounting.accountant import PrivacyAccountant
 
     acct = PrivacyAccountant()
     acct.step(args.sigma, sample_rate=args.sample_rate, steps=args.steps)
@@ -373,7 +374,10 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from repro.accounting import calibrate_noise_multiplier, calibrate_sample_rate
+    from repro.accounting.calibration import (
+        calibrate_noise_multiplier,
+        calibrate_sample_rate,
+    )
 
     if args.solve_for == "sigma":
         sigma = calibrate_noise_multiplier(
@@ -407,7 +411,7 @@ def cmd_methods(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    from repro.sim import available_scenarios, describe_scenario
+    from repro.sim.scenarios import available_scenarios, describe_scenario
 
     for name in available_scenarios():
         print(f"{name:<22s} {describe_scenario(name)}")

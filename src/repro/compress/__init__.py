@@ -20,25 +20,22 @@ post-processing:
 trainer bit for bit (oracle-tested).
 """
 
-from repro.compress.pipeline import (
-    DOWNLINK_SLOT,
-    CompressedPayload,
-    UpdateCompressor,
-)
-from repro.compress.quantize import QuantizedBlock, dequantize, quantize_stochastic
-from repro.compress.sparsify import randk_indices, scatter, topk_indices
-from repro.compress.spec import SPARSIFIERS, CompressionSpec
+from repro import _lazy_namespace
 
-__all__ = [
-    "DOWNLINK_SLOT",
-    "CompressedPayload",
-    "UpdateCompressor",
-    "QuantizedBlock",
-    "dequantize",
-    "quantize_stochastic",
-    "randk_indices",
-    "scatter",
-    "topk_indices",
-    "SPARSIFIERS",
-    "CompressionSpec",
-]
+# name -> defining module, resolved on first attribute access.
+_LAZY_EXPORTS = {
+    "DOWNLINK_SLOT": "repro.compress.pipeline",
+    "CompressedPayload": "repro.compress.pipeline",
+    "UpdateCompressor": "repro.compress.pipeline",
+    "QuantizedBlock": "repro.compress.quantize",
+    "dequantize": "repro.compress.quantize",
+    "quantize_stochastic": "repro.compress.quantize",
+    "randk_indices": "repro.compress.sparsify",
+    "scatter": "repro.compress.sparsify",
+    "topk_indices": "repro.compress.sparsify",
+    "SPARSIFIERS": "repro.compress.spec",
+    "CompressionSpec": "repro.compress.spec",
+}
+
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

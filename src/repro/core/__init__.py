@@ -5,75 +5,44 @@ FedAVG baseline, the clipping-weight strategies of Section 4.1, and the
 training loop that produces the privacy/utility series of the evaluation.
 """
 
-from repro.nn.clip import clip_factor_rows, l2_clip, l2_clip_rows
-from repro.core.engine import (
-    LocalJob,
-    batched_local_deltas,
-    draw_minibatch_schedule,
-)
-from repro.core.methods import (
-    Default,
-    FLMethod,
-    UldpAvg,
-    UldpGroup,
-    UldpNaive,
-    UldpSgd,
-    build_group_flags,
-    resolve_group_size,
-)
-from repro.core.methods.base import CommSummary, ParticipationSummary
-from repro.core.metrics import evaluate_model, make_loss, metric_name
-from repro.core.trainer import (
-    CommRecord,
-    ParticipationRecord,
-    RoundRecord,
-    Trainer,
-    TrainingHistory,
-    default_model_for,
-)
-from repro.core.weighting import (
-    RENORMS,
-    RoundParticipation,
-    participation_weights,
-    proportional_weights,
-    realised_sensitivity,
-    subsample_weights,
-    uniform_weights,
-    validate_weights,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "clip_factor_rows",
-    "l2_clip",
-    "l2_clip_rows",
-    "LocalJob",
-    "batched_local_deltas",
-    "draw_minibatch_schedule",
-    "FLMethod",
-    "Default",
-    "UldpAvg",
-    "UldpGroup",
-    "UldpNaive",
-    "UldpSgd",
-    "build_group_flags",
-    "resolve_group_size",
-    "evaluate_model",
-    "make_loss",
-    "metric_name",
-    "CommRecord",
-    "CommSummary",
-    "ParticipationRecord",
-    "ParticipationSummary",
-    "RoundRecord",
-    "Trainer",
-    "TrainingHistory",
-    "default_model_for",
-    "RENORMS",
-    "RoundParticipation",
-    "participation_weights",
-    "proportional_weights",
-    "realised_sensitivity",
-    "subsample_weights",
-    "uniform_weights",
-    "validate_weights",
-]
+# name -> defining module, resolved on first attribute access.
+_LAZY_EXPORTS = {
+    "clip_factor_rows": "repro.nn.clip",
+    "l2_clip": "repro.nn.clip",
+    "l2_clip_rows": "repro.nn.clip",
+    "LocalJob": "repro.core.engine",
+    "batched_local_deltas": "repro.core.engine",
+    "draw_minibatch_schedule": "repro.core.engine",
+    "FLMethod": "repro.core.methods.base",
+    "Default": "repro.core.methods.fedavg",
+    "UldpAvg": "repro.core.methods.uldp_avg",
+    "UldpGroup": "repro.core.methods.uldp_group",
+    "UldpNaive": "repro.core.methods.uldp_naive",
+    "UldpSgd": "repro.core.methods.uldp_sgd",
+    "build_group_flags": "repro.core.methods.uldp_group",
+    "resolve_group_size": "repro.core.methods.uldp_group",
+    "evaluate_model": "repro.core.metrics",
+    "make_loss": "repro.core.metrics",
+    "metric_name": "repro.core.metrics",
+    "CommRecord": "repro.core.trainer",
+    "CommSummary": "repro.core.methods.base",
+    "ParticipationRecord": "repro.core.trainer",
+    "ParticipationSummary": "repro.core.methods.base",
+    "RoundRecord": "repro.core.trainer",
+    "Trainer": "repro.core.trainer",
+    "TrainingHistory": "repro.core.trainer",
+    "default_model_for": "repro.nn.model",
+    "RENORMS": "repro.core.weighting",
+    "RoundParticipation": "repro.core.weighting",
+    "participation_weights": "repro.core.weighting",
+    "proportional_weights": "repro.core.weighting",
+    "realised_sensitivity": "repro.core.weighting",
+    "subsample_weights": "repro.core.weighting",
+    "uniform_weights": "repro.core.weighting",
+    "validate_weights": "repro.core.weighting",
+}
+
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

@@ -65,10 +65,8 @@ instead of carrying them, and the per-template float32 copy
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -657,6 +655,15 @@ def fold_weighted_rows(
         acc.add(backend.weighted_sum(weights[start:stop], rows[start:stop]))
 
 
+def _pool_machinery():
+    """``(multiprocessing, ProcessPoolExecutor)``: ~12 ms of imports that
+    only an engine with workers needs (a ``repro silo`` never has one)."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return multiprocessing, ProcessPoolExecutor
+
+
 class ShardedEngine:
     """Runs shard tasks in-process or on a persistent, resident pool.
 
@@ -676,6 +683,8 @@ class ShardedEngine:
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
+        if self.config.workers:
+            _pool_machinery()  # imported with the build, not in round 1
         self._executor: ProcessPoolExecutor | None = None
         self._resident = _Resident(None, None, None)
 
@@ -696,6 +705,7 @@ class ShardedEngine:
 
     def _get_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            multiprocessing, ProcessPoolExecutor = _pool_machinery()
             # Prefer fork only where it is safe (Linux); macOS forks crash
             # intermittently with threaded parents, hence CPython's own
             # switch of the platform default to spawn.

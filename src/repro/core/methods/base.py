@@ -1,7 +1,9 @@
 """Common infrastructure for the FL methods.
 
 Every method is a stateful object configured at construction and bound to a
-dataset/model by :meth:`FLMethod.prepare` (called once by the trainer).
+dataset/model by :meth:`FLMethod.prepare` (called once by the trainer):
+:meth:`FLMethod.bind`, which a ``repro silo`` replica runs too, plus the
+state only the server holds.
 Each round the trainer calls :meth:`FLMethod.round` with the current flat
 global parameter vector and receives the next one.  Privacy-consuming
 methods maintain a :class:`repro.accounting.PrivacyAccountant` and report
@@ -52,8 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.accounting import PrivacyAccountant
-from repro.compress import CompressionSpec, UpdateCompressor
+from repro.compress.spec import CompressionSpec
 from repro.core.engine import (
     EngineConfig,
     LocalJob,
@@ -107,7 +108,7 @@ class FLMethod(ABC):
         #: The accountant behind :meth:`epsilon` when the budget is one
         #: composed curve (None: DEFAULT spends nothing, ULDP-GROUP keeps
         #: one accountant per silo).
-        self.accountant: PrivacyAccountant | None = None
+        self.accountant = None  # repro.accounting.PrivacyAccountant
         #: Set by every :meth:`round` (part of the contract): realised
         #: participation of the last round.  None only before the first
         #: round; the trainer logs it per round and refuses a None.
@@ -121,8 +122,9 @@ class FLMethod(ABC):
         #: so a method instance reused across trainers never inherits an
         #: earlier trainer's compression.
         self.active_compression: CompressionSpec | None = compression
-        #: Stateful compressor, built by :meth:`prepare` from the spec.
-        self.compressor: UpdateCompressor | None = None
+        #: Stateful compressor (:class:`repro.compress.UpdateCompressor`),
+        #: built by :meth:`prepare` from the spec.
+        self.compressor = None
         #: Set by :meth:`round`: wire bytes of the last round (None for
         #: methods that leave byte accounting to the trainer's default).
         self.last_comm: CommSummary | None = None
@@ -134,22 +136,18 @@ class FLMethod(ABC):
         #: for every (workers, shard_size) setting.
         self.shard_engine = ShardedEngine(self.engine_config)
 
-    def prepare(
+    def bind(
         self,
         fed: FederatedDataset,
         model: Sequential,
         rng: np.random.Generator,
-        compression: CompressionSpec | None = None,
         engine: EngineConfig | None = None,
     ) -> None:
-        """Bind the method to a dataset and a model template.
-
-        ``compression`` is the trainer-level override for this binding; it
-        takes precedence over the method's own :attr:`compression` without
-        mutating it (the effective spec lands in
-        :attr:`active_compression`).  ``engine`` configures the sharded
-        execution layout (None keeps the single-process defaults).
-        """
+        """Bind the method to a dataset, a model template and the generator
+        the template was drawn from: what every party runs, the server and
+        each ``repro silo`` replica alike.  ``engine`` configures the
+        sharded execution layout (None keeps the single-process defaults).
+        Subclasses add the draws every party makes identically."""
         self.fed = fed
         self.model = model
         self.rng = rng
@@ -158,13 +156,35 @@ class FLMethod(ABC):
             self.engine_config = engine
             self.shard_engine = ShardedEngine(engine)
         self.shard_engine.bind(fed, model)
+
+    def prepare(
+        self,
+        fed: FederatedDataset,
+        model: Sequential,
+        rng: np.random.Generator,
+        compression: CompressionSpec | None = None,
+        engine: EngineConfig | None = None,
+    ) -> None:
+        """:meth:`bind`, then build what only the server holds: the
+        compressor here, weights and accountants in subclasses.
+
+        A method already bound to these very objects keeps that binding
+        (a scenario binds before its trainer prepares:
+        :func:`repro.sim.scenarios.bind_scenario`).  ``compression`` is
+        the trainer-level override for this binding; it takes precedence
+        over the method's own :attr:`compression` without mutating it
+        (the effective spec lands in :attr:`active_compression`).
+        """
+        if not (self.fed is fed and self.model is model and self.rng is rng):
+            self.bind(fed, model, rng, engine)
         spec = compression if compression is not None else self.compression
         self.check_compression(spec)
         self.active_compression = spec
-        self.compressor = (
-            None if spec is None
-            else UpdateCompressor(spec, fed.n_silos, model.num_params)
-        )
+        self.compressor = None
+        if spec is not None:
+            from repro.compress.pipeline import UpdateCompressor
+
+            self.compressor = UpdateCompressor(spec, fed.n_silos, model.num_params)
 
     @property
     def display_name(self) -> str:

@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accounting import PrivacyAccountant
-from repro.compress import CompressionSpec
+from repro.compress.spec import CompressionSpec
 from repro.core.engine import (
     clipped_rows,
     fold_clipped_rows,
@@ -138,7 +137,6 @@ class UldpAvg(FLMethod):
         self._silo_root: int | None = None
         #: The release :meth:`round` forms: the per-silo step's default.
         self._release: tuple[int, int] = (SYNC_ROUND, 0)
-        self.accountant = PrivacyAccountant()
         # Transient per-round participation state read by _round_aggregate:
         # which silos train and how many silos share the noise budget.
         self._active_silo_mask: np.ndarray | None = None
@@ -155,15 +153,22 @@ class UldpAvg(FLMethod):
     def display_name(self) -> str:
         return "ULDP-AVG-w" if self.weighting == "proportional" else "ULDP-AVG"
 
+    def bind(self, fed, model, rng, engine=None) -> None:
+        super().bind(fed, model, rng, engine)
+        self._fed_token = fed.token()
+        self._silo_root = int(rng.integers(2**63))
+
     def prepare(self, fed, model, rng, compression=None, engine=None) -> None:
+        from repro.accounting.accountant import PrivacyAccountant
+
         super().prepare(fed, model, rng, compression=compression, engine=engine)
         if self.weighting == "uniform":
             self.weights = uniform_weights(fed.n_silos, fed.n_users)
         else:
             self.weights = proportional_weights(fed.histogram())
         validate_weights(self.weights)
-        self._fed_token = fed.token()
-        self._silo_root = int(rng.integers(2**63))
+        if self.accountant is None:  # one budget across rebindings
+            self.accountant = PrivacyAccountant()
         if self.global_lr is None:
             # Remark 3: eta_g = |S| * sqrt(|U| * Q) recovers the DP-FedAVG
             # noise scaling after the server's 1/(|U||S|) averaging.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accounting import PrivacyAccountant
+from repro.accounting.accountant import PrivacyAccountant
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.metrics import make_loss
 from repro.core.weighting import RoundParticipation

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accounting import PrivacyAccountant
+from repro.accounting.accountant import PrivacyAccountant
 from repro.nn.clip import l2_clip_rows
 from repro.core.engine import batched_local_deltas
 from repro.core.methods.base import FLMethod, ParticipationSummary

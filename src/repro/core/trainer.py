@@ -22,33 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compress import CompressionSpec
+from repro.compress.spec import CompressionSpec
 from repro.core.engine import EngineConfig
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.metrics import evaluate_model, metric_name
 from repro.core.weighting import RoundParticipation
 from repro.data.federated import FederatedDataset
-from repro.nn.model import (
-    Sequential,
-    build_cox_linear,
-    build_creditcard_mlp,
-    build_logistic,
-    build_mnist_cnn,
-)
+from repro.nn.model import Sequential, default_model_for
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
-
-
-def default_model_for(fed: FederatedDataset, rng: np.random.Generator) -> Sequential:
-    """The paper's model for each benchmark dataset (by shape/task)."""
-    if fed.test_x.ndim == 4:
-        return build_mnist_cnn(rng, image_size=fed.test_x.shape[-1])
-    n_features = fed.test_x.shape[1]
-    if fed.task == "survival":
-        return build_cox_linear(rng, in_features=n_features)
-    if n_features <= 15:
-        return build_logistic(rng, in_features=n_features)
-    return build_creditcard_mlp(rng, in_features=n_features)
 
 
 @dataclass(frozen=True)
@@ -190,6 +172,7 @@ class Trainer:
         eval_every: int = 1,
         compression: CompressionSpec | None = None,
         engine: EngineConfig | None = None,
+        rng: np.random.Generator | None = None,
     ):
         if rounds < 1:
             raise ValueError("need at least one round")
@@ -202,7 +185,10 @@ class Trainer:
         self.rounds = rounds
         self.delta = delta
         self.eval_every = eval_every
-        self.rng = np.random.default_rng(seed)
+        # ``rng``: the generator ``model`` was drawn from and ``method``
+        # already bound with (repro.sim.scenarios.bind_scenario), which
+        # the trainer's draws continue; None starts one from ``seed``.
+        self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.model = model if model is not None else default_model_for(fed, self.rng)
         # The trainer-level spec overrides a method-level one for *this*
         # binding only -- passed explicitly so the method object itself is

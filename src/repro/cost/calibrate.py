@@ -27,7 +27,7 @@ import numpy as np
 import sympy as sp
 
 from repro.api.spec import CryptoSpec
-from repro.compress import CompressionSpec
+from repro.compress.spec import CompressionSpec
 from repro.cost import model as M
 from repro.cost.bench_schema import validate_bench_tree
 from repro.cost.model import C, _secure_phases, _train_phase

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import sympy as sp
 
 from repro.api.spec import SECURE_METHOD, CryptoSpec, RunSpec
-from repro.compress import CompressionSpec
+from repro.compress.spec import CompressionSpec
 
 #: Metric attributes carried by every :class:`PhaseCost`.
 METRICS = (

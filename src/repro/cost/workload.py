@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.api.spec import SECURE_METHOD, CryptoSpec, RunSpec
-from repro.compress import CompressionSpec
+from repro.compress.spec import CompressionSpec
 from repro.cost import model as M
 
 
@@ -27,7 +27,7 @@ class CostError(ValueError):
 
 #: Input shape of each builtin benchmark federation's ``test_x`` -- what
 #: the registered model factories consume -- plus its ``model="auto"``
-#: resolution (mirrors :func:`repro.core.trainer.default_model_for`).
+#: resolution (mirrors :func:`repro.nn.model.default_model_for`).
 #: The fixed-silo benchmarks (heartdisease, tcgabrca) have a fixed
 #: layout; for them the spec's declared ``records`` is an approximation.
 DATASET_TRAITS: dict[str, dict] = {

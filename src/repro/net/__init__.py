@@ -18,9 +18,10 @@ Submodules (imported lazily -- the server pulls in the full API stack):
 - :mod:`repro.net.silo_client` -- the stateless silo worker process.
 """
 
-from __future__ import annotations
+from repro import _lazy_namespace
 
-_LAZY = {
+# name -> defining module, resolved on first attribute access.
+_LAZY_EXPORTS = {
     "FederationServer": "repro.net.server",
     "SiloFailure": "repro.net.server",
     "SiloClient": "repro.net.silo_client",
@@ -28,12 +29,5 @@ _LAZY = {
     "FaultEvent": "repro.net.faults",
 }
 
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        return getattr(importlib.import_module(_LAZY[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = sorted(_LAZY_EXPORTS)
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

@@ -62,6 +62,7 @@ from repro.net.transport import (
 from repro.net.wire import PROTOCOL_VERSION, WireError, is_finite_vector
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
+from repro.sim.checkpoint import save_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -448,8 +449,6 @@ class FederationServer:
                         sim.external_dropout = None
                 if sim_spec.checkpoint_dir and (
                         sim.rounds_completed % every == 0 or sim.done):
-                    from repro.sim.checkpoint import save_checkpoint
-
                     with recorder.span("checkpoint", kind="phase",
                                        round=sim.rounds_completed):
                         save_checkpoint(sim_spec.checkpoint_dir, sim,

@@ -1,10 +1,12 @@
 """The silo worker process (``repro silo``).
 
-A :class:`SiloClient` is *stateless between rounds*: it rebuilds the full
-simulator from the spec at startup (synthetic datasets are deterministic
-in the seed, so its federation, prepared method, and model are identical
-to the server's), connects with retry/backoff, and then simply answers
-frames:
+A :class:`SiloClient` is *stateless between rounds*: at startup it builds
+from the spec what every party of the run builds
+(:func:`repro.sim.scenarios.bind_scenario`: synthetic datasets are
+deterministic in the seed, so its federation, model template and bound
+method are identical to the server's) and nothing a silo does not run --
+no simulator, trainer, accountant or compressor -- connects with
+retry/backoff, and then simply answers frames:
 
 - ``ping``  -> ``pong`` with a readiness flag (the fault plan's
   ``decline``/``drop_rate`` land here);
@@ -33,7 +35,7 @@ import os
 import random
 import time
 
-from repro.api.runner import build_simulator, validate_spec_names
+from repro.api.runner import build_method, validate_spec_names
 from repro.api.spec import RunSpec, SpecError
 from repro.core.methods.uldp_avg import SYNC_ROUND
 from repro.net.faults import FaultPlan
@@ -50,7 +52,7 @@ from repro.net.wire import (
     is_finite_vector,
     pack_frame,
 )
-from repro.sim.scenarios import scenario_recipe
+from repro.sim.scenarios import bind_scenario, scenario_recipe
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +76,10 @@ class SiloClient:
             raise SpecError(
                 f"silo id {silo_id} out of range for the scenario's "
                 f"{sizes['n_silos']} silos")
-        self.sim = build_simulator(spec)
+        self.method = build_method(spec)
+        sim = spec.sim
+        self.fed = bind_scenario(
+            sim.scenario, sim.scale, spec.seed, spec.rounds, self.method)
         self.silo_id = int(silo_id)
         self.plan = FaultPlan.from_tree(spec.net.faults)
         self.spec_hash = spec.hash()
@@ -126,14 +131,14 @@ class SiloClient:
             conn.close()
             time.sleep(actions["partition"] or 1.0)
             return "reconnect"
-        method = self.sim.method
+        method = self.method
         params = frame.arrays.get("params")
         weights = frame.arrays.get("weights")
         noise_std = frame.payload.get("noise_std")
         problem = None
-        if not is_finite_vector(params, self.sim.trainer.params.size):
+        if not is_finite_vector(params, method.model.num_params):
             problem = "params is not a finite float64 vector of the model's size"
-        elif not is_finite_vector(weights, self.sim.fed.n_users):
+        elif not is_finite_vector(weights, self.fed.n_users):
             problem = "weights is not a finite float64 vector, one entry per user"
         elif (not isinstance(noise_std, (int, float))
                 or not math.isfinite(noise_std) or noise_std < 0):
@@ -215,24 +220,17 @@ class SiloClient:
                                     "wire": PROTOCOL_VERSION})
                 frame = conn.recv(timeout=self.net.join_timeout)
             except (TransportError, WireError):
-                conn.close()
-                failures += 1
-                if failures > self.net.connect_retries:
-                    log.error("silo %d: gave up after %d failed sessions",
-                              self.silo_id, failures)
-                    return 3
-                continue
-            if frame.type == "refuse":
+                frame = None
+            reply = None if frame is None else frame.type
+            if reply == "refuse":
                 log.error("silo %d: refused: %s", self.silo_id,
                           frame.payload.get("reason", ""))
                 conn.close()
                 return 2
-            if frame.type != "welcome":
-                conn.close()
-                failures += 1
-                continue
-            failures = 0
-            outcome = self._serve(conn)
+            outcome = "reconnect"  # no welcome: a failed session too
+            if reply == "welcome":
+                failures = 0
+                outcome = self._serve(conn)
             conn.close()
             if outcome == "done":
                 return 0

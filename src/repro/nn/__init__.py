@@ -21,64 +21,36 @@ All randomness flows through explicit ``numpy.random.Generator`` instances
 so every experiment is reproducible from a seed.
 """
 
-from repro.nn.clip import (
-    clip_factor_from_norms,
-    clip_factor_rows,
-    l2_clip,
-    l2_clip_rows,
-)
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Tanh,
-)
-from repro.nn.losses import (
-    BatchedCoxPHLoss,
-    BCEWithLogitsLoss,
-    CoxPHLoss,
-    Loss,
-    SoftmaxCrossEntropyLoss,
-)
-from repro.nn.model import (
-    Sequential,
-    build_cox_linear,
-    build_creditcard_mlp,
-    build_logistic,
-    build_mnist_cnn,
-    build_tiny_mlp,
-)
-from repro.nn.optim import SGD
-from repro.nn.train import train_epochs
-from repro.nn.dpsgd import dpsgd_train
+from repro import _lazy_namespace
 
-__all__ = [
-    "clip_factor_from_norms",
-    "clip_factor_rows",
-    "l2_clip",
-    "l2_clip_rows",
-    "AvgPool2d",
-    "Conv2d",
-    "Flatten",
-    "Linear",
-    "MaxPool2d",
-    "ReLU",
-    "Tanh",
-    "BatchedCoxPHLoss",
-    "BCEWithLogitsLoss",
-    "CoxPHLoss",
-    "Loss",
-    "SoftmaxCrossEntropyLoss",
-    "Sequential",
-    "build_cox_linear",
-    "build_creditcard_mlp",
-    "build_logistic",
-    "build_mnist_cnn",
-    "build_tiny_mlp",
-    "SGD",
-    "train_epochs",
-    "dpsgd_train",
-]
+# name -> defining module, resolved on first attribute access.
+_LAZY_EXPORTS = {
+    "clip_factor_from_norms": "repro.nn.clip",
+    "clip_factor_rows": "repro.nn.clip",
+    "l2_clip": "repro.nn.clip",
+    "l2_clip_rows": "repro.nn.clip",
+    "AvgPool2d": "repro.nn.layers",
+    "Conv2d": "repro.nn.layers",
+    "Flatten": "repro.nn.layers",
+    "Linear": "repro.nn.layers",
+    "MaxPool2d": "repro.nn.layers",
+    "ReLU": "repro.nn.layers",
+    "Tanh": "repro.nn.layers",
+    "BatchedCoxPHLoss": "repro.nn.losses",
+    "BCEWithLogitsLoss": "repro.nn.losses",
+    "CoxPHLoss": "repro.nn.losses",
+    "Loss": "repro.nn.losses",
+    "SoftmaxCrossEntropyLoss": "repro.nn.losses",
+    "Sequential": "repro.nn.model",
+    "build_cox_linear": "repro.nn.model",
+    "build_creditcard_mlp": "repro.nn.model",
+    "build_logistic": "repro.nn.model",
+    "build_mnist_cnn": "repro.nn.model",
+    "build_tiny_mlp": "repro.nn.model",
+    "SGD": "repro.nn.optim",
+    "train_epochs": "repro.nn.train",
+    "dpsgd_train": "repro.nn.dpsgd",
+}
+
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

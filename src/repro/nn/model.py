@@ -12,6 +12,7 @@ Factories reproduce the paper's model sizes:
 - :func:`build_mnist_cnn` -- CNN with ~20K parameters.
 - :func:`build_logistic` -- logistic model (< 100 params, HeartDisease).
 - :func:`build_cox_linear` -- linear Cox risk model (< 100 params, TcgaBrca).
+- :func:`default_model_for` -- which of them a benchmark dataset trains.
 """
 
 from __future__ import annotations
@@ -169,3 +170,15 @@ def build_logistic(rng: np.random.Generator, in_features: int = 13) -> Sequentia
 def build_cox_linear(rng: np.random.Generator, in_features: int = 39) -> Sequential:
     """Linear Cox risk-score model for TcgaBrca (single score output)."""
     return Sequential([Linear(in_features, 1, rng)])
+
+
+def default_model_for(fed, rng: np.random.Generator) -> Sequential:
+    """The paper's model for each benchmark dataset (by shape/task)."""
+    if fed.test_x.ndim == 4:
+        return build_mnist_cnn(rng, image_size=fed.test_x.shape[-1])
+    n_features = fed.test_x.shape[1]
+    if fed.task == "survival":
+        return build_cox_linear(rng, in_features=n_features)
+    if n_features <= 15:
+        return build_logistic(rng, in_features=n_features)
+    return build_creditcard_mlp(rng, in_features=n_features)

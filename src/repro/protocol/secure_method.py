@@ -20,7 +20,8 @@ import logging
 
 import numpy as np
 
-from repro.compress import CompressionSpec, scatter
+from repro.compress.sparsify import scatter
+from repro.compress.spec import CompressionSpec
 from repro.core.methods.uldp_avg import UldpAvg
 from repro.crypto.dh import DHGroup
 from repro.crypto.encoding import MagnitudeBudgetError, round_max_abs

@@ -19,53 +19,33 @@ survive:
   spec's ``[sim]`` table (``python -m repro scenarios`` lists it).
 """
 
-from repro.sim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from repro.sim.participation import (
-    BandwidthModel,
-    ChurnProcess,
-    IidSiloDropout,
-    LogNormalLatency,
-    NoDropout,
-    NoLatency,
-    SiloOutageWindows,
-)
-from repro.sim.policies import (
-    BufferedAsyncPolicy,
-    SemiSyncPolicy,
-    SyncPolicy,
-    staleness_weight,
-)
-from repro.sim.scheduler import FederationSimulator, SimConfig
-from repro.sim.scenarios import (
-    available_scenarios,
-    build_scenario,
-    continue_simulation,
-    describe_scenario,
-    resume_simulator,
-    run_scenario,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "CheckpointError",
-    "load_checkpoint",
-    "save_checkpoint",
-    "BandwidthModel",
-    "ChurnProcess",
-    "IidSiloDropout",
-    "LogNormalLatency",
-    "NoDropout",
-    "NoLatency",
-    "SiloOutageWindows",
-    "BufferedAsyncPolicy",
-    "SemiSyncPolicy",
-    "SyncPolicy",
-    "staleness_weight",
-    "FederationSimulator",
-    "SimConfig",
-    "available_scenarios",
-    "build_scenario",
-    "continue_simulation",
-    "describe_scenario",
-    "resume_simulator",
-    "run_scenario",
-]
+# name -> defining module, resolved on first attribute access.
+_LAZY_EXPORTS = {
+    "CheckpointError": "repro.sim.checkpoint",
+    "load_checkpoint": "repro.sim.checkpoint",
+    "save_checkpoint": "repro.sim.checkpoint",
+    "BandwidthModel": "repro.sim.participation",
+    "ChurnProcess": "repro.sim.participation",
+    "IidSiloDropout": "repro.sim.participation",
+    "LogNormalLatency": "repro.sim.participation",
+    "NoDropout": "repro.sim.participation",
+    "NoLatency": "repro.sim.participation",
+    "SiloOutageWindows": "repro.sim.participation",
+    "BufferedAsyncPolicy": "repro.sim.policies",
+    "SemiSyncPolicy": "repro.sim.policies",
+    "SyncPolicy": "repro.sim.policies",
+    "staleness_weight": "repro.sim.policies",
+    "FederationSimulator": "repro.sim.scheduler",
+    "SimConfig": "repro.sim.scheduler",
+    "available_scenarios": "repro.sim.scenarios",
+    "build_scenario": "repro.sim.scenarios",
+    "continue_simulation": "repro.sim.scenarios",
+    "describe_scenario": "repro.sim.scenarios",
+    "resume_simulator": "repro.sim.scenarios",
+    "run_scenario": "repro.sim.scenarios",
+}
+
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

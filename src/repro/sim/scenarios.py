@@ -30,10 +30,12 @@ tampered or mismatched spec**.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.api.registries import SCENARIOS, register_scenario
 from repro.api.spec import SCALES
-from repro.compress import CompressionSpec
-from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+from repro.compress.spec import CompressionSpec
+from repro.nn.model import default_model_for
 from repro.sim.participation import (
     BandwidthModel,
     ChurnProcess,
@@ -42,7 +44,6 @@ from repro.sim.participation import (
     SiloOutageWindows,
 )
 from repro.sim.policies import BufferedAsyncPolicy, SemiSyncPolicy, SyncPolicy
-from repro.sim.scheduler import FederationSimulator, SimConfig
 
 
 def _scale_params(scale: str) -> dict:
@@ -214,6 +215,30 @@ def scenario_recipe(
     return sizes, SCENARIOS.get(name)(sizes["rounds"], sizes["n_silos"])
 
 
+def bind_scenario(name: str, scale: str, seed: int, rounds: int | None, method):
+    """Build a scenario's federation and model template and bind ``method``
+    to them (:meth:`repro.core.FLMethod.bind`): what every party of a run
+    builds, bit for bit -- the server's simulator (:func:`build_scenario`)
+    and each ``repro silo`` replica -- so no replica can drift from the
+    server.  The template and the method's party draws come from the
+    simulator's training stream (``SimConfig.seed``), in that order.
+    Returns the federation; the model and generator are ``method``'s."""
+    from repro.data import build_creditcard_benchmark
+
+    params, _ = scenario_recipe(name, scale, rounds)
+    fed = build_creditcard_benchmark(
+        n_users=params["n_users"],
+        n_silos=params["n_silos"],
+        distribution="zipf",
+        n_records=params["n_records"],
+        n_test=params["n_test"],
+        seed=seed,
+    )
+    rng = np.random.default_rng(seed + 1)
+    method.bind(fed, default_model_for(fed, rng), rng)
+    return fed
+
+
 def build_scenario(
     name: str,
     scale: str = "small",
@@ -223,7 +248,7 @@ def build_scenario(
     method=None,
     delta: float = 1e-5,
     eval_every: int = 1,
-) -> FederationSimulator:
+):
     """Construct a ready-to-run simulator for a named scenario.
 
     The construction is deterministic in its arguments: a resumed
@@ -232,18 +257,9 @@ def build_scenario(
     overrides the scenario family's canonical ``uldp-avg-w``; the spec
     API builds it from the run's ``[method]`` section.
     """
-    from repro.data import build_creditcard_benchmark
+    from repro.sim.scheduler import FederationSimulator, SimConfig
 
     params, overrides = scenario_recipe(name, scale, rounds)
-    rounds = params["rounds"]
-    fed = build_creditcard_benchmark(
-        n_users=params["n_users"],
-        n_silos=params["n_silos"],
-        distribution="zipf",
-        n_records=params["n_records"],
-        n_test=params["n_test"],
-        seed=seed,
-    )
     if method is None:
         from repro.core.methods.uldp_avg import UldpAvg
 
@@ -252,11 +268,13 @@ def build_scenario(
             local_epochs=1,
             weighting="proportional",
         )
+    fed = bind_scenario(name, scale, seed, rounds, method)
     config = SimConfig(
-        rounds=rounds, seed=seed + 1, delta=delta, eval_every=eval_every,
-        **overrides,
+        rounds=params["rounds"], seed=seed + 1, delta=delta,
+        eval_every=eval_every, **overrides,
     )
-    return FederationSimulator(fed, method, config)
+    return FederationSimulator(
+        fed, method, config, model=method.model, rng=method.rng)
 
 
 def run_scenario(
@@ -266,7 +284,7 @@ def run_scenario(
     rounds: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
-) -> FederationSimulator:
+):
     """Run a named scenario to completion (checkpointing along the way)."""
     sim = build_scenario(name, scale=scale, seed=seed, rounds=rounds)
     run_simulator_with_checkpoints(
@@ -278,7 +296,7 @@ def run_scenario(
     return sim
 
 
-def resume_simulator(checkpoint_dir: str) -> tuple[FederationSimulator, dict]:
+def resume_simulator(checkpoint_dir: str):
     """Rebuild a simulator from a checkpoint directory (not yet run).
 
     Returns ``(simulator, extra)`` where ``extra`` is the payload stored
@@ -290,6 +308,8 @@ def resume_simulator(checkpoint_dir: str) -> tuple[FederationSimulator, dict]:
     ``simulator.run()`` -- or :func:`continue_simulation` -- to finish
     the remaining rounds.
     """
+    from repro.sim.checkpoint import load_checkpoint
+
     state, extra = load_checkpoint(checkpoint_dir)
     if not extra or "scenario" not in extra:
         raise ValueError("checkpoint does not carry scenario metadata")
@@ -309,9 +329,7 @@ def resume_simulator(checkpoint_dir: str) -> tuple[FederationSimulator, dict]:
     return sim, extra
 
 
-def continue_simulation(
-    checkpoint_dir: str, checkpoint_every: int | None = None
-) -> FederationSimulator:
+def continue_simulation(checkpoint_dir: str, checkpoint_every: int | None = None):
     """Resume from a checkpoint and run the remaining rounds."""
     sim, extra = resume_simulator(checkpoint_dir)
     run_simulator_with_checkpoints(sim, checkpoint_dir, checkpoint_every, extra=extra)
@@ -319,7 +337,7 @@ def continue_simulation(
 
 
 def run_simulator_with_checkpoints(
-    sim: FederationSimulator,
+    sim,
     checkpoint_dir: str | None,
     checkpoint_every: int | None,
     extra: dict,
@@ -328,6 +346,8 @@ def run_simulator_with_checkpoints(
     if checkpoint_dir is None:
         sim.run()
         return
+    from repro.sim.checkpoint import save_checkpoint
+
     every = checkpoint_every or max(1, sim.config.rounds // 4)
     while not sim.done:
         sim.run(stop_after=min(sim.rounds_completed + every, sim.config.rounds))

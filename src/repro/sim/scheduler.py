@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compress import CompressionSpec
+from repro.compress.spec import CompressionSpec
 from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.methods.uldp_avg import ASYNC_JOB
 from repro.core.trainer import Trainer, TrainingHistory
@@ -137,6 +137,7 @@ class FederationSimulator:
         method: FLMethod,
         config: SimConfig,
         model: Sequential | None = None,
+        rng: np.random.Generator | None = None,
     ):
         self.fed = fed
         self.method = method
@@ -150,6 +151,7 @@ class FederationSimulator:
             seed=config.seed,
             eval_every=config.eval_every,
             compression=config.compression,
+            rng=rng,
         )
         self.sim_rng = np.random.default_rng([config.seed, _SIM_STREAM])
         #: One activity flag per user, flipped by ``config.churn``.

@@ -8,7 +8,9 @@ session with a typed outcome, never a traceback:
   the session, the server sees a transport failure, and once
   ``connect_retries`` is spent the silo exits 3;
 - a ``hello`` from another build: the server answers with a ``refuse``
-  frame naming both protocol versions, and a refused silo exits 2.
+  frame naming both protocol versions, and a refused silo exits 2;
+- a ``hello`` answered with neither ``welcome`` nor ``refuse``: a failed
+  session like any other, so the silo gives up after ``connect_retries``.
 """
 
 import gc
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 from test_networked_run import base_tree
 
-from repro.api import RunSpec, SpecError
+from repro.api import RunSpec, SpecError, build_simulator
 from repro.net import wire
 from repro.net.server import FederationServer
 from repro.net.silo_client import SiloClient
@@ -46,12 +48,13 @@ def silo():
 
 
 class ScriptedServer:
-    """A listener that answers one session's ``hello`` with scripted
-    frames and records the first thing the silo says back (nothing, if it
-    hangs up instead)."""
+    """A listener that answers each of up to ``sessions`` sessions'
+    ``hello`` with scripted frames and records the first thing the silo
+    says back in each (nothing, if it hangs up instead)."""
 
-    def __init__(self, *frames):
+    def __init__(self, *frames, sessions=1):
         self.script = b"".join(wire.pack_frame(*frame) for frame in frames)
+        self.sessions = sessions
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.listener.settimeout(10.0)
         self.port = self.listener.getsockname()[1]
@@ -61,15 +64,23 @@ class ScriptedServer:
 
     def _run(self):
         with self.listener:
-            sock, _ = self.listener.accept()
-        with sock:
-            sock.settimeout(10.0)
-            try:
-                self.hellos.append(wire.recv_frame(sock))
-                sock.sendall(self.script)
-                self.replies.append(wire.recv_frame(sock))
-            except (wire.WireError, OSError):
-                pass  # the silo hung up without a reply
+            for _ in range(self.sessions):
+                try:
+                    sock, _ = self.listener.accept()
+                except OSError:
+                    return  # the silo stopped reconnecting
+                self.listener.settimeout(1.0)  # a rejoin is immediate
+                with sock:
+                    self._session(sock)
+
+    def _session(self, sock):
+        sock.settimeout(10.0)
+        try:
+            self.hellos.append(wire.recv_frame(sock))
+            sock.sendall(self.script)
+            self.replies.append(wire.recv_frame(sock))
+        except (wire.WireError, OSError):
+            pass  # the silo hung up without a reply
 
     def run(self, silo, caplog):
         """``silo.run()`` against this server, its ERROR lines captured."""
@@ -82,9 +93,11 @@ class ScriptedServer:
             assert not self.thread.is_alive()
 
 
-def good_compute(silo):
-    """The payload and arrays of a ``compute`` the silo would answer."""
-    sim = silo.sim
+@pytest.fixture(scope="module")
+def good_compute():
+    """The payload and arrays of a ``compute`` the silo would answer,
+    taken from the server's simulator for the same spec."""
+    sim = build_simulator(RunSpec.from_dict(TREE))
     return (
         {"round": 0, "noise_std": 1.0},
         {"params": sim.trainer.params.copy(),
@@ -115,22 +128,22 @@ MALFORMED = {
 
 
 class TestMalformedCompute:
-    def test_the_unmodified_frame_is_answered(self, silo, caplog):
+    def test_the_unmodified_frame_is_answered(self, silo, good_compute, caplog):
         # Positive control for the cases below.  The scripted server
         # closes after the reply and never says "done", so this session
         # fails too -- but only after the silo answered.
         server = ScriptedServer(("welcome", {"round": 0}),
-                                ("compute", *good_compute(silo)))
+                                ("compute", *good_compute))
         assert server.run(silo, caplog) == 3
         assert [f.type for f in server.replies] == ["update"]
         assert "dropping the session" not in caplog.text
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_compute_ends_the_session_not_the_process(
-            self, silo, case, caplog):
+            self, silo, good_compute, case, caplog):
         server = ScriptedServer(
             ("welcome", {"round": 0}),
-            ("compute", *MALFORMED[case](*good_compute(silo))))
+            ("compute", *MALFORMED[case](*good_compute)))
         outcome = server.run(silo, caplog)  # no exception escapes
         assert outcome == 3  # "gave up", not 1 (aborted) or 2 (refused)
         assert len(server.hellos) == 1
@@ -183,20 +196,31 @@ class TestBuildMismatch:
             wire.PROTOCOL_VERSION]
         assert "refused: protocol version mismatch" in caplog.text
 
+    def test_hello_answered_with_another_frame_is_a_failed_session(
+            self, silo, caplog):
+        # A peer that is not a server of this protocol: every hello gets
+        # a pong.  connect_retries = 0, so the first such session is the
+        # last; without the cap the silo would rejoin it for ever.
+        server = ScriptedServer(("pong", {"round": 0, "ready": True}),
+                                sessions=5)
+        assert server.run(silo, caplog) == 3
+        assert len(server.hellos) == 1
+        assert "gave up after 1 failed sessions" in caplog.text
+
 
 class TestBuild:
     """What a silo does before its first frame: a bad id is refused
-    before the simulator is built, and only the ``repro silo`` process
+    before the replica is built, and only the ``repro silo`` process
     freezes the heap it built (the ``silo`` fixture checks the class)."""
 
     @pytest.mark.parametrize("silo_id", [-1, 3])
     def test_out_of_range_silo_id_is_refused_before_the_build(
             self, silo_id, monkeypatch):
-        def build_simulator(spec):
-            raise AssertionError("built a simulator for a refused silo id")
+        def bind_scenario(*args):
+            raise AssertionError("built a replica for a refused silo id")
 
-        monkeypatch.setattr("repro.net.silo_client.build_simulator",
-                            build_simulator)
+        monkeypatch.setattr("repro.net.silo_client.bind_scenario",
+                            bind_scenario)
         with pytest.raises(SpecError, match=f"silo id {silo_id} out of "
                                             "range for the scenario's 3"):
             SiloClient(RunSpec.from_dict(TREE), silo_id, port=1)

@@ -213,3 +213,48 @@ class TestSimulateCommand:
         state.write_text(json.dumps(meta))
         assert main(["run", "--resume", str(tmp_path)]) == 2
         assert "hash mismatch" in capsys.readouterr().err
+
+
+class TestServeSpawnFailure:
+    def test_failed_spawn_reaps_the_started_silos_and_cleans_up(
+            self, capsys, monkeypatch, tmp_path):
+        import socket
+        import subprocess
+        import tempfile
+
+        from repro.cli import build_parser
+
+        class Stub:
+            waited = killed = False
+
+            def wait(self, timeout=None):
+                Stub.waited = True
+                return 0
+
+            def kill(self):
+                Stub.killed = True
+
+        calls = []
+
+        def popen(argv, **kwargs):
+            calls.append(argv)
+            if len(calls) == 2:
+                raise OSError("fork failed")
+            return Stub()
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "seed": 3, "sim": {"scenario": "ideal-sync", "scale": "smoke"},
+            "net": {"port": 0, "join_timeout": 5.0}}))
+        args = build_parser().parse_args(
+            ["serve", "--config", str(spec), "--spawn-silos"])
+        with pytest.raises(OSError, match="fork failed"):
+            args.func(args)
+        assert len(calls) == 2 and (Stub.waited or Stub.killed)
+        assert not list(tmp_path.glob("repro-net-*.json"))
+        # The listener went with them: nothing accepts on its port.
+        port = int(capsys.readouterr().out.split(":")[1].split()[0])
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()

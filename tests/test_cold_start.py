@@ -1,10 +1,13 @@
-"""What a cold process imports: never SciPy.
+"""What a cold process imports: never SciPy, and a silo only what it runs.
 
 The sub-sampled Gaussian accountant (Lemma 4) runs on NumPy alone, so no
 process loads SciPy (~0.25 s and ~20 MB each, server and silos alike) --
 plain or sub-sampled, built or run -- and a host without SciPy runs both.
-Every case runs in a fresh interpreter, since ``sys.modules`` is
-process-wide.
+The packages resolve their public names on first access (PEP 562), so a
+``repro silo`` imports no scheduler, trainer, accountant, compressor or
+other method: every one of them is compiled from source in a process
+that never writes bytecode.  Every case runs in a fresh interpreter,
+since ``sys.modules`` is process-wide.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import importlib
 
 import pytest
 
@@ -114,3 +119,55 @@ def test_plain_spec_runs_without_scipy(tmp_path):
 def test_sampled_work_without_scipy_exits_0(tmp_path, argv):
     out = _python(_NO_SCIPY_CLI, *argv, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
+
+
+# -- what a silo imports ------------------------------------------------------
+
+_SILO_BUILD = f"""
+import sys
+from repro.api.spec import RunSpec
+from repro.net.silo_client import SiloClient
+SiloClient(RunSpec.from_file({str(ROOT / "examples/specs/net_sim.toml")!r}), 0, port=1)
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "repro"))
+"""
+
+#: Modules only the server (or another method) runs.
+_NOT_IN_A_SILO = (
+    "repro.sim.scheduler", "repro.sim.checkpoint", "repro.core.trainer",
+    "repro.compress.pipeline", "repro.core.methods.uldp_group",
+    "repro.core.methods.uldp_naive", "repro.core.methods.fedavg",
+    "repro.nn.dpsgd",
+)
+
+
+def test_a_silo_imports_only_what_a_silo_runs():
+    out = _python(_SILO_BUILD)
+    assert out.returncode == 0, out.stderr
+    modules = set(out.stdout.split())
+    assert len(modules) <= 42, sorted(modules)
+    assert not modules & set(_NOT_IN_A_SILO)
+    assert not {m for m in modules if m.startswith("repro.accounting")}
+
+
+_LAZY_PACKAGES = ("repro", "repro.api", "repro.core", "repro.core.methods",
+                  "repro.nn", "repro.sim", "repro.accounting", "repro.compress",
+                  "repro.net")
+
+
+@pytest.mark.parametrize("package", _LAZY_PACKAGES)
+def test_lazy_package_resolves_every_public_name(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is not None
+        assert name in dir(module)
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("package", _LAZY_PACKAGES)
+def test_importing_a_package_imports_none_of_its_submodules(package):
+    out = _python(f"import sys, {package}\n"
+                  f"print(sum(m.startswith('{package}.') for m in sys.modules))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]

@@ -88,11 +88,17 @@ def capability_table() -> str:
     """docs/api.md's "what composes with what" table, from what each
     registered method declares (``FLMethod``'s contract) -- never from a
     list kept by hand."""
+    import numpy as np
+
     from repro.api import builtin  # (importing it populates METHODS)
     from repro.api.registries import METHODS
     from repro.api.spec import MethodSpec
     from repro.compress import CompressionSpec
-    from repro.core import UldpAvg
+    from repro.core import UldpAvg, default_model_for
+    from repro.data import build_creditcard_benchmark
+
+    # State is checkpointed once bound: prepare builds the server's part.
+    fed = build_creditcard_benchmark(n_users=8, n_silos=2, n_records=120, seed=0)
 
     def admits(method, sparsify):
         try:
@@ -111,6 +117,8 @@ def capability_table() -> str:
         if factory.__module__ != builtin.__name__:
             continue  # registered by another test, not by the package
         method = factory(MethodSpec(name=name), None)
+        rng = np.random.default_rng(0)
+        method.prepare(fed, default_model_for(fed, rng), rng)
         algorithm3 = isinstance(method, UldpAvg)  # the roster-aware round
         lossy = ("yes" if admits(method, "topk")
                  else "rand-k only" if admits(method, "randk") else "no")
