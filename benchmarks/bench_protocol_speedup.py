@@ -148,11 +148,12 @@ def timed_masked_round(hist, d):
     return aggregate, proto, seconds
 
 
-def print_breakdown(title, timers):
+def print_breakdown(title, protocols):
     print(f"\n{title}")
-    for backend, timer in timers.items():
+    for backend, proto in protocols.items():
         print(f"[{backend}]")
-        print(timer.summary())
+        for name, seconds in sorted(proto.report().items()):
+            print(f"  {name:<28s} {seconds * 1000:10.1f} ms  (x{proto.counts[name]})")
 
 
 def compare_backends(hist, d, key_bits, label):
@@ -181,7 +182,7 @@ def compare_backends(hist, d, key_bits, label):
     )
     print_breakdown(
         "per-phase breakdown (Fig. 10/11 style):",
-        {"fast": proto_fast.timer, "masked": proto_masked.timer},
+        {"fast": proto_fast, "masked": proto_masked},
     )
     return {
         "key_bits": key_bits,
@@ -195,10 +196,10 @@ def compare_backends(hist, d, key_bits, label):
         "per_silo_ciphertext_bytes": cipher_bytes,
         "per_silo_mask_bytes": mask_bytes,
         "phases_fast": {
-            k: round(v, 4) for k, v in proto_fast.timer.report().items()
+            k: round(v, 4) for k, v in proto_fast.report().items()
         },
         "phases_masked": {
-            k: round(v, 4) for k, v in proto_masked.timer.report().items()
+            k: round(v, 4) for k, v in proto_masked.report().items()
         },
     }
 

@@ -8,8 +8,8 @@ the server decrypts only the aggregated model delta.  The script prints
 1. the training trajectory (identical to plaintext ULDP-AVG-w up to the
    fixed-point precision P = 1e-10),
 2. the per-phase protocol timing breakdown (the paper's Fig. 10/11), and
-3. a peek at the server's view, demonstrating it is blinded field elements
-   rather than histogram counts.
+3. a peek at the server's state, demonstrating it holds blinded field
+   elements rather than histogram counts.
 
 Run:  python examples/private_protocol_demo.py
 """
@@ -48,11 +48,11 @@ def main() -> None:
         print(f"  {phase:<26s} {seconds * 1000:9.1f} ms")
 
     assert secure.protocol is not None
-    view = secure.protocol.view
+    blinded_totals = secure.protocol.server.blinded_totals
     print("\nserver view of user totals (blinded, mod n):")
-    for u, blinded in enumerate(view.blinded_totals[:4]):
+    for u, blinded in enumerate(blinded_totals[:4]):
         print(f"  user {u}: N_u={int(fed.user_totals()[u])}  server sees {str(blinded)[:40]}...")
-    magnitudes = [b.bit_length() for b in view.blinded_totals]
+    magnitudes = [b.bit_length() for b in blinded_totals]
     print(f"  (blinded values are ~{int(np.mean(magnitudes))}-bit field elements)")
 
 

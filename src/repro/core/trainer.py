@@ -95,7 +95,7 @@ class TrainingHistory:
     comm: list[CommRecord] = field(default_factory=list)
     #: Cumulative per-phase protocol seconds (merged across workers) as
     #: reported by the method's ``timing_report()``; empty for methods
-    #: without a :class:`repro.protocol.timing.PhaseTimer`.
+    #: that run no :class:`repro.protocol.driver.Driver`.
     phase_seconds: dict = field(default_factory=dict)
 
     @property

@@ -235,7 +235,7 @@ def payload_bytes_expr(comp: CompressionSpec | None, dim=DIM) -> sp.Expr:
 def ciphertext_bytes_expr(key_bits=KEY_BITS) -> sp.Expr:
     """Serialized Paillier ciphertext size: ``ceil(2 * key_bits / 8)``.
 
-    (mirrors :meth:`repro.protocol.runner.SecureAggregationProtocol.\
+    (mirrors :attr:`repro.protocol.runner.PrivateWeightingProtocol.\
 ciphertext_bytes`; 512-bit keys -> 128 B, 3072-bit -> 768 B)
     """
     return sp.ceiling(2 * key_bits / sp.Integer(8))

@@ -50,7 +50,7 @@ from repro.crypto.fastexp import FixedBaseExp, choose_window
 from repro.crypto.pool import RandomizerPool
 from repro.crypto.secagg import (
     MaskedAggregationProtocol,
-    MaskedServerView,
+    MaskedServer,
     MaskedSilo,
     derive_round_key,
 )
@@ -74,7 +74,7 @@ __all__ = [
     "choose_window",
     "RandomizerPool",
     "MaskedAggregationProtocol",
-    "MaskedServerView",
+    "MaskedServer",
     "MaskedSilo",
     "derive_round_key",
     "encode_scalar",

@@ -1,48 +1,40 @@
 """Pairwise-mask secure aggregation with dropout recovery (Bonawitz-style).
 
-This is the ``crypto_backend="masked"`` alternative to Protocol 1's Paillier
-path (``crypto_backend="fast"``; those are the two backends).  Instead of
-encrypting every coordinate under an additively homomorphic cryptosystem,
-each silo adds a *pairwise additive mask* to its fixed-point field vector:
+The ``crypto_backend="masked"`` alternative to Protocol 1's Paillier path
+(``"fast"``): each silo adds a *pairwise additive mask* to its fixed-point
+field vector instead of encrypting every coordinate.  Two message
+schedules run by :class:`~repro.protocol.driver.Driver` between a
+:class:`MaskedServer` and |S| :class:`MaskedSilo` parties:
 
-- **Setup** (once): every pair of silos runs Diffie-Hellman and derives a
-  long-term pair key (KDF context ``"masked-agg"``, independent of Protocol
-  1's ``"secure-agg"`` keys).
-- **Per round**: each pair derives a fresh *round key* from the pair key and
-  the round number, expands it through :func:`~repro.crypto.masking.
-  prg_field_elements`, and silo ``i`` adds the stream for every peer
-  ``j > i`` and subtracts it for every ``j < i`` (via
-  :class:`~repro.crypto.masking.PairwiseMasker`).  Summed over the full
-  roster the masks cancel exactly in F_m, so the server learns only the sum.
-- **Dropout recovery**: masks are laid over the *full* roster, so a dropped
-  silo leaves unmatched streams in the survivors' sum.  Each survivor
-  reveals its round keys shared with the dropped silos; the server re-expands
-  those streams and subtracts them, recovering exactly the sum over
-  survivors.  Because the revealed key is the per-round derivation -- not
-  the long-term pair key -- the reveal exposes masks of this round only.
+- **Set-up** (once): every pair of silos runs Diffie-Hellman over the
+  relayed publics and derives a long-term pair key (KDF context
+  ``"masked-agg"``, independent of Protocol 1's ``"secure-agg"`` keys).
+- **Round**: each pair derives a fresh *round key* from the pair key and the
+  round number and expands it (:func:`~repro.crypto.masking.
+  prg_field_elements`); silo ``i`` adds the stream for every peer ``j > i``
+  and subtracts it for every ``j < i``.  Over the full roster the masks
+  cancel in F_m, so the server learns only the sum.  A dropped silo leaves
+  unmatched streams: each survivor reveals its round keys with the dropped
+  silos and the server subtracts those streams -- per-round derivations,
+  so the reveal exposes this round's masks only.
 
-The field is ``F_{2^mask_bits}`` with the same fixed-point encoding as the
-Paillier path (:mod:`repro.crypto.encoding`): silo ``s`` submits
+Silo ``s`` submits ``sum_u Encode(delta_su) * (n_su * C_LCM / N_u) +
+Encode(z_s) * C_LCM`` per coordinate in ``F_{2^mask_bits}`` with Protocol
+1's fixed-point encoding (:mod:`repro.crypto.encoding`), so the decoded
+aggregate is the *identical integer arithmetic* Protocol 1 decrypts: the
+two backends agree bit for bit under full participation
+(``tests/protocol/test_backend_equivalence.py``).
 
-    ``sum_u Encode(delta_su) * (n_su * C_LCM / N_u) + Encode(z_s) * C_LCM``
-
-per coordinate, so the decoded aggregate ``(signed / C_LCM) * precision`` is
-the *identical integer arithmetic* Protocol 1 decrypts -- the two backends
-agree bit for bit under full participation (enforced by
-``tests/protocol/test_backend_equivalence.py``).
-
-Security model caveat (documented in ``docs/protocol_performance.md``): this
-is the semi-honest single-mask scheme.  Real Bonawitz et al. adds per-silo
-self-masks with Shamir-shared seeds so a server cannot learn a silo's vector
-by falsely reporting it dropped; here the reveal is scoped to one round by
-the per-round key derivation, but a lying server is out of the threat model.
+Security caveat (``docs/protocol_performance.md``): this is the semi-honest
+single-mask scheme.  Real Bonawitz et al. adds self-masks with
+Shamir-shared seeds so a server cannot learn a silo's vector by falsely
+reporting it dropped; a lying server is out of this threat model.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,27 +49,39 @@ from repro.crypto.encoding import (
     require_magnitude_headroom,
 )
 from repro.crypto.masking import PairwiseMasker, prg_field_elements
+from repro.net.wire import Frame, blob_ints, int_blob
 from repro.obs.metrics import get_registry
+from repro.protocol.driver import HOST, SERVER, SILO, Driver, Party
 
 #: KDF context for the long-term pair keys (distinct from Protocol 1's
 #: ``"secure-agg"`` so the two backends never share key material).
 PAIR_KEY_CONTEXT = "masked-agg"
 
-#: PRG domain-separation label for the per-round delta masks.  The *key*
-#: varies per round (see :func:`derive_round_key`), so the label itself can
-#: stay constant -- what matters is that a revealed round key opens exactly
-#: this one stream.
+#: PRG label for the per-round delta masks (the *key* varies per round, so
+#: a revealed round key opens exactly this one stream).
 MASK_STREAM_CONTEXT = "masked-delta"
+
+#: Set-up: DH publics up, every public back down.
+SETUP = (
+    ("key_exchange", HOST, SILO, "setup"),
+    ("key_exchange", SILO, SERVER, "dh_public"),
+    ("key_exchange", HOST, SERVER, "keys"),
+    ("key_exchange", SERVER, SILO, "keys"),
+)
+
+#: A round: masked vectors up; after a dropout, each survivor's key reveal.
+ROUND = (
+    ("mask_and_upload", HOST, SILO, "upload"),
+    ("mask_and_upload", SILO, SERVER, "masked_vector"),
+    ("aggregate", HOST, SERVER, "aggregate"),
+    ("dropout_recovery", SERVER, SILO, "dropped"),
+    ("dropout_recovery", SILO, SERVER, "reveal"),
+)
 
 
 def derive_round_key(pair_key: bytes, round_no: int) -> bytes:
-    """Per-round mask key for one silo pair.
-
-    A one-way derivation from the long-term pair key and the round number:
-    revealing it (dropout recovery) lets the server remove this round's
-    unmatched masks but says nothing about any other round's masks or the
-    pair key itself.
-    """
+    """Per-round mask key for one silo pair: one-way from the pair key, so
+    revealing it (dropout recovery) opens this round's masks only."""
     if round_no < 0:
         raise ValueError("round number must be non-negative")
     return hashlib.sha256(
@@ -90,16 +94,11 @@ def weight_numerators(
 ) -> np.ndarray:
     """Integer numerators ``round(w[s,u] * C_LCM)`` -- exact where possible.
 
-    When ``round_weights[s, u]`` is the proportional weight
-    ``n_su / N_u`` (bit-identical to the float
-    :func:`~repro.core.weighting.proportional_weights` computes, which
-    participation masking preserves by zeroing whole rows), the numerator
-    is formed as the exact integer ``n_su * (C_LCM // N_u)`` -- the same
-    integer Protocol 1 encrypts, which is what makes the masked and
-    Paillier backends (and the Paillier test oracle,
-    ``tests/protocol/oracle_reference.py``) agree bit for bit.  Renormalised weights
-    (``renorm="survivors"``/``"carryover"`` gains) fall back to rounding,
-    with error at most ``1/(2*C_LCM)`` per unit weight.
+    Where ``round_weights[s, u]`` is the proportional float ``n_su / N_u``
+    (participation masking zeroes whole rows, so it survives), the
+    numerator is the exact ``n_su * (C_LCM // N_u)`` Protocol 1 encrypts:
+    that makes the masked and Paillier backends agree bit for bit.
+    Renormalised weights fall back to rounding (error <= ``1/(2*C_LCM)``).
     """
     hist = np.asarray(histogram)
     weights = np.asarray(round_weights, dtype=np.float64)
@@ -128,12 +127,9 @@ def encode_weighted_payload(
     c_lcm: int,
     modulus: int,
 ) -> list[int]:
-    """One silo's plaintext field vector (before masking).
-
-    Per coordinate: ``sum_u Encode(delta_su) * num_u + Encode(z_s) * C_LCM``
-    in F_modulus -- the same integer the Paillier path accumulates inside
-    the ciphertext sum, so both backends decode to the identical float.
-    """
+    """One silo's plaintext field vector (before masking): per coordinate
+    ``sum_u Encode(delta_su) * num_u + Encode(z_s) * C_LCM`` in F_modulus,
+    the integer the Paillier path accumulates inside its ciphertext sum."""
     total = [e * c_lcm % modulus for e in encode_vector(noise, precision, modulus)]
     for user, delta in contributions.items():
         num = numerators.get(user, 0)
@@ -145,80 +141,109 @@ def encode_weighted_payload(
     return total
 
 
-class MaskedSilo:
-    """One silo's role: DH key agreement plus per-round mask application."""
+class MaskedSilo(Party):
+    """One silo: DH key agreement plus per-round masking.  Before a round
+    the protocol sets :attr:`inputs` -- ``(field vector, round_no, modulus)``."""
 
     def __init__(self, silo_id: int, group: DHGroup, rng: random.Random | None = None):
         self.silo_id = silo_id
-        self.group = group
         self.keypair: DHKeypair = group.keypair(rng=rng)
         self.pair_keys: dict[int, bytes] = {}
-
-    def dh_public(self) -> int:
-        return self.keypair.public
-
-    def receive_dh_publics(self, publics: dict[int, int]) -> None:
-        """Derive a long-term pair key with every peer (setup step)."""
-        for peer, public in publics.items():
-            if peer == self.silo_id:
-                continue
-            secret = self.keypair.shared_secret(public)
-            self.pair_keys[peer] = derive_shared_key(secret, PAIR_KEY_CONTEXT)
-
-    def round_keys(self, round_no: int) -> dict[int, bytes]:
-        """Fresh per-round mask keys for every peer."""
-        return {
-            peer: derive_round_key(key, round_no)
-            for peer, key in self.pair_keys.items()
-        }
-
-    def masked_payload(
-        self, values: list[int], round_no: int, modulus: int
-    ) -> list[int]:
-        """Add the net pairwise mask for this round to a field vector."""
-        masker = PairwiseMasker(self.silo_id, self.round_keys(round_no), modulus)
-        mask = masker.mask_vector(len(values), context=MASK_STREAM_CONTEXT)
-        return [(v + m) % modulus for v, m in zip(values, mask)]
+        self.inputs: tuple | None = None
 
     def reveal_round_keys(self, dropped: list[int], round_no: int) -> dict[int, bytes]:
-        """Dropout recovery: hand the server this round's keys with ``dropped``.
+        """Dropout recovery: this round's keys with ``dropped``.  Only the
+        one-way per-round derivation leaves the silo; the long-term pair
+        keys (and with them every other round's masks) stay private."""
+        keys = self.pair_keys
+        return {peer: derive_round_key(keys[peer], round_no) for peer in dropped if peer in keys}
 
-        Only the one-way per-round derivation leaves the silo; the long-term
-        pair keys (and with them every other round's masks) stay private.
-        """
-        return {
-            peer: derive_round_key(self.pair_keys[peer], round_no)
-            for peer in dropped
-            if peer in self.pair_keys
-        }
+    def on_setup(self, frame):
+        public = int_blob([self.keypair.public], self.keypair.group.prime)
+        return [Frame("dh_public", {}, {"public": public})]
+
+    def on_keys(self, frame):
+        """Derive a long-term pair key with every peer."""
+        for peer, public in enumerate(blob_ints(frame.arrays["publics"])):
+            if peer != self.silo_id:
+                secret = self.keypair.shared_secret(public)
+                self.pair_keys[peer] = derive_shared_key(secret, PAIR_KEY_CONTEXT)
+
+    def on_upload(self, frame):
+        """Add this round's net pairwise mask to the field vector."""
+        values, round_no, m = self.inputs
+        keys = {peer: derive_round_key(key, round_no) for peer, key in self.pair_keys.items()}
+        mask = PairwiseMasker(self.silo_id, keys, m).mask_vector(len(values), MASK_STREAM_CONTEXT)
+        vector = int_blob([(v + r) % m for v, r in zip(values, mask)], m)
+        return [Frame("masked_vector", {"round": round_no}, {"vector": vector})]
+
+    def on_dropped(self, frame):
+        keys = self.reveal_round_keys(frame.payload["dropped"], frame.payload["round"])
+        raw = np.frombuffer(b"".join(keys.values()), np.uint8).reshape(len(keys), -1)
+        return [Frame("reveal", {"round": frame.payload["round"], "peers": list(keys)}, {"keys": raw})]
 
 
-@dataclass
-class MaskedServerView:
-    """Everything the server observes -- the privacy tests read this."""
+class MaskedServer(Party):
+    """The aggregator: relays DH publics, sums the masked uploads and
+    removes a dropped silo's unmatched masks using the revealed round keys;
+    :attr:`totals` is the last round's field sum over the survivors."""
 
-    dh_publics: dict[int, int] = field(default_factory=dict)
-    #: Per round: silo id -> the masked field vector it uploaded.
-    masked_vectors: list[dict[int, list[int]]] = field(default_factory=list)
-    #: Per recovery event: (round_no, survivor, dropped silo ids revealed).
-    reveals: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
+    def __init__(self, n_silos: int, modulus: int):
+        self.n_silos, self.modulus = n_silos, modulus
+        self.dh_publics: dict[int, np.ndarray] = {}
+        self.uploads: dict[int, list[int]] = {}
+        self.totals: list[int] = []
+
+    def on_dh_public(self, frame):
+        self.dh_publics[frame.payload["silo"]] = frame.arrays["public"]
+
+    def on_keys(self, frame):
+        publics = np.concatenate([self.dh_publics[s] for s in sorted(self.dh_publics)])
+        return [Frame("keys", {}, {"publics": publics})]
+
+    def on_masked_vector(self, frame):
+        self.round_no = frame.payload["round"]
+        self.uploads[frame.payload["silo"]] = blob_ints(frame.arrays["vector"])
+
+    def on_aggregate(self, frame):
+        """Sum the uploads; ask each survivor for its keys with the silos
+        that uploaded nothing."""
+        uploads, self.uploads = self.uploads, {}
+        get_registry().counter(
+            "secagg_masked_uploads_total",
+            help="Masked silo vectors uploaded to the aggregator.",
+        ).inc(len(uploads))
+        self.totals = [sum(column) % self.modulus for column in zip(*uploads.values())]
+        dropped = [s for s in range(self.n_silos) if s not in uploads]
+        if not dropped:
+            return []
+        get_registry().counter(
+            "secagg_dropout_recoveries_total",
+            help="Dropped silos whose masks were recovered via reveals.",
+        ).inc(len(dropped))
+        payload = {"round": self.round_no, "dropped": dropped}
+        return [Frame("dropped", {"silo": s, **payload}) for s in uploads]
+
+    def on_reveal(self, frame):
+        """Subtract the unmatched streams one survivor's keys open."""
+        i, m, d = frame.payload["silo"], self.modulus, len(self.totals)
+        for j, key in zip(frame.payload["peers"], frame.arrays["keys"]):
+            stream = prg_field_elements(key.tobytes(), d, m, context=MASK_STREAM_CONTEXT)
+            sign = 1 if j > i else -1
+            for k in range(d):
+                self.totals[k] = (self.totals[k] - sign * stream[k]) % m
 
 
-class MaskedAggregationProtocol:
-    """Orchestrates masked secure aggregation across a fixed silo roster.
+class MaskedAggregationProtocol(Driver):
+    """Masked secure aggregation across a fixed silo roster.
 
     Unlike :class:`~repro.protocol.runner.PrivateWeightingProtocol`, rounds
-    accept *partial participation*: pass ``None`` for a dropped silo's
-    vector and the survivors' unmatched masks are reconstructed from
-    revealed round keys and subtracted, so the round yields exactly the
-    field sum over survivors.
-
-    The instance is deterministic under a ``seed``: DH private keys come
-    from a seeded ``random.Random``, so a checkpoint/resume rebuild derives
-    identical pair keys and only :attr:`round_no` is dynamic state.
-
-    ``group`` is the key-agreement group; None = RFC 3526 group 14 (tests
-    pass the 512-bit ``DHGroup.test_group()`` explicitly).
+    accept *partial participation*: ``None`` marks a dropped silo, and the
+    round yields exactly the field sum over the survivors.  Under a
+    ``seed`` the DH keys come from a seeded ``random.Random``, so a
+    checkpoint/resume rebuild derives identical pair keys and only
+    :attr:`round_no` is dynamic state.  ``group`` is the key-agreement
+    group; None = RFC 3526 group 14 (tests pass a 512-bit group).
     """
 
     def __init__(
@@ -230,10 +255,7 @@ class MaskedAggregationProtocol:
         seed: int | None = None,
         group: DHGroup | None = None,
     ):
-        # Imported here, not at module level: the protocol package imports
-        # the crypto package, so a top-level import would be circular.
-        from repro.protocol.timing import PhaseTimer
-
+        super().__init__()
         if n_silos < 1:
             raise ValueError("need at least one silo")
         if mask_bits < 64:
@@ -246,14 +268,11 @@ class MaskedAggregationProtocol:
         self.c_lcm = lcm_up_to(n_max)
         # check_round_magnitude has no floor on max_abs, and its callers
         # count n_silos * (n_users + 1) terms with at least one user.
-        require_magnitude_headroom(
-            n_max, "mask_bits", mask_bits, precision, 0.0, 2 * n_silos
-        )
+        require_magnitude_headroom(n_max, "mask_bits", mask_bits, precision, 0.0, 2 * n_silos)
         self.group = group if group is not None else DHGroup.rfc3526_2048()
         self.rng = random.Random(seed) if seed is not None else None
-        self.timer = PhaseTimer()
-        self.view = MaskedServerView()
         self.silos: list[MaskedSilo] = []
+        self.server: MaskedServer | None = None
         self.round_no = 0
 
     @property
@@ -263,15 +282,10 @@ class MaskedAggregationProtocol:
 
     def run_setup(self) -> None:
         """DH keygen and pairwise key agreement (once per training run)."""
-        with self.timer.phase("keygen"):
-            self.silos = [
-                MaskedSilo(s, self.group, rng=self.rng) for s in range(self.n_silos)
-            ]
-        with self.timer.phase("key_exchange"):
-            publics = {s.silo_id: s.dh_public() for s in self.silos}
-            self.view.dh_publics = dict(publics)
-            for silo in self.silos:
-                silo.receive_dh_publics(publics)
+        with self.phase("keygen"):
+            self.silos = [MaskedSilo(s, self.group, rng=self.rng) for s in range(self.n_silos)]
+            self.server = MaskedServer(self.n_silos, self.modulus)
+        self.run(SETUP)
 
     def check_round_magnitude(self, max_abs_value: float, num_terms: int) -> None:
         """Theorem 4 condition (2) for the mask field; raises on overflow."""
@@ -295,51 +309,16 @@ class MaskedAggregationProtocol:
         if len(field_vectors) != self.n_silos:
             raise ValueError("need one (possibly None) vector per silo")
         survivors = [s for s, v in enumerate(field_vectors) if v is not None]
-        dropped = [s for s, v in enumerate(field_vectors) if v is None]
         if not survivors:
             raise ValueError("cannot aggregate a round with zero survivors")
         d = len(field_vectors[survivors[0]])
         if any(len(field_vectors[s]) != d for s in survivors):
             raise ValueError("silo vector length mismatch")
-        round_no = self.round_no
-        m = self.modulus
-
-        with self.timer.phase("mask_and_upload"):
-            uploads = {
-                s: self.silos[s].masked_payload(field_vectors[s], round_no, m)
-                for s in survivors
-            }
-            self.view.masked_vectors.append(uploads)
-        get_registry().counter(
-            "secagg_masked_uploads_total",
-            help="Masked silo vectors uploaded to the aggregator.",
-        ).inc(len(uploads))
-
-        with self.timer.phase("aggregate"):
-            totals = [0] * d
-            for vec in uploads.values():
-                for k in range(d):
-                    totals[k] = (totals[k] + vec[k]) % m
-
-        if dropped:
-            get_registry().counter(
-                "secagg_dropout_recoveries_total",
-                help="Dropped silos whose masks were recovered via reveals.",
-            ).inc(len(dropped))
-            with self.timer.phase("dropout_recovery"):
-                for i in survivors:
-                    revealed = self.silos[i].reveal_round_keys(dropped, round_no)
-                    self.view.reveals.append((round_no, i, tuple(sorted(revealed))))
-                    for j, key in revealed.items():
-                        stream = prg_field_elements(
-                            key, d, m, context=MASK_STREAM_CONTEXT
-                        )
-                        sign = 1 if j > i else -1
-                        for k in range(d):
-                            totals[k] = (totals[k] - sign * stream[k]) % m
-
+        for s in survivors:
+            self.silos[s].inputs = (field_vectors[s], self.round_no, self.modulus)
+        self.run(ROUND, silos=survivors)
         self.round_no += 1
-        return totals
+        return self.server.totals
 
     def decode_aggregate(self, totals: list[int]) -> np.ndarray:
         """Field sum -> float aggregate (signed decode, /C_LCM, *precision)."""

@@ -293,18 +293,18 @@ def fig11_protocol_scaling(scale: str, seed: int) -> ExperimentResult:
             n_max=32, paillier_bits=256, seed=seed, workers=1,
         )
         protocol.run_setup()
-        totals = [protocol.timer.report()]  # cumulative: a round is a difference
+        totals = [protocol.report()]  # cumulative: a round is a difference
         for _ in range(3):
             protocol.run_round(
                 [{u: rng.standard_normal(n_params) for u in range(n_users)} for _ in range(3)],
                 [rng.standard_normal(n_params) for _ in range(3)],
             )
-            totals.append(protocol.timer.report())
+            totals.append(protocol.report())
         seconds = {p: totals[0][p] for p in _PROTOCOL_PHASES[:2]}
         for p in _PROTOCOL_PHASES[2:]:
             rounds = [b[p] - a.get(p, 0.0) for a, b in zip(totals, totals[1:])]
             seconds[p] = float(np.median(rounds))
-        uploads = len(protocol.view.round_ciphertexts[-1][0])
+        uploads = len(protocol.received("weighted_delta")[-1].arrays["delta"])
         sizes = {"swept": swept, "users": n_users, "params": n_params}
         result.rows.append({**sizes, "silo_ciphertexts": uploads, **seconds})
     return result

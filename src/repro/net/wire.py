@@ -87,6 +87,21 @@ def is_finite_vector(array, size: int) -> bool:
             and array.shape == (size,) and bool(np.isfinite(array).all()))
 
 
+def int_blob(values, modulus: int) -> np.ndarray:
+    """Residues mod ``modulus`` as a ``(len, width)`` uint8 array, one
+    fixed-width big-endian row each: how ciphertexts, field and group
+    elements cross the wire."""
+    width = ((modulus - 1).bit_length() + 7) // 8
+    raw = b"".join(v.to_bytes(width, "big") for v in values)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+
+
+def blob_ints(blob: np.ndarray) -> list[int]:
+    """The ints of an :func:`int_blob` array, in order."""
+    width, raw = blob.shape[1], blob.tobytes()
+    return [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]
+
+
 def pack_frame(msg_type: str, payload: dict | None = None,
                arrays: dict | None = None) -> bytes:
     """Serialise one message into its on-the-wire byte string."""

@@ -1,30 +1,28 @@
 """Protocol 1: the private weighting protocol of Section 4.
 
-- :mod:`repro.protocol.parties` -- the silo and server roles, one method
-  per lettered protocol step.
-- :mod:`repro.protocol.runner` -- orchestration, phase timing, and the
-  server-view transcript used by the privacy tests.
-- :mod:`repro.protocol.oblivious` -- Naor-Pinkas 1-out-of-P OT and the
-  private user-level sub-sampling extension.
-- :mod:`repro.protocol.secure_method` -- :class:`SecureUldpAvg`, the
-  ULDP-AVG-w method running its aggregation through the real protocol.
+:mod:`~repro.protocol.driver` runs message schedules between in-process
+parties, logging every frame and timing each phase;
+:mod:`~repro.protocol.parties` holds the silo and server roles and
+:mod:`~repro.protocol.runner` Protocol 1's schedules;
+:mod:`~repro.protocol.oblivious` is the Section 4.1 OT sub-sampling, and
+:mod:`~repro.protocol.secure_method` is :class:`SecureUldpAvg`, ULDP-AVG-w
+aggregating through the real protocol.
 """
 
-from repro.protocol.oblivious import OTReceiver, OTSender, PrivateSubsampler, transfer
-from repro.protocol.parties import ServerParty, SiloParty
-from repro.protocol.runner import PrivateWeightingProtocol, ServerView
-from repro.protocol.secure_method import SecureUldpAvg
-from repro.protocol.timing import PhaseTimer
+from repro import _lazy_namespace
 
-__all__ = [
-    "OTReceiver",
-    "OTSender",
-    "PrivateSubsampler",
-    "transfer",
-    "ServerParty",
-    "SiloParty",
-    "PrivateWeightingProtocol",
-    "ServerView",
-    "SecureUldpAvg",
-    "PhaseTimer",
-]
+# Lazy: repro.crypto.secagg imports the driver from here.
+_LAZY_EXPORTS = {
+    "OTReceiver": "repro.protocol.oblivious",
+    "OTSender": "repro.protocol.oblivious",
+    "PrivateSubsampler": "repro.protocol.oblivious",
+    "transfer": "repro.protocol.oblivious",
+    "Driver": "repro.protocol.driver",
+    "ServerParty": "repro.protocol.parties",
+    "SiloParty": "repro.protocol.parties",
+    "PrivateWeightingProtocol": "repro.protocol.runner",
+    "SecureUldpAvg": "repro.protocol.secure_method",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+__getattr__, __dir__ = _lazy_namespace(__name__, _LAZY_EXPORTS)

@@ -1,33 +1,24 @@
 """1-out-of-P oblivious transfer and private user-level sub-sampling.
 
-Section 4.1 of the paper sketches how to hide the per-round sub-sampling
-results from *both* sides: for each user the server prepares P slots -- one
-holding Enc(B_inv(N_u)) and P-1 holding fresh Enc(0) -- and the silo
-retrieves one slot by 1-out-of-P OT.  The server cannot tell which slot was
-taken; the silo cannot tell whether it received the real weight or a dummy
-(Paillier ciphertexts are semantically secure), so neither side learns the
-sampling outcome.  Retrieving the real slot (probability 1/P) makes the
-user participate; only probabilities of the form 1/P are representable (the
-paper notes this coarseness).
+Section 4.1 of the paper hides the per-round sub-sampling from *both*
+sides: per user the server prepares P slots -- Enc(B_inv(N_u)) and P-1
+fresh Enc(0) -- and the silo retrieves one by 1-of-P OT.  The server cannot
+tell which slot was taken, the silo cannot tell a real weight from a dummy
+(semantic security), so nobody learns the outcome; a user participates
+with probability 1/P (only rates 1/P are representable).
 
-The OT itself is the classic Naor-Pinkas 1-of-N construction over our DH
-group with hashed-ElGamal encryption, secure against semi-honest parties:
+The OT is Naor-Pinkas 1-of-N over our DH group with hashed-ElGamal
+encryption, secure against semi-honest parties: the sender publishes
+random C_1..C_{P-1}; the receiver with choice c picks k and publishes
+PK_0 = g^k (c = 0) or C_c * (g^k)^-1, so PK_c = g^k while it knows no
+other PK_j's discrete log; the sender derives PK_j = C_j * PK_0^-1 and
+sends each m_j as (g^{r_j}, H(PK_j^{r_j}) XOR m_j); the receiver opens
+slot c with k.
 
-- the sender publishes random group elements C_1..C_{P-1};
-- the receiver with choice c picks a secret k and publishes
-  PK_0 = g^k (if c = 0) or C_c * (g^k)^-1 (otherwise), so that the derived
-  key PK_c equals g^k while the receiver knows the discrete log of no other
-  PK_j (that would require dlog of C_j);
-- the sender derives PK_j = C_j * PK_0^-1 for j >= 1, and sends each
-  message encrypted as (g^{r_j}, H(PK_j^{r_j}) XOR m_j);
-- the receiver decrypts slot c with k.
-
-One deployment subtlety the paper leaves implicit: all silos must agree on
-the *same* slot choice per user, otherwise a user would participate in some
-silos only, breaking the Poisson-sampling semantics.  The silos already
-share the secret seed R from the setup phase, so
-:class:`PrivateSubsampler` derives the common slot choice from R (per user,
-per round).  The server still learns nothing (it never sees R).
+All silos must take the *same* slot per user, or a user would join in
+some silos only: :class:`PrivateSubsampler` derives the common choice from
+the silos' shared seed R (per user, per round), which the server never
+sees.
 """
 
 from __future__ import annotations

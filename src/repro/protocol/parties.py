@@ -1,35 +1,24 @@
 """The two party roles of Protocol 1: silos and the aggregation server.
 
-Every method on these classes corresponds to a lettered step of Protocol 1
-in the paper (noted in the docstrings).  The parties communicate only
-through the values returned here; the orchestration (and hence the exact
-set of values each party observes) lives in
-:mod:`repro.protocol.runner`, which also records a transcript of the
-server's view for the privacy tests (Theorem 5).
+Each step method is a lettered step of Protocol 1 (see its docstring); the
+``on_<type>`` handlers run them as :class:`repro.protocol.driver.Party`
+handlers, and :mod:`repro.protocol.runner` holds the schedules that route
+the frames.  Field elements are ints in F_n (n = Paillier modulus) and
+travel as :func:`repro.net.wire.int_blob` rows; mask contexts include the
+step and round so masks are never reused.
 
-Conventions:
-
-- all field elements are Python ints in F_n (n = Paillier modulus);
-- model vectors are encoded coordinate-wise (length d lists of ints);
-- pairwise mask contexts include the step label and round number so masks
-  are never reused.
-
-There is one Paillier implementation: CRT wherever the factorisation is
-known (server decryption and server-side encryptions), one key-width
-power per (silo, user) and fixed-point-width table look-ups per
-coordinate for the weighted deltas, and offline randomizer pools so online
-encryption is two multiplications.  The seed implementation (fresh
-full-width encryptions, square-and-multiply scalar exponentiation,
-(lambda, mu) decryption) is the test oracle
-``tests/protocol/oracle_reference.py``; RNG draws happen in its order, so
-under a seeded RNG the server's encryptions are bit-identical to it and
-every silo ciphertext decrypts to the identical element of F_n (the silo
-ciphertexts themselves differ from the oracle's by an n-th residue, which
-the fresh ``Enc(0)`` factor makes immaterial).
+One Paillier implementation: CRT wherever the factorisation is known, one
+key-width power per (silo, user) plus fixed-point-width table look-ups for
+the weighted deltas, and offline randomizer pools.  The seed loop is the
+test oracle ``tests/protocol/oracle_reference.py``; RNG draws happen in its
+order, so under a seeded RNG the server's encryptions equal its bits and
+every silo ciphertext decrypts to its element of F_n (the ciphertexts
+differ by an n-th residue, which the fresh ``Enc(0)`` makes immaterial).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import secrets
 
@@ -43,21 +32,20 @@ from repro.crypto.masking import PairwiseMasker
 from repro.crypto.paillier import (
     PaillierCiphertext,
     PaillierKeypair,
-    PaillierPrivateKey,
     PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.crypto.pool import RandomizerPool
+from repro.crypto.pool import RandomizerPool, nth_powers
+from repro.net.wire import Frame, blob_ints, int_blob
+from repro.obs.metrics import get_registry
+from repro.protocol.driver import Party, Task
+from repro.protocol.oblivious import OTReceiver, OTSender, PrivateSubsampler
 
 
 def run_weighted_delta_kernel(task: dict) -> list[int]:
-    """The pure big-int kernel of one silo's weighted encrypted delta.
-
-    Everything RNG- or key-dependent (pool draws, masks, blinds, encoding)
-    was already resolved into plain integers by
-    :meth:`SiloParty.weighted_delta_task`, so this function is a top-level,
-    picklable unit of work -- exactly what the runner ships to
-    ``ProcessPoolExecutor`` workers for across-silo parallelism.
+    """The pure big-int kernel of one silo's weighted encrypted delta: a
+    picklable unit of work (:meth:`SiloParty.weighted_delta_task` resolved
+    everything RNG- or key-dependent into plain integers).
 
     Per user the exponent ``x_j * f`` is split: one key-width ``A = c^f``,
     then per coordinate ``A^(x_j + 2^B)`` for the *signed fixed-point*
@@ -87,8 +75,15 @@ def run_weighted_delta_kernel(task: dict) -> list[int]:
     return totals
 
 
-class SiloParty:
-    """One silo: holds per-user record counts and per-round model deltas."""
+def run_weighted_delta_kernels(tasks: list[dict]) -> list[list[int]]:
+    return [run_weighted_delta_kernel(task) for task in tasks]
+
+
+class SiloParty(Party):
+    """Silo ``silo_id``: its record counts n[s, u] (at most the public
+    ``n_max``), a DH key in ``dh_group`` and, from ``rng`` (None = secrets),
+    its randomness.  Before a round the protocol sets :attr:`inputs` --
+    ``(clipped deltas, noise, round_no, precision)``."""
 
     def __init__(
         self,
@@ -98,14 +93,6 @@ class SiloParty:
         dh_group: DHGroup,
         rng: random.Random | None = None,
     ):
-        """
-        Args:
-            silo_id: index in 0..|S|-1.
-            user_counts: n[s, u] for this silo, length |U|.
-            n_max: public upper bound on records per user (defines C_LCM).
-            dh_group: shared DH group parameters.
-            rng: deterministic randomness for tests (None = secrets).
-        """
         self.silo_id = silo_id
         self.user_counts = np.asarray(user_counts, dtype=np.int64)
         if np.any(self.user_counts < 0):
@@ -116,7 +103,6 @@ class SiloParty:
         self.n_max = n_max
         self.c_lcm = lcm_up_to(n_max)
         self.rng = rng
-        # Setup state, populated by the steps below.
         self.dh_keypair: DHKeypair = dh_group.keypair(rng=rng)
         self.pair_keys: dict[int, bytes] = {}
         self.transport_keys: dict[int, bytes] = {}
@@ -125,6 +111,8 @@ class SiloParty:
         self.blinding: BlindingFactory | None = None
         self.masker: PairwiseMasker | None = None
         self.pool: RandomizerPool | None = None
+        self.weights: list | dict = {}  # Enc(B_inv(N_u)) per user, step 2(a)
+        self.inputs: tuple | None = None
 
     # -- Setup steps --------------------------------------------------------
 
@@ -133,12 +121,9 @@ class SiloParty:
         return self.dh_keypair.public
 
     def receive_dh_publics(self, publics: dict[int, int]) -> None:
-        """Step 1(b): derive pairwise shared keys with every other silo.
-
-        One modular exponentiation per peer; the mask key and the key that
-        transports the seed R (step 1(c)) are two KDF contexts of that one
-        shared secret.
-        """
+        """Step 1(b): derive pairwise keys with every other silo -- one
+        exponentiation per peer; the mask key and the key transporting R
+        (step 1(c)) are two KDF contexts of that one shared secret."""
         for peer, public in publics.items():
             if peer == self.silo_id:
                 continue
@@ -146,50 +131,30 @@ class SiloParty:
             self.pair_keys[peer] = derive_shared_key(secret, "secure-agg")
             self.transport_keys[peer] = derive_shared_key(secret, "seed-transport")
 
-    def receive_paillier_key(self, pk: PaillierPublicKey) -> None:
-        """Step 1(a): store the server's Paillier public key."""
-        self.paillier_pk = pk
-        self.masker = PairwiseMasker(self.silo_id, self.pair_keys, pk.n)
-        # Silos do not know the factorisation, so no CRT context here.
-        self.pool = RandomizerPool(pk, rng=self.rng)
-
     def generate_seed_ciphertexts(self, peers: list[int]) -> dict[int, bytes]:
         """Step 1(c), silo 0 only: encrypt a fresh seed R for every peer."""
         if self.silo_id != 0:
             raise ValueError("only silo 0 distributes the shared seed")
-        if self.rng is not None:
-            seed = self.rng.randbytes(32)
-        else:
-            seed = secrets.token_bytes(32)
+        seed = self.rng.randbytes(32) if self.rng is not None else secrets.token_bytes(32)
         self.shared_seed = seed
-        return {
-            peer: encrypt_with_key(self.transport_keys[peer], seed)
-            for peer in peers
-            if peer != 0
-        }
+        return {p: encrypt_with_key(self.transport_keys[p], seed) for p in peers if p != 0}
 
     def receive_seed_ciphertext(self, ciphertext: bytes) -> None:
         """Step 1(c): decrypt the shared seed R from silo 0."""
         self.shared_seed = decrypt_with_key(self.transport_keys[0], ciphertext)
 
     def blinded_masked_histogram(self) -> list[int]:
-        """Steps 1(d)-(e): doubly blinded histogram B'(n_su) for all users.
-
-        Multiplicative blind r_u (shared seed) hides counts from the server;
-        pairwise additive masks hide this silo's individual contribution so
-        the server only learns the blinded *totals* B(N_u).
-        """
+        """Steps 1(d)-(e): doubly blinded histogram B'(n_su): the blind r_u
+        (from R) hides counts from the server, the pairwise masks this
+        silo's share, so the server learns only blinded *totals* B(N_u)."""
         pk = self._require_setup()
         n = pk.n
         if self.blinding is None:
             self.blinding = BlindingFactory(self.shared_seed, n)
         assert self.masker is not None
         masks = self.masker.mask_vector(self.n_users, context="histogram")
-        out = []
-        for u in range(self.n_users):
-            blinded = self.blinding.blind(u, int(self.user_counts[u]))
-            out.append((blinded + masks[u]) % n)
-        return out
+        blind = self.blinding.blind
+        return [(blind(u, int(self.user_counts[u])) + masks[u]) % n for u in range(self.n_users)]
 
     # -- Weighting round steps ----------------------------------------------
 
@@ -203,24 +168,16 @@ class SiloParty:
     ) -> dict:
         """Step 2(b)-(c): one round's silo computation as a picklable task.
 
-        For each user u with records here and each coordinate j the silo
-        owes the server::
+        Per user u here and coordinate j the silo owes the server::
 
             Enc(delta_s[j]) += Enc(B_inv(N_u)) * (Encode(delta_su[j]) * n_su * r_u * C_LCM)
 
-        which decrypts to ``Encode(delta_su[j]) * n_su * C_LCM / N_u`` --
-        the Eq. (3) weight times the delta, scaled by C_LCM -- plus the
-        encoded noise (times C_LCM) and the per-round secure-aggregation
-        masks as homomorphic scalars.
-
-        This method resolves everything RNG- or key-dependent: it draws the
-        d pooled ``Enc(0)`` accumulator seeds *first* (the seed loop's RNG
-        order; they make per-silo ciphertexts semantically secure even
-        before mask addition), quantises every delta in one vectorised pass
-        and attaches the masks and encoded noise.  Per user it ships ``(c_u,
-        f_u, [x_uj])`` -- ciphertext, the one key-width scalar ``n_su * r_u *
-        C_LCM mod n``, signed fixed-point deltas -- to
-        :func:`run_weighted_delta_kernel`, inline or in a worker process.
+        which decrypts to the Eq. (3) weight times the delta, scaled by
+        C_LCM; the encoded noise (times C_LCM) and this round's masks ride
+        as homomorphic scalars.  The d pooled ``Enc(0)`` accumulator seeds
+        are drawn *first* (the seed loop's RNG order); per user the task
+        holds ``(c_u, n_su * r_u * C_LCM mod n, signed fixed-point deltas)``
+        for :func:`run_weighted_delta_kernel`.
         """
         pk = self._require_setup()
         assert self.blinding is not None and self.masker is not None
@@ -241,25 +198,9 @@ class SiloParty:
             user_terms.append((encrypted_inverses[user].value, factor, quantized))
         masks = self.masker.mask_vector(d, context=f"delta-round-{round_no}")
         encoded_noise = encode_vector(noise, precision, n)
-        additive = [
-            (z * self.c_lcm + mask) % n for z, mask in zip(encoded_noise, masks)
-        ]
-        return {
-            "n": n,
-            "d": d,
-            "zero_values": zero_values,
-            "user_terms": user_terms,
-            "additive": additive,
-        }
-
-    def draw_offline(self, count: int) -> list[int]:
-        """The RNG half of the enhanced protocol's offline phase: ``count``
-        units r of Z*_n.  The runner raises them to ``r^n mod n^2`` (inline
-        or on its worker pool) and queues the results in :attr:`pool`, so
-        online encryption then costs two multiplications."""
-        self._require_setup()
-        assert self.pool is not None
-        return self.pool.draw(count)
+        additive = [(z * self.c_lcm + mask) % n for z, mask in zip(encoded_noise, masks)]
+        return {"n": n, "d": d, "zero_values": zero_values, "user_terms": user_terms,
+                "additive": additive}
 
     def _require_setup(self) -> PaillierPublicKey:
         if self.paillier_pk is None:
@@ -268,10 +209,74 @@ class SiloParty:
             raise RuntimeError("setup incomplete: no shared seed")
         return self.paillier_pk
 
+    # -- Handlers -----------------------------------------------------------
 
-class ServerParty:
+    def on_setup(self, frame):
+        public = int_blob([self.dh_public()], self.dh_keypair.group.prime)
+        return [Frame("dh_public", {}, {"public": public})]
+
+    def on_keys(self, frame):
+        """Steps 1(a)-(c) on the relayed DH publics and Paillier key; silo 0
+        answers with R for each peer."""
+        publics = dict(enumerate(blob_ints(frame.arrays["publics"])))
+        self.receive_dh_publics(publics)
+        self.paillier_pk = pk = PaillierPublicKey(blob_ints(frame.arrays["n"])[0])
+        self.masker = PairwiseMasker(self.silo_id, self.pair_keys, pk.n)
+        # Silos do not know the factorisation, so no CRT context here.
+        self.pool = RandomizerPool(pk, rng=self.rng)
+        if self.silo_id != 0:
+            return []
+        seeds = self.generate_seed_ciphertexts(list(publics)).items()
+        return [Frame("seed", {"to": p}, {"seed": np.frombuffer(ct, np.uint8)}) for p, ct in seeds]
+
+    def on_seed(self, frame):
+        self.receive_seed_ciphertext(frame.arrays["seed"].tobytes())
+
+    def on_histogram(self, frame):
+        histogram = int_blob(self.blinded_masked_histogram(), self.paillier_pk.n)
+        return [Frame("masked_histogram", {}, {"histogram": histogram})]
+
+    def on_offline(self, frame):
+        """The offline phase: d units r of Z*_n, which the driver's kernel
+        map raises to ``r^n mod n^2`` for the pool (then online encryption
+        costs two multiplications)."""
+        units = self.pool.draw(len(self.inputs[1]))
+        return Task(nth_powers, (self.paillier_pk.n,), units, self.pool.add)
+
+    def on_weights(self, frame):
+        pk = self.paillier_pk
+        self.weights = [PaillierCiphertext(c, pk) for c in blob_ints(frame.arrays["weights"])]
+
+    def on_ot_offer(self, frame):
+        """Section 4.1: take user u's slot by OT -- the same in every silo,
+        as it comes from R."""
+        commitments = blob_ints(frame.arrays["commitments"])
+        sampler = PrivateSubsampler(self.shared_seed, len(commitments) + 1)
+        choice = sampler.slot_for(frame.payload["user"], self.inputs[2])
+        group = self.dh_keypair.group
+        self._ot = OTReceiver(group, commitments, choice, rng=self.rng)
+        return [Frame("ot_choice", {}, {"key": int_blob([self._ot.public_key()], group.prime)})]
+
+    def on_ot_slots(self, frame):
+        """The chosen slot: a real weight or an Enc(0) dummy -- the silo cannot tell."""
+        slots = list(zip(blob_ints(frame.arrays["c1"]), map(bytes, frame.arrays["slots"])))
+        chosen = int.from_bytes(self._ot.decrypt_choice(slots), "big")
+        self.weights[frame.payload["user"]] = PaillierCiphertext(chosen, self.paillier_pk)
+
+    def on_weigh(self, frame):
+        task = self.weighted_delta_task(self.weights, *self.inputs)
+        return Task(run_weighted_delta_kernels, (), [task], self.send_delta)
+
+    def send_delta(self, vectors: list[list[int]]):
+        delta = int_blob(vectors[0], self.paillier_pk.n_squared)
+        return [Frame("weighted_delta", {}, {"delta": delta})]
+
+
+class ServerParty(Party):
     """The aggregation server: generates keys, inverts blinded histograms,
-    distributes encrypted weights, and decrypts only aggregated sums."""
+    distributes encrypted weights, and decrypts only aggregated sums.  The
+    protocol sets :attr:`decoding` (``(precision, C_LCM)``) and per round
+    :attr:`sampled` (None = all users) or :attr:`ot` (``(DH group, P)``)."""
 
     def __init__(
         self,
@@ -281,35 +286,27 @@ class ServerParty:
     ):
         self.n_users = n_users
         self.rng = rng
-        # The key holder retains the factorisation for CRT decryption and
-        # CRT-split server-side encryptions.
-        self.keypair: PaillierKeypair = generate_paillier_keypair(
-            paillier_bits, rng=rng, with_crt=True
-        )
-        self.pool = RandomizerPool(
-            self.public_key, crt=self.keypair.private_key.crt, rng=rng
-        )
+        # The key holder keeps the factorisation: CRT decryption/encryptions.
+        self.keypair: PaillierKeypair = generate_paillier_keypair(paillier_bits, rng=rng, with_crt=True)
+        self.pool = RandomizerPool(self.public_key, crt=self.keypair.private_key.crt, rng=rng)
         self.blinded_totals: list[int] | None = None
         self.blinded_inverses: list[int] | None = None
+        self.decoding = self.sampled = self.ot = self.aggregate = None
+        # What has arrived: DH publics, histograms, this round's vectors.
+        self.dh_publics: dict[int, np.ndarray] = {}
+        self.histograms: list[list[int]] = []
+        self.deltas: list[list[int]] = []
 
     @property
     def public_key(self) -> PaillierPublicKey:
         return self.keypair.public_key
 
-    @property
-    def _private_key(self) -> PaillierPrivateKey:
-        return self.keypair.private_key
-
     # -- Setup steps ----------------------------------------------------------
 
     def aggregate_histograms(self, masked_histograms: list[list[int]]) -> None:
         """Step 1(e): sum doubly blinded histograms; masks cancel, leaving
-        B(N_u) = r_u * N_u mod n.
-
-        The per-user sums run as one numpy object-array reduction over the
-        (|S|, |U|) stack (big ints exceed any fixed-width dtype) with a
-        single modular-reduction pass at the end.
-        """
+        B(N_u) = r_u * N_u mod n (one object-array reduction over the
+        (|S|, |U|) stack, then one modular pass)."""
         n = self.public_key.n
         for hist in masked_histograms:
             if len(hist) != self.n_users:
@@ -321,55 +318,37 @@ class ServerParty:
         self.blinded_totals = [int(total) % n for total in stacked.sum(axis=0)]
 
     def invert_blinded_totals(self) -> None:
-        """Step 1(f): B_inv(N_u) = B(N_u)^-1 over F_n (ext. Euclid).
-
-        Users with zero records everywhere have B(N_u) = 0 which has no
-        inverse; their pseudo-inverse is set to 0 so they simply never
-        contribute (their scalar multiplier is also 0).
-        """
+        """Step 1(f): B_inv(N_u) = B(N_u)^-1 over F_n; a user with no
+        records anywhere has B(N_u) = 0 and pseudo-inverse 0, so never
+        contributes."""
         if self.blinded_totals is None:
             raise RuntimeError("aggregate_histograms must run first")
         n = self.public_key.n
-        inverses = []
-        for value in self.blinded_totals:
-            inverses.append(0 if value == 0 else pow(value, -1, n))
-        self.blinded_inverses = inverses
+        self.blinded_inverses = [0 if v == 0 else pow(v, -1, n) for v in self.blinded_totals]
 
     # -- Weighting round steps -------------------------------------------------
 
     def encrypted_inverses(
         self, sampled_users: np.ndarray | None = None
     ) -> list[PaillierCiphertext]:
-        """Step 2(a): Paillier-encrypt B_inv(N_u) for broadcast.
-
-        With user-level sub-sampling, non-sampled users get Enc(0): their
-        weighted contributions vanish identically, exactly as if they had
-        not participated (Theorem 4 discussion).
-        """
+        """Step 2(a): Paillier-encrypt B_inv(N_u) for broadcast; unsampled
+        users get Enc(0), so their contributions vanish (Theorem 4)."""
         if self.blinded_inverses is None:
             raise RuntimeError("invert_blinded_totals must run first")
         include = np.ones(self.n_users, dtype=bool)
         if sampled_users is not None:
             include[:] = False
             include[np.asarray(sampled_users, dtype=np.int64)] = True
-        out = []
-        for u in range(self.n_users):
-            value = self.blinded_inverses[u] if include[u] else 0
-            out.append(self.encrypt_value(value))
-        return out
+        return [
+            self.encrypt_value(self.blinded_inverses[u] if include[u] else 0)
+            for u in range(self.n_users)
+        ]
 
     def encrypt_value(self, value: int) -> PaillierCiphertext:
-        """One server-side Paillier encryption: pooled, CRT-split blinding
-        term (the randomizer comes from the same RNG stream as a fresh
-        ``public_key.encrypt`` would use, so the ciphertext is bit-identical
-        to it under a seeded RNG).  Used for the encrypted inverses and for
-        the OT slot messages (real and dummy).
-        """
+        """One server-side encryption with a pooled, CRT-split randomizer
+        (from the RNG stream a fresh ``public_key.encrypt`` would use, so
+        bit-identical to it under a seeded RNG)."""
         return self.pool.encrypt(value)
-
-    def prepare_offline(self, count: int) -> None:
-        """Pregenerate ``count`` randomizers (the offline phase)."""
-        self.pool.refill(count)
 
     def aggregate_and_decrypt(
         self,
@@ -377,13 +356,9 @@ class ServerParty:
         precision: float,
         c_lcm: int,
     ) -> np.ndarray:
-        """Step 2(c): homomorphically sum silo vectors, decrypt, decode.
-
-        The pairwise masks cancel in the ciphertext sum; decryption yields
-        ``sum_su Encode(delta_su) * n_su * C_LCM / N_u + sum_s Encode(z_s) * C_LCM``
-        which decodes (signed, /C_LCM, *precision) to the weighted noisy
-        aggregate of ULDP-AVG-w.
-        """
+        """Step 2(c): homomorphically sum silo vectors (the masks cancel),
+        decrypt ``sum_su Encode(delta_su) * n_su * C_LCM / N_u + sum_s
+        Encode(z_s) * C_LCM`` and decode (signed, /C_LCM, *precision)."""
         if not silo_ciphertexts:
             raise ValueError("need at least one silo contribution")
         d = len(silo_ciphertexts[0])
@@ -395,6 +370,77 @@ class ServerParty:
             totals = [pk.add(a, b) for a, b in zip(totals, vec)]
         out = np.empty(d)
         for j in range(d):
-            signed = self._private_key.decrypt_signed(totals[j])
+            signed = self.keypair.private_key.decrypt_signed(totals[j])
             out[j] = (signed / c_lcm) * precision
         return out
+
+    # -- Handlers -------------------------------------------------------------
+
+    def on_dh_public(self, frame):
+        self.dh_publics[frame.payload["silo"]] = frame.arrays["public"]
+
+    def on_keys(self, frame):
+        """Steps 1(a)-(b): relay every DH public, with the Paillier key."""
+        publics = np.concatenate([self.dh_publics[s] for s in sorted(self.dh_publics)])
+        n = int_blob([self.public_key.n], self.public_key.n + 1)
+        return [Frame("keys", {}, {"publics": publics, "n": n})]
+
+    def on_seed(self, frame):
+        """Step 1(c): relay silo 0's encrypted R to its peer."""
+        return [Frame("seed", {"silo": frame.payload["to"]}, frame.arrays)]
+
+    def on_masked_histogram(self, frame):
+        self.histograms.append(blob_ints(frame.arrays["histogram"]))
+
+    def on_invert(self, frame):
+        self.aggregate_histograms(self.histograms)
+        self.invert_blinded_totals()
+
+    def on_offline(self, frame):
+        self.pool.refill(self.n_users)
+
+    def on_weights(self, frame):
+        values = [c.value for c in self.encrypted_inverses(self.sampled)]
+        return [Frame("weights", {}, {"weights": int_blob(values, self.public_key.n_squared)})]
+
+    def on_ot(self, frame):
+        """Section 4.1: run the OT exchanges one (silo, user) at a time."""
+        self._ot_queue = itertools.product(range(len(self.dh_publics)), range(self.n_users))
+        return self._ot_offer()
+
+    def _ot_offer(self):
+        """The next (silo, user)'s P slots: the real weight, then fresh
+        Enc(0).  No offline prefill here: it would reorder these
+        encryptions' draws against the OT exponents' on the shared RNG."""
+        silo, user = next(self._ot_queue, (None, None))
+        if silo is None:
+            return []
+        group, n_slots = self.ot
+        values = [self.blinded_inverses[user]] + [0] * (n_slots - 1)
+        messages = [self.encrypt_value(v) for v in values]
+        width = (self.public_key.n_squared.bit_length() + 7) // 8
+        sender = OTSender(group, n_slots, rng=self.rng)
+        self._ot_exchange = (sender, [m.value.to_bytes(width, "big") for m in messages], user)
+        commitments = int_blob(sender.public_commitments(), group.prime)
+        return [Frame("ot_offer", {"silo": silo, "user": user}, {"commitments": commitments})]
+
+    def on_ot_choice(self, frame):
+        sender, messages, user = self._ot_exchange
+        slots = sender.encrypt_slots(blob_ints(frame.arrays["key"])[0], messages)
+        c1 = int_blob([c for c, _ in slots], sender.group.prime)
+        bodies = np.frombuffer(b"".join(body for _, body in slots), np.uint8)
+        arrays = {"c1": c1, "slots": bodies.reshape(len(slots), -1)}
+        reply = Frame("ot_slots", {"silo": frame.payload["silo"], "user": user}, arrays)
+        return [reply] + self._ot_offer()
+
+    def on_weighted_delta(self, frame):
+        pk = self.public_key
+        self.deltas.append([PaillierCiphertext(v, pk) for v in blob_ints(frame.arrays["delta"])])
+        get_registry().counter(
+            "protocol_ciphertexts_total",
+            help="Paillier ciphertexts produced by silo-weighted encryption.",
+        ).inc(len(self.deltas[-1]))
+
+    def on_decrypt(self, frame):
+        vectors, self.deltas = self.deltas, []
+        self.aggregate = self.aggregate_and_decrypt(vectors, *self.decoding)

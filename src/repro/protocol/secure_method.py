@@ -2,16 +2,9 @@
 
 :class:`SecureUldpAvg` is a drop-in replacement for
 ``UldpAvg(weighting="proportional")`` whose per-round aggregation runs
-Protocol 1 end to end (Paillier, blinding, secure aggregation) instead of
-the plaintext simulation.  Training results agree with the plaintext method
-up to the fixed-point precision P (Theorem 4); the cost is the protocol
-overhead measured in Figures 10-11.
-
-With ``user_sample_rate`` set, the *server* performs the Poisson sampling
-and silos never learn the outcome (weights of unsampled users are Enc(0)) --
-the paper's default visibility model.  ``private_subsampling_slots`` enables
-the Section 4.1 OT extension instead, hiding the outcome from the server as
-well.
+Protocol 1 end to end (Paillier, blinding, secure aggregation).  Results
+agree with the plaintext method up to the fixed-point precision P (Theorem
+4); the cost is the protocol overhead of Figures 10-11.
 """
 
 from __future__ import annotations
@@ -62,62 +55,46 @@ def _rating(strength: int) -> str:
 class SecureUldpAvg(UldpAvg):
     """ULDP-AVG-w whose aggregation is the real Protocol 1.
 
-    The cryptographic protocols encrypt (or mask) each user's clipped
-    delta individually, so this subclass -- alone -- works on per-user
-    rows: it overrides :meth:`_round_aggregate` and builds plain
-    ``{user: clipped delta}`` dicts from :meth:`silo_round_segment`, all
-    inside one process (the networked runtime refuses this method: its
-    silos would have to ship those rows to the server in the clear).
+    The protocols encrypt (or mask) each user's clipped delta, so this
+    subclass alone works on per-user rows: :meth:`_round_aggregate` builds
+    ``{user: clipped delta}`` dicts from :meth:`silo_round_segment` inside
+    one process (``[net]`` refuses this method: its silos would ship those
+    rows in the clear).
 
-    ``private_subsampling_slots = P`` enables OT-based user-level
-    sub-sampling at rate q = 1/P where *neither the server nor the silos*
-    learn the per-round outcome (mutually exclusive with
-    ``user_sample_rate``, where the server performs and knows the sampling).
-
-    ``crypto_backend`` selects the secure-aggregation scheme.  ``"fast"``
-    (default) is Protocol 1 over Paillier: CRT decryption, a weighting
-    kernel that pays one key-width power per (silo, user) and
-    fixed-point-width look-ups per coordinate, offline randomizer pools,
-    across-silo process parallelism via ``protocol_workers``; under a
-    seeded protocol RNG its aggregates and training histories are
-    identical to the seed implementation's (its silo ciphertexts are equal
-    in plaintext, not in bits), which is kept as the test oracle
-    ``tests/protocol/oracle_reference.py``.
-    ``"masked"`` replaces Protocol 1's Paillier aggregation with
-    Bonawitz-style pairwise-mask secure aggregation
+    ``crypto_backend`` picks :attr:`protocol`.  ``"fast"`` (default) is
+    Protocol 1 over Paillier (:class:`PrivateWeightingProtocol`, across-silo
+    kernels on ``protocol_workers`` processes); under a seeded protocol RNG
+    its aggregates and histories equal the seed implementation's, the test
+    oracle ``tests/protocol/oracle_reference.py``.  ``"masked"`` is
+    pairwise-mask secure aggregation
     (:class:`repro.crypto.secagg.MaskedAggregationProtocol`): orders of
-    magnitude faster, ``mask_bits // 8`` uplink bytes per coordinate
-    instead of a Paillier ciphertext, and -- uniquely among the secure
-    backends -- it accepts :class:`~repro.core.weighting.RoundParticipation`
-    with silo dropout (unmatched masks are recovered from revealed
-    per-round keys).  The masked path follows the plaintext Algorithm 4
-    visibility model (silos see the server's zeroed sampling weights), so
-    it is bit-identical to the Paillier backend under full participation
-    and matches the plaintext :class:`UldpAvg` under any participation
-    pattern; it does not support the OT sub-sampling extension.
+    magnitude faster, ``mask_bits // 8`` uplink bytes per coordinate, and
+    alone it accepts a :class:`~repro.core.weighting.RoundParticipation`
+    with silo dropout.  It keeps the plaintext Algorithm 4 visibility
+    model (silos see the zeroed sampling weights), so it is bit-identical
+    to Paillier under full participation and to plaintext :class:`UldpAvg`
+    under any participation.
+
+    ``private_subsampling_slots = P`` (Paillier only) samples users at
+    q = 1/P by OT so that *neither* side learns the outcome; with
+    ``user_sample_rate`` instead, the server samples and knows.
 
     ``compression`` admits only ``sparsify="randk"`` (or the identity):
-    every silo restricts its encrypted round to the *same* random support
-    derived from the compressor's shared stream, so the pairwise masks
-    still cancel and -- because the support is data-independent -- the
-    unsent coordinates release nothing about the data.  Top-k is rejected
-    (a data-dependent support chosen *before* noise would itself leak, and
-    per-silo supports would desynchronise the masking); quantization is
-    rejected (Paillier ciphertexts have fixed width -- shrinking the
-    plaintext saves nothing); error feedback and downlink compression are
-    rejected (out of scope for the encrypted path).
+    every silo keeps the *same* data-independent random support, so masks
+    still cancel and unsent coordinates release nothing.  Top-k would leak
+    through its support, quantization saves nothing on fixed-width
+    ciphertexts, and error feedback / downlink compression are out of
+    scope.
 
-    ``dh_group`` is the silos' key-agreement group.  It is a constructor
-    argument only -- no spec field reaches it -- and ``None`` means RFC
-    3526 group 14, so a run launched from a spec cannot have a toy group;
-    protocol-level tests pass ``DHGroup.test_group()``.
+    ``dh_group`` is a constructor argument only (no spec field reaches
+    it); ``None`` means RFC 3526 group 14.
     """
 
     name = "ULDP-AVG-w (secure)"
     #: Not declared: the inherited per-silo step forms a *plaintext* payload,
     #: so a runtime driving it (buffered-async, ``[net]``) bypasses Protocol 1.
     has_silo_step = False
-    #: The Protocol 1 orchestrator ``prepare`` builds (the test oracle
+    #: The Paillier protocol ``prepare`` builds (the test oracle
     #: substitutes its seed-implementation subclass here).
     protocol_cls = PrivateWeightingProtocol
 
@@ -185,16 +162,14 @@ class SecureUldpAvg(UldpAvg):
         self.crypto_backend = crypto_backend
         self.protocol_workers = protocol_workers
         self.mask_bits = mask_bits
-        #: Masked-backend survivor quorum: a dropout round with fewer than
-        #: this many surviving silos raises
-        #: :class:`repro.core.weighting.QuorumError` instead of
-        #: aggregating (see docs/protocol_performance.md on why a server
-        #: faking dropouts to shrink the survivor set is worth refusing).
+        #: Masked-backend survivor quorum: fewer surviving silos raise
+        #: :class:`repro.core.weighting.QuorumError` (docs/protocol_performance.md:
+        #: a server faking dropouts to shrink the survivor set).
         self.min_survivors = min_survivors
         self.dh_group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
         self.subsampler: PrivateSubsampler | None = None
-        self.protocol: PrivateWeightingProtocol | None = None
-        self.masked_protocol: MaskedAggregationProtocol | None = None
+        #: The backend's protocol driver, built and set up by ``prepare``.
+        self.protocol: PrivateWeightingProtocol | MaskedAggregationProtocol | None = None
         self._histogram: np.ndarray | None = None
 
     @property
@@ -243,29 +218,20 @@ class SecureUldpAvg(UldpAvg):
 
     def _build_protocol(self, fed, n_max: int) -> None:
         """Construct the backend's protocol object and run its set-up."""
-        if self.crypto_backend == "masked":
-            self.masked_protocol = MaskedAggregationProtocol(
-                fed.n_silos,
-                mask_bits=self.mask_bits,
-                precision=self.precision,
-                n_max=n_max,
-                seed=self.protocol_seed,
-                group=self.dh_group,
-            )
-            self.masked_protocol.run_setup()
-            self._histogram = fed.histogram()
-            return
         if self.protocol is not None:
             self.protocol.close()
-        self.protocol = self.protocol_cls(
-            fed.histogram(),
-            n_max=n_max,
-            paillier_bits=self.paillier_bits,
-            precision=self.precision,
-            dh_group=self.dh_group,
-            seed=self.protocol_seed,
-            workers=self.protocol_workers,
-        )
+        self._histogram = fed.histogram()
+        if self.crypto_backend == "masked":
+            self.protocol = MaskedAggregationProtocol(
+                fed.n_silos, mask_bits=self.mask_bits, precision=self.precision,
+                n_max=n_max, seed=self.protocol_seed, group=self.dh_group,
+            )
+        else:
+            self.protocol = self.protocol_cls(
+                self._histogram, n_max=n_max, paillier_bits=self.paillier_bits,
+                precision=self.precision, dh_group=self.dh_group,
+                seed=self.protocol_seed, workers=self.protocol_workers,
+            )
         self.protocol.run_setup()
         if self.private_subsampling_slots is not None:
             seed = self.protocol.silos[0].shared_seed
@@ -273,8 +239,7 @@ class SecureUldpAvg(UldpAvg):
             self.subsampler = PrivateSubsampler(seed, self.private_subsampling_slots)
 
     def close(self) -> None:
-        """Release the shard engine's pool and Protocol 1's (idempotent;
-        either is recreated lazily if training continues)."""
+        """Release the shard engine's pool and the protocol's (idempotent)."""
         super().close()
         if self.protocol is not None:
             self.protocol.close()
@@ -282,14 +247,10 @@ class SecureUldpAvg(UldpAvg):
     def security_summary(self) -> str:
         """One line on what protects this run: the DH group and its
         strength, the Paillier modulus (or the mask field width), and
-        whether key material is seeded.
-
-        ``repro validate-config`` prints it for secure specs and
-        :meth:`prepare` logs it as a warning when any component is below
-        :data:`MIN_STRENGTH_BITS` or seeded -- which today is every run a
-        spec launches (``protocol_seed=0`` is the default and no
-        ``[crypto]`` field changes it).
-        """
+        whether key material is seeded.  ``repro validate-config`` prints
+        it; :meth:`prepare` logs it as a warning when any component is
+        below :data:`MIN_STRENGTH_BITS` or seeded -- today every run a spec
+        launches (``protocol_seed=0`` is the default)."""
         return self._security()[0]
 
     def _security(self) -> tuple[str, bool]:
@@ -317,15 +278,9 @@ class SecureUldpAvg(UldpAvg):
         )
 
     def round(self, t, params, participation=None):
-        """Protocol 1 rounds require the full roster; masked rounds do not.
-
-        The Paillier backend fixes the encrypted per-user weights at setup,
-        so silo dropout would desynchronise the blinding-mask cancellation.
-        The pairwise-mask backend recovers unmatched masks from revealed
-        per-round keys, so it runs any
-        :class:`~repro.core.weighting.RoundParticipation` the plaintext
-        method accepts.
-        """
+        """Paillier rounds need the full roster (the encrypted weights are
+        fixed at set-up); masked rounds recover a dropped silo's masks, so
+        they run any participation the plaintext method accepts."""
         if participation is not None and self.crypto_backend != "masked":
             raise NotImplementedError(
                 "the Paillier crypto backend ('fast') does not "
@@ -338,33 +293,22 @@ class SecureUldpAvg(UldpAvg):
         return super().round(t, params, participation)
 
     def _round_aggregate(self, params, round_weights):
-        """Protocol 1 replaces the plaintext sum of silo payloads.
+        """The protocol replaces the plaintext sum of silo payloads.
 
-        Silos must not learn the sub-sampling outcome: unlike the
-        plaintext Algorithm 4 -- where the server distributes zeroed
-        weights and silos skip unsampled users -- every silo trains every
-        present user (the *unsampled* weight row decides who is present)
-        and unsampled users are cancelled inside the encrypted domain by
-        Enc(0) weights.  With server-side sampling ``round_weights``
-        encodes the server's decision (zeroed columns) and the protocol
-        zeroes the encrypted weights; with the OT extension the sampled
-        set is implicit: the PRG-derived slot choice selects real weights
-        or Enc(0) dummies and no party learns which.
+        Under Paillier the silos must not learn the sub-sampling outcome:
+        every silo trains every present user (the *unsampled* weight row)
+        and unsampled users cancel inside the encrypted domain -- Enc(0)
+        weights from the server's zeroed columns, or, with OT, dummies no
+        party can tell from real weights.  The masked backend keeps the
+        plaintext visibility model (zeroed weights reach the silos); since
+        zero-weight users contribute exactly zero either way, both backends
+        agree.
 
-        The masked backend keeps the plaintext visibility model instead
-        (zeroed weights reach the silos), which is what lets it track the
-        plaintext method bit for bit under dropout -- and, because
-        zero-weight users contribute exactly zero either way, its
-        aggregate still matches the Paillier backend.
-
-        With ``sparsify="randk"`` compression, the round first restricts
-        every delta and noise vector to one shared random support (drawn
-        per round from the compressor's stream -- in deployment, from the
-        silos' shared seed R, so indices never cross the wire): Protocol 1
-        then encrypts, masks, sums, and decrypts only the k surviving
-        coordinates, and the decoded sub-aggregate is scattered back into
-        the d-dimensional update with exact zeros elsewhere.  The uplink
-        shrinks from ``d`` to ``k`` ciphertexts per silo.
+        With ``sparsify="randk"`` every delta and noise vector is first
+        restricted to one shared random support (in deployment drawn from
+        R, so indices never cross the wire); the protocol carries only the
+        k coordinates, the uplink shrinks from d to k per silo, and the
+        aggregate is scattered back with exact zeros elsewhere.
         """
         fed, _, _ = self._require_prepared()
         masked = self.crypto_backend == "masked"
@@ -393,39 +337,27 @@ class SecureUldpAvg(UldpAvg):
             ]
             noises = [noise[support] for noise in noises]
         if masked:
-            assert self.masked_protocol is not None
             aggregate = self._aggregate_masked(contributions, noises, round_weights)
-            coordinate_bytes = self.masked_protocol.mask_bytes
+        elif self.subsampler is not None:
+            aggregate = self.protocol.run_round_ot_sampling(
+                contributions, noises, self.subsampler
+            )
         else:
-            assert self.protocol is not None
-            if self.subsampler is not None:
-                aggregate = self.protocol.run_round_ot_sampling(
-                    contributions, noises, self.subsampler
-                )
-            else:
-                sampled = np.where(round_weights.sum(axis=0) > 0)[0]
-                aggregate = self.protocol.run_round(
-                    contributions, noises, sampled_users=sampled
-                )
-            coordinate_bytes = self.protocol.ciphertext_bytes
-        uplink = len(noises) * len(noises[0]) * coordinate_bytes
+            sampled = np.where(round_weights.sum(axis=0) > 0)[0]
+            aggregate = self.protocol.run_round(
+                contributions, noises, sampled_users=sampled
+            )
+        uplink = len(noises) * len(noises[0]) * self._coordinate_bytes()
         if support is not None:
             aggregate = scatter(support, aggregate, dim)
         return aggregate, users_seen, uplink
 
     def _aggregate_masked(self, contributions, noises, round_weights):
-        """Masked secure aggregation over the (possibly partial) roster.
-
-        Each active silo encodes ``sum_u Encode(delta_su) * (n_su * C_LCM
-        / N_u) + Encode(z_s) * C_LCM`` into the mask field and uploads the
-        pairwise-masked vector; dropped silos upload nothing and their
-        unmatched masks are recovered inside the protocol.  The decoded
-        sum is the identical integer arithmetic the Paillier path
-        decrypts, so both secure backends agree bit for bit under full
-        participation.
-        """
-        proto = self.masked_protocol
-        assert proto is not None
+        """Masked secure aggregation over the (possibly partial) roster:
+        each active silo's field vector is ``sum_u Encode(delta_su) * (n_su
+        * C_LCM / N_u) + Encode(z_s) * C_LCM``, the integer the Paillier
+        path decrypts; a dropped silo sends nothing."""
+        proto = self.protocol
         active = self._active_silo_mask
         fed, _, _ = self._require_prepared()
         survivors = int(active.sum()) if active is not None else len(contributions)
@@ -445,63 +377,48 @@ class SecureUldpAvg(UldpAvg):
         proto.check_round_magnitude(
             max_abs, num_terms=fed.n_silos * (fed.n_users + 1)
         )
-        vectors: list[list[int] | None] = [
-            encode_weighted_payload(
-                per_user,
-                {user: numerators[s, user] for user in per_user},
-                noise_of[s],
-                self.precision,
-                proto.c_lcm,
-                proto.modulus,
-            )
-            if s in noise_of
-            else None
-            for s, per_user in enumerate(contributions)
-        ]
+        vectors: list[list[int] | None] = [None] * len(contributions)
+        for s, noise in noise_of.items():
+            per_user = contributions[s]
+            nums = {user: numerators[s, user] for user in per_user}
+            vectors[s] = encode_weighted_payload(
+                per_user, nums, noise, self.precision, proto.c_lcm, proto.modulus)
         return proto.decode_aggregate(proto.run_round(vectors))
 
     def uplink_payload_bytes(self) -> int:
-        """One silo's uplink in *wire* bytes (not plaintext floats).
-
-        A secure round ships one Paillier ciphertext (Paillier backend)
-        or one ``mask_bits``-bit field element (masked backend) per
-        surviving coordinate, so bandwidth models must budget
-        ``k * |Z_{n^2}|`` resp. ``k * mask_bits/8`` bytes.
-        """
+        """One silo's uplink in *wire* bytes: one ciphertext (Paillier) or
+        one ``mask_bits``-bit field element (masked) per kept coordinate."""
         _, model, _ = self._require_prepared()
         dim = model.num_params
         comp = self.compressor
         if comp is not None and comp.spec.sparsify == "randk":
             dim = comp.spec.keep_count(dim)
-        if self.crypto_backend == "masked":
-            assert self.masked_protocol is not None
-            return dim * self.masked_protocol.mask_bytes
-        assert self.protocol is not None
-        return dim * self.protocol.ciphertext_bytes
+        return dim * self._coordinate_bytes()
+
+    def _coordinate_bytes(self) -> int:
+        masked = self.crypto_backend == "masked"
+        return self.protocol.mask_bytes if masked else self.protocol.ciphertext_bytes
 
     def timing_report(self) -> dict[str, float]:
         """Per-phase wall-clock totals (for the Fig. 10/11 benches)."""
-        if self.crypto_backend == "masked":
-            assert self.masked_protocol is not None
-            return self.masked_protocol.timer.report()
-        assert self.protocol is not None
-        return self.protocol.timer.report()
+        return self.protocol.report()
 
     # -- checkpoint serialisation -------------------------------------------
 
     def state_dict(self) -> dict:
         """The base state plus the masked protocol's round counter, which
-        seeds the per-round masks (key material rebuilds from
-        ``protocol_seed`` at prepare time; Paillier rounds hold no state)."""
+        keys its masks (keys rebuild from ``protocol_seed``; Paillier
+        rounds hold no state)."""
         protocol = None
-        if self.masked_protocol is not None:
-            protocol = {"backend": "masked", **self.masked_protocol.state_dict()}
+        if isinstance(self.protocol, MaskedAggregationProtocol):
+            protocol = {"backend": "masked", **self.protocol.state_dict()}
         return {**super().state_dict(), "protocol": protocol}
 
     def load_state(self, state: dict) -> None:
         state = dict(state)
         saved = state.pop("protocol", None)
-        backend = "masked" if self.masked_protocol is not None else None
+        masked = isinstance(self.protocol, MaskedAggregationProtocol)
+        backend = "masked" if masked else None
         if (saved or {}).get("backend") != backend:
             raise ValueError(
                 "checkpoint and rebuilt method disagree about the crypto "
@@ -509,4 +426,4 @@ class SecureUldpAvg(UldpAvg):
             )
         super().load_state(state)
         if saved is not None:
-            self.masked_protocol.load_state(saved)
+            self.protocol.load_state(saved)

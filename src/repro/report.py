@@ -77,8 +77,8 @@ def comparison_table(histories: list[TrainingHistory]) -> str:
             f"{h.method:<24s} {f.metric:8.4f} {f.loss:10.4f} {eps:>10s} "
             f"{seen:>12s} {uplink:>9s}  {sparkline(h.series('metric'))}"
         )
-    # Merged protocol-phase totals (PhaseTimer seconds accumulated by the
-    # trainer) -- a footer rather than a column, since the phase set
+    # Merged protocol-phase totals (the protocol driver's phase seconds,
+    # accumulated by the trainer) -- a footer rather than a column, since the phase set
     # varies by method.
     merged: dict[str, float] = {}
     for h in histories:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from toy_crypto import TOY_DH_GROUP
 
 from repro.crypto.encoding import decode_scalar, encode_scalar
+from repro.net.wire import blob_ints
 from repro.crypto.secagg import (
     MASK_STREAM_CONTEXT,
     MaskedAggregationProtocol,
@@ -31,6 +32,23 @@ def build_protocol(n_silos, seed=0, **kwargs):
     )
     proto.run_setup()
     return proto
+
+
+def uploads(proto, round_no):
+    """Silo id -> the masked vector the server received in round ``round_no``."""
+    return {
+        f.payload["silo"]: blob_ints(f.arrays["vector"])
+        for f in proto.received("masked_vector")
+        if f.payload["round"] == round_no
+    }
+
+
+def reveals(proto):
+    """(round_no, survivor, dropped ids revealed) per reveal received."""
+    return [
+        (f.payload["round"], f.payload["silo"], tuple(sorted(f.payload["peers"])))
+        for f in proto.received("reveal")
+    ]
 
 
 def random_vectors(n_silos, d, seed=0, bound=10**9):
@@ -54,16 +72,16 @@ class TestMaskCancellation:
         proto = build_protocol(3, seed=1)
         vectors = random_vectors(3, 6, seed=1)
         proto.run_round(list(vectors))
-        uploads = proto.view.masked_vectors[0]
+        received = uploads(proto, 0)
         for s, vec in enumerate(vectors):
-            assert uploads[s] != [v % proto.modulus for v in vec]
+            assert received[s] != [v % proto.modulus for v in vec]
 
     def test_rounds_use_independent_masks(self):
         proto = build_protocol(2, seed=2)
         vec = random_vectors(2, 4, seed=2)
         proto.run_round([list(v) for v in vec])
         proto.run_round([list(v) for v in vec])
-        first, second = proto.view.masked_vectors
+        first, second = uploads(proto, 0), uploads(proto, 1)
         assert first[0] != second[0]
 
 
@@ -102,8 +120,8 @@ class TestDropoutRecovery:
         proto = build_protocol(4, seed=4)
         vectors = random_vectors(4, 3, seed=4)
         proto.run_round([vectors[0], None, vectors[2], vectors[3]])
-        assert proto.view.reveals  # recovery happened
-        for _round_no, survivor, revealed in proto.view.reveals:
+        assert reveals(proto)  # recovery happened
+        for _round_no, survivor, revealed in reveals(proto):
             assert revealed == (1,)
             assert survivor != 1
 
@@ -242,7 +260,7 @@ class TestProtocolState:
         assert resumed.round_no == 1
         assert resumed.run_round([list(v) for v in vectors]) == expected
         # And the round-1 uploads (not just the cancelled totals) match.
-        assert reference.view.masked_vectors[1] == resumed.view.masked_vectors[0]
+        assert uploads(reference, 1) == uploads(resumed, 1)
 
     def test_setup_required_before_rounds(self):
         proto = MaskedAggregationProtocol(2, seed=0, group=TOY_DH_GROUP)
@@ -252,7 +270,7 @@ class TestProtocolState:
     def test_timer_has_phases(self):
         proto = build_protocol(3, seed=11)
         proto.run_round([[1, 2], None, [5, 6]])
-        report = proto.timer.report()
+        report = proto.report()
         for phase in ("keygen", "key_exchange", "mask_and_upload",
                       "aggregate", "dropout_recovery"):
             assert phase in report

@@ -6,7 +6,7 @@ offline phase), every per-user scalar power a plain square-and-multiply
 ``enc_inv * scalar``, decryption in the CRT-free ``(lambda, mu)`` form.
 Each ``Reference*`` class is the runtime class with only those
 cryptographic steps swapped back; set-up, blinding, masking, encoding, the
-OT exchange, the server's view and the round bookkeeping are inherited.
+OT exchange, the frame log and the round bookkeeping are inherited.
 
 The runtime draws its randomizers from the shared protocol RNG in exactly
 this loop's order (server weights first, then each silo's ``d`` ``Enc(0)``
@@ -35,9 +35,8 @@ from repro.protocol.parties import ServerParty, SiloParty
 class ReferenceSiloParty(SiloParty):
     """A silo that encrypts online and exponentiates with plain ``pow``."""
 
-    def draw_offline(self, count):
+    def on_offline(self, frame):
         """No offline phase: randomizers are drawn when they are used."""
-        return []
 
     def weighted_encrypted_delta(
         self, encrypted_inverses, clipped_deltas, noise, round_no, precision
@@ -67,6 +66,11 @@ class ReferenceSiloParty(SiloParty):
             totals[j] = pk.add_scalar(totals[j], (z + masks[j]) % n)
         return totals
 
+    def on_weigh(self, frame):
+        """Steps 2(b)-(c) in-process, silos strictly in turn."""
+        vector = self.weighted_encrypted_delta(self.weights, *self.inputs)
+        return self.send_delta([[c.value for c in vector]])
+
 
 class ReferenceServerParty(ServerParty):
     """A server that forgets the factorisation: same key (the RNG draws are
@@ -77,7 +81,7 @@ class ReferenceServerParty(ServerParty):
         private = dataclasses.replace(self.keypair.private_key, crt=None)
         self.keypair = PaillierKeypair(self.public_key, private)
 
-    def prepare_offline(self, count):
+    def on_offline(self, frame):
         """No offline phase."""
 
     def encrypt_value(self, value):
@@ -85,23 +89,11 @@ class ReferenceServerParty(ServerParty):
 
 
 class ReferencePrivateWeightingProtocol(PrivateWeightingProtocol):
-    """Protocol 1 between the reference parties, silos strictly in turn
-    (``workers`` is accepted and ignored)."""
+    """Protocol 1 between the reference parties (``workers`` is accepted
+    and unused: no reference step returns a kernel task)."""
 
     server_cls = ReferenceServerParty
     silo_cls = ReferenceSiloParty
-
-    def _silo_weighted_vectors(self, per_silo_inverses, clipped_deltas, noises):
-        return [
-            silo.weighted_encrypted_delta(
-                per_silo_inverses[s],
-                clipped_deltas[s],
-                noises[s],
-                round_no=self.round_no,
-                precision=self.precision,
-            )
-            for s, silo in enumerate(self.silos)
-        ]
 
 
 class ReferenceSecureUldpAvg(SecureUldpAvg):

@@ -162,7 +162,7 @@ class TestDropoutEquivalence:
         method = masked()
         parts = [RoundParticipation(silo_mask=np.array([True, False, True]))]
         _, hist = run(method, fed, rounds=1, seed=2, participations=parts)
-        per_coord = method.masked_protocol.mask_bytes
+        per_coord = method.protocol.mask_bytes
         dim = 68  # tiny MLP parameter count
         assert hist.comm[0].uplink_bytes == 2 * dim * per_coord
 
@@ -232,4 +232,4 @@ class TestMaskedMethodSurface:
     def test_uplink_payload_bytes_uses_mask_width(self, fed):
         method = masked()
         run(method, fed, rounds=1, seed=0)
-        assert method.uplink_payload_bytes() == 68 * method.masked_protocol.mask_bytes
+        assert method.uplink_payload_bytes() == 68 * method.protocol.mask_bytes

@@ -159,7 +159,7 @@ class TestNonFiniteInputs:
         deltas[1][2][3] = bad  # neither the first vector nor its first slot
         with pytest.raises(MagnitudeBudgetError, match="silo 1's delta of user 2"):
             proto.run_round(deltas, noises)
-        assert proto.round_no == 0 and not proto.view.round_ciphertexts
+        assert proto.round_no == 0 and not proto.received("weighted_delta")
 
     def test_paillier_ot_round_names_the_noisy_silo(self):
         proto = make_protocol()

@@ -46,8 +46,8 @@ class TestRunRoundOtSampling:
 
     def test_round_reaches_server_view_and_counter(self):
         """An OT round is recorded like a plain one: the silo ciphertexts
-        and the decrypted aggregate enter ``ServerView``, and the
-        ciphertext counter advances by S * d."""
+        reach the server's frame log, the decrypted aggregate is server
+        state, and the ciphertext counter advances by S * d."""
         from repro.obs.metrics import get_registry
 
         proto = make_protocol()
@@ -58,9 +58,9 @@ class TestRunRoundOtSampling:
 
         out = proto.run_round_ot_sampling(deltas, noises, subsampler)
 
-        (ciphertexts,) = proto.view.round_ciphertexts
+        ciphertexts = [f.arrays["delta"] for f in proto.received("weighted_delta")]
         assert [len(vec) for vec in ciphertexts] == [4] * proto.n_silos
-        (aggregate,) = proto.view.decrypted_aggregates
+        aggregate = proto.server.aggregate
         assert np.array_equal(aggregate, out)
         assert counter.value - before == proto.n_silos * 4
         assert proto.round_no == 1

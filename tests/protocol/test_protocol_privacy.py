@@ -1,4 +1,5 @@
-"""Theorem 5: structural privacy checks on the server's view.
+"""Theorem 5: structural privacy checks on the server's view -- the frames
+the driver's log shows the server received, plus its own state.
 
 We cannot prove indistinguishability in a unit test, but we can verify the
 mechanics the proof relies on: the server never receives a raw histogram,
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from toy_crypto import TOY_DH_GROUP
 
+from repro.net.wire import blob_ints
 from repro.protocol import PrivateWeightingProtocol
 
 HIST = np.array([
@@ -19,6 +21,10 @@ HIST = np.array([
     [1, 4, 0, 1],
     [2, 1, 1, 0],
 ])
+
+
+def masked_histograms(proto):
+    return [blob_ints(f.arrays["histogram"]) for f in proto.received("masked_histogram")]
 
 
 def setup_protocol(hist=HIST, seed=0):
@@ -32,14 +38,13 @@ def setup_protocol(hist=HIST, seed=0):
 class TestServerView:
     def test_raw_counts_never_in_view(self):
         proto = setup_protocol()
-        view = proto.view
         raw_counts = set(int(v) for v in HIST.ravel()) | set(
             int(v) for v in HIST.sum(axis=0)
         )
         seen = set()
-        for hist in view.masked_histograms:
+        for hist in masked_histograms(proto):
             seen.update(hist)
-        seen.update(view.blinded_totals)
+        seen.update(proto.server.blinded_totals)
         # Blinded/masked values are ~256-bit field elements; raw counts are
         # tiny integers.  None may appear verbatim.
         assert not (seen & raw_counts)
@@ -53,7 +58,7 @@ class TestServerView:
         unmasked = [
             silo0.blinding.blind(u, int(HIST[0, u])) % n for u in range(proto.n_users)
         ]
-        masked = proto.view.masked_histograms[0]
+        masked = masked_histograms(proto)[0]
         assert masked != unmasked
 
     def test_blinded_totals_factor_correctly(self):
@@ -66,7 +71,7 @@ class TestServerView:
         totals = HIST.sum(axis=0)
         for u in range(proto.n_users):
             expected = blinding.blind(u, int(totals[u]))
-            assert proto.view.blinded_totals[u] == expected % n
+            assert proto.server.blinded_totals[u] == expected % n
 
     def test_view_changes_with_seed_same_histogram(self):
         """Same data, different protocol randomness => disjoint server view.
@@ -76,7 +81,7 @@ class TestServerView:
         function of N_u."""
         a = setup_protocol(seed=1)
         b = setup_protocol(seed=2)
-        assert set(a.view.blinded_totals).isdisjoint(set(b.view.blinded_totals))
+        assert set(a.server.blinded_totals).isdisjoint(set(b.server.blinded_totals))
 
     def test_round_ciphertexts_recorded_but_opaque(self):
         proto = setup_protocol()
@@ -88,7 +93,7 @@ class TestServerView:
             )
         noises = [rng.standard_normal(3) for _ in range(proto.n_silos)]
         proto.run_round(deltas, noises)
-        cts = proto.view.round_ciphertexts[0]
+        cts = [blob_ints(f.arrays["delta"]) for f in proto.received("weighted_delta")]
         assert len(cts) == proto.n_silos
         # Ciphertexts live in Z_{n^2}: enormous integers, not model values.
         n2 = proto.server.public_key.n_squared
@@ -101,7 +106,9 @@ class TestServerView:
         proto = setup_protocol()
         seed = proto.silos[0].shared_seed
         assert seed is not None
-        for ct in proto.view.seed_ciphertexts.values():
+        cts = [f.arrays["seed"].tobytes() for f in proto.received("seed")]
+        assert len(cts) == proto.n_silos - 1
+        for ct in cts:
             assert ct != seed
 
     def test_all_silos_agree_on_seed(self):
@@ -117,7 +124,7 @@ class TestPairwiseMaskCancellation:
         proto = setup_protocol()
         n = proto.server.public_key.n
         blinding = proto.silos[0].blinding
-        totals_from_masked = proto.view.blinded_totals
+        totals_from_masked = proto.server.blinded_totals
         expected = [
             blinding.blind(u, int(HIST.sum(axis=0)[u])) % n for u in range(proto.n_users)
         ]

@@ -30,7 +30,7 @@ BACKENDS = pytest.mark.parametrize("backend", ["fast", "masked"])
 
 def _group_of(method):
     if method.crypto_backend == "masked":
-        return method.masked_protocol.group
+        return method.protocol.group
     return method.protocol.silos[0].dh_keypair.group
 
 

@@ -58,25 +58,25 @@ class TestMaskedKillAndResume:
         # the same round counter and derived identical per-round keys
         # (otherwise params above could not be bit-identical).
         assert (
-            resumed.method.masked_protocol.round_no
-            == uninterrupted.method.masked_protocol.round_no
+            resumed.method.protocol.round_no
+            == uninterrupted.method.protocol.round_no
         )
 
     def test_protocol_round_counter_survives_the_roundtrip(self, tmp_path):
         spec = masked_spec(seed=4)
         sim = build_simulator(spec)
         sim.run(stop_after=2)
-        saved_round_no = sim.method.masked_protocol.round_no
+        saved_round_no = sim.method.protocol.round_no
         assert saved_round_no > 0  # masked rounds actually ran
         save_checkpoint(tmp_path, sim, extra=checkpoint_extra(spec))
 
         fresh = build_simulator(spec)
-        assert fresh.method.masked_protocol.round_no == 0
+        assert fresh.method.protocol.round_no == 0
         from repro.sim import load_checkpoint
 
         state, _ = load_checkpoint(tmp_path)
         fresh.load_state(state)
-        assert fresh.method.masked_protocol.round_no == saved_round_no
+        assert fresh.method.protocol.round_no == saved_round_no
 
     def test_resume_with_wrong_method_is_refused(self, tmp_path):
         # A checkpoint carrying masked-protocol state must not silently
