@@ -51,7 +51,7 @@ from repro.crypto.encoding import (
 from repro.crypto.masking import PairwiseMasker, prg_field_elements
 from repro.net.wire import Frame, blob_ints, int_blob
 from repro.obs.metrics import get_registry
-from repro.protocol.driver import HOST, SERVER, SILO, Driver, Party
+from repro.protocol.driver import HOST, KEY_EXCHANGE, SERVER, SILO, Driver, KeyHolder, KeyRelay
 
 #: KDF context for the long-term pair keys (distinct from Protocol 1's
 #: ``"secure-agg"`` so the two backends never share key material).
@@ -60,14 +60,6 @@ PAIR_KEY_CONTEXT = "masked-agg"
 #: PRG label for the per-round delta masks (the *key* varies per round, so
 #: a revealed round key opens exactly this one stream).
 MASK_STREAM_CONTEXT = "masked-delta"
-
-#: Set-up: DH publics up, every public back down.
-SETUP = (
-    ("key_exchange", HOST, SILO, "setup"),
-    ("key_exchange", SILO, SERVER, "dh_public"),
-    ("key_exchange", HOST, SERVER, "keys"),
-    ("key_exchange", SERVER, SILO, "keys"),
-)
 
 #: A round: masked vectors up; after a dropout, each survivor's key reveal.
 ROUND = (
@@ -141,13 +133,13 @@ def encode_weighted_payload(
     return total
 
 
-class MaskedSilo(Party):
+class MaskedSilo(KeyHolder):
     """One silo: DH key agreement plus per-round masking.  Before a round
     the protocol sets :attr:`inputs` -- ``(field vector, round_no, modulus)``."""
 
     def __init__(self, silo_id: int, group: DHGroup, rng: random.Random | None = None):
         self.silo_id = silo_id
-        self.keypair: DHKeypair = group.keypair(rng=rng)
+        self.dh_keypair: DHKeypair = group.keypair(rng=rng)
         self.pair_keys: dict[int, bytes] = {}
         self.inputs: tuple | None = None
 
@@ -158,15 +150,11 @@ class MaskedSilo(Party):
         keys = self.pair_keys
         return {peer: derive_round_key(keys[peer], round_no) for peer in dropped if peer in keys}
 
-    def on_setup(self, frame):
-        public = int_blob([self.keypair.public], self.keypair.group.prime)
-        return [Frame("dh_public", {}, {"public": public})]
-
-    def on_keys(self, frame):
+    def receive_dh_publics(self, publics: dict[int, int]) -> None:
         """Derive a long-term pair key with every peer."""
-        for peer, public in enumerate(blob_ints(frame.arrays["publics"])):
+        for peer, public in publics.items():
             if peer != self.silo_id:
-                secret = self.keypair.shared_secret(public)
+                secret = self.dh_keypair.shared_secret(public)
                 self.pair_keys[peer] = derive_shared_key(secret, PAIR_KEY_CONTEXT)
 
     def on_upload(self, frame):
@@ -183,7 +171,7 @@ class MaskedSilo(Party):
         return [Frame("reveal", {"round": frame.payload["round"], "peers": list(keys)}, {"keys": raw})]
 
 
-class MaskedServer(Party):
+class MaskedServer(KeyRelay):
     """The aggregator: relays DH publics, sums the masked uploads and
     removes a dropped silo's unmatched masks using the revealed round keys;
     :attr:`totals` is the last round's field sum over the survivors."""
@@ -193,13 +181,6 @@ class MaskedServer(Party):
         self.dh_publics: dict[int, np.ndarray] = {}
         self.uploads: dict[int, list[int]] = {}
         self.totals: list[int] = []
-
-    def on_dh_public(self, frame):
-        self.dh_publics[frame.payload["silo"]] = frame.arrays["public"]
-
-    def on_keys(self, frame):
-        publics = np.concatenate([self.dh_publics[s] for s in sorted(self.dh_publics)])
-        return [Frame("keys", {}, {"publics": publics})]
 
     def on_masked_vector(self, frame):
         self.round_no = frame.payload["round"]
@@ -285,7 +266,7 @@ class MaskedAggregationProtocol(Driver):
         with self.phase("keygen"):
             self.silos = [MaskedSilo(s, self.group, rng=self.rng) for s in range(self.n_silos)]
             self.server = MaskedServer(self.n_silos, self.modulus)
-        self.run(SETUP)
+        self.run(KEY_EXCHANGE)
 
     def check_round_magnitude(self, max_abs_value: float, num_terms: int) -> None:
         """Theorem 4 condition (2) for the mask field; raises on overflow."""

@@ -31,10 +31,20 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
-from repro.net.wire import Frame
+import numpy as np
+
+from repro.net.wire import Frame, blob_ints, int_blob
 from repro.obs.trace import get_recorder
 
 SERVER, SILO, HOST = "server", "silo", "host"
+
+#: The set-up both backends open with: DH publics up, all of them back down.
+KEY_EXCHANGE = (
+    ("key_exchange", HOST, SILO, "setup"),
+    ("key_exchange", SILO, SERVER, "dh_public"),
+    ("key_exchange", HOST, SERVER, "keys"),
+    ("key_exchange", SERVER, SILO, "keys"),
+)
 
 
 class Delivery(NamedTuple):
@@ -57,6 +67,33 @@ class Task(NamedTuple):
 class Party:
     def handle(self, frame: Frame):
         return getattr(self, f"on_{frame.type}")(frame) or []
+
+
+class KeyHolder(Party):
+    """A silo's side of :data:`KEY_EXCHANGE`: publish :attr:`dh_keypair`'s
+    public key, then take every silo's (:meth:`receive_dh_publics`)."""
+
+    def on_setup(self, frame):
+        kp = self.dh_keypair
+        return [Frame("dh_public", {}, {"public": int_blob([kp.public], kp.group.prime)})]
+
+    def on_keys(self, frame):
+        self.receive_dh_publics(dict(enumerate(blob_ints(frame.arrays["publics"]))))
+
+
+class KeyRelay(Party):
+    """The server's side of :data:`KEY_EXCHANGE`: collect the silos' DH
+    publics in :attr:`dh_publics`, then relay them all (+ :meth:`key_arrays`)."""
+
+    def on_dh_public(self, frame):
+        self.dh_publics[frame.payload["silo"]] = frame.arrays["public"]
+
+    def on_keys(self, frame):
+        publics = np.concatenate([self.dh_publics[s] for s in sorted(self.dh_publics)])
+        return [Frame("keys", {}, {"publics": publics, **self.key_arrays()})]
+
+    def key_arrays(self) -> dict:
+        return {}
 
 
 def _matches(row, entry) -> bool:

@@ -38,7 +38,7 @@ from repro.crypto.paillier import (
 from repro.crypto.pool import RandomizerPool, nth_powers
 from repro.net.wire import Frame, blob_ints, int_blob
 from repro.obs.metrics import get_registry
-from repro.protocol.driver import Party, Task
+from repro.protocol.driver import KeyHolder, KeyRelay, Task
 from repro.protocol.oblivious import OTReceiver, OTSender, PrivateSubsampler
 
 
@@ -79,7 +79,7 @@ def run_weighted_delta_kernels(tasks: list[dict]) -> list[list[int]]:
     return [run_weighted_delta_kernel(task) for task in tasks]
 
 
-class SiloParty(Party):
+class SiloParty(KeyHolder):
     """Silo ``silo_id``: its record counts n[s, u] (at most the public
     ``n_max``), a DH key in ``dh_group`` and, from ``rng`` (None = secrets),
     its randomness.  Before a round the protocol sets :attr:`inputs` --
@@ -211,22 +211,17 @@ class SiloParty(Party):
 
     # -- Handlers -----------------------------------------------------------
 
-    def on_setup(self, frame):
-        public = int_blob([self.dh_public()], self.dh_keypair.group.prime)
-        return [Frame("dh_public", {}, {"public": public})]
-
     def on_keys(self, frame):
         """Steps 1(a)-(c) on the relayed DH publics and Paillier key; silo 0
         answers with R for each peer."""
-        publics = dict(enumerate(blob_ints(frame.arrays["publics"])))
-        self.receive_dh_publics(publics)
+        super().on_keys(frame)
         self.paillier_pk = pk = PaillierPublicKey(blob_ints(frame.arrays["n"])[0])
         self.masker = PairwiseMasker(self.silo_id, self.pair_keys, pk.n)
         # Silos do not know the factorisation, so no CRT context here.
         self.pool = RandomizerPool(pk, rng=self.rng)
         if self.silo_id != 0:
             return []
-        seeds = self.generate_seed_ciphertexts(list(publics)).items()
+        seeds = self.generate_seed_ciphertexts(list(self.transport_keys)).items()
         return [Frame("seed", {"to": p}, {"seed": np.frombuffer(ct, np.uint8)}) for p, ct in seeds]
 
     def on_seed(self, frame):
@@ -272,7 +267,7 @@ class SiloParty(Party):
         return [Frame("weighted_delta", {}, {"delta": delta})]
 
 
-class ServerParty(Party):
+class ServerParty(KeyRelay):
     """The aggregation server: generates keys, inverts blinded histograms,
     distributes encrypted weights, and decrypts only aggregated sums.  The
     protocol sets :attr:`decoding` (``(precision, C_LCM)``) and per round
@@ -376,14 +371,9 @@ class ServerParty(Party):
 
     # -- Handlers -------------------------------------------------------------
 
-    def on_dh_public(self, frame):
-        self.dh_publics[frame.payload["silo"]] = frame.arrays["public"]
-
-    def on_keys(self, frame):
-        """Steps 1(a)-(b): relay every DH public, with the Paillier key."""
-        publics = np.concatenate([self.dh_publics[s] for s in sorted(self.dh_publics)])
-        n = int_blob([self.public_key.n], self.public_key.n + 1)
-        return [Frame("keys", {}, {"publics": publics, "n": n})]
+    def key_arrays(self) -> dict:
+        """Step 1(a): the Paillier key goes out with the relayed publics."""
+        return {"n": int_blob([self.public_key.n], self.public_key.n + 1)}
 
     def on_seed(self, frame):
         """Step 1(c): relay silo 0's encrypted R to its peer."""

@@ -21,16 +21,12 @@ from repro.crypto.encoding import (
     require_magnitude_headroom,
     round_max_abs,
 )
-from repro.protocol.driver import HOST, SERVER, SILO, Driver
+from repro.protocol.driver import HOST, KEY_EXCHANGE, SERVER, SILO, Driver
 from repro.protocol.oblivious import PrivateSubsampler
 from repro.protocol.parties import ServerParty, SiloParty
 
 #: Steps 1(a)-(f): key exchange, seed transport, blinded histogram.
-SETUP = (
-    ("key_exchange", HOST, SILO, "setup"),
-    ("key_exchange", SILO, SERVER, "dh_public"),
-    ("key_exchange", HOST, SERVER, "keys"),
-    ("key_exchange", SERVER, SILO, "keys"),
+SETUP = KEY_EXCHANGE + (
     ("key_exchange", SILO, SERVER, "seed"),
     ("key_exchange", SERVER, SILO, "seed"),
     ("blinded_histogram", HOST, SILO, "histogram"),
