@@ -18,6 +18,7 @@
 #                       checkpointed sim run resumed with `repro run --resume`,
 #                       three spec files run by name (`repro figure fig08
 #                       --output`, `repro figure fig05`, the secure `fig10`),
+#                       one masked secure run under silo dropout,
 #                       one combination ULDP-SGD gained in PR 19 and one that
 #                       is still refused (exit 2, one line, no traceback)
 #   make net-smoke      networked == in-process end to end: `repro serve
@@ -93,7 +94,8 @@ bench-compress:
 # and one 2-point sigma grid must execute, and a checkpointed scenario
 # must resume from its own directory.  A spec file is an experiment by
 # name: `repro figure fig08 --output` must leave a non-empty histories
-# file, fig05 (hand-written) and fig10 (secure, Protocol 1) must run.  Then
+# file, fig05 (hand-written) and fig10 (secure, Protocol 1) must run, and
+# the masked secure backend must train through silo dropout.  Then
 # the composition contract from both sides (docs/api.md, "What composes
 # with what"): ULDP-SGD under a byte-capped scenario runs, and a method
 # without the per-silo step under buffered-async is refused at validation
@@ -118,6 +120,9 @@ sweep-smoke:
 	test -s sweep-smoke/fig08.json
 	$(PYTHON) -m repro figure fig05 --scale smoke
 	$(PYTHON) -m repro figure fig10 --scale smoke
+	$(PYTHON) -m repro run --set method.name=secure-uldp-avg \
+		--set crypto.backend=masked --set sim.scenario=flaky-silos \
+		--set sim.scale=smoke
 	$(PYTHON) -m repro run --set method.name=uldp-sgd \
 		--set sim.scenario=bandwidth-cap --set sim.scale=smoke
 	$(PYTHON) -m repro run --set method.name=default \

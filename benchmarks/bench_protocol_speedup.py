@@ -43,13 +43,8 @@ import numpy as np
 import pytest
 from conftest import print_header, write_bench_json
 
-from repro.core.weighting import proportional_weights
 from repro.crypto.dh import DHGroup
-from repro.crypto.secagg import (
-    MaskedAggregationProtocol,
-    encode_weighted_payload,
-    weight_numerators,
-)
+from repro.crypto.secagg import MaskedAggregationProtocol
 from repro.protocol import PrivateWeightingProtocol
 
 MASKED_TARGET_SPEEDUP = 10.0
@@ -124,26 +119,15 @@ def timed_round(hist, d, key_bits):
 
 
 def timed_masked_round(hist, d):
-    """Masked backend on the identical inputs: encode + mask + sum + decode."""
+    """Masked backend on the identical inputs: each silo encodes and masks
+    its own payload, the server sums and decodes."""
     proto = MaskedAggregationProtocol(
-        hist.shape[0], mask_bits=MASK_BITS, n_max=N_MAX, seed=SEED, group=DH_GROUP
+        hist, mask_bits=MASK_BITS, n_max=N_MAX, seed=SEED, dh_group=DH_GROUP
     )
     proto.run_setup()
     deltas, noises = round_inputs(hist, d)
-    numerators = weight_numerators(proportional_weights(hist), hist, proto.c_lcm)
     start = time.perf_counter()
-    vectors = [
-        encode_weighted_payload(
-            deltas[s],
-            {u: numerators[s, u] for u in deltas[s]},
-            noises[s],
-            proto.precision,
-            proto.c_lcm,
-            proto.modulus,
-        )
-        for s in range(hist.shape[0])
-    ]
-    aggregate = proto.decode_aggregate(proto.run_round(vectors))
+    aggregate = proto.run_round(deltas, noises)
     seconds = time.perf_counter() - start
     return aggregate, proto, seconds
 

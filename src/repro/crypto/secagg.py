@@ -18,12 +18,12 @@ schedules run by :class:`~repro.protocol.driver.Driver` between a
   silos and the server subtracts those streams -- per-round derivations,
   so the reveal exposes this round's masks only.
 
-Silo ``s`` submits ``sum_u Encode(delta_su) * (n_su * C_LCM / N_u) +
-Encode(z_s) * C_LCM`` per coordinate in ``F_{2^mask_bits}`` with Protocol
-1's fixed-point encoding (:mod:`repro.crypto.encoding`), so the decoded
-aggregate is the *identical integer arithmetic* Protocol 1 decrypts: the
-two backends agree bit for bit under full participation
-(``tests/protocol/test_backend_equivalence.py``).
+A round takes Protocol 1's inputs, and silo ``s`` forms its own upload:
+``sum_u Encode(delta_su) * (n_su * C_LCM / N_u) + Encode(z_s) * C_LCM`` per
+coordinate in ``F_{2^mask_bits}`` with Protocol 1's fixed-point encoding
+(:mod:`repro.crypto.encoding`), so the decoded aggregate is the *identical
+integer arithmetic* Protocol 1 decrypts: the two backends agree bit for bit
+under full participation (``tests/protocol/test_backend_equivalence.py``).
 
 Security caveat (``docs/protocol_performance.md``): this is the semi-honest
 single-mask scheme.  Real Bonawitz et al. adds self-masks with
@@ -38,6 +38,7 @@ import random
 
 import numpy as np
 
+from repro.core.weighting import QuorumError, proportional_weights
 from repro.crypto.dh import DHGroup, DHKeypair, derive_shared_key
 from repro.crypto.encoding import (
     DEFAULT_PRECISION,
@@ -47,6 +48,7 @@ from repro.crypto.encoding import (
     encode_vector,
     lcm_up_to,
     require_magnitude_headroom,
+    round_max_abs,
 )
 from repro.crypto.masking import PairwiseMasker, prg_field_elements
 from repro.net.wire import Frame, blob_ints, int_blob
@@ -98,16 +100,10 @@ def weight_numerators(
         raise ValueError("round_weights and histogram shapes differ")
     totals = hist.sum(axis=0)
     numerators = np.zeros(weights.shape, dtype=object)
-    for s in range(weights.shape[0]):
-        for u in range(weights.shape[1]):
-            w = weights[s, u]
-            if w == 0.0:
-                continue
-            n_u = int(totals[u])
-            if n_u > 0 and w == float(hist[s, u]) / float(n_u):
-                numerators[s, u] = int(hist[s, u]) * (c_lcm // n_u)
-            else:
-                numerators[s, u] = int(round(w * c_lcm))
+    for s, u in zip(*np.nonzero(weights)):
+        w, n_u = weights[s, u], int(totals[u])
+        exact = n_u > 0 and w == float(hist[s, u]) / float(n_u)
+        numerators[s, u] = int(hist[s, u]) * (c_lcm // n_u) if exact else int(round(w * c_lcm))
     return numerators
 
 
@@ -134,11 +130,15 @@ def encode_weighted_payload(
 
 
 class MaskedSilo(KeyHolder):
-    """One silo: DH key agreement plus per-round masking.  Before a round
-    the protocol sets :attr:`inputs` -- ``(field vector, round_no, modulus)``."""
+    """One silo: DH key agreement, then per round its own masked upload.
+    ``encoding`` is ``(precision, C_LCM, modulus)``; before a round the
+    protocol sets :attr:`inputs` -- ``(clipped deltas, {user: weight
+    numerator}, noise, round_no)``."""
 
-    def __init__(self, silo_id: int, group: DHGroup, rng: random.Random | None = None):
+    def __init__(self, silo_id: int, group: DHGroup, encoding: tuple,
+                 rng: random.Random | None = None):
         self.silo_id = silo_id
+        self.encoding = encoding
         self.dh_keypair: DHKeypair = group.keypair(rng=rng)
         self.pair_keys: dict[int, bytes] = {}
         self.inputs: tuple | None = None
@@ -158,8 +158,11 @@ class MaskedSilo(KeyHolder):
                 self.pair_keys[peer] = derive_shared_key(secret, PAIR_KEY_CONTEXT)
 
     def on_upload(self, frame):
-        """Add this round's net pairwise mask to the field vector."""
-        values, round_no, m = self.inputs
+        """Encode the weighted payload, then add this round's net pairwise
+        mask: the masked counterpart of Protocol 1's ``SiloParty.on_weigh``."""
+        deltas, numerators, noise, round_no = self.inputs
+        precision, c_lcm, m = self.encoding
+        values = encode_weighted_payload(deltas, numerators, noise, precision, c_lcm, m)
         keys = {peer: derive_round_key(key, round_no) for peer, key in self.pair_keys.items()}
         mask = PairwiseMasker(self.silo_id, keys, m).mask_vector(len(values), MASK_STREAM_CONTEXT)
         vector = int_blob([(v + r) % m for v, r in zip(values, mask)], m)
@@ -218,55 +221,69 @@ class MaskedServer(KeyRelay):
 class MaskedAggregationProtocol(Driver):
     """Masked secure aggregation across a fixed silo roster.
 
-    Unlike :class:`~repro.protocol.runner.PrivateWeightingProtocol`, rounds
-    accept *partial participation*: ``None`` marks a dropped silo, and the
-    round yields exactly the field sum over the survivors.  Under a
-    ``seed`` the DH keys come from a seeded ``random.Random``, so a
-    checkpoint/resume rebuild derives identical pair keys and only
-    :attr:`round_no` is dynamic state.  ``group`` is the key-agreement
-    group; None = RFC 3526 group 14 (tests pass a 512-bit group).
+    ``histogram`` is the true n[s, u] matrix (the weight numerators' exact
+    form); ``n_max``, ``precision`` and ``dh_group`` (None = RFC 3526 group
+    14) are Protocol 1's.  Unlike
+    :class:`~repro.protocol.runner.PrivateWeightingProtocol`, rounds accept
+    *partial participation*: a dropped silo has no noise, and the round
+    yields the weighted sum over the survivors -- at least
+    ``min_survivors`` of them, or :class:`~repro.core.weighting.QuorumError`
+    (a server faking dropouts to shrink the survivor set,
+    docs/protocol_performance.md).  Under a ``seed`` the DH keys come from a
+    seeded ``random.Random``, so a checkpoint/resume rebuild derives
+    identical pair keys and only :attr:`round_no` is dynamic state.
     """
+
+    key_knob, key_is_modulus = "mask_bits", False
+    dropout_refusal = None
+    silos_see_sampling = True
 
     def __init__(
         self,
-        n_silos: int,
+        histogram: np.ndarray,
         mask_bits: int = 256,
         precision: float = DEFAULT_PRECISION,
         n_max: int = 64,
         seed: int | None = None,
-        group: DHGroup | None = None,
+        dh_group: DHGroup | None = None,
+        min_survivors: int = 1,
     ):
         super().__init__()
-        if n_silos < 1:
-            raise ValueError("need at least one silo")
+        histogram = np.asarray(histogram, dtype=np.int64)
+        if histogram.ndim != 2 or histogram.shape[0] < 1:
+            raise ValueError("histogram must be (|S|, |U|) with at least one silo")
+        if int(histogram.sum(axis=0).max(initial=0)) > n_max:
+            raise ValueError("some user exceeds N_max across silos; raise n_max")
         if mask_bits < 64:
             raise ValueError("mask_bits must be at least 64")
-        self.n_silos = n_silos
-        self.mask_bits = mask_bits
-        self.modulus = 1 << mask_bits
-        self.precision = precision
-        self.n_max = n_max
-        self.c_lcm = lcm_up_to(n_max)
-        # check_round_magnitude has no floor on max_abs, and its callers
-        # count n_silos * (n_users + 1) terms with at least one user.
-        require_magnitude_headroom(n_max, "mask_bits", mask_bits, precision, 0.0, 2 * n_silos)
-        self.group = group if group is not None else DHGroup.rfc3526_2048()
+        self.histogram = histogram
+        self.n_silos, self.n_users = histogram.shape
+        self.mask_bits, self.modulus = mask_bits, 1 << mask_bits
+        self.n_max, self.c_lcm, self.precision = n_max, lcm_up_to(n_max), precision
+        self.min_survivors = min_survivors
+        self._num_terms = self.n_silos * (self.n_users + 1)
+        # check_round_magnitude has no floor on max_abs.
+        require_magnitude_headroom(n_max, self.key_knob, mask_bits, precision, 0.0, self._num_terms)
+        self.group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
         self.rng = random.Random(seed) if seed is not None else None
         self.silos: list[MaskedSilo] = []
         self.server: MaskedServer | None = None
-        self.round_no = 0
 
     @property
     def mask_bytes(self) -> int:
         """Uplink bytes per coordinate (one field element)."""
         return (self.mask_bits + 7) // 8
 
+    coordinate_bytes = mask_bytes
+
     def run_setup(self) -> None:
         """DH keygen and pairwise key agreement (once per training run)."""
         with self.phase("keygen"):
-            self.silos = [MaskedSilo(s, self.group, rng=self.rng) for s in range(self.n_silos)]
+            encoding = (self.precision, self.c_lcm, self.modulus)
+            self.silos = [MaskedSilo(s, self.group, encoding, rng=self.rng)
+                          for s in range(self.n_silos)]
             self.server = MaskedServer(self.n_silos, self.modulus)
-        self.run(KEY_EXCHANGE)
+        self.setup(KEY_EXCHANGE)
 
     def check_round_magnitude(self, max_abs_value: float, num_terms: int) -> None:
         """Theorem 4 condition (2) for the mask field; raises on overflow."""
@@ -278,28 +295,41 @@ class MaskedAggregationProtocol(Driver):
                 f"mask_bits, lower n_max (= {self.n_max}), or coarsen precision"
             )
 
-    def run_round(self, field_vectors: list[list[int] | None]) -> list[int]:
-        """One aggregation round; ``None`` entries are dropped silos.
-
-        Returns the per-coordinate field sum over the surviving silos'
-        plaintext vectors (masks cancelled / recovered), ready for
-        :meth:`decode_aggregate`.
-        """
-        if not self.silos:
-            raise RuntimeError("run_setup() must be called before run_round()")
-        if len(field_vectors) != self.n_silos:
-            raise ValueError("need one (possibly None) vector per silo")
-        survivors = [s for s, v in enumerate(field_vectors) if v is not None]
+    def run_round(
+        self,
+        clipped_deltas: list[dict[int, np.ndarray]],
+        noises: list[np.ndarray | None],
+        round_weights: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Protocol 1's round inputs, a dropped silo's noise None (weights
+        None = the histogram's ``n_su / N_u``).  Quorum, weight numerators
+        and magnitude budget are settled before any party state changes;
+        each survivor then encodes and masks its own payload.  Returns the
+        decoded weighted sum over the survivors plus their noise."""
+        self.require_setup()
+        if len(clipped_deltas) != self.n_silos or len(noises) != self.n_silos:
+            raise ValueError("need one delta dict and noise entry per silo")
+        survivors = [s for s, noise in enumerate(noises) if noise is not None]
         if not survivors:
             raise ValueError("cannot aggregate a round with zero survivors")
-        d = len(field_vectors[survivors[0]])
-        if any(len(field_vectors[s]) != d for s in survivors):
+        if len(survivors) < self.min_survivors:
+            raise QuorumError(
+                f"masked secure aggregation has {len(survivors)} surviving silo(s) this "
+                f"round, below min_survivors={self.min_survivors}; refusing to aggregate "
+                "over so few silos (see docs/protocol_performance.md)")
+        if any(len(noises[s]) != len(noises[survivors[0]]) for s in survivors):
             raise ValueError("silo vector length mismatch")
+        if round_weights is None:
+            round_weights = proportional_weights(self.histogram)
+        numerators = weight_numerators(round_weights, self.histogram, self.c_lcm)
+        max_abs = round_max_abs(clipped_deltas, [noises[s] for s in survivors], survivors)
+        self.check_round_magnitude(max_abs, self._num_terms)
         for s in survivors:
-            self.silos[s].inputs = (field_vectors[s], self.round_no, self.modulus)
-        self.run(ROUND, silos=survivors)
-        self.round_no += 1
-        return self.server.totals
+            deltas = clipped_deltas[s]
+            nums = {user: numerators[s, user] for user in deltas}
+            self.silos[s].inputs = (deltas, nums, noises[s], self.round_no)
+        self.round(ROUND, silos=survivors)
+        return self.decode_aggregate(self.server.totals)
 
     def decode_aggregate(self, totals: list[int]) -> np.ndarray:
         """Field sum -> float aggregate (signed decode, /C_LCM, *precision)."""
@@ -309,7 +339,8 @@ class MaskedAggregationProtocol(Driver):
 
     def state_dict(self) -> dict:
         """Dynamic protocol state; key material is rebuilt from the seed."""
-        return {"round_no": self.round_no}
+        return {"backend": "masked", "round_no": self.round_no}
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict | None) -> None:
+        super().load_state(state)
         self.round_no = int(state["round_no"])

@@ -15,8 +15,8 @@ while any has one (so the OT round runs one (silo, user) at a time); a
 phase with none is skipped.  Each phase is timed and opens one
 ``kind="phase"`` trace span; every delivered frame goes to
 :attr:`Driver.log`, whose server-bound frames are the server's view
-(Theorem 5).  Frames cross in memory, unpacked; a socket transport would
-change no party.
+(Theorem 5); it keeps the set-up's and the latest round's.  Frames cross
+in memory, unpacked; a socket transport would change no party.
 """
 
 from __future__ import annotations
@@ -105,13 +105,15 @@ def _matches(row, entry) -> bool:
 
 class Driver:
     """Runs schedules between ``self.server`` and ``self.silos`` (set by the
-    subclass); keeps the frame log and the per-phase seconds and counts
-    (plain float adds: not thread-safe).  ``workers`` sizes the kernel
-    pool: None = min(|S|, cpus), 1 = in-process."""
+    subclass); keeps the frame log, the round counter and the per-phase
+    seconds and counts (plain float adds: not thread-safe).  ``workers``
+    sizes the kernel pool: None = min(|S|, cpus), 1 = in-process."""
 
     def __init__(self, workers: int | None = None):
         self.workers = workers
         self.log: list[Delivery] = []
+        self.round_no = 0
+        self._setup_len: int | None = None
         self.seconds: dict[str, float] = defaultdict(float)
         self.counts: dict[str, int] = defaultdict(int)
         self._outbox: list[tuple[str | int, str, Frame]] = []
@@ -135,6 +137,36 @@ class Driver:
     def received(self, frame_type: str) -> list[Frame]:
         """The frames of ``frame_type`` the server received, in order."""
         return [d.frame for d in self.log if d.receiver == SERVER and d.frame.type == frame_type]
+
+    def setup(self, schedule) -> None:
+        """Run the set-up ``schedule``; its deliveries stay in :attr:`log`."""
+        self.run(schedule)
+        self._setup_len = len(self.log)
+
+    def require_setup(self) -> None:
+        """Refuse a round before :meth:`setup` ran (no party state moves)."""
+        if self._setup_len is None:
+            raise RuntimeError("run_setup must be called first")
+
+    def round(self, schedule, silos=None) -> None:
+        """Run one round's ``schedule`` (refused before set-up), after
+        dropping the previous round's deliveries from :attr:`log`."""
+        self.require_setup()
+        del self.log[self._setup_len :]
+        self.run(schedule, silos)
+        self.round_no += 1
+
+    def state_dict(self) -> dict | None:
+        """Checkpoint state, tagged ``"backend"`` (None: keys rebuild from the seed)."""
+        return None
+
+    def load_state(self, state: dict | None) -> None:
+        """Refuse another backend's checkpoint state."""
+        if (state or {}).get("backend") != (self.state_dict() or {}).get("backend"):
+            raise ValueError(
+                "checkpoint and rebuilt method disagree about the crypto "
+                "backend; was the spec's crypto section changed?"
+            )
 
     def run(self, schedule, silos=None) -> None:
         """Run ``schedule``; its :data:`HOST` rows step the server and the

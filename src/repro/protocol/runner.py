@@ -67,7 +67,9 @@ class PrivateWeightingProtocol(Driver):
     row*.  ``n_max`` bounds records per user (C_LCM = lcm(1..n_max));
     ``precision`` is Algorithm 5's P; ``dh_group`` None = RFC 3526 group
     14; ``seed`` None = secrets-based randomness; ``workers`` sizes the
-    kernel pool (None = min(|S|, cpus), 1 = in-process).
+    kernel pool (None = min(|S|, cpus), 1 = in-process); ``ot_slots = P``
+    runs every round as :meth:`run_round_ot_sampling` at q = 1/P.  The
+    silos train on the unsampled weights: sampling is encrypted too.
 
     Under a seeded RNG every silo ciphertext decrypts to the same element
     of F_n as the seed implementation's, the RNG ends each round in the
@@ -77,6 +79,18 @@ class PrivateWeightingProtocol(Driver):
 
     server_cls = ServerParty
     silo_cls = SiloParty
+    #: The knob sizing the key (named by budget errors and the security
+    #: line), and whether that size is a factoring modulus NIST rates.
+    key_knob, key_is_modulus = "paillier_bits", True
+    #: Why a round refuses silo dropout (None: it accepts it).
+    dropout_refusal = (
+        "the Paillier crypto backend ('fast') does not support partial participation: "
+        "per-user weights are fixed inside the encrypted setup and silo dropout would "
+        "desynchronise the blinding-mask cancellation; use crypto_backend='masked' "
+        "(pairwise-mask secure aggregation with dropout recovery) for secure rounds under dropout"
+    )
+    #: Whether the silos train on the sampled (zeroed) round weights.
+    silos_see_sampling = False
 
     def __init__(
         self,
@@ -87,6 +101,7 @@ class PrivateWeightingProtocol(Driver):
         dh_group: DHGroup | None = None,
         seed: int | None = None,
         workers: int | None = None,
+        ot_slots: int | None = None,
     ):
         super().__init__(workers)
         histogram = np.asarray(histogram, dtype=np.int64)
@@ -103,8 +118,9 @@ class PrivateWeightingProtocol(Driver):
         self.precision = precision
         self._num_terms = self.n_silos * (self.n_users + 1)
         # _check_round_inputs floors max_abs at 1.0 and sees n < 2**bits.
-        require_magnitude_headroom(n_max, "paillier_bits", paillier_bits, precision, 1.0, self._num_terms)
-        self.round_no = 0
+        require_magnitude_headroom(n_max, self.key_knob, paillier_bits, precision, 1.0, self._num_terms)
+        self.ot_slots = ot_slots
+        self.subsampler: PrivateSubsampler | None = None
         self.rng = rng = random.Random(seed) if seed is not None else None
 
         group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
@@ -113,7 +129,6 @@ class PrivateWeightingProtocol(Driver):
             self.silos = [self.silo_cls(s, histogram[s], n_max, group, rng=rng)
                           for s in range(self.n_silos)]
         self.server.decoding = (precision, self.c_lcm)
-        self._setup_done = False
 
     @property
     def ciphertext_bytes(self) -> int:
@@ -121,10 +136,13 @@ class PrivateWeightingProtocol(Driver):
         round ships one per coordinate per silo."""
         return (self.server.public_key.n_squared.bit_length() + 7) // 8
 
+    coordinate_bytes = ciphertext_bytes
+
     def run_setup(self) -> None:
         """Steps 1(a)-(f): key exchange, seed transport, blinded histogram."""
-        self.run(SETUP)
-        self._setup_done = True
+        self.setup(SETUP)
+        if self.ot_slots is not None:
+            self.subsampler = PrivateSubsampler(self.silos[0].shared_seed, self.ot_slots)
 
     # -- Weighting phase -------------------------------------------------------
 
@@ -152,29 +170,30 @@ class PrivateWeightingProtocol(Driver):
         self,
         clipped_deltas: list[dict[int, np.ndarray]],
         noises: list[np.ndarray],
-        sampled_users: np.ndarray | None = None,
+        round_weights: np.ndarray | None = None,
     ) -> np.ndarray:
         """Steps 2(a)-(c) for one round: per silo a {user: clipped delta}
         dict and a noise vector; the server zeroes the encrypted weights of
-        users outside ``sampled_users`` (None = everyone).  Returns the
-        decoded sum of ``(n_su / N_u) * delta_su`` plus the summed noise."""
+        users whose ``round_weights`` column is all zero (None = everyone
+        sampled; the weights themselves are the set-up's ``n_su / N_u``).
+        Returns the decoded sum of ``(n_su / N_u) * delta_su`` over the
+        sampled users plus the summed noise.  With ``ot_slots``, the OT
+        round of :meth:`run_round_ot_sampling` samples instead."""
+        if self.subsampler is not None:
+            return self.run_round_ot_sampling(clipped_deltas, noises, self.subsampler)
         self._start_round(clipped_deltas, noises)
-        self.server.sampled = sampled_users
-        return self._finish_round(ROUND)
+        self.server.sampled = (None if round_weights is None
+                               else np.flatnonzero(np.sum(round_weights, axis=0) > 0))
+        self.round(ROUND)
+        return self.server.aggregate
 
     def _start_round(self, clipped_deltas, noises) -> None:
         """Refuse a round before set-up or on bad inputs -- before any
         party state changes -- then hand each silo its local inputs."""
-        if not self._setup_done:
-            raise RuntimeError("run_setup must be called first")
+        self.require_setup()
         self._check_round_inputs(clipped_deltas, noises)
         for silo, deltas, noise in zip(self.silos, clipped_deltas, noises):
             silo.inputs = (deltas, noise, self.round_no, self.precision)
-
-    def _finish_round(self, schedule) -> np.ndarray:
-        self.run(schedule)
-        self.round_no += 1
-        return self.server.aggregate
 
     # -- Private sub-sampling via 1-out-of-P OT (Section 4.1 extension) --------
 
@@ -194,11 +213,13 @@ class PrivateWeightingProtocol(Driver):
         shared seed R per user and round, so a user participates with
         probability 1/P.  Returns the aggregate over the sampled users.
         """
-        if self._setup_done and self.silos[0].shared_seed != subsampler.shared_seed:
+        self.require_setup()
+        if self.silos[0].shared_seed != subsampler.shared_seed:
             raise ValueError("subsampler must be seeded with the silos' shared seed R")
         self._start_round(clipped_deltas, noises)
         self.server.ot = (self.silos[0].dh_keypair.group, subsampler.n_slots)
-        return self._finish_round(OT_ROUND)
+        self.round(OT_ROUND)
+        return self.server.aggregate
 
     # -- Reference computation -------------------------------------------------
 

@@ -17,13 +17,8 @@ from repro.compress.sparsify import scatter
 from repro.compress.spec import CompressionSpec
 from repro.core.methods.uldp_avg import UldpAvg
 from repro.crypto.dh import DHGroup
-from repro.crypto.encoding import MagnitudeBudgetError, round_max_abs
-from repro.crypto.secagg import (
-    MaskedAggregationProtocol,
-    encode_weighted_payload,
-    weight_numerators,
-)
-from repro.protocol.oblivious import PrivateSubsampler
+from repro.crypto.encoding import MagnitudeBudgetError
+from repro.crypto.secagg import MaskedAggregationProtocol
 from repro.protocol.runner import PrivateWeightingProtocol
 
 #: Accepted ``crypto_backend`` values (mirrored by
@@ -61,19 +56,16 @@ class SecureUldpAvg(UldpAvg):
     one process (``[net]`` refuses this method: its silos would ship those
     rows in the clear).
 
-    ``crypto_backend`` picks :attr:`protocol`.  ``"fast"`` (default) is
+    ``crypto_backend`` picks :attr:`protocol`: ``"fast"`` (default) is
     Protocol 1 over Paillier (:class:`PrivateWeightingProtocol`, across-silo
-    kernels on ``protocol_workers`` processes); under a seeded protocol RNG
-    its aggregates and histories equal the seed implementation's, the test
-    oracle ``tests/protocol/oracle_reference.py``.  ``"masked"`` is
-    pairwise-mask secure aggregation
-    (:class:`repro.crypto.secagg.MaskedAggregationProtocol`): orders of
-    magnitude faster, ``mask_bits // 8`` uplink bytes per coordinate, and
-    alone it accepts a :class:`~repro.core.weighting.RoundParticipation`
-    with silo dropout.  It keeps the plaintext Algorithm 4 visibility
-    model (silos see the zeroed sampling weights), so it is bit-identical
-    to Paillier under full participation and to plaintext :class:`UldpAvg`
-    under any participation.
+    kernels on ``protocol_workers`` processes), ``"masked"`` pairwise-mask
+    secure aggregation (:class:`repro.crypto.secagg.MaskedAggregationProtocol`).
+    Both take one round contract -- per-silo delta dicts, per-silo noise and
+    the round weights -- and carry what differs between them: dropout
+    support, which weights the silos train on, uplink bytes per coordinate,
+    the key size the security line names, checkpoint state.  Under full
+    participation the two are bit-identical, and masked equals plaintext
+    :class:`UldpAvg` under any participation.
 
     ``private_subsampling_slots = P`` (Paillier only) samples users at
     q = 1/P by OT so that *neither* side learns the outcome; with
@@ -162,15 +154,10 @@ class SecureUldpAvg(UldpAvg):
         self.crypto_backend = crypto_backend
         self.protocol_workers = protocol_workers
         self.mask_bits = mask_bits
-        #: Masked-backend survivor quorum: fewer surviving silos raise
-        #: :class:`repro.core.weighting.QuorumError` (docs/protocol_performance.md:
-        #: a server faking dropouts to shrink the survivor set).
         self.min_survivors = min_survivors
         self.dh_group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
-        self.subsampler: PrivateSubsampler | None = None
         #: The backend's protocol driver, built and set up by ``prepare``.
         self.protocol: PrivateWeightingProtocol | MaskedAggregationProtocol | None = None
-        self._histogram: np.ndarray | None = None
 
     @property
     def display_name(self) -> str:
@@ -208,7 +195,7 @@ class SecureUldpAvg(UldpAvg):
         except MagnitudeBudgetError as exc:
             if n_max == self.n_max:
                 raise
-            knob = "mask_bits" if self.crypto_backend == "masked" else "paillier_bits"
+            knob = self._backend()[0].key_knob
             raise MagnitudeBudgetError(
                 f"{exc}.  Here n_max cannot be lowered: it was raised from "
                 f"the configured {self.n_max} because one user holds {n_max} "
@@ -216,27 +203,25 @@ class SecureUldpAvg(UldpAvg):
                 "records over more users (dataset.users)"
             ) from exc
 
+    def _backend(self) -> tuple[type, dict]:
+        """The backend's protocol class and its backend-only arguments."""
+        if self.crypto_backend == "masked":
+            return MaskedAggregationProtocol, {
+                "mask_bits": self.mask_bits, "min_survivors": self.min_survivors}
+        return self.protocol_cls, {
+            "paillier_bits": self.paillier_bits, "workers": self.protocol_workers,
+            "ot_slots": self.private_subsampling_slots}
+
     def _build_protocol(self, fed, n_max: int) -> None:
         """Construct the backend's protocol object and run its set-up."""
         if self.protocol is not None:
             self.protocol.close()
-        self._histogram = fed.histogram()
-        if self.crypto_backend == "masked":
-            self.protocol = MaskedAggregationProtocol(
-                fed.n_silos, mask_bits=self.mask_bits, precision=self.precision,
-                n_max=n_max, seed=self.protocol_seed, group=self.dh_group,
-            )
-        else:
-            self.protocol = self.protocol_cls(
-                self._histogram, n_max=n_max, paillier_bits=self.paillier_bits,
-                precision=self.precision, dh_group=self.dh_group,
-                seed=self.protocol_seed, workers=self.protocol_workers,
-            )
+        cls, args = self._backend()
+        self.protocol = cls(
+            fed.histogram(), n_max=n_max, precision=self.precision,
+            seed=self.protocol_seed, dh_group=self.dh_group, **args,
+        )
         self.protocol.run_setup()
-        if self.private_subsampling_slots is not None:
-            seed = self.protocol.silos[0].shared_seed
-            assert seed is not None
-            self.subsampler = PrivateSubsampler(seed, self.private_subsampling_slots)
 
     def close(self) -> None:
         """Release the shard engine's pool and the protocol's (idempotent)."""
@@ -261,13 +246,12 @@ class SecureUldpAvg(UldpAvg):
             f"dh={group.label} ({_rating(strengths[0])}, "
             f"{group.exponent_bits}-bit exponents)"
         ]
-        if self.crypto_backend == "masked":
-            parts.append(f"mask_bits={self.mask_bits}")
-        else:
-            strengths.append(modulus_strength_bits(self.paillier_bits))
-            parts.append(
-                f"paillier_bits={self.paillier_bits} ({_rating(strengths[1])})"
-            )
+        cls, args = self._backend()
+        bits = args[cls.key_knob]
+        parts.append(f"{cls.key_knob}={bits}")
+        if cls.key_is_modulus:
+            strengths.append(modulus_strength_bits(bits))
+            parts[-1] += f" ({_rating(strengths[-1])})"
         seeded = self.protocol_seed is not None
         parts.append(
             "keys: seeded (reproducible, not secret)" if seeded else "keys: secrets"
@@ -278,31 +262,23 @@ class SecureUldpAvg(UldpAvg):
         )
 
     def round(self, t, params, participation=None):
-        """Paillier rounds need the full roster (the encrypted weights are
-        fixed at set-up); masked rounds recover a dropped silo's masks, so
-        they run any participation the plaintext method accepts."""
-        if participation is not None and self.crypto_backend != "masked":
-            raise NotImplementedError(
-                "the Paillier crypto backend ('fast') does not "
-                "support partial participation: per-user weights are fixed "
-                "inside the encrypted setup and silo dropout would "
-                "desynchronise the blinding-mask cancellation; use "
-                "crypto_backend='masked' (pairwise-mask secure aggregation "
-                "with dropout recovery) for secure rounds under dropout"
-            )
+        """A backend that needs the full roster refuses any participation
+        before a silo trains; the masked one recovers a dropped silo's
+        masks, so it runs any participation the plaintext method accepts."""
+        refusal = self.protocol.dropout_refusal
+        if participation is not None and refusal is not None:
+            raise NotImplementedError(refusal)
         return super().round(t, params, participation)
 
     def _round_aggregate(self, params, round_weights):
         """The protocol replaces the plaintext sum of silo payloads.
 
-        Under Paillier the silos must not learn the sub-sampling outcome:
-        every silo trains every present user (the *unsampled* weight row)
-        and unsampled users cancel inside the encrypted domain -- Enc(0)
-        weights from the server's zeroed columns, or, with OT, dummies no
-        party can tell from real weights.  The masked backend keeps the
-        plaintext visibility model (zeroed weights reach the silos); since
-        zero-weight users contribute exactly zero either way, both backends
-        agree.
+        The silos train on the round weights or, where the protocol hides
+        the sub-sampling outcome from them (Paillier), on the unsampled
+        weight row: unsampled users then cancel inside the encrypted domain
+        -- Enc(0) weights from the server's zeroed columns, or, with OT,
+        dummies no party can tell from real weights.  Zero-weight users
+        contribute exactly zero either way, so both backends agree.
 
         With ``sparsify="randk"`` every delta and noise vector is first
         restricted to one shared random support (in deployment drawn from
@@ -311,22 +287,21 @@ class SecureUldpAvg(UldpAvg):
         aggregate is scattered back with exact zeros elsewhere.
         """
         fed, _, _ = self._require_prepared()
-        masked = self.crypto_backend == "masked"
-        train_weights = round_weights if masked else self.weights
+        proto = self.protocol
+        train_weights = round_weights if proto.silos_see_sampling else self.weights
         noise_std = self._noise_std()
-        # One {user: clipped delta} dict per silo (empty for a dropped one,
-        # which keeps silo indices aligned), one noise vector per active silo.
+        # One {user: clipped delta} dict per silo and one noise vector per
+        # silo; a dropped silo has an empty dict and no noise.
         contributions: list[dict[int, np.ndarray]] = [{} for _ in fed.silos]
-        noises: list[np.ndarray] = []
+        noises: list[np.ndarray | None] = [None for _ in fed.silos]
         for s in self._active_silos():
-            users, rows, noise = self.silo_round_segment(
+            users, rows, noises[s] = self.silo_round_segment(
                 s, params, train_weights[s], noise_std
             )
             contributions[s] = dict(zip(users, rows))
-            noises.append(noise)
         users_seen = {user for per_silo in contributions for user in per_silo}
 
-        dim = len(noises[0])
+        dim = params.size
         support = None
         comp = self.compressor
         if comp is not None and comp.spec.sparsify == "randk":
@@ -335,55 +310,12 @@ class SecureUldpAvg(UldpAvg):
                 {user: delta[support] for user, delta in per_silo.items()}
                 for per_silo in contributions
             ]
-            noises = [noise[support] for noise in noises]
-        if masked:
-            aggregate = self._aggregate_masked(contributions, noises, round_weights)
-        elif self.subsampler is not None:
-            aggregate = self.protocol.run_round_ot_sampling(
-                contributions, noises, self.subsampler
-            )
-        else:
-            sampled = np.where(round_weights.sum(axis=0) > 0)[0]
-            aggregate = self.protocol.run_round(
-                contributions, noises, sampled_users=sampled
-            )
-        uplink = len(noises) * len(noises[0]) * self._coordinate_bytes()
+            noises = [None if noise is None else noise[support] for noise in noises]
+        aggregate = proto.run_round(contributions, noises, round_weights)
+        uplink = sum(len(z) for z in noises if z is not None) * proto.coordinate_bytes
         if support is not None:
             aggregate = scatter(support, aggregate, dim)
         return aggregate, users_seen, uplink
-
-    def _aggregate_masked(self, contributions, noises, round_weights):
-        """Masked secure aggregation over the (possibly partial) roster:
-        each active silo's field vector is ``sum_u Encode(delta_su) * (n_su
-        * C_LCM / N_u) + Encode(z_s) * C_LCM``, the integer the Paillier
-        path decrypts; a dropped silo sends nothing."""
-        proto = self.protocol
-        active = self._active_silo_mask
-        fed, _, _ = self._require_prepared()
-        survivors = int(active.sum()) if active is not None else len(contributions)
-        if survivors < self.min_survivors:
-            from repro.core.weighting import QuorumError
-
-            raise QuorumError(
-                f"masked secure aggregation has {survivors} surviving "
-                f"silo(s) this round, below min_survivors="
-                f"{self.min_survivors}; refusing to aggregate over so few "
-                "silos (see docs/protocol_performance.md)"
-            )
-        numerators = weight_numerators(round_weights, self._histogram, proto.c_lcm)
-        # One noise vector per active silo; a dropped silo sends no payload.
-        noise_of = dict(zip(self._active_silos(), noises))
-        max_abs = round_max_abs(contributions, noises, list(noise_of))
-        proto.check_round_magnitude(
-            max_abs, num_terms=fed.n_silos * (fed.n_users + 1)
-        )
-        vectors: list[list[int] | None] = [None] * len(contributions)
-        for s, noise in noise_of.items():
-            per_user = contributions[s]
-            nums = {user: numerators[s, user] for user in per_user}
-            vectors[s] = encode_weighted_payload(
-                per_user, nums, noise, self.precision, proto.c_lcm, proto.modulus)
-        return proto.decode_aggregate(proto.run_round(vectors))
 
     def uplink_payload_bytes(self) -> int:
         """One silo's uplink in *wire* bytes: one ciphertext (Paillier) or
@@ -393,11 +325,7 @@ class SecureUldpAvg(UldpAvg):
         comp = self.compressor
         if comp is not None and comp.spec.sparsify == "randk":
             dim = comp.spec.keep_count(dim)
-        return dim * self._coordinate_bytes()
-
-    def _coordinate_bytes(self) -> int:
-        masked = self.crypto_backend == "masked"
-        return self.protocol.mask_bytes if masked else self.protocol.ciphertext_bytes
+        return dim * self.protocol.coordinate_bytes
 
     def timing_report(self) -> dict[str, float]:
         """Per-phase wall-clock totals (for the Fig. 10/11 benches)."""
@@ -406,24 +334,11 @@ class SecureUldpAvg(UldpAvg):
     # -- checkpoint serialisation -------------------------------------------
 
     def state_dict(self) -> dict:
-        """The base state plus the masked protocol's round counter, which
-        keys its masks (keys rebuild from ``protocol_seed``; Paillier
-        rounds hold no state)."""
-        protocol = None
-        if isinstance(self.protocol, MaskedAggregationProtocol):
-            protocol = {"backend": "masked", **self.protocol.state_dict()}
-        return {**super().state_dict(), "protocol": protocol}
+        """The base state plus the protocol's (the masked round counter,
+        which keys its masks; keys rebuild from ``protocol_seed``)."""
+        return {**super().state_dict(), "protocol": self.protocol.state_dict()}
 
     def load_state(self, state: dict) -> None:
         state = dict(state)
-        saved = state.pop("protocol", None)
-        masked = isinstance(self.protocol, MaskedAggregationProtocol)
-        backend = "masked" if masked else None
-        if (saved or {}).get("backend") != backend:
-            raise ValueError(
-                "checkpoint and rebuilt method disagree about the crypto "
-                "backend; was the spec's crypto section changed?"
-            )
+        self.protocol.load_state(state.pop("protocol", None))
         super().load_state(state)
-        if saved is not None:
-            self.protocol.load_state(saved)

@@ -25,6 +25,7 @@ from oracle_reference import (  # noqa: E402
 )
 from toy_crypto import TOY_DH_GROUP  # noqa: E402
 
+from repro.core.weighting import proportional_weights, subsample_weights
 from repro.crypto.fastexp import FixedBaseExp, choose_window, fixed_base_cost, worthwhile
 from repro.crypto.paillier import PaillierCiphertext, PaillierCrt, generate_paillier_keypair
 from repro.crypto.pool import RandomizerPool
@@ -197,7 +198,7 @@ def round_inputs(proto, d=7, seed=1):
 
 def round_ciphertexts(proto):
     """Per round, per silo: the ciphertexts of the ``weighted_delta``
-    frames the server received."""
+    frames the server received (the log keeps the latest round's)."""
     vectors = [blob_ints(f.arrays["delta"]) for f in proto.received("weighted_delta")]
     return [vectors[i : i + proto.n_silos] for i in range(0, len(vectors), proto.n_silos)]
 
@@ -220,7 +221,7 @@ def lockstep_rounds(ref, fast, run, rounds=1, d=7):
         agg_fast = run(fast, deltas_f, noises_f)
         assert np.array_equal(agg_ref, agg_fast)
         assert ref.rng.getstate() == fast.rng.getstate()
-        ref_cts, fast_cts = round_ciphertexts(ref)[r], round_ciphertexts(fast)[r]
+        ref_cts, fast_cts = round_ciphertexts(ref)[-1], round_ciphertexts(fast)[-1]
         assert len(ref_cts) == len(fast_cts) == ref.n_silos
         for ref_vec, fast_vec in zip(ref_cts, fast_cts):
             assert len(ref_vec) == len(fast_vec) == d
@@ -254,10 +255,8 @@ class TestProtocolBackendEquivalence:
 
     def test_run_round_with_sampling_bit_identical(self):
         ref, fast = make_protocol("reference"), make_protocol("fast")
-        sampled = np.array([0, 2])
-        lockstep_rounds(
-            ref, fast, lambda p, d, z: p.run_round(d, z, sampled_users=sampled)
-        )
+        weights = subsample_weights(proportional_weights(HIST), np.array([0, 2]))
+        lockstep_rounds(ref, fast, lambda p, d, z: p.run_round(d, z, weights))
 
     def test_multiple_rounds_stay_in_lockstep(self):
         ref, fast = make_protocol("reference"), make_protocol("fast")
@@ -270,12 +269,14 @@ class TestProtocolBackendEquivalence:
         # offline powers' chunks straddle silo boundaries at workers=2.
         serial = make_protocol("fast", workers=1)
         pooled = make_protocol("fast", workers=workers)
+        weights = None if sampled is None else subsample_weights(
+            proportional_weights(HIST), sampled)
         try:
             for r in range(3):
                 deltas, noises = round_inputs(serial, seed=10 + r)
                 deltas_p, noises_p = round_inputs(pooled, seed=10 + r)
-                agg_serial = serial.run_round(deltas, noises, sampled_users=sampled)
-                agg_pooled = pooled.run_round(deltas_p, noises_p, sampled_users=sampled)
+                agg_serial = serial.run_round(deltas, noises, weights)
+                agg_pooled = pooled.run_round(deltas_p, noises_p, weights)
                 assert round_ciphertexts(serial) == round_ciphertexts(pooled)
                 assert np.array_equal(agg_serial, agg_pooled)
                 assert serial.rng.getstate() == pooled.rng.getstate()

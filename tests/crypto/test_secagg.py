@@ -3,11 +3,12 @@
 Covers the tentpole correctness claims at the protocol layer: mask
 cancellation under the full roster, exhaustive dropout-pattern recovery,
 PRG/key domain separation, fixed-point round-trips at the field boundary,
-and the server-view privacy smoke checks.
+the survivor quorum, and the server-view privacy smoke checks.  Most tests
+give the silos no user rows, so each silo's plaintext field vector is its
+encoded noise (:func:`field_vectors`).
 """
 
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from toy_crypto import TOY_DH_GROUP
 
+from repro.core.weighting import QuorumError
 from repro.crypto.encoding import decode_scalar, encode_scalar
 from repro.net.wire import blob_ints
 from repro.crypto.secagg import (
@@ -26,12 +28,28 @@ from repro.crypto.secagg import (
 )
 
 
-def build_protocol(n_silos, seed=0, **kwargs):
-    proto = MaskedAggregationProtocol(
-        n_silos, seed=seed, group=TOY_DH_GROUP, **kwargs
-    )
+def build_protocol(n_silos, seed=0, hist=None, **kwargs):
+    hist = np.ones((n_silos, 1), dtype=int) if hist is None else hist
+    proto = MaskedAggregationProtocol(hist, seed=seed, dh_group=TOY_DH_GROUP, **kwargs)
     proto.run_setup()
     return proto
+
+
+def run_round(proto, noises):
+    """One round of silos holding no user rows (None = dropped); returns
+    the field sum the server holds."""
+    proto.run_round([{} for _ in noises], noises)
+    return list(proto.server.totals)
+
+
+def field_vectors(proto, noises):
+    """Each silo's plaintext field vector in :func:`run_round`: its noise,
+    encoded and scaled by C_LCM."""
+    return [
+        None if z is None else encode_weighted_payload(
+            {}, {}, z, proto.precision, proto.c_lcm, proto.modulus)
+        for z in noises
+    ]
 
 
 def uploads(proto, round_no):
@@ -51,17 +69,18 @@ def reveals(proto):
     ]
 
 
-def random_vectors(n_silos, d, seed=0, bound=10**9):
-    rng = random.Random(seed)
-    return [[rng.randrange(bound) for _ in range(d)] for _ in range(n_silos)]
+def random_noises(n_silos, d, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(d) for _ in range(n_silos)]
 
 
 class TestMaskCancellation:
     @pytest.mark.parametrize("n_silos", [1, 2, 3, 5])
     def test_full_roster_sum_is_plain_sum(self, n_silos):
         proto = build_protocol(n_silos, seed=n_silos)
-        vectors = random_vectors(n_silos, 5, seed=n_silos)
-        totals = proto.run_round(list(vectors))
+        noises = random_noises(n_silos, 5, seed=n_silos)
+        vectors = field_vectors(proto, noises)
+        totals = run_round(proto, noises)
         expect = [
             sum(v[k] for v in vectors) % proto.modulus for k in range(5)
         ]
@@ -70,18 +89,19 @@ class TestMaskCancellation:
     def test_single_upload_is_masked(self):
         # The server must never see a silo's plain vector (n_silos >= 2).
         proto = build_protocol(3, seed=1)
-        vectors = random_vectors(3, 6, seed=1)
-        proto.run_round(list(vectors))
+        noises = random_noises(3, 6, seed=1)
+        run_round(proto, noises)
         received = uploads(proto, 0)
-        for s, vec in enumerate(vectors):
+        for s, vec in enumerate(field_vectors(proto, noises)):
             assert received[s] != [v % proto.modulus for v in vec]
 
     def test_rounds_use_independent_masks(self):
         proto = build_protocol(2, seed=2)
-        vec = random_vectors(2, 4, seed=2)
-        proto.run_round([list(v) for v in vec])
-        proto.run_round([list(v) for v in vec])
-        first, second = uploads(proto, 0), uploads(proto, 1)
+        noises = random_noises(2, 4, seed=2)
+        run_round(proto, noises)
+        first = uploads(proto, 0)  # the next round drops this one's frames
+        run_round(proto, noises)
+        second = uploads(proto, 1)
         assert first[0] != second[0]
 
 
@@ -90,15 +110,16 @@ class TestDropoutRecovery:
         """Exhaustive |S| <= 4 enumeration: every non-empty survivor subset
         recovers exactly the field sum over survivors."""
         n_silos, d = 4, 5
-        vectors = random_vectors(n_silos, d, seed=7)
+        noises = random_noises(n_silos, d, seed=7)
         for r in range(1, n_silos + 1):
             for survivors in itertools.combinations(range(n_silos), r):
                 proto = build_protocol(n_silos, seed=7)
+                vectors = field_vectors(proto, noises)
                 inputs = [
-                    vectors[s] if s in survivors else None
+                    noises[s] if s in survivors else None
                     for s in range(n_silos)
                 ]
-                totals = proto.run_round(inputs)
+                totals = run_round(proto, inputs)
                 expect = [
                     sum(vectors[s][k] for s in survivors) % proto.modulus
                     for k in range(d)
@@ -108,9 +129,10 @@ class TestDropoutRecovery:
     def test_recovery_after_full_rounds_keeps_round_keys_aligned(self):
         # Dropout in a later round must derive that round's keys, not round 0's.
         proto = build_protocol(3, seed=3)
-        vectors = random_vectors(3, 4, seed=3)
-        proto.run_round(list(vectors))
-        totals = proto.run_round([vectors[0], None, vectors[2]])
+        noises = random_noises(3, 4, seed=3)
+        vectors = field_vectors(proto, noises)
+        run_round(proto, noises)
+        totals = run_round(proto, [noises[0], None, noises[2]])
         expect = [
             (vectors[0][k] + vectors[2][k]) % proto.modulus for k in range(4)
         ]
@@ -118,8 +140,8 @@ class TestDropoutRecovery:
 
     def test_reveals_are_scoped_to_dropped_peers(self):
         proto = build_protocol(4, seed=4)
-        vectors = random_vectors(4, 3, seed=4)
-        proto.run_round([vectors[0], None, vectors[2], vectors[3]])
+        noises = random_noises(4, 3, seed=4)
+        run_round(proto, [noises[0], None, noises[2], noises[3]])
         assert reveals(proto)  # recovery happened
         for _round_no, survivor, revealed in reveals(proto):
             assert revealed == (1,)
@@ -136,7 +158,7 @@ class TestDropoutRecovery:
     def test_zero_survivors_rejected(self):
         proto = build_protocol(2, seed=6)
         with pytest.raises(ValueError):
-            proto.run_round([None, None])
+            run_round(proto, [None, None])
 
 
 class TestDomainSeparation:
@@ -211,7 +233,8 @@ class TestFixedPointBoundaries:
         # lcm(1..64) ~ 2^89 cannot fit a 64-bit field whatever the round
         # holds: refused before any key is made, naming n_max and the knob.
         with pytest.raises(ValueError, match=r"n_max=64 .* mask_bits=64"):
-            MaskedAggregationProtocol(2, mask_bits=64, n_max=64, group=TOY_DH_GROUP)
+            MaskedAggregationProtocol(
+                np.ones((2, 1)), mask_bits=64, n_max=64, dh_group=TOY_DH_GROUP)
 
 
 class TestWeightedEncoding:
@@ -248,29 +271,71 @@ class TestWeightedEncoding:
 
 class TestProtocolState:
     def test_state_roundtrip_resumes_mask_schedule(self):
-        vectors = random_vectors(2, 3, seed=10)
+        noises = random_noises(2, 3, seed=10)
         reference = build_protocol(2, seed=10)
-        reference.run_round([list(v) for v in vectors])
-        expected = reference.run_round([list(v) for v in vectors])
+        run_round(reference, noises)
+        expected = run_round(reference, noises)
 
         first = build_protocol(2, seed=10)
-        first.run_round([list(v) for v in vectors])
+        run_round(first, noises)
         resumed = build_protocol(2, seed=10)
         resumed.load_state(first.state_dict())
         assert resumed.round_no == 1
-        assert resumed.run_round([list(v) for v in vectors]) == expected
+        assert run_round(resumed, noises) == expected
         # And the round-1 uploads (not just the cancelled totals) match.
         assert uploads(reference, 1) == uploads(resumed, 1)
 
     def test_setup_required_before_rounds(self):
-        proto = MaskedAggregationProtocol(2, seed=0, group=TOY_DH_GROUP)
+        proto = MaskedAggregationProtocol(np.ones((2, 1)), seed=0, dh_group=TOY_DH_GROUP)
         with pytest.raises(RuntimeError):
-            proto.run_round([[1], [2]])
+            run_round(proto, [np.ones(1), np.ones(1)])
 
     def test_timer_has_phases(self):
         proto = build_protocol(3, seed=11)
-        proto.run_round([[1, 2], None, [5, 6]])
+        run_round(proto, [np.ones(2), None, np.ones(2)])
         report = proto.report()
         for phase in ("keygen", "key_exchange", "mask_and_upload",
                       "aggregate", "dropout_recovery"):
             assert phase in report
+
+
+HIST4 = np.array([[2, 0, 1], [1, 3, 0], [0, 1, 2], [1, 0, 1]])
+
+
+class TestSurvivorQuorumProperty:
+    """Random deltas, any survivor subset: at least ``min_survivors`` gives
+    the plaintext weighted sum over the survivors within the encoding
+    precision; fewer is refused before the round counter or the frame log
+    moves."""
+
+    @given(
+        values=st.lists(st.floats(-1, 1), min_size=24, max_size=24),
+        survivors=st.sets(st.integers(0, 3), min_size=1),
+        min_survivors=st.integers(1, 4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_quorum_gates_an_exact_aggregate(self, values, survivors, min_survivors):
+        proto = build_protocol(4, seed=12, hist=HIST4, min_survivors=min_survivors)
+        pairs = iter(np.array(values).reshape(12, 2))
+        deltas = [{int(u): next(pairs) for u in np.flatnonzero(row)} for row in HIST4]
+        noises = [next(pairs) for _ in HIST4]
+        inputs = [deltas[s] if s in survivors else {} for s in range(4)]
+        live = [noises[s] if s in survivors else None for s in range(4)]
+        if len(survivors) < min_survivors:
+            log = list(proto.log)
+            with pytest.raises(QuorumError, match="below min_survivors"):
+                proto.run_round(inputs, live)
+            assert proto.round_no == 0
+            assert len(proto.log) == len(log)
+            assert all(a is b for a, b in zip(proto.log, log))
+            return
+        aggregate = proto.run_round(inputs, live)
+        totals = HIST4.sum(axis=0)
+        expect = sum(
+            sum((HIST4[s, u] / totals[u]) * delta for u, delta in deltas[s].items())
+            + noises[s]
+            for s in survivors
+        )
+        tolerance = proto.n_silos * (proto.n_users + 1) * proto.precision
+        assert np.max(np.abs(aggregate - expect)) <= tolerance
+        assert proto.round_no == 1

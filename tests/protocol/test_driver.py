@@ -12,6 +12,7 @@ import pytest
 from toy_crypto import TOY_DH_GROUP
 
 from repro.crypto.secagg import MaskedAggregationProtocol
+from repro.core.weighting import proportional_weights, subsample_weights
 from repro.net.wire import Frame, blob_ints, int_blob, pack_frame, recv_frame
 from repro.obs.trace import JsonlTraceRecorder, use_recorder
 from repro.protocol import PrivateSubsampler, PrivateWeightingProtocol
@@ -112,6 +113,23 @@ class TestFrameLog:
         assert driver.server.pongs == [0, 2]
         assert len(driver.received("pong")) == 2
 
+    def test_log_keeps_setup_and_the_latest_round(self):
+        proto = PrivateWeightingProtocol(
+            HIST, n_max=16, paillier_bits=256, seed=0, dh_group=TOY_DH_GROUP,
+            workers=1,
+        )
+        proto.run_setup()
+        setup = list(proto.log)
+        lengths = []
+        for _ in range(4):
+            proto.run_round([{} for _ in range(3)], [np.zeros(2)] * 3)
+            lengths.append(len(proto.log))
+        assert lengths[0] == lengths[3] > len(setup)
+        assert all(a is b for a, b in zip(proto.log, setup))
+        assert len(proto.received("seed")) == 2
+        assert len(proto.received("masked_histogram")) == 3
+        assert len(proto.received("weighted_delta")) == 3
+
 
 class TestTimingReportNames:
     def test_paillier_phases_are_the_benchs(self):
@@ -126,9 +144,9 @@ class TestTimingReportNames:
             set(metrics.PROTOCOL_SETUP_PHASES) | set(metrics.PROTOCOL_ROUND_PHASES))
 
     def test_masked_phases_with_a_dropout(self):
-        proto = MaskedAggregationProtocol(3, seed=0, group=TOY_DH_GROUP)
+        proto = MaskedAggregationProtocol(HIST, seed=0, dh_group=TOY_DH_GROUP)
         proto.run_setup()
-        proto.run_round([[1, 2], None, [5, 6]])
+        proto.run_round([{}] * 3, [np.ones(2), None, np.ones(2)])
         assert set(proto.report()) == {
             "keygen", "key_exchange", "mask_and_upload", "aggregate",
             "dropout_recovery"}
@@ -176,18 +194,20 @@ class TestCodec:
         deltas = [{u: rng.standard_normal(3) for u in range(4) if HIST[s, u]}
                   for s in range(3)]
         noises = [rng.standard_normal(3) for _ in range(3)]
-        proto.run_round(deltas, noises, sampled_users=np.array([0, 2]))
+        proto.run_round(deltas, noises, subsample_weights(proportional_weights(HIST), [0, 2]))
+        log = list(proto.log)  # the next round drops this one's frames
         sub = PrivateSubsampler(proto.silos[0].shared_seed, n_slots=2)
         proto.run_round_ot_sampling(deltas, noises, sub)
-        assert {d.frame.type for d in proto.log} == {
+        log += proto.log
+        assert {d.frame.type for d in log} == {
             "dh_public", "keys", "seed", "masked_histogram", "weights",
             "weighted_delta", "ot_offer", "ot_choice", "ot_slots"}
-        assert_codec_roundtrips(proto.log)
+        assert_codec_roundtrips(log)
 
     def test_masked_round_with_a_dropped_silo(self):
-        proto = MaskedAggregationProtocol(3, seed=0, group=TOY_DH_GROUP)
+        proto = MaskedAggregationProtocol(HIST, seed=0, dh_group=TOY_DH_GROUP)
         proto.run_setup()
-        proto.run_round([[1, 2], None, [5, 6]])
+        proto.run_round([{}] * 3, [np.ones(2), None, np.ones(2)])
         assert {d.frame.type for d in proto.log} == {
             "dh_public", "keys", "masked_vector", "dropped", "reveal"}
         assert_codec_roundtrips(proto.log)

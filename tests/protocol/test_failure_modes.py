@@ -196,7 +196,7 @@ class TestNonFiniteInputs:
             trainer.step(participation=RoundParticipation(silo_mask=mask))
 
     def test_masked_protocol_refuses_a_non_finite_magnitude(self):
-        proto = MaskedAggregationProtocol(3, mask_bits=128, group=TOY_DH_GROUP, seed=0)
+        proto = MaskedAggregationProtocol(HIST, mask_bits=128, dh_group=TOY_DH_GROUP, seed=0)
         for bad in (np.nan, np.inf):
             with pytest.raises(MagnitudeBudgetError):
                 proto.check_round_magnitude(bad, num_terms=1)

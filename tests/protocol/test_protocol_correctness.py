@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from toy_crypto import TOY_DH_GROUP
 
+from repro.core.weighting import proportional_weights, subsample_weights
 from repro.protocol import PrivateWeightingProtocol
 
 
@@ -19,6 +20,13 @@ def make_protocol(hist, seed=0, **kwargs):
     )
     proto.run_setup()
     return proto
+
+
+def sampling_weights(proto, sampled):
+    """Round weights whose non-zero columns are ``sampled`` (None = all)."""
+    if sampled is None:
+        return None
+    return subsample_weights(proportional_weights(proto.histogram), sampled)
 
 
 def random_inputs(proto, d=6, seed=1, scale=1.0):
@@ -67,14 +75,15 @@ class TestTheorem4:
         proto = make_protocol(HIST, n_max=16)
         deltas, noises = random_inputs(proto)
         sampled = np.array([0, 2])
-        secure = proto.run_round(deltas, noises, sampled_users=sampled)
+        secure = proto.run_round(deltas, noises, sampling_weights(proto, sampled))
         plain = proto.plaintext_reference(deltas, noises, sampled_users=sampled)
         assert np.max(np.abs(secure - plain)) <= tol(proto)
 
     def test_nobody_sampled_yields_noise_only(self):
         proto = make_protocol(HIST, n_max=16)
         deltas, noises = random_inputs(proto)
-        secure = proto.run_round(deltas, noises, sampled_users=np.array([], dtype=int))
+        secure = proto.run_round(
+            deltas, noises, sampling_weights(proto, np.array([], dtype=int)))
         plain = sum(noises)
         assert np.max(np.abs(secure - plain)) <= tol(proto)
 

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from toy_crypto import TOY_DH_GROUP
 
+from repro.core.weighting import proportional_weights, subsample_weights
 from repro.protocol import PrivateWeightingProtocol
 
 HIST = np.array([
@@ -82,7 +83,8 @@ class TestTheorem4Property:
         rng = np.random.default_rng(7)
         deltas, noises = build_inputs(proto, rng.standard_normal(40).tolist(), 2)
         sampled = np.array(sample, dtype=int)
-        secure = proto.run_round(deltas, noises, sampled_users=sampled)
+        weights = subsample_weights(proportional_weights(HIST), sampled)
+        secure = proto.run_round(deltas, noises, weights)
         plain = proto.plaintext_reference(deltas, noises, sampled_users=sampled)
         tolerance = proto.n_silos * (proto.n_users + 1) * proto.precision
         assert np.max(np.abs(secure - plain)) <= tolerance

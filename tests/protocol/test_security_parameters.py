@@ -44,7 +44,7 @@ class TestNoToyDefault:
         assert {s.dh_keypair.group.prime for s in proto.silos} == {RFC3526_PRIME_2048}
 
     def test_masked_protocol_falls_back_to_rfc3526(self):
-        assert MaskedAggregationProtocol(3).group.prime == RFC3526_PRIME_2048
+        assert MaskedAggregationProtocol(np.ones((3, 1))).group.prime == RFC3526_PRIME_2048
 
     def test_spec_built_method_holds_rfc3526(self):
         method = build_method(RunSpec.from_dict({"method": {"name": "secure-uldp-avg"}}))

@@ -286,12 +286,12 @@ class TestBufferedAsync:
 
 class TestSecureMethodGuard:
     def test_secure_method_refuses_participation(self):
-        from repro.protocol import SecureUldpAvg
+        from repro.protocol import PrivateWeightingProtocol, SecureUldpAvg
 
         method = SecureUldpAvg.__new__(SecureUldpAvg)
-        # The guard is backend-conditional (crypto_backend="masked" accepts
-        # dropout); pin a Paillier backend on the bare instance.
-        method.crypto_backend = "fast"
+        # The guard is the protocol's (the masked backend accepts dropout);
+        # pin a Paillier protocol on the bare instance.
+        method.protocol = PrivateWeightingProtocol.__new__(PrivateWeightingProtocol)
         with pytest.raises(NotImplementedError):
             SecureUldpAvg.round(
                 method,
