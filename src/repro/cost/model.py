@@ -455,7 +455,7 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
     if spec.is_simulation:
         from repro.cost.workload import scenario_traits
 
-        traits = scenario_traits(spec.sim.scenario)
+        traits = scenario_traits(spec)
         family = "sim"
         comp = traits.compression
         phases = [_train_phase("sim", sharded=False)]

@@ -116,23 +116,23 @@ class ScenarioTraits:
     compression: CompressionSpec | None
 
 
-def scenario_traits(name: str, rounds: int = 8, n_silos: int = 3) -> ScenarioTraits:
-    """Build the scenario recipe once and read its cost-relevant knobs.
+def scenario_traits(spec: RunSpec) -> ScenarioTraits:
+    """Read a simulation spec's scenario recipe for its cost-relevant knobs.
 
+    The recipe comes from :func:`repro.sim.scenarios.scenario_recipe`, the
+    lookup spec validation uses (importing it registers the builtins).
     Expected participation is exact for iid dropout (``1 - prob``) and
     approximated as 1.0 for windowed outages, deadline misses, and
     byte-cap exclusions -- those depend on draws the closed form cannot
     see (docs/cost_model.md states the approximation).
     """
-    from repro.api import builtin as _builtin  # noqa: F401  (registry population)
-    from repro.api.registries import SCENARIOS
     from repro.sim.participation import IidSiloDropout
+    from repro.sim.scenarios import scenario_recipe
 
     try:
-        factory = SCENARIOS.get(name)
+        _, recipe = scenario_recipe(spec.sim.scenario, spec.sim.scale, spec.rounds)
     except KeyError as exc:
         raise CostError(str(exc)) from exc
-    recipe = factory(rounds=rounds, n_silos=n_silos)
     dropout = recipe.get("dropout")
     participation = (
         1.0 - dropout.prob if isinstance(dropout, IidSiloDropout) else 1.0
@@ -171,9 +171,7 @@ def substitutions(spec: RunSpec) -> dict:
         params = _scale_params(spec.sim.scale)
         users, silos = params["n_users"], params["n_silos"]
         records = params["n_records"]
-        traits = scenario_traits(
-            spec.sim.scenario, rounds=resolve_rounds(spec), n_silos=silos
-        )
+        traits = scenario_traits(spec)
         participation = traits.participation
     else:
         users, silos = spec.dataset.users, spec.dataset.silos

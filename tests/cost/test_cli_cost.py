@@ -1,8 +1,13 @@
 """CLI surface of the cost model: `repro cost` and sweep cost pruning."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.api.spec import RunSpec, SpecError
 from repro.api.sweep import run_sweep
@@ -10,6 +15,7 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FIG05 = str(REPO_ROOT / "examples" / "specs" / "fig05.toml")
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 SMALL = """
 name = "cost-cli"
@@ -77,6 +83,26 @@ class TestCostCommand:
             "cost", "--config", config, "--set", "dataset.name=synthetic",
         ]) == 2
         assert "synthetic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stem", ["sim01", "net_sim", "bandwidth_sim"])
+    def test_simulation_specs_price_in_a_fresh_process(self, stem):
+        """Nothing else has imported repro.sim.scenarios in a fresh
+        interpreter, so the scenario lookup must register the builtins."""
+        spec = REPO_ROOT / "examples" / "specs" / f"{stem}.toml"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "cost", "--config", str(spec)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "family=sim" in out.stdout
+
+    def test_unknown_scenario_is_a_cost_error(self):
+        from repro.cost.planner import CostError, predict
+
+        spec = RunSpec.from_dict({"sim": {"scenario": "no-such-scenario"}})
+        with pytest.raises(CostError, match="no-such-scenario"):
+            predict(spec)
 
 
 SWEEP_TREE = {
