@@ -234,6 +234,7 @@ class MaskedAggregationProtocol(Driver):
     identical pair keys and only :attr:`round_no` is dynamic state.
     """
 
+    backend = "masked"
     key_knob, key_is_modulus = "mask_bits", False
     dropout_refusal = None
     silos_see_sampling = True
@@ -334,13 +335,3 @@ class MaskedAggregationProtocol(Driver):
     def decode_aggregate(self, totals: list[int]) -> np.ndarray:
         """Field sum -> float aggregate (signed decode, /C_LCM, *precision)."""
         return decode_vector(totals, self.precision, self.c_lcm, self.modulus)
-
-    # -- checkpoint serialisation -------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Dynamic protocol state; key material is rebuilt from the seed."""
-        return {"backend": "masked", "round_no": self.round_no}
-
-    def load_state(self, state: dict | None) -> None:
-        super().load_state(state)
-        self.round_no = int(state["round_no"])

@@ -109,6 +109,9 @@ class Driver:
     seconds and counts (plain float adds: not thread-safe).  ``workers``
     sizes the kernel pool: None = min(|S|, cpus), 1 = in-process."""
 
+    #: The crypto backend a subclass runs; tags its checkpoint state.
+    backend: str
+
     def __init__(self, workers: int | None = None):
         self.workers = workers
         self.log: list[Delivery] = []
@@ -156,17 +159,25 @@ class Driver:
         self.run(schedule, silos)
         self.round_no += 1
 
-    def state_dict(self) -> dict | None:
-        """Checkpoint state, tagged ``"backend"`` (None: keys rebuild from the seed)."""
-        return None
+    def state_dict(self) -> dict:
+        """Checkpoint state: the round counter, tagged with :attr:`backend`
+        (key material rebuilds from the seed)."""
+        return {"backend": self.backend, "round_no": self.round_no}
 
     def load_state(self, state: dict | None) -> None:
-        """Refuse another backend's checkpoint state."""
-        if (state or {}).get("backend") != (self.state_dict() or {}).get("backend"):
+        """Restore the round counter; refuse another backend's state."""
+        if state is None:
+            raise ValueError(
+                "checkpoint has no protocol round counter: it predates the "
+                "counter in Paillier checkpoints, and resuming it would reuse "
+                "round 0's masks"
+            )
+        if state.get("backend") != self.backend:
             raise ValueError(
                 "checkpoint and rebuilt method disagree about the crypto "
                 "backend; was the spec's crypto section changed?"
             )
+        self.round_no = int(state["round_no"])
 
     def run(self, schedule, silos=None) -> None:
         """Run ``schedule``; its :data:`HOST` rows step the server and the

@@ -79,6 +79,7 @@ class PrivateWeightingProtocol(Driver):
 
     server_cls = ServerParty
     silo_cls = SiloParty
+    backend = "fast"
     #: The knob sizing the key (named by budget errors and the security
     #: line), and whether that size is a factoring modulus NIST rates.
     key_knob, key_is_modulus = "paillier_bits", True

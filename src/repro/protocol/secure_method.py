@@ -334,8 +334,8 @@ class SecureUldpAvg(UldpAvg):
     # -- checkpoint serialisation -------------------------------------------
 
     def state_dict(self) -> dict:
-        """The base state plus the protocol's (the masked round counter,
-        which keys its masks; keys rebuild from ``protocol_seed``)."""
+        """The base state plus the protocol's (its round counter, which
+        keys each round's masks; keys rebuild from ``protocol_seed``)."""
         return {**super().state_dict(), "protocol": self.protocol.state_dict()}
 
     def load_state(self, state: dict) -> None:

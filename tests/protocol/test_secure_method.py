@@ -104,3 +104,35 @@ class TestSecureMatchesPlain:
 
     def test_display_name(self):
         assert SecureUldpAvg().display_name == "ULDP-AVG-w (secure)"
+
+
+class TestPaillierCheckpoint:
+    """A resumed Paillier run continues the protocol's round counter, so
+    its silos never reuse an earlier round's pairwise-mask context."""
+
+    def make_method(self):
+        return SecureUldpAvg(
+            local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
+            dh_group=TOY_DH_GROUP, protocol_seed=5, protocol_workers=1,
+        )
+
+    def test_resume_continues_the_round_counter(self, fed):
+        method = self.make_method()
+        run(method, fed, rounds=2, seed=0)
+        state = method.state_dict()
+        assert state["protocol"] == {"backend": "fast", "round_no": 2}
+
+        rebuilt = self.make_method()
+        trainer = Trainer(fed, rebuilt, rounds=3, model=make_model(), seed=0)
+        rebuilt.load_state(state)
+        assert rebuilt.protocol.round_no == 2
+        trainer.step()
+        assert rebuilt.protocol.round_no == 3
+        assert {silo.inputs[2] for silo in rebuilt.protocol.silos} == {2}
+
+    def test_state_without_a_counter_is_refused(self, fed):
+        method = self.make_method()
+        run(method, fed, rounds=1, seed=0)
+        state = {**method.state_dict(), "protocol": None}
+        with pytest.raises(ValueError, match="predates the counter"):
+            method.load_state(state)
