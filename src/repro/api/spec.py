@@ -343,7 +343,7 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Capacity-planning inputs for the symbolic cost model (``repro cost``).
+    """Capacity-planning inputs for the closed-form cost model (``repro cost``).
 
     Like ``[obs]``, this section is **excluded from the canonical spec
     hash**: asking "what would this run cost?" or attaching budgets never

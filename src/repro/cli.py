@@ -15,7 +15,7 @@ nothing else:
 - ``validate-config`` -- parse + validate spec files (registry names,
                    enum/range checks, sweep expansion) without running.
 - ``cost``      -- predict a spec's per-phase wall-clock / wire bytes /
-                   ciphertext counts / memory from the symbolic cost
+                   ciphertext counts / memory from the closed-form cost
                    model (``docs/cost_model.md``), or invert it
                    (``--solve-for users``) for capacity questions.
 

@@ -2,16 +2,18 @@
 
 Three layers (see docs/cost_model.md):
 
-- :mod:`repro.cost.model` -- per-phase **sympy expressions** for
-  wall-clock seconds, uplink/downlink bytes, ciphertext/mask-element
-  counts, and resident memory, composed from any :class:`repro.api.RunSpec`
-  (per-method, per-crypto-backend, engine, compression, and sim terms).
-- :mod:`repro.cost.calibrate` -- fits the expressions' leading constants
-  from the committed ``BENCH_*.json`` files (schema ``uldp-fl-bench/v1``)
-  and persists them as a versioned ``calibration.json``.
-- :mod:`repro.cost.planner` -- substitutes concrete numbers, renders
-  per-phase breakdown tables, and inverts the expressions for capacity
-  questions ("max users per round under X seconds / Y bytes").
+- :mod:`repro.cost.model` -- per-phase **cost functions** of the workload
+  numbers for wall-clock seconds, uplink/downlink bytes,
+  ciphertext/mask-element counts, and resident memory, composed from any
+  :class:`repro.api.RunSpec` (per-method, per-crypto-backend, engine,
+  compression, and sim terms).  Each returns a form linear in named
+  calibration constants; bytes call the runtime's own formulas.
+- :mod:`repro.cost.calibrate` -- fits those constants from the committed
+  ``BENCH_*.json`` files (schema ``uldp-fl-bench/v1``) and persists them
+  as a versioned ``calibration.json``.
+- :mod:`repro.cost.planner` -- evaluates the functions at a spec's
+  numbers, renders per-phase breakdown tables, and bisects them for
+  capacity questions ("max users per round under X seconds / Y bytes").
 
 Surfaced as ``repro cost`` and as ``repro sweep --prune-cost-seconds``;
 ``tools/check_cost_drift.py`` is the CI gate that keeps predictions
@@ -26,11 +28,11 @@ from repro.cost.calibrate import (
 from repro.cost.model import (
     METRICS,
     CostModel,
+    Linear,
     PhaseCost,
     build_cost_model,
-    ciphertext_bytes_expr,
-    keep_count_expr,
-    payload_bytes_expr,
+    ciphertext_bytes,
+    mask_bytes,
 )
 from repro.cost.planner import CostError, CostReport, predict, solve_max_users
 
@@ -40,13 +42,13 @@ __all__ = [
     "CostError",
     "CostModel",
     "CostReport",
+    "Linear",
     "PhaseCost",
     "build_cost_model",
-    "ciphertext_bytes_expr",
+    "ciphertext_bytes",
     "fit_calibration",
-    "keep_count_expr",
     "load_calibration",
-    "payload_bytes_expr",
+    "mask_bytes",
     "predict",
     "solve_max_users",
 ]

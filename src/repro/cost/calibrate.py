@@ -2,7 +2,7 @@
 
 Every constant multiplies a closed-form shape term (see
 :mod:`repro.cost.model`), so calibration is linear: each bench
-measurement contributes one row ``measured = sum_j c_j * shape_j(point)``
+measurement contributes one row ``measured = sum_j c_j * coef_j(point)``
 to a small per-phase least-squares system.  Rows are weighted by
 ``1/measured`` (relative error -- a 24 s encryption and a 0.7 s one
 should pull equally), constants are constrained non-negative (solved by
@@ -21,16 +21,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 from repro.api.spec import CryptoSpec
 from repro.compress.spec import CompressionSpec
-from repro.cost import model as M
 from repro.cost.bench_schema import validate_bench_tree
-from repro.cost.model import C, _secure_phases, _train_phase
+from repro.cost.model import (
+    CONSTANT_DEFS,
+    Linear,
+    _secure_phases,
+    _train_memory,
+    _train_seconds,
+    ciphertext_bytes,
+    fitted,
+)
 
 CALIBRATION_SCHEMA = "cost-calibration/v1"
 
@@ -102,7 +110,7 @@ class Calibration:
         constants = data.get("constants")
         if not isinstance(constants, dict) or not constants:
             raise CalibrationError("calibration has no constants table")
-        unknown = sorted(set(constants) - set(M.CONSTANT_DEFS))
+        unknown = sorted(set(constants) - set(CONSTANT_DEFS))
         if unknown:
             raise CalibrationError(f"unknown calibration constants: {unknown}")
         return cls(
@@ -110,10 +118,6 @@ class Calibration:
             host=data.get("host", {}),
             fitted_from=data.get("fitted_from", {}),
         )
-
-    def symbol_subs(self) -> dict:
-        """``c_*`` symbol -> fitted value, for expression substitution."""
-        return {C(name): value for name, value in self.constants.items()}
 
 
 def load_calibration(path: str | Path | None = None) -> Calibration:
@@ -131,24 +135,25 @@ def load_calibration(path: str | Path | None = None) -> Calibration:
 
 @dataclass(frozen=True)
 class FitRow:
-    """One measured bench point: where to evaluate the group's expression.
+    """One measured bench point: the workload numbers to evaluate the
+    group's metric at.
 
     ``fit=False`` rows are held-out cross-checks: they participate in the
     drift gate but not in the least-squares fit.
     """
 
     label: str
-    subs: dict
+    workload: dict
     measured: float
     fit: bool = True
 
 
 @dataclass
 class FitGroup:
-    """One expression (linear in its constants) with its measured rows."""
+    """One metric (linear in its constants) with its measured rows."""
 
     name: str
-    expr: sp.Expr
+    metric: Callable[[dict], Linear]  # workload numbers -> linear form
     constants: tuple[str, ...]
     rows: list[FitRow] = field(default_factory=list)
     #: Noise floor on measured values (seconds groups); 0 disables.
@@ -160,8 +165,7 @@ class FitGroup:
             raise CalibrationError(
                 f"{self.name}: calibration is missing constants {missing}"
             )
-        expr = self.expr.subs({C(c): constants[c] for c in self.constants})
-        return float(expr.subs(row.subs))
+        return float(self.metric(row.workload).value(constants))
 
 
 def load_benches(bench_dir: str | Path) -> dict[str, dict]:
@@ -205,45 +209,44 @@ def _creditcard_dim() -> int:
     )
 
 
-def _phase_seconds(phases, name: str) -> sp.Expr:
-    for ph in phases:
-        if ph.name == name:
-            return ph.seconds
-    raise KeyError(name)
+def _phase_seconds(backend: str, name: str) -> Callable[[dict], Linear]:
+    """Seconds of the secure phase ``name`` under ``backend``."""
+    crypto = CryptoSpec(backend=backend)
+    return lambda w: next(
+        ph.seconds for ph in _secure_phases(crypto, None, w) if ph.name == name
+    )
 
 
-def _train_subs(users, records_total, dim, epochs=1, participation=1.0) -> dict:
+def _train_workload(users, records_total, dim, epochs=1, participation=1.0) -> dict:
     return {
-        M.USERS: users,
-        M.RECORDS_PER_USER: records_total / users,
-        M.DIM: dim,
-        M.EPOCHS: epochs,
-        M.PARTICIPATION: participation,
+        "users": users,
+        "records_per_user": records_total / users,
+        "dim": dim,
+        "epochs": epochs,
+        "participation": participation,
     }
 
 
-def _protocol_subs(section: dict) -> dict:
+def _protocol_workload(section: dict) -> dict:
     return {
-        M.SILOS: section["n_silos"],
-        M.USERS: section["n_users"],
-        M.DIM: section["dim"],
-        M.KEY_BITS: section["key_bits"],
-        M.MASK_BITS: section["mask_bits"],
-        M.PARTICIPATION: 1.0,
+        "silos": section["n_silos"],
+        "users": section["n_users"],
+        "dim": section["dim"],
+        "key_bits": section["key_bits"],
+        "mask_bits": section["mask_bits"],
+        "participation": 1.0,
     }
 
 
 def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
-    """The full fit/gate corpus: every group's expression and its rows."""
+    """The full fit/gate corpus: every group's metric and its rows."""
     groups: list[FitGroup] = []
     fig05_dim = _fig05_dim()
 
     # -- training constants, CNN family (engine bench; the compression
     #    bench's fig05 runs are held-out cross-checks of the same fit).
     cnn = FitGroup(
-        "train_cnn",
-        _train_phase("cnn", sharded=False).seconds,
-        ("train_record_cnn", "train_user_cnn"),
+        "train_cnn", partial(_train_seconds, "cnn"), ("train_record_cnn", "train_user_cnn")
     )
     for key in ("fig05_u50", "fig05_u400"):
         section = benches["engine"].get(key)
@@ -251,21 +254,21 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
             cnn.rows.append(
                 FitRow(
                     f"engine.{key}.round_seconds",
-                    _train_subs(section["n_users"], FIG05_RECORDS, fig05_dim),
+                    _train_workload(section["n_users"], FIG05_RECORDS, fig05_dim),
                     section["vectorized_seconds"] / section["rounds"],
                 )
             )
     plaintext = benches["compression"].get("plaintext_fig05")
     if plaintext:
         records = COMPRESSION_RECORDS[plaintext["scale"]]
-        subs = _train_subs(
+        point = _train_workload(
             plaintext["n_users"], records, plaintext["model_params"]
         )
         for which in ("dense", "compressed"):
             cnn.rows.append(
                 FitRow(
                     f"compression.plaintext_fig05.{which}_round_seconds",
-                    subs,
+                    point,
                     plaintext[f"{which}_seconds"] / plaintext["rounds"],
                     fit=False,
                 )
@@ -275,29 +278,29 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
     # -- training constant, dense family + sharded-engine memory
     #    (scaleout bench: one 100k-user DP round through the worker pool).
     scaleout = benches["scaleout"]["scaleout"]
-    dense_subs = _train_subs(
+    dense = _train_workload(
         scaleout["sampled_users"], scaleout["total_records"], scaleout["n_params"]
     )
     groups.append(
         FitGroup(
             "train_dense",
-            _train_phase("dense", sharded=False).seconds,
+            partial(_train_seconds, "dense"),
             ("train_record_dense",),
-            [FitRow("scaleout.round_seconds", dense_subs, scaleout["round_seconds"])],
+            [FitRow("scaleout.round_seconds", dense, scaleout["round_seconds"])],
         )
     )
-    mem_subs = {
-        **dense_subs,
-        M.WORKERS: scaleout["workers"],
-        M.SHARD_SIZE: scaleout["shard_size"],
-        M.FEATURES: scaleout["features"],
+    sharded = {
+        **dense,
+        "workers": scaleout["workers"],
+        "shard_size": scaleout["shard_size"],
+        "features": scaleout["features"],
     }
     groups.append(
         FitGroup(
             "engine_memory",
-            _train_phase("dense", sharded=True).memory_bytes,
+            partial(_train_memory, True),
             ("engine_shard_memory",),
-            [FitRow("scaleout.overhead_bytes", mem_subs, scaleout["overhead_mb"] * 1e6)],
+            [FitRow("scaleout.overhead_bytes", sharded, scaleout["overhead_mb"] * 1e6)],
             floor=0.0,
         )
     )
@@ -305,19 +308,19 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
     # -- scheduler-inclusive per-record constant (sim dropout bench runs
     #    the smoke-scale flaky-silos scenario; participation is the
     #    bench's own measured mean silo availability).
-    from repro.sim.scenarios import _scale_params
+    from repro.sim.scenarios import scenario_recipe
 
     dropout = benches["sim"]["dropout_scenario"]
-    smoke = _scale_params("smoke")
+    smoke, _ = scenario_recipe("flaky-silos", "smoke")
     groups.append(
         FitGroup(
             "train_sim",
-            _train_phase("sim", sharded=False).seconds,
+            partial(_train_seconds, "sim"),
             ("sim_record",),
             [
                 FitRow(
                     "sim.dropout_scenario.round_seconds",
-                    _train_subs(
+                    _train_workload(
                         smoke["n_users"],
                         smoke["n_records"],
                         _creditcard_dim(),
@@ -334,12 +337,12 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
     groups.append(
         FitGroup(
             "churn",
-            C("churn_user") * M.POPULATION,
+            lambda w: fitted(churn_user=w["population"]),
             ("churn_user",),
             [
                 FitRow(
                     "sim.population_scale.churn_round_seconds",
-                    {M.POPULATION: pop["n_users"]},
+                    {"population": pop["n_users"]},
                     pop["churn_seconds"] / pop["churn_rounds"],
                 )
             ],
@@ -348,29 +351,27 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
 
     # -- protocol phases, one group per (backend, phase), rows across the
     #    bench's scale sections.
-    fast = _secure_phases(CryptoSpec(backend="fast"), None)
-    masked = _secure_phases(CryptoSpec(backend="masked"), None)
     protocol_groups = [
-        # (group name, expr, constants, bench phase table, measured keys)
-        ("paillier_keygen", _phase_seconds(fast, "keygen"),
+        # (group name, metric, constants, bench phase table, measured keys)
+        ("paillier_keygen", _phase_seconds("fast", "keygen"),
          ("paillier_keygen",), "phases_fast", ("keygen",)),
-        ("paillier_offline", _phase_seconds(fast, "offline_randomizers"),
+        ("paillier_offline", _phase_seconds("fast", "offline_randomizers"),
          ("paillier_offline",), "phases_fast", ("offline_randomizers",)),
-        ("paillier_encrypt", _phase_seconds(fast, "silo_weighted_encryption"),
+        ("paillier_encrypt", _phase_seconds("fast", "silo_weighted_encryption"),
          ("paillier_encrypt_pair", "paillier_encrypt_coord"), "phases_fast",
          ("silo_weighted_encryption",)),
-        ("paillier_decrypt", _phase_seconds(fast, "aggregate_decrypt"),
+        ("paillier_decrypt", _phase_seconds("fast", "aggregate_decrypt"),
          ("paillier_decrypt",), "phases_fast", ("aggregate_decrypt",)),
-        ("paillier_misc", _phase_seconds(fast, "setup_misc"),
+        ("paillier_misc", _phase_seconds("fast", "setup_misc"),
          ("paillier_misc_base", "paillier_misc_silo_user"), "phases_fast",
          ("key_exchange", "blinded_histogram", "encrypt_weights")),
-        ("masked_setup", _phase_seconds(masked, "mask_setup"),
+        ("masked_setup", _phase_seconds("masked", "mask_setup"),
          ("masked_setup",), "phases_masked", ("keygen", "key_exchange")),
-        ("masked_round", _phase_seconds(masked, "mask_and_upload"),
+        ("masked_round", _phase_seconds("masked", "mask_and_upload"),
          ("masked_round",), "phases_masked", ("mask_and_upload",)),
     ]
-    for name, expr, constants, table, keys in protocol_groups:
-        group = FitGroup(name, expr, constants)
+    for name, metric, constants, table, keys in protocol_groups:
+        group = FitGroup(name, metric, constants)
         for section_name, section in benches["protocol"].items():
             if section_name in ("schema", "host"):
                 continue
@@ -381,7 +382,7 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
             group.rows.append(
                 FitRow(
                     f"protocol.{section_name}.{name}",
-                    _protocol_subs(section),
+                    _protocol_workload(section),
                     measured,
                 )
             )
@@ -419,12 +420,10 @@ def solve_group(group: FitGroup) -> dict[str, float]:
             f"{group.name}: no usable measurements above the "
             f"{group.floor:g} noise floor"
         )
+    # The design-matrix column of a constant is its coefficient.
     A = np.array(
         [
-            [
-                float(sp.diff(group.expr, C(c)).subs(r.subs))
-                for c in group.constants
-            ]
+            [float(group.metric(r.workload).coef.get(c, 0.0)) for c in group.constants]
             for r in rows
         ]
     )
@@ -508,9 +507,7 @@ def byte_check_rows(benches: dict[str, dict]) -> list[dict]:
     for name, section in benches["protocol"].items():
         if name in ("schema", "host"):
             continue
-        cipher = int(
-            M.ciphertext_bytes_expr().subs({M.KEY_BITS: section["key_bits"]})
-        )
+        cipher = ciphertext_bytes(section["key_bits"])
         check(
             f"protocol.{name}.per_silo_ciphertext_bytes",
             section["dim"] * cipher,
@@ -546,11 +543,7 @@ def byte_check_rows(benches: dict[str, dict]) -> list[dict]:
     randk = benches["compression"].get("secure_randk")
     if randk:
         dim = randk["model_params"]
-        cipher = int(
-            M.ciphertext_bytes_expr().subs(
-                {M.KEY_BITS: SECURE_RANDK["paillier_bits"]}
-            )
-        )
+        cipher = ciphertext_bytes(SECURE_RANDK["paillier_bits"])
         per_round = SECURE_RANDK["rounds"] * SECURE_RANDK["silos"]
         check(
             "compression.secure_randk.dense_uplink_bytes",

@@ -1,22 +1,24 @@
-"""Symbolic per-phase cost expressions for any :class:`repro.api.RunSpec`.
+"""Per-phase cost functions for any :class:`repro.api.RunSpec`.
 
 Every phase of a run -- local training, crypto setup, encryption,
-upload, broadcast -- gets a closed-form sympy expression in the workload
-symbols below for each of five metrics (:data:`METRICS`): wall-clock
-seconds, uplink bytes, downlink bytes, ciphertext/mask elements on the
-wire, and resident memory.  Byte and element formulas are **exact**
-(they mirror :meth:`repro.compress.CompressionSpec.payload_bytes` and
-the protocol layer's wire accounting bit for bit -- pinned by
-tests/cost/test_comm_crosscheck.py); seconds and memory expressions are
-linear in named **calibration constants** (``c_*`` symbols, fitted from
-the committed ``BENCH_*.json`` by :mod:`repro.cost.calibrate`).
+upload, broadcast -- is a plain function of the workload numbers (the
+name -> number dict :func:`repro.cost.workload.numbers` builds; names in
+docs/cost_model.md) giving each of five metrics (:data:`METRICS`):
+wall-clock seconds, uplink bytes, downlink bytes, ciphertext/mask
+elements on the wire, and resident memory.  Byte and element metrics
+are **exact**: they call :meth:`repro.compress.CompressionSpec.keep_count`
+and :meth:`~repro.compress.CompressionSpec.payload_bytes` themselves and
+mirror the protocol layer's wire accounting (pinned by
+tests/cost/test_comm_crosscheck.py); seconds and memory are linear in
+named **calibration constants** (fitted from the committed
+``BENCH_*.json`` by :mod:`repro.cost.calibrate`).
 
-The expression structure follows the complexity-model approach of
-pia-mpc's ``scripts/complexity.py`` (SNIPPETS.md section 1): keep every
-cost a small sum of ``constant * shape(symbols)`` terms so the same
-expression serves prediction (substitute numbers), calibration (the
-shape terms are the design-matrix columns), and capacity planning
-(invert for one symbol).
+Every metric is a :class:`Linear` form, ``base + sum(coef[c] * c)``,
+following the complexity-model approach of pia-mpc's
+``scripts/complexity.py`` (SNIPPETS.md section 1): one form serves
+prediction (a dot product with the calibration), calibration (the
+coefficients are the design-matrix columns), and capacity planning
+(re-evaluate at each user count).
 
 Method coverage:
 
@@ -34,9 +36,8 @@ Method coverage:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import sympy as sp
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.api.spec import SECURE_METHOD, CryptoSpec, RunSpec
 from repro.compress.spec import CompressionSpec
@@ -50,401 +51,260 @@ METRICS = (
     "memory_bytes",
 )
 
-# -- workload symbols ---------------------------------------------------------
-
-USERS = sp.Symbol("U", positive=True)  #: participating users per round
-SILOS = sp.Symbol("S", positive=True)  #: silos in the federation
-DIM = sp.Symbol("d", positive=True)  #: model parameters (flat dimension)
-RECORDS_PER_USER = sp.Symbol("R_u", positive=True)  #: training records per user
-EPOCHS = sp.Symbol("E", positive=True)  #: local epochs per round
-FEATURES = sp.Symbol("F", positive=True)  #: input features per record
-ROUNDS = sp.Symbol("T", positive=True)  #: total federated rounds
-KEY_BITS = sp.Symbol("kb", positive=True)  #: Paillier modulus bits
-MASK_BITS = sp.Symbol("mb", positive=True)  #: pairwise-mask field bits
-WORKERS = sp.Symbol("W", positive=True)  #: sharded-engine worker processes
-SHARD_SIZE = sp.Symbol("Sh", positive=True)  #: aligned users per engine shard
-POPULATION = sp.Symbol("P", positive=True)  #: total user population
-PARTICIPATION = sp.Symbol("p", positive=True)  #: expected silo-availability fraction
-BANDWIDTH = sp.Symbol("B", positive=True)  #: effective link bytes/second
-RETRY = sp.Symbol("r", nonnegative=True)  #: expected retransmission overhead fraction
-
-#: name -> symbol, the planner's substitution vocabulary.
-SYMBOLS = {
-    "users": USERS,
-    "silos": SILOS,
-    "dim": DIM,
-    "records_per_user": RECORDS_PER_USER,
-    "epochs": EPOCHS,
-    "features": FEATURES,
-    "rounds": ROUNDS,
-    "key_bits": KEY_BITS,
-    "mask_bits": MASK_BITS,
-    "workers": WORKERS,
-    "shard_size": SHARD_SIZE,
-    "population": POPULATION,
-    "participation": PARTICIPATION,
-    "bandwidth": BANDWIDTH,
-    "retry": RETRY,
-}
-
 
 # -- calibration constants ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantDef:
-    """One fitted leading constant: what it multiplies and where it comes from."""
-
-    name: str
-    unit: str
-    doc: str
-
-
-CONSTANT_DEFS: dict[str, ConstantDef] = {
-    c.name: c
-    for c in [
-        ConstantDef(
-            "train_record_cnn",
-            "s / (record * epoch * param)",
-            "vectorized per-record training work, CNN family (fig05 MNIST)",
-        ),
-        ConstantDef(
-            "train_user_cnn",
-            "s / (user * epoch * param)",
-            "per-user fixed overhead of a vectorized CNN round "
-            "(segmented reductions, clipping rows)",
-        ),
-        ConstantDef(
-            "train_record_dense",
-            "s / (record * epoch * param)",
-            "per-record training work, dense/logistic family, measured "
-            "through the sharded engine (worker overhead folded in)",
-        ),
-        ConstantDef(
-            "sim_record",
-            "s / (participating record * param)",
-            "per-record work of a scheduler-driven simulation round "
-            "(participation draws, weighting, accounting folded in)",
-        ),
-        ConstantDef(
-            "paillier_keygen",
-            "s / key_bits^3",
-            "fast-backend Paillier keygen (CRT precompute dominates)",
-        ),
-        ConstantDef(
-            "paillier_offline",
-            "s / (silo * coord * key_bits^3)",
-            "offline randomizer-pool generation, fast backend",
-        ),
-        ConstantDef(
-            "paillier_encrypt_pair",
-            "s / (silo * user * key_bits^3)",
-            "per-round weighted encryption, fast backend: the one "
-            "key-width power c_u^(f_u) per (silo, user) pair",
-        ),
-        ConstantDef(
-            "paillier_encrypt_coord",
-            "s / (silo * user * coord * key_bits^2)",
-            "per-round weighted encryption, fast backend: the fixed-point-"
-            "width table look-ups per (silo, user, coordinate) -- a constant "
-            "number of n^2 multiplications whatever the key size",
-        ),
-        ConstantDef(
-            "paillier_decrypt",
-            "s / (coord * key_bits^3)",
-            "per-round aggregate decryption (CRT), fast backend",
-        ),
-        ConstantDef(
-            "paillier_misc_base",
-            "s",
-            "fast-backend setup misc: key exchange + blinded histogram "
-            "+ weight encryption, flat part",
-        ),
-        ConstantDef(
-            "paillier_misc_silo_user",
-            "s / (silo * user)",
-            "fast-backend setup misc, per (silo, user) pair part",
-        ),
-        ConstantDef(
-            "masked_setup",
-            "s / silo^2",
-            "masked-backend setup: DH keygen + pairwise key exchange",
-        ),
-        ConstantDef(
-            "masked_round",
-            "s / (silo pair * coord)",
-            "per-round pairwise mask stream generation + upload",
-        ),
-        ConstantDef(
-            "churn_user",
-            "s / (user * round)",
-            "per-round churn process over the full population",
-        ),
-        ConstantDef(
-            "engine_shard_memory",
-            "(dimensionless)",
-            "multiplier on the analytic in-flight shard footprint "
-            "workers * shard * (records_per_user * features + dim) * 8",
-        ),
-    ]
+#: Every fitted constant: name -> "unit: what it measures".
+CONSTANT_DEFS: dict[str, str] = {
+    "train_record_cnn": "s / (record * epoch * param): vectorized per-record "
+    "training work, CNN family (fig05 MNIST)",
+    "train_user_cnn": "s / (user * epoch * param): per-user fixed overhead of a "
+    "vectorized CNN round (segmented reductions, clipping rows)",
+    "train_record_dense": "s / (record * epoch * param): per-record training work, "
+    "dense/logistic family, measured through the sharded engine (worker "
+    "overhead folded in)",
+    "sim_record": "s / (participating record * param): per-record work of a "
+    "scheduler-driven simulation round (participation draws, weighting, "
+    "accounting folded in)",
+    "paillier_keygen": "s / key_bits^3: fast-backend Paillier keygen (CRT "
+    "precompute dominates)",
+    "paillier_offline": "s / (silo * coord * key_bits^3): offline randomizer-pool "
+    "generation, fast backend",
+    "paillier_encrypt_pair": "s / (silo * user * key_bits^3): per-round weighted "
+    "encryption, fast backend: the one key-width power c_u^(f_u) per (silo, "
+    "user) pair",
+    "paillier_encrypt_coord": "s / (silo * user * coord * key_bits^2): per-round "
+    "weighted encryption, fast backend: the fixed-point-width table look-ups "
+    "per (silo, user, coordinate) -- a constant number of n^2 multiplications "
+    "whatever the key size",
+    "paillier_decrypt": "s / (coord * key_bits^3): per-round aggregate decryption "
+    "(CRT), fast backend",
+    "paillier_misc_base": "s: fast-backend setup misc (key exchange + blinded "
+    "histogram + weight encryption), flat part",
+    "paillier_misc_silo_user": "s / (silo * user): fast-backend setup misc, per "
+    "(silo, user) pair part",
+    "masked_setup": "s / silo^2: masked-backend setup: DH keygen + pairwise key "
+    "exchange",
+    "masked_round": "s / (silo pair * coord): per-round pairwise mask stream "
+    "generation + upload",
+    "churn_user": "s / (user * round): per-round churn process over the full "
+    "population",
+    "engine_shard_memory": "dimensionless: multiplier on the analytic in-flight "
+    "shard footprint workers * shard * (records_per_user * features + dim) * 8",
 }
 
 
-def C(name: str) -> sp.Symbol:
-    """The sympy symbol of a registered calibration constant."""
-    if name not in CONSTANT_DEFS:
-        raise KeyError(
-            f"unknown calibration constant {name!r}; "
-            f"register it in repro.cost.model.CONSTANT_DEFS"
+@dataclass(frozen=True)
+class Linear:
+    """``base + sum(coef[c] * c)``: one metric, linear in the constants."""
+
+    base: float = 0
+    coef: dict[str, float] = field(default_factory=dict)
+
+    def value(self, constants: dict[str, float]) -> float:
+        """The metric under fitted ``constants`` (name -> value)."""
+        missing = sorted(set(self.coef) - set(constants))
+        if missing:
+            raise KeyError(f"calibration is missing constants {missing}")
+        return self.base + sum(k * constants[c] for c, k in self.coef.items())
+
+
+def fitted(**coef: float) -> Linear:
+    """``sum(coef[c] * c)`` over registered calibration constants."""
+    unknown = sorted(set(coef) - set(CONSTANT_DEFS))
+    if unknown:
+        raise ValueError(
+            f"unknown calibration constants {unknown}; "
+            f"register them in repro.cost.model.CONSTANT_DEFS"
         )
-    return sp.Symbol(f"c_{name}", positive=True)
+    return Linear(0, coef)
 
 
 # -- exact wire formulas ------------------------------------------------------
 
 
-def keep_count_expr(comp: CompressionSpec | None, dim=DIM) -> sp.Expr:
-    """Symbolic :meth:`CompressionSpec.keep_count`: surviving coordinates."""
-    if comp is None or comp.sparsify == "none":
-        return dim
-    # sp.Float keeps the double's 53-bit value AND 53-bit precision, so
-    # frac * dim rounds exactly like the runtime's float product (an
-    # exact Rational would differ where the product rounds down across
-    # an integer boundary, e.g. 0.1 * 4130 -> 413.0, not 413.000..02).
-    frac = sp.Float(comp.fraction)
-    return sp.Max(1, sp.Min(dim, sp.ceiling(frac * dim)))
+def ciphertext_bytes(key_bits: int) -> int:
+    """One Paillier ciphertext, an element of Z_{n^2}: 128 B at 512-bit keys
+    (:attr:`repro.protocol.runner.PrivateWeightingProtocol.ciphertext_bytes`)."""
+    return (2 * key_bits + 7) // 8
 
 
-def payload_bytes_expr(comp: CompressionSpec | None, dim=DIM) -> sp.Expr:
-    """Symbolic :meth:`CompressionSpec.payload_bytes`: one plaintext payload.
-
-    ``comp=None`` (or the identity spec) is dense float64: ``8 * dim``.
-    """
-    if comp is None:
-        return 8 * dim
-    k = keep_count_expr(comp, dim)
-    if comp.quantize_bits is not None:
-        value_bytes = 8 + sp.ceiling(k * comp.quantize_bits / sp.Integer(8))
-    else:
-        value_bytes = 8 * k
-    if comp.sparsify == "none":
-        return value_bytes
-    return comp.index_bytes * k + value_bytes
-
-
-def ciphertext_bytes_expr(key_bits=KEY_BITS) -> sp.Expr:
-    """Serialized Paillier ciphertext size: ``ceil(2 * key_bits / 8)``.
-
-    (mirrors :attr:`repro.protocol.runner.PrivateWeightingProtocol.\
-ciphertext_bytes`; 512-bit keys -> 128 B, 3072-bit -> 768 B)
-    """
-    return sp.ceiling(2 * key_bits / sp.Integer(8))
-
-
-def mask_bytes_expr(mask_bits=MASK_BITS) -> sp.Expr:
-    """Serialized masked-backend field element size: ``mask_bits / 8``."""
-    return mask_bits / sp.Integer(8)
+def mask_bytes(mask_bits: int) -> int:
+    """One masked-backend field element (``MaskedAggregationProtocol.mask_bytes``)."""
+    return (mask_bits + 7) // 8
 
 
 # -- phases -------------------------------------------------------------------
 
-_ZERO = sp.Integer(0)
-
 
 @dataclass(frozen=True)
 class PhaseCost:
-    """One phase's five metric expressions.
+    """One phase's five metrics at one workload.
 
     ``per`` is ``"setup"`` (paid once per run) or ``"round"`` (paid every
-    federated round).  Memory expressions are *resident* footprints, not
-    cumulative -- totals take their max, not their sum.
+    federated round).  A metric given as a number is a :class:`Linear`
+    with no constants.  Memory is a *resident* footprint, not cumulative
+    -- totals take its max, not its sum.
     """
 
     name: str
     per: str
-    seconds: sp.Expr = _ZERO
-    uplink_bytes: sp.Expr = _ZERO
-    downlink_bytes: sp.Expr = _ZERO
-    cipher_elements: sp.Expr = _ZERO
-    memory_bytes: sp.Expr = _ZERO
+    seconds: Linear | float = 0
+    uplink_bytes: Linear | float = 0
+    downlink_bytes: Linear | float = 0
+    cipher_elements: Linear | float = 0
+    memory_bytes: Linear | float = 0
 
     def __post_init__(self):
         if self.per not in ("setup", "round"):
             raise ValueError("per must be 'setup' or 'round'")
+        for metric in METRICS:
+            value = getattr(self, metric)
+            if not isinstance(value, Linear):
+                object.__setattr__(self, metric, Linear(value))
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """All phases of one spec's predicted run, still fully symbolic."""
+    """The phase structure of one spec's run, as a function of its workload."""
 
     method: str
     backend: str | None  # crypto backend, or None for plaintext
     family: str  # "cnn" | "dense" | "sim"
-    phases: tuple[PhaseCost, ...]
-    #: Substitutions the builder already knows are structural (for
-    #: reporting; the planner merges workload numbers on top).
+    phases: Callable[[dict], list[PhaseCost]]  # workload numbers -> phases
     notes: tuple[str, ...] = field(default=())
-
-    def phase(self, name: str) -> PhaseCost:
-        for ph in self.phases:
-            if ph.name == name:
-                return ph
-        raise KeyError(f"no phase named {name!r} in this model")
-
-    def total(self, metric: str, per: str | None = None) -> sp.Expr:
-        """Sum (max, for memory) of one metric over the selected phases."""
-        if metric not in METRICS:
-            raise KeyError(f"metric must be one of {METRICS}")
-        exprs = [
-            getattr(ph, metric)
-            for ph in self.phases
-            if per is None or ph.per == per
-        ]
-        exprs = [e for e in exprs if e is not _ZERO]
-        if not exprs:
-            return _ZERO
-        if metric == "memory_bytes":
-            return exprs[0] if len(exprs) == 1 else sp.Max(*exprs)
-        return sp.Add(*exprs)
-
-    def run_total(self, metric: str) -> sp.Expr:
-        """Whole-run total: ``setup + ROUNDS * round`` (max for memory)."""
-        if metric == "memory_bytes":
-            return self.total(metric)
-        return self.total(metric, "setup") + ROUNDS * self.total(metric, "round")
 
 
 # -- builders -----------------------------------------------------------------
 
 
-def _train_phase(family: str, sharded: bool) -> PhaseCost:
+def _train_seconds(family: str, w: dict) -> Linear:
     """Local training: per-record work scaled by the model dimension.
 
     The dense-family constant is measured *through* the sharded engine
     (BENCH_scaleout), so worker-pool and BinnedSum merge overhead is
     folded into it rather than carried as a separate unfittable term.
     """
-    active_users = PARTICIPATION * USERS
-    records = active_users * RECORDS_PER_USER
+    active_users = w["participation"] * w["users"]
+    records = active_users * w["records_per_user"]
+    work = w["dim"] * w["epochs"]
     if family == "cnn":
-        seconds = DIM * EPOCHS * (
-            C("train_record_cnn") * records + C("train_user_cnn") * active_users
+        return fitted(
+            train_record_cnn=work * records, train_user_cnn=work * active_users
         )
-    elif family == "dense":
-        seconds = DIM * EPOCHS * C("train_record_dense") * records
-    elif family == "sim":
-        seconds = DIM * EPOCHS * C("sim_record") * records
-    else:
-        raise ValueError(f"unknown model family {family!r}")
+    if family == "dense":
+        return fitted(train_record_dense=work * records)
+    if family == "sim":
+        return fitted(sim_record=work * records)
+    raise ValueError(f"unknown model family {family!r}")
+
+
+def _train_memory(sharded: bool, w: dict) -> Linear | float:
+    """Resident bytes of local training."""
+    row_bytes = w["records_per_user"] * w["features"]
     if sharded:
         # Workers hold in-flight shards only: records + delta rows per
         # shard slot, times the live worker count.
-        memory = (
-            C("engine_shard_memory")
-            * WORKERS
-            * SHARD_SIZE
-            * (RECORDS_PER_USER * FEATURES + DIM)
-            * 8
+        return fitted(
+            engine_shard_memory=w["workers"] * w["shard_size"] * (row_bytes + w["dim"]) * 8
         )
-    else:
-        # The unsharded vectorized engine materialises every user's
-        # records plus the batched per-user delta matrix at once.
-        memory = USERS * RECORDS_PER_USER * FEATURES * 8 + USERS * DIM * 8
-    return PhaseCost("local_train", "round", seconds=seconds, memory_bytes=memory)
+    # The unsharded vectorized engine materialises every user's
+    # records plus the batched per-user delta matrix at once.
+    return w["users"] * row_bytes * 8 + w["users"] * w["dim"] * 8
 
 
-def _plaintext_wire_phases(comp: CompressionSpec | None) -> list[PhaseCost]:
+def _plaintext_wire_phases(comp: CompressionSpec | None, w: dict) -> list[PhaseCost]:
     """Uplink + broadcast of a plaintext method, per round.
 
     Downlink payloads are dense unless ``comp.downlink`` is set (the
     pipeline only compresses the server broadcast on request); both
     directions are charged to every silo that received the round-start
-    broadcast -- the expected count is ``PARTICIPATION * SILOS``.
+    broadcast -- the expected count is ``participation * silos``.
     """
-    up_payload = payload_bytes_expr(comp)
-    down_payload = (
-        payload_bytes_expr(comp) if comp is not None and comp.downlink else 8 * DIM
-    )
-    active = PARTICIPATION * SILOS
+    dim, silos, p = w["dim"], w["silos"], w["participation"]
+    up = 8 * dim if comp is None else comp.payload_bytes(dim)
+    down = up if comp is not None and comp.downlink else 8 * dim
     return [
-        PhaseCost("uplink", "round", uplink_bytes=active * up_payload),
-        PhaseCost("broadcast", "round", downlink_bytes=active * down_payload),
+        PhaseCost("uplink", "round", uplink_bytes=p * (silos * up)),
+        PhaseCost("broadcast", "round", downlink_bytes=p * (silos * down)),
     ]
 
 
 def _secure_phases(
-    crypto: CryptoSpec, comp: CompressionSpec | None
+    crypto: CryptoSpec, comp: CompressionSpec | None, w: dict
 ) -> list[PhaseCost]:
     """Crypto setup + per-round phases of ``secure-uldp-avg``.
 
     ``d_eff`` is the ciphertext count per silo: ``keep_count`` under
     rand-k (the only family the secure path admits), else the full dim.
     """
-    d_eff = keep_count_expr(comp)
+    dim, silos, users = w["dim"], w["silos"], w["users"]
+    d_eff = dim if comp is None else comp.keep_count(dim)
     if crypto.backend == "masked":
-        active = PARTICIPATION * SILOS
+        p = w["participation"]
+        mask = mask_bytes(w["mask_bits"])
         return [
-            PhaseCost("mask_setup", "setup", seconds=C("masked_setup") * SILOS**2),
+            PhaseCost("mask_setup", "setup", seconds=fitted(masked_setup=silos**2)),
             PhaseCost(
                 "mask_and_upload",
                 "round",
-                seconds=C("masked_round") * active * (SILOS - 1) * d_eff,
-                uplink_bytes=active * d_eff * mask_bytes_expr(),
-                cipher_elements=active * d_eff,
-                memory_bytes=SILOS * d_eff * mask_bytes_expr(),
+                seconds=fitted(masked_round=p * silos * (silos - 1) * d_eff),
+                uplink_bytes=p * (silos * d_eff * mask),
+                cipher_elements=p * (silos * d_eff),
+                memory_bytes=silos * d_eff * mask,
             ),
-            PhaseCost("broadcast", "round", downlink_bytes=active * 8 * DIM),
+            PhaseCost("broadcast", "round", downlink_bytes=p * (silos * 8 * dim)),
         ]
     # Paillier (Protocol 1) requires the full roster every round.
-    kb3 = KEY_BITS**3
-    cipher_bytes = ciphertext_bytes_expr()
+    kb = w["key_bits"]
+    cipher = ciphertext_bytes(kb)
     return [
-        PhaseCost("keygen", "setup", seconds=C("paillier_keygen") * kb3),
+        PhaseCost("keygen", "setup", seconds=fitted(paillier_keygen=kb**3)),
         PhaseCost(
             "offline_randomizers",
             "round",
-            seconds=C("paillier_offline") * SILOS * d_eff * kb3,
+            seconds=fitted(paillier_offline=silos * d_eff * kb**3),
         ),
         PhaseCost(
             "setup_misc",
             "setup",
-            seconds=C("paillier_misc_base")
-            + C("paillier_misc_silo_user") * SILOS * USERS,
+            seconds=fitted(paillier_misc_base=1, paillier_misc_silo_user=silos * users),
         ),
         PhaseCost(
             "silo_weighted_encryption",
             "round",
-            seconds=C("paillier_encrypt_pair") * SILOS * USERS * kb3
-            + C("paillier_encrypt_coord") * SILOS * USERS * d_eff * KEY_BITS**2,
-            uplink_bytes=SILOS * d_eff * cipher_bytes,
-            cipher_elements=SILOS * d_eff,
-            memory_bytes=SILOS * d_eff * cipher_bytes,
+            seconds=fitted(
+                paillier_encrypt_pair=silos * users * kb**3,
+                paillier_encrypt_coord=silos * users * d_eff * kb**2,
+            ),
+            uplink_bytes=silos * d_eff * cipher,
+            cipher_elements=silos * d_eff,
+            memory_bytes=silos * d_eff * cipher,
         ),
         PhaseCost(
             "aggregate_decrypt",
             "round",
-            seconds=C("paillier_decrypt") * d_eff * kb3,
+            seconds=fitted(paillier_decrypt=d_eff * kb**3),
         ),
-        PhaseCost("broadcast", "round", downlink_bytes=SILOS * 8 * DIM),
+        PhaseCost("broadcast", "round", downlink_bytes=silos * 8 * dim),
     ]
 
 
-def _network_phase(model_phases: list[PhaseCost]) -> PhaseCost:
+def _network_phase(phases: list[PhaseCost], w: dict) -> PhaseCost:
     """Wall-clock cost of moving the round's bytes over a real link."""
-    round_bytes = sp.Add(
-        *(
-            ph.uplink_bytes + ph.downlink_bytes
-            for ph in model_phases
-            if ph.per == "round"
-        )
+    round_bytes = sum(
+        ph.uplink_bytes.base + ph.downlink_bytes.base
+        for ph in phases
+        if ph.per == "round"
     )
     return PhaseCost(
-        "network", "round", seconds=round_bytes * (1 + RETRY) / BANDWIDTH
+        "network", "round", seconds=round_bytes * (1 + w["retry"]) / w["bandwidth"]
     )
 
 
 def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
-    """Compose the per-phase symbolic cost model of one spec.
+    """Compose the per-phase cost model of one spec.
 
     ``family`` (``"cnn"``/``"dense"``) names the training-constant family
     and defaults to the resolved model's family
@@ -452,46 +312,47 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
     use the scheduler-inclusive ``"sim"`` constant.
     """
     notes: list[str] = []
+    comp, crypto, churn = spec.compression, None, False
     if spec.is_simulation:
         from repro.cost.workload import scenario_traits
 
         traits = scenario_traits(spec)
-        family = "sim"
-        comp = traits.compression
-        phases = [_train_phase("sim", sharded=False)]
-        # The simulator holds one activity flag (np.bool_) per user.
-        phases[0] = replace(phases[0], memory_bytes=POPULATION)
-        phases += _plaintext_wire_phases(comp)
-        if traits.has_churn:
-            phases.append(
-                PhaseCost("churn", "round", seconds=C("churn_user") * POPULATION)
-            )
+        family, comp, churn = "sim", traits.compression, traits.has_churn
         if traits.participation < 1.0:
             notes.append(
                 f"scenario {spec.sim.scenario!r}: expected participation "
                 f"{traits.participation:g} (iid silo availability)"
             )
-        backend = None
     else:
         if family is None:
             from repro.cost.workload import resolve_family
 
             family = resolve_family(spec)
-        sharded = spec.engine is not None and spec.engine.workers > 0
-        phases = [_train_phase(family, sharded=sharded)]
         if spec.method.name == SECURE_METHOD:
             crypto = spec.crypto if spec.crypto is not None else CryptoSpec()
-            backend = crypto.backend
-            phases += _secure_phases(crypto, spec.compression)
+    sharded = (
+        not spec.is_simulation and spec.engine is not None and spec.engine.workers > 0
+    )
+    network = spec.cost is not None and spec.cost.bandwidth_mbps is not None
+
+    def phases(w: dict) -> list[PhaseCost]:
+        # A simulator holds one activity flag (np.bool_) per user.
+        memory = w["population"] if spec.is_simulation else _train_memory(sharded, w)
+        out = [PhaseCost("local_train", "round", _train_seconds(family, w), memory_bytes=memory)]
+        if crypto is not None:
+            out += _secure_phases(crypto, comp, w)
         else:
-            backend = None
-            phases += _plaintext_wire_phases(spec.compression)
-    if spec.cost is not None and spec.cost.bandwidth_mbps is not None:
-        phases.append(_network_phase(phases))
+            out += _plaintext_wire_phases(comp, w)
+        if churn:
+            out.append(PhaseCost("churn", "round", seconds=fitted(churn_user=w["population"])))
+        if network:
+            out.append(_network_phase(out, w))
+        return out
+
     return CostModel(
         method=spec.method.name,
-        backend=backend,
+        backend=None if crypto is None else crypto.backend,
         family=family,
-        phases=tuple(phases),
+        phases=phases,
         notes=tuple(notes),
     )

@@ -1,9 +1,9 @@
-"""Substitute numbers into the cost model; answer capacity questions.
+"""Evaluate the cost model at a spec's numbers; answer capacity questions.
 
 :func:`predict` turns a spec into a :class:`CostReport` -- per-phase
 predicted seconds / uplink / downlink bytes / ciphertext elements /
 resident memory, plus per-round, setup, and whole-run totals -- and
-:func:`solve_max_users` inverts the (monotone-in-users) expressions by
+:func:`solve_max_users` inverts the (monotone-in-users) cost functions by
 integer bisection: the largest user count whose predicted *per-round*
 seconds / uplink bytes (and whole-run resident memory) stay within the
 given budgets, holding records-per-user and every other workload knob
@@ -13,11 +13,9 @@ fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import sympy as sp
+from functools import partial
 
 from repro.api.spec import RunSpec
-from repro.cost import model as M
 from repro.cost import workload
 from repro.cost.calibrate import Calibration, load_calibration
 from repro.cost.model import METRICS, CostModel, build_cost_model
@@ -27,15 +25,49 @@ from repro.cost.workload import CostError
 MAX_SOLVE_USERS = 10**12
 
 
-def _evaluate(expr: sp.Expr, subs: dict, context: str) -> float:
-    value = sp.N(expr.subs(subs))
-    if value.free_symbols:
-        missing = ", ".join(sorted(str(s) for s in value.free_symbols))
+def _evaluate(model: CostModel, w: dict, constants: dict[str, float]) -> list:
+    """``(name, per, metric -> value)`` of every phase at workload ``w``.
+
+    Values stay exact where the workload is (byte counts are integers or
+    :class:`~fractions.Fraction` multiples of the participation), so
+    totals round once, in :func:`_floats`."""
+    try:
+        phases = model.phases(w)
+    except KeyError as exc:
         raise CostError(
-            f"{context}: unresolved symbols [{missing}] -- the spec does "
-            f"not pin them down (see docs/cost_model.md's glossary)"
-        )
-    return float(value)
+            f"unresolved workload number {exc} -- the spec does not pin it "
+            f"down (see docs/cost_model.md's glossary)"
+        ) from None
+    try:
+        return [
+            (ph.name, ph.per, {m: getattr(ph, m).value(constants) for m in METRICS})
+            for ph in phases
+        ]
+    except KeyError as exc:  # a calibration file without some constant
+        raise CostError(exc.args[0]) from None
+
+
+def _totals(phases: list, per: str | None = None) -> dict:
+    """Sum (max, for memory) of every metric over the selected phases."""
+    picked = [values for _, p, values in phases if per is None or p == per]
+    return {
+        m: max((v[m] for v in picked), default=0)
+        if m == "memory_bytes"
+        else sum(v[m] for v in picked)
+        for m in METRICS
+    }
+
+
+def _run_totals(phases: list, rounds: int) -> dict:
+    """Whole-run totals: ``setup + rounds * round`` (max for memory)."""
+    setup, per_round = _totals(phases, "setup"), _totals(phases, "round")
+    run = {m: setup[m] + rounds * per_round[m] for m in METRICS}
+    run["memory_bytes"] = _totals(phases)["memory_bytes"]
+    return run
+
+
+def _floats(values: dict) -> dict[str, float]:
+    return {m: float(v) for m, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -60,7 +92,7 @@ class CostReport:
     round_totals: dict[str, float]
     setup_totals: dict[str, float]
     run_totals: dict[str, float]
-    subs: dict[str, float] = field(default_factory=dict)
+    workload: dict[str, float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
     def render(self) -> str:
@@ -128,45 +160,19 @@ def predict(
     """Numeric per-phase cost prediction of one spec."""
     calibration = _resolve_calibration(spec, calibration)
     model = build_cost_model(spec)
-    subs = workload.substitutions(spec)
-    full = {**calibration.symbol_subs(), **subs}
-    rounds = int(subs[M.ROUNDS])
-
-    phases = [
-        PhasePrediction(
-            ph.name,
-            ph.per,
-            {
-                metric: _evaluate(
-                    getattr(ph, metric), full, f"{ph.name}.{metric}"
-                )
-                for metric in METRICS
-            },
-        )
-        for ph in model.phases
-    ]
-    totals = {
-        scope: {
-            metric: _evaluate(expr_fn(metric), full, f"{scope} {metric}")
-            for metric in METRICS
-        }
-        for scope, expr_fn in (
-            ("round", lambda m: model.total(m, "round")),
-            ("setup", lambda m: model.total(m, "setup")),
-            ("run", model.run_total),
-        )
-    }
+    w = workload.numbers(spec)
+    phases = _evaluate(model, w, calibration.constants)
     return CostReport(
         spec_name=spec.name,
         method=model.method,
         backend=model.backend,
         family=model.family,
-        rounds=rounds,
-        phases=phases,
-        round_totals=totals["round"],
-        setup_totals=totals["setup"],
-        run_totals=totals["run"],
-        subs={name: float(sp.N(subs[sym])) for name, sym in M.SYMBOLS.items() if sym in subs},
+        rounds=int(w["rounds"]),
+        phases=[PhasePrediction(name, per, _floats(v)) for name, per, v in phases],
+        round_totals=_floats(_totals(phases, "round")),
+        setup_totals=_floats(_totals(phases, "setup")),
+        run_totals=_floats(_run_totals(phases, w["rounds"])),
+        workload={k: float(v) for k, v in w.items()},
         notes=model.notes,
     )
 
@@ -200,12 +206,8 @@ class CapacityAnswer:
         )
 
 
-def _max_users_for(expr: sp.Expr, budget: float) -> int:
-    """Largest integer U with ``expr(U) <= budget`` (expr monotone in U)."""
-
-    def value(u: int) -> float:
-        return float(sp.N(expr.subs({M.USERS: u})))
-
+def _max_users_for(value, budget: float) -> int:
+    """Largest integer U with ``value(U) <= budget`` (value monotone in U)."""
     if value(1) > budget:
         return 0
     hi = 1
@@ -259,27 +261,21 @@ def solve_max_users(
         )
     calibration = _resolve_calibration(spec, calibration)
     model = build_cost_model(spec)
-    subs = workload.substitutions(spec)
-    subs.pop(M.USERS, None)
-    # The population is always the user count (workload.substitutions),
-    # so churn and population-memory terms must scale with the answer.
-    subs.pop(M.POPULATION, None)
-    full = {**calibration.symbol_subs(), **subs}
-    exprs = {
-        "round_seconds": model.total("seconds", "round"),
-        "round_uplink_bytes": model.total("uplink_bytes", "round"),
-        "memory_bytes": model.run_total("memory_bytes"),
+    w = workload.numbers(spec)
+
+    def total(metric: str, users: int) -> float:
+        # The population is always the user count (workload.numbers), so
+        # churn and population-memory terms scale with the answer.
+        at = {**w, "users": users, "population": users}
+        phases = _evaluate(model, at, calibration.constants)
+        if metric == "memory_bytes":
+            return _totals(phases)[metric]
+        return _totals(phases, "round")[metric.removeprefix("round_")]
+
+    per_budget = {
+        metric: _max_users_for(partial(total, metric), budget)
+        for metric, budget in budgets.items()
     }
-    per_budget = {}
-    for metric, budget in budgets.items():
-        expr = exprs[metric].subs(full).subs({M.POPULATION: M.USERS})
-        extra = expr.free_symbols - {M.USERS}
-        if extra:
-            raise CostError(
-                f"solve-for users: unresolved symbols "
-                f"[{', '.join(sorted(map(str, extra)))}] in {metric}"
-            )
-        per_budget[metric] = _max_users_for(expr, budget)
     return CapacityAnswer(
         max_users=min(per_budget.values()),
         per_budget=per_budget,

@@ -1,24 +1,24 @@
 """Resolve a :class:`repro.api.RunSpec` into concrete workload numbers.
 
-The symbolic layer (:mod:`repro.cost.model`) never touches datasets or
-models; this module turns a spec into the substitution dict the planner
-feeds it -- model dimension (by *building* the registered model against
-the benchmark's known input shape, so the count is exact, not guessed),
-records per user, crypto parameters, engine layout, and -- for
-simulation specs -- the scenario's scale tier, expected participation,
-and bundled compression recipe.
+The cost functions (:mod:`repro.cost.model`) never touch datasets or
+models; this module turns a spec into the name -> number dict the
+planner evaluates them at -- model dimension (by *building* the
+registered model against the benchmark's known input shape, so the
+count is exact, not guessed), records per user, crypto parameters,
+engine layout, and -- for simulation specs -- the scenario's scale
+tier, expected participation, and bundled compression recipe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro.api.spec import SECURE_METHOD, CryptoSpec, RunSpec
 from repro.compress.spec import CompressionSpec
-from repro.cost import model as M
 
 
 class CostError(ValueError):
@@ -110,9 +110,9 @@ def resolve_family(spec: RunSpec) -> str:
 class ScenarioTraits:
     """What a named scenario recipe implies for the cost model."""
 
+    sizes: dict  # the scale tier's workload sizes, rounds resolved
     participation: float
     has_churn: bool
-    has_bandwidth: bool
     compression: CompressionSpec | None
 
 
@@ -130,77 +130,64 @@ def scenario_traits(spec: RunSpec) -> ScenarioTraits:
     from repro.sim.scenarios import scenario_recipe
 
     try:
-        _, recipe = scenario_recipe(spec.sim.scenario, spec.sim.scale, spec.rounds)
+        sizes, recipe = scenario_recipe(spec.sim.scenario, spec.sim.scale, spec.rounds)
     except KeyError as exc:
         raise CostError(str(exc)) from exc
     dropout = recipe.get("dropout")
-    participation = (
-        1.0 - dropout.prob if isinstance(dropout, IidSiloDropout) else 1.0
-    )
     return ScenarioTraits(
-        participation=participation,
+        sizes=sizes,
+        participation=1.0 - dropout.prob if isinstance(dropout, IidSiloDropout) else 1.0,
         has_churn=recipe.get("churn") is not None,
-        has_bandwidth=recipe.get("bandwidth") is not None,
         compression=recipe.get("compression"),
     )
 
 
-# -- the substitution dict ----------------------------------------------------
+# -- the workload numbers -----------------------------------------------------
 
-#: Mode-default round counts (mirrors RunSpec: 5 for a plain training
-#: run; simulations take the scenario scale's count).
+#: Mode-default round count of a plain training run (mirrors RunSpec).
 TRAIN_DEFAULT_ROUNDS = 5
 
 
-def resolve_rounds(spec: RunSpec) -> int:
-    if spec.rounds is not None:
-        return spec.rounds
+def numbers(spec: RunSpec) -> dict:
+    """name -> number for every workload number this spec pins down
+    (the names are docs/cost_model.md's glossary)."""
     if spec.is_simulation:
-        from repro.sim.scenarios import _scale_params
-
-        return _scale_params(spec.sim.scale)["rounds"]
-    return TRAIN_DEFAULT_ROUNDS
-
-
-def substitutions(spec: RunSpec) -> dict:
-    """symbol -> number for every workload symbol this spec pins down."""
-    subs: dict = {}
-    if spec.is_simulation:
-        from repro.sim.scenarios import _scale_params
-
-        params = _scale_params(spec.sim.scale)
-        users, silos = params["n_users"], params["n_silos"]
-        records = params["n_records"]
         traits = scenario_traits(spec)
-        participation = traits.participation
+        sizes = traits.sizes
+        users, silos, records = sizes["n_users"], sizes["n_silos"], sizes["n_records"]
+        rounds, participation = sizes["rounds"], traits.participation
     else:
         users, silos = spec.dataset.users, spec.dataset.silos
         records = spec.dataset.records
-        participation = 1.0
-    subs[M.USERS] = users
-    subs[M.SILOS] = silos
-    subs[M.DIM] = resolve_dim(spec)
-    subs[M.RECORDS_PER_USER] = records / users
-    subs[M.EPOCHS] = spec.method.local_epochs
-    subs[M.FEATURES] = resolve_features(spec)
-    subs[M.ROUNDS] = resolve_rounds(spec)
-    subs[M.POPULATION] = users
-    subs[M.PARTICIPATION] = participation
+        rounds = spec.rounds if spec.rounds is not None else TRAIN_DEFAULT_ROUNDS
+        participation = 1
+    w = {
+        "users": users,
+        "silos": silos,
+        "dim": resolve_dim(spec),
+        "records_per_user": records / users,
+        "epochs": spec.method.local_epochs,
+        "features": resolve_features(spec),
+        "rounds": rounds,
+        "population": users,
+        # Exact, so expected byte counts round once, when reported.
+        "participation": Fraction(participation),
+    }
     crypto = spec.crypto
     if crypto is None and spec.method.name == SECURE_METHOD:
         crypto = CryptoSpec()
     if crypto is not None:
-        subs[M.KEY_BITS] = crypto.paillier_bits
-        subs[M.MASK_BITS] = crypto.mask_bits
+        w["key_bits"] = crypto.paillier_bits
+        w["mask_bits"] = crypto.mask_bits
     if spec.engine is not None and spec.engine.workers > 0:
         from repro.core.engine import EngineConfig
 
         cfg = EngineConfig(
             workers=spec.engine.workers, shard_size=spec.engine.shard_size
         )
-        subs[M.WORKERS] = spec.engine.workers
-        subs[M.SHARD_SIZE] = cfg.aligned_shard_size
+        w["workers"] = spec.engine.workers
+        w["shard_size"] = cfg.aligned_shard_size
     if spec.cost is not None and spec.cost.bandwidth_mbps is not None:
-        subs[M.BANDWIDTH] = spec.cost.bandwidth_mbps * 1e6 / 8  # bytes/s
-        subs[M.RETRY] = spec.cost.retry_overhead
-    return subs
+        w["bandwidth"] = spec.cost.bandwidth_mbps * 1e6 / 8  # bytes/s
+        w["retry"] = spec.cost.retry_overhead
+    return w

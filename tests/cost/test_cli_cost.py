@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import repro
-
 from repro.api.spec import RunSpec, SpecError
 from repro.api.sweep import run_sweep
 from repro.cli import main

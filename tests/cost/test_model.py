@@ -1,40 +1,38 @@
-"""Symbolic invariants of the cost model (repro.cost.model).
+"""Invariants of the cost model (repro.cost.model), evaluated on numbers.
 
-These pin the *structure* of the expressions: monotonicity in the
-workload symbols, exact agreement of the wire-byte formulas with the
-runtime implementations they mirror, and the documented masked-vs-
+These pin the *structure* of the cost functions: monotonicity in the
+workload numbers, exact agreement of the wire-byte metrics with the
+runtime implementations they call, and the documented masked-vs-
 Paillier payload ratio.
 """
 
+from dataclasses import asdict
+
 import pytest
-import sympy as sp
 
 from repro.api.spec import RunSpec
 from repro.compress import CompressionSpec
 from repro.cost import model as M
 from repro.cost.calibrate import load_calibration
-from repro.cost.model import (
-    build_cost_model,
-    ciphertext_bytes_expr,
-    keep_count_expr,
-    mask_bytes_expr,
-    payload_bytes_expr,
-)
+from repro.cost.model import build_cost_model, ciphertext_bytes, mask_bytes
+from repro.cost.planner import _evaluate, _run_totals, _totals, predict
 
 #: Baseline numeric point every monotonicity probe perturbs.
 BASE = {
-    M.USERS: 100,
-    M.SILOS: 5,
-    M.DIM: 4130,
-    M.RECORDS_PER_USER: 40,
-    M.EPOCHS: 2,
-    M.FEATURES: 30,
-    M.ROUNDS: 5,
-    M.KEY_BITS: 512,
-    M.MASK_BITS: 256,
-    M.POPULATION: 100,
-    M.PARTICIPATION: 1.0,
+    "users": 100,
+    "silos": 5,
+    "dim": 4130,
+    "records_per_user": 40,
+    "epochs": 2,
+    "features": 30,
+    "rounds": 5,
+    "key_bits": 512,
+    "mask_bits": 256,
+    "population": 100,
+    "participation": 1.0,
 }
+
+CONSTANTS = load_calibration().constants
 
 
 def _spec(tree=None) -> RunSpec:
@@ -43,67 +41,72 @@ def _spec(tree=None) -> RunSpec:
     return RunSpec.from_dict(base)
 
 
-def _run_seconds(spec: RunSpec):
-    model = build_cost_model(spec)
-    return model.run_total("seconds").subs(load_calibration().symbol_subs())
+def _values(model, w, metric):
+    """``(per, value)`` of ``metric`` for every phase at workload ``w``."""
+    return [(per, values[metric]) for _, per, values in _evaluate(model, w, CONSTANTS)]
+
+
+def _total(model, w, metric, per=None):
+    return _totals(_evaluate(model, w, CONSTANTS), per)[metric]
+
+
+def _run_total(model, w, metric):
+    return _run_totals(_evaluate(model, w, CONSTANTS), w["rounds"])[metric]
 
 
 class TestMonotonicity:
     """More work can never be predicted cheaper."""
 
-    def probe(self, expr, symbol, lo, hi):
-        a = float(sp.N(expr.subs({**BASE, symbol: lo})))
-        b = float(sp.N(expr.subs({**BASE, symbol: hi})))
-        assert 0 < a < b, f"{symbol}: {a} !< {b}"
+    def probe(self, spec, name, lo, hi, metric="seconds"):
+        model = build_cost_model(spec)
+        a = _run_total(model, {**BASE, name: lo}, metric)
+        b = _run_total(model, {**BASE, name: hi}, metric)
+        assert 0 < a < b, f"{name}: {a} !< {b}"
 
     def test_seconds_monotone_in_users(self):
-        expr = _run_seconds(_spec())
-        self.probe(expr, M.USERS, 100, 1000)
+        self.probe(_spec(), "users", 100, 1000)
 
     def test_seconds_monotone_in_dim(self):
-        expr = _run_seconds(_spec())
-        self.probe(expr, M.DIM, 100, 10_000)
+        self.probe(_spec(), "dim", 100, 10_000)
 
     def test_secure_monotone_in_silos(self):
         # both backends do per-silo crypto work
         for backend in ("fast", "masked"):
-            expr = _run_seconds(
-                _spec(
-                    {
-                        "method": {"name": "secure-uldp-avg"},
-                        "crypto": {"backend": backend},
-                    }
-                )
-            )
-            self.probe(expr, M.SILOS, 5, 50)
-
-    def test_secure_seconds_monotone_in_key_bits(self):
-        expr = _run_seconds(
-            _spec(
+            spec = _spec(
                 {
                     "method": {"name": "secure-uldp-avg"},
-                    "crypto": {"backend": "fast"},
+                    "crypto": {"backend": backend},
                 }
             )
+            self.probe(spec, "silos", 5, 50)
+
+    def test_secure_seconds_monotone_in_key_bits(self):
+        spec = _spec(
+            {
+                "method": {"name": "secure-uldp-avg"},
+                "crypto": {"backend": "fast"},
+            }
         )
-        self.probe(expr, M.KEY_BITS, 512, 3072)
+        self.probe(spec, "key_bits", 512, 3072)
 
     def test_uplink_monotone_in_dim(self):
-        model = build_cost_model(_spec({"compression": {"sparsify": "topk"}}))
-        self.probe(model.run_total("uplink_bytes"), M.DIM, 100, 10_000)
+        spec = _spec({"compression": {"sparsify": "topk"}})
+        self.probe(spec, "dim", 100, 10_000, metric="uplink_bytes")
 
 
 class TestExactWireFormulas:
-    """The symbolic byte formulas mirror the runtime implementations."""
+    """The byte metrics are the runtime's own formulas."""
+
+    def uplink_per_silo(self, comp, dim):
+        tree = {} if comp is None else {"compression": asdict(comp)}
+        model = build_cost_model(_spec(tree))
+        w = {**BASE, "dim": dim, "silos": 1}
+        return _total(model, w, "uplink_bytes", "round")
 
     def test_identity_compression_reduces_to_dense(self):
-        # CompressionSpec.none() must collapse *exactly* to the
-        # uncompressed expression -- same sympy expr, not just same value.
-        assert sp.simplify(
-            payload_bytes_expr(CompressionSpec.none()) - payload_bytes_expr(None)
-        ) == 0
-        assert payload_bytes_expr(None) == 8 * M.DIM
-        assert keep_count_expr(CompressionSpec.none()) == M.DIM
+        for dim in (1, 7, 4130):
+            assert self.uplink_per_silo(CompressionSpec.none(), dim) == 8 * dim
+            assert self.uplink_per_silo(None, dim) == 8 * dim
 
     def test_payload_bytes_matches_runtime(self):
         specs = [
@@ -115,24 +118,35 @@ class TestExactWireFormulas:
         ]
         for comp in specs:
             for dim in (1, 7, 65, 4130, 19162):
-                expected = comp.payload_bytes(dim)
-                got = int(payload_bytes_expr(comp).subs({M.DIM: dim}))
-                assert got == expected, (comp, dim)
-                assert int(
-                    keep_count_expr(comp).subs({M.DIM: dim})
-                ) == comp.keep_count(dim)
+                assert self.uplink_per_silo(comp, dim) == comp.payload_bytes(dim), (
+                    comp,
+                    dim,
+                )
+
+    def test_secure_ciphertext_count_is_keep_count(self):
+        comp = CompressionSpec(sparsify="randk", fraction=0.1)
+        model = build_cost_model(
+            _spec(
+                {
+                    "method": {"name": "secure-uldp-avg"},
+                    "crypto": {"backend": "fast"},
+                    "compression": asdict(comp),
+                }
+            )
+        )
+        for dim in (7, 4130, 19162):
+            w = {**BASE, "dim": dim}
+            assert _total(model, w, "cipher_elements") == 5 * comp.keep_count(dim)
 
     def test_ciphertext_bytes(self):
-        assert int(ciphertext_bytes_expr().subs({M.KEY_BITS: 512})) == 128
-        assert int(ciphertext_bytes_expr().subs({M.KEY_BITS: 3072})) == 768
+        assert ciphertext_bytes(512) == 128
+        assert ciphertext_bytes(3072) == 768
 
     def test_masked_vs_paillier_24x_ratio(self):
         """docs/secure_aggregation.md: at 3072-bit keys a Paillier
         ciphertext (768 B) is 24x a 256-bit mask field element (32 B)."""
-        cipher = ciphertext_bytes_expr().subs({M.KEY_BITS: 3072})
-        mask = mask_bytes_expr().subs({M.MASK_BITS: 256})
-        assert int(mask) == 32
-        assert sp.Rational(cipher, mask) == 24
+        assert mask_bytes(256) == 32
+        assert ciphertext_bytes(3072) == 24 * mask_bytes(256)
 
 
 class TestModelStructure:
@@ -146,14 +160,15 @@ class TestModelStructure:
             )
         )
         assert model.backend == "fast"
-        assert model.phase("keygen").per == "setup"
+        phases = {ph.name: ph for ph in model.phases(BASE)}
+        assert phases["keygen"].per == "setup"
         # run_round refills S*d silo randomizers every round.
-        assert model.phase("offline_randomizers").per == "round"
+        assert phases["offline_randomizers"].per == "round"
         used = {
-            str(sym).removeprefix("c_")
-            for ph in model.phases for metric in M.METRICS
-            for sym in getattr(ph, metric).free_symbols
-            if str(sym).startswith("c_")
+            name
+            for ph in phases.values()
+            for metric in M.METRICS
+            for name in getattr(ph, metric).coef
         }
         assert "paillier_keygen" in used
         assert "masked_setup" not in used
@@ -168,43 +183,43 @@ class TestModelStructure:
                 }
             )
         )
-        total = model.total("memory_bytes")
-        parts = [
-            ph.memory_bytes for ph in model.phases if ph.memory_bytes != 0
-        ]
+        parts = [v for _, v in _values(model, BASE, "memory_bytes") if v != 0]
         assert len(parts) > 1
-        point = {**BASE, M.PARTICIPATION: 1}
-        assert float(sp.N(total.subs(point))) == max(
-            float(sp.N(p.subs(point))) for p in parts
-        )
+        assert _total(model, BASE, "memory_bytes") == max(parts)
+        assert _run_total(model, BASE, "memory_bytes") == max(parts)
 
     def test_simulation_memory_is_one_byte_per_user(self):
         # The simulator's population is its user mask: nothing to fit.
         model = build_cost_model(
             RunSpec.from_dict({"sim": {"scenario": "user-churn"}}))
-        assert model.total("memory_bytes") == M.POPULATION
+        for population in (1, 100, 10**6):
+            w = {**BASE, "population": population}
+            assert _total(model, w, "memory_bytes") == population
+        assert not any(ph.memory_bytes.coef for ph in model.phases(BASE))
 
     def test_run_total_is_setup_plus_rounds_times_round(self):
-        model = build_cost_model(_spec())
-        lhs = model.run_total("seconds")
-        rhs = model.total("seconds", "setup") + M.ROUNDS * model.total(
-            "seconds", "round"
-        )
-        assert sp.simplify(lhs - rhs) == 0
+        for spec in (
+            _spec(),
+            _spec({"method": {"name": "secure-uldp-avg"}, "crypto": {"backend": "fast"}}),
+        ):
+            report = predict(spec)
+            for metric in ("seconds", "uplink_bytes", "downlink_bytes", "cipher_elements"):
+                expected = (
+                    report.setup_totals[metric]
+                    + report.rounds * report.round_totals[metric]
+                )
+                assert report.run_totals[metric] == pytest.approx(expected, rel=1e-12)
 
     def test_network_phase_only_with_cost_bandwidth(self):
         plain = build_cost_model(_spec())
-        assert all(ph.name != "network" for ph in plain.phases)
+        assert all(ph.name != "network" for ph in plain.phases(BASE))
         wired = build_cost_model(_spec({"cost": {"bandwidth_mbps": 100.0}}))
-        net = wired.phase("network")
-        seconds = net.seconds.subs(
-            {**BASE, M.BANDWIDTH: 100e6 / 8, M.RETRY: 0.0}
-        )
+        w = {**BASE, "bandwidth": 100e6 / 8, "retry": 0.0}
+        (net,) = [ph for ph in wired.phases(w) if ph.name == "network"]
         # 100 Mbit/s moving the dense round traffic: bytes / (bytes/s).
-        round_bytes = (
-            wired.total("uplink_bytes", "round")
-            + wired.total("downlink_bytes", "round")
-        ).subs(BASE)
-        assert float(seconds) == pytest.approx(
-            float(round_bytes) / (100e6 / 8), rel=1e-12
+        round_bytes = _total(wired, w, "uplink_bytes", "round") + _total(
+            wired, w, "downlink_bytes", "round"
+        )
+        assert net.seconds.value(CONSTANTS) == pytest.approx(
+            round_bytes / (100e6 / 8), rel=1e-12
         )

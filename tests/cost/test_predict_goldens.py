@@ -1,6 +1,6 @@
 """Golden predictions of the cost model, recorded before its rewrite.
 
-Every value below was recorded with the sympy cost model (the last one,
+Every value below was recorded with the symbolic cost model (the last one,
 after ``scenario_traits`` began reading recipes through
 :func:`repro.sim.scenarios.scenario_recipe`): all five metrics of
 :func:`repro.cost.planner.predict`, per phase and in total, for every

@@ -1,8 +1,10 @@
-"""What a cold process imports: never SciPy, and a silo only what it runs.
+"""What a cold process imports: never SciPy or sympy, and a silo only what it runs.
 
 The sub-sampled Gaussian accountant (Lemma 4) runs on NumPy alone, so no
 process loads SciPy (~0.25 s and ~20 MB each, server and silos alike) --
 plain or sub-sampled, built or run -- and a host without SciPy runs both.
+The cost model is plain Python over the runtime's byte formulas, so
+``repro cost`` neither loads sympy nor needs it installed.
 The packages resolve their public names on first access (PEP 562), so a
 ``repro silo`` imports no scheduler, trainer, accountant, compressor or
 other method: every one of them is compiled from source in a process
@@ -119,6 +121,40 @@ def test_plain_spec_runs_without_scipy(tmp_path):
 def test_sampled_work_without_scipy_exits_0(tmp_path, argv):
     out = _python(_NO_SCIPY_CLI, *argv, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
+
+
+# -- the cost model without sympy ---------------------------------------------
+
+_COST_FIG05 = f"""
+import sys
+from repro.api.spec import RunSpec
+from repro.cost.planner import predict, solve_max_users
+spec = RunSpec.from_file({str(ROOT / "examples/specs/fig05.toml")!r})
+predict(spec)
+solve_max_users(spec, budget_seconds=30.0, budget_memory_bytes=2e8)
+print('sympy' in sys.modules)
+"""
+
+
+def test_cost_model_never_loads_sympy():
+    out = _python(_COST_FIG05)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+_NO_SYMPY_CLI = """
+import sys
+sys.modules["sympy"] = None  # every `import sympy...` now raises ImportError
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_repro_cost_runs_without_sympy(tmp_path):
+    out = _python(_NO_SYMPY_CLI, "cost", "--config", str(ROOT / "examples/specs/fig05.toml"),
+                  cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert "family=cnn" in out.stdout
 
 
 # -- what a silo imports ------------------------------------------------------
