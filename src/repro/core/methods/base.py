@@ -37,9 +37,20 @@ roster with everyone in it, bit for bit.  Every round *must* record who
 actually contributed in :attr:`FLMethod.last_participation` (the zero-silo
 round included): the trainer logs it and does not guess.
 
+The broadcast.  A round hands its silos one array, :meth:`FLMethod.broadcast`:
+the global params cast to the dtype the method's local training reads
+(:attr:`FLMethod.broadcast_dtype`, a class attribute: float32 for every
+engine-trained method, which rounds the params to
+:data:`repro.nn.layers.TRAIN_DTYPE` before touching a weight anyway;
+float64 for ULDP-GROUP's float64 DP-SGD).  The server's own params stay
+float64.  Every carrier -- shard tasks, a ``repro silo``'s ``compute``
+frame, the buffered-async scheduler's pulls -- ships that array, and the
+comm ledger charges its ``nbytes`` per recipient.
+
 The contract.  What a runtime may ask of a method is *declared* on
 :class:`FLMethod`, never probed for: ``accountant``, ``display_name``,
-``uplink_payload_bytes()``, ``timing_report()``, the capabilities
+``broadcast_dtype`` / ``broadcast()``, ``uplink_payload_bytes()``,
+``timing_report()``, the capabilities
 ``supports_compression`` / ``check_compression()`` and ``has_silo_step``,
 and ``state_dict()`` / ``load_state()``, through which a method owns its
 checkpointed state.  A spec that needs an undeclared capability is refused
@@ -63,6 +74,7 @@ from repro.core.engine import (
 )
 from repro.core.weighting import RoundParticipation
 from repro.data.federated import FederatedDataset
+from repro.nn.layers import TRAIN_DTYPE
 from repro.nn.model import Sequential
 
 
@@ -100,6 +112,9 @@ class FLMethod(ABC):
     #: ``noise_multiplier``, ``user_sample_rate``) that the buffered-async
     #: scheduler and the networked runtime drive instead of :meth:`round`.
     has_silo_step: bool = False
+    #: The dtype of the round's broadcast (:meth:`broadcast`): what the
+    #: method's local training reads of the global params, and no wider.
+    broadcast_dtype: np.dtype = TRAIN_DTYPE
 
     def __init__(self, compression: CompressionSpec | None = None):
         self.fed: FederatedDataset | None = None
@@ -128,6 +143,9 @@ class FLMethod(ABC):
         #: Set by :meth:`round`: wire bytes of the last round (None for
         #: methods that leave byte accounting to the trainer's default).
         self.last_comm: CommSummary | None = None
+        #: ``nbytes`` of the last array :meth:`broadcast` handed out: what
+        #: the trainer's dense ledger charges each broadcast recipient.
+        self.broadcast_nbytes: int | None = None
         #: Execution layout of the batched engine ([engine] section),
         #: bound by :meth:`prepare`; the defaults run single-process.
         self.engine_config = EngineConfig()
@@ -231,6 +249,21 @@ class FLMethod(ABC):
         if self.compressor is not None:
             return self.compressor.estimated_payload_bytes(model.num_params)
         return model.num_params * 8
+
+    def broadcast(self, params: np.ndarray) -> np.ndarray:
+        """The round's one broadcast: ``params`` as this method's silos
+        read them (:attr:`broadcast_dtype`), the array every carrier
+        ships.  A round forms it first, before any silo could have
+        fetched the model; its ``nbytes`` is what the ledger charges."""
+        sent = params.astype(self.broadcast_dtype)
+        self.broadcast_nbytes = sent.nbytes
+        return sent
+
+    @classmethod
+    def broadcast_bytes(cls, dim: int) -> int:
+        """One recipient's dense broadcast of a ``dim``-parameter model:
+        the cost model's price for what :meth:`broadcast` hands out."""
+        return dim * np.dtype(cls.broadcast_dtype).itemsize
 
     def timing_report(self) -> dict[str, float]:
         """Cumulative per-phase seconds (empty: no phase timer)."""

@@ -53,6 +53,7 @@ class Default(FLMethod):
         fed, model, rng = self._require_prepared()
         if participation is None:
             participation = RoundParticipation.full(fed.n_silos)
+        broadcast = self.broadcast(params)
         if participation.n_active_silos == 0:
             self.last_participation = ParticipationSummary(0, 0)
             return params.copy()
@@ -70,7 +71,7 @@ class Default(FLMethod):
             if trains(s, silo)
         ]
         deltas = batched_local_deltas(
-            model, fed.task, params, jobs, self.local_lr, self.local_epochs
+            model, fed.task, broadcast, jobs, self.local_lr, self.local_epochs
         )
         # Empty silos contribute zero deltas; the mean is over all
         # (participating) silos.

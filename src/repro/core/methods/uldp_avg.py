@@ -142,7 +142,7 @@ class UldpAvg(FLMethod):
         self._active_silo_mask: np.ndarray | None = None
         self._noise_silos: int | None = None
         #: Optional replacement for the in-process payload sources: a
-        #: callable ``(params, round_weights, noise_std, active) ->
+        #: callable ``(broadcast, round_weights, noise_std, active) ->
         #: [(silo, users, payload), ...]`` that has each active silo's
         #: :meth:`silo_payload` computed by a real silo process.  The
         #: networked runtime (:mod:`repro.net`) installs one per round;
@@ -191,15 +191,16 @@ class UldpAvg(FLMethod):
             # The paper's idealised setting is the roster with everyone in
             # it: same weights bit for bit, sensitivity and noise scale 1.
             participation = RoundParticipation.full(fed.n_silos)
+        broadcast = self.broadcast(params)
         active = participation.n_active_silos
         if active == 0:
             # Every silo is down: the round releases nothing and costs no
             # budget (logged so the honesty report sees the gap).  Silos
             # that fetched the model before failing still consumed
-            # broadcast bytes (dense: there is no update to compress).
+            # broadcast bytes (there is no update to compress).
             self.last_participation = ParticipationSummary(0, 0)
             self.last_comm = CommSummary(
-                0, params.size * 8 * participation.n_broadcast_silos
+                0, broadcast.nbytes * participation.n_broadcast_silos
             )
             self.accountant.step_release(
                 self.noise_multiplier, rate, sensitivity=0.0, noise_scale=0.0
@@ -223,7 +224,7 @@ class UldpAvg(FLMethod):
 
         try:
             aggregate, users_seen, uplink = self._round_aggregate(
-                params, round_weights
+                broadcast, round_weights
             )
         finally:
             self._active_silo_mask = None
@@ -241,11 +242,11 @@ class UldpAvg(FLMethod):
         update = self.global_lr * aggregate / scale
         comp = self.compressor
         if comp is not None and comp.spec.downlink and not comp.spec.is_identity:
-            broadcast = comp.compress_downlink(update)
-            update = broadcast.dense
-            downlink_per_silo = broadcast.nbytes
+            sent = comp.compress_downlink(update)
+            update = sent.dense
+            downlink_per_silo = sent.nbytes
         else:
-            downlink_per_silo = params.size * 8
+            downlink_per_silo = broadcast.nbytes
         # Downlink recipients are the silos that fetched the broadcast at
         # round start -- a superset of the contributors when deadline or
         # bandwidth filtering bit after the download.
@@ -255,13 +256,14 @@ class UldpAvg(FLMethod):
         return params + update
 
     def _round_aggregate(
-        self, params: np.ndarray, round_weights: np.ndarray
+        self, broadcast: np.ndarray, round_weights: np.ndarray
     ) -> tuple[np.ndarray, set[int], int]:
         """The round's one sum: ``0 + payload_0 + payload_1 + ...`` over the
         active silos in silo-index order, each payload being Algorithm 3
         line 17's noisy weighted sum -- the only thing a silo releases --
         and first through the uplink compressor when a lossy one is active
-        (strictly post-noise, per-silo error feedback).
+        (strictly post-noise, per-silo error feedback).  Every silo trains
+        from ``broadcast``, the round's :meth:`broadcast`.
 
         The ``(silo, users, payload)`` triples come from the shard pool
         (:meth:`_shard_payloads`) or, when one is installed, from remote
@@ -280,11 +282,11 @@ class UldpAvg(FLMethod):
         comp = self.compressor
         if comp is not None and comp.spec.is_identity:
             comp = None
-        aggregate = np.zeros(params.size)
+        aggregate = np.zeros(broadcast.size)
         users_seen: set[int] = set()
         uplink = 0
         for s, users, payload in source(
-            params, round_weights, self._noise_std(), self._active_silos()
+            broadcast, round_weights, self._noise_std(), self._active_silos()
         ):
             nbytes = payload.size * 8
             if comp is not None:
@@ -423,7 +425,8 @@ class UldpAvg(FLMethod):
     ) -> tuple[list[int], np.ndarray]:
         """Everything silo ``s`` releases in one round (Algorithm 3 line
         17): ``sum_u weight_row[u] * clip(delta_su) + z_s``, trained from
-        ``params``.
+        ``params`` -- the :meth:`broadcast` a silo was handed (the
+        result is the same from the float64 params it was cast from).
 
         A ``repro silo`` process runs this for ``release=(SYNC_ROUND, t)``,
         ``t`` being its ``compute`` frame's round, and ships the result;

@@ -86,6 +86,9 @@ class UldpGroup(FLMethod):
     """Group-privacy baseline (Algorithm 2)."""
 
     name = "ULDP-GROUP"
+    #: Its silos run DP-SGD in float64 on a clone of the template, so the
+    #: broadcast keeps every bit of the params.
+    broadcast_dtype = np.dtype(np.float64)
 
     def __init__(
         self,
@@ -154,6 +157,7 @@ class UldpGroup(FLMethod):
         assert self.filtered is not None
         if participation is None:
             participation = RoundParticipation.full(fed.n_silos)
+        broadcast = self.broadcast(params)
         if participation.n_active_silos == 0:
             self.last_participation = ParticipationSummary(0, 0)
             return params.copy()
@@ -165,7 +169,7 @@ class UldpGroup(FLMethod):
                 deltas.append(np.zeros_like(params))
                 continue
             local = model.clone()
-            local.set_flat_params(params)
+            local.set_flat_params(broadcast)
             loss = make_loss(fed.task, local)
             # The Cox partial likelihood is undefined on single records, so
             # survival tasks use microbatches of two (standard relaxation;
@@ -181,7 +185,7 @@ class UldpGroup(FLMethod):
                 rng=rng,
                 microbatch_size=microbatch,
             )
-            deltas.append(local.get_flat_params() - params)
+            deltas.append(local.get_flat_params() - broadcast)
             users_seen.update(int(u) for u in silo.users_present())
             self.silo_accountants[s].step(
                 self.noise_multiplier, self.sample_rates[s], self.local_steps

@@ -66,6 +66,7 @@ class UldpNaive(FLMethod):
         fed, model, rng = self._require_prepared()
         if participation is None:
             participation = RoundParticipation.full(fed.n_silos)
+        broadcast = self.broadcast(params)
         n_active = participation.n_active_silos
         if n_active == 0:
             self.last_participation = ParticipationSummary(0, 0)
@@ -96,7 +97,7 @@ class UldpNaive(FLMethod):
                 )
             noises.append(self._gaussian_noise(rng, noise_std, params.size))
         deltas = batched_local_deltas(
-            model, fed.task, params, jobs, self.local_lr, self.local_epochs
+            model, fed.task, broadcast, jobs, self.local_lr, self.local_epochs
         )
         aggregate = l2_clip_rows(deltas, self.clip).sum(axis=0)
         if noises:

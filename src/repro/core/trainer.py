@@ -59,9 +59,13 @@ class ParticipationRecord:
 class CommRecord:
     """Wire traffic of one training round (all rounds logged).
 
-    Compressing methods report the compressed sizes; everything else is
-    charged the dense float64 default (``silos_seen * params * 8`` each
-    way), so byte columns are comparable across methods.
+    Compressing methods report the compressed sizes.  Everything else is
+    charged the dense default, so byte columns are comparable across
+    methods: uplink ``silos_seen * params * 8`` (float64 payloads), and
+    downlink the ``nbytes`` of the method's broadcast
+    (:meth:`repro.core.FLMethod.broadcast`: ``params * 4`` for a float32
+    broadcast, ``params * 8`` for ULDP-GROUP's float64 one) times the
+    broadcast's recipients, the silos alive at round start.
     """
 
     round: int
@@ -343,23 +347,31 @@ class Trainer:
 
         Methods that track bytes themselves (the compressing ULDP-AVG
         family) report through ``last_comm``; everything else is charged
-        the dense float64 default so byte columns stay comparable.
-        Downlink in the dense default goes to the round's broadcast
-        recipients (silos alive at round start), not just the
+        the dense default so byte columns stay comparable: float64
+        payloads up, and down the ``nbytes`` of the broadcast the method
+        last handed out (``broadcast_nbytes``), to each of the round's
+        broadcast recipients (silos alive at round start), not just the
         contributors -- a deadline-missing silo still downloaded the
         model.
         """
         summary = self.method.last_comm
         if summary is not None:
             return CommRecord(t + 1, summary.uplink_bytes, summary.downlink_bytes)
+        per_recipient = self.method.broadcast_nbytes
+        if per_recipient is None:
+            raise RuntimeError(
+                f"{type(self.method).__name__} handed out no broadcast "
+                "(FLMethod.broadcast, the FLMethod contract)"
+            )
         silos_seen = self.history.participation[-1].silos_seen
         recipients = (
             self.fed.n_silos
             if participation is None
             else participation.n_broadcast_silos
         )
-        dense = self._params.size * 8
-        return CommRecord(t + 1, silos_seen * dense, recipients * dense)
+        return CommRecord(
+            t + 1, silos_seen * self._params.size * 8, recipients * per_recipient
+        )
 
     def _evaluate(self) -> RoundRecord:
         """Evaluate the current params; appends and returns the record."""

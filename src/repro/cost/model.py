@@ -214,27 +214,37 @@ def _train_memory(sharded: bool, w: dict) -> Linear | float:
     return w["users"] * row_bytes * 8 + w["users"] * w["dim"] * 8
 
 
-def _plaintext_wire_phases(comp: CompressionSpec | None, w: dict) -> list[PhaseCost]:
-    """Uplink + broadcast of a plaintext method, per round.
-
-    Downlink payloads are dense unless ``comp.downlink`` is set (the
-    pipeline only compresses the server broadcast on request); both
-    directions are charged to every silo that received the round-start
-    broadcast -- the expected count is ``participation * silos``.
-    """
+def _uplink_phase(comp: CompressionSpec | None, w: dict) -> PhaseCost:
+    """A plaintext method's uplink, per round: one float64 payload (or
+    its compressed form) from every silo that received the round-start
+    broadcast -- the expected count is ``participation * silos``."""
     dim, silos, p = w["dim"], w["silos"], w["participation"]
     up = 8 * dim if comp is None else comp.payload_bytes(dim)
-    down = up if comp is not None and comp.downlink else 8 * dim
-    return [
-        PhaseCost("uplink", "round", uplink_bytes=p * (silos * up)),
-        PhaseCost("broadcast", "round", downlink_bytes=p * (silos * down)),
-    ]
+    return PhaseCost("uplink", "round", uplink_bytes=p * (silos * up))
+
+
+def _broadcast_phase(
+    comp: CompressionSpec | None, w: dict, broadcast_bytes: Callable[[int], int]
+) -> PhaseCost:
+    """The server's broadcast, per round, to every silo that received it
+    (``participation * silos`` expected): the method's dense broadcast,
+    ``broadcast_bytes(dim)`` (:meth:`repro.core.FLMethod.broadcast_bytes`,
+    the size of the array the runtime hands out), or the compressed update
+    when ``comp.downlink`` is set (the pipeline only compresses the
+    broadcast on request)."""
+    dim, silos, p = w["dim"], w["silos"], w["participation"]
+    if comp is not None and comp.downlink:
+        down = comp.payload_bytes(dim)
+    else:
+        down = broadcast_bytes(dim)
+    return PhaseCost("broadcast", "round", downlink_bytes=p * (silos * down))
 
 
 def _secure_phases(
     crypto: CryptoSpec, comp: CompressionSpec | None, w: dict
 ) -> list[PhaseCost]:
-    """Crypto setup + per-round phases of ``secure-uldp-avg``.
+    """Crypto setup + per-round phases of ``secure-uldp-avg`` (its
+    broadcast is :func:`_broadcast_phase`, as for every method).
 
     ``d_eff`` is the ciphertext count per silo: ``keep_count`` under
     rand-k (the only family the secure path admits), else the full dim.
@@ -254,7 +264,6 @@ def _secure_phases(
                 cipher_elements=p * (silos * d_eff),
                 memory_bytes=silos * d_eff * mask,
             ),
-            PhaseCost("broadcast", "round", downlink_bytes=p * (silos * 8 * dim)),
         ]
     # Paillier (Protocol 1) requires the full roster every round.
     kb = w["key_bits"]
@@ -287,7 +296,6 @@ def _secure_phases(
             "round",
             seconds=fitted(paillier_decrypt=d_eff * kb**3),
         ),
-        PhaseCost("broadcast", "round", downlink_bytes=silos * 8 * dim),
     ]
 
 
@@ -330,6 +338,9 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
             family = resolve_family(spec)
         if spec.method.name == SECURE_METHOD:
             crypto = spec.crypto if spec.crypto is not None else CryptoSpec()
+    from repro.api.runner import build_method
+
+    broadcast_bytes = build_method(spec).broadcast_bytes
     sharded = (
         not spec.is_simulation and spec.engine is not None and spec.engine.workers > 0
     )
@@ -342,7 +353,8 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
         if crypto is not None:
             out += _secure_phases(crypto, comp, w)
         else:
-            out += _plaintext_wire_phases(comp, w)
+            out.append(_uplink_phase(comp, w))
+        out.append(_broadcast_phase(comp, w, broadcast_bytes))
         if churn:
             out.append(PhaseCost("churn", "round", seconds=fitted(churn_user=w["population"])))
         if network:

@@ -18,7 +18,9 @@ Design invariants:
   per-round :attr:`contribution_executor
   <repro.core.methods.uldp_avg.UldpAvg.contribution_executor>` that walks
   the silos in index order, sending each active silo the round index,
-  the current params, its realised weight row and the round's noise std;
+  the round's broadcast (the params as float32, what its training reads:
+  :meth:`repro.core.FLMethod.broadcast`), its realised weight row and the
+  round's noise std;
   the silo runs the in-process round's per-silo step, drawing from its own
   generator (a function of spec, round and silo: ``UldpAvg._draw_silo``),
   so an ideal-network run matches :class:`repro.sim.FederationSimulator`
@@ -95,7 +97,7 @@ class _RemoteExecutor:
         self.server = server
         self.round_no = round_no
 
-    def __call__(self, params, round_weights, noise_std, active):
+    def __call__(self, broadcast, round_weights, noise_std, active):
         server = self.server
         payloads: list[tuple[int, list[int], np.ndarray]] = []
         recorder = get_recorder()
@@ -117,7 +119,7 @@ class _RemoteExecutor:
                             "compute",
                             {"round": self.round_no,
                              "noise_std": float(noise_std)},
-                            arrays={"params": params,
+                            arrays={"params": broadcast,
                                     "weights": np.ascontiguousarray(
                                         round_weights[s])},
                         )
@@ -149,7 +151,7 @@ class _RemoteExecutor:
                     payload = frame.arrays.get("payload")
                     if (not _valid_users(users, round_weights[s])
                             or len(frame.arrays) != 1
-                            or not is_finite_vector(payload, params.size)):
+                            or not is_finite_vector(payload, broadcast.size)):
                         raise SiloFailure(s, "malformed update frame")
                 payloads.append((s, users, payload))
         return payloads

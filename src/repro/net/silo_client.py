@@ -11,8 +11,9 @@ retry/backoff, and then simply answers frames:
 - ``ping``  -> ``pong`` with a readiness flag (the fault plan's
   ``decline``/``drop_rate`` land here);
 - ``compute`` -> run :meth:`silo_payload
-  <repro.core.methods.uldp_avg.UldpAvg.silo_payload>` for the frame's
-  round, drawing from this silo's own generator for that round, and
+  <repro.core.methods.uldp_avg.UldpAvg.silo_payload>` on the frame's
+  ``params`` (the method's broadcast: float32) for the frame's round,
+  drawing from this silo's own generator for that round, and
   reply with the one thing Algorithm 3 lets a silo release -- its noisy
   weighted sum, a single ``(P,)`` array -- plus the contributing user ids.
   Per-user rows and the noise draw never leave the process.  A
@@ -136,8 +137,10 @@ class SiloClient:
         weights = frame.arrays.get("weights")
         noise_std = frame.payload.get("noise_std")
         problem = None
-        if not is_finite_vector(params, method.model.num_params):
-            problem = "params is not a finite float64 vector of the model's size"
+        if not is_finite_vector(
+                params, method.model.num_params, method.broadcast_dtype):
+            problem = (f"params is not a finite {method.broadcast_dtype} "
+                       "vector of the model's size")
         elif not is_finite_vector(weights, self.fed.n_users):
             problem = "weights is not a finite float64 vector, one entry per user"
         elif (not isinstance(noise_std, (int, float))

@@ -9,13 +9,18 @@ The JSON header carries the message type, an arbitrary JSON-safe
 ``payload``, and a manifest describing each ndarray blob::
 
     {"v": 1, "type": "compute", "payload": {...},
-     "blobs": [{"name": "params", "dtype": "<f8",
+     "blobs": [{"name": "params", "dtype": "<f4",
                 "shape": [4130], "crc": 3735928559}, ...]}
 
 Arrays travel as their raw little/native-endian bytes (``dtype.str``
 pins the byte order), each guarded by its own CRC-32 -- a flipped bit in
 either header or payload surfaces as :class:`ChecksumError` instead of a
-silently wrong aggregate.
+silently wrong aggregate.  A CRC is not a MAC: a frame whose checksums
+hold can still be nonsense, so :func:`recv_frame` also checks the
+header's structure (a dict, a dict ``payload``, blobs with a str name, a
+numeric dtype, a shape of non-negative ints and an int CRC) and raises
+:class:`WireError` for anything else -- no frame gets past it as another
+exception.
 
 Two versions, two jobs.  ``v`` (:data:`WIRE_VERSION`) names this frame
 *layout*; :func:`recv_frame` rejects any other, because it cannot parse
@@ -33,6 +38,8 @@ and deadline policy live in :mod:`repro.net.transport`.
 from __future__ import annotations
 
 import json
+import math
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -41,11 +48,13 @@ import numpy as np
 
 MAGIC = b"UFL1"
 WIRE_VERSION = 1
-#: Message-set version.  3: neither ``compute`` nor ``update`` carries
-#: generator state (a silo keys its draws by the frame's round).  2: an
-#: ``update`` carries one noisy ``payload`` vector (1: per-user ``rows``
-#: and the ``noise`` vector, separately).
-PROTOCOL_VERSION = 3
+#: Message-set version.  4: a ``compute`` frame's ``params`` is the
+#: method's broadcast, float32 (``<f4``) for every method a ``repro
+#: serve`` can drive (3: float64).  3: neither ``compute`` nor ``update``
+#: carries generator state (a silo keys its draws by the frame's round).
+#: 2: an ``update`` carries one noisy ``payload`` vector (1: per-user
+#: ``rows`` and the ``noise`` vector, separately).
+PROTOCOL_VERSION = 4
 
 # Backstop against a garbled length prefix asking us to allocate gigabytes:
 # generous for real traffic (a smoke-scale round frame is ~KBs, an MNIST CNN
@@ -53,6 +62,11 @@ PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 1 << 28
 
 _U32 = struct.Struct(">I")
+
+#: What a blob's ``dtype`` may say: a plain numeric type (bool, int,
+#: uint, float, complex) with an explicit byte order, as ``dtype.str``
+#: writes it.
+_NUMERIC_DTYPE = re.compile(r"[<>|=][biufc]\d{1,2}")
 
 
 class WireError(ConnectionError):
@@ -79,11 +93,13 @@ class Frame:
     nbytes: int = 0
 
 
-def is_finite_vector(array, size: int) -> bool:
+def is_finite_vector(array, size: int, dtype=np.float64) -> bool:
     """Whether a received blob is what every model-sized array on this
-    protocol must be: a float64 vector of exactly ``size`` finite entries
-    (False for a missing blob, i.e. ``None``)."""
-    return (isinstance(array, np.ndarray) and array.dtype == np.float64
+    protocol must be: a ``dtype`` vector of exactly ``size`` finite
+    entries (False for a missing blob, i.e. ``None``).  Uplink payloads
+    and weight rows are float64; a ``compute`` frame's ``params`` is the
+    method's broadcast (:attr:`repro.core.FLMethod.broadcast_dtype`)."""
+    return (isinstance(array, np.ndarray) and array.dtype == dtype
             and array.shape == (size,) and bool(np.isfinite(array).all()))
 
 
@@ -108,7 +124,7 @@ def pack_frame(msg_type: str, payload: dict | None = None,
     blobs = []
     chunks = []
     for name, arr in (arrays or {}).items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr)  # tobytes() is C order; 0-d stays 0-d
         if arr.dtype == object:
             raise WireError(f"array {name!r} has object dtype; "
                             "only plain numeric arrays cross the wire")
@@ -158,8 +174,48 @@ def send_frame(sock, msg_type: str, payload: dict | None = None,
     sock.sendall(pack_frame(msg_type, payload, arrays))
 
 
+def _shown(value) -> str:
+    """A received JSON value for an error message: a scalar by its (cut)
+    repr, a container by its type alone -- never the whole of it."""
+    if isinstance(value, (list, dict)):
+        return f"a JSON {type(value).__name__}"
+    return repr(value)[:40]
+
+
+def _blob_layout(blob) -> tuple[str, np.dtype, tuple[int, ...], int]:
+    """``(name, dtype, shape, crc)`` of one manifest entry, or
+    :class:`WireError` when the entry is not one :func:`pack_frame` could
+    have written."""
+    if not isinstance(blob, dict):
+        raise WireError(f"blob manifest entry {_shown(blob)} is not an object")
+    name, spelled = blob.get("name"), blob.get("dtype")
+    shape, crc = blob.get("shape"), blob.get("crc")
+    if not isinstance(name, str):
+        raise WireError(f"blob name {_shown(name)} is not a string")
+    label = repr(name[:40])
+    dtype = None
+    if isinstance(spelled, str) and _NUMERIC_DTYPE.fullmatch(spelled):
+        try:
+            dtype = np.dtype(spelled)
+        except TypeError:
+            pass
+    if dtype is None:
+        raise WireError(f"blob {label} has dtype {_shown(spelled)}; only "
+                        "plain numeric arrays cross the wire")
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise WireError(f"blob {label}: shape must be a list of "
+                        "non-negative ints")
+    if type(crc) is not int:
+        raise WireError(f"blob {label} has CRC {_shown(crc)}; expected an int")
+    return name, dtype, tuple(shape), crc
+
+
 def recv_frame(sock) -> Frame:
-    """Read and verify one frame from a blocking socket."""
+    """Read and verify one frame from a blocking socket.
+
+    Every way a frame can be wrong -- bytes, checksums, version or header
+    structure -- is a :class:`WireError`."""
     magic = _read_exact(sock, 4, at_frame_start=True)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {magic!r} (expected {MAGIC!r}); "
@@ -173,27 +229,33 @@ def recv_frame(sock) -> Frame:
         raise ChecksumError("frame header failed its CRC-32 check")
     try:
         header = json.loads(raw_header)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # incl. bad UTF-8
         raise WireError(f"frame header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise WireError(f"frame header is a JSON {type(header).__name__}, "
+                        "not an object")
     if header.get("v") != WIRE_VERSION:
-        raise WireError(f"peer speaks wire version {header.get('v')!r}, "
+        raise WireError(f"peer speaks wire version {_shown(header.get('v'))}, "
                         f"this build speaks {WIRE_VERSION}")
+    payload = header.get("payload", {})
+    if not isinstance(payload, dict):
+        raise WireError(f"frame payload is a JSON {type(payload).__name__}, "
+                        "not an object")
+    blobs = header.get("blobs", [])
+    if not isinstance(blobs, list):
+        raise WireError(f"frame blob manifest {_shown(blobs)} is not a list")
     arrays = {}
     total = 4 + 4 + hlen + 4
-    for blob in header.get("blobs", ()):
-        dtype = np.dtype(blob["dtype"])
-        shape = tuple(int(s) for s in blob["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if nbytes > MAX_FRAME_BYTES:
-            raise WireError(f"blob {blob['name']!r} of {nbytes} bytes "
-                            "exceeds the wire limit")
-        raw = _read_exact(sock, nbytes)
-        if zlib.crc32(raw) != int(blob["crc"]):
-            raise ChecksumError(
-                f"blob {blob['name']!r} failed its CRC-32 check")
-        arrays[blob["name"]] = (
-            np.frombuffer(raw, dtype=dtype).reshape(shape).copy())
+    for blob in blobs:
+        name, dtype, shape, crc = _blob_layout(blob)
+        nbytes = dtype.itemsize * math.prod(shape)
         total += nbytes
-    return Frame(type=str(header.get("type", "")),
-                 payload=header.get("payload", {}) or {}, arrays=arrays,
-                 nbytes=total)
+        if total > MAX_FRAME_BYTES:
+            raise WireError(f"blob {name!r} of {nbytes} bytes takes the "
+                            "frame past the wire limit")
+        raw = _read_exact(sock, nbytes)
+        if zlib.crc32(raw) != crc:
+            raise ChecksumError(f"blob {name!r} failed its CRC-32 check")
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    return Frame(type=str(header.get("type", "")), payload=payload,
+                 arrays=arrays, nbytes=total)

@@ -329,14 +329,16 @@ class FederationSimulator:
         return float(sigma * clip / np.sqrt(policy.buffer_size))
 
     def _start_job(self, silo: int) -> None:
-        """Silo pulls current params and begins local work."""
+        """Silo pulls the current params -- the method's broadcast of
+        them -- and begins local work."""
         t = self.rounds_completed
         latency = float(
             self.config.latency.draw(t, self.fed.n_silos, self.sim_rng)[silo]
         )
         weight_row = self._async_round_weights()[silo]
         users, payload = self.method.silo_payload(
-            silo, self.trainer.params, weight_row, self._async_noise_std(),
+            silo, self.method.broadcast(self.trainer.params), weight_row,
+            self._async_noise_std(),
             release=(ASYNC_JOB, self._seq),
         )
         self._pending.append(

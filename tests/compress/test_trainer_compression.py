@@ -98,7 +98,7 @@ class TestByteLedger:
         dim = plain.params.size
         for record in plain.history.comm:
             assert record.uplink_bytes == 3 * dim * 8
-            assert record.downlink_bytes == 3 * dim * 8
+            assert record.downlink_bytes == 3 * dim * 4
 
     def test_identity_spec_counts_dense_bytes(self):
         ident = run(compression=CompressionSpec.none(), rounds=2)
@@ -108,7 +108,7 @@ class TestByteLedger:
     def test_downlink_compression_shrinks_downlink_only_when_enabled(self):
         up_only = run(compression=LOSSY, rounds=2)
         dim = up_only.params.size
-        assert up_only.history.comm[0].downlink_bytes == 3 * dim * 8
+        assert up_only.history.comm[0].downlink_bytes == 3 * dim * 4
 
         both = run(
             compression=CompressionSpec(
@@ -117,7 +117,7 @@ class TestByteLedger:
             ),
             rounds=2,
         )
-        assert both.history.comm[0].downlink_bytes < 3 * dim * 8
+        assert both.history.comm[0].downlink_bytes < 3 * dim * 4
 
     def test_comm_summary_and_totals(self):
         trainer = run(compression=LOSSY, rounds=3)

@@ -3,4 +3,22 @@
 This file's presence puts ``tests/`` on ``sys.path`` (pytest's default
 ``prepend`` import mode), so every sub-suite can ``from toy_crypto import
 TOY_DH_GROUP`` -- the one shared helper for toy security parameters.
+
+It also registers the hypothesis profiles: ``default`` is hypothesis's
+own budget (tier-1), and ``fuzz`` raises the example budget of every
+property test that does not pin its own (``tests/net/test_wire_fuzz.py``
+among them).  ``HYPOTHESIS_PROFILE=fuzz python -m pytest tests/net``
+selects it.  hypothesis is a test dependency only; suites that need it
+import it themselves.
 """
+
+import os
+
+try:
+    from hypothesis import settings
+except ImportError:  # pragma: no cover - a job that runs no property test
+    settings = None
+
+if settings is not None:
+    settings.register_profile("fuzz", max_examples=2000)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -100,8 +100,9 @@ def per_sample_clipped_gradient_sum(model, loss, x, y, clip, microbatch_size=1):
 class LoopDefault(Default):
     def round(self, t, params, participation=None):
         assert participation is None
+        broadcast = self.broadcast(params)
         deltas = [
-            local_delta(self, self.rng, params, silo.x, silo.y, self.local_lr,
+            local_delta(self, self.rng, broadcast, silo.x, silo.y, self.local_lr,
                         self.local_epochs, self.batch_size)
             for silo in self.fed.silos
             if silo.n_records > 0
@@ -114,10 +115,11 @@ class LoopUldpNaive(UldpNaive):
         assert participation is None
         n_silos = self.fed.n_silos
         noise_std = self.noise_multiplier * self.clip * np.sqrt(n_silos)
+        broadcast = self.broadcast(params)
         aggregate = np.zeros_like(params)
         for silo in self.fed.silos:
             if silo.n_records > 0:
-                delta = local_delta(self, self.rng, params, silo.x, silo.y,
+                delta = local_delta(self, self.rng, broadcast, silo.x, silo.y,
                                     self.local_lr, self.local_epochs,
                                     self.batch_size)
                 aggregate += l2_clip(delta, self.clip)

@@ -258,6 +258,7 @@ SGD_TREES = {
 }
 
 DENSE = 33040  # one float64 payload of the 4130-parameter creditcard MLP
+BROADCAST = 16520  # one float32 broadcast of it
 
 #: name -> (params sha256, per-round epsilon, [(uplink, downlink)],
 #: [(silos_seen, users_seen)]).
@@ -265,31 +266,31 @@ SGD_GOLDEN = {
     "uldp-sgd": (
         "d7ec229274a7b8161b60fe6c3def4ff4f50491058d0b9ca09f559f9934dc5e44",
         [0.794522032537103, 1.1581505950444586, 1.445621967952188],
-        [(3 * DENSE, 3 * DENSE)] * 3,
+        [(3 * DENSE, 3 * BROADCAST)] * 3,
         [(3, 12)] * 3,
     ),
     "uldp-sgd-w-subsampled": (
         "11ad8807dabbfd7d1968ee394c6362a1a99cf429e792a8cafa13600f10d85e20",
         [0.455531593304523, 0.6312832802535272, 0.7680940141667629],
-        [(3 * DENSE, 3 * DENSE)] * 3,
+        [(3 * DENSE, 3 * BROADCAST)] * 3,
         [(3, 2), (3, 6), (3, 8)],
     ),
     "uldp-sgd-sharded": (
         "d7ec229274a7b8161b60fe6c3def4ff4f50491058d0b9ca09f559f9934dc5e44",
         [0.794522032537103, 1.1581505950444586, 1.445621967952188],
-        [(3 * DENSE, 3 * DENSE)] * 3,
+        [(3 * DENSE, 3 * BROADCAST)] * 3,
         [(3, 12)] * 3,
     ),
     "uldp-sgd-flaky-silos": (
         "ed798ef962d01f4b20c9ab50fb5f061890c424d842cb750e40e9067918beb1a1",
         [0.0, 0.512063674748734, 0.9700506277526435],
-        [(0, 0), (2 * DENSE, 2 * DENSE), (3 * DENSE, 3 * DENSE)],
+        [(0, 0), (2 * DENSE, 2 * BROADCAST), (3 * DENSE, 3 * BROADCAST)],
         [(0, 0), (2, 12), (3, 12)],
     ),
     "uldp-sgd-carryover-makeup": (
         "e2e83370328c482b5e22fa42d8e2f3e9f33079dfdb3edde17a5ec2916d6ba0c6",
         [0.24221302294257846, 1.4167330790632988, 1.5322886346188542],
-        [(DENSE, DENSE), (3 * DENSE, 3 * DENSE), (2 * DENSE, 2 * DENSE)],
+        [(DENSE, BROADCAST), (3 * DENSE, 3 * BROADCAST), (2 * DENSE, 2 * BROADCAST)],
         [(1, 12), (3, 12), (2, 12)],
     ),
 }

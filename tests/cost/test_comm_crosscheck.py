@@ -125,6 +125,7 @@ class TestBroadcastRecipients:
     def test_deadline_miss_still_consumes_downlink(self):
         method, params = self._prepared()
         dense = params.size * 8
+        broadcast = params.size * 4  # the float32 broadcast
         participation = RoundParticipation(
             silo_mask=np.array([True, False, False]),
             broadcast_mask=np.array([True, True, False]),
@@ -132,24 +133,26 @@ class TestBroadcastRecipients:
         method.round(0, params, participation=participation)
         # One contributor's uplink; two silos fetched the broadcast.
         assert method.last_comm.uplink_bytes == 1 * dense
-        assert method.last_comm.downlink_bytes == 2 * dense
+        assert method.last_comm.downlink_bytes == 2 * broadcast
 
     def test_all_down_round_still_charges_broadcast(self):
         method, params = self._prepared()
         dense = params.size * 8
+        broadcast = params.size * 4  # the float32 broadcast
         participation = RoundParticipation(
             silo_mask=np.array([False, False, False]),
             broadcast_mask=np.array([True, True, False]),
         )
         method.round(0, params, participation=participation)
         assert method.last_comm.uplink_bytes == 0
-        assert method.last_comm.downlink_bytes == 2 * dense
+        assert method.last_comm.downlink_bytes == 2 * broadcast
 
     def test_without_broadcast_mask_recipients_default_to_contributors(self):
         method, params = self._prepared()
         dense = params.size * 8
+        broadcast = params.size * 4  # the float32 broadcast
         participation = RoundParticipation(
             silo_mask=np.array([True, True, False])
         )
         method.round(0, params, participation=participation)
-        assert method.last_comm.downlink_bytes == 2 * dense
+        assert method.last_comm.downlink_bytes == 2 * broadcast

@@ -12,6 +12,11 @@ seconds, uplink and memory budgets.
 
 Bytes, ciphertext counts and user counts must match exactly; seconds and
 memory (products of fitted or fractional numbers) to a relative 1e-12.
+
+Re-pinned once since, when the broadcast became the float32 array the
+silos train from (``FLMethod.broadcast``): every dense ``downlink_bytes``
+exactly halved, and with it the seconds of the ``network`` phase (bytes
+over the link) and the totals that include it.  Nothing else moved.
 """
 
 from __future__ import annotations
@@ -125,70 +130,70 @@ def test_every_example_spec_is_a_case():
 GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                    'phases': [('local_train', 'round', (0.003494363469795898, 0.0, 0.0, 0.0, 12.0)),
                               ('uplink', 'round', (0.0, 3129.0, 0.0, 0.0, 0.0)),
-                              ('broadcast', 'round', (0.0, 0.0, 99120.0, 0.0, 0.0))],
-                   'round': (0.003494363469795898, 3129.0, 99120.0, 0.0, 12.0),
-                   'run': (0.010483090409387694, 9387.0, 297360.0, 0.0, 12.0),
+                              ('broadcast', 'round', (0.0, 0.0, 49560.0, 0.0, 0.0))],
+                   'round': (0.003494363469795898, 3129.0, 49560.0, 0.0, 12.0),
+                   'run': (0.010483090409387694, 9387.0, 148680.0, 0.0, 12.0),
                    'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig04': {'header': ('uldp-avg-w', None, 'dense', 5),
            'phases': [('local_train', 'round', (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
                       ('uplink', 'round', (0.0, 165200.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 165200.0, 0.0, 0.0))],
-           'round': (2.72765984128791, 165200.0, 165200.0, 0.0, 4264000.0),
-           'run': (13.63829920643955, 826000.0, 826000.0, 0.0, 4264000.0),
+                      ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
+           'round': (2.72765984128791, 165200.0, 82600.0, 0.0, 4264000.0),
+           'run': (13.63829920643955, 826000.0, 413000.0, 0.0, 4264000.0),
            'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig05': {'header': ('uldp-avg-w', None, 'cnn', 3),
            'phases': [('local_train', 'round', (0.6510000000000005, 0.0, 0.0, 0.0, 9546400.0)),
                       ('uplink', 'round', (0.0, 766480.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 766480.0, 0.0, 0.0))],
-           'round': (0.6510000000000005, 766480.0, 766480.0, 0.0, 9546400.0),
-           'run': (1.9530000000000014, 2299440.0, 2299440.0, 0.0, 9546400.0),
+                      ('broadcast', 'round', (0.0, 0.0, 383240.0, 0.0, 0.0))],
+           'round': (0.6510000000000005, 766480.0, 383240.0, 0.0, 9546400.0),
+           'run': (1.9530000000000014, 2299440.0, 1149720.0, 0.0, 9546400.0),
            'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig05+bandwidth': {'header': ('uldp-avg-w', None, 'cnn', 3),
                      'phases': [('local_train',
                                  'round',
                                  (0.6510000000000005, 0.0, 0.0, 0.0, 9546400.0)),
                                 ('uplink', 'round', (0.0, 766480.0, 0.0, 0.0, 0.0)),
-                                ('broadcast', 'round', (0.0, 0.0, 766480.0, 0.0, 0.0)),
-                                ('network', 'round', (0.12263679999999999, 0.0, 0.0, 0.0, 0.0))],
-                     'round': (0.7736368000000005, 766480.0, 766480.0, 0.0, 9546400.0),
-                     'run': (2.3209104000000016, 2299440.0, 2299440.0, 0.0, 9546400.0),
+                                ('broadcast', 'round', (0.0, 0.0, 383240.0, 0.0, 0.0)),
+                                ('network', 'round', (0.0919776, 0.0, 0.0, 0.0, 0.0))],
+                     'round': (0.7429776000000005, 766480.0, 383240.0, 0.0, 9546400.0),
+                     'run': (2.2289328000000013, 2299440.0, 1149720.0, 0.0, 9546400.0),
                      'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig05+workers2': {'header': ('uldp-avg-w', None, 'cnn', 3),
                     'phases': [('local_train',
                                 'round',
                                 (0.6510000000000005, 0.0, 0.0, 0.0, 1793708491.6726265)),
                                ('uplink', 'round', (0.0, 766480.0, 0.0, 0.0, 0.0)),
-                               ('broadcast', 'round', (0.0, 0.0, 766480.0, 0.0, 0.0))],
-                    'round': (0.6510000000000005, 766480.0, 766480.0, 0.0, 1793708491.6726265),
-                    'run': (1.9530000000000014, 2299440.0, 2299440.0, 0.0, 1793708491.6726265),
+                               ('broadcast', 'round', (0.0, 0.0, 383240.0, 0.0, 0.0))],
+                    'round': (0.6510000000000005, 766480.0, 383240.0, 0.0, 1793708491.6726265),
+                    'run': (1.9530000000000014, 2299440.0, 1149720.0, 0.0, 1793708491.6726265),
                     'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig06': {'header': ('uldp-avg-w', None, 'dense', 5),
            'phases': [('local_train', 'round', (0.009246304546738679, 0.0, 0.0, 0.0, 421600.0)),
                       ('uplink', 'round', (0.0, 560.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 560.0, 0.0, 0.0))],
-           'round': (0.009246304546738679, 560.0, 560.0, 0.0, 421600.0),
-           'run': (0.04623152273369339, 2800.0, 2800.0, 0.0, 421600.0),
+                      ('broadcast', 'round', (0.0, 0.0, 280.0, 0.0, 0.0))],
+           'round': (0.009246304546738679, 560.0, 280.0, 0.0, 421600.0),
+           'run': (0.04623152273369339, 2800.0, 1400.0, 0.0, 421600.0),
            'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig07': {'header': ('uldp-avg-w', None, 'dense', 5),
            'phases': [('local_train', 'round', (0.026418012990681937, 0.0, 0.0, 0.0, 1264000.0)),
                       ('uplink', 'round', (0.0, 1600.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 1600.0, 0.0, 0.0))],
-           'round': (0.026418012990681937, 1600.0, 1600.0, 0.0, 1264000.0),
-           'run': (0.1320900649534097, 8000.0, 8000.0, 0.0, 1264000.0),
+                      ('broadcast', 'round', (0.0, 0.0, 800.0, 0.0, 0.0))],
+           'round': (0.026418012990681937, 1600.0, 800.0, 0.0, 1264000.0),
+           'run': (0.1320900649534097, 8000.0, 4000.0, 0.0, 1264000.0),
            'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig08': {'header': ('uldp-avg-w', None, 'dense', 5),
            'phases': [('local_train', 'round', (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
                       ('uplink', 'round', (0.0, 660800.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 660800.0, 0.0, 0.0))],
-           'round': (2.72765984128791, 660800.0, 660800.0, 0.0, 4264000.0),
-           'run': (13.63829920643955, 3304000.0, 3304000.0, 0.0, 4264000.0),
+                      ('broadcast', 'round', (0.0, 0.0, 330400.0, 0.0, 0.0))],
+           'round': (2.72765984128791, 660800.0, 330400.0, 0.0, 4264000.0),
+           'run': (13.63829920643955, 3304000.0, 1652000.0, 0.0, 4264000.0),
            'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig09': {'header': ('uldp-avg-w', None, 'dense', 5),
            'phases': [('local_train', 'round', (1.363829920643955, 0.0, 0.0, 0.0, 4264000.0)),
                       ('uplink', 'round', (0.0, 165200.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 165200.0, 0.0, 0.0))],
-           'round': (1.363829920643955, 165200.0, 165200.0, 0.0, 4264000.0),
-           'run': (6.819149603219775, 826000.0, 826000.0, 0.0, 4264000.0),
+                      ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
+           'round': (1.363829920643955, 165200.0, 82600.0, 0.0, 4264000.0),
+           'run': (6.819149603219775, 826000.0, 413000.0, 0.0, 4264000.0),
            'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig10': {'header': ('secure-uldp-avg', 'fast', 'dense', 5),
            'phases': [('local_train',
@@ -201,9 +206,9 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                        'round',
                        (0.19220495919802716, 8960.0, 0.0, 70.0, 8960.0)),
                       ('aggregate_decrypt', 'round', (0.006761487776164492, 0.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 560.0, 0.0, 0.0))],
-           'round': (0.3298696248726086, 8960.0, 560.0, 70.0, 419360.00000000006),
-           'run': (1.6749955204163356, 44800.0, 2800.0, 350.0, 419360.00000000006),
+                      ('broadcast', 'round', (0.0, 0.0, 280.0, 0.0, 0.0))],
+           'round': (0.3298696248726086, 8960.0, 280.0, 70.0, 419360.00000000006),
+           'run': (1.6749955204163356, 44800.0, 1400.0, 350.0, 419360.00000000006),
            'setup': (0.025647396053292595, 0.0, 0.0, 0.0, 0.0)},
  'fig10+masked': {'header': ('secure-uldp-avg', 'masked', 'dense', 5),
                   'phases': [('local_train',
@@ -213,9 +218,9 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                              ('mask_and_upload',
                               'round',
                               (0.0004921875, 2240.0, 0.0, 70.0, 2240.0)),
-                             ('broadcast', 'round', (0.0, 0.0, 560.0, 0.0, 0.0))],
-                  'round': (0.005115339773369339, 2240.0, 560.0, 70.0, 419360.00000000006),
-                  'run': (0.03350968513567029, 11200.0, 2800.0, 350.0, 419360.00000000006),
+                             ('broadcast', 'round', (0.0, 0.0, 280.0, 0.0, 0.0))],
+                  'round': (0.005115339773369339, 2240.0, 280.0, 70.0, 419360.00000000006),
+                  'run': (0.03350968513567029, 11200.0, 1400.0, 350.0, 419360.00000000006),
                   'setup': (0.007932986268823593, 0.0, 0.0, 0.0, 0.0)},
  'fig10+randk': {'header': ('secure-uldp-avg', 'fast', 'dense', 5),
                  'phases': [('local_train',
@@ -232,23 +237,23 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                             ('aggregate_decrypt',
                              'round',
                              (0.000482963412583178, 0.0, 0.0, 0.0, 0.0)),
-                            ('broadcast', 'round', (0.0, 0.0, 560.0, 0.0, 0.0))],
-                 'round': (0.19422874798546677, 640.0, 560.0, 5.0, 419360.00000000006),
-                 'run': (0.9967911359806264, 3200.0, 2800.0, 25.0, 419360.00000000006),
+                            ('broadcast', 'round', (0.0, 0.0, 280.0, 0.0, 0.0))],
+                 'round': (0.19422874798546677, 640.0, 280.0, 5.0, 419360.00000000006),
+                 'run': (0.9967911359806264, 3200.0, 1400.0, 25.0, 419360.00000000006),
                  'setup': (0.025647396053292595, 0.0, 0.0, 0.0, 0.0)},
  'net_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
              'phases': [('local_train', 'round', (0.003494363469795898, 0.0, 0.0, 0.0, 12.0)),
                         ('uplink', 'round', (0.0, 99120.0, 0.0, 0.0, 0.0)),
-                        ('broadcast', 'round', (0.0, 0.0, 99120.0, 0.0, 0.0))],
-             'round': (0.003494363469795898, 99120.0, 99120.0, 0.0, 12.0),
-             'run': (0.010483090409387694, 297360.0, 297360.0, 0.0, 12.0),
+                        ('broadcast', 'round', (0.0, 0.0, 49560.0, 0.0, 0.0))],
+             'round': (0.003494363469795898, 99120.0, 49560.0, 0.0, 12.0),
+             'run': (0.010483090409387694, 297360.0, 148680.0, 0.0, 12.0),
              'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'quickstart': {'header': ('uldp-avg-w', None, 'dense', 5),
                 'phases': [('local_train', 'round', (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
                            ('uplink', 'round', (0.0, 5215.0, 0.0, 0.0, 0.0)),
-                           ('broadcast', 'round', (0.0, 0.0, 165200.0, 0.0, 0.0))],
-                'round': (2.72765984128791, 5215.0, 165200.0, 0.0, 4264000.0),
-                'run': (13.63829920643955, 26075.0, 826000.0, 0.0, 4264000.0),
+                           ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
+                'round': (2.72765984128791, 5215.0, 82600.0, 0.0, 4264000.0),
+                'run': (13.63829920643955, 26075.0, 413000.0, 0.0, 4264000.0),
                 'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'quickstart+downlink': {'header': ('uldp-avg-w', None, 'dense', 5),
                          'phases': [('local_train',
@@ -264,9 +269,9 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                                      'round',
                                      (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
                                     ('uplink', 'round', (0.0, 10365.0, 0.0, 0.0, 0.0)),
-                                    ('broadcast', 'round', (0.0, 0.0, 165200.0, 0.0, 0.0))],
-                         'round': (2.72765984128791, 10365.0, 165200.0, 0.0, 4264000.0),
-                         'run': (13.63829920643955, 51825.0, 826000.0, 0.0, 4264000.0),
+                                    ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
+                         'round': (2.72765984128791, 10365.0, 82600.0, 0.0, 4264000.0),
+                         'run': (13.63829920643955, 51825.0, 413000.0, 0.0, 4264000.0),
                          'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'quickstart+workers2+bandwidth': {'header': ('uldp-avg-w', None, 'dense', 5),
                                    'phases': [('local_train',
@@ -277,20 +282,18 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                                                 0.0,
                                                 400589384.9247925)),
                                               ('uplink', 'round', (0.0, 5215.0, 0.0, 0.0, 0.0)),
-                                              ('broadcast',
-                                               'round',
-                                               (0.0, 0.0, 165200.0, 0.0, 0.0)),
+                                              ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0)),
                                               ('network',
                                                'round',
-                                               (0.14996519999999997, 0.0, 0.0, 0.0, 0.0))],
-                                   'round': (2.87762504128791,
+                                               (0.07727720000000002, 0.0, 0.0, 0.0, 0.0))],
+                                   'round': (2.80493704128791,
                                              5215.0,
-                                             165200.0,
+                                             82600.0,
                                              0.0,
                                              400589384.9247925),
-                                   'run': (14.388125206439549,
+                                   'run': (14.024685206439552,
                                            26075.0,
-                                           826000.0,
+                                           413000.0,
                                            0.0,
                                            400589384.9247925),
                                    'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
@@ -299,39 +302,39 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                              'round',
                              (0.6819149603219775, 0.0, 0.0, 0.0, 2132000.0)),
                             ('uplink', 'round', (0.0, 165200.0, 0.0, 0.0, 0.0)),
-                            ('broadcast', 'round', (0.0, 0.0, 165200.0, 0.0, 0.0))],
-                 'round': (0.6819149603219775, 165200.0, 165200.0, 0.0, 2132000.0),
-                 'run': (3.4095748016098875, 826000.0, 826000.0, 0.0, 2132000.0),
+                            ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
+                 'round': (0.6819149603219775, 165200.0, 82600.0, 0.0, 2132000.0),
+                 'run': (3.4095748016098875, 826000.0, 413000.0, 0.0, 2132000.0),
                  'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'sim01': {'header': ('uldp-avg-w', None, 'sim', 10),
            'phases': [('local_train', 'round', (0.023295756465305986, 0.0, 0.0, 0.0, 50.0)),
                       ('uplink', 'round', (0.0, 165200.0, 0.0, 0.0, 0.0)),
-                      ('broadcast', 'round', (0.0, 0.0, 165200.0, 0.0, 0.0))],
-           'round': (0.023295756465305986, 165200.0, 165200.0, 0.0, 50.0),
-           'run': (0.23295756465305986, 1652000.0, 1652000.0, 0.0, 50.0),
+                      ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
+           'round': (0.023295756465305986, 165200.0, 82600.0, 0.0, 50.0),
+           'run': (0.23295756465305986, 1652000.0, 826000.0, 0.0, 50.0),
            'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'sim01+flaky-silos': {'header': ('uldp-avg-w', None, 'sim', 10),
                        'phases': [('local_train',
                                    'round',
                                    (0.016307029525714188, 0.0, 0.0, 0.0, 50.0)),
                                   ('uplink', 'round', (0.0, 115639.99999999999, 0.0, 0.0, 0.0)),
-                                  ('broadcast', 'round', (0.0, 0.0, 115639.99999999999, 0.0, 0.0))],
+                                  ('broadcast', 'round', (0.0, 0.0, 57819.99999999999, 0.0, 0.0))],
                        'round': (0.016307029525714188,
                                  115639.99999999999,
-                                 115639.99999999999,
+                                 57819.99999999999,
                                  0.0,
                                  50.0),
-                       'run': (0.1630702952571419, 1156400.0, 1156400.0, 0.0, 50.0),
+                       'run': (0.1630702952571419, 1156400.0, 578200.0, 0.0, 50.0),
                        'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'sim01+user-churn': {'header': ('uldp-avg-w', None, 'sim', 10),
                       'phases': [('local_train',
                                   'round',
                                   (0.023295756465305986, 0.0, 0.0, 0.0, 50.0)),
                                  ('uplink', 'round', (0.0, 165200.0, 0.0, 0.0, 0.0)),
-                                 ('broadcast', 'round', (0.0, 0.0, 165200.0, 0.0, 0.0)),
+                                 ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0)),
                                  ('churn', 'round', (1.908979754155856e-07, 0.0, 0.0, 0.0, 0.0))],
-                      'round': (0.023295947363281402, 165200.0, 165200.0, 0.0, 50.0),
-                      'run': (0.23295947363281402, 1652000.0, 1652000.0, 0.0, 50.0),
+                      'round': (0.023295947363281402, 165200.0, 82600.0, 0.0, 50.0),
+                      'run': (0.23295947363281402, 1652000.0, 826000.0, 0.0, 50.0),
                       'setup': (0.0, 0.0, 0.0, 0.0, 0.0)}}
 
 SOLVE_GOLDENS: dict = {'fig05': (1047,

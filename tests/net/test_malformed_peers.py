@@ -96,11 +96,12 @@ class ScriptedServer:
 @pytest.fixture(scope="module")
 def good_compute():
     """The payload and arrays of a ``compute`` the silo would answer,
-    taken from the server's simulator for the same spec."""
+    taken from the server's simulator for the same spec: the params as
+    the method broadcasts them."""
     sim = build_simulator(RunSpec.from_dict(TREE))
     return (
         {"round": 0, "noise_std": 1.0},
-        {"params": sim.trainer.params.copy(),
+        {"params": sim.method.broadcast(sim.trainer.params),
          "weights": np.ascontiguousarray(sim.method.weights[0])},
     )
 
@@ -112,8 +113,9 @@ def without(mapping, key):
 MALFORMED = {
     "missing params": lambda p, a: (p, without(a, "params")),
     "wrong params shape": lambda p, a: (p, {**a, "params": a["params"][:-1]}),
-    "float32 params": lambda p, a: (
-        p, {**a, "params": a["params"].astype(np.float32)}),
+    # Protocol 3's float64 params: not what this method broadcasts.
+    "float64 params": lambda p, a: (
+        p, {**a, "params": a["params"].astype(np.float64)}),
     "NaN in params": lambda p, a: (
         p, {**a, "params": np.where(np.arange(a["params"].size) == 3,
                                     np.nan, a["params"])}),
@@ -170,12 +172,12 @@ class TestBuildMismatch:
                 ours.close()
 
     def test_previous_version_hello_is_refused_naming_both_versions(self):
-        # What a silo of the previous build sends: protocol 2 shipped
-        # generator state in every compute and update.  The frame layout
-        # (header ``v``) did not change, so the server can read it -- and
-        # must answer it, not just hang up.
-        assert wire.PROTOCOL_VERSION == 3
-        previous = 2
+        # What a silo of the previous build sends: protocol 3 shipped the
+        # params in every compute as float64.  The frame layout (header
+        # ``v``) did not change, so the server can read it -- and must
+        # answer it, not just hang up.
+        assert wire.PROTOCOL_VERSION == 4
+        previous = 3
         joined, reply = self.handshake(previous)
         assert joined is None
         assert reply.type == "refuse"

@@ -13,6 +13,10 @@ fast.  Real multi-process chaos lives in ``test_chaos.py``.
 """
 
 import dataclasses
+import json
+import math
+import socket
+import struct
 import threading
 
 import numpy as np
@@ -23,16 +27,24 @@ from repro.api.runner import build_simulator
 from repro.core.methods.uldp_avg import SYNC_ROUND
 from repro.core.weighting import QuorumError
 from repro.net.server import FederationServer, SiloFailure, _RemoteExecutor
+from repro.net import wire
 from repro.net.silo_client import SiloClient
+from repro.net.transport import MessageSocket
 from repro.net.wire import Frame
 
 
-def networked(tree, n_silos=3):
+def networked(tree, n_silos=3, first=None):
     """Serve ``tree`` with ``n_silos`` client threads on an OS-assigned
-    port; returns ``(server, history, silo_exit_codes, quorum_error)``."""
+    port; returns ``(server, history, silo_exit_codes, quorum_error)``.
+    ``first``: bytes a connection made before any silo's writes (so the
+    server accepts it first)."""
     server = FederationServer(RunSpec.from_dict(tree))
     port = server.bind()
     codes = {}
+    rogue = None
+    if first is not None:
+        rogue = socket.create_connection((server.net.host, port))
+        rogue.sendall(first)
 
     def run_silo(s):
         codes[s] = SiloClient(RunSpec.from_dict(tree), s, port=port).run()
@@ -48,6 +60,9 @@ def networked(tree, n_silos=3):
         hist = server.serve()
     except QuorumError as exc:
         err = exc
+    finally:
+        if rogue is not None:
+            rogue.close()
     for th in threads:
         th.join(timeout=60)
     return server, hist, codes, err
@@ -112,6 +127,51 @@ class TestIdealNetworkOracle:
         from repro.api.spec import spec_hash
 
         assert hist.spec_hash == spec_hash(RunSpec.from_dict(tree))
+
+
+def _params_blob_bytes(data: bytes) -> int:
+    """Bytes of the ``params`` blob in a packed frame, read off its
+    header the way a receiver reads them."""
+    (hlen,) = struct.unpack(">I", data[4:8])
+    (blob,) = [b for b in json.loads(data[8:8 + hlen])["blobs"]
+               if b["name"] == "params"]
+    return np.dtype(blob["dtype"]).itemsize * math.prod(blob["shape"])
+
+
+class TestRogueHelloThenARun:
+    """One run that a CRC-valid ``hello`` with a JSON-list payload opens
+    (it used to end ``repro serve`` with an AttributeError in the
+    handshake), with every ``compute`` frame the server sends recorded."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        tree = base_tree()
+        computes = []  # (round, params blob bytes) per compute frame
+        send = MessageSocket.send
+
+        def recording_send(conn, msg_type, payload=None, arrays=None):
+            if msg_type == "compute":
+                data = wire.pack_frame(msg_type, payload, arrays)
+                computes.append((payload["round"], _params_blob_bytes(data)))
+            return send(conn, msg_type, payload, arrays)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MessageSocket, "send", recording_send)
+            run = networked(tree, first=wire.pack_frame("hello", [0]))
+        return tree, run, computes
+
+    def test_the_server_refuses_it_and_serves_the_silos(self, session):
+        tree, (server, hist, codes, err), _ = session
+        assert err is None and set(codes.values()) == {0}
+        assert_bit_identical(server, hist, in_process(tree))
+
+    def test_the_ledger_downlink_is_what_the_socket_moved(self, session):
+        _, (server, hist, _, _), computes = session
+        dim = server.sim.trainer.params.size
+        for t, record in enumerate(hist.comm):
+            sent = [n for r, n in computes if r == t]
+            assert sent == [dim * 4] * 3  # one float32 broadcast per silo
+            assert sum(sent) == record.downlink_bytes
 
 
 class TestFaultOracles:

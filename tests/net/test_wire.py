@@ -5,8 +5,11 @@ actual kernel buffer -- the same code path TCP traffic takes, minus the
 network.
 """
 
+import json
 import socket
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -156,3 +159,71 @@ class TestConnectionClose:
         with pytest.raises(WireError, match="mid-frame") as err:
             recv_frame(b)
         assert not isinstance(err.value, ConnectionClosed)
+
+
+def header_frame(header, blob_bytes: bytes = b"") -> bytes:
+    """A frame whose header is ``header`` (any JSON) with both CRCs
+    valid, followed by ``blob_bytes``."""
+    raw = json.dumps(header).encode()
+    return (MAGIC + struct.pack(">I", len(raw)) + raw
+            + struct.pack(">I", zlib.crc32(raw)) + blob_bytes)
+
+
+def one_blob(**entry):
+    """An ``update`` header declaring one 16-byte blob ``x`` (CRC of 16
+    zero bytes), with ``entry`` overriding manifest fields."""
+    blob = {"name": "x", "dtype": "<f8", "shape": [2],
+            "crc": zlib.crc32(bytes(16)), **entry}
+    return {"v": 1, "type": "update", "payload": {}, "blobs": [blob]}
+
+
+#: Frames whose checksums hold but whose header no pack_frame could write;
+#: each used to escape recv_frame as a non-WireError (or, the list
+#: payload, reach the server's handshake as a list).
+MALFORMED_HEADERS = {
+    "header is a JSON list": ([1, "hello"], "not an object"),
+    "blob dtype 'zz'": (one_blob(dtype="zz"), "only plain numeric"),
+    "blob dtype '|O'": (one_blob(dtype="|O"), "only plain numeric"),
+    "blob shape ['q']": (one_blob(shape=["q"]), "non-negative int"),
+    "payload is a JSON list": (
+        {"v": 1, "type": "hello", "payload": [0], "blobs": []},
+        "payload is a JSON list"),
+}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_well_checksummed_nonsense_is_a_wire_error(self, pair, case):
+        header, message = MALFORMED_HEADERS[case]
+        a, b = pair
+        a.sendall(header_frame(header, bytes(16)))
+        a.shutdown(socket.SHUT_WR)  # a parse that reads on cannot block
+        with pytest.raises(WireError, match=message):
+            recv_frame(b)
+
+    @pytest.mark.parametrize("entry", [
+        {"shape": [-1]}, {"shape": [True]}, {"shape": 2}, {"crc": "0"},
+        {"name": 7}, {"dtype": "<f8,<f8"}, {"dtype": "<U2"},
+    ], ids=str)
+    def test_every_manifest_field_is_checked(self, pair, entry):
+        a, b = pair
+        a.sendall(header_frame(one_blob(**entry), bytes(16)))
+        a.shutdown(socket.SHUT_WR)
+        with pytest.raises(WireError):
+            recv_frame(b)
+
+    def test_header_nested_past_the_recursion_limit_is_a_wire_error(self, pair):
+        raw = b"[" * 5000  # json.loads raised RecursionError, not WireError
+        a, b = pair
+        a.sendall(MAGIC + struct.pack(">I", len(raw)) + raw
+                  + struct.pack(">I", zlib.crc32(raw)))
+        a.shutdown(socket.SHUT_WR)
+        with pytest.raises(WireError, match="not valid JSON"):
+            recv_frame(b)
+
+    def test_blobs_past_the_frame_limit_are_refused_before_reading(self, pair):
+        a, b = pair
+        a.sendall(header_frame(one_blob(shape=[2**40, 2**40])))
+        a.shutdown(socket.SHUT_WR)
+        with pytest.raises(WireError, match="wire limit"):
+            recv_frame(b)
