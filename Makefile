@@ -15,7 +15,8 @@
 #   make bench-compress update compression: uplink bytes vs utility (fig05)
 #   make sweep-smoke    validate every committed spec file, then one smoke
 #                       `repro run --config`, one 2-point `repro sweep`, a
-#                       checkpointed sim run resumed with `repro run --resume`,
+#                       checkpointed sim run resumed with `repro run --resume`
+#                       (and refused once its spec snapshot is stripped),
 #                       three spec files run by name (`repro figure fig08
 #                       --output`, `repro figure fig05`, the secure `fig10`),
 #                       one masked secure run under silo dropout,
@@ -92,7 +93,9 @@ bench-compress:
 # Smoke the declarative surface end to end: every committed spec file
 # must validate (registry names, enums, sweep expansion), one config run
 # and one 2-point sigma grid must execute, and a checkpointed scenario
-# must resume from its own directory.  A spec file is an experiment by
+# must resume from its own directory -- and, stripped of its spec
+# snapshot, must be refused (exit 2, one `error:` line, no traceback:
+# nothing to verify, nothing to rebuild from).  A spec file is an experiment by
 # name: `repro figure fig08 --output` must leave a non-empty histories
 # file, fig05 (hand-written) and fig10 (secure, Protocol 1) must run, and
 # the masked secure backend must train through silo dropout.  Then
@@ -115,6 +118,15 @@ sweep-smoke:
 	$(PYTHON) -m repro run --set sim.scenario=silo-outage --set sim.scale=smoke \
 		--set sim.checkpoint_dir=sweep-smoke/ckpt --set sim.checkpoint_every=1
 	$(PYTHON) -m repro run --resume sweep-smoke/ckpt
+	cp -r sweep-smoke/ckpt sweep-smoke/nospec
+	$(PYTHON) -c "import json; p = 'sweep-smoke/nospec/state.json'; \
+		m = json.load(open(p)); m['extra'].pop('spec'); \
+		open(p, 'w').write(json.dumps(m))"
+	$(PYTHON) -m repro run --resume sweep-smoke/nospec \
+		2> sweep-smoke/nospec.err; test $$? -eq 2
+	test "$$(wc -l < sweep-smoke/nospec.err)" -eq 1
+	grep -q '^error: ' sweep-smoke/nospec.err
+	! grep -q Traceback sweep-smoke/nospec.err
 	$(PYTHON) -m repro figure fig08 --scale smoke \
 		--output sweep-smoke/fig08.json
 	test -s sweep-smoke/fig08.json

@@ -9,7 +9,8 @@ Two measurements of the :mod:`repro.sim` federation runtime:
    Reports churn throughput and the bytes held (exactly one per user).
 
 2. **Dropout scenario** -- runs the ``flaky-silos`` scenario (iid 30 %
-   per-round silo dropout) for 100 rounds end to end, asserting the
+   per-round silo dropout) for 100 rounds end to end through
+   ``repro.run(spec)``, asserting the
    participation log shows real dropout and the accountant recorded one
    honest release per round.  Reports rounds/second.
 
@@ -25,7 +26,8 @@ import time
 import numpy as np
 from conftest import host_info, print_header, write_bench_json
 
-from repro.sim import ChurnProcess, run_scenario
+from repro.api import RunSpec, run
+from repro.sim import ChurnProcess
 
 POPULATION_USERS = 1_200_000
 CHURN_ROUNDS = 100
@@ -61,7 +63,11 @@ def _bench_population() -> dict:
 def _bench_scenario() -> dict:
     """100-round flaky-silos dropout scenario, end to end."""
     start = time.perf_counter()
-    sim = run_scenario("flaky-silos", scale="smoke", seed=0, rounds=SCENARIO_ROUNDS)
+    spec = RunSpec.from_dict({
+        "seed": 0, "rounds": SCENARIO_ROUNDS,
+        "sim": {"scenario": "flaky-silos", "scale": "smoke"},
+    })
+    sim = run(spec).simulator
     seconds = time.perf_counter() - start
     history = sim.history
     assert len(history.round_seconds) == SCENARIO_ROUNDS

@@ -190,23 +190,30 @@ def build_trainer(spec: RunSpec, fed=None):
 def build_simulator(spec: RunSpec):
     """A ready-to-run simulator for a simulate-mode spec (not yet run).
 
-    Its history is stamped with the spec here, once: ``run``, a
-    ``--resume`` rebuild, ``serve`` and a silo's replica all build through
-    this function, and ``load_state`` leaves the stamp alone.
+    The construction is deterministic in the spec: the scenario's
+    federation and model template bound to the spec's method
+    (:func:`repro.sim.scenarios.bind_scenario`), then the
+    :class:`repro.sim.scheduler.SimConfig` of the scenario's recipe, then
+    the :class:`repro.sim.scheduler.FederationSimulator`.  ``run``, a
+    ``--resume`` rebuild, ``serve`` and a silo's replica all build
+    through here, so the history is stamped with the spec here, once
+    (``load_state`` leaves the stamp alone).
     """
-    from repro.sim.scenarios import build_scenario
+    from repro.sim.scenarios import bind_scenario, scenario_recipe
+    from repro.sim.scheduler import FederationSimulator, SimConfig
 
     if not spec.is_simulation:
         raise SpecError("spec has no [sim] section; use build_trainer()")
-    sim = build_scenario(
-        spec.sim.scenario,
-        scale=spec.sim.scale,
-        seed=spec.seed,
-        rounds=spec.rounds,
-        method=build_method(spec),
-        delta=spec.privacy.delta,
-        eval_every=spec.eval_every,
+    name, scale = spec.sim.scenario, spec.sim.scale
+    method = build_method(spec)
+    sizes, overrides = scenario_recipe(name, scale, spec.rounds)
+    fed = bind_scenario(name, scale, spec.seed, spec.rounds, method)
+    config = SimConfig(
+        rounds=sizes["rounds"], seed=spec.seed + 1, delta=spec.privacy.delta,
+        eval_every=spec.eval_every, **overrides,
     )
+    sim = FederationSimulator(
+        fed, method, config, model=method.model, rng=method.rng)
     _stamp(sim.history, spec)
     return sim
 
@@ -220,27 +227,25 @@ def _stamp(history, spec: RunSpec) -> str:
 
 
 def checkpoint_extra(spec: RunSpec) -> dict:
-    """The checkpoint ``extra`` payload for a simulate-mode spec."""
-    return {
-        "scenario": spec.sim.scenario,
-        "scale": spec.sim.scale,
-        "seed": spec.seed,
-        "rounds": spec.rounds,
-        "spec": spec.to_dict(),
-        "spec_hash": spec.hash(),
-    }
+    """The checkpoint ``extra`` payload for a simulate-mode spec: the
+    spec snapshot and its hash, all a resume rebuilds from."""
+    return {"spec": spec.to_dict(), "spec_hash": spec.hash()}
 
 
-def verify_checkpoint_spec(extra: dict) -> RunSpec | None:
-    """Validate a checkpoint's stored spec snapshot against its hash.
+def verify_checkpoint_spec(extra: dict | None) -> RunSpec:
+    """The spec a checkpoint's ``extra`` payload describes, verified.
 
-    Returns the rebuilt :class:`RunSpec` (or None for pre-spec
-    checkpoints).  Raises :class:`SpecError` when the snapshot no longer
-    hashes to the recorded value -- i.e. the checkpoint was tampered with
-    or written by an incompatible schema.
+    Raises :class:`SpecError` when the payload carries no spec snapshot
+    (nothing to rebuild the run from, nothing to check it against) or
+    the snapshot no longer hashes to the recorded value -- i.e. the
+    checkpoint was tampered with or written by an incompatible schema.
     """
     if not extra or "spec" not in extra:
-        return None
+        raise SpecError(
+            "checkpoint carries no spec snapshot; only checkpoints saved "
+            "with checkpoint_extra(spec) (every `repro run` / `repro "
+            "serve` checkpoint) can be resumed"
+        )
     spec = RunSpec.from_dict(extra["spec"])
     recorded = extra.get("spec_hash")
     actual = spec.hash()

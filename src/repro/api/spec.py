@@ -449,8 +449,8 @@ class RunSpec:
                     "recipes bundle their own compression"
                 )
             if self.method is None:
-                # The scenario family's canonical method (what
-                # ``build_scenario`` builds when given none).
+                # The scenario family's canonical method: ULDP-AVG-w,
+                # sigma 5, one local epoch.
                 object.__setattr__(self, "method", MethodSpec(local_epochs=1))
         else:
             if self.dataset is None:

@@ -151,11 +151,14 @@ def _runnable_spec(args) -> RunSpec:
 
 
 def _resume_from_checkpoint(args):
-    """``--resume CKPT`` for ``run`` and ``serve``: (spec, simulator, extra).
+    """``--resume CKPT`` for ``run`` and ``serve``: (spec, simulator).
 
     The checkpoint's stored spec is the run's only description (its hash
     keys the history, the handshake and the checkpoint itself), so
-    ``--config``/``--set`` are refused rather than silently ignored.
+    ``--config``/``--set`` are refused rather than silently ignored, and
+    a checkpoint without a verified spec does not resume
+    (:func:`repro.sim.scenarios.resume_simulator`).  Both commands keep
+    snapshotting into ``CKPT``.
     """
     from repro.sim.scenarios import resume_simulator
 
@@ -164,26 +167,22 @@ def _resume_from_checkpoint(args):
             "--resume rebuilds from the checkpoint's stored spec; drop "
             "--config/--set (overrides would describe a different run)"
         )
-    sim, extra = resume_simulator(args.resume)  # verifies the spec hash
-    if "spec" not in extra:
-        raise SpecError(
-            f"{args.resume}: checkpoint carries no spec snapshot; only "
-            "checkpoints written by `repro run`/`repro serve` can be resumed"
-        )
+    sim, extra = resume_simulator(args.resume)
     print(f"resumed from {args.resume} at round {sim.rounds_completed}")
-    return RunSpec.from_dict(extra["spec"]), sim, extra
+    return RunSpec.from_dict(extra["spec"]), sim
 
 
 def cmd_run(args) -> int:
-    from repro.api.runner import obs_session, run
+    from repro.api.runner import checkpoint_extra, obs_session, run
 
     if args.resume:
         from repro.sim.scenarios import run_simulator_with_checkpoints
 
-        spec, sim, extra = _resume_from_checkpoint(args)
+        spec, sim = _resume_from_checkpoint(args)
         with obs_session(spec):
             run_simulator_with_checkpoints(
-                sim, args.resume, spec.sim.checkpoint_every, extra=extra
+                sim, args.resume, spec.sim.checkpoint_every,
+                extra=checkpoint_extra(spec),
             )
         history = sim.history
     else:
@@ -206,8 +205,8 @@ def cmd_serve(args) -> int:
     from repro.net.server import FederationServer
 
     if args.resume:
-        spec, sim, _ = _resume_from_checkpoint(args)
-        server = FederationServer(spec, sim=sim)
+        spec, sim = _resume_from_checkpoint(args)
+        server = FederationServer(spec, sim=sim, checkpoint_dir=args.resume)
     else:
         spec = _runnable_spec(args)
         server = FederationServer(spec)

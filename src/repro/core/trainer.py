@@ -12,11 +12,14 @@ advances one round (optionally under a
 :meth:`Trainer.apply_external_round` records a round whose aggregation
 happened outside the method (the buffered-async policy of
 :mod:`repro.sim`).  :meth:`Trainer.run` is the plain synchronous driver,
-bit-identical to the pre-simulation loop.
+bit-identical to the pre-simulation loop.  :meth:`Trainer.state_dict` /
+:meth:`Trainer.load_state` are the trainer's share of a simulation
+checkpoint.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from repro.compress.spec import CompressionSpec
 from repro.core.engine import EngineConfig
-from repro.core.methods.base import FLMethod, ParticipationSummary
+from repro.core.methods.base import CommSummary, FLMethod, ParticipationSummary
 from repro.core.metrics import evaluate_model, metric_name
 from repro.core.weighting import RoundParticipation
 from repro.data.federated import FederatedDataset
@@ -244,17 +247,20 @@ class Trainer:
     def apply_external_round(
         self,
         params: np.ndarray,
-        seconds: float = 0.0,
+        seconds: float,
         *,
         participation_summary: ParticipationSummary,
+        comm_summary: CommSummary,
     ) -> RoundRecord | None:
         """Record a round whose aggregation ran outside the method.
 
         Async policies merge buffered silo payloads themselves and hand the
         resulting params here so history/evaluation bookkeeping stays in
         one place.  No ``method.round()`` ran, so the caller states who
-        took part: ``participation_summary`` becomes the method's
-        ``last_participation`` for the participation log.
+        took part and what moved: ``participation_summary`` and
+        ``comm_summary`` become the method's ``last_participation`` /
+        ``last_comm`` for the participation and comm logs, and
+        ``seconds`` is the wall-clock the release took.
         """
         if self.done:
             raise RuntimeError("all rounds already completed")
@@ -263,6 +269,7 @@ class Trainer:
         ) as span:
             self._params = params
             self.method.last_participation = participation_summary
+            self.method.last_comm = comm_summary
             record = self._finish_round(seconds, participation=None)
             self._annotate_round_span(span, seconds)
         return record
@@ -395,6 +402,51 @@ class Trainer:
                 help="Epsilon spent so far (accountant query at eval).",
             ).set(record.epsilon)
         return record
+
+    def state_dict(self) -> dict:
+        """The trainer's dynamic state: round counter, params, generator
+        and the history's per-round logs (the spec stamp and phase totals
+        are not state: a rebuild from the spec restores them)."""
+
+        def rows(records) -> list[list]:
+            return [list(dataclasses.astuple(record)) for record in records]
+
+        history = self.history
+        return {
+            "round": self._round,
+            "params": self._params.copy(),
+            "trainer_rng": self.rng.bit_generator.state,
+            "history": {
+                "records": rows(history.records),
+                "round_seconds": list(history.round_seconds),
+                "participation": rows(history.participation),
+                "comm": rows(history.comm),
+            },
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot into this trainer."""
+        self._round = int(state["round"])
+        self._params = np.asarray(state["params"], dtype=np.float64).copy()
+        self.model.set_flat_params(self._params)
+        self.rng.bit_generator.state = state["trainer_rng"]
+        logs = state["history"]
+        history = self.history
+        history.records[:] = [
+            RoundRecord(
+                int(rnd), name, float(metric), float(loss),
+                None if eps is None else float(eps),
+            )
+            for rnd, name, metric, loss, eps in logs["records"]
+        ]
+        history.round_seconds[:] = [float(s) for s in logs["round_seconds"]]
+        history.participation[:] = [
+            ParticipationRecord(int(r), int(s), int(u))
+            for r, s, u in logs["participation"]
+        ]
+        history.comm[:] = [
+            CommRecord(int(r), int(u), int(d)) for r, u, d in logs["comm"]
+        ]
 
     def run(self) -> TrainingHistory:
         """Run all remaining rounds; returns the metric/epsilon history.

@@ -45,7 +45,7 @@ CNN_MODELS = ("mnist-cnn",)
 
 def _dataset_name(spec: RunSpec) -> str:
     # Scenario recipes always build the creditcard benchmark
-    # (repro.sim.scenarios.build_scenario).
+    # (repro.sim.scenarios.bind_scenario).
     return "creditcard" if spec.is_simulation else spec.dataset.name
 
 

@@ -33,9 +33,11 @@ Design invariants:
   live silos fall below ``net.min_quorum`` the server broadcasts an
   abort and raises :class:`repro.core.weighting.QuorumError`.
 - **Crash-safe resume.**  With ``sim.checkpoint_dir`` set the server
-  snapshots on the same cadence as the in-process runtime; ``repro serve
-  --resume`` rebuilds the simulator from the (spec-verified) checkpoint
-  and silos simply reconnect -- they are stateless between rounds.
+  snapshots through the in-process runtime's cadence helper
+  (:func:`repro.sim.scenarios.save_checkpoint_if_due`); ``repro serve
+  --resume`` rebuilds the simulator from the (spec-verified) checkpoint,
+  keeps snapshotting into the directory it resumed from, and silos
+  simply reconnect -- they are stateless between rounds.
 
 See ``docs/networking.md`` for the full walkthrough.
 """
@@ -64,7 +66,7 @@ from repro.net.transport import (
 from repro.net.wire import PROTOCOL_VERSION, WireError, is_finite_vector
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
-from repro.sim.checkpoint import save_checkpoint
+from repro.sim.scenarios import save_checkpoint_if_due
 
 log = logging.getLogger(__name__)
 
@@ -177,7 +179,10 @@ def _valid_users(users, weight_row: np.ndarray) -> bool:
 class FederationServer:
     """Drives one simulate-mode spec over real silo connections."""
 
-    def __init__(self, spec: RunSpec, sim=None):
+    def __init__(self, spec: RunSpec, sim=None, checkpoint_dir=None):
+        """``sim``: a resumed simulator (default: built from ``spec``);
+        ``checkpoint_dir``: where snapshots go -- the directory it was
+        resumed from (default: the spec's ``sim.checkpoint_dir``)."""
         if spec.net is None:  # (a spec with [net] always has [sim])
             raise SpecError("spec has no [net] section; nothing to serve")
         # The per-silo step, synchronous rounds, a quorum the roster can
@@ -186,6 +191,9 @@ class FederationServer:
         self.spec = spec
         self.net = spec.net
         self.sim = sim if sim is not None else build_simulator(spec)
+        self.checkpoint_dir = (
+            checkpoint_dir if checkpoint_dir is not None
+            else spec.sim.checkpoint_dir)
         self.spec_hash = spec.hash()
         self.listener: socket.socket | None = None
         self.port: int | None = None
@@ -387,10 +395,9 @@ class FederationServer:
         self.bind()
         sim = self.sim
         method = sim.method
-        sim_spec = self.spec.sim
+        extra = checkpoint_extra(self.spec)
         recorder = get_recorder()
         reg = get_registry()
-        every = sim_spec.checkpoint_every or max(1, sim.config.rounds // 4)
         log.info("serving %d silo(s), rounds %d..%d on port %s",
                  sim.fed.n_silos, sim.rounds_completed, sim.config.rounds,
                  self.port)
@@ -449,12 +456,9 @@ class FederationServer:
                     finally:
                         method.contribution_executor = None
                         sim.external_dropout = None
-                if sim_spec.checkpoint_dir and (
-                        sim.rounds_completed % every == 0 or sim.done):
-                    with recorder.span("checkpoint", kind="phase",
-                                       round=sim.rounds_completed):
-                        save_checkpoint(sim_spec.checkpoint_dir, sim,
-                                        extra=checkpoint_extra(self.spec))
+                save_checkpoint_if_due(
+                    sim, self.checkpoint_dir, self.spec.sim.checkpoint_every,
+                    extra)
             log.info("run complete after round %d", sim.rounds_completed)
             self._broadcast("done", {"round": sim.rounds_completed})
             return sim.history

@@ -40,11 +40,8 @@ _LAZY_EXPORTS = {
     "FederationSimulator": "repro.sim.scheduler",
     "SimConfig": "repro.sim.scheduler",
     "available_scenarios": "repro.sim.scenarios",
-    "build_scenario": "repro.sim.scenarios",
-    "continue_simulation": "repro.sim.scenarios",
     "describe_scenario": "repro.sim.scenarios",
     "resume_simulator": "repro.sim.scenarios",
-    "run_scenario": "repro.sim.scenarios",
 }
 
 __all__ = list(_LAZY_EXPORTS)

@@ -4,8 +4,10 @@ A checkpoint is a directory with two files:
 
 - ``state.json`` -- the simulator's :meth:`FederationSimulator.state_dict`
   with every ndarray replaced by a reference marker, plus an ``extra``
-  payload (the CLI stores the scenario name and overrides there so
-  ``--resume`` can rebuild the simulator without re-specifying them).
+  payload: the run's spec snapshot and its hash
+  (:func:`repro.api.runner.checkpoint_extra`), which a resume verifies
+  and rebuilds the simulator from
+  (:func:`repro.sim.scenarios.resume_simulator`).
 - ``arrays-<round>.npz`` -- the referenced arrays in lossless binary form,
   named per snapshot and pointed to by ``state.json``.
 
@@ -95,7 +97,7 @@ def save_checkpoint(path: str | Path, simulator, extra: dict | None = None) -> P
         path: checkpoint directory (created if missing; overwritten).
         simulator: a :class:`repro.sim.scheduler.FederationSimulator`.
         extra: optional JSON-serialisable payload stored alongside
-            (scenario name, CLI overrides, ...).
+            (a resumable checkpoint's is ``checkpoint_extra(spec)``).
 
     Returns:
         The checkpoint directory path.

@@ -15,17 +15,18 @@ without touching this module::
 
 A scenario factory maps ``(rounds, n_silos)`` to
 :class:`repro.sim.scheduler.SimConfig` overrides; the dataset (creditcard
-at the scale tier's size) and the method (``uldp-avg-w`` unless a
-:class:`repro.api.RunSpec` supplies one) are owned by
-:func:`build_scenario`.  ``docs/scenarios.md`` describes each builtin's
-semantics and its privacy-accounting caveats.
+at the scale tier's size) is owned by :func:`bind_scenario`, and the
+method by the spec: a simulation is built from its
+:class:`repro.api.RunSpec` only (:func:`repro.api.runner.build_simulator`).
+``docs/scenarios.md`` describes each builtin's semantics and its
+privacy-accounting caveats.
 
-The registry composes with checkpointing: :func:`run_scenario` snapshots
-every ``checkpoint_every`` releases and :func:`resume_simulator` rebuilds
-a simulator from a checkpoint directory.  Checkpoints written through the
-spec API carry the resolved spec snapshot plus its canonical hash in
-their ``extra`` payload; resume recomputes the hash and **refuses a
-tampered or mismatched spec**.
+The registry composes with checkpointing: a run snapshots on the
+:func:`save_checkpoint_if_due` cadence, and every checkpoint's ``extra``
+holds the spec snapshot and its canonical hash
+(:func:`repro.api.runner.checkpoint_extra`).  :func:`resume_simulator`
+recomputes the hash and rebuilds the simulator from that spec; it
+**refuses a checkpoint with no spec, or a tampered or mismatched one**.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _bandwidth_stragglers(rounds: int, n_silos: int) -> dict:
 
 
 def available_scenarios() -> list[str]:
-    """Names accepted by :func:`build_scenario` / ``sim.scenario``."""
+    """Names accepted by ``sim.scenario``."""
     return SCENARIOS.names()
 
 
@@ -208,7 +209,8 @@ def scenario_recipe(
     """``(sizes, overrides)`` of a named scenario, nothing built: the scale
     tier's workload sizes (``rounds`` resolved) and the scenario's
     :class:`SimConfig` overrides (policy, compression, bandwidth).  What
-    :func:`build_scenario` builds from and spec validation reads."""
+    :func:`repro.api.runner.build_simulator` builds from and spec
+    validation reads."""
     sizes = _scale_params(scale)
     if rounds is not None:
         sizes["rounds"] = int(rounds)
@@ -218,8 +220,9 @@ def scenario_recipe(
 def bind_scenario(name: str, scale: str, seed: int, rounds: int | None, method):
     """Build a scenario's federation and model template and bind ``method``
     to them (:meth:`repro.core.FLMethod.bind`): what every party of a run
-    builds, bit for bit -- the server's simulator (:func:`build_scenario`)
-    and each ``repro silo`` replica -- so no replica can drift from the
+    builds, bit for bit -- the server's simulator
+    (:func:`repro.api.runner.build_simulator`) and each ``repro silo``
+    replica -- so no replica can drift from the
     server.  The template and the method's party draws come from the
     simulator's training stream (``SimConfig.seed``), in that order.
     Returns the federation; the model and generator are ``method``'s."""
@@ -239,101 +242,48 @@ def bind_scenario(name: str, scale: str, seed: int, rounds: int | None, method):
     return fed
 
 
-def build_scenario(
-    name: str,
-    scale: str = "small",
-    seed: int = 0,
-    rounds: int | None = None,
-    noise_multiplier: float = 5.0,
-    method=None,
-    delta: float = 1e-5,
-    eval_every: int = 1,
-):
-    """Construct a ready-to-run simulator for a named scenario.
-
-    The construction is deterministic in its arguments: a resumed
-    checkpoint rebuilds the identical simulator through this function
-    before loading state.  ``method`` (an :class:`repro.core.FLMethod`)
-    overrides the scenario family's canonical ``uldp-avg-w``; the spec
-    API builds it from the run's ``[method]`` section.
-    """
-    from repro.sim.scheduler import FederationSimulator, SimConfig
-
-    params, overrides = scenario_recipe(name, scale, rounds)
-    if method is None:
-        from repro.core.methods.uldp_avg import UldpAvg
-
-        method = UldpAvg(
-            noise_multiplier=noise_multiplier,
-            local_epochs=1,
-            weighting="proportional",
-        )
-    fed = bind_scenario(name, scale, seed, rounds, method)
-    config = SimConfig(
-        rounds=params["rounds"], seed=seed + 1, delta=delta,
-        eval_every=eval_every, **overrides,
-    )
-    return FederationSimulator(
-        fed, method, config, model=method.model, rng=method.rng)
-
-
-def run_scenario(
-    name: str,
-    scale: str = "small",
-    seed: int = 0,
-    rounds: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-):
-    """Run a named scenario to completion (checkpointing along the way)."""
-    sim = build_scenario(name, scale=scale, seed=seed, rounds=rounds)
-    run_simulator_with_checkpoints(
-        sim,
-        checkpoint_dir,
-        checkpoint_every,
-        extra={"scenario": name, "scale": scale, "seed": seed, "rounds": rounds},
-    )
-    return sim
-
-
 def resume_simulator(checkpoint_dir: str):
     """Rebuild a simulator from a checkpoint directory (not yet run).
 
     Returns ``(simulator, extra)`` where ``extra`` is the payload stored
-    at save time.  Spec-stamped checkpoints (anything written through
-    ``repro run`` / ``repro serve``) are verified first: the stored
-    snapshot must hash to the recorded ``spec_hash``, otherwise resume is
-    refused -- a tampered or schema-mismatched configuration must not
-    silently continue a run it does not describe.  Call
-    ``simulator.run()`` -- or :func:`continue_simulation` -- to finish
-    the remaining rounds.
+    at save time (:func:`repro.api.runner.checkpoint_extra`: the spec
+    snapshot and its hash).  The one resume rule, for ``repro run
+    --resume``, ``repro serve --resume`` and the library alike: the
+    stored snapshot must hash to the recorded ``spec_hash``, and the
+    simulator is rebuilt from it (:func:`repro.api.runner.build_simulator`)
+    before the state loads -- a checkpoint with no spec, or a tampered
+    or schema-mismatched one, is refused, so no run continues under a
+    configuration it does not describe.  Continue it with
+    :func:`run_simulator_with_checkpoints` into the same directory.
     """
+    from repro.api.runner import build_simulator, verify_checkpoint_spec
     from repro.sim.checkpoint import load_checkpoint
 
     state, extra = load_checkpoint(checkpoint_dir)
-    if not extra or "scenario" not in extra:
-        raise ValueError("checkpoint does not carry scenario metadata")
-    from repro.api.runner import build_simulator, verify_checkpoint_spec
-
-    spec = verify_checkpoint_spec(extra)
-    if spec is not None:
-        sim = build_simulator(spec)  # stamps the history with the spec
-    else:
-        sim = build_scenario(
-            extra["scenario"],
-            scale=extra.get("scale", "small"),
-            seed=int(extra.get("seed", 0)),
-            rounds=extra.get("rounds"),
-        )
+    sim = build_simulator(verify_checkpoint_spec(extra))
     sim.load_state(state)
     return sim, extra
 
 
-def continue_simulation(checkpoint_dir: str, checkpoint_every: int | None = None):
-    """Resume from a checkpoint and run the remaining rounds."""
-    sim, extra = resume_simulator(checkpoint_dir)
-    run_simulator_with_checkpoints(sim, checkpoint_dir, checkpoint_every, extra=extra)
-    return sim
+def save_checkpoint_if_due(
+    sim, checkpoint_dir: str | None, checkpoint_every: int | None, extra: dict
+) -> None:
+    """Snapshot ``sim`` into ``checkpoint_dir`` when the release just
+    recorded ends a period: every ``checkpoint_every``-th round counted
+    from the start of the run (default: a quarter of it), and the last.
+    A resumed run therefore snapshots at the rounds the uninterrupted one
+    would; ``repro run`` and ``repro serve`` both step through here."""
+    if not checkpoint_dir:
+        return
+    every = checkpoint_every or max(1, sim.config.rounds // 4)
+    if sim.done or sim.rounds_completed % every == 0:
+        from repro.obs.trace import get_recorder
+        from repro.sim.checkpoint import save_checkpoint
+
+        with get_recorder().span(
+            "checkpoint", kind="phase", round=sim.rounds_completed
+        ):
+            save_checkpoint(checkpoint_dir, sim, extra=extra)
 
 
 def run_simulator_with_checkpoints(
@@ -342,13 +292,8 @@ def run_simulator_with_checkpoints(
     checkpoint_every: int | None,
     extra: dict,
 ) -> None:
-    """Drive a simulator to completion, snapshotting every k releases."""
-    if checkpoint_dir is None:
-        sim.run()
-        return
-    from repro.sim.checkpoint import save_checkpoint
-
-    every = checkpoint_every or max(1, sim.config.rounds // 4)
+    """Drive a simulator to completion, snapshotting on the
+    :func:`save_checkpoint_if_due` cadence."""
     while not sim.done:
-        sim.run(stop_after=min(sim.rounds_completed + every, sim.config.rounds))
-        save_checkpoint(checkpoint_dir, sim, extra=extra)
+        sim.step()
+        save_checkpoint_if_due(sim, checkpoint_dir, checkpoint_every, extra)

@@ -13,7 +13,9 @@ advances it one *release* at a time under a :class:`SimConfig`:
   ``buffer_size`` completions the scheduler merges the buffer with
   staleness weights, performs the sensitivity bookkeeping itself (a user
   may appear in several buffered payloads), steps the accountant, and
-  records the release through ``trainer.apply_external_round``.  It
+  records the release through ``trainer.apply_external_round`` with what
+  it moved (a broadcast per pull, a payload per update received) and the
+  wall-clock it took.  It
   drives the method's per-silo step (``FLMethod.has_silo_step``).
 
 The scheduler reads a method only through what :class:`repro.core.FLMethod`
@@ -25,21 +27,23 @@ method's server-side draws; each silo derives its own generator per
 release (``UldpAvg._draw_silo``; an async job is keyed by ``_seq``).  All
 scheduler state --
 virtual clock, carryover gains, pending async jobs, user activity flags --
-serialises through :meth:`FederationSimulator.state_dict`, with the
-method's own block in it (``FLMethod.state_dict``: compressor, every
-accountant, secure-protocol counters), which is what makes killed
-simulations resume bit-identically (:mod:`repro.sim.checkpoint`).
+serialises through :meth:`FederationSimulator.state_dict`, beside the
+trainer's (``Trainer.state_dict``: round counter, params, generator,
+history logs) and the method's own block (``FLMethod.state_dict``:
+compressor, every accountant, secure-protocol counters), which is what
+makes killed simulations resume bit-identically (:mod:`repro.sim.checkpoint`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.compress.spec import CompressionSpec
-from repro.core.methods.base import FLMethod, ParticipationSummary
+from repro.core.methods.base import CommSummary, FLMethod, ParticipationSummary
 from repro.core.methods.uldp_avg import ASYNC_JOB
 from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.weighting import (
@@ -328,16 +332,17 @@ class FederationSimulator:
         sigma, clip = self.method.noise_multiplier, self.method.clip
         return float(sigma * clip / np.sqrt(policy.buffer_size))
 
-    def _start_job(self, silo: int) -> None:
+    def _start_job(self, silo: int) -> int:
         """Silo pulls the current params -- the method's broadcast of
-        them -- and begins local work."""
+        them -- and begins local work; returns the pull's bytes."""
         t = self.rounds_completed
         latency = float(
             self.config.latency.draw(t, self.fed.n_silos, self.sim_rng)[silo]
         )
         weight_row = self._async_round_weights()[silo]
+        broadcast = self.method.broadcast(self.trainer.params)
         users, payload = self.method.silo_payload(
-            silo, self.method.broadcast(self.trainer.params), weight_row,
+            silo, broadcast, weight_row,
             self._async_noise_std(),
             release=(ASYNC_JOB, self._seq),
         )
@@ -353,9 +358,15 @@ class FederationSimulator:
             )
         )
         self._seq += 1
+        return broadcast.nbytes
 
     def _step_async(self) -> None:
-        """Process completion events until the next buffered release."""
+        """Process completion events until the next buffered release.
+
+        The release is charged what moved while it formed: one broadcast
+        per pull, one payload per update received (merged or dropped as
+        stale), and its wall-clock is this whole body."""
+        start = time.perf_counter()
         policy = self.config.policy
         assert isinstance(policy, BufferedAsyncPolicy)
         # Churn advances once per release, matching the sync policies'
@@ -363,28 +374,29 @@ class FederationSimulator:
         # see the post-churn roster).
         if self.config.churn is not None:
             self.config.churn.step(self.user_active, self.sim_rng)
+        downlink = uplink = 0
         if not self._pending and not self._buffer:
             # Cold start: every up silo begins from the initial params.
             up = self.config.dropout.draw(0, self.fed.n_silos, self.sim_rng)
             for silo in np.flatnonzero(up):
-                self._start_job(int(silo))
+                downlink += self._start_job(int(silo))
             if not self._pending:
                 raise RuntimeError("async simulation has no live silos")
         while len(self._buffer) < policy.buffer_size:
             nxt = min(self._pending, key=lambda u: (u.finish, u.seq))
             self._pending.remove(nxt)
             self.clock = nxt.finish
+            uplink += nxt.payload.nbytes
             staleness = self._version - nxt.version
-            if staleness > policy.max_staleness:
-                # Too stale to merge: drop the payload, restart the silo.
-                self._start_job(nxt.silo)
-                continue
-            self._buffer.append(nxt)
-            self._start_job(nxt.silo)
-        self._release_buffer()
+            if staleness <= policy.max_staleness:
+                self._buffer.append(nxt)
+            # A stale payload is dropped; either way the silo restarts.
+            downlink += self._start_job(nxt.silo)
+        self._release_buffer(start, CommSummary(uplink, downlink))
 
-    def _release_buffer(self) -> None:
-        """Merge the buffered payloads and record one release."""
+    def _release_buffer(self, start: float, comm: CommSummary) -> None:
+        """Merge the buffered payloads and record one release (begun at
+        ``start``, having moved ``comm``)."""
         policy = self.config.policy
         assert isinstance(policy, BufferedAsyncPolicy)
         merged = self._buffer[: policy.buffer_size]
@@ -416,10 +428,12 @@ class FederationSimulator:
         t = self.rounds_completed
         self.trainer.apply_external_round(
             params,
+            time.perf_counter() - start,
             participation_summary=ParticipationSummary(
                 silos_seen=len({u.silo for u in merged}),
                 users_seen=len(realised),
             ),
+            comm_summary=comm,
         )
         entry = {
             "round": t + 1,
@@ -454,30 +468,17 @@ class FederationSimulator:
         """Complete dynamic state; restoring it resumes bit-identically.
 
         The *static* configuration (dataset, method hyper-parameters,
-        :class:`SimConfig`) is not included -- a resume reconstructs the
-        simulator through the same scenario/constructor and then loads
-        this state (see :mod:`repro.sim.checkpoint`).
+        :class:`SimConfig`) is not included -- a resume rebuilds the
+        simulator from its spec (:func:`repro.api.runner.build_simulator`)
+        and then loads this state (see :mod:`repro.sim.checkpoint`).
         """
-        trainer = self.trainer
-
-        def rows(records) -> list[list]:
-            return [list(dataclasses.astuple(record)) for record in records]
-
         return {
             "schema": SCHEMA,
-            "round": trainer.round_index,
-            "params": trainer.params.copy(),
-            "trainer_rng": trainer.rng.bit_generator.state,
+            **self.trainer.state_dict(),
             "sim_rng": self.sim_rng.bit_generator.state,
             "clock": self.clock,
             "carry_gain": self.carry_gain.copy(),
             "round_log": [dict(r) for r in self.round_log],
-            "history": {
-                "records": rows(trainer.history.records),
-                "round_seconds": list(trainer.history.round_seconds),
-                "participation": rows(trainer.history.participation),
-                "comm": rows(trainer.history.comm),
-            },
             "method": self.method.state_dict(),  # the method owns its state
             "user_active": self.user_active.copy(),
             "async": {
@@ -491,8 +492,6 @@ class FederationSimulator:
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (see checkpoint module)."""
-        from repro.core.trainer import CommRecord, ParticipationRecord, RoundRecord
-
         schema = state.get("schema")
         if schema != SCHEMA:
             why = _OLD_SCHEMAS.get(schema, "unknown layout")
@@ -502,32 +501,11 @@ class FederationSimulator:
             raise ValueError(
                 f"simulator snapshot's user_active is {user_active.dtype}"
                 f"{list(user_active.shape)}, expected bool[{self.fed.n_users}]")
-        trainer = self.trainer
-        trainer._round = int(state["round"])
-        trainer._params = np.asarray(state["params"], dtype=np.float64).copy()
-        trainer.model.set_flat_params(trainer.params)
-        trainer.rng.bit_generator.state = state["trainer_rng"]
+        self.trainer.load_state(state)
         self.sim_rng.bit_generator.state = state["sim_rng"]
         self.clock = float(state["clock"])
         self.carry_gain = np.asarray(state["carry_gain"], dtype=np.float64).copy()
         self.round_log = [dict(r) for r in state["round_log"]]
-        history = trainer.history
-        history.records[:] = [
-            RoundRecord(
-                int(rnd), name, float(metric), float(loss),
-                None if eps is None else float(eps),
-            )
-            for rnd, name, metric, loss, eps in state["history"]["records"]
-        ]
-        history.round_seconds[:] = [float(s) for s in state["history"]["round_seconds"]]
-        history.participation[:] = [
-            ParticipationRecord(int(r), int(s), int(u))
-            for r, s, u in state["history"]["participation"]
-        ]
-        history.comm[:] = [
-            CommRecord(int(r), int(u), int(d))
-            for r, u, d in state["history"]["comm"]
-        ]
         self.method.load_state(state["method"])
         self.user_active = user_active.copy()
         async_state = state["async"]

@@ -162,7 +162,8 @@ class TestSimulateShimOracle:
         )
 
     def _legacy_scenario(self, name: str, scale: str, seed: int):
-        """The seed build_scenario construction, verbatim."""
+        """The seed's scenario construction, verbatim: dataset, method,
+        ``SimConfig`` and simulator by hand."""
         from repro.core import UldpAvg
         from repro.data import build_creditcard_benchmark
         from repro.sim.scenarios import _scale_params
@@ -245,17 +246,23 @@ class TestCheckpointSpecGuard:
         with pytest.raises(SpecError, match="hash mismatch"):
             resume_simulator(str(tmp_path / "ckpt"))
 
-    def test_pre_spec_checkpoint_still_resumes(self, tmp_path):
-        """Legacy checkpoints (no spec payload) keep working unverified."""
-        from repro.sim.scenarios import resume_simulator, run_scenario
+    def test_pre_spec_checkpoint_refused(self, tmp_path):
+        """A checkpoint with no spec snapshot (what the pre-spec library
+        path wrote: scenario name and sizes only) has nothing to verify
+        and nothing to rebuild from, so it does not resume."""
+        from repro.api.runner import build_simulator
+        from repro.api.spec import SpecError
+        from repro.sim import save_checkpoint
+        from repro.sim.scenarios import resume_simulator
 
-        sim = run_scenario(
-            "silo-outage", scale="smoke", seed=0,
-            checkpoint_dir=str(tmp_path / "old"), checkpoint_every=1,
-        )
-        resumed, extra = resume_simulator(str(tmp_path / "old"))
-        assert "spec" not in extra
-        np.testing.assert_array_equal(resumed.trainer.params, sim.trainer.params)
+        sim = build_simulator(TestSimulateShimOracle._sim_spec("silo-outage"))
+        sim.run(stop_after=1)
+        save_checkpoint(tmp_path / "old", sim, extra={
+            "scenario": "silo-outage", "scale": "smoke", "seed": 0,
+            "rounds": None,
+        })
+        with pytest.raises(SpecError, match="no spec snapshot"):
+            resume_simulator(str(tmp_path / "old"))
 
 
 class TestRunnerValidation:

@@ -165,13 +165,20 @@ def test_subsampled_rounds_match_the_walk(fed):
 
 
 def test_flaky_silos_rounds_match_the_walk():
-    from repro.sim.scenarios import build_scenario
+    from repro.api import RunSpec
+    from repro.api.runner import build_simulator
+
+    spec = RunSpec.from_dict({
+        "seed": 2,
+        "sim": {"scenario": "flaky-silos", "scale": "smoke"},
+        "method": {"name": "uldp-avg-w", "local_epochs": 2},
+    })
 
     def final(walk, workers):
-        method = UldpAvg(weighting="proportional", local_epochs=2)
+        sim = build_simulator(spec)
+        method = sim.method
         if walk:
             _walk(method)
-        sim = build_scenario("flaky-silos", scale="smoke", seed=2, method=method)
         if workers:
             method.shard_engine = ShardedEngine(
                 EngineConfig(workers=workers, shard_size=128))

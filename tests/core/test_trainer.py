@@ -86,6 +86,34 @@ class TestTrainerBasics:
         with pytest.raises(ValueError):
             Trainer(cc_fed, Default(), rounds=1, model=model, eval_every=0)
 
+    def test_state_round_trip(self, cc_fed):
+        """A trainer restored from another's ``state_dict`` (its method's
+        beside it) is that trainer: the same snapshot, the same rounds on."""
+
+        def trainer():
+            model = build_tiny_mlp(30, 8, 2, np.random.default_rng(0))
+            return Trainer(cc_fed, UldpAvg(local_epochs=1), rounds=4,
+                           model=model, seed=0)
+
+        ran = trainer()
+        ran.step()
+        ran.step()
+        state = ran.state_dict()
+        fresh = trainer()
+        fresh.load_state(state)
+        fresh.method.load_state(ran.method.state_dict())
+        again = fresh.state_dict()
+        np.testing.assert_array_equal(again.pop("params"), state.pop("params"))
+        assert again == state
+        np.testing.assert_array_equal(
+            fresh.model.get_flat_params(), ran.model.get_flat_params())
+        ran.run()
+        fresh.run()
+        np.testing.assert_array_equal(fresh.params, ran.params)
+        assert fresh.history.records == ran.history.records
+        assert fresh.history.participation == ran.history.participation
+        assert fresh.history.comm == ran.history.comm
+
     def test_seed_reproducibility(self, cc_fed):
         def run(seed):
             model = build_tiny_mlp(30, 8, 2, np.random.default_rng(7))

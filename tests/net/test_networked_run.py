@@ -361,7 +361,7 @@ def test_a_retried_round_reforms_every_other_payload():
 def outage_comparator(windows):
     """In-process simulator matching the smoke ideal-sync scenario with a
     scripted :class:`SiloOutageWindows` dropout -- the exact oracle for
-    decline/timeout faults (seed wiring mirrors ``build_scenario``)."""
+    decline/timeout faults (seed wiring mirrors ``build_simulator``)."""
     from repro.core import UldpAvg
     from repro.data import build_creditcard_benchmark
     from repro.sim import SiloOutageWindows, SimConfig, SyncPolicy

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from toy_crypto import TOY_DH_GROUP
 
+from repro.api import RunSpec, run
+from repro.api.runner import build_simulator, checkpoint_extra
 from repro.compress import CompressionSpec
 from repro.core.methods.uldp_avg import UldpAvg
 from repro.data import build_creditcard_benchmark
@@ -13,11 +15,17 @@ from repro.sim import (
     BufferedAsyncPolicy,
     FederationSimulator,
     SimConfig,
-    build_scenario,
-    run_scenario,
     save_checkpoint,
 )
-from repro.sim.scenarios import continue_simulation
+from repro.sim.scenarios import resume_simulator, run_simulator_with_checkpoints
+
+
+def smoke_spec(scenario, seed, rounds):
+    return RunSpec.from_dict({
+        "seed": seed, "rounds": rounds,
+        "sim": {"scenario": scenario, "scale": "smoke"},
+    })
+
 
 LOSSY = CompressionSpec(
     sparsify="topk", fraction=0.05, quantize_bits=8, error_feedback=True
@@ -172,14 +180,14 @@ class TestPayloadBytesReporting:
 
 class TestBandwidthScenarios:
     def test_bandwidth_cap_scenario_admits_compressed_silos(self):
-        sim = run_scenario("bandwidth-cap", scale="smoke", seed=0, rounds=3)
+        sim = run(smoke_spec("bandwidth-cap", seed=0, rounds=3)).simulator
         assert all(p.silos_seen == sim.fed.n_silos for p in sim.history.participation)
         # The ledger records the compressed uplink, far below dense.
         dense = sim.fed.n_silos * sim.trainer.params.size * 8
         assert sim.history.comm[0].uplink_bytes < dense / 10
 
     def test_bandwidth_stragglers_scenario_strands_the_slow_link(self):
-        sim = run_scenario("bandwidth-stragglers", scale="smoke", seed=0, rounds=6)
+        sim = run(smoke_spec("bandwidth-stragglers", seed=0, rounds=6)).simulator
         silos_seen = [p.silos_seen for p in sim.history.participation]
         # The 4x-slower link misses the deadline on some rounds...
         assert min(silos_seen) < sim.fed.n_silos
@@ -197,13 +205,14 @@ class TestBandwidthScenarios:
 
 class TestCheckpointWithCompression:
     def test_kill_and_resume_bit_identical(self, tmp_path):
-        full = run_scenario("bandwidth-cap", scale="smoke", seed=3, rounds=6)
+        spec = smoke_spec("bandwidth-cap", seed=3, rounds=6)
+        full = run(spec).simulator
 
-        sim = build_scenario("bandwidth-cap", scale="smoke", seed=3, rounds=6)
+        sim = build_simulator(spec)
         sim.run(stop_after=3)
-        extra = {"scenario": "bandwidth-cap", "scale": "smoke", "seed": 3, "rounds": 6}
-        save_checkpoint(tmp_path, sim, extra=extra)
-        resumed = continue_simulation(tmp_path)
+        save_checkpoint(tmp_path, sim, extra=checkpoint_extra(spec))
+        resumed, extra = resume_simulator(tmp_path)
+        run_simulator_with_checkpoints(resumed, tmp_path, None, extra=extra)
 
         assert np.array_equal(full.trainer.params, resumed.trainer.params)
         assert full.history.records == resumed.history.records

@@ -10,19 +10,37 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
+from repro.api.runner import build_simulator, checkpoint_extra
 from repro.sim import (
     CheckpointError,
-    build_scenario,
-    continue_simulation,
     load_checkpoint,
     resume_simulator,
-    run_scenario,
     save_checkpoint,
 )
+from repro.sim.scenarios import run_simulator_with_checkpoints
 
 #: The scenarios covering every state machine: carryover gains, async
 #: pending buffers, churned populations, and plain sync.
 SCENARIOS = ["ideal-sync", "carryover-makeup", "async-fedbuff", "user-churn"]
+
+
+def smoke_spec(scenario, seed, **sim):
+    """The scenario at smoke scale under its canonical method."""
+    return RunSpec.from_dict(
+        {"seed": seed, "sim": {"scenario": scenario, "scale": "smoke", **sim}})
+
+
+def run_smoke(scenario, seed, **sim):
+    """A finished smoke-scale run of ``scenario`` (its simulator)."""
+    return run(smoke_spec(scenario, seed, **sim)).simulator
+
+
+def continue_from(path):
+    """Resume ``path`` and finish the run, snapshotting back into it."""
+    sim, extra = resume_simulator(str(path))
+    run_simulator_with_checkpoints(sim, str(path), None, extra=extra)
+    return sim
 
 
 def assert_identical(a, b):
@@ -41,69 +59,63 @@ def assert_identical(a, b):
 class TestKillAndResume:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_killed_at_round_k_resumes_bit_identically(self, scenario, tmp_path):
-        uninterrupted = run_scenario(scenario, scale="smoke", seed=9)
+        uninterrupted = run_smoke(scenario, seed=9)
 
-        killed = build_scenario(scenario, scale="smoke", seed=9)
+        spec = smoke_spec(scenario, seed=9)
+        killed = build_simulator(spec)
         killed.run(stop_after=1)  # "crash" after the first release
-        save_checkpoint(
-            tmp_path,
-            killed,
-            extra={"scenario": scenario, "scale": "smoke", "seed": 9, "rounds": None},
-        )
-        resumed = continue_simulation(str(tmp_path))
+        save_checkpoint(tmp_path, killed, extra=checkpoint_extra(spec))
+        resumed = continue_from(tmp_path)
         assert resumed.done
         assert_identical(uninterrupted, resumed)
 
     def test_checkpoint_every_round_still_identical(self, tmp_path):
-        uninterrupted = run_scenario("flaky-silos", scale="smoke", seed=2)
-        checkpointed = run_scenario(
-            "flaky-silos",
-            scale="smoke",
-            seed=2,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=1,
+        uninterrupted = run_smoke("flaky-silos", seed=2)
+        checkpointed = run_smoke(
+            "flaky-silos", seed=2,
+            checkpoint_dir=str(tmp_path), checkpoint_every=1,
         )
         assert_identical(uninterrupted, checkpointed)
         # The final snapshot on disk restores to the same end state too.
         resumed, extra = resume_simulator(str(tmp_path))
-        assert extra["scenario"] == "flaky-silos"
+        assert extra["spec"]["sim"]["scenario"] == "flaky-silos"
         assert resumed.done
         assert_identical(uninterrupted, resumed)
 
     def test_double_kill_chain(self, tmp_path):
         """Crash twice (after rounds 1 and 2); the chain still matches."""
-        uninterrupted = run_scenario("carryover-makeup", scale="smoke", seed=5)
+        uninterrupted = run_smoke("carryover-makeup", seed=5)
 
-        sim = build_scenario("carryover-makeup", scale="smoke", seed=5)
-        extra = {"scenario": "carryover-makeup", "scale": "smoke", "seed": 5,
-                 "rounds": None}
+        spec = smoke_spec("carryover-makeup", seed=5)
+        sim = build_simulator(spec)
+        extra = checkpoint_extra(spec)
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra=extra)
         second, _ = resume_simulator(str(tmp_path))
         second.run(stop_after=2)
         save_checkpoint(tmp_path, second, extra=extra)
-        final = continue_simulation(str(tmp_path))
+        final = continue_from(tmp_path)
         assert_identical(uninterrupted, final)
 
 
 class TestCheckpointFormat:
     def test_schema_validated(self, tmp_path):
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         save_checkpoint(tmp_path, sim)
         (tmp_path / "state.json").write_text('{"schema": "bogus"}')
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path)
 
     def test_resume_requires_scenario_metadata(self, tmp_path):
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         save_checkpoint(tmp_path, sim)  # no extra payload
         with pytest.raises(ValueError):
             resume_simulator(str(tmp_path))
 
     def test_snapshots_are_versioned_and_pruned(self, tmp_path):
-        extra = {"scenario": "ideal-sync", "scale": "smoke", "seed": 0,
-                 "rounds": None}
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        spec = smoke_spec("ideal-sync", seed=0)
+        extra = checkpoint_extra(spec)
+        sim = build_simulator(spec)
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra=extra)
         sim.run(stop_after=2)
@@ -116,7 +128,7 @@ class TestCheckpointFormat:
 
     def test_truncated_arrays_file_refused(self, tmp_path):
         """A half-written npz (torn download, full disk) must not resume."""
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
         blob = tmp_path / "arrays-00000001.npz"
@@ -129,7 +141,7 @@ class TestCheckpointFormat:
 
     def test_flipped_payload_byte_fails_digest(self, tmp_path):
         """Bit rot inside the npz is caught even when the zip still opens."""
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
         meta = json.loads((tmp_path / "state.json").read_text())
@@ -142,7 +154,7 @@ class TestCheckpointFormat:
             load_checkpoint(tmp_path)
 
     def test_missing_array_refused(self, tmp_path):
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
         meta = json.loads((tmp_path / "state.json").read_text())
@@ -154,7 +166,7 @@ class TestCheckpointFormat:
     def test_missing_digest_manifest_refused(self, tmp_path):
         """Deleting one key must not turn every SHA-256 check off: nothing
         else is corrupted, and the load still refuses."""
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
         meta = json.loads((tmp_path / "state.json").read_text())
@@ -165,7 +177,7 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("schema", ["uldp-fl-checkpoint/v0", None])
     def test_unknown_schema_is_a_checkpoint_error(self, tmp_path, schema):
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
         meta = json.loads((tmp_path / "state.json").read_text())
         meta["schema"] = schema
@@ -174,7 +186,7 @@ class TestCheckpointFormat:
             load_checkpoint(tmp_path)
 
     def test_corrupt_state_json_refused(self, tmp_path):
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
         state = tmp_path / "state.json"
@@ -183,23 +195,23 @@ class TestCheckpointFormat:
             load_checkpoint(tmp_path)
 
     def test_digests_recorded_and_verified_on_clean_load(self, tmp_path):
-        sim = build_scenario("ideal-sync", scale="smoke", seed=0)
+        sim = build_simulator(smoke_spec("ideal-sync", seed=0))
         sim.run(stop_after=1)
         save_checkpoint(tmp_path, sim, extra={"scenario": "ideal-sync"})
         meta = json.loads((tmp_path / "state.json").read_text())
         assert meta["array_digests"]  # manifest present...
         state, _ = load_checkpoint(tmp_path)  # ...and verifies cleanly
-        fresh = build_scenario("ideal-sync", scale="smoke", seed=0)
+        fresh = build_simulator(smoke_spec("ideal-sync", seed=0))
         fresh.load_state(state)
         assert np.array_equal(fresh.trainer.params, sim.trainer.params)
 
     def test_state_dict_roundtrips_through_disk(self, tmp_path):
-        sim = build_scenario("async-fedbuff", scale="smoke", seed=1)
+        sim = build_simulator(smoke_spec("async-fedbuff", seed=1))
         sim.run(stop_after=2)
         save_checkpoint(tmp_path, sim, extra={"scenario": "async-fedbuff"})
         state, extra = load_checkpoint(tmp_path)
         assert extra == {"scenario": "async-fedbuff"}
-        fresh = build_scenario("async-fedbuff", scale="smoke", seed=1)
+        fresh = build_simulator(smoke_spec("async-fedbuff", seed=1))
         fresh.load_state(state)
         assert np.array_equal(fresh.trainer.params, sim.trainer.params)
         assert fresh.rounds_completed == 2

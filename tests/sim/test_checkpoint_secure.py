@@ -14,7 +14,8 @@ from toy_crypto import TOY_DH_GROUP
 
 from repro.api import RunSpec
 from repro.api.runner import build_simulator, checkpoint_extra
-from repro.sim import build_scenario, continue_simulation, save_checkpoint
+from repro.sim import resume_simulator, save_checkpoint
+from repro.sim.scenarios import run_simulator_with_checkpoints
 
 
 def masked_spec(seed=9):
@@ -26,6 +27,25 @@ def masked_spec(seed=9):
         "method": {"name": "secure-uldp-avg", "local_epochs": 1, "sigma": 1.0},
         "crypto": {"backend": "masked"},
     })
+
+
+def paillier_simulator(scenario, seed):
+    """A smoke-scale simulator running Paillier ``SecureUldpAvg``, built
+    by hand as ``build_simulator`` would (a spec refuses the pairing):
+    bind, then the scenario's ``SimConfig``, then the simulator."""
+    from repro.protocol import SecureUldpAvg
+    from repro.sim import FederationSimulator, SimConfig
+    from repro.sim.scenarios import bind_scenario, scenario_recipe
+
+    method = SecureUldpAvg(
+        local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
+        dh_group=TOY_DH_GROUP,
+    )
+    sizes, overrides = scenario_recipe(scenario, "smoke")
+    fed = bind_scenario(scenario, "smoke", seed, None, method)
+    config = SimConfig(rounds=sizes["rounds"], seed=seed + 1, **overrides)
+    return FederationSimulator(
+        fed, method, config, model=method.model, rng=method.rng)
 
 
 def assert_identical(a, b):
@@ -51,7 +71,8 @@ class TestMaskedKillAndResume:
         killed = build_simulator(spec)
         killed.run(stop_after=1)  # "crash" after the first masked round
         save_checkpoint(tmp_path, killed, extra=checkpoint_extra(spec))
-        resumed = continue_simulation(str(tmp_path))
+        resumed, extra = resume_simulator(str(tmp_path))
+        run_simulator_with_checkpoints(resumed, str(tmp_path), None, extra=extra)
         assert resumed.done
         assert_identical(uninterrupted, resumed)
         # The mask schedule resumed where it stopped: both protocols sit at
@@ -88,7 +109,8 @@ class TestMaskedKillAndResume:
         from repro.sim import load_checkpoint
 
         state, _ = load_checkpoint(tmp_path)
-        plain = build_scenario("flaky-silos", scale="smoke", seed=2)
+        plain = build_simulator(RunSpec.from_dict(
+            {"seed": 2, "sim": {"scenario": "flaky-silos", "scale": "smoke"}}))
         with pytest.raises(ValueError, match="carries 'protocol' state"):
             plain.load_state(state)
 
@@ -102,7 +124,8 @@ class TestMaskedKillAndResume:
         from repro.sim import load_checkpoint
 
         state, _ = load_checkpoint(tmp_path)
-        plain = build_scenario("flaky-silos", scale="smoke", seed=2)
+        plain = build_simulator(RunSpec.from_dict(
+            {"seed": 2, "sim": {"scenario": "flaky-silos", "scale": "smoke"}}))
         with pytest.raises(
             ValueError,
             match="rebuilt method cannot restore it; was the scenario's "
@@ -123,15 +146,7 @@ class TestMaskedKillAndResume:
         state, _ = load_checkpoint(tmp_path)
         # A spec cannot pair [sim] with Paillier (RunSpec rejects it), so
         # the mismatched rebuild is made below the spec layer.
-        from repro.protocol import SecureUldpAvg
-
-        paillier = build_scenario(
-            "ideal-sync", scale="smoke", seed=3,
-            method=SecureUldpAvg(
-                local_epochs=1, noise_multiplier=1.0, paillier_bits=256,
-                dh_group=TOY_DH_GROUP,
-            ),
-        )
+        paillier = paillier_simulator("ideal-sync", seed=3)
         with pytest.raises(
             ValueError,
             match="disagree about the crypto backend; was the spec's "

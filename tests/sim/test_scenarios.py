@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.api import RunSpec, run
+from repro.api.runner import build_simulator
 from repro.experiments import available_experiments, run_experiment
-from repro.sim import (
-    available_scenarios,
-    build_scenario,
-    describe_scenario,
-    run_scenario,
-)
+from repro.sim import available_scenarios, describe_scenario
+
+
+def sim_spec(scenario, scale="smoke", **tree):
+    return RunSpec.from_dict(
+        {"seed": 0, "sim": {"scenario": scenario, "scale": scale}, **tree})
 
 
 class TestRegistry:
@@ -31,16 +33,16 @@ class TestRegistry:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError):
-            build_scenario("no-such-scenario")
+            build_simulator(sim_spec("no-such-scenario"))
         with pytest.raises(KeyError):
             describe_scenario("no-such-scenario")
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
-            build_scenario("ideal-sync", scale="huge")
+            build_simulator(sim_spec("ideal-sync", scale="huge"))
 
     def test_rounds_override(self):
-        sim = run_scenario("ideal-sync", scale="smoke", seed=0, rounds=2)
+        sim = run(sim_spec("ideal-sync", rounds=2)).simulator
         assert len(sim.history.round_seconds) == 2
 
 

@@ -253,6 +253,41 @@ class TestBufferedAsync:
         assert len(sim.method.accountant.releases) == 4
         assert np.all(np.isfinite(sim.trainer.params))
 
+    def test_release_is_charged_what_moved(self):
+        """async-fedbuff at smoke scale, seed 0: 5, 2, 2 pulls of the
+        float32 broadcast and two float64 payloads per release -- release
+        3 merges both from one silo -- and every release takes time."""
+        from repro.api import RunSpec, run
+
+        spec = RunSpec.from_dict(
+            {"seed": 0, "sim": {"scenario": "async-fedbuff", "scale": "smoke"}})
+        history = run(spec).history
+        assert [(c.uplink_bytes, c.downlink_bytes) for c in history.comm] == [
+            (66_080, 82_600), (66_080, 33_040), (66_080, 33_040)]
+        assert [p.silos_seen for p in history.participation] == [2, 2, 1]
+        assert all(seconds > 0 for seconds in history.round_seconds)
+
+    def test_stale_drops_are_charged_their_payload(self):
+        # Six silos with spread-out latencies against a two-payload buffer:
+        # the slow ones come back more than one version stale.
+        config = SimConfig(
+            rounds=6,
+            policy=BufferedAsyncPolicy(buffer_size=2, max_staleness=1),
+            latency=LogNormalLatency(median=1.0, sigma=1.0),
+        )
+        sim = FederationSimulator(
+            tiny_fed(n_users=20, n_silos=6), tiny_method(), config)
+        sim.run()
+        payload = sim.trainer.params.size * 8
+        received = [c.uplink_bytes // payload for c in sim.history.comm]
+        pulls = [c.downlink_bytes // sim.method.broadcast_nbytes
+                 for c in sim.history.comm]
+        # Each update received, merged or dropped, restarts its silo with
+        # one pull; the first release also pulls for the cold start.
+        assert pulls == [received[0] + 6, *received[1:]]
+        # Some release dropped a stale payload beside the two it merged.
+        assert max(received) > 2
+
     def test_staleness_weight_discounts(self):
         assert staleness_weight(0) == 1.0
         assert staleness_weight(3, 0.5) == pytest.approx(0.5)

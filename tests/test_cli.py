@@ -204,15 +204,133 @@ class TestSimulateCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "v2 holds a sharded user population" in err[0]
 
-    def test_resume_refuses_tampered_spec(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("edit, why", [
+        # Quieter than the run was composed for: the snapshot no longer
+        # hashes to the recorded value.
+        (lambda extra: extra["spec"]["method"].update(sigma=0.001),
+         "hash mismatch"),
+        # What the pre-spec library path wrote: names and sizes, no spec.
+        (lambda extra: extra.pop("spec"), "no spec snapshot"),
+    ], ids=["tampered", "spec-less"])
+    def test_resume_refuses_an_unverified_checkpoint(
+            self, command, edit, why, capsys, tmp_path):
         ckpt = ["--set", f"sim.checkpoint_dir={tmp_path}"]
         assert main(["run", *self.SETS, *ckpt]) == 0
+        capsys.readouterr()
         state = tmp_path / "state.json"
         meta = json.loads(state.read_text())
-        meta["extra"]["spec"]["method"]["sigma"] = 0.001
+        edit(meta["extra"])
         state.write_text(json.dumps(meta))
-        assert main(["run", "--resume", str(tmp_path)]) == 2
-        assert "hash mismatch" in capsys.readouterr().err
+        assert main([command, "--resume", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert why in err[0]
+
+
+def _free_port() -> int:
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestOneResumeRule:
+    """``run --resume`` and ``serve --resume`` share one resume function
+    and one snapshot cadence: every ``checkpoint_every``-th round of the
+    run and the last, written into the directory resumed from."""
+
+    @staticmethod
+    def _killed_at_round_3(tmp_path):
+        """A 6-round ``[net]`` spec snapshotting every 2 rounds into
+        ``orig``, killed after round 3 (what a crash leaves there)."""
+        from repro.api import RunSpec
+        from repro.api.runner import build_simulator, checkpoint_extra
+        from repro.sim import save_checkpoint
+
+        orig = tmp_path / "orig"
+        spec = RunSpec.from_dict({
+            "name": "resume-rule", "seed": 3, "rounds": 6,
+            "sim": {"scenario": "ideal-sync", "scale": "smoke",
+                    "checkpoint_dir": str(orig), "checkpoint_every": 2},
+            "net": {"port": _free_port(), "join_timeout": 30.0,
+                    "round_timeout": 60.0, "ping_timeout": 10.0},
+        })
+        sim = build_simulator(spec)
+        sim.run(stop_after=3)
+        save_checkpoint(orig, sim, extra=checkpoint_extra(spec))
+        return spec, orig
+
+    @staticmethod
+    def _record_saves(monkeypatch) -> list:
+        """(directory, round) of every snapshot taken from now on."""
+        import repro.sim.checkpoint as checkpoint
+
+        saves, save = [], checkpoint.save_checkpoint
+
+        def recording(path, simulator, extra=None):
+            saves.append((str(path), simulator.rounds_completed))
+            return save(path, simulator, extra=extra)
+
+        monkeypatch.setattr(checkpoint, "save_checkpoint", recording)
+        return saves
+
+    @staticmethod
+    def _serve_resume(spec, ckpt) -> int:
+        """``repro serve --resume ckpt`` with the spec's silos as threads
+        (they connect with retry, so they may start before the server)."""
+        import threading
+
+        from repro.net.silo_client import SiloClient
+
+        codes = {}
+
+        def run_silo(s):
+            codes[s] = SiloClient(spec, s, port=spec.net.port).run()
+
+        threads = [threading.Thread(target=run_silo, args=(s,), daemon=True)
+                   for s in range(3)]
+        for th in threads:
+            th.start()
+        code = main(["serve", "--resume", str(ckpt)])
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        assert codes == {0: 0, 1: 0, 2: 0}
+        return code
+
+    @staticmethod
+    def _round(ckpt) -> int:
+        return json.loads((ckpt / "state.json").read_text())["state"]["round"]
+
+    def test_serve_resume_of_a_copy_writes_into_the_copy(
+            self, capsys, monkeypatch, tmp_path):
+        import shutil
+
+        spec, orig = self._killed_at_round_3(tmp_path)
+        copy = tmp_path / "copy"
+        shutil.copytree(orig, copy)
+        assert self._serve_resume(spec, copy) == 0
+        assert f"resumed from {copy} at round 3" in capsys.readouterr().out
+        assert self._round(copy) == 6
+        # The spec's own sim.checkpoint_dir is left where the crash left it.
+        assert self._round(orig) == 3
+
+    def test_run_and_serve_snapshot_at_the_same_rounds(
+            self, capsys, monkeypatch, tmp_path):
+        import shutil
+
+        spec, orig = self._killed_at_round_3(tmp_path)
+        ran, served = tmp_path / "ran", tmp_path / "served"
+        shutil.copytree(orig, ran)
+        shutil.copytree(orig, served)
+        saves = self._record_saves(monkeypatch)
+        assert main(["run", "--resume", str(ran)]) == 0
+        assert self._serve_resume(spec, served) == 0
+        # The rounds an uninterrupted run snapshots at (2, 4, 6), from 3 on.
+        assert saves == [(str(ran), 4), (str(ran), 6),
+                         (str(served), 4), (str(served), 6)]
 
 
 class TestServeSpawnFailure:
