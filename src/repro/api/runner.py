@@ -258,25 +258,30 @@ def verify_checkpoint_spec(extra: dict | None) -> RunSpec:
     return spec
 
 
-def resolve_trace_path(spec: RunSpec) -> Path:
+def resolve_trace_path(spec: RunSpec, checkpoint_dir=None) -> Path:
     """Where this spec's ``trace.jsonl`` goes: the explicit
-    ``obs.trace_path`` if set, else next to checkpoints, else the
-    working directory."""
+    ``obs.trace_path`` if set, else next to checkpoints -- in
+    ``checkpoint_dir`` when given (the directory a run resumed from),
+    else the spec's ``sim.checkpoint_dir`` -- else the working
+    directory."""
     if spec.obs is not None and spec.obs.trace_path:
         return Path(spec.obs.trace_path)
-    if spec.sim is not None and spec.sim.checkpoint_dir:
-        return Path(spec.sim.checkpoint_dir) / "trace.jsonl"
+    if checkpoint_dir is None and spec.sim is not None:
+        checkpoint_dir = spec.sim.checkpoint_dir
+    if checkpoint_dir:
+        return Path(checkpoint_dir) / "trace.jsonl"
     return Path("trace.jsonl")
 
 
 @contextlib.contextmanager
-def obs_session(spec: RunSpec, mode: str | None = None):
+def obs_session(spec: RunSpec, mode: str | None = None, checkpoint_dir=None):
     """Install the spec's observability for the duration of one run.
 
     With ``[obs]`` absent or disabled this yields immediately and
     changes nothing (the process keeps the no-op recorder).  Enabled, it
     builds a :class:`repro.obs.JsonlTraceRecorder` at
-    :func:`resolve_trace_path`, installs it process-wide, opens the root
+    :func:`resolve_trace_path` (``checkpoint_dir``: the directory a
+    resumed run snapshots into), installs it process-wide, opens the root
     ``run`` span (name, spec hash, mode), and -- when
     ``obs.metrics_port`` is set -- serves ``GET /metrics`` on that side
     port.  Everything is torn down (recorder restored + flushed, httpd
@@ -289,7 +294,7 @@ def obs_session(spec: RunSpec, mode: str | None = None):
     from repro.obs.httpd import start_metrics_server
 
     recorder = JsonlTraceRecorder(
-        resolve_trace_path(spec),
+        resolve_trace_path(spec, checkpoint_dir),
         sample_rate=spec.obs.sample_rate,
         run_id=spec.name,
     )

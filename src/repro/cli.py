@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
         from repro.sim.scenarios import run_simulator_with_checkpoints
 
         spec, sim = _resume_from_checkpoint(args)
-        with obs_session(spec):
+        with obs_session(spec, checkpoint_dir=args.resume):
             run_simulator_with_checkpoints(
                 sim, args.resume, spec.sim.checkpoint_every,
                 extra=checkpoint_extra(spec),

@@ -12,6 +12,8 @@ post-processing:
   downlink, private seed);
 - :mod:`repro.compress.sparsify` -- top-k / random-k selection + scatter;
 - :mod:`repro.compress.quantize` -- unbiased stochastic b-bit quantization;
+- :mod:`repro.compress.codec` -- the lossless wire codec of one payload
+  (Elias--Fano support, bit-packed levels), whose length is the ledger's;
 - :mod:`repro.compress.pipeline` -- :class:`UpdateCompressor`, the
   stateful per-federation object (per-silo error-feedback residuals,
   private RNG stream, byte accounting, checkpointable state).

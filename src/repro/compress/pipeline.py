@@ -11,7 +11,9 @@
 - a **private RNG stream** (random-k supports, stochastic rounding) kept
   separate from the trainer RNG, so compressed and uncompressed runs draw
   bit-identical training noise;
-- the **byte accounting** reported per payload, which
+- the **byte accounting** reported per payload: every payload is
+  encoded to its wire bytes (:mod:`repro.compress.codec`), the receiver's
+  reconstruction is decoded from them, and their length is what
   :class:`repro.core.trainer.TrainingHistory` records per round.
 
 Compression is applied strictly **post-noise**: the payloads handed in
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compress.codec import decode_payload, encode_payload
 from repro.compress.quantize import dequantize, quantize_stochastic
 from repro.compress.sparsify import randk_indices, scatter
 from repro.compress.spec import CompressionSpec
@@ -48,7 +51,8 @@ class CompressedPayload:
 
     Attributes:
         dense: the receiver-side reconstruction (what enters the sum).
-        nbytes: wire size of the compressed form.
+        nbytes: length of the encoded wire payload
+            (:mod:`repro.compress.codec`), what ``dense`` was decoded from.
         kept: surviving coordinate count (``dim`` when dense).
     """
 
@@ -90,34 +94,26 @@ class UpdateCompressor:
             if residual is not None:
                 vec = vec + residual
         dim = vec.size
-        if spec.sparsify == "none":
-            indices = None
-            survivors = vec
-        else:
+        k = spec.keep_count(dim)
+        indices = None
+        survivors = vec
+        if spec.sparsify != "none":
             from repro.api.registries import SPARSIFIERS
 
-            k = spec.keep_count(dim)
             select = SPARSIFIERS.get(spec.sparsify)
             indices = np.asarray(select(vec, k, self.rng), dtype=np.int64)
             survivors = vec[indices]
         if spec.quantize_bits is not None:
-            block = quantize_stochastic(survivors, spec.quantize_bits, self.rng)
-            sent = dequantize(block)
-            value_bytes = block.nbytes
-        else:
-            sent = survivors
-            value_bytes = 8 * survivors.size
-        if indices is None:
-            dense = np.array(sent, copy=True)
-            nbytes = value_bytes
-            kept = dim
-        else:
-            dense = scatter(indices, sent, dim)
-            nbytes = indices.size * spec.index_bytes + value_bytes
-            kept = indices.size
+            survivors = quantize_stochastic(survivors, spec.quantize_bits, self.rng)
+        # What the receiver reconstructs is what the bytes carry.
+        wire = encode_payload(spec, dim, indices, survivors)
+        indices, received = decode_payload(spec, dim, wire)
+        if spec.quantize_bits is not None:
+            received = dequantize(received)
+        dense = received if indices is None else scatter(indices, received, dim)
         if spec.error_feedback:
             self._residuals[slot] = vec - dense
-        return CompressedPayload(dense=dense, nbytes=int(nbytes), kept=kept)
+        return CompressedPayload(dense=dense, nbytes=len(wire), kept=k)
 
     def compress_uplink(self, silo: int, payload: np.ndarray) -> CompressedPayload:
         """Compress silo ``silo``'s post-noise uplink payload."""

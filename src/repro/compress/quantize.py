@@ -3,8 +3,9 @@
 A vector is scaled by its max magnitude onto ``L = 2^(b-1) - 1`` symmetric
 integer levels; each coordinate rounds *stochastically* to a neighbouring
 level, which makes dequantization unbiased (``E[deq(q(v))] = v``) with
-per-coordinate error at most ``scale / L``.  The wire format is one float64
-scale plus ``b`` bits per coordinate (sign included in the level).
+per-coordinate error at most ``scale / L``.  On the wire a block is ``b``
+bits per coordinate (sign included in the level) plus one float64 scale
+(:mod:`repro.compress.codec`).
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ class QuantizedBlock:
     scale: float
     levels: np.ndarray
     bits: int
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size: float64 scale + ``bits`` bits per level, packed."""
-        return 8 + (self.levels.size * self.bits + 7) // 8
 
 
 def quantize_stochastic(

@@ -32,8 +32,14 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("k must lie in [1, len(values)]")
     if k == v.size:
         return np.arange(v.size, dtype=np.int64)
-    order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:k]).astype(np.int64)
+    magnitude = np.abs(v)
+    magnitude[np.isnan(magnitude)] = -1.0  # a sort on -|v| ranks NaN last
+    # The k-th largest magnitude: everything above it is kept, then the
+    # lowest-index ties -- what a stable sort on -|v| would keep.
+    threshold = np.partition(magnitude, v.size - k)[v.size - k]
+    above = np.flatnonzero(magnitude > threshold)
+    ties = np.flatnonzero(magnitude == threshold)[: k - above.size]
+    return np.union1d(above, ties).astype(np.int64)
 
 
 def randk_indices(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:

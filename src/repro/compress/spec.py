@@ -59,8 +59,9 @@ class CompressionSpec:
             from the trainer RNG so an uncompressed and a compressed run
             draw identical training noise -- the post-processing-invariance
             tests rely on this.
-        index_bytes: wire cost of one coordinate index (4 = uint32,
-            enough for models up to 4.3e9 parameters).
+
+    A payload's wire layout is :mod:`repro.compress.codec`'s; its length
+    is :meth:`payload_bytes`.
     """
 
     sparsify: str = "none"
@@ -69,7 +70,6 @@ class CompressionSpec:
     error_feedback: bool = False
     downlink: bool = False
     seed: int = 0
-    index_bytes: int = 4
 
     def __post_init__(self):
         valid = _valid_sparsifiers()
@@ -89,8 +89,6 @@ class CompressionSpec:
                 f"quantize_bits must lie in "
                 f"[{MIN_QUANTIZE_BITS}, {MAX_QUANTIZE_BITS}]"
             )
-        if self.index_bytes < 1:
-            raise ValueError("index_bytes must be positive")
         if self.is_identity and (self.error_feedback or self.downlink):
             # Both flags silently no-op without a lossy stage -- reject the
             # combination rather than let the caller believe it is active.
@@ -118,13 +116,17 @@ class CompressionSpec:
         return max(1, min(dim, math.ceil(self.fraction * dim)))
 
     def payload_bytes(self, dim: int) -> int:
-        """Analytic wire size of one compressed ``dim``-vector payload.
+        """Wire size of one compressed ``dim``-vector payload: the length
+        of :func:`repro.compress.codec.encode_payload`'s bytes.
 
-        Dense float64 costs ``8 * dim``; a sparse payload costs
-        ``index_bytes`` per surviving index plus the value bytes; a
-        quantized block costs one float64 scale plus ``ceil(k * b / 8)``
-        packed level bytes.  Matches what the pipeline reports per round.
+        Dense float64 costs ``8 * dim``.  A sparse payload adds its
+        Elias--Fano support, ``ceil((k L + k + ((dim - 1) >> L) + 1) / 8)``
+        bytes with ``L = floor(log2(dim / k))`` (none when ``k == dim``),
+        to its value bytes: ``8 k`` raw, or, quantized, one float64 scale
+        plus ``ceil(k b / 8)`` packed level bytes.
         """
+        from repro.compress.codec import support_bits
+
         k = self.keep_count(dim)
         if self.quantize_bits is not None:
             value_bytes = 8 + (k * self.quantize_bits + 7) // 8
@@ -132,4 +134,4 @@ class CompressionSpec:
             value_bytes = 8 * k
         if self.sparsify == "none":
             return value_bytes
-        return k * self.index_bytes + value_bytes
+        return (support_bits(dim, k) + 7) // 8 + value_bytes

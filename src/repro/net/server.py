@@ -368,7 +368,9 @@ class FederationServer:
         Raises :class:`repro.core.weighting.QuorumError` when live silos
         fall below ``net.min_quorum`` (after broadcasting an abort).
         """
-        with obs_session(self.spec, mode="serve"):
+        with obs_session(
+            self.spec, mode="serve", checkpoint_dir=self.checkpoint_dir
+        ):
             return self._serve_rounds()
 
     def _attempt_byte_marks(self) -> dict[int, tuple[int, int]]:

@@ -17,6 +17,14 @@ Re-pinned once since, when the broadcast became the float32 array the
 silos train from (``FLMethod.broadcast``): every dense ``downlink_bytes``
 exactly halved, and with it the seconds of the ``network`` phase (bytes
 over the link) and the totals that include it.  Nothing else moved.
+
+Re-pinned again when a compressed payload became a real Elias--Fano wire
+string (``repro.compress.codec``) and ``CompressionSpec.payload_bytes``
+its length: the compressed uplink bytes (quickstart 5215 -> 1885 a round,
+bandwidth_sim 3129 -> 1131, the rand-k 8-bit variant 10365 -> 3465), the
+compressed downlink of ``quickstart+downlink``, the ``network`` seconds of
+``quickstart+workers2+bandwidth`` and the totals that include them.
+Nothing else moved.
 """
 
 from __future__ import annotations
@@ -129,10 +137,10 @@ def test_every_example_spec_is_a_case():
 
 GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                    'phases': [('local_train', 'round', (0.003494363469795898, 0.0, 0.0, 0.0, 12.0)),
-                              ('uplink', 'round', (0.0, 3129.0, 0.0, 0.0, 0.0)),
+                              ('uplink', 'round', (0.0, 1131.0, 0.0, 0.0, 0.0)),
                               ('broadcast', 'round', (0.0, 0.0, 49560.0, 0.0, 0.0))],
-                   'round': (0.003494363469795898, 3129.0, 49560.0, 0.0, 12.0),
-                   'run': (0.010483090409387694, 9387.0, 148680.0, 0.0, 12.0),
+                   'round': (0.003494363469795898, 1131.0, 49560.0, 0.0, 12.0),
+                   'run': (0.010483090409387694, 3393.0, 148680.0, 0.0, 12.0),
                    'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'fig04': {'header': ('uldp-avg-w', None, 'dense', 5),
            'phases': [('local_train', 'round', (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
@@ -250,28 +258,28 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
              'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'quickstart': {'header': ('uldp-avg-w', None, 'dense', 5),
                 'phases': [('local_train', 'round', (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
-                           ('uplink', 'round', (0.0, 5215.0, 0.0, 0.0, 0.0)),
+                           ('uplink', 'round', (0.0, 1885.0, 0.0, 0.0, 0.0)),
                            ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
-                'round': (2.72765984128791, 5215.0, 82600.0, 0.0, 4264000.0),
-                'run': (13.63829920643955, 26075.0, 413000.0, 0.0, 4264000.0),
+                'round': (2.72765984128791, 1885.0, 82600.0, 0.0, 4264000.0),
+                'run': (13.63829920643955, 9425.0, 413000.0, 0.0, 4264000.0),
                 'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'quickstart+downlink': {'header': ('uldp-avg-w', None, 'dense', 5),
                          'phases': [('local_train',
                                      'round',
                                      (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
-                                    ('uplink', 'round', (0.0, 5215.0, 0.0, 0.0, 0.0)),
-                                    ('broadcast', 'round', (0.0, 0.0, 5215.0, 0.0, 0.0))],
-                         'round': (2.72765984128791, 5215.0, 5215.0, 0.0, 4264000.0),
-                         'run': (13.63829920643955, 26075.0, 26075.0, 0.0, 4264000.0),
+                                    ('uplink', 'round', (0.0, 1885.0, 0.0, 0.0, 0.0)),
+                                    ('broadcast', 'round', (0.0, 0.0, 1885.0, 0.0, 0.0))],
+                         'round': (2.72765984128791, 1885.0, 1885.0, 0.0, 4264000.0),
+                         'run': (13.63829920643955, 9425.0, 9425.0, 0.0, 4264000.0),
                          'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'quickstart+randk-q8': {'header': ('uldp-avg-w', None, 'dense', 5),
                          'phases': [('local_train',
                                      'round',
                                      (2.72765984128791, 0.0, 0.0, 0.0, 4264000.0)),
-                                    ('uplink', 'round', (0.0, 10365.0, 0.0, 0.0, 0.0)),
+                                    ('uplink', 'round', (0.0, 3465.0, 0.0, 0.0, 0.0)),
                                     ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0))],
-                         'round': (2.72765984128791, 10365.0, 82600.0, 0.0, 4264000.0),
-                         'run': (13.63829920643955, 51825.0, 413000.0, 0.0, 4264000.0),
+                         'round': (2.72765984128791, 3465.0, 82600.0, 0.0, 4264000.0),
+                         'run': (13.63829920643955, 17325.0, 413000.0, 0.0, 4264000.0),
                          'setup': (0.0, 0.0, 0.0, 0.0, 0.0)},
  'quickstart+workers2+bandwidth': {'header': ('uldp-avg-w', None, 'dense', 5),
                                    'phases': [('local_train',
@@ -281,18 +289,18 @@ GOLDENS: dict = {'bandwidth_sim': {'header': ('uldp-avg-w', None, 'sim', 3),
                                                 0.0,
                                                 0.0,
                                                 400589384.9247925)),
-                                              ('uplink', 'round', (0.0, 5215.0, 0.0, 0.0, 0.0)),
+                                              ('uplink', 'round', (0.0, 1885.0, 0.0, 0.0, 0.0)),
                                               ('broadcast', 'round', (0.0, 0.0, 82600.0, 0.0, 0.0)),
                                               ('network',
                                                'round',
-                                               (0.07727720000000002, 0.0, 0.0, 0.0, 0.0))],
-                                   'round': (2.80493704128791,
-                                             5215.0,
+                                               (0.07434680000000002, 0.0, 0.0, 0.0, 0.0))],
+                                   'round': (2.80200664128791,
+                                             1885.0,
                                              82600.0,
                                              0.0,
                                              400589384.9247925),
-                                   'run': (14.024685206439552,
-                                           26075.0,
+                                   'run': (14.01003320643955,
+                                           9425.0,
                                            413000.0,
                                            0.0,
                                            400589384.9247925),

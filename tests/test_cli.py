@@ -242,23 +242,28 @@ class TestOneResumeRule:
     run and the last, written into the directory resumed from."""
 
     @staticmethod
-    def _killed_at_round_3(tmp_path):
+    def _killed_at_round_3(tmp_path, traced=False):
         """A 6-round ``[net]`` spec snapshotting every 2 rounds into
-        ``orig``, killed after round 3 (what a crash leaves there)."""
+        ``orig``, killed after round 3 (what a crash leaves there; with
+        ``traced``, ``[obs]`` is on and ``orig`` holds its trace too)."""
         from repro.api import RunSpec
-        from repro.api.runner import build_simulator, checkpoint_extra
+        from repro.api.runner import build_simulator, checkpoint_extra, obs_session
         from repro.sim import save_checkpoint
 
         orig = tmp_path / "orig"
-        spec = RunSpec.from_dict({
+        tree = {
             "name": "resume-rule", "seed": 3, "rounds": 6,
             "sim": {"scenario": "ideal-sync", "scale": "smoke",
                     "checkpoint_dir": str(orig), "checkpoint_every": 2},
             "net": {"port": _free_port(), "join_timeout": 30.0,
                     "round_timeout": 60.0, "ping_timeout": 10.0},
-        })
+        }
+        if traced:
+            tree["obs"] = {"enabled": True}
+        spec = RunSpec.from_dict(tree)
         sim = build_simulator(spec)
-        sim.run(stop_after=3)
+        with obs_session(spec):
+            sim.run(stop_after=3)
         save_checkpoint(orig, sim, extra=checkpoint_extra(spec))
         return spec, orig
 
@@ -316,6 +321,26 @@ class TestOneResumeRule:
         assert self._round(copy) == 6
         # The spec's own sim.checkpoint_dir is left where the crash left it.
         assert self._round(orig) == 3
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_resume_of_a_copy_traces_into_the_copy(self, command, capsys, tmp_path):
+        import shutil
+
+        def lines(path):
+            return len(path.read_text().splitlines())
+
+        spec, orig = self._killed_at_round_3(tmp_path, traced=True)
+        before = lines(orig / "trace.jsonl")
+        assert before > 0
+        copy = tmp_path / "copy"
+        shutil.copytree(orig, copy, ignore=shutil.ignore_patterns("trace.jsonl"))
+        if command == "run":
+            assert main(["run", "--resume", str(copy)]) == 0
+        else:
+            assert self._serve_resume(spec, copy) == 0
+        assert lines(copy / "trace.jsonl") > 0
+        # The stored spec's checkpoint_dir is not written to.
+        assert lines(orig / "trace.jsonl") == before
 
     def test_run_and_serve_snapshot_at_the_same_rounds(
             self, capsys, monkeypatch, tmp_path):
