@@ -1,11 +1,11 @@
 """Update-compression bench: wire bytes vs utility on the Figure 5 config.
 
-Runs ULDP-AVG-w on the Fig. 5 MNIST workload twice -- dense float64
+Runs ULDP-AVG-w on the Fig. 5 MNIST workload twice -- dense float32
 payloads vs the compressed pipeline (top-5% sparsification, 8-bit
 stochastic quantization, per-silo error feedback) -- and asserts the
 PR's contract:
 
-1. **>= 10x uplink byte reduction** (the encoded payloads deliver ~89x
+1. **>= 10x uplink byte reduction** (the encoded payloads deliver ~45x
    at these settings);
 2. **identical epsilon to the last bit**: compression is strictly
    post-noise, so the accountant's view is unchanged (post-processing);
@@ -67,15 +67,16 @@ def _run(fed, compression):
     )
     start = time.perf_counter()
     trainer = Trainer(fed, method, rounds=ROUNDS, seed=7, compression=compression)
-    history = trainer.run()
+    trainer.run()
     seconds = time.perf_counter() - start
-    return history, seconds
+    return trainer, seconds
 
 
 def _bench_plaintext() -> dict:
     scale, fed = _fig05_workload()
-    dense_history, dense_seconds = _run(fed, None)
-    compressed_history, compressed_seconds = _run(fed, SPEC)
+    dense, dense_seconds = _run(fed, None)
+    compressed, compressed_seconds = _run(fed, SPEC)
+    dense_history, compressed_history = dense.history, compressed.history
 
     dense_up = dense_history.total_uplink_bytes
     compressed_up = compressed_history.total_uplink_bytes
@@ -99,7 +100,7 @@ def _bench_plaintext() -> dict:
         "rounds": ROUNDS,
         "sigma": SIGMA,
         "n_users": fed.n_users,
-        "model_params": dense_history.comm[0].uplink_bytes // (8 * fed.n_silos),
+        "model_params": dense.model.num_params,
         "spec": {
             "sparsify": SPEC.sparsify,
             "fraction": SPEC.fraction,

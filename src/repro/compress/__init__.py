@@ -1,6 +1,6 @@
 """Communication-efficient update compression for ULDP-FL rounds.
 
-Cross-silo rounds ship dense float64 deltas; after the vectorized engine
+Cross-silo rounds ship dense float32 noisy sums; after the vectorized engine
 (PR 1) and the fast crypto backend (PR 2) removed the compute walls,
 communication is the scaling cost.  This package compresses the wire
 payloads -- strictly **post-noise** on the uplink and on the server's

@@ -99,7 +99,7 @@ class CompressionSpec:
 
     @classmethod
     def none(cls) -> "CompressionSpec":
-        """The identity spec: dense float64, byte accounting only."""
+        """The identity spec: the dense release, byte accounting only."""
         return cls()
 
     @property
@@ -119,8 +119,10 @@ class CompressionSpec:
         """Wire size of one compressed ``dim``-vector payload: the length
         of :func:`repro.compress.codec.encode_payload`'s bytes.
 
-        Dense float64 costs ``8 * dim``.  A sparse payload adds its
-        Elias--Fano support, ``ceil((k L + k + ((dim - 1) >> L) + 1) / 8)``
+        The identity spec's ``8 * dim`` is never charged: it changes no
+        payload, and the dense release is charged its own ``nbytes``
+        (:meth:`repro.core.FLMethod.payload_bytes`).  A sparse payload
+        adds its Elias--Fano support, ``ceil((k L + k + ((dim - 1) >> L) + 1) / 8)``
         bytes with ``L = floor(log2(dim / k))`` (none when ``k == dim``),
         to its value bytes: ``8 k`` raw, or, quantized, one float64 scale
         plus ``ceil(k b / 8)`` packed level bytes.

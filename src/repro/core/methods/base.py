@@ -47,9 +47,18 @@ float64.  Every carrier -- shard tasks, a ``repro silo``'s ``compute``
 frame, the buffered-async scheduler's pulls -- ships that array, and the
 comm ledger charges its ``nbytes`` per recipient.
 
+The release.  What a silo sends back is one array of
+:attr:`FLMethod.payload_dtype`, a class attribute too: float32 for the
+ULDP-AVG family, whose silo rounds its noisy weighted sum once where it
+forms it (post-noise post-processing), float64 for the methods that form
+their aggregate in process from no payload array (DEFAULT, ULDP-NAIVE,
+ULDP-GROUP).  The ledger charges that array's ``nbytes``, and
+:meth:`FLMethod.payload_bytes` prices it for the cost model.
+
 The contract.  What a runtime may ask of a method is *declared* on
 :class:`FLMethod`, never probed for: ``accountant``, ``display_name``,
-``broadcast_dtype`` / ``broadcast()``, ``uplink_payload_bytes()``,
+``broadcast_dtype`` / ``broadcast()``, ``payload_dtype`` /
+``uplink_payload_bytes()``,
 ``timing_report()``, the capabilities
 ``supports_compression`` / ``check_compression()`` and ``has_silo_step``,
 and ``state_dict()`` / ``load_state()``, through which a method owns its
@@ -115,6 +124,9 @@ class FLMethod(ABC):
     #: The dtype of the round's broadcast (:meth:`broadcast`): what the
     #: method's local training reads of the global params, and no wider.
     broadcast_dtype: np.dtype = TRAIN_DTYPE
+    #: The dtype of one silo's dense uplink payload, the array the ledger
+    #: charges (:meth:`payload_bytes`).
+    payload_dtype: np.dtype = np.dtype(np.float64)
 
     def __init__(self, compression: CompressionSpec | None = None):
         self.fed: FederatedDataset | None = None
@@ -243,12 +255,14 @@ class FLMethod(ABC):
 
     def uplink_payload_bytes(self) -> int:
         """One silo's per-round uplink wire size (the bandwidth models'
-        input): the compressed estimate when a compressor is active, dense
-        float64 otherwise.  Methods with another wire format override."""
+        input): the compressed estimate when a lossy compressor is active,
+        the dense :meth:`payload_bytes` otherwise.  Methods with another
+        wire format override."""
         _, model, _ = self._require_prepared()
-        if self.compressor is not None:
-            return self.compressor.estimated_payload_bytes(model.num_params)
-        return model.num_params * 8
+        comp = self.compressor
+        if comp is not None and not comp.spec.is_identity:
+            return comp.estimated_payload_bytes(model.num_params)
+        return self.payload_bytes(model.num_params)
 
     def broadcast(self, params: np.ndarray) -> np.ndarray:
         """The round's one broadcast: ``params`` as this method's silos
@@ -264,6 +278,12 @@ class FLMethod(ABC):
         """One recipient's dense broadcast of a ``dim``-parameter model:
         the cost model's price for what :meth:`broadcast` hands out."""
         return dim * np.dtype(cls.broadcast_dtype).itemsize
+
+    @classmethod
+    def payload_bytes(cls, dim: int) -> int:
+        """One silo's dense uplink payload of a ``dim``-parameter model
+        (:attr:`payload_dtype`): what the ledger charges per contributor."""
+        return dim * np.dtype(cls.payload_dtype).itemsize
 
     def timing_report(self) -> dict[str, float]:
         """Cumulative per-phase seconds (empty: no phase timer)."""

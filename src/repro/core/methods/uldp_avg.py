@@ -30,8 +30,13 @@ amplification (Remark 1).
 One product, one fold.  A silo releases exactly one thing per round
 (Algorithm 3 line 17): ``payload_s = z_s + sum_u w[s,u] * clip(delta_su)``,
 the noise plus the engine's micro-batched binned fold
-(:func:`repro.core.engine.fold_clipped_rows`), rounded once.  The round
-aggregate is ``0 + payload_0 + payload_1 + ...`` over the active silos in
+(:func:`repro.core.engine.fold_clipped_rows`), rounded once in float64 and
+once more to float32 (:attr:`UldpAvg.payload_dtype`,
+:meth:`UldpAvg._release_payload`): post-noise post-processing, so the
+guarantee is untouched, and the rounding error (half a float32 ulp, ~6e-8
+of the payload) sits orders of magnitude below the noise just added (std
+sigma * C / sqrt(|S|)).  The round aggregate is
+``0 + payload_0 + payload_1 + ...`` in float64 over the active silos in
 index order (:meth:`UldpAvg._round_aggregate`), and that payload is the
 only thing that crosses a process or socket boundary.  It is formed by
 the shard pool's tasks or, silo by silo, by :meth:`UldpAvg.silo_payload`
@@ -69,6 +74,7 @@ from repro.core.weighting import (
     uniform_weights,
     validate_weights,
 )
+from repro.nn.layers import TRAIN_DTYPE
 
 #: The two key spaces of a silo's generator: a synchronous round, keyed by
 #: its index, and a buffered-async job, keyed by the scheduler's job
@@ -92,6 +98,8 @@ class UldpAvg(FLMethod):
     name = "ULDP-AVG"
     supports_compression = True
     has_silo_step = True
+    #: A silo's release is rounded to the dtype its training ran in.
+    payload_dtype = TRAIN_DTYPE
     #: The one line of Algorithm 3 the variants differ in, a user's local
     #: vector: ``"delta"`` (after Q local epochs, line 15) or ``"gradient"``
     #: (one negated full-batch gradient, line 22): the ``mode`` of the
@@ -288,7 +296,7 @@ class UldpAvg(FLMethod):
         for s, users, payload in source(
             broadcast, round_weights, self._noise_std(), self._active_silos()
         ):
-            nbytes = payload.size * 8
+            nbytes = payload.nbytes
             if comp is not None:
                 sent = comp.compress_uplink(s, payload)
                 payload, nbytes = sent.dense, sent.nbytes
@@ -405,12 +413,22 @@ class UldpAvg(FLMethod):
         shards: dict[int, list[dict]] = {}
         for result in engine.run_tasks(tasks):
             shards.setdefault(result["silo"], []).append(result)
-        payloads = []
-        for s, users, noise in drawn:
-            if s in shards:
-                noise = noise + engine.reduce(shards[s]).total()
-            payloads.append((s, users, noise))
-        return payloads
+        return [
+            (s, users, self._release_payload(
+                noise, engine.reduce(shards[s]) if s in shards else None))
+            for s, users, noise in drawn
+        ]
+
+    def _release_payload(
+        self, noise: np.ndarray, fold: BinnedSum | None
+    ) -> np.ndarray:
+        """A silo's one release from its noise and its binned fold
+        (None: no user trained): ``noise + fold.total()``, rounded to
+        :attr:`payload_dtype` -- the array every carrier ships and the
+        ledger charges.  The rounding follows the noise, so it is
+        post-processing of the Gaussian mechanism's output."""
+        total = noise if fold is None else noise + fold.total()
+        return total.astype(self.payload_dtype)
 
     # -- per-silo step API (remote silos, buffered-async simulation) ----------
 
@@ -437,17 +455,19 @@ class UldpAvg(FLMethod):
         realised round weights; users with zero weight are skipped.
 
         The sum is the shard tasks' fold
-        (:func:`repro.core.engine.fold_clipped_rows`), so the same bits.
+        (:func:`repro.core.engine.fold_clipped_rows`), rounded by the same
+        :meth:`_release_payload`, so the same bits.
 
         Returns ``(users, payload)``: the contributing user ids (the
         server's participation and sensitivity bookkeeping) and the noisy
-        ``(P,)`` sum -- never a per-user row, never an un-noised sum.
+        ``(P,)`` sum as :attr:`payload_dtype` -- never a per-user row,
+        never an un-noised sum.
         """
         fed, model, _ = self._require_prepared()
         users, jobs, noise = self._draw_silo(
             s, weight_row, noise_std, params.size, release)
         if not users:
-            return users, noise
+            return users, self._release_payload(noise, None)
         engine = self.shard_engine
         acc = BinnedSum(params.size, engine.scale(self.clip))
         fold_clipped_rows(
@@ -455,7 +475,7 @@ class UldpAvg(FLMethod):
             weight_row[users], self.clip, engine.config.backend,
             self.local_lr, self.local_epochs,
         )
-        return users, noise + acc.total()
+        return users, self._release_payload(noise, acc)
 
     def silo_round_segment(
         self,

@@ -62,10 +62,14 @@ class ParticipationRecord:
 class CommRecord:
     """Wire traffic of one training round (all rounds logged).
 
-    Compressing methods report the compressed sizes.  Everything else is
-    charged the dense default, so byte columns are comparable across
-    methods: uplink ``silos_seen * params * 8`` (float64 payloads), and
-    downlink the ``nbytes`` of the method's broadcast
+    Methods that form silo payloads (the ULDP-AVG family) report what
+    they formed: one float32 payload per contributing silo
+    (:attr:`repro.core.FLMethod.payload_dtype`), or its compressed size.
+    Everything else is charged the dense default, so byte columns are
+    comparable across methods: uplink ``silos_seen *
+    FLMethod.payload_bytes(params)`` -- float64 for DEFAULT, ULDP-NAIVE and
+    ULDP-GROUP, which form their aggregate in process from no payload
+    array -- and downlink the ``nbytes`` of the method's broadcast
     (:meth:`repro.core.FLMethod.broadcast`: ``params * 4`` for a float32
     broadcast, ``params * 8`` for ULDP-GROUP's float64 one) times the
     broadcast's recipients, the silos alive at round start.
@@ -377,7 +381,9 @@ class Trainer:
             else participation.n_broadcast_silos
         )
         return CommRecord(
-            t + 1, silos_seen * self._params.size * 8, recipients * per_recipient
+            t + 1,
+            silos_seen * self.method.payload_bytes(self._params.size),
+            recipients * per_recipient,
         )
 
     def _evaluate(self) -> RoundRecord:

@@ -521,11 +521,13 @@ def byte_check_rows(benches: dict[str, dict]) -> list[dict]:
 
     plaintext = benches["compression"].get("plaintext_fig05")
     if plaintext:
+        from repro.core import UldpAvg  # the bench's method
+
         dim = plaintext["model_params"]
         per_round = plaintext["rounds"] * FIG05_SILOS
         check(
             "compression.plaintext_fig05.dense_uplink_bytes",
-            per_round * 8 * dim,
+            per_round * UldpAvg.payload_bytes(dim),
             plaintext["dense_uplink_bytes"],
         )
         spec = CompressionSpec(

@@ -214,12 +214,19 @@ def _train_memory(sharded: bool, w: dict) -> Linear | float:
     return w["users"] * row_bytes * 8 + w["users"] * w["dim"] * 8
 
 
-def _uplink_phase(comp: CompressionSpec | None, w: dict) -> PhaseCost:
-    """A plaintext method's uplink, per round: one float64 payload (or
-    its compressed form) from every silo that received the round-start
+def _uplink_phase(
+    comp: CompressionSpec | None, w: dict, payload_bytes: Callable[[int], int]
+) -> PhaseCost:
+    """A plaintext method's uplink, per round: one dense payload,
+    ``payload_bytes(dim)`` (:meth:`repro.core.FLMethod.payload_bytes`:
+    float32 for the ULDP-AVG family, float64 otherwise), or its lossy
+    compressed form, from every silo that received the round-start
     broadcast -- the expected count is ``participation * silos``."""
     dim, silos, p = w["dim"], w["silos"], w["participation"]
-    up = 8 * dim if comp is None else comp.payload_bytes(dim)
+    if comp is None or comp.is_identity:
+        up = payload_bytes(dim)
+    else:
+        up = comp.payload_bytes(dim)
     return PhaseCost("uplink", "round", uplink_bytes=p * (silos * up))
 
 
@@ -340,7 +347,7 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
             crypto = spec.crypto if spec.crypto is not None else CryptoSpec()
     from repro.api.runner import build_method
 
-    broadcast_bytes = build_method(spec).broadcast_bytes
+    method = build_method(spec)
     sharded = (
         not spec.is_simulation and spec.engine is not None and spec.engine.workers > 0
     )
@@ -353,8 +360,8 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
         if crypto is not None:
             out += _secure_phases(crypto, comp, w)
         else:
-            out.append(_uplink_phase(comp, w))
-        out.append(_broadcast_phase(comp, w, broadcast_bytes))
+            out.append(_uplink_phase(comp, w, method.payload_bytes))
+        out.append(_broadcast_phase(comp, w, method.broadcast_bytes))
         if churn:
             out.append(PhaseCost("churn", "round", seconds=fitted(churn_user=w["population"])))
         if network:

@@ -13,7 +13,8 @@ Design invariants:
   <repro.core.methods.uldp_avg.UldpAvg.silo_payload>` -- plus the ids of
   the users behind it.  No per-user row and no un-noised sum crosses the
   socket; the server validates each ``update`` (ids it asked for, one
-  finite float64 ``(P,)`` array) and adds it up.
+  finite ``(P,)`` array of the method's ``payload_dtype``, float32) and
+  adds it up in float64.
 - **Bit-identity with the in-process simulator.**  The server installs a
   per-round :attr:`contribution_executor
   <repro.core.methods.uldp_avg.UldpAvg.contribution_executor>` that walks
@@ -153,7 +154,9 @@ class _RemoteExecutor:
                     payload = frame.arrays.get("payload")
                     if (not _valid_users(users, round_weights[s])
                             or len(frame.arrays) != 1
-                            or not is_finite_vector(payload, broadcast.size)):
+                            or not is_finite_vector(
+                                payload, broadcast.size,
+                                server.sim.method.payload_dtype)):
                         raise SiloFailure(s, "malformed update frame")
                 payloads.append((s, users, payload))
         return payloads

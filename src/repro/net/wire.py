@@ -48,13 +48,15 @@ import numpy as np
 
 MAGIC = b"UFL1"
 WIRE_VERSION = 1
-#: Message-set version.  4: a ``compute`` frame's ``params`` is the
-#: method's broadcast, float32 (``<f4``) for every method a ``repro
-#: serve`` can drive (3: float64).  3: neither ``compute`` nor ``update``
-#: carries generator state (a silo keys its draws by the frame's round).
-#: 2: an ``update`` carries one noisy ``payload`` vector (1: per-user
-#: ``rows`` and the ``noise`` vector, separately).
-PROTOCOL_VERSION = 4
+#: Message-set version.  5: an ``update`` frame's ``payload`` is the
+#: method's float32 release (``<f4``; 4: float64).  4: a ``compute``
+#: frame's ``params`` is the method's broadcast, float32 (``<f4``) for
+#: every method a ``repro serve`` can drive (3: float64).  3: neither
+#: ``compute`` nor ``update`` carries generator state (a silo keys its
+#: draws by the frame's round).  2: an ``update`` carries one noisy
+#: ``payload`` vector (1: per-user ``rows`` and the ``noise`` vector,
+#: separately).
+PROTOCOL_VERSION = 5
 
 # Backstop against a garbled length prefix asking us to allocate gigabytes:
 # generous for real traffic (a smoke-scale round frame is ~KBs, an MNIST CNN
@@ -96,9 +98,10 @@ class Frame:
 def is_finite_vector(array, size: int, dtype=np.float64) -> bool:
     """Whether a received blob is what every model-sized array on this
     protocol must be: a ``dtype`` vector of exactly ``size`` finite
-    entries (False for a missing blob, i.e. ``None``).  Uplink payloads
-    and weight rows are float64; a ``compute`` frame's ``params`` is the
-    method's broadcast (:attr:`repro.core.FLMethod.broadcast_dtype`)."""
+    entries (False for a missing blob, i.e. ``None``).  Weight rows are
+    float64; a ``compute`` frame's ``params`` is the method's broadcast
+    (:attr:`repro.core.FLMethod.broadcast_dtype`) and an ``update``'s
+    ``payload`` its release (:attr:`repro.core.FLMethod.payload_dtype`)."""
     return (isinstance(array, np.ndarray) and array.dtype == dtype
             and array.shape == (size,) and bool(np.isfinite(array).all()))
 

@@ -145,9 +145,9 @@ def _user_churn(rounds: int, n_silos: int) -> dict:
 
 #: Uplink recipe of the bandwidth scenarios: top-5% sparsification with
 #: 8-bit stochastic quantization and per-silo error feedback -- 377 B
-#: against 33 040 B dense on the creditcard MLP, an 87.6x byte reduction
-#: (strictly post-noise, so the accounting is untouched; see
-#: docs/scenarios.md).
+#: against the 16 520 B float32 release on the creditcard MLP, a 43.8x
+#: byte reduction (strictly post-noise, so the accounting is untouched;
+#: see docs/scenarios.md).
 _BANDWIDTH_COMPRESSION = CompressionSpec(
     sparsify="topk", fraction=0.05, quantize_bits=8, error_feedback=True
 )
@@ -159,8 +159,8 @@ _BANDWIDTH_COMPRESSION = CompressionSpec(
     "(top-5% + 8-bit + error feedback) fit",
 )
 def _bandwidth_cap(rounds: int, n_silos: int) -> dict:
-    # A 4 KB per-round uplink budget per silo: the dense float64 payload
-    # (~33 KB for the creditcard MLP) would exclude every silo every
+    # A 4 KB per-round uplink budget per silo: the dense float32 payload
+    # (~16.5 KB for the creditcard MLP) would exclude every silo every
     # round; the 377 B compressed payload is what admits them at all.
     return dict(
         policy=SyncPolicy(),

@@ -519,7 +519,8 @@ class FederationSimulator:
                     version=int(u["version"]),
                     finish=float(u["finish"]),
                     seq=int(u["seq"]),
-                    payload=np.asarray(u["payload"], dtype=np.float64).copy(),
+                    payload=np.asarray(
+                        u["payload"], dtype=self.method.payload_dtype).copy(),
                     users=np.asarray(u["users"], dtype=np.int64).copy(),
                     weights=np.asarray(u["weights"], dtype=np.float64).copy(),
                 )

@@ -97,13 +97,13 @@ class TestByteLedger:
         plain = run(compression=None, rounds=2)
         dim = plain.params.size
         for record in plain.history.comm:
-            assert record.uplink_bytes == 3 * dim * 8
+            assert record.uplink_bytes == 3 * dim * 4  # float32 releases
             assert record.downlink_bytes == 3 * dim * 4
 
     def test_identity_spec_counts_dense_bytes(self):
         ident = run(compression=CompressionSpec.none(), rounds=2)
         dim = ident.params.size
-        assert ident.history.comm[0].uplink_bytes == 3 * dim * 8
+        assert ident.history.comm[0].uplink_bytes == 3 * dim * 4
 
     def test_downlink_compression_shrinks_downlink_only_when_enabled(self):
         up_only = run(compression=LOSSY, rounds=2)
@@ -143,9 +143,11 @@ class TestEngineParity:
         assert [c.uplink_bytes for c in vec.history.comm] == [
             c.uplink_bytes for c in loop.history.comm
         ]
-        # Same RNG discipline as the engine seam: aggregates agree to
-        # floating-point precision, so the trajectories stay close.
-        np.testing.assert_allclose(vec.params, loop.params, atol=1e-8)
+        # Same RNG discipline as the engine seam: the float64 payloads
+        # agree to floating-point precision, so the trajectories stay
+        # close -- within a float32 ulp of a payload per round, since each
+        # side rounds its own release to float32.
+        np.testing.assert_allclose(vec.params, loop.params, atol=1e-6)
 
 
 class TestUnsupportedMethods:

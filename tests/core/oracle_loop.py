@@ -144,7 +144,8 @@ def loop_payloads(method, params, round_weights, noise_std, active,
     """Algorithm 3's per-silo payload one user at a time, for each active
     silo from its own generator for the round in progress:
     ``local_vector(rng, x, y)`` per present user, clipped to C, weighted
-    and summed, then the silo's noise added."""
+    and summed, then the silo's noise added and the sum cast to the
+    method's ``payload_dtype``."""
     fed, _, _ = method._require_prepared()
     space, key = method._release
     payloads = []
@@ -158,15 +159,16 @@ def loop_payloads(method, params, round_weights, noise_std, active,
             vector = local_vector(rng, *silo.records_of_user(user))
             total += weight_row[user] * l2_clip(vector, method.clip)
         noise = method._gaussian_noise(rng, noise_std, params.size)
-        payloads.append((s, users, noise + total if users else noise))
+        payload = noise + total if users else noise
+        payloads.append((s, users, payload.astype(method.payload_dtype)))
     return payloads
 
 
 def segment_payloads(method, params, round_weights, noise_std, active):
     """Each active silo's payload from its materialised rows: the row view
     ``silo_round_segment``, one ``fold_weighted_rows`` over the whole
-    ``(users, P)`` matrix, then ``noise + total`` -- the walk every carrier
-    must match bit for bit."""
+    ``(users, P)`` matrix, then ``noise + total`` cast to the method's
+    ``payload_dtype`` -- the walk every carrier must match bit for bit."""
     engine = method.shard_engine
     payloads = []
     for s in active:
@@ -177,7 +179,7 @@ def segment_payloads(method, params, round_weights, noise_std, active):
             fold_weighted_rows(
                 acc, round_weights[s, users], rows, engine.backend)
             noise = noise + acc.total()
-        payloads.append((s, users, noise))
+        payloads.append((s, users, noise.astype(method.payload_dtype)))
     return payloads
 
 

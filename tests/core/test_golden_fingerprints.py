@@ -86,6 +86,20 @@ over two epochs.  They hash the same under single-threaded BLAS.  No
 convolutional multi-epoch entry is kept: its bits move with BLAS's
 thread count.
 
+Every params sha256 of a run whose silos form a payload -- all but
+``masked-dropout``, ``paillier``, ``default-multi-epoch`` and
+``uldp-naive-multi-epoch``, which are byte-for-byte the values above --
+was re-recorded once more, on purpose, when a silo's release became
+float32 (``UldpAvg.payload_dtype``, rounded once where it is formed):
+max |delta param| over the fourteen runs 7.4e-7
+(``uldp-avg-multi-epoch-sharded``; 1.2e-7 to 3.5e-7 for the others).
+Every epsilon, downlink and participation log is the parent's value bit
+for bit and every dense uplink exactly halved (``DENSE``);
+``test_rebaseline_is_only_float32_rounding`` holds each new aggregate to
+the float64 payloads' sum within their summed float32 half-ulps, and the
+two reassociation re-baselines keep comparing the float64 release
+(``Float64Payload*``) with the formulas they were recorded against.
+
 To re-record after a change that is *meant* to move the numbers, print
 ``_fingerprint(TREES[name])`` for each name and say why in CHANGES.md.
 """
@@ -184,19 +198,19 @@ TREES = {
 
 GOLDEN = {
     "mnist-cnn": (
-        "291c42eafdb113f0fd0a346dd04a61f7f5e133c0f204cf0c30ddaa886ba0e285",
+        "161a7137390384faae78caaf7044ea78f82b6e011483c47424aa12bb337697c5",
         1.445621967952188,
     ),
     "mnist-cnn-sharded": (
-        "291c42eafdb113f0fd0a346dd04a61f7f5e133c0f204cf0c30ddaa886ba0e285",
+        "161a7137390384faae78caaf7044ea78f82b6e011483c47424aa12bb337697c5",
         1.445621967952188,
     ),
     "plaintext": (
-        "b4e6942d9004d95ce52daaf032c405ec6febd70e7e5204db29118420b76554ae",
+        "84fde1d806e3ef12638768e04414326d19ff64670c7eea00e8f0fb8219eb909c",
         1.445621967952188,
     ),
     "compressed-sharded": (
-        "43395f690a70d219fc9af819c8c5f82111cf46c347dd508ea5d462b705792487",
+        "4410c3844567d5d5eef29a4d440157aaa5e2454bef833709b2721b69519acb14",
         1.445621967952188,
     ),
     "masked-dropout": (
@@ -204,7 +218,7 @@ GOLDEN = {
         8.885566134749796,
     ),
     "async-fedbuff": (
-        "b8ff6e74d1faf72984c9fdc31e88e39902a32d15b0b2abe4be3b00e0bde7a707",
+        "4001fb5de55cbf3d1b4d8027e4be9b41cea43304de6404df369ac397b05e4ccc",
         1.7667547726667157,
     ),
     "paillier": (
@@ -212,15 +226,15 @@ GOLDEN = {
         1.1581505950444586,
     ),
     "user-churn": (
-        "ca48fbb99446c26153628f1b15d31bba7246e6283803b02487f36b119bbc1eb0",
+        "7bf96a3f785496dec0a4dffd76a19bf54ca9055e15e08951e7bbb1f3dac24e23",
         1.445621967952188,
     ),
     "uldp-avg-w-multi-epoch": (
-        "9387ff5432a6bf9763692afaaedad3a25de78db8c215f80d63524f08312baf1c",
+        "f689ca16d5e26522f519d51e4fa7fd0405c1063dad3166db055a1cf959c9b6e8",
         1.445621967952188,
     ),
     "uldp-avg-multi-epoch-sharded": (
-        "eb5233c5a980a599bc66cd5576787f2639abdba573268a11ebae4d72fe3382b2",
+        "86f362d8d463f8d8dd5ab6ec1c813be8899522897e30e2d41dea3672f678af97",
         1.445621967952188,
     ),
     "default-multi-epoch": (
@@ -257,38 +271,38 @@ SGD_TREES = {
     },
 }
 
-DENSE = 33040  # one float64 payload of the 4130-parameter creditcard MLP
+DENSE = 16520  # one float32 payload of the 4130-parameter creditcard MLP
 BROADCAST = 16520  # one float32 broadcast of it
 
 #: name -> (params sha256, per-round epsilon, [(uplink, downlink)],
 #: [(silos_seen, users_seen)]).
 SGD_GOLDEN = {
     "uldp-sgd": (
-        "d7ec229274a7b8161b60fe6c3def4ff4f50491058d0b9ca09f559f9934dc5e44",
+        "120ed8484eaffc63d2aa015c96fc29f470eb9418c8eed39b9765471d095feb94",
         [0.794522032537103, 1.1581505950444586, 1.445621967952188],
         [(3 * DENSE, 3 * BROADCAST)] * 3,
         [(3, 12)] * 3,
     ),
     "uldp-sgd-w-subsampled": (
-        "11ad8807dabbfd7d1968ee394c6362a1a99cf429e792a8cafa13600f10d85e20",
+        "d0214e6084e2a09ddd26107c53ea0ba21568f10b1f2f491523bcffb5985646fd",
         [0.455531593304523, 0.6312832802535272, 0.7680940141667629],
         [(3 * DENSE, 3 * BROADCAST)] * 3,
         [(3, 2), (3, 6), (3, 8)],
     ),
     "uldp-sgd-sharded": (
-        "d7ec229274a7b8161b60fe6c3def4ff4f50491058d0b9ca09f559f9934dc5e44",
+        "120ed8484eaffc63d2aa015c96fc29f470eb9418c8eed39b9765471d095feb94",
         [0.794522032537103, 1.1581505950444586, 1.445621967952188],
         [(3 * DENSE, 3 * BROADCAST)] * 3,
         [(3, 12)] * 3,
     ),
     "uldp-sgd-flaky-silos": (
-        "ed798ef962d01f4b20c9ab50fb5f061890c424d842cb750e40e9067918beb1a1",
+        "9ed71e34ce0c3915a5b51f9fb6bcd821182673bede5676584f3fc19b8185adbc",
         [0.0, 0.512063674748734, 0.9700506277526435],
         [(0, 0), (2 * DENSE, 2 * BROADCAST), (3 * DENSE, 3 * BROADCAST)],
         [(0, 0), (2, 12), (3, 12)],
     ),
     "uldp-sgd-carryover-makeup": (
-        "e2e83370328c482b5e22fa42d8e2f3e9f33079dfdb3edde17a5ec2916d6ba0c6",
+        "53957d60f9a08e72f3d6da225bd9c56ef3edc398cdf177166c4cf348bb786fd7",
         [0.24221302294257846, 1.4167330790632988, 1.5322886346188542],
         [(DENSE, BROADCAST), (3 * DENSE, 3 * BROADCAST), (2 * DENSE, 2 * BROADCAST)],
         [(1, 12), (3, 12), (2, 12)],
@@ -353,6 +367,18 @@ def test_churn_mask_unchanged():
     assert masks == CHURN_MASKS
     assert flips == CHURN_FLIPS
     assert rng.bit_generator.state["state"]["state"] == CHURN_RNG_STATE
+
+
+class Float64PayloadUldpAvg(UldpAvg):
+    """ULDP-AVG with the float64 release it had before the float32 one."""
+
+    payload_dtype = np.dtype(np.float64)
+
+
+class Float64PayloadUldpSgd(UldpSgd):
+    """ULDP-SGD with the float64 release it had before the float32 one."""
+
+    payload_dtype = np.dtype(np.float64)
 
 
 class ParentFormulaUldpAvg(UldpAvg):
@@ -421,35 +447,50 @@ ROSTERS = pytest.mark.parametrize(
 
 
 @ROSTERS
-def test_rebaseline_is_only_reassociation(
-    kwargs, participation, merged=UldpAvg, parent=ParentFormulaUldpAvg,
-    base=dict(local_epochs=2, batch_size=8),
-):
-    """One round from one RNG state: the per-silo-payload sum and the
-    parent's formula add the same numbers in a different order, so they
-    agree to a few ulps of the largest addend -- and on everything that is
-    not floating-point (RNG consumption, bytes, users, epsilon) exactly."""
+def _one_round(classes, kwargs, participation, base):
+    """One round of each class from one RNG state: per class the
+    aggregate, the silo payloads (empty if the class forms none) and
+    everything that is not floating point."""
     fed = build_creditcard_benchmark(
         n_users=12, n_silos=3, n_records=300, n_test=60, seed=3,
         distribution="zipf",
     )
-    aggregates, traces = [], []
-    for cls in (merged, parent):
+    aggregates, payloads, traces = [], [], []
+    for cls in classes:
         method = cls(weighting="proportional", **base, **kwargs)
         model = build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
         method.prepare(fed, model, np.random.default_rng(7))
-        hook = method._round_aggregate
+        hook, source, formed = method._round_aggregate, method._shard_payloads, []
 
         def spy(params, round_weights, hook=hook):
             result = hook(params, round_weights)
             aggregates.append(result[0])
             return result
 
+        def spy_source(*args, source=source, formed=formed):
+            result = source(*args)
+            formed.extend(payload for _, _, payload in result)
+            return result
+
         method._round_aggregate = spy
+        method._shard_payloads = spy_source
         method.round(0, model.get_flat_params(), participation)
+        payloads.append(formed)
         traces.append((method.rng.bit_generator.state, method.last_comm,
                        method.last_participation, method.epsilon(1e-5)))
-    new, old = aggregates
+    return aggregates, payloads, traces
+
+
+@ROSTERS
+def test_rebaseline_is_only_reassociation(
+    kwargs, participation, merged=Float64PayloadUldpAvg,
+    parent=ParentFormulaUldpAvg, base=dict(local_epochs=2, batch_size=8),
+):
+    """One round from one RNG state: the per-silo-payload sum and the
+    parent's formula add the same numbers in a different order, so they
+    agree to a few ulps of the largest addend -- and on everything that is
+    not floating-point (RNG consumption, bytes, users, epsilon) exactly."""
+    (new, old), _, traces = _one_round((merged, parent), kwargs, participation, base)
     assert np.abs(old).max() > 0
     np.testing.assert_allclose(
         new, old, rtol=1e-13, atol=1e-13 * np.abs(old).max())
@@ -460,4 +501,35 @@ def test_rebaseline_is_only_reassociation(
 def test_uldp_sgd_merge_is_only_reassociation(kwargs, participation):
     """The same, for ULDP-SGD's move onto ULDP-AVG's round (PR 19)."""
     test_rebaseline_is_only_reassociation(
-        kwargs, participation, UldpSgd, ParentFormulaUldpSgd, {})
+        kwargs, participation, Float64PayloadUldpSgd, ParentFormulaUldpSgd, {})
+
+
+@ROSTERS
+@pytest.mark.parametrize(
+    "cls, wide, base",
+    [
+        (UldpAvg, Float64PayloadUldpAvg, dict(local_epochs=2, batch_size=8)),
+        (UldpSgd, Float64PayloadUldpSgd, {}),
+    ],
+    ids=["uldp-avg", "uldp-sgd"],
+)
+def test_rebaseline_is_only_float32_rounding(cls, wide, base, kwargs, participation):
+    """The float32 release against the float64 one it replaced, from one
+    RNG state: each payload is the float64 one rounded, so the aggregates
+    differ by at most the summed per-payload half-ulps (plus the float64
+    sums' own roundings); everything that is not floating point is equal
+    but the uplink, which exactly halves."""
+    (new, old), (narrow, payloads), traces = _one_round(
+        (cls, wide), kwargs, participation, base)
+    assert len(narrow) == len(payloads) > 0
+    for got, want in zip(narrow, payloads):
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+    half_ulps = sum(np.spacing(np.abs(p.astype(np.float32))) / 2 for p in payloads)
+    slack = 4 * np.finfo(np.float64).eps * sum(np.abs(p) for p in payloads)
+    assert np.all(np.abs(new - old) <= half_ulps + slack)
+    assert np.abs(new - old).max() > 0
+    (rng, comm, *rest), (rng_w, comm_w, *rest_w) = traces
+    assert (rng, rest) == (rng_w, rest_w)
+    assert comm.downlink_bytes == comm_w.downlink_bytes
+    assert 2 * comm.uplink_bytes == comm_w.uplink_bytes > 0

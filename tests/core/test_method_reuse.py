@@ -42,8 +42,8 @@ class TestMethodReuseAcrossTrainers:
         assert method.compressor is None
         history = dense.run()
         up, _ = history.comm_summary()
-        # Dense float64 payloads: n_silos * params * 8 bytes per round.
-        expected = 2 * compressed.model.num_params * 8
+        # Dense float32 payloads: n_silos * params * 4 bytes per round.
+        expected = 2 * compressed.model.num_params * 4
         assert up == expected
 
     def test_dense_rerun_matches_fresh_method(self):

@@ -61,7 +61,7 @@ def _prepared(cls, fed, batch_size, engine=None):
 
 def _inline_payloads(method, params, weights, noise_std, active):
     """What ``bench/probes.py`` does: ``LocalJob`` lists and an explicit
-    model through the method's own pool."""
+    model through the method's own pool (then the release's cast)."""
     engine = method.shard_engine
     payloads = []
     for s in active:
@@ -80,7 +80,7 @@ def _inline_payloads(method, params, weights, noise_std, active):
         ]
         if tasks:
             noise = noise + engine.reduce(engine.run_tasks(tasks)).total()
-        payloads.append((s, users, noise))
+        payloads.append((s, users, noise.astype(method.payload_dtype)))
     return payloads
 
 

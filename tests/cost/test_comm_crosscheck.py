@@ -124,7 +124,7 @@ class TestBroadcastRecipients:
 
     def test_deadline_miss_still_consumes_downlink(self):
         method, params = self._prepared()
-        dense = params.size * 8
+        dense = params.size * 4  # one float32 release
         broadcast = params.size * 4  # the float32 broadcast
         participation = RoundParticipation(
             silo_mask=np.array([True, False, False]),

@@ -97,16 +97,27 @@ class TestMonotonicity:
 class TestExactWireFormulas:
     """The byte metrics are the runtime's own formulas."""
 
-    def uplink_per_silo(self, comp, dim):
-        tree = {} if comp is None else {"compression": asdict(comp)}
+    def uplink_per_silo(self, comp, dim, method="uldp-avg-w"):
+        tree = {"method": {"name": method}}
+        if comp is not None:
+            tree["compression"] = asdict(comp)
         model = build_cost_model(_spec(tree))
         w = {**BASE, "dim": dim, "silos": 1}
         return _total(model, w, "uplink_bytes", "round")
 
     def test_identity_compression_reduces_to_dense(self):
+        # ULDP-AVG-w's dense release is float32.
         for dim in (1, 7, 4130):
-            assert self.uplink_per_silo(CompressionSpec.none(), dim) == 8 * dim
-            assert self.uplink_per_silo(None, dim) == 8 * dim
+            assert self.uplink_per_silo(CompressionSpec.none(), dim) == 4 * dim
+            assert self.uplink_per_silo(None, dim) == 4 * dim
+
+    def test_dense_uplink_is_the_methods_payload(self):
+        """The ULDP-AVG family ships float32 releases; the methods that
+        form their aggregate from no payload array are charged float64."""
+        widths = {"uldp-avg": 4, "uldp-sgd-w": 4, "uldp-naive": 8,
+                  "uldp-group": 8, "default": 8}
+        for method, width in widths.items():
+            assert self.uplink_per_silo(None, 65, method) == width * 65, method
 
     def test_payload_bytes_matches_runtime(self):
         specs = [
@@ -118,10 +129,9 @@ class TestExactWireFormulas:
         ]
         for comp in specs:
             for dim in (1, 7, 65, 4130, 19162):
-                assert self.uplink_per_silo(comp, dim) == comp.payload_bytes(dim), (
-                    comp,
-                    dim,
-                )
+                # An identity spec changes no payload: the dense release.
+                want = 4 * dim if comp.is_identity else comp.payload_bytes(dim)
+                assert self.uplink_per_silo(comp, dim) == want, (comp, dim)
 
     def test_secure_ciphertext_count_is_keep_count(self):
         comp = CompressionSpec(sparsify="randk", fraction=0.1)

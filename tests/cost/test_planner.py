@@ -25,11 +25,11 @@ class TestPredict:
         assert report.rounds == 3
         assert report.round_totals["seconds"] > 0
         dim = resolve_dim(_spec())
-        # Dense uncompressed wire: 8 bytes/param from every silo, the
-        # 4-byte/param float32 broadcast to every silo.
-        assert report.round_totals["uplink_bytes"] == 5 * 8 * dim
+        # Dense uncompressed wire: the 4-byte/param float32 release from
+        # every silo, the 4-byte/param float32 broadcast to every silo.
+        assert report.round_totals["uplink_bytes"] == 5 * 4 * dim
         assert report.round_totals["downlink_bytes"] == 5 * 4 * dim
-        assert report.run_totals["uplink_bytes"] == 3 * 5 * 8 * dim
+        assert report.run_totals["uplink_bytes"] == 3 * 5 * 4 * dim
         # Memory is resident, not cumulative: run total == round total.
         assert report.run_totals["memory_bytes"] == report.round_totals[
             "memory_bytes"

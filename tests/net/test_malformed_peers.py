@@ -172,12 +172,12 @@ class TestBuildMismatch:
                 ours.close()
 
     def test_previous_version_hello_is_refused_naming_both_versions(self):
-        # What a silo of the previous build sends: protocol 3 shipped the
-        # params in every compute as float64.  The frame layout (header
+        # What a silo of the previous build sends: protocol 4 shipped the
+        # payload of every update as float64.  The frame layout (header
         # ``v``) did not change, so the server can read it -- and must
         # answer it, not just hang up.
-        assert wire.PROTOCOL_VERSION == 4
-        previous = 3
+        assert wire.PROTOCOL_VERSION == 5
+        previous = 4
         joined, reply = self.handshake(previous)
         assert joined is None
         assert reply.type == "refuse"

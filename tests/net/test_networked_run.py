@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunSpec
-from repro.api.runner import build_simulator
+from repro.api.runner import build_simulator, build_trainer
 from repro.core.methods.uldp_avg import SYNC_ROUND
 from repro.core.weighting import QuorumError
 from repro.net.server import FederationServer, SiloFailure, _RemoteExecutor
@@ -127,6 +127,55 @@ class TestIdealNetworkOracle:
         from repro.api.spec import spec_hash
 
         assert hist.spec_hash == spec_hash(RunSpec.from_dict(tree))
+
+
+#: A small train-mode spec (``[engine]`` is refused alongside ``[sim]``).
+TRAIN_TREE = {
+    "name": "uplink-rule", "seed": 3, "rounds": 2,
+    "dataset": {"name": "creditcard", "users": 12, "silos": 3,
+                "records": 300, "test_records": 60},
+    "method": {"name": "uldp-avg-w", "local_epochs": 1},
+}
+
+
+def _carrier_run(carrier):
+    """``(method, history)`` of one run through ``carrier``."""
+    if carrier == "networked":
+        server, hist, codes, err = networked(base_tree())
+        assert err is None and set(codes.values()) == {0}
+        return server.sim.method, hist
+    if carrier == "buffered-async":
+        sim = build_simulator(RunSpec.from_dict(
+            {"seed": 0, "sim": {"scenario": "async-fedbuff", "scale": "smoke"}}))
+        return sim.method, sim.run()
+    tree = TRAIN_TREE
+    if carrier == "2-worker pool":
+        tree = {**tree, "engine": {"workers": 2, "shard_size": 128}}
+    trainer = build_trainer(RunSpec.from_dict(tree))
+    try:
+        return trainer.method, trainer.run()
+    finally:
+        trainer.method.close()
+
+
+@pytest.mark.parametrize(
+    "carrier", ["in-process", "2-worker pool", "buffered-async", "networked"])
+def test_every_carrier_charges_one_float32_release_per_update(carrier):
+    """One uplink rule whatever carries the release: the ledger charges
+    ``4 * P`` bytes per payload received -- one per contributing silo in
+    a synchronous round; an async release also pays for the stale
+    payloads it dropped, and may merge two from one silo -- and that is
+    what ``uplink_payload_bytes()`` tells the bandwidth models."""
+    method, hist = _carrier_run(carrier)
+    size = method.model.num_params
+    assert method.payload_dtype == np.float32
+    assert method.uplink_payload_bytes() == 4 * size
+    assert hist.comm
+    for comm, seen in zip(hist.comm, hist.participation):
+        received, rest = divmod(comm.uplink_bytes, 4 * size)
+        assert rest == 0 and received >= seen.silos_seen > 0
+        if carrier != "buffered-async":
+            assert received == seen.silos_seen
 
 
 def _params_blob_bytes(data: bytes) -> int:
@@ -281,15 +330,16 @@ class TestMalformedUpdate:
         [
             pytest.param(lambda u, p, n: (u, p[:-1]),
                          id="wrong payload shape"),
-            pytest.param(lambda u, p, n: (u, p.astype(np.float32)),
-                         id="float32 payload"),
+            # Protocol 4's float64 payload: not what this method releases.
+            pytest.param(lambda u, p, n: (u, p.astype(np.float64)),
+                         id="float64 payload"),
             pytest.param(lambda u, p, n: (u, _nan_in(p)), id="NaN in payload"),
         ],
     )
     def test_bad_payload_is_a_silo_failure(self, corrupt):
-        # The ids are genuine; the one array is not a finite float64 (P,)
-        # vector.  Unchecked, these were a broadcasting error, a silent
-        # precision loss, and a NaN model after one round.
+        # The ids are genuine; the one array is not a finite float32 (P,)
+        # vector.  Unchecked, these were a broadcasting error, a payload
+        # charged twice its release, and a NaN model after one round.
         self.assert_failure_then_clean_retry(corrupt)
 
     @staticmethod

@@ -90,10 +90,11 @@ def test_server_never_receives_a_row_or_an_unnoised_sum(transcript):
             release=(SYNC_ROUND, request["round"]))
         unnoised = weights[users] @ rows
         # The recomputation is aligned with the run: same users, and the
-        # one array the silo sent is this noise plus this sum.
+        # one array the silo sent is this noise plus this sum, rounded to
+        # float32 (half a float32 ulp, relative 2**-24).
         assert update.payload["users"] == users and len(users) > 1
         np.testing.assert_allclose(
-            update.arrays["payload"], noise + unnoised, rtol=1e-12)
+            update.arrays["payload"], noise + unnoised, rtol=2.0**-24 + 1e-12)
         for secret in (*rows, unnoised, noise):
             assert not seen_by_server(secret)
         rows_checked += len(rows)
@@ -128,7 +129,7 @@ def test_update_is_one_noisy_vector(transcript):
         assert set(frame.payload) == {"round", "users"}
         assert list(frame.arrays) == ["payload"]
         payload = frame.arrays["payload"]
-        assert payload.shape == (size,) and payload.dtype == np.float64
+        assert payload.shape == (size,) and payload.dtype == np.float32
 
 
 def test_wire_bytes_are_ledger_bytes_plus_a_small_header(transcript):
@@ -143,5 +144,5 @@ def test_wire_bytes_are_ledger_bytes_plus_a_small_header(transcript):
         blob_bytes = sum(f.arrays["payload"].nbytes for f in frames)
         assert blob_bytes == history.comm[t].uplink_bytes
         for frame in frames:
-            overhead = frame.nbytes - 8 * size
+            overhead = frame.nbytes - 4 * size  # the float32 payload
             assert 0 < overhead < UPDATE_OVERHEAD_BOUND

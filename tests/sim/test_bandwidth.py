@@ -111,7 +111,7 @@ class TestBandwidthSimulation:
         )
         sim = FederationSimulator(fed, tiny_method(), config)
         sim.run()
-        dim_bytes = sim.trainer.params.size * 8
+        dim_bytes = sim.trainer.params.size * 4  # one float32 release
         assert sim.clock == pytest.approx(dim_bytes / 1000.0)
 
     def test_async_with_lossy_compression_rejected(self):
@@ -149,7 +149,7 @@ class TestPayloadBytesReporting:
         dense = tiny_method()
         Trainer(fed, dense, rounds=1)
         dim = dense.model.num_params
-        assert dense.uplink_payload_bytes() == dim * 8
+        assert dense.uplink_payload_bytes() == dim * 4  # one float32 release
 
         compressed = tiny_method()
         Trainer(fed, compressed, rounds=1, compression=LOSSY)
@@ -183,7 +183,7 @@ class TestBandwidthScenarios:
         sim = run(smoke_spec("bandwidth-cap", seed=0, rounds=3)).simulator
         assert all(p.silos_seen == sim.fed.n_silos for p in sim.history.participation)
         # The ledger records the compressed uplink, far below dense.
-        dense = sim.fed.n_silos * sim.trainer.params.size * 8
+        dense = sim.fed.n_silos * sim.method.payload_bytes(sim.trainer.params.size)
         assert sim.history.comm[0].uplink_bytes < dense / 10
 
     def test_bandwidth_stragglers_scenario_strands_the_slow_link(self):

@@ -255,7 +255,7 @@ class TestBufferedAsync:
 
     def test_release_is_charged_what_moved(self):
         """async-fedbuff at smoke scale, seed 0: 5, 2, 2 pulls of the
-        float32 broadcast and two float64 payloads per release -- release
+        float32 broadcast and two float32 payloads per release -- release
         3 merges both from one silo -- and every release takes time."""
         from repro.api import RunSpec, run
 
@@ -263,7 +263,7 @@ class TestBufferedAsync:
             {"seed": 0, "sim": {"scenario": "async-fedbuff", "scale": "smoke"}})
         history = run(spec).history
         assert [(c.uplink_bytes, c.downlink_bytes) for c in history.comm] == [
-            (66_080, 82_600), (66_080, 33_040), (66_080, 33_040)]
+            (33_040, 82_600), (33_040, 33_040), (33_040, 33_040)]
         assert [p.silos_seen for p in history.participation] == [2, 2, 1]
         assert all(seconds > 0 for seconds in history.round_seconds)
 
@@ -278,7 +278,7 @@ class TestBufferedAsync:
         sim = FederationSimulator(
             tiny_fed(n_users=20, n_silos=6), tiny_method(), config)
         sim.run()
-        payload = sim.trainer.params.size * 8
+        payload = sim.trainer.params.size * 4  # one float32 release
         received = [c.uplink_bytes // payload for c in sim.history.comm]
         pulls = [c.downlink_bytes // sim.method.broadcast_nbytes
                  for c in sim.history.comm]
