@@ -136,12 +136,6 @@ class UpdateCompressor:
             raise ValueError("shared supports require sparsify='randk'")
         return randk_indices(dim, self.spec.keep_count(dim), self.rng)
 
-    # -- byte accounting -----------------------------------------------------
-
-    def estimated_payload_bytes(self, dim: int | None = None) -> int:
-        """Analytic per-payload wire size (the bandwidth models' input)."""
-        return self.spec.payload_bytes(self.dim if dim is None else dim)
-
     def residual(self, slot: int) -> np.ndarray | None:
         """The slot's current error-feedback residual (None before any)."""
         return self._residuals.get(slot)

@@ -261,7 +261,7 @@ class FLMethod(ABC):
         _, model, _ = self._require_prepared()
         comp = self.compressor
         if comp is not None and not comp.spec.is_identity:
-            return comp.estimated_payload_bytes(model.num_params)
+            return comp.spec.payload_bytes(model.num_params)
         return self.payload_bytes(model.num_params)
 
     def broadcast(self, params: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
+from repro.core import UldpAvg
 from repro.core.reduce import BinnedSum
 from repro.data import build_creditcard_benchmark
 from repro.nn.model import build_tiny_mlp
@@ -56,11 +56,3 @@ def test_a_silo_with_no_user_releases_its_rounded_noise():
     assert users == []
     assert payload.tobytes() == noise.astype(np.float32).tobytes()
 
-
-def test_only_the_payload_forming_methods_release_float32():
-    for cls in (UldpAvg, UldpSgd):
-        assert cls.payload_dtype == np.float32
-        assert cls.payload_bytes(4130) == 4 * 4130
-    for cls in (Default, UldpNaive, UldpGroup):
-        assert cls.payload_dtype == np.float64
-        assert cls.payload_bytes(4130) == 8 * 4130
