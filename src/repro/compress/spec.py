@@ -119,9 +119,9 @@ class CompressionSpec:
         """Wire size of one compressed ``dim``-vector payload: the length
         of :func:`repro.compress.codec.encode_payload`'s bytes.
 
-        The identity spec's ``8 * dim`` is never charged: it changes no
-        payload, and the dense release is charged its own ``nbytes``
-        (:meth:`repro.core.FLMethod.payload_bytes`).  A sparse payload
+        Nothing charges an identity spec this size: it changes no
+        payload, so :meth:`repro.core.FLMethod.uplink_bytes` prices the
+        dense release instead.  A sparse payload
         adds its Elias--Fano support, ``ceil((k L + k + ((dim - 1) >> L) + 1) / 8)``
         bytes with ``L = floor(log2(dim / k))`` (none when ``k == dim``),
         to its value bytes: ``8 k`` raw, or, quantized, one float64 scale

@@ -53,7 +53,9 @@ ULDP-AVG family, whose silo rounds its noisy weighted sum once where it
 forms it (post-noise post-processing), float64 for the methods that form
 their aggregate in process from no payload array (DEFAULT, ULDP-NAIVE,
 ULDP-GROUP).  The ledger charges that array's ``nbytes``, and
-:meth:`FLMethod.payload_bytes` prices it for the cost model.
+:meth:`FLMethod.uplink_bytes` prices one silo's uplink -- that dense
+array, or its lossy compressed form -- for the bandwidth models and the
+cost model.
 
 The contract.  What a runtime may ask of a method is *declared* on
 :class:`FLMethod`, never probed for: ``accountant``, ``display_name``,
@@ -255,14 +257,12 @@ class FLMethod(ABC):
 
     def uplink_payload_bytes(self) -> int:
         """One silo's per-round uplink wire size (the bandwidth models'
-        input): the compressed estimate when a lossy compressor is active,
-        the dense :meth:`payload_bytes` otherwise.  Methods with another
-        wire format override."""
+        input): :meth:`uplink_bytes` under the active compression.
+        Methods with another wire format override."""
         _, model, _ = self._require_prepared()
         comp = self.compressor
-        if comp is not None and not comp.spec.is_identity:
-            return comp.spec.payload_bytes(model.num_params)
-        return self.payload_bytes(model.num_params)
+        return self.uplink_bytes(
+            None if comp is None else comp.spec, model.num_params)
 
     def broadcast(self, params: np.ndarray) -> np.ndarray:
         """The round's one broadcast: ``params`` as this method's silos
@@ -284,6 +284,16 @@ class FLMethod(ABC):
         """One silo's dense uplink payload of a ``dim``-parameter model
         (:attr:`payload_dtype`): what the ledger charges per contributor."""
         return dim * np.dtype(cls.payload_dtype).itemsize
+
+    @classmethod
+    def uplink_bytes(cls, spec: CompressionSpec | None, dim: int) -> int:
+        """One silo's uplink of a ``dim``-parameter model under ``spec``:
+        the dense :meth:`payload_bytes` when ``spec`` is None or the
+        identity (it changes no payload), else the lossy compressed size
+        :meth:`repro.compress.CompressionSpec.payload_bytes`."""
+        if spec is None or spec.is_identity:
+            return cls.payload_bytes(dim)
+        return spec.payload_bytes(dim)
 
     def timing_report(self) -> dict[str, float]:
         """Cumulative per-phase seconds (empty: no phase timer)."""

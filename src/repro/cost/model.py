@@ -215,18 +215,17 @@ def _train_memory(sharded: bool, w: dict) -> Linear | float:
 
 
 def _uplink_phase(
-    comp: CompressionSpec | None, w: dict, payload_bytes: Callable[[int], int]
+    comp: CompressionSpec | None, w: dict,
+    uplink_bytes: Callable[[CompressionSpec | None, int], int],
 ) -> PhaseCost:
-    """A plaintext method's uplink, per round: one dense payload,
-    ``payload_bytes(dim)`` (:meth:`repro.core.FLMethod.payload_bytes`:
-    float32 for the ULDP-AVG family, float64 otherwise), or its lossy
-    compressed form, from every silo that received the round-start
-    broadcast -- the expected count is ``participation * silos``."""
+    """A plaintext method's uplink, per round: one silo's
+    ``uplink_bytes(comp, dim)`` (:meth:`repro.core.FLMethod.uplink_bytes`:
+    the dense release -- float32 for the ULDP-AVG family, float64
+    otherwise -- or its lossy compressed form) from every silo that
+    received the round-start broadcast -- the expected count is
+    ``participation * silos``."""
     dim, silos, p = w["dim"], w["silos"], w["participation"]
-    if comp is None or comp.is_identity:
-        up = payload_bytes(dim)
-    else:
-        up = comp.payload_bytes(dim)
+    up = uplink_bytes(comp, dim)
     return PhaseCost("uplink", "round", uplink_bytes=p * (silos * up))
 
 
@@ -360,7 +359,7 @@ def build_cost_model(spec: RunSpec, family: str | None = None) -> CostModel:
         if crypto is not None:
             out += _secure_phases(crypto, comp, w)
         else:
-            out.append(_uplink_phase(comp, w, method.payload_bytes))
+            out.append(_uplink_phase(comp, w, method.uplink_bytes))
         out.append(_broadcast_phase(comp, w, method.broadcast_bytes))
         if churn:
             out.append(PhaseCost("churn", "round", seconds=fitted(churn_user=w["population"])))

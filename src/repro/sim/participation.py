@@ -123,14 +123,15 @@ class BandwidthModel:
 
     The scheduler asks the method for its per-silo uplink payload size
     (compressed when a :class:`repro.compress.CompressionSpec` is active,
-    dense ``8 * d`` otherwise) and this model turns bytes into round
+    the method's dense ``payload_bytes(d)`` otherwise -- float32 for the
+    ULDP-AVG family) and this model turns bytes into round
     dynamics:
 
     - **transmission time** ``bytes / (rate * silo_rate[s])`` is added to
       the silo's compute latency, so heavy payloads straggle (and miss
       semi-synchronous deadlines) even on fast compute;
     - **byte caps** exclude a silo outright when its payload exceeds the
-      per-round uplink budget -- the regime where dense float64 rounds
+      per-round uplink budget -- the regime where dense rounds
       simply cannot participate and compression is what admits them.
 
     Attributes:

@@ -410,7 +410,7 @@ class FederationSimulator:
         aggregate = np.zeros_like(self.trainer.params)
         realised: dict[int, float] = {}
         for discount, update in zip(discounts, merged):
-            aggregate += discount * update.payload
+            aggregate += discount * update.payload.astype(np.float64)
             for user, w in zip(update.users, update.weights):
                 realised[int(user)] = realised.get(int(user), 0.0) + discount * float(w)
         sensitivity = max(realised.values(), default=0.0)

@@ -136,6 +136,19 @@ class TestByteLedger:
         assert history_from_dict(data).comm == []
 
 
+class Float64PayloadUldpAvg(UldpAvg):
+    """ULDP-AVG with a float64 release, so engine and loop trajectories
+    differ by float64 reassociation only."""
+
+    payload_dtype = np.dtype(np.float64)
+
+
+class Float64PayloadLoopUldpAvg(LoopUldpAvg):
+    """The loop oracle with the same float64 release."""
+
+    payload_dtype = np.dtype(np.float64)
+
+
 class TestEngineParity:
     def test_loop_and_vectorized_report_identical_bytes(self):
         vec = run(compression=LOSSY)
@@ -143,11 +156,17 @@ class TestEngineParity:
         assert [c.uplink_bytes for c in vec.history.comm] == [
             c.uplink_bytes for c in loop.history.comm
         ]
-        # Same RNG discipline as the engine seam: the float64 payloads
-        # agree to floating-point precision, so the trajectories stay
-        # close -- within a float32 ulp of a payload per round, since each
-        # side rounds its own release to float32.
-        np.testing.assert_allclose(vec.params, loop.params, atol=1e-6)
+
+    def test_loop_and_vectorized_agree_on_params(self):
+        # Same RNG discipline as the engine seam: aggregates agree to
+        # floating-point precision, so the trajectories stay close.  Both
+        # sides release float64 here: with the float32 release each side
+        # rounds its own payload, and a float64 reassociation difference
+        # can land them one float32 ulp apart (the float32 path is held
+        # to the rounding by tests/core/test_release.py).
+        vec = run(compression=LOSSY, cls=Float64PayloadUldpAvg)
+        loop = run(compression=LOSSY, cls=Float64PayloadLoopUldpAvg)
+        np.testing.assert_allclose(vec.params, loop.params, atol=1e-8)
 
 
 class TestUnsupportedMethods:

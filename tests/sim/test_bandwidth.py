@@ -143,17 +143,19 @@ class TestBandwidthSimulation:
 
 class TestPayloadBytesReporting:
     def test_plain_method_reports_dense_then_compressed(self):
+        """``uplink_payload_bytes()`` is ``FLMethod.uplink_bytes`` under the
+        active spec, the rule the cost model prices the uplink by: one
+        float32 release when dense or identity, else the compressed size."""
         from repro.core import Trainer
 
         fed = tiny_fed()
-        dense = tiny_method()
-        Trainer(fed, dense, rounds=1)
-        dim = dense.model.num_params
-        assert dense.uplink_payload_bytes() == dim * 4  # one float32 release
-
-        compressed = tiny_method()
-        Trainer(fed, compressed, rounds=1, compression=LOSSY)
-        assert compressed.uplink_payload_bytes() == LOSSY.payload_bytes(dim)
+        for spec in (None, CompressionSpec.none(), LOSSY):
+            method = tiny_method()
+            Trainer(fed, method, rounds=1, compression=spec)
+            dim = method.model.num_params
+            expected = dim * 4 if spec is not LOSSY else LOSSY.payload_bytes(dim)
+            assert method.uplink_payload_bytes() == expected, spec
+            assert UldpAvg.uplink_bytes(spec, dim) == expected, spec
 
     def test_secure_method_reports_ciphertext_bytes(self):
         # Bandwidth models must see the wire reality of Protocol 1: one
