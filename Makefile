@@ -27,7 +27,8 @@
 #                       cleared) must write byte-identical histories
 #   make trace-smoke    one traced networked round trip: serve net_sim.toml
 #                       with [obs] on (faults cleared), then summarise the
-#                       resulting trace.jsonl
+#                       resulting trace.jsonl; fails when its per-silo view
+#                       misses a silo or a silo's deadline margin
 #   make results        regenerate docs/results.md, every `repro figure NAME
 #                       --scale smoke` table (tests/test_docs.py: staleness)
 #   make docs-check     doctest the docs' worked examples + docstring coverage
@@ -171,6 +172,8 @@ trace-smoke:
 		--set obs.trace_path=trace-smoke/trace.jsonl \
 		--set sim.checkpoint_dir=trace-smoke/ckpt
 	$(PYTHON) -m repro trace summary trace-smoke/trace.jsonl
+	$(PYTHON) tools/check_trace_silos.py examples/specs/net_sim.toml \
+		trace-smoke/trace.jsonl
 
 docs-check:
 	$(PYTHON) tools/check_docstrings.py

@@ -23,7 +23,7 @@ from repro import _lazy_namespace
 # name -> defining module, resolved on first attribute access.
 _LAZY_EXPORTS = {
     "FederationServer": "repro.net.server",
-    "SiloFailure": "repro.net.server",
+    "SiloFailure": "repro.net.transport",
     "SiloClient": "repro.net.silo_client",
     "FaultPlan": "repro.net.faults",
     "FaultEvent": "repro.net.faults",

@@ -72,18 +72,6 @@ class FaultEvent:
         if self.value < 0:
             raise ValueError("value must be non-negative")
 
-    def to_tree(self) -> dict:
-        """Plain-dict form (the spec-file encoding)."""
-        tree: dict = {
-            "silo": self.silo,
-            "action": self.action,
-            "start": self.start,
-            "stop": self.stop,
-        }
-        if self.value:
-            tree["value"] = self.value
-        return tree
-
 
 class FaultPlan:
     """A deterministic per-(silo, round) fault schedule (see module doc)."""
@@ -159,17 +147,6 @@ class FaultPlan:
             drop_rate=float(tree.get("drop_rate", 0.0)),
             seed=int(tree.get("seed", 0)),
         )
-
-    def to_tree(self) -> dict:
-        """Inverse of :meth:`from_tree` (``{}`` for the ideal plan)."""
-        tree: dict = {}
-        if self.events:
-            tree["events"] = [e.to_tree() for e in self.events]
-        if self.drop_rate:
-            tree["drop_rate"] = self.drop_rate
-        if self.seed:
-            tree["seed"] = self.seed
-        return tree
 
     @property
     def is_ideal(self) -> bool:

@@ -15,22 +15,23 @@ Design invariants:
   socket; the server validates each ``update`` (ids it asked for, one
   finite ``(P,)`` array of the method's ``payload_dtype``, float32) and
   adds it up in float64.
-- **Bit-identity with the in-process simulator.**  The server installs a
-  per-round :attr:`contribution_executor
-  <repro.core.methods.uldp_avg.UldpAvg.contribution_executor>` that walks
-  the silos in index order, sending each active silo the round index,
-  the round's broadcast (the params as float32, what its training reads:
-  :meth:`repro.core.FLMethod.broadcast`), its realised weight row and the
-  round's noise std;
-  the silo runs the in-process round's per-silo step, drawing from its own
-  generator (a function of spec, round and silo: ``UldpAvg._draw_silo``),
-  so an ideal-network run matches :class:`repro.sim.FederationSimulator`
-  aggregate-for-aggregate and epsilon-for-epsilon.  Hence also: this
+- **One message runtime, bit-identical to the in-process one.**  A round
+  is :data:`ROUND`, run by the secure schedules' driver
+  (:class:`repro.protocol.driver.Driver`) with each silo's socket in place
+  of its party: every active silo gets its ``compute`` -- the round, the
+  round's broadcast (:meth:`repro.core.FLMethod.broadcast`), its weight
+  row and noise std -- before any ``update`` is read, in silo order.  A
+  silo runs the in-process round's per-silo step from its own generator
+  (``UldpAvg._draw_silo``: spec, round, silo) and the frame log's payloads
+  are folded in silo order, so an ideal-network run matches
+  :class:`repro.sim.FederationSimulator` aggregate-for-aggregate; and this
   server can recompute every silo's noise (:data:`NOISE_WARNING`).
 - **Timeout-driven dropout.**  A silo that misses the liveness ping or
   its compute deadline becomes an *observed* dropout for the round
   (:attr:`FederationSimulator.external_dropout`) and the round is
-  retried from a state snapshot without the failed silo.  When
+  retried from a state snapshot without the failed silo, once the updates
+  the aborted attempt was owed are read (:attr:`FederationServer.retry_ledger`
+  is charged their bytes).  When
   live silos fall below ``net.min_quorum`` the server broadcasts an
   abort and raises :class:`repro.core.weighting.QuorumError`.
 - **Crash-safe resume.**  With ``sim.checkpoint_dir`` set the server
@@ -62,23 +63,16 @@ from repro.core.weighting import QuorumError
 from repro.net.transport import (
     DeadlineExceeded,
     MessageSocket,
+    SiloFailure,
     TransportError,
 )
-from repro.net.wire import PROTOCOL_VERSION, WireError, is_finite_vector
+from repro.net.wire import PROTOCOL_VERSION, Frame, WireError, is_finite_vector
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
+from repro.protocol.driver import SERVER, SILO, Driver, Party
 from repro.sim.scenarios import save_checkpoint_if_due
 
 log = logging.getLogger(__name__)
-
-
-class SiloFailure(Exception):
-    """A silo failed mid-round (deadline, transport, or bad reply)."""
-
-    def __init__(self, silo: int, reason: str):
-        super().__init__(f"silo {silo}: {reason}")
-        self.silo = silo
-        self.reason = reason
 
 
 #: What ``repro serve`` logs at start-up: who can re-derive a silo's noise.
@@ -88,78 +82,12 @@ NOISE_WARNING = (
     "model, not the silos' updates from this server")
 
 
-class _RemoteExecutor:
-    """One round's contribution executor: serial COMPUTE walk over silos.
-
-    Serial, though no payload depends on the order, which keeps
-    thread-based tests safe: server and silos never run the pooled
-    training engine concurrently.
-    """
-
-    def __init__(self, server: "FederationServer", round_no: int):
-        self.server = server
-        self.round_no = round_no
-
-    def __call__(self, broadcast, round_weights, noise_std, active):
-        server = self.server
-        payloads: list[tuple[int, list[int], np.ndarray]] = []
-        recorder = get_recorder()
-        with recorder.span(
-            "collect_contributions", kind="phase", round=self.round_no + 1
-        ):
-            for s in active:
-                conn = server.conns.get(s)
-                if conn is None:
-                    raise SiloFailure(s, "connection lost before compute")
-                with recorder.span(
-                    "silo_compute", kind="silo", silo=s,
-                    round=self.round_no + 1,
-                ) as span:
-                    sent0, recv0 = conn.bytes_sent, conn.bytes_received
-                    start = time.perf_counter()
-                    try:
-                        conn.send(
-                            "compute",
-                            {"round": self.round_no,
-                             "noise_std": float(noise_std)},
-                            arrays={"params": broadcast,
-                                    "weights": np.ascontiguousarray(
-                                        round_weights[s])},
-                        )
-                        frame = conn.recv_matching(
-                            "update", self.round_no, server.net.round_timeout)
-                    except DeadlineExceeded as exc:
-                        raise SiloFailure(
-                            s, f"missed the {server.net.round_timeout:.1f}s "
-                            f"compute deadline ({exc})") from exc
-                    except (TransportError, WireError) as exc:
-                        raise SiloFailure(
-                            s, f"transport failure: {exc}") from exc
-                    # Margin left on the compute deadline: how close this
-                    # silo came to being dropped for the round.
-                    margin = (server.net.round_timeout
-                              - (time.perf_counter() - start))
-                    span.set(
-                        deadline_margin=margin,
-                        downlink_bytes=conn.bytes_sent - sent0,
-                        uplink_bytes=conn.bytes_received - recv0,
-                    )
-                    get_registry().histogram(
-                        "net_deadline_margin_seconds",
-                        help="Seconds left on the compute deadline when "
-                             "each silo's update arrived.",
-                        unit="seconds",
-                    ).labels(silo=s).observe(margin)
-                    users = frame.payload.get("users")
-                    payload = frame.arrays.get("payload")
-                    if (not _valid_users(users, round_weights[s])
-                            or len(frame.arrays) != 1
-                            or not is_finite_vector(
-                                payload, broadcast.size,
-                                server.sim.method.payload_dtype)):
-                        raise SiloFailure(s, "malformed update frame")
-                payloads.append((s, users, payload))
-        return payloads
+#: The plaintext round (Algorithm 3 lines 3-17): every active silo gets its
+#: inputs, then each answers with the one noisy vector it releases.
+ROUND = (
+    ("collect_contributions", SERVER, SILO, "compute"),
+    ("collect_contributions", SILO, SERVER, "update"),
+)
 
 
 def _valid_users(users, weight_row: np.ndarray) -> bool:
@@ -179,8 +107,9 @@ def _valid_users(users, weight_row: np.ndarray) -> bool:
     )
 
 
-class FederationServer:
-    """Drives one simulate-mode spec over real silo connections."""
+class FederationServer(Party):
+    """Drives one simulate-mode spec over real silo connections; the
+    server's party of :data:`ROUND`."""
 
     def __init__(self, spec: RunSpec, sim=None, checkpoint_dir=None):
         """``sim``: a resumed simulator (default: built from ``spec``);
@@ -210,6 +139,12 @@ class FederationServer:
         self.retry_ledger: dict[str, int] = {
             "attempts": 0, "uplink_bytes": 0, "downlink_bytes": 0,
         }
+        #: Runs :data:`ROUND` over the silos' sockets; its :attr:`log
+        #: <repro.protocol.driver.Driver.log>` holds the latest attempt's
+        #: frames, the server's view.
+        self.driver = Driver(timeout=self.net.round_timeout)
+        self.driver.server = self
+        self._round_weights: np.ndarray | None = None
 
     # -- connection management -----------------------------------------------
 
@@ -332,6 +267,33 @@ class FederationServer:
 
     # -- the round loop ------------------------------------------------------
 
+    def _collect(self, broadcast, round_weights, noise_std, active):
+        """The method's :attr:`contribution_executor
+        <repro.core.methods.uldp_avg.UldpAvg.contribution_executor>`: one
+        attempt of :data:`ROUND`; the payloads are the logged updates."""
+        driver, t = self.driver, self.sim.rounds_completed
+        driver.silos = [self.conns.get(s) for s in range(self.sim.fed.n_silos)]
+        self._round_weights = round_weights
+        driver.post(SERVER, [
+            Frame("compute", {"round": t, "noise_std": float(noise_std), "silo": s},
+                  {"params": broadcast,
+                   "weights": np.ascontiguousarray(round_weights[s])})
+            for s in active])
+        driver.log.clear()
+        driver.run(ROUND)
+        return [(f.payload["silo"], f.payload["users"], f.arrays["payload"])
+                for f in driver.received("update")]
+
+    def on_update(self, frame):
+        """An ``update`` must name users its silo was asked to train and
+        carry one finite ``(P,)`` array of the method's ``payload_dtype``."""
+        s, method = frame.payload["silo"], self.sim.method
+        if (not _valid_users(frame.payload.get("users"), self._round_weights[s])
+                or len(frame.arrays) != 1
+                or not is_finite_vector(frame.arrays.get("payload"),
+                                        method.model.num_params, method.payload_dtype)):
+            raise SiloFailure(s, "malformed update frame")
+
     def _ping_phase(self, round_no: int) -> np.ndarray:
         """Liveness sweep: who answers the ping (and says ready) in time.
 
@@ -376,25 +338,12 @@ class FederationServer:
         ):
             return self._serve_rounds()
 
-    def _attempt_byte_marks(self) -> dict[int, tuple[int, int]]:
-        """Per-connection (sent, received) byte counters, pre-attempt."""
-        return {s: (c.bytes_sent, c.bytes_received)
-                for s, c in self.conns.items()}
-
-    def _charge_retry_ledger(self, marks: dict[int, tuple[int, int]]) -> None:
-        """Attribute an aborted attempt's wire traffic to the retry ledger.
-
-        The simulator's comm ledger is about to be rolled back with the
-        snapshot, so these bytes would otherwise vanish from every
-        record; here they stay visible without double-counting.
-        """
-        self.retry_ledger["attempts"] += 1
-        for s, (sent0, recv0) in marks.items():
-            conn = self.conns.get(s)
-            if conn is None:
-                continue
-            self.retry_ledger["downlink_bytes"] += conn.bytes_sent - sent0
-            self.retry_ledger["uplink_bytes"] += conn.bytes_received - recv0
+    def _wire_bytes(self) -> dict[str, int]:
+        """Bytes sent and received so far on the live connections (an
+        attempt adds or drops none), keyed as in :attr:`retry_ledger`."""
+        conns = self.conns.values()
+        return {"downlink_bytes": sum(c.bytes_sent for c in conns),
+                "uplink_bytes": sum(c.bytes_received for c in conns)}
 
     def _serve_rounds(self):
         self.bind()
@@ -407,6 +356,7 @@ class FederationServer:
                  sim.fed.n_silos, sim.rounds_completed, sim.config.rounds,
                  self.port)
         log.warning("%s", NOISE_WARNING)
+        method.contribution_executor = self._collect
         try:
             self._await_roster()
             while not sim.done:
@@ -428,8 +378,7 @@ class FederationServer:
                                         {"round": t, "reason": reason})
                         raise QuorumError(reason)
                     snapshot = sim.state_dict()
-                    marks = self._attempt_byte_marks()
-                    method.contribution_executor = _RemoteExecutor(self, t)
+                    marks = self._wire_bytes()
                     sim.external_dropout = alive.copy()
                     try:
                         sim.step()
@@ -449,7 +398,9 @@ class FederationServer:
                             help="Mid-round silo failures observed by the "
                                  "server.",
                         ).inc()
-                        self._charge_retry_ledger(marks)
+                        self.retry_ledger["attempts"] += 1
+                        for key, after in self._wire_bytes().items():
+                            self.retry_ledger[key] += after - marks[key]
                         reg.counter(
                             "net_round_retries_total",
                             help="Round attempts aborted and retried from "
@@ -459,7 +410,6 @@ class FederationServer:
                         self._drop(failure.silo)
                         sim.load_state(snapshot)
                     finally:
-                        method.contribution_executor = None
                         sim.external_dropout = None
                 save_checkpoint_if_due(
                     sim, self.checkpoint_dir, self.spec.sim.checkpoint_every,
@@ -468,4 +418,5 @@ class FederationServer:
             self._broadcast("done", {"round": sim.rounds_completed})
             return sim.history
         finally:
+            method.contribution_executor = None
             self.close()

@@ -49,6 +49,7 @@ from repro.net.transport import (
 )
 from repro.net.wire import (
     PROTOCOL_VERSION,
+    Frame,
     WireError,
     is_finite_vector,
     pack_frame,
@@ -59,7 +60,10 @@ log = logging.getLogger(__name__)
 
 
 class SiloClient:
-    """One silo process serving rounds for a simulate-mode [net] spec."""
+    """One silo process serving rounds for a simulate-mode [net] spec.  Its
+    ``on_<type>`` handlers return the frames that answer a request, as a
+    :class:`repro.protocol.driver.Party`'s do; :meth:`_serve` sends them
+    with this round's faults applied."""
 
     def __init__(self, spec: RunSpec, silo_id: int, port: int | None = None):
         if spec.net is None:  # (a spec with [net] always has [sim])
@@ -92,8 +96,7 @@ class SiloClient:
         return {e.action: e.value
                 for e in self.plan.events_for(self.silo_id, round_no)}
 
-    def _send_reply(self, conn: MessageSocket, actions: dict, msg_type: str,
-                    payload: dict, arrays: dict | None = None) -> None:
+    def _send_reply(self, conn: MessageSocket, actions: dict, frame: Frame) -> None:
         """Send one reply with the timing/integrity faults applied."""
         if "timeout" in actions:
             # Default: sleep well past the server's compute deadline so it
@@ -101,37 +104,22 @@ class SiloClient:
             time.sleep(actions["timeout"] or 3.0 * self.net.round_timeout)
         elif "delay" in actions:
             time.sleep(actions["delay"])
-        data = pack_frame(msg_type, payload, arrays)
+        data = pack_frame(frame.type, frame.payload, frame.arrays)
         if "corrupt" in actions:
             data = data[:-1] + bytes([data[-1] ^ 0xFF])
         conn.send_raw(data)
         if "duplicate" in actions:
             conn.send_raw(data)
 
-    # -- frame handlers ------------------------------------------------------
+    # -- frame handlers: the frames that answer a request --------------------
 
-    def _handle_ping(self, conn: MessageSocket, frame) -> str:
+    def on_ping(self, frame):
         t = frame.payload["round"]
-        actions = self._actions(t)
-        if "crash" in actions:
-            os._exit(17)  # simulate kill -9: no cleanup, no goodbye
-        if "partition" in actions:
-            conn.close()
-            time.sleep(actions["partition"] or 1.0)
-            return "reconnect"
-        ready = not ("decline" in actions or self.plan.drops(self.silo_id, t))
-        self._send_reply(conn, actions, "pong", {"round": t, "ready": ready})
-        return "ok"
+        ready = not ("decline" in self._actions(t) or self.plan.drops(self.silo_id, t))
+        return [Frame("pong", {"round": t, "ready": ready})]
 
-    def _handle_compute(self, conn: MessageSocket, frame) -> str:
+    def on_compute(self, frame):
         t = frame.payload["round"]
-        actions = self._actions(t)
-        if "crash" in actions:
-            os._exit(17)
-        if "partition" in actions:
-            conn.close()
-            time.sleep(actions["partition"] or 1.0)
-            return "reconnect"
         method = self.method
         params = frame.arrays.get("params")
         weights = frame.arrays.get("weights")
@@ -152,15 +140,11 @@ class SiloClient:
             # round without this silo.
             log.error("silo %d: malformed compute frame for round %d: %s; "
                       "dropping the session", self.silo_id, t, problem)
-            return "reconnect"
+            return []
         users, payload = method.silo_payload(
             self.silo_id, params, weights, float(noise_std),
             release=(SYNC_ROUND, t))
-        self._send_reply(
-            conn, actions, "update", {"round": t, "users": users},
-            arrays={"payload": payload},
-        )
-        return "ok"
+        return [Frame("update", {"round": t, "users": users}, {"payload": payload})]
 
     # -- the serve loop ------------------------------------------------------
 
@@ -171,30 +155,36 @@ class SiloClient:
                 frame = conn.recv(timeout=self.net.idle_timeout)
             except (DeadlineExceeded, TransportError, WireError):
                 return "reconnect"
-            if frame.type in ("ping", "compute"):
-                t = frame.payload.get("round")
-                if type(t) is not int or t < 0:  # it keys the silo's draws
-                    log.error("silo %d: %s frame without an integer round >= 0; "
-                              "dropping the session", self.silo_id, frame.type)
-                    return "reconnect"
-                handler = (self._handle_ping if frame.type == "ping"
-                           else self._handle_compute)
-                try:
-                    outcome = handler(conn, frame)
-                except TransportError:
-                    # The server dropped us (e.g. after our own injected
-                    # timeout); reconnect and serve the next round.
-                    return "reconnect"
-            elif frame.type == "done":
-                return "done"
-            elif frame.type == "abort":
-                log.error("silo %d: server aborted: %s", self.silo_id,
-                          frame.payload.get("reason", ""))
-                return "abort"
-            else:
+            if frame.type in ("done", "abort"):
+                if frame.type == "abort":
+                    log.error("silo %d: server aborted: %s", self.silo_id,
+                              frame.payload.get("reason", ""))
+                return frame.type
+            handler = getattr(self, f"on_{frame.type}", None)
+            if handler is None:
                 continue  # unknown frame type: ignore (forward compat)
-            if outcome != "ok":
-                return outcome
+            t = frame.payload.get("round")
+            if type(t) is not int or t < 0:  # it keys the silo's draws
+                log.error("silo %d: %s frame without an integer round >= 0; "
+                          "dropping the session", self.silo_id, frame.type)
+                return "reconnect"
+            actions = self._actions(t)
+            if "crash" in actions:
+                os._exit(17)  # simulate kill -9: no cleanup, no goodbye
+            if "partition" in actions:
+                conn.close()
+                time.sleep(actions["partition"] or 1.0)
+                return "reconnect"
+            replies = handler(frame)
+            if not replies:  # a request it cannot use ends the session
+                return "reconnect"
+            try:
+                for reply in replies:
+                    self._send_reply(conn, actions, reply)
+            except TransportError:
+                # The server dropped us (e.g. after our own injected
+                # timeout); reconnect and serve the next round.
+                return "reconnect"
 
     def run(self) -> int:
         """Connect (with retry/backoff), serve rounds, return an exit code:

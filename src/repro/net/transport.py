@@ -28,6 +28,15 @@ class DeadlineExceeded(TransportError):
     """The peer did not produce the expected frame within the deadline."""
 
 
+class SiloFailure(Exception):
+    """A silo failed mid-round (deadline, transport, or bad reply)."""
+
+    def __init__(self, silo: int, reason: str):
+        super().__init__(f"silo {silo}: {reason}")
+        self.silo = silo
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with jitter: delay ``i`` is
@@ -94,11 +103,7 @@ class MessageSocket:
              arrays: dict | None = None) -> None:
         data = wire.pack_frame(msg_type, payload, arrays)
         start = time.perf_counter()
-        try:
-            self.sock.sendall(data)
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
-        self.bytes_sent += len(data)
+        self.send_raw(data)
         reg = get_registry()
         reg.histogram(
             "net_frame_send_seconds",

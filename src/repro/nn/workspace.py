@@ -1,4 +1,4 @@
-"""The per-process scratch slab behind the shared-weight gradient walk.
+"""The per-thread scratch slab behind the shared-weight gradient walk.
 
 One local training per (silo, user) per round needs the same few dozen
 large temporaries every few milliseconds; allocating them each time hands
@@ -29,18 +29,20 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 
 _ALIGN = 64
 
 
-class Workspace:
-    """A grow-to-high-water byte slab, keyed to the owning process: a
-    forked worker drops the slab it inherited when it opens its first
+class Workspace(threading.local):
+    """A grow-to-high-water byte slab, one per thread (two threads running
+    the walk at once never share scratch) and keyed to the owning process:
+    a forked worker drops the slab it inherited when it opens its first
     scope rather than writing into pages it shares with its parent."""
 
-    #: Most a process keeps: ~7x the high-water mark of a Fig. 5 MNIST CNN
+    #: Most a thread keeps: ~7x the high-water mark of a Fig. 5 MNIST CNN
     #: round (18.6 MiB: float64 rows of <= 42 users under float32 scratch),
     #: ~2.3x that of a full 128-user micro-batch (56 MiB).
     MAX_BYTES = 1 << 27
@@ -100,7 +102,8 @@ class Workspace:
         self._top = mark
 
 
-#: The process's workspace: :func:`repro.nn.batched.per_group_gradients`
-#: and :func:`repro.nn.batched.forward_logits` take their temporaries from
-#: it, :mod:`repro.core.engine` its row block.
+#: The process's workspace (a slab per thread):
+#: :func:`repro.nn.batched.per_group_gradients` and
+#: :func:`repro.nn.batched.forward_logits` take their temporaries from it,
+#: :mod:`repro.core.engine` its row block.
 WORKSPACE = Workspace()

@@ -15,12 +15,20 @@ while any has one (so the OT round runs one (silo, user) at a time); a
 phase with none is skipped.  Each phase is timed and opens one
 ``kind="phase"`` trace span; every delivered frame goes to
 :attr:`Driver.log`, whose server-bound frames are the server's view
-(Theorem 5); it keeps the set-up's and the latest round's.  Frames cross
-in memory, unpacked; a socket transport would change no party.
+(Theorem 5); it keeps the set-up's and the latest round's.
+
+A silo is a :class:`Party` (its frames cross in memory, unpacked) or that
+silo's :class:`repro.net.transport.MessageSocket` (``None``: not
+connected).  A row's frames for socket silos are all sent before any reply
+is read; the row then reads each silo's reply -- the phase's silo-to-server
+frame type, echoing the request's ``"round"`` -- in silo-index order, and
+queues it as that silo's.  A send or read failure raises
+:class:`repro.net.transport.SiloFailure` once every reply owed is read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -33,7 +41,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.net.wire import Frame, blob_ints, int_blob
+from repro.net.transport import SiloFailure, TransportError
+from repro.net.wire import Frame, WireError, blob_ints, int_blob
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
 
 SERVER, SILO, HOST = "server", "silo", "host"
@@ -107,13 +117,15 @@ class Driver:
     """Runs schedules between ``self.server`` and ``self.silos`` (set by the
     subclass); keeps the frame log, the round counter and the per-phase
     seconds and counts (plain float adds: not thread-safe).  ``workers``
-    sizes the kernel pool: None = min(|S|, cpus), 1 = in-process."""
+    sizes the kernel pool: None = min(|S|, cpus), 1 = in-process;
+    ``timeout``: seconds the driver waits for one socket silo's reply."""
 
     #: The crypto backend a subclass runs; tags its checkpoint state.
     backend: str
 
-    def __init__(self, workers: int | None = None):
+    def __init__(self, workers: int | None = None, timeout: float | None = None):
         self.workers = workers
+        self.timeout = timeout
         self.log: list[Delivery] = []
         self.round_no = 0
         self._setup_len: int | None = None
@@ -180,41 +192,99 @@ class Driver:
         self.round_no = int(state["round_no"])
 
     def run(self, schedule, silos=None) -> None:
-        """Run ``schedule``; its :data:`HOST` rows step the server and the
-        ``silos`` given (default: all)."""
+        """Run ``schedule`` on what :meth:`post` queued; its :data:`HOST`
+        rows step the server and the ``silos`` given (default: all).  The
+        queue is empty after, whether the run finished or raised."""
         silos = range(len(self.silos)) if silos is None else silos
-        self._outbox = []
-        for name, rows in itertools.groupby(schedule, key=lambda row: row[0]):
-            rows = list(rows)
-            for _, sender, to, kind in rows:
-                if sender == HOST:
-                    targets = silos if to == SILO else [None]
-                    self._outbox += [(HOST, to, Frame(kind, {} if s is None else {"silo": s}))
-                                     for s in targets]
-            if any(_matches(row, entry) for row in rows for entry in self._outbox):
-                with self.phase(name):
-                    while any([self._deliver(name, row) for row in rows]):
-                        pass
+        try:
+            for name, rows in itertools.groupby(schedule, key=lambda row: row[0]):
+                rows = list(rows)
+                for _, sender, to, kind in rows:
+                    if sender == HOST:
+                        targets = silos if to == SILO else [None]
+                        self._outbox += [(HOST, to, Frame(kind, {} if s is None else {"silo": s}))
+                                         for s in targets]
+                reply = next((kind for _, sender, to, kind in rows if (sender, to) == (SILO, SERVER)), None)
+                if any(_matches(row, entry) for row in rows for entry in self._outbox):
+                    with self.phase(name):
+                        while any([self._deliver(name, row, reply) for row in rows]):
+                            pass
+        finally:
+            self._outbox = []
 
-    def _deliver(self, phase: str, row) -> bool:
-        """Deliver the row's pending frames; False if it had none."""
+    def _deliver(self, phase: str, row, reply: str | None) -> bool:
+        """Deliver the row's pending frames (a socket silo's answer is a
+        ``reply`` frame); False if it had none."""
         batch = [entry for entry in self._outbox if _matches(row, entry)]
         self._outbox = [entry for entry in self._outbox if not _matches(row, entry)]
-        tasks = []
+        tasks, sends = [], []
         for src, to, frame in batch:
             silo = frame.payload.get("silo")
             targets = [SERVER] if to == SERVER else range(len(self.silos)) if silo is None else [silo]
             for dst in targets:
                 if src != HOST:
                     self.log.append(Delivery(phase, src, dst, frame))
-                out = (self.server if dst == SERVER else self.silos[dst]).handle(frame)
+                party = self.server if dst == SERVER else self.silos[dst]
+                if not isinstance(party, Party):
+                    sends.append((dst, frame))
+                    continue
+                out = party.handle(frame)
                 if isinstance(out, Task):
                     tasks.append((dst, out))
                 else:
-                    self._post(dst, out)
+                    self.post(dst, out)
         if tasks:
             self._map(tasks)
+        if sends:
+            self._exchange(sends, reply)
         return bool(batch)
+
+    def _exchange(self, sends: list[tuple[int, Frame]], reply: str) -> None:
+        """Send each frame on its silo's socket (which names the silo: the
+        ``"silo"`` key stays home), then read each silo's ``reply`` in
+        silo-index order, each within :attr:`timeout` and in one
+        ``silo_<type>`` trace span, and queue it as the silo's.  The first
+        failure is raised once every reply owed has been read, so none is
+        left to answer a later request; a socket failing after it is closed."""
+        owed, failure = [], None
+        for s, frame in sends:
+            conn = self.silos[s]
+            if conn is None:
+                failure = failure or SiloFailure(s, f"connection lost before {frame.type}")
+                continue
+            sent0 = conn.bytes_sent
+            try:
+                conn.send(frame.type, {k: v for k, v in frame.payload.items() if k != "silo"},
+                          frame.arrays)
+            except TransportError as exc:
+                failure = failure or SiloFailure(s, str(exc))
+                continue
+            owed.append((s, conn, frame, conn.bytes_sent - sent0))
+        for s, conn, frame, downlink in sorted(owed, key=lambda entry: entry[0]):
+            t = frame.payload["round"]
+            with get_recorder().span(f"silo_{frame.type}", kind="silo", silo=s, round=t + 1) as span:
+                start, recv0 = time.perf_counter(), conn.bytes_received
+                try:
+                    answer = conn.recv_matching(reply, t, self.timeout)
+                except (TransportError, WireError) as exc:  # incl. a missed deadline
+                    if failure is not None:
+                        conn.close()
+                    failure = failure or SiloFailure(s, str(exc))
+                    span.set(error=type(exc).__name__)
+                    continue
+                # How close this silo came to being dropped for the round.
+                margin = self.timeout - (time.perf_counter() - start)
+                span.set(deadline_margin=margin, downlink_bytes=downlink,
+                         uplink_bytes=conn.bytes_received - recv0)
+            get_registry().histogram(
+                "net_deadline_margin_seconds",
+                help="Seconds left on the compute deadline when each silo's update arrived.",
+                unit="seconds",
+            ).labels(silo=s).observe(margin)
+            # A copy: the stamped "silo" key is the driver's, not the wire's.
+            self.post(s, [dataclasses.replace(answer, payload=dict(answer.payload))])
+        if failure is not None:
+            raise failure
 
     def _map(self, tasks: list[tuple[str | int, Task]]) -> None:
         """A row's tasks as one flat map: inline with one worker, else one
@@ -233,9 +303,9 @@ class Driver:
             parts = self._get_executor(workers).map(fn, *columns, chunks)
             results = (result for part in parts for result in part)
         for dst, task in tasks:
-            self._post(dst, task.then(list(itertools.islice(results, len(task.items)))))
+            self.post(dst, task.then(list(itertools.islice(results, len(task.items)))))
 
-    def _post(self, sender: str | int, frames) -> None:
+    def post(self, sender: str | int, frames) -> None:
         """Queue what ``sender`` sends, a silo's stamped with its id."""
         for frame in frames or []:
             if isinstance(sender, int):

@@ -67,7 +67,8 @@ class TestFromTree:
         with pytest.raises(ValueError, match="drop_rate"):
             FaultPlan(drop_rate=1.0)  # certain failure is not chaos
 
-    def test_tree_round_trips(self):
+
+    def test_tree_sets_every_field(self):
         plan = FaultPlan.from_tree({
             "events": [
                 {"silo": 2, "action": "timeout", "round": 1, "value": 3.0},
@@ -76,10 +77,11 @@ class TestFromTree:
             "drop_rate": 0.25,
             "seed": 7,
         })
-        again = FaultPlan.from_tree(plan.to_tree())
-        assert again.events == plan.events
-        assert again.drop_rate == plan.drop_rate
-        assert again.seed == plan.seed
+        assert plan.events == (
+            FaultEvent(silo=2, action="timeout", start=1, stop=2, value=3.0),
+            FaultEvent(silo=0, action="partition", start=0, stop=2),
+        )
+        assert (plan.drop_rate, plan.seed) == (0.25, 7)
 
 
 class TestSchedule:

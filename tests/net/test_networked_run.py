@@ -7,9 +7,10 @@ comm ledger, and round log.  Fault-injected runs are then compared
 against in-process simulations with the equivalent dropout pattern, so
 even the chaos paths have exact oracles.
 
-Silos run as threads (not processes) here: the engine walks silos
-serially, so threads are safe, and a single process keeps these tests
-fast.  Real multi-process chaos lives in ``test_chaos.py``.
+Silos run as threads (not processes) here: each thread walks its own
+scratch slab (``repro.nn.workspace``), so silos computing at once are
+safe, and a single process keeps these tests fast.  Real multi-process
+chaos lives in ``test_chaos.py``.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from repro.api import RunSpec
 from repro.api.runner import build_simulator, build_trainer
 from repro.core.methods.uldp_avg import SYNC_ROUND
 from repro.core.weighting import QuorumError
-from repro.net.server import FederationServer, SiloFailure, _RemoteExecutor
+from repro.net.server import FederationServer, SiloFailure
 from repro.net import wire
 from repro.net.silo_client import SiloClient
 from repro.net.transport import MessageSocket
@@ -239,15 +240,17 @@ class TestFaultOracles:
         assert observed == [0, 1, 0]
         assert_bit_identical(server, hist, outage_comparator({2: (1, 2)}))
 
-    def test_timeout_fault_becomes_a_dropout(self):
-        # Silo 2 sleeps past the 2s round deadline in round index 1: the
-        # server must observe a real deadline miss, drop the silo for the
-        # round, retry from the snapshot, and still match the outage
-        # oracle bit for bit (the aborted attempt leaves no RNG trace).
+    @pytest.mark.parametrize("silo", [0, 2])
+    def test_timeout_fault_becomes_a_dropout(self, silo):
+        # The silo sleeps 3s before each reply in round index 1, its pong
+        # included: the server must observe a real deadline miss (the 2s
+        # ping), run the round without the silo, and still match the
+        # outage oracle bit for bit.  The compute-deadline retry is the
+        # next test's.
         tree = base_tree(
             round_timeout=2.0, ping_timeout=2.0,
             faults={"events": [
-                {"silo": 2, "action": "timeout", "round": 1, "value": 3.0}]},
+                {"silo": silo, "action": "timeout", "round": 1, "value": 3.0}]},
         )
         server, hist, codes, err = networked(tree)
         assert err is None
@@ -256,7 +259,29 @@ class TestFaultOracles:
         observed = [e.get("silos_observed_down", 0)
                     for e in server.sim.round_log]
         assert observed == [0, 1, 0]
-        assert_bit_identical(server, hist, outage_comparator({2: (1, 2)}))
+        assert_bit_identical(server, hist, outage_comparator({silo: (1, 2)}))
+
+    def test_updates_owed_an_aborted_attempt_do_not_answer_its_retry(self):
+        # Silo 0 answers its round-1 ping in time but sleeps past the
+        # compute deadline, after silos 1 and 2 have sent the updates they
+        # formed for the 3-silo attempt.  Those carry round 1 too; the
+        # retry must read the ones formed for the 2-silo attempt (new
+        # weights, new noise std), or the run leaves the oracle.  Silo 0
+        # also declines round 2, so whether it has reconnected by then
+        # does not matter (nor does its exit code: one reconnect retry
+        # keeps it from outliving the run by its whole backoff).
+        tree = base_tree(
+            round_timeout=2.0, ping_timeout=5.0, connect_retries=1,
+            faults={"events": [
+                {"silo": 0, "action": "timeout", "round": 1, "value": 3.0},
+                {"silo": 0, "action": "decline", "round": 2}]},
+        )
+        server, hist, codes, err = networked(tree)
+        assert err is None
+        assert server.retry_ledger["attempts"] == 1
+        assert [(p.round, p.silos_seen) for p in hist.participation] == [
+            (1, 3), (2, 2), (3, 2)]
+        assert_bit_identical(server, hist, outage_comparator({0: (1, 3)}))
 
     def test_quorum_abort_reaches_every_silo(self):
         tree = base_tree(min_quorum=3, faults={"events": [
@@ -353,7 +378,7 @@ class TestMalformedUpdate:
         snapshot = sim.state_dict()
         params = sim.trainer.params.copy()
         rng_state = sim.method.rng.bit_generator.state
-        sim.method.contribution_executor = _RemoteExecutor(server, 0)
+        sim.method.contribution_executor = server._collect
         sim.external_dropout = np.ones(3, dtype=bool)
         with pytest.raises(SiloFailure) as failure:
             sim.step()
@@ -374,10 +399,11 @@ class TestMalformedUpdate:
 
 
 def test_a_retried_round_reforms_every_other_payload():
-    # Round 0 fails at silo 1 and restarts without it.  Silo 0 draws from
-    # its own generator for round 0 again and forms what it formed the
-    # first time; silo 2, walked only in the retry, forms what it forms in
-    # a round nobody failed -- its draws never depended on silo 1's.
+    # Round 0 fails at silo 1 and restarts without it.  Every silo is sent
+    # its compute before any update is read, so silos 0 and 2 form their
+    # payloads in both attempts: each draws from its own generator for
+    # round 0 again and forms what it forms in a round nobody failed --
+    # its draws never depended on silo 1's.
     # (Noise rescaling is off so that the survivors' inputs -- weights and
     # noise std -- do not change with the roster either.)
     def round_zero(bad=None):
@@ -390,7 +416,7 @@ def test_a_retried_round_reforms_every_other_payload():
                             (lambda u, p, n: (u, p[:-1])) if s == bad else None)
             for s in range(3)
         }
-        sim.method.contribution_executor = _RemoteExecutor(server, 0)
+        sim.method.contribution_executor = server._collect
         sim.external_dropout = np.ones(3, dtype=bool)
         if bad is not None:
             snapshot = sim.state_dict()
@@ -405,7 +431,7 @@ def test_a_retried_round_reforms_every_other_payload():
     clean, retried = round_zero(), round_zero(bad=1)
     assert retried[0] == clean[0] * 2
     assert len(retried[1]) == 1
-    assert retried[2] == clean[2]
+    assert retried[2] == clean[2] * 2
 
 
 def outage_comparator(windows):

@@ -26,13 +26,23 @@ from repro.api.runner import build_simulator
 from repro.core.methods.uldp_avg import SYNC_ROUND
 from repro.net import server as server_module
 from repro.net.transport import MessageSocket
+from repro.net.wire import pack_frame
+from repro.obs.summary import load_trace
+from repro.protocol.driver import SERVER, Driver
 
 #: docs/networking.md states this bound on an update frame's header.
 UPDATE_OVERHEAD_BOUND = 512
 
 
 @pytest.fixture(scope="module")
-def transcript():
+def recorded(tmp_path_factory):
+    """What the :func:`transcript` run records past its sockets: a copy of
+    the server's frame log after each round attempt, and its trace file."""
+    return {"logs": [], "trace": tmp_path_factory.mktemp("obs") / "trace.jsonl"}
+
+
+@pytest.fixture(scope="module")
+def transcript(recorded):
     """One ideal-network run; returns ``(server, history, sent, received,
     warnings)`` with the server side's frames in order and the server's
     WARNING log lines."""
@@ -53,12 +63,22 @@ def transcript():
             received.append(frame)
             return frame
 
+    class RecordingDriver(Driver):
+        def run(self, schedule, silos=None):
+            try:
+                super().run(schedule, silos)
+            finally:
+                recorded["logs"].append(list(self.log))
+
+    tree = {**base_tree(),
+            "obs": {"enabled": True, "trace_path": str(recorded["trace"])}}
     patch = pytest.MonkeyPatch()
     patch.setattr(server_module, "MessageSocket", RecordingSocket)
+    patch.setattr(server_module, "Driver", RecordingDriver)
     handler = Collect(logging.WARNING)
     server_module.log.addHandler(handler)
     try:
-        server, history, codes, err = networked(base_tree())
+        server, history, codes, err = networked(tree)
     finally:
         patch.undo()
         server_module.log.removeHandler(handler)
@@ -146,3 +166,53 @@ def test_wire_bytes_are_ledger_bytes_plus_a_small_header(transcript):
         for frame in frames:
             overhead = frame.nbytes - 4 * size  # the float32 payload
             assert 0 < overhead < UPDATE_OVERHEAD_BOUND
+
+
+def test_the_frame_log_is_what_the_sockets_carried(transcript, recorded):
+    """The driver's log is the server's view: its server-bound frames are
+    the very frames the sockets received, and its silo-bound ones what
+    they sent, frame for frame (the ``"silo"`` key names the edge)."""
+    _, _, sent, received, _ = transcript
+    logs = recorded["logs"]
+    assert len(logs) == 3  # one attempt per round, none failed
+    up = [d for log in logs for d in log if d.receiver == SERVER]
+    down = [d for log in logs for d in log if d.sender == SERVER]
+    updates = [f for f in received if f.type == "update"]
+    computes = [(p, a) for kind, p, a in sent if kind == "compute"]
+    assert len(up) == len(updates) == len(down) == len(computes) == 9
+
+    def unaddressed(frame):
+        return {k: v for k, v in frame.payload.items() if k != "silo"}
+
+    for delivery, frame in zip(up, updates):
+        logged = delivery.frame
+        assert logged.payload["silo"] == delivery.sender
+        assert (logged.type, unaddressed(logged), logged.nbytes) == (
+            frame.type, frame.payload, frame.nbytes)
+        assert logged.arrays.keys() == frame.arrays.keys()
+        assert all(logged.arrays[k] is frame.arrays[k] for k in frame.arrays)
+    for delivery, (payload, arrays) in zip(down, computes):
+        logged = delivery.frame
+        assert logged.payload["silo"] == delivery.receiver
+        assert logged.type == "compute" and unaddressed(logged) == payload
+        assert logged.arrays.keys() == arrays.keys()
+        assert all(logged.arrays[k] is arrays[k] for k in arrays)
+
+
+def test_one_silo_compute_span_per_round_and_active_silo(transcript, recorded):
+    """Each span carries how close its silo came to the deadline and the
+    bytes of the exchange: the compute frame down, the update frame up."""
+    server, _, sent, received, _ = transcript
+    records = load_trace(recorded["trace"])
+    spans = [r for r in records if r.get("name") == "silo_compute"]
+    phases = {r["id"] for r in records if r.get("name") == "collect_contributions"}
+    assert sorted((r["attrs"]["round"], r["attrs"]["silo"]) for r in spans) == [
+        (t, s) for t in (1, 2, 3) for s in range(3)]
+    downlinks = [len(pack_frame(kind, p, a)) for kind, p, a in sent
+                 if kind == "compute"]
+    uplinks = [f.nbytes for f in received if f.type == "update"]
+    for span, downlink, uplink in zip(spans, downlinks, uplinks):
+        attrs = span["attrs"]
+        assert span["kind"] == "silo" and span["parent"] in phases
+        assert 0 < attrs["deadline_margin"] < server.net.round_timeout
+        assert (attrs["downlink_bytes"], attrs["uplink_bytes"]) == (downlink, uplink)

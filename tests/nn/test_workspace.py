@@ -1,4 +1,4 @@
-"""The per-process workspace behind ``per_group_gradients`` and the engine.
+"""The per-thread workspace behind ``per_group_gradients`` and the engine.
 
 Keeps the two properties ``tests/core/test_matrix_pool.py`` was written
 for when the engine's buffer pool was a module-global dict -- a forked
@@ -10,6 +10,8 @@ a steady-state call that allocates (almost) nothing.
 
 import multiprocessing
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from repro.core.engine import (
     batched_clipped_gradients,
     batched_clipped_local_deltas,
 )
-from repro.nn.batched import per_group_gradients
+from repro.nn.batched import TRAIN_DTYPE, forward_logits, per_group_gradients
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.model import build_mnist_cnn, build_tiny_mlp
 from repro.nn.workspace import WORKSPACE, Workspace
@@ -136,6 +138,52 @@ class TestProcessKeying:
         os.waitpid(pid, 0)
         assert os.read(read, 32) == b"0"
         os.close(read), os.close(write)
+
+
+class TestThreadKeying:
+    def test_each_thread_has_its_own_slab(self):
+        for _ in range(2):  # the second scope is served from the slab
+            here = WORKSPACE.result((4, 4))
+        assert here.base is not None
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(
+            (WORKSPACE.nbytes, WORKSPACE.result((4, 4)))))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        (nbytes, there), = seen
+        assert nbytes == 0 and not np.shares_memory(here, there)
+
+    def test_concurrent_walks_get_the_serial_bits(self):
+        """Threads forwarding the MNIST CNN at once (the ``tests/net`` silos
+        are threads of one process), more of them than cores and switching
+        often: each call returns what the same call returns run alone.  With
+        one slab per process they wrote into each other's scratch and every
+        result was wrong."""
+        rng = np.random.default_rng(0)
+        model = build_mnist_cnn(np.random.default_rng(1)).astype(TRAIN_DTYPE)
+        inputs = [rng.standard_normal((200, 1, 14, 14)) for _ in range(4)]
+        serial = [forward_logits(model, x).tobytes() for x in inputs]
+        start = threading.Barrier(len(inputs))
+        results = [[] for _ in inputs]
+
+        def forward(i):
+            start.wait()
+            for _ in range(6):
+                results[i].append(forward_logits(model, inputs[i]).tobytes())
+
+        threads = [threading.Thread(target=forward, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[bits] * 6 for bits in serial]
 
 
 def _cnn_chunk(groups=40, per_group=2, seed=0):
