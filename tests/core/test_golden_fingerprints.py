@@ -83,8 +83,21 @@ its bits on the dense path: ULDP-AVG-w with two local epochs of batch 8
 (45 buckets), ULDP-AVG full-batch over two epochs behind a 2-worker pool,
 and the per-silo baselines DEFAULT (batch 8, no epsilon) and ULDP-NAIVE
 over two epochs.  They hash the same under single-threaded BLAS.  No
-convolutional multi-epoch entry is kept: its bits move with BLAS's
-thread count.
+convolutional multi-epoch entry was kept then, since its bits move with
+BLAS's thread count; the one below pins it at the test host's count.
+
+The ``mnist-cnn-multi-epoch`` entry was recorded at commit 906f74c, the
+last one where the walk's convolution formed its input gradient as one
+``(rows, kh*kw*C)`` GEMM folded back by a strided col2im, gathered every
+im2col through a 6-D ``as_strided`` view, and applied a ReLU before the
+max-pool that follows it.  It is the only entry that runs a CNN through
+``per_group_step`` (ULDP-AVG-w, two full-batch local epochs, so every
+round trains padded per-group weights twice), and it pins the per-group
+convolution and pooling kernels bit for bit.  Its parameters stay
+finite (``test_cnn_multi_epoch_stays_finite``): a minibatch variant at
+the default ``local_lr`` overflows in float32 on the noisy global model,
+and a hash of it would pin the NaN rows its clip drops.  Like the other
+``mnist-cnn`` entries its bits move with BLAS's thread count.
 
 Every params sha256 of a run whose silos form a payload -- all but
 ``masked-dropout``, ``paillier``, ``default-multi-epoch`` and
@@ -149,6 +162,9 @@ TREES = {
     "mnist-cnn-sharded": {
         **MNIST_CNN, "engine": {"workers": 2, "shard_size": 128},
     },
+    "mnist-cnn-multi-epoch": {
+        **MNIST_CNN, "method": {"name": "uldp-avg-w", "local_epochs": 2},
+    },
     "plaintext": {**TRAIN, "method": {"name": "uldp-avg-w", "local_epochs": 1}},
     "compressed-sharded": {
         **TRAIN,
@@ -203,6 +219,10 @@ GOLDEN = {
     ),
     "mnist-cnn-sharded": (
         "161a7137390384faae78caaf7044ea78f82b6e011483c47424aa12bb337697c5",
+        1.445621967952188,
+    ),
+    "mnist-cnn-multi-epoch": (
+        "bcafda3928ec5a4f37bdf4783ee8002818f56e7417279d599e8d08a8164b4b62",
         1.445621967952188,
     ),
     "plaintext": (
@@ -338,6 +358,11 @@ def _sgd_fingerprint(tree: dict) -> tuple:
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_fingerprint_unchanged(name):
     assert _fingerprint(TREES[name]) == GOLDEN[name]
+
+
+def test_cnn_multi_epoch_stays_finite():
+    _, params = _run(TREES["mnist-cnn-multi-epoch"])
+    assert np.isfinite(params).all()
 
 
 @pytest.mark.parametrize("name", sorted(SGD_TREES))
