@@ -29,23 +29,25 @@ import numpy as np
 from repro.core.metrics import make_loss
 from repro.core.trainer import Trainer
 from repro.data.federated import FederatedDataset
+from repro.nn.batched import forward_logits, scratch_model
 from repro.nn.model import Sequential, default_model_for
 
 
 def _per_record_losses(
     model: Sequential, task: str, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Per-record losses under the task's loss function.
+    """Per-record losses under the task's loss function, in float64 on
+    the logits of one float32 walk over the set (as evaluation runs it).
 
-    Computed record by record (the survival partial likelihood is not
-    separable; for the attack we approximate a record's loss by its loss
-    within the full candidate set, which is what an attacker can compute).
+    The survival partial likelihood is not separable; for the attack we
+    approximate a record's loss by its loss within the full candidate set,
+    which is what an attacker can compute.
     """
+    loss = make_loss(task, model)
+    pred = forward_logits(scratch_model(model, model.get_flat_params()), x)
     if task == "survival":
         # Risk-set losses need context; score each record against the full
         # set by leaving the rest in place.
-        loss = make_loss(task, model)
-        pred = model.forward(x)
         base = loss.forward(pred, y)
         # Contribution proxy: per-record deviation of predicted risk from
         # the cohort mean, signed by event status (high risk + event =
@@ -55,12 +57,7 @@ def _per_record_losses(
         events = y[:, 1]
         proxy = -np.abs(risk - risk.mean()) * (1 - events) - (-risk) * events
         return base - proxy  # ordering is what matters for AUC
-    losses = np.empty(len(x))
-    loss = make_loss(task, model)
-    for i in range(len(x)):
-        pred = model.forward(x[i : i + 1])
-        losses[i] = loss.forward(pred, y[i : i + 1])
-    return losses
+    return np.array([loss.forward(pred[i : i + 1], y[i : i + 1]) for i in range(len(x))])
 
 
 def record_membership_scores(

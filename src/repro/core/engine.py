@@ -117,7 +117,7 @@ class LocalJob:
 def draw_minibatch_schedule(
     n: int, batch_size: int | None, epochs: int, rng: np.random.Generator
 ) -> list[list[np.ndarray]] | None:
-    """Pre-draw the minibatch partition :func:`repro.nn.train.train_epochs` would use.
+    """Pre-draw the minibatch partition the reference ``train_epochs`` would use.
 
     Consumes the RNG exactly as the loop path does: one permutation per
     epoch when the effective batch is smaller than the dataset, nothing
@@ -297,10 +297,11 @@ def batched_local_deltas(
     ``epochs`` passes with learning rate ``lr`` on its own records; the
     return value is the ``(len(jobs), P)`` matrix of deltas
     ``local - global``, row-aligned with ``jobs``.  The per-row result
-    matches a plain ``train_epochs`` run on that job (the loop oracle) up
-    to floating-point reassociation.  Jobs run in fixed micro-batches (see
-    the module docstring; :func:`_local_deltas` for the two kernels).  The
-    result is the workspace's row block: valid until the next engine call.
+    matches the reference ``train_epochs`` run on that job (the loop
+    oracle) up to floating-point reassociation.  Jobs run in fixed
+    micro-batches (see the module docstring; :func:`_local_deltas` for the
+    two kernels).  The result is the workspace's row block: valid until
+    the next engine call.
     """
     if not jobs:
         return np.zeros((0, params.size))

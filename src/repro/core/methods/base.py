@@ -362,7 +362,7 @@ class FLMethod(ABC):
         """Package one local dataset for the batched engine.
 
         Pre-draws the minibatch schedule from ``rng`` so the generator
-        advances exactly as a per-job ``train_epochs`` call would
+        advances exactly as a per-job reference ``train_epochs`` call would
         (full-batch jobs draw nothing) -- the invariant that keeps the
         loop oracle's noise draws identical to the engine's.
         """

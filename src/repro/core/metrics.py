@@ -25,7 +25,6 @@ from repro.nn.losses import (
 )
 from repro.nn.batched import forward_logits, scratch_model
 from repro.nn.model import Sequential
-from repro.nn.train import accuracy_of
 
 
 def output_width(model: Sequential) -> int:
@@ -47,6 +46,18 @@ def make_loss(task: str, model: Sequential) -> Loss:
     raise ValueError(f"unknown task: {task!r}")
 
 
+def accuracy_of(pred: np.ndarray, y: np.ndarray) -> float:
+    """Classification accuracy of model outputs ``pred`` against ``y``.
+
+    Multi-logit outputs use argmax; single-logit outputs threshold at 0.
+    """
+    if pred.ndim == 2 and pred.shape[1] > 1:
+        labels = pred.argmax(axis=1)
+    else:
+        labels = (pred.ravel() > 0).astype(np.int64)
+    return float((labels == np.asarray(y).ravel()).mean())
+
+
 def metric_name(task: str) -> str:
     return "c_index" if task == "survival" else "accuracy"
 
@@ -55,8 +66,7 @@ def evaluate_model(fed: FederatedDataset, model: Sequential) -> dict[str, float]
     """Evaluate on the held-out test split.
 
     One float32 forward of the test records yields the logits both scores
-    are computed from, in float64.  ``model`` itself never runs, so it is
-    left holding no forward cache.
+    are computed from, in float64.
 
     Returns:
         dict with ``"loss"`` and either ``"accuracy"`` or ``"c_index"``.

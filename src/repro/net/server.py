@@ -145,6 +145,10 @@ class FederationServer(Party):
         self.driver = Driver(timeout=self.net.round_timeout)
         self.driver.server = self
         self._round_weights: np.ndarray | None = None
+        #: The round's attempt, carried by each ``compute`` and echoed by
+        #: its ``update``: a retry reads no reply its aborted attempt was
+        #: sent (a ``duplicate`` fault's second copy, say).
+        self._attempt = 0
 
     # -- connection management -----------------------------------------------
 
@@ -275,7 +279,8 @@ class FederationServer(Party):
         driver.silos = [self.conns.get(s) for s in range(self.sim.fed.n_silos)]
         self._round_weights = round_weights
         driver.post(SERVER, [
-            Frame("compute", {"round": t, "noise_std": float(noise_std), "silo": s},
+            Frame("compute", {"round": t, "attempt": self._attempt,
+                              "noise_std": float(noise_std), "silo": s},
                   {"params": broadcast,
                    "weights": np.ascontiguousarray(round_weights[s])})
             for s in active])
@@ -363,6 +368,7 @@ class FederationServer(Party):
                 t = sim.rounds_completed
                 self._drain_rejoins()
                 alive = self._ping_phase(t)
+                self._attempt = 0
                 while True:
                     live = int(alive.sum())
                     if live < self.net.min_quorum:
@@ -409,6 +415,7 @@ class FederationServer(Party):
                         alive[failure.silo] = False
                         self._drop(failure.silo)
                         sim.load_state(snapshot)
+                        self._attempt += 1
                     finally:
                         sim.external_dropout = None
                 save_checkpoint_if_due(

@@ -119,13 +119,15 @@ class SiloClient:
         return [Frame("pong", {"round": t, "ready": ready})]
 
     def on_compute(self, frame):
-        t = frame.payload["round"]
+        t, attempt = frame.payload["round"], frame.payload.get("attempt")
         method = self.method
         params = frame.arrays.get("params")
         weights = frame.arrays.get("weights")
         noise_std = frame.payload.get("noise_std")
         problem = None
-        if not is_finite_vector(
+        if type(attempt) is not int or attempt < 0:
+            problem = f"attempt {attempt!r} is not an integer >= 0"
+        elif not is_finite_vector(
                 params, method.model.num_params, method.broadcast_dtype):
             problem = (f"params is not a finite {method.broadcast_dtype} "
                        "vector of the model's size")
@@ -144,7 +146,8 @@ class SiloClient:
         users, payload = method.silo_payload(
             self.silo_id, params, weights, float(noise_std),
             release=(SYNC_ROUND, t))
-        return [Frame("update", {"round": t, "users": users}, {"payload": payload})]
+        return [Frame("update", {"round": t, "attempt": attempt, "users": users},
+                      {"payload": payload})]
 
     # -- the serve loop ------------------------------------------------------
 

@@ -159,12 +159,13 @@ class MessageSocket:
         return frame
 
     def recv_matching(self, reply_type: str, round_no: int,
-                      timeout: float) -> wire.Frame:
-        """Read frames until one matches ``(reply_type, round_no)``.
+                      timeout: float, attempt: int | None = None) -> wire.Frame:
+        """Read frames until one matches ``(reply_type, round_no)`` -- and
+        ``attempt``, when given.
 
         Stale frames -- late PONGs from an earlier ping phase, duplicate
-        UPDATEs injected by a fault plan -- are discarded.  The deadline
-        covers the whole drain, not each read.
+        UPDATEs injected by a fault plan, an aborted attempt's UPDATE --
+        are discarded.  The deadline covers the whole drain, not each read.
         """
         deadline = time.monotonic() + timeout
         for _ in range(self.MAX_STALE_FRAMES):
@@ -175,7 +176,8 @@ class MessageSocket:
                     f"within {timeout:.3f}s")
             frame = self.recv(timeout=remaining)
             if (frame.type == reply_type
-                    and frame.payload.get("round") == round_no):
+                    and frame.payload.get("round") == round_no
+                    and (attempt is None or frame.payload.get("attempt") == attempt)):
                 return frame
         raise TransportError(
             f"discarded {self.MAX_STALE_FRAMES} stale frames waiting for "

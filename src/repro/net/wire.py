@@ -48,15 +48,18 @@ import numpy as np
 
 MAGIC = b"UFL1"
 WIRE_VERSION = 1
-#: Message-set version.  5: an ``update`` frame's ``payload`` is the
-#: method's float32 release (``<f4``; 4: float64).  4: a ``compute``
-#: frame's ``params`` is the method's broadcast, float32 (``<f4``) for
-#: every method a ``repro serve`` can drive (3: float64).  3: neither
+#: Message-set version.  6: a ``compute`` frame carries the round's
+#: ``attempt`` and its ``update`` echoes it, so a retried round reads no
+#: reply formed for an aborted attempt (5: ``round`` alone).  5: an
+#: ``update`` frame's ``payload`` is the method's float32 release
+#: (``<f4``; 4: float64).  4: a ``compute`` frame's ``params`` is the
+#: method's broadcast, float32 (``<f4``) for every method a ``repro
+#: serve`` can drive (3: float64).  3: neither
 #: ``compute`` nor ``update`` carries generator state (a silo keys its
 #: draws by the frame's round).  2: an ``update`` carries one noisy
 #: ``payload`` vector (1: per-user ``rows`` and the ``noise`` vector,
 #: separately).
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 # Backstop against a garbled length prefix asking us to allocate gigabytes:
 # generous for real traffic (a smoke-scale round frame is ~KBs, an MNIST CNN

@@ -9,13 +9,13 @@ replaces exactly the slice of functionality Uldp-FL needs:
 - :mod:`repro.nn.model` -- the :class:`Sequential` container, parameter
   flattening (FL exchanges flat parameter vectors), and the model factories
   used by the benchmarks.
-- :mod:`repro.nn.optim` -- plain SGD.
-- :mod:`repro.nn.train` -- mini-batch training helpers and ``accuracy_of``.
 - :mod:`repro.nn.dpsgd` -- DP-SGD (per-sample clipping + Gaussian noise +
   Poisson sampling), the local subroutine of ULDP-GROUP-k.
-- :mod:`repro.nn.batched` -- the one training walk of the vectorized
-  multi-user engine (:mod:`repro.core.engine`): per-group gradients of a
-  shared model, or one SGD step of many per-group models at once.
+- :mod:`repro.nn.batched` -- the one way to compute: the training walk of
+  the vectorized multi-user engine (:mod:`repro.core.engine`), per-group
+  gradients of a shared model, per-group SGD steps, or the forward alone.
+  Layers are structure; the plain passes, SGD and loop trainers the walk
+  is checked against are the tests' (``tests/reference_nn.py``).
 
 All randomness flows through explicit ``numpy.random.Generator`` instances
 so every experiment is reproducible from a seed.
@@ -47,8 +47,6 @@ _LAZY_EXPORTS = {
     "build_logistic": "repro.nn.model",
     "build_mnist_cnn": "repro.nn.model",
     "build_tiny_mlp": "repro.nn.model",
-    "SGD": "repro.nn.optim",
-    "train_epochs": "repro.nn.train",
     "dpsgd_train": "repro.nn.dpsgd",
 }
 

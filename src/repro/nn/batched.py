@@ -60,7 +60,7 @@ returns nothing; the engine forms the float64 deltas from them.
 Every large temporary of the walk is a view into the process's
 :data:`repro.nn.workspace.WORKSPACE`, written through ``out=`` (the walk
 repeats with the same shapes every round; re-allocating them costs more in
-page faults than the arithmetic).  What ``backward`` reads is taken first,
+page faults than the arithmetic).  What ``backprop`` reads is taken first,
 transients above a ``mark`` their stage releases, and activations run in
 place where the producer does not cache its own output, so the slab's
 high-water mark stays near the walk's live set.
@@ -375,9 +375,9 @@ def per_group_gradients(
     if any(p.dtype != TRAIN_DTYPE for p in model.params):
         model = model.astype(TRAIN_DTYPE)
     x = np.asarray(x, dtype=TRAIN_DTYPE)
-    pred, backward = _walk(model, x, WORKSPACE, bounds)
+    pred, backprop = _walk(model, x, WORKSPACE, bounds)
 
-    blocks = backward(np.asarray(grouped_gradient(loss, pred, y, sizes), TRAIN_DTYPE))
+    blocks = backprop(np.asarray(grouped_gradient(loss, pred, y, sizes), TRAIN_DTYPE))
 
     scale = None
     if row_scale is not None:
@@ -405,14 +405,14 @@ def per_group_gradients(
 
 
 def _walk(model: Sequential, x: np.ndarray, ws: Workspace, bounds=None, weights=None):
-    """Forward ``x`` through ``model``; return ``(pred, backward)``.
+    """Forward ``x`` through ``model``; return ``(pred, backprop)``.
 
     ``weights`` holds each layer's parameter list -- by default its own
     ``params``, shared by every record, with ``bounds`` the ragged group
     segments of the concatenated records (``None``: forward only).  Given
     explicitly, every weight carries a leading axis of ``G`` groups and
     ``x`` is ``G`` equal runs of records, run ``g`` on weight set ``g``.
-    ``backward`` returns each parameterised layer's ``(G, size)``
+    ``backprop`` returns each parameterised layer's ``(G, size)``
     gradient blocks, by layer index.
 
     Every 4-D tensor inside the walk is NHWC: records enter NCHW and are
@@ -483,7 +483,7 @@ def _walk(model: Sequential, x: np.ndarray, ws: Workspace, bounds=None, weights=
             raise TypeError(f"no training-walk rule for {type(layer).__name__}")
     pred = _transposed(act, _NCHW, ws) if act.ndim == 4 else act
 
-    def backward(grad: np.ndarray) -> dict[int, list[np.ndarray]]:
+    def backprop(grad: np.ndarray) -> dict[int, list[np.ndarray]]:
         blocks: dict[int, list[np.ndarray]] = {}
         g = grad if pred.ndim < 4 else _transposed(grad.reshape(pred.shape), _NHWC, ws)
         # Per layer: what outlives it (parameter blocks, the gradient handed
@@ -546,7 +546,7 @@ def _walk(model: Sequential, x: np.ndarray, ws: Workspace, bounds=None, weights=
                 g = _activation_backward(layer, cache, g, ws)
         return blocks
 
-    return pred, backward
+    return pred, backprop
 
 
 def per_group_step(
@@ -579,9 +579,9 @@ def per_group_step(
     """
     WORKSPACE.reset()
     groups, n = valid.shape
-    pred, backward = _walk(model, x.reshape(groups * n, *x.shape[2:]), WORKSPACE, weights=weights)
+    pred, backprop = _walk(model, x.reshape(groups * n, *x.shape[2:]), WORKSPACE, weights=weights)
     dpred = padded_gradient(loss, pred.reshape(groups, n, *pred.shape[1:]), y, valid)
-    blocks = backward(np.asarray(dpred, TRAIN_DTYPE).reshape(pred.shape))
+    blocks = backprop(np.asarray(dpred, TRAIN_DTYPE).reshape(pred.shape))
     for index, grads in blocks.items():
         for weight, grad in zip(weights[index], grads):
             np.multiply(grad, lr, out=grad)

@@ -16,11 +16,10 @@ runs exactly ``local_epochs`` noisy steps per round.
 
 Per-sample gradients come from one batched shared-weight pass with one
 group per microbatch (:func:`per_sample_clipped_gradient_sum_vectorized`).
-:func:`per_sample_clipped_gradient_sum` -- single-record forward/backward
-passes in a loop, obviously correct -- is the same linear algebra
-unreassociated: no step calls it; it is the reference the tests compare
-the batched pass against (see :mod:`repro.core.engine` for the
-equivalence contract).
+The tests compare it against single-record forward/backward passes in a
+loop, the same linear algebra unreassociated
+(``tests/reference_nn.py::per_sample_clipped_gradient_sum``; see
+:mod:`repro.core.engine` for the equivalence contract).
 """
 
 from __future__ import annotations
@@ -28,45 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.batched import per_group_gradients
-from repro.nn.clip import l2_clip, l2_clip_rows
-from repro.nn.losses import DegenerateBatchError, Loss
+from repro.nn.clip import l2_clip_rows
+from repro.nn.losses import Loss
 from repro.nn.model import Sequential
-
-
-def per_sample_clipped_gradient_sum(
-    model: Sequential,
-    loss: Loss,
-    x: np.ndarray,
-    y: np.ndarray,
-    clip: float,
-    microbatch_size: int = 1,
-) -> np.ndarray:
-    """Sum of per-microbatch gradients, each clipped to l2 norm ``clip``.
-
-    ``microbatch_size=1`` is canonical per-sample DP-SGD.  Larger
-    microbatches are needed for losses that are undefined on single records
-    (the Cox partial likelihood): clipping then bounds each *microbatch's*
-    contribution, the classic TF-privacy microbatch relaxation -- removing
-    one record perturbs exactly one clipped microbatch gradient, so the
-    per-record sensitivity is at most 2 * clip instead of clip.  The
-    ULDP-GROUP baseline accepts this standard looseness for survival tasks
-    (and the paper's GDP epsilons are enormous regardless).
-    """
-    if microbatch_size < 1:
-        raise ValueError("microbatch size must be at least 1")
-    total = np.zeros(model.num_params)
-    n = x.shape[0]
-    for start in range(0, n, microbatch_size):
-        idx = slice(start, min(start + microbatch_size, n))
-        model.zero_grad()
-        pred = model.forward(x[idx])
-        try:
-            loss.forward(pred, y[idx])
-        except DegenerateBatchError:
-            continue
-        model.backward(loss.backward())
-        total += l2_clip(model.get_flat_grads(), clip)
-    return total
 
 
 def per_sample_clipped_gradient_sum_vectorized(
@@ -77,13 +40,15 @@ def per_sample_clipped_gradient_sum_vectorized(
     clip: float,
     microbatch_size: int = 1,
 ) -> np.ndarray:
-    """Vectorized :func:`per_sample_clipped_gradient_sum`.
+    """Sum of per-microbatch gradients, each clipped to l2 norm ``clip``,
+    from one shared-weight walk (one group per microbatch); degenerate
+    microbatches contribute zero rows.
 
-    Every microbatch's gradient is taken at the *same* parameters, so all
-    of them come out of one shared-weight forward/backward
-    (:func:`repro.nn.batched.per_group_gradients`, one group per
-    microbatch); clipping is then row-wise and the sum a single reduction.
-    Degenerate microbatches contribute zero rows, matching the loop's skip.
+    ``microbatch_size=1`` is canonical per-sample DP-SGD.  Losses undefined
+    on single records (the Cox partial likelihood) need larger ones: the
+    clip then bounds each *microbatch's* contribution (the TF-privacy
+    relaxation), so the per-record sensitivity is at most 2 * clip -- a
+    looseness the ULDP-GROUP baseline accepts for survival tasks.
     """
     if microbatch_size < 1:
         raise ValueError("microbatch size must be at least 1")

@@ -1,27 +1,24 @@
-"""Loss functions with analytic gradients.
+"""Loss values, and the batched gradient rules the walk takes.
 
 Each loss exposes ``forward(pred, target) -> float`` (mean loss over the
-batch) and ``backward() -> dpred`` (gradient of the *mean* loss w.r.t. the
-predictions, same shape as ``pred``).
+batch).  The Cox proportional-hazards loss follows the FLamby TcgaBrca
+setup the paper reuses: predictions are linear risk scores, and the loss
+is the negative partial log-likelihood under the Breslow convention.  It
+needs at least one observed event and at least two records to be defined,
+which is why the paper requires >= 2 records per user/silo pair for this
+dataset.
 
-The Cox proportional-hazards loss follows the FLamby TcgaBrca setup the
-paper reuses: predictions are linear risk scores, and the loss is the
-negative partial log-likelihood under the Breslow convention.  It needs at
-least one observed event and at least two records to be defined, which is
-why the paper requires >= 2 records per user/silo pair for this dataset.
-
-The vectorized engine needs each group's *own* mean-loss gradient for many
-groups at once.  Cross-entropy and binary cross-entropy are separable over
-records, so :func:`record_gradient` forms it record by record -- on flat
-grouped records or on padded stacks alike -- with no loss value and no
-padding.  The Cox loss couples a group's records through its risk sets:
-:class:`BatchedCoxPHLoss` takes predictions with a leading group axis and a
-boolean validity mask marking the padding introduced when groups with
-different record counts are stacked into one tensor.  Groups on which it is
-undefined (the :class:`CoxPHLoss` degenerate cases) contribute a zero
-gradient instead of raising -- exactly matching the loop path, which skips
-the optimiser step for such users.  :func:`grouped_gradient` (flat grouped
-records) and :func:`padded_gradient` (padded stacks) pick the rule.
+The walk needs each group's *own* mean-loss gradient for many groups at
+once.  Cross-entropy and binary cross-entropy are separable over records,
+so :func:`record_gradient` forms it record by record -- on flat grouped
+records or on padded stacks alike -- with no loss value and no padding.
+The Cox loss couples a group's records through its risk sets:
+:class:`BatchedCoxPHLoss` takes predictions with a leading group axis and
+a boolean validity mask marking the padding introduced when groups with
+different record counts are stacked into one tensor; a group on which the
+loss is undefined contributes a zero gradient.  :func:`grouped_gradient`
+(flat grouped records) and :func:`padded_gradient` (padded stacks) pick
+the rule.
 """
 
 from __future__ import annotations
@@ -35,16 +32,14 @@ class Loss:
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
         raise NotImplementedError
 
-    def backward(self) -> np.ndarray:
-        raise NotImplementedError
-
 
 class DegenerateBatchError(ValueError):
     """A batch on which the loss is mathematically undefined.
 
     Raised by :class:`CoxPHLoss` for batches with fewer than two records or
-    no observed events.  Training loops catch this and skip the batch (the
-    standard practice for partial-likelihood losses under mini-batching).
+    no observed events.  Such a batch takes no step (the standard practice
+    for partial-likelihood losses under mini-batching): the batched rule
+    gives it a zero gradient.
     """
 
 
@@ -54,31 +49,15 @@ class SoftmaxCrossEntropyLoss(Loss):
     Targets are integer class labels of shape (N,).
     """
 
-    def __init__(self):
-        self._probs: np.ndarray | None = None
-        self._target: np.ndarray | None = None
-
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
         target = np.asarray(target, dtype=np.int64).ravel()
         if pred.ndim != 2 or len(target) != pred.shape[0]:
             raise ValueError("pred must be (N, classes) with N targets")
         shifted = pred - pred.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        total = exp.sum(axis=1, keepdims=True)
-        self._probs = exp / total
-        self._target = target
-        n = pred.shape[0]
+        total = np.exp(shifted).sum(axis=1)
         # log-softmax, finite even where the class probability underflows.
-        log_likelihood = shifted[np.arange(n), target] - np.log(total[:, 0])
+        log_likelihood = shifted[np.arange(len(target)), target] - np.log(total)
         return float(-log_likelihood.mean())
-
-    def backward(self) -> np.ndarray:
-        if self._probs is None or self._target is None:
-            raise RuntimeError("backward called before forward")
-        n = self._probs.shape[0]
-        grad = self._probs.copy()
-        grad[np.arange(n), self._target] -= 1.0
-        return grad / n
 
 
 class BCEWithLogitsLoss(Loss):
@@ -88,27 +67,13 @@ class BCEWithLogitsLoss(Loss):
     loss = max(z, 0) - z*y + log(1 + exp(-|z|)).
     """
 
-    def __init__(self):
-        self._z: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._shape: tuple[int, ...] | None = None
-
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        self._shape = pred.shape
         z = pred.ravel().astype(np.float64)
         y = np.asarray(target, dtype=np.float64).ravel()
         if z.shape != y.shape:
             raise ValueError("pred and target sizes differ")
-        self._z, self._y = z, y
         loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
         return float(loss.mean())
-
-    def backward(self) -> np.ndarray:
-        if self._z is None or self._y is None or self._shape is None:
-            raise RuntimeError("backward called before forward")
-        sigmoid = 1.0 / (1.0 + np.exp(-self._z))
-        grad = (sigmoid - self._y) / len(self._z)
-        return grad.reshape(self._shape)
 
 
 class CoxPHLoss(Loss):
@@ -121,11 +86,7 @@ class CoxPHLoss(Loss):
     loss = -(1/N_events) sum_{i: event} [ eta_i - log sum_{j: t_j >= t_i} exp(eta_j) ]
     """
 
-    def __init__(self):
-        self._cache: tuple | None = None
-
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        shape = pred.shape
         eta = pred.ravel().astype(np.float64)
         target = np.asarray(target, dtype=np.float64)
         if target.ndim != 2 or target.shape[1] != 2 or target.shape[0] != len(eta):
@@ -148,21 +109,7 @@ class CoxPHLoss(Loss):
 
         event_idx = events > 0
         loss = -(eta[event_idx] - log_risk[event_idx]).sum() / n_events
-        self._cache = (shape, eta, risk, exp_eta, risk_sums, event_idx, n_events)
         return float(loss)
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        shape, eta, risk, exp_eta, risk_sums, event_idx, n_events = self._cache
-        n = len(eta)
-        grad = np.zeros(n)
-        grad[event_idx] -= 1.0
-        # d/d eta_j of sum_i log(sum_{k in R_i} exp(eta_k))
-        #   = sum_{i: event, j in R_i} exp(eta_j) / risk_sums_i
-        weights = np.where(event_idx, 1.0 / risk_sums, 0.0)
-        grad += exp_eta * (risk.T @ weights)
-        return (grad / n_events).reshape(shape)
 
 
 class BatchedCoxPHLoss:

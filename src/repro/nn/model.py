@@ -2,9 +2,8 @@
 
 Federated learning exchanges *flat parameter vectors*; the
 :class:`Sequential` container therefore provides ``get_flat_params`` /
-``set_flat_params`` / ``get_flat_grads`` along with clone support so each
-(user, silo) local optimisation can start from the global parameters
-without re-allocating layer structure.
+``set_flat_params`` along with clone and dtype-cast support.  A model
+computes only through the walk (:mod:`repro.nn.batched`).
 
 Factories reproduce the paper's model sizes:
 
@@ -30,29 +29,9 @@ class Sequential:
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
     @property
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads]
 
     @property
     def num_params(self) -> int:
@@ -77,11 +56,6 @@ class Sequential:
             p[...] = flat[offset : offset + p.size].reshape(p.shape)
             offset += p.size
 
-    def get_flat_grads(self) -> np.ndarray:
-        if not self.grads:
-            return np.zeros(0)
-        return np.concatenate([g.ravel() for g in self.grads])
-
     def architecture(self) -> tuple:
         """What the stack computes, without its values: per layer the type,
         the scalar settings and the parameter shapes.  Models of equal
@@ -101,17 +75,15 @@ class Sequential:
         )
 
     def clone(self) -> "Sequential":
-        """Deep copy: independent parameters and gradients, no forward
-        caches (:meth:`repro.nn.layers.Layer.__getstate__`)."""
+        """Deep copy: independent parameters."""
         return copy.deepcopy(self)
 
     def astype(self, dtype) -> "Sequential":
-        """A :meth:`clone` whose parameters and gradients are ``dtype``."""
+        """A :meth:`clone` whose parameters are ``dtype``."""
         local = self.clone()
         for layer in local.layers:
             if layer.params:
                 layer.params = [p.astype(dtype) for p in layer.params]
-                layer.grads = [g.astype(dtype) for g in layer.grads]
                 layer.weight, layer.bias = layer.params
         return local
 

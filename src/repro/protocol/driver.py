@@ -21,8 +21,9 @@ A silo is a :class:`Party` (its frames cross in memory, unpacked) or that
 silo's :class:`repro.net.transport.MessageSocket` (``None``: not
 connected).  A row's frames for socket silos are all sent before any reply
 is read; the row then reads each silo's reply -- the phase's silo-to-server
-frame type, echoing the request's ``"round"`` -- in silo-index order, and
-queues it as that silo's.  A send or read failure raises
+frame type, echoing the request's ``"round"`` (and its ``"attempt"``, when
+the request carries one) -- in silo-index order, and queues it as that
+silo's.  A send or read failure raises
 :class:`repro.net.transport.SiloFailure` once every reply owed is read.
 """
 
@@ -261,11 +262,11 @@ class Driver:
                 continue
             owed.append((s, conn, frame, conn.bytes_sent - sent0))
         for s, conn, frame, downlink in sorted(owed, key=lambda entry: entry[0]):
-            t = frame.payload["round"]
+            t, attempt = frame.payload["round"], frame.payload.get("attempt")
             with get_recorder().span(f"silo_{frame.type}", kind="silo", silo=s, round=t + 1) as span:
                 start, recv0 = time.perf_counter(), conn.bytes_received
                 try:
-                    answer = conn.recv_matching(reply, t, self.timeout)
+                    answer = conn.recv_matching(reply, t, self.timeout, attempt)
                 except (TransportError, WireError) as exc:  # incl. a missed deadline
                     if failure is not None:
                         conn.close()

@@ -1,8 +1,11 @@
 """Suite-wide test set-up.
 
 This file's presence puts ``tests/`` on ``sys.path`` (pytest's default
-``prepend`` import mode), so every sub-suite can ``from toy_crypto import
-TOY_DH_GROUP`` -- the one shared helper for toy security parameters.
+``prepend`` import mode), so every sub-suite can import the two shared
+helpers by name: ``from toy_crypto import TOY_DH_GROUP`` (toy security
+parameters) and ``from reference_nn import reference`` (the plain
+forward/backward passes, SGD and loop trainers the walk is checked
+against).
 
 It also registers the hypothesis profiles: ``default`` is hypothesis's
 own budget (tier-1), and ``fuzz`` raises the example budget of every

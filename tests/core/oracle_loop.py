@@ -30,6 +30,8 @@ kernels), so they also run under a Trainer, with compression.
 from unittest import mock
 
 import numpy as np
+import reference_nn
+from reference_nn import reference, train_epochs
 
 from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.core.engine import fold_weighted_rows
@@ -38,16 +40,15 @@ from repro.nn.clip import l2_clip
 from repro.core.metrics import make_loss
 from repro.nn import dpsgd
 from repro.nn.layers import TRAIN_DTYPE
-from repro.nn.losses import DegenerateBatchError, Loss
-from repro.nn.train import train_epochs
+from repro.nn.losses import DegenerateBatchError
 
 
-class TrainDtypeLoss(Loss):
-    """``loss`` handing its gradient to the layers in ``TRAIN_DTYPE``, as
-    the engine hands the batched loss's gradient to its replicas."""
+class TrainDtypeLoss:
+    """``loss``'s reference handing its gradient to the layers in
+    ``TRAIN_DTYPE``, as the walk hands the batched loss's gradient on."""
 
     def __init__(self, loss):
-        self.loss = loss
+        self.loss = reference(loss)
 
     def forward(self, pred, target):
         return self.loss.forward(pred, target)
@@ -76,7 +77,7 @@ def gradient(method, params, x, y):
     where the loss is undefined on this data (the Cox likelihood of an
     event-free user)."""
     fed, model, _ = method._require_prepared()
-    local = model.astype(TRAIN_DTYPE)
+    local = reference(model.astype(TRAIN_DTYPE))
     local.set_flat_params(params)
     loss = TrainDtypeLoss(make_loss(fed.task, local))
     local.zero_grad()
@@ -89,9 +90,9 @@ def gradient(method, params, x, y):
 
 
 def per_sample_clipped_gradient_sum(model, loss, x, y, clip, microbatch_size=1):
-    """``dpsgd.per_sample_clipped_gradient_sum`` (one record at a time,
-    each gradient clipped in float64) on a float32 copy of the model."""
-    return dpsgd.per_sample_clipped_gradient_sum(
+    """``reference_nn.per_sample_clipped_gradient_sum`` (one record at a
+    time, each gradient clipped in float64) on a float32 copy of the model."""
+    return reference_nn.per_sample_clipped_gradient_sum(
         model.astype(TRAIN_DTYPE), TrainDtypeLoss(loss), x.astype(TRAIN_DTYPE),
         y, clip, microbatch_size,
     )
@@ -129,7 +130,7 @@ class LoopUldpNaive(UldpNaive):
 
 class LoopUldpGroup(UldpGroup):
     """DP-SGD steps on ``per_sample_clipped_gradient_sum``, the one-record-
-    at-a-time reference that stays in ``nn/dpsgd.py``, run in float32."""
+    at-a-time reference in ``tests/reference_nn.py``, run in float32."""
 
     def round(self, t, params, participation=None):
         with mock.patch.object(

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_nn import reference
 
 from repro.core import metrics
-from repro.core.metrics import evaluate_model, make_loss, metric_name, output_width
+from repro.core.metrics import accuracy_of, evaluate_model, make_loss, metric_name, output_width
 from repro.data import (
     build_creditcard_benchmark,
     build_mnist_benchmark,
@@ -27,7 +28,6 @@ from repro.nn.model import (
     build_mnist_cnn,
     build_tiny_mlp,
 )
-from repro.nn.train import accuracy_of
 from repro.nn.workspace import Workspace
 
 #: float32's machine epsilon, 1.19e-7.
@@ -115,14 +115,15 @@ class TestEvaluateModel:
         else:
             expected["accuracy"] = accuracy_of(pred, fed.test_y)
         assert scores == expected
-        reference = model.forward(fed.test_x)
-        scale = max(1.0, float(np.abs(reference).max()))
-        np.testing.assert_allclose(pred, reference, rtol=0, atol=64 * EPS32 * scale)
+        plain = reference(model).forward(fed.test_x)
+        scale = max(1.0, float(np.abs(plain).max()))
+        np.testing.assert_allclose(pred, plain, rtol=0, atol=64 * EPS32 * scale)
 
 
 class TestEvaluationLeavesNoCaches:
-    """Evaluation never runs the template model: it holds no forward cache
-    afterwards, and it copies and pickles at the size of its parameters."""
+    """A model is its parameters: after an evaluation it holds no forward
+    cache, and it copies and pickles at the size of its parameters -- the
+    reference passes keep their caches on themselves."""
 
     @pytest.fixture()
     def evaluated(self):
@@ -142,20 +143,21 @@ class TestEvaluationLeavesNoCaches:
 
     def test_pickle_size_unchanged(self, evaluated):
         _, model, before = evaluated
-        state = sum(a.nbytes for a in (*model.params, *model.grads))
+        state = sum(a.nbytes for a in model.params)
         assert len(pickle.dumps(model)) == before <= state + 4096
 
-    def test_clone_holds_only_params_and_grads(self, evaluated):
+    def test_clone_holds_only_params(self, evaluated):
         fed, model, _ = evaluated
-        model.forward(fed.test_x)  # the template's own forward does cache
+        plain = reference(model)
+        plain.forward(fed.test_x)  # the reference's forward does cache
         assert any(
             isinstance(value, (np.ndarray, tuple))
-            for layer in model.layers
+            for layer in plain.layers
             for name, value in vars(layer).items()
             if name.startswith("_")
         ), "the forward left no cache behind: the test checks nothing"
         clone = model.clone()
-        owned = {id(a) for a in (*clone.params, *clone.grads)}
+        owned = {id(a) for a in clone.params}
 
         def arrays(value):
             if isinstance(value, np.ndarray):

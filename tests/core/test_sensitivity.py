@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_nn import per_sample_clipped_gradient_sum
 
 from repro.core.methods import UldpAvg, UldpNaive, UldpSgd
 from repro.core.metrics import make_loss
@@ -23,7 +24,6 @@ from repro.core.probes import (
     prenoise_aggregate,
     replace_user_records,
 )
-from repro.nn.dpsgd import per_sample_clipped_gradient_sum
 from repro.nn.model import build_tiny_mlp
 
 

@@ -100,7 +100,7 @@ def good_compute():
     the method broadcasts them."""
     sim = build_simulator(RunSpec.from_dict(TREE))
     return (
-        {"round": 0, "noise_std": 1.0},
+        {"round": 0, "attempt": 0, "noise_std": 1.0},
         {"params": sim.method.broadcast(sim.trainer.params),
          "weights": np.ascontiguousarray(sim.method.weights[0])},
     )
@@ -126,6 +126,9 @@ MALFORMED = {
     "round is not an integer": lambda p, a: ({**p, "round": "zero"}, a),
     # A round keys the silo's generator, which takes no negative seed.
     "negative round": lambda p, a: ({**p, "round": -1}, a),
+    # Protocol 5's compute: no attempt for the update to echo.
+    "missing attempt": lambda p, a: (without(p, "attempt"), a),
+    "negative attempt": lambda p, a: ({**p, "attempt": -1}, a),
 }
 
 
@@ -172,12 +175,12 @@ class TestBuildMismatch:
                 ours.close()
 
     def test_previous_version_hello_is_refused_naming_both_versions(self):
-        # What a silo of the previous build sends: protocol 4 shipped the
-        # payload of every update as float64.  The frame layout (header
-        # ``v``) did not change, so the server can read it -- and must
-        # answer it, not just hang up.
-        assert wire.PROTOCOL_VERSION == 5
-        previous = 4
+        # What a silo of the previous build sends: protocol 5 matched an
+        # update to its compute by round alone, no attempt.  The frame
+        # layout (header ``v``) did not change, so the server can read it
+        # -- and must answer it, not just hang up.
+        assert wire.PROTOCOL_VERSION == 6
+        previous = 5
         joined, reply = self.handshake(previous)
         assert joined is None
         assert reply.type == "refuse"

@@ -269,12 +269,16 @@ class TestFaultOracles:
         # weights, new noise std), or the run leaves the oracle.  Silo 0
         # also declines round 2, so whether it has reconnected by then
         # does not matter (nor does its exit code: one reconnect retry
-        # keeps it from outliving the run by its whole backoff).
+        # keeps it from outliving the run by its whole backoff).  Silo 1
+        # also sends each round-1 reply twice: the copy of its first
+        # attempt's update waits unread until the retry, which must skip
+        # it by its attempt number.
         tree = base_tree(
             round_timeout=2.0, ping_timeout=5.0, connect_retries=1,
             faults={"events": [
                 {"silo": 0, "action": "timeout", "round": 1, "value": 3.0},
-                {"silo": 0, "action": "decline", "round": 2}]},
+                {"silo": 0, "action": "decline", "round": 2},
+                {"silo": 1, "action": "duplicate", "round": 1}]},
         )
         server, hist, codes, err = networked(tree)
         assert err is None
@@ -310,7 +314,7 @@ class ScriptedConn:
     def send(self, msg_type, payload, arrays):
         self.request = (payload, arrays)
 
-    def recv_matching(self, reply_type, round_no, timeout):
+    def recv_matching(self, reply_type, round_no, timeout, attempt=None):
         request, arrays = self.request
         users, payload = self.method.silo_payload(
             self.silo, arrays["params"], arrays["weights"],
@@ -320,7 +324,7 @@ class ScriptedConn:
             users, payload = self.corrupt(
                 users, payload, len(arrays["weights"]))
         return Frame(
-            reply_type, {"round": round_no, "users": users},
+            reply_type, {"round": round_no, "attempt": attempt, "users": users},
             {"payload": payload},
         )
 

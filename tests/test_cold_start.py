@@ -180,7 +180,7 @@ def test_a_silo_imports_only_what_a_silo_runs():
     out = _python(_SILO_BUILD)
     assert out.returncode == 0, out.stderr
     modules = set(out.stdout.split())
-    assert len(modules) <= 42, sorted(modules)
+    assert len(modules) <= 40, sorted(modules)
     assert not modules & set(_NOT_IN_A_SILO)
     assert not {m for m in modules if m.startswith("repro.accounting")}
 

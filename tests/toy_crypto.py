@@ -1,4 +1,4 @@
-"""Toy security parameters for protocol-level tests -- the one shared helper.
+"""Toy security parameters for protocol-level tests, a shared helper.
 
 The runtime's only Diffie-Hellman group is RFC 3526 group 14: both protocol
 classes and ``SecureUldpAvg`` fall back to it, and no spec field selects
