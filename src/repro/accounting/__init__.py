@@ -25,7 +25,6 @@ _LAZY_EXPORTS = {
     "calibrate_noise_multiplier": "repro.accounting.calibration",
     "calibrate_sample_rate": "repro.accounting.calibration",
     "DEFAULT_ALPHAS": "repro.accounting.rdp",
-    "compose_rdp": "repro.accounting.rdp",
     "gaussian_rdp": "repro.accounting.rdp",
     "gaussian_rdp_curve": "repro.accounting.rdp",
     "subsampled_gaussian_rdp": "repro.accounting.subsampled",

@@ -91,16 +91,6 @@ def group_epsilon_via_rdp(
     return eps
 
 
-def group_dp_from_dp(eps: float, delta: float, group_size: int) -> tuple[float, float]:
-    """Lemma 5: (eps, delta)-DP implies (k eps, k e^{(k-1) eps} delta)-GDP."""
-    if group_size < 1:
-        raise ValueError("group size must be at least 1")
-    if eps < 0 or delta < 0:
-        raise ValueError("eps and delta must be non-negative")
-    k = group_size
-    return k * eps, k * math.exp((k - 1) * eps) * delta
-
-
 def group_epsilon_via_normal_dp(
     rhos: np.ndarray,
     group_size: int,

@@ -4,7 +4,9 @@ Implements the building blocks used throughout the paper's analysis:
 
 - Lemma 3: the Gaussian mechanism with noise multiplier sigma (noise std =
   sigma * sensitivity) satisfies (alpha, alpha / (2 sigma^2))-RDP.
-- Lemma 1: adaptive composition adds RDP parameters order-wise.
+- Lemma 1: adaptive composition adds RDP parameters order-wise (the
+  ``steps`` factor of :func:`gaussian_rdp_curve`; the accountant sums
+  its events' curves).
 
 An *RDP curve* here is a numpy array of rho values evaluated on a fixed grid
 of orders ``alphas``; all higher-level routines operate on curves so that the
@@ -61,28 +63,3 @@ def gaussian_rdp_curve(sigma: float, steps: int = 1, alphas: np.ndarray | None =
     if sigma <= 0:
         raise ValueError("noise multiplier must be positive")
     return steps * alphas / (2.0 * sigma**2)
-
-
-def compose_rdp(*curves: np.ndarray) -> np.ndarray:
-    """Adaptive composition of RDP curves on a shared order grid (Lemma 1)."""
-    if not curves:
-        raise ValueError("need at least one curve")
-    shapes = {c.shape for c in curves}
-    if len(shapes) != 1:
-        raise ValueError("all curves must share the same order grid")
-    return np.sum(curves, axis=0)
-
-
-def parallel_compose_rdp(*curves: np.ndarray) -> np.ndarray:
-    """Parallel composition over disjoint databases: order-wise maximum.
-
-    Used by Theorem 2: silos hold disjoint record sets, so the per-silo
-    DP-SGD releases compose in parallel and the joint release satisfies
-    (alpha, max_s rho_s)-RDP.
-    """
-    if not curves:
-        raise ValueError("need at least one curve")
-    shapes = {c.shape for c in curves}
-    if len(shapes) != 1:
-        raise ValueError("all curves must share the same order grid")
-    return np.max(curves, axis=0)

@@ -41,10 +41,10 @@ from repro.compress.spec import CompressionSpec
 
 SCALES = ("smoke", "small", "paper")
 DISTRIBUTIONS = ("uniform", "zipf")
-#: Array namespaces the sharded engine's fold can run on (mirrors
+#: Array backends the sharded engine's fold can run on (mirrors
 #: :data:`repro.nn.backend.BACKENDS`; kept literal so the spec layer
-#: stays import-light -- pinned equal by tests/api/test_spec.py).
-ARRAY_BACKENDS = ("numpy", "torch", "cupy")
+#: stays import-light -- pinned equal by tests/nn/test_backend.py).
+ARRAY_BACKENDS = ("numpy",)
 GROUP_ROUTES = ("rdp", "dp")
 #: Secure-aggregation schemes of ``secure-uldp-avg`` (mirrors
 #: :data:`repro.protocol.secure_method.CRYPTO_BACKENDS`; literal for the
@@ -318,10 +318,10 @@ class EngineSpec:
     ``workers`` and ``shard_size`` never change results (the shard plan
     is independent of the worker count, shards align to the engine's
     numerical micro-batches, and partials combine through an exact
-    binned reduction -- see docs/scaleout.md), while a non-``numpy``
-    ``backend`` may differ at floating-point level on non-conformant
-    hardware.  ``workers = 0`` (the default) computes shards in-process;
-    ``workers >= 1`` runs them on a persistent process pool.
+    binned reduction -- see docs/scaleout.md).  ``workers = 0`` (the
+    default) computes shards in-process; ``workers >= 1`` runs them on a
+    persistent process pool.  ``backend`` names the fold's array backend;
+    ``"numpy"`` is the only one.
     """
 
     workers: int = 0
@@ -588,10 +588,6 @@ class RunSpec:
             raise
         except (TypeError, ValueError) as exc:
             raise SpecError(str(exc)) from exc
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunSpec":

@@ -10,7 +10,6 @@ from repro import _lazy_namespace
 # name -> defining module, resolved on first attribute access.
 _LAZY_EXPORTS = {
     "clip_factor_rows": "repro.nn.clip",
-    "l2_clip": "repro.nn.clip",
     "l2_clip_rows": "repro.nn.clip",
     "LocalJob": "repro.core.engine",
     "batched_local_deltas": "repro.core.engine",

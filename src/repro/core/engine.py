@@ -401,16 +401,16 @@ def fold_clipped_rows(
 ) -> None:
     """Fold ``weights @ clipped_rows(jobs)`` into ``acc`` one
     :data:`MICRO_BATCH` of rows at a time (Algorithm 3 lines 16-17 before
-    the noise), in the ``backend`` array namespace: the one fold every
+    the noise), through the ``backend``'s weighted sum: the one fold every
     silo payload takes -- a shard task's, a remote silo's, an async job's.
     The chunks are fixed and the binned sum exact, so the bits depend on
     the job order alone."""
-    xp = get_backend(backend)
+    array_backend = get_backend(backend)
     for start, stop in _micro_batches(len(jobs)):
         rows = clipped_rows(
             mode, model, task, params, jobs[start:stop], clip, lr, epochs
         )
-        acc.add(xp.weighted_sum(weights[start:stop], rows))
+        acc.add(array_backend.weighted_sum(weights[start:stop], rows))
 
 
 # -- sharded execution layer --------------------------------------------------
@@ -425,8 +425,8 @@ class EngineConfig:
     bit-identical for every setting: the shard plan is a pure function of
     the job lists and ``shard_size`` (never of ``workers``), shards are
     micro-batch aligned, and partials combine through the exact binned
-    fold.  ``backend`` names the array namespace used for the weighted
-    partial-sum fold (:mod:`repro.nn.backend`).
+    fold.  ``backend`` names the weighted partial-sum fold's array
+    backend (:mod:`repro.nn.backend`; ``"numpy"``, the only one).
     """
 
     workers: int = 0

@@ -24,8 +24,8 @@ Methods may also carry a :class:`repro.compress.CompressionSpec`
 (constructor argument or assigned by the trainer's ``compression=``):
 :meth:`FLMethod.prepare` builds the stateful
 :class:`repro.compress.UpdateCompressor` from it, and compressing methods
-(the ULDP-AVG/SGD family) apply it strictly post-noise, reporting the round's
-wire bytes through :attr:`FLMethod.last_comm`.
+(the ULDP-AVG/SGD family) apply it strictly post-noise.  Every round
+reports the wire bytes it moved through :attr:`FLMethod.last_comm`.
 
 ``round`` accepts an optional
 :class:`repro.core.weighting.RoundParticipation` describing which silos
@@ -154,12 +154,10 @@ class FLMethod(ABC):
         #: Stateful compressor (:class:`repro.compress.UpdateCompressor`),
         #: built by :meth:`prepare` from the spec.
         self.compressor = None
-        #: Set by :meth:`round`: wire bytes of the last round (None for
-        #: methods that leave byte accounting to the trainer's default).
+        #: Set by every :meth:`round` (part of the contract), through
+        #: :meth:`_log_comm`: wire bytes of the last round.  None only
+        #: before the first round; the trainer refuses a None.
         self.last_comm: CommSummary | None = None
-        #: ``nbytes`` of the last array :meth:`broadcast` handed out: what
-        #: the trainer's dense ledger charges each broadcast recipient.
-        self.broadcast_nbytes: int | None = None
         #: Execution layout of the batched engine ([engine] section),
         #: bound by :meth:`prepare`; the defaults run single-process.
         self.engine_config = EngineConfig()
@@ -248,7 +246,8 @@ class FLMethod(ABC):
         Weight-based methods (ULDP-AVG/SGD) honour the full roster;
         silo-level methods (DEFAULT, ULDP-NAIVE, ULDP-GROUP) honour
         ``silo_mask`` only and document that ``user_mask`` is ignored.
-        Must set :attr:`last_participation` before returning.
+        Must set :attr:`last_participation` and :attr:`last_comm`
+        (:meth:`_log_comm`) before returning.
         """
 
     def epsilon(self, delta: float) -> float | None:
@@ -269,9 +268,22 @@ class FLMethod(ABC):
         read them (:attr:`broadcast_dtype`), the array every carrier
         ships.  A round forms it first, before any silo could have
         fetched the model; its ``nbytes`` is what the ledger charges."""
-        sent = params.astype(self.broadcast_dtype)
-        self.broadcast_nbytes = sent.nbytes
-        return sent
+        return params.astype(self.broadcast_dtype)
+
+    def _log_comm(
+        self, participation: RoundParticipation, uplink: int, per_recipient: int
+    ) -> None:
+        """Set :attr:`last_comm`, the one byte rule of every round:
+        ``uplink`` bytes up (what the round's contributors sent), and
+        ``per_recipient`` bytes down to each silo the broadcast reached
+        at round start -- a superset of the contributors when a silo
+        fetched the model and then missed the deadline.  A method with no
+        payload array (DEFAULT, ULDP-NAIVE, ULDP-GROUP) charges
+        ``silos_seen * payload_bytes(P)`` up and its broadcast's
+        ``nbytes`` down."""
+        self.last_comm = CommSummary(
+            uplink, per_recipient * participation.n_broadcast_silos
+        )
 
     @classmethod
     def broadcast_bytes(cls, dim: int) -> int:

@@ -56,6 +56,7 @@ class Default(FLMethod):
         broadcast = self.broadcast(params)
         if participation.n_active_silos == 0:
             self.last_participation = ParticipationSummary(0, 0)
+            self._log_comm(participation, 0, broadcast.nbytes)
             return params.copy()
         active = participation.silo_mask
 
@@ -88,5 +89,9 @@ class Default(FLMethod):
                     set(),
                 )
             ),
+        )
+        self._log_comm(
+            participation, denominator * self.payload_bytes(params.size),
+            broadcast.nbytes,
         )
         return params + self.global_lr * aggregate

@@ -63,7 +63,7 @@ from repro.core.engine import (
     make_shard_task,
     plan_shards,
 )
-from repro.core.methods.base import CommSummary, FLMethod, ParticipationSummary
+from repro.core.methods.base import FLMethod, ParticipationSummary
 from repro.core.reduce import BinnedSum
 from repro.core.weighting import (
     RoundParticipation,
@@ -207,9 +207,7 @@ class UldpAvg(FLMethod):
             # that fetched the model before failing still consumed
             # broadcast bytes (there is no update to compress).
             self.last_participation = ParticipationSummary(0, 0)
-            self.last_comm = CommSummary(
-                0, broadcast.nbytes * participation.n_broadcast_silos
-            )
+            self._log_comm(participation, 0, broadcast.nbytes)
             self.accountant.step_release(
                 self.noise_multiplier, rate, sensitivity=0.0, noise_scale=0.0
             )
@@ -255,12 +253,7 @@ class UldpAvg(FLMethod):
             downlink_per_silo = sent.nbytes
         else:
             downlink_per_silo = broadcast.nbytes
-        # Downlink recipients are the silos that fetched the broadcast at
-        # round start -- a superset of the contributors when deadline or
-        # bandwidth filtering bit after the download.
-        self.last_comm = CommSummary(
-            uplink, downlink_per_silo * participation.n_broadcast_silos
-        )
+        self._log_comm(participation, uplink, downlink_per_silo)
         return params + update
 
     def _round_aggregate(

@@ -158,8 +158,10 @@ class UldpGroup(FLMethod):
         if participation is None:
             participation = RoundParticipation.full(fed.n_silos)
         broadcast = self.broadcast(params)
-        if participation.n_active_silos == 0:
+        n_active = participation.n_active_silos
+        if n_active == 0:
             self.last_participation = ParticipationSummary(0, 0)
+            self._log_comm(participation, 0, broadcast.nbytes)
             return params.copy()
         active = participation.silo_mask
         users_seen: set[int] = set()
@@ -191,7 +193,11 @@ class UldpGroup(FLMethod):
                 self.noise_multiplier, self.sample_rates[s], self.local_steps
             )
         self.last_participation = ParticipationSummary(
-            silos_seen=participation.n_active_silos, users_seen=len(users_seen)
+            silos_seen=n_active, users_seen=len(users_seen)
+        )
+        self._log_comm(
+            participation, n_active * self.payload_bytes(params.size),
+            broadcast.nbytes,
         )
         return params + self.global_lr * np.mean(deltas, axis=0)
 

@@ -70,6 +70,7 @@ class UldpNaive(FLMethod):
         n_active = participation.n_active_silos
         if n_active == 0:
             self.last_participation = ParticipationSummary(0, 0)
+            self._log_comm(participation, 0, broadcast.nbytes)
             self.accountant.step_release(
                 self.noise_multiplier, sensitivity=0.0, noise_scale=0.0
             )
@@ -113,6 +114,10 @@ class UldpNaive(FLMethod):
                     for u in silo.users_present()
                 }
             ),
+        )
+        self._log_comm(
+            participation, n_active * self.payload_bytes(params.size),
+            broadcast.nbytes,
         )
         self.accountant.step_release(self.noise_multiplier)
         return params + self.global_lr * aggregate / n_active

@@ -62,17 +62,17 @@ class ParticipationRecord:
 class CommRecord:
     """Wire traffic of one training round (all rounds logged).
 
-    Methods that form silo payloads (the ULDP-AVG family) report what
+    Every method reports it by one rule (:meth:`repro.core.FLMethod._log_comm`).
+    Methods that form silo payloads (the ULDP-AVG family) charge what
     they formed: one float32 payload per contributing silo
     (:attr:`repro.core.FLMethod.payload_dtype`), or its compressed size.
-    Everything else is charged the dense default, so byte columns are
-    comparable across methods: uplink ``silos_seen *
-    FLMethod.payload_bytes(params)`` -- float64 for DEFAULT, ULDP-NAIVE and
-    ULDP-GROUP, which form their aggregate in process from no payload
-    array -- and downlink the ``nbytes`` of the method's broadcast
-    (:meth:`repro.core.FLMethod.broadcast`: ``params * 4`` for a float32
-    broadcast, ``params * 8`` for ULDP-GROUP's float64 one) times the
-    broadcast's recipients, the silos alive at round start.
+    DEFAULT, ULDP-NAIVE and ULDP-GROUP, which form their aggregate in
+    process from no payload array, charge ``silos_seen *
+    FLMethod.payload_bytes(params)`` (float64).  Downlink is the ``nbytes``
+    of the method's broadcast (:meth:`repro.core.FLMethod.broadcast`:
+    ``params * 4`` for a float32 broadcast, ``params * 8`` for
+    ULDP-GROUP's float64 one) times the broadcast's recipients, the silos
+    alive at round start.
     """
 
     round: int
@@ -240,11 +240,14 @@ class Trainer:
         if self.done:
             raise RuntimeError("all rounds already completed")
         t = self._round
+        # Cleared, so a round that skips a report is refused, not logged stale.
+        self.method.last_participation = None
+        self.method.last_comm = None
         with get_recorder().span("round", kind="round", round=t + 1) as span:
             start = time.perf_counter()
             self._params = self.method.round(t, self._params, participation)
             seconds = time.perf_counter() - start
-            record = self._finish_round(seconds, participation)
+            record = self._finish_round(seconds)
             self._annotate_round_span(span, seconds)
         return record
 
@@ -274,18 +277,16 @@ class Trainer:
             self._params = params
             self.method.last_participation = participation_summary
             self.method.last_comm = comm_summary
-            record = self._finish_round(seconds, participation=None)
+            record = self._finish_round(seconds)
             self._annotate_round_span(span, seconds)
         return record
 
-    def _finish_round(
-        self, seconds: float, participation: RoundParticipation | None
-    ) -> RoundRecord | None:
+    def _finish_round(self, seconds: float) -> RoundRecord | None:
         """Shared bookkeeping after a round: logs, counter, evaluation."""
         t = self._round
         self.history.round_seconds.append(seconds)
         self.history.participation.append(self._participation_record(t))
-        self.history.comm.append(self._comm_record(t, participation))
+        self.history.comm.append(self._comm_record(t))
         self._round += 1
         self._record_round_metrics(seconds)
         record = None
@@ -351,40 +352,15 @@ class Trainer:
             )
         return ParticipationRecord(t + 1, summary.silos_seen, summary.users_seen)
 
-    def _comm_record(
-        self, t: int, participation: RoundParticipation | None
-    ) -> CommRecord:
-        """The round's wire traffic (method-reported when known).
-
-        Methods that track bytes themselves (the compressing ULDP-AVG
-        family) report through ``last_comm``; everything else is charged
-        the dense default so byte columns stay comparable: float64
-        payloads up, and down the ``nbytes`` of the broadcast the method
-        last handed out (``broadcast_nbytes``), to each of the round's
-        broadcast recipients (silos alive at round start), not just the
-        contributors -- a deadline-missing silo still downloaded the
-        model.
-        """
+    def _comm_record(self, t: int) -> CommRecord:
+        """The round's wire traffic, as the method reported it."""
         summary = self.method.last_comm
-        if summary is not None:
-            return CommRecord(t + 1, summary.uplink_bytes, summary.downlink_bytes)
-        per_recipient = self.method.broadcast_nbytes
-        if per_recipient is None:
+        if summary is None:
             raise RuntimeError(
-                f"{type(self.method).__name__} handed out no broadcast "
-                "(FLMethod.broadcast, the FLMethod contract)"
+                f"{type(self.method).__name__}.round() did not set "
+                "last_comm (the FLMethod contract)"
             )
-        silos_seen = self.history.participation[-1].silos_seen
-        recipients = (
-            self.fed.n_silos
-            if participation is None
-            else participation.n_broadcast_silos
-        )
-        return CommRecord(
-            t + 1,
-            silos_seen * self.method.payload_bytes(self._params.size),
-            recipients * per_recipient,
-        )
+        return CommRecord(t + 1, summary.uplink_bytes, summary.downlink_bytes)
 
     def _evaluate(self) -> RoundRecord:
         """Evaluate the current params; appends and returns the record."""

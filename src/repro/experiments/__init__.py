@@ -14,7 +14,6 @@ from repro.experiments.registry import (
     available_experiments,
     describe_experiment,
     run_experiment,
-    run_experiment_multi_seed,
     spec_for_experiment,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "available_experiments",
     "describe_experiment",
     "run_experiment",
-    "run_experiment_multi_seed",
     "spec_for_experiment",
 ]

@@ -364,56 +364,3 @@ def run_experiment(name: str, scale: str = "small", seed: int = 0) -> Experiment
     if name in EXPERIMENTS:
         return EXPERIMENTS.get(name)(scale, seed)
     return _run_spec(name, scale, seed)[0]
-
-
-def run_experiment_multi_seed(
-    name: str, scale: str = "small", seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-) -> ExperimentResult:
-    """Run an experiment over several seeds and aggregate mean +/- std.
-
-    Mirrors the paper's protocol ("most of the results are averaged over 5
-    runs and the colored area represents the standard deviation").  For
-    row-shaping experiments every numeric column is aggregated per row
-    position; for the rest the final-round metric/loss/epsilon are
-    aggregated per method.
-    """
-    import numpy as np
-
-    if not seeds:
-        raise ValueError("need at least one seed")
-    runs = [run_experiment(name, scale=scale, seed=s) for s in seeds]
-    first = runs[0]
-    combined = ExperimentResult(
-        name=name,
-        description=f"{first.description} [mean +/- std over {len(seeds)} seeds]",
-    )
-
-    if not first.rows:
-        for i, history in enumerate(first.histories):
-            metrics = [r.histories[i].final.metric for r in runs]
-            losses = [r.histories[i].final.loss for r in runs]
-            eps = [r.histories[i].final.epsilon for r in runs]
-            row: dict = {
-                "method": history.method,
-                "metric_mean": float(np.mean(metrics)),
-                "metric_std": float(np.std(metrics)),
-                "loss_mean": float(np.mean(losses)),
-                "loss_std": float(np.std(losses)),
-            }
-            if eps[0] is not None:
-                row["epsilon_mean"] = float(np.mean(eps))
-                row["epsilon_std"] = float(np.std(eps))
-            combined.rows.append(row)
-        return combined
-
-    for i, base_row in enumerate(first.rows):
-        row = {}
-        for key, value in base_row.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                samples = [float(r.rows[i][key]) for r in runs]
-                row[f"{key}_mean"] = float(np.mean(samples))
-                row[f"{key}_std"] = float(np.std(samples))
-            else:
-                row[key] = value
-        combined.rows.append(row)
-    return combined

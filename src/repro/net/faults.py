@@ -148,11 +148,6 @@ class FaultPlan:
             seed=int(tree.get("seed", 0)),
         )
 
-    @property
-    def is_ideal(self) -> bool:
-        """Whether this plan never injects anything."""
-        return not self.events and self.drop_rate == 0.0
-
     def events_for(self, silo: int, round_no: int) -> list[FaultEvent]:
         """The scripted faults hitting ``silo`` in ``round_no``."""
         return [

@@ -30,9 +30,9 @@ payload and compared by the server's handshake, which can therefore
 answer a peer from another build with a ``refuse`` frame that peer is
 able to read.
 
-This module is deliberately dumb: bytes in, bytes out, no sockets other
-than the blocking ``send_frame``/``recv_frame`` convenience pair.  Retry
-and deadline policy live in :mod:`repro.net.transport`.
+This module is deliberately dumb: bytes in, bytes out, no socket other
+than the blocking :func:`recv_frame` reader.  Sending, retry and deadline
+policy live in :mod:`repro.net.transport`.
 """
 
 from __future__ import annotations
@@ -172,12 +172,6 @@ def _read_exact(sock, n: int, *, at_frame_start: bool = False) -> bytes:
                 f"connection lost mid-frame ({len(buf)}/{n} bytes read)")
         buf.extend(chunk)
     return bytes(buf)
-
-
-def send_frame(sock, msg_type: str, payload: dict | None = None,
-               arrays: dict | None = None) -> None:
-    """Pack and write one frame to a blocking socket."""
-    sock.sendall(pack_frame(msg_type, payload, arrays))
 
 
 def _shown(value) -> str:

@@ -27,7 +27,6 @@ from repro import _lazy_namespace
 _LAZY_EXPORTS = {
     "clip_factor_from_norms": "repro.nn.clip",
     "clip_factor_rows": "repro.nn.clip",
-    "l2_clip": "repro.nn.clip",
     "l2_clip_rows": "repro.nn.clip",
     "AvgPool2d": "repro.nn.layers",
     "Conv2d": "repro.nn.layers",

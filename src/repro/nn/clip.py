@@ -3,8 +3,13 @@
 Clipping is the sensitivity-bounding primitive of every algorithm in the
 paper: silo-level deltas in ULDP-NAIVE (Alg. 1 line 13), per-sample
 gradients in DP-SGD (Alg. 2), and per-user per-silo deltas in ULDP-AVG/SGD
-(Alg. 3 lines 16/23).  It lives in :mod:`repro.nn` because DP-SGD needs it
-below the :mod:`repro.core` layer; :mod:`repro.core` re-exports it.
+(Alg. 3 lines 16/23).  Every path clips rows of a ``(G, P)`` matrix: each
+row is scaled by ``min(1, clip / ||row||_2)``, a zero row is left as is,
+and a row with a non-finite entry (a diverged local update) is zeroed --
+naive scaling would produce NaNs (inf * 0) that poison the global model,
+while dropping the update keeps the sensitivity bound intact.  It lives in
+:mod:`repro.nn` because DP-SGD needs it below the :mod:`repro.core` layer;
+:mod:`repro.core` re-exports it.
 """
 
 from __future__ import annotations
@@ -12,31 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def l2_clip(vector: np.ndarray, clip: float) -> np.ndarray:
-    """Scale ``vector`` to l2 norm at most ``clip``.
-
-    Returns ``vector * min(1, clip / ||vector||_2)`` (a copy).  The zero
-    vector is returned unchanged.  A non-finite vector (a diverged local
-    update) is clipped to zero: naive scaling would produce NaNs (inf * 0)
-    that poison the global model permanently, while dropping the update
-    keeps the sensitivity bound intact.
-    """
-    if clip <= 0:
-        raise ValueError("clip bound must be positive")
-    norm = float(np.linalg.norm(vector))
-    if not np.isfinite(norm):
-        return np.zeros(np.asarray(vector).shape, dtype=np.float64)
-    if norm <= clip or norm == 0.0:
-        return np.array(vector, dtype=np.float64, copy=True)
-    return np.asarray(vector, dtype=np.float64) * (clip / norm)
-
-
 def clip_factor_from_norms(norms: np.ndarray, clip: float) -> np.ndarray:
     """Vector of ``min(1, clip / norm)`` factors from precomputed l2 norms.
 
     The single home of the edge-case conventions shared by every row-wise
     clipping path: zero norms map to factor 1 and non-finite norms to
-    factor 0, matching :func:`l2_clip`.
+    factor 0.
     """
     if clip <= 0:
         raise ValueError("clip bound must be positive")
@@ -49,11 +35,11 @@ def clip_factor_from_norms(norms: np.ndarray, clip: float) -> np.ndarray:
 
 def clip_factor_rows(matrix: np.ndarray, clip: float) -> np.ndarray:
     """Each row's ``min(1, clip / ||row||)`` over a ``(G, P)`` matrix: the
-    factor :func:`l2_clip` applies, the alpha of the convergence analysis
-    (Theorem 6).
+    factor :func:`l2_clip_rows` applies, the alpha of the convergence
+    analysis (Theorem 6).
 
     Returns the ``(G,)`` vector of factors; rows with non-finite entries
-    report 0 and zero-norm rows report 1, matching :func:`l2_clip`.
+    report 0 and zero-norm rows report 1.
     The matrix is read exactly once (a single squared-norm reduction) --
     this sits on the round hot path for large delta matrices.
     """
@@ -63,7 +49,7 @@ def clip_factor_rows(matrix: np.ndarray, clip: float) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("expected a (rows, features) matrix")
     # A row with any NaN/inf entry yields a NaN/inf squared norm, exactly
-    # the rows l2_clip zeroes.
+    # the rows the clip zeroes.
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     return clip_factor_from_norms(norms, clip)
 
@@ -74,11 +60,10 @@ def l2_clip_rows(
     out: np.ndarray | None = None,
     factors: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row-wise :func:`l2_clip` over a ``(G, P)`` matrix (vectorized).
+    """Scale each row of a ``(G, P)`` matrix to l2 norm at most ``clip``.
 
-    Each row is scaled to l2 norm at most ``clip``; rows with non-finite
-    entries are zeroed (a diverged local update contributes nothing), the
-    same semantics as the scalar function applied per row.  ``out`` may
+    Rows with non-finite entries are zeroed (a diverged local update
+    contributes nothing).  ``out`` may
     alias ``matrix`` to clip in place; ``factors`` may carry precomputed
     :func:`clip_factor_rows` results to skip the norm pass.
     """

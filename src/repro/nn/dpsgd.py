@@ -15,11 +15,11 @@ paper's Theorem 2 composes ``Q * T`` such steps, so the ULDP-GROUP client
 runs exactly ``local_epochs`` noisy steps per round.
 
 Per-sample gradients come from one batched shared-weight pass with one
-group per microbatch (:func:`per_sample_clipped_gradient_sum_vectorized`).
-The tests compare it against single-record forward/backward passes in a
-loop, the same linear algebra unreassociated
-(``tests/reference_nn.py::per_sample_clipped_gradient_sum``; see
-:mod:`repro.core.engine` for the equivalence contract).
+group per microbatch (:func:`per_sample_clipped_gradient_sum`).  The
+tests compare it against the same-named loop in ``tests/reference_nn.py``,
+single-record forward/backward passes, the same linear algebra
+unreassociated (see :mod:`repro.core.engine` for the equivalence
+contract).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 
 
-def per_sample_clipped_gradient_sum_vectorized(
+def per_sample_clipped_gradient_sum(
     model: Sequential,
     loss: Loss,
     x: np.ndarray,
@@ -79,7 +79,7 @@ def dpsgd_step(
     mask = rng.random(n) < sample_rate
     expected_batch = max(sample_rate * n, 1e-12)
     if mask.any():
-        grad_sum = per_sample_clipped_gradient_sum_vectorized(
+        grad_sum = per_sample_clipped_gradient_sum(
             model, loss, x[mask], y[mask], clip, microbatch_size=microbatch_size
         )
     else:

@@ -149,10 +149,6 @@ class PrivateSubsampler:
         self.shared_seed = shared_seed
         self.n_slots = n_slots
 
-    @property
-    def participation_rate(self) -> float:
-        return 1.0 / self.n_slots
-
     def slot_for(self, user: int, round_no: int) -> int:
         digest = hashlib.sha256(
             self.shared_seed

@@ -116,10 +116,6 @@ class SiloParty(KeyHolder):
 
     # -- Setup steps --------------------------------------------------------
 
-    def dh_public(self) -> int:
-        """Step 1(a): publish this silo's DH public key."""
-        return self.dh_keypair.public
-
     def receive_dh_publics(self, publics: dict[int, int]) -> None:
         """Step 1(b): derive pairwise keys with every other silo -- one
         exponentiation per peer; the mask key and the key transporting R

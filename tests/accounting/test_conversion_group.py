@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.accounting.conversion import rdp_curve_to_dp, rdp_to_dp
 from repro.accounting.group import (
-    group_dp_from_dp,
     group_epsilon_via_normal_dp,
     group_epsilon_via_rdp,
     group_rdp_curve,
@@ -117,11 +116,6 @@ class TestGroupRdp:
 
 
 class TestGroupNormalDp:
-    def test_lemma5_formula(self):
-        eps, delta = group_dp_from_dp(0.5, 1e-6, 3)
-        assert eps == pytest.approx(1.5)
-        assert delta == pytest.approx(3 * math.exp(2 * 0.5) * 1e-6)
-
     def test_group_size_one_matches_plain_conversion(self):
         curve = gaussian_rdp_curve(5.0, steps=100)
         direct, _ = rdp_curve_to_dp(curve, 1e-5)

@@ -1,4 +1,4 @@
-"""Tests for Gaussian-mechanism RDP and composition (Lemmas 1 and 3)."""
+"""Tests for Gaussian-mechanism RDP (Lemma 3)."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.accounting.rdp import (
     DEFAULT_ALPHAS,
-    compose_rdp,
     gaussian_rdp,
     gaussian_rdp_curve,
-    parallel_compose_rdp,
 )
 
 
@@ -44,30 +42,6 @@ class TestGaussianRdp:
 
     def test_zero_steps_is_zero_curve(self):
         assert np.all(gaussian_rdp_curve(sigma=3.0, steps=0) == 0.0)
-
-
-class TestComposition:
-    def test_sequential_composition_adds(self):
-        a = gaussian_rdp_curve(2.0, steps=3)
-        b = gaussian_rdp_curve(2.0, steps=5)
-        np.testing.assert_allclose(compose_rdp(a, b), gaussian_rdp_curve(2.0, steps=8))
-
-    def test_parallel_composition_takes_max(self):
-        a = gaussian_rdp_curve(2.0, steps=3)
-        b = gaussian_rdp_curve(4.0, steps=3)  # less noise-y curve is smaller
-        np.testing.assert_allclose(parallel_compose_rdp(a, b), a)
-
-    def test_composition_rejects_mismatched_grids(self):
-        a = gaussian_rdp_curve(2.0, steps=1)
-        b = gaussian_rdp_curve(2.0, steps=1, alphas=np.array([2.0, 3.0]))
-        with pytest.raises(ValueError):
-            compose_rdp(a, b)
-        with pytest.raises(ValueError):
-            parallel_compose_rdp(a, b)
-
-    def test_composition_rejects_empty(self):
-        with pytest.raises(ValueError):
-            compose_rdp()
 
 
 class TestDefaultAlphas:

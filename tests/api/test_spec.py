@@ -268,10 +268,19 @@ class TestEngineSection:
             RunSpec.from_dict({"engine": {"workers": -1}})
         with pytest.raises(SpecError, match="shard_size"):
             RunSpec.from_dict({"engine": {"shard_size": 0}})
-        with pytest.raises(SpecError, match="backend"):
-            RunSpec.from_dict({"engine": {"backend": "jax"}})
+        # NumPy is the one fold backend: any other name is refused while
+        # the tree is parsed, by a message naming the one legal value.
+        for backend in ("jax", "torch", "cupy"):
+            with pytest.raises(SpecError, match="backend.*numpy"):
+                RunSpec.from_dict({"engine": {"backend": backend}})
         with pytest.raises(SpecError, match="boolean"):
             RunSpec.from_dict({"engine": {"workers": True}})
+
+    def test_explicit_numpy_backend_hashes_as_omitted(self):
+        explicit = RunSpec.from_dict({"engine": {"backend": "numpy"}})
+        omitted = RunSpec.from_dict({"engine": {}})
+        assert explicit == omitted
+        assert explicit.hash() == omitted.hash()
 
     def test_conflicts_with_sim(self):
         with pytest.raises(SpecError, match="engine.*\\[sim\\]"):

@@ -143,7 +143,7 @@ class TestRoundTrips:
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
     def test_json_roundtrip_exact(self, spec):
-        assert RunSpec.from_dict(json.loads(spec.to_json())) == spec
+        assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_hash_survives_roundtrip(self, spec, toml_text):
         again = RunSpec.from_dict(tomllib.loads(toml_text))
@@ -153,7 +153,7 @@ class TestRoundTrips:
         toml_path = tmp_path / "spec.toml"
         json_path = tmp_path / "spec.json"
         toml_path.write_text(toml_text)
-        json_path.write_text(spec.to_json())
+        json_path.write_text(json.dumps(spec.to_dict(), indent=2))
         assert RunSpec.from_file(toml_path) == spec
         assert RunSpec.from_file(json_path) == spec
 

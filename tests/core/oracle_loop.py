@@ -31,12 +31,11 @@ from unittest import mock
 
 import numpy as np
 import reference_nn
-from reference_nn import reference, train_epochs
+from reference_nn import l2_clip, reference, train_epochs
 
 from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.core.engine import fold_weighted_rows
 from repro.core.reduce import BinnedSum
-from repro.nn.clip import l2_clip
 from repro.core.metrics import make_loss
 from repro.nn import dpsgd
 from repro.nn.layers import TRAIN_DTYPE
@@ -134,7 +133,7 @@ class LoopUldpGroup(UldpGroup):
 
     def round(self, t, params, participation=None):
         with mock.patch.object(
-            dpsgd, "per_sample_clipped_gradient_sum_vectorized",
+            dpsgd, "per_sample_clipped_gradient_sum",
             per_sample_clipped_gradient_sum,
         ):
             return super().round(t, params, participation)

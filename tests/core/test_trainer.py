@@ -54,16 +54,29 @@ class TestTrainerBasics:
         assert "non-private" in history.summary()
 
     def test_method_that_reports_no_participation_is_refused(self, cc_fed):
-        """The trainer logs what the method reports and does not guess."""
+        """The trainer logs what the method reports and does not guess: a
+        round that skips a report is refused, even after one that made it."""
+        from repro.core.methods.base import ParticipationSummary
 
         class Silent(Default):
             def round(self, t, params, participation=None):
+                if t == 0:
+                    return super().round(t, params, participation)
                 return params.copy()  # breaks the contract: no last_participation
 
+        class Uncharged(Default):
+            def round(self, t, params, participation=None):
+                if t == 0:
+                    return super().round(t, params, participation)
+                self.last_participation = ParticipationSummary(0, 0)
+                return params.copy()  # breaks the contract: no last_comm
+
         model = build_tiny_mlp(30, 8, 2, np.random.default_rng(0))
-        trainer = Trainer(cc_fed, Silent(local_epochs=1), rounds=1, model=model)
-        with pytest.raises(RuntimeError, match="Silent.*last_participation"):
-            trainer.run()
+        for method, field in ((Silent, "last_participation"), (Uncharged, "last_comm")):
+            trainer = Trainer(cc_fed, method(local_epochs=1), rounds=2, model=model)
+            trainer.step()
+            with pytest.raises(RuntimeError, match=f"{method.__name__}.*{field}"):
+                trainer.step()
 
     def test_series_rejects_unknown_key(self, cc_fed):
         model = build_tiny_mlp(30, 8, 2, np.random.default_rng(0))

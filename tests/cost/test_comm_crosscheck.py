@@ -13,7 +13,7 @@ import pytest
 
 from repro.api.runner import run
 from repro.api.spec import RunSpec
-from repro.core.methods import UldpAvg
+from repro.core.methods import Default, UldpAvg, UldpGroup, UldpNaive
 from repro.core.weighting import RoundParticipation
 from repro.cost.planner import predict
 from repro.data import build_creditcard_benchmark
@@ -110,35 +110,59 @@ class TestSecureBackends:
         )
 
 
-class TestBroadcastRecipients:
-    """Downlink is charged to broadcast recipients, not contributors."""
+#: Every method charges ``silos_seen`` contributors' payloads up and its
+#: broadcast to each recipient down, through ``FLMethod._log_comm``; each
+#: entry pins the bytes per parameter of its payload (the ULDP-AVG release is
+#: float32, the plain methods' model delta float64) and of its broadcast
+#: (float32, but ULDP-GROUP's float64 for its float64 DP-SGD).
+METHODS = pytest.mark.parametrize(
+    "make, payload_itemsize, broadcast_itemsize",
+    [
+        (lambda: UldpAvg(local_epochs=1, noise_multiplier=0.0), 4, 4),
+        (lambda: Default(local_epochs=1), 8, 4),
+        (lambda: UldpNaive(local_epochs=1, noise_multiplier=0.0), 8, 4),
+        (lambda: UldpGroup(group_size=2, local_steps=1, noise_multiplier=0.0),
+         8, 8),
+    ],
+    ids=["uldp-avg", "default", "uldp-naive", "uldp-group"],
+)
 
-    def _prepared(self):
+
+@METHODS
+class TestBroadcastRecipients:
+    """Downlink is charged to broadcast recipients, not contributors; every
+    method sets ``last_comm`` itself and the trainer guesses nothing."""
+
+    def _prepared(self, make):
         fed = build_creditcard_benchmark(
             n_users=10, n_silos=3, n_records=300, n_test=60, seed=0
         )
-        method = UldpAvg(local_epochs=1, noise_multiplier=0.0)
+        method = make()
         model = build_tiny_mlp(fed.test_x.shape[1], 8, 2, np.random.default_rng(1))
         method.prepare(fed, model, np.random.default_rng(0))
         return method, model.get_flat_params()
 
-    def test_deadline_miss_still_consumes_downlink(self):
-        method, params = self._prepared()
-        dense = params.size * 4  # one float32 release
-        broadcast = params.size * 4  # the float32 broadcast
+    def test_deadline_miss_still_consumes_downlink(
+        self, make, payload_itemsize, broadcast_itemsize
+    ):
+        method, params = self._prepared(make)
+        payload = params.size * payload_itemsize
+        broadcast = params.size * broadcast_itemsize
         participation = RoundParticipation(
             silo_mask=np.array([True, False, False]),
             broadcast_mask=np.array([True, True, False]),
         )
         method.round(0, params, participation=participation)
         # One contributor's uplink; two silos fetched the broadcast.
-        assert method.last_comm.uplink_bytes == 1 * dense
+        assert method.last_participation.silos_seen == 1
+        assert method.last_comm.uplink_bytes == 1 * payload
         assert method.last_comm.downlink_bytes == 2 * broadcast
 
-    def test_all_down_round_still_charges_broadcast(self):
-        method, params = self._prepared()
-        dense = params.size * 8
-        broadcast = params.size * 4  # the float32 broadcast
+    def test_all_down_round_still_charges_broadcast(
+        self, make, payload_itemsize, broadcast_itemsize
+    ):
+        method, params = self._prepared(make)
+        broadcast = params.size * broadcast_itemsize
         participation = RoundParticipation(
             silo_mask=np.array([False, False, False]),
             broadcast_mask=np.array([True, True, False]),
@@ -147,10 +171,11 @@ class TestBroadcastRecipients:
         assert method.last_comm.uplink_bytes == 0
         assert method.last_comm.downlink_bytes == 2 * broadcast
 
-    def test_without_broadcast_mask_recipients_default_to_contributors(self):
-        method, params = self._prepared()
-        dense = params.size * 8
-        broadcast = params.size * 4  # the float32 broadcast
+    def test_without_broadcast_mask_recipients_default_to_contributors(
+        self, make, payload_itemsize, broadcast_itemsize
+    ):
+        method, params = self._prepared(make)
+        broadcast = params.size * broadcast_itemsize
         participation = RoundParticipation(
             silo_mask=np.array([True, True, False])
         )

@@ -11,9 +11,10 @@ from repro.net.faults import ACTIONS, FaultEvent, FaultPlan
 
 
 class TestFromTree:
-    def test_empty_tree_is_ideal(self):
-        assert FaultPlan.from_tree({}).is_ideal
-        assert FaultPlan.from_tree(None).is_ideal
+    def test_empty_tree_injects_nothing(self):
+        for tree in ({}, None):
+            plan = FaultPlan.from_tree(tree)
+            assert plan.events == () and plan.drop_rate == 0.0
 
     def test_round_shorthand_equals_unit_window(self):
         short = FaultPlan.from_tree(
@@ -24,7 +25,7 @@ class TestFromTree:
                          "start": 1, "stop": 2}]}
         )
         assert short.events == window.events
-        assert not short.is_ideal
+        assert short.events
 
     def test_rejects_round_and_window_together(self):
         with pytest.raises(ValueError, match=r"events\[0\]: give either"):

@@ -13,7 +13,6 @@ from repro.net.transport import (
     TransportError,
     connect_with_retry,
 )
-from repro.net.wire import send_frame
 
 
 @pytest.fixture

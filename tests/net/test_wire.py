@@ -21,7 +21,6 @@ from repro.net.wire import (
     WireError,
     pack_frame,
     recv_frame,
-    send_frame,
 )
 
 
@@ -38,7 +37,7 @@ def roundtrip(pair, msg_type, payload=None, arrays=None):
     # Send from a thread: a frame larger than the socketpair buffer would
     # otherwise deadlock sendall against our own recv.
     sender = threading.Thread(
-        target=send_frame, args=(a, msg_type, payload, arrays)
+        target=a.sendall, args=(pack_frame(msg_type, payload, arrays),)
     )
     sender.start()
     frame = recv_frame(b)
@@ -79,8 +78,8 @@ class TestRoundTrip:
 
     def test_back_to_back_frames(self, pair):
         a, b = pair
-        send_frame(a, "ping", {"round": 0})
-        send_frame(a, "ping", {"round": 1})
+        a.sendall(pack_frame("ping", {"round": 0}))
+        a.sendall(pack_frame("ping", {"round": 1}))
         assert recv_frame(b).payload["round"] == 0
         assert recv_frame(b).payload["round"] == 1
 

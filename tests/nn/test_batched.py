@@ -11,7 +11,7 @@ float32 copy of the model, and results agree to :func:`assert_close32`.
 
 import numpy as np
 import pytest
-from reference_nn import reference
+from reference_nn import l2_clip, reference
 
 from repro.nn import batched
 from repro.nn.batched import (
@@ -20,7 +20,7 @@ from repro.nn.batched import (
     per_group_step,
     scratch_model,
 )
-from repro.nn.clip import clip_factor_rows, l2_clip, l2_clip_rows
+from repro.nn.clip import clip_factor_rows, l2_clip_rows
 from repro.nn.layers import (
     TRAIN_DTYPE,
     AvgPool2d,

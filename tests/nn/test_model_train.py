@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_nn import per_sample_clipped_gradient_sum, reference, train_epochs
+from reference_nn import l2_clip, per_sample_clipped_gradient_sum, reference, train_epochs
 
 from repro.core.metrics import accuracy_of
-from repro.nn.clip import l2_clip
 from repro.nn.dpsgd import dpsgd_train
 from repro.nn.layers import TRAIN_DTYPE
 from repro.nn.losses import BCEWithLogitsLoss, SoftmaxCrossEntropyLoss

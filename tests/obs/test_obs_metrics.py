@@ -32,7 +32,7 @@ class TestInstruments:
         g = reg.gauge("epsilon_spent")
         g.set(4.0)
         g.inc(1.0)
-        g.labels().dec(2.0)
+        g.inc(-2.0)
         assert g.labels().value == pytest.approx(3.0)
 
     def test_histogram_buckets_and_cumulative_counts(self):

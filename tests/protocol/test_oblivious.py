@@ -130,9 +130,6 @@ class TestPrivateSubsampler:
         rate = total / (n_users * n_rounds)
         assert abs(rate - 0.25) < 0.03
 
-    def test_rate_property(self):
-        assert PrivateSubsampler(b"x", 5).participation_rate == 0.2
-
     def test_rejects_single_slot(self):
         with pytest.raises(ValueError):
             PrivateSubsampler(b"x", 1)

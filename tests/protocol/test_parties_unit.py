@@ -22,7 +22,7 @@ def make_silos(group, counts, n_max=16, seed=0):
         SiloParty(s, np.asarray(row), n_max, group, rng=rng)
         for s, row in enumerate(counts)
     ]
-    publics = {s.silo_id: s.dh_public() for s in silos}
+    publics = {s.silo_id: s.dh_keypair.public for s in silos}
     for silo in silos:
         silo.receive_dh_publics(publics)
     return silos

@@ -3,7 +3,8 @@
 ``repro.nn`` computes one way, the walk, over layers that hold only their
 parameters and settings.  This is the obviously-correct second way, for
 the tests alone: per-layer forward/backward passes, the plain losses'
-gradients, SGD, the mini-batch trainer and the loop DP-SGD clipped sum.
+gradients, SGD, the mini-batch trainer, the scalar l2 clip and the loop
+DP-SGD clipped sum.
 :func:`reference` wraps a model, layer or loss: the wrapper keeps its own
 caches and gradient buffers and reads every other attribute (parameters,
 settings) off the wrapped object.
@@ -12,9 +13,26 @@ settings) off the wrapped object.
 import numpy as np
 
 from repro.nn import layers, losses
-from repro.nn.clip import l2_clip
 from repro.nn.losses import DegenerateBatchError
 from repro.nn.model import Sequential as PlainSequential
+
+
+def l2_clip(vector: np.ndarray, clip: float) -> np.ndarray:
+    """Scale one ``vector`` to l2 norm at most ``clip`` (a copy): the
+    scalar form of ``repro.nn.clip.l2_clip_rows``.
+
+    Returns ``vector * min(1, clip / ||vector||_2)``.  The zero vector is
+    returned unchanged; a non-finite vector (a diverged local update) is
+    clipped to zero.
+    """
+    if clip <= 0:
+        raise ValueError("clip bound must be positive")
+    norm = float(np.linalg.norm(vector))
+    if not np.isfinite(norm):
+        return np.zeros(np.asarray(vector).shape, dtype=np.float64)
+    if norm <= clip or norm == 0.0:
+        return np.array(vector, dtype=np.float64, copy=True)
+    return np.asarray(vector, dtype=np.float64) * (clip / norm)
 
 
 class _Wrapper:
@@ -354,7 +372,7 @@ def train_epochs(model, loss, x, y, lr, epochs, rng, batch_size=None) -> float:
 
 
 def per_sample_clipped_gradient_sum(model, loss, x, y, clip, microbatch_size=1) -> np.ndarray:
-    """``repro.nn.dpsgd.per_sample_clipped_gradient_sum_vectorized`` one
+    """``repro.nn.dpsgd.per_sample_clipped_gradient_sum`` one
     microbatch's forward/backward at a time; degenerate ones are skipped."""
     if microbatch_size < 1:
         raise ValueError("microbatch size must be at least 1")

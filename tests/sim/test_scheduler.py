@@ -280,8 +280,8 @@ class TestBufferedAsync:
         sim.run()
         payload = sim.trainer.params.size * 4  # one float32 release
         received = [c.uplink_bytes // payload for c in sim.history.comm]
-        pulls = [c.downlink_bytes // sim.method.broadcast_nbytes
-                 for c in sim.history.comm]
+        broadcast = sim.method.broadcast_bytes(sim.trainer.params.size)
+        pulls = [c.downlink_bytes // broadcast for c in sim.history.comm]
         # Each update received, merged or dropped, restarts its silo with
         # one pull; the first release also pulls for the cold start.
         assert pulls == [received[0] + 6, *received[1:]]

@@ -146,6 +146,14 @@ class TestValidateConfigCommand:
         err = capsys.readouterr().err
         assert "FAIL" in err and "sigma" in err
 
+    @pytest.mark.parametrize("backend", ["torch", "cupy"])
+    def test_non_numpy_engine_backend_fails(self, tmp_path, capsys, backend):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f'[engine]\nbackend = "{backend}"\n')
+        assert main(["validate-config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL" in err and "backend" in err and "numpy" in err
+
     def test_unknown_name_fails_with_suggestion(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"
         bad.write_text('[dataset]\nname = "creditcrd"\n')

@@ -8,7 +8,6 @@ from repro.experiments import (
     available_experiments,
     describe_experiment,
     run_experiment,
-    run_experiment_multi_seed,
 )
 
 
@@ -85,50 +84,6 @@ class TestSmokeScaleRuns:
         result = run_experiment("fig12", scale="smoke")
         by_dist = {r["distribution"]: r for r in result.rows}
         assert by_dist["zipf"]["top_silo_fraction"] > by_dist["uniform"]["top_silo_fraction"]
-
-
-class TestMultiSeed:
-    def test_history_experiment_aggregated(self):
-        result = run_experiment_multi_seed("fig08", scale="smoke", seeds=(0, 1))
-        assert "mean +/- std over 2 seeds" in result.description
-        assert len(result.rows) == 2  # two methods
-        for row in result.rows:
-            assert "metric_mean" in row and "metric_std" in row
-            assert row["metric_std"] >= 0
-
-    def test_non_private_first_method_still_prints(self):
-        # fig04's first method (DEFAULT) has no epsilon: its row carries no
-        # epsilon columns at all, and table() -- which reads its columns
-        # from row 0 -- must print every row.
-        result = run_experiment_multi_seed("fig04", scale="smoke", seeds=(0, 1))
-        assert [r["method"] for r in result.rows][0] == "DEFAULT"
-        assert not any("epsilon" in key for key in result.rows[0])
-        assert "epsilon_mean" in result.rows[1] and "epsilon" not in result.rows[1]
-        table = result.table()
-        assert len(table.splitlines()) == 1 + len(result.rows)
-        assert "DEFAULT" in table and "ULDP-AVG-w" in table
-
-    def test_row_shaper_is_aggregated_by_its_rows(self):
-        # fig09 has rows *and* histories; the shaped table is what is averaged.
-        result = run_experiment_multi_seed("fig09", scale="smoke", seeds=(0, 1))
-        assert [r["q_mean"] for r in result.rows] == [0.1, 0.3, 0.5, 0.7, 1.0]
-        assert "q_mean" in result.table()
-
-    def test_row_experiment_aggregated(self):
-        result = run_experiment_multi_seed("fig12", scale="smoke", seeds=(0, 1))
-        for row in result.rows:
-            assert "max_records_mean" in row
-            assert row["distribution"] in ("uniform", "zipf")
-
-    def test_deterministic_quantity_has_zero_std(self):
-        # Epsilon is a pure accounting quantity: identical across seeds.
-        result = run_experiment_multi_seed("fig09", scale="smoke", seeds=(0, 1))
-        for row in result.rows:
-            assert row["epsilon_std"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_empty_seeds(self):
-        with pytest.raises(ValueError):
-            run_experiment_multi_seed("fig08", seeds=())
 
 
 class TestFigureCli:
