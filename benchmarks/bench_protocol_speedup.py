@@ -137,7 +137,7 @@ def print_breakdown(title, protocols):
     for backend, proto in protocols.items():
         print(f"[{backend}]")
         for name, seconds in sorted(proto.report().items()):
-            print(f"  {name:<28s} {seconds * 1000:10.1f} ms  (x{proto.counts[name]})")
+            print(f"  {name:<28s} {seconds * 1000:10.1f} ms")
 
 
 def compare_backends(hist, d, key_bits, label):

@@ -10,11 +10,13 @@ of named factories populated through decorators::
     def _build_my_method(spec, crypto=None):
         return MyMethod(noise_multiplier=spec.sigma)
 
-Third-party code registers at import time and ``repro run --set
-method.name=my-method`` picks the entry up without touching core.  Lookups
-of unknown names raise :class:`UnknownNameError` listing the valid names
-plus a nearest-match suggestion (instead of a bare ``KeyError`` or an
-argparse choice dump).
+where ``MyMethod`` subclasses :class:`repro.core.methods.base.FLMethod`
+and its ``round`` returns a :class:`repro.core.methods.base.RoundReport`
+(docs/api.md, "The FLMethod contract").  Third-party code registers at
+import time and ``repro run --set method.name=my-method`` picks the entry
+up without touching core.  Lookups of unknown names raise
+:class:`UnknownNameError` listing the valid names plus a nearest-match
+suggestion (instead of a bare ``KeyError`` or an argparse choice dump).
 
 This module deliberately imports nothing from the rest of :mod:`repro`, so
 low-level packages (``repro.compress``, ``repro.sim``) can register their

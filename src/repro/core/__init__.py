@@ -30,6 +30,7 @@ _LAZY_EXPORTS = {
     "ParticipationRecord": "repro.core.trainer",
     "ParticipationSummary": "repro.core.methods.base",
     "RoundRecord": "repro.core.trainer",
+    "RoundReport": "repro.core.methods.base",
     "Trainer": "repro.core.trainer",
     "TrainingHistory": "repro.core.trainer",
     "default_model_for": "repro.nn.model",

@@ -665,6 +665,18 @@ def _pool_machinery():
     return multiprocessing, ProcessPoolExecutor
 
 
+def fork_pool(workers: int, **kwargs) -> ProcessPoolExecutor:
+    """A ``workers``-process pool, forked where forking is safe (Linux);
+    macOS forks crash intermittently with threaded parents, hence
+    CPython's own switch of the platform default to spawn.  ``kwargs``
+    go to the executor (an ``initializer``, its ``initargs``)."""
+    multiprocessing, ProcessPoolExecutor = _pool_machinery()
+    context = None
+    if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context, **kwargs)
+
+
 class ShardedEngine:
     """Runs shard tasks in-process or on a persistent, resident pool.
 
@@ -706,16 +718,8 @@ class ShardedEngine:
 
     def _get_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            multiprocessing, ProcessPoolExecutor = _pool_machinery()
-            # Prefer fork only where it is safe (Linux); macOS forks crash
-            # intermittently with threaded parents, hence CPython's own
-            # switch of the platform default to spawn.
-            mp_context = None
-            if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
-                mp_context = multiprocessing.get_context("fork")
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                mp_context=mp_context,
+            self._executor = fork_pool(
+                self.config.workers,
                 initializer=install_resident,
                 initargs=self._resident[:2],
             )
@@ -731,28 +735,20 @@ class ShardedEngine:
             help="Kernel seconds per shard task of the sharded engine.",
             unit="seconds",
         )
-        results = []
         if self.config.workers == 0:
             install_resident(*self._resident)
-            for task in tasks:
-                with recorder.span(
-                    "shard",
-                    kind="shard",
-                    shard=task["shard"],
-                    silo=task["silo"],
-                ) as span:
-                    result = run_shard_task(task)
-                    span.set(jobs=result["n_jobs"], seconds=result["seconds"])
-                shard_seconds.observe(result["seconds"])
-                results.append(result)
-            return results
-        executor = self._get_executor()
-        futures = [executor.submit(run_shard_task, task) for task in tasks]
-        for task, future in zip(tasks, futures):
+            # Lazy: each task runs when the loop below asks for its result.
+            outcomes = map(run_shard_task, tasks)
+        else:
+            executor = self._get_executor()
+            futures = [executor.submit(run_shard_task, task) for task in tasks]
+            outcomes = (future.result() for future in futures)
+        results = []
+        for task in tasks:
             with recorder.span(
                 "shard", kind="shard", shard=task["shard"], silo=task["silo"]
             ) as span:
-                result = future.result()
+                result = next(outcomes)
                 span.set(jobs=result["n_jobs"], seconds=result["seconds"])
             shard_seconds.observe(result["seconds"])
             results.append(result)

@@ -5,9 +5,11 @@ dataset/model by :meth:`FLMethod.prepare` (called once by the trainer):
 :meth:`FLMethod.bind`, which a ``repro silo`` replica runs too, plus the
 state only the server holds.
 Each round the trainer calls :meth:`FLMethod.round` with the current flat
-global parameter vector and receives the next one.  Privacy-consuming
-methods maintain a :class:`repro.accounting.PrivacyAccountant` and report
-their cumulative user-level epsilon through :meth:`FLMethod.epsilon`.
+global parameter vector and receives the round's :class:`RoundReport`:
+the next parameter vector, who contributed and the bytes that moved.
+Privacy-consuming methods maintain a
+:class:`repro.accounting.PrivacyAccountant` and report their cumulative
+user-level epsilon through :meth:`FLMethod.epsilon`.
 
 The secure-aggregation step of the paper (server only sees the summed
 deltas) is simulated by summing plaintext deltas here; the cryptographic
@@ -25,7 +27,7 @@ Methods may also carry a :class:`repro.compress.CompressionSpec`
 :meth:`FLMethod.prepare` builds the stateful
 :class:`repro.compress.UpdateCompressor` from it, and compressing methods
 (the ULDP-AVG/SGD family) apply it strictly post-noise.  Every round
-reports the wire bytes it moved through :attr:`FLMethod.last_comm`.
+reports the wire bytes it moved in its report's ``comm``.
 
 ``round`` accepts an optional
 :class:`repro.core.weighting.RoundParticipation` describing which silos
@@ -33,9 +35,10 @@ and users take part (the :mod:`repro.sim` runtime's dropout/churn roster).
 ``participation=None`` is the idealised full-participation setting; every
 method canonicalises it to ``RoundParticipation.full(n_silos)`` on the first
 line of its round, so there is one round body and full participation is the
-roster with everyone in it, bit for bit.  Every round *must* record who
-actually contributed in :attr:`FLMethod.last_participation` (the zero-silo
-round included): the trainer logs it and does not guess.
+roster with everyone in it, bit for bit.  Every round *must* report who
+actually contributed in its report's ``participation`` (the zero-silo
+round included): the trainer logs it and does not guess, and refuses a
+``round`` that returns anything but a :class:`RoundReport`.
 
 The broadcast.  A round hands its silos one array, :meth:`FLMethod.broadcast`:
 the global params cast to the dtype the method's local training reads
@@ -109,6 +112,16 @@ class CommSummary:
     downlink_bytes: int
 
 
+@dataclass(frozen=True)
+class RoundReport:
+    """What one round of :meth:`FLMethod.round` returns: the next flat
+    params, who contributed and the bytes that moved."""
+
+    params: np.ndarray
+    participation: ParticipationSummary
+    comm: CommSummary
+
+
 class FLMethod(ABC):
     """Base class for federated optimisation methods."""
 
@@ -138,10 +151,6 @@ class FLMethod(ABC):
         #: composed curve (None: DEFAULT spends nothing, ULDP-GROUP keeps
         #: one accountant per silo).
         self.accountant = None  # repro.accounting.PrivacyAccountant
-        #: Set by every :meth:`round` (part of the contract): realised
-        #: participation of the last round.  None only before the first
-        #: round; the trainer logs it per round and refuses a None.
-        self.last_participation: ParticipationSummary | None = None
         #: The update-compression recipe (None = dense, no byte ledger
         #: beyond the trainer's dense default).  A trainer-level spec is
         #: passed to :meth:`prepare` instead of overwriting this field.
@@ -154,10 +163,6 @@ class FLMethod(ABC):
         #: Stateful compressor (:class:`repro.compress.UpdateCompressor`),
         #: built by :meth:`prepare` from the spec.
         self.compressor = None
-        #: Set by every :meth:`round` (part of the contract), through
-        #: :meth:`_log_comm`: wire bytes of the last round.  None only
-        #: before the first round; the trainer refuses a None.
-        self.last_comm: CommSummary | None = None
         #: Execution layout of the batched engine ([engine] section),
         #: bound by :meth:`prepare`; the defaults run single-process.
         self.engine_config = EngineConfig()
@@ -238,16 +243,15 @@ class FLMethod(ABC):
         t: int,
         params: np.ndarray,
         participation: RoundParticipation | None = None,
-    ) -> np.ndarray:
-        """Run round ``t`` from flat params; returns the next flat params.
+    ) -> RoundReport:
+        """Run round ``t`` from flat params; returns its :class:`RoundReport`.
 
         ``participation`` restricts the round to a subset of silos/users
         (None = everyone: canonicalise it to ``RoundParticipation.full``).
         Weight-based methods (ULDP-AVG/SGD) honour the full roster;
         silo-level methods (DEFAULT, ULDP-NAIVE, ULDP-GROUP) honour
         ``silo_mask`` only and document that ``user_mask`` is ignored.
-        Must set :attr:`last_participation` and :attr:`last_comm`
-        (:meth:`_log_comm`) before returning.
+        The report's ``comm`` comes from :meth:`_log_comm`.
         """
 
     def epsilon(self, delta: float) -> float | None:
@@ -272,8 +276,9 @@ class FLMethod(ABC):
 
     def _log_comm(
         self, participation: RoundParticipation, uplink: int, per_recipient: int
-    ) -> None:
-        """Set :attr:`last_comm`, the one byte rule of every round:
+    ) -> CommSummary:
+        """The round's :class:`CommSummary`, by the one byte rule of every
+        round:
         ``uplink`` bytes up (what the round's contributors sent), and
         ``per_recipient`` bytes down to each silo the broadcast reached
         at round start -- a superset of the contributors when a silo
@@ -281,8 +286,18 @@ class FLMethod(ABC):
         payload array (DEFAULT, ULDP-NAIVE, ULDP-GROUP) charges
         ``silos_seen * payload_bytes(P)`` up and its broadcast's
         ``nbytes`` down."""
-        self.last_comm = CommSummary(
-            uplink, per_recipient * participation.n_broadcast_silos
+        return CommSummary(uplink, per_recipient * participation.n_broadcast_silos)
+
+    def _idle_round(
+        self, params: np.ndarray, participation: RoundParticipation,
+        broadcast: np.ndarray,
+    ) -> RoundReport:
+        """The report of a round no silo contributed to: the params
+        unchanged, nothing up, the broadcast charged to each silo that
+        fetched it before failing."""
+        return RoundReport(
+            params.copy(), ParticipationSummary(0, 0),
+            self._log_comm(participation, 0, broadcast.nbytes),
         )
 
     @classmethod

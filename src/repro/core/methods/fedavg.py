@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import batched_local_deltas
-from repro.core.methods.base import FLMethod, ParticipationSummary
+from repro.core.methods.base import FLMethod, ParticipationSummary, RoundReport
 from repro.core.weighting import RoundParticipation
 
 
@@ -42,7 +42,7 @@ class Default(FLMethod):
         t: int,
         params: np.ndarray,
         participation: RoundParticipation | None = None,
-    ) -> np.ndarray:
+    ) -> RoundReport:
         """One FedAVG round, optionally under a participation roster.
 
         Silo-level method: only ``silo_mask`` is honoured.  ``user_mask``
@@ -55,9 +55,7 @@ class Default(FLMethod):
             participation = RoundParticipation.full(fed.n_silos)
         broadcast = self.broadcast(params)
         if participation.n_active_silos == 0:
-            self.last_participation = ParticipationSummary(0, 0)
-            self._log_comm(participation, 0, broadcast.nbytes)
-            return params.copy()
+            return self._idle_round(params, participation, broadcast)
         active = participation.silo_mask
 
         def trains(s: int, silo) -> bool:
@@ -77,7 +75,7 @@ class Default(FLMethod):
         # Empty silos contribute zero deltas; the mean is over all
         # (participating) silos.
         aggregate = deltas.sum(axis=0) / denominator
-        self.last_participation = ParticipationSummary(
+        seen = ParticipationSummary(
             silos_seen=denominator,
             users_seen=len(
                 set().union(
@@ -90,8 +88,8 @@ class Default(FLMethod):
                 )
             ),
         )
-        self._log_comm(
+        comm = self._log_comm(
             participation, denominator * self.payload_bytes(params.size),
             broadcast.nbytes,
         )
-        return params + self.global_lr * aggregate
+        return RoundReport(params + self.global_lr * aggregate, seen, comm)

@@ -63,7 +63,7 @@ from repro.core.engine import (
     make_shard_task,
     plan_shards,
 )
-from repro.core.methods.base import FLMethod, ParticipationSummary
+from repro.core.methods.base import FLMethod, ParticipationSummary, RoundReport
 from repro.core.reduce import BinnedSum
 from repro.core.weighting import (
     RoundParticipation,
@@ -189,7 +189,7 @@ class UldpAvg(FLMethod):
         t: int,
         params: np.ndarray,
         participation: RoundParticipation | None = None,
-    ) -> np.ndarray:
+    ) -> RoundReport:
         fed, _, rng = self._require_prepared()
         assert self.weights is not None
         self._release = (SYNC_ROUND, t)
@@ -206,12 +206,10 @@ class UldpAvg(FLMethod):
             # budget (logged so the honesty report sees the gap).  Silos
             # that fetched the model before failing still consumed
             # broadcast bytes (there is no update to compress).
-            self.last_participation = ParticipationSummary(0, 0)
-            self._log_comm(participation, 0, broadcast.nbytes)
             self.accountant.step_release(
                 self.noise_multiplier, rate, sensitivity=0.0, noise_scale=0.0
             )
-            return params.copy()
+            return self._idle_round(params, participation, broadcast)
         base_weights = participation_weights(self.weights, participation)
         sensitivity = realised_sensitivity(base_weights)
         self._active_silo_mask = participation.silo_mask
@@ -236,9 +234,6 @@ class UldpAvg(FLMethod):
             self._active_silo_mask = None
             self._noise_silos = None
 
-        self.last_participation = ParticipationSummary(
-            silos_seen=active, users_seen=len(users_seen)
-        )
         self.accountant.step_release(
             self.noise_multiplier, rate, sensitivity=sensitivity,
             noise_scale=noise_scale,
@@ -253,8 +248,11 @@ class UldpAvg(FLMethod):
             downlink_per_silo = sent.nbytes
         else:
             downlink_per_silo = broadcast.nbytes
-        self._log_comm(participation, uplink, downlink_per_silo)
-        return params + update
+        return RoundReport(
+            params + update,
+            ParticipationSummary(silos_seen=active, users_seen=len(users_seen)),
+            self._log_comm(participation, uplink, downlink_per_silo),
+        )
 
     def _round_aggregate(
         self, broadcast: np.ndarray, round_weights: np.ndarray

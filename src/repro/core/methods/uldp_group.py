@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.accountant import PrivacyAccountant
-from repro.core.methods.base import FLMethod, ParticipationSummary
+from repro.core.methods.base import FLMethod, ParticipationSummary, RoundReport
 from repro.core.metrics import make_loss
 from repro.core.weighting import RoundParticipation
 from repro.data.federated import FederatedDataset
@@ -143,7 +143,7 @@ class UldpGroup(FLMethod):
         t: int,
         params: np.ndarray,
         participation: RoundParticipation | None = None,
-    ) -> np.ndarray:
+    ) -> RoundReport:
         """One round of per-silo DP-SGD.
 
         Partial participation skips the dropped silos entirely -- their
@@ -160,9 +160,7 @@ class UldpGroup(FLMethod):
         broadcast = self.broadcast(params)
         n_active = participation.n_active_silos
         if n_active == 0:
-            self.last_participation = ParticipationSummary(0, 0)
-            self._log_comm(participation, 0, broadcast.nbytes)
-            return params.copy()
+            return self._idle_round(params, participation, broadcast)
         active = participation.silo_mask
         users_seen: set[int] = set()
         deltas = []
@@ -192,14 +190,14 @@ class UldpGroup(FLMethod):
             self.silo_accountants[s].step(
                 self.noise_multiplier, self.sample_rates[s], self.local_steps
             )
-        self.last_participation = ParticipationSummary(
-            silos_seen=n_active, users_seen=len(users_seen)
+        return RoundReport(
+            params + self.global_lr * np.mean(deltas, axis=0),
+            ParticipationSummary(silos_seen=n_active, users_seen=len(users_seen)),
+            self._log_comm(
+                participation, n_active * self.payload_bytes(params.size),
+                broadcast.nbytes,
+            ),
         )
-        self._log_comm(
-            participation, n_active * self.payload_bytes(params.size),
-            broadcast.nbytes,
-        )
-        return params + self.global_lr * np.mean(deltas, axis=0)
 
     def state_dict(self) -> dict:
         """The base state plus the per-silo accountants Theorem 2 composes

@@ -20,7 +20,7 @@ import numpy as np
 from repro.accounting.accountant import PrivacyAccountant
 from repro.nn.clip import l2_clip_rows
 from repro.core.engine import batched_local_deltas
-from repro.core.methods.base import FLMethod, ParticipationSummary
+from repro.core.methods.base import FLMethod, ParticipationSummary, RoundReport
 from repro.core.weighting import RoundParticipation
 
 
@@ -56,7 +56,7 @@ class UldpNaive(FLMethod):
         t: int,
         params: np.ndarray,
         participation: RoundParticipation | None = None,
-    ) -> np.ndarray:
+    ) -> RoundReport:
         """One ULDP-NAIVE round, optionally under a participation roster.
 
         Silo-level method: only ``silo_mask`` is honoured; ``user_mask``
@@ -69,12 +69,10 @@ class UldpNaive(FLMethod):
         broadcast = self.broadcast(params)
         n_active = participation.n_active_silos
         if n_active == 0:
-            self.last_participation = ParticipationSummary(0, 0)
-            self._log_comm(participation, 0, broadcast.nbytes)
             self.accountant.step_release(
                 self.noise_multiplier, sensitivity=0.0, noise_scale=0.0
             )
-            return params.copy()
+            return self._idle_round(params, participation, broadcast)
         active = participation.silo_mask
         # With A participating silos the user-level sensitivity is C * A
         # and each silo uses noise std sqrt(sigma^2 C^2 A): the aggregate
@@ -104,7 +102,7 @@ class UldpNaive(FLMethod):
         if noises:
             aggregate = aggregate + np.sum(noises, axis=0)
 
-        self.last_participation = ParticipationSummary(
+        seen = ParticipationSummary(
             silos_seen=n_active,
             users_seen=len(
                 {
@@ -115,9 +113,10 @@ class UldpNaive(FLMethod):
                 }
             ),
         )
-        self._log_comm(
+        comm = self._log_comm(
             participation, n_active * self.payload_bytes(params.size),
             broadcast.nbytes,
         )
         self.accountant.step_release(self.noise_multiplier)
-        return params + self.global_lr * aggregate / n_active
+        return RoundReport(
+            params + self.global_lr * aggregate / n_active, seen, comm)

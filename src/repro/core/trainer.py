@@ -11,29 +11,31 @@ advances one round (optionally under a
 :class:`repro.core.weighting.RoundParticipation` roster) and
 :meth:`Trainer.apply_external_round` records a round whose aggregation
 happened outside the method (the buffered-async policy of
-:mod:`repro.sim`).  :meth:`Trainer.run` is the plain synchronous driver,
+:mod:`repro.sim`); either way the round is one
+:class:`repro.core.methods.base.RoundReport`, timed by its ``round`` trace
+span.  :meth:`Trainer.run` is the plain synchronous driver,
 bit-identical to the pre-simulation loop.  :meth:`Trainer.state_dict` /
 :meth:`Trainer.load_state` are the trainer's share of a simulation
-checkpoint.
+checkpoint; it stores the history in :func:`history_to_dict`'s form, the
+one a ``--output`` file holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.compress.spec import CompressionSpec
 from repro.core.engine import EngineConfig
-from repro.core.methods.base import CommSummary, FLMethod, ParticipationSummary
+from repro.core.methods.base import CommSummary, FLMethod, RoundReport
 from repro.core.metrics import evaluate_model, metric_name
 from repro.core.weighting import RoundParticipation
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential, default_model_for
 from repro.obs.metrics import get_registry
-from repro.obs.trace import get_recorder
+from repro.obs.trace import Span, get_recorder
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,9 @@ class TrainingHistory:
     spec: dict | None = None
     spec_hash: str | None = None
     records: list[RoundRecord] = field(default_factory=list)
-    #: Wall-clock seconds spent in each ``method.round`` call (all rounds,
-    #: evaluated or not) -- the engine benchmarks read this.
+    #: Wall-clock seconds spent in each ``method.round`` call, or in each
+    #: buffered-async release (all rounds, evaluated or not), read off the
+    #: round's span -- the engine benchmarks read this.
     round_seconds: list[float] = field(default_factory=list)
     #: Per-round participation (all rounds, evaluated or not); under the
     #: plain trainer every round sees the full federation.
@@ -240,66 +243,43 @@ class Trainer:
         if self.done:
             raise RuntimeError("all rounds already completed")
         t = self._round
-        # Cleared, so a round that skips a report is refused, not logged stale.
-        self.method.last_participation = None
-        self.method.last_comm = None
         with get_recorder().span("round", kind="round", round=t + 1) as span:
-            start = time.perf_counter()
-            self._params = self.method.round(t, self._params, participation)
-            seconds = time.perf_counter() - start
-            record = self._finish_round(seconds)
-            self._annotate_round_span(span, seconds)
-        return record
+            report = self.method.round(t, self._params, participation)
+            return self._finish_round(report, span)
 
-    def apply_external_round(
-        self,
-        params: np.ndarray,
-        seconds: float,
-        *,
-        participation_summary: ParticipationSummary,
-        comm_summary: CommSummary,
-    ) -> RoundRecord | None:
+    def apply_external_round(self, report: RoundReport, span: Span) -> RoundRecord | None:
         """Record a round whose aggregation ran outside the method.
 
         Async policies merge buffered silo payloads themselves and hand the
-        resulting params here so history/evaluation bookkeeping stays in
-        one place.  No ``method.round()`` ran, so the caller states who
-        took part and what moved: ``participation_summary`` and
-        ``comm_summary`` become the method's ``last_participation`` /
-        ``last_comm`` for the participation and comm logs, and
-        ``seconds`` is the wall-clock the release took.
+        resulting params here, with who took part and what moved, so
+        history/evaluation bookkeeping stays in one place.  ``span`` is
+        the ``round`` span the caller opened around the release: its
+        elapsed time is the round's seconds.
         """
         if self.done:
             raise RuntimeError("all rounds already completed")
-        with get_recorder().span(
-            "round", kind="round", round=self._round + 1, external=True
-        ) as span:
-            self._params = params
-            self.method.last_participation = participation_summary
-            self.method.last_comm = comm_summary
-            record = self._finish_round(seconds)
-            self._annotate_round_span(span, seconds)
-        return record
+        return self._finish_round(report, span)
 
-    def _finish_round(self, seconds: float) -> RoundRecord | None:
-        """Shared bookkeeping after a round: logs, counter, evaluation."""
-        t = self._round
+    def _finish_round(self, report: RoundReport, span: Span) -> RoundRecord | None:
+        """Shared bookkeeping after a round, inside its open ``span``:
+        logs, counter, evaluation."""
+        seconds = span.elapsed
+        if not isinstance(report, RoundReport):
+            raise TypeError(
+                f"{type(self.method).__name__}.round() returned "
+                f"{type(report).__name__}, not a RoundReport (the FLMethod contract)"
+            )
+        number = self._round + 1
+        part, comm = report.participation, report.comm
+        # Built before any state changes, so a malformed report leaves the
+        # trainer where it was.
+        part_record = ParticipationRecord(number, part.silos_seen, part.users_seen)
+        comm_record = CommRecord(number, comm.uplink_bytes, comm.downlink_bytes)
+        self._round = number
+        self._params = report.params
         self.history.round_seconds.append(seconds)
-        self.history.participation.append(self._participation_record(t))
-        self.history.comm.append(self._comm_record(t))
-        self._round += 1
-        self._record_round_metrics(seconds)
-        record = None
-        if self._round % self.eval_every == 0 or self._round == self.rounds:
-            record = self._evaluate()
-        if self.done:
-            self.model.set_flat_params(self._params)
-        return record
-
-    def _annotate_round_span(self, span, seconds: float) -> None:
-        """Attach the just-finished round's bookkeeping to its trace span."""
-        part = self.history.participation[-1]
-        comm = self.history.comm[-1]
+        self.history.participation.append(part_record)
+        self.history.comm.append(comm_record)
         span.set(
             seconds=seconds,
             silos_seen=part.silos_seen,
@@ -307,8 +287,15 @@ class Trainer:
             uplink_bytes=comm.uplink_bytes,
             downlink_bytes=comm.downlink_bytes,
         )
+        self._record_round_metrics(seconds, comm)
+        record = None
+        if self._round % self.eval_every == 0 or self._round == self.rounds:
+            record = self._evaluate()
+        if self.done:
+            self.model.set_flat_params(self._params)
+        return record
 
-    def _record_round_metrics(self, seconds: float) -> None:
+    def _record_round_metrics(self, seconds: float, comm: CommSummary) -> None:
         """Update the process metrics registry with the finished round."""
         reg = get_registry()
         reg.counter(
@@ -318,7 +305,6 @@ class Trainer:
             "trainer_round_seconds",
             help="Wall-clock seconds per training round.", unit="seconds",
         ).observe(seconds)
-        comm = self.history.comm[-1]
         reg.counter(
             "comm_uplink_bytes_total",
             help="Silo -> server payload bytes (TrainingHistory ledger).",
@@ -341,26 +327,6 @@ class Trainer:
             )
             for name, total in phases.items():
                 gauge.labels(phase=name).set(total)
-
-    def _participation_record(self, t: int) -> ParticipationRecord:
-        """The round's realised participation, as the method reported it."""
-        summary = self.method.last_participation
-        if summary is None:
-            raise RuntimeError(
-                f"{type(self.method).__name__}.round() did not set "
-                "last_participation (the FLMethod contract)"
-            )
-        return ParticipationRecord(t + 1, summary.silos_seen, summary.users_seen)
-
-    def _comm_record(self, t: int) -> CommRecord:
-        """The round's wire traffic, as the method reported it."""
-        summary = self.method.last_comm
-        if summary is None:
-            raise RuntimeError(
-                f"{type(self.method).__name__}.round() did not set "
-                "last_comm (the FLMethod contract)"
-            )
-        return CommRecord(t + 1, summary.uplink_bytes, summary.downlink_bytes)
 
     def _evaluate(self) -> RoundRecord:
         """Evaluate the current params; appends and returns the record."""
@@ -387,22 +353,18 @@ class Trainer:
 
     def state_dict(self) -> dict:
         """The trainer's dynamic state: round counter, params, generator
-        and the history's per-round logs (the spec stamp and phase totals
-        are not state: a rebuild from the spec restores them)."""
-
-        def rows(records) -> list[list]:
-            return [list(dataclasses.astuple(record)) for record in records]
-
-        history = self.history
+        and the history's per-round logs, in :func:`history_to_dict`'s
+        form plus ``round_seconds`` (the spec stamp and phase totals are
+        not state: a rebuild from the spec restores them)."""
+        logs = dataclasses.replace(
+            self.history, spec=None, spec_hash=None, phase_seconds={})
         return {
             "round": self._round,
             "params": self._params.copy(),
             "trainer_rng": self.rng.bit_generator.state,
             "history": {
-                "records": rows(history.records),
-                "round_seconds": list(history.round_seconds),
-                "participation": rows(history.participation),
-                "comm": rows(history.comm),
+                **history_to_dict(logs),
+                "round_seconds": list(self.history.round_seconds),
             },
         }
 
@@ -412,23 +374,12 @@ class Trainer:
         self._params = np.asarray(state["params"], dtype=np.float64).copy()
         self.model.set_flat_params(self._params)
         self.rng.bit_generator.state = state["trainer_rng"]
-        logs = state["history"]
+        logs = history_from_dict(state["history"])
         history = self.history
-        history.records[:] = [
-            RoundRecord(
-                int(rnd), name, float(metric), float(loss),
-                None if eps is None else float(eps),
-            )
-            for rnd, name, metric, loss, eps in logs["records"]
-        ]
-        history.round_seconds[:] = [float(s) for s in logs["round_seconds"]]
-        history.participation[:] = [
-            ParticipationRecord(int(r), int(s), int(u))
-            for r, s, u in logs["participation"]
-        ]
-        history.comm[:] = [
-            CommRecord(int(r), int(u), int(d)) for r, u, d in logs["comm"]
-        ]
+        history.records[:] = logs.records
+        history.round_seconds[:] = [float(s) for s in state["history"]["round_seconds"]]
+        history.participation[:] = logs.participation
+        history.comm[:] = logs.comm
 
     def run(self) -> TrainingHistory:
         """Run all remaining rounds; returns the metric/epsilon history.
@@ -443,3 +394,95 @@ class Trainer:
         finally:
             self.method.close()
         return self.history
+
+
+def history_to_dict(history: TrainingHistory) -> dict:
+    """Plain-dict form of a history (stable schema, version-tagged): what
+    a ``--output`` file holds and, with ``round_seconds``, what a
+    checkpoint stores (:meth:`Trainer.state_dict`).
+
+    The participation and wire-traffic logs ride along under optional
+    keys, so archives written by older versions (without them) still load.
+    """
+    data = {
+        "schema": "uldp-fl-history/v1",
+        "method": history.method,
+        "dataset": history.dataset,
+        "records": [
+            {
+                "round": r.round,
+                "metric_name": r.metric_name,
+                "metric": r.metric,
+                "loss": r.loss,
+                "epsilon": r.epsilon,
+            }
+            for r in history.records
+        ],
+    }
+    # Spec provenance (stamped by repro.api.run): the resolved RunSpec
+    # snapshot plus its canonical hash make the archive self-describing.
+    if history.spec is not None:
+        data["spec"] = history.spec
+    if history.spec_hash is not None:
+        data["spec_hash"] = history.spec_hash
+    if history.participation:
+        data["participation"] = [
+            {"round": p.round, "silos_seen": p.silos_seen, "users_seen": p.users_seen}
+            for p in history.participation
+        ]
+    if history.comm:
+        data["comm"] = [
+            {
+                "round": c.round,
+                "uplink_bytes": c.uplink_bytes,
+                "downlink_bytes": c.downlink_bytes,
+            }
+            for c in history.comm
+        ]
+    if history.phase_seconds:
+        data["phase_seconds"] = {
+            phase: float(seconds)
+            for phase, seconds in history.phase_seconds.items()
+        }
+    return data
+
+
+def history_from_dict(data: dict) -> TrainingHistory:
+    """Inverse of :func:`history_to_dict`; validates the schema tag."""
+    if data.get("schema") != "uldp-fl-history/v1":
+        raise ValueError(f"unknown history schema: {data.get('schema')!r}")
+    history = TrainingHistory(
+        method=data["method"],
+        dataset=data["dataset"],
+        spec=data.get("spec"),
+        spec_hash=data.get("spec_hash"),
+    )
+    for r in data["records"]:
+        history.records.append(
+            RoundRecord(
+                round=int(r["round"]),
+                metric_name=r["metric_name"],
+                metric=float(r["metric"]),
+                loss=float(r["loss"]),
+                epsilon=None if r["epsilon"] is None else float(r["epsilon"]),
+            )
+        )
+    for p in data.get("participation", []):
+        history.participation.append(
+            ParticipationRecord(
+                round=int(p["round"]),
+                silos_seen=int(p["silos_seen"]),
+                users_seen=int(p["users_seen"]),
+            )
+        )
+    for c in data.get("comm", []):
+        history.comm.append(
+            CommRecord(
+                round=int(c["round"]),
+                uplink_bytes=int(c["uplink_bytes"]),
+                downlink_bytes=int(c["downlink_bytes"]),
+            )
+        )
+    for phase, seconds in data.get("phase_seconds", {}).items():
+        history.phase_seconds[str(phase)] = float(seconds)
+    return history

@@ -15,7 +15,6 @@ from .metrics import (
 )
 from .trace import (
     NULL_RECORDER,
-    NULL_SPAN,
     TRACE_SCHEMA,
     JsonlTraceRecorder,
     NullRecorder,
@@ -30,7 +29,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "NULL_RECORDER",
-    "NULL_SPAN",
     "TRACE_SCHEMA",
     "JsonlTraceRecorder",
     "NullRecorder",

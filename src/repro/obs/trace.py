@@ -17,11 +17,15 @@ clock (``ts``, epoch seconds at span start), the monotonic clock
 (``mono``, for exact in-process ordering), the duration (``dur``), and
 the span's ``attrs``.
 
-The default recorder is :data:`NULL_RECORDER`: every instrumentation
-seam in the codebase calls :func:`get_recorder` and gets a no-op whose
-``span()`` returns a shared, reusable null context manager -- a disabled
-run pays a few attribute lookups per round and nothing else, consumes no
-RNG, and is bit-identical to an uninstrumented build.  Tracing is
+Every span times itself, recorded or not: ``elapsed`` reads the clock
+while it is open and ``dur`` holds its duration once closed, so a span is
+the one clock of the region it brackets (the trainer's round seconds and
+the protocol's phase totals are read off their spans).  The default
+recorder is :data:`NULL_RECORDER`: every instrumentation seam in the
+codebase calls :func:`get_recorder` and gets one whose ``span()`` returns
+a small unrecorded :class:`Span` -- a disabled run pays one object and
+two clock reads per span, writes nothing, consumes no RNG, and is
+bit-identical to an uninstrumented build.  Tracing is
 enabled per run through the ``[obs]`` spec section
 (:class:`repro.api.spec.ObsSpec`), which builds a
 :class:`JsonlTraceRecorder` and installs it with :func:`use_recorder`.
@@ -61,31 +65,19 @@ def _jsonable(value):
     return str(value)
 
 
-class _NullSpan:
-    """The shared no-op span: context manager + attr sink, zero state."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, **attrs) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
 class NullRecorder:
-    """The default recorder: records nothing, allocates nothing."""
+    """The default recorder: its spans time themselves and record nothing."""
 
     enabled = False
 
-    def span(self, name: str, kind: str = "span", **attrs) -> _NullSpan:
-        return NULL_SPAN
+    def span(self, name: str, kind: str = "span", **attrs) -> Span:
+        return Span(self, name, kind, attrs)
+
+    def _push(self, span: Span) -> None:
+        pass
+
+    def _pop(self, span: Span) -> None:
+        pass
 
     def event(self, name: str, **attrs) -> None:
         pass
@@ -101,13 +93,14 @@ NULL_RECORDER = NullRecorder()
 
 
 class Span:
-    """One live span of a :class:`JsonlTraceRecorder` (context manager)."""
+    """One span of a recorder (context manager); times itself whether or
+    not the recorder writes it."""
 
     __slots__ = ("_recorder", "name", "kind", "attrs", "span_id",
-                 "parent_id", "suppressed", "ts", "mono", "_depth_token")
+                 "parent_id", "suppressed", "ts", "mono", "dur")
 
-    def __init__(self, recorder, name, kind, attrs, span_id, parent_id,
-                 suppressed):
+    def __init__(self, recorder, name, kind, attrs, span_id=None,
+                 parent_id=None, suppressed=False):
         self._recorder = recorder
         self.name = name
         self.kind = kind
@@ -117,6 +110,13 @@ class Span:
         self.suppressed = suppressed
         self.ts = 0.0
         self.mono = 0.0
+        #: Seconds the span was open, set when it closes.
+        self.dur: float | None = None
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds since the span opened (read while it is open)."""
+        return time.perf_counter() - self.mono
 
     def set(self, **attrs) -> "Span":
         """Attach (or overwrite) attributes on the open span."""
@@ -130,10 +130,10 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = time.perf_counter() - self.mono
+        self.dur = time.perf_counter() - self.mono
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
-        self._recorder._pop(self, duration)
+        self._recorder._pop(self)
         return False
 
 
@@ -205,7 +205,7 @@ class JsonlTraceRecorder:
     def _push(self, span: Span) -> None:
         self._stack().append(span)
 
-    def _pop(self, span: Span, duration: float) -> None:
+    def _pop(self, span: Span) -> None:
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
@@ -220,7 +220,7 @@ class JsonlTraceRecorder:
             "parent": span.parent_id,
             "ts": span.ts,
             "mono": span.mono,
-            "dur": duration,
+            "dur": span.dur,
             "attrs": span.attrs,
         })
 

@@ -12,8 +12,8 @@ preparation ran in-process, party by party.
 
 A phase delivers its rows' pending frames in row order, repeating the rows
 while any has one (so the OT round runs one (silo, user) at a time); a
-phase with none is skipped.  Each phase is timed and opens one
-``kind="phase"`` trace span; every delivered frame goes to
+phase with none is skipped.  Each phase opens one ``kind="phase"`` trace span,
+whose duration is the phase's time; every delivered frame goes to
 :attr:`Driver.log`, whose server-bound frames are the server's view
 (Theorem 5); it keeps the set-up's and the latest round's.
 
@@ -31,17 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
 import os
-import sys
-import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.core.engine import fork_pool
 from repro.net.transport import SiloFailure, TransportError
 from repro.net.wire import Frame, WireError, blob_ints, int_blob
 from repro.obs.metrics import get_registry
@@ -117,7 +114,7 @@ def _matches(row, entry) -> bool:
 class Driver:
     """Runs schedules between ``self.server`` and ``self.silos`` (set by the
     subclass); keeps the frame log, the round counter and the per-phase
-    seconds and counts (plain float adds: not thread-safe).  ``workers``
+    seconds (plain float adds: not thread-safe).  ``workers``
     sizes the kernel pool: None = min(|S|, cpus), 1 = in-process;
     ``timeout``: seconds the driver waits for one socket silo's reply."""
 
@@ -131,20 +128,19 @@ class Driver:
         self.round_no = 0
         self._setup_len: int | None = None
         self.seconds: dict[str, float] = defaultdict(float)
-        self.counts: dict[str, int] = defaultdict(int)
         self._outbox: list[tuple[str | int, str, Frame]] = []
-        self._executor: ProcessPoolExecutor | None = None
+        self._executor = None
 
     @contextmanager
     def phase(self, name: str):
-        """Time a block as phase ``name`` (recorded even if it raises)."""
-        with get_recorder().span(name, kind="phase"):
-            start = time.perf_counter()
-            try:
+        """Time a block as phase ``name`` by its span's duration
+        (recorded even if it raises)."""
+        span = get_recorder().span(name, kind="phase")
+        try:
+            with span:
                 yield
-            finally:
-                self.seconds[name] += time.perf_counter() - start
-                self.counts[name] += 1
+        finally:
+            self.seconds[name] += span.dur
 
     def report(self) -> dict[str, float]:
         """Cumulative seconds per phase (a copy)."""
@@ -264,7 +260,7 @@ class Driver:
         for s, conn, frame, downlink in sorted(owed, key=lambda entry: entry[0]):
             t, attempt = frame.payload["round"], frame.payload.get("attempt")
             with get_recorder().span(f"silo_{frame.type}", kind="silo", silo=s, round=t + 1) as span:
-                start, recv0 = time.perf_counter(), conn.bytes_received
+                recv0 = conn.bytes_received
                 try:
                     answer = conn.recv_matching(reply, t, self.timeout, attempt)
                 except (TransportError, WireError) as exc:  # incl. a missed deadline
@@ -274,7 +270,7 @@ class Driver:
                     span.set(error=type(exc).__name__)
                     continue
                 # How close this silo came to being dropped for the round.
-                margin = self.timeout - (time.perf_counter() - start)
+                margin = self.timeout - span.elapsed
                 span.set(deadline_margin=margin, downlink_bytes=downlink,
                          uplink_bytes=conn.bytes_received - recv0)
             get_registry().histogram(
@@ -313,13 +309,10 @@ class Driver:
                 frame.payload["silo"] = sender
             self._outbox.append((sender, SILO if sender == SERVER else SERVER, frame))
 
-    def _get_executor(self, workers: int) -> ProcessPoolExecutor:
-        """The protocol-lifetime pool, made on first use.  Fork only where
-        safe (Linux): macOS forks crash with threaded parents."""
+    def _get_executor(self, workers: int):
+        """The protocol-lifetime pool, made on first use."""
         if self._executor is None:
-            fork = sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork") if fork else None
-            self._executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+            self._executor = fork_pool(workers)
         return self._executor
 
     def close(self) -> None:

@@ -13,12 +13,7 @@ import json
 import math
 from pathlib import Path
 
-from repro.core.trainer import (
-    CommRecord,
-    ParticipationRecord,
-    RoundRecord,
-    TrainingHistory,
-)
+from repro.core.trainer import TrainingHistory, history_from_dict, history_to_dict
 
 #: Characters for one-line sparklines, low to high.
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -82,7 +77,7 @@ def comparison_table(histories: list[TrainingHistory]) -> str:
     # varies by method.
     merged: dict[str, float] = {}
     for h in histories:
-        for phase, seconds in getattr(h, "phase_seconds", {}).items():
+        for phase, seconds in h.phase_seconds.items():
             merged[phase] = merged.get(phase, 0.0) + float(seconds)
     if merged:
         parts = [f"{phase}={seconds:.3f}s"
@@ -92,97 +87,7 @@ def comparison_table(histories: list[TrainingHistory]) -> str:
     return "\n".join(lines)
 
 
-# -- JSON serialisation -------------------------------------------------------
-
-
-def history_to_dict(history: TrainingHistory) -> dict:
-    """Plain-dict form of a history (stable schema, version-tagged).
-
-    The participation and wire-traffic logs ride along under optional
-    keys, so archives written by older versions (without them) still load.
-    """
-    data = {
-        "schema": "uldp-fl-history/v1",
-        "method": history.method,
-        "dataset": history.dataset,
-        "records": [
-            {
-                "round": r.round,
-                "metric_name": r.metric_name,
-                "metric": r.metric,
-                "loss": r.loss,
-                "epsilon": r.epsilon,
-            }
-            for r in history.records
-        ],
-    }
-    # Spec provenance (stamped by repro.api.run): the resolved RunSpec
-    # snapshot plus its canonical hash make the archive self-describing.
-    if history.spec is not None:
-        data["spec"] = history.spec
-    if history.spec_hash is not None:
-        data["spec_hash"] = history.spec_hash
-    if history.participation:
-        data["participation"] = [
-            {"round": p.round, "silos_seen": p.silos_seen, "users_seen": p.users_seen}
-            for p in history.participation
-        ]
-    if history.comm:
-        data["comm"] = [
-            {
-                "round": c.round,
-                "uplink_bytes": c.uplink_bytes,
-                "downlink_bytes": c.downlink_bytes,
-            }
-            for c in history.comm
-        ]
-    if getattr(history, "phase_seconds", None):
-        data["phase_seconds"] = {
-            phase: float(seconds)
-            for phase, seconds in history.phase_seconds.items()
-        }
-    return data
-
-
-def history_from_dict(data: dict) -> TrainingHistory:
-    """Inverse of :func:`history_to_dict`; validates the schema tag."""
-    if data.get("schema") != "uldp-fl-history/v1":
-        raise ValueError(f"unknown history schema: {data.get('schema')!r}")
-    history = TrainingHistory(
-        method=data["method"],
-        dataset=data["dataset"],
-        spec=data.get("spec"),
-        spec_hash=data.get("spec_hash"),
-    )
-    for r in data["records"]:
-        history.records.append(
-            RoundRecord(
-                round=int(r["round"]),
-                metric_name=r["metric_name"],
-                metric=float(r["metric"]),
-                loss=float(r["loss"]),
-                epsilon=None if r["epsilon"] is None else float(r["epsilon"]),
-            )
-        )
-    for p in data.get("participation", []):
-        history.participation.append(
-            ParticipationRecord(
-                round=int(p["round"]),
-                silos_seen=int(p["silos_seen"]),
-                users_seen=int(p["users_seen"]),
-            )
-        )
-    for c in data.get("comm", []):
-        history.comm.append(
-            CommRecord(
-                round=int(c["round"]),
-                uplink_bytes=int(c["uplink_bytes"]),
-                downlink_bytes=int(c["downlink_bytes"]),
-            )
-        )
-    for phase, seconds in data.get("phase_seconds", {}).items():
-        history.phase_seconds[str(phase)] = float(seconds)
-    return history
+# -- JSON files ---------------------------------------------------------------
 
 
 def save_histories(histories: list[TrainingHistory], path: str | Path) -> None:

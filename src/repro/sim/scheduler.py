@@ -14,8 +14,8 @@ advances it one *release* at a time under a :class:`SimConfig`:
   staleness weights, performs the sensitivity bookkeeping itself (a user
   may appear in several buffered payloads), steps the accountant, and
   records the release through ``trainer.apply_external_round`` with what
-  it moved (a broadcast per pull, a payload per update received) and the
-  wall-clock it took.  It
+  it moved (a broadcast per pull, a payload per update received), inside
+  the ``round`` span it opens around the whole release (its clock).  It
   drives the method's per-silo step (``FLMethod.has_silo_step``).
 
 The scheduler reads a method only through what :class:`repro.core.FLMethod`
@@ -37,13 +37,17 @@ makes killed simulations resume bit-identically (:mod:`repro.sim.checkpoint`).
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.compress.spec import CompressionSpec
-from repro.core.methods.base import CommSummary, FLMethod, ParticipationSummary
+from repro.core.methods.base import (
+    CommSummary,
+    FLMethod,
+    ParticipationSummary,
+    RoundReport,
+)
 from repro.core.methods.uldp_avg import ASYNC_JOB
 from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.weighting import (
@@ -54,7 +58,7 @@ from repro.core.weighting import (
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential
 from repro.obs.metrics import get_registry
-from repro.obs.trace import get_recorder
+from repro.obs.trace import Span, get_recorder
 from repro.sim.participation import (
     BandwidthModel,
     ChurnProcess,
@@ -72,8 +76,9 @@ from repro.sim.policies import (
 _SIM_STREAM = 0x51D0
 
 #: The :meth:`FederationSimulator.state_dict` layout (v2: per-silo draws;
-#: v3: ``user_active`` replaces the sharded ``population`` block).
-SCHEMA = "uldp-fl-sim/v3"
+#: v3: ``user_active`` replaces the sharded ``population`` block; v4: the
+#: history in the ``--output`` dict form).
+SCHEMA = "uldp-fl-sim/v4"
 
 #: Why each earlier layout is refused (``load_state``'s one-line error).
 _OLD_SCHEMAS = {
@@ -81,6 +86,8 @@ _OLD_SCHEMAS = {
         "v1 predates per-silo generators: it would resume under other draws",
     "uldp-fl-sim/v2":
         "v2 holds a sharded user population; v3 holds one user_active flag per user",
+    "uldp-fl-sim/v3":
+        "v3 stores the history as tuple rows; v4 stores it in the --output dict form",
 }
 
 
@@ -365,38 +372,44 @@ class FederationSimulator:
 
         The release is charged what moved while it formed: one broadcast
         per pull, one payload per update received (merged or dropped as
-        stale), and its wall-clock is this whole body."""
-        start = time.perf_counter()
+        stale), and timed by the ``round`` span around this whole body."""
         policy = self.config.policy
         assert isinstance(policy, BufferedAsyncPolicy)
-        # Churn advances once per release, matching the sync policies'
-        # per-round rate semantics (jobs started during this release window
-        # see the post-churn roster).
-        if self.config.churn is not None:
-            self.config.churn.step(self.user_active, self.sim_rng)
-        downlink = uplink = 0
-        if not self._pending and not self._buffer:
-            # Cold start: every up silo begins from the initial params.
-            up = self.config.dropout.draw(0, self.fed.n_silos, self.sim_rng)
-            for silo in np.flatnonzero(up):
-                downlink += self._start_job(int(silo))
-            if not self._pending:
-                raise RuntimeError("async simulation has no live silos")
-        while len(self._buffer) < policy.buffer_size:
-            nxt = min(self._pending, key=lambda u: (u.finish, u.seq))
-            self._pending.remove(nxt)
-            self.clock = nxt.finish
-            uplink += nxt.payload.nbytes
-            staleness = self._version - nxt.version
-            if staleness <= policy.max_staleness:
-                self._buffer.append(nxt)
-            # A stale payload is dropped; either way the silo restarts.
-            downlink += self._start_job(nxt.silo)
-        self._release_buffer(start, CommSummary(uplink, downlink))
+        t = self.rounds_completed
+        with get_recorder().span(
+            "round", kind="round", round=t + 1, external=True
+        ) as span:
+            # Churn advances once per release, matching the sync policies'
+            # per-round rate semantics (jobs started during this release
+            # window see the post-churn roster).
+            if self.config.churn is not None:
+                self.config.churn.step(self.user_active, self.sim_rng)
+            downlink = uplink = 0
+            if not self._pending and not self._buffer:
+                # Cold start: every up silo begins from the initial params.
+                up = self.config.dropout.draw(0, self.fed.n_silos, self.sim_rng)
+                for silo in np.flatnonzero(up):
+                    downlink += self._start_job(int(silo))
+                if not self._pending:
+                    raise RuntimeError("async simulation has no live silos")
+            while len(self._buffer) < policy.buffer_size:
+                nxt = min(self._pending, key=lambda u: (u.finish, u.seq))
+                self._pending.remove(nxt)
+                self.clock = nxt.finish
+                uplink += nxt.payload.nbytes
+                staleness = self._version - nxt.version
+                if staleness <= policy.max_staleness:
+                    self._buffer.append(nxt)
+                # A stale payload is dropped; either way the silo restarts.
+                downlink += self._start_job(nxt.silo)
+            entry = self._release_buffer(span, CommSummary(uplink, downlink))
+        self.round_log.append(entry)
+        self._observe_release(entry)
 
-    def _release_buffer(self, start: float, comm: CommSummary) -> None:
-        """Merge the buffered payloads and record one release (begun at
-        ``start``, having moved ``comm``)."""
+    def _release_buffer(self, span: Span, comm: CommSummary) -> dict:
+        """Merge the buffered payloads and record one release (timed by
+        its open round ``span``, having moved ``comm``); returns its
+        round-log entry."""
         policy = self.config.policy
         assert isinstance(policy, BufferedAsyncPolicy)
         merged = self._buffer[: policy.buffer_size]
@@ -426,20 +439,16 @@ class FederationSimulator:
         )
         self._version += 1
         t = self.rounds_completed
+        silos = len({u.silo for u in merged})
         self.trainer.apply_external_round(
-            params,
-            time.perf_counter() - start,
-            participation_summary=ParticipationSummary(
-                silos_seen=len({u.silo for u in merged}),
-                users_seen=len(realised),
-            ),
-            comm_summary=comm,
+            RoundReport(params, ParticipationSummary(silos, len(realised)), comm),
+            span,
         )
-        entry = {
+        return {
             "round": t + 1,
             "policy": policy.name,
             "renorm": "staleness",
-            "silos_included": len({u.silo for u in merged}),
+            "silos_included": silos,
             "mean_staleness": float(
                 np.mean([self._version - 1 - u.version for u in merged])
             ),
@@ -447,8 +456,6 @@ class FederationSimulator:
             "noise_scale": noise_scale,
             "clock": self.clock,
         }
-        self.round_log.append(entry)
-        self._observe_release(entry)
 
     def _observe_release(self, entry: dict) -> None:
         """Mirror one round-log entry into the trace and metrics layers."""

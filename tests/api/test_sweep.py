@@ -88,8 +88,6 @@ class TestParallelSweep:
             assert par.spec_hash == seq.spec_hash
             seq_hist = history_to_dict(seq.history)
             par_hist = history_to_dict(par.history)
-            seq_hist.pop("round_seconds", None)
-            par_hist.pop("round_seconds", None)
             assert par_hist == seq_hist
 
 

@@ -35,8 +35,10 @@ from reference_nn import l2_clip, reference, train_epochs
 
 from repro.core import Default, UldpAvg, UldpGroup, UldpNaive, UldpSgd
 from repro.core.engine import fold_weighted_rows
+from repro.core.methods.base import ParticipationSummary, RoundReport
 from repro.core.reduce import BinnedSum
 from repro.core.metrics import make_loss
+from repro.core.weighting import RoundParticipation
 from repro.nn import dpsgd
 from repro.nn.layers import TRAIN_DTYPE
 from repro.nn.losses import DegenerateBatchError
@@ -97,6 +99,17 @@ def per_sample_clipped_gradient_sum(model, loss, x, y, clip, microbatch_size=1):
     )
 
 
+def full_round_report(method, params, broadcast):
+    """What the runtime's silo-level round reports when every silo took
+    part: each silo's dense payload up, the broadcast down to each."""
+    fed = method.fed
+    users = {int(u) for silo in fed.silos for u in silo.users_present()}
+    comm = method._log_comm(
+        RoundParticipation.full(fed.n_silos),
+        fed.n_silos * method.payload_bytes(params.size), broadcast.nbytes)
+    return RoundReport(params, ParticipationSummary(fed.n_silos, len(users)), comm)
+
+
 class LoopDefault(Default):
     def round(self, t, params, participation=None):
         assert participation is None
@@ -107,7 +120,9 @@ class LoopDefault(Default):
             for silo in self.fed.silos
             if silo.n_records > 0
         ]
-        return params + self.global_lr * np.sum(deltas, axis=0) / self.fed.n_silos
+        return full_round_report(
+            self, params + self.global_lr * np.sum(deltas, axis=0) / self.fed.n_silos,
+            broadcast)
 
 
 class LoopUldpNaive(UldpNaive):
@@ -124,7 +139,8 @@ class LoopUldpNaive(UldpNaive):
                                     self.batch_size)
                 aggregate += l2_clip(delta, self.clip)
             aggregate += self._gaussian_noise(self.rng, noise_std, params.size)
-        return params + self.global_lr * aggregate / n_silos
+        return full_round_report(
+            self, params + self.global_lr * aggregate / n_silos, broadcast)
 
 
 class LoopUldpGroup(UldpGroup):

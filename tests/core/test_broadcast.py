@@ -127,6 +127,6 @@ def test_uldp_group_reads_the_low_bits():
             UldpGroup(group_size=4, local_steps=2, expected_batch_size=16), fed)
         assert method.broadcast_dtype == np.float64
         assert method.broadcast(start).tobytes() == start.tobytes()
-        deltas.append(method.round(0, start) - start)
+        deltas.append(method.round(0, start).params - start)
     gap = np.abs(deltas[0] - deltas[1]).max()
     assert 0 < gap < 1e-6, gap

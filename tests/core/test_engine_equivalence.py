@@ -60,7 +60,7 @@ def run_rounds(method, fed, rounds=2, seed=0, model_builder=None):
     method.prepare(fed, model, rng)
     params = model.get_flat_params()
     for t in range(rounds):
-        params = method.round(t, params)
+        params = method.round(t, params).params
     return params
 
 

@@ -499,10 +499,10 @@ def _one_round(classes, kwargs, participation, base):
 
         method._round_aggregate = spy
         method._shard_payloads = spy_source
-        method.round(0, model.get_flat_params(), participation)
+        report = method.round(0, model.get_flat_params(), participation)
         payloads.append(formed)
-        traces.append((method.rng.bit_generator.state, method.last_comm,
-                       method.last_participation, method.epsilon(1e-5)))
+        traces.append((method.rng.bit_generator.state, report.comm,
+                       report.participation, method.epsilon(1e-5)))
     return aggregates, payloads, traces
 
 

@@ -33,7 +33,7 @@ def run_method(method, fed, rounds=2, seed=0, model=None):
     method.prepare(fed, model, rng)
     params = model.get_flat_params()
     for t in range(rounds):
-        params = method.round(t, params)
+        params = method.round(t, params).params
     return params
 
 
@@ -153,16 +153,18 @@ class TestSiloLevelBaselinesOneRoundBody:
         from repro.core.weighting import RoundParticipation
 
         plain, rostered = build(), build()
-        a = run_method(plain, small_fed, rounds=2)
-        rng = np.random.default_rng(0)
-        model = build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
-        rostered.prepare(small_fed, model, rng)
-        b = model.get_flat_params()
-        for t in range(2):
-            b = rostered.round(t, b, RoundParticipation.full(small_fed.n_silos))
-        assert np.array_equal(a, b)
-        assert plain.last_participation == rostered.last_participation
-        assert plain.last_participation.silos_seen == small_fed.n_silos
+        reports = []
+        for method, roster in (
+            (plain, None), (rostered, RoundParticipation.full(small_fed.n_silos)),
+        ):
+            model = build_tiny_mlp(30, 8, 2, np.random.default_rng(1))
+            method.prepare(small_fed, model, np.random.default_rng(0))
+            report = method.round(0, model.get_flat_params(), roster)
+            reports.append(method.round(1, report.params, roster))
+        a, b = reports
+        assert np.array_equal(a.params, b.params)
+        assert a.participation == b.participation
+        assert a.participation.silos_seen == small_fed.n_silos
         assert plain.epsilon(1e-5) == rostered.epsilon(1e-5)
 
     def test_plain_naive_run_logs_every_release(self, small_fed):
@@ -212,7 +214,7 @@ class TestUldpAvg:
         rostered.prepare(small_fed, model, rng)
         b = model.get_flat_params()
         for t in range(3):
-            b = rostered.round(t, b, RoundParticipation.full(small_fed.n_silos))
+            b = rostered.round(t, b, RoundParticipation.full(small_fed.n_silos)).params
         assert np.array_equal(a, b)
         assert plain.accountant.releases == rostered.accountant.releases
         assert [(r.sensitivity, r.noise_scale)
@@ -383,7 +385,7 @@ class TestUldpSgd:
         model.set_flat_params(params)
         before = evaluate_model(small_fed, model)["loss"]
         for t in range(10):
-            params = method.round(t, params)
+            params = method.round(t, params).params
         model.set_flat_params(params)
         after = evaluate_model(small_fed, model)["loss"]
         assert after < before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.methods import UldpAvg
-from repro.core.probes import (
+from sensitivity_probes import (
     HEAVY_USER_LAYOUT,
     N_USERS,
     make_fed,

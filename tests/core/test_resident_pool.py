@@ -285,12 +285,12 @@ def test_prepare_on_another_federation_replaces_the_pool(fed):
         model = _model()
         method.prepare(other, model, np.random.default_rng(5), engine=config)
         assert method.shard_engine._executor is None
-        got = method.round(0, model.get_flat_params())
+        got = method.round(0, model.get_flat_params()).params
     finally:
         method.close()
     fresh = UldpAvg(weighting="proportional")
     fresh.prepare(other, _model(), np.random.default_rng(5))
-    assert got.tobytes() == fresh.round(0, model.get_flat_params()).tobytes()
+    assert got.tobytes() == fresh.round(0, model.get_flat_params()).params.tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -301,13 +301,13 @@ def test_close_then_reuse_reinstalls_the_context(fed, workers):
         method = UldpAvg(weighting="proportional")
         method.prepare(fed, _model(), np.random.default_rng(5), engine=config)
         try:
-            params = method.round(0, method.model.get_flat_params())
+            params = method.round(0, method.model.get_flat_params()).params
             if close_between:
                 method.close()
                 assert method.shard_engine._executor is None
                 # Whatever this process resolved last is not what counts.
                 engine_module.install_resident(None, None)
-            return method.round(1, params).tobytes()
+            return method.round(1, params).params.tobytes()
         finally:
             method.close()
 

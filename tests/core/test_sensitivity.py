@@ -1,7 +1,7 @@
 """User-level sensitivity invariants (Theorems 1 and 3, Figure 3).
 
 These tests verify the paper's central claim *empirically* using the
-library's sensitivity probes (:mod:`repro.core.probes`): with noise
+sensitivity probes (``tests/sensitivity_probes.py``): with noise
 disabled, swapping ALL records of one user changes the cross-silo aggregate
 by at most the claimed sensitivity (C for ULDP-AVG/SGD, C*|S| for
 ULDP-NAIVE), no matter how many records the user owns.  The record-level
@@ -17,7 +17,7 @@ from reference_nn import per_sample_clipped_gradient_sum
 
 from repro.core.methods import UldpAvg, UldpNaive, UldpSgd
 from repro.core.metrics import make_loss
-from repro.core.probes import (
+from sensitivity_probes import (
     HEAVY_USER_LAYOUT,
     N_USERS,
     make_fed,
@@ -125,6 +125,6 @@ class TestSubsampledSensitivity:
                          local_lr=0.3, user_sample_rate=1e-12)
         method.prepare(fed, model, rng)
         params = model.get_flat_params()
-        new_params = method.round(0, params)
+        new_params = method.round(0, params).params
         # With (almost surely) nobody sampled and zero noise, nothing moves.
         np.testing.assert_allclose(new_params, params)

@@ -1,5 +1,7 @@
 """Tests for the Trainer, history bookkeeping, and model selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,30 +55,34 @@ class TestTrainerBasics:
         assert history.final.epsilon is None
         assert "non-private" in history.summary()
 
-    def test_method_that_reports_no_participation_is_refused(self, cc_fed):
+    @pytest.mark.parametrize("spoil, error, match", [
+        (lambda report: report.params, TypeError, "Bare.*ndarray.*RoundReport"),
+        (lambda report: replace(report, participation=None), AttributeError,
+         "silos_seen"),
+        (lambda report: replace(report, comm=None), AttributeError,
+         "uplink_bytes"),
+    ], ids=["bare-params", "no-participation", "no-comm"])
+    def test_method_that_reports_no_participation_is_refused(
+            self, cc_fed, spoil, error, match):
         """The trainer logs what the method reports and does not guess: a
-        round that skips a report is refused, even after one that made it."""
-        from repro.core.methods.base import ParticipationSummary
+        round that returns bare params or a report missing a part is
+        refused, even after one that reported, and the trainer stays at
+        the last whole round."""
 
-        class Silent(Default):
+        class Bare(Default):
             def round(self, t, params, participation=None):
-                if t == 0:
-                    return super().round(t, params, participation)
-                return params.copy()  # breaks the contract: no last_participation
-
-        class Uncharged(Default):
-            def round(self, t, params, participation=None):
-                if t == 0:
-                    return super().round(t, params, participation)
-                self.last_participation = ParticipationSummary(0, 0)
-                return params.copy()  # breaks the contract: no last_comm
+                report = super().round(t, params, participation)
+                return report if t == 0 else spoil(report)
 
         model = build_tiny_mlp(30, 8, 2, np.random.default_rng(0))
-        for method, field in ((Silent, "last_participation"), (Uncharged, "last_comm")):
-            trainer = Trainer(cc_fed, method(local_epochs=1), rounds=2, model=model)
+        trainer = Trainer(cc_fed, Bare(local_epochs=1), rounds=2, model=model)
+        trainer.step()
+        with pytest.raises(error, match=match):
             trainer.step()
-            with pytest.raises(RuntimeError, match=f"{method.__name__}.*{field}"):
-                trainer.step()
+        history = trainer.history
+        assert trainer.round_index == 1
+        assert len(history.round_seconds) == len(history.comm) == 1
+        assert len(history.participation) == 1
 
     def test_series_rejects_unknown_key(self, cc_fed):
         model = build_tiny_mlp(30, 8, 2, np.random.default_rng(0))

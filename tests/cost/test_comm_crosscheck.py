@@ -131,7 +131,7 @@ METHODS = pytest.mark.parametrize(
 @METHODS
 class TestBroadcastRecipients:
     """Downlink is charged to broadcast recipients, not contributors; every
-    method sets ``last_comm`` itself and the trainer guesses nothing."""
+    method's round reports its ``comm`` and the trainer guesses nothing."""
 
     def _prepared(self, make):
         fed = build_creditcard_benchmark(
@@ -152,11 +152,11 @@ class TestBroadcastRecipients:
             silo_mask=np.array([True, False, False]),
             broadcast_mask=np.array([True, True, False]),
         )
-        method.round(0, params, participation=participation)
+        report = method.round(0, params, participation=participation)
         # One contributor's uplink; two silos fetched the broadcast.
-        assert method.last_participation.silos_seen == 1
-        assert method.last_comm.uplink_bytes == 1 * payload
-        assert method.last_comm.downlink_bytes == 2 * broadcast
+        assert report.participation.silos_seen == 1
+        assert report.comm.uplink_bytes == 1 * payload
+        assert report.comm.downlink_bytes == 2 * broadcast
 
     def test_all_down_round_still_charges_broadcast(
         self, make, payload_itemsize, broadcast_itemsize
@@ -167,9 +167,9 @@ class TestBroadcastRecipients:
             silo_mask=np.array([False, False, False]),
             broadcast_mask=np.array([True, True, False]),
         )
-        method.round(0, params, participation=participation)
-        assert method.last_comm.uplink_bytes == 0
-        assert method.last_comm.downlink_bytes == 2 * broadcast
+        comm = method.round(0, params, participation=participation).comm
+        assert comm.uplink_bytes == 0
+        assert comm.downlink_bytes == 2 * broadcast
 
     def test_without_broadcast_mask_recipients_default_to_contributors(
         self, make, payload_itemsize, broadcast_itemsize
@@ -179,5 +179,5 @@ class TestBroadcastRecipients:
         participation = RoundParticipation(
             silo_mask=np.array([True, True, False])
         )
-        method.round(0, params, participation=participation)
-        assert method.last_comm.downlink_bytes == 2 * broadcast
+        comm = method.round(0, params, participation=participation).comm
+        assert comm.downlink_bytes == 2 * broadcast

@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.trace import (
     NULL_RECORDER,
-    NULL_SPAN,
     TRACE_SCHEMA,
     JsonlTraceRecorder,
     get_recorder,
@@ -26,16 +25,16 @@ class TestNullRecorder:
         assert get_recorder() is NULL_RECORDER
         assert NULL_RECORDER.enabled is False
 
-    def test_span_returns_the_shared_null_span(self):
-        a = NULL_RECORDER.span("x", kind="round", round=1)
-        b = NULL_RECORDER.span("y")
-        assert a is NULL_SPAN and b is NULL_SPAN
-
-    def test_null_span_is_a_reusable_context_manager(self):
-        with NULL_RECORDER.span("x") as span:
+    def test_null_span_times_itself_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with NULL_RECORDER.span("x", kind="round", round=1) as span:
             assert span.set(key="value") is span
-        with NULL_RECORDER.span("x"):
-            pass  # reusable, not one-shot
+            assert span.elapsed >= 0.0 and span.dur is None
+        assert span.dur >= 0.0
+        with NULL_RECORDER.span("y") as other:
+            pass
+        assert other is not span and other.dur >= 0.0
+        assert list(tmp_path.iterdir()) == []
 
     def test_null_span_does_not_swallow_exceptions(self):
         with pytest.raises(RuntimeError):
@@ -73,7 +72,7 @@ class TestJsonlTraceRecorder:
         assert inner["attrs"] == {"round": 1, "uplink_bytes": 128}
         assert inner["parent"] == outer["id"]
         assert outer["parent"] is None
-        assert inner["dur"] >= 0.0 and inner["ts"] > 0.0
+        assert inner["dur"] == span.dur >= 0.0 and inner["ts"] > 0.0
 
     def test_exception_stamps_an_error_attr(self, tmp_path):
         rec = JsonlTraceRecorder(tmp_path / "t.jsonl")

@@ -21,6 +21,10 @@ from repro.protocol.driver import HOST, SERVER, SILO, Driver, Party
 HIST = np.array([[3, 0, 2, 1], [1, 4, 0, 1], [2, 1, 1, 0]])
 
 
+def read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def bench_metrics():
     """``bench/metrics.py`` (standalone), for its protocol phase tuples."""
     path = Path(__file__).resolve().parents[2] / "bench" / "metrics.py"
@@ -56,19 +60,22 @@ PING = (("ping", HOST, SILO, "ping"), ("pong", SILO, SERVER, "pong"))
 
 
 class TestPhaseClock:
-    def test_phase_accumulates_time_and_count(self):
+    def test_phase_time_is_its_spans_duration(self, tmp_path):
         driver = EchoDriver()
-        for _ in range(2):
-            with driver.phase("work"):
-                pass
-        assert driver.counts["work"] == 2
-        assert driver.seconds["work"] >= 0.0
+        recorder = JsonlTraceRecorder(tmp_path / "t.jsonl")
+        with use_recorder(recorder):
+            for _ in range(2):
+                with driver.phase("work"):
+                    pass
+        recorder.close()
+        durs = [r["dur"] for r in read_records(tmp_path / "t.jsonl") if r.get("kind") == "phase"]
+        assert len(durs) == 2
+        assert driver.seconds["work"] == durs[0] + durs[1]
 
     def test_schedule_phases_are_kept_apart(self):
         driver = EchoDriver()
         driver.run(PING)
         driver.run(PING)
-        assert dict(driver.counts) == {"ping": 2, "pong": 2}
         assert sorted(driver.report()) == ["ping", "pong"]
 
     def test_report_returns_copy(self):
@@ -81,12 +88,15 @@ class TestPhaseClock:
     def test_empty_report(self):
         assert EchoDriver().report() == {}
 
-    def test_phase_records_even_when_a_handler_raises(self):
+    def test_phase_records_even_when_a_handler_raises(self, tmp_path):
         driver = EchoDriver(fail=True)
-        with pytest.raises(RuntimeError, match="boom"):
+        recorder = JsonlTraceRecorder(tmp_path / "t.jsonl")
+        with use_recorder(recorder), pytest.raises(RuntimeError, match="boom"):
             driver.run(PING)
-        assert driver.counts["ping"] == 1
-        assert "ping" in driver.report() and "pong" not in driver.report()
+        recorder.close()
+        [span] = [r for r in read_records(tmp_path / "t.jsonl") if r.get("kind") == "phase"]
+        assert span["attrs"] == {"error": "RuntimeError"}
+        assert driver.report() == {"ping": span["dur"]}
 
     def test_phase_with_nothing_to_deliver_is_skipped(self):
         driver = EchoDriver()
@@ -99,8 +109,7 @@ class TestPhaseClock:
         with use_recorder(recorder):
             driver.run(PING)
         recorder.close()
-        records = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
-        phases = [r["name"] for r in records if r.get("kind") == "phase"]
+        phases = [r["name"] for r in read_records(tmp_path / "t.jsonl") if r.get("kind") == "phase"]
         assert phases == ["ping", "pong"]
 
 

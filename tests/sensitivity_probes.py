@@ -3,8 +3,7 @@
 Utilities that measure, with noise disabled, how much a method's pre-noise
 aggregate moves when one user's records are swapped -- the quantity the
 privacy theorems bound analytically (Theorems 1 and 3, Figure 3).  Used by
-the invariant tests and the Table 2 benchmark; also handy for validating
-custom weight matrices before deployment.
+the sensitivity and noise-calibration tests.
 """
 
 from __future__ import annotations
@@ -82,5 +81,4 @@ def prenoise_aggregate(method_cls, fed, clip, seed=1, **kwargs) -> np.ndarray:
     method = method_cls(clip=clip, noise_multiplier=0.0, **kwargs)
     method.prepare(fed, model, rng)
     params = model.get_flat_params()
-    new_params = method.round(0, params)
-    return new_params - params
+    return method.round(0, params).params - params

@@ -118,13 +118,15 @@ def test_uldp_sgd_async_resumes_with_payloads_in_flight(tmp_path):
     ("uldp-fl-sim/v1", "predates per-silo generators"),
     # v2 kept user flags in a sharded population block v3 cannot read.
     ("uldp-fl-sim/v2", "v2 holds a sharded user population"),
+    # v3 kept the history's logs as tuple rows, not the --output dicts.
+    ("uldp-fl-sim/v3", "v3 stores the history as tuple rows"),
 ])
 def test_old_snapshot_is_refused(schema, why, tmp_path):
     spec = spec_for("uldp-avg", None)
     killed_and_resumed(spec, tmp_path)
     state_file = tmp_path / "state.json"
     meta = json.loads(state_file.read_text())
-    assert meta["state"]["schema"] == "uldp-fl-sim/v3"
+    assert meta["state"]["schema"] == "uldp-fl-sim/v4"
     meta["state"]["schema"] = schema
     state_file.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=why):

@@ -130,14 +130,6 @@ class TestTrainCommand:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def _comparable(path) -> str:
-    """A history file's bytes minus the wall-clock column."""
-    payload = json.loads(path.read_text())
-    for history in payload:
-        history.pop("round_seconds", None)
-    return json.dumps(payload, indent=2)
-
-
 class TestSimulateCommand:
     """Simulate-mode runs: ``repro scenarios`` and ``repro run --resume``."""
 
@@ -174,7 +166,7 @@ class TestSimulateCommand:
         code = main(["run", "--resume", str(ckpt), "--output", str(resumed_out)])
         assert code == 0
         assert f"resumed from {ckpt} at round 1" in capsys.readouterr().out
-        assert _comparable(resumed_out) == _comparable(full_out)
+        assert resumed_out.read_bytes() == full_out.read_bytes()
         # The resumed run kept snapshotting into the directory it came from.
         assert json.loads((ckpt / "state.json").read_text())["state"]["round"] == 3
 
@@ -189,20 +181,38 @@ class TestSimulateCommand:
         assert main(["run", "--resume", str(tmp_path), *extra]) == 2
         assert "drop --config/--set" in capsys.readouterr().err
 
+    @staticmethod
+    def _as_v2(state):
+        state["population"] = state.pop("user_active")
+
+    @staticmethod
+    def _as_v3(state):
+        # v3 held the history's logs as tuple rows.
+        logs = state["history"]
+        state["history"] = {
+            key: [list(row.values()) for row in logs[key]]
+            for key in ("records", "participation", "comm")
+        } | {"round_seconds": logs["round_seconds"]}
+
     @pytest.mark.parametrize("command", ["run", "serve"])
-    def test_resume_refuses_a_v2_snapshot_in_one_line(self, command, capsys, tmp_path):
+    @pytest.mark.parametrize("schema, rewrite, why", [
+        ("uldp-fl-sim/v2", _as_v2, "v2 holds a sharded user population"),
+        ("uldp-fl-sim/v3", _as_v3, "v3 stores the history as tuple rows"),
+    ], ids=["v2", "v3"])
+    def test_resume_refuses_an_old_snapshot_in_one_line(
+            self, command, schema, rewrite, why, capsys, tmp_path):
         ckpt = ["--set", f"sim.checkpoint_dir={tmp_path}"]
         assert main(["run", *self.SETS, *ckpt]) == 0
         capsys.readouterr()
         state = tmp_path / "state.json"
         meta = json.loads(state.read_text())
-        meta["state"]["schema"] = "uldp-fl-sim/v2"
-        meta["state"]["population"] = meta["state"].pop("user_active")
+        meta["state"]["schema"] = schema
+        rewrite(meta["state"])
         state.write_text(json.dumps(meta))
         assert main([command, "--resume", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "v2 holds a sharded user population" in err[0]
+        assert why in err[0]
 
     @pytest.mark.parametrize("command", ["run", "serve"])
     @pytest.mark.parametrize("edit, why", [

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.methods import UldpAvg, UldpNaive, UldpSgd
-from repro.core.probes import make_fed
+from sensitivity_probes import make_fed
 from repro.nn.model import build_tiny_mlp
 
 # Zero-record layout trick: every silo has records of user 0 only, and we
@@ -42,7 +42,7 @@ def noise_only_aggregate(method_cls, sigma, clip, seed, **kwargs):
         )
     method.prepare(fed, model, rng)
     params = model.get_flat_params()
-    new_params = method.round(0, params)
+    new_params = method.round(0, params).params
     return new_params - params, fed
 
 

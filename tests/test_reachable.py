@@ -48,12 +48,6 @@ ALLOWED = {
         "the plaintext weighted sum Protocol 1's tests decrypt against",
     "protocol/oblivious.py::transfer":
         "the 1-out-of-n OT the sub-sampling tests run end to end (item 12)",
-    "core/probes.py::make_fed":
-        "sensitivity probe: builds the adversarial federations the sensitivity tests use",
-    "core/probes.py::replace_user_records":
-        "sensitivity probe: the neighbouring dataset (one user's records swapped)",
-    "core/probes.py::prenoise_aggregate":
-        "sensitivity probe: the noiseless aggregate the tests bound (Theorems 1, 3)",
     "accounting/accountant.py::PrivacyAccountant.rdp_curve":
         "the accountant's RDP curve the accounting tests compare",
     "core/methods/uldp_group.py::UldpGroup.record_level_epsilon":
