@@ -27,9 +27,7 @@ _LAZY_EXPORTS = {
     "DEFAULT_ALPHAS": "repro.accounting.rdp",
     "gaussian_rdp": "repro.accounting.rdp",
     "gaussian_rdp_curve": "repro.accounting.rdp",
-    "subsampled_gaussian_rdp": "repro.accounting.subsampled",
     "subsampled_gaussian_rdp_curve": "repro.accounting.subsampled",
-    "subsampled_rdp_closed_form": "repro.accounting.subsampled",
     "rdp_to_dp": "repro.accounting.conversion",
     "rdp_curve_to_dp": "repro.accounting.conversion",
     "group_rdp_curve": "repro.accounting.group",

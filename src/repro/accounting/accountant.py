@@ -153,11 +153,6 @@ class PrivacyAccountant:
             return
         self.step(event.effective_noise_multiplier, sample_rate=sample_rate)
 
-    @property
-    def rdp_curve(self) -> np.ndarray:
-        """Current composed RDP curve (copy)."""
-        return self._rhos.copy()
-
     def get_epsilon(self, delta: float) -> float:
         """Best (eps, delta)-DP guarantee for the composed mechanism.
 

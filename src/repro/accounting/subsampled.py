@@ -1,21 +1,17 @@
 """RDP of the Poisson-sub-sampled Gaussian mechanism.
 
-Two bounds are provided:
-
-- :func:`subsampled_gaussian_rdp` -- the numerically tight bound of
-  Mironov, Talwar & Zhang, "Renyi differential privacy of the sampled
-  Gaussian mechanism" (2019), the computation Opacus uses.  For integer
-  orders it evaluates a finite binomial sum; for fractional orders the
-  convergent two-sided series with erfc terms.  All computation happens in
-  log space for stability, on arrays of terms in blocks (the
-  term-by-term form is the test oracle, ``tests/accounting/oracle_subsampled.py``;
-  costs in docs/privacy_accounting.md, "Cost of the accountant").
-- :func:`subsampled_rdp_closed_form` -- the closed-form upper bound of
-  Wang, Balle & Kasiviswanathan (2019), quoted as Lemma 4 in the paper.
-  Looser but cheap; used for cross-checking.
-
-Both take the sampling rate q (probability a record/user participates in a
-step) and the noise multiplier sigma.
+:func:`subsampled_gaussian_rdp_curve` is the numerically tight bound of
+Mironov, Talwar & Zhang, "Renyi differential privacy of the sampled
+Gaussian mechanism" (2019), the computation Opacus uses, on an order grid.
+For integer orders it evaluates a finite binomial sum; for fractional
+orders the convergent two-sided series with erfc terms.  All computation
+happens in log space for stability, on arrays of terms in blocks (the
+term-by-term form is the test oracle, ``tests/accounting/oracle_subsampled.py``;
+costs in docs/privacy_accounting.md, "Cost of the accountant").  It takes
+the sampling rate q (probability a record/user participates in a step)
+and the noise multiplier sigma.  The single-order form and the looser
+closed-form bound of Wang, Balle & Kasiviswanathan (2019), the paper's
+Lemma 4, are test references (``tests/accounting/accounting_reference.py``).
 
 The special functions the bounds need -- ``log(i!)``, ``log erfc`` and the
 signed generalised binomials ``C(alpha, i)`` -- are this module's own
@@ -263,23 +259,6 @@ def _rdp_at_order(q: float, sigma: float, alpha: float) -> float:
     return log_a / (alpha - 1.0)
 
 
-def subsampled_gaussian_rdp(q: float, sigma: float, alpha: float) -> float:
-    """Tight RDP bound of one sub-sampled Gaussian step at a single order.
-
-    Args:
-        q: Poisson sampling rate in [0, 1].
-        sigma: noise multiplier.
-        alpha: Renyi order > 1.
-
-    Returns:
-        rho(alpha) = log(A(alpha)) / (alpha - 1).
-    """
-    _check_mechanism(q, sigma)
-    if alpha <= 1:
-        raise ValueError("Renyi order must exceed 1")
-    return _rdp_at_order(q, sigma, float(alpha))
-
-
 def subsampled_gaussian_rdp_curve(
     q: float, sigma: float, steps: int = 1, alphas: np.ndarray | None = None
 ) -> np.ndarray:
@@ -296,36 +275,3 @@ def subsampled_gaussian_rdp_curve(
         # One growth of the log(i!) table for the grid, not one per order.
         _log_factorials(int(alphas.max()))
     return steps * np.array([_rdp_at_order(q, sigma, float(a)) for a in alphas])
-
-
-def subsampled_rdp_closed_form(q: float, sigma: float, alpha: int) -> float:
-    """Closed-form upper bound of Lemma 4 (Wang et al. 2019), integer alpha.
-
-    rho'(alpha) <= 1/(alpha-1) * log(1 + 2 q^2 C(alpha,2)
-        min{2(e^{1/sigma^2} - 1), e^{1/sigma^2}}
-        + sum_{j=3}^alpha 2 q^j C(alpha,j) e^{j(j-1)/(2 sigma^2)}),
-    summed in log space: the terms overflow a double from alpha ~ 200 at
-    sigma = 5.
-    """
-    if not 0 <= q < 1:
-        raise ValueError("sampling rate must lie in [0, 1)")
-    if sigma <= 0:
-        raise ValueError("noise multiplier must be positive")
-    if not float(alpha).is_integer() or alpha < 2:
-        raise ValueError("closed form requires integer alpha >= 2")
-    alpha = int(alpha)
-    if q == 0:
-        return 0.0
-    log_fact = _log_factorials(alpha)
-    log_2, log_q = math.log(2.0), math.log(q)
-    s = 1.0 / sigma**2
-    # log min{2(e^s - 1), e^s}, with e^s - 1 = e^s (1 - e^-s).
-    log_e_term = min(log_2 + s + math.log(-math.expm1(-s)), s)
-    total = _LogSumExp()
-    log_c2 = log_fact[alpha] - log_fact[2] - log_fact[alpha - 2]
-    total.add(np.array([0.0, log_2 + log_c2 + 2.0 * log_q + log_e_term]))
-    for lo in range(3, alpha + 1, _BLOCK):
-        hi = min(lo + _BLOCK, alpha + 1)
-        j = np.arange(lo, hi, dtype=np.float64)
-        total.add(log_2 + _log_comb(log_fact, alpha, lo, hi) + j * log_q + (j * j - j) * (s / 2.0))
-    return total.value() / (alpha - 1.0)

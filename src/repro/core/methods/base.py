@@ -131,10 +131,10 @@ class FLMethod(ABC):
     #: Whether :meth:`round` applies lossy update compression itself.
     #: Methods without it still accept an identity spec (byte accounting).
     supports_compression: bool = False
-    #: Whether the method has the per-silo step API (``silo_payload``,
-    #: ``apply_aggregate``, ``contribution_executor``; ``weights``, ``clip``,
-    #: ``noise_multiplier``, ``user_sample_rate``) that the buffered-async
-    #: scheduler and the networked runtime drive instead of :meth:`round`.
+    #: Whether the method has the per-silo step API that the networked
+    #: runtime (``silo_payload``, ``contribution_executor``) and the
+    #: buffered-async scheduler (``buffered_job``, ``release_buffered``,
+    #: ``last_release``; ``user_sample_rate``) drive instead of :meth:`round`.
     has_silo_step: bool = False
     #: The dtype of the round's broadcast (:meth:`broadcast`): what the
     #: method's local training reads of the global params, and no wider.

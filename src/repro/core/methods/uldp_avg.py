@@ -40,7 +40,7 @@ sigma * C / sqrt(|S|)).  The round aggregate is
 index order (:meth:`UldpAvg._round_aggregate`), and that payload is the
 only thing that crosses a process or socket boundary.  It is formed by
 the shard pool's tasks or, silo by silo, by :meth:`UldpAvg.silo_payload`
-(remote silo processes, the buffered-async scheduler) -- the same fold,
+(remote silo processes, :meth:`UldpAvg.buffered_job`) -- the same fold,
 the same bits.  Per-user rows exist outside the engine only for
 :class:`repro.protocol.SecureUldpAvg`, which multiplies each by an
 encrypted weight (:meth:`UldpAvg.silo_round_segment`).
@@ -63,7 +63,12 @@ from repro.core.engine import (
     make_shard_task,
     plan_shards,
 )
-from repro.core.methods.base import FLMethod, ParticipationSummary, RoundReport
+from repro.core.methods.base import (
+    CommSummary,
+    FLMethod,
+    ParticipationSummary,
+    RoundReport,
+)
 from repro.core.reduce import BinnedSum
 from repro.core.weighting import (
     RoundParticipation,
@@ -238,9 +243,7 @@ class UldpAvg(FLMethod):
             self.noise_multiplier, rate, sensitivity=sensitivity,
             noise_scale=noise_scale,
         )
-        scale = fed.n_users * fed.n_silos * rate
-        assert self.global_lr is not None
-        update = self.global_lr * aggregate / scale
+        update = self._server_update(aggregate, fed.n_users * fed.n_silos * rate)
         comp = self.compressor
         if comp is not None and comp.spec.downlink and not comp.spec.is_identity:
             sent = comp.compress_downlink(update)
@@ -303,16 +306,15 @@ class UldpAvg(FLMethod):
         mask = self._active_silo_mask
         return [s for s in range(fed.n_silos) if mask is None or mask[s]]
 
-    def _noise_std(self) -> float:
-        """Per-silo noise std sqrt(sigma^2 C^2 / A) where A is the number
-        of noise-contributing silos (all of them outside the simulation):
-        summing A silo contributions yields aggregate noise std sigma * C,
-        matching the user-level sensitivity C at noise multiplier sigma."""
+    def _noise_std(self, shares: int | None = None) -> float:
+        """Per-payload noise std sqrt(sigma^2 C^2 / A) where A is ``shares``
+        (default: the noise-contributing silos, all of them outside the
+        simulation): summing A payloads yields aggregate noise std sigma *
+        C, matching the user-level sensitivity C at noise multiplier sigma."""
         fed, _, _ = self._require_prepared()
-        noise_silos = (
-            self._noise_silos if self._noise_silos is not None else fed.n_silos
-        )
-        return float(self.noise_multiplier * self.clip / np.sqrt(noise_silos))
+        if shares is None:
+            shares = self._noise_silos if self._noise_silos is not None else fed.n_silos
+        return float(self.noise_multiplier * self.clip / np.sqrt(shares))
 
     def _draw_silo(
         self, s: int, weight_row: np.ndarray, noise_std: float, size: int, release=None
@@ -439,11 +441,11 @@ class UldpAvg(FLMethod):
 
         A ``repro silo`` process runs this for ``release=(SYNC_ROUND, t)``,
         ``t`` being its ``compute`` frame's round, and ships the result;
-        the buffered-async scheduler calls it for ``(ASYNC_JOB, job)``
-        with whatever params the silo last pulled and a ``noise_std`` of
-        its own choosing.  ``release`` defaults to the round this method
-        is in (:meth:`_draw_silo`).  ``weight_row`` is silo s's row of the
-        realised round weights; users with zero weight are skipped.
+        :meth:`buffered_job` runs it for ``(ASYNC_JOB, job)`` with whatever
+        params the silo last pulled.  ``release`` defaults to the round
+        this method is in (:meth:`_draw_silo`).  ``weight_row`` is silo
+        s's row of the realised round weights; users with zero weight are
+        skipped.
 
         The sum is the shard tasks' fold
         (:func:`repro.core.engine.fold_clipped_rows`), rounded by the same
@@ -497,15 +499,61 @@ class UldpAvg(FLMethod):
         )
         return users, rows.copy(), noise  # the engine's row block is reused
 
-    def apply_aggregate(
-        self, params: np.ndarray, aggregate: np.ndarray, n_updates: int
-    ) -> np.ndarray:
-        """Server update for an externally-merged aggregate (async policies).
+    # -- buffered-async release (the scheduler's jobs and merges) -------------
 
-        Mirrors the synchronous server line ``x + eta_g * agg / (|U||S|)``
-        with the silo count replaced by the number of merged silo updates.
+    def buffered_job(
+        self, s: int, broadcast: np.ndarray, seq: int,
+        user_mask: np.ndarray | None, buffer_size: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Silo ``s``'s async job ``seq``: its :meth:`silo_payload` for
+        ``(ASYNC_JOB, seq)`` with departed users (``~user_mask``) weighted
+        0, at noise std ``sigma * C / sqrt(buffer_size)`` (a full buffer
+        carries sigma * C).  Returns ``(users, weights, payload)``."""
+        assert self.weights is not None
+        weight_row = self.weights[s].copy()
+        if user_mask is not None:
+            weight_row[~user_mask] = 0.0
+        users, payload = self.silo_payload(
+            s, broadcast, weight_row, self._noise_std(buffer_size),
+            release=(ASYNC_JOB, seq))
+        users = np.array(users, dtype=np.int64)
+        return users, weight_row[users], payload
+
+    def release_buffered(
+        self, params: np.ndarray, buffer, discounts: np.ndarray, comm: CommSummary
+    ) -> RoundReport:
+        """One buffered-async release of the :meth:`buffered_job` results
+        in ``buffer`` (each with its ``silo``, ``users``, ``weights`` and
+        ``payload``), staleness-discounted by ``discounts``.
+
+        The aggregate is ``0 + d_0 * payload_0 + d_1 * payload_1 + ...`` in
+        float64.  A user in several payloads is charged the sum of their
+        ``d * w`` (Theorem 3's weight constraint, realised); K payloads of
+        noise std ``sigma * C / sqrt(K)`` sum to std ``sigma * C *
+        sqrt(mean(d^2))``.  The server step divides by ``|U|`` times the
+        merged payloads.
         """
         fed, _, _ = self._require_prepared()
+        aggregate = np.zeros_like(params)
+        charged: dict[int, float] = {}
+        for d, update in zip(discounts, buffer):
+            aggregate += d * update.payload.astype(np.float64)
+            for user, w in zip(update.users, update.weights):
+                charged[int(user)] = charged.get(int(user), 0.0) + d * float(w)
+        self.accountant.step_release(
+            self.noise_multiplier, sensitivity=max(charged.values(), default=0.0),
+            noise_scale=float(np.sqrt(np.mean(discounts**2))))
+        update = self._server_update(aggregate, fed.n_users * max(len(buffer), 1))
+        silos = len({u.silo for u in buffer})
+        return RoundReport(
+            params + update, ParticipationSummary(silos, len(charged)), comm)
+
+    @property
+    def last_release(self):
+        """The accountant's record of the latest release (a ReleaseEvent)."""
+        return self.accountant.releases[-1]
+
+    def _server_update(self, aggregate: np.ndarray, divisor: float) -> np.ndarray:
+        """``eta_g * aggregate / divisor`` (``|U| |S| q`` for a round)."""
         assert self.global_lr is not None
-        scale = fed.n_users * max(n_updates, 1)
-        return params + self.global_lr * aggregate / scale
+        return self.global_lr * aggregate / divisor

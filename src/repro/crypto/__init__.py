@@ -45,7 +45,7 @@ from repro.crypto.paillier import (
 from repro.crypto.dh import DHGroup, DHKeypair, derive_shared_key
 from repro.crypto.masking import PairwiseMasker, prg_field_elements
 from repro.crypto.blinding import BlindingFactory
-from repro.crypto.encoding import decode_scalar, decode_vector, encode_scalar, encode_vector
+from repro.crypto.encoding import decode_vector, encode_vector
 from repro.crypto.fastexp import FixedBaseExp, choose_window
 from repro.crypto.pool import RandomizerPool
 from repro.crypto.secagg import (
@@ -77,8 +77,6 @@ __all__ = [
     "MaskedServer",
     "MaskedSilo",
     "derive_round_key",
-    "encode_scalar",
     "encode_vector",
-    "decode_scalar",
     "decode_vector",
 ]

@@ -23,29 +23,6 @@ import numpy as np
 DEFAULT_PRECISION = 1e-10
 
 
-def encode_scalar(x: float, precision: float, modulus: int) -> int:
-    """Encode one real number into F_n (Algorithm 5, Encode).
-
-    ``x`` is scaled to fixed point by ``1/precision``, rounded, and reduced
-    mod n; negative values wrap to the upper half of the field.
-    """
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    scaled = int(round(x / precision))
-    return scaled % modulus
-
-
-def decode_scalar(x: int, precision: float, c_lcm: int, modulus: int) -> float:
-    """Decode one field element back to a real number (Algorithm 5, Decode).
-
-    Maps the field element to a signed integer (values above n//2 are
-    negative), removes the C_LCM factor, and rescales by ``precision``.
-    """
-    if x > modulus // 2:
-        x = x - modulus
-    return (x / c_lcm) * precision
-
-
 def quantize_vector(values: Sequence[float] | np.ndarray, precision: float) -> list[int]:
     """Round a real vector to *signed* fixed-point integers (``x / P``).
 
@@ -80,7 +57,7 @@ def decode_vector(
     is Python's correctly-rounded int/int true division (raw field
     elements can exceed float range, so neither may go through numpy);
     only the final precision scaling is one vectorised pass.  Results are
-    bit-identical to the scalar :func:`decode_scalar` form.
+    bit-identical to the scalar form (``tests/protocol/oracle_reference.py``).
     """
     half = modulus // 2
     signed = [v - modulus if v > half else v for v in map(int, values)]

@@ -221,26 +221,3 @@ class PrivateWeightingProtocol(Driver):
         self.server.ot = (self.silos[0].dh_keypair.group, subsampler.n_slots)
         self.round(OT_ROUND)
         return self.server.aggregate
-
-    # -- Reference computation -------------------------------------------------
-
-    def plaintext_reference(
-        self,
-        clipped_deltas: list[dict[int, np.ndarray]],
-        noises: list[np.ndarray],
-        sampled_users: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The non-secure computation Theorem 4 compares against."""
-        totals = self.histogram.sum(axis=0)
-        include = np.ones(self.n_users, dtype=bool)
-        if sampled_users is not None:
-            include[:] = False
-            include[np.asarray(sampled_users, dtype=np.int64)] = True
-        aggregate = np.zeros(len(noises[0]))
-        for s in range(self.n_silos):
-            for user, delta in clipped_deltas[s].items():
-                if not include[user] or totals[user] == 0:
-                    continue
-                aggregate += (self.histogram[s, user] / totals[user]) * delta
-            aggregate += noises[s]
-        return aggregate

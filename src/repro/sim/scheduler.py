@@ -9,29 +9,31 @@ advances it one *release* at a time under a :class:`SimConfig`:
   ``trainer.step(participation)`` -- the method itself performs the
   participation-aware weighting and honest accounting.
 - buffered-async policy: silos compute against whatever params they last
-  pulled; completion events are processed in virtual-clock order and every
-  ``buffer_size`` completions the scheduler merges the buffer with
-  staleness weights, performs the sensitivity bookkeeping itself (a user
-  may appear in several buffered payloads), steps the accountant, and
-  records the release through ``trainer.apply_external_round`` with what
-  it moved (a broadcast per pull, a payload per update received), inside
-  the ``round`` span it opens around the whole release (its clock).  It
-  drives the method's per-silo step (``FLMethod.has_silo_step``).
+  pulled (``UldpAvg.buffered_job``); completion events are processed in
+  virtual-clock order, and every ``buffer_size`` completions the scheduler
+  hands the buffer and its staleness discounts to
+  ``UldpAvg.release_buffered``, which merges, charges each user and the
+  accountant, and steps the params.  The scheduler records the release
+  through ``trainer.apply_external_round`` with what it moved (a broadcast
+  per pull, a payload per update received), inside the ``round`` span it
+  opens around the whole release (its clock).
 
-The scheduler reads a method only through what :class:`repro.core.FLMethod`
-declares -- attributes, never a ``getattr`` with a fallback: a fallback
-like "no ``noise_multiplier`` means 0.0" would be a noiseless release.
+The scheduler reads a method only through what it declares
+(``has_silo_step`` and the per-silo step API), never a ``getattr`` with a
+fallback, and computes no privacy number itself: each release's
+sensitivity and noise scale in :attr:`FederationSimulator.round_log` are
+the accountant's record of it.
 
 The scheduler's stream drives participation dynamics, the trainer's the
 method's server-side draws; each silo derives its own generator per
 release (``UldpAvg._draw_silo``; an async job is keyed by ``_seq``).  All
-scheduler state --
-virtual clock, carryover gains, pending async jobs, user activity flags --
-serialises through :meth:`FederationSimulator.state_dict`, beside the
-trainer's (``Trainer.state_dict``: round counter, params, generator,
-history logs) and the method's own block (``FLMethod.state_dict``:
-compressor, every accountant, secure-protocol counters), which is what
-makes killed simulations resume bit-identically (:mod:`repro.sim.checkpoint`).
+scheduler state -- virtual clock, carryover gains, pending async jobs, user
+activity flags -- serialises through :meth:`FederationSimulator.state_dict`,
+beside the trainer's (``Trainer.state_dict``: round counter, params,
+generator, history logs) and the method's own block
+(``FLMethod.state_dict``: compressor, every accountant, secure-protocol
+counters), which is what makes killed simulations resume bit-identically
+(:mod:`repro.sim.checkpoint`).
 """
 
 from __future__ import annotations
@@ -42,19 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compress.spec import CompressionSpec
-from repro.core.methods.base import (
-    CommSummary,
-    FLMethod,
-    ParticipationSummary,
-    RoundReport,
-)
-from repro.core.methods.uldp_avg import ASYNC_JOB
+from repro.core.methods.base import CommSummary, FLMethod
 from repro.core.trainer import Trainer, TrainingHistory
-from repro.core.weighting import (
-    RENORMS,
-    RoundParticipation,
-    participation_weights,
-)
+from repro.core.weighting import RENORMS, RoundParticipation
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential
 from repro.obs.metrics import get_registry
@@ -322,23 +314,6 @@ class FederationSimulator:
 
     # -- buffered-async ------------------------------------------------------
 
-    def _async_round_weights(self) -> np.ndarray:
-        """The weight matrix a newly-started async job trains against."""
-        assert self.method.weights is not None
-        participation = RoundParticipation(
-            silo_mask=np.ones(self.fed.n_silos, dtype=bool),
-            user_mask=self._user_mask(),
-            renorm="none",
-        )
-        return participation_weights(self.method.weights, participation)
-
-    def _async_noise_std(self) -> float:
-        """Per-payload noise std: a full buffer carries total std sigma*C."""
-        policy = self.config.policy
-        assert isinstance(policy, BufferedAsyncPolicy)
-        sigma, clip = self.method.noise_multiplier, self.method.clip
-        return float(sigma * clip / np.sqrt(policy.buffer_size))
-
     def _start_job(self, silo: int) -> int:
         """Silo pulls the current params -- the method's broadcast of
         them -- and begins local work; returns the pull's bytes."""
@@ -346,24 +321,14 @@ class FederationSimulator:
         latency = float(
             self.config.latency.draw(t, self.fed.n_silos, self.sim_rng)[silo]
         )
-        weight_row = self._async_round_weights()[silo]
         broadcast = self.method.broadcast(self.trainer.params)
-        users, payload = self.method.silo_payload(
-            silo, broadcast, weight_row,
-            self._async_noise_std(),
-            release=(ASYNC_JOB, self._seq),
+        users, weights, payload = self.method.buffered_job(
+            silo, broadcast, self._seq, self._user_mask(),
+            self.config.policy.buffer_size,
         )
-        self._pending.append(
-            _PendingUpdate(
-                silo=silo,
-                version=self._version,
-                finish=self.clock + max(latency, 1e-9),
-                seq=self._seq,
-                payload=payload,
-                users=np.array(users, dtype=np.int64),
-                weights=weight_row[users],
-            )
-        )
+        finish = self.clock + max(latency, 1e-9)
+        self._pending.append(_PendingUpdate(
+            silo, self._version, finish, self._seq, payload, users, weights))
         self._seq += 1
         return broadcast.nbytes
 
@@ -407,53 +372,33 @@ class FederationSimulator:
         self._observe_release(entry)
 
     def _release_buffer(self, span: Span, comm: CommSummary) -> dict:
-        """Merge the buffered payloads and record one release (timed by
-        its open round ``span``, having moved ``comm``); returns its
+        """Hand the method the buffer's first ``buffer_size`` payloads with
+        their staleness discounts and record its release (timed by the
+        open round ``span``, having moved ``comm``); returns the release's
         round-log entry."""
         policy = self.config.policy
         assert isinstance(policy, BufferedAsyncPolicy)
         merged = self._buffer[: policy.buffer_size]
         self._buffer = self._buffer[policy.buffer_size :]
-        discounts = np.array(
-            [
-                staleness_weight(self._version - u.version, policy.staleness_exponent)
-                for u in merged
-            ]
-        )
-        aggregate = np.zeros_like(self.trainer.params)
-        realised: dict[int, float] = {}
-        for discount, update in zip(discounts, merged):
-            aggregate += discount * update.payload.astype(np.float64)
-            for user, w in zip(update.users, update.weights):
-                realised[int(user)] = realised.get(int(user), 0.0) + discount * float(w)
-        sensitivity = max(realised.values(), default=0.0)
-        # Each payload carries noise std sigma*C/sqrt(K); the discounted sum
-        # has std sigma*C*sqrt(mean(discount^2)).
-        noise_scale = float(np.sqrt(np.mean(discounts**2)))
-        self.method.accountant.step_release(
-            self.method.noise_multiplier, sensitivity=sensitivity,
-            noise_scale=noise_scale,
-        )
-        params = self.method.apply_aggregate(
-            self.trainer.params, aggregate, n_updates=len(merged)
-        )
+        discounts = np.array([
+            staleness_weight(self._version - u.version, policy.staleness_exponent)
+            for u in merged])
+        report = self.method.release_buffered(
+            self.trainer.params, merged, discounts, comm)
+        release = self.method.last_release
         self._version += 1
         t = self.rounds_completed
-        silos = len({u.silo for u in merged})
-        self.trainer.apply_external_round(
-            RoundReport(params, ParticipationSummary(silos, len(realised)), comm),
-            span,
-        )
+        self.trainer.apply_external_round(report, span)
         return {
             "round": t + 1,
             "policy": policy.name,
             "renorm": "staleness",
-            "silos_included": silos,
+            "silos_included": report.participation.silos_seen,
             "mean_staleness": float(
                 np.mean([self._version - 1 - u.version for u in merged])
             ),
-            "sensitivity": sensitivity,
-            "noise_scale": noise_scale,
+            "sensitivity": release.sensitivity,
+            "noise_scale": release.noise_scale,
             "clock": self.clock,
         }
 

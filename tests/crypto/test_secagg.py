@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_reference import decode_scalar, encode_scalar
 from toy_crypto import TOY_DH_GROUP
 
 from repro.core.weighting import QuorumError
-from repro.crypto.encoding import decode_scalar, encode_scalar
 from repro.net.wire import blob_ints
 from repro.crypto.secagg import (
     MASK_STREAM_CONTEXT,

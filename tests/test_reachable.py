@@ -36,20 +36,8 @@ HTTP_HANDLER_HOOKS = frozenset({"do_GET", "log_message"})
 
 #: Definitions no launch path loads that stay on purpose, with the reason.
 ALLOWED = {
-    "accounting/subsampled.py::subsampled_gaussian_rdp":
-        "the scalar sub-sampled curve the vectorized accountant is tested against",
-    "accounting/subsampled.py::subsampled_rdp_closed_form":
-        "the closed-form bound the tests compare the exact curve with",
-    "crypto/encoding.py::encode_scalar":
-        "scalar fixed-point reference for the vectorized encoder's tests",
-    "crypto/encoding.py::decode_scalar":
-        "scalar fixed-point reference for the vectorized decoder's tests",
-    "protocol/runner.py::PrivateWeightingProtocol.plaintext_reference":
-        "the plaintext weighted sum Protocol 1's tests decrypt against",
     "protocol/oblivious.py::transfer":
         "the 1-out-of-n OT the sub-sampling tests run end to end (item 12)",
-    "accounting/accountant.py::PrivacyAccountant.rdp_curve":
-        "the accountant's RDP curve the accounting tests compare",
     "core/methods/uldp_group.py::UldpGroup.record_level_epsilon":
         "documented API (docs/privacy_accounting.md)",
     "compress/spec.py::CompressionSpec.none":
