@@ -4,20 +4,22 @@ Reproduces the paper's Fig. 10/11 per-phase breakdown (key generation,
 offline randomizer pools, encrypted weight broadcast, per-silo weighted
 encryption, aggregation + decryption) for one full `run_round` of
 Protocol 1, and benchmarks the ``masked`` backend (Bonawitz-style pairwise
-masks, `repro.crypto.secagg`) on the identical inputs:
+masks in Z_{2^64}, `repro.crypto.secagg`) on the identical inputs: each
+silo's proportional-weight release ``z_s + sum_u (n_su / N_u) * delta_su``,
+formed inside the timed window, which the silo masks and uploads:
 
 - **test scale** (512-bit keys, |S| = 5, |U| = 50, d = 1024): the headline
   configuration.  The masked backend must be >= 10x faster than fast
-  Paillier and produce the *exact same aggregate* (both decode the same
-  integer arithmetic).
+  Paillier, and the two aggregates must agree within both encodings'
+  summed half-precision bound (:func:`encoding_bound`).
 - **paper scale** (3072-bit keys, the paper's security level): a small
   d/|U| configuration that exercises the same phases at production key
   sizes, reported for the breakdown; CRT decryption and the CRT-split
   encryptions dominate here.
 
 Per-silo wire cost is recorded alongside: a Paillier round ships one
-`2 * key_bits`-bit ciphertext per coordinate, a masked round one
-`mask_bits`-bit field element -- byte accounting for both lands in
+`2 * key_bits`-bit ciphertext per coordinate, a masked round one 8-byte
+element of Z_{2^64} -- byte accounting for both lands in
 `BENCH_protocol.json` for cross-PR tracking.
 
 The seed Paillier implementation this bench used to time as a third
@@ -49,7 +51,10 @@ from repro.protocol import PrivateWeightingProtocol
 
 MASKED_TARGET_SPEEDUP = 10.0
 SEED = 11
-MASK_BITS = 256
+#: Masked rounds timed at the headline scale (per-round seconds are their
+#: mean, ``phases_masked`` their cumulative report): one round's phases sit
+#: under the cost fit's 2 ms noise floor (``repro.cost.calibrate.MIN_FIT_SECONDS``).
+MASKED_ROUNDS = 20
 # Legacy bench: keeps the 512-bit toy DH group its committed numbers (and
 # cost/calibration.json) were measured on; the runtime default is RFC 3526.
 DH_GROUP = DHGroup.test_group()
@@ -118,18 +123,35 @@ def timed_round(hist, d, key_bits):
     return aggregate, proto, seconds
 
 
-def timed_masked_round(hist, d):
-    """Masked backend on the identical inputs: each silo encodes and masks
-    its own payload, the server sums and decodes."""
-    proto = MaskedAggregationProtocol(
-        hist, mask_bits=MASK_BITS, n_max=N_MAX, seed=SEED, dh_group=DH_GROUP
-    )
+def silo_releases(hist, deltas, noises):
+    """Each silo's proportional-weight release, in float64."""
+    totals = hist.sum(axis=0)
+    return [
+        noise + sum((hist[s, u] / totals[u]) * delta for u, delta in per_user.items())
+        for s, (per_user, noise) in enumerate(zip(deltas, noises))
+    ]
+
+
+def timed_masked_round(hist, d, rounds):
+    """Masked backend on the identical inputs, ``rounds`` times over: each
+    silo forms its release, encodes and masks it; the server sums and
+    decodes.  Returns the last aggregate and the mean round's seconds."""
+    proto = MaskedAggregationProtocol(hist.shape[0], seed=SEED, dh_group=DH_GROUP)
     proto.run_setup()
     deltas, noises = round_inputs(hist, d)
     start = time.perf_counter()
-    aggregate = proto.run_round(deltas, noises)
-    seconds = time.perf_counter() - start
+    for _ in range(rounds):
+        aggregate = proto.run_round(silo_releases(hist, deltas, noises))
+    seconds = (time.perf_counter() - start) / rounds
     return aggregate, proto, seconds
+
+
+def encoding_bound(hist, precision):
+    """How far the two aggregates may sit apart: Paillier rounds each of
+    a silo's ``|U| + 1`` encoded terms by up to P/2 and masked each silo's
+    release once."""
+    n_silos, n_users = hist.shape
+    return (n_silos * (n_users + 1) + n_silos) * precision / 2
 
 
 def print_breakdown(title, protocols):
@@ -140,26 +162,29 @@ def print_breakdown(title, protocols):
             print(f"  {name:<28s} {seconds * 1000:10.1f} ms")
 
 
-def compare_backends(hist, d, key_bits, label):
+def compare_backends(hist, d, key_bits, label, masked_rounds=1):
     agg_fast, proto_fast, t_fast = timed_round(hist, d, key_bits)
-    agg_masked, proto_masked, t_masked = timed_masked_round(hist, d)
+    agg_masked, proto_masked, t_masked = timed_masked_round(hist, d, masked_rounds)
 
-    # The masked backend accumulates the same integers in its own field,
-    # so its decoded aggregate matches the Paillier decryption exactly.
-    assert np.array_equal(agg_masked, agg_fast), (
-        "masked backend diverged from the Paillier aggregate"
+    # Both decode a fixed-point sum of the same weighted terms: Paillier
+    # per (silo, user), masked per silo release.
+    gap = float(np.max(np.abs(agg_masked - agg_fast)))
+    bound = encoding_bound(hist, proto_masked.precision)
+    assert gap <= bound, (
+        f"masked backend is {gap:.3g} from the Paillier aggregate (bound {bound:.3g})"
     )
 
     masked_speedup = t_fast / t_masked
     cipher_bytes = d * proto_fast.ciphertext_bytes
-    mask_bytes = d * proto_masked.mask_bytes
+    mask_bytes = d * proto_masked.coordinate_bytes
     print_header(
         f"Secure aggregation round, {label}: {key_bits}-bit keys, "
         f"|S|={hist.shape[0]}, |U|={hist.shape[1]}, d={d}"
     )
     print(f"fast backend:      {t_fast:8.2f} s")
-    print(f"masked backend:    {t_masked:8.3f} s   -> {masked_speedup:.1f}x vs fast")
-    print("both aggregates bit-identical under seeded RNG")
+    print(f"masked backend:    {t_masked:8.4f} s   -> {masked_speedup:.1f}x vs fast "
+          f"(mean of {masked_rounds} round(s))")
+    print(f"aggregates {gap:.3g} apart (encoding bound {bound:.3g})")
     print(
         f"per-silo uplink: {cipher_bytes} ciphertext bytes (Paillier) vs "
         f"{mask_bytes} mask bytes ({cipher_bytes / mask_bytes:.1f}x smaller)"
@@ -176,7 +201,7 @@ def compare_backends(hist, d, key_bits, label):
         "fast_seconds": round(t_fast, 3),
         "masked_seconds": round(t_masked, 4),
         "masked_speedup_vs_fast": round(masked_speedup, 2),
-        "mask_bits": MASK_BITS,
+        "masked_rounds": masked_rounds,
         "per_silo_ciphertext_bytes": cipher_bytes,
         "per_silo_mask_bytes": mask_bytes,
         "phases_fast": {
@@ -189,9 +214,13 @@ def compare_backends(hist, d, key_bits, label):
 
 
 def test_protocol_speedup_test_keys():
-    """Headline: masked >= 10x over fast Paillier, same aggregate."""
+    """Headline: masked >= 10x over fast Paillier, aggregates within the
+    encodings' bound."""
     hist = build_histogram(N_SILOS, N_USERS)
-    result = compare_backends(hist, DIM, KEY_BITS, label=f"{SCALE} test scale")
+    result = compare_backends(
+        hist, DIM, KEY_BITS, label=f"{SCALE} test scale",
+        masked_rounds=MASKED_ROUNDS if SCALE == "full" else 1,
+    )
     key = "test_scale" if SCALE == "full" else f"test_scale_{SCALE}"
     write_bench_json("BENCH_protocol.json", {key: result})
     assert result["masked_speedup_vs_fast"] >= MASKED_TARGET_SPEEDUP, (
@@ -201,7 +230,7 @@ def test_protocol_speedup_test_keys():
 
 
 def test_protocol_breakdown_paper_keys():
-    """Paper-scale 3072-bit keys: per-phase breakdown + exact agreement."""
+    """Paper-scale 3072-bit keys: per-phase breakdown + bounded agreement."""
     if SCALE == "smoke":
         pytest.skip("paper-scale breakdown skipped under BENCH_PROTOCOL_SCALE=smoke")
     hist = build_histogram(PAPER_SILOS, PAPER_USERS)

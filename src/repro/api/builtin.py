@@ -157,7 +157,6 @@ def _build_secure_uldp_avg(spec: MethodSpec, crypto: CryptoSpec | None = None):
         paillier_bits=crypto.paillier_bits,
         crypto_backend=crypto.backend,
         protocol_workers=crypto.workers,
-        mask_bits=crypto.mask_bits,
         min_survivors=crypto.min_survivors,
         **_optional(spec, global_lr="global_lr"),
     )

@@ -167,16 +167,16 @@ class PrivacySpec:
 class CryptoSpec:
     """Secure-aggregation wiring, consumed by the ``secure-uldp-avg`` method.
 
-    ``backend="masked"`` selects pairwise-mask secure aggregation
-    (``mask_bits`` field width, ``paillier_bits``/``workers`` unused);
-    ``"fast"`` runs Protocol 1 over Paillier.
+    ``backend="masked"`` selects pairwise-mask secure aggregation of each
+    silo's release in the fixed ring Z_{2^64}, 8 B a coordinate
+    (``paillier_bits``/``n_max``/``workers`` unused); ``"fast"`` runs
+    Protocol 1 over Paillier.
     """
 
     backend: str = "fast"
     paillier_bits: int = 512
     n_max: int = 64
     workers: int | None = None
-    mask_bits: int = 256
     #: Masked-backend survivor quorum: abort (QuorumError) any round whose
     #: surviving-silo count falls below this instead of aggregating.
     min_survivors: int = 1
@@ -192,10 +192,6 @@ class CryptoSpec:
             raise SpecError("n_max must be at least 1")
         if self.workers is not None and self.workers < 1:
             raise SpecError("workers must be at least 1 (or omitted)")
-        if self.mask_bits < 64:
-            raise SpecError("mask_bits must be at least 64")
-        if self.mask_bits % 8 != 0:
-            raise SpecError("mask_bits must be a multiple of 8")
 
 
 @dataclass(frozen=True)

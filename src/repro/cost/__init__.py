@@ -26,17 +26,18 @@ from repro.cost.calibrate import (
     load_calibration,
 )
 from repro.cost.model import (
+    MASK_BYTES,
     METRICS,
     CostModel,
     Linear,
     PhaseCost,
     build_cost_model,
     ciphertext_bytes,
-    mask_bytes,
 )
 from repro.cost.planner import CostError, CostReport, predict, solve_max_users
 
 __all__ = [
+    "MASK_BYTES",
     "METRICS",
     "Calibration",
     "CostError",
@@ -48,7 +49,6 @@ __all__ = [
     "ciphertext_bytes",
     "fit_calibration",
     "load_calibration",
-    "mask_bytes",
     "predict",
     "solve_max_users",
 ]

@@ -32,6 +32,7 @@ from repro.compress.spec import CompressionSpec
 from repro.cost.bench_schema import validate_bench_tree
 from repro.cost.model import (
     CONSTANT_DEFS,
+    MASK_BYTES,
     Linear,
     _secure_phases,
     _train_memory,
@@ -210,11 +211,16 @@ def _creditcard_dim() -> int:
 
 
 def _phase_seconds(backend: str, name: str) -> Callable[[dict], Linear]:
-    """Seconds of the secure phase ``name`` under ``backend``."""
+    """Seconds of the secure phase ``name`` under ``backend``: once for a
+    set-up phase, over the workload's ``rounds`` for a round phase."""
     crypto = CryptoSpec(backend=backend)
-    return lambda w: next(
-        ph.seconds for ph in _secure_phases(crypto, None, w) if ph.name == name
-    )
+
+    def seconds(w: dict) -> Linear:
+        phase = next(ph for ph in _secure_phases(crypto, None, w) if ph.name == name)
+        r = 1 if phase.per == "setup" else w["rounds"]
+        return Linear(phase.seconds.base * r, {c: k * r for c, k in phase.seconds.coef.items()})
+
+    return seconds
 
 
 def _train_workload(users, records_total, dim, epochs=1, participation=1.0) -> dict:
@@ -227,14 +233,14 @@ def _train_workload(users, records_total, dim, epochs=1, participation=1.0) -> d
     }
 
 
-def _protocol_workload(section: dict) -> dict:
+def _protocol_workload(section: dict, rounds: int) -> dict:
     return {
         "silos": section["n_silos"],
         "users": section["n_users"],
         "dim": section["dim"],
         "key_bits": section["key_bits"],
-        "mask_bits": section["mask_bits"],
         "participation": 1.0,
+        "rounds": rounds,
     }
 
 
@@ -379,10 +385,12 @@ def build_fit_groups(benches: dict[str, dict]) -> list[FitGroup]:
             if not phases:
                 continue
             measured = sum(phases.get(k, 0.0) for k in keys)
+            # A phase table is cumulative over the rounds its backend ran.
+            rounds = section.get("masked_rounds", 1) if table == "phases_masked" else 1
             group.rows.append(
                 FitRow(
                     f"protocol.{section_name}.{name}",
-                    _protocol_workload(section),
+                    _protocol_workload(section, rounds),
                     measured,
                 )
             )
@@ -515,7 +523,7 @@ def byte_check_rows(benches: dict[str, dict]) -> list[dict]:
         )
         check(
             f"protocol.{name}.per_silo_mask_bytes",
-            section["dim"] * section["mask_bits"] // 8,
+            section["dim"] * MASK_BYTES,
             section["per_silo_mask_bytes"],
         )
 

@@ -130,9 +130,9 @@ def ciphertext_bytes(key_bits: int) -> int:
     return (2 * key_bits + 7) // 8
 
 
-def mask_bytes(mask_bits: int) -> int:
-    """One masked-backend field element (``MaskedAggregationProtocol.mask_bytes``)."""
-    return (mask_bits + 7) // 8
+#: One masked-backend coordinate, an element of Z_{2^64}
+#: (:data:`repro.crypto.secagg.MASK_BYTES`).
+MASK_BYTES = 8
 
 
 # -- phases -------------------------------------------------------------------
@@ -259,16 +259,15 @@ def _secure_phases(
     d_eff = dim if comp is None else comp.keep_count(dim)
     if crypto.backend == "masked":
         p = w["participation"]
-        mask = mask_bytes(w["mask_bits"])
         return [
             PhaseCost("mask_setup", "setup", seconds=fitted(masked_setup=silos**2)),
             PhaseCost(
                 "mask_and_upload",
                 "round",
                 seconds=fitted(masked_round=p * silos * (silos - 1) * d_eff),
-                uplink_bytes=p * (silos * d_eff * mask),
+                uplink_bytes=p * (silos * d_eff * MASK_BYTES),
                 cipher_elements=p * (silos * d_eff),
-                memory_bytes=silos * d_eff * mask,
+                memory_bytes=silos * d_eff * MASK_BYTES,
             ),
         ]
     # Paillier (Protocol 1) requires the full roster every round.

@@ -178,7 +178,6 @@ def numbers(spec: RunSpec) -> dict:
         crypto = CryptoSpec()
     if crypto is not None:
         w["key_bits"] = crypto.paillier_bits
-        w["mask_bits"] = crypto.mask_bits
     if spec.engine is not None and spec.engine.workers > 0:
         from repro.core.engine import EngineConfig
 

@@ -45,7 +45,7 @@ from repro.crypto.paillier import (
 from repro.crypto.dh import DHGroup, DHKeypair, derive_shared_key
 from repro.crypto.masking import PairwiseMasker, prg_field_elements
 from repro.crypto.blinding import BlindingFactory
-from repro.crypto.encoding import decode_vector, encode_vector
+from repro.crypto.encoding import encode_vector
 from repro.crypto.fastexp import FixedBaseExp, choose_window
 from repro.crypto.pool import RandomizerPool
 from repro.crypto.secagg import (
@@ -78,5 +78,4 @@ __all__ = [
     "MaskedSilo",
     "derive_round_key",
     "encode_vector",
-    "decode_vector",
 ]

@@ -3,9 +3,9 @@
 Implements Algorithm 5 of the paper.  Real numbers (model deltas, Gaussian
 noise) are divided by a precision parameter P (e.g. 1e-10), rounded to
 integers, and mapped into F_n; signed values use the upper half of the field
-for negatives.  Decoding undoes the mapping and also removes the C_LCM
-factor that Protocol 1 multiplies into every term so that the per-user
-division by N_u stays exact on integers.
+for negatives.  Decoding (Protocol 1's server) undoes the mapping and also
+removes the C_LCM factor that Protocol 1 multiplies into every term so that
+the per-user division by N_u stays exact on integers.
 
 Correctness requires the accumulated integer magnitudes to stay below n/2
 (Theorem 4, condition (2)); :func:`check_magnitude_budget` validates the
@@ -48,22 +48,6 @@ def encode_vector(values: Sequence[float] | np.ndarray, precision: float, modulu
     return [v % modulus for v in quantize_vector(values, precision)]
 
 
-def decode_vector(
-    values: Sequence[int], precision: float, c_lcm: int, modulus: int
-) -> np.ndarray:
-    """Decode a vector of field elements back to float64.
-
-    The signed mapping stays in big-int arithmetic and the C_LCM division
-    is Python's correctly-rounded int/int true division (raw field
-    elements can exceed float range, so neither may go through numpy);
-    only the final precision scaling is one vectorised pass.  Results are
-    bit-identical to the scalar form (``tests/protocol/oracle_reference.py``).
-    """
-    half = modulus // 2
-    signed = [v - modulus if v > half else v for v in map(int, values)]
-    return np.array([s / c_lcm for s in signed], dtype=np.float64) * precision
-
-
 def lcm_up_to(n_max: int) -> int:
     """C_LCM: least common multiple of 1..n_max (Protocol 1, setup (a)).
 
@@ -104,9 +88,11 @@ def round_max_abs(
     contributions: Sequence[dict[int, np.ndarray]],
     noises: Sequence[np.ndarray],
     noise_silos: Sequence[int] | None = None,
+    label: str = "noise",
 ) -> float:
     """The ``max_abs_value`` of one round: the largest ``|value|`` over
-    every silo's per-user deltas and noise vector.
+    every silo's per-user deltas and its one vector: the noise, or what
+    ``label`` names (the masked backend's release).
 
     A NaN or infinity (a diverged model, say) has no fixed-point encoding;
     it is refused here with the silo (and user) that holds it, instead of
@@ -126,7 +112,7 @@ def round_max_abs(
     for s, u, values in held:
         top = float(np.abs(values).max(initial=0.0))
         if not math.isfinite(top):
-            what = "noise" if u is None else f"delta of user {u}"
+            what = label if u is None else f"delta of user {u}"
             raise MagnitudeBudgetError(
                 f"silo {s}'s {what} holds a non-finite value (NaN or infinity), "
                 "which has no fixed-point encoding; the round is refused"
@@ -146,10 +132,10 @@ def require_magnitude_headroom(
     """Refuse an ``n_max`` whose C_LCM no round could fit.
 
     A necessary condition of every per-round :func:`check_magnitude_budget`
-    -- evaluated at the largest modulus ``knob`` (``paillier_bits`` /
-    ``mask_bits``) allows and the smallest ``max_abs_value`` and
-    ``num_terms`` a round check can see -- so it refuses nothing a round
-    would accept, and it is decidable before any key is made.
+    -- evaluated at the largest modulus ``knob`` (``paillier_bits``)
+    allows and the smallest ``max_abs_value`` and ``num_terms`` a round
+    check can see -- so it refuses nothing a round would accept, and it is
+    decidable before any key is made.
     """
     c_lcm = lcm_up_to(n_max)
     if not check_magnitude_budget(

@@ -1,29 +1,31 @@
 """Pairwise-mask secure aggregation with dropout recovery (Bonawitz-style).
 
 The ``crypto_backend="masked"`` alternative to Protocol 1's Paillier path
-(``"fast"``): each silo adds a *pairwise additive mask* to its fixed-point
-field vector instead of encrypting every coordinate.  Two message
-schedules run by :class:`~repro.protocol.driver.Driver` between a
-:class:`MaskedServer` and |S| :class:`MaskedSilo` parties:
+(``"fast"``), after Bonawitz et al. (CCS 2017): each silo adds a *pairwise
+additive mask* to its own release instead of encrypting every coordinate.
+Two message schedules run by :class:`~repro.protocol.driver.Driver` between
+a :class:`MaskedServer` and |S| :class:`MaskedSilo` parties:
 
 - **Set-up** (once): every pair of silos runs Diffie-Hellman over the
   relayed publics and derives a long-term pair key (KDF context
   ``"masked-agg"``, independent of Protocol 1's ``"secure-agg"`` keys).
 - **Round**: each pair derives a fresh *round key* from the pair key and the
-  round number and expands it (:func:`~repro.crypto.masking.
-  prg_field_elements`); silo ``i`` adds the stream for every peer ``j > i``
+  round number and expands it into one SHAKE-256 stream of 64-bit words
+  (:func:`mask_stream`); silo ``i`` adds the stream for every peer ``j > i``
   and subtracts it for every ``j < i``.  Over the full roster the masks
-  cancel in F_m, so the server learns only the sum.  A dropped silo leaves
-  unmatched streams: each survivor reveals its round keys with the dropped
-  silos and the server subtracts those streams -- per-round derivations,
-  so the reveal exposes this round's masks only.
+  cancel in Z_{2^64}, so the server learns only the sum.  A dropped silo
+  leaves unmatched streams: each survivor reveals its round keys with the
+  dropped silos and the server subtracts those streams -- per-round
+  derivations, so the reveal exposes this round's masks only.
 
-A round takes Protocol 1's inputs, and silo ``s`` forms its own upload:
-``sum_u Encode(delta_su) * (n_su * C_LCM / N_u) + Encode(z_s) * C_LCM`` per
-coordinate in ``F_{2^mask_bits}`` with Protocol 1's fixed-point encoding
-(:mod:`repro.crypto.encoding`), so the decoded aggregate is the *identical
-integer arithmetic* Protocol 1 decrypts: the two backends agree bit for bit
-under full participation (``tests/protocol/test_backend_equivalence.py``).
+What a silo masks is its release: the float32 noisy weighted sum
+``z_s + sum_u w[s,u] * clip(delta_su)`` that every carrier of
+:class:`~repro.core.UldpAvg` forms.  It goes up as fixed point in
+Z_{2^64}, ``rint(release / P)`` as int64 viewed as uint64
+(:func:`encode_release`), 8 B a coordinate.  uint64 sums wrap natively, so
+the server's total read back as int64 and scaled by P is exactly
+``P * sum_s rint(release_s / P)`` whenever that sum fits in int64: the
+per-round headroom check, Theorem 4's condition (2) at modulus 2^64.
 
 Security caveat (``docs/protocol_performance.md``): this is the semi-honest
 single-mask scheme.  Real Bonawitz et al. adds self-masks with
@@ -38,20 +40,15 @@ import random
 
 import numpy as np
 
-from repro.core.weighting import QuorumError, proportional_weights
+from repro.core.weighting import QuorumError
 from repro.crypto.dh import DHGroup, DHKeypair, derive_shared_key
 from repro.crypto.encoding import (
     DEFAULT_PRECISION,
     MagnitudeBudgetError,
     check_magnitude_budget,
-    decode_vector,
-    encode_vector,
-    lcm_up_to,
-    require_magnitude_headroom,
     round_max_abs,
 )
-from repro.crypto.masking import PairwiseMasker, prg_field_elements
-from repro.net.wire import Frame, blob_ints, int_blob
+from repro.net.wire import Frame
 from repro.obs.metrics import get_registry
 from repro.protocol.driver import HOST, KEY_EXCHANGE, SERVER, SILO, Driver, KeyHolder, KeyRelay
 
@@ -59,9 +56,12 @@ from repro.protocol.driver import HOST, KEY_EXCHANGE, SERVER, SILO, Driver, KeyH
 #: ``"secure-agg"`` so the two backends never share key material).
 PAIR_KEY_CONTEXT = "masked-agg"
 
-#: PRG label for the per-round delta masks (the *key* varies per round, so
-#: a revealed round key opens exactly this one stream).
+#: XOF label for the per-round release masks (the *key* varies per round,
+#: so a revealed round key opens exactly this one stream).
 MASK_STREAM_CONTEXT = "masked-delta"
+
+#: Uplink bytes per coordinate: one element of Z_{2^64}.
+MASK_BYTES = 8
 
 #: A round: masked vectors up; after a dropout, each survivor's key reveal.
 ROUND = (
@@ -83,62 +83,29 @@ def derive_round_key(pair_key: bytes, round_no: int) -> bytes:
     ).digest()
 
 
-def weight_numerators(
-    round_weights: np.ndarray, histogram: np.ndarray, c_lcm: int
-) -> np.ndarray:
-    """Integer numerators ``round(w[s,u] * C_LCM)`` -- exact where possible.
-
-    Where ``round_weights[s, u]`` is the proportional float ``n_su / N_u``
-    (participation masking zeroes whole rows, so it survives), the
-    numerator is the exact ``n_su * (C_LCM // N_u)`` Protocol 1 encrypts:
-    that makes the masked and Paillier backends agree bit for bit.
-    Renormalised weights fall back to rounding (error <= ``1/(2*C_LCM)``).
-    """
-    hist = np.asarray(histogram)
-    weights = np.asarray(round_weights, dtype=np.float64)
-    if weights.shape != hist.shape:
-        raise ValueError("round_weights and histogram shapes differ")
-    totals = hist.sum(axis=0)
-    numerators = np.zeros(weights.shape, dtype=object)
-    for s, u in zip(*np.nonzero(weights)):
-        w, n_u = weights[s, u], int(totals[u])
-        exact = n_u > 0 and w == float(hist[s, u]) / float(n_u)
-        numerators[s, u] = int(hist[s, u]) * (c_lcm // n_u) if exact else int(round(w * c_lcm))
-    return numerators
+def mask_stream(round_key: bytes, size: int) -> np.ndarray:
+    """One pair's mask for one round: ``size`` words of Z_{2^64} from one
+    SHAKE-256 call over the round key and :data:`MASK_STREAM_CONTEXT`."""
+    raw = hashlib.shake_256(round_key + MASK_STREAM_CONTEXT.encode()).digest(MASK_BYTES * size)
+    return np.frombuffer(raw, dtype="<u8")
 
 
-def encode_weighted_payload(
-    contributions: dict[int, np.ndarray],
-    numerators: dict[int, int],
-    noise: np.ndarray,
-    precision: float,
-    c_lcm: int,
-    modulus: int,
-) -> list[int]:
-    """One silo's plaintext field vector (before masking): per coordinate
-    ``sum_u Encode(delta_su) * num_u + Encode(z_s) * C_LCM`` in F_modulus,
-    the integer the Paillier path accumulates inside its ciphertext sum."""
-    total = [e * c_lcm % modulus for e in encode_vector(noise, precision, modulus)]
-    for user, delta in contributions.items():
-        num = numerators.get(user, 0)
-        if num == 0:
-            continue
-        encoded = encode_vector(delta, precision, modulus)
-        for k in range(len(total)):
-            total[k] = (total[k] + encoded[k] * num) % modulus
-    return total
+def encode_release(release: np.ndarray, precision: float) -> np.ndarray:
+    """A release as fixed point in Z_{2^64}: ``rint(release / P)``, taken
+    in float64, as int64 (two's complement) viewed as uint64."""
+    scaled = np.rint(np.asarray(release, dtype=np.float64) / precision)
+    return scaled.astype(np.int64).view(np.uint64)
 
 
 class MaskedSilo(KeyHolder):
     """One silo: DH key agreement, then per round its own masked upload.
-    ``encoding`` is ``(precision, C_LCM, modulus)``; before a round the
-    protocol sets :attr:`inputs` -- ``(clipped deltas, {user: weight
-    numerator}, noise, round_no)``."""
+    Before a round the protocol sets :attr:`inputs` -- ``(release,
+    round_no)``."""
 
-    def __init__(self, silo_id: int, group: DHGroup, encoding: tuple,
+    def __init__(self, silo_id: int, group: DHGroup, precision: float,
                  rng: random.Random | None = None):
         self.silo_id = silo_id
-        self.encoding = encoding
+        self.precision = precision
         self.dh_keypair: DHKeypair = group.keypair(rng=rng)
         self.pair_keys: dict[int, bytes] = {}
         self.inputs: tuple | None = None
@@ -158,14 +125,16 @@ class MaskedSilo(KeyHolder):
                 self.pair_keys[peer] = derive_shared_key(secret, PAIR_KEY_CONTEXT)
 
     def on_upload(self, frame):
-        """Encode the weighted payload, then add this round's net pairwise
-        mask: the masked counterpart of Protocol 1's ``SiloParty.on_weigh``."""
-        deltas, numerators, noise, round_no = self.inputs
-        precision, c_lcm, m = self.encoding
-        values = encode_weighted_payload(deltas, numerators, noise, precision, c_lcm, m)
-        keys = {peer: derive_round_key(key, round_no) for peer, key in self.pair_keys.items()}
-        mask = PairwiseMasker(self.silo_id, keys, m).mask_vector(len(values), MASK_STREAM_CONTEXT)
-        vector = int_blob([(v + r) % m for v, r in zip(values, mask)], m)
+        """Encode the release, then add this round's net pairwise mask: the
+        masked counterpart of Protocol 1's ``SiloParty.on_weigh``."""
+        release, round_no = self.inputs
+        vector = encode_release(release, self.precision)
+        for peer, key in self.pair_keys.items():
+            stream = mask_stream(derive_round_key(key, round_no), vector.size)
+            if peer > self.silo_id:
+                vector += stream
+            else:
+                vector -= stream
         return [Frame("masked_vector", {"round": round_no}, {"vector": vector})]
 
     def on_dropped(self, frame):
@@ -177,17 +146,17 @@ class MaskedSilo(KeyHolder):
 class MaskedServer(KeyRelay):
     """The aggregator: relays DH publics, sums the masked uploads and
     removes a dropped silo's unmatched masks using the revealed round keys;
-    :attr:`totals` is the last round's field sum over the survivors."""
+    :attr:`totals` is the last round's uint64 sum over the survivors."""
 
-    def __init__(self, n_silos: int, modulus: int):
-        self.n_silos, self.modulus = n_silos, modulus
+    def __init__(self, n_silos: int):
+        self.n_silos = n_silos
         self.dh_publics: dict[int, np.ndarray] = {}
-        self.uploads: dict[int, list[int]] = {}
-        self.totals: list[int] = []
+        self.uploads: dict[int, np.ndarray] = {}
+        self.totals: np.ndarray | None = None
 
     def on_masked_vector(self, frame):
         self.round_no = frame.payload["round"]
-        self.uploads[frame.payload["silo"]] = blob_ints(frame.arrays["vector"])
+        self.uploads[frame.payload["silo"]] = frame.arrays["vector"]
 
     def on_aggregate(self, frame):
         """Sum the uploads; ask each survivor for its keys with the silos
@@ -197,7 +166,7 @@ class MaskedServer(KeyRelay):
             "secagg_masked_uploads_total",
             help="Masked silo vectors uploaded to the aggregator.",
         ).inc(len(uploads))
-        self.totals = [sum(column) % self.modulus for column in zip(*uploads.values())]
+        self.totals = np.sum(list(uploads.values()), axis=0, dtype=np.uint64)
         dropped = [s for s in range(self.n_silos) if s not in uploads]
         if not dropped:
             return []
@@ -209,108 +178,70 @@ class MaskedServer(KeyRelay):
         return [Frame("dropped", {"silo": s, **payload}) for s in uploads]
 
     def on_reveal(self, frame):
-        """Subtract the unmatched streams one survivor's keys open."""
-        i, m, d = frame.payload["silo"], self.modulus, len(self.totals)
+        """Take out the unmatched streams one survivor's keys open."""
+        i = frame.payload["silo"]
         for j, key in zip(frame.payload["peers"], frame.arrays["keys"]):
-            stream = prg_field_elements(key.tobytes(), d, m, context=MASK_STREAM_CONTEXT)
-            sign = 1 if j > i else -1
-            for k in range(d):
-                self.totals[k] = (self.totals[k] - sign * stream[k]) % m
+            stream = mask_stream(key.tobytes(), self.totals.size)
+            if j > i:
+                self.totals -= stream
+            else:
+                self.totals += stream
 
 
 class MaskedAggregationProtocol(Driver):
-    """Masked secure aggregation across a fixed silo roster.
+    """Masked secure aggregation of one release per silo, across a fixed
+    roster of ``n_silos``.
 
-    ``histogram`` is the true n[s, u] matrix (the weight numerators' exact
-    form); ``n_max``, ``precision`` and ``dh_group`` (None = RFC 3526 group
-    14) are Protocol 1's.  Unlike
+    ``precision`` is the fixed-point step P and ``dh_group`` (None = RFC
+    3526 group 14) the pair keys' group.  Unlike
     :class:`~repro.protocol.runner.PrivateWeightingProtocol`, rounds accept
-    *partial participation*: a dropped silo has no noise, and the round
-    yields the weighted sum over the survivors -- at least
-    ``min_survivors`` of them, or :class:`~repro.core.weighting.QuorumError`
-    (a server faking dropouts to shrink the survivor set,
-    docs/protocol_performance.md).  Under a ``seed`` the DH keys come from a
-    seeded ``random.Random``, so a checkpoint/resume rebuild derives
-    identical pair keys and only :attr:`round_no` is dynamic state.
+    *partial participation*: a dropped silo sends no release, and the round
+    yields the sum over the survivors -- at least ``min_survivors`` of
+    them, or :class:`~repro.core.weighting.QuorumError` (a server faking
+    dropouts to shrink the survivor set, docs/protocol_performance.md).
+    Under a ``seed`` the DH keys come from a seeded ``random.Random``, so a
+    checkpoint/resume rebuild derives identical pair keys and only
+    :attr:`round_no` is dynamic state.
     """
 
     backend = "masked"
-    key_knob, key_is_modulus = "mask_bits", False
     dropout_refusal = None
-    silos_see_sampling = True
+    coordinate_bytes = MASK_BYTES
 
     def __init__(
         self,
-        histogram: np.ndarray,
-        mask_bits: int = 256,
+        n_silos: int,
         precision: float = DEFAULT_PRECISION,
-        n_max: int = 64,
         seed: int | None = None,
         dh_group: DHGroup | None = None,
         min_survivors: int = 1,
     ):
         super().__init__()
-        histogram = np.asarray(histogram, dtype=np.int64)
-        if histogram.ndim != 2 or histogram.shape[0] < 1:
-            raise ValueError("histogram must be (|S|, |U|) with at least one silo")
-        if int(histogram.sum(axis=0).max(initial=0)) > n_max:
-            raise ValueError("some user exceeds N_max across silos; raise n_max")
-        if mask_bits < 64:
-            raise ValueError("mask_bits must be at least 64")
-        self.histogram = histogram
-        self.n_silos, self.n_users = histogram.shape
-        self.mask_bits, self.modulus = mask_bits, 1 << mask_bits
-        self.n_max, self.c_lcm, self.precision = n_max, lcm_up_to(n_max), precision
-        self.min_survivors = min_survivors
-        self._num_terms = self.n_silos * (self.n_users + 1)
-        # check_round_magnitude has no floor on max_abs.
-        require_magnitude_headroom(n_max, self.key_knob, mask_bits, precision, 0.0, self._num_terms)
+        if n_silos < 1:
+            raise ValueError("masked secure aggregation needs at least one silo")
+        self.n_silos, self.precision, self.min_survivors = n_silos, precision, min_survivors
         self.group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
         self.rng = random.Random(seed) if seed is not None else None
         self.silos: list[MaskedSilo] = []
         self.server: MaskedServer | None = None
 
-    @property
-    def mask_bytes(self) -> int:
-        """Uplink bytes per coordinate (one field element)."""
-        return (self.mask_bits + 7) // 8
-
-    coordinate_bytes = mask_bytes
-
     def run_setup(self) -> None:
         """DH keygen and pairwise key agreement (once per training run)."""
         with self.phase("keygen"):
-            encoding = (self.precision, self.c_lcm, self.modulus)
-            self.silos = [MaskedSilo(s, self.group, encoding, rng=self.rng)
+            self.silos = [MaskedSilo(s, self.group, self.precision, rng=self.rng)
                           for s in range(self.n_silos)]
-            self.server = MaskedServer(self.n_silos, self.modulus)
+            self.server = MaskedServer(self.n_silos)
         self.setup(KEY_EXCHANGE)
 
-    def check_round_magnitude(self, max_abs_value: float, num_terms: int) -> None:
-        """Theorem 4 condition (2) for the mask field; raises on overflow."""
-        if not check_magnitude_budget(
-            self.modulus, self.c_lcm, self.precision, max_abs_value, num_terms
-        ):
-            raise MagnitudeBudgetError(
-                "masked-aggregation magnitude budget exceeded: raise "
-                f"mask_bits, lower n_max (= {self.n_max}), or coarsen precision"
-            )
-
-    def run_round(
-        self,
-        clipped_deltas: list[dict[int, np.ndarray]],
-        noises: list[np.ndarray | None],
-        round_weights: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Protocol 1's round inputs, a dropped silo's noise None (weights
-        None = the histogram's ``n_su / N_u``).  Quorum, weight numerators
-        and magnitude budget are settled before any party state changes;
-        each survivor then encodes and masks its own payload.  Returns the
-        decoded weighted sum over the survivors plus their noise."""
+    def run_round(self, releases: list[np.ndarray | None]) -> np.ndarray:
+        """One release per silo, a dropped silo's None.  Quorum and the
+        64-bit headroom are settled before any party state changes; each
+        survivor then encodes and masks its own release.  Returns
+        ``P * sum_s rint(release_s / P)`` over the survivors, in float64."""
         self.require_setup()
-        if len(clipped_deltas) != self.n_silos or len(noises) != self.n_silos:
-            raise ValueError("need one delta dict and noise entry per silo")
-        survivors = [s for s, noise in enumerate(noises) if noise is not None]
+        if len(releases) != self.n_silos:
+            raise ValueError("need one release entry per silo")
+        survivors = [s for s, release in enumerate(releases) if release is not None]
         if not survivors:
             raise ValueError("cannot aggregate a round with zero survivors")
         if len(survivors) < self.min_survivors:
@@ -318,20 +249,16 @@ class MaskedAggregationProtocol(Driver):
                 f"masked secure aggregation has {len(survivors)} surviving silo(s) this "
                 f"round, below min_survivors={self.min_survivors}; refusing to aggregate "
                 "over so few silos (see docs/protocol_performance.md)")
-        if any(len(noises[s]) != len(noises[survivors[0]]) for s in survivors):
+        live = [releases[s] for s in survivors]
+        if any(len(release) != len(live[0]) for release in live):
             raise ValueError("silo vector length mismatch")
-        if round_weights is None:
-            round_weights = proportional_weights(self.histogram)
-        numerators = weight_numerators(round_weights, self.histogram, self.c_lcm)
-        max_abs = round_max_abs(clipped_deltas, [noises[s] for s in survivors], survivors)
-        self.check_round_magnitude(max_abs, self._num_terms)
+        max_abs = round_max_abs([], live, survivors, label="release")
+        if not check_magnitude_budget(1 << 64, 1, self.precision, max_abs, len(survivors)):
+            raise MagnitudeBudgetError(
+                f"masked-aggregation magnitude budget exceeded: {len(survivors)} releases "
+                f"of |value| <= {max_abs:.3g} at precision {self.precision:g} overflow "
+                "the 64-bit ring; coarsen precision")
         for s in survivors:
-            deltas = clipped_deltas[s]
-            nums = {user: numerators[s, user] for user in deltas}
-            self.silos[s].inputs = (deltas, nums, noises[s], self.round_no)
+            self.silos[s].inputs = (releases[s], self.round_no)
         self.round(ROUND, silos=survivors)
-        return self.decode_aggregate(self.server.totals)
-
-    def decode_aggregate(self, totals: list[int]) -> np.ndarray:
-        """Field sum -> float aggregate (signed decode, /C_LCM, *precision)."""
-        return decode_vector(totals, self.precision, self.c_lcm, self.modulus)
+        return self.server.totals.view(np.int64) * self.precision

@@ -80,9 +80,6 @@ class PrivateWeightingProtocol(Driver):
     server_cls = ServerParty
     silo_cls = SiloParty
     backend = "fast"
-    #: The knob sizing the key (named by budget errors and the security
-    #: line), and whether that size is a factoring modulus NIST rates.
-    key_knob, key_is_modulus = "paillier_bits", True
     #: Why a round refuses silo dropout (None: it accepts it).
     dropout_refusal = (
         "the Paillier crypto backend ('fast') does not support partial participation: "
@@ -90,8 +87,6 @@ class PrivateWeightingProtocol(Driver):
         "desynchronise the blinding-mask cancellation; use crypto_backend='masked' "
         "(pairwise-mask secure aggregation with dropout recovery) for secure rounds under dropout"
     )
-    #: Whether the silos train on the sampled (zeroed) round weights.
-    silos_see_sampling = False
 
     def __init__(
         self,
@@ -119,7 +114,7 @@ class PrivateWeightingProtocol(Driver):
         self.precision = precision
         self._num_terms = self.n_silos * (self.n_users + 1)
         # _check_round_inputs floors max_abs at 1.0 and sees n < 2**bits.
-        require_magnitude_headroom(n_max, self.key_knob, paillier_bits, precision, 1.0, self._num_terms)
+        require_magnitude_headroom(n_max, "paillier_bits", paillier_bits, precision, 1.0, self._num_terms)
         self.ot_slots = ot_slots
         self.subsampler: PrivateSubsampler | None = None
         self.rng = rng = random.Random(seed) if seed is not None else None

@@ -1,10 +1,11 @@
-"""ULDP-AVG-w with aggregation through the real cryptographic protocol.
+"""ULDP-AVG-w with aggregation through a real secure-aggregation protocol.
 
 :class:`SecureUldpAvg` is a drop-in replacement for
 ``UldpAvg(weighting="proportional")`` whose per-round aggregation runs
-Protocol 1 end to end (Paillier, blinding, secure aggregation).  Results
-agree with the plaintext method up to the fixed-point precision P (Theorem
-4); the cost is the protocol overhead of Figures 10-11.
+Protocol 1 end to end (Paillier, blinding, secure aggregation) or masks
+each silo's release pairwise.  Results agree with the plaintext method up
+to the fixed-point precision P (Theorem 4); the cost is the protocol
+overhead of Figures 10-11.
 """
 
 from __future__ import annotations
@@ -48,24 +49,26 @@ def _rating(strength: int) -> str:
 
 
 class SecureUldpAvg(UldpAvg):
-    """ULDP-AVG-w whose aggregation is the real Protocol 1.
+    """ULDP-AVG-w whose aggregation is a real secure-aggregation protocol.
 
-    The protocols encrypt (or mask) each user's clipped delta, so this
-    subclass alone works on per-user rows: :meth:`_round_aggregate` builds
-    ``{user: clipped delta}`` dicts from :meth:`silo_round_segment` inside
-    one process (``[net]`` refuses this method: its silos would ship those
-    rows in the clear).
+    ``crypto_backend`` picks :attr:`protocol`:
 
-    ``crypto_backend`` picks :attr:`protocol`: ``"fast"`` (default) is
-    Protocol 1 over Paillier (:class:`PrivateWeightingProtocol`, across-silo
-    kernels on ``protocol_workers`` processes), ``"masked"`` pairwise-mask
-    secure aggregation (:class:`repro.crypto.secagg.MaskedAggregationProtocol`).
-    Both take one round contract -- per-silo delta dicts, per-silo noise and
-    the round weights -- and carry what differs between them: dropout
-    support, which weights the silos train on, uplink bytes per coordinate,
-    the key size the security line names, checkpoint state.  Under full
-    participation the two are bit-identical, and masked equals plaintext
-    :class:`UldpAvg` under any participation.
+    - ``"fast"`` (default) is Protocol 1 over Paillier
+      (:class:`PrivateWeightingProtocol`, across-silo kernels on
+      ``protocol_workers`` processes).  It multiplies each user's clipped
+      delta by an *encrypted* weight, so it works on per-user rows:
+      :meth:`_round_aggregate` builds ``{user: clipped delta}`` dicts from
+      :meth:`silo_round_segment` inside one process (``[net]`` refuses this
+      method: its silos would ship those rows in the clear).
+    - ``"masked"`` is pairwise-mask secure aggregation
+      (:class:`repro.crypto.secagg.MaskedAggregationProtocol`): each silo
+      masks the float32 release every plaintext carrier forms
+      (:meth:`_shard_payloads`) in Z_{2^64}, 8 B a coordinate.  Its
+      aggregate is exactly ``P * sum_s rint(release_s / P)``: plaintext
+      :class:`UldpAvg` to within ``|S| * P / 2``, under any participation.
+
+    The protocols carry what differs between them: dropout support, uplink
+    bytes per coordinate and checkpoint state.
 
     ``private_subsampling_slots = P`` (Paillier only) samples users at
     q = 1/P by OT so that *neither* side learns the outcome; with
@@ -107,7 +110,6 @@ class SecureUldpAvg(UldpAvg):
         crypto_backend: str = "fast",
         protocol_workers: int | None = None,
         compression: CompressionSpec | None = None,
-        mask_bits: int = 256,
         min_survivors: int = 1,
         dh_group: DHGroup | None = None,
     ):
@@ -153,7 +155,6 @@ class SecureUldpAvg(UldpAvg):
         self.private_subsampling_slots = private_subsampling_slots
         self.crypto_backend = crypto_backend
         self.protocol_workers = protocol_workers
-        self.mask_bits = mask_bits
         self.min_survivors = min_survivors
         self.dh_group = dh_group if dh_group is not None else DHGroup.rfc3526_2048()
         #: The backend's protocol driver, built and set up by ``prepare``.
@@ -189,39 +190,36 @@ class SecureUldpAvg(UldpAvg):
         summary, weak = self._security()
         if weak:
             log.warning("%s", summary)
+        if self.protocol is not None:
+            self.protocol.close()
+        keys = {"precision": self.precision, "seed": self.protocol_seed,
+                "dh_group": self.dh_group}
+        if self.crypto_backend == "masked":
+            self.protocol = MaskedAggregationProtocol(
+                fed.n_silos, min_survivors=self.min_survivors, **keys)
+        else:
+            self.protocol = self._paillier_protocol(fed, keys)
+        self.protocol.run_setup()
+
+    def _paillier_protocol(self, fed, keys: dict) -> PrivateWeightingProtocol:
+        """Protocol 1 for ``fed``, at an ``n_max`` raised to the largest
+        user's record count; a C_LCM that then overflows the key is refused
+        naming that user, before any key is made."""
         n_max = max(self.n_max, int(fed.user_totals().max(initial=1)))
         try:
-            self._build_protocol(fed, n_max)
+            return self.protocol_cls(
+                fed.histogram(), n_max=n_max, paillier_bits=self.paillier_bits,
+                workers=self.protocol_workers, ot_slots=self.private_subsampling_slots,
+                **keys)
         except MagnitudeBudgetError as exc:
             if n_max == self.n_max:
                 raise
-            knob = self._backend()[0].key_knob
             raise MagnitudeBudgetError(
                 f"{exc}.  Here n_max cannot be lowered: it was raised from "
                 f"the configured {self.n_max} because one user holds {n_max} "
-                f"records across silos -- raise crypto.{knob}, or spread the "
+                "records across silos -- raise crypto.paillier_bits, or spread the "
                 "records over more users (dataset.users)"
             ) from exc
-
-    def _backend(self) -> tuple[type, dict]:
-        """The backend's protocol class and its backend-only arguments."""
-        if self.crypto_backend == "masked":
-            return MaskedAggregationProtocol, {
-                "mask_bits": self.mask_bits, "min_survivors": self.min_survivors}
-        return self.protocol_cls, {
-            "paillier_bits": self.paillier_bits, "workers": self.protocol_workers,
-            "ot_slots": self.private_subsampling_slots}
-
-    def _build_protocol(self, fed, n_max: int) -> None:
-        """Construct the backend's protocol object and run its set-up."""
-        if self.protocol is not None:
-            self.protocol.close()
-        cls, args = self._backend()
-        self.protocol = cls(
-            fed.histogram(), n_max=n_max, precision=self.precision,
-            seed=self.protocol_seed, dh_group=self.dh_group, **args,
-        )
-        self.protocol.run_setup()
 
     def close(self) -> None:
         """Release the shard engine's pool and the protocol's (idempotent)."""
@@ -231,7 +229,7 @@ class SecureUldpAvg(UldpAvg):
 
     def security_summary(self) -> str:
         """One line on what protects this run: the DH group and its
-        strength, the Paillier modulus (or the mask field width), and
+        strength, the Paillier modulus (or the masks' fixed 64-bit ring), and
         whether key material is seeded.  ``repro validate-config`` prints
         it; :meth:`prepare` logs it as a warning when any component is
         below :data:`MIN_STRENGTH_BITS` or seeded -- today every run a spec
@@ -246,12 +244,11 @@ class SecureUldpAvg(UldpAvg):
             f"dh={group.label} ({_rating(strengths[0])}, "
             f"{group.exponent_bits}-bit exponents)"
         ]
-        cls, args = self._backend()
-        bits = args[cls.key_knob]
-        parts.append(f"{cls.key_knob}={bits}")
-        if cls.key_is_modulus:
-            strengths.append(modulus_strength_bits(bits))
-            parts[-1] += f" ({_rating(strengths[-1])})"
+        if self.crypto_backend == "masked":
+            parts.append("masks in Z_2^64 (fixed 64-bit ring)")
+        else:
+            strengths.append(modulus_strength_bits(self.paillier_bits))
+            parts.append(f"paillier_bits={self.paillier_bits} ({_rating(strengths[-1])})")
         seeded = self.protocol_seed is not None
         parts.append(
             "keys: seeded (reproducible, not secret)" if seeded else "keys: secrets"
@@ -273,33 +270,38 @@ class SecureUldpAvg(UldpAvg):
     def _round_aggregate(self, params, round_weights):
         """The protocol replaces the plaintext sum of silo payloads.
 
-        The silos train on the round weights or, where the protocol hides
-        the sub-sampling outcome from them (Paillier), on the unsampled
-        weight row: unsampled users then cancel inside the encrypted domain
-        -- Enc(0) weights from the server's zeroed columns, or, with OT,
-        dummies no party can tell from real weights.  Zero-weight users
-        contribute exactly zero either way, so both backends agree.
+        A masked silo masks its release, formed from the round weights as
+        for any carrier.  A Paillier silo hands Protocol 1 its per-user
+        rows and its noise, trained on the unsampled weight row: the
+        protocol hides the sub-sampling outcome from the silos, and
+        unsampled users cancel inside the encrypted domain -- Enc(0)
+        weights from the server's zeroed columns, or, with OT, dummies no
+        party can tell from real weights.
 
-        With ``sparsify="randk"`` every delta and noise vector is first
-        restricted to one shared random support (in deployment drawn from
-        R, so indices never cross the wire); the protocol carries only the
-        k coordinates, the uplink shrinks from d to k per silo, and the
+        With ``sparsify="randk"`` every vector a silo hands the protocol is
+        first restricted to one shared random support (in deployment drawn
+        from R, so indices never cross the wire); the protocol carries only
+        the k coordinates, the uplink shrinks from d to k per silo, and the
         aggregate is scattered back with exact zeros elsewhere.
         """
         fed, _, _ = self._require_prepared()
-        proto = self.protocol
-        train_weights = round_weights if proto.silos_see_sampling else self.weights
-        noise_std = self._noise_std()
-        # One {user: clipped delta} dict per silo and one noise vector per
-        # silo; a dropped silo has an empty dict and no noise.
+        noise_std, active = self._noise_std(), self._active_silos()
+        # One vector per silo -- its release or its noise -- and, for
+        # Paillier, one {user: clipped delta} dict; a dropped silo has None.
+        sent: list[np.ndarray | None] = [None for _ in fed.silos]
         contributions: list[dict[int, np.ndarray]] = [{} for _ in fed.silos]
-        noises: list[np.ndarray | None] = [None for _ in fed.silos]
-        for s in self._active_silos():
-            users, rows, noises[s] = self.silo_round_segment(
-                s, params, train_weights[s], noise_std
-            )
-            contributions[s] = dict(zip(users, rows))
-        users_seen = {user for per_silo in contributions for user in per_silo}
+        users_seen: set[int] = set()
+        if self.crypto_backend == "masked":
+            for s, users, release in self._shard_payloads(
+                    params, round_weights, noise_std, active):
+                sent[s] = release
+                users_seen.update(users)
+        else:
+            for s in active:
+                users, rows, sent[s] = self.silo_round_segment(
+                    s, params, self.weights[s], noise_std)
+                contributions[s] = dict(zip(users, rows))
+                users_seen.update(users)
 
         dim = params.size
         support = None
@@ -310,16 +312,19 @@ class SecureUldpAvg(UldpAvg):
                 {user: delta[support] for user, delta in per_silo.items()}
                 for per_silo in contributions
             ]
-            noises = [None if noise is None else noise[support] for noise in noises]
-        aggregate = proto.run_round(contributions, noises, round_weights)
-        uplink = sum(len(z) for z in noises if z is not None) * proto.coordinate_bytes
+            sent = [None if vector is None else vector[support] for vector in sent]
+        if self.crypto_backend == "masked":
+            aggregate = self.protocol.run_round(sent)
+        else:
+            aggregate = self.protocol.run_round(contributions, sent, round_weights)
+        uplink = sum(len(v) for v in sent if v is not None) * self.protocol.coordinate_bytes
         if support is not None:
             aggregate = scatter(support, aggregate, dim)
         return aggregate, users_seen, uplink
 
     def uplink_payload_bytes(self) -> int:
         """One silo's uplink in *wire* bytes: one ciphertext (Paillier) or
-        one ``mask_bits``-bit field element (masked) per kept coordinate."""
+        one 8-byte element of Z_{2^64} (masked) per kept coordinate."""
         _, model, _ = self._require_prepared()
         dim = model.num_params
         comp = self.compressor

@@ -97,6 +97,14 @@ class TestValidationErrorsNameThePath:
                  "crypto": {"backend": "reference"}}
             )
 
+    def test_mask_bits_is_an_unknown_key(self):
+        """The masked ring is Z_{2^64}, fixed: no field sizes it."""
+        with pytest.raises(SpecError, match=r"crypto\.mask_bits: unknown key"):
+            RunSpec.from_dict(
+                {"method": {"name": "secure-uldp-avg"},
+                 "crypto": {"backend": "masked", "mask_bits": 256}}
+            )
+
     @pytest.mark.parametrize("crypto", [None, {"backend": "fast"}], ids=["default", "fast"])
     def test_paillier_alongside_sim_rejected(self, crypto):
         """The simulator hands every round a RoundParticipation, which the

@@ -4,14 +4,13 @@ support, and the SecureUldpAvg validation of admissible specs."""
 
 import numpy as np
 import pytest
-from oracle_reference import plaintext_reference
+from oracle_reference import decode_vector, plaintext_reference
 from toy_crypto import TOY_DH_GROUP
 
 from repro.compress import CompressionSpec
 from repro.core import Trainer, UldpAvg
 from repro.crypto.encoding import (
     check_magnitude_budget,
-    decode_vector,
     encode_vector,
 )
 from repro.data import build_creditcard_benchmark

@@ -14,7 +14,8 @@ from repro.api.spec import RunSpec
 from repro.compress import CompressionSpec
 from repro.cost import model as M
 from repro.cost.calibrate import load_calibration
-from repro.cost.model import build_cost_model, ciphertext_bytes, mask_bytes
+from repro.cost.model import MASK_BYTES, build_cost_model, ciphertext_bytes
+from repro.crypto import secagg
 from repro.cost.planner import _evaluate, _run_totals, _totals, predict
 
 #: Baseline numeric point every monotonicity probe perturbs.
@@ -27,7 +28,6 @@ BASE = {
     "features": 30,
     "rounds": 5,
     "key_bits": 512,
-    "mask_bits": 256,
     "population": 100,
     "participation": 1.0,
 }
@@ -152,11 +152,12 @@ class TestExactWireFormulas:
         assert ciphertext_bytes(512) == 128
         assert ciphertext_bytes(3072) == 768
 
-    def test_masked_vs_paillier_24x_ratio(self):
-        """docs/secure_aggregation.md: at 3072-bit keys a Paillier
-        ciphertext (768 B) is 24x a 256-bit mask field element (32 B)."""
-        assert mask_bytes(256) == 32
-        assert ciphertext_bytes(3072) == 24 * mask_bytes(256)
+    def test_masked_vs_paillier_96x_ratio(self):
+        """docs/protocol_performance.md: at 3072-bit keys a Paillier
+        ciphertext (768 B) is 96x a masked coordinate, one element of
+        Z_{2^64} (8 B) -- the runtime's width."""
+        assert MASK_BYTES == secagg.MASK_BYTES == 8
+        assert ciphertext_bytes(3072) == 96 * MASK_BYTES
 
 
 class TestModelStructure:

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import decode_scalar, encode_scalar
+from oracle_reference import decode_scalar, decode_vector, encode_scalar
 
 from repro.crypto.blinding import BlindingFactory
 from repro.crypto.encoding import (
     check_magnitude_budget,
-    decode_vector,
     encode_vector,
     lcm_up_to,
 )

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import decode_scalar, encode_scalar
+from oracle_reference import decode_scalar, decode_vector, encode_scalar
 
 from repro.crypto.encoding import (
     MagnitudeBudgetError,
     check_magnitude_budget,
-    decode_vector,
     encode_vector,
     lcm_up_to,
     quantize_vector,
@@ -112,9 +111,9 @@ class TestRequireMagnitudeHeadroom:
             assert not round_ok
 
     def test_refusal_names_n_max_and_the_knob(self):
-        with pytest.raises(MagnitudeBudgetError, match=r"n_max=64 .*mask_bits=64"):
-            require_magnitude_headroom(64, "mask_bits", 64, 1e-10, 0.0, 4)
-        require_magnitude_headroom(24, "mask_bits", 64, 1e-10, 0.0, 4)
+        with pytest.raises(MagnitudeBudgetError, match=r"n_max=64 .*paillier_bits=64"):
+            require_magnitude_headroom(64, "paillier_bits", 64, 1e-10, 0.0, 4)
+        require_magnitude_headroom(24, "paillier_bits", 64, 1e-10, 0.0, 4)
 
 
 class TestEncodingRoundTrip:

@@ -51,11 +51,21 @@ def decode_scalar(x: int, precision: float, c_lcm: int, modulus: int) -> float:
 
     Maps the field element to a signed integer (values above n//2 are
     negative), removes the C_LCM factor, and rescales by ``precision``.
-    The scalar form of ``repro.crypto.encoding.decode_vector``.
+    The scalar form of :func:`decode_vector`.
     """
     if x > modulus // 2:
         x = x - modulus
     return (x / c_lcm) * precision
+
+
+def decode_vector(values, precision: float, c_lcm: int, modulus: int) -> np.ndarray:
+    """:func:`decode_scalar` over a vector: the signed mapping and the
+    C_LCM division in big ints (Python's correctly-rounded int/int true
+    division), then one vectorised precision scaling -- what Protocol 1's
+    server computes per coordinate."""
+    half = modulus // 2
+    signed = [v - modulus if v > half else v for v in map(int, values)]
+    return np.array([s / c_lcm for s in signed], dtype=np.float64) * precision
 
 
 def plaintext_reference(

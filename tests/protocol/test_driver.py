@@ -153,9 +153,9 @@ class TestTimingReportNames:
             set(metrics.PROTOCOL_SETUP_PHASES) | set(metrics.PROTOCOL_ROUND_PHASES))
 
     def test_masked_phases_with_a_dropout(self):
-        proto = MaskedAggregationProtocol(HIST, seed=0, dh_group=TOY_DH_GROUP)
+        proto = MaskedAggregationProtocol(len(HIST), seed=0, dh_group=TOY_DH_GROUP)
         proto.run_setup()
-        proto.run_round([{}] * 3, [np.ones(2), None, np.ones(2)])
+        proto.run_round([np.ones(2), None, np.ones(2)])
         assert set(proto.report()) == {
             "keygen", "key_exchange", "mask_and_upload", "aggregate",
             "dropout_recovery"}
@@ -214,9 +214,9 @@ class TestCodec:
         assert_codec_roundtrips(log)
 
     def test_masked_round_with_a_dropped_silo(self):
-        proto = MaskedAggregationProtocol(HIST, seed=0, dh_group=TOY_DH_GROUP)
+        proto = MaskedAggregationProtocol(len(HIST), seed=0, dh_group=TOY_DH_GROUP)
         proto.run_setup()
-        proto.run_round([{}] * 3, [np.ones(2), None, np.ones(2)])
+        proto.run_round([np.ones(2), None, np.ones(2)])
         assert {d.frame.type for d in proto.log} == {
             "dh_public", "keys", "masked_vector", "dropped", "reveal"}
         assert_codec_roundtrips(proto.log)

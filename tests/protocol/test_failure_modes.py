@@ -171,7 +171,7 @@ class TestNonFiniteInputs:
             proto.run_round_ot_sampling(deltas, noises, sub)
 
     def test_masked_backend_names_the_silo_behind_a_dropped_one(self, monkeypatch):
-        """Silo 0 is dropped, so silo 2's noise is the *second* vector the
+        """Silo 0 is dropped, so silo 2's release is the *second* vector the
         round holds; the refusal must still say silo 2."""
         fed = build_creditcard_benchmark(
             n_users=6, n_silos=3, n_records=120, n_test=40, seed=0
@@ -182,22 +182,24 @@ class TestNonFiniteInputs:
         )
         model = build_tiny_mlp(30, 2, 2, np.random.default_rng(42))
         trainer = Trainer(fed, method, rounds=1, model=model, seed=0)
-        segment = method.silo_round_segment
+        payloads = method._shard_payloads
 
-        def poisoned(s, *args, **kwargs):
-            users, rows, noise = segment(s, *args, **kwargs)
-            if s == 2:
-                noise = noise.copy()
-                noise[-1] = np.inf
-            return users, rows, noise
+        def poisoned(*args):
+            released = payloads(*args)
+            for s, _, release in released:
+                if s == 2:
+                    release[-1] = np.inf
+            return released
 
-        monkeypatch.setattr(method, "silo_round_segment", poisoned)
+        monkeypatch.setattr(method, "_shard_payloads", poisoned)
         mask = np.array([False, True, True])
-        with pytest.raises(MagnitudeBudgetError, match="silo 2's noise"):
+        with pytest.raises(MagnitudeBudgetError, match="silo 2's release"):
             trainer.step(participation=RoundParticipation(silo_mask=mask))
 
     def test_masked_protocol_refuses_a_non_finite_magnitude(self):
-        proto = MaskedAggregationProtocol(HIST, mask_bits=128, dh_group=TOY_DH_GROUP, seed=0)
+        proto = MaskedAggregationProtocol(len(HIST), dh_group=TOY_DH_GROUP, seed=0)
+        proto.run_setup()
         for bad in (np.nan, np.inf):
-            with pytest.raises(MagnitudeBudgetError):
-                proto.check_round_magnitude(bad, num_terms=1)
+            with pytest.raises(MagnitudeBudgetError, match="silo 0's release"):
+                proto.run_round([np.array([bad]), np.ones(1), np.ones(1)])
+        assert proto.round_no == 0

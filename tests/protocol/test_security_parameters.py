@@ -2,10 +2,11 @@
 
 The runtime's only Diffie-Hellman group is RFC 3526 group 14 (no toy
 default, nothing searched for at start-up, no spec field to change it);
-the group cannot reach the trained parameters; an ``n_max`` no key size
-can hold is refused in ``prepare()`` -- before any key is made -- with a
-message naming the knob the user actually controls; and every secure
-method can say in one line how strong (or not) its parameters are.
+the group cannot reach the trained parameters; an ``n_max`` no Paillier
+key size can hold is refused in ``prepare()`` -- before any key is made --
+with a message naming the knob the user actually controls, while the
+masked backend, which carries no C_LCM, takes the same data; and every
+secure method can say in one line how strong (or not) its parameters are.
 """
 
 import logging
@@ -44,7 +45,7 @@ class TestNoToyDefault:
         assert {s.dh_keypair.group.prime for s in proto.silos} == {RFC3526_PRIME_2048}
 
     def test_masked_protocol_falls_back_to_rfc3526(self):
-        assert MaskedAggregationProtocol(np.ones((3, 1))).group.prime == RFC3526_PRIME_2048
+        assert MaskedAggregationProtocol(3).group.prime == RFC3526_PRIME_2048
 
     def test_spec_built_method_holds_rfc3526(self):
         method = build_method(RunSpec.from_dict({"method": {"name": "secure-uldp-avg"}}))
@@ -96,7 +97,9 @@ class TestGroupCannotReachTheParams:
 
 class TestEarlyOverflowRefusal:
     """heartdisease over 2 users: one user holds ~385 of the 740 records,
-    ``prepare`` raises n_max from 64 to that, and lcm(1..385) has 557 bits."""
+    ``prepare`` raises n_max from 64 to that, and lcm(1..385) has 557 bits:
+    more than a 512-bit Paillier key holds.  The masked backend carries no
+    C_LCM and runs it."""
 
     @staticmethod
     def _spec(backend):
@@ -107,13 +110,12 @@ class TestEarlyOverflowRefusal:
             "crypto": {"backend": backend},
         })
 
-    @BACKENDS
-    def test_refused_in_prepare_naming_the_effective_n_max(self, backend, monkeypatch):
+    def test_refused_in_prepare_naming_the_effective_n_max(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("a key was generated before the refusal")
 
         monkeypatch.setattr(repro.protocol.parties, "generate_paillier_keypair", boom)
-        spec = self._spec(backend)
+        spec = self._spec("fast")
         fed = build_dataset(spec)
         largest = int(fed.user_totals().max())
         assert largest > 64
@@ -123,13 +125,20 @@ class TestEarlyOverflowRefusal:
         assert f"n_max={largest}" in message
         assert "raised from the configured 64" in message
         assert f"one user holds {largest} records" in message
-        knob = "crypto.mask_bits" if backend == "masked" else "crypto.paillier_bits"
-        assert knob in message and "dataset.users" in message
+        assert "crypto.paillier_bits" in message and "dataset.users" in message
+
+    def test_masked_backend_runs_the_same_data(self):
+        spec = self._spec("masked")
+        fed = build_dataset(spec)
+        trainer = build_trainer(spec, fed)
+        history = trainer.run()
+        assert np.isfinite(trainer.params).all()
+        assert history.comm[0].uplink_bytes == fed.n_silos * trainer.model.num_params * 8
 
     def test_configured_n_max_is_not_blamed_on_the_data(self):
         """When the user did set the hopeless n_max, the constructor's own
         message stands (it says to lower n_max, which they can)."""
-        method = SecureUldpAvg(n_max=400, crypto_backend="masked")
+        method = SecureUldpAvg(n_max=400)
         fed = build_creditcard_benchmark(
             n_users=6, n_silos=3, n_records=120, n_test=40, seed=0
         )
@@ -149,8 +158,8 @@ class TestSecurityLine:
         assert "seeded (reproducible, not secret)" in line
 
     def test_masked_backend_reports_the_field_width(self):
-        line = SecureUldpAvg(crypto_backend="masked", mask_bits=128).security_summary()
-        assert "mask_bits=128" in line and "paillier" not in line
+        line = SecureUldpAvg(crypto_backend="masked").security_summary()
+        assert "masks in Z_2^64 (fixed 64-bit ring)" in line and "paillier" not in line
 
     def test_unseeded_toy_group_is_named(self):
         line = SecureUldpAvg(dh_group=TOY_DH_GROUP, protocol_seed=None).security_summary()

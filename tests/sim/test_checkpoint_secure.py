@@ -13,6 +13,7 @@ import pytest
 from toy_crypto import TOY_DH_GROUP
 
 from repro.api import RunSpec
+from repro.api.spec import SpecError
 from repro.api.runner import build_simulator, checkpoint_extra
 from repro.sim import resume_simulator, save_checkpoint
 from repro.sim.scenarios import run_simulator_with_checkpoints
@@ -153,3 +154,15 @@ class TestMaskedKillAndResume:
             "crypto section changed",
         ):
             paillier.load_state(state)
+
+    def test_checkpoint_naming_mask_bits_is_refused(self, tmp_path):
+        # A checkpoint whose spec snapshot still sizes the mask field
+        # describes a configuration this build cannot run.
+        spec = masked_spec(seed=4)
+        sim = build_simulator(spec)
+        sim.run(stop_after=1)
+        extra = checkpoint_extra(spec)
+        extra["spec"]["crypto"]["mask_bits"] = 256
+        save_checkpoint(tmp_path, sim, extra=extra)
+        with pytest.raises(SpecError, match=r"crypto\.mask_bits: unknown key"):
+            resume_simulator(tmp_path)
