@@ -283,9 +283,9 @@ def obs_session(spec: RunSpec, mode: str | None = None, checkpoint_dir=None):
     :func:`resolve_trace_path` (``checkpoint_dir``: the directory a
     resumed run snapshots into), installs it process-wide, opens the root
     ``run`` span (name, spec hash, mode), and -- when
-    ``obs.metrics_port`` is set -- serves ``GET /metrics`` on that side
-    port.  Everything is torn down (recorder restored + flushed, httpd
-    stopped) on exit, error or not.
+    ``obs.metrics_port`` is set -- serves the recorder's fold as
+    ``GET /metrics`` on that side port.  Everything is torn down
+    (recorder restored + flushed, httpd stopped) on exit, error or not.
     """
     if spec.obs is None or not spec.obs.enabled:
         yield None
@@ -300,7 +300,7 @@ def obs_session(spec: RunSpec, mode: str | None = None, checkpoint_dir=None):
     )
     metrics_server = None
     if spec.obs.metrics_port is not None:
-        metrics_server = start_metrics_server(spec.obs.metrics_port)
+        metrics_server = start_metrics_server(spec.obs.metrics_port, recorder)
     try:
         with use_recorder(recorder):
             with recorder.span(

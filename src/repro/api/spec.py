@@ -289,7 +289,8 @@ class ObsSpec:
     (``sim.checkpoint_dir``) when there are any, else in the working
     directory.  ``sample_rate`` keeps only a deterministic subset of
     round spans (see :mod:`repro.obs.trace`).  ``metrics_port`` serves
-    ``GET /metrics`` (Prometheus text) on a side port; 0 = OS-assigned.
+    the trace's fold as ``GET /metrics`` (Prometheus text) on a side
+    port; 0 = OS-assigned.
     """
 
     enabled: bool = False

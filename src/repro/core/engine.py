@@ -80,7 +80,6 @@ from repro.nn.clip import clip_factor_from_norms, clip_factor_rows, l2_clip_rows
 from repro.nn.layers import TRAIN_DTYPE
 from repro.nn.model import Sequential
 from repro.nn.workspace import WORKSPACE
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
 
 #: Jobs per numerical batch.  Every engine entry point processes its job
@@ -730,11 +729,6 @@ class ShardedEngine:
         if not tasks:
             return []
         recorder = get_recorder()
-        shard_seconds = get_registry().histogram(
-            "engine_shard_seconds",
-            help="Kernel seconds per shard task of the sharded engine.",
-            unit="seconds",
-        )
         if self.config.workers == 0:
             install_resident(*self._resident)
             # Lazy: each task runs when the loop below asks for its result.
@@ -750,7 +744,6 @@ class ShardedEngine:
             ) as span:
                 result = next(outcomes)
                 span.set(jobs=result["n_jobs"], seconds=result["seconds"])
-            shard_seconds.observe(result["seconds"])
             results.append(result)
         return results
 

@@ -29,12 +29,11 @@ import numpy as np
 
 from repro.compress.spec import CompressionSpec
 from repro.core.engine import EngineConfig
-from repro.core.methods.base import CommSummary, FLMethod, RoundReport
+from repro.core.methods.base import FLMethod, RoundReport
 from repro.core.metrics import evaluate_model, metric_name
 from repro.core.weighting import RoundParticipation
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential, default_model_for
-from repro.obs.metrics import get_registry
 from repro.obs.trace import Span, get_recorder
 
 
@@ -287,7 +286,10 @@ class Trainer:
             uplink_bytes=comm.uplink_bytes,
             downlink_bytes=comm.downlink_bytes,
         )
-        self._record_round_metrics(seconds, comm)
+        # Cumulative protocol-phase totals (secure methods), for reports.
+        phases = self.method.timing_report()
+        if phases:
+            self.history.phase_seconds = dict(phases)
         record = None
         if self._round % self.eval_every == 0 or self._round == self.rounds:
             record = self._evaluate()
@@ -295,42 +297,9 @@ class Trainer:
             self.model.set_flat_params(self._params)
         return record
 
-    def _record_round_metrics(self, seconds: float, comm: CommSummary) -> None:
-        """Update the process metrics registry with the finished round."""
-        reg = get_registry()
-        reg.counter(
-            "trainer_rounds_total", help="Training rounds completed."
-        ).inc()
-        reg.histogram(
-            "trainer_round_seconds",
-            help="Wall-clock seconds per training round.", unit="seconds",
-        ).observe(seconds)
-        reg.counter(
-            "comm_uplink_bytes_total",
-            help="Silo -> server payload bytes (TrainingHistory ledger).",
-            unit="bytes",
-        ).inc(comm.uplink_bytes)
-        reg.counter(
-            "comm_downlink_bytes_total",
-            help="Server -> silo broadcast bytes (TrainingHistory ledger).",
-            unit="bytes",
-        ).inc(comm.downlink_bytes)
-        # Cumulative protocol-phase totals (secure methods): into history
-        # for reports and into phase gauges for /metrics.
-        phases = self.method.timing_report()
-        if phases:
-            self.history.phase_seconds = dict(phases)
-            gauge = reg.gauge(
-                "protocol_phase_seconds",
-                help="Cumulative seconds per secure-protocol phase.",
-                unit="seconds",
-            )
-            for name, total in phases.items():
-                gauge.labels(phase=name).set(total)
-
     def _evaluate(self) -> RoundRecord:
         """Evaluate the current params; appends and returns the record."""
-        with get_recorder().span("evaluate", kind="phase", round=self._round):
+        with get_recorder().span("evaluate", kind="phase", round=self._round) as span:
             self.model.set_flat_params(self._params)
             scores = evaluate_model(self.fed, self.model)
             name = metric_name(self.fed.task)
@@ -343,12 +312,9 @@ class Trainer:
                 if self.method.is_private
                 else None,
             )
+            if record.epsilon is not None:
+                span.set(epsilon=record.epsilon)
         self.history.records.append(record)
-        if record.epsilon is not None:
-            get_registry().gauge(
-                "privacy_epsilon_spent",
-                help="Epsilon spent so far (accountant query at eval).",
-            ).set(record.epsilon)
         return record
 
     def state_dict(self) -> dict:

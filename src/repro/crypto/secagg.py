@@ -49,7 +49,6 @@ from repro.crypto.encoding import (
     round_max_abs,
 )
 from repro.net.wire import Frame
-from repro.obs.metrics import get_registry
 from repro.protocol.driver import HOST, KEY_EXCHANGE, SERVER, SILO, Driver, KeyHolder, KeyRelay
 
 #: KDF context for the long-term pair keys (distinct from Protocol 1's
@@ -162,18 +161,10 @@ class MaskedServer(KeyRelay):
         """Sum the uploads; ask each survivor for its keys with the silos
         that uploaded nothing."""
         uploads, self.uploads = self.uploads, {}
-        get_registry().counter(
-            "secagg_masked_uploads_total",
-            help="Masked silo vectors uploaded to the aggregator.",
-        ).inc(len(uploads))
         self.totals = np.sum(list(uploads.values()), axis=0, dtype=np.uint64)
         dropped = [s for s in range(self.n_silos) if s not in uploads]
         if not dropped:
             return []
-        get_registry().counter(
-            "secagg_dropout_recoveries_total",
-            help="Dropped silos whose masks were recovered via reveals.",
-        ).inc(len(dropped))
         payload = {"round": self.round_no, "dropped": dropped}
         return [Frame("dropped", {"silo": s, **payload}) for s in uploads]
 

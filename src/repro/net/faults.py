@@ -17,10 +17,12 @@ Actions (the silo's behaviour for rounds in ``[start, stop)``):
 
 - ``"decline"`` -- answer the liveness ping with ``ready = false``: a
   deterministic, connection-preserving dropout (the exact-oracle fault).
-- ``"timeout"`` -- sleep ``value`` seconds (default: past the server's
-  deadline) before replying: the server observes a real deadline miss.
-- ``"delay"`` -- sleep ``value`` seconds before replying (a straggler;
-  below-deadline values cause latency, not dropout).
+- ``"timeout"`` -- sleep ``value`` seconds (default: three times
+  ``round_timeout``) before each reply of its rounds, the ``pong``
+  included: with ``ping_timeout`` below the sleep the server sees a
+  missed ping, not a missed compute deadline.
+- ``"delay"`` -- the same sleep, below both deadlines (a straggler:
+  latency, not dropout).
 - ``"duplicate"`` -- send the reply twice (the server must drain stales).
 - ``"corrupt"`` -- flip a payload byte so the frame fails its checksum.
 - ``"crash"`` -- ``os._exit`` the silo process the moment a frame for an

@@ -67,7 +67,6 @@ from repro.net.transport import (
     TransportError,
 )
 from repro.net.wire import PROTOCOL_VERSION, Frame, WireError, is_finite_vector
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
 from repro.protocol.driver import SERVER, SILO, Driver, Party
 from repro.sim.scenarios import save_checkpoint_if_due
@@ -196,10 +195,7 @@ class FederationServer(Party):
                       "different configuration than this server")
         if reason is not None:
             log.warning("refused a connection (silo=%s): %s", silo, reason)
-            get_registry().counter(
-                "net_handshakes_refused_total",
-                help="Connections refused at the HELLO/WELCOME handshake.",
-            ).inc()
+            get_recorder().event("handshake_refused", silo=silo, reason=reason)
             try:
                 conn.send("refuse", {"reason": reason})
             except TransportError:
@@ -304,10 +300,13 @@ class FederationServer(Party):
 
         A deadline miss keeps the connection (the late PONG is drained as
         a stale frame later); a transport/wire error drops it -- the silo
-        reconnects through the listener when it recovers.
+        reconnects through the listener when it recovers.  The span is
+        charged the bytes its frames moved, stale frames it drained
+        included.
         """
         alive = np.zeros(self.sim.fed.n_silos, dtype=bool)
-        with get_recorder().span("ping", kind="phase", round=round_no + 1):
+        marks = [(c, c.bytes_sent, c.bytes_received) for c in self.conns.values()]
+        with get_recorder().span("ping", kind="phase", round=round_no + 1) as span:
             for s in list(self.conns):
                 try:
                     self.conns[s].send("ping", {"round": round_no})
@@ -330,6 +329,8 @@ class FederationServer(Party):
                     self._drop(s)
                     continue
                 alive[s] = bool(frame.payload.get("ready", True))
+            span.set(downlink_bytes=sum(c.bytes_sent - sent for c, sent, _ in marks),
+                     uplink_bytes=sum(c.bytes_received - got for c, _, got in marks))
         return alive
 
     def serve(self):
@@ -356,7 +357,6 @@ class FederationServer(Party):
         method = sim.method
         extra = checkpoint_extra(self.spec)
         recorder = get_recorder()
-        reg = get_registry()
         log.info("serving %d silo(s), rounds %d..%d on port %s",
                  sim.fed.n_silos, sim.rounds_completed, sim.config.rounds,
                  self.port)
@@ -399,19 +399,9 @@ class FederationServer(Party):
                         recorder.event("silo_fault", round=t + 1,
                                        silo=failure.silo,
                                        reason=failure.reason)
-                        reg.counter(
-                            "net_silo_faults_total",
-                            help="Mid-round silo failures observed by the "
-                                 "server.",
-                        ).inc()
                         self.retry_ledger["attempts"] += 1
                         for key, after in self._wire_bytes().items():
                             self.retry_ledger[key] += after - marks[key]
-                        reg.counter(
-                            "net_round_retries_total",
-                            help="Round attempts aborted and retried from "
-                                 "a snapshot.",
-                        ).inc()
                         alive[failure.silo] = False
                         self._drop(failure.silo)
                         sim.load_state(snapshot)

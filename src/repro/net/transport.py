@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 from repro.net import wire
-from repro.obs.metrics import get_registry
 
 
 class TransportError(ConnectionError):
@@ -81,9 +80,8 @@ class MessageSocket:
     """A connected socket speaking whole frames, with deadline receives.
 
     Every instance keeps its own :attr:`bytes_sent` / :attr:`bytes_received`
-    ledger (exact on-the-wire byte counts), and each send/recv feeds the
-    process metrics registry -- frame latency histograms and byte-total
-    counters labelled by frame type.
+    ledger (exact on-the-wire byte counts); the spans that bracket an
+    exchange record its share of them.
     """
 
     # Ceiling on stale frames discarded per recv_matching call -- a peer
@@ -101,19 +99,7 @@ class MessageSocket:
 
     def send(self, msg_type: str, payload: dict | None = None,
              arrays: dict | None = None) -> None:
-        data = wire.pack_frame(msg_type, payload, arrays)
-        start = time.perf_counter()
-        self.send_raw(data)
-        reg = get_registry()
-        reg.histogram(
-            "net_frame_send_seconds",
-            help="Wall-clock seconds spent in sendall per frame.",
-            unit="seconds",
-        ).labels(type=msg_type).observe(time.perf_counter() - start)
-        reg.counter(
-            "net_bytes_sent_total", help="Frame bytes written to sockets.",
-            unit="bytes",
-        ).labels(type=msg_type).inc(len(data))
+        self.send_raw(wire.pack_frame(msg_type, payload, arrays))
 
     def send_raw(self, data: bytes) -> None:
         """Write pre-packed (possibly deliberately corrupted) bytes --
@@ -125,13 +111,8 @@ class MessageSocket:
         self.bytes_sent += len(data)
 
     def recv(self, timeout: float | None = None) -> wire.Frame:
-        """Read one frame, raising :class:`DeadlineExceeded` on timeout.
-
-        The recv latency histogram includes the wait for the peer to
-        produce the frame, not just the read itself.
-        """
+        """Read one frame, raising :class:`DeadlineExceeded` on timeout."""
         self.sock.settimeout(timeout)
-        start = time.perf_counter()
         try:
             frame = wire.recv_frame(self.sock)
         except socket.timeout as exc:
@@ -145,17 +126,6 @@ class MessageSocket:
             except OSError:
                 pass
         self.bytes_received += frame.nbytes
-        reg = get_registry()
-        reg.histogram(
-            "net_frame_recv_seconds",
-            help="Seconds from recv call to a whole frame (includes the "
-                 "wait for the peer).",
-            unit="seconds",
-        ).labels(type=frame.type).observe(time.perf_counter() - start)
-        reg.counter(
-            "net_bytes_received_total", help="Frame bytes read from sockets.",
-            unit="bytes",
-        ).labels(type=frame.type).inc(frame.nbytes)
         return frame
 
     def recv_matching(self, reply_type: str, round_no: int,

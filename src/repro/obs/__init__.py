@@ -1,18 +1,13 @@
-"""Zero-dependency observability: tracing spans + a metrics registry.
+"""Zero-dependency observability: tracing spans and the views over them.
 
 See ``docs/observability.md`` for the span model, the metric catalog,
 and the trace-file format.  Disabled (the default), the subsystem is a
-handful of no-op calls per round; enabled via the ``[obs]`` spec
-section, it writes a ``trace.jsonl`` next to checkpoints and can serve
-``GET /metrics`` on a side port.
+handful of no-op calls per round and keeps no state; enabled via the
+``[obs]`` spec section, it writes a ``trace.jsonl`` next to checkpoints,
+folds each record it writes (:class:`repro.obs.summary.TraceFold`), and
+can serve that fold as ``GET /metrics`` on a side port.
 """
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    MetricError,
-    MetricsRegistry,
-    get_registry,
-)
 from .trace import (
     NULL_RECORDER,
     TRACE_SCHEMA,
@@ -24,10 +19,6 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "MetricError",
-    "MetricsRegistry",
-    "get_registry",
     "NULL_RECORDER",
     "TRACE_SCHEMA",
     "JsonlTraceRecorder",

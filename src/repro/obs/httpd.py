@@ -2,12 +2,15 @@
 
 When a run sets ``obs.metrics_port``, the federation server (or the
 in-process runner) starts this single-threaded stdlib HTTP server on a
-daemon thread.  Two routes:
+daemon thread.  It serves the run's :class:`JsonlTraceRecorder`: the
+fold of every record the recorder has written, so what it shows is what
+the trace file says.  Two routes:
 
-- ``/metrics`` -- the Prometheus text exposition of the process
-  registry, scrapeable by any Prometheus-compatible collector;
-- ``/metrics.json`` -- the same registry as a JSON snapshot, for
-  ``curl | jq`` style spot checks.
+- ``/metrics`` -- the fold as Prometheus text exposition
+  (:func:`repro.obs.summary.render_prometheus`), scrapeable by any
+  Prometheus-compatible collector;
+- ``/metrics.json`` -- the fold's state as JSON, for ``curl | jq`` style
+  spot checks.
 
 Everything else 404s.  The endpoint is read-only and carries no run
 control; it exists so a long networked run can be watched without
@@ -17,20 +20,22 @@ touching the training process.
 from __future__ import annotations
 
 import http.server
+import json
 import threading
 
-from .metrics import MetricsRegistry, get_registry
+from .summary import render_prometheus
+from .trace import JsonlTraceRecorder
 
 
 class _MetricsHandler(http.server.BaseHTTPRequestHandler):
-    registry: MetricsRegistry  # set by start_metrics_server
+    recorder: JsonlTraceRecorder  # set by start_metrics_server
 
     def do_GET(self):  # noqa: N802 (http.server API)
         if self.path.split("?", 1)[0] == "/metrics":
-            body = self.registry.render_prometheus().encode()
+            body = render_prometheus(self.recorder.metrics()).encode()
             ctype = "text/plain; version=0.0.4; charset=utf-8"
         elif self.path.split("?", 1)[0] == "/metrics.json":
-            body = self.registry.render_json().encode()
+            body = json.dumps(self.recorder.metrics(), indent=2).encode()
             ctype = "application/json"
         else:
             self.send_error(404)
@@ -67,16 +72,16 @@ class MetricsServer:
         return False
 
 
-def start_metrics_server(port: int, registry: MetricsRegistry | None = None,
+def start_metrics_server(port: int, recorder: JsonlTraceRecorder,
                          host: str = "127.0.0.1") -> MetricsServer:
-    """Serve ``registry`` (default: the process one) on ``host:port``.
+    """Serve ``recorder``'s fold on ``host:port``.
 
     ``port=0`` binds an OS-assigned port (read it back from the returned
     object).  The server runs on a daemon thread and never blocks run
     shutdown.
     """
     handler = type("BoundMetricsHandler", (_MetricsHandler,), {
-        "registry": registry if registry is not None else get_registry(),
+        "recorder": recorder,
     })
     httpd = http.server.HTTPServer((host, int(port)), handler)
     thread = threading.Thread(

@@ -1,21 +1,28 @@
-"""Offline trace analysis: turn a ``trace.jsonl`` into readable tables.
+"""The run's record, folded: ``/metrics`` and ``repro trace summary``.
 
-Backs the ``repro trace summary <trace.jsonl>`` CLI.  The input is the
-append-only span stream written by
-:class:`repro.obs.trace.JsonlTraceRecorder`; the output is four views:
+A ``trace.jsonl`` (written by :class:`repro.obs.trace.JsonlTraceRecorder`)
+is the one record of a run.  :class:`TraceFold` folds it one record at a
+time into aggregates whose size is set by the run's phases, silos and
+event names, never by its length:
 
-- **per round** -- duration, silos/users seen, uplink/downlink bytes;
-- **per phase** -- total/mean seconds and call counts, aggregated over
-  the whole run (protocol phases, secure-aggregation phases, server
-  phases such as ``ping`` and ``collect_contributions``);
-- **per silo** -- contribution count, total compute seconds, bytes both
-  ways, and the tightest deadline margin observed;
+- **totals** -- completed rounds, their seconds and bytes both ways, and
+  the aborted attempts (a ``round`` span that closed with ``error``);
+- **per phase** -- total/max seconds and call counts (protocol phases,
+  server phases such as ``ping`` and ``collect_contributions``), and the
+  bytes a phase span carries;
+- **per silo** -- span count, seconds, bytes both ways, and the deadline
+  margins (count, sum, tightest);
 - **per shard** -- for runs on the sharded engine (``[engine]`` in the
   spec), each silo's shard-task count, job total, and kernel seconds
   (the worker-side compute time, as opposed to the span's wall time
   which includes executor queueing);
-- **slowest spans** and **fault events** -- where to look first when a
-  run misbehaves.
+- **events** -- a count per event name, the last ``sim_release`` clock,
+  and the last ``evaluate`` span's ``epsilon``.
+
+The recorder folds each record as it writes it, and ``GET /metrics``
+(:mod:`repro.obs.httpd`) serves :func:`render_prometheus` of that fold;
+``repro trace summary`` folds the file and adds the views a bounded fold
+cannot keep -- per round, the slowest spans, the fault events.
 
 Everything tolerates partial traces (a crashed run never writes its
 unclosed spans) and multiple runs appended to one file.
@@ -24,16 +31,25 @@ unclosed spans) and multiple runs appended to one file.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from pathlib import Path
 
-from .trace import TRACE_SCHEMA
+TRACE_SCHEMA = "uldp-fl-trace/v1"
 
 #: Event names treated as faults in the fault-event view.
 FAULT_EVENTS = frozenset({
     "silo_fault", "silo_drop", "retry", "rollback", "quorum_abort",
     "sim_fault",
 })
+
+#: The counter each counted event name feeds on ``/metrics``.
+EVENT_COUNTERS = {
+    "silo_fault": ("net_silo_faults_total",
+                   "Mid-round silo failures observed by the server."),
+    "handshake_refused": ("net_handshakes_refused_total",
+                          "Connections refused at the HELLO/WELCOME handshake."),
+    "sim_release": ("sim_releases_total",
+                    "Simulator round releases (sync rounds or async buffers)."),
+}
 
 
 class TraceError(ValueError):
@@ -71,25 +87,108 @@ def load_trace(path: str | Path) -> list[dict]:
     return records
 
 
+class TraceFold:
+    """The aggregates of a record stream, folded one record at a time.
+
+    :attr:`state` is plain JSON data; folding a stream in any number of
+    pieces gives the state folding it whole gives.
+    """
+
+    def __init__(self):
+        self.state: dict = {
+            "meta": {},
+            "totals": {"rounds": 0, "aborted_rounds": 0, "round_seconds": 0.0,
+                       "uplink_bytes": 0, "downlink_bytes": 0},
+            "phases": {},
+            "silos": {},
+            "shards": {},
+            "events": {},
+            "epsilon": None,
+            "sim_clock": None,
+        }
+
+    def update(self, records) -> "TraceFold":
+        """Fold ``records`` in order; returns ``self``."""
+        for rec in records:
+            self.add(rec)
+        return self
+
+    def add(self, rec: dict) -> None:
+        """Fold one record."""
+        state = self.state
+        kind = rec.get("kind")
+        name = rec.get("name", "?")
+        attrs = rec.get("attrs") or {}
+        dur = rec.get("dur", 0.0)
+        if kind == "meta":
+            if not state["meta"]:
+                state["meta"] = dict(rec)
+        elif kind == "event":
+            state["events"][name] = state["events"].get(name, 0) + 1
+            if name == "sim_release":
+                state["sim_clock"] = float(attrs.get("clock", 0.0))
+        elif kind == "round":
+            totals = state["totals"]
+            if "error" in attrs:
+                totals["aborted_rounds"] += 1
+                return
+            totals["rounds"] += 1
+            totals["round_seconds"] += float(attrs.get("seconds", dur))
+            _add_bytes(totals, attrs)
+        elif kind == "phase":
+            entry = state["phases"].setdefault(name, {
+                "total": 0.0, "count": 0, "max": 0.0,
+                "uplink_bytes": 0, "downlink_bytes": 0,
+            })
+            entry["total"] += dur
+            entry["count"] += 1
+            entry["max"] = max(entry["max"], dur)
+            _add_bytes(entry, attrs)
+            if name == "evaluate" and attrs.get("epsilon") is not None:
+                state["epsilon"] = float(attrs["epsilon"])
+        elif kind == "silo":
+            entry = state["silos"].setdefault(str(attrs.get("silo", "?")), {
+                "count": 0, "seconds": 0.0, "uplink_bytes": 0,
+                "downlink_bytes": 0, "min_deadline_margin": None,
+                "margin_count": 0, "margin_sum": 0.0,
+            })
+            entry["count"] += 1
+            entry["seconds"] += dur
+            _add_bytes(entry, attrs)
+            margin = attrs.get("deadline_margin")
+            if margin is not None:
+                prev = entry["min_deadline_margin"]
+                entry["min_deadline_margin"] = (
+                    margin if prev is None else min(prev, margin))
+                entry["margin_count"] += 1
+                entry["margin_sum"] += margin
+        elif kind == "shard":
+            entry = state["shards"].setdefault(str(attrs.get("silo", "?")), {
+                "count": 0, "jobs": 0, "seconds": 0.0, "max": 0.0,
+            })
+            # ``seconds`` is the kernel time measured inside the worker;
+            # the span's ``dur`` also counts executor queueing and result
+            # pickling, so the attr is the honest compute number.
+            seconds = float(attrs.get("seconds") or dur)
+            entry["count"] += 1
+            entry["jobs"] += int(attrs.get("jobs") or 0)
+            entry["seconds"] += seconds
+            entry["max"] = max(entry["max"], seconds)
+
+
+def _add_bytes(entry: dict, attrs: dict) -> None:
+    for key in ("uplink_bytes", "downlink_bytes"):
+        entry[key] += int(attrs.get(key) or 0)
+
+
 def summarize(records: list[dict]) -> dict:
-    """Aggregate a record list into the four summary views."""
+    """The fold of ``records`` plus the per-round, span and fault views."""
+    state = TraceFold().update(records).state
     rounds: dict[int, dict] = {}
-    phases: dict[str, dict] = defaultdict(
-        lambda: {"total": 0.0, "count": 0, "max": 0.0})
-    silos: dict[str, dict] = defaultdict(lambda: {
-        "count": 0, "seconds": 0.0, "uplink_bytes": 0, "downlink_bytes": 0,
-        "min_deadline_margin": None,
-    })
-    shards: dict[str, dict] = defaultdict(lambda: {
-        "count": 0, "jobs": 0, "seconds": 0.0, "max": 0.0,
-    })
     spans: list[dict] = []
     faults: list[dict] = []
-    meta = records[0] if records and records[0].get("kind") == "meta" else {}
-
     for rec in records:
         kind = rec.get("kind")
-        attrs = rec.get("attrs") or {}
         if kind == "meta":
             continue
         if kind == "event":
@@ -97,59 +196,120 @@ def summarize(records: list[dict]) -> dict:
                 faults.append(rec)
             continue
         spans.append(rec)
-        if kind == "round":
-            round_no = attrs.get("round")
-            if round_no is None:
-                continue
-            entry = rounds.setdefault(int(round_no), {
-                "dur": 0.0, "silos_seen": None, "users_seen": None,
-                "uplink_bytes": 0, "downlink_bytes": 0,
-            })
-            entry["dur"] += rec.get("dur", 0.0)
-            for key in ("silos_seen", "users_seen"):
-                if attrs.get(key) is not None:
-                    entry[key] = attrs[key]
-            for key in ("uplink_bytes", "downlink_bytes"):
-                entry[key] += int(attrs.get(key) or 0)
-        elif kind == "phase":
-            entry = phases[rec.get("name", "?")]
-            dur = rec.get("dur", 0.0)
-            entry["total"] += dur
-            entry["count"] += 1
-            entry["max"] = max(entry["max"], dur)
-        elif kind == "silo":
-            silo = str(attrs.get("silo", "?"))
-            entry = silos[silo]
-            entry["count"] += 1
-            entry["seconds"] += rec.get("dur", 0.0)
-            entry["uplink_bytes"] += int(attrs.get("uplink_bytes") or 0)
-            entry["downlink_bytes"] += int(attrs.get("downlink_bytes") or 0)
-            margin = attrs.get("deadline_margin")
-            if margin is not None:
-                prev = entry["min_deadline_margin"]
-                entry["min_deadline_margin"] = (
-                    margin if prev is None else min(prev, margin))
-        elif kind == "shard":
-            entry = shards[str(attrs.get("silo", "?"))]
-            # ``seconds`` is the kernel time measured inside the worker;
-            # the span's ``dur`` also counts executor queueing and result
-            # pickling, so the attr is the honest compute number.
-            seconds = float(attrs.get("seconds") or rec.get("dur", 0.0))
-            entry["count"] += 1
-            entry["jobs"] += int(attrs.get("jobs") or 0)
-            entry["seconds"] += seconds
-            entry["max"] = max(entry["max"], seconds)
-
+        attrs = rec.get("attrs") or {}
+        if kind != "round" or attrs.get("round") is None:
+            continue
+        entry = rounds.setdefault(int(attrs["round"]), {
+            "dur": 0.0, "silos_seen": None, "users_seen": None,
+            "uplink_bytes": 0, "downlink_bytes": 0,
+        })
+        entry["dur"] += rec.get("dur", 0.0)
+        for key in ("silos_seen", "users_seen"):
+            if attrs.get(key) is not None:
+                entry[key] = attrs[key]
+        _add_bytes(entry, attrs)
     return {
-        "meta": meta,
+        **state,
         "rounds": dict(sorted(rounds.items())),
-        "phases": dict(sorted(phases.items(),
+        "phases": dict(sorted(state["phases"].items(),
                               key=lambda kv: -kv[1]["total"])),
-        "silos": dict(sorted(silos.items())),
-        "shards": dict(sorted(shards.items())),
+        "silos": dict(sorted(state["silos"].items())),
+        "shards": dict(sorted(state["shards"].items())),
         "spans": spans,
         "faults": faults,
     }
+
+
+# -- the Prometheus view -------------------------------------------------------
+
+
+def render_prometheus(state: dict) -> str:
+    """A :class:`TraceFold` state as Prometheus text exposition (0.0.4)."""
+    lines: list[str] = []
+
+    def family(name, kind, help, samples):
+        if not samples:
+            return
+        lines.append(f"# HELP {name} {help}")
+        lines.append(f"# TYPE {name} {kind}")
+        lines.extend(_sample(name + suffix, labels, value)
+                     for suffix, labels, value in samples)
+
+    totals = state["totals"]
+    family("trainer_rounds_total", "counter", "Training rounds completed.",
+           [("", {}, totals["rounds"])])
+    family("trainer_aborted_rounds_total", "counter",
+           "Round attempts aborted mid-round and retried.",
+           [("", {}, totals["aborted_rounds"])])
+    family("trainer_round_seconds", "summary",
+           "Seconds per completed training round.",
+           [("_sum", {}, totals["round_seconds"]),
+            ("_count", {}, totals["rounds"])])
+    family("comm_uplink_bytes_total", "counter",
+           "Silo -> server payload bytes of the completed rounds.",
+           [("", {}, totals["uplink_bytes"])])
+    family("comm_downlink_bytes_total", "counter",
+           "Server -> silo broadcast bytes of the completed rounds.",
+           [("", {}, totals["downlink_bytes"])])
+
+    phases = sorted(state["phases"].items())
+    family("protocol_phase_seconds", "gauge",
+           "Seconds per phase, summed over its spans.",
+           [("", {"phase": p}, e["total"]) for p, e in phases])
+    for way in ("uplink", "downlink"):
+        family(f"phase_{way}_bytes_total", "counter",
+               f"{way.capitalize()} frame bytes a phase span moved.",
+               [("", {"phase": p}, e[f"{way}_bytes"]) for p, e in phases
+                if e["uplink_bytes"] or e["downlink_bytes"]])
+
+    silos = sorted(state["silos"].items())
+    margins = []
+    for s, e in silos:
+        if e["margin_count"]:
+            margins += [("", {"silo": s, "quantile": "0"}, e["min_deadline_margin"]),
+                        ("_sum", {"silo": s}, e["margin_sum"]),
+                        ("_count", {"silo": s}, e["margin_count"])]
+    family("net_deadline_margin_seconds", "summary",
+           "Seconds left on the compute deadline when a silo's reply arrived.",
+           margins)
+    for way in ("uplink", "downlink"):
+        family(f"net_silo_{way}_bytes_total", "counter",
+               f"{way.capitalize()} frame bytes of each silo's round exchanges.",
+               [("", {"silo": s}, e[f"{way}_bytes"]) for s, e in silos])
+
+    family("engine_shard_seconds", "summary",
+           "Kernel seconds of the sharded engine's shard tasks.",
+           [sample for s, e in sorted(state["shards"].items())
+            for sample in (("_sum", {"silo": s}, e["seconds"]),
+                           ("_count", {"silo": s}, e["count"]))])
+
+    for event, (name, help) in sorted(EVENT_COUNTERS.items()):
+        family(name, "counter", help,
+               [("", {}, state["events"].get(event, 0))])
+    if state["sim_clock"] is not None:
+        family("sim_clock_seconds", "gauge", "The simulator's virtual clock.",
+               [("", {}, state["sim_clock"])])
+    if state["epsilon"] is not None:
+        family("privacy_epsilon_spent", "gauge",
+               "Epsilon spent so far (the last evaluation's accountant query).",
+               [("", {}, state["epsilon"])])
+    return "\n".join(lines) + "\n"
+
+
+def _fmt(value) -> str:
+    text = repr(value if isinstance(value, int) else float(value))
+    return {"nan": "NaN", "inf": "+Inf", "-inf": "-Inf"}.get(text, text)
+
+
+def _sample(name: str, labels: dict, value) -> str:
+    if not labels:
+        return f"{name} {_fmt(value)}"
+    body = ",".join(f'{k}="{_escape(v)}"' for k, v in sorted(labels.items()))
+    return f"{name}{{{body}}} {_fmt(value)}"
+
+
+def _escape(value: str) -> str:
+    return str(value).replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
 
 
 # -- rendering -----------------------------------------------------------------

@@ -35,20 +35,25 @@ enabled per run through the ``[obs]`` spec section
 of rounds, and every descendant of a dropped round span is dropped with
 it.  Spans outside any round (setup, checkpointing) are always kept.
 
-This module is intentionally dependency-free (stdlib only) and imports
-nothing from ``repro`` -- every layer of the codebase may import it
-without cycles.
+A :class:`JsonlTraceRecorder` also folds every record it writes into a
+:class:`repro.obs.summary.TraceFold`, the state ``GET /metrics`` renders:
+the endpoint is a view over the trace, not a second record of the run.
+
+This module is stdlib-only and imports nothing from ``repro`` outside
+``repro.obs`` -- every layer of the codebase may import it without
+cycles.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import threading
 import time
 from pathlib import Path
 
-TRACE_SCHEMA = "uldp-fl-trace/v1"
+from .summary import TRACE_SCHEMA, TraceFold
 
 #: Knuth's multiplicative hash constant -- spreads round numbers evenly
 #: over [0, 2^32) so round sampling is uniform *and* deterministic.
@@ -145,7 +150,8 @@ class JsonlTraceRecorder:
     fresh thread are roots) and file writes are serialised by a lock.
     Multiple *processes* must not share one trace file -- give each its
     own path (the networked runtime's silo processes simply run with the
-    null recorder).
+    null recorder).  :attr:`fold` holds the aggregates of every record
+    written so far; :meth:`metrics` copies them under the write lock.
     """
 
     enabled = True
@@ -161,6 +167,7 @@ class JsonlTraceRecorder:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_id = 0
+        self.fold = TraceFold()
         self._write({
             "kind": "meta",
             "schema": TRACE_SCHEMA,
@@ -247,6 +254,12 @@ class JsonlTraceRecorder:
             if self._fh.closed:
                 return
             self._fh.write(line + "\n")
+            self.fold.add(record)
+
+    def metrics(self) -> dict:
+        """A copy of :attr:`fold`'s state: every record written so far."""
+        with self._lock:
+            return copy.deepcopy(self.fold.state)
 
     def flush(self) -> None:
         with self._lock:

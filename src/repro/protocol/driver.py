@@ -41,7 +41,6 @@ import numpy as np
 from repro.core.engine import fork_pool
 from repro.net.transport import SiloFailure, TransportError
 from repro.net.wire import Frame, WireError, blob_ints, int_blob
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_recorder
 
 SERVER, SILO, HOST = "server", "silo", "host"
@@ -273,11 +272,6 @@ class Driver:
                 margin = self.timeout - span.elapsed
                 span.set(deadline_margin=margin, downlink_bytes=downlink,
                          uplink_bytes=conn.bytes_received - recv0)
-            get_registry().histogram(
-                "net_deadline_margin_seconds",
-                help="Seconds left on the compute deadline when each silo's update arrived.",
-                unit="seconds",
-            ).labels(silo=s).observe(margin)
             # A copy: the stamped "silo" key is the driver's, not the wire's.
             self.post(s, [dataclasses.replace(answer, payload=dict(answer.payload))])
         if failure is not None:

@@ -37,7 +37,6 @@ from repro.crypto.paillier import (
 )
 from repro.crypto.pool import RandomizerPool, nth_powers
 from repro.net.wire import Frame, blob_ints, int_blob
-from repro.obs.metrics import get_registry
 from repro.protocol.driver import KeyHolder, KeyRelay, Task
 from repro.protocol.oblivious import OTReceiver, OTSender, PrivateSubsampler
 
@@ -422,10 +421,6 @@ class ServerParty(KeyRelay):
     def on_weighted_delta(self, frame):
         pk = self.public_key
         self.deltas.append([PaillierCiphertext(v, pk) for v in blob_ints(frame.arrays["delta"])])
-        get_registry().counter(
-            "protocol_ciphertexts_total",
-            help="Paillier ciphertexts produced by silo-weighted encryption.",
-        ).inc(len(self.deltas[-1]))
 
     def on_decrypt(self, frame):
         vectors, self.deltas = self.deltas, []

@@ -49,7 +49,6 @@ from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.weighting import RENORMS, RoundParticipation
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential
-from repro.obs.metrics import get_registry
 from repro.obs.trace import Span, get_recorder
 from repro.sim.participation import (
     BandwidthModel,
@@ -310,7 +309,7 @@ class FederationSimulator:
             # ideal-network serve keeps a log bit-identical to in-process.
             entry["silos_observed_down"] = observed_down
         self.round_log.append(entry)
-        self._observe_release(entry)
+        get_recorder().event("sim_release", **entry)
 
     # -- buffered-async ------------------------------------------------------
 
@@ -369,7 +368,7 @@ class FederationSimulator:
                 downlink += self._start_job(nxt.silo)
             entry = self._release_buffer(span, CommSummary(uplink, downlink))
         self.round_log.append(entry)
-        self._observe_release(entry)
+        get_recorder().event("sim_release", **entry)
 
     def _release_buffer(self, span: Span, comm: CommSummary) -> dict:
         """Hand the method the buffer's first ``buffer_size`` payloads with
@@ -401,18 +400,6 @@ class FederationSimulator:
             "noise_scale": release.noise_scale,
             "clock": self.clock,
         }
-
-    def _observe_release(self, entry: dict) -> None:
-        """Mirror one round-log entry into the trace and metrics layers."""
-        get_recorder().event("sim_release", **entry)
-        get_registry().counter(
-            "sim_releases_total",
-            help="Simulator round releases (sync rounds or async buffers).",
-        ).inc()
-        get_registry().gauge(
-            "sim_clock_seconds",
-            help="The simulator's virtual clock.", unit="seconds",
-        ).set(entry.get("clock", 0.0))
 
     # -- checkpoint serialisation --------------------------------------------
 

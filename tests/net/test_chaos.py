@@ -69,7 +69,14 @@ class TestKillMinusNine:
         mid-run, resume from the checkpoint, and the final history JSON
         equals an uninterrupted run's byte for byte."""
         spec = tmp_path / "spec.toml"
-        write_spec(spec, free_port())
+        # Silo 0 straggles 0.5 s on each reply of round index 1 (ping and
+        # update, both far inside their deadlines): the bits do not move,
+        # and the server is held in that round, right after the round-1
+        # checkpoint the kill waits for, so the kill lands mid-run.
+        write_spec(spec, free_port(), extra="""
+[net.faults]
+events = [{ silo = 0, action = "delay", round = 1, value = 0.5 }]
+""")
         ckpt = tmp_path / "ckpt"
 
         ref = serve(tmp_path, "--config", str(spec), "--spawn-silos",

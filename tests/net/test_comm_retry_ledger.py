@@ -16,6 +16,7 @@ from repro.api import RunSpec
 from repro.core.weighting import QuorumError
 from repro.net.server import FederationServer
 from repro.net.silo_client import SiloClient
+from repro.obs.summary import TraceFold, load_trace, render_prometheus
 
 
 def networked(tree, n_silos=3):
@@ -100,12 +101,13 @@ class TestRetryLedger:
         # its logged bytes can never exceed the clean 3-silo figure.
         assert 0 < faulted_up[3] <= clean_up[3]
 
-    def test_aborted_attempt_bytes_land_in_the_ledger(self):
+    def test_aborted_attempt_bytes_land_in_the_ledger(self, tmp_path):
         tree = base_tree(
             round_timeout=2.0, ping_timeout=5.0,
             faults={"events": [
                 {"silo": 2, "action": "timeout", "round": 1, "value": 3.0}]},
         )
+        tree["obs"] = {"enabled": True, "trace_path": str(tmp_path / "t.jsonl")}
         server, hist, codes, err = networked(tree)
         assert err is None
         ledger = server.retry_ledger
@@ -114,3 +116,10 @@ class TestRetryLedger:
         # (downlink) and collected some replies before the deadline hit.
         assert ledger["downlink_bytes"] > 0
         assert ledger["uplink_bytes"] > 0
+        # /metrics, rendered from the trace, counts the fault once and the
+        # aborted attempt as an attempt, not a round.
+        state = TraceFold().update(load_trace(tmp_path / "t.jsonl")).state
+        lines = render_prometheus(state).splitlines()
+        assert f"net_silo_faults_total {ledger['attempts']}" in lines
+        assert f"trainer_aborted_rounds_total {ledger['attempts']}" in lines
+        assert f"trainer_rounds_total {len(hist.round_seconds)}" in lines

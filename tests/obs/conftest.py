@@ -1,21 +1,17 @@
 """Shared isolation for the observability tests.
 
-The metrics registry and the trace recorder are process-wide singletons;
-every test here starts from a clean registry and the no-op recorder so
-ordering between tests (and between this suite and the instrumented
-integration tests) cannot leak state.
+The trace recorder is a process-wide singleton; every test here starts
+from the no-op recorder so ordering between tests (and between this
+suite and the instrumented integration tests) cannot leak state.
 """
 
 import pytest
 
-from repro.obs.metrics import get_registry
 from repro.obs.trace import set_recorder
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    get_registry().reset()
     set_recorder(None)
     yield
-    get_registry().reset()
     set_recorder(None)

@@ -17,7 +17,7 @@ import pytest
 from repro.api.runner import resolve_trace_path, run
 from repro.api.spec import RunSpec
 from repro.cli import main
-from repro.obs.metrics import get_registry
+from repro.obs import trace
 from repro.obs.summary import load_trace, summarize
 from repro.report import history_to_dict
 
@@ -59,11 +59,17 @@ class TestDisabledIsInvisible:
         traced = RunSpec.from_dict(train_tree(obs=obs_tree(tmp_path)))
         assert plain.hash() == traced.hash()
 
-    def test_disabled_obs_writes_no_trace_file(self, tmp_path):
+    def test_disabled_obs_writes_no_trace_and_keeps_no_metrics(
+            self, tmp_path, monkeypatch):
+        """No trace file, and no fold: a disabled run has no metric state."""
+        folds, fold = [], trace.TraceFold
+        monkeypatch.setattr(trace, "TraceFold",
+                            lambda: folds.append(fold()) or folds[-1])
         tree = train_tree(obs={"enabled": False,
                                "trace_path": str(tmp_path / "t.jsonl")})
         run(RunSpec.from_dict(tree))
         assert not (tmp_path / "t.jsonl").exists()
+        assert folds == []
 
 
 class TestEnabledIsFaithful:
@@ -95,28 +101,6 @@ class TestEnabledIsFaithful:
         (run_span,) = [r for r in records if r.get("kind") == "run"]
         assert run_span["attrs"]["spec_name"] == "obs-oracle"
         assert run_span["attrs"]["spec_hash"] == result.spec_hash
-
-    def test_trainer_metrics_populated(self, traced):
-        result, _ = traced
-        reg = get_registry()
-        rounds = reg.counter("trainer_rounds_total").labels().value
-        assert rounds >= 2  # this run's rounds (registry is process-wide)
-        uplink = reg.counter("comm_uplink_bytes_total").labels().value
-        assert uplink >= sum(c.uplink_bytes for c in result.history.comm)
-
-    def test_phase_gauge_is_the_methods_timing_report(self):
-        """The one phase metric a run exports: ``protocol_phase_seconds``,
-        set each round from ``timing_report()`` (secure methods only)."""
-        result = run(RunSpec.from_dict(train_tree(
-            rounds=1,
-            method={"name": "secure-uldp-avg", "local_epochs": 1},
-            crypto={"backend": "masked"},
-        )))
-        phases = result.history.phase_seconds
-        assert phases  # the masked backend times its phases
-        gauge = get_registry().gauge("protocol_phase_seconds")
-        for name, total in phases.items():
-            assert gauge.labels(phase=name).value == total
 
     def test_trace_summary_cli_exits_zero(self, traced, capsys):
         _, path = traced

@@ -45,17 +45,13 @@ class TestRunRoundOtSampling:
         ref = plaintext_reference(proto, deltas, noises, sampled_users=sampled)
         assert np.max(np.abs(out - ref)) < 1e-6
 
-    def test_round_reaches_server_view_and_counter(self):
-        """An OT round is recorded like a plain one: the silo ciphertexts
-        reach the server's frame log, the decrypted aggregate is server
-        state, and the ciphertext counter advances by S * d."""
-        from repro.obs.metrics import get_registry
-
+    def test_round_reaches_server_view(self):
+        """An OT round is recorded like a plain one: the silo ciphertexts,
+        d per silo, reach the server's frame log, and the decrypted
+        aggregate is server state."""
         proto = make_protocol()
         deltas, noises = make_inputs(proto, d=4)
         subsampler = PrivateSubsampler(proto.silos[0].shared_seed, n_slots=2)
-        counter = get_registry().counter("protocol_ciphertexts_total").labels()
-        before = counter.value
 
         out = proto.run_round_ot_sampling(deltas, noises, subsampler)
 
@@ -63,7 +59,6 @@ class TestRunRoundOtSampling:
         assert [len(vec) for vec in ciphertexts] == [4] * proto.n_silos
         aggregate = proto.server.aggregate
         assert np.array_equal(aggregate, out)
-        assert counter.value - before == proto.n_silos * 4
         assert proto.round_no == 1
 
     def test_multiple_rounds_resample(self):

@@ -1,12 +1,14 @@
 #!/usr/bin/env python
-"""Fail when a networked run's trace leaves a silo out of its per-silo view.
+"""Fail when a networked run's trace leaves a silo out of its live view.
 
-``repro trace summary`` renders the per-silo table from the ``kind="silo"``
-spans the server's round emits, one ``silo_compute`` per silo and round,
-each with the deadline margin the silo's ``update`` arrived with.  This
-gate exits 1 when a silo of the spec's roster has no such span, or has
-spans but never a margin (it never delivered an ``update``), and prints
-one line per problem.
+The server's round emits one ``silo_compute`` span per silo and round,
+each with the deadline margin the silo's ``update`` arrived with;
+``GET /metrics`` renders their fold as ``net_silo_*_bytes_total{silo=}``
+and ``net_deadline_margin_seconds{silo=}``.  This gate renders that
+exposition from the trace file, as the endpoint would, and exits 1 when
+a silo of the spec's roster has no sample there, or has samples but no
+deadline margin (it never delivered an ``update``), printing one line
+per problem.
 
 Usage::
 
@@ -22,21 +24,24 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api.spec import RunSpec  # noqa: E402
-from repro.obs.summary import load_trace, summarize  # noqa: E402
+from repro.obs.summary import TraceFold, load_trace, render_prometheus  # noqa: E402
 from repro.sim.scenarios import scenario_recipe  # noqa: E402
 
 
 def problems(spec: RunSpec, trace: str) -> list[str]:
-    """What the per-silo view of ``trace`` lacks for ``spec``'s roster."""
+    """What the exposition rendered from ``trace`` lacks for ``spec``'s
+    roster."""
     sizes, _ = scenario_recipe(spec.sim.scenario, spec.sim.scale, spec.rounds)
-    silos = summarize(load_trace(trace))["silos"]
+    text = render_prometheus(TraceFold().update(load_trace(trace)).state)
+    samples = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                   if line and not line.startswith("#"))
     found = []
     for s in range(sizes["n_silos"]):
-        entry = silos.get(str(s))
-        if entry is None:
+        label = f'{{silo="{s}"}}'
+        if "net_silo_uplink_bytes_total" + label not in samples:
             found.append(f"silo {s}: no silo span in the trace")
-        elif entry["min_deadline_margin"] is None:
-            found.append(f"silo {s}: no span with a deadline margin")
+        elif float(samples.get("net_deadline_margin_seconds_count" + label, 0)) < 1:
+            found.append(f"silo {s}: no deadline-margin sample")
     return found
 
 
@@ -49,7 +54,7 @@ def main(argv: list[str]) -> int:
     for line in found:
         print(f"{trace}: {line}")
     if not found:
-        print(f"{trace}: every silo has spans with a deadline margin")
+        print(f"{trace}: every silo has a deadline-margin sample")
     return 1 if found else 0
 
 
