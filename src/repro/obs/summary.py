@@ -157,6 +157,7 @@ class TraceFold:
             _add_bytes(entry, attrs)
             margin = attrs.get("deadline_margin")
             if margin is not None:
+                margin = float(margin)
                 prev = entry["min_deadline_margin"]
                 entry["min_deadline_margin"] = (
                     margin if prev is None else min(prev, margin))

@@ -61,11 +61,15 @@ _HASH_MULT = 2654435761
 
 
 def _jsonable(value):
-    """Best-effort JSON coercion for attr values (numpy scalars etc.)."""
-    for caster in (int, float):
+    """Best-effort JSON coercion for attr values (numpy scalars etc.).
+
+    A numpy scalar becomes its Python value (``np.float32(0.75)`` is
+    written as ``0.75``, not truncated by ``int``).
+    """
+    for caster in (lambda v: v.item(), int, float):
         try:
             return caster(value)
-        except (TypeError, ValueError):
+        except (AttributeError, TypeError, ValueError):
             continue
     return str(value)
 
